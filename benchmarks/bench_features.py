@@ -265,14 +265,12 @@ def gate_leg(n: int, passes: int = 3) -> dict:
     oracle_exact = True
     for scenario, shift in (("unshifted", 0.0), ("shifted", SHIFT)):
         server, gate = _gated_server(view, offline)
-        observed_rows = []
-        for entity in entities:
-            row = online.serve(entity) + shift
-            gate.observe(row)
-            observed_rows.append(row)
+        observed = np.vstack(
+            [online.serve(entity) + shift for entity in entities]
+        )
+        gate.observe_many(observed)
         # analytic oracle: every monitor statistic recomputed from
         # closed-form bucket counts over the raw observation list.
-        observed = np.vstack(observed_rows)
         for j, fname in enumerate(view.feature_names):
             monitor = gate.monitors[fname]
             ref_counts = bucket_counts(offline.columns[fname], monitor.edges)

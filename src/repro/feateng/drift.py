@@ -25,7 +25,6 @@ Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -201,12 +200,11 @@ def bucket_counts(values, edges: np.ndarray) -> np.ndarray:
     buckets (frozen edges must absorb covariate shift, not drop it)."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     ok = arr[np.isfinite(arr)]
-    counts = np.zeros(len(edges) - 1, dtype=np.float64)
-    if ok.size == 0:
-        return counts
+    last = len(edges) - 2
     idx = np.searchsorted(edges, np.clip(ok, edges[0], edges[-1]), side="right") - 1
-    np.add.at(counts, np.clip(idx, 0, len(edges) - 2), 1.0)
-    return counts
+    return np.bincount(np.clip(idx, 0, last), minlength=last + 1).astype(
+        np.float64
+    )
 
 
 def _smoothed_probs(counts: np.ndarray, epsilon: float) -> np.ndarray:
@@ -299,11 +297,10 @@ class StreamingDriftMonitor:
         """Fold one serving-side observation into the bucket counts."""
         self.observe_many((value,))
 
-    def observe_many(self, values: Iterable[float]) -> int:
-        """Fold a batch of observations; returns how many were finite."""
-        counts = bucket_counts(np.fromiter(
-            (float(v) for v in values), dtype=np.float64
-        ), self.edges)
+    def observe_many(self, values) -> int:
+        """Fold an array-like batch of observations; returns how many
+        were finite."""
+        counts = bucket_counts(values, self.edges)
         folded = int(counts.sum())
         self.counts += counts
         self.observed += folded

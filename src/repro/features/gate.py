@@ -102,24 +102,25 @@ class DriftGate:
 
     # -- serving-side accumulation -------------------------------------
     def observe(self, row) -> None:
-        """Fold one served feature row (declaration order) into the
-        per-feature monitors."""
-        values = np.asarray(row, dtype=np.float64).reshape(-1)
-        if len(values) != len(self.view.feature_names):
-            raise FeatureStoreError(
-                f"gate observed {len(values)} values for "
-                f"{len(self.view.feature_names)} features"
-            )
-        for fname, value in zip(self.view.feature_names, values):
-            self.monitors[fname].observe(float(value))
-        self.observations += 1
-        get_registry().inc("features.gate.observations")
+        """Fold one served feature row (declaration order): the one-row
+        case of :meth:`observe_many`."""
+        self.observe_many(np.asarray(row, dtype=np.float64).reshape(1, -1))
 
     def observe_many(self, rows) -> None:
-        for row in np.asarray(rows, dtype=np.float64).reshape(
-            -1, len(self.view.feature_names)
-        ):
-            self.observe(row)
+        """Fold a batch of served rows into the per-feature monitors,
+        one vectorised fold per feature column (not per value)."""
+        batch = np.atleast_1d(np.asarray(rows, dtype=np.float64))
+        width = len(self.view.feature_names)
+        if batch.size and batch.shape[-1] != width:
+            raise FeatureStoreError(
+                f"gate observed {batch.shape[-1]} values for "
+                f"{width} features"
+            )
+        batch = batch.reshape(-1, width)
+        for j, fname in enumerate(self.view.feature_names):
+            self.monitors[fname].observe_many(batch[:, j])
+        self.observations += len(batch)
+        get_registry().inc("features.gate.observations", len(batch))
 
     def drift_snapshot(self) -> dict[str, DriftStats]:
         """Current per-feature statistics (all features)."""

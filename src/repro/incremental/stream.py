@@ -118,11 +118,11 @@ class Delta:
 def _make_delta(
     kind: str,
     version: int,
-    row_ids: Sequence[int],
+    ids: np.ndarray,
     rows: Table | None,
     old_rows: Table | None,
 ) -> Delta:
-    row_ids = tuple(int(i) for i in row_ids)
+    row_ids = tuple(ids.tolist())
     return Delta(
         kind=kind,
         version=version,
@@ -175,6 +175,10 @@ class DynamicTable(Table):
     results) keeps the bytes it was created with. Rows carry stable
     ``row_id`` identities that are never reused, which is what lets a
     delta consumer subtract exactly the rows a delete removed.
+
+    Invariant: ``row_ids`` is strictly ascending — ``arange`` at build,
+    inserts append larger ids, deletes mask in order, updates keep
+    positions — so an id resolves to its position by binary search.
     """
 
     def __init__(self, schema, columns, name: str = "dynamic"):
@@ -282,13 +286,23 @@ class DynamicTable(Table):
         return rows
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
-        index = {int(rid): pos for pos, rid in enumerate(self._row_ids)}
-        try:
-            return np.asarray([index[int(i)] for i in ids], dtype=np.int64)
-        except KeyError as exc:
+        """Positions of ``ids`` (caller order) in O(|ids| log n)."""
+        positions = np.searchsorted(self._row_ids, ids)
+        present = positions < self._nrows
+        present[present] = self._row_ids[positions[present]] == ids[present]
+        if not present.all():
             raise IncrementalError(
-                f"row id {exc.args[0]} not present in table {self.name!r}"
-            ) from None
+                f"row id {int(ids[~present][0])} not present in table "
+                f"{self.name!r}"
+            )
+        ordered = np.sort(positions)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise IncrementalError(
+                f"row id {int(self._row_ids[repeated[0]])} repeated in one "
+                f"mutation of table {self.name!r}"
+            )
+        return positions
 
     def _emit(
         self,

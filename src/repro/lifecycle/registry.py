@@ -61,9 +61,7 @@ class ModelRegistry:
     ) -> ModelVersion:
         """Register a new version of ``name``; returns the version entry."""
         versions = self._models.setdefault(name, [])
-        if parent_version is not None and not any(
-            v.version == parent_version for v in versions
-        ):
+        if parent_version is not None and not 1 <= parent_version <= len(versions):
             raise LifecycleError(
                 f"parent version v{parent_version} of {name!r} does not exist"
             )
@@ -81,16 +79,16 @@ class ModelRegistry:
         return entry
 
     def get(self, name: str, version: int | None = None) -> ModelVersion:
-        """A specific version, or the latest when ``version`` is None."""
+        """A specific version, or the latest when ``version`` is None
+        (versions are dense ``1..n``: ``v`` lives at index ``v - 1``)."""
         versions = self._models.get(name)
         if not versions:
             raise LifecycleError(f"no model named {name!r}")
         if version is None:
             return versions[-1]
-        for v in versions:
-            if v.version == version:
-                return v
-        raise LifecycleError(f"{name!r} has no version v{version}")
+        if not 1 <= version <= len(versions):
+            raise LifecycleError(f"{name!r} has no version v{version}")
+        return versions[version - 1]
 
     def versions(self, name: str) -> list[ModelVersion]:
         if name not in self._models:

@@ -21,6 +21,7 @@ from repro.lang.dsl import sqrt as rsqrt
 from repro.lifecycle import ModelRegistry
 from repro.materialize import MaterializationStore
 from repro.ml import LinearRegression
+from repro.obs import metric_value
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
 from repro.serving import ModelServer
 from repro.storage.table import Table
@@ -315,13 +316,11 @@ def gated_server(view, offline, min_observations=100, shift=False):
     gate = DriftGate(view, offline, min_observations=min_observations)
     server.set_promotion_gate("ep", gate)
     server.set_canary("ep", 2, 0.5)
-    rng = np.random.default_rng(11)
+    rows = offline.slice(table_entities.tolist())
+    if shift:
+        rows = rows + 100.0
     for _ in range(3):
-        for entity in table_entities.tolist():
-            row = offline.row(entity)
-            if shift:
-                row = row + 100.0
-            gate.observe(row)
+        gate.observe_many(rows)
     return server, gate
 
 
@@ -377,3 +376,81 @@ class TestDriftGate:
             "ep", DriftGate(view, offline, min_observations=10)
         )
         assert server.promote("ep", 1).version == 1
+
+
+def fold_row_by_row(gate, row):
+    """The per-value fold ``observe_many`` replaced, kept as its oracle:
+    one searchsorted and one ``np.add.at`` per feature per served row."""
+    for monitor, value in zip(gate.monitors.values(), row):
+        if np.isfinite(value):
+            edges = monitor.edges
+            idx = np.searchsorted(
+                edges, np.clip(value, edges[0], edges[-1]), side="right"
+            ) - 1
+            np.add.at(monitor.counts, np.clip(idx, 0, len(edges) - 2), 1.0)
+            monitor.observed += 1
+    gate.observations += 1
+
+
+served_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-5.0, 600.0),  # inside and around the reference range
+)
+
+
+class TestGateBatchParity:
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.lists(served_value, min_size=4, max_size=4), max_size=6
+            ),
+            max_size=6,
+        ),
+        flat_single_rows=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batches_fold_bitwise_like_single_rows(
+        self, batches, flat_single_rows
+    ):
+        view = standard_view()
+        offline = FeatureStore().materialize(view, base_table())
+        batched = DriftGate(view, offline, min_observations=1)
+        oracle = DriftGate(view, offline, min_observations=1)
+        counted = metric_value("features.gate.observations")
+        for batch in batches:
+            if len(batch) == 1 and flat_single_rows:
+                batched.observe_many(np.asarray(batch[0]))
+            else:
+                batched.observe_many(batch)
+            for row in batch:
+                fold_row_by_row(oracle, row)
+        rows = sum(len(batch) for batch in batches)
+        for fname, monitor in batched.monitors.items():
+            assert monitor.counts.tobytes() == oracle.monitors[fname].counts.tobytes()
+            assert monitor.observed == oracle.monitors[fname].observed
+        assert repr(batched.drift_snapshot()) == repr(oracle.drift_snapshot())
+        assert batched.ledger() == oracle.ledger()
+        assert batched.observations == rows
+        assert metric_value("features.gate.observations") - counted == rows
+
+    def test_observe_is_the_one_row_batch(self):
+        view = standard_view()
+        offline = FeatureStore().materialize(view, base_table())
+        one, many = (DriftGate(view, offline) for _ in range(2))
+        for row in offline.matrix():
+            one.observe(row)
+        many.observe_many(offline.matrix())
+        assert repr(one.drift_snapshot()) == repr(many.drift_snapshot())
+        assert one.ledger() == many.ledger()
+        with pytest.raises(FeatureStoreError, match="3 values for 4 features"):
+            one.observe(np.zeros(3))
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((5, 3)), np.zeros((2, 8)), np.zeros(8), [[1.0]], 1.0,
+    ])
+    def test_wrong_width_is_a_typed_error(self, rows):
+        view = standard_view()
+        gate = DriftGate(view, FeatureStore().materialize(view, base_table()))
+        with pytest.raises(FeatureStoreError, match="for 4 features"):
+            gate.observe_many(rows)
+        assert gate.ledger()["observations"] == 0

@@ -87,6 +87,16 @@ class TestDynamicTable:
         with pytest.raises(IncrementalError):
             dyn.delete([999])
 
+    def test_repeated_row_id_in_one_mutation_raises(self):
+        # one removed row must never reach the aggregates twice
+        dyn, stream, _ = make_maintained(5, seed=1)
+        with pytest.raises(IncrementalError, match="row id 3 repeated"):
+            dyn.delete([3, 1, 3])
+        with pytest.raises(IncrementalError, match="row id 2 repeated"):
+            dyn.update([2, 2], grid_table(2, seed=4))
+        assert dyn.version == 0 and dyn.num_rows == 5
+        assert stream.pending() == 0
+
     def test_schema_mismatch_raises(self):
         dyn = DynamicTable.from_table(grid_table(5, seed=1))
         with pytest.raises(IncrementalError):
@@ -398,3 +408,64 @@ class TestInterleavingProperty:
                 dyn.update(picks, grid_table(size, seed=seed + 1))
         m.drain()
         assert m.gram_state.parity_exact(dyn)
+
+
+def rows_by_id(dyn):
+    """The table as the dumbest possible structure: row id -> row tuple."""
+    return dict(zip(dyn.row_ids.tolist(), dyn.rows()))
+
+
+class TestDynamicTableOracle:
+    """Position lookup by binary search over ascending ``row_ids`` must
+    behave exactly like a dict of rows keyed by id."""
+
+    @given(schedule=ops, base_seed=st.integers(0, 1_000))
+    @settings(max_examples=40, deadline=None)
+    def test_mutations_match_dict_of_rows(self, schedule, base_seed):
+        dyn = DynamicTable.from_table(grid_table(12, seed=base_seed))
+        oracle = rows_by_id(dyn)
+        next_id = dyn.num_rows
+        handed_out = []  # (arrays given out earlier, their bytes then)
+        for kind, size, seed in schedule:
+            arrays = [dyn.row_ids, *dyn.columns().values(),
+                      *dyn.snapshot().columns().values()]
+            handed_out.append((arrays, [a.tobytes() for a in arrays]))
+            if kind != "insert" and dyn.num_rows <= size:
+                continue
+            rng = np.random.default_rng(seed)
+            fresh = grid_table(size, seed=seed)
+            if kind == "insert":
+                delta = dyn.insert(fresh)
+                assert delta.row_ids == tuple(range(next_id, next_id + size))
+                oracle.update(zip(delta.row_ids, fresh.rows()))
+                next_id += size
+            else:
+                # unsorted picks: a delta keeps the caller's id order
+                picks = rng.choice(dyn.row_ids, size=size, replace=False)
+                if kind == "delete":
+                    delta = dyn.delete(picks)
+                    removed = [oracle.pop(i) for i in delta.row_ids]
+                else:
+                    delta = dyn.update(picks, fresh)
+                    removed = [oracle[i] for i in delta.row_ids]
+                    oracle.update(zip(delta.row_ids, fresh.rows()))
+                assert delta.row_ids == tuple(picks.tolist())
+                assert list(delta.old_rows.rows()) == removed
+            assert delta.verify()
+            assert np.all(np.diff(dyn.row_ids) > 0)
+            assert rows_by_id(dyn) == oracle
+            # rejected mutations leave no trace
+            version, some_id = dyn.version, int(dyn.row_ids[seed % dyn.num_rows])
+            two = grid_table(2, seed=seed + 1)
+            for bad in ([next_id], [-1], [some_id, next_id + 3]):
+                with pytest.raises(IncrementalError, match="not present"):
+                    dyn.delete(bad)
+            with pytest.raises(IncrementalError, match="not present"):
+                dyn.update([next_id, some_id], two)
+            with pytest.raises(IncrementalError, match=f"id {some_id} repeated"):
+                dyn.delete([some_id, some_id])
+            with pytest.raises(IncrementalError, match=f"id {some_id} repeated"):
+                dyn.update([some_id, some_id], two)
+            assert dyn.version == version and rows_by_id(dyn) == oracle
+        for arrays, before in handed_out:
+            assert [a.tobytes() for a in arrays] == before

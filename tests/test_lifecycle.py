@@ -30,23 +30,27 @@ class TestModelRegistry:
 
     def test_get_specific_version(self, registry):
         assert registry.get("churn", 1).model == "model-a"
+        assert registry.get("churn", 2).model == "model-b"
 
     def test_get_unknown_model(self, registry):
         with pytest.raises(LifecycleError):
             registry.get("nope")
 
-    def test_get_unknown_version(self, registry):
-        with pytest.raises(LifecycleError):
-            registry.get("churn", 99)
+    @pytest.mark.parametrize("version", [3, 99, 0, -1])
+    def test_get_unknown_version(self, registry, version):
+        # versions index a dense list: 0 and -1 must not wrap around
+        with pytest.raises(LifecycleError, match=f"no version v{version}"):
+            registry.get("churn", version)
 
     def test_lineage_chain(self, registry):
         registry.register("churn", "model-c", parent_version=2)
         chain = registry.lineage("churn", 3)
         assert [v.version for v in chain] == [1, 2, 3]
 
-    def test_register_with_missing_parent(self, registry):
+    @pytest.mark.parametrize("parent", [42, 3, 0, -1])
+    def test_register_with_missing_parent(self, registry, parent):
         with pytest.raises(LifecycleError, match="parent"):
-            registry.register("churn", "x", parent_version=42)
+            registry.register("churn", "x", parent_version=parent)
 
     def test_best_by_metric(self, registry):
         assert registry.best("churn", "acc").version == 2
