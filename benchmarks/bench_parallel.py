@@ -12,7 +12,7 @@ Usage::
 
     python benchmarks/bench_parallel.py                  # full sweep
     python benchmarks/bench_parallel.py --quick          # CI smoke run
-    python benchmarks/bench_parallel.py --out BENCH_parallel.json
+    python benchmarks/bench_parallel.py --quick --out BENCH_parallel_quick.json
 
 Speedups > 1 require actual cores: on a single-CPU machine the engine
 still dispatches (utilization is reported honestly) but wall-clock gains

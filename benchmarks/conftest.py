@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
 Each ``bench_*.py`` module regenerates one experiment from DESIGN.md's
-index (E1..E12). Run with::
+index (E1..E27; E28 is the whole-loop harness under ``e2e/``). Run with::
 
     pytest benchmarks/ --benchmark-only
 

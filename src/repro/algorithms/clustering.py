@@ -9,7 +9,6 @@ centroid update run in the driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -17,10 +16,10 @@ from ..compiler import compile_expr
 from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, rowsums
+from ..ml.kmeans import cluster_sums, lloyd
 from ..resilience.checkpoint import IterativeCheckpointer
-from ..resilience.retry import RetryPolicy, resilient_call
-from ..runtime import execute
-from .glm import REPLAN_STABLE_CHECKS, replan_operand
+from ..resilience.retry import RetryPolicy
+from .glm import AdaptivePlan
 
 
 @dataclass
@@ -38,17 +37,12 @@ class KMeansResult:
 
 
 def _gather_rows(X, rows: np.ndarray) -> np.ndarray:
-    """Rows of a representation operand via one-hot t(X) %*% E."""
+    """Copies of rows; from a representation via one-hot t(X) %*% E."""
+    if isinstance(X, np.ndarray):
+        return X[rows].copy()
     picker = np.zeros((X.shape[0], len(rows)))
     picker[rows, np.arange(len(rows))] = 1.0
     return np.asarray(X.rmatmat(picker), dtype=np.float64).T
-
-
-def _cluster_sums(X, labels: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Per-cluster row sums via a one-hot membership indicator."""
-    member = np.zeros((X.shape[0], n_clusters))
-    member[np.arange(len(labels)), labels] = 1.0
-    return np.asarray(X.rmatmat(member), dtype=np.float64).T
 
 
 def kmeans_dsl(
@@ -68,11 +62,9 @@ def kmeans_dsl(
     gathers rows and centroid sums through ``rmatmat`` with one-hot
     indicators so the data never materializes.
 
-    With a ``checkpointer``, the run resumes from the newest valid
-    snapshot (centers + history), skipping re-initialization; each
-    Lloyd step is deterministic given the centers, so resumed runs end
-    bit-identical. With a ``retry`` policy, steps run through
-    :func:`~repro.resilience.retry.resilient_call` at site
+    The loop is :func:`~repro.ml.kmeans.lloyd`: a ``checkpointer`` run
+    resumes from the newest valid snapshot and ends bit-identical; with
+    a ``retry`` policy steps are retried at site
     ``"clustering.kmeans_dsl.step"``.
 
     ``adaptive`` re-plans ``X``'s representation against the feedback
@@ -82,8 +74,7 @@ def kmeans_dsl(
     """
     from ..runtime import repops
 
-    is_rep = repops.is_representation(X)
-    if not is_rep:
+    if not repops.is_representation(X):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ModelError(f"X must be 2-D, got shape {X.shape}")
@@ -97,129 +88,34 @@ def kmeans_dsl(
     dist_expr = rowsums(Xm**2) - 2.0 * (Xm @ Cm.T) + rowsums(Cm**2).T
     dist_plan = compile_expr(dist_expr)
 
-    store = _feedback.resolve_store(adaptive)
-    operands = {"X": X}
-    replans = 0
-    stable_checks = 0
-    plan_history: list[str] = []
+    runner = AdaptivePlan(
+        dist_plan, X, {"C": np.zeros((n_clusters, d))}, adaptive, replan_interval
+    )
 
-    def _replan(iteration: int) -> None:
-        nonlocal replans, stable_checks
-        switched = replan_operand(
-            dist_plan,
-            operands,
-            "X",
-            {"X": operands["X"], "C": np.zeros((n_clusters, d))},
-            store,
-            iteration,
-            plan_history,
-        )
-        if switched:
-            stable_checks = 0
-            if iteration > 0:
-                replans += 1
-        else:
-            stable_checks += 1
+    def assign(centers: np.ndarray):
+        D = runner.execute(C=centers)
+        labels = np.argmin(D, axis=1)
+        return labels, float(np.maximum(D[np.arange(n), labels], 0.0).sum())
 
-    def _step(current: np.ndarray):
-        """One Lloyd step, pure in the current centers."""
-        Xop = operands["X"]
-        step_is_rep = repops.is_representation(Xop)
-        D, stats = execute(
-            dist_plan, {"X": Xop, "C": current}, collect_stats=True
+    with _feedback.feedback_scope(runner.store):
+        runner(0)
+        rng = np.random.default_rng(seed)
+        seed_rows = rng.choice(n, size=n_clusters, replace=False)
+        run = lloyd(
+            assign,
+            lambda labels: cluster_sums(runner.operands["X"], labels, n_clusters),
+            _gather_rows(runner.operands["X"], seed_rows),
+            max_iter,
+            tol,
+            checkpointer=checkpointer,
+            retry=retry,
+            site="clustering.kmeans_dsl.step",
+            between=runner,
+            tally=runner.tally,
         )
-        step_labels = np.argmin(D, axis=1)
-        inertia = float(
-            np.maximum(D[np.arange(n), step_labels], 0.0).sum()
-        )
-        new_centers = current.copy()
-        if step_is_rep:
-            counts = np.bincount(step_labels, minlength=n_clusters)
-            sums = _cluster_sums(Xop, step_labels, n_clusters)
-            nonempty = counts > 0
-            new_centers[nonempty] = (
-                sums[nonempty] / counts[nonempty, None]
-            )
-        else:
-            for k in range(n_clusters):
-                members = Xop[step_labels == k]
-                if len(members):
-                    new_centers[k] = members.mean(axis=0)
-        shift = float(np.max(np.linalg.norm(new_centers - current, axis=1)))
-        return new_centers, step_labels, inertia, shift, stats.flops
-
-    labels = np.zeros(n, dtype=np.int64)
-    history: list[float] = []
-    total_flops = 0
-    it = 0
-    start_it = 1
-    done = False
-    restored = None
-    if checkpointer is not None:
-        restored = checkpointer.load_latest()
-    with _feedback.feedback_scope(store):
-        if store is not None:
-            _replan(0)
-        if restored is not None:
-            it, state = restored
-            centers = state["centers"]
-            history = list(state["history"])
-            total_flops = state["flops"]
-            done = state["done"]
-            start_it = it + 1
-        else:
-            rng = np.random.default_rng(seed)
-            seed_rows = rng.choice(n, size=n_clusters, replace=False)
-            Xop = operands["X"]
-            if repops.is_representation(Xop):
-                centers = _gather_rows(Xop, seed_rows)
-            else:
-                centers = Xop[seed_rows].copy()
-        if not done:
-            for it in range(start_it, max_iter + 1):
-                centers, labels, inertia, shift, flops = resilient_call(
-                    partial(_step, centers),
-                    site="clustering.kmeans_dsl.step",
-                    key=it,
-                    retry=retry,
-                )
-                total_flops += flops
-                history.append(inertia)
-                done = shift <= tol
-                if checkpointer is not None and (
-                    done or checkpointer.should_checkpoint(it)
-                ):
-                    checkpointer.save(
-                        it,
-                        {
-                            "centers": centers,
-                            "history": list(history),
-                            "flops": total_flops,
-                            "done": done,
-                        },
-                    )
-                if done:
-                    break
-                if (
-                    store is not None
-                    and stable_checks < REPLAN_STABLE_CHECKS
-                    and it % replan_interval == 0
-                ):
-                    _replan(it)
-
-        D, stats = execute(
-            dist_plan, {"X": operands["X"], "C": centers}, collect_stats=True
-        )
-    total_flops += stats.flops
-    labels = np.argmin(D, axis=1)
-    inertia = float(np.maximum(D[np.arange(n), labels], 0.0).sum())
     return KMeansResult(
-        centers=centers,
-        labels=labels,
-        inertia=inertia,
-        iterations=it,
-        inertia_history=history,
-        flops_executed=total_flops,
-        replans=replans,
-        plan_history=plan_history,
+        *run,
+        flops_executed=runner.tally["flops"],
+        replans=runner.replans,
+        plan_history=runner.plan_history,
     )

@@ -16,7 +16,6 @@ runs on the representation's native kernels without materializing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -24,9 +23,11 @@ from ..compiler import compile_expr, plan_representations
 from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, sigmoid
+from ..ml.linreg import solve_normal
+from ..ml.optim import descend
 from ..obs import get_registry
 from ..resilience.checkpoint import IterativeCheckpointer
-from ..resilience.retry import RetryPolicy, resilient_call
+from ..resilience.retry import RetryPolicy
 from ..runtime import execute
 from ..runtime.executor import ExecutionStats
 
@@ -50,17 +51,20 @@ class AlgorithmResult:
         return self.objective_history[-1] if self.objective_history else float("nan")
 
 
-def _as_column(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64).reshape(-1)
-
-
-def _prepare_design(X):
-    """Pass representation operands through; coerce the rest to dense."""
+def _prepare(X, y) -> tuple:
+    """Pass a representation ``X`` through, coerce the rest to dense and
+    ``y`` to a flat vector; check there is one label per row."""
     from ..runtime import repops
 
-    if repops.is_representation(X):
-        return X
-    return np.asarray(X, dtype=np.float64)
+    if not repops.is_representation(X):
+        X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if len(X.shape) != 2 or X.shape[0] != len(y):
+        raise ModelError(
+            f"need a 2-D X with one label per row, got X of shape "
+            f"{X.shape} and y of shape {y.shape}"
+        )
+    return X, y
 
 
 #: consecutive no-change re-plan checks after which a driver stops
@@ -111,14 +115,57 @@ def replan_operand(
     return True
 
 
+class AdaptivePlan:
+    """A compiled plan over a re-plannable design matrix ``X``.
+
+    :meth:`execute` runs the plan on the current form of ``X`` and adds
+    the flops to ``tally``. Called with an iteration number (the loop's
+    ``between`` hook) it re-plans ``X`` through :func:`replan_operand`:
+    always at iteration 0, then every ``interval`` iterations until
+    ``REPLAN_STABLE_CHECKS`` consecutive checks adopt no change. ``probe``
+    holds shape stand-ins for the plan's other bindings; ``adaptive`` is
+    the drivers' argument of that name (no store: never re-plans).
+    """
+
+    def __init__(self, plan, X, probe: dict, adaptive, interval: int):
+        self.plan, self.probe, self.interval = plan, probe, interval
+        self.store = _feedback.resolve_store(adaptive)
+        self.operands = {"X": X}
+        self.tally = {"flops": 0}
+        self.replans = 0  # switches adopted mid-run
+        self.plan_history: list[str] = []
+        self._stable_checks = 0
+
+    def execute(self, **bindings) -> np.ndarray:
+        out, stats = execute(
+            self.plan, {**self.operands, **bindings}, collect_stats=True
+        )
+        self.tally["flops"] += stats.flops
+        return out
+
+    def __call__(self, iteration: int) -> None:
+        settled = self._stable_checks >= REPLAN_STABLE_CHECKS
+        if self.store is None or (
+            iteration > 0 and (settled or iteration % self.interval != 0)
+        ):
+            return
+        if replan_operand(
+            self.plan, self.operands, "X", {**self.operands, **self.probe},
+            self.store, iteration, self.plan_history,
+        ):
+            self._stable_checks = 0
+            self.replans += iteration > 0
+        else:
+            self._stable_checks += 1
+
+
 def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmResult:
     """Least squares via the closed form, with the Gram matrix compiled.
 
     The ``t(X) %*% X`` product compiles to the fused tsmm kernel; the
     small d x d solve runs in the driver.
     """
-    X = _prepare_design(X)
-    y = _as_column(y)
+    X, y = _prepare(X, y)
     n, d = X.shape
     Xm = matrix("X", (n, d))
     ym = matrix("y", (n, 1))
@@ -130,10 +177,7 @@ def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmRes
     rhs, s2 = execute(xty_plan, {"X": X, "y": y}, collect_stats=True)
     if l2 > 0:
         gram = gram + l2 * np.eye(d)
-    try:
-        w = np.linalg.solve(gram, rhs[:, 0])
-    except np.linalg.LinAlgError:
-        w = (np.linalg.pinv(gram) @ rhs)[:, 0]
+    w = solve_normal(gram, rhs[:, 0])
     residual = X @ w - y
     objective = 0.5 * float(residual @ residual) / n
     return AlgorithmResult(
@@ -158,8 +202,7 @@ def linreg_cg(
     ``t(X) %*% (X %*% p) + l2 p`` is one compiled plan whose mvchain
     fusion keeps the cost at O(n d) per iteration.
     """
-    X = _prepare_design(X)
-    y = _as_column(y)
+    X, y = _prepare(X, y)
     n, d = X.shape
     if max_iter is None:
         max_iter = d
@@ -227,13 +270,11 @@ def logreg_gd(
     program compiled once; the driver loop only rebinds ``w``.
     Uses the probability form: grad = t(X) %*% (sigmoid(Xw) - y) / n.
 
-    With a ``checkpointer``, finished iterations are persisted and a
-    fresh call resumes from the newest valid checkpoint — because each
-    step is a deterministic function of ``(w, history)``, the resumed
-    run's final model is bit-identical to an uninterrupted one. With a
-    ``retry`` policy, each step runs through
-    :func:`~repro.resilience.retry.resilient_call` at site
-    ``"glm.logreg_gd.step"`` and survives injected transient faults.
+    The loop is :func:`~repro.ml.optim.descend`: with a ``checkpointer``
+    a fresh call resumes from the newest valid checkpoint and ends
+    bit-identical to an uninterrupted run; with a ``retry`` policy each
+    step survives injected transient faults at site
+    ``"glm.logreg_gd.step"``.
 
     ``adaptive`` enables SystemML-style runtime re-optimization: the
     design matrix's representation is planned up front and re-planned
@@ -249,8 +290,7 @@ def logreg_gd(
     ``result.replans`` / ``result.plan_history`` record the adopted
     plans.
     """
-    X = _prepare_design(X)
-    y = _as_column(y)
+    X, y = _prepare(X, y)
     if not set(np.unique(y)) <= {0.0, 1.0}:
         raise ModelError("logreg_gd expects labels in {0, 1}")
     n, d = X.shape
@@ -262,114 +302,36 @@ def logreg_gd(
     grad_expr = Xm.T @ (probabilities - ym) / n + l2 * wm
     grad_plan = compile_expr(grad_expr)
 
-    store = _feedback.resolve_store(adaptive)
-    operands = {"X": X}
-    replans = 0
-    stable_checks = 0
-    plan_history: list[str] = []
+    runner = AdaptivePlan(
+        grad_plan, X, {"w": np.zeros(d), "y": y}, adaptive, replan_interval
+    )
 
     def loss_value(weights: np.ndarray) -> float:
         margins = X @ weights
         base = float(np.mean(np.logaddexp(0.0, margins) - y * margins))
         return base + 0.5 * l2 * float(weights @ weights)
 
-    def _replan(iteration: int) -> None:
-        nonlocal replans, stable_checks
-        switched = replan_operand(
-            grad_plan,
-            operands,
-            "X",
-            {"X": operands["X"], "w": np.zeros(d), "y": y},
-            store,
-            iteration,
-            plan_history,
+    with _feedback.feedback_scope(runner.store):
+        runner(0)
+        run = descend(
+            loss_value,
+            lambda weights: runner.execute(w=weights, y=y)[:, 0],
+            np.zeros(d),
+            learning_rate,
+            max_iter,
+            tol,
+            checkpointer=checkpointer,
+            retry=retry,
+            site="glm.logreg_gd.step",
+            between=runner,
+            tally=runner.tally,
         )
-        if switched:
-            stable_checks = 0
-            if iteration > 0:
-                replans += 1
-        else:
-            stable_checks += 1
-
-    def _step(weights: np.ndarray, prev_value: float):
-        """One gradient step + line search, pure in its inputs."""
-        g_col, s = execute(
-            grad_plan,
-            {"X": operands["X"], "w": weights, "y": y},
-            collect_stats=True,
-        )
-        g = g_col[:, 0]
-        # Backtracking line search on the driver-side loss.
-        step = learning_rate
-        g_norm_sq = float(g @ g)
-        for _ in range(30):
-            candidate = weights - step * g
-            value = loss_value(candidate)
-            if value <= prev_value - 1e-4 * step * g_norm_sq:
-                break
-            step *= 0.5
-        else:
-            candidate, value = weights, prev_value
-        return candidate, value, s.flops
-
-    w = np.zeros(d)
-    history = [loss_value(w)]
-    total_flops = 0
-    converged = False
-    it = 0
-    start_it = 1
-    if checkpointer is not None:
-        latest = checkpointer.load_latest()
-        if latest is not None:
-            it, state = latest
-            w = state["w"]
-            history = list(state["history"])
-            total_flops = state["flops"]
-            converged = state["converged"]
-            start_it = it + 1
-    with _feedback.feedback_scope(store):
-        if store is not None:
-            _replan(0)
-        if not converged:
-            for it in range(start_it, max_iter + 1):
-                w, value, flops = resilient_call(
-                    partial(_step, w, history[-1]),
-                    site="glm.logreg_gd.step",
-                    key=it,
-                    retry=retry,
-                )
-                total_flops += flops
-                history.append(value)
-                converged = (
-                    abs(history[-2] - value) / max(abs(history[-2]), 1e-12)
-                    < tol
-                )
-                if checkpointer is not None and (
-                    converged or checkpointer.should_checkpoint(it)
-                ):
-                    checkpointer.save(
-                        it,
-                        {
-                            "w": w,
-                            "history": list(history),
-                            "flops": total_flops,
-                            "converged": converged,
-                        },
-                    )
-                if converged:
-                    break
-                if (
-                    store is not None
-                    and stable_checks < REPLAN_STABLE_CHECKS
-                    and it % replan_interval == 0
-                ):
-                    _replan(it)
     return AlgorithmResult(
-        weights=w,
-        iterations=it,
-        converged=converged,
-        objective_history=history,
-        flops_executed=total_flops,
-        replans=replans,
-        plan_history=plan_history,
+        weights=run.weights,
+        iterations=run.iterations,
+        converged=run.converged,
+        objective_history=run.loss_history,
+        flops_executed=runner.tally["flops"],
+        replans=runner.replans,
+        plan_history=runner.plan_history,
     )

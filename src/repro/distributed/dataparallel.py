@@ -14,12 +14,13 @@ The two classic distributed training strategies the tutorial contrasts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..errors import ReproError
 from ..ml.losses import Loss
-from ..ml.optim import gradient_descent
+from ..ml.optim import descend, gradient_descent, l2_penalized
 from .cluster import BYTES_PER_FLOAT, CommStats, SimulatedCluster
 
 
@@ -45,30 +46,26 @@ def train_bsp_gd(
 ) -> DistributedResult:
     """Synchronous distributed gradient descent.
 
-    One communication round per iteration; the computed trajectory is
-    bit-identical to single-node fixed-step GD on the union of shards.
+    Two communication rounds per iteration (gradient, loss). The loop
+    is single-node fixed-step GD: on one worker bit-identical to
+    :func:`gradient_descent`, over several shards equal up to the
+    reassociated shard sums (~1e-16 per step).
     """
     if rounds < 1:
         raise ReproError("rounds must be >= 1")
-    w = np.zeros(cluster.dim)
-    history = [cluster.global_loss(loss, w)]
-    for _ in range(rounds):
-        grad = cluster.global_gradient(loss, w)
-        if l2 > 0:
-            grad = grad + l2 * w
-        w = w - learning_rate * grad
-        value = cluster.global_loss(loss, w)
-        if l2 > 0:
-            value += 0.5 * l2 * float(w @ w)
-        history.append(value)
-        if tol > 0 and abs(history[-2] - history[-1]) < tol * max(
-            abs(history[-2]), 1e-12
-        ):
-            break
+    value, gradient = l2_penalized(
+        partial(cluster.global_loss, loss),
+        partial(cluster.global_gradient, loss),
+        l2,
+    )
+    run = descend(
+        value, gradient, np.zeros(cluster.dim), learning_rate, rounds, tol,
+        line_search=False,
+    )
     return DistributedResult(
-        weights=w,
+        weights=run.weights,
         rounds=cluster.comm.rounds,
-        loss_history=history,
+        loss_history=run.loss_history,
         comm=cluster.comm,
     )
 

@@ -11,10 +11,12 @@ kernels, so clustering never materializes the join either:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..errors import FactorizationError
+from ..ml.kmeans import cluster_sums, lloyd, nearest_center_einsum
 from .normalized import NormalizedMatrix
 
 
@@ -48,46 +50,21 @@ def factorized_kmeans(
     rng = np.random.default_rng(seed)
     # Seed centroids from materialized sample rows (k rows only).
     seed_rows = rng.choice(n, size=n_clusters, replace=False)
-    centers = _gather_rows(X, seed_rows)
-
     x_sq = X.sq_rowsums()  # constant across iterations
-    labels = np.zeros(n, dtype=np.int64)
-    history: list[float] = []
-    it = 0
-    for it in range(1, max_iter + 1):
-        labels, d2 = _assign(X, x_sq, centers)
-        history.append(float(d2.sum()))
 
-        onehot = np.zeros((n, n_clusters))
-        onehot[np.arange(n), labels] = 1.0
-        counts = onehot.sum(axis=0)
-        sums = X.rmatmat(onehot)  # (d, k) without the join
-        new_centers = centers.copy()
-        nonempty = counts > 0
-        new_centers[nonempty] = (sums[:, nonempty] / counts[nonempty]).T
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
-        centers = new_centers
-        if shift <= tol:
-            break
+    def assign(centers: np.ndarray):
+        labels, d2 = nearest_center_einsum(X, centers, x_sq)
+        return labels, float(d2.sum())
 
-    labels, d2 = _assign(X, x_sq, centers)
     return FactorizedKMeansResult(
-        centers=centers,
-        labels=labels,
-        inertia=float(d2.sum()),
-        iterations=it,
-        inertia_history=history,
+        *lloyd(
+            assign,
+            partial(cluster_sums, X, n_clusters=n_clusters),
+            _gather_rows(X, seed_rows),
+            max_iter,
+            tol,
+        )
     )
-
-
-def _assign(
-    X: NormalizedMatrix, x_sq: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    cross = X.matmat(centers.T)  # (n, k) via factorized matmat
-    c_sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = np.maximum(x_sq[:, None] - 2.0 * cross + c_sq, 0.0)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(labels)), labels]
 
 
 def _gather_rows(X: NormalizedMatrix, rows: np.ndarray) -> np.ndarray:

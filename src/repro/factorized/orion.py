@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FactorizationError, ModelError, NotFittedError
+from ..ml.linreg import solve_normal
 from ..ml.losses import sigmoid
+from ..ml.optim import descend
 from .normalized import NormalizedMatrix
 
 
@@ -34,11 +36,7 @@ class FactorizedLinearRegression:
         gram = X.gram()
         if self.l2 > 0:
             gram = gram + self.l2 * np.eye(gram.shape[0])
-        rhs = X.rmatvec(y)
-        try:
-            self.coef_ = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            self.coef_ = np.linalg.pinv(gram) @ rhs
+        self.coef_ = solve_normal(gram, X.rmatvec(y))
         return self
 
     def predict(self, X: NormalizedMatrix | np.ndarray) -> np.ndarray:
@@ -84,30 +82,23 @@ class FactorizedLogisticRegression:
         y_pm = np.where(y == classes[1], 1.0, -1.0)
 
         n = X.n_rows
-        w = np.zeros(X.shape[1])
-        previous = self._loss(X, y_pm, w)
-        self.loss_history_ = [previous]
-        for it in range(1, self.max_iter + 1):
+
+        def gradient(w: np.ndarray) -> np.ndarray:
             margins = y_pm * X.matvec(w)
             coeff = -y_pm * sigmoid(-margins)
-            grad = X.rmatvec(coeff) / n + self.l2 * w
-            # Backtracking line search on the factorized loss.
-            step = self.learning_rate
-            for _ in range(30):
-                candidate = w - step * grad
-                loss = self._loss(X, y_pm, candidate)
-                if loss <= previous - 1e-4 * step * float(grad @ grad):
-                    break
-                step *= 0.5
-            else:
-                candidate, loss = w, previous
-            w = candidate
-            self.loss_history_.append(loss)
-            if abs(previous - loss) / max(abs(previous), 1e-12) < self.tol:
-                break
-            previous = loss
-        self.coef_ = w
-        self.n_iter_ = it
+            return X.rmatvec(coeff) / n + self.l2 * w
+
+        run = descend(
+            lambda w: self._loss(X, y_pm, w),
+            gradient,
+            np.zeros(X.shape[1]),
+            self.learning_rate,
+            self.max_iter,
+            self.tol,
+        )
+        self.coef_ = run.weights
+        self.n_iter_ = run.iterations
+        self.loss_history_ = run.loss_history
         return self
 
     def _loss(self, X: NormalizedMatrix, y_pm: np.ndarray, w: np.ndarray) -> float:

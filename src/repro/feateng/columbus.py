@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SelectionError
+from ..ml.linreg import solve_normal
 
 
 @dataclass
@@ -67,10 +68,7 @@ class FeatureSubsetExplorer:
         if self.l2 > 0:
             gram = gram + self.l2 * np.eye(len(cols))
         rhs = self.xty_[cols]
-        try:
-            coef = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            coef = np.linalg.pinv(gram) @ rhs
+        coef = solve_normal(gram, rhs)
         # Residual SS from statistics alone: y'y - 2 w'X'y + w'X'X w
         # (all centered).
         residual_ss = (
@@ -151,10 +149,7 @@ def solve_subset_naive(
     gram = Xc.T @ Xc
     if l2 > 0:
         gram = gram + l2 * np.eye(len(cols))
-    try:
-        coef = np.linalg.solve(gram, Xc.T @ yc)
-    except np.linalg.LinAlgError:
-        coef = np.linalg.pinv(gram) @ (Xc.T @ yc)
+    coef = solve_normal(gram, Xc.T @ yc)
     residual = yc - Xc @ coef
     total = float(yc @ yc)
     r2 = 1.0 - float(residual @ residual) / total if total else 1.0

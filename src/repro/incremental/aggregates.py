@@ -35,6 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import IncrementalError
+from ..ml.kmeans import cluster_sums, move_centers, nearest_center_einsum
+from ..ml.linreg import solve_normal
 from ..storage.table import Table
 
 #: lattice spacing of the exact-arithmetic grid (2**-8).
@@ -144,14 +146,9 @@ class GramCofactorState:
         return float(self._ysq_hi + self._ysq_comp)
 
     def solve_ridge(self, l2: float = 0.0) -> np.ndarray:
-        """Weights from the maintained aggregates, matching the
-        normal-equations solver expression bit for bit."""
-        gram = self.gram() + l2 * np.eye(self.d)
-        rhs = self.cofactor()
-        try:
-            return np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            return np.linalg.pinv(gram) @ rhs
+        """Weights from the maintained aggregates, through the same
+        :func:`~repro.ml.linreg.solve_normal` a batch fit uses."""
+        return solve_normal(self.gram() + l2 * np.eye(self.d), self.cofactor())
 
     # ------------------------------------------------------------------
     def parity_exact(self, table: Table) -> bool:
@@ -180,10 +177,10 @@ class CentroidState:
     """Per-cluster sums/counts under *fixed reference centroids*.
 
     Assignment is a deterministic function of (row values, reference
-    centroids) — the same clipped-distance expression
-    :func:`repro.factorized.kmeans._assign` evaluates — and each row's
-    cluster is remembered by ``row_id``, so a delete subtracts from
-    exactly the cluster its insert added to. :meth:`centroids` is one
+    centroids) — :func:`repro.ml.kmeans.nearest_center_einsum`, the
+    clipped-distance expression the factorized trainer evaluates — and
+    each row's cluster is remembered by ``row_id``, so a delete subtracts
+    from exactly the cluster its insert added to. :meth:`centroids` is one
     Lloyd step from the maintained statistics; :meth:`rebase` adopts
     refreshed centroids as the new reference via full recomputation.
     """
@@ -216,10 +213,7 @@ class CentroidState:
         state = cls(features, centers)
         X = table.to_matrix(state.features)
         labels = state.assign(X)
-        for cluster in range(state.k):
-            members = labels == cluster
-            state._sums_hi[cluster] = X[members].sum(axis=0)
-            state.counts[cluster] = int(members.sum())
+        state._sums_hi, state.counts = cluster_sums(X, labels, state.k)
         state.assignments = {
             int(rid): int(lab) for rid, lab in zip(row_ids, labels)
         }
@@ -227,11 +221,7 @@ class CentroidState:
 
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Deterministic nearest-reference-centroid labels."""
-        x_sq = np.einsum("ij,ij->i", X, X)
-        cross = X @ self.centers.T
-        c_sq = np.einsum("ij,ij->i", self.centers, self.centers)
-        d2 = np.maximum(x_sq[:, None] - 2.0 * cross + c_sq, 0.0)
-        return np.argmin(d2, axis=1)
+        return nearest_center_einsum(X, self.centers)[0]
 
     # ------------------------------------------------------------------
     def fold_insert(self, row_ids: Sequence[int], rows: Table) -> int:
@@ -264,12 +254,7 @@ class CentroidState:
     def centroids(self) -> np.ndarray:
         """One Lloyd step: per-cluster means, empty clusters keeping
         their reference center."""
-        fresh = self.centers.copy()
-        nonempty = self.counts > 0
-        fresh[nonempty] = (
-            self.sums()[nonempty] / self.counts[nonempty, None]
-        )
-        return fresh
+        return move_centers(self.centers, self.sums(), self.counts)
 
     def rebase(self, table: Table, row_ids: np.ndarray) -> None:
         """Adopt the refreshed centroids as the new reference frame."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lifecycle.registry import ModelRegistry, ModelVersion
+from ..ml.kmeans import nearest_center_einsum
 from ..ml.linreg import LinearRegression
 from ..obs import get_registry
 from .maintainer import IncrementalMaintainer
@@ -32,13 +33,8 @@ class CentroidModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Nearest-center labels (same expression the maintainer uses)."""
         X = np.asarray(X, dtype=np.float64)
-        x_sq = np.einsum("ij,ij->i", X, X)
-        cross = X @ self.cluster_centers_.T
-        c_sq = np.einsum(
-            "ij,ij->i", self.cluster_centers_, self.cluster_centers_
-        )
-        d2 = np.maximum(x_sq[:, None] - 2.0 * cross + c_sq, 0.0)
-        return np.argmin(d2, axis=1).astype(np.float64)
+        labels, _ = nearest_center_einsum(X, self.cluster_centers_)
+        return labels.astype(np.float64)
 
 
 class ContinuousTrainer:

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
+from ..ml.linreg import solve_normal
 from ..ml.losses import LogisticLoss, SquaredLoss, sigmoid
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
@@ -59,10 +60,7 @@ class InDBLinearRegression:
             if self.add_intercept:
                 penalty[0, 0] = 0.0
             gram = gram + penalty
-        try:
-            weights = np.linalg.solve(gram, stats["xty"])
-        except np.linalg.LinAlgError:
-            weights = np.linalg.pinv(gram) @ stats["xty"]
+        weights = solve_normal(gram, stats["xty"])
         self.feature_columns_ = list(feature_columns)
         if self.add_intercept:
             self.intercept_ = float(weights[0])

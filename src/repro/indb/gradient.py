@@ -12,12 +12,14 @@ data hurts convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ModelError, StorageError
 from ..ml.losses import Loss
+from ..ml.optim import descend, l2_penalized
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
 from .uda import UDA, run_uda
@@ -193,9 +195,6 @@ def train_bgd(
     data = work.to_matrix(columns)
     X_full, y_full = data[:, :-1], data[:, -1]
 
-    weights = np.zeros(dim)
-    history = [loss.value(X_full, y_full, weights)]
-
     class GradientUDA(UDA):
         def __init__(self, w: np.ndarray):
             self.w = w
@@ -217,18 +216,20 @@ def train_bgd(
                 raise StorageError("gradient over an empty table")
             return grad / count
 
-    for _ in range(iterations):
-        grad = run_uda(
-            work, GradientUDA(weights), columns, partitions, parallel=parallel
-        )
-        if l2 > 0:
-            grad = grad + l2 * weights
-        weights = weights - learning_rate * grad
-        value = loss.value(X_full, y_full, weights)
-        if l2 > 0:
-            value += 0.5 * l2 * float(weights @ weights)
-        history.append(value)
-    return IGDResult(weights=weights, epochs=iterations, loss_history=history)
+    value, gradient = l2_penalized(
+        partial(loss.value, X_full, y_full),
+        lambda w: run_uda(
+            work, GradientUDA(w), columns, partitions, parallel=parallel
+        ),
+        l2,
+    )
+    run = descend(
+        value, gradient, np.zeros(dim), learning_rate, iterations,
+        tol=0.0, line_search=False,
+    )
+    return IGDResult(
+        weights=run.weights, epochs=run.iterations, loss_history=run.loss_history
+    )
 
 
 def _fresh_name(table: Table, base: str) -> str:

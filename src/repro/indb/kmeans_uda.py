@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ModelError
+from ..ml.kmeans import lloyd, nearest_center
 from ..storage.table import Table
 from .uda import UDA, run_uda
 
@@ -89,31 +90,22 @@ def train_kmeans_indb(
         rng.choice(table.num_rows, size=n_clusters, replace=False)
     ].copy()
 
-    history: list[float] = []
-    it = 0
-    for it in range(1, max_iter + 1):
+    def assign(current: np.ndarray):
         state = run_uda(
             table,
-            KMeansAssignUDA(centroids),
+            KMeansAssignUDA(current),
             feature_columns,
             partitions=partitions,
         )
-        history.append(state.inertia)
-        new_centroids = centroids.copy()
-        for k in range(n_clusters):
-            if state.counts[k] > 0:
-                new_centroids[k] = state.sums[k] / state.counts[k]
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if shift <= tol:
-            break
+        return state, state.inertia
 
-    final = run_uda(
-        table, KMeansAssignUDA(centroids), feature_columns, partitions=partitions
+    centroids, _, inertia, it, history = lloyd(
+        assign, lambda state: (state.sums, state.counts), centroids,
+        max_iter, tol,
     )
     return InDBKMeansResult(
         centroids=centroids,
-        inertia=final.inertia,
+        inertia=inertia,
         iterations=it,
         inertia_history=history,
     )
@@ -126,8 +118,5 @@ def assign_clusters_indb(
     output_column: str = "cluster",
 ) -> Table:
     """Score a table: append the nearest-centroid id per row."""
-    data = table.to_matrix(feature_columns)
-    x2 = np.sum(data * data, axis=1, keepdims=True)
-    c2 = np.sum(centroids * centroids, axis=1)
-    d2 = x2 - 2.0 * (data @ centroids.T) + c2
-    return table.with_column(output_column, np.argmin(d2, axis=1).astype(np.int64))
+    labels, _ = nearest_center(table.to_matrix(feature_columns), centroids)
+    return table.with_column(output_column, labels.astype(np.int64))

@@ -17,6 +17,17 @@ from .losses import SquaredLoss
 from .optim import OptimResult, gradient_descent
 
 
+def solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the normal equations ``gram @ w = rhs``; an exactly singular
+    system gets the minimum-norm pseudo-inverse solution. Every closed
+    form and the Newton step solve here, so fits from the same
+    aggregates agree bit for bit."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(gram) @ rhs
+
+
 class LinearRegression(Regressor):
     """Ordinary (optionally ridge-regularized) least squares.
 
@@ -80,12 +91,7 @@ class LinearRegression(Regressor):
 
     def _solve_normal(self, Xd: np.ndarray, y: np.ndarray) -> np.ndarray:
         gram = Xd.T @ Xd + self._penalty_matrix(Xd.shape[1])
-        rhs = Xd.T @ y
-        try:
-            return np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            # Rank-deficient Gram matrix: fall back to the pseudo-inverse.
-            return np.linalg.pinv(gram) @ rhs
+        return solve_normal(gram, Xd.T @ y)
 
     def _solve_qr(self, Xd: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.l2 > 0:

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import Classifier, as_pm_one, check_X, check_X_y
+from .linreg import solve_normal
 from .losses import LogisticLoss, sigmoid
 from .optim import gradient_descent, sgd
 
@@ -141,11 +142,7 @@ class LogisticRegression(Classifier):
             hessian = (Xd.T * weights) @ Xd / n + self.l2 * np.eye(d)
             # Damping keeps the Hessian invertible on separable data.
             hessian += 1e-10 * np.eye(d)
-            try:
-                step = np.linalg.solve(hessian, grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.pinv(hessian) @ grad
-            w = w - step
+            w = w - solve_normal(hessian, grad)
             current = loss.value(Xd, y, w) + 0.5 * self.l2 * float(w @ w)
             if abs(previous - current) / max(abs(previous), 1e-12) < self.tol:
                 break

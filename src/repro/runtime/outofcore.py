@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ExecutionError
+from ..ml.optim import descend
 from ..resilience.checkpoint import IterativeCheckpointer
 from .blocks import BlockedMatrix
 from .bufferpool import BlockStore, BufferPool, PoolStats
@@ -41,10 +42,9 @@ class OutOfCoreLinearRegression:
         block_rows: row-panel height used when staging the data.
         checkpointer: optional
             :class:`~repro.resilience.checkpoint.IterativeCheckpointer`;
-            when set, finished epochs are persisted and ``fit`` resumes
-            from the newest valid checkpoint — each epoch is
-            deterministic in ``w``, so a killed-and-resumed fit ends
-            bit-identical to an uninterrupted one.
+            when set, ``fit`` resumes from the newest valid checkpoint
+            and ends bit-identical to an uninterrupted one
+            (:func:`~repro.ml.optim.iterate`).
     """
 
     def __init__(
@@ -68,8 +68,11 @@ class OutOfCoreLinearRegression:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "OutOfCoreLinearRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if len(X) != len(y):
-            raise ExecutionError(f"X has {len(X)} rows but y has {len(y)}")
+        if X.ndim != 2 or len(X) != len(y):
+            raise ExecutionError(
+                f"need a 2-D X with one target per row, got X of shape "
+                f"{X.shape} and y of shape {y.shape}"
+            )
         n, d = X.shape
 
         store = BlockStore()
@@ -82,71 +85,44 @@ class OutOfCoreLinearRegression:
         pool = BufferPool(store, capacity_bytes=budget)
         baseline_reads = store.bytes_read
 
-        w = np.zeros(d)
-        history = [self._loss(blocked, pool, w, y, n)]
-        epoch = 0
-        start_epoch = 1
-        done = False
-        if self.checkpointer is not None:
-            latest = self.checkpointer.load_latest()
-            if latest is not None:
-                epoch, state = latest
-                w = state["w"]
-                history = list(state["history"])
-                done = state["done"]
-                start_epoch = epoch + 1
-        if not done:
-            for epoch in range(start_epoch, self.epochs + 1):
-                grad = np.zeros(d)
-                for b in range(blocked.num_blocks):
-                    block = blocked.get_block(b, pool)
-                    start, end = blocked.block_rows_of(b)
-                    residual = block @ w - y[start:end]
-                    grad += block.T @ residual
-                grad = grad / n
-                if self.l2 > 0:
-                    grad = grad + self.l2 * w
-                w = w - self.learning_rate * grad
-                history.append(self._loss(blocked, pool, w, y, n))
-                improvement = abs(history[-2] - history[-1]) / max(
-                    abs(history[-2]), 1e-12
-                )
-                done = improvement < self.tol
-                if self.checkpointer is not None and (
-                    done or self.checkpointer.should_checkpoint(epoch)
-                ):
-                    self.checkpointer.save(
-                        epoch,
-                        {"w": w, "history": list(history), "done": done},
-                    )
-                if done:
-                    break
+        def residuals(w: np.ndarray):
+            """One pass over the blocks: (block, block @ w - y_block)."""
+            for b in range(blocked.num_blocks):
+                start, end = blocked.block_rows_of(b)
+                block = blocked.get_block(b, pool)
+                yield block, block @ w - y[start:end]
 
-        self.coef_ = w
+        def value(w: np.ndarray) -> float:
+            return 0.5 * sum(float(r @ r) for _, r in residuals(w)) / n
+
+        def gradient(w: np.ndarray) -> np.ndarray:
+            grad = np.zeros(d)
+            for block, residual in residuals(w):
+                grad += block.T @ residual
+            grad = grad / n
+            if self.l2 > 0:
+                grad = grad + self.l2 * w
+            return grad
+
+        run = descend(
+            value,
+            gradient,
+            np.zeros(d),
+            self.learning_rate,
+            self.epochs,
+            self.tol,
+            line_search=False,
+            checkpointer=self.checkpointer,
+        )
+        self.coef_ = run.weights
         self.result_ = OutOfCoreResult(
-            weights=w,
-            epochs=epoch,
-            loss_history=history,
+            weights=run.weights,
+            epochs=run.iterations,
+            loss_history=run.loss_history,
             pool_stats=pool.stats,
             bytes_read_from_store=store.bytes_read - baseline_reads,
         )
         return self
-
-    @staticmethod
-    def _loss(
-        blocked: BlockedMatrix,
-        pool: BufferPool,
-        w: np.ndarray,
-        y: np.ndarray,
-        n: int,
-    ) -> float:
-        total = 0.0
-        for b in range(blocked.num_blocks):
-            block = blocked.get_block(b, pool)
-            start, end = blocked.block_rows_of(b)
-            residual = block @ w - y[start:end]
-            total += float(residual @ residual)
-        return 0.5 * total / n
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not hasattr(self, "coef_"):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SelectionError
+from ..ml.linreg import solve_normal
 from .cv import KFold
 from .foldreuse import fold_statistics
 
@@ -112,10 +113,7 @@ def ridge_feature_grid(
             train_xty = total_xty - fold_xty[i]
             n_test = len(fold)
             for j, l2 in enumerate(lambdas):
-                try:
-                    w = np.linalg.solve(train_gram + l2 * eye, train_xty)
-                except np.linalg.LinAlgError:
-                    w = np.linalg.pinv(train_gram + l2 * eye) @ train_xty
+                w = solve_normal(train_gram + l2 * eye, train_xty)
                 # Held-out RSS straight from the fold's statistics:
                 # ||X_f w - y_f||^2 = w'Gw - 2 w'b + y'y. No row access.
                 rss = (

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SelectionError
+from ..ml.linreg import solve_normal
 from .cv import KFold
 
 
@@ -173,12 +174,7 @@ def ridge_cv_shared(
         train_xty = total_xty - fold_xty[i]
         X_test, y_test = X[fold], y[fold]
         for l2 in lambdas:
-            try:
-                w = np.linalg.solve(
-                    train_gram + l2 * np.eye(d), train_xty
-                )
-            except np.linalg.LinAlgError:
-                w = np.linalg.pinv(train_gram + l2 * np.eye(d)) @ train_xty
+            w = solve_normal(train_gram + l2 * np.eye(d), train_xty)
             residual = X_test @ w - y_test
             errors[l2].append(float(np.sqrt(np.mean(residual**2))))
     result.fold_rmse = errors
@@ -207,10 +203,7 @@ def ridge_cv_naive(
         for l2 in lambdas:
             result.data_passes += 1  # full Gram recomputation from rows
             gram = X_train.T @ X_train + l2 * np.eye(d)
-            try:
-                w = np.linalg.solve(gram, X_train.T @ y_train)
-            except np.linalg.LinAlgError:
-                w = np.linalg.pinv(gram) @ (X_train.T @ y_train)
+            w = solve_normal(gram, X_train.T @ y_train)
             residual = X_test @ w - y_test
             errors[l2].append(float(np.sqrt(np.mean(residual**2))))
     result.fold_rmse = errors

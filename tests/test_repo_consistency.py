@@ -115,3 +115,52 @@ class TestDocsAndExperiments:
             text = example.read_text()
             assert text.lstrip().startswith(('"""', "#!"))
             assert '__name__ == "__main__"' in text
+
+
+class TestOneTrainingCore:
+    """The loop glue exists once under ``src/`` (DESIGN.md, Training core)."""
+
+    @staticmethod
+    def _hits(pattern: str) -> list[str]:
+        regex = re.compile(pattern)
+        return [
+            f"{path.relative_to(REPO_ROOT)}:{number}"
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if regex.search(line)
+        ]
+
+    @pytest.mark.parametrize(
+        "pattern, home",
+        [
+            # the singular-system fallback of solve_normal
+            (r"np\.linalg\.pinv", "src/repro/ml/linreg.py"),
+            # the Armijo sufficient-decrease test and its halving
+            (r"<= .+ - (c|1e-4) \* \w+ \* ", "src/repro/ml/optim.py"),
+            (r"\*= *(0\.5|shrink)\b", "src/repro/ml/optim.py"),
+            # the Lloyd centre-shift stop
+            (r"linalg\.norm\(new\w* - \w+, axis=1\)", "src/repro/ml/kmeans.py"),
+        ],
+    )
+    def test_written_once(self, pattern, home):
+        hits = self._hits(pattern)
+        assert len(hits) == 1 and hits[0].startswith(home), hits
+
+    def test_checkpoints_restored_by_the_shared_driver_only(self):
+        files = {hit.rsplit(":", 1)[0] for hit in self._hits(r"\.load_latest\(\)")}
+        assert files == {
+            "src/repro/ml/optim.py",
+            "src/repro/selection/search.py",
+            "src/repro/selection/halving.py",
+        }
+
+    def test_ml_imports_no_provider_package(self):
+        hits = [
+            hit
+            for hit in self._hits(
+                r"^\s*(from|import) \S*\b(algorithms|factorized|indb|runtime"
+                r"|distributed|incremental)\b"
+            )
+            if hit.startswith("src/repro/ml/")
+        ]
+        assert hits == []

@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.ml import Ridge
 from repro.ml.losses import LogisticLoss, SquaredLoss
+from repro.ml.optim import iterate
 from repro.obs import get_registry
 from repro.resilience import (
     ChaosContext,
@@ -751,16 +752,72 @@ class TestBlockstoreResilience:
 # ----------------------------------------------------------------------
 # Iterative drivers: kill/resume bit-identity and chaos parity
 # ----------------------------------------------------------------------
+def _kill_resume_logreg(max_iter, checkpointer):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(200, 6))
+    y = (X @ rng.normal(size=6) > 0).astype(np.float64)
+    r = logreg_gd(X, y, max_iter=max_iter, tol=0.0, checkpointer=checkpointer)
+    return r.weights, r.objective_history, r.iterations
+
+
+def _kill_resume_kmeans(max_iter, checkpointer):
+    X = np.random.default_rng(0).normal(size=(200, 6))
+    r = kmeans_dsl(
+        X, 4, max_iter=max_iter, tol=0.0, seed=3, checkpointer=checkpointer
+    )
+    return r.centers, r.labels, r.inertia_history, r.flops_executed
+
+
+def _kill_resume_outofcore(max_iter, checkpointer):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(300, 5))
+    y = X @ rng.normal(size=5) + 0.01 * rng.normal(size=300)
+    model = OutOfCoreLinearRegression(
+        epochs=max_iter, block_rows=64, checkpointer=checkpointer
+    ).fit(X, y)
+    return model.coef_, model.result_.loss_history, model.result_.epochs
+
+
+def _kill_resume_bare_driver(max_iter, checkpointer):
+    """The shared driver itself, on a toy contraction with a tally."""
+    tally = {"steps": 0}
+
+    def step(w):
+        tally["steps"] += 1
+        return 0.5 * w + 1.0, False
+
+    w, iterations, _ = iterate(
+        step, np.array([8.0, -3.0]), max_iter,
+        checkpointer=checkpointer, tally=tally,
+    )
+    return w, iterations, tally["steps"]
+
+
 class TestDriverCheckpointing:
-    def test_logreg_kill_resume_bit_identical(self, small_problem, tmp_path):
-        X, y = small_problem
-        baseline = logreg_gd(X, y, max_iter=20, tol=0.0)
-        ck = IterativeCheckpointer(tmp_path, name="lr", interval=4)
-        logreg_gd(X, y, max_iter=9, tol=0.0, checkpointer=ck)  # "killed"
-        resumed = logreg_gd(X, y, max_iter=20, tol=0.0, checkpointer=ck)
-        assert np.array_equal(baseline.weights, resumed.weights)
-        assert baseline.objective_history == resumed.objective_history
-        assert baseline.iterations == resumed.iterations
+    @pytest.mark.parametrize(
+        "fit, total, killed_at, interval",
+        [
+            (_kill_resume_logreg, 20, 9, 4),
+            (_kill_resume_kmeans, 12, 5, 3),
+            (_kill_resume_outofcore, 15, 7, 4),
+            (_kill_resume_bare_driver, 10, 5, 2),
+        ],
+    )
+    def test_kill_resume_bit_identical(
+        self, fit, total, killed_at, interval, tmp_path
+    ):
+        """Killed at k and resumed == never interrupted, for every
+        provider of the one checkpointing driver."""
+        baseline = fit(total, None)
+        ck = IterativeCheckpointer(tmp_path, name="job", interval=interval)
+        fit(killed_at, ck)  # "killed"
+        assert ck.steps()[-1] == killed_at - killed_at % interval
+        resumed = fit(total, ck)
+        for uninterrupted, after_resume in zip(baseline, resumed):
+            if isinstance(uninterrupted, np.ndarray):
+                assert np.array_equal(uninterrupted, after_resume)
+            else:
+                assert uninterrupted == after_resume
 
     def test_logreg_resume_skips_completed_run(self, small_problem, tmp_path):
         X, y = small_problem
@@ -785,18 +842,6 @@ class TestDriverCheckpointing:
         assert baseline.objective_history == chaotic.objective_history
         assert chaos.invocations("glm.logreg_gd.step") >= 15
 
-    def test_kmeans_kill_resume_bit_identical(self, small_problem, tmp_path):
-        X, _ = small_problem
-        baseline = kmeans_dsl(X, 4, max_iter=12, tol=0.0, seed=3)
-        ck = IterativeCheckpointer(tmp_path, name="km", interval=3)
-        kmeans_dsl(X, 4, max_iter=5, tol=0.0, seed=3, checkpointer=ck)
-        resumed = kmeans_dsl(
-            X, 4, max_iter=12, tol=0.0, seed=3, checkpointer=ck
-        )
-        assert np.array_equal(baseline.centers, resumed.centers)
-        assert np.array_equal(baseline.labels, resumed.labels)
-        assert baseline.inertia_history == resumed.inertia_history
-
     def test_kmeans_chaos_parity(self, small_problem):
         X, _ = small_problem
         baseline = kmeans_dsl(X, 3, max_iter=10, tol=0.0, seed=3)
@@ -810,23 +855,6 @@ class TestDriverCheckpointing:
             )
         assert np.array_equal(baseline.centers, chaotic.centers)
         assert baseline.inertia == chaotic.inertia
-
-    def test_outofcore_kill_resume_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(300, 5))
-        y = X @ rng.normal(size=5) + 0.01 * rng.normal(size=300)
-        baseline = OutOfCoreLinearRegression(epochs=15, block_rows=64).fit(
-            X, y
-        )
-        ck = IterativeCheckpointer(tmp_path, name="ooc", interval=4)
-        OutOfCoreLinearRegression(
-            epochs=7, block_rows=64, checkpointer=ck
-        ).fit(X, y)
-        resumed = OutOfCoreLinearRegression(
-            epochs=15, block_rows=64, checkpointer=ck
-        ).fit(X, y)
-        assert np.array_equal(baseline.coef_, resumed.coef_)
-        assert baseline.result_.loss_history == resumed.result_.loss_history
 
 
 class TestSearchCheckpointing:
