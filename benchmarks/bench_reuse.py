@@ -357,7 +357,7 @@ def eviction_leg(
             and cold_led["resident_bytes"] == resident * entry_bytes
         )
 
-        pinned_key = store.pool.cached_blocks[0]
+        pinned_key = store.pool.keys()[0]
         store.pin(pinned_key)
         warm = ridge_feature_grid(
             X, y, subsets, lambdas, cv=folds, store=store
@@ -377,8 +377,8 @@ def eviction_leg(
             warm_led["hits"] - cold_led["hits"] == pairs
             and warm_led["misses"] == cold_led["misses"]
         ),
-        "pinned_resident": pinned_key in store.pool.pinned_blocks
-        and pinned_key in store.pool.cached_blocks,
+        "pinned_resident": pinned_key in store.pool.pinned()
+        and pinned_key in store.pool,
         "bit_identical": _grid_identical(cold, warm),
     }
 

@@ -11,7 +11,6 @@ with an analytical FLOP/memory cost model (:mod:`.cost`).
 """
 
 from .cache import (
-    CacheStats,
     PlanCache,
     compile_expr_cached,
     default_plan_cache,
@@ -47,7 +46,6 @@ from .sparsity import propagate_sparsity, sparse_aware_flops
 
 __all__ = [
     "BlendedEstimate",
-    "CacheStats",
     "CompiledPlan",
     "FeedbackStore",
     "SitePolicy",

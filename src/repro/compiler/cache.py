@@ -6,33 +6,20 @@ A :class:`PlanCache` memoizes compiled plans on the expression's
 structural key plus the optimizer flags, LRU-bounded — the plan-cache
 component of declarative ML compilers.
 
-Per-instance :class:`CacheStats` stay the caller's view; hits, misses,
-and evictions are dual-written to the global :mod:`repro.obs` registry
-as ``plancache.*`` so run reports see compilation caching next to
-bufferpool and materialization behavior.
+The cache owns only its key; ordering and eviction are
+:class:`~repro.cache.BoundedCache` at cost 1 per plan, and hits, misses
+and evictions are one :class:`~repro.obs.Ledger` (``cache.stats``,
+``plancache.*`` in the registry) so run reports see compilation caching
+next to bufferpool and materialization behavior.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from ..cache import BoundedCache
 from ..lang.ast import Node
 from ..lang.dsl import MExpr
-from ..obs import get_registry
+from ..obs import Ledger
 from .planner import CompiledPlan, compile_expr
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class PlanCache:
@@ -42,8 +29,8 @@ class PlanCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._plans: OrderedDict[tuple, CompiledPlan] = OrderedDict()
-        self.stats = CacheStats()
+        self.stats = Ledger("plancache", ("hits", "misses", "evictions"))
+        self._plans = BoundedCache(capacity, self.stats)
 
     def get_or_compile(
         self,
@@ -57,20 +44,13 @@ class PlanCache:
         key = (node.key(), rewrites, mmchain, fusion, cse)
         cached = self._plans.get(key)
         if cached is not None:
-            self.stats.hits += 1
-            get_registry().inc("plancache.hits")
-            self._plans.move_to_end(key)
+            self.stats.inc("hits")
             return cached
-        self.stats.misses += 1
-        get_registry().inc("plancache.misses")
+        self.stats.inc("misses")
         plan = compile_expr(
             node, rewrites=rewrites, mmchain=mmchain, fusion=fusion, cse=cse
         )
-        self._plans[key] = plan
-        if len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-            self.stats.evictions += 1
-            get_registry().inc("plancache.evictions")
+        self._plans.put(key, plan)
         return plan
 
     def clear(self) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FeatureStoreError, InjectedFault
-from ..obs import get_registry
+from ..obs import Counted, Ledger
 from ..resilience import fault_point, no_chaos
 from ..storage.table import Table
 from .view import FeatureView
@@ -28,7 +28,7 @@ from .view import FeatureView
 FAULT_SITE = "features.serve"
 
 
-class OnlineFeatureServer:
+class OnlineFeatureServer(Counted):
     """Serves single-entity feature rows bit-identically to offline.
 
     Args:
@@ -58,9 +58,9 @@ class OnlineFeatureServer:
             raise FeatureStoreError(
                 "online server needs a base table for fallback recompute"
             )
-        self.serves = 0
-        self.fallbacks = 0
-        self.parity_checks = 0
+        self.counts = Ledger(
+            "features", ("serves", "fallbacks", "parity_checks")
+        )
 
     # ------------------------------------------------------------------
     def serve(self, entity) -> np.ndarray:
@@ -71,8 +71,7 @@ class OnlineFeatureServer:
         the row from the base table under :func:`no_chaos` — by
         row-locality, the same bytes the clean path serves.
         """
-        self.serves += 1
-        get_registry().inc("features.serves")
+        self.counts.inc("serves")
         try:
             status = fault_point(self.FAULT_SITE, key=entity)
         except InjectedFault:
@@ -90,8 +89,7 @@ class OnlineFeatureServer:
         return np.vstack(rows)
 
     def _fallback(self, entity) -> np.ndarray:
-        self.fallbacks += 1
-        get_registry().inc("features.fallbacks")
+        self.counts.inc("fallbacks")
         with no_chaos():
             return self.recompute_row(entity)
 
@@ -119,8 +117,7 @@ class OnlineFeatureServer:
         a resilience test) and raises :class:`FeatureStoreError` on the
         first divergent entity.
         """
-        self.parity_checks += 1
-        get_registry().inc("features.parity_checks")
+        self.counts.inc("parity_checks")
         if entities is None:
             entities = self.table.column(self.view.entity_key).tolist()
         with no_chaos():
@@ -137,8 +134,4 @@ class OnlineFeatureServer:
     def ledger(self) -> dict:
         """Exact local serve ledger (the global ``features.*`` counters
         accumulate the same events across all servers)."""
-        return {
-            "serves": self.serves,
-            "fallbacks": self.fallbacks,
-            "parity_checks": self.parity_checks,
-        }
+        return self.counts.as_dict()

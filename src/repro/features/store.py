@@ -26,7 +26,7 @@ from ..errors import FeatureStoreError
 from ..incremental.maintainer import DeltaConsumer
 from ..incremental.stream import ChangeStream, Delta, DynamicTable
 from ..materialize.store import MaterializationStore
-from ..obs import get_registry
+from ..obs import Counted, Ledger
 from ..resilience import no_chaos
 from ..storage.table import Table
 from .view import FeatureView
@@ -87,7 +87,7 @@ class MaterializedFeatures:
         return np.array(self._matrix, copy=True)
 
 
-class FeatureStore:
+class FeatureStore(Counted):
     """Versioned offline feature materialization over a shared store.
 
     A directory-less :class:`MaterializationStore` (with the flops
@@ -99,19 +99,16 @@ class FeatureStore:
         self.store = store if store is not None else MaterializationStore(
             min_flops=0.0
         )
-        self.materializations = 0
-        self.hits = 0
+        self.counts = Ledger("features.offline", ("materializations", "hits"))
 
     def materialize(
         self, view: FeatureView, table: Table
     ) -> MaterializedFeatures:
         """Compute (or re-serve) a view over a table's current bytes."""
         fp = view.fingerprint(table)
-        registry = get_registry()
         payload = self.store.lookup(fp)
         if payload is not None:
-            self.hits += 1
-            registry.inc("features.offline_hits")
+            self.counts.inc("hits")
             return MaterializedFeatures(
                 view, fp.key, payload["entities"], payload["columns"],
                 from_cache=True,
@@ -135,17 +132,13 @@ class FeatureStore:
             source="features",
             nbytes=nbytes,
         )
-        self.materializations += 1
-        registry.inc("features.materializations")
+        self.counts.inc("materializations")
         return MaterializedFeatures(
             view, fp.key, entities, columns, from_cache=False
         )
 
     def ledger(self) -> dict:
-        return {
-            "materializations": self.materializations,
-            "hits": self.hits,
-        }
+        return self.counts.as_dict()
 
 
 class FeatureViewMaintainer(DeltaConsumer):
@@ -197,7 +190,6 @@ class FeatureViewMaintainer(DeltaConsumer):
             folded += len(entities)
         if delta.kind == "delete":
             folded += delta.num_rows
-        get_registry().inc("features.refreshes")
         return folded
 
     def _rebuild(self) -> None:
@@ -235,8 +227,7 @@ class FeatureViewMaintainer(DeltaConsumer):
     def parity_check(self) -> bool:
         """Assert every maintained row is bitwise equal to a fresh
         recompute of the current base table (chaos held off)."""
-        self.stats.parity_checks += 1
-        get_registry().inc("features.parity_checks")
+        self.stats.inc("parity_checks")
         if self.staleness != 0:
             raise FeatureStoreError(
                 f"parity check with {self.staleness} unapplied "

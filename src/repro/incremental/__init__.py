@@ -17,7 +17,7 @@ from .aggregates import (
     GramCofactorState,
     snap_to_grid,
 )
-from .maintainer import DeltaConsumer, IncrementalMaintainer, MaintainerStats
+from .maintainer import DeltaConsumer, IncrementalMaintainer
 from .stream import DELTA_KINDS, ChangeStream, Delta, DynamicTable
 from .trainer import CentroidModel, ContinuousTrainer
 
@@ -34,6 +34,5 @@ __all__ = [
     "DynamicTable",
     "GramCofactorState",
     "IncrementalMaintainer",
-    "MaintainerStats",
     "snap_to_grid",
 ]

@@ -16,37 +16,22 @@ never leave silently stale state.
 view maintainer (:class:`repro.features.FeatureViewMaintainer`) is a
 second subclass of the same discipline.
 
-Every outcome lands in both the local :class:`MaintainerStats` ledger
-and the consumer's ``<prefix>.*`` observability counters
-(``incremental.*`` for the maintainer).
+Every outcome is one write to the consumer's ``stats``
+:class:`~repro.obs.Ledger`, which counts it on the instance and as
+``<prefix>.*`` in the registry (``incremental.*`` for the maintainer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import IncrementalError, InjectedFault
-from ..obs import get_registry
+from ..obs import Ledger, get_registry
 from ..resilience import fault_point, no_chaos
 from .aggregates import CentroidState, GramCofactorState
 from .stream import ChangeStream, Delta, DynamicTable
-
-
-@dataclass
-class MaintainerStats:
-    """Exact ledger of everything a delta consumer did."""
-
-    deltas_applied: int = 0
-    rows_folded: int = 0
-    recomputes: int = 0
-    corrupt_deltas: int = 0
-    dropped_deltas: int = 0
-    injected_faults: int = 0
-    skipped_stale: int = 0
-    parity_checks: int = 0
 
 
 class DeltaConsumer:
@@ -65,7 +50,12 @@ class DeltaConsumer:
     def __init__(self, table: DynamicTable, stream: ChangeStream):
         self.table = table
         self.stream = stream
-        self.stats = MaintainerStats()
+        #: exact ledger of everything this consumer did
+        self.stats = Ledger(self.OBS_PREFIX, (
+            "deltas_applied", "rows_folded", "recomputes", "corrupt_deltas",
+            "dropped_deltas", "injected_faults", "skipped_stale",
+            "parity_checks",
+        ))
         self.applied_version = table.version
 
     # ------------------------------------------------------------------
@@ -88,37 +78,29 @@ class DeltaConsumer:
 
     def apply(self, delta: Delta) -> None:
         """Fold one delta — or recover by lineage recompute."""
-        registry = get_registry()
         if delta.version <= self.applied_version:
             # Already covered by a recompute that read a newer base state.
-            self.stats.skipped_stale += 1
-            registry.inc(f"{self.OBS_PREFIX}.skipped_stale")
+            self.stats.inc("skipped_stale")
             return
         if delta.version != self.applied_version + 1:
-            self.stats.dropped_deltas += 1
-            registry.inc(f"{self.OBS_PREFIX}.dropped_deltas")
+            self.stats.inc("dropped_deltas")
             self._recompute("version gap")
             return
         try:
             status = fault_point(self.FAULT_SITE, key=delta.version)
         except InjectedFault:
-            self.stats.injected_faults += 1
+            self.stats.inc("injected_faults")
             self._recompute("injected fault")
             return
         if status == "corrupt":
             delta = delta.corrupted()
         if not delta.verify():
-            self.stats.corrupt_deltas += 1
-            registry.inc(f"{self.OBS_PREFIX}.corrupt_deltas")
+            self.stats.inc("corrupt_deltas")
             self._recompute("checksum mismatch")
             return
-        folded = self._fold(delta)
-        self.stats.rows_folded += folded
-        registry.inc(f"{self.OBS_PREFIX}.rows_folded", folded)
+        self.stats.inc("rows_folded", self._fold(delta))
         self.applied_version = delta.version
-        self.stats.deltas_applied += 1
-        registry.inc(f"{self.OBS_PREFIX}.deltas_applied")
-        registry.inc(f"{self.OBS_PREFIX}.deltas_applied.{delta.kind}")
+        self.stats.inc("deltas_applied")
 
     def _recompute(self, reason: str) -> None:
         """Lineage repair: rebuild the derived state from the base table.
@@ -131,8 +113,7 @@ class DeltaConsumer:
         with no_chaos():
             self._rebuild()
         self.applied_version = self.table.version
-        self.stats.recomputes += 1
-        get_registry().inc(f"{self.OBS_PREFIX}.recomputes")
+        self.stats.inc("recomputes")
 
     # -- subclass surface ----------------------------------------------
     def _fold(self, delta: Delta) -> int:
@@ -217,8 +198,7 @@ class IncrementalMaintainer(DeltaConsumer):
     def checkpoint_parity(self) -> bool:
         """Assert bitwise parity of every maintained aggregate against
         full recomputation on the current base table."""
-        self.stats.parity_checks += 1
-        get_registry().inc("incremental.parity_checks")
+        self.stats.inc("parity_checks")
         if self.staleness != 0:
             raise IncrementalError(
                 f"parity checkpoint with {self.staleness} unapplied "

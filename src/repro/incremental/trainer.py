@@ -20,7 +20,7 @@ import numpy as np
 from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..ml.kmeans import nearest_center_einsum
 from ..ml.linreg import LinearRegression
-from ..obs import get_registry
+from ..obs import Counted, Ledger
 from .maintainer import IncrementalMaintainer
 
 
@@ -37,7 +37,7 @@ class CentroidModel:
         return labels.astype(np.float64)
 
 
-class ContinuousTrainer:
+class ContinuousTrainer(Counted):
     """Drives model refreshes from a maintained change stream.
 
     Args:
@@ -68,7 +68,7 @@ class ContinuousTrainer:
         self.refresh_every = max(1, refresh_every)
         self.server = server
         self.endpoint = endpoint
-        self.refreshes = 0
+        self.counts = Ledger("incremental", ("refreshes",))
         self.last_refresh_version = maintainer.applied_version
         self.latest: ModelVersion | None = None
         self.centroids_: np.ndarray | None = None
@@ -116,7 +116,6 @@ class ContinuousTrainer:
         if self.server is not None and self.endpoint is not None:
             self.server.promote(self.endpoint, entry.version)
         self.latest = entry
-        self.refreshes += 1
+        self.counts.inc("refreshes")
         self.last_refresh_version = self.maintainer.applied_version
-        get_registry().inc("incremental.refreshes")
         return entry

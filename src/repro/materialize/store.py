@@ -15,10 +15,11 @@ never stale-wrong (hit on changed data).
 
 Two tiers:
 
-* **Memory** — a :class:`~repro.runtime.bufferpool.BufferPool` in
-  object mode, so admission, LRU eviction, pinning, and the byte ledger
-  are the bufferpool's own accounting (one eviction discipline for the
-  whole runtime). Pinned materializations are never evicted.
+* **Memory** — a byte-budgeted :class:`~repro.cache.BoundedCache`
+  counted on a ``bufferpool.*`` :class:`~repro.obs.Ledger`, so
+  admission, LRU eviction, pinning and the byte ledger are the same
+  discipline and the same series as the runtime's block pool. Pinned
+  materializations are never evicted.
 * **Disk** — one file per entry in the store directory, written through
   :mod:`repro.persist` (atomic replace, schema ``repro.mat/v1``, CRC32
   over the pickled payload). An entry evicted from memory is re-read
@@ -54,12 +55,13 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from ..cache import BoundedCache
 from ..errors import MaterializationError
-from ..obs import get_registry
+from ..obs import Counted, Ledger
 from ..persist import read_verified, write_atomic
 from ..resilience.faults import fault_point
 from ..runtime import repops
-from ..runtime.bufferpool import BufferPool
+from ..runtime.bufferpool import pool_ledger
 from .fingerprint import Fingerprint
 from .lineage import LineageGraph
 
@@ -101,7 +103,7 @@ class EntryMeta:
         }
 
 
-class MaterializationStore:
+class MaterializationStore(Counted):
     """Fingerprint-keyed, two-tier store of executed sub-plan values.
 
     Args:
@@ -125,21 +127,17 @@ class MaterializationStore:
         self.directory = Path(directory) if directory is not None else None
         self.min_flops = float(min_flops)
         self.min_flops_per_byte = float(min_flops_per_byte)
-        self.pool = BufferPool(None, capacity_bytes)
+        if capacity_bytes <= 0:
+            raise MaterializationError("memory tier capacity must be positive")
+        self.pool = BoundedCache(capacity_bytes, pool_ledger())
         self.lineage = LineageGraph()
         self._meta: dict[str, EntryMeta] = {}
         self._seen: set[str] = set()
         self._lock = threading.RLock()
-        # local ledger (the obs registry accumulates across stores)
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.puts = 0
-        self.rejected = 0
-        self.recomputes = 0
-        self.corrupt_entries = 0
-        self.bytes_materialized = 0
-        self.bytes_reused = 0
+        self.counts = Ledger("materialize", (
+            "hits", "misses", "disk_hits", "puts", "rejected", "recomputes",
+            "corrupt_entries", "bytes_materialized", "bytes_reused",
+        ))
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._scan_directory()
@@ -225,27 +223,24 @@ class MaterializationStore:
         key = self._key_of(fp)
         if nbytes is None:
             nbytes = repops.operand_bytes(value)
-        registry = get_registry()
         with self._lock:
             if key in self._meta:
                 return True  # already materialized; nothing to do
             if not pin and not self.should_admit(flops, nbytes):
-                self.rejected += 1
-                registry.inc("materialize.rejected")
+                self.counts.inc("rejected")
                 return False
             if isinstance(value, np.ndarray):
                 value = np.array(value, dtype=np.float64, copy=True)
             kind = repops.kind_of(value)
             shape = tuple(getattr(value, "shape", ())) or None
             if key in self._seen:
-                self.recomputes += 1
-                registry.inc("materialize.recomputes")
+                self.counts.inc("recomputes")
             meta = EntryMeta(key, label, kind, shape, nbytes, flops, pin)
             if self.directory is not None:
                 self._persist(meta, value, structural, tuple(children))
             self._meta[key] = meta
             self._seen.add(key)
-            self.pool.put_object(key, value, nbytes, pin=pin)
+            self.pool.put(key, value, nbytes, pin=pin)
             self.lineage.record(
                 key,
                 label,
@@ -256,10 +251,8 @@ class MaterializationStore:
                 children=children,
                 source=source,
             )
-            self.puts += 1
-            self.bytes_materialized += nbytes
-            registry.inc("materialize.puts")
-            registry.inc("materialize.bytes_materialized", nbytes)
+            self.counts.inc("puts")
+            self.counts.inc("bytes_materialized", nbytes)
             return True
 
     def _persist(
@@ -301,33 +294,26 @@ class MaterializationStore:
         recompute can re-materialize them cleanly.
         """
         key = self._key_of(fp)
-        registry = get_registry()
         with self._lock:
             meta = self._meta.get(key)
             if meta is None:
-                self.misses += 1
-                registry.inc("materialize.misses")
+                self.counts.inc("misses")
                 return None
-            value = self.pool.lookup(key)
+            value = self.pool.get(key)
+            self.pool.stats.inc("misses" if value is None else "hits")
             if value is None and self.directory is not None:
                 value = self._load_disk(key, meta)
                 if value is not None:
-                    self.disk_hits += 1
-                    registry.inc("materialize.disk_hits")
-                    self.pool.put_object(
-                        key, value, meta.nbytes, pin=meta.pinned
-                    )
+                    self.counts.inc("disk_hits")
+                    self.pool.put(key, value, meta.nbytes, pin=meta.pinned)
             if value is None:
                 # lost (evicted with no disk tier, or corrupt on disk)
                 del self._meta[key]
-                self.misses += 1
-                registry.inc("materialize.misses")
+                self.counts.inc("misses")
                 return None
             meta.hits += 1
-            self.hits += 1
-            self.bytes_reused += meta.nbytes
-            registry.inc("materialize.hits")
-            registry.inc("materialize.bytes_reused", meta.nbytes)
+            self.counts.inc("hits")
+            self.counts.inc("bytes_reused", meta.nbytes)
             return value
 
     def _load_disk(self, key: str, meta: EntryMeta):
@@ -344,8 +330,7 @@ class MaterializationStore:
                 what="materialized entry",
             )
         except MaterializationError:
-            self.corrupt_entries += 1
-            get_registry().inc("materialize.corrupt_entries")
+            self.counts.inc("corrupt_entries")
             try:
                 path.unlink()
             except OSError:
@@ -362,8 +347,7 @@ class MaterializationStore:
             if meta is None:
                 raise MaterializationError(f"cannot pin unknown entry {key!r}")
             meta.pinned = True
-            if key in self.pool:
-                self.pool.pin(key)
+            self.pool.pin(key)
 
     def unpin(self, fp: Fingerprint | str) -> None:
         key = self._key_of(fp)
@@ -395,7 +379,11 @@ class MaterializationStore:
         path.write_bytes(mutated)
         # drop the memory copy so the next lookup exercises the disk tier
         with self._lock:
-            self.pool.remove(key)
+            self._drop_resident(key)
+
+    def _drop_resident(self, key: str) -> None:
+        if self.pool.remove(key):
+            self.pool.stats.inc("invalidations")
 
     def drop(self, fp: Fingerprint | str) -> bool:
         """Forget one entry everywhere (memory, meta, disk)."""
@@ -403,7 +391,7 @@ class MaterializationStore:
         with self._lock:
             existed = key in self._meta
             self._meta.pop(key, None)
-            self.pool.remove(key)
+            self._drop_resident(key)
             if self.directory is not None:
                 try:
                     self._path(key).unlink()
@@ -423,19 +411,10 @@ class MaterializationStore:
     def ledger(self) -> dict[str, Any]:
         """Exact reuse accounting (the E24 gates check these)."""
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "puts": self.puts,
-                "rejected": self.rejected,
-                "recomputes": self.recomputes,
-                "corrupt_entries": self.corrupt_entries,
-                "bytes_materialized": self.bytes_materialized,
-                "bytes_reused": self.bytes_reused,
+            return self.counts.as_dict() | {
                 "entries": len(self._meta),
-                "resident_bytes": self.pool.used_bytes,
-                "capacity_bytes": self.pool.capacity_bytes,
+                "resident_bytes": self.pool.used,
+                "capacity_bytes": self.pool.budget,
                 "evictions": self.pool.stats.evictions,
                 "pinned": sum(1 for m in self._meta.values() if m.pinned),
             }

@@ -15,19 +15,26 @@ package is the one substrate those statistics flow through here:
   span trees and every metric; what CI's regression gate reads.
 * :func:`reset` — clear spans + metrics (tests do this between cases).
 
+* :class:`Ledger` — the count ledger every cache, store, server and
+  maintainer keeps: ``ledger.inc("hits")`` is the one statement that
+  counts an event, and it lands both on the instance (exact per-run
+  numbers for gates) and in the registry as ``<prefix>.hits`` (summed
+  over instances for the exporter).
+
 Instrumented layers: DSL executor, parallel engine, buffer pool /
 block store, UDA driver, compression planner, simulated cluster, and
-grid/random search. The pre-existing per-instance stats objects
-(``ExecutionStats``, ``ParallelStats``, ``PoolStats``, ``CommStats``)
-are unchanged views of single runs; they now dual-write into the
-registry so one exporter sees everything.
+grid/random search. The structured per-run stats objects
+(``ExecutionStats``, ``ParallelStats``, ``CommStats``) are not count
+ledgers; they publish into the registry themselves.
 """
 
 from .metrics import (
     RESERVOIR_SIZE,
+    Counted,
     Counter,
     Gauge,
     Histogram,
+    Ledger,
     MetricsRegistry,
     get_registry,
     reset_metrics,
@@ -83,9 +90,11 @@ __all__ = [
     "MAX_ROOT_SPANS",
     "RESERVOIR_SIZE",
     "SCHEMA",
+    "Counted",
     "Counter",
     "Gauge",
     "Histogram",
+    "Ledger",
     "MetricsRegistry",
     "Span",
     "annotate",

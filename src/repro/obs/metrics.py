@@ -13,6 +13,11 @@ Three metric types:
 * :class:`Gauge` — last-write-wins float (``set``),
 * :class:`Histogram` — streaming count/sum/min/max over observations.
 
+A :class:`Ledger` groups counters that an object also needs exact
+per-instance values of (a cache's hits, a server's requests): one
+``ledger.inc("hits")`` statement counts the event on the instance and
+on the global counter ``<prefix>.hits``, so no event is stated twice.
+
 All updates are cheap (one small lock per metric) and always on; the
 expensive part of observability — span trees — lives in
 :mod:`repro.obs.trace` behind the ``REPRO_TRACE`` gate. Each metric also
@@ -251,3 +256,71 @@ def get_registry() -> MetricsRegistry:
 
 def reset_metrics() -> None:
     _registry.reset()
+
+
+# ----------------------------------------------------------------------
+# Count ledgers
+# ----------------------------------------------------------------------
+class Ledger:
+    """Integer counters ``prefix.field``, per instance and process-wide.
+
+    Fields read as attributes (``stats.hits``), :meth:`as_dict`
+    snapshots them in declaration order, and ``hit_ratio`` exists
+    wherever both ``hits`` and ``misses`` do. Nothing but :meth:`inc`
+    writes. The per-instance count stays because gates and oracles read
+    exact per-instance numbers, while the registry sums over every
+    instance of a prefix and is reset between runs.
+
+    Args:
+        prefix: metric-name prefix (``"bufferpool"``, ``"serving.cache"``).
+        fields: the counter names; fixed for the ledger's lifetime.
+    """
+
+    __slots__ = ("_names", "_counts")
+
+    def __init__(self, prefix: str, fields: tuple[str, ...]):
+        self._names = {field: f"{prefix}.{field}" for field in fields}
+        self._counts = dict.fromkeys(fields, 0)
+
+    def inc(self, field: str, n: int = 1) -> None:
+        """Count ``n`` events, here and on the global counter, under
+        that counter's lock (the hot path of every served request, so
+        the registry's by-name lookup is inlined)."""
+        name = self._names[field]
+        counter = _registry._metrics.get(name)
+        if type(counter) is not Counter:
+            counter = _registry.counter(name)
+        with counter._lock:
+            counter.value += n
+            counter.updates += 1
+            self._counts[field] += n
+
+    def __getattr__(self, field: str) -> int:
+        if not field.startswith("_"):
+            try:
+                return self._counts[field]
+            except KeyError:
+                pass
+        raise AttributeError(f"ledger has no field {field!r}")
+
+    @property
+    def hit_ratio(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self._counts)
+
+
+class Counted:
+    """Mixin for an object that keeps its :class:`Ledger` at
+    ``self.counts``: each field also reads as the owner's own attribute
+    (``endpoint.requests``, ``store.hits``)."""
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            return self.__dict__["counts"]._counts[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            ) from None

@@ -2,7 +2,7 @@
 pool, and the shared cost-aware parallel execution engine."""
 
 from .blocks import BlockedMatrix
-from .bufferpool import BlockStore, BufferPool, PoolStats
+from .bufferpool import BlockStore, BufferPool
 from .executor import ExecutionStats, execute
 from .outofcore import OutOfCoreLinearRegression, OutOfCoreResult
 from .ops import (
@@ -36,7 +36,6 @@ __all__ = [
     "OutOfCoreResult",
     "ParallelContext",
     "ParallelStats",
-    "PoolStats",
     "apply_aggregate",
     "apply_binary",
     "apply_fused",

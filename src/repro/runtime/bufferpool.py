@@ -4,12 +4,13 @@ Declarative ML systems keep block-partitioned matrices on a storage tier
 and cache hot blocks in memory; iterative algorithms then hit the cache
 on every epoch after the first. This module simulates that memory
 hierarchy: a :class:`BlockStore` is the 'disk' (counting reads/writes) and
-the :class:`BufferPool` is a byte-budgeted LRU cache over it with pinning.
+the :class:`BufferPool` is :class:`~repro.cache.BoundedCache` — budgeted
+in bytes, with pinning — plus read-through and write-through to it.
 
-Hits, misses, evictions, and store I/O are dual-written: the
-per-instance counters (:class:`PoolStats`, the store's attributes) stay
-per-run views, and the global :mod:`repro.obs` registry accumulates
-``bufferpool.*`` / ``blockstore.*`` series for run reports.
+Hits, misses, evictions, invalidations and store I/O are each one
+:class:`~repro.obs.Ledger` write: the pool's ``stats`` and the store's
+counters are the per-run view, ``bufferpool.*`` / ``blockstore.*`` in
+the :mod:`repro.obs` registry the process-wide one.
 
 Every block is stored with its CRC32. A read verifies the checksum and,
 on mismatch (bit rot, or chaos-injected corruption at site
@@ -22,18 +23,17 @@ Blocks with no lineage raise :class:`~repro.errors.CorruptedBlockError`.
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
+from ..cache import BoundedCache
 from ..errors import CorruptedBlockError, ExecutionError
-from ..obs import get_registry
+from ..obs import Counted, Ledger
 from ..resilience.faults import fault_point, no_chaos
 
 
-class BlockStore:
+class BlockStore(Counted):
     """Backing storage for blocks, with I/O accounting.
 
     Blocks are stored as immutable bytes to model the
@@ -43,21 +43,16 @@ class BlockStore:
     def __init__(self) -> None:
         self._blocks: dict[str, tuple[bytes, tuple[int, int], int]] = {}
         self._lineage: dict[str, Callable[[], np.ndarray]] = {}
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.corruptions_detected = 0
-        self.corruptions_repaired = 0
+        self.counts = Ledger("blockstore", (
+            "reads", "writes", "bytes_read", "bytes_written",
+            "corruptions_detected", "corruptions_repaired",
+        ))
 
     def write(self, block_id: str, array: np.ndarray) -> None:
         data = np.ascontiguousarray(array, dtype=np.float64).tobytes()
         self._blocks[block_id] = (data, array.shape, zlib.crc32(data))
-        self.writes += 1
-        self.bytes_written += len(data)
-        registry = get_registry()
-        registry.inc("blockstore.writes")
-        registry.inc("blockstore.bytes_written", len(data))
+        self.counts.inc("writes")
+        self.counts.inc("bytes_written", len(data))
 
     def register_lineage(
         self, block_id: str, recompute: Callable[[], np.ndarray]
@@ -89,18 +84,13 @@ class BlockStore:
         if zlib.crc32(data) != crc:
             self._repair(block_id)
             data, shape, crc = self._blocks[block_id]
-        self.reads += 1
-        self.bytes_read += len(data)
-        registry = get_registry()
-        registry.inc("blockstore.reads")
-        registry.inc("blockstore.bytes_read", len(data))
+        self.counts.inc("reads")
+        self.counts.inc("bytes_read", len(data))
         return np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
 
     def _repair(self, block_id: str) -> None:
         """Rebuild a corrupt block from lineage (or fail loudly)."""
-        self.corruptions_detected += 1
-        registry = get_registry()
-        registry.inc("blockstore.corruptions_detected")
+        self.counts.inc("corruptions_detected")
         recompute = self._lineage.get(block_id)
         if recompute is None:
             raise CorruptedBlockError(block_id)
@@ -109,8 +99,7 @@ class BlockStore:
         with no_chaos():
             array = np.ascontiguousarray(recompute(), dtype=np.float64)
             self.write(block_id, array)
-        self.corruptions_repaired += 1
-        registry.inc("blockstore.corruptions_repaired")
+        self.counts.inc("corruptions_repaired")
 
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._blocks
@@ -119,172 +108,71 @@ class BlockStore:
         return len(self._blocks)
 
 
-@dataclass
-class PoolStats:
-    """Cumulative buffer-pool counters."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
+def pool_ledger() -> Ledger:
+    """A ``bufferpool.*`` ledger: one series for every byte-budgeted
+    memory tier (block pools and the materialization store's)."""
+    return Ledger(
+        "bufferpool", ("hits", "misses", "evictions", "invalidations")
+    )
 
 
 class BufferPool:
-    """Byte-budgeted LRU cache of blocks over a :class:`BlockStore`.
+    """Byte-budgeted LRU cache of blocks over a :class:`BlockStore`."""
 
-    Besides read-through block caching (:meth:`get`/:meth:`put`), the
-    pool can hold arbitrary sized objects whose ground truth lives
-    elsewhere (:meth:`put_object`/:meth:`lookup`) — the materialization
-    store charges its in-memory tier through this accounting, so one
-    eviction discipline and one byte ledger govern both kinds of cache.
-    ``store`` may be ``None`` for an object-only pool; only the
-    read-through paths touch it.
-    """
-
-    def __init__(self, store: BlockStore | None, capacity_bytes: int):
+    def __init__(self, store: BlockStore, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ExecutionError("buffer pool capacity must be positive")
         self._store = store
-        self._capacity = capacity_bytes
-        self._cache: OrderedDict[str, object] = OrderedDict()
-        self._sizes: dict[str, int] = {}
-        self._pinned: set[str] = set()
-        self._used = 0
-        self.stats = PoolStats()
+        self.stats = pool_ledger()
+        self._cache = BoundedCache(capacity_bytes, self.stats)
 
     @property
     def capacity_bytes(self) -> int:
-        return self._capacity
+        return self._cache.budget
 
     @property
     def used_bytes(self) -> int:
-        return self._used
+        return self._cache.used
 
     @property
     def cached_blocks(self) -> list[str]:
-        return list(self._cache)
+        return self._cache.keys()
 
     @property
     def pinned_blocks(self) -> list[str]:
-        return sorted(self._pinned)
+        return sorted(self._cache.pinned())
 
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._cache
 
     def get(self, block_id: str) -> np.ndarray:
         """Fetch a block, serving from cache when possible."""
-        if block_id in self._cache:
-            self.stats.hits += 1
-            get_registry().inc("bufferpool.hits")
-            self._cache.move_to_end(block_id)
-            return self._cache[block_id]
-        self.stats.misses += 1
-        get_registry().inc("bufferpool.misses")
-        if self._store is None:
-            raise ExecutionError(
-                f"block {block_id!r} not cached and pool has no store"
-            )
+        array = self._cache.get(block_id)
+        if array is not None:
+            self.stats.inc("hits")
+            return array
+        self.stats.inc("misses")
         array = self._store.read(block_id)
-        self._admit(block_id, array, array.nbytes)
+        self._cache.put(block_id, array, array.nbytes)
         return array
 
     def put(self, block_id: str, array: np.ndarray) -> None:
         """Write a block through the pool to the store."""
         array = np.asarray(array, dtype=np.float64)
-        if self._store is not None:
-            self._store.write(block_id, array)
-        self._drop(block_id)
-        self._admit(block_id, array, array.nbytes)
-
-    def lookup(self, block_id: str):
-        """Cached value or ``None`` — no read-through, hit/miss counted.
-
-        The store's memory tier uses this: a miss here falls back to the
-        caller's own slower tier (disk entry or lineage recompute), not
-        to the pool's block store.
-        """
-        if block_id in self._cache:
-            self.stats.hits += 1
-            get_registry().inc("bufferpool.hits")
-            self._cache.move_to_end(block_id)
-            return self._cache[block_id]
-        self.stats.misses += 1
-        get_registry().inc("bufferpool.misses")
-        return None
-
-    def put_object(
-        self,
-        block_id: str,
-        value: object,
-        nbytes: int | None = None,
-        pin: bool = False,
-    ) -> bool:
-        """Cache an arbitrary sized object without a store write.
-
-        Returns whether the object is resident afterwards. ``pin=True``
-        pins it on admit; admission may evict unpinned entries but a
-        pinned working set larger than the pool simply leaves the object
-        uncached (the caller's ground truth still holds it).
-        """
-        size = int(value.nbytes if nbytes is None else nbytes)
-        if size < 0:
-            raise ExecutionError(f"object size must be >= 0, got {size}")
-        self._drop(block_id)
-        self._admit(block_id, value, size)
-        if block_id in self._cache and pin:
-            self._pinned.add(block_id)
-        return block_id in self._cache
+        self._store.write(block_id, array)
+        self._cache.put(block_id, array, array.nbytes)
 
     def pin(self, block_id: str) -> None:
         """Protect a cached block from eviction."""
-        if block_id not in self._cache:
+        if not self._cache.pin(block_id):
             raise ExecutionError(f"cannot pin uncached block {block_id!r}")
-        self._pinned.add(block_id)
 
     def unpin(self, block_id: str) -> None:
-        self._pinned.discard(block_id)
+        self._cache.unpin(block_id)
 
     def remove(self, block_id: str) -> bool:
         """Invalidate one entry (counted separately from evictions)."""
-        if self._drop(block_id):
-            self.stats.invalidations += 1
-            get_registry().inc("bufferpool.invalidations")
+        if self._cache.remove(block_id):
+            self.stats.inc("invalidations")
             return True
-        return False
-
-    def _drop(self, block_id: str) -> bool:
-        if block_id not in self._cache:
-            return False
-        self._used -= self._sizes.pop(block_id)
-        del self._cache[block_id]
-        self._pinned.discard(block_id)
-        return True
-
-    def _admit(self, block_id: str, value: object, size: int) -> None:
-        if size > self._capacity:
-            # Entry exceeds the whole pool: pass through uncached.
-            return
-        while self._used + size > self._capacity:
-            if not self._evict_one():
-                return  # everything left is pinned; serve uncached
-        self._cache[block_id] = value
-        self._sizes[block_id] = size
-        self._used += size
-
-    def _evict_one(self) -> bool:
-        for victim in self._cache:
-            if victim not in self._pinned:
-                self._used -= self._sizes.pop(victim)
-                del self._cache[victim]
-                self.stats.evictions += 1
-                get_registry().inc("bufferpool.evictions")
-                return True
         return False

@@ -16,9 +16,10 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..ml.optim import descend
+from ..obs import Ledger
 from ..resilience.checkpoint import IterativeCheckpointer
 from .blocks import BlockedMatrix
-from .bufferpool import BlockStore, BufferPool, PoolStats
+from .bufferpool import BlockStore, BufferPool
 
 
 @dataclass
@@ -26,7 +27,7 @@ class OutOfCoreResult:
     weights: np.ndarray
     epochs: int
     loss_history: list[float] = field(default_factory=list)
-    pool_stats: PoolStats | None = None
+    pool_stats: Ledger | None = None
     bytes_read_from_store: int = 0
 
     @property

@@ -37,8 +37,8 @@ gates the sharded fabric's failover, quota, and scaling ledgers.
 """
 
 from .batcher import MicroBatcher, PendingRequest
-from .cache import PredictionCache, PredictionCacheStats, feature_hash
-from .fabric import FabricLedger, ShardedServer
+from .cache import PredictionCache, feature_hash
+from .fabric import ShardedServer
 from .quota import AdmissionQuotas, TokenBucket
 from .ring import HashRing
 from .router import CanaryRouter
@@ -48,13 +48,11 @@ __all__ = [
     "AdmissionQuotas",
     "CanaryRouter",
     "Endpoint",
-    "FabricLedger",
     "HashRing",
     "MicroBatcher",
     "ModelServer",
     "PendingRequest",
     "PredictionCache",
-    "PredictionCacheStats",
     "ShardedServer",
     "TokenBucket",
     "compile_linear_scorer",

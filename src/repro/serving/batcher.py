@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DeadlineExceededError, LoadShedError, ServingError
-from ..obs import get_registry
+from ..obs import Counted, Ledger, get_registry
 
 
 class PendingRequest:
@@ -83,7 +83,7 @@ class PendingRequest:
         return self.result
 
 
-class MicroBatcher:
+class MicroBatcher(Counted):
     """Bounded FIFO request queue drained in vectorized batches.
 
     Args:
@@ -123,10 +123,11 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._worker: threading.Thread | None = None
         self._stop = threading.Event()
-        #: ledger: batches drained and their sizes (obs dual-writes too)
-        self.batches = 0
-        self.batched_requests = 0
-        self.shed = 0
+        # ``shed`` is queue-full only: a subset of the endpoint's
+        # ``serving.shed``, so it is counted under the batcher's own prefix
+        self.counts = Ledger(
+            "serving.batcher", ("batches", "batched_requests", "shed")
+        )
 
     # ------------------------------------------------------------------
     def submit(
@@ -140,7 +141,7 @@ class MicroBatcher:
         with self._cond:
             depth = len(self._queue)
             if depth >= self.queue_capacity:
-                self.shed += 1
+                self.counts.inc("shed")
                 raise LoadShedError(self.name, depth, self.queue_capacity)
             pending = PendingRequest(
                 row, scorer, version, deadline_at, self._clock()
@@ -217,9 +218,8 @@ class MicroBatcher:
             for offset, i in enumerate(indices):
                 results[i] = float(scores[offset])
         registry = get_registry()
-        self.batches += 1
-        self.batched_requests += len(batch)
-        registry.inc("serving.batches")
+        self.counts.inc("batches")
+        self.counts.inc("batched_requests", len(batch))
         registry.observe("serving.batch_size", len(batch))
         registry.observe(f"serving.batch_size.{self.name}", len(batch))
         for i, pending in enumerate(live):  # FIFO completion

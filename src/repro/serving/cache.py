@@ -3,13 +3,18 @@
 Online scoring is read-heavy and repetitive — the same entities are
 scored again and again between model updates (Kara et al. keep scoring
 incremental for exactly this reason). Entries are keyed on
-``(endpoint, model_version, feature_hash)``: the version in the key
-means a promoted model can never serve a predecessor's cached answer,
-and :meth:`PredictionCache.invalidate` additionally evicts an
-endpoint's entries eagerly on promote/rollback so stale rows do not
-squat in the LRU ring. The hit/miss/invalidation ledger mirrors the
-:class:`~repro.storage.querycache.QueryCache` pattern the feature-query
-layer uses.
+``(endpoint, model_version, row key)``: the version in the key means a
+promoted model can never serve a predecessor's cached answer, and
+:meth:`PredictionCache.invalidate` additionally evicts an endpoint's
+entries eagerly on promote/rollback so stale rows do not squat in the
+LRU ring. The server passes the row's full bytes as the row key, so a
+hit is decided on the whole row — a 32-bit :func:`feature_hash` would
+let two colliding entities answer for each other.
+
+The cache owns its key, the TTL rule and the lock; ordering and
+eviction are :class:`~repro.cache.BoundedCache` at cost 1 per entry,
+and every count is one :class:`~repro.obs.Ledger` write
+(``serving.cache.*``).
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Hashable
 from typing import Callable
 
 import numpy as np
 
+from ..cache import BoundedCache
 from ..errors import ServingError
+from ..obs import Ledger
 
 
 def feature_hash(row: np.ndarray) -> int:
@@ -36,22 +42,6 @@ def feature_hash(row: np.ndarray) -> int:
     arr = np.ascontiguousarray(row, dtype=np.float64)
     header = f"{arr.shape}".encode("utf-8")
     return zlib.crc32(arr.tobytes(), zlib.crc32(header))
-
-
-@dataclass
-class PredictionCacheStats:
-    """Hit/miss/invalidation ledger of one :class:`PredictionCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-    expirations: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class PredictionCache:
@@ -76,45 +66,47 @@ class PredictionCache:
         self.capacity = capacity
         self.ttl_s = ttl_s
         self._clock = clock
-        self._entries: OrderedDict[tuple, tuple[float, float]] = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = PredictionCacheStats()
+        self.stats = Ledger(
+            "serving.cache",
+            ("hits", "misses", "invalidations", "evictions", "expirations"),
+        )
+        # (endpoint, version, row key) -> (stored at, prediction)
+        self._entries = BoundedCache(capacity, self.stats)
 
     # ------------------------------------------------------------------
-    def get(self, endpoint: str, version: int, fhash: int) -> float | None:
+    def get(self, endpoint: str, version: int, row_key: Hashable) -> float | None:
         """The cached prediction, or None on miss/expiry."""
-        key = (endpoint, version, fhash)
+        key = (endpoint, version, row_key)
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 stored_at, value = entry
                 if self.ttl_s is None or now - stored_at < self.ttl_s:
-                    self.stats.hits += 1
-                    self._entries.move_to_end(key)
+                    self.stats.inc("hits")
                     return value
-                del self._entries[key]
-                self.stats.expirations += 1
-            self.stats.misses += 1
+                self._entries.remove(key)
+                self.stats.inc("expirations")
+            self.stats.inc("misses")
         return None
 
-    def put(self, endpoint: str, version: int, fhash: int, value: float) -> None:
-        key = (endpoint, version, fhash)
+    def put(
+        self, endpoint: str, version: int, row_key: Hashable, value: float
+    ) -> None:
         with self._lock:
-            self._entries[key] = (self._clock(), float(value))
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self._entries.put(
+                (endpoint, version, row_key), (self._clock(), float(value))
+            )
 
     def invalidate(self, endpoint: str) -> int:
         """Evict every entry of one endpoint (any version); returns the
         count. Called on promote/rollback."""
         with self._lock:
-            stale = [k for k in self._entries if k[0] == endpoint]
+            stale = [k for k in self._entries.keys() if k[0] == endpoint]
             for key in stale:
-                del self._entries[key]
-            self.stats.invalidations += len(stale)
+                self._entries.remove(key)
+            self.stats.inc("invalidations", len(stale))
         return len(stale)
 
     def clear(self) -> None:

@@ -44,7 +44,6 @@ with a mid-stream kill recovered exactly.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,37 +59,15 @@ from ..errors import (
     WorkerFailure,
 )
 from ..lifecycle.registry import ModelRegistry, ModelVersion
-from ..obs import get_registry
+from ..obs import Ledger, get_registry
 from ..resilience import RetryPolicy, active_chaos, resilient_call
-from .ring import HashRing
 from .quota import AdmissionQuotas
+from .ring import HashRing, placement_hash
 from .server import ModelServer
 
 #: a shard dispatch failing with one of these fails over to the next
 #: live replica instead of failing the request.
 _FAILOVER_ERRORS = (InjectedFault, RetryExhaustedError, WorkerFailure)
-
-
-@dataclass
-class FabricLedger:
-    """Exact fleet-wide routing/admission ledger (E26 gates on it)."""
-
-    requests: int = 0
-    quota_shed: int = 0
-    failovers: int = 0  # requests that skipped >= 1 dead/failed replica
-    rerouted: int = 0  # total replica skips summed over requests
-    replica_hits: int = 0  # requests served by a non-home replica
-    epoch_invalidations: int = 0  # cache entries dropped on revive
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "quota_shed": self.quota_shed,
-            "failovers": self.failovers,
-            "rerouted": self.rerouted,
-            "replica_hits": self.replica_hits,
-            "epoch_invalidations": self.epoch_invalidations,
-        }
 
 
 @dataclass
@@ -159,7 +136,15 @@ class ShardedServer:
         }
         self._endpoints: dict[str, _FabricEndpoint] = {}
         self.quotas = AdmissionQuotas(clock=clock)
-        self.ledger = FabricLedger()
+        #: exact fleet-wide routing/admission ledger (E26 gates on it):
+        #: ``failovers`` = requests that skipped >= 1 dead/failed
+        #: replica, ``rerouted`` = those skips summed, ``replica_hits`` =
+        #: requests served off their home replica,
+        #: ``epoch_invalidations`` = cache entries dropped on revive
+        self.ledger = Ledger("fabric", (
+            "requests", "quota_shed", "failovers", "rerouted",
+            "replica_hits", "epoch_invalidations",
+        ))
         self._gates: dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -201,10 +186,8 @@ class ShardedServer:
         for endpoint in self._endpoints.values():
             if shard_id in endpoint.replicas:
                 dropped += shard.server.invalidate(endpoint.name)
-        self.ledger.epoch_invalidations += dropped
-        registry = get_registry()
-        registry.inc("fabric.shard_revives")
-        registry.inc("fabric.epoch_invalidations", dropped)
+        self.ledger.inc("epoch_invalidations", dropped)
+        get_registry().inc("fabric.shard_revives")
         return dropped
 
     # ------------------------------------------------------------------
@@ -315,9 +298,7 @@ class ShardedServer:
         replicas = self._endpoint(name).replicas
         if key is None or len(replicas) == 1:
             return list(replicas)
-        start = zlib.crc32(
-            f"{self.seed}|{name}|{key!r}".encode("utf-8")
-        ) % len(replicas)
+        start = placement_hash(self.seed, f"{name}|{key!r}") % len(replicas)
         return list(replicas[start:] + replicas[:start])
 
     def route(self, name: str, key: object | None) -> tuple[str, int]:
@@ -350,10 +331,7 @@ class ShardedServer:
         """Token-bucket admission ahead of every shard queue."""
         if self.quotas.admit(tenant):
             return True
-        self.ledger.quota_shed += 1
-        registry = get_registry()
-        registry.inc("fabric.quota_shed")
-        registry.inc(f"fabric.quota_shed.{tenant}")
+        self.ledger.inc("quota_shed")
         return False
 
     def _quota_error(self, name: str, tenant: object) -> LoadShedError:
@@ -406,10 +384,10 @@ class ShardedServer:
         shard = self._shards[sid]
         shard.served += 1
         if skips:
-            self.ledger.failovers += 1
-            self.ledger.rerouted += skips
+            self.ledger.inc("failovers")
+            self.ledger.inc("rerouted", skips)
         if sid != home:
-            self.ledger.replica_hits += 1
+            self.ledger.inc("replica_hits")
 
     def _route_checked(
         self, name: str, deadline_at: float | None
@@ -435,9 +413,7 @@ class ShardedServer:
         """Serve one prediction through the fleet: quota admission,
         ring routing, deterministic failover, then the owning shard's
         full single-server path."""
-        self.ledger.requests += 1
-        registry = get_registry()
-        registry.inc("fabric.requests")
+        self.ledger.inc("requests")
         if not self._admit_tenant(name, tenant):
             raise self._quota_error(name, tenant)
         deadline_at = (
@@ -466,7 +442,6 @@ class ShardedServer:
                 exc.endpoint, exc.deadline_ms, tenant=tenant, shard=sid
             ) from exc
         self._account(name, sid, skips)
-        registry.inc(f"fabric.served.{sid}")
         return value
 
     def predict_many(
@@ -502,7 +477,6 @@ class ShardedServer:
             raise ServingError("one key per row required")
         if tenants is not None and len(tenants) != n:
             raise ServingError("one tenant per row required")
-        registry = get_registry()
 
         # Fast path: a single-replica fleet with no quotas and no chaos
         # is a plain ModelServer with a ring lookup in front — delegate
@@ -520,10 +494,8 @@ class ShardedServer:
             out = shard.server.predict_many(
                 name, rows, keys=keys, deadline_ms=deadline_ms
             )
-            self.ledger.requests += n
+            self.ledger.inc("requests", n)
             shard.served += n
-            registry.inc("fabric.requests", n)
-            registry.inc(f"fabric.served.{sid}", n)
             return (out, []) if on_shed == "null" else out
 
         deadline_at = (
@@ -531,8 +503,7 @@ class ShardedServer:
             if deadline_ms is not None
             else None
         )
-        self.ledger.requests += n
-        registry.inc("fabric.requests", n)
+        self.ledger.inc("requests", n)
         out = np.empty(n, dtype=np.float64)
         shed_indices: list[int] = []
         groups: dict[str, list[int]] = {}
@@ -561,7 +532,6 @@ class ShardedServer:
                 keys=group_keys,
                 deadline_ms=deadline_ms,
             )
-            registry.inc(f"fabric.served.{sid}", len(indices))
         if on_shed == "null":
             return out, shed_indices
         return out

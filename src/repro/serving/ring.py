@@ -28,6 +28,16 @@ import zlib
 from ..errors import ServingError
 
 
+def placement_hash(seed: int, token: str) -> int:
+    """The one placement hash: CRC32 of ``"<seed>|<token>"``.
+
+    Ring points, replica rotation and canary buckets all draw from this
+    rule, so the same strings place the same way in every process,
+    under any ``PYTHONHASHSEED``.
+    """
+    return zlib.crc32(f"{seed}|{token}".encode("utf-8"))
+
+
 class HashRing:
     """CRC32 consistent-hash ring with virtual nodes.
 
@@ -52,15 +62,12 @@ class HashRing:
             self.add_node(node)
 
     # ------------------------------------------------------------------
-    def _hash(self, token: str) -> int:
-        return zlib.crc32(f"{self.seed}|{token}".encode("utf-8"))
-
     def add_node(self, node: str) -> None:
         if node in self._nodes:
             raise ServingError(f"node {node!r} already on the ring")
         self._nodes.add(node)
         for v in range(self.vnodes):
-            point = self._hash(f"{node}#{v}")
+            point = placement_hash(self.seed, f"{node}#{v}")
             idx = bisect.bisect_left(self._points, point)
             # CRC collisions between distinct tokens are possible in a
             # 32-bit space; break ties by node name so insertion order
@@ -107,7 +114,7 @@ class HashRing:
         if not self._nodes:
             raise ServingError("ring has no nodes")
         count = min(count, len(self._nodes))
-        point = self._hash(f"key|{key!r}")
+        point = placement_hash(self.seed, f"key|{key!r}")
         start = bisect.bisect_right(self._points, point) % len(self._points)
         found: list[str] = []
         seen: set[str] = set()

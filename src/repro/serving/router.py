@@ -13,10 +13,10 @@ users on the candidate instead of reshuffling them.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from ..errors import ServingError
+from .ring import placement_hash
 
 #: bucket resolution: keys map to [0, 1) in steps of 1/2^32.
 _BUCKETS = float(2**32)
@@ -43,8 +43,7 @@ class CanaryRouter:
 
     def bucket(self, key: object) -> float:
         """The key's fixed position in [0, 1) — independent of fraction."""
-        payload = f"{self.seed}|{key!r}".encode("utf-8")
-        return zlib.crc32(payload) / _BUCKETS
+        return placement_hash(self.seed, repr(key)) / _BUCKETS
 
     def routes_to_canary(self, key: object) -> bool:
         """True when this key belongs to the canary slice."""

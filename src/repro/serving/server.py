@@ -25,9 +25,11 @@ other half — the process that answers prediction requests. A
   ``serving.score``) so chaos tests cover the serving path, with
   :class:`~repro.resilience.RetryPolicy` recovery on the scoring site.
 
-Every request updates the :mod:`repro.obs` registry: request/shed/cache
-counters and ``serving.latency_ms`` / ``serving.batch_size`` histograms
-with p50/p95/p99.
+Every counted event is one :class:`~repro.obs.Ledger` write — the
+endpoint's ``serving.*`` counts here, the cache's ``serving.cache.*``
+and the batcher's ``serving.batcher.*`` in their own modules — next to
+the ``serving.latency_ms`` / ``serving.batch_size`` histograms with
+p50/p95/p99.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from ..errors import (
 )
 from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..ml.losses import sigmoid
-from ..obs import Histogram, get_registry
+from ..obs import Counted, Histogram, Ledger, get_registry
 from ..resilience import RetryPolicy, fault_point, resilient_call
 from .batcher import MicroBatcher
-from .cache import PredictionCache, feature_hash
+from .cache import PredictionCache
 from .router import CanaryRouter
 
 #: scorer outputs an endpoint can serve for linear models.
@@ -99,7 +101,7 @@ def _build_scorer(model, output: str) -> Callable[[np.ndarray], np.ndarray]:
     return compile_linear_scorer(model, output)
 
 
-class Endpoint:
+class Endpoint(Counted):
     """One served route: config, queue, cache, router, and its ledger."""
 
     def __init__(
@@ -152,12 +154,10 @@ class Endpoint:
         )
         self.semaphore = threading.Semaphore(max_concurrency)
         self.max_concurrency = max_concurrency
-        # ledger (dual-written into repro.obs)
-        self.requests = 0
-        self.shed = 0
-        self.deadline_exceeded = 0
-        self.stable_requests = 0
-        self.canary_requests = 0
+        self.counts = Ledger("serving", (
+            "requests", "shed", "deadline_exceeded",
+            "stable_requests", "canary_requests",
+        ))
         self.latency = Histogram(f"serving.latency_ms.{name}")
 
     def stats(self) -> dict:
@@ -166,11 +166,7 @@ class Endpoint:
         return {
             "endpoint": self.name,
             "model": self.model_name,
-            "requests": self.requests,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "stable_requests": self.stable_requests,
-            "canary_requests": self.canary_requests,
+            **self.counts.as_dict(),
             "canary_fraction": self.router.fraction,
             "batches": self.batcher.batches,
             "batched_requests": self.batcher.batched_requests,
@@ -180,14 +176,7 @@ class Endpoint:
                 else 0.0
             ),
             "cache": (
-                {
-                    "hits": cache_stats.hits,
-                    "misses": cache_stats.misses,
-                    "invalidations": cache_stats.invalidations,
-                    "evictions": cache_stats.evictions,
-                    "expirations": cache_stats.expirations,
-                    "hit_ratio": cache_stats.hit_ratio,
-                }
+                cache_stats.as_dict() | {"hit_ratio": cache_stats.hit_ratio}
                 if cache_stats is not None
                 else None
             ),
@@ -347,11 +336,7 @@ class ModelServer:
         }
         if endpoint.cache is None:
             return 0
-        dropped = endpoint.cache.invalidate(endpoint.name)
-        registry = get_registry()
-        registry.inc("serving.cache.invalidations", dropped)
-        registry.inc(f"serving.cache.invalidations.{endpoint.name}", dropped)
-        return dropped
+        return endpoint.cache.invalidate(endpoint.name)
 
     # ------------------------------------------------------------------
     # Request path
@@ -363,12 +348,10 @@ class ModelServer:
             and endpoint.canary is not None
             and endpoint.router.routes_to_canary(key)
         )
-        registry = get_registry()
         if use_canary:
-            endpoint.canary_requests += 1
-            registry.inc("serving.canary_requests")
+            endpoint.counts.inc("canary_requests")
             return self.registry.resolve(endpoint.model_name, endpoint.canary)
-        endpoint.stable_requests += 1
+        endpoint.counts.inc("stable_requests")
         return self.registry.resolve(endpoint.model_name, endpoint.stable)
 
     def _scorer_for(self, endpoint: Endpoint, entry: ModelVersion) -> Callable:
@@ -406,7 +389,7 @@ class ModelServer:
         try:
             fault_point("serving.admission", key=endpoint.name)
         except InjectedFault as fault:
-            self._count_shed(endpoint)
+            endpoint.counts.inc("shed")
             raise LoadShedError(
                 endpoint.name,
                 endpoint.batcher.depth(),
@@ -414,23 +397,10 @@ class ModelServer:
                 reason="chaos",
             ) from fault
 
-    def _count_shed(self, endpoint: Endpoint) -> None:
-        endpoint.shed += 1
-        registry = get_registry()
-        registry.inc("serving.shed")
-        registry.inc(f"serving.shed.{endpoint.name}")
-
     def _record_latency(self, endpoint: Endpoint, start: float) -> None:
         elapsed_ms = (self._clock() - start) * 1000.0
         endpoint.latency.observe(elapsed_ms)
-        registry = get_registry()
-        registry.observe("serving.latency_ms", elapsed_ms)
-
-    def _count_request(self, endpoint: Endpoint) -> None:
-        endpoint.requests += 1
-        registry = get_registry()
-        registry.inc("serving.requests")
-        registry.inc(f"serving.requests.{endpoint.name}")
+        get_registry().observe("serving.latency_ms", elapsed_ms)
 
     def predict(
         self,
@@ -448,7 +418,7 @@ class ModelServer:
         """
         endpoint = self.endpoint(name)
         start = self._clock()
-        self._count_request(endpoint)
+        endpoint.counts.inc("requests")
         if deadline_ms is None:
             deadline_ms = endpoint.deadline_ms
         deadline_at = (
@@ -457,25 +427,21 @@ class ModelServer:
         self._admit(endpoint, key)
         entry = self._route(endpoint, key)
         row = np.asarray(row, dtype=np.float64)
-        obs_registry = get_registry()
-        fhash = None
+        row_key = None
         if endpoint.cache is not None:
-            fhash = feature_hash(row)
-            cached = endpoint.cache.get(name, entry.version, fhash)
+            # the whole row, not a 32-bit hash of it: a hit must be this row
+            row_key = row.tobytes()
+            cached = endpoint.cache.get(name, entry.version, row_key)
             if cached is not None:
-                obs_registry.inc("serving.cache.hits")
-                obs_registry.inc(f"serving.cache.hits.{name}")
                 self._record_latency(endpoint, start)
                 return cached
-            obs_registry.inc("serving.cache.misses")
-            obs_registry.inc(f"serving.cache.misses.{name}")
         scorer = self._scorer_for(endpoint, entry)
         try:
             pending = endpoint.batcher.submit(
                 row, scorer, entry.version, deadline_at
             )
         except LoadShedError:
-            self._count_shed(endpoint)
+            endpoint.counts.inc("shed")
             raise
         if not endpoint.batcher.running:
             endpoint.batcher.flush()
@@ -487,25 +453,19 @@ class ModelServer:
         try:
             value = pending.wait(timeout)
         except TimeoutError:
-            self._count_deadline(endpoint)
+            endpoint.counts.inc("deadline_exceeded")
             raise DeadlineExceededError(name, deadline_ms) from None
         except DeadlineExceededError:
-            self._count_deadline(endpoint)
+            endpoint.counts.inc("deadline_exceeded")
             raise DeadlineExceededError(name, deadline_ms) from None
         if deadline_at is not None and self._clock() > deadline_at:
             # Computed, but too late — a deadline is a client promise.
-            self._count_deadline(endpoint)
+            endpoint.counts.inc("deadline_exceeded")
             raise DeadlineExceededError(name, deadline_ms)
         if endpoint.cache is not None:
-            endpoint.cache.put(name, entry.version, fhash, value)
+            endpoint.cache.put(name, entry.version, row_key, value)
         self._record_latency(endpoint, start)
         return value
-
-    def _count_deadline(self, endpoint: Endpoint) -> None:
-        endpoint.deadline_exceeded += 1
-        registry = get_registry()
-        registry.inc("serving.deadline_exceeded")
-        registry.inc(f"serving.deadline_exceeded.{endpoint.name}")
 
     def predict_many(
         self,
@@ -538,27 +498,22 @@ class ModelServer:
         deadline_at = (
             start + deadline_ms / 1000.0 if deadline_ms is not None else None
         )
-        obs_registry = get_registry()
         out = np.empty(rows.shape[0], dtype=np.float64)
-        # (row index, pending handle, feature hash, resolved version)
+        # (row index, pending handle, row cache key, resolved version)
         pendings: list[tuple] = []
         for i in range(rows.shape[0]):
             key = keys[i] if keys is not None else None
-            self._count_request(endpoint)
+            endpoint.counts.inc("requests")
             self._admit(endpoint, key)
             entry = self._route(endpoint, key)
             row = rows[i]
-            fhash = None
+            row_key = None
             if endpoint.cache is not None:
-                fhash = feature_hash(row)
-                cached = endpoint.cache.get(name, entry.version, fhash)
+                row_key = row.tobytes()
+                cached = endpoint.cache.get(name, entry.version, row_key)
                 if cached is not None:
-                    obs_registry.inc("serving.cache.hits")
-                    obs_registry.inc(f"serving.cache.hits.{name}")
                     out[i] = cached
                     continue
-                obs_registry.inc("serving.cache.misses")
-                obs_registry.inc(f"serving.cache.misses.{name}")
             scorer = self._scorer_for(endpoint, entry)
             try:
                 pending = endpoint.batcher.submit(
@@ -569,10 +524,10 @@ class ModelServer:
                 pending = endpoint.batcher.submit(
                     row, scorer, entry.version, deadline_at
                 )
-            pendings.append((i, pending, fhash, entry.version))
+            pendings.append((i, pending, row_key, entry.version))
         if not endpoint.batcher.running:
             endpoint.batcher.flush()
-        for i, pending, fhash, version in pendings:
+        for i, pending, row_key, version in pendings:
             timeout = (
                 None
                 if deadline_at is None
@@ -581,10 +536,10 @@ class ModelServer:
             try:
                 out[i] = pending.wait(timeout)
             except TimeoutError:
-                self._count_deadline(endpoint)
+                endpoint.counts.inc("deadline_exceeded")
                 raise DeadlineExceededError(name, deadline_ms) from None
             if endpoint.cache is not None:
-                endpoint.cache.put(name, version, fhash, out[i])
+                endpoint.cache.put(name, version, row_key, out[i])
         self._record_latency(endpoint, start)
         return out
 

@@ -28,7 +28,7 @@ from .operators import (
     project,
     union_all,
 )
-from .querycache import QueryCache, QueryCacheStats, VersionedCatalog
+from .querycache import QueryCache, VersionedCatalog
 from .schema import Column, ColumnType, Schema
 from .sql import SQLError, explain_sql, parse_sql, run_sql
 from .stats import (
@@ -48,7 +48,6 @@ __all__ = [
     "Expr",
     "NumericHistogram",
     "QueryCache",
-    "QueryCacheStats",
     "Schema",
     "TableStats",
     "Table",

@@ -13,10 +13,9 @@ cached queries without any re-registration.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from ..cache import BoundedCache
 from ..errors import StorageError
+from ..obs import Ledger
 from .catalog import Catalog
 from .sql import parse_sql, run_sql
 from .table import Table
@@ -42,18 +41,6 @@ class VersionedCatalog(Catalog):
         return self._versions.get(name, 0)
 
 
-@dataclass
-class QueryCacheStats:
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class QueryCache:
     """LRU cache of SELECT results over a :class:`VersionedCatalog`."""
 
@@ -64,8 +51,11 @@ class QueryCache:
             raise StorageError("capacity must be >= 1")
         self.catalog = catalog
         self.capacity = capacity
-        self._entries: OrderedDict[str, tuple[tuple, Table]] = OrderedDict()
-        self.stats = QueryCacheStats()
+        self.stats = Ledger(
+            "querycache", ("hits", "misses", "invalidations", "evictions")
+        )
+        # query text -> (table versions it was computed at, result)
+        self._entries = BoundedCache(capacity, self.stats)
 
     def _table_versions(self, text: str) -> tuple:
         query = parse_sql(text)
@@ -95,17 +85,14 @@ class QueryCache:
         if cached is not None:
             cached_versions, result = cached
             if cached_versions == versions:
-                self.stats.hits += 1
-                self._entries.move_to_end(text)
+                self.stats.inc("hits")
                 return result
             # A referenced table changed: drop the stale entry.
-            del self._entries[text]
-            self.stats.invalidations += 1
-        self.stats.misses += 1
+            self._entries.remove(text)
+            self.stats.inc("invalidations")
+        self.stats.inc("misses")
         result = run_sql(text, self.catalog)
-        self._entries[text] = (versions, result)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self._entries.put(text, (versions, result))
         return result
 
     def __len__(self) -> int:

@@ -120,99 +120,16 @@ class TestBufferPool:
         assert pool.used_bytes == 160
 
 
-class TestBufferPoolObjectEntries:
-    """Cache-only object entries: the materialization store's memory tier."""
-
-    def test_put_object_then_lookup_hits(self):
-        pool = BufferPool(None, capacity_bytes=1000)
-        arr = np.arange(10, dtype=np.float64)
-        assert pool.put_object("o", arr) is True
-        assert pool.lookup("o") is arr
-        assert pool.stats.hits == 1
-        assert pool.used_bytes == 80
-
-    def test_lookup_miss_has_no_read_through(self):
-        pool = BufferPool(None, capacity_bytes=1000)
-        assert pool.lookup("absent") is None
-        assert pool.stats.misses == 1
-        # but a read-through get() on a store-less pool is an error
-        with pytest.raises(ExecutionError):
-            pool.get("absent")
-
-    def test_explicit_nbytes_used_for_accounting(self):
-        pool = BufferPool(None, capacity_bytes=1000)
-        pool.put_object("o", {"not": "an array"}, nbytes=300)
-        assert pool.used_bytes == 300
-        with pytest.raises(ExecutionError):
-            pool.put_object("bad", object(), nbytes=-1)
-
-    def test_eviction_order_and_byte_ledger_exact(self):
-        # Room for exactly two 80-byte entries.
-        pool = BufferPool(None, capacity_bytes=160)
-        a, b, c = (np.full(10, float(i)) for i in range(3))
-        pool.put_object("a", a)
-        pool.put_object("b", b)
-        assert pool.used_bytes == 160
-        pool.lookup("a")  # touch a: b becomes LRU
-        pool.put_object("c", c)  # must evict exactly b
-        assert set(pool.cached_blocks) == {"a", "c"}
-        assert pool.lookup("b") is None
-        assert pool.used_bytes == 160
-        assert pool.stats.evictions == 1
-        assert get_registry().value("bufferpool.evictions") == 1
-
-    def test_pinned_entries_never_evicted_under_pressure(self):
-        pool = BufferPool(None, capacity_bytes=240)
-        pinned = np.full(10, 7.0)
-        assert pool.put_object("keep", pinned, pin=True) is True
-        # Storm of unpinned entries far beyond capacity.
-        for i in range(20):
-            pool.put_object(f"u{i}", np.full(10, float(i)))
-        assert "keep" in pool.pinned_blocks
-        assert pool.lookup("keep") is pinned
-        # Ledger stays exact: every resident entry accounted, within cap.
-        assert pool.used_bytes == 80 * len(pool.cached_blocks)
-        assert pool.used_bytes <= 240
-
-    def test_pinned_working_set_beyond_capacity_serves_uncached(self):
-        pool = BufferPool(None, capacity_bytes=100)
-        assert pool.put_object("p0", np.full(10, 0.0), pin=True) is True
-        # Second pinned entry cannot fit: nothing evictable remains.
-        assert pool.put_object("p1", np.full(10, 1.0), pin=True) is False
-        assert pool.lookup("p1") is None
-        assert pool.cached_blocks == ["p0"]
-        assert pool.used_bytes == 80
-        assert pool.stats.evictions == 0
-
+class TestBufferPoolInvalidation:
     def test_remove_counts_invalidations_not_evictions(self):
-        pool = BufferPool(None, capacity_bytes=1000)
-        pool.put_object("o", np.zeros(10))
-        assert pool.remove("o") is True
-        assert pool.remove("o") is False
+        pool = BufferPool(_store_with_blocks(1), capacity_bytes=1000)
+        pool.get("b0")
+        assert pool.remove("b0") is True
+        assert pool.remove("b0") is False
         assert pool.used_bytes == 0
         assert pool.stats.invalidations == 1
         assert pool.stats.evictions == 0
         assert get_registry().value("bufferpool.invalidations") == 1
-
-    def test_unpin_then_pressure_evicts_exactly_lru(self):
-        pool = BufferPool(None, capacity_bytes=160)
-        pool.put_object("a", np.zeros(10), pin=True)
-        pool.put_object("b", np.ones(10))
-        pool.unpin("a")
-        pool.lookup("b")  # a is now LRU and unpinned
-        pool.put_object("c", np.full(10, 2.0))
-        assert set(pool.cached_blocks) == {"b", "c"}
-        assert pool.stats.evictions == 1
-
-    def test_blocks_and_objects_share_one_ledger(self):
-        store = _store_with_blocks(2, size=10)
-        pool = BufferPool(store, capacity_bytes=160)
-        pool.get("b0")
-        pool.put_object("obj", np.zeros(10))
-        assert pool.used_bytes == 160
-        pool.get("b1")  # evicts the LRU regardless of entry kind
-        assert pool.stats.evictions == 1
-        assert pool.used_bytes == 160
 
 
 class TestBlockedMatrix:

@@ -243,7 +243,7 @@ class TestMaterializationStore:
         for i in range(10):
             store.put(Fingerprint(f"s{i}", (), ""), np.ones((10, 10)),
                       flops=1e13)
-        assert store.pool.lookup(pinned.key) is not None
+        assert store.pool.get(pinned.key) is not None
         assert np.array_equal(store.lookup(pinned), arr)
         assert store.ledger()["pinned"] == 1
         assert store.pool.stats.evictions > 0
@@ -271,8 +271,8 @@ class TestMaterializationStore:
         for i in range(4):
             store.put(Fingerprint(f"k{i}", (), ""), np.ones((10, 10)),
                       flops=1.0)
-        assert store.pool.used_bytes <= 1700
-        assert store.pool.used_bytes == 800 * len(store.pool.cached_blocks)
+        assert store.pool.used <= 1700
+        assert store.pool.used == 800 * len(store.pool)
         assert (
             store.pool.stats.evictions
             == get_registry().value("bufferpool.evictions")

@@ -164,3 +164,67 @@ class TestOneTrainingCore:
             if hit.startswith("src/repro/ml/")
         ]
         assert hits == []
+
+
+class TestOneCacheOneLedger:
+    """Ordering/eviction and event counting each exist once under
+    ``src/`` (DESIGN.md, Caches and ledgers)."""
+
+    _hits = staticmethod(TestOneTrainingCore._hits)
+
+    #: the files that hand-mirrored instance counts into the registry
+    MIRRORED = {
+        f"src/repro/{path}" for path in (
+            "serving/server.py", "serving/batcher.py", "serving/fabric.py",
+            "runtime/bufferpool.py", "materialize/store.py",
+            "incremental/maintainer.py", "incremental/trainer.py",
+            "features/store.py", "features/online.py", "compiler/cache.py",
+        )
+    }
+
+    def _files(self, pattern: str) -> set[str]:
+        return {hit.rsplit(":", 1)[0] for hit in self._hits(pattern)}
+
+    def test_lru_mechanics_live_in_the_core_only(self):
+        core = {"src/repro/cache.py"}
+        assert self._files(r"OrderedDict\(") == core
+        assert self._files(r"popitem\(last=False\)|\.move_to_end\(") <= core
+
+    def test_hand_rolled_stats_classes_and_object_mode_are_gone(self):
+        names = (
+            "CacheStats|QueryCacheStats|PredictionCacheStats|PoolStats"
+            "|MaintainerStats|FabricLedger"
+        )
+        assert self._hits(rf"^\s*class ({names})\b") == []
+        assert self._files(r"^class Ledger\b") == {"src/repro/obs/metrics.py"}
+        assert self._hits(r"\bput_object\b") == []
+        assert "src/repro/runtime/bufferpool.py" not in self._files(
+            r"def lookup\b|BlockStore \| None"
+        )
+
+    def test_no_event_is_written_by_two_statements(self):
+        """Where counts used to be mirrored by hand, the registry is
+        written directly only for events no instance ledger counts, and
+        no instance count is bumped outside ``Ledger.inc``."""
+        written = [
+            _line(hit).strip()
+            for hit in self._hits(r"(registry|get_registry\(\))\.inc\(")
+            if hit.rsplit(":", 1)[0] in self.MIRRORED
+        ]
+        assert written == [
+            'get_registry().inc("fabric.shard_kills")',
+            'get_registry().inc("fabric.shard_revives")',
+        ]
+        ledgered = self.MIRRORED | {
+            "src/repro/serving/cache.py", "src/repro/storage/querycache.py",
+        }
+        bumps = [
+            hit for hit in self._hits(r"self\.(\w+\.)?\w+ \+= (1|n|len\()")
+            if hit.rsplit(":", 1)[0] in ledgered
+        ]
+        assert bumps == [], bumps
+
+
+def _line(hit: str) -> str:
+    path, number = hit.rsplit(":", 1)
+    return (REPO_ROOT / path).read_text().splitlines()[int(number) - 1]

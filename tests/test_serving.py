@@ -454,6 +454,28 @@ class TestModelServer:
         assert v2 != first  # different model, different score
         assert endpoint.cache.stats.misses == 2
 
+    def test_hash_collision_never_serves_another_rows_score(
+        self, served, monkeypatch
+    ):
+        """A hit is decided on the row's full bytes: with every row
+        forced onto one ``feature_hash``, each still gets its own score."""
+        import repro.serving.cache
+        import repro.serving.server
+
+        for module in (repro.serving.cache, repro.serving.server):
+            monkeypatch.setattr(
+                module, "feature_hash", lambda row: 7, raising=False
+            )
+        server, _, X = served
+        server.create_endpoint("oracle", "churn", cache_enabled=False)
+        want = np.array([server.predict("oracle", X[i]) for i in range(4)])
+        assert len(set(want)) == 4
+        got = np.array([server.predict("score", X[i]) for i in range(2)])
+        assert np.array_equal(got, want[:2])
+        # second pass: rows 0-1 are cache hits, rows 2-3 are new
+        assert np.array_equal(server.predict_many("score", X[:4]), want)
+        assert server.endpoint("score").cache.stats.hits == 2
+
     def test_rollback_invalidates_and_restores(self, served):
         server, registry, X = served
         row = X[1]
