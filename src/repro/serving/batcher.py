@@ -176,7 +176,8 @@ class MicroBatcher(Counted):
         live: list[PendingRequest] = []
         for pending in batch:
             if pending.deadline_at is not None and now > pending.deadline_at:
-                # Expired while queued: fail it without spending a score.
+                # Expired while queued: fail it without spending a score
+                # (the server re-raises it with the caller's budget).
                 pending._complete(
                     None, DeadlineExceededError(self.name, 0.0)
                 )
@@ -217,11 +218,9 @@ class MicroBatcher(Counted):
                 continue
             for offset, i in enumerate(indices):
                 results[i] = float(scores[offset])
-        registry = get_registry()
         self.counts.inc("batches")
         self.counts.inc("batched_requests", len(batch))
-        registry.observe("serving.batch_size", len(batch))
-        registry.observe(f"serving.batch_size.{self.name}", len(batch))
+        get_registry().observe("serving.batch_size", len(batch))
         for i, pending in enumerate(live):  # FIFO completion
             if i in errors:
                 pending._complete(None, errors[i])

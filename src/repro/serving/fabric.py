@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -327,36 +327,36 @@ class ShardedServer:
     def set_default_quota(self, capacity: float, refill_per_s: float) -> None:
         self.quotas.set_default(capacity, refill_per_s)
 
-    def _admit_tenant(self, name: str, tenant: object) -> bool:
-        """Token-bucket admission ahead of every shard queue."""
-        if self.quotas.admit(tenant):
-            return True
-        self.ledger.inc("quota_shed")
-        return False
-
-    def _quota_error(self, name: str, tenant: object) -> LoadShedError:
-        bucket = self.quotas.bucket(tenant)
-        return LoadShedError(
-            name,
-            0,
-            int(bucket.capacity) if bucket is not None else 0,
-            tenant=tenant,
-            reason="quota",
-        )
-
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        name: str,
-        key: object | None,
-        deadline_at: float | None,
+    def _place(
+        self, name: str, key: object, tenant: object, deadline_at: float | None
     ) -> tuple[str, int]:
-        """Pick the serving shard: walk the preference list skipping
-        dead shards, firing ``fabric.score`` per attempted shard (an
-        injected fault there is a failed dispatch — retried under the
-        policy, then failed over to the next live replica)."""
+        """Place one request — the step both doors take per request:
+        token-bucket admission ahead of every shard queue, the
+        ``fabric.route`` site (routing-table faults are transient and
+        recovered under the retry policy), then the preference walk,
+        skipping dead shards and firing ``fabric.score`` per attempted
+        shard (an injected fault there is a failed dispatch — retried
+        under the policy, then failed over to the next live replica).
+        Returns ``(serving shard, replicas skipped)``."""
+        if not self.quotas.admit(tenant):
+            self.ledger.inc("quota_shed")
+            raise LoadShedError(
+                name,
+                0,
+                int(self.quotas.bucket(tenant).capacity),  # refused: it exists
+                tenant=tenant,
+                reason="quota",
+            )
+        resilient_call(
+            lambda: None,
+            site="fabric.route",
+            key=name,
+            retry=self.retry,
+            deadline_at=deadline_at,
+        )
         preference = self.preference(name, key)
         skips = 0
         last: BaseException | None = None
@@ -379,28 +379,49 @@ class ShardedServer:
             return sid, skips
         raise NoLiveReplicaError(name, tuple(preference)) from last
 
-    def _account(self, name: str, sid: str, skips: int) -> None:
-        home = self._endpoint(name).replicas[0]
+    def _serve_on(
+        self,
+        sid: str,
+        door: str,
+        skips: Sequence[int],
+        tenants: Iterable[object],
+        name: str,
+        rows: np.ndarray,
+        keys: object,
+        deadline_ms: float | None,
+    ):
+        """Dispatch placed requests to their shard — the tail both doors
+        share: call the shard server's ``door`` (``predict`` with a row
+        and a key, ``predict_many`` with a shard group's), re-raise its
+        shed or deadline error attributed (the shard always, the tenant
+        when the dispatched rows share one), and only then account what
+        was served, ``skips`` holding one entry per request."""
         shard = self._shards[sid]
-        shard.served += 1
-        if skips:
-            self.ledger.inc("failovers")
-            self.ledger.inc("rerouted", skips)
-        if sid != home:
-            self.ledger.inc("replica_hits")
-
-    def _route_checked(
-        self, name: str, deadline_at: float | None
-    ) -> None:
-        """The ``fabric.route`` site: routing-table faults are
-        transient and recovered under the retry policy."""
-        resilient_call(
-            lambda: None,
-            site="fabric.route",
-            key=name,
-            retry=self.retry,
-            deadline_at=deadline_at,
-        )
+        try:
+            out = getattr(shard.server, door)(name, rows, keys, deadline_ms)
+        except (LoadShedError, DeadlineExceededError) as exc:
+            shared = set(tenants)
+            tenant = shared.pop() if len(shared) == 1 else None
+            if isinstance(exc, DeadlineExceededError):
+                raise DeadlineExceededError(
+                    exc.endpoint, exc.deadline_ms, tenant=tenant, shard=sid
+                ) from exc
+            raise LoadShedError(
+                exc.endpoint,
+                exc.queue_depth,
+                exc.capacity,
+                tenant=tenant,
+                shard=sid,
+                reason=exc.reason,
+            ) from exc
+        shard.served += len(skips)
+        rerouted = sum(skips)
+        if rerouted:
+            self.ledger.inc("failovers", len(skips) - skips.count(0))
+            self.ledger.inc("rerouted", rerouted)
+        if sid != self._endpoints[name].replicas[0]:
+            self.ledger.inc("replica_hits", len(skips))
+        return out
 
     def predict(
         self,
@@ -414,35 +435,15 @@ class ShardedServer:
         ring routing, deterministic failover, then the owning shard's
         full single-server path."""
         self.ledger.inc("requests")
-        if not self._admit_tenant(name, tenant):
-            raise self._quota_error(name, tenant)
         deadline_at = (
             self._clock() + deadline_ms / 1000.0
             if deadline_ms is not None
             else None
         )
-        self._route_checked(name, deadline_at)
-        sid, skips = self._dispatch(name, key, deadline_at)
-        shard = self._shards[sid]
-        try:
-            value = shard.server.predict(
-                name, row, key=key, deadline_ms=deadline_ms
-            )
-        except LoadShedError as exc:
-            raise LoadShedError(
-                exc.endpoint,
-                exc.queue_depth,
-                exc.capacity,
-                tenant=tenant,
-                shard=sid,
-                reason=exc.reason,
-            ) from exc
-        except DeadlineExceededError as exc:
-            raise DeadlineExceededError(
-                exc.endpoint, exc.deadline_ms, tenant=tenant, shard=sid
-            ) from exc
-        self._account(name, sid, skips)
-        return value
+        sid, skips = self._place(name, key, tenant, deadline_at)
+        return self._serve_on(
+            sid, "predict", (skips,), (tenant,), name, row, key, deadline_ms
+        )
 
     def predict_many(
         self,
@@ -479,8 +480,9 @@ class ShardedServer:
             raise ServingError("one tenant per row required")
 
         # Fast path: a single-replica fleet with no quotas and no chaos
-        # is a plain ModelServer with a ring lookup in front — delegate
-        # wholesale so the fabric-disabled overhead stays < 3% (E26).
+        # is a plain ModelServer with a ring lookup in front — dispatch
+        # the call as one group on its home shard (no skips, no tenants)
+        # so the fabric-disabled overhead stays < 3% (E26).
         if (
             len(endpoint.replicas) == 1
             and tenants is None
@@ -488,14 +490,12 @@ class ShardedServer:
             and active_chaos() is None
         ):
             sid = endpoint.replicas[0]
-            shard = self._shards[sid]
-            if not shard.live:
+            if not self._shards[sid].live:
                 raise NoLiveReplicaError(name, endpoint.replicas)
-            out = shard.server.predict_many(
-                name, rows, keys=keys, deadline_ms=deadline_ms
-            )
             self.ledger.inc("requests", n)
-            shard.served += n
+            out = self._serve_on(
+                sid, "predict_many", [0] * n, (), name, rows, keys, deadline_ms
+            )
             return (out, []) if on_shed == "null" else out
 
         deadline_at = (
@@ -504,37 +504,39 @@ class ShardedServer:
             else None
         )
         self.ledger.inc("requests", n)
-        out = np.empty(n, dtype=np.float64)
+        out = np.full(n, np.nan)  # a shed row stays NaN
         shed_indices: list[int] = []
-        groups: dict[str, list[int]] = {}
+        # shard -> (row indices, replicas each of those rows skipped)
+        groups: dict[str, tuple[list[int], list[int]]] = {}
         for i in range(n):
-            tenant = tenants[i] if tenants is not None else None
-            if not self._admit_tenant(name, tenant):
+            try:
+                sid, skips = self._place(
+                    name,
+                    keys[i] if keys is not None else None,
+                    tenants[i] if tenants is not None else None,
+                    deadline_at,
+                )
+            except LoadShedError:
                 if on_shed == "raise":
-                    raise self._quota_error(name, tenant)
-                out[i] = np.nan
+                    raise
                 shed_indices.append(i)
                 continue
-            key = keys[i] if keys is not None else None
-            self._route_checked(name, deadline_at)
-            sid, skips = self._dispatch(name, key, deadline_at)
-            self._account(name, sid, skips)
-            groups.setdefault(sid, []).append(i)
+            indices, skipped = groups.setdefault(sid, ([], []))
+            indices.append(i)
+            skipped.append(skips)
         for sid in sorted(groups):
-            indices = groups[sid]
-            shard = self._shards[sid]
-            group_keys = (
-                [keys[i] for i in indices] if keys is not None else None
-            )
-            out[indices] = shard.server.predict_many(
+            indices, skipped = groups[sid]
+            out[indices] = self._serve_on(
+                sid,
+                "predict_many",
+                skipped,
+                (tenants[i] for i in indices) if tenants is not None else (),
                 name,
                 rows[indices],
-                keys=group_keys,
-                deadline_ms=deadline_ms,
+                [keys[i] for i in indices] if keys is not None else None,
+                deadline_ms,
             )
-        if on_shed == "null":
-            return out, shed_indices
-        return out
+        return (out, shed_indices) if on_shed == "null" else out
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

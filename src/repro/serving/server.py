@@ -397,10 +397,84 @@ class ModelServer:
                 reason="chaos",
             ) from fault
 
-    def _record_latency(self, endpoint: Endpoint, start: float) -> None:
+    def _serve(
+        self,
+        name: str,
+        rows: Sequence[np.ndarray],
+        keys: Sequence[object] | None,
+        deadline_ms: float | None,
+        closed_loop: bool,
+    ) -> list[float]:
+        """The request path, written once: every row is one request
+        through count, admission, canary routing, cache probe and the
+        micro-batch queue; then the queue is drained (inline unless a
+        worker runs) and each queued request waits out the call's
+        budget, is refused if it came back late, and fills the cache.
+
+        A full queue sheds the open-loop ``predict`` request; the
+        closed-loop ``predict_many`` caller is its own backpressure and
+        drains the queue first — which door called decides, nothing else
+        differs between them.
+        """
+        endpoint = self.endpoint(name)
+        counts, cache = endpoint.counts, endpoint.cache
+        batcher = endpoint.batcher
+        start = self._clock()
+        if deadline_ms is None:
+            deadline_ms = endpoint.deadline_ms
+        deadline_at = (
+            start + deadline_ms / 1000.0 if deadline_ms is not None else None
+        )
+        out: list = [None] * len(rows)
+        # (row index, pending handle, row cache key, resolved version)
+        pendings: list[tuple] = []
+        for i, row in enumerate(rows):
+            key = keys[i] if keys is not None else None
+            counts.inc("requests")
+            self._admit(endpoint, key)
+            entry = self._route(endpoint, key)
+            row_key = None
+            if cache is not None:
+                # the whole row, not a 32-bit hash: a hit must be this row
+                row_key = row.tobytes()
+                cached = cache.get(name, entry.version, row_key)
+                if cached is not None:
+                    out[i] = cached
+                    continue
+            if closed_loop and batcher.depth() >= batcher.queue_capacity:
+                batcher.flush()
+            try:
+                pending = batcher.submit(
+                    row, self._scorer_for(endpoint, entry), entry.version,
+                    deadline_at,
+                )
+            except LoadShedError:
+                counts.inc("shed")
+                raise
+            pendings.append((i, pending, row_key, entry.version))
+        if pendings and not batcher.running:
+            batcher.flush()
+        for i, pending, row_key, version in pendings:
+            timeout = (
+                None
+                if deadline_at is None
+                else max(0.0, deadline_at - self._clock())
+            )
+            try:
+                out[i] = pending.wait(timeout)
+                late = deadline_at is not None and self._clock() > deadline_at
+            except (TimeoutError, DeadlineExceededError):
+                late = True  # never scored, or expired in the queue
+            if late:
+                # Computed or not, too late — a deadline is a client promise.
+                counts.inc("deadline_exceeded")
+                raise DeadlineExceededError(name, deadline_ms)
+            if cache is not None:
+                cache.put(name, version, row_key, out[i])
         elapsed_ms = (self._clock() - start) * 1000.0
         endpoint.latency.observe(elapsed_ms)
         get_registry().observe("serving.latency_ms", elapsed_ms)
+        return out
 
     def predict(
         self,
@@ -416,56 +490,8 @@ class ModelServer:
         (deterministic single-caller mode); concurrent callers should
         :meth:`start` the endpoint so their requests coalesce.
         """
-        endpoint = self.endpoint(name)
-        start = self._clock()
-        endpoint.counts.inc("requests")
-        if deadline_ms is None:
-            deadline_ms = endpoint.deadline_ms
-        deadline_at = (
-            start + deadline_ms / 1000.0 if deadline_ms is not None else None
-        )
-        self._admit(endpoint, key)
-        entry = self._route(endpoint, key)
         row = np.asarray(row, dtype=np.float64)
-        row_key = None
-        if endpoint.cache is not None:
-            # the whole row, not a 32-bit hash of it: a hit must be this row
-            row_key = row.tobytes()
-            cached = endpoint.cache.get(name, entry.version, row_key)
-            if cached is not None:
-                self._record_latency(endpoint, start)
-                return cached
-        scorer = self._scorer_for(endpoint, entry)
-        try:
-            pending = endpoint.batcher.submit(
-                row, scorer, entry.version, deadline_at
-            )
-        except LoadShedError:
-            endpoint.counts.inc("shed")
-            raise
-        if not endpoint.batcher.running:
-            endpoint.batcher.flush()
-        timeout = (
-            None
-            if deadline_at is None
-            else max(0.0, deadline_at - self._clock())
-        )
-        try:
-            value = pending.wait(timeout)
-        except TimeoutError:
-            endpoint.counts.inc("deadline_exceeded")
-            raise DeadlineExceededError(name, deadline_ms) from None
-        except DeadlineExceededError:
-            endpoint.counts.inc("deadline_exceeded")
-            raise DeadlineExceededError(name, deadline_ms) from None
-        if deadline_at is not None and self._clock() > deadline_at:
-            # Computed, but too late — a deadline is a client promise.
-            endpoint.counts.inc("deadline_exceeded")
-            raise DeadlineExceededError(name, deadline_ms)
-        if endpoint.cache is not None:
-            endpoint.cache.put(name, entry.version, row_key, value)
-        self._record_latency(endpoint, start)
-        return value
+        return self._serve(name, (row,), (key,), deadline_ms, False)[0]
 
     def predict_many(
         self,
@@ -477,13 +503,13 @@ class ModelServer:
         """Serve a stream of requests through the micro-batcher.
 
         Each row is still an individual request (admission, routing,
-        cache), but the queue is drained in vectorized batches, so the
-        per-request Python overhead is amortized into one kernel call
-        per ``max_batch_size`` rows — the speedup E22 measures. Rows
-        whose queue slot would overflow trigger an inline drain instead
-        of shedding (a closed-loop caller is its own backpressure).
+        cache, deadline), but the queue is drained in vectorized
+        batches, so the per-request Python overhead is amortized into
+        one kernel call per ``max_batch_size`` rows — the speedup E22
+        measures. A row that finds the queue full triggers an inline
+        drain instead of shedding (a closed-loop caller is its own
+        backpressure).
         """
-        endpoint = self.endpoint(name)
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ServingError(
@@ -491,57 +517,9 @@ class ModelServer:
             )
         if keys is not None and len(keys) != rows.shape[0]:
             raise ServingError("one key per row required")
-        start = self._clock()
-        deadline_ms = (
-            deadline_ms if deadline_ms is not None else endpoint.deadline_ms
+        return np.array(
+            self._serve(name, rows, keys, deadline_ms, True), dtype=np.float64
         )
-        deadline_at = (
-            start + deadline_ms / 1000.0 if deadline_ms is not None else None
-        )
-        out = np.empty(rows.shape[0], dtype=np.float64)
-        # (row index, pending handle, row cache key, resolved version)
-        pendings: list[tuple] = []
-        for i in range(rows.shape[0]):
-            key = keys[i] if keys is not None else None
-            endpoint.counts.inc("requests")
-            self._admit(endpoint, key)
-            entry = self._route(endpoint, key)
-            row = rows[i]
-            row_key = None
-            if endpoint.cache is not None:
-                row_key = row.tobytes()
-                cached = endpoint.cache.get(name, entry.version, row_key)
-                if cached is not None:
-                    out[i] = cached
-                    continue
-            scorer = self._scorer_for(endpoint, entry)
-            try:
-                pending = endpoint.batcher.submit(
-                    row, scorer, entry.version, deadline_at
-                )
-            except LoadShedError:
-                endpoint.batcher.flush()  # closed loop: drain, then retry
-                pending = endpoint.batcher.submit(
-                    row, scorer, entry.version, deadline_at
-                )
-            pendings.append((i, pending, row_key, entry.version))
-        if not endpoint.batcher.running:
-            endpoint.batcher.flush()
-        for i, pending, row_key, version in pendings:
-            timeout = (
-                None
-                if deadline_at is None
-                else max(0.0, deadline_at - self._clock())
-            )
-            try:
-                out[i] = pending.wait(timeout)
-            except TimeoutError:
-                endpoint.counts.inc("deadline_exceeded")
-                raise DeadlineExceededError(name, deadline_ms) from None
-            if endpoint.cache is not None:
-                endpoint.cache.put(name, version, row_key, out[i])
-        self._record_latency(endpoint, start)
-        return out
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

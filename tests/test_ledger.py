@@ -264,7 +264,8 @@ def _serving(ledgers):
         for sid in fabric.replicas_of("score")
     ]
     busy = endpoints[0]
-    queue_full_before = busy.batcher.shed  # closed-loop drains, not sheds
+    queue_full_before = busy.batcher.shed
+    assert queue_full_before == 0  # a closed-loop drain is not a shed
     busy.batcher.submit(X[0], lambda rows: rows[:, 0], 2)  # fills the queue
     with pytest.raises(LoadShedError):
         fabric.shard(fabric.replicas_of("score")[0]).server.predict(

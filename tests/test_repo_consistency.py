@@ -228,3 +228,45 @@ class TestOneCacheOneLedger:
 def _line(hit: str) -> str:
     path, number = hit.rsplit(":", 1)
     return (REPO_ROOT / path).read_text().splitlines()[int(number) - 1]
+
+
+class TestOneRequestPath:
+    """Each step of a request is written once under ``src/`` (DESIGN.md,
+    Serving and Sharded serving). That both doors reach that one place is
+    checked by the door-parametrized tests in ``tests/test_serving.py``
+    and ``tests/test_sharding.py``, not here."""
+
+    SERVER = REPO_ROOT / "src/repro/serving/server.py"
+    FABRIC = REPO_ROOT / "src/repro/serving/fabric.py"
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            "self._admit(", "self._route(", ".tobytes()", "cache.get(",
+            "cache.put(", ".submit(", ".wait(", 'inc("deadline_exceeded")',
+        ],
+    )
+    def test_server_steps_written_once(self, step):
+        assert self.SERVER.read_text().count(step) == 1, step
+
+    @pytest.mark.parametrize(
+        "name", ["_admit_tenant", "_route_checked", "_dispatch"]
+    )
+    def test_fabric_forked_helpers_are_gone(self, name):
+        assert not re.search(rf"def {name}\b", self.FABRIC.read_text())
+
+    def _functions_holding(self, pattern: str) -> list[str]:
+        """Name of the enclosing function, once per matching line."""
+        lines = self.FABRIC.read_text().splitlines()
+        holders = []
+        for number, line in enumerate(lines):
+            if re.search(pattern, line):
+                above = "\n".join(lines[:number])
+                holders.append(re.findall(r"\n    def (\w+)\(", above)[-1])
+        return holders
+
+    def test_fabric_sites_and_attribution_live_in_one_function_each(self):
+        assert self._functions_holding(r"resilient_call\(") == ["_place"] * 2
+        sites = re.findall(r'site="(fabric\.\w+)"', self.FABRIC.read_text())
+        assert sites == ["fabric.route", "fabric.score"]
+        assert set(self._functions_holding(r"\bshard=")) == {"_serve_on"}

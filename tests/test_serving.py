@@ -9,6 +9,7 @@ the micro-batcher, and the chaos coverage of the serving path
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
@@ -51,12 +52,28 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture
-def model_pair():
+#: the two doors of the one request path; ``_ask`` sends one request
+#: through either, so a case written once holds for both.
+DOORS = ("predict", "predict_many")
+
+
+def _ask(server, door, name, row, **kwargs):
+    if door == "predict":
+        return server.predict(name, row, **kwargs)
+    return server.predict_many(name, row[None, :], **kwargs)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _fit_pair():
     X, y = make_classification(300, 5, separation=2.5, seed=11)
     m1 = LogisticRegression(solver="gd", max_iter=30).fit(X, y)
     m2 = LogisticRegression(solver="gd", max_iter=60, l2=0.5).fit(X, y)
     return X, y, m1, m2
+
+
+@pytest.fixture
+def model_pair():
+    return _fit_pair()
 
 
 @pytest.fixture
@@ -528,7 +545,8 @@ class TestModelServer:
         server.predict("score", X[0])  # no key
         assert endpoint.canary_requests == 0
 
-    def test_deadline_exceeded(self, model_pair):
+    @pytest.mark.parametrize("door", DOORS)
+    def test_deadline_exceeded(self, model_pair, door):
         X, _, m1, _ = model_pair
 
         def slow(batch):
@@ -543,8 +561,81 @@ class TestModelServer:
         )
         server.promote("slow", 1)
         with pytest.raises(DeadlineExceededError):
-            server.predict("slow", X[0], deadline_ms=1.0)
+            _ask(server, door, "slow", X[0], deadline_ms=1.0)
         assert server.endpoint("slow").deadline_exceeded == 1
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_deadline_expired_while_queued(self, model_pair, door):
+        """A request that expires behind a slow batch is one counted
+        miss carrying the caller's budget, never the batcher's
+        placeholder — and nothing late is returned or cached."""
+        X, _, m1, _ = model_pair
+        clock = FakeClock()
+
+        def slow(batch):
+            clock.advance(10.0)
+            return batch[:, 0]
+
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        server = ModelServer(registry, clock=clock)
+        server.create_endpoint("slow", "churn", scorer=slow, max_batch_size=1)
+        server.promote("slow", 1)
+        endpoint = server.endpoint("slow")
+        ahead = endpoint.batcher.submit(X[1], slow, 1)  # its own batch of 1
+        with pytest.raises(DeadlineExceededError) as exc_info:
+            _ask(server, door, "slow", X[0], deadline_ms=5.0)
+        assert ahead.done and endpoint.batcher.batches == 2
+        assert exc_info.value.deadline_ms == 5.0
+        assert endpoint.deadline_exceeded == 1
+        assert len(endpoint.cache) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=299),  # row of X
+                st.one_of(st.none(), st.integers(0, 30)),  # request key
+            ),
+            min_size=1,
+            max_size=48,
+            unique_by=lambda request: request[0],
+        ),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        queue_capacity=st.integers(min_value=1, max_value=8),
+    )
+    def test_both_doors_are_one_path(self, requests, fraction, queue_capacity):
+        """``predict`` in a loop and one ``predict_many`` over the same
+        requests, on twin servers: bitwise-equal answers, equal ledgers.
+        Rows are distinct because ``predict_many`` fills the cache after
+        its drain, so a repeat inside one call cannot hit (and the
+        batcher's ``batches`` legitimately differ)."""
+        X, _, m1, m2 = _fit_pair()
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        registry.register("churn", m2)
+        twins = []
+        for _ in DOORS:
+            server = ModelServer(registry)
+            server.create_endpoint(
+                "score", "churn", queue_capacity=queue_capacity
+            )
+            server.promote("score", 1)
+            server.set_canary("score", 2, fraction)
+            twins.append(server)
+        rows = X[[i for i, _ in requests]]
+        keys = [key for _, key in requests]
+        looped = np.array([
+            twins[0].predict("score", row, key=key)
+            for row, key in zip(rows, keys)
+        ])
+        batched = twins[1].predict_many("score", rows, keys=keys)
+        assert looped.tobytes() == batched.tobytes()
+        one, many = (server.endpoint("score") for server in twins)
+        assert one.counts.as_dict() == many.counts.as_dict()
+        assert one.requests == len(requests)
+        assert one.cache.stats.as_dict() == many.cache.stats.as_dict()
+        assert one.batcher.shed == many.batcher.shed == 0
 
     def test_unknown_endpoint_and_duplicate(self, served):
         server, _, _ = served
@@ -708,7 +799,8 @@ class TestServingChaos:
             with pytest.raises(InjectedFault):
                 server.predict("raw", X[0])
 
-    def test_straggler_fault_misses_deadline(self, served):
+    @pytest.mark.parametrize("door", DOORS)
+    def test_straggler_fault_misses_deadline(self, served, door):
         server, _, X = served
         server.create_endpoint("tight", "churn", cache_enabled=False)
         plan = FaultPlan(seed=9).inject(
@@ -716,7 +808,7 @@ class TestServingChaos:
         )
         with ChaosContext(plan):
             with pytest.raises(DeadlineExceededError):
-                server.predict("tight", X[0], deadline_ms=5.0)
+                _ask(server, door, "tight", X[0], deadline_ms=5.0)
         assert server.endpoint("tight").deadline_exceeded == 1
 
 

@@ -12,6 +12,7 @@ seed-independent (the CI fabric legs run this file under
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -60,12 +61,17 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture
-def model_pair():
+@functools.lru_cache(maxsize=1)
+def _fit_pair():
     X, y = make_classification(256, 5, separation=2.5, seed=11)
     m1 = LogisticRegression(solver="gd", max_iter=30).fit(X, y)
     m2 = LogisticRegression(solver="gd", max_iter=60, l2=0.5).fit(X, y)
     return X, y, m1, m2
+
+
+@pytest.fixture
+def model_pair():
+    return _fit_pair()
 
 
 @pytest.fixture
@@ -75,6 +81,33 @@ def registry(model_pair):
     registry.register("churn", m1)
     registry.register("churn", m2)
     return registry
+
+
+#: the two doors of the one request path; ``_ask`` sends the same
+#: requests through either, so a case written once holds for both.
+DOORS = ("predict", "predict_many")
+
+
+def _ask(fabric, door, rows, keys, tenant=None, **kwargs):
+    if door == "predict":
+        return [
+            fabric.predict("score", row, key=key, tenant=tenant, **kwargs)
+            for row, key in zip(rows, keys)
+        ]
+    tenants = None if tenant is None else [tenant] * len(rows)
+    return fabric.predict_many(
+        "score", rows, keys=keys, tenants=tenants, **kwargs
+    )
+
+
+def _served_ledger(fabric):
+    """What the fleet says it has served: only a served request may
+    move any of it."""
+    ledger = fabric.ledger
+    return (
+        ledger.replica_hits, ledger.failovers, ledger.rerouted,
+        [fabric.shard(sid).served for sid in fabric.shard_ids()],
+    )
 
 
 def make_fabric(registry, num_shards=4, replication=2, **kwargs):
@@ -456,30 +489,48 @@ class TestTenantIsolation:
             fabric.predict_many("score", rows, tenants=["hot"] * 3)
         fabric.close()
 
+    @pytest.mark.parametrize("door", DOORS)
     def test_shard_shed_carries_shard_and_tenant_context(
-        self, registry, model_pair
+        self, registry, model_pair, door
     ):
         """An admission-chaos shed inside a shard surfaces with the
-        serving shard and tenant attached."""
+        serving shard and tenant attached, and a request that was shed
+        is not in the ledger of what was served."""
         X = model_pair[0]
         fabric = make_fabric(registry)
+        keys = [f"k{i}" for i in range(8)]  # both replicas get some
+        assert len({fabric.route("score", key)[0] for key in keys}) == 2
+        _ask(fabric, door, X[:8], keys, tenant="acme")
+        before = _served_ledger(fabric)
         plan = FaultPlan(seed=chaos_seed_from_env()).inject(
             "serving.admission", rate=1.0
         )
         with ChaosContext(plan):
             with pytest.raises(LoadShedError) as exc_info:
-                fabric.predict("score", X[0], key="k1", tenant="acme")
+                _ask(fabric, door, X[8:16], keys, tenant="acme")
         err = exc_info.value
         assert err.reason == "chaos"
         assert err.tenant == "acme"
         assert err.shard in fabric.replicas_of("score")
         assert err.context["shard"] == err.shard
+        assert _served_ledger(fabric) == before
         fabric.close()
 
-    def test_deadline_error_carries_context(self, registry, model_pair):
+    @pytest.mark.parametrize(
+        "door, replication, tenant",
+        [
+            ("predict", 2, "t9"),
+            ("predict_many", 2, "t9"),
+            # the single-replica, quota-free fast path is a door too
+            ("predict_many", 1, None),
+        ],
+    )
+    def test_deadline_error_carries_context(
+        self, registry, model_pair, door, replication, tenant
+    ):
         X = model_pair[0]
         clock = FakeClock()
-        fabric = make_fabric(registry, clock=clock)
+        fabric = make_fabric(registry, replication=replication, clock=clock)
 
         # a scorer that advances the fake clock past any deadline
         sid = fabric.preference("score", "k")[0]
@@ -493,11 +544,91 @@ class TestTenantIsolation:
 
         stalling.accepts_deadline = True
         server._scorers[("score", 1)] = stalling
+        before = _served_ledger(fabric)
         with pytest.raises(DeadlineExceededError) as exc_info:
-            fabric.predict("score", X[0], key="k", tenant="t9", deadline_ms=5)
-        assert exc_info.value.tenant == "t9"
+            _ask(fabric, door, X[:1], ["k"], tenant=tenant, deadline_ms=5)
+        assert exc_info.value.tenant == tenant
         assert exc_info.value.shard == sid
+        assert exc_info.value.deadline_ms == 5
+        assert _served_ledger(fabric) == before
         fabric.close()
+
+
+# ----------------------------------------------------------------------
+# Fabric: the two doors are one request path
+# ----------------------------------------------------------------------
+class TestOneRequestPath:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=255),  # row of X
+                st.one_of(st.none(), st.integers(0, 40)),  # request key
+                st.sampled_from([None, "a", "b", "c"]),  # tenant
+            ),
+            min_size=1,
+            max_size=48,
+            unique_by=lambda request: request[0],
+        ),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        dead=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        burst=st.integers(min_value=1, max_value=12),
+    )
+    def test_both_doors_are_one_path(self, requests, fraction, dead, burst):
+        """``predict`` in a loop and one ``predict_many`` over the same
+        ``(rows, keys, tenants)``, on twin fleets with a canary, a
+        possibly dead shard and metered tenants: bitwise-equal answers
+        (NaN where the quota shed) and equal ledgers at every level.
+        Rows are distinct because ``predict_many`` fills the cache after
+        its drain, so a repeat inside one call cannot hit."""
+        X, _, m1, m2 = _fit_pair()
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        registry.register("churn", m2)
+        twins = []
+        for _ in DOORS:
+            fabric = make_fabric(registry, clock=FakeClock())
+            fabric.set_canary("score", 2, fraction)
+            fabric.set_quota("a", capacity=burst, refill_per_s=0.0)
+            fabric.set_default_quota(capacity=2 * burst, refill_per_s=0.0)
+            if dead is not None:
+                fabric.kill_shard(f"shard-{dead}")
+            twins.append(fabric)
+        rows = X[[i for i, _, _ in requests]]
+        keys = [key for _, key, _ in requests]
+        tenants = [tenant for _, _, tenant in requests]
+
+        looped = np.full(len(requests), np.nan)
+        for i, (row, key, tenant) in enumerate(zip(rows, keys, tenants)):
+            try:
+                looped[i] = twins[0].predict(
+                    "score", row, key=key, tenant=tenant
+                )
+            except LoadShedError as exc:
+                assert exc.reason == "quota" and exc.tenant == tenant
+        batched, shed = twins[1].predict_many(
+            "score", rows, keys=keys, tenants=tenants, on_shed="null"
+        )
+        assert looped.tobytes() == batched.tobytes()
+        assert shed == np.flatnonzero(np.isnan(looped)).tolist()
+
+        one, many = (fabric.stats() for fabric in twins)
+        assert one["ledger"] == many["ledger"]
+        assert one["ledger"]["requests"] == len(requests)
+        assert one["tenants"] == many["tenants"]
+        for sid in twins[0].shard_ids():
+            a, b = one["shards"][sid], many["shards"][sid]
+            assert a["served"] == b["served"]
+            for mine, theirs in zip(
+                a["endpoints"].values(), b["endpoints"].values()
+            ):
+                for field in (
+                    "requests", "stable_requests", "canary_requests",
+                    "shed", "deadline_exceeded", "cache",
+                ):
+                    assert mine[field] == theirs[field], (sid, field)
+        for fabric in twins:
+            fabric.close()
 
 
 # ----------------------------------------------------------------------
