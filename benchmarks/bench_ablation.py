@@ -6,63 +6,58 @@ parts (the ablation DESIGN.md calls out).
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.compiler import compile_expr
-from repro.lang import matrix, sumall
+from repro.lang import matrix
 from repro.runtime import execute
 
-N, D = 4000, 200
-
-
-def _program():
-    # Naively-written gradient + loss with a repeated subexpression.
-    X = matrix("X", (N, D))
-    w = matrix("w", (D, 1))
-    y = matrix("y", (N, 1))
-    gradient = (X.T @ X @ w - X.T @ y) / N
-    loss = sumall((X @ w - y) ** 2) / N + sumall((X @ w - y) ** 2) * 0.0
-    return gradient + 0.0 * sumall(loss)
-
-
-@pytest.fixture(scope="module")
-def bindings():
-    rng = np.random.default_rng(2017)
-    return {
-        "X": rng.standard_normal((N, D)),
-        "w": rng.standard_normal(D),
-        "y": rng.standard_normal(N),
-    }
-
-
 FLAG_SETS = {
-    "all_on": {},
-    "no_rewrites": {"rewrites": False},
-    "no_mmchain": {"mmchain": False},
-    "no_fusion": {"fusion": False},
-    "no_cse": {"cse": False},
-    "all_off": {
-        "rewrites": False,
-        "mmchain": False,
-        "fusion": False,
-        "cse": False,
-    },
+    "all on": {},
+    "no rewrites": {"rewrites": False},
+    "no mmchain": {"mmchain": False},
+    "no fusion": {"fusion": False},
+    "no cse": {"cse": False},
+    "all off": {"rewrites": False, "mmchain": False,
+                "fusion": False, "cse": False},
 }
 
 
-@pytest.mark.parametrize("name", list(FLAG_SETS))
-def test_ablation(benchmark, bindings, name):
-    plan = compile_expr(_program(), **FLAG_SETS[name])
-    out = benchmark(lambda: execute(plan, bindings))
-    reference = execute(compile_expr(_program(), **FLAG_SETS["all_off"]), bindings)
-    assert np.allclose(out, reference, rtol=1e-8)
+def run() -> dict:
+    n, d = 4000, 200
+    rng = np.random.default_rng(61)
+    bindings = {
+        "X": rng.standard_normal((n, d)),
+        "w": rng.standard_normal(d),
+        "y": rng.standard_normal(n),
+    }
 
+    def program():
+        X = matrix("X", (n, d))
+        w = matrix("w", (d, 1))
+        y = matrix("y", (n, 1))
+        return (X.T @ X @ w - X.T @ y) / n
 
-def test_each_pass_reduces_or_preserves_cost(bindings):
-    full = compile_expr(_program())
+    reference = execute(compile_expr(program(), **FLAG_SETS["all off"]), bindings)
+    rows = []
     for name, flags in FLAG_SETS.items():
-        if name == "all_on":
-            continue
-        ablated = compile_expr(_program(), **flags)
-        # The full pipeline is never worse than any ablation (cost model).
-        assert full.cost_after.flops <= ablated.cost_after.flops * 1.001
+        plan = compile_expr(program(), **flags)
+        timing = harness.timed(lambda: execute(plan, bindings))
+        assert np.allclose(timing.result, reference, rtol=1e-8), name
+        rows.append(
+            {
+                "variant": name,
+                **timing.fields("seconds"),
+                "flops": plan.cost_after.flops,
+            }
+        )
+    # the full pipeline is never worse than any ablation (cost model)
+    full = rows[0]["flops"]
+    assert all(full <= r["flops"] * 1.001 for r in rows[1:]), rows
+    return {"rows": rows}
+
+
+def report(results: dict) -> None:
+    print(f"{'variant':<14} {'time (s)':>9} {'flops':>14}")
+    for r in results["rows"]:
+        print(f"{r['variant']:<14} {r['seconds']:>9.4f} {r['flops']:>14,}")

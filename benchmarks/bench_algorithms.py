@@ -6,80 +6,40 @@ the programmer writes math, the compiler recovers the efficient plan.
 """
 
 import numpy as np
-import pytest
 
-from repro.algorithms import kmeans_dsl, linreg_cg, linreg_direct, logreg_gd
-from repro.data import make_blobs, make_classification, make_regression
-from repro.ml import KMeans, LinearRegression, LogisticRegression
-
-N, D = 20_000, 50
+import harness
+from repro.algorithms import kmeans_dsl, linreg_cg, linreg_direct
+from repro.data import make_blobs, make_regression
+from repro.ml import KMeans, LinearRegression
 
 
-@pytest.fixture(scope="module")
-def reg_data():
-    X, y, _ = make_regression(N, D, noise=0.2, seed=2017)
-    return X, y
+def run() -> dict:
+    X, y, _ = make_regression(20_000, 50, noise=0.2, seed=71)
+    Xb, _ = make_blobs(5000, 8, centers=5, seed=71)
+    workloads = {
+        "linreg library": lambda: LinearRegression(fit_intercept=False).fit(X, y),
+        "linreg DSL direct": lambda: linreg_direct(X, y),
+        "linreg DSL CG": lambda: linreg_cg(X, y, tol=1e-10),
+        "kmeans library": lambda: KMeans(5, n_init=1, init="random", seed=1).fit(Xb),
+        "kmeans DSL": lambda: kmeans_dsl(Xb, 5, seed=1),
+    }
+    timings = {
+        name: harness.timed(fn, repeats=2) for name, fn in workloads.items()
+    }
+    fit = {name: t.result for name, t in timings.items()}
+    reference = fit["linreg library"].coef_
+    assert np.allclose(fit["linreg DSL direct"].weights, reference, atol=1e-6)
+    assert np.allclose(fit["linreg DSL CG"].weights, reference, atol=1e-4)
+    assert fit["kmeans DSL"].inertia <= fit["kmeans library"].inertia_ * 2.0
+    return {
+        "rows": [
+            {"workload": name, **t.fields("seconds")}
+            for name, t in timings.items()
+        ]
+    }
 
 
-@pytest.fixture(scope="module")
-def clf_data():
-    return make_classification(8000, 20, separation=1.5, seed=2017)
-
-
-def test_library_linreg(benchmark, reg_data):
-    X, y = reg_data
-    benchmark(lambda: LinearRegression(fit_intercept=False).fit(X, y))
-
-
-def test_dsl_linreg_direct(benchmark, reg_data):
-    X, y = reg_data
-    result = benchmark(lambda: linreg_direct(X, y))
-    reference = LinearRegression(fit_intercept=False).fit(X, y)
-    assert np.allclose(result.weights, reference.coef_, atol=1e-6)
-
-
-def test_dsl_linreg_cg(benchmark, reg_data):
-    X, y = reg_data
-    result = benchmark(lambda: linreg_cg(X, y, tol=1e-10))
-    reference = LinearRegression(fit_intercept=False).fit(X, y)
-    assert np.allclose(result.weights, reference.coef_, atol=1e-4)
-
-
-def test_library_logreg(benchmark, clf_data):
-    X, y = clf_data
-    benchmark.pedantic(
-        lambda: LogisticRegression(
-            solver="gd", l2=1e-3, fit_intercept=False, max_iter=60
-        ).fit(X, y),
-        rounds=2,
-        iterations=1,
-    )
-
-
-def test_dsl_logreg(benchmark, clf_data):
-    X, y = clf_data
-    result = benchmark.pedantic(
-        lambda: logreg_gd(X, y.astype(float), l2=1e-3, max_iter=60),
-        rounds=2,
-        iterations=1,
-    )
-    predictions = (X @ result.weights > 0).astype(int)
-    assert np.mean(predictions == y) > 0.75
-
-
-def test_library_kmeans(benchmark):
-    X, _ = make_blobs(5000, 8, centers=5, seed=2017)
-    benchmark.pedantic(
-        lambda: KMeans(5, n_init=1, init="random", seed=1).fit(X),
-        rounds=2,
-        iterations=1,
-    )
-
-
-def test_dsl_kmeans(benchmark):
-    X, _ = make_blobs(5000, 8, centers=5, seed=2017)
-    result = benchmark.pedantic(
-        lambda: kmeans_dsl(X, 5, seed=1), rounds=2, iterations=1
-    )
-    library = KMeans(5, n_init=1, init="random", seed=1).fit(X)
-    assert result.inertia <= library.inertia_ * 2.0
+def report(results: dict) -> None:
+    print(f"{'workload':<20} {'time (s)':>9}")
+    for r in results["rows"]:
+        print(f"{r['workload']:<20} {r['seconds']:>9.4f}")

@@ -7,77 +7,51 @@ I/O.
 """
 
 import numpy as np
-import pytest
 
 from repro.runtime import BlockedMatrix, BlockStore, BufferPool
 
-N, D, BLOCK_ROWS = 40_000, 16, 2_000
-BLOCK_BYTES = BLOCK_ROWS * D * 8
-NUM_BLOCKS = N // BLOCK_ROWS
 EPOCHS = 5
 
 
-@pytest.fixture(scope="module")
-def blocked():
-    rng = np.random.default_rng(2017)
-    X = rng.standard_normal((N, D))
-    store = BlockStore()
-    return X, BlockedMatrix.from_array(X, store, "X", BLOCK_ROWS), store
+def run() -> dict:
+    rng = np.random.default_rng(41)
+    n, d, block_rows = 40_000, 16, 2_000
+    X = rng.standard_normal((n, d))
+    block_bytes = block_rows * d * 8
+    num_blocks = n // block_rows
+    v = np.ones(d)
+    rows = []
+    for pool_blocks in (2, 5, 10, 15, 21):
+        store = BlockStore()
+        bm = BlockedMatrix.from_array(X, store, "X", block_rows)
+        pool = BufferPool(store, capacity_bytes=block_bytes * pool_blocks)
+        for _ in range(EPOCHS):
+            bm.matvec(v, pool)
+        if pool_blocks > num_blocks:
+            # the working set fits: only the first epoch reads the store
+            assert store.reads == num_blocks and pool.stats.hit_ratio > 0.75
+        else:
+            # a sequential scan thrashes LRU: every epoch re-reads it all
+            assert store.reads == num_blocks * EPOCHS
+            assert pool.stats.hit_ratio == 0.0
+        rows.append(
+            {
+                "pool_blocks": pool_blocks,
+                "hit_ratio": pool.stats.hit_ratio,
+                "store_reads": store.reads,
+                "evictions": pool.stats.evictions,
+            }
+        )
+    return {"num_blocks": num_blocks, "rows": rows}
 
 
-def _run_epochs(blocked_matrix, pool, epochs=EPOCHS):
-    v = np.ones(D)
-    out = None
-    for _ in range(epochs):
-        out = blocked_matrix.matvec(v, pool)
-    return out
-
-
-def test_epochs_with_large_pool(benchmark, blocked):
-    X, bm, store = blocked
-
-    def run():
-        pool = BufferPool(store, capacity_bytes=BLOCK_BYTES * (NUM_BLOCKS + 1))
-        _run_epochs(bm, pool)
-        return pool
-
-    pool = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert pool.stats.hit_ratio > 0.75  # epochs after the first all hit
-
-
-def test_epochs_with_tiny_pool(benchmark, blocked):
-    X, bm, store = blocked
-
-    def run():
-        pool = BufferPool(store, capacity_bytes=BLOCK_BYTES * 2)
-        _run_epochs(bm, pool)
-        return pool
-
-    pool = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert pool.stats.hit_ratio == 0.0  # sequential scan thrashes LRU
-
-
-def test_io_volume_scales_with_misses(blocked):
-    X, bm, _ = blocked
-    # Fresh stores so read counters are isolated.
-    store_a = BlockStore()
-    bm_a = BlockedMatrix.from_array(X, store_a, "X", BLOCK_ROWS)
-    big = BufferPool(store_a, capacity_bytes=BLOCK_BYTES * (NUM_BLOCKS + 1))
-    _run_epochs(bm_a, big)
-
-    store_b = BlockStore()
-    bm_b = BlockedMatrix.from_array(X, store_b, "X", BLOCK_ROWS)
-    small = BufferPool(store_b, capacity_bytes=BLOCK_BYTES * 2)
-    _run_epochs(bm_b, small)
-
-    assert store_a.reads == NUM_BLOCKS  # first epoch only
-    assert store_b.reads == NUM_BLOCKS * EPOCHS  # every epoch re-reads
-
-
-def test_pinned_gram_summary_stays_resident(blocked):
-    X, bm, store = blocked
-    pool = BufferPool(store, capacity_bytes=BLOCK_BYTES * 3)
-    pool.put("gram_summary", X[:100].T @ X[:100])
-    pool.pin("gram_summary")
-    _run_epochs(bm, pool, epochs=2)
-    assert "gram_summary" in pool.cached_blocks
+def report(results: dict) -> None:
+    print(f"{'pool (blocks)':>14} {'hit ratio':>10} {'store reads':>12} "
+          f"{'evictions':>10}")
+    for r in results["rows"]:
+        print(
+            f"{r['pool_blocks']:>14} {r['hit_ratio']:>10.2f} "
+            f"{r['store_reads']:>12} {r['evictions']:>10}"
+        )
+    print(f"(matrix = {results['num_blocks']} blocks; epochs hit once the "
+          "pool holds all)")

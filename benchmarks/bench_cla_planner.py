@@ -5,67 +5,66 @@ agree with exhaustive analysis while planning in a fraction of the time.
 """
 
 import numpy as np
-import pytest
 
-from repro.compression import plan_column, plan_matrix
+import harness
+from repro.compression import CompressedMatrix, plan_matrix
 from repro.data import (
     make_low_cardinality_matrix,
     make_run_matrix,
     make_sparse_matrix,
 )
 
-N = 100_000
 
-
-@pytest.fixture(scope="module")
-def mixed_matrix():
-    rng = np.random.default_rng(2017)
-    return np.hstack(
+def run() -> dict:
+    rng = np.random.default_rng(43)
+    n = 100_000
+    X = np.hstack(
         [
-            make_low_cardinality_matrix(N, 3, cardinality=8, seed=1),
-            make_run_matrix(N, 3, mean_run_length=300, seed=2),
-            make_sparse_matrix(N, 3, density=0.01, seed=3),
-            rng.standard_normal((N, 3)),
+            make_low_cardinality_matrix(n, 3, cardinality=8, seed=1),
+            make_run_matrix(n, 3, mean_run_length=300, seed=2),
+            make_sparse_matrix(n, 3, density=0.01, seed=3),
+            rng.standard_normal((n, 3)),
         ]
     )
-
-
-def test_sampled_planning(benchmark, mixed_matrix):
-    plan = benchmark(lambda: plan_matrix(mixed_matrix, sample_fraction=0.01))
-    assert len(plan.columns) == 12
-
-
-def test_exact_planning(benchmark, mixed_matrix):
-    plan = benchmark.pedantic(
-        plan_matrix, args=(mixed_matrix,), kwargs={"exact": True},
-        rounds=1, iterations=1,
+    t_sampled = harness.timed(
+        lambda: plan_matrix(X, sample_fraction=0.01), repeats=1
     )
-    assert len(plan.columns) == 12
-
-
-def test_sampled_decisions_agree_with_exact(mixed_matrix):
-    sampled = plan_matrix(mixed_matrix, sample_fraction=0.01)
-    exact = plan_matrix(mixed_matrix, exact=True)
-    agreements = sum(
-        s.scheme == e.scheme for s, e in zip(sampled.columns, exact.columns)
+    t_exact = harness.timed(lambda: plan_matrix(X, exact=True), repeats=1)
+    sampled, exact = t_sampled.result.columns, t_exact.result.columns
+    assert len(sampled) == len(exact) == X.shape[1]
+    agree = sum(s.scheme == e.scheme for s, e in zip(sampled, exact))
+    assert agree >= 10, f"only {agree}/12 columns classified identically"
+    # the sample's size estimate tracks what compression then achieves
+    estimated = sum(p.dense_bytes for p in sampled) / sum(
+        p.estimated_bytes for p in sampled
     )
-    assert agreements >= 10  # >= 10/12 columns classified identically
+    actual = CompressedMatrix.compress(X, sample_fraction=0.01).compression_ratio
+    assert abs(estimated - actual) <= 0.5 * actual, (estimated, actual)
+    return {
+        "agreement": agree,
+        **t_sampled.fields("sampled_s"),
+        **t_exact.fields("exact_s"),
+        "columns": [
+            {
+                "index": s.index,
+                "exact_scheme": e.scheme,
+                "sampled_scheme": s.scheme,
+                "estimated_ratio": s.estimated_ratio,
+            }
+            for s, e in zip(sampled, exact)
+        ],
+    }
 
 
-def test_estimated_ratio_tracks_actual(mixed_matrix):
-    from repro.compression import CompressedMatrix
-
-    plan = plan_matrix(mixed_matrix, sample_fraction=0.01)
-    estimated = sum(p.dense_bytes for p in plan.columns) / sum(
-        p.estimated_bytes for p in plan.columns
-    )
-    actual = CompressedMatrix.compress(
-        mixed_matrix, sample_fraction=0.01
-    ).compression_ratio
-    assert estimated == pytest.approx(actual, rel=0.5)
-
-
-def test_single_column_plan_is_fast(benchmark):
-    column = make_run_matrix(N, 1, mean_run_length=100, seed=4)[:, 0]
-    plan = benchmark(lambda: plan_column(column, sample_fraction=0.01))
-    assert plan.scheme == "rle"
+def report(results: dict) -> None:
+    columns = results["columns"]
+    print(f"columns: {len(columns)}   scheme agreement: "
+          f"{results['agreement']}/{len(columns)}")
+    print(f"planning time: sampled {results['sampled_s']:.3f}s vs exact "
+          f"{results['exact_s']:.3f}s "
+          f"({results['exact_s'] / results['sampled_s']:.1f}x faster)")
+    print(f"\n{'col':>4} {'exact scheme':<14} {'sampled scheme':<15} "
+          f"{'est. ratio':>10}")
+    for c in columns:
+        print(f"{c['index']:>4} {c['exact_scheme']:<14} "
+              f"{c['sampled_scheme']:<15} {c['estimated_ratio']:>9.1f}x")

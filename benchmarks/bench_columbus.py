@@ -6,62 +6,46 @@ recomputation by orders of magnitude during exploration.
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.data import make_regression
 from repro.feateng import FeatureSubsetExplorer, solve_subset_naive
 
-N, D = 50_000, 30
-SUBSETS = [list(range(k)) for k in (2, 5, 10, 20)] + [
-    [0, 5, 7, 12, 25],
-    [3, 4, 9],
-]
+SUBSETS = [list(range(k)) for k in (2, 5, 10, 20)] + [[0, 5, 7, 12, 25]]
 
 
-@pytest.fixture(scope="module")
-def data():
-    X, y, _ = make_regression(N, D, noise=0.5, seed=2017)
-    return X, y
+def run() -> dict:
+    rows = []
+    for n in (10_000, 50_000, 200_000):
+        X, y, _ = make_regression(n, 30, noise=0.5, seed=37)
+        pre = harness.timed(lambda: FeatureSubsetExplorer(X, y), repeats=1)
+        explorer = pre.result
+        naive = harness.timed(
+            lambda: [solve_subset_naive(X, y, s) for s in SUBSETS], repeats=1
+        )
+        fast = harness.timed(
+            lambda: [explorer.solve_subset(s) for s in SUBSETS], repeats=3
+        )
+        for reused, solved in zip(fast.result, naive.result):
+            assert np.allclose(reused.coef, solved.coef, atol=1e-6)
+        rows.append(
+            {
+                "n_rows": n,
+                **naive.fields("naive_s"),
+                **fast.fields("columbus_s"),
+                "speedup": naive.best / fast.best,
+                **pre.fields("precompute_s"),
+            }
+        )
+    return {"subsets": len(SUBSETS), "rows": rows}
 
 
-@pytest.fixture(scope="module")
-def explorer(data):
-    X, y = data
-    return FeatureSubsetExplorer(X, y)
-
-
-def test_naive_subset_solves(benchmark, data):
-    X, y = data
-
-    def solve_all():
-        return [solve_subset_naive(X, y, s) for s in SUBSETS]
-
-    benchmark(solve_all)
-
-
-def test_columbus_subset_solves(benchmark, data, explorer):
-    X, y = data
-
-    def solve_all():
-        return [explorer.solve_subset(s) for s in SUBSETS]
-
-    fits = benchmark(solve_all)
-    naive = [solve_subset_naive(X, y, s) for s in SUBSETS]
-    for fast, slow in zip(fits, naive):
-        assert np.allclose(fast.coef, slow.coef, atol=1e-6)
-
-
-def test_statistics_precompute_once(benchmark, data):
-    X, y = data
-    benchmark.pedantic(
-        FeatureSubsetExplorer, args=(X, y), rounds=2, iterations=1
-    )
-
-
-def test_forward_selection_with_reuse(benchmark, data, explorer):
-    trail = benchmark.pedantic(
-        explorer.forward_selection, kwargs={"max_features": 8},
-        rounds=1, iterations=1,
-    )
-    assert len(trail) == 8
-    assert trail[-1].r_squared > trail[0].r_squared
+def report(results: dict) -> None:
+    naive_header = f"naive {results['subsets']} solves"
+    print(f"{'n rows':>9} {naive_header:>15} {'columbus':>10} "
+          f"{'speedup':>8} {'+precompute':>12}")
+    for r in results["rows"]:
+        print(
+            f"{r['n_rows']:>9,} {r['naive_s']:>14.4f}s {r['columbus_s']:>9.4f}s "
+            f"{r['speedup']:>7.0f}x {r['precompute_s']:>11.4f}s"
+        )

@@ -6,8 +6,8 @@ matrix-vector kernels competitive with dense.
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.compression import CompressedMatrix
 from repro.data import (
     make_low_cardinality_matrix,
@@ -15,75 +15,54 @@ from repro.data import (
     make_sparse_matrix,
 )
 
-N, D = 50_000, 10
+#: dataset -> (minimum compression ratio, scheme that must be chosen)
+EXPECTED = {
+    "low-cardinality": (3.0, "ddc"),
+    "run-structured": (20.0, "rle"),
+    "sparse (1%)": (5.0, "ole"),
+}
 
 
-@pytest.fixture(scope="module")
-def lowcard():
-    X = make_low_cardinality_matrix(N, D, cardinality=12, seed=2017)
-    return X, CompressedMatrix.compress(X)
+def run() -> dict:
+    rng = np.random.default_rng(17)
+    n, d = 50_000, 10
+    datasets = {
+        "low-cardinality": make_low_cardinality_matrix(n, d, cardinality=10, seed=1),
+        "run-structured": make_run_matrix(n, d, mean_run_length=200, seed=2),
+        "sparse (1%)": make_sparse_matrix(n, d, density=0.01, seed=3),
+        "random dense": rng.standard_normal((n, d)),
+    }
+    v = rng.standard_normal(d)
+    u = rng.standard_normal(n)
+    rows = []
+    for name, X in datasets.items():
+        C = CompressedMatrix.compress(X)
+        dense = harness.timed(lambda: X @ v, repeats=5)
+        comp = harness.timed(lambda: C.matvec(v), repeats=5)
+        assert np.allclose(comp.result, dense.result)
+        assert np.allclose(C.rmatvec(u), X.T @ u)
+        if name in EXPECTED:
+            min_ratio, scheme = EXPECTED[name]
+            assert C.compression_ratio > min_ratio, (name, C.compression_ratio)
+            assert scheme in C.schemes(), (name, C.schemes())
+        rows.append(
+            {
+                "dataset": name,
+                "compression_ratio": C.compression_ratio,
+                "schemes": C.schemes(),
+                **dense.fields("dense_matvec_s"),
+                **comp.fields("compressed_matvec_s"),
+            }
+        )
+    return {"rows": rows}
 
 
-@pytest.fixture(scope="module")
-def runs():
-    X = make_run_matrix(N, D, mean_run_length=200, seed=2017)
-    return X, CompressedMatrix.compress(X)
-
-
-def test_compression_ratio_lowcard(lowcard):
-    _, C = lowcard
-    assert C.compression_ratio > 3
-
-
-def test_compression_ratio_runs(runs):
-    _, C = runs
-    assert C.compression_ratio > 20
-
-
-def test_dense_matvec(benchmark, lowcard):
-    X, _ = lowcard
-    v = np.random.default_rng(1).standard_normal(D)
-    benchmark(lambda: X @ v)
-
-
-def test_compressed_matvec_ddc(benchmark, lowcard):
-    X, C = lowcard
-    v = np.random.default_rng(1).standard_normal(D)
-    out = benchmark(lambda: C.matvec(v))
-    assert np.allclose(out, X @ v)
-
-
-def test_compressed_matvec_rle(benchmark, runs):
-    X, C = runs
-    v = np.random.default_rng(1).standard_normal(D)
-    out = benchmark(lambda: C.matvec(v))
-    assert np.allclose(out, X @ v)
-
-
-def test_dense_rmatvec(benchmark, lowcard):
-    X, _ = lowcard
-    u = np.random.default_rng(2).standard_normal(N)
-    benchmark(lambda: X.T @ u)
-
-
-def test_compressed_rmatvec_ddc(benchmark, lowcard):
-    X, C = lowcard
-    u = np.random.default_rng(2).standard_normal(N)
-    out = benchmark(lambda: C.rmatvec(u))
-    assert np.allclose(out, X.T @ u)
-
-
-def test_compress_time_lowcard(benchmark):
-    X = make_low_cardinality_matrix(N, D, cardinality=12, seed=7)
-    benchmark.pedantic(
-        CompressedMatrix.compress, args=(X,), rounds=2, iterations=1
-    )
-
-
-def test_sparse_compresses_via_ole(benchmark):
-    X = make_sparse_matrix(N, D, density=0.02, seed=2017)
-    C = benchmark.pedantic(
-        CompressedMatrix.compress, args=(X,), rounds=1, iterations=1
-    )
-    assert C.compression_ratio > 5
-    assert "ole" in C.schemes()
+def report(results: dict) -> None:
+    print(f"{'dataset':<17} {'ratio':>7} {'schemes':<28} "
+          f"{'dense MV':>9} {'comp MV':>9}")
+    for r in results["rows"]:
+        print(
+            f"{r['dataset']:<17} {r['compression_ratio']:>6.1f}x "
+            f"{str(r['schemes']):<28} {r['dense_matvec_s'] * 1e3:>8.2f}m "
+            f"{r['compressed_matvec_s'] * 1e3:>8.2f}m"
+        )

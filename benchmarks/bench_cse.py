@@ -6,74 +6,55 @@ cutting executed-operator counts and runtime.
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.compiler import compile_expr, count_tree_ops, count_unique_ops
 from repro.lang import matrix, sumall
 from repro.runtime import execute
 
-N, D = 8_000, 120
 
-
-def _redundant_program():
-    """Loss + gradient-norm program that repeats X %*% w three times."""
-    X = matrix("X", (N, D))
-    w = matrix("w", (D, 1))
-    y = matrix("y", (N, 1))
-    residual_a = X @ w - y
-    residual_b = X @ w - y
-    return sumall(residual_a ** 2) + sumall(residual_b ** 2) + sumall(
-        (X @ w) * (X @ w)
+def run() -> dict:
+    rng = np.random.default_rng(53)
+    n, d = 8_000, 120
+    bindings = {
+        "X": rng.standard_normal((n, d)),
+        "w": rng.standard_normal(d),
+        "y": rng.standard_normal(n),
+    }
+    X = matrix("X", (n, d))
+    w = matrix("w", (d, 1))
+    y = matrix("y", (n, 1))
+    # loss + gradient-norm program that repeats X %*% w three times
+    program = (
+        sumall((X @ w - y) ** 2)
+        + sumall((X @ w - y) ** 2)
+        + sumall((X @ w) * (X @ w))
     )
-
-
-@pytest.fixture(scope="module")
-def bindings():
-    rng = np.random.default_rng(2017)
+    no_cse = compile_expr(
+        program, rewrites=False, mmchain=False, fusion=False, cse=False
+    )
+    with_cse = compile_expr(
+        program, rewrites=False, mmchain=False, fusion=False, cse=True
+    )
+    t_no = harness.timed(lambda: execute(no_cse, bindings))
+    t_yes = harness.timed(lambda: execute(with_cse, bindings))
+    assert abs(t_no.result - t_yes.result) < 1e-6 * abs(t_no.result)
+    tree_ops = count_tree_ops(no_cse.root)
+    dag_ops = count_unique_ops(with_cse.root)
+    assert dag_ops < tree_ops
+    _, stats = execute(with_cse, bindings, collect_stats=True)
+    assert stats.op_counts["matmul"] == 1  # X %*% w executed exactly once
     return {
-        "X": rng.standard_normal((N, D)),
-        "w": rng.standard_normal(D),
-        "y": rng.standard_normal(N),
+        "variants": [
+            {"variant": "tree", "operators": tree_ops, **t_no.fields("seconds")},
+            {"variant": "CSE DAG", "operators": dag_ops, **t_yes.fields("seconds")},
+        ],
+        "speedup": t_no.best / t_yes.best,
     }
 
 
-def test_without_cse(benchmark, bindings):
-    plan = compile_expr(
-        _redundant_program(), rewrites=False, mmchain=False, fusion=False, cse=False
-    )
-    benchmark(lambda: execute(plan, bindings))
-
-
-def test_with_cse(benchmark, bindings):
-    plan = compile_expr(
-        _redundant_program(), rewrites=False, mmchain=False, fusion=False, cse=True
-    )
-    out = benchmark(lambda: execute(plan, bindings))
-    ref = execute(
-        compile_expr(
-            _redundant_program(),
-            rewrites=False,
-            mmchain=False,
-            fusion=False,
-            cse=False,
-        ),
-        bindings,
-    )
-    assert out == pytest.approx(ref, rel=1e-10)
-
-
-def test_executed_operator_reduction(bindings):
-    program = _redundant_program()
-    tree_ops = count_tree_ops(program.node)
-    plan = compile_expr(
-        program, rewrites=False, mmchain=False, fusion=False, cse=True
-    )
-    dag_ops = count_unique_ops(plan.root)
-    assert dag_ops < tree_ops
-    _, stats = execute(plan, bindings, collect_stats=True)
-    assert stats.op_counts["matmul"] == 1  # X %*% w executed exactly once
-
-
-def test_full_pipeline_with_cse(benchmark, bindings):
-    plan = compile_expr(_redundant_program())
-    benchmark(lambda: execute(plan, bindings))
+def report(results: dict) -> None:
+    print(f"{'variant':<12} {'operators':>10} {'time (s)':>9}")
+    for v in results["variants"]:
+        print(f"{v['variant']:<12} {v['operators']:>10} {v['seconds']:>9.4f}")
+    print(f"speedup: {results['speedup']:.2f}x")

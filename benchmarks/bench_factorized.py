@@ -5,73 +5,56 @@ with the speedup growing in the tuple ratio n_S / n_R.
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.data import make_star_schema
 from repro.factorized import FactorizedLinearRegression, NormalizedMatrix
 from repro.ml import LinearRegression
 
-N_S, N_R, D_S, D_R = 20_000, 200, 4, 30
+TUPLE_RATIOS = (1, 2, 5, 10, 20, 40)
 
 
-@pytest.fixture(scope="module")
-def star():
-    return make_star_schema(n_s=N_S, n_r=N_R, d_s=D_S, d_r=D_R, seed=2017)
+def run() -> dict:
+    n_r, d_s, d_r = 500, 4, 30
+    rows = []
+    for tuple_ratio in TUPLE_RATIOS:
+        star = make_star_schema(
+            n_s=n_r * tuple_ratio, n_r=n_r, d_s=d_s, d_r=d_r, seed=11
+        )
+        nm = NormalizedMatrix(star.S, [star.fk], [star.R])
+
+        def materialized():
+            # includes the join cost the factorized path avoids entirely
+            X = star.materialize()
+            return LinearRegression(fit_intercept=False).fit(X, star.y)
+
+        def factorized():
+            return FactorizedLinearRegression().fit(nm, star.y)
+
+        mat = harness.timed(materialized)
+        fact = harness.timed(factorized)
+        assert np.allclose(mat.result.coef_, fact.result.coef_, atol=1e-5)
+        assert mat.result.score(star.materialize(), star.y) > 0.9
+        assert fact.result.score(nm, star.y) > 0.9
+        rows.append(
+            {
+                "tuple_ratio": tuple_ratio,
+                "redundancy_ratio": nm.redundancy_ratio,
+                **mat.fields("materialized_s"),
+                **fact.fields("factorized_s"),
+                "speedup": mat.best / fact.best,
+            }
+        )
+    return {"rows": rows}
 
 
-@pytest.fixture(scope="module")
-def normalized(star):
-    return NormalizedMatrix(star.S, [star.fk], [star.R])
-
-
-def test_materialized_linreg(benchmark, star):
-    X = star.materialize()
-
-    def train():
-        return LinearRegression(fit_intercept=False).fit(X, star.y)
-
-    model = benchmark(train)
-    assert model.score(X, star.y) > 0.9
-
-
-def test_factorized_linreg(benchmark, star, normalized):
-    def train():
-        return FactorizedLinearRegression().fit(normalized, star.y)
-
-    model = benchmark(train)
-    assert model.score(normalized, star.y) > 0.9
-
-
-def test_materialize_plus_train_end_to_end(benchmark, star):
-    """Includes the join cost the factorized path avoids entirely."""
-
-    def train():
-        X = star.materialize()
-        return LinearRegression(fit_intercept=False).fit(X, star.y)
-
-    benchmark(train)
-
-
-def test_factorized_gram(benchmark, normalized):
-    result = benchmark(normalized.gram)
-    assert result.shape == (D_S + D_R, D_S + D_R)
-
-
-def test_materialized_gram(benchmark, star):
-    X = star.materialize()
-
-    def gram():
-        return X.T @ X
-
-    benchmark(gram)
-
-
-def test_factorized_matvec(benchmark, normalized):
-    v = np.random.default_rng(0).standard_normal(D_S + D_R)
-    benchmark(lambda: normalized.matvec(v))
-
-
-def test_materialized_matvec(benchmark, star):
-    X = star.materialize()
-    v = np.random.default_rng(0).standard_normal(D_S + D_R)
-    benchmark(lambda: X @ v)
+def report(results: dict) -> None:
+    print(f"{'TR':>5} {'redund.':>8} {'mat (s)':>9} {'fact (s)':>9} "
+          f"{'speedup':>8}  winner")
+    for r in results["rows"]:
+        print(
+            f"{r['tuple_ratio']:>5} {r['redundancy_ratio']:>8.2f} "
+            f"{r['materialized_s']:>9.4f} {r['factorized_s']:>9.4f} "
+            f"{r['speedup']:>7.2f}x  "
+            f"{'factorized' if r['speedup'] > 1 else 'materialized'}"
+        )

@@ -34,19 +34,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro.errors import PromotionHeldError
 from repro.feateng.drift import bucket_counts, ks_statistic, psi_statistic
 from repro.features import (
@@ -61,34 +51,16 @@ from repro.lang.dsl import exp as rexp
 from repro.lang.dsl import sqrt as rsqrt
 from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
-from repro.resilience import (
-    ChaosContext,
-    FaultPlan,
-    chaos_seed_from_env,
-    fault_point,
-)
+from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
 from repro.serving import ModelServer
 from repro.storage import Table
 
 #: acceptance bounds
 MIN_REFRESH_SPEEDUP = 3.0
-MAX_DISABLED_OVERHEAD = 0.03
 FAULT_RATES = (0.0, 0.05, 0.2)
 DELTA_FRACTION = 0.01
 #: additive covariate shift applied to the drifted stream.
 SHIFT = 25.0
-
-UNIT_CALLS = 200_000
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _base_table(n: int, seed: int, start: int = 0) -> Table:
@@ -129,7 +101,8 @@ def parity_leg(n: int, stream_len: int) -> dict:
     server = OnlineFeatureServer(view, offline, table)
     entities = _skewed_stream(n, stream_len, seed=17)
 
-    wall, served = _best_time(lambda: server.serve_many(entities), repeats=1)
+    wall = harness.timed(lambda: server.serve_many(entities), repeats=1)
+    served = wall.result
     reference = offline.slice(entities)
     identical = bool(served.tobytes() == reference.tobytes())
     parity_ok = server.parity_check(sorted(set(entities)))
@@ -149,7 +122,7 @@ def parity_leg(n: int, stream_len: int) -> dict:
         "parity_oracle": bool(parity_ok),
         "ledger_exact": ledger_exact,
         "serves": ledger["serves"],
-        "wall_s": wall,
+        **wall.fields("wall_s"),
         "completed": True,
         "identical": identical and ledger_exact,
     }
@@ -187,13 +160,8 @@ def refresh_leg(n: int, rounds: int) -> dict:
             "price", rows.column("price") + 1.0
         ))
 
-        start = time.perf_counter()
-        maintainer.drain()
-        t_inc += time.perf_counter() - start
-
-        start = time.perf_counter()
-        competitor._rebuild()
-        t_full += time.perf_counter() - start
+        t_inc += harness.timed(maintainer.drain, repeats=1).best
+        t_full += harness.timed(competitor._rebuild, repeats=1).best
 
         round_identical = all(
             maintainer.row(e).tobytes() == competitor.row(e).tobytes()
@@ -343,11 +311,9 @@ def chaos_leg(n: int, stream_len: int) -> list[dict]:
             "features.serve", rate=rate, mode=mode
         )
         with ChaosContext(plan) as chaos:
-            wall, served = _best_time(
-                lambda: server.serve_many(entities), repeats=1
-            )
+            wall = harness.timed(lambda: server.serve_many(entities), repeats=1)
         faults = chaos.injected_at("features.serve")
-        identical = bool(served.tobytes() == reference.tobytes())
+        identical = bool(wall.result.tobytes() == reference.tobytes())
         entries.append({
             "workload": f"chaos/features_serve/{mode}",
             "fault_rate": rate,
@@ -358,7 +324,7 @@ def chaos_leg(n: int, stream_len: int) -> list[dict]:
             "fallbacks": server.fallbacks,
             "fallbacks_match_faults": server.fallbacks == faults,
             "serves": server.serves,
-            "wall_s": wall,
+            **wall.fields("wall_s"),
         })
     return entries
 
@@ -366,21 +332,6 @@ def chaos_leg(n: int, stream_len: int) -> list[dict]:
 # ----------------------------------------------------------------------
 # Leg 5: disabled-path overhead bound
 # ----------------------------------------------------------------------
-def measure_unit_cost() -> float:
-    """Per-call cost of a fault point with no chaos installed."""
-    start = time.perf_counter()
-    for _ in range(UNIT_CALLS):
-        fault_point("e27.unit")
-    return (time.perf_counter() - start) / UNIT_CALLS
-
-
-def count_crossings(workload) -> int:
-    """Exact fault-point crossings via a rate-0 match-everything plan."""
-    with ChaosContext(FaultPlan(seed=0).inject("*", rate=0.0)) as chaos:
-        workload()
-    return chaos.total_invocations()
-
-
 def overhead_leg(n: int, stream_len: int, rounds: int, repeats: int) -> dict:
     entities = _skewed_stream(n, stream_len, seed=31)
 
@@ -398,32 +349,15 @@ def overhead_leg(n: int, stream_len: int, rounds: int, repeats: int) -> dict:
         server = OnlineFeatureServer(view, maintainer)
         return server.serve_many(entities)
 
-    wall, _ = _best_time(workload, repeats)
-    crossings = count_crossings(workload)
-    unit = measure_unit_cost()
-    estimated = crossings * unit
-    overhead = estimated / wall
-    assert overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled-path feature overhead {overhead:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} ({crossings} crossings)"
+    return harness.overhead_leg(
+        "e27.unit", workload, "serve + refresh (instrumented, no chaos)", repeats
     )
-    return {
-        "workload": "serve + refresh (instrumented, no chaos)",
-        "wall_s": wall,
-        "fault_point_crossings": crossings,
-        "unit_cost_s": unit,
-        "estimated_overhead_s": estimated,
-        "estimated_overhead_pct": 100.0 * overhead,
-        "bound_pct": 100.0 * MAX_DISABLED_OVERHEAD,
-    }
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     if quick:
         n, stream_len, rounds = 8_000, 3_000, 4
         n_chaos, chaos_stream = 2_000, 1_500
@@ -449,6 +383,7 @@ def run(quick: bool, repeats: int) -> dict:
     assert completed_all, "a leg failed to complete"
     assert identical_all, "a leg diverged from its bitwise reference"
     assert parity["ledger_exact"], "serve ledger != closed form"
+    assert parity["parity_oracle"], "online rows diverged from the offline slice"
     assert refresh["speedup"] >= MIN_REFRESH_SPEEDUP, (
         f"delta refresh speedup {refresh['speedup']:.2f} < "
         f"{MIN_REFRESH_SPEEDUP}"
@@ -467,7 +402,7 @@ def run(quick: bool, repeats: int) -> dict:
 
     return {
         "meta": {
-            **bench_metadata("E27"),
+            **harness.bench_metadata("E27"),
             "quick": quick,
             "chaos_seed": chaos_seed_from_env(),
             "fault_rates": list(FAULT_RATES),
@@ -542,63 +477,9 @@ def report(results: dict) -> None:
             f"{e['faults_injected']:>7} {e['fallbacks']:>7} "
             f"{str(e['identical']):>9}"
         )
-    o = results["overhead"]
-    print(
-        f"\n  disabled-path bound: {o['fault_point_crossings']} crossings x "
-        f"{o['unit_cost_s'] * 1e9:.0f} ns = "
-        f"{o['estimated_overhead_pct']:.3f}% of wall "
-        f"(limit {o['bound_pct']:.0f}%)  -> PASS"
-    )
-
-
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_parity_leg_quick():
-    entry = parity_leg(1_000, 500)
-    assert entry["bit_identical"] and entry["ledger_exact"]
-    assert entry["parity_oracle"]
-
-
-def test_refresh_leg_quick():
-    entry = refresh_leg(2_000, rounds=3)
-    assert entry["bit_identical"] and entry["ledger_exact"]
-    assert entry["recomputes"] == 0
-
-
-def test_gate_leg_quick():
-    entry = gate_leg(1_500, passes=2)
-    assert entry["identical"], entry
-    assert entry["shifted"]["rolled_back"]
-
-
-def test_chaos_sweep_quick():
-    for entry in chaos_leg(800, 600):
-        assert entry["completed"] and entry["identical"], entry["workload"]
-        assert entry["fallbacks_match_faults"], entry["workload"]
-
-
-def test_disabled_overhead_bound():
-    entry = overhead_leg(1_000, 800, rounds=2, repeats=2)
-    assert entry["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
-    assert entry["fault_point_crossings"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
+    print()
+    harness.report_overhead_leg(results["overhead"])
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

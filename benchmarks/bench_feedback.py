@@ -37,26 +37,15 @@ Usage::
 
     python benchmarks/bench_feedback.py            # full sizes
     python benchmarks/bench_feedback.py --quick    # CI smoke run
-
-pytest collection runs the convergence, identity, and overhead checks at
-reduced sizes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
+import tempfile
 
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro import obs
 from repro.algorithms.clustering import kmeans_dsl
 from repro.algorithms.glm import logreg_gd, replan_operand
@@ -66,7 +55,7 @@ from repro.compiler import (
     feedback_scope,
     plan_representations,
 )
-from repro.compiler.feedback import input_key
+from repro.compiler.feedback import active_store, input_key
 from repro.lang import matrix
 from repro.resilience.checkpoint import IterativeCheckpointer
 from repro.runtime import execute, repops
@@ -75,22 +64,8 @@ from repro.sparse import CSRMatrix
 
 #: acceptance bounds
 MAX_CORRECTION_ITERATIONS = 2
-MAX_DISABLED_OVERHEAD = 0.03
 MIN_FALLBACK_SPEEDUP = 1.2   # leg 1, within-capture, post-correction
 MIN_REPLAN_SPEEDUP = 1.02    # leg 3, within-capture, vs stale-pinned run
-
-UNIT_CALLS = 200_000
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
 
 # ----------------------------------------------------------------------
 # Leg 1: representation fallback correction
@@ -126,11 +101,12 @@ def _power_iteration(plan, X, M, s0, iters, adaptive):
         walls, fallbacks = [], []
         corrected_at = None
         for it in range(1, iters + 1):
-            start = time.perf_counter()
-            out, stats = execute(
-                plan, {**operands, "s": s}, collect_stats=True
+            step = harness.timed(
+                lambda: execute(plan, {**operands, "s": s}, collect_stats=True),
+                repeats=1,
             )
-            walls.append(time.perf_counter() - start)
+            out, stats = step.result
+            walls.append(step.best)
             fallbacks.append(int(sum(stats.fallback_kinds.values())))
             s = out / np.linalg.norm(out)
             if adaptive and corrected_at is None:
@@ -225,14 +201,15 @@ def dispatch_leg(n_tasks: int, iters: int) -> dict:
                         _fine_grained_task, tasks, cost_hint=100.0, site=site
                     )
                     before = ctx.stats.by_site[site].parallel_calls
-                    start = time.perf_counter()
-                    results.append(
-                        ctx.pmap(
+                    step = harness.timed(
+                        lambda: ctx.pmap(
                             _fine_grained_task, tasks,
                             cost_hint=1e9, site=site,
-                        )
+                        ),
+                        repeats=1,
                     )
-                    walls.append(time.perf_counter() - start)
+                    results.append(step.result)
+                    walls.append(step.best)
                     went_parallel = (
                         ctx.stats.by_site[site].parallel_calls > before
                     )
@@ -292,18 +269,19 @@ def replan_leg(
     y = (X @ rng.normal(size=d) > 0).astype(float)
     X_csr = CSRMatrix.from_dense(X)
 
-    wall_dense, res_dense = _best_time(
+    dense = harness.timed(
         lambda: logreg_gd(X, y, max_iter=iters, tol=0), repeats
     )
-    wall_pinned, _ = _best_time(
+    pinned = harness.timed(
         lambda: logreg_gd(X_csr, y, max_iter=iters, tol=0), repeats
     )
-    wall_adaptive, res_adaptive = _best_time(
+    adaptive = harness.timed(
         lambda: logreg_gd(
             X, y, max_iter=iters, tol=0, adaptive=_stale_store(n, d)
         ),
         repeats,
     )
+    res_dense, res_adaptive = dense.result, adaptive.result
     parity = float(np.max(np.abs(res_adaptive.weights - res_dense.weights)))
 
     # Checkpoint-resume oracle: a plain dense run resumed from the
@@ -340,10 +318,10 @@ def replan_leg(
         "kmeans_bit_identical": bool(
             np.array_equal(km_adaptive.centers, km_dense.centers)
         ),
-        "wall_dense_s": wall_dense,
-        "wall_stale_pinned_s": wall_pinned,
-        "wall_adaptive_s": wall_adaptive,
-        "adaptive_vs_pinned_speedup": wall_pinned / wall_adaptive,
+        **dense.fields("wall_dense_s"),
+        **pinned.fields("wall_stale_pinned_s"),
+        **adaptive.fields("wall_adaptive_s"),
+        "adaptive_vs_pinned_speedup": pinned.best / adaptive.best,
     }
 
 
@@ -356,23 +334,19 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
     per-op ``op_flops`` tally) and the parallel engine (per dispatch).
     Exact event counts x microbenchmarked unit costs bound the overhead
     without wall-clock flakiness."""
-    from repro.compiler import feedback as fb
-
     rng = np.random.default_rng(2017)
     X = rng.normal(size=(n, d))
     y = (X @ rng.normal(size=d) > 0).astype(float)
     workload = lambda: logreg_gd(X, y, max_iter=iters, tol=0)  # noqa: E731
 
     # Unit cost of the disabled gate and of one op_flops dict update.
-    start = time.perf_counter()
-    for _ in range(UNIT_CALLS):
-        fb.active_store()
-    gate_cost = (time.perf_counter() - start) / UNIT_CALLS
+    gate_cost = harness.unit_cost(active_store)
     tally: dict[str, float] = {}
-    start = time.perf_counter()
-    for _ in range(UNIT_CALLS):
+
+    def tally_op():
         tally["matmul"] = tally.get("matmul", 0.0) + 1.0
-    tally_cost = (time.perf_counter() - start) / UNIT_CALLS
+
+    tally_cost = harness.unit_cost(tally_op)
 
     # Exact event counts from one instrumented run.
     obs.reset()
@@ -383,12 +357,13 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
     dispatches = int(registry.value("parallel.calls"))
     obs.reset()
 
-    wall_disabled, _ = _best_time(workload, repeats)
     # Gate checks: one per execute (executor) + one per pmap dispatch
     # (observe) + one per gated site decision (<= dispatches again).
     gate_calls = executions + 2 * dispatches
-    bound_s = gate_calls * gate_cost + op_events * tally_cost
-    overhead_pct = 100.0 * bound_s / wall_disabled
+    wall_disabled = harness.timed(workload, repeats)
+    bound_s, overhead_pct = harness.disabled_overhead(
+        wall_disabled, [(gate_calls, gate_cost), (op_events, tally_cost)]
+    )
     return {
         "workload": "overhead/disabled_path",
         "gate_call_s": gate_cost,
@@ -396,21 +371,17 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
         "executions": executions,
         "op_events": op_events,
         "parallel_dispatches": dispatches,
-        "wall_disabled_s": wall_disabled,
+        **wall_disabled.fields("wall_disabled_s"),
         "estimated_overhead_s": bound_s,
         "estimated_overhead_pct": overhead_pct,
-        "bound_pct": 100.0 * MAX_DISABLED_OVERHEAD,
+        "bound_pct": 100.0 * harness.MAX_DISABLED_OVERHEAD,
     }
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run(quick: bool, repeats: int, checkpoint_dir=None) -> dict:
-    import tempfile
-
-    from conftest import bench_metadata
-
+def run(quick: bool, repeats: int) -> dict:
     if quick:
         fb_n, fb_d, fb_iters = 1500, 96, 6
         dp_tasks, dp_iters = 64, 4
@@ -426,9 +397,7 @@ def run(quick: bool, repeats: int, checkpoint_dir=None) -> dict:
     results.append(dispatch_leg(dp_tasks, dp_iters))
     with tempfile.TemporaryDirectory() as tmp:
         results.append(
-            replan_leg(
-                rp_n, rp_d, rp_iters, repeats, checkpoint_dir or tmp
-            )
+            replan_leg(rp_n, rp_d, rp_iters, repeats, tmp)
         )
     results.append(overhead_leg(rp_n, rp_d, ov_iters, repeats))
 
@@ -444,20 +413,19 @@ def run(quick: bool, repeats: int, checkpoint_dir=None) -> dict:
             f"{label} leg corrected at {entry}, bound "
             f"{MAX_CORRECTION_ITERATIONS}"
         )
+    assert fallback["initially_misplanned"], fallback["initial_plan"]
     assert fallback["bit_identical"], "corrected run diverged bitwise"
     assert fallback["fallbacks_after_correction"] == 0
     assert dispatch["results_identical"], "serial dispatch changed results"
+    assert dispatch["learned_action"] == "serial", dispatch["learned_action"]
     assert replan["replans"] == 1, replan["plan_history"]
     assert replan["weight_parity"] <= 1e-9
     assert replan["resume_bit_identical"], "mid-run switch left a trace"
     assert replan["kmeans_bit_identical"]
-    assert (
-        overhead["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
-    ), f"disabled overhead {overhead['estimated_overhead_pct']:.3f}%"
 
     return {
         "meta": {
-            **bench_metadata("E23"),
+            **harness.bench_metadata("E23"),
             "quick": quick,
             "max_correction_iterations": MAX_CORRECTION_ITERATIONS,
             "min_fallback_speedup": MIN_FALLBACK_SPEEDUP,
@@ -508,53 +476,5 @@ def report(results: dict) -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_fallback_correction_quick():
-    entry = fallback_leg(n=800, d=48, iters=4, repeats=1)
-    assert entry["initially_misplanned"]
-    assert entry["corrected_at_iteration"] <= MAX_CORRECTION_ITERATIONS
-    assert entry["fallbacks_after_correction"] == 0
-    assert entry["bit_identical"]
-
-
-def test_dispatch_learning_quick():
-    entry = dispatch_leg(n_tasks=48, iters=3)
-    assert entry["corrected_at_iteration"] <= MAX_CORRECTION_ITERATIONS
-    assert entry["results_identical"]
-    assert entry["learned_action"] == "serial"
-
-
-def test_replan_oracle_quick(tmp_path):
-    entry = replan_leg(n=2000, d=16, iters=6, repeats=1,
-                       checkpoint_dir=tmp_path)
-    assert entry["replans"] == 1
-    assert entry["weight_parity"] <= 1e-9
-    assert entry["resume_bit_identical"]
-    assert entry["kmeans_bit_identical"]
-
-
-def test_disabled_overhead_quick():
-    entry = overhead_leg(n=1500, d=16, iters=6, repeats=1)
-    assert entry["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

@@ -5,83 +5,62 @@ reducing both memory traffic and allocation cost.
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.compiler import compile_expr, estimate, fused_kinds
 from repro.lang import matrix, sumall
 from repro.runtime import execute
 
-N, D = 20_000, 100
 
-
-@pytest.fixture(scope="module")
-def bindings():
-    rng = np.random.default_rng(2017)
-    return {
-        "X": rng.standard_normal((N, D)),
-        "Y": rng.standard_normal((N, D)),
-        "v": rng.standard_normal(D),
+def run() -> dict:
+    rng = np.random.default_rng(23)
+    n, d = 20_000, 100
+    bindings = {
+        "X": rng.standard_normal((n, d)),
+        "Y": rng.standard_normal((n, d)),
     }
+    X = matrix("X", (n, d))
+    Y = matrix("Y", (n, d))
+    #: pattern -> (program, fused operator the compiler must emit)
+    programs = {
+        "sum((X - Y)^2)": (sumall((X - Y) ** 2), "diff_sq_sum"),
+        "sum(X * Y)": (sumall(X * Y), "dot_sum"),
+        "t(X) %*% X": (X.T @ X, "tsmm"),
+    }
+    rows = []
+    for name, (expr, kind) in programs.items():
+        unfused = compile_expr(expr, fusion=False, rewrites=False, cse=False)
+        fused = compile_expr(expr)
+        assert kind in fused_kinds(fused.root), (name, fused_kinds(fused.root))
+        t_unf = harness.timed(lambda: execute(unfused, bindings))
+        t_fus = harness.timed(lambda: execute(fused, bindings))
+        assert np.allclose(
+            np.asarray(t_unf.result), np.asarray(t_fus.result), rtol=1e-8
+        )
+        rows.append(
+            {
+                "pattern": name,
+                **t_unf.fields("unfused_s"),
+                **t_fus.fields("fused_s"),
+                "unfused_intermediate_bytes": estimate(
+                    unfused.root
+                ).intermediate_bytes,
+                "fused_intermediate_bytes": estimate(fused.root).intermediate_bytes,
+            }
+        )
+    # Unfused sum((X - Y)^2) materializes two n x d intermediates; fused none.
+    sq = rows[0]
+    assert sq["unfused_intermediate_bytes"] > 2 * n * d * 8, sq
+    assert sq["fused_intermediate_bytes"] < 1000, sq
+    return {"rows": rows}
 
 
-def _sq_loss():
-    X = matrix("X", (N, D))
-    Y = matrix("Y", (N, D))
-    return sumall((X - Y) ** 2)
-
-
-def _dot():
-    X = matrix("X", (N, D))
-    Y = matrix("Y", (N, D))
-    return sumall(X * Y)
-
-
-def _tsmm():
-    X = matrix("X", (N, D))
-    return X.T @ X
-
-
-def test_diff_sq_sum_unfused(benchmark, bindings):
-    plan = compile_expr(_sq_loss(), fusion=False, rewrites=False)
-    benchmark(lambda: execute(plan, bindings))
-
-
-def test_diff_sq_sum_fused(benchmark, bindings):
-    plan = compile_expr(_sq_loss())
-    assert "diff_sq_sum" in fused_kinds(plan.root)
-    out = benchmark(lambda: execute(plan, bindings))
-    ref = float(((bindings["X"] - bindings["Y"]) ** 2).sum())
-    assert out == pytest.approx(ref, rel=1e-10)
-
-
-def test_dot_sum_unfused(benchmark, bindings):
-    plan = compile_expr(_dot(), fusion=False, rewrites=False)
-    benchmark(lambda: execute(plan, bindings))
-
-
-def test_dot_sum_fused(benchmark, bindings):
-    plan = compile_expr(_dot())
-    assert "dot_sum" in fused_kinds(plan.root)
-    benchmark(lambda: execute(plan, bindings))
-
-
-def test_tsmm_unfused(benchmark, bindings):
-    plan = compile_expr(_tsmm(), fusion=False)
-    benchmark(lambda: execute(plan, bindings))
-
-
-def test_tsmm_fused(benchmark, bindings):
-    plan = compile_expr(_tsmm())
-    assert "tsmm" in fused_kinds(plan.root)
-    out = benchmark(lambda: execute(plan, bindings))
-    assert np.allclose(out, bindings["X"].T @ bindings["X"])
-
-
-def test_fusion_eliminates_intermediate_bytes():
-    unfused = compile_expr(_sq_loss(), fusion=False, rewrites=False, cse=False)
-    fused = compile_expr(_sq_loss())
-    unfused_mem = estimate(unfused.root).intermediate_bytes
-    fused_mem = estimate(fused.root).intermediate_bytes
-    # Unfused materializes two N x D intermediates; fused materializes none.
-    assert unfused_mem > 2 * N * D * 8
-    assert fused_mem < 1000
+def report(results: dict) -> None:
+    print(f"{'pattern':<16} {'unfused (s)':>12} {'fused (s)':>10} "
+          f"{'interm. unfused':>16} {'fused':>8}")
+    for r in results["rows"]:
+        print(
+            f"{r['pattern']:<16} {r['unfused_s']:>12.4f} {r['fused_s']:>10.4f} "
+            f"{r['unfused_intermediate_bytes']:>15,}B "
+            f"{r['fused_intermediate_bytes']:>7,}B"
+        )

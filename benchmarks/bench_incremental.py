@@ -33,19 +33,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro.data import make_grid_regression
 from repro.incremental import (
     ContinuousTrainer,
@@ -54,34 +44,16 @@ from repro.incremental import (
 )
 from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
-from repro.resilience import (
-    ChaosContext,
-    FaultPlan,
-    chaos_seed_from_env,
-    fault_point,
-)
+from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
 from repro.serving import ModelServer
 from repro.serving.server import compile_linear_scorer
 from repro.storage import Table
 
 #: acceptance bounds
 MIN_REFRESH_SPEEDUP = 5.0
-MAX_DISABLED_OVERHEAD = 0.03
 FAULT_RATES = (0.0, 0.05, 0.2)
 DELTA_FRACTION = 0.01
 L2 = 0.25
-
-UNIT_CALLS = 200_000
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _grid_table(n: int, d: int, seed: int) -> Table:
@@ -109,6 +81,14 @@ def refresh_leg(n: int, d: int, rounds: int) -> dict:
     k = max(1, int(n * DELTA_FRACTION))
     u = max(1, k // 2)
 
+    def delta_refresh():
+        maintainer.drain()
+        return maintainer.gram_state.solve_ridge(L2)
+
+    def snapshot_retrain():
+        fit = LinearRegression(solver="normal", l2=L2, fit_intercept=False)
+        return fit.fit(dyn.to_matrix(features), dyn.column("label"))
+
     t_inc = t_snap = 0.0
     all_identical = True
     for r in range(rounds):
@@ -120,17 +100,13 @@ def refresh_leg(n: int, d: int, rounds: int) -> dict:
             _grid_table(u, d, seed=5_000 + r),
         )
 
-        start = time.perf_counter()
-        maintainer.drain()
-        w_inc = maintainer.gram_state.solve_ridge(L2)
-        t_inc += time.perf_counter() - start
-
-        start = time.perf_counter()
-        fit = LinearRegression(solver="normal", l2=L2, fit_intercept=False)
-        fit.fit(dyn.to_matrix(features), dyn.column("label"))
-        t_snap += time.perf_counter() - start
-
-        all_identical = all_identical and bool(np.array_equal(w_inc, fit.coef_))
+        inc = harness.timed(delta_refresh, repeats=1)
+        snap = harness.timed(snapshot_retrain, repeats=1)
+        t_inc += inc.best
+        t_snap += snap.best
+        all_identical = all_identical and bool(
+            np.array_equal(inc.result, snap.result.coef_)
+        )
 
     maintainer.checkpoint_parity()  # raises on any bitwise divergence
     stats = maintainer.stats
@@ -189,7 +165,7 @@ def chaos_leg(n: int, d: int, rounds: int) -> list[dict]:
             "incremental.apply", rate=rate, mode=mode
         )
         with ChaosContext(plan) as chaos:
-            wall, _ = _best_time(
+            wall = harness.timed(
                 lambda: _chaos_schedule(dyn, maintainer, rounds, d), repeats=1
             )
         maintainer.checkpoint_parity()
@@ -219,7 +195,7 @@ def chaos_leg(n: int, d: int, rounds: int) -> list[dict]:
                 "recompute_matches_faults": stats.recomputes == faults,
                 "deltas_consumed": stream.published,
                 "accounted_exact": accounted == stream.published,
-                "wall_s": wall,
+                **wall.fields("wall_s"),
             }
         )
     return entries
@@ -276,53 +252,21 @@ def serving_leg(n: int, d: int) -> dict:
 # ----------------------------------------------------------------------
 # Leg 4: disabled-path overhead bound
 # ----------------------------------------------------------------------
-def measure_unit_cost() -> float:
-    """Per-call cost of a fault point with no chaos installed."""
-    start = time.perf_counter()
-    for _ in range(UNIT_CALLS):
-        fault_point("e25.unit")
-    return (time.perf_counter() - start) / UNIT_CALLS
-
-
-def count_crossings(workload) -> int:
-    """Exact fault-point crossings via a rate-0 match-everything plan."""
-    with ChaosContext(FaultPlan(seed=0).inject("*", rate=0.0)) as chaos:
-        workload()
-    return chaos.total_invocations()
-
-
 def overhead_leg(n: int, d: int, rounds: int, repeats: int) -> dict:
     def workload():
         dyn, _, maintainer = _make_maintained(n, d, seed=2020)
         _chaos_schedule(dyn, maintainer, rounds, d)
         return maintainer
 
-    wall, _ = _best_time(workload, repeats)
-    crossings = count_crossings(workload)
-    unit = measure_unit_cost()
-    estimated = crossings * unit
-    overhead = estimated / wall
-    assert overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled-path incremental overhead {overhead:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} ({crossings} crossings)"
+    return harness.overhead_leg(
+        "e25.unit", workload, "maintainer drain (instrumented, no chaos)", repeats
     )
-    return {
-        "workload": "maintainer drain (instrumented, no chaos)",
-        "wall_s": wall,
-        "fault_point_crossings": crossings,
-        "unit_cost_s": unit,
-        "estimated_overhead_s": estimated,
-        "estimated_overhead_pct": 100.0 * overhead,
-        "bound_pct": 100.0 * MAX_DISABLED_OVERHEAD,
-    }
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     if quick:
         n, d, rounds = 60_000, 12, 5
         n_chaos, chaos_rounds = 2_000, 6
@@ -343,6 +287,11 @@ def run(quick: bool, repeats: int) -> dict:
     assert completed_all, "a leg failed to complete"
     assert identical_all, "a leg diverged from its bitwise reference"
     assert refresh["ledger_exact"], "refresh fold ledger != closed form"
+    serving = next(e for e in results if e["workload"] == "serving/e2e_refresh")
+    assert serving["cache_invalidated"] and serving["prediction_changed"], (
+        "promote did not invalidate the prediction cache"
+    )
+    assert serving["versions_chained"], "refreshed versions lost their lineage"
     assert refresh["speedup"] >= MIN_REFRESH_SPEEDUP, (
         f"delta refresh speedup {refresh['speedup']:.2f} < "
         f"{MIN_REFRESH_SPEEDUP}"
@@ -358,7 +307,7 @@ def run(quick: bool, repeats: int) -> dict:
 
     return {
         "meta": {
-            **bench_metadata("E25"),
+            **harness.bench_metadata("E25"),
             "quick": quick,
             "chaos_seed": chaos_seed_from_env(),
             "fault_rates": list(FAULT_RATES),
@@ -423,57 +372,8 @@ def report(results: dict) -> None:
         f"cache invalidated={serving['cache_invalidated']}, "
         f"matches snapshot retrain={serving['identical']}"
     )
-    o = results["overhead"]
-    print(
-        f"  disabled-path bound: {o['fault_point_crossings']} crossings x "
-        f"{o['unit_cost_s'] * 1e9:.0f} ns = "
-        f"{o['estimated_overhead_pct']:.3f}% of wall "
-        f"(limit {o['bound_pct']:.0f}%)  -> PASS"
-    )
-
-
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_refresh_parity_and_ledger_quick():
-    entry = refresh_leg(2_000, 8, rounds=3)
-    assert entry["bit_identical"] and entry["ledger_exact"]
-    assert entry["recomputes"] == 0
-
-
-def test_chaos_sweep_quick():
-    for entry in chaos_leg(600, 6, rounds=4):
-        assert entry["completed"] and entry["identical"], entry["workload"]
-        assert entry["accounted_exact"], entry["workload"]
-
-
-def test_serving_e2e_quick():
-    entry = serving_leg(800, 6)
-    assert entry["identical"] and entry["cache_invalidated"]
-    assert entry["prediction_changed"] and entry["versions_chained"]
-
-
-def test_disabled_overhead_bound():
-    entry = overhead_leg(1_500, 8, rounds=5, repeats=2)
-    assert entry["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
-    assert entry["fault_point_crossings"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
+    harness.report_overhead_leg(results["overhead"])
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

@@ -6,88 +6,46 @@ matches per-epoch reshuffling and beats clustered order.
 """
 
 import numpy as np
-import pytest
 
 from repro.data import make_classification
-from repro.indb import InDBLinearRegression, train_igd
-from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss
+from repro.indb import train_igd
+from repro.ml.losses import LogisticLoss
 from repro.storage import Table
 
-N, D = 10_000, 10
-FEATURES = [f"x{i}" for i in range(D)]
+EPOCHS = 6
+POLICIES = ("none", "once", "each")
 
 
-@pytest.fixture(scope="module")
-def clf_table():
-    X, y = make_classification(N, D, separation=2.0, seed=2017)
-    # Clustered physical order: the worst case for no-shuffle IGD.
-    order = np.argsort(y)
-    return Table.from_columns(
-        {f"x{i}": X[order, i] for i in range(D)}
+def run() -> dict:
+    n, d = 10_000, 10
+    X, y = make_classification(n, d, separation=2.0, seed=29)
+    order = np.argsort(y)  # clustered physical order
+    table = Table.from_columns(
+        {f"x{i}": X[order, i] for i in range(d)}
         | {"y": np.where(y[order] == 1, 1.0, -1.0)}
     )
+    features = [f"x{i}" for i in range(d)]
+    history = {
+        policy: train_igd(
+            table, features, "y", LogisticLoss(),
+            epochs=EPOCHS, shuffle=policy, seed=3,
+        ).loss_history
+        for policy in POLICIES
+    }
+    once, each, none = history["once"], history["each"], history["none"]
+    assert once[5] < 0.6 * once[0], "IGD did not converge in five epochs"
+    assert once[-1] < none[-1], "shuffle-once lost to clustered order"
+    assert abs(once[-1] - each[-1]) <= 0.3 * each[-1], (once[-1], each[-1])
+    return {"loss_history": history}
 
 
-def test_igd_epoch_logistic(benchmark, clf_table):
-    result = benchmark.pedantic(
-        train_igd,
-        args=(clf_table, FEATURES, "y", LogisticLoss()),
-        kwargs={"epochs": 1, "shuffle": "once", "seed": 1},
-        rounds=3,
-        iterations=1,
-    )
-    assert result.final_loss < result.loss_history[0]
-
-
-def test_igd_epoch_svm_same_harness(benchmark, clf_table):
-    """Bismarck unification: only the loss object changes."""
-    result = benchmark.pedantic(
-        train_igd,
-        args=(clf_table, FEATURES, "y", HingeLoss()),
-        kwargs={"epochs": 1, "shuffle": "once", "seed": 1, "l2": 0.001},
-        rounds=3,
-        iterations=1,
-    )
-    assert result.final_loss < result.loss_history[0]
-
-
-def test_igd_converges_in_few_epochs(clf_table):
-    result = train_igd(
-        clf_table, FEATURES, "y", LogisticLoss(), epochs=5, shuffle="once", seed=1
-    )
-    assert result.loss_history[5] < 0.6 * result.loss_history[0]
-
-
-def test_shuffle_once_beats_none(clf_table):
-    none = train_igd(
-        clf_table, FEATURES, "y", LogisticLoss(), epochs=3, shuffle="none"
-    )
-    once = train_igd(
-        clf_table, FEATURES, "y", LogisticLoss(), epochs=3, shuffle="once", seed=1
-    )
-    assert once.final_loss < none.final_loss
-
-
-def test_shuffle_once_close_to_each(clf_table):
-    once = train_igd(
-        clf_table, FEATURES, "y", LogisticLoss(), epochs=5, shuffle="once", seed=1
-    )
-    each = train_igd(
-        clf_table, FEATURES, "y", LogisticLoss(), epochs=5, shuffle="each", seed=1
-    )
-    assert once.final_loss == pytest.approx(each.final_loss, rel=0.3)
-
-
-def test_one_scan_normal_equations(benchmark):
-    rng = np.random.default_rng(2017)
-    X = rng.standard_normal((N, D))
-    y = X @ rng.standard_normal(D)
-    table = Table.from_columns(
-        {f"x{i}": X[:, i] for i in range(D)} | {"y": y}
-    )
-
-    def train():
-        return InDBLinearRegression().fit(table, FEATURES, "y")
-
-    model = benchmark.pedantic(train, rounds=2, iterations=1)
-    assert model.score(table, "y") > 0.999
+def report(results: dict) -> None:
+    history = results["loss_history"]
+    print(f"{'epoch':>6} {'none':>8} {'once':>8} {'each':>8}")
+    for epoch in range(EPOCHS + 1):
+        print(
+            f"{epoch:>6} "
+            f"{history['none'][epoch]:>8.4f} "
+            f"{history['once'][epoch]:>8.4f} "
+            f"{history['each'][epoch]:>8.4f}"
+        )

@@ -25,44 +25,17 @@ Usage::
 
     python benchmarks/bench_obs_overhead.py            # full sizes
     python benchmarks/bench_obs_overhead.py --quick    # CI smoke run
-
-pytest collection runs the bound check at reduced sizes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-try:
-    from repro import obs
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-    from repro import obs
-
+import harness
+from repro import obs
 from repro.algorithms import logreg_gd
 from repro.compression import CompressedMatrix
 from repro.data import make_low_cardinality_matrix
-
-#: the acceptance bound: disabled-path overhead below this fraction.
-MAX_DISABLED_OVERHEAD = 0.03
-
-UNIT_CALLS = 200_000
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _make_workload(n: int, d: int, iters: int):
@@ -83,23 +56,17 @@ def _count_span_nodes(span_dicts) -> int:
     return total
 
 
+def _disabled_span() -> None:
+    with obs.span("e20.unit"):
+        pass
+
+
 def measure_unit_costs() -> dict:
     """Per-call cost of the disabled-path primitives."""
     obs.set_tracing(False)
     try:
-        noop = None
-        start = time.perf_counter()
-        for _ in range(UNIT_CALLS):
-            with obs.span("e20.unit"):
-                noop = None
-        span_cost = (time.perf_counter() - start) / UNIT_CALLS
-        del noop
-
-        registry = obs.get_registry()
-        start = time.perf_counter()
-        for _ in range(UNIT_CALLS):
-            registry.inc("e20.unit_counter")
-        update_cost = (time.perf_counter() - start) / UNIT_CALLS
+        span_cost = harness.unit_cost(_disabled_span)
+        update_cost = harness.unit_cost(obs.get_registry().inc, "e20.unit_counter")
     finally:
         obs.set_tracing(None)
     return {"span_call_s": span_cost, "metric_update_s": update_cost}
@@ -121,59 +88,57 @@ def count_events(workload) -> dict:
 
 
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     if quick:
         n, d, iters = 12_000, 12, 5
     else:
         n, d, iters = 60_000, 16, 10
     workload = _make_workload(n, d, iters)
 
+    before = obs.tracing_enabled()
     obs.reset()
     obs.set_tracing(False)
     try:
-        disabled_wall, _ = _best_time(workload, repeats)
+        disabled = harness.timed(workload, repeats)
     finally:
         obs.set_tracing(None)
 
     obs.set_tracing(True)
     try:
-        enabled_wall, _ = _best_time(workload, repeats)
+        assert obs.tracing_enabled()
+        enabled = harness.timed(workload, repeats)
     finally:
         obs.set_tracing(None)
+    assert obs.tracing_enabled() == before, "toggle did not restore the env default"
     obs.reset()
 
     events = count_events(workload)
+    assert events["spans"] > 0, "the enabled run traced nothing"
     units = measure_unit_costs()
-    instrumented_cost = (
-        events["spans"] * units["span_call_s"]
-        + events["metric_updates"] * units["metric_update_s"]
+    instrumented_cost, overhead_pct = harness.disabled_overhead(
+        disabled,
+        [
+            (events["spans"], units["span_call_s"]),
+            (events["metric_updates"], units["metric_update_s"]),
+        ],
     )
-    disabled_overhead = instrumented_cost / disabled_wall
 
-    results = {
-        "meta": {**bench_metadata("E20"), "quick": quick},
+    return {
+        "meta": {**harness.bench_metadata("E20"), "quick": quick},
         "workload": {
             "name": "logreg_gd/cla (E19 quick loop)",
             "n_rows": n,
             "n_cols": d,
             "iterations": iters,
         },
-        "disabled_wall_s": disabled_wall,
-        "enabled_wall_s": enabled_wall,
-        "enabled_overhead_pct": 100.0 * (enabled_wall / disabled_wall - 1.0),
+        **disabled.fields("disabled_wall_s"),
+        **enabled.fields("enabled_wall_s"),
+        "enabled_overhead_pct": 100.0 * (enabled.best / disabled.best - 1.0),
         "events": events,
         "unit_costs": units,
         "estimated_disabled_cost_s": instrumented_cost,
-        "estimated_disabled_overhead_pct": 100.0 * disabled_overhead,
-        "bound_pct": 100.0 * MAX_DISABLED_OVERHEAD,
+        "estimated_disabled_overhead_pct": overhead_pct,
+        "bound_pct": 100.0 * harness.MAX_DISABLED_OVERHEAD,
     }
-    assert disabled_overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled-path overhead {disabled_overhead:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} "
-        f"({events['spans']} spans, {events['metric_updates']} updates)"
-    )
-    return results
 
 
 def report(results: dict) -> None:
@@ -202,52 +167,5 @@ def report(results: dict) -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_disabled_overhead_bound():
-    workload = _make_workload(6_000, 10, 3)
-    obs.set_tracing(False)
-    try:
-        wall, _ = _best_time(workload, repeats=2)
-    finally:
-        obs.set_tracing(None)
-    events = count_events(workload)
-    units = measure_unit_costs()
-    cost = (
-        events["spans"] * units["span_call_s"]
-        + events["metric_updates"] * units["metric_update_s"]
-    )
-    assert cost / wall < MAX_DISABLED_OVERHEAD
-    assert events["spans"] > 0  # enabled run actually traced something
-
-
-def test_tracing_toggle_restores_env_default():
-    before = obs.tracing_enabled()
-    obs.set_tracing(True)
-    assert obs.tracing_enabled()
-    obs.set_tracing(None)
-    assert obs.tracing_enabled() == before
-
-
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

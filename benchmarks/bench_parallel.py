@@ -16,25 +16,16 @@ Usage::
 
 Speedups > 1 require actual cores: on a single-CPU machine the engine
 still dispatches (utilization is reported honestly) but wall-clock gains
-are impossible by construction. pytest collection (``pytest
-benchmarks/bench_parallel.py``) runs the correctness-parity checks only.
+are impossible by construction.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
-import sys
-import time
 
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro.compression import CompressedMatrix
 from repro.data import make_classification, make_low_cardinality_matrix
 from repro.indb.gradient import train_igd
@@ -45,50 +36,52 @@ from repro.selection import grid_search
 from repro.storage import Table
 
 
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
+def _thread_sweep(threads, repeats, serial, parallel, agree) -> dict:
+    """Time ``serial()`` once, then ``parallel(ctx)()`` per worker count
+    through a zero-threshold context; ``agree(out, ref)`` is the parity
+    check of each parallel result against the serial one."""
+    t_serial = harness.timed(serial, repeats)
+    rows = []
+    for workers in threads:
+        with ParallelContext(max_workers=workers, cost_threshold=0) as ctx:
+            t_par = harness.timed(parallel(ctx), repeats)
+            assert agree(t_par.result, t_serial.result), "parallel run diverged"
+            rows.append(
+                {
+                    "threads": workers,
+                    **t_par.fields("seconds"),
+                    "speedup": t_serial.best / t_par.best,
+                    "utilization": ctx.stats.estimated_speedup,
+                }
+            )
+    return {**t_serial.fields("serial_seconds"), "by_threads": rows}
+
+
 def bench_compressed_matvec(threads, n, d, repeats):
     """Compressed X @ v: per-column-group partials in parallel."""
     X = make_low_cardinality_matrix(n, d, cardinality=8, seed=2017)
     C = CompressedMatrix.compress(X)
     v = np.random.default_rng(1).standard_normal(d)
 
-    t_serial, ref = _best_time(lambda: C.matvec(v), repeats)
-    rows = []
-    for workers in threads:
-        ctx = ParallelContext(max_workers=workers, cost_threshold=0)
+    def parallel(ctx):
         C.set_parallel(ctx)
-        t_par, out = _best_time(lambda: C.matvec(v), repeats)
-        assert np.allclose(out, ref, atol=1e-9), "parallel matvec diverged"
-        rows.append(
-            {
-                "threads": workers,
-                "seconds": t_par,
-                "speedup": t_serial / t_par if t_par > 0 else float("nan"),
-                "utilization": ctx.stats.estimated_speedup,
-            }
-        )
-        C.set_parallel(False)
-        ctx.shutdown()
+        return lambda: C.matvec(v)
+
+    sweep = _thread_sweep(
+        threads, repeats, lambda: C.matvec(v), parallel,
+        lambda out, ref: np.allclose(out, ref, atol=1e-9),
+    )
+    C.set_parallel(False)
     return {
         "workload": "compressed_matvec",
         "n_rows": n,
         "n_cols": d,
         "nnz_equivalent": n * d,
         "column_groups": len(C.groups),
-        "serial_seconds": t_serial,
-        "by_threads": rows,
+        **sweep,
     }
 
 
@@ -99,39 +92,24 @@ def bench_uda_logistic(threads, n, d, epochs, repeats):
         {f"x{i}": X[:, i] for i in range(d)} | {"y": np.where(y > 0, 1.0, -1.0)}
     )
     features = [f"x{i}" for i in range(d)]
-    kwargs = dict(epochs=epochs, partitions=4, shuffle="once", seed=0)
 
-    t_serial, ref = _best_time(
-        lambda: train_igd(table, features, "y", LogisticLoss(), **kwargs),
-        repeats,
+    def train(**parallel):
+        return train_igd(
+            table, features, "y", LogisticLoss(),
+            epochs=epochs, partitions=4, shuffle="once", seed=0, **parallel,
+        )
+
+    sweep = _thread_sweep(
+        threads, repeats, train, lambda ctx: lambda: train(parallel=ctx),
+        lambda out, ref: np.array_equal(out.weights, ref.weights),
     )
-    rows = []
-    for workers in threads:
-        ctx = ParallelContext(max_workers=workers, cost_threshold=0)
-        t_par, out = _best_time(
-            lambda: train_igd(
-                table, features, "y", LogisticLoss(), parallel=ctx, **kwargs
-            ),
-            repeats,
-        )
-        assert np.array_equal(out.weights, ref.weights), "parallel IGD diverged"
-        rows.append(
-            {
-                "threads": workers,
-                "seconds": t_par,
-                "speedup": t_serial / t_par if t_par > 0 else float("nan"),
-                "utilization": ctx.stats.estimated_speedup,
-            }
-        )
-        ctx.shutdown()
     return {
         "workload": "uda_logistic_igd",
         "n_rows": n,
         "n_cols": d,
         "partitions": 4,
         "epochs": epochs,
-        "serial_seconds": t_serial,
-        "by_threads": rows,
+        **sweep,
     }
 
 
@@ -141,32 +119,19 @@ def bench_grid_search(threads, n, d, repeats):
     grid = {"l2": [1e-3, 1e-2, 1e-1, 1.0], "learning_rate": [0.5, 1.0]}
     est = LogisticRegression(solver="gd", max_iter=20)
 
-    t_serial, ref = _best_time(
-        lambda: grid_search(est, grid, X, y, cv=3), repeats
+    def search(**parallel):
+        return grid_search(est, grid, X, y, cv=3, **parallel)
+
+    sweep = _thread_sweep(
+        threads, repeats, search, lambda ctx: lambda: search(parallel=ctx),
+        lambda out, ref: out.best_params == ref.best_params,
     )
-    rows = []
-    for workers in threads:
-        ctx = ParallelContext(max_workers=workers, cost_threshold=0)
-        t_par, out = _best_time(
-            lambda: grid_search(est, grid, X, y, cv=3, parallel=ctx), repeats
-        )
-        assert out.best_params == ref.best_params, "parallel search diverged"
-        rows.append(
-            {
-                "threads": workers,
-                "seconds": t_par,
-                "speedup": t_serial / t_par if t_par > 0 else float("nan"),
-                "utilization": ctx.stats.estimated_speedup,
-            }
-        )
-        ctx.shutdown()
     return {
         "workload": "grid_search_8_configs",
         "n_rows": n,
         "n_cols": d,
         "configs": 8,
-        "serial_seconds": t_serial,
-        "by_threads": rows,
+        **sweep,
     }
 
 
@@ -183,54 +148,34 @@ def bench_threshold_crossover(sizes, d, repeats):
         X = make_low_cardinality_matrix(n, d, cardinality=8, seed=7)
         C = CompressedMatrix.compress(X)
         v = np.random.default_rng(2).standard_normal(d)
-        t_serial, _ = _best_time(lambda: C.matvec(v), repeats)
+        t_serial = harness.timed(lambda: C.matvec(v), repeats)
 
-        ctx = ParallelContext(max_workers=4)  # default cost threshold
-        C.set_parallel(ctx)
-        t_gated, _ = _best_time(lambda: C.matvec(v), repeats)
-        cost_hint = 2.0 * n * d
-        rows.append(
-            {
-                "n_rows": n,
-                "cost_hint": cost_hint,
-                "above_threshold": cost_hint >= ctx.cost_threshold,
-                "serial_fallbacks": ctx.stats.serial_fallbacks,
-                "parallel_calls": ctx.stats.parallel_calls,
-                "serial_seconds": t_serial,
-                "gated_seconds": t_gated,
-                "overhead": (t_gated - t_serial) / t_serial
-                if t_serial > 0
-                else 0.0,
-            }
-        )
+        with ParallelContext(max_workers=4) as ctx:  # default cost threshold
+            C.set_parallel(ctx)
+            t_gated = harness.timed(lambda: C.matvec(v), repeats)
+            cost_hint = 2.0 * n * d
+            above = cost_hint >= ctx.cost_threshold
+            stats = ctx.stats
+            if above:
+                assert stats.parallel_calls >= 1, f"n={n} never fanned out"
+            else:
+                assert stats.serial_fallbacks >= 1 and stats.parallel_calls == 0, (
+                    f"n={n} below the cost threshold left the serial path"
+                )
+            rows.append(
+                {
+                    "n_rows": n,
+                    "cost_hint": cost_hint,
+                    "above_threshold": above,
+                    "serial_fallbacks": stats.serial_fallbacks,
+                    "parallel_calls": stats.parallel_calls,
+                    **t_serial.fields("serial_seconds"),
+                    **t_gated.fields("gated_seconds"),
+                    "overhead": (t_gated.best - t_serial.best) / t_serial.best,
+                }
+            )
         C.set_parallel(False)
-        ctx.shutdown()
     return {"workload": "threshold_crossover", "n_cols": d, "points": rows}
-
-
-# ----------------------------------------------------------------------
-# Correctness-parity checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_parallel_matvec_parity():
-    X = make_low_cardinality_matrix(20_000, 10, cardinality=8, seed=3)
-    C = CompressedMatrix.compress(X)
-    v = np.random.default_rng(0).standard_normal(10)
-    ref = C.matvec(v)
-    with ParallelContext(max_workers=4, cost_threshold=0) as ctx:
-        C.set_parallel(ctx)
-        assert np.allclose(C.matvec(v), ref, atol=1e-9)
-        assert ctx.stats.parallel_calls >= 1
-
-
-def test_small_inputs_fall_back_serially():
-    X = make_low_cardinality_matrix(200, 6, cardinality=4, seed=4)
-    C = CompressedMatrix.compress(X)
-    v = np.ones(6)
-    with ParallelContext(max_workers=4) as ctx:  # default threshold
-        C.set_parallel(ctx)
-        C.matvec(v)
-        assert ctx.stats.serial_fallbacks >= 1
-        assert ctx.stats.parallel_calls == 0
 
 
 # ----------------------------------------------------------------------
@@ -248,11 +193,9 @@ def run(quick: bool, threads: list[int], repeats: int) -> dict:
         grid_n, grid_d = 2_000, 8
         crossover_sizes = [500, 2_000, 10_000, 50_000, 200_000]
 
-    from conftest import bench_metadata
-
-    results = {
+    return {
         "meta": {
-            **bench_metadata("E18"),
+            **harness.bench_metadata("E18"),
             "threads_swept": threads,
             "quick": quick,
         },
@@ -263,7 +206,6 @@ def run(quick: bool, threads: list[int], repeats: int) -> dict:
             bench_threshold_crossover(crossover_sizes, 12, repeats),
         ],
     }
-    return results
 
 
 def report(results: dict) -> None:
@@ -307,28 +249,22 @@ def _thread_list(spec: str) -> list[int]:
     return counts
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument(
-        "--threads",
-        type=_thread_list,
-        default="1,2,4,8",
-        help="comma-separated worker counts to sweep",
-    )
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    threads = args.threads if isinstance(args.threads, list) else _thread_list(args.threads)
-    repeats = args.repeats or (1 if args.quick else 3)
-    results = run(args.quick, threads, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        harness.main(
+            run,
+            report,
+            __doc__,
+            quick_repeats=1,
+            options=[
+                (
+                    "--threads",
+                    dict(
+                        type=_thread_list,
+                        default=[1, 2, 4, 8],
+                        help="comma-separated worker counts to sweep",
+                    ),
+                )
+            ],
+        )
+    )

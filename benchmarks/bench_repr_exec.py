@@ -15,28 +15,15 @@ Usage::
     python benchmarks/bench_repr_exec.py             # full sizes
     python benchmarks/bench_repr_exec.py --quick     # CI smoke run
     python benchmarks/bench_repr_exec.py --out BENCH_repr_exec.json
-
-pytest collection (``pytest benchmarks/bench_repr_exec.py``) runs the
-parity/fallback checks only.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro.algorithms import kmeans_dsl, logreg_gd
-from repro.compiler import compile_expr, plan_representations
+from repro.compiler import compile_expr
 from repro.compression import CompressedMatrix
 from repro.data import (
     make_low_cardinality_matrix,
@@ -47,16 +34,7 @@ from repro.factorized import NormalizedMatrix
 from repro.lang import matrix, rowsums, sigmoid
 from repro.runtime import execute
 from repro.runtime.repops import densify, operand_bytes
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+from repro.sparse import CSRMatrix
 
 
 # ----------------------------------------------------------------------
@@ -78,62 +56,45 @@ def _kmeans_dist_plan(n, d, k):
     )
 
 
-def _iteration_stats(plan, rep_bindings, dense_bindings):
-    """Per-iteration byte/fallback accounting for both paths."""
-    _, rep_stats = execute(plan, rep_bindings, collect_stats=True)
-    _, dense_stats = execute(plan, dense_bindings, collect_stats=True)
-    return rep_stats, dense_stats
-
-
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def bench_logreg(name, X_rep, y, iters, repeats):
-    """DSL logistic GD: native-representation loop vs materialize+dense."""
-    n, d = X_rep.shape
-
-    t_rep, fit_rep = _best_time(
-        lambda: logreg_gd(X_rep, y, max_iter=iters, tol=0.0), repeats
-    )
+def _rep_vs_dense(X_rep, fit, error, plan, plan_bindings, repeats) -> dict:
+    """``fit(X)`` over the native representation vs materialize-then-
+    dense: timings, parity (``error(rep fit, dense fit)`` within 1e-9),
+    and per-iteration byte/fallback accounting of ``plan`` on both
+    operands (``plan_bindings(dense fit)`` supplies the other inputs)."""
+    t_rep = harness.timed(lambda: fit(X_rep), repeats)
 
     def materialize_then_dense():
         X_dense = densify(X_rep)
-        return X_dense, logreg_gd(X_dense, y, max_iter=iters, tol=0.0)
+        return X_dense, fit(X_dense)
 
-    t_dense_total, (X_dense, fit_dense) = _best_time(
-        materialize_then_dense, repeats
-    )
-    t_dense_loop, _ = _best_time(
-        lambda: logreg_gd(X_dense, y, max_iter=iters, tol=0.0), repeats
-    )
+    t_dense_total = harness.timed(materialize_then_dense, repeats)
+    X_dense, fit_dense = t_dense_total.result
+    t_dense_loop = harness.timed(lambda: fit(X_dense), repeats)
 
-    err = float(np.max(np.abs(fit_rep.weights - fit_dense.weights)))
-    assert err <= 1e-9, f"{name}: logreg parity {err} > 1e-9"
+    err = float(error(t_rep.result, fit_dense))
+    assert err <= 1e-9, f"parity {err} > 1e-9"
 
-    plan = _logreg_grad_plan(n, d)
-    w0 = np.zeros((d, 1))
-    y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    rep_stats, dense_stats = _iteration_stats(
-        plan,
-        {"X": X_rep, "w": w0, "y": y_col},
-        {"X": X_dense, "w": w0, "y": y_col},
-    )
+    others = plan_bindings(fit_dense)
+    _, rep_stats = execute(plan, {"X": X_rep, **others}, collect_stats=True)
+    _, dense_stats = execute(plan, {"X": X_dense, **others}, collect_stats=True)
     assert rep_stats.fallback_count == 0, (
-        f"{name}: densify fallbacks {rep_stats.densify_fallbacks}"
+        f"densify fallbacks {rep_stats.densify_fallbacks}"
     )
     rep_peak = operand_bytes(X_rep) + rep_stats.intermediate_bytes
     dense_peak = X_dense.nbytes + dense_stats.intermediate_bytes
+    # Acceptance: every compact operand beats materialize-then-dense on
+    # peak bytes (operand + intermediates).
+    assert rep_peak < dense_peak, "peak bytes not reduced"
     return {
-        "workload": f"logreg_gd/{name}",
-        "n_rows": n,
-        "n_cols": d,
-        "iterations": iters,
-        "max_weight_error": err,
-        "rep_seconds": t_rep,
-        "dense_total_seconds": t_dense_total,
-        "dense_loop_seconds": t_dense_loop,
-        "end_to_end_speedup": t_dense_total / t_rep,
-        "loop_speedup": t_dense_loop / t_rep,
+        "parity_error": err,
+        **t_rep.fields("rep_seconds"),
+        **t_dense_total.fields("dense_total_seconds"),
+        **t_dense_loop.fields("dense_loop_seconds"),
+        "end_to_end_speedup": t_dense_total.best / t_rep.best,
+        "loop_speedup": t_dense_loop.best / t_rep.best,
         "rep_peak_bytes": rep_peak,
         "dense_peak_bytes": dense_peak,
         "densify_fallbacks": rep_stats.fallback_count,
@@ -141,60 +102,48 @@ def bench_logreg(name, X_rep, y, iters, repeats):
     }
 
 
+def bench_logreg(name, X_rep, y, iters, repeats):
+    """DSL logistic GD: native-representation loop vs materialize+dense."""
+    n, d = X_rep.shape
+    y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    measured = _rep_vs_dense(
+        X_rep,
+        lambda X: logreg_gd(X, y, max_iter=iters, tol=0.0),
+        lambda rep, dense: np.max(np.abs(rep.weights - dense.weights)),
+        _logreg_grad_plan(n, d),
+        lambda dense: {"w": np.zeros((d, 1)), "y": y_col},
+        repeats,
+    )
+    return {
+        "workload": f"logreg_gd/{name}",
+        "n_rows": n,
+        "n_cols": d,
+        "iterations": iters,
+        "max_weight_error": measured.pop("parity_error"),
+        **measured,
+    }
+
+
 def bench_kmeans(name, X_rep, k, iters, repeats):
     """DSL k-means: native-representation loop vs materialize+dense."""
     n, d = X_rep.shape
-
-    t_rep, fit_rep = _best_time(
-        lambda: kmeans_dsl(X_rep, k, max_iter=iters, tol=0.0, seed=5),
+    measured = _rep_vs_dense(
+        X_rep,
+        lambda X: kmeans_dsl(X, k, max_iter=iters, tol=0.0, seed=5),
+        lambda rep, dense: abs(rep.inertia - dense.inertia)
+        / max(abs(dense.inertia), 1.0),
+        _kmeans_dist_plan(n, d, k),
+        lambda dense: {"C": dense.centers},
         repeats,
     )
-
-    def materialize_then_dense():
-        X_dense = densify(X_rep)
-        return X_dense, kmeans_dsl(X_dense, k, max_iter=iters, tol=0.0, seed=5)
-
-    t_dense_total, (X_dense, fit_dense) = _best_time(
-        materialize_then_dense, repeats
-    )
-    t_dense_loop, _ = _best_time(
-        lambda: kmeans_dsl(X_dense, k, max_iter=iters, tol=0.0, seed=5),
-        repeats,
-    )
-
-    err = abs(fit_rep.inertia - fit_dense.inertia) / max(
-        abs(fit_dense.inertia), 1.0
-    )
-    assert err <= 1e-9, f"{name}: kmeans inertia parity {err} > 1e-9"
-
-    plan = _kmeans_dist_plan(n, d, k)
-    centers = fit_dense.centers
-    rep_stats, dense_stats = _iteration_stats(
-        plan,
-        {"X": X_rep, "C": centers},
-        {"X": X_dense, "C": centers},
-    )
-    assert rep_stats.fallback_count == 0, (
-        f"{name}: densify fallbacks {rep_stats.densify_fallbacks}"
-    )
-    rep_peak = operand_bytes(X_rep) + rep_stats.intermediate_bytes
-    dense_peak = X_dense.nbytes + dense_stats.intermediate_bytes
     return {
         "workload": f"kmeans/{name}",
         "n_rows": n,
         "n_cols": d,
         "clusters": k,
         "iterations": iters,
-        "inertia_rel_error": err,
-        "rep_seconds": t_rep,
-        "dense_total_seconds": t_dense_total,
-        "dense_loop_seconds": t_dense_loop,
-        "end_to_end_speedup": t_dense_total / t_rep,
-        "loop_speedup": t_dense_loop / t_rep,
-        "rep_peak_bytes": rep_peak,
-        "dense_peak_bytes": dense_peak,
-        "densify_fallbacks": rep_stats.fallback_count,
-        "native_ops": dict(rep_stats.native_repr_ops),
+        "inertia_rel_error": measured.pop("parity_error"),
+        **measured,
     }
 
 
@@ -230,7 +179,7 @@ def make_inputs(quick: bool):
 
     return {
         "cla": (CompressedMatrix.compress(X_lowcard), y_cla),
-        "csr": (repro_csr(X_sparse), y_csr),
+        "csr": (CSRMatrix.from_dense(X_sparse), y_csr),
         "factorized": (nm, np.asarray(star.y, dtype=np.float64)),
         "kmeans_cla": CompressedMatrix.compress(X_km),
         "kmeans_factorized": nm,
@@ -238,51 +187,10 @@ def make_inputs(quick: bool):
     }
 
 
-def repro_csr(X):
-    from repro.sparse import CSRMatrix
-
-    return CSRMatrix.from_dense(X)
-
-
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_logreg_parity_all_representations():
-    inputs = make_inputs(quick=True)
-    for name in ("cla", "csr", "factorized"):
-        X_rep, y = inputs[name]
-        result = bench_logreg(name, X_rep, y, iters=3, repeats=1)
-        assert result["max_weight_error"] <= 1e-9
-        assert result["densify_fallbacks"] == 0
-        assert result["rep_peak_bytes"] < result["dense_peak_bytes"]
-
-
-def test_kmeans_parity_and_zero_fallbacks():
-    inputs = make_inputs(quick=True)
-    result = bench_kmeans("cla", inputs["kmeans_cla"], k=4, iters=3, repeats=1)
-    assert result["inertia_rel_error"] <= 1e-9
-    assert result["densify_fallbacks"] == 0
-    assert result["rep_peak_bytes"] < result["dense_peak_bytes"]
-
-
-def test_planner_explains_choices():
-    X = make_low_cardinality_matrix(8_000, 10, cardinality=4, seed=9)
-    plan = _logreg_grad_plan(*X.shape)
-    rplan = plan_representations(
-        plan,
-        {"X": X, "w": np.zeros((X.shape[1], 1)), "y": np.zeros((len(X), 1))},
-    )
-    text = rplan.explain()
-    assert "repr   : X -> cla" in text
-    assert "convert[cla](X)" in text
-
-
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     inputs = make_inputs(quick)
     iters = 5 if quick else 10
     km_iters = 4 if quick else 8
@@ -301,19 +209,13 @@ def run(quick: bool, repeats: int) -> dict:
         )
     )
 
-    # Acceptance: compact operands must beat materialize-then-dense on
-    # bytes (CLA + star schema strictly), and on wall-clock somewhere.
-    for entry in results:
-        if entry["workload"].split("/")[1] in ("cla", "factorized"):
-            assert entry["rep_peak_bytes"] < entry["dense_peak_bytes"], (
-                f"{entry['workload']}: peak bytes not reduced"
-            )
+    # Acceptance: some compact operand must also win on wall-clock.
     best = max(e["end_to_end_speedup"] for e in results)
     assert best >= 1.5, f"no config reached 1.5x (best {best:.2f}x)"
 
     return {
         "meta": {
-            **bench_metadata("E19"),
+            **harness.bench_metadata("E19"),
             "quick": quick,
             "star_tuple_ratio": inputs["tuple_ratio"],
         },
@@ -340,21 +242,5 @@ def report(results: dict) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (1 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__, quick_repeats=1))

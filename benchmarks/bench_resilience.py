@@ -27,26 +27,15 @@ Usage::
 
     python benchmarks/bench_resilience.py            # full sizes
     python benchmarks/bench_resilience.py --quick    # CI smoke run
-
-pytest collection runs the parity and overhead checks at reduced sizes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
 import tempfile
-import time
 
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro.algorithms import kmeans_dsl, logreg_gd
 from repro.distributed import SimulatedCluster
 from repro.ml.losses import LogisticLoss
@@ -56,26 +45,11 @@ from repro.resilience import (
     IterativeCheckpointer,
     RetryPolicy,
     chaos_seed_from_env,
-    fault_point,
 )
 from repro.runtime.bufferpool import BlockStore, BufferPool
 from repro.runtime.blocks import BlockedMatrix
 
-#: acceptance bounds
-MAX_DISABLED_OVERHEAD = 0.03
 FAULT_RATES = (0.0, 0.05, 0.2)
-
-UNIT_CALLS = 200_000
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _make_data(n: int, d: int, seed: int = 2017):
@@ -115,11 +89,11 @@ def chaos_leg(X, y, rate: float, iters: int, km_iters: int) -> list[dict]:
     policy = _retry_policy()
     entries = []
     with ChaosContext(plan) as chaos:
-        t_lr, chaotic_lr = _best_time(
+        t_lr = harness.timed(
             lambda: logreg_gd(X, y, max_iter=iters, tol=0.0, retry=policy),
             repeats=1,
         )
-        t_km, chaotic_km = _best_time(
+        t_km = harness.timed(
             lambda: kmeans_dsl(
                 X, 3, max_iter=km_iters, tol=0.0, seed=5, retry=policy
             ),
@@ -128,10 +102,11 @@ def chaos_leg(X, y, rate: float, iters: int, km_iters: int) -> list[dict]:
         cluster = SimulatedCluster(X, y, num_workers=4)
         if rate > 0:
             cluster.kill_worker(1)
-        t_cl, chaotic_grad = _best_time(
+        t_cl = harness.timed(
             lambda: cluster.global_gradient(loss, np.zeros(X.shape[1])),
             repeats=1,
         )
+    chaotic_lr, chaotic_km, chaotic_grad = t_lr.result, t_km.result, t_cl.result
     entries.append(
         {
             "workload": "logreg_gd",
@@ -141,7 +116,7 @@ def chaos_leg(X, y, rate: float, iters: int, km_iters: int) -> list[dict]:
                 np.array_equal(baseline_lr.weights, chaotic_lr.weights)
             ),
             "faults_injected": chaos.injected_at("glm.logreg_gd.step"),
-            "wall_s": t_lr,
+            **t_lr.fields("wall_s"),
         }
     )
     entries.append(
@@ -154,7 +129,7 @@ def chaos_leg(X, y, rate: float, iters: int, km_iters: int) -> list[dict]:
                 and np.array_equal(baseline_km.labels, chaotic_km.labels)
             ),
             "faults_injected": chaos.injected_at("clustering.kmeans_dsl.step"),
-            "wall_s": t_km,
+            **t_km.fields("wall_s"),
         }
     )
     entries.append(
@@ -166,7 +141,7 @@ def chaos_leg(X, y, rate: float, iters: int, km_iters: int) -> list[dict]:
             "identical": bool(np.array_equal(baseline_grad, chaotic_grad)),
             "faults_injected": chaos.injected_at("cluster.worker"),
             "lineage_recoveries": cluster.comm.lineage_recoveries,
-            "wall_s": t_cl,
+            **t_cl.fields("wall_s"),
         }
     )
     return entries
@@ -215,54 +190,20 @@ def kill_resume_leg(X, y, iters: int) -> list[dict]:
 # ----------------------------------------------------------------------
 # Leg 3: disabled-path overhead bound
 # ----------------------------------------------------------------------
-def measure_unit_cost() -> float:
-    """Per-call cost of a fault point with no chaos installed."""
-    start = time.perf_counter()
-    for _ in range(UNIT_CALLS):
-        fault_point("e21.unit")
-    return (time.perf_counter() - start) / UNIT_CALLS
-
-
-def count_crossings(workload) -> int:
-    """Exact fault-point crossings: a rate-0 match-all plan counts every
-    invocation without ever injecting."""
-    with ChaosContext(FaultPlan(seed=0).inject("*", rate=0.0)) as chaos:
-        workload()
-    return chaos.total_invocations()
-
-
 def overhead_leg(X, y, iters: int, repeats: int) -> dict:
     policy = _retry_policy()
-
-    def workload():
-        return logreg_gd(X, y, max_iter=iters, tol=0.0, retry=policy)
-
-    wall, _ = _best_time(workload, repeats)
-    crossings = count_crossings(workload)
-    unit = measure_unit_cost()
-    estimated = crossings * unit
-    overhead = estimated / wall
-    assert overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled-path resilience overhead {overhead:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} ({crossings} crossings)"
+    return harness.overhead_leg(
+        "e21.unit",
+        lambda: logreg_gd(X, y, max_iter=iters, tol=0.0, retry=policy),
+        "logreg_gd (instrumented, no chaos)",
+        repeats,
     )
-    return {
-        "workload": "logreg_gd (instrumented, no chaos)",
-        "wall_s": wall,
-        "fault_point_crossings": crossings,
-        "unit_cost_s": unit,
-        "estimated_overhead_s": estimated,
-        "estimated_overhead_pct": 100.0 * overhead,
-        "bound_pct": 100.0 * MAX_DISABLED_OVERHEAD,
-    }
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     if quick:
         n, d, iters, km_iters = 2_000, 8, 12, 8
     else:
@@ -293,7 +234,7 @@ def run(quick: bool, repeats: int) -> dict:
 
     return {
         "meta": {
-            **bench_metadata("E21"),
+            **harness.bench_metadata("E21"),
             "quick": quick,
             "chaos_seed": chaos_seed_from_env(),
             "fault_rates": list(FAULT_RATES),
@@ -327,57 +268,13 @@ def report(results: dict) -> None:
             f"{e.get('faults_injected', '-'):>7} "
             f"{str(e['identical']):>9} {wall:>9}"
         )
-    o = results["overhead"]
     s = results["summary"]
     print(
         f"\n  completion rate: {s['completion_rate']:.0%}   "
         f"faults injected: {s['faults_injected_total']}"
     )
-    print(
-        f"  disabled-path bound: {o['fault_point_crossings']} crossings x "
-        f"{o['unit_cost_s'] * 1e9:.0f} ns = "
-        f"{o['estimated_overhead_pct']:.3f}% of wall "
-        f"(limit {o['bound_pct']:.0f}%)  -> PASS"
-    )
-
-
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_chaos_parity_quick():
-    X, y = _make_data(600, 6)
-    for entry in chaos_leg(X, y, rate=0.2, iters=6, km_iters=4):
-        assert entry["completed"] and entry["identical"], entry["workload"]
-
-
-def test_kill_resume_quick():
-    X, y = _make_data(400, 5)
-    for entry in kill_resume_leg(X, y, iters=8):
-        assert entry["completed"] and entry["identical"], entry["workload"]
-
-
-def test_disabled_overhead_bound():
-    X, y = _make_data(2_000, 8)
-    entry = overhead_leg(X, y, iters=6, repeats=2)
-    assert entry["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
-    assert entry["fault_point_crossings"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
+    harness.report_overhead_leg(results["overhead"])
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

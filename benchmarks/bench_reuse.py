@@ -38,27 +38,15 @@ Usage::
 
     python benchmarks/bench_reuse.py            # full sizes
     python benchmarks/bench_reuse.py --quick    # CI smoke run
-
-pytest collection runs the ledger, identity, and overhead checks at
-reduced sizes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
 import tempfile
-import time
 
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro import obs
 from repro.algorithms.glm import logreg_gd
 from repro.compiler import compile_expr
@@ -74,20 +62,8 @@ from repro.selection import ridge_feature_grid
 
 #: acceptance bounds
 MIN_GRID_SPEEDUP = 3.0
-MAX_DISABLED_OVERHEAD = 0.03
 
-UNIT_CALLS = 200_000
 STORE_MIN_FLOPS = 1e4
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _workload(n: int, d: int, n_subsets: int, subset_d: int, seed=2017):
@@ -127,17 +103,16 @@ def grid_leg(
     pairs = n_subsets * folds
 
     store = MaterializationStore(directory, min_flops=STORE_MIN_FLOPS)
-    start = time.perf_counter()
-    cold = ridge_feature_grid(X, y, subsets, lambdas, cv=folds, store=store)
-    cold_wall = time.perf_counter() - start
+
+    def sweep():
+        return ridge_feature_grid(X, y, subsets, lambdas, cv=folds, store=store)
+
+    cold_timing = harness.timed(sweep, repeats=1)  # the store fills once
+    cold = cold_timing.result
     cold_led = store.ledger()
 
-    warm_wall, warm = _best_time(
-        lambda: ridge_feature_grid(
-            X, y, subsets, lambdas, cv=folds, store=store
-        ),
-        repeats,
-    )
+    warm_timing = harness.timed(sweep, repeats)
+    warm = warm_timing.result
     warm_led = store.ledger()
     warm_hits = warm_led["hits"] - cold_led["hits"]
 
@@ -172,9 +147,9 @@ def grid_leg(
         "folds": folds,
         "lambdas": n_lambdas,
         "pairs": pairs,
-        "cold_wall_s": cold_wall,
-        "warm_wall_s": warm_wall,
-        "speedup": cold_wall / warm_wall,
+        **cold_timing.fields("cold_wall_s"),
+        **warm_timing.fields("warm_wall_s"),
+        "speedup": cold_timing.best / warm_timing.best,
         "bit_identical": _grid_identical(cold, warm),
         "solves": cold.solves,
         "best_subset": list(cold.best[0]),
@@ -290,19 +265,17 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
     y = (X @ rng.normal(size=d) > 0).astype(float)
     workload = lambda: logreg_gd(X, y, max_iter=iters, tol=0)  # noqa: E731
 
-    start = time.perf_counter()
-    for _ in range(UNIT_CALLS):
-        matstore.active_store()
-    gate_cost = (time.perf_counter() - start) / UNIT_CALLS
+    gate_cost = harness.unit_cost(matstore.active_store)
 
     obs.reset()
     workload()
     executions = int(obs.get_registry().value("executor.executions"))
     obs.reset()
 
-    wall_disabled, _ = _best_time(workload, repeats)
-    bound_s = executions * gate_cost
-    overhead_pct = 100.0 * bound_s / wall_disabled
+    wall_disabled = harness.timed(workload, repeats)
+    bound_s, overhead_pct = harness.disabled_overhead(
+        wall_disabled, [(executions, gate_cost)]
+    )
 
     # Plan identity: byte-equal canonical serialization with and
     # without an active store.
@@ -321,10 +294,10 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
         "workload": "overhead/disabled_path",
         "gate_call_s": gate_cost,
         "executions": executions,
-        "wall_disabled_s": wall_disabled,
+        **wall_disabled.fields("wall_disabled_s"),
         "estimated_overhead_s": bound_s,
         "estimated_overhead_pct": overhead_pct,
-        "bound_pct": 100.0 * MAX_DISABLED_OVERHEAD,
+        "bound_pct": 100.0 * harness.MAX_DISABLED_OVERHEAD,
         "plans_identical": plans_identical,
     }
 
@@ -387,8 +360,6 @@ def eviction_leg(
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     if quick:
         g_n, g_d, g_s, g_sd, g_k, g_l = 3000, 48, 5, 32, 4, 4
         r_n, r_d, r_s, r_sd = 1500, 32, 4, 16
@@ -417,17 +388,16 @@ def run(quick: bool, repeats: int) -> dict:
     assert grid["restart_exact"], grid["restart_disk_hits"]
     assert repair["counts_exact"] and repair["bit_identical"]
     assert repair["chaos_counts_exact"] and repair["chaos_bit_identical"]
-    assert overhead["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
     assert overhead["plans_identical"], "active store altered compilation"
     assert eviction["evictions_exact"] and eviction["all_served"]
     assert eviction["pinned_resident"] and eviction["bit_identical"]
 
     return {
         "meta": {
-            **bench_metadata("E24"),
+            **harness.bench_metadata("E24"),
             "quick": quick,
             "min_grid_speedup": MIN_GRID_SPEEDUP,
-            "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
+            "max_disabled_overhead": harness.MAX_DISABLED_OVERHEAD,
         },
         "results": results,
         "summary": {
@@ -478,62 +448,5 @@ def report(results: dict) -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_grid_reuse_quick(tmp_path):
-    entry = grid_leg(
-        n=1200, d=32, n_subsets=4, subset_d=16, folds=4, n_lambdas=3,
-        repeats=1, directory=tmp_path,
-    )
-    assert entry["counts_exact"]
-    assert entry["bit_identical"]
-    assert entry["restart_bit_identical"] and entry["restart_exact"]
-    assert entry["cross_workload_exact"]
-
-
-def test_repair_quick():
-    entry = repair_leg(
-        n=1200, d=32, n_subsets=4, subset_d=16, folds=4, n_lambdas=3,
-        n_corrupt=2,
-    )
-    assert entry["counts_exact"]
-    assert entry["bit_identical"]
-    assert entry["chaos_counts_exact"] and entry["chaos_bit_identical"]
-
-
-def test_disabled_overhead_quick():
-    entry = overhead_leg(n=1500, d=16, iters=6, repeats=1)
-    assert entry["estimated_overhead_pct"] < 100.0 * MAX_DISABLED_OVERHEAD
-    assert entry["plans_identical"]
-
-
-def test_eviction_ledger_quick():
-    entry = eviction_leg(
-        n=1200, d=32, n_subsets=4, subset_d=16, folds=4, n_lambdas=3,
-        resident=5,
-    )
-    assert entry["evictions_exact"]
-    assert entry["all_served"]
-    assert entry["pinned_resident"]
-    assert entry["bit_identical"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

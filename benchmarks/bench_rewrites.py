@@ -6,83 +6,69 @@ GLM-style programs.
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.compiler import compile_expr
-from repro.lang import matrix, sumall, trace
+from repro.lang import matrix, trace
 from repro.runtime import execute
 
-N, D = 4000, 200
+BAD_CHAIN = "(X t(X)) y  [n x n intermediate]"
 
 
-@pytest.fixture(scope="module")
-def bindings():
-    rng = np.random.default_rng(2017)
-    return {
-        "X": rng.standard_normal((N, D)),
-        "w": rng.standard_normal(D),
-        "y": rng.standard_normal(N),
+def run() -> dict:
+    rng = np.random.default_rng(19)
+    n, d = 4000, 200
+    bindings = {
+        "X": rng.standard_normal((n, d)),
+        "w": rng.standard_normal(d),
+        "y": rng.standard_normal(n),
         "A": rng.standard_normal((600, 800)),
         "B": rng.standard_normal((800, 600)),
     }
-
-
-def _glm_gradient():
-    # @ is left-associative: written this way, the naive plan computes
-    # (t(X) %*% X) %*% w, which is quadratic in D.
-    X = matrix("X", (N, D))
-    w = matrix("w", (D, 1))
-    y = matrix("y", (N, 1))
-    return (X.T @ X @ w - X.T @ y) / N
-
-
-def _bad_chain():
-    # Evaluated as written, (X %*% t(X)) materializes an N x N matrix.
-    X = matrix("X", (N, D))
-    y = matrix("y", (N, 1))
-    return X @ X.T @ y
-
-
-def test_gradient_unoptimized(benchmark, bindings):
-    plan = compile_expr(
-        _glm_gradient(), rewrites=False, mmchain=False, fusion=False, cse=False
-    )
-    benchmark(lambda: execute(plan, bindings))
-
-
-def test_gradient_optimized(benchmark, bindings):
-    plan = compile_expr(_glm_gradient())
-    out = benchmark(lambda: execute(plan, bindings))
-    ref = execute(
-        compile_expr(
-            _glm_gradient(), rewrites=False, mmchain=False, fusion=False, cse=False
-        ),
-        bindings,
-    )
-    assert np.allclose(out, ref)
-
-
-def test_trace_unoptimized(benchmark, bindings):
+    X = matrix("X", (n, d))
+    w = matrix("w", (d, 1))
+    y = matrix("y", (n, 1))
     A = matrix("A", (600, 800))
     B = matrix("B", (800, 600))
-    plan = compile_expr(
-        trace(A @ B), rewrites=False, mmchain=False, fusion=False, cse=False
-    )
-    benchmark(lambda: execute(plan, bindings))
+    # Note: @ is left-associative, so "X.T @ X @ w" is the naively-written
+    # (t(X) %*% X) %*% w — quadratic in d unless the chain is re-associated.
+    programs = {
+        "gradient (t(X) X) w - t(X) y": (X.T @ X @ w - X.T @ y) / n,
+        "trace(A %*% B)": trace(A @ B),
+        BAD_CHAIN: X @ X.T @ y,
+    }
+    rows = []
+    for name, expr in programs.items():
+        naive_plan = compile_expr(
+            expr, rewrites=False, mmchain=False, fusion=False, cse=False
+        )
+        opt_plan = compile_expr(expr)
+        naive = harness.timed(lambda: execute(naive_plan, bindings))
+        opt = harness.timed(lambda: execute(opt_plan, bindings))
+        assert np.allclose(
+            np.asarray(naive.result), np.asarray(opt.result), rtol=1e-8
+        )
+        rows.append(
+            {
+                "program": name,
+                **naive.fields("naive_s"),
+                **opt.fields("optimized_s"),
+                "speedup": naive.best / opt.best,
+                "flops_before": opt_plan.cost_before.flops,
+                "flops_after": opt_plan.cost_after.flops,
+            }
+        )
+    chain = next(r for r in rows if r["program"] == BAD_CHAIN)
+    assert chain["flops_before"] / chain["flops_after"] > 50, chain
+    return {"rows": rows}
 
 
-def test_trace_rewritten(benchmark, bindings):
-    A = matrix("A", (600, 800))
-    B = matrix("B", (800, 600))
-    plan = compile_expr(trace(A @ B))
-    out = benchmark(lambda: execute(plan, bindings))
-    assert out == pytest.approx(np.trace(bindings["A"] @ bindings["B"]))
-
-
-def test_mmchain_flop_reduction_is_large():
-    plan = compile_expr(_bad_chain())
-    assert plan.cost_before.flops / plan.cost_after.flops > 50
-
-
-def test_compile_time_is_negligible(benchmark):
-    benchmark(lambda: compile_expr(_glm_gradient()))
+def report(results: dict) -> None:
+    print(f"{'program':<32} {'naive (s)':>10} {'opt (s)':>9} {'speedup':>8} "
+          f"{'flops before':>13} {'after':>12}")
+    for r in results["rows"]:
+        print(
+            f"{r['program']:<32} {r['naive_s']:>10.4f} {r['optimized_s']:>9.4f} "
+            f"{r['speedup']:>7.1f}x {r['flops_before']:>13,} "
+            f"{r['flops_after']:>12,}"
+        )

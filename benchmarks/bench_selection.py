@@ -1,119 +1,54 @@
 """E7 — Model-selection management (MSMS / TuPAQ-style halving).
 
 Surveyed claim: successive halving finds a near-best configuration at a
-small fraction of the full-grid training cost; session-level caching
-removes repeat work.
+small fraction of the full-grid training cost.
 """
 
 import numpy as np
-import pytest
 
 from repro.data import make_classification
 from repro.ml import LogisticRegression
 from repro.ml.preprocessing import train_test_split
-from repro.selection import (
-    SelectionSession,
-    full_budget_baseline,
-    grid_search,
-    successive_halving,
-)
-
-CONFIGS = [
-    {"l2": l2, "learning_rate": lr}
-    for l2 in np.logspace(-4, 1, 6)
-    for lr in (0.25, 1.0)
-]
+from repro.selection import full_budget_baseline, successive_halving
 
 
-@pytest.fixture(scope="module")
-def data():
-    X, y = make_classification(2000, 8, separation=1.5, seed=2017)
-    return train_test_split(X, y, test_fraction=0.3, seed=2017)
-
-
-def test_full_grid(benchmark, data):
-    X_tr, X_val, y_tr, y_val = data
-    result = benchmark.pedantic(
-        full_budget_baseline,
-        args=(LogisticRegression(solver="gd"), CONFIGS, X_tr, y_tr, X_val, y_val),
-        kwargs={"budget": 32},
-        rounds=1,
-        iterations=1,
-    )
-    assert result.total_cost == 32 * len(CONFIGS)
-
-
-def test_successive_halving(benchmark, data):
-    X_tr, X_val, y_tr, y_val = data
-    result = benchmark.pedantic(
-        successive_halving,
-        args=(LogisticRegression(solver="gd"), CONFIGS, X_tr, y_tr, X_val, y_val),
-        kwargs={"min_budget": 2, "max_budget": 32},
-        rounds=1,
-        iterations=1,
+def run() -> dict:
+    X, y = make_classification(2000, 8, separation=1.5, seed=31)
+    X_tr, X_val, y_tr, y_val = train_test_split(X, y, 0.3, seed=31)
+    configs = [
+        {"l2": l2, "learning_rate": lr}
+        for l2 in np.logspace(-4, 1, 8)
+        for lr in (0.25, 1.0)
+    ]
+    halving = successive_halving(
+        LogisticRegression(solver="gd"), configs, X_tr, y_tr, X_val, y_val,
+        min_budget=2, max_budget=32,
     )
     full = full_budget_baseline(
-        LogisticRegression(solver="gd"), CONFIGS, X_tr, y_tr, X_val, y_val,
+        LogisticRegression(solver="gd"), configs, X_tr, y_tr, X_val, y_val,
         budget=32,
     )
-    assert result.total_cost < full.total_cost / 2
-    assert result.best_score >= full.best_score - 0.03
+    assert full.total_cost == 32 * len(configs)
+    assert halving.total_cost < full.total_cost / 2
+    assert halving.best_score >= full.best_score - 0.03
+    return {
+        "configs": len(configs),
+        "full": {"epochs": full.total_cost, "best_score": full.best_score},
+        "halving": {
+            "epochs": halving.total_cost,
+            "best_score": halving.best_score,
+            "rungs": [[r.budget, len(r.survivors)] for r in halving.rungs],
+        },
+    }
 
 
-def test_session_cache_hit_is_free(benchmark, data):
-    X_tr, _, y_tr, _ = data
-    session = SelectionSession(
-        LogisticRegression(solver="gd", max_iter=30), X_tr, y_tr, cv=3
-    )
-    session.evaluate({"l2": 0.1})  # warm the cache
-
-    evaluation = benchmark(lambda: session.evaluate({"l2": 0.1}))
-    assert session.ledger.configs_cached >= 1
-    assert evaluation.score > 0
-
-
-def test_ridge_cv_naive(benchmark):
-    """E17 baseline: per-(fold, lambda) refits from raw rows."""
-    from repro.data import make_regression
-    from repro.selection import ridge_cv_naive
-
-    X, y, _ = make_regression(20_000, 30, noise=0.3, seed=2017)
-    lambdas = np.logspace(-3, 3, 10)
-    result = benchmark.pedantic(
-        ridge_cv_naive, args=(X, y, lambdas), kwargs={"cv": 5},
-        rounds=2, iterations=1,
-    )
-    assert result.data_passes == 50
-
-
-def test_ridge_cv_shared_statistics(benchmark):
-    """E17: per-fold Gram deltas make grid size free."""
-    from repro.data import make_regression
-    from repro.selection import ridge_cv_naive, ridge_cv_shared
-
-    X, y, _ = make_regression(20_000, 30, noise=0.3, seed=2017)
-    lambdas = np.logspace(-3, 3, 10)
-    result = benchmark.pedantic(
-        ridge_cv_shared, args=(X, y, lambdas), kwargs={"cv": 5},
-        rounds=2, iterations=1,
-    )
-    assert result.data_passes == 5
-    reference = ridge_cv_naive(X, y, lambdas, cv=5)
-    assert np.allclose(result.mean_rmse, reference.mean_rmse, atol=1e-9)
-
-
-def test_grid_search_small(benchmark, data):
-    X_tr, _, y_tr, _ = data
-    result = benchmark.pedantic(
-        grid_search,
-        args=(
-            LogisticRegression(solver="gd", max_iter=20),
-            {"l2": [1e-3, 1e-1]},
-            X_tr,
-            y_tr,
-        ),
-        kwargs={"cv": 3},
-        rounds=1,
-        iterations=1,
-    )
-    assert result.num_evaluated == 2
+def report(results: dict) -> None:
+    full, halving = results["full"], results["halving"]
+    print(f"{'strategy':<20} {'configs':>8} {'epochs spent':>13} "
+          f"{'best val acc':>13}")
+    print(f"{'full grid':<20} {results['configs']:>8} {full['epochs']:>13.0f} "
+          f"{full['best_score']:>13.3f}")
+    print(f"{'succ. halving':<20} {results['configs']:>8} "
+          f"{halving['epochs']:>13.0f} {halving['best_score']:>13.3f}")
+    print("\nrungs (budget -> survivors):",
+          " -> ".join(f"{b}:{s}" for b, s in halving["rungs"]))

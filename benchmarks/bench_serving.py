@@ -26,32 +26,20 @@ legs, each gated in CI by ``check_regression.py``:
    injected shed count is deterministic.
 
 Latency percentiles (p50/p95/p99) come from the endpoint's serving
-ledger (``repro.obs`` histograms) and are recorded per throughput entry.
+ledger (``repro.obs`` histograms, one observation per call) and are
+recorded per throughput entry beside ``latency_samples``, their count.
 
 Usage::
 
     python benchmarks/bench_serving.py            # full sizes
     python benchmarks/bench_serving.py --quick    # CI smoke run
-
-pytest collection runs the identity, cache, and canary checks at
-reduced sizes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro import obs
 from repro.data import make_classification
 from repro.errors import LoadShedError
@@ -65,16 +53,6 @@ MIN_BATCH64_SPEEDUP = 3.0
 CANARY_FRACTION = 0.2
 CANARY_SEED = 2017
 BATCH_SIZES = (1, 8, 64)
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _fit_registry(n: int, d: int, seed: int = 2017) -> tuple:
@@ -98,8 +76,11 @@ def _server(registry: ModelRegistry, **endpoint_config) -> ModelServer:
 # Leg 1: micro-batch throughput + bit identity
 # ----------------------------------------------------------------------
 def throughput_leg(X, registry, n_requests: int, repeats: int) -> list[dict]:
-    """The same stream served at each batch size; speedups are relative
-    to the single-row (batch-1) run of the same capture."""
+    """The same stream served at each batch size, one call per
+    ``batch_size`` rows (the request path records one latency
+    observation per call, so the percentiles rest on ``requests /
+    batch_size`` samples per pass); speedups are relative to the
+    single-row (batch-1) run of the same capture."""
     rows = np.tile(X, (n_requests // X.shape[0] + 1, 1))[:n_requests]
     entries = []
     reference = None  # batch-1 predictions: identity baseline
@@ -116,9 +97,15 @@ def throughput_leg(X, registry, n_requests: int, repeats: int) -> list[dict]:
                     [server.predict("score", rows[i])
                      for i in range(n_requests)]
                 )
-            return server.predict_many("score", rows)
+            return np.concatenate(
+                [
+                    server.predict_many("score", rows[i:i + batch_size])
+                    for i in range(0, n_requests, batch_size)
+                ]
+            )
 
-        wall, predictions = _best_time(serve, repeats)
+        timing = harness.timed(serve, repeats)
+        wall, predictions = timing.best, timing.result
         if batch_size == 1:
             reference = predictions
             unbatched_wall = wall
@@ -128,12 +115,13 @@ def throughput_leg(X, registry, n_requests: int, repeats: int) -> list[dict]:
                 "workload": f"throughput/batch{batch_size}",
                 "batch_size": batch_size,
                 "requests": n_requests,
-                "wall_s": wall,
+                **timing.fields("wall_s"),
                 "rps": n_requests / wall,
                 "speedup_vs_unbatched": unbatched_wall / wall,
                 "bit_identical": bool(np.array_equal(predictions, reference)),
                 "mean_batch_size": stats["mean_batch_size"],
                 "latency_ms": stats["latency_ms"],
+                "latency_samples": stats["latency_ms"]["count"],
             }
         )
         server.close()
@@ -150,25 +138,22 @@ def cache_leg(X, registry, n_entities: int, n_requests: int, seed: int) -> dict:
     entity_ids = (rng.random(n_requests) ** 2 * n_entities).astype(int)
     entity_rows = X[:n_entities]
 
+    def stream_through(server):
+        return harness.timed(
+            lambda: [
+                server.predict("score", entity_rows[e], key=f"entity-{e}")
+                for e in entity_ids
+            ],
+            repeats=1,
+        )
+
     server = _server(registry, cache_capacity=n_entities * 2)
-    wall_cached, _ = _best_time(
-        lambda: [
-            server.predict("score", entity_rows[e], key=f"entity-{e}")
-            for e in entity_ids
-        ],
-        repeats=1,
-    )
+    cached = stream_through(server)
     stats = server.endpoint("score").stats()["cache"]
     server.close()
 
     cold = _server(registry, cache_enabled=False)
-    wall_uncached, _ = _best_time(
-        lambda: [
-            cold.predict("score", entity_rows[e], key=f"entity-{e}")
-            for e in entity_ids
-        ],
-        repeats=1,
-    )
+    uncached = stream_through(cold)
     cold.close()
 
     expected_misses = len(set(entity_ids.tolist()))
@@ -182,9 +167,9 @@ def cache_leg(X, registry, n_entities: int, n_requests: int, seed: int) -> dict:
         "expected_misses": expected_misses,
         "counts_exact": stats["misses"] == expected_misses
         and stats["hits"] == n_requests - expected_misses,
-        "cache_speedup": wall_uncached / wall_cached,
-        "wall_cached_s": wall_cached,
-        "wall_uncached_s": wall_uncached,
+        "cache_speedup": uncached.best / cached.best,
+        **cached.fields("wall_cached_s"),
+        **uncached.fields("wall_uncached_s"),
     }
 
 
@@ -265,8 +250,6 @@ def admission_leg(X, registry, burst: int, capacity: int, seed: int) -> dict:
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     if quick:
         n, d, n_requests = 512, 8, 2_048
         n_entities, cache_requests = 64, 2_000
@@ -283,22 +266,30 @@ def run(quick: bool, repeats: int) -> dict:
     results.append(canary_leg(X, registry, canary_requests))
     results.append(admission_leg(X, registry, burst, capacity, seed=7))
 
-    batch64 = next(e for e in results if e.get("batch_size") == 64)
-    assert batch64["bit_identical"], "batched predictions diverged"
+    by = {e["workload"]: e for e in results}
+    batch64 = by["throughput/batch64"]
+    assert all(
+        e["bit_identical"] for e in results if "batch_size" in e
+    ), "batched predictions diverged"
     assert batch64["speedup_vs_unbatched"] >= MIN_BATCH64_SPEEDUP, (
         f"batch-64 speedup {batch64['speedup_vs_unbatched']:.2f}x below "
         f"{MIN_BATCH64_SPEEDUP:.0f}x bound"
     )
-    assert next(
-        e for e in results if e["workload"] == "canary/hash_split"
-    )["exact_split"], "canary split diverged from the router"
-    assert next(
-        e for e in results if e["workload"] == "cache/skewed_entities"
-    )["counts_exact"], "cache hit/miss ledger diverged from the stream"
+    assert by["canary/hash_split"]["exact_split"], (
+        "canary split diverged from the router"
+    )
+    cache = by["cache/skewed_entities"]
+    assert cache["counts_exact"], "cache hit/miss ledger diverged from the stream"
+    assert cache["hit_ratio"] > 0.5, "the skewed stream barely repeats"
+    admission = by["admission/bounded_queue"]
+    assert admission["queue_shed_exact"], "burst shed != burst - capacity"
+    assert admission["chaos_shed_matches_injected"], (
+        "admission chaos shed != injected faults"
+    )
 
     return {
         "meta": {
-            **bench_metadata("E22"),
+            **harness.bench_metadata("E22"),
             "quick": quick,
             "batch_sizes": list(BATCH_SIZES),
             "canary_fraction": CANARY_FRACTION,
@@ -365,51 +356,5 @@ def report(results: dict) -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_batched_identity_quick():
-    X, registry = _fit_registry(128, 6)
-    entries = throughput_leg(X, registry, n_requests=256, repeats=1)
-    for entry in entries:
-        assert entry["bit_identical"], entry["workload"]
-
-
-def test_cache_counts_quick():
-    X, registry = _fit_registry(128, 6)
-    entry = cache_leg(X, registry, n_entities=32, n_requests=400, seed=7)
-    assert entry["counts_exact"]
-    assert entry["hit_ratio"] > 0.5
-
-
-def test_canary_exact_quick():
-    X, registry = _fit_registry(64, 6)
-    entry = canary_leg(X, registry, n_requests=300)
-    assert entry["exact_split"]
-
-
-def test_admission_quick():
-    X, registry = _fit_registry(64, 6)
-    entry = admission_leg(X, registry, burst=48, capacity=32, seed=7)
-    assert entry["queue_shed_exact"]
-    assert entry["chaos_shed_matches_injected"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

@@ -34,26 +34,13 @@ Usage::
 
     python benchmarks/bench_sharding.py            # full sizes
     python benchmarks/bench_sharding.py --quick    # CI smoke run
-
-pytest collection runs the identity, failover, quota, canary, and chaos
-checks at reduced sizes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
+import harness
 from repro import obs
 from repro.data import make_classification
 from repro.lifecycle import ModelRegistry
@@ -88,16 +75,6 @@ class _FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _fit_registry(n: int, d: int, seed: int = 2017) -> tuple:
@@ -157,15 +134,18 @@ def fleet_leg(
     tenants = [f"tenant-{i % n_tenants}" for i in range(n_requests)]
 
     oracle = _single(registry)
-    wall_oracle, reference = _best_time(
+    oracle_timing = harness.timed(
         lambda: oracle.predict_many("score", rows, keys=keys), repeats=1
     )
+    reference = oracle_timing.result
     oracle.close()
 
     fabric = _fabric(registry)
-    start = time.perf_counter()
-    served = fabric.predict_many("score", rows, keys=keys, tenants=tenants)
-    wall = time.perf_counter() - start
+    timing = harness.timed(
+        lambda: fabric.predict_many("score", rows, keys=keys, tenants=tenants),
+        repeats=1,
+    )
+    served, wall = timing.result, timing.best
 
     # replay the pure routing function per unique key (all shards live:
     # replica_hits = requests whose rotation starts off the home shard)
@@ -194,8 +174,8 @@ def fleet_leg(
         and led["failovers"] == 0
         and led["quota_shed"] == 0,
         "rps": n_requests / wall,
-        "wall_s": wall,
-        "oracle_wall_s": wall_oracle,
+        **timing.fields("wall_s"),
+        **oracle_timing.fields("oracle_wall_s"),
     }
     fabric.close()
     return entry
@@ -430,25 +410,25 @@ def overhead_leg(
     _, rows, keys = _skewed_stream(X, n_requests, n_entities, seed=13)
 
     plain = _single(registry)
-    wall_plain, reference = _best_time(
+    t_plain = harness.timed(
         lambda: plain.predict_many("score", rows, keys=keys), repeats
     )
     plain.close()
 
     fabric = _fabric(registry, num_shards=1, replication=1)
-    wall_fabric, served = _best_time(
+    t_fabric = harness.timed(
         lambda: fabric.predict_many("score", rows, keys=keys), repeats
     )
     fabric.close()
 
-    overhead_pct = (wall_fabric - wall_plain) / wall_plain * 100.0
+    overhead_pct = (t_fabric.best - t_plain.best) / t_plain.best * 100.0
     return {
         "workload": "overhead/single_shard",
         "requests": n_requests,
-        "wall_plain_s": wall_plain,
-        "wall_fabric_s": wall_fabric,
+        **t_plain.fields("wall_plain_s"),
+        **t_fabric.fields("wall_fabric_s"),
         "overhead_pct": overhead_pct,
-        "bit_identical": bool(np.array_equal(served, reference)),
+        "bit_identical": bool(np.array_equal(t_fabric.result, t_plain.result)),
         "overhead_ok": overhead_pct < MAX_OVERHEAD_PCT,
     }
 
@@ -474,9 +454,9 @@ def scaling_leg(X, registry, n_requests: int) -> list[dict]:
         fabric = _fabric(
             registry, num_shards=num_shards, replication=replication
         )
-        start = time.perf_counter()
-        fabric.predict_many("score", rows, keys=keys)
-        wall = time.perf_counter() - start
+        timing = harness.timed(
+            lambda: fabric.predict_many("score", rows, keys=keys), repeats=1
+        )
         loads = [
             fabric.shard(sid).served
             for sid in fabric.replicas_of("score")
@@ -488,8 +468,8 @@ def scaling_leg(X, registry, n_requests: int) -> list[dict]:
                 "shards": num_shards,
                 "replication": replication,
                 "requests": n_requests,
-                "rps": n_requests / wall,
-                "wall_s": wall,
+                "rps": n_requests / timing.best,
+                **timing.fields("wall_s"),
                 "shard_loads": loads,
                 "balance_ratio": max(loads) / fair,
                 "balanced": max(loads) <= fair * (1.0 + BALANCE_TOL),
@@ -503,8 +483,6 @@ def scaling_leg(X, registry, n_requests: int) -> list[dict]:
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
-    from conftest import bench_metadata
-
     chaos_seed = chaos_seed_from_env()
     if quick:
         fleet_requests, fleet_entities, fleet_tenants = 1_000_000, 4_096, 8
@@ -555,8 +533,10 @@ def run(quick: bool, repeats: int) -> dict:
     failover = by["failover/mid_stream_kill"]
     assert failover["wrong_answers"] == 0, "failover produced wrong answers"
     assert failover["ledger_exact"], "failover ledger diverged from replay"
-    assert failover["epoch_invalidations"] == failover["revive_dropped"]
+    assert failover["epoch_invalidations"] == failover["revive_dropped"] > 0
+    assert failover["epoch_after"] == 1, "revive did not bump the shard epoch"
     assert by["quota/hot_tenant"]["quota_exact"], "quota ledger inexact"
+    assert by["quota/hot_tenant"]["hot_shed"] > 0, "the hot tenant never shed"
     assert by["canary/fleet_split"]["exact_split"], "fleet canary diverged"
     for rate in CHAOS_RATES:
         entry = by[f"chaos/rate{int(rate * 100):02d}"]
@@ -576,7 +556,7 @@ def run(quick: bool, repeats: int) -> dict:
 
     return {
         "meta": {
-            **bench_metadata("E26"),
+            **harness.bench_metadata("E26"),
             "quick": quick,
             "num_shards": NUM_SHARDS,
             "replication": REPLICATION,
@@ -661,78 +641,5 @@ def report(results: dict) -> None:
     print("  -> PASS")
 
 
-# ----------------------------------------------------------------------
-# Correctness checks (collected by pytest)
-# ----------------------------------------------------------------------
-def test_fleet_identity_quick():
-    X, registry = _fit_registry(256, 6)
-    entry = fleet_leg(
-        X, registry, n_requests=3_000, n_entities=128, n_tenants=4, seed=7
-    )
-    assert entry["bit_identical"]
-    assert entry["ledger_exact"]
-
-
-def test_failover_ledger_quick():
-    X, registry = _fit_registry(256, 6)
-    entry = failover_leg(X, registry, n_requests=2_000, n_entities=96, seed=9)
-    assert entry["wrong_answers"] == 0
-    assert entry["ledger_exact"]
-    assert entry["epoch_invalidations"] == entry["revive_dropped"] > 0
-    assert entry["epoch_after"] == 1
-
-
-def test_quota_exact_quick():
-    X, registry = _fit_registry(64, 6)
-    entry = quota_leg(
-        X, registry, waves=3, hot_burst=40, cold_burst=10,
-        capacity=20, refill_per_s=5.0, gap_s=2.0,
-    )
-    assert entry["quota_exact"]
-    assert entry["hot_shed"] > 0
-
-
-def test_canary_split_quick():
-    X, registry = _fit_registry(64, 6)
-    entry = canary_leg(X, registry, n_requests=2_000)
-    assert entry["exact_split"]
-
-
-def test_chaos_sweep_quick():
-    X, registry = _fit_registry(128, 6)
-    entries = chaos_leg(
-        X, registry, n_requests=1_500, n_entities=64,
-        seed=chaos_seed_from_env(),
-    )
-    for entry in entries:
-        assert entry["complete"], entry["workload"]
-        assert entry["bit_identical"], entry["workload"]
-        assert entry["faults_injected"], entry["workload"]
-
-
-def test_scaling_balance_quick():
-    X, registry = _fit_registry(128, 6)
-    entries = scaling_leg(X, registry, n_requests=5_000)
-    for entry in entries:
-        if entry["shards"] >= 2:
-            assert entry["balanced"], entry["workload"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write JSON here")
-    args = parser.parse_args(argv)
-
-    repeats = args.repeats or (2 if args.quick else 3)
-    results = run(args.quick, repeats)
-    report(results)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run, report, __doc__))

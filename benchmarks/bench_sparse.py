@@ -7,76 +7,47 @@ format decision is made per input).
 """
 
 import numpy as np
-import pytest
 
+import harness
 from repro.data import make_sparse_matrix
 from repro.sparse import CSRMatrix
 
-N, D = 100_000, 200
-DENSITY = 0.01
+DENSITIES = (0.001, 0.01, 0.05, 0.2, 0.5)
 
 
-@pytest.fixture(scope="module")
-def matrices():
-    Xd = make_sparse_matrix(N, D, density=DENSITY, seed=2017)
-    return Xd, CSRMatrix.from_dense(Xd)
+def run() -> dict:
+    n, d = 50_000, 200
+    rng = np.random.default_rng(59)
+    v = rng.standard_normal(d)
+    u = rng.standard_normal(n)
+    rows = []
+    for density in DENSITIES:
+        Xd = make_sparse_matrix(n, d, density=density, seed=61)
+        X = CSRMatrix.from_dense(Xd)
+        dense = harness.timed(lambda: Xd @ v, repeats=3)
+        sparse = harness.timed(lambda: X.matvec(v), repeats=3)
+        assert np.allclose(sparse.result, dense.result)
+        assert np.allclose(X.rmatvec(u), Xd.T @ u)
+        if density <= 0.01:
+            assert X.nbytes < Xd.nbytes / 20, (density, X.nbytes, Xd.nbytes)
+        rows.append(
+            {
+                "density": density,
+                "memory_ratio": Xd.nbytes / X.nbytes,
+                **dense.fields("dense_matvec_s"),
+                **sparse.fields("csr_matvec_s"),
+            }
+        )
+    return {"rows": rows}
 
 
-def test_memory_reduction(matrices):
-    Xd, X = matrices
-    assert X.nbytes < Xd.nbytes / 20
-
-
-def test_dense_matvec(benchmark, matrices):
-    Xd, _ = matrices
-    v = np.random.default_rng(1).standard_normal(D)
-    benchmark(lambda: Xd @ v)
-
-
-def test_sparse_matvec(benchmark, matrices):
-    Xd, X = matrices
-    v = np.random.default_rng(1).standard_normal(D)
-    out = benchmark(lambda: X.matvec(v))
-    assert np.allclose(out, Xd @ v)
-
-
-def test_dense_rmatvec(benchmark, matrices):
-    Xd, _ = matrices
-    u = np.random.default_rng(2).standard_normal(N)
-    benchmark(lambda: Xd.T @ u)
-
-
-def test_sparse_rmatvec(benchmark, matrices):
-    Xd, X = matrices
-    u = np.random.default_rng(2).standard_normal(N)
-    out = benchmark(lambda: X.rmatvec(u))
-    assert np.allclose(out, Xd.T @ u)
-
-
-def test_sparse_gd_epoch(benchmark, matrices):
-    """One full-gradient step on the sparse design through the shared
-    optimizer stack."""
-    from repro.ml.losses import SquaredLoss
-
-    Xd, X = matrices
-    rng = np.random.default_rng(3)
-    y = Xd @ rng.standard_normal(D)
-    loss = SquaredLoss()
-    w = np.zeros(D)
-    benchmark(lambda: loss.gradient(X, y, w))
-
-
-def test_dense_gd_epoch(benchmark, matrices):
-    from repro.ml.losses import SquaredLoss
-
-    Xd, _ = matrices
-    rng = np.random.default_rng(3)
-    y = Xd @ rng.standard_normal(D)
-    loss = SquaredLoss()
-    w = np.zeros(D)
-    benchmark(lambda: loss.gradient(Xd, y, w))
-
-
-def test_encode_cost(benchmark):
-    Xd = make_sparse_matrix(N, D, density=DENSITY, seed=7)
-    benchmark.pedantic(CSRMatrix.from_dense, args=(Xd,), rounds=2, iterations=1)
+def report(results: dict) -> None:
+    print(f"{'density':>8} {'mem ratio':>10} {'dense MV':>9} {'CSR MV':>9} "
+          f"{'winner':>8}")
+    for r in results["rows"]:
+        csr_wins = r["csr_matvec_s"] < r["dense_matvec_s"]
+        print(
+            f"{r['density']:>8.3f} {r['memory_ratio']:>9.1f}x "
+            f"{r['dense_matvec_s'] * 1e3:>8.2f}m {r['csr_matvec_s'] * 1e3:>8.2f}m "
+            f"{'CSR' if csr_wins else 'dense':>8}"
+        )

@@ -6,49 +6,36 @@ solutions.
 """
 
 import numpy as np
-import pytest
 
 from repro.data import make_classification
 from repro.selection import fit_logistic_path
 
-LAMBDAS = np.logspace(0.5, -3, 10)
 
-
-@pytest.fixture(scope="module")
-def data():
-    return make_classification(3000, 12, separation=1.2, seed=2017)
-
-
-def test_cold_path(benchmark, data):
-    X, y = data
-    result = benchmark.pedantic(
-        fit_logistic_path,
-        args=(X, y, LAMBDAS),
-        kwargs={"warm_start": False, "tol": 1e-8},
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result.points) == len(LAMBDAS)
-
-
-def test_warm_path(benchmark, data):
-    X, y = data
-    warm = benchmark.pedantic(
-        fit_logistic_path,
-        args=(X, y, LAMBDAS),
-        kwargs={"warm_start": True, "tol": 1e-8},
-        rounds=1,
-        iterations=1,
-    )
-    cold = fit_logistic_path(X, y, LAMBDAS, warm_start=False, tol=1e-8)
-    assert warm.total_iterations < cold.total_iterations
-    # Same optima along the path.
-    for wp, cp in zip(warm.points, cold.points):
-        assert np.allclose(wp.coef, cp.coef, atol=5e-2)
-
-
-def test_iteration_savings_ratio(data):
-    X, y = data
-    warm = fit_logistic_path(X, y, LAMBDAS, warm_start=True, tol=1e-8)
-    cold = fit_logistic_path(X, y, LAMBDAS, warm_start=False, tol=1e-8)
+def run() -> dict:
+    X, y = make_classification(3000, 12, separation=1.2, seed=47)
+    lambdas = np.logspace(0.5, -3, 10)
+    warm = fit_logistic_path(X, y, lambdas, warm_start=True, tol=1e-8)
+    cold = fit_logistic_path(X, y, lambdas, warm_start=False, tol=1e-8)
+    assert len(warm.points) == len(cold.points) == len(lambdas)
     assert warm.total_iterations <= 0.9 * cold.total_iterations
+    for wp, cp in zip(warm.points, cold.points):  # same optima along the path
+        assert np.allclose(wp.coef, cp.coef, atol=5e-2)
+    return {
+        "points": [
+            {"l2": wp.l2, "cold_iterations": cp.iterations,
+             "warm_iterations": wp.iterations}
+            for wp, cp in zip(warm.points, cold.points)
+        ],
+        "cold_total": cold.total_iterations,
+        "warm_total": warm.total_iterations,
+    }
+
+
+def report(results: dict) -> None:
+    print(f"{'lambda':>10} {'cold iters':>11} {'warm iters':>11}")
+    for p in results["points"]:
+        print(f"{p['l2']:>10.4f} {p['cold_iterations']:>11} "
+              f"{p['warm_iterations']:>11}")
+    cold, warm = results["cold_total"], results["warm_total"]
+    print(f"{'TOTAL':>10} {cold:>11} {warm:>11}  "
+          f"({cold / warm:.2f}x fewer warm)")

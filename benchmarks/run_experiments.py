@@ -8,13 +8,15 @@ Usage::
     python benchmarks/run_experiments.py --list     # registry with titles
     python benchmarks/run_experiments.py --report out.json   # + obs reports
 
-Each experiment registers itself with the :func:`experiment` decorator;
-the tag list and ``--list`` output derive from that registry, so adding
-an experiment is one decorated function. Each prints the rows the
-surveyed system's paper reports (speedup vs. a parameter sweep,
-compression ratios per data regime, cost-vs-quality of search
-strategies, ...). EXPERIMENTS.md records a captured run of this script
-next to the surveyed papers' claims.
+Every experiment lives in one ``bench_<x>.py`` module exposing ``run``
+(measure, assert, return a dict) and ``report`` (print the table from
+that dict); ``EXPERIMENTS`` below maps a DESIGN.md tag to its module,
+title and the arguments that keep it quick inside this runner. Adding an
+experiment is one module and one row. Each prints the rows the surveyed
+system's paper reports (speedup vs. a parameter sweep, compression
+ratios per data regime, cost-vs-quality of search strategies, ...).
+EXPERIMENTS.md records a captured run of this script next to the
+surveyed papers' claims.
 
 Every experiment runs inside a fresh :mod:`repro.obs` scope (metrics
 reset, one ``experiment.<tag>`` root span). ``--report PATH`` writes one
@@ -26,701 +28,86 @@ artifact CI uploads and the regression gate inspects.
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
+import importlib
 import sys
-import time
 
-import numpy as np
-
-try:
-    from repro import obs
-except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-    from repro import obs
-
-#: tag -> (runner, one-line title); populated by @experiment
-EXPERIMENTS: dict[str, tuple] = {}
-
-
-def experiment(tag: str, title: str):
-    """Register an experiment runner under its DESIGN.md tag."""
-
-    def register(fn):
-        EXPERIMENTS[tag] = (fn, title)
-        return fn
-
-    return register
-
-
-def _timer(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def _header(tag: str, title: str) -> None:
-    print(f"\n{'=' * 72}\n{tag}: {title}\n{'=' * 72}")
-
-
-# ----------------------------------------------------------------------
-@experiment("E1", "Factorized vs materialized linear regression (Orion/Morpheus)")
-def e1_factorized():
-    from repro.data import make_star_schema
-    from repro.factorized import FactorizedLinearRegression, NormalizedMatrix
-    from repro.ml import LinearRegression
-
-    _header("E1", "Factorized vs materialized linear regression (Orion/Morpheus)")
-    print(f"{'TR':>5} {'redund.':>8} {'mat (s)':>9} {'fact (s)':>9} "
-          f"{'speedup':>8}  winner")
-    n_r, d_s, d_r = 500, 4, 30
-    for tuple_ratio in (1, 2, 5, 10, 20, 40):
-        star = make_star_schema(
-            n_s=n_r * tuple_ratio, n_r=n_r, d_s=d_s, d_r=d_r, seed=11
-        )
-        nm = NormalizedMatrix(star.S, [star.fk], [star.R])
-
-        def materialized():
-            X = star.materialize()
-            return LinearRegression(fit_intercept=False).fit(X, star.y)
-
-        def factorized():
-            return FactorizedLinearRegression().fit(nm, star.y)
-
-        t_mat, m1 = _timer(materialized)
-        t_fact, m2 = _timer(factorized)
-        assert np.allclose(m1.coef_, m2.coef_, atol=1e-5)
-        speedup = t_mat / t_fact
-        print(
-            f"{tuple_ratio:>5} {nm.redundancy_ratio:>8.2f} {t_mat:>9.4f} "
-            f"{t_fact:>9.4f} {speedup:>7.2f}x  "
-            f"{'factorized' if speedup > 1 else 'materialized'}"
-        )
-
-
-@experiment("E2", "Join avoidance accuracy vs tuple ratio (Hamlet)")
-def e2_hamlet():
-    from repro.data import make_star_schema
-    from repro.factorized import evaluate_join_avoidance
-
-    _header("E2", "Join avoidance accuracy vs tuple ratio (Hamlet)")
-    print(f"{'TR':>6} {'acc join':>9} {'acc nojoin':>11} {'acc drop':>9} "
-          f"{'rule says':>10}")
-    n_r = 40
-    for tuple_ratio in (2, 5, 20, 50, 200):
-        star = make_star_schema(
-            n_s=n_r * tuple_ratio, n_r=n_r, d_s=4, d_r=8,
-            task="classification", fk_importance=0.15, seed=13,
-        )
-        report = evaluate_join_avoidance(star, seed=13)
-        print(
-            f"{tuple_ratio:>6} {report.accuracy_with_join:>9.3f} "
-            f"{report.accuracy_no_join:>11.3f} {report.accuracy_drop:>9.3f} "
-            f"{'AVOID' if report.decision.avoid else 'keep':>10}"
-        )
-
-
-@experiment("E3", "Compression ratios and kernel times (CLA)")
-def e3_compression():
-    from repro.compression import CompressedMatrix
-    from repro.data import (
-        make_low_cardinality_matrix,
-        make_run_matrix,
-        make_sparse_matrix,
-    )
-
-    _header("E3", "Compression ratios and kernel times (CLA)")
-    rng = np.random.default_rng(17)
-    n, d = 50_000, 10
-    datasets = {
-        "low-cardinality": make_low_cardinality_matrix(n, d, cardinality=10, seed=1),
-        "run-structured": make_run_matrix(n, d, mean_run_length=200, seed=2),
-        "sparse (1%)": make_sparse_matrix(n, d, density=0.01, seed=3),
-        "random dense": rng.standard_normal((n, d)),
-    }
-    print(f"{'dataset':<17} {'ratio':>7} {'schemes':<28} "
-          f"{'dense MV':>9} {'comp MV':>9}")
-    v = rng.standard_normal(d)
-    for name, X in datasets.items():
-        C = CompressedMatrix.compress(X)
-        t_dense, _ = _timer(lambda: X @ v, repeats=5)
-        t_comp, _ = _timer(lambda: C.matvec(v), repeats=5)
-        assert np.allclose(C.matvec(v), X @ v)
-        print(
-            f"{name:<17} {C.compression_ratio:>6.1f}x "
-            f"{str(C.schemes()):<28} {t_dense * 1e3:>8.2f}m {t_comp * 1e3:>8.2f}m"
-        )
-
-
-@experiment("E4", "Algebraic rewrites + mmchain (SystemML compiler)")
-def e4_rewrites():
-    from repro.compiler import compile_expr
-    from repro.lang import matrix, trace
-    from repro.runtime import execute
-
-    _header("E4", "Algebraic rewrites + mmchain (SystemML compiler)")
-    rng = np.random.default_rng(19)
-    n, d = 4000, 200
-    bindings = {
-        "X": rng.standard_normal((n, d)),
-        "w": rng.standard_normal(d),
-        "y": rng.standard_normal(n),
-        "A": rng.standard_normal((600, 800)),
-        "B": rng.standard_normal((800, 600)),
-    }
-    X = matrix("X", (n, d))
-    w = matrix("w", (d, 1))
-    y = matrix("y", (n, 1))
-    A = matrix("A", (600, 800))
-    B = matrix("B", (800, 600))
-    # Note: @ is left-associative, so "X.T @ X @ w" is the naively-written
-    # (t(X) %*% X) %*% w — quadratic in d unless the chain is re-associated.
-    programs = {
-        "gradient (t(X) X) w - t(X) y": (X.T @ X @ w - X.T @ y) / n,
-        "trace(A %*% B)": trace(A @ B),
-        "(X t(X)) y  [n x n intermediate]": X @ X.T @ y,
-    }
-    print(f"{'program':<32} {'naive (s)':>10} {'opt (s)':>9} {'speedup':>8} "
-          f"{'flops before':>13} {'after':>12}")
-    for name, expr in programs.items():
-        naive_plan = compile_expr(
-            expr, rewrites=False, mmchain=False, fusion=False, cse=False
-        )
-        opt_plan = compile_expr(expr)
-        t_naive, r1 = _timer(lambda: execute(naive_plan, bindings))
-        t_opt, r2 = _timer(lambda: execute(opt_plan, bindings))
-        assert np.allclose(np.asarray(r1), np.asarray(r2), rtol=1e-8)
-        print(
-            f"{name:<32} {t_naive:>10.4f} {t_opt:>9.4f} "
-            f"{t_naive / t_opt:>7.1f}x {opt_plan.cost_before.flops:>13,} "
-            f"{opt_plan.cost_after.flops:>12,}"
-        )
-
-
-@experiment("E5", "Operator fusion: runtime and intermediate memory")
-def e5_fusion():
-    from repro.compiler import compile_expr, estimate
-    from repro.lang import matrix, sumall
-    from repro.runtime import execute
-
-    _header("E5", "Operator fusion: runtime and intermediate memory")
-    rng = np.random.default_rng(23)
-    n, d = 20_000, 100
-    bindings = {
-        "X": rng.standard_normal((n, d)),
-        "Y": rng.standard_normal((n, d)),
-    }
-    X = matrix("X", (n, d))
-    Y = matrix("Y", (n, d))
-    programs = {
-        "sum((X - Y)^2)": sumall((X - Y) ** 2),
-        "sum(X * Y)": sumall(X * Y),
-        "t(X) %*% X": X.T @ X,
-    }
-    print(f"{'pattern':<16} {'unfused (s)':>12} {'fused (s)':>10} "
-          f"{'interm. unfused':>16} {'fused':>8}")
-    for name, expr in programs.items():
-        unfused = compile_expr(expr, fusion=False, rewrites=False, cse=False)
-        fused = compile_expr(expr)
-        t_unf, r1 = _timer(lambda: execute(unfused, bindings))
-        t_fus, r2 = _timer(lambda: execute(fused, bindings))
-        assert np.allclose(np.asarray(r1), np.asarray(r2), rtol=1e-8)
-        print(
-            f"{name:<16} {t_unf:>12.4f} {t_fus:>10.4f} "
-            f"{estimate(unfused.root).intermediate_bytes:>15,}B "
-            f"{estimate(fused.root).intermediate_bytes:>7,}B"
-        )
-
-
-@experiment("E6", "In-DB IGD: epochs-to-loss per shuffle policy (Bismarck)")
-def e6_indb():
-    from repro.data import make_classification
-    from repro.indb import train_igd
-    from repro.ml.losses import LogisticLoss
-    from repro.storage import Table
-
-    _header("E6", "In-DB IGD: epochs-to-loss per shuffle policy (Bismarck)")
-    n, d = 10_000, 10
-    X, y = make_classification(n, d, separation=2.0, seed=29)
-    order = np.argsort(y)  # clustered physical order
-    table = Table.from_columns(
-        {f"x{i}": X[order, i] for i in range(d)}
-        | {"y": np.where(y[order] == 1, 1.0, -1.0)}
-    )
-    features = [f"x{i}" for i in range(d)]
-    print(f"{'epoch':>6} {'none':>8} {'once':>8} {'each':>8}")
-    results = {
-        policy: train_igd(
-            table, features, "y", LogisticLoss(),
-            epochs=6, shuffle=policy, seed=3,
-        )
-        for policy in ("none", "once", "each")
-    }
-    for epoch in range(7):
-        print(
-            f"{epoch:>6} "
-            f"{results['none'].loss_history[epoch]:>8.4f} "
-            f"{results['once'].loss_history[epoch]:>8.4f} "
-            f"{results['each'].loss_history[epoch]:>8.4f}"
-        )
-
-
-@experiment("E7", "Successive halving vs full grid (MSMS/TuPAQ)")
-def e7_selection():
-    from repro.data import make_classification
-    from repro.ml import LogisticRegression
-    from repro.ml.preprocessing import train_test_split
-    from repro.selection import full_budget_baseline, successive_halving
-
-    _header("E7", "Successive halving vs full grid (MSMS/TuPAQ)")
-    X, y = make_classification(2000, 8, separation=1.5, seed=31)
-    X_tr, X_val, y_tr, y_val = train_test_split(X, y, 0.3, seed=31)
-    configs = [
-        {"l2": l2, "learning_rate": lr}
-        for l2 in np.logspace(-4, 1, 8)
-        for lr in (0.25, 1.0)
-    ]
-    halving = successive_halving(
-        LogisticRegression(solver="gd"), configs, X_tr, y_tr, X_val, y_val,
-        min_budget=2, max_budget=32,
-    )
-    full = full_budget_baseline(
-        LogisticRegression(solver="gd"), configs, X_tr, y_tr, X_val, y_val,
-        budget=32,
-    )
-    print(f"{'strategy':<20} {'configs':>8} {'epochs spent':>13} "
-          f"{'best val acc':>13}")
-    print(f"{'full grid':<20} {len(configs):>8} {full.total_cost:>13.0f} "
-          f"{full.best_score:>13.3f}")
-    print(f"{'succ. halving':<20} {len(configs):>8} "
-          f"{halving.total_cost:>13.0f} {halving.best_score:>13.3f}")
-    print("\nrungs (budget -> survivors):",
-          " -> ".join(f"{r.budget}:{len(r.survivors)}" for r in halving.rungs))
-
-
-@experiment("E8", "Feature-subset exploration: statistics reuse (Columbus)")
-def e8_columbus():
-    from repro.data import make_regression
-    from repro.feateng import FeatureSubsetExplorer, solve_subset_naive
-
-    _header("E8", "Feature-subset exploration: statistics reuse (Columbus)")
-    subsets = [list(range(k)) for k in (2, 5, 10, 20)] + [[0, 5, 7, 12, 25]]
-    print(f"{'n rows':>9} {'naive 5 solves':>15} {'columbus':>10} "
-          f"{'speedup':>8} {'+precompute':>12}")
-    for n in (10_000, 50_000, 200_000):
-        X, y, _ = make_regression(n, 30, noise=0.5, seed=37)
-        t_pre, explorer = _timer(lambda: FeatureSubsetExplorer(X, y), repeats=1)
-        t_naive, _ = _timer(
-            lambda: [solve_subset_naive(X, y, s) for s in subsets], repeats=1
-        )
-        t_fast, _ = _timer(
-            lambda: [explorer.solve_subset(s) for s in subsets], repeats=3
-        )
-        print(
-            f"{n:>9,} {t_naive:>14.4f}s {t_fast:>9.4f}s "
-            f"{t_naive / t_fast:>7.0f}x {t_pre:>11.4f}s"
-        )
-
-
-@experiment("E9", "Buffer pool: hit ratio vs pool size over 5 epochs")
-def e9_bufferpool():
-    from repro.runtime import BlockedMatrix, BlockStore, BufferPool
-
-    _header("E9", "Buffer pool: hit ratio vs pool size over 5 epochs")
-    rng = np.random.default_rng(41)
-    n, d, block_rows = 40_000, 16, 2_000
-    X = rng.standard_normal((n, d))
-    block_bytes = block_rows * d * 8
-    num_blocks = n // block_rows
-    v = np.ones(d)
-    print(f"{'pool (blocks)':>14} {'hit ratio':>10} {'store reads':>12} "
-          f"{'evictions':>10}")
-    for pool_blocks in (2, 5, 10, 15, 21):
-        store = BlockStore()
-        bm = BlockedMatrix.from_array(X, store, "X", block_rows)
-        pool = BufferPool(store, capacity_bytes=block_bytes * pool_blocks)
-        for _ in range(5):
-            bm.matvec(v, pool)
-        print(
-            f"{pool_blocks:>14} {pool.stats.hit_ratio:>10.2f} "
-            f"{store.reads:>12} {pool.stats.evictions:>10}"
-        )
-    print(f"(matrix = {num_blocks} blocks; epochs hit once the pool holds all)")
-
-
-@experiment("E10", "Sampling-based compression planning accuracy")
-def e10_cla_planner():
-    from repro.compression import plan_matrix
-    from repro.data import (
-        make_low_cardinality_matrix,
-        make_run_matrix,
-        make_sparse_matrix,
-    )
-
-    _header("E10", "Sampling-based compression planning accuracy")
-    rng = np.random.default_rng(43)
-    n = 100_000
-    X = np.hstack(
-        [
-            make_low_cardinality_matrix(n, 3, cardinality=8, seed=1),
-            make_run_matrix(n, 3, mean_run_length=300, seed=2),
-            make_sparse_matrix(n, 3, density=0.01, seed=3),
-            rng.standard_normal((n, 3)),
-        ]
-    )
-    t_sampled, sampled = _timer(
-        lambda: plan_matrix(X, sample_fraction=0.01), repeats=1
-    )
-    t_exact, exact = _timer(lambda: plan_matrix(X, exact=True), repeats=1)
-    agree = sum(
-        s.scheme == e.scheme for s, e in zip(sampled.columns, exact.columns)
-    )
-    print(f"columns: {len(sampled.columns)}   scheme agreement: "
-          f"{agree}/{len(sampled.columns)}")
-    print(f"planning time: sampled {t_sampled:.3f}s vs exact {t_exact:.3f}s "
-          f"({t_exact / t_sampled:.1f}x faster)")
-    print(f"\n{'col':>4} {'exact scheme':<14} {'sampled scheme':<15} "
-          f"{'est. ratio':>10}")
-    for s, e in zip(sampled.columns, exact.columns):
-        print(f"{s.index:>4} {e.scheme:<14} {s.scheme:<15} "
-              f"{s.estimated_ratio:>9.1f}x")
-
-
-@experiment("E11", "Warm vs cold starts on an L2 path")
-def e11_warmstart():
-    from repro.data import make_classification
-    from repro.selection import fit_logistic_path
-
-    _header("E11", "Warm vs cold starts on an L2 path")
-    X, y = make_classification(3000, 12, separation=1.2, seed=47)
-    lambdas = np.logspace(0.5, -3, 10)
-    warm = fit_logistic_path(X, y, lambdas, warm_start=True, tol=1e-8)
-    cold = fit_logistic_path(X, y, lambdas, warm_start=False, tol=1e-8)
-    print(f"{'lambda':>10} {'cold iters':>11} {'warm iters':>11}")
-    for wp, cp in zip(warm.points, cold.points):
-        print(f"{wp.l2:>10.4f} {cp.iterations:>11} {wp.iterations:>11}")
-    print(f"{'TOTAL':>10} {cold.total_iterations:>11} "
-          f"{warm.total_iterations:>11}  "
-          f"({cold.total_iterations / warm.total_iterations:.2f}x fewer warm)")
-
-
-@experiment("E12", "CSE: executed operators and runtime")
-def e12_cse():
-    from repro.compiler import compile_expr, count_tree_ops, count_unique_ops
-    from repro.lang import matrix, sumall
-    from repro.runtime import execute
-
-    _header("E12", "CSE: executed operators and runtime")
-    rng = np.random.default_rng(53)
-    n, d = 8_000, 120
-    bindings = {
-        "X": rng.standard_normal((n, d)),
-        "w": rng.standard_normal(d),
-        "y": rng.standard_normal(n),
-    }
-    X = matrix("X", (n, d))
-    w = matrix("w", (d, 1))
-    y = matrix("y", (n, 1))
-    program = (
-        sumall((X @ w - y) ** 2)
-        + sumall((X @ w - y) ** 2)
-        + sumall((X @ w) * (X @ w))
-    )
-    no_cse = compile_expr(
-        program, rewrites=False, mmchain=False, fusion=False, cse=False
-    )
-    with_cse = compile_expr(
-        program, rewrites=False, mmchain=False, fusion=False, cse=True
-    )
-    t_no, r1 = _timer(lambda: execute(no_cse, bindings))
-    t_yes, r2 = _timer(lambda: execute(with_cse, bindings))
-    assert abs(r1 - r2) < 1e-6 * abs(r1)
-    print(f"{'variant':<12} {'operators':>10} {'time (s)':>9}")
-    print(f"{'tree':<12} {count_tree_ops(no_cse.root):>10} {t_no:>9.4f}")
-    print(f"{'CSE DAG':<12} {count_unique_ops(with_cse.root):>10} {t_yes:>9.4f}")
-    print(f"speedup: {t_no / t_yes:.2f}x")
-
-
-@experiment("E13", "Sparsity exploitation: CSR vs dense by density")
-def e13_sparse():
-    from repro.data import make_sparse_matrix
-    from repro.sparse import CSRMatrix
-
-    _header("E13", "Sparsity exploitation: CSR vs dense by density")
-    n, d = 50_000, 200
-    rng = np.random.default_rng(59)
-    v = rng.standard_normal(d)
-    print(f"{'density':>8} {'mem ratio':>10} {'dense MV':>9} {'CSR MV':>9} "
-          f"{'winner':>8}")
-    for density in (0.001, 0.01, 0.05, 0.2, 0.5):
-        Xd = make_sparse_matrix(n, d, density=density, seed=61)
-        X = CSRMatrix.from_dense(Xd)
-        t_dense, _ = _timer(lambda: Xd @ v, repeats=3)
-        t_sparse, _ = _timer(lambda: X.matvec(v), repeats=3)
-        assert np.allclose(X.matvec(v), Xd @ v)
-        print(
-            f"{density:>8.3f} {Xd.nbytes / X.nbytes:>9.1f}x "
-            f"{t_dense * 1e3:>8.2f}m {t_sparse * 1e3:>8.2f}m "
-            f"{'CSR' if t_sparse < t_dense else 'dense':>8}"
-        )
-
-
-@experiment("E14", "Compiler-pass ablation on the GLM gradient")
-def e14_ablation():
-    from repro.compiler import compile_expr
-    from repro.lang import matrix
-    from repro.runtime import execute
-
-    _header("E14", "Compiler-pass ablation on the GLM gradient")
-    n, d = 4000, 200
-    rng = np.random.default_rng(61)
-    bindings = {
-        "X": rng.standard_normal((n, d)),
-        "w": rng.standard_normal(d),
-        "y": rng.standard_normal(n),
-    }
-
-    def program():
-        X = matrix("X", (n, d))
-        w = matrix("w", (d, 1))
-        y = matrix("y", (n, 1))
-        return (X.T @ X @ w - X.T @ y) / n
-
-    flag_sets = {
-        "all on": {},
-        "no rewrites": {"rewrites": False},
-        "no mmchain": {"mmchain": False},
-        "no fusion": {"fusion": False},
-        "no cse": {"cse": False},
-        "all off": {"rewrites": False, "mmchain": False,
-                    "fusion": False, "cse": False},
-    }
-    print(f"{'variant':<14} {'time (s)':>9} {'flops':>14}")
-    for name, flags in flag_sets.items():
-        plan = compile_expr(program(), **flags)
-        t, _ = _timer(lambda: execute(plan, bindings))
-        print(f"{name:<14} {t:>9.4f} {plan.cost_after.flops:>14,}")
-
-
-@experiment("E15", "Distributed strategies: accuracy vs communication")
-def e15_distributed():
-    from repro.data import make_classification, make_regression
-    from repro.distributed import (
-        SimulatedCluster,
-        train_bsp_gd,
-        train_model_averaging,
-        train_parameter_server,
-    )
-    from repro.ml.losses import LogisticLoss, SquaredLoss
-
-    _header("E15", "Distributed strategies: accuracy vs communication")
-    X, y, _ = make_regression(4000, 16, noise=0.2, seed=67)
-    print("least squares, 8 workers:")
-    print(f"{'strategy':<18} {'rounds':>7} {'KB moved':>9} {'final loss':>11}")
-    c = SimulatedCluster(X, y, num_workers=8, seed=1)
-    bsp = train_bsp_gd(c, SquaredLoss(), rounds=30, learning_rate=0.3)
-    print(f"{'BSP GD (30 it)':<18} {bsp.comm.rounds:>7} "
-          f"{bsp.comm.total_bytes / 1024:>8.1f}K {bsp.final_loss:>11.4f}")
-    c = SimulatedCluster(X, y, num_workers=8, seed=1)
-    avg = train_model_averaging(c, SquaredLoss(), local_iterations=200)
-    print(f"{'model averaging':<18} {avg.comm.rounds:>7} "
-          f"{avg.comm.total_bytes / 1024:>8.1f}K {avg.final_loss:>11.4f}")
-
-    print("\nmodel averaging vs shard size (n=400, d=40):")
-    Xs, ys, _ = make_regression(400, 40, noise=0.5, seed=68)
-    print(f"{'workers':>8} {'avg loss':>9} {'BSP loss':>9}")
-    for k in (2, 8, 32):
-        ca = SimulatedCluster(Xs, ys, num_workers=k, seed=2)
-        a = train_model_averaging(ca, SquaredLoss(), local_iterations=300)
-        cb = SimulatedCluster(Xs, ys, num_workers=k, seed=2)
-        b = train_bsp_gd(cb, SquaredLoss(), rounds=200, learning_rate=0.2)
-        print(f"{k:>8} {a.final_loss:>9.4f} {b.final_loss:>9.4f}")
-
-    print("\nparameter server: staleness sweep (logistic, lr=2.0):")
-    Xc, yc = make_classification(2000, 8, separation=2.0, seed=69)
-    ypm = np.where(yc == 1, 1.0, -1.0)
-    print(f"{'max staleness':>14} {'final loss':>11}")
-    for s in (0, 16, 64, 128):
-        cc = SimulatedCluster(Xc, ypm, num_workers=8, seed=3)
-        r = train_parameter_server(
-            cc, LogisticLoss(), total_updates=600,
-            learning_rate=2.0, decay=0.0, max_staleness=s, seed=3,
-        )
-        print(f"{s:>14} {r.final_loss:>11.4f}")
-
-
-@experiment("E16", "Declarative algorithm scripts vs library implementations")
-def e16_algorithms():
-    from repro.algorithms import kmeans_dsl, linreg_cg, linreg_direct
-    from repro.data import make_blobs, make_regression
-    from repro.ml import KMeans, LinearRegression
-
-    _header("E16", "Declarative algorithm scripts vs library implementations")
-    X, y, _ = make_regression(20_000, 50, noise=0.2, seed=71)
-    rows = [
-        ("linreg library", lambda: LinearRegression(fit_intercept=False).fit(X, y)),
-        ("linreg DSL direct", lambda: linreg_direct(X, y)),
-        ("linreg DSL CG", lambda: linreg_cg(X, y, tol=1e-10)),
-    ]
-    Xb, _ = make_blobs(5000, 8, centers=5, seed=71)
-    rows += [
-        ("kmeans library", lambda: KMeans(5, n_init=1, init="random", seed=1).fit(Xb)),
-        ("kmeans DSL", lambda: kmeans_dsl(Xb, 5, seed=1)),
-    ]
-    print(f"{'workload':<20} {'time (s)':>9}")
-    for name, fn in rows:
-        t, _ = _timer(fn, repeats=2)
-        print(f"{name:<20} {t:>9.4f}")
-    reference = LinearRegression(fit_intercept=False).fit(X, y)
-    assert np.allclose(linreg_direct(X, y).weights, reference.coef_, atol=1e-6)
-
-
-@experiment("E17", "CV with shared fold statistics vs per-config refits")
-def e17_fold_reuse():
-    from repro.data import make_regression
-    from repro.selection import ridge_cv_naive, ridge_cv_shared
-
-    _header("E17", "CV with shared fold statistics vs per-config refits")
-    X, y, _ = make_regression(20_000, 30, noise=0.3, seed=73)
-    lambdas = np.logspace(-3, 3, 10)
-    t_naive, naive = _timer(lambda: ridge_cv_naive(X, y, lambdas, cv=5), repeats=1)
-    t_shared, shared = _timer(
-        lambda: ridge_cv_shared(X, y, lambdas, cv=5), repeats=1
-    )
-    assert np.allclose(naive.mean_rmse, shared.mean_rmse, atol=1e-9)
-    print(f"{'variant':<10} {'time (s)':>9} {'data passes':>12} {'best l2':>9}")
-    print(f"{'naive':<10} {t_naive:>9.4f} {naive.data_passes:>12} "
-          f"{naive.best_lambda:>9.4g}")
-    print(f"{'shared':<10} {t_shared:>9.4f} {shared.data_passes:>12} "
-          f"{shared.best_lambda:>9.4g}")
-    print(f"speedup {t_naive / t_shared:.1f}x with identical RMSE per "
-          "(fold, lambda)")
-
-
-@experiment("E18", "Cost-aware parallel execution engine")
-def e18_parallel():
-    """Delegate to the dedicated sweep (kept quick inside the runner)."""
-    import bench_parallel
-
-    _header("E18", "Cost-aware parallel execution engine")
-    results = bench_parallel.run(quick=True, threads=[1, 2, 4], repeats=1)
-    bench_parallel.report(results)
-
-
-@experiment("E19", "Representation-aware execution of DSL iteration loops")
-def e19_repr_exec():
-    """Delegate to the dedicated benchmark (kept quick inside the runner)."""
-    import bench_repr_exec
-
-    _header("E19", "Representation-aware execution of DSL iteration loops")
-    results = bench_repr_exec.run(quick=True, repeats=1)
-    bench_repr_exec.report(results)
-
-
-@experiment("E20", "Observability overhead: disabled-path bound on E19 quick")
-def e20_obs_overhead():
-    """Delegate to the dedicated microbenchmark (kept quick here)."""
-    import bench_obs_overhead
-
-    _header("E20", "Observability overhead: disabled-path bound on E19 quick")
-    results = bench_obs_overhead.run(quick=True, repeats=2)
-    bench_obs_overhead.report(results)
-
-
-@experiment("E21", "Fault-tolerant execution: chaos completion and overhead")
-def e21_resilience():
-    """Delegate to the dedicated chaos benchmark (kept quick here)."""
-    import bench_resilience
-
-    _header("E21", "Fault-tolerant execution: chaos completion and overhead")
-    results = bench_resilience.run(quick=True, repeats=2)
-    bench_resilience.report(results)
-
-
-@experiment("E22", "Online serving: micro-batching, cache, canary split")
-def e22_serving():
-    """Delegate to the dedicated serving benchmark (kept quick here)."""
-    import bench_serving
-
-    _header("E22", "Online serving: micro-batching, cache, canary split")
-    results = bench_serving.run(quick=True, repeats=2)
-    bench_serving.report(results)
-
-
-@experiment("E23", "Adaptive re-optimization: observed costs correct the plan")
-def e23_feedback():
-    """Delegate to the dedicated feedback benchmark (kept quick here)."""
-    import bench_feedback
-
-    _header(
-        "E23", "Adaptive re-optimization: observed costs correct the plan"
-    )
-    results = bench_feedback.run(quick=True, repeats=2)
-    bench_feedback.report(results)
-
-
-@experiment("E24", "Lineage-aware materialization: cross-workload reuse")
-def e24_reuse():
-    """Delegate to the dedicated reuse benchmark (kept quick here)."""
-    import bench_reuse
-
-    _header("E24", "Lineage-aware materialization: cross-workload reuse")
-    results = bench_reuse.run(quick=True, repeats=2)
-    bench_reuse.report(results)
-
-
-@experiment("E25", "Incremental maintenance: delta refresh, chaos, hot-swap")
-def e25_incremental():
-    """Delegate to the dedicated streaming benchmark (kept quick here)."""
-    import bench_incremental
-
-    _header(
-        "E25", "Incremental maintenance: delta refresh, chaos, hot-swap"
-    )
-    results = bench_incremental.run(quick=True, repeats=2)
-    bench_incremental.report(results)
-
-
-@experiment("E26", "Sharded serving fabric: failover, quotas, scaling")
-def e26_sharding():
-    """Delegate to the dedicated sharding benchmark (kept quick here)."""
-    import bench_sharding
-
-    _header("E26", "Sharded serving fabric: failover, quotas, scaling")
-    results = bench_sharding.run(quick=True, repeats=2)
-    bench_sharding.report(results)
-
-
-@experiment("E27", "Feature store: online/offline parity, drift-gated rollout")
-def e27_features():
-    """Delegate to the dedicated feature-store benchmark (kept quick here)."""
-    import bench_features
-
-    _header("E27", "Feature store: online/offline parity, drift-gated rollout")
-    results = bench_features.run(quick=True, repeats=2)
-    bench_features.report(results)
+import harness
+from repro import obs
+
+_QUICK = {"quick": True, "repeats": 2}
+
+#: tag -> (module, one-line title, arguments of ``run`` inside this runner)
+EXPERIMENTS: dict[str, tuple[str, str, dict]] = {
+    "E1": ("bench_factorized",
+           "Factorized vs materialized linear regression (Orion/Morpheus)", {}),
+    "E2": ("bench_hamlet", "Join avoidance accuracy vs tuple ratio (Hamlet)", {}),
+    "E3": ("bench_compression", "Compression ratios and kernel times (CLA)", {}),
+    "E4": ("bench_rewrites",
+           "Algebraic rewrites + mmchain (SystemML compiler)", {}),
+    "E5": ("bench_fusion",
+           "Operator fusion: runtime and intermediate memory", {}),
+    "E6": ("bench_indb",
+           "In-DB IGD: epochs-to-loss per shuffle policy (Bismarck)", {}),
+    "E7": ("bench_selection", "Successive halving vs full grid (MSMS/TuPAQ)", {}),
+    "E8": ("bench_columbus",
+           "Feature-subset exploration: statistics reuse (Columbus)", {}),
+    "E9": ("bench_bufferpool",
+           "Buffer pool: hit ratio vs pool size over 5 epochs", {}),
+    "E10": ("bench_cla_planner",
+            "Sampling-based compression planning accuracy", {}),
+    "E11": ("bench_warmstart", "Warm vs cold starts on an L2 path", {}),
+    "E12": ("bench_cse", "CSE: executed operators and runtime", {}),
+    "E13": ("bench_sparse",
+            "Sparsity exploitation: CSR vs dense by density", {}),
+    "E14": ("bench_ablation", "Compiler-pass ablation on the GLM gradient", {}),
+    "E15": ("bench_distributed",
+            "Distributed strategies: accuracy vs communication", {}),
+    "E16": ("bench_algorithms",
+            "Declarative algorithm scripts vs library implementations", {}),
+    "E17": ("bench_foldreuse",
+            "CV with shared fold statistics vs per-config refits", {}),
+    "E18": ("bench_parallel", "Cost-aware parallel execution engine",
+            {"quick": True, "threads": [1, 2, 4], "repeats": 1}),
+    "E19": ("bench_repr_exec",
+            "Representation-aware execution of DSL iteration loops",
+            {"quick": True, "repeats": 1}),
+    "E20": ("bench_obs_overhead",
+            "Observability overhead: disabled-path bound on E19 quick", _QUICK),
+    "E21": ("bench_resilience",
+            "Fault-tolerant execution: chaos completion and overhead", _QUICK),
+    "E22": ("bench_serving",
+            "Online serving: micro-batching, cache, canary split", _QUICK),
+    "E23": ("bench_feedback",
+            "Adaptive re-optimization: observed costs correct the plan", _QUICK),
+    "E24": ("bench_reuse",
+            "Lineage-aware materialization: cross-workload reuse", _QUICK),
+    "E25": ("bench_incremental",
+            "Incremental maintenance: delta refresh, chaos, hot-swap", _QUICK),
+    "E26": ("bench_sharding",
+            "Sharded serving fabric: failover, quotas, scaling", _QUICK),
+    "E27": ("bench_features",
+            "Feature store: online/offline parity, drift-gated rollout", _QUICK),
+}
 
 
 def _registry_lines() -> list[str]:
-    return [f"{tag:>5}  {title}" for tag, (_, title) in EXPERIMENTS.items()]
+    return [f"{tag:>5}  {title}" for tag, (_, title, _) in EXPERIMENTS.items()]
 
 
 def _run_one(tag: str) -> dict:
     """Run one experiment in a fresh obs scope; return its obs report."""
-    runner, title = EXPERIMENTS[tag]
+    module_name, title, args = EXPERIMENTS[tag]
+    module = importlib.import_module(module_name)
+    print(f"\n{'=' * 72}\n{tag}: {title}\n{'=' * 72}")
     obs.reset()
-    start = time.perf_counter()
     with obs.span(f"experiment.{tag}", title=title):
-        runner()
-    wall = time.perf_counter() - start
+        timing = harness.timed(
+            lambda: module.report(module.run(**args)), repeats=1
+        )
     doc = obs.report()
     doc["experiment"] = tag
     doc["title"] = title
-    doc["wall_seconds"] = wall
+    doc["wall_seconds"] = timing.best
     return doc
 
 
@@ -751,21 +138,18 @@ def main(argv: list[str]) -> int:
         return 2
     reports = {tag: _run_one(tag) for tag in requested}
     if args.report:
-        from conftest import bench_metadata
-
-        payload = {
-            "schema": "repro.obs/report-bundle/v1",
-            "meta": {
-                **bench_metadata("run_experiments"),
-                "tracing": obs.tracing_enabled(),
-                "experiments_run": requested,
+        harness.write_json(
+            args.report,
+            {
+                "schema": "repro.obs/report-bundle/v1",
+                "meta": {
+                    **harness.bench_metadata("run_experiments"),
+                    "tracing": obs.tracing_enabled(),
+                    "experiments_run": requested,
+                },
+                "experiments": reports,
             },
-            "experiments": reports,
-        }
-        pathlib.Path(args.report).write_text(
-            json.dumps(payload, indent=2) + "\n"
         )
-        print(f"\nwrote {args.report}")
     print()
     return 0
 

@@ -1,5 +1,6 @@
 """Repository-consistency checks: exports, docs, and experiment index."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -102,7 +103,7 @@ class TestDocsAndExperiments:
     def test_runner_covers_design_experiments(self, design):
         runner = (REPO_ROOT / "benchmarks" / "run_experiments.py").read_text()
         design_ids = set(re.findall(r"\| (E\d+) \|", design))
-        runner_ids = set(re.findall(r'@experiment\(\s*"(E\d+)"', runner))
+        runner_ids = set(re.findall(r'^    "(E\d+)": \("bench_', runner, re.M))
         assert design_ids <= runner_ids
 
     def test_readme_lists_every_example(self):
@@ -270,3 +271,95 @@ class TestOneRequestPath:
         sites = re.findall(r'site="(fabric\.\w+)"', self.FABRIC.read_text())
         assert sites == ["fabric.route", "fabric.score"]
         assert set(self._functions_holding(r"\bshard=")) == {"_serve_on"}
+
+
+class TestOneBenchHarness:
+    """Every experiment E1-E27 has one home (``bench_<x>.py`` with
+    ``run`` + ``report``) over one shared ``benchmarks/harness.py``:
+    the timer, the bench command line and the path bootstrap are each
+    written once. ``benchmarks/e2e/`` is the whole-loop harness with its
+    own clock and is not in scope."""
+
+    BENCH = REPO_ROOT / "benchmarks"
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {
+            path.name: ast.parse(path.read_text())
+            for path in sorted(self.BENCH.glob("*.py"))
+        }
+
+    @staticmethod
+    def _functions(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+
+    @staticmethod
+    def _mentions(node, name: str) -> bool:
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr == name)
+            or (isinstance(n, ast.Name) and n.id == name)
+            for n in ast.walk(node)
+        )
+
+    def test_one_function_holds_the_repeat_timer(self, trees):
+        loops = [
+            f"{name}:{fn.name}"
+            for name, tree in trees.items()
+            for fn in self._functions(tree)
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.For, ast.While))
+            and self._mentions(node, "perf_counter")
+        ]
+        assert loops == ["harness.py:timed"]
+        clocks = [
+            name for name, tree in trees.items()
+            if self._mentions(tree, "perf_counter")
+        ]
+        assert clocks == ["harness.py"]
+
+    def test_one_argument_parser_per_role(self, trees):
+        parsers = [
+            name for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and self._mentions(node.func, "ArgumentParser")
+        ]
+        assert parsers == ["check_regression.py", "harness.py", "run_experiments.py"]
+
+    def test_nothing_for_pytest_to_collect(self, trees):
+        offenders = [
+            f"{name}:{fn.name}"
+            for name, tree in trees.items()
+            for fn in self._functions(tree)
+            if fn.name.startswith("test_")
+            or "benchmark" in [a.arg for a in fn.args.args]
+        ]
+        assert offenders == []
+        assert not (self.BENCH / "conftest.py").exists()
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        assert "bench_*.py" not in pyproject and "benchmark" not in pyproject
+
+    def test_path_bootstrap_lives_in_the_harness(self):
+        holders = [
+            path.name for path in sorted(self.BENCH.glob("*.py"))
+            if "sys.path.insert" in path.read_text()
+        ]
+        assert holders == ["harness.py"]
+
+    def test_every_bench_module_is_one_registered_experiment(self, trees):
+        benches = {name[:-3] for name in trees if name.startswith("bench_")}
+        for name in benches:
+            defined = {
+                node.name for node in trees[f"{name}.py"].body
+                if isinstance(node, ast.FunctionDef)
+            }
+            assert {"run", "report"} <= defined, name
+        runner = (self.BENCH / "run_experiments.py").read_text()
+        registry = dict(
+            re.findall(r'^    "(E\d+)": \("(bench_\w+)"', runner, re.M)
+        )
+        assert list(registry) == [f"E{n}" for n in range(1, 28)]
+        assert sorted(registry.values()) == sorted(benches)  # one home each
