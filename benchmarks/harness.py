@@ -43,8 +43,7 @@ from repro.resilience import (  # noqa: E402
     fault_point,
 )
 from repro.runtime.parallel import (  # noqa: E402
-    ParallelContext,
-    default_cost_threshold,
+    DEFAULT_COST_THRESHOLD,
     default_num_threads,
 )
 
@@ -172,8 +171,8 @@ def bench_metadata(experiment: str) -> dict:
         "cpu_count": os.cpu_count(),
         "repro_num_threads": os.environ.get("REPRO_NUM_THREADS"),
         "effective_workers": default_num_threads(),
-        "backend": ParallelContext().backend,
-        "default_threshold": default_cost_threshold(),
+        "backend": "thread",
+        "default_threshold": DEFAULT_COST_THRESHOLD,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

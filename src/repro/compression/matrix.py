@@ -13,13 +13,12 @@ matrices still dispatch serially through the cost gate.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 
 import numpy as np
 
 from ..errors import CompressionError
-from ..runtime.parallel import ParallelContext, resolve_context
+from ..runtime.parallel import ParallelContext, dispatch, resolve_context
 from .colgroup import ColumnGroup
 from .planner import CompressionPlan, build_groups, plan_matrix
 
@@ -28,6 +27,13 @@ def _group_matvec(v: np.ndarray, n_rows: int, group: ColumnGroup) -> np.ndarray:
     """One group's contribution to X @ v, as a private partial vector."""
     out = np.zeros(n_rows)
     group.matvec_add(v, out)
+    return out
+
+
+def _sum_partials(size: int, partials: list[np.ndarray]) -> np.ndarray:
+    out = np.zeros(size)
+    for p in partials:
+        out += p
     return out
 
 
@@ -108,12 +114,6 @@ class CompressedMatrix:
         """Flops-equivalents of one matvec-shaped pass: 2 * nnz-dense."""
         return 2.0 * self.shape[0] * self.shape[1]
 
-    def _ctx_for(self, min_groups: int = 2) -> ParallelContext | None:
-        ctx = self._parallel_ctx
-        if ctx is None or len(self.groups) < min_groups:
-            return None
-        return ctx
-
     # ------------------------------------------------------------------
     # Size accounting
     # ------------------------------------------------------------------
@@ -185,30 +185,24 @@ class CompressedMatrix:
             raise CompressionError(
                 f"vector length {len(v)} != num columns {self.shape[1]}"
             )
-        ctx = self._ctx_for()
-        if ctx is not None and ctx.should_parallelize(
-            len(self.groups), self._kernel_cost(), site="cla.matvec"
-        ):
-            partials = ctx.pmap(
-                partial(_group_matvec, v, self.shape[0]),
-                self.groups,
-                cost_hint=self._kernel_cost(),
-                site="cla.matvec",
-            )
-            out = np.zeros(self.shape[0])
-            for p in partials:
-                out += p
-            return out
+        ctx = self._parallel_ctx
+        if ctx is None:
+            return self._matvec(v)
+        return ctx.pmap(
+            partial(_group_matvec, v, self.shape[0]),
+            self.groups,
+            cost_hint=self._kernel_cost(),
+            site="cla.matvec",
+            serial=partial(self._matvec, v),
+            combine=partial(_sum_partials, self.shape[0]),
+        )
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
         # Serial kernel: accumulate in place — cheaper than the per-group
         # partial-vector formulation the parallel path needs.
-        start = time.perf_counter() if ctx is not None else 0.0
         out = np.zeros(self.shape[0])
         for g in self.groups:
             g.matvec_add(v, out)
-        if ctx is not None:
-            ctx.note_serial(
-                "cla.matvec", len(self.groups), time.perf_counter() - start
-            )
         return out
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
@@ -223,36 +217,28 @@ class CompressedMatrix:
                 f"vector length {len(u)} != num rows {self.shape[0]}"
             )
         out = np.zeros(self.shape[1])
-        ctx = self._ctx_for()
-        if ctx is not None:
-            partials = ctx.pmap(
-                partial(_group_rmatvec, u),
-                self.groups,
-                cost_hint=self._kernel_cost(),
-                site="cla.rmatvec",
-            )
-            for g, values in zip(self.groups, partials):
-                out[g.col_indices] = values
-            return out
-        for g in self.groups:
-            out[g.col_indices] = g.rmatvec(u)
+        partials = dispatch(
+            self._parallel_ctx,
+            partial(_group_rmatvec, u),
+            self.groups,
+            cost_hint=self._kernel_cost(),
+            site="cla.rmatvec",
+        )
+        for g, values in zip(self.groups, partials):
+            out[g.col_indices] = values
         return out
 
     def colsums(self) -> np.ndarray:
         out = np.zeros(self.shape[1])
-        ctx = self._ctx_for()
-        if ctx is not None:
-            partials = ctx.pmap(
-                _group_colsums,
-                self.groups,
-                cost_hint=float(self.shape[0]) * self.shape[1],
-                site="cla.colsums",
-            )
-            for g, values in zip(self.groups, partials):
-                out[g.col_indices] = values
-            return out
-        for g in self.groups:
-            out[g.col_indices] = g.colsums()
+        partials = dispatch(
+            self._parallel_ctx,
+            _group_colsums,
+            self.groups,
+            cost_hint=float(self.shape[0]) * self.shape[1],
+            site="cla.colsums",
+        )
+        for g, values in zip(self.groups, partials):
+            out[g.col_indices] = values
         return out
 
     def _gram_column(self, j: int) -> np.ndarray:
@@ -271,19 +257,15 @@ class CompressedMatrix:
         """
         d = self.shape[1]
         out = np.empty((d, d))
-        ctx = self._parallel_ctx
-        if ctx is not None and d > 1:
-            columns = ctx.pmap(
-                self._gram_column,
-                range(d),
-                cost_hint=2.0 * d * self._kernel_cost(),
-                site="cla.tsmm",
-            )
-            for j, col in enumerate(columns):
-                out[:, j] = col
-        else:
-            for j in range(d):
-                out[:, j] = self._gram_column(j)
+        columns = dispatch(
+            self._parallel_ctx,
+            self._gram_column,
+            range(d),
+            cost_hint=2.0 * d * self._kernel_cost(),
+            site="cla.tsmm",
+        )
+        for j, col in enumerate(columns):
+            out[:, j] = col
         # Symmetrize against floating-point asymmetry.
         return (out + out.T) / 2.0
 

@@ -22,16 +22,15 @@ the comm ledger — including the recovery traffic — stays deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ..errors import InjectedFault, ReproError, WorkerFailure
 from ..ml.losses import Loss
-from ..obs import get_registry, span
+from ..obs import Ledger, get_registry, span
 from ..resilience.faults import fault_point, no_chaos
-from ..runtime.parallel import ParallelContext, resolve_context
+from ..runtime.parallel import ParallelContext, dispatch, resolve_context
 from .partition import Partition, partition_rows
 
 
@@ -47,17 +46,24 @@ def _worker_loss(loss: Loss, w: np.ndarray, worker: "Worker") -> tuple[float, in
 BYTES_PER_FLOAT = 8
 
 
-@dataclass
-class CommStats:
-    """Cumulative communication ledger."""
+class CommStats(Ledger):
+    """Cumulative communication ledger (the ``cluster.*`` counters)."""
 
-    rounds: int = 0
-    messages: int = 0
-    bytes_broadcast: int = 0  # driver -> workers
-    bytes_gathered: int = 0  # workers -> driver
-    worker_failures: int = 0  # failed RPCs (dead worker or injected fault)
-    lineage_recoveries: int = 0  # shard requests re-executed by a survivor
-    bytes_recovered: int = 0  # gather bytes re-sent during recovery
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(
+            "cluster",
+            (
+                "rounds",
+                "messages",
+                "bytes_broadcast",  # driver -> workers
+                "bytes_gathered",  # workers -> driver
+                "worker_failures",  # failed RPCs (dead worker or injected fault)
+                "lineage_recoveries",  # shard requests re-executed by a survivor
+                "bytes_recovered",  # gather bytes re-sent during recovery
+            ),
+        )
 
     @property
     def total_bytes(self) -> int:
@@ -108,7 +114,6 @@ class SimulatedCluster:
         scheme: str = "random",
         seed: int | None = 0,
         parallel: bool | ParallelContext = False,
-        context: ParallelContext | None = None,
     ):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -125,7 +130,7 @@ class SimulatedCluster:
         self.n_rows = len(X)
         self.comm = CommStats()
         self.dead: set[int] = set()
-        self._parallel_ctx = resolve_context(parallel, context)
+        self._parallel_ctx = resolve_context(parallel)
 
     # ------------------------------------------------------------------
     # failure semantics
@@ -179,14 +184,11 @@ class SimulatedCluster:
         survivor.recoveries_executed += 1
         # Recovery traffic: re-send the request, re-gather one vector.
         vector_bytes = self.dim * BYTES_PER_FLOAT
-        self.comm.messages += 2
-        self.comm.bytes_broadcast += vector_bytes
-        self.comm.bytes_gathered += vector_bytes
-        self.comm.bytes_recovered += vector_bytes
-        self.comm.lineage_recoveries += 1
-        registry = get_registry()
-        registry.inc("cluster.lineage_recoveries")
-        registry.inc("cluster.messages", 2)
+        self.comm.inc("messages", 2)
+        self.comm.inc("bytes_broadcast", vector_bytes)
+        self.comm.inc("bytes_gathered", vector_bytes)
+        self.comm.inc("bytes_recovered", vector_bytes)
+        self.comm.inc("lineage_recoveries")
         with span(
             "cluster.recover",
             worker=worker.worker_id,
@@ -204,24 +206,19 @@ class SimulatedCluster:
         reductions are deterministic. Failed workers are recovered
         lineage-style by :meth:`_recover_partial` before returning.
         """
-        ctx = self._parallel_ctx
-        attempt = partial(self._attempt_request, fn)
-        if ctx is not None and self.num_workers > 1:
-            wrapped = ctx.pmap(
-                attempt,
-                self.workers,
-                cost_hint=2.0 * self.n_rows * self.dim,
-                site=site,
-            )
-        else:
-            wrapped = [attempt(worker) for worker in self.workers]
+        wrapped = dispatch(
+            self._parallel_ctx,
+            partial(self._attempt_request, fn),
+            self.workers,
+            cost_hint=2.0 * self.n_rows * self.dim,
+            site=site,
+        )
         results = []
         for worker, (status, payload) in zip(self.workers, wrapped):
             if status == "ok":
                 results.append(payload)
                 continue
-            self.comm.worker_failures += 1
-            get_registry().inc("cluster.worker_failures")
+            self.comm.inc("worker_failures")
             results.append(self._recover_partial(fn, worker, payload))
         return results
 
@@ -230,24 +227,12 @@ class SimulatedCluster:
         return len(self.workers)
 
     def _account_round(self) -> None:
-        """One BSP round: broadcast w down, gather one vector per worker.
-
-        The per-cluster :class:`CommStats` ledger stays the API callers
-        read; the same quantities accumulate in the global ``cluster.*``
-        metrics so run reports see communication across all clusters.
-        """
-        self.comm.rounds += 1
-        self.comm.messages += 2 * self.num_workers
-        vector_bytes = self.dim * BYTES_PER_FLOAT
-        self.comm.bytes_broadcast += vector_bytes * self.num_workers
-        self.comm.bytes_gathered += vector_bytes * self.num_workers
-        registry = get_registry()
-        registry.inc("cluster.rounds")
-        registry.inc("cluster.messages", 2 * self.num_workers)
-        registry.inc(
-            "cluster.bytes_broadcast", vector_bytes * self.num_workers
-        )
-        registry.inc("cluster.bytes_gathered", vector_bytes * self.num_workers)
+        """One BSP round: broadcast w down, gather one vector per worker."""
+        round_bytes = self.dim * BYTES_PER_FLOAT * self.num_workers
+        self.comm.inc("rounds")
+        self.comm.inc("messages", 2 * self.num_workers)
+        self.comm.inc("bytes_broadcast", round_bytes)
+        self.comm.inc("bytes_gathered", round_bytes)
 
     def global_gradient(self, loss: Loss, w: np.ndarray) -> np.ndarray:
         """Exact full-data mean gradient via one BSP round."""

@@ -98,9 +98,11 @@ def train_model_averaging(
     averaged = np.average(np.vstack(models), axis=0, weights=weights)
 
     comm = cluster.comm
-    comm.rounds += 1
-    comm.messages += cluster.num_workers
-    comm.bytes_gathered += cluster.num_workers * cluster.dim * BYTES_PER_FLOAT
+    comm.inc("rounds")
+    comm.inc("messages", cluster.num_workers)
+    comm.inc(
+        "bytes_gathered", cluster.num_workers * cluster.dim * BYTES_PER_FLOAT
+    )
     final = cluster.global_loss(loss, averaged)
     return DistributedResult(
         weights=averaged,

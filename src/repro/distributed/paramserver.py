@@ -174,7 +174,7 @@ def train_parameter_server(
         except InjectedFault:
             result.failed_pulls += 1
             registry.inc("paramserver.failed_pulls")
-            cluster.comm.messages += 1  # the pull that was lost
+            cluster.comm.inc("messages")  # the pull that was lost
             continue
         base_version = server.version - actual
         grad = worker.minibatch_gradient(loss, weights, batch_size, rng)
@@ -193,9 +193,9 @@ def train_parameter_server(
             result.updates_applied += 1
         else:
             result.rejected_pushes = server.rejected_pushes
-        cluster.comm.messages += 2  # pull + push
-        cluster.comm.bytes_broadcast += vector_bytes
-        cluster.comm.bytes_gathered += vector_bytes
+        cluster.comm.inc("messages", 2)  # pull + push
+        cluster.comm.inc("bytes_broadcast", vector_bytes)
+        cluster.comm.inc("bytes_gathered", vector_bytes)
         if step % loss_every == 0:
             result.loss_history.append(
                 cluster.global_loss(loss, server.current)

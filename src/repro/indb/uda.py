@@ -26,6 +26,7 @@ from ..obs import get_registry, span
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
     ParallelContext,
+    dispatch,
     merge_tree,
     resolve_context,
 )
@@ -56,10 +57,7 @@ class UDA(Generic[State, Result]):
 def _fold_partition(
     uda: UDA[State, Result], data: np.ndarray, span: tuple[int, int]
 ) -> State:
-    """Fold one contiguous row slice through ``transition``.
-
-    Module-level so the process-pool backend can pickle it.
-    """
+    """Fold one contiguous row slice through ``transition``."""
     state = uda.initialize()
     for row in data[span[0] : span[1]]:
         state = uda.transition(state, row)
@@ -78,7 +76,6 @@ def run_uda(
     partitions: int = 1,
     row_order: np.ndarray | None = None,
     parallel: bool | ParallelContext = False,
-    context: ParallelContext | None = None,
 ) -> Result:
     """Execute a UDA over the selected numeric columns of a table.
 
@@ -96,7 +93,6 @@ def run_uda(
         parallel: ``True`` computes partition states concurrently on the
             shared :class:`ParallelContext` (cost-gated: small tables
             still run serially); may also be a context instance.
-        context: explicit pool to use instead of the shared default.
     """
     if partitions < 1:
         raise StorageError("partitions must be >= 1")
@@ -121,7 +117,7 @@ def run_uda(
         return uda.finalize(uda.initialize())
 
     fold = partial(_fold_partition, uda, data)
-    ctx = resolve_context(parallel, context)
+    ctx = resolve_context(parallel)
     registry = get_registry()
     registry.inc("uda.runs")
     registry.inc("uda.rows", n)
@@ -134,16 +130,13 @@ def run_uda(
         partitions=len(spans),
         parallel=ctx is not None,
     ):
-        if ctx is not None and len(spans) > 1:
-            states = ctx.pmap(
-                fold,
-                spans,
-                cost_hint=estimate_uda_cost(n, data.shape[1]),
-                site="indb.run_uda",
-            )
-        else:
-            states = [fold(row_span) for row_span in spans]
-
+        states = dispatch(
+            ctx,
+            fold,
+            spans,
+            cost_hint=estimate_uda_cost(n, data.shape[1]),
+            site="indb.run_uda",
+        )
         return uda.finalize(merge_tree(uda.merge, states))
 
 

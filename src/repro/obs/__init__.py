@@ -23,9 +23,8 @@ package is the one substrate those statistics flow through here:
 
 Instrumented layers: DSL executor, parallel engine, buffer pool /
 block store, UDA driver, compression planner, simulated cluster, and
-grid/random search. The structured per-run stats objects
-(``ExecutionStats``, ``ParallelStats``, ``CommStats``) are not count
-ledgers; they publish into the registry themselves.
+grid/random search. ``ExecutionStats`` (dict-valued per-run tallies)
+is not a count ledger; it publishes into the registry itself.
 """
 
 from .metrics import (

@@ -13,16 +13,15 @@ from .ops import (
     apply_unary,
 )
 from .parallel import (
-    CallRecord,
     ParallelContext,
     ParallelStats,
+    dispatch,
     get_default_context,
     merge_tree,
     parallel_stats,
     pmap,
     reset_parallel_stats,
     resolve_context,
-    set_default_context,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "BlockStore",
     "BlockedMatrix",
     "BufferPool",
-    "CallRecord",
     "ExecutionStats",
     "OutOfCoreLinearRegression",
     "OutOfCoreResult",
@@ -40,6 +38,7 @@ __all__ = [
     "apply_binary",
     "apply_fused",
     "apply_unary",
+    "dispatch",
     "execute",
     "get_default_context",
     "merge_tree",
@@ -47,5 +46,4 @@ __all__ = [
     "pmap",
     "reset_parallel_stats",
     "resolve_context",
-    "set_default_context",
 ]

@@ -5,26 +5,27 @@ Bismarck's UDA contract exists so an RDBMS can run ``transition`` over
 shared-nothing partitions and combine partials with ``merge``; SystemML's
 runtime executes block operations with multi-threaded workers; model
 selection is embarrassingly parallel across configurations. This module
-provides the one engine all of those layers share:
+is the one engine all of those layers share, and the only place a
+data-parallel call is gated, timed, recorded, fault-injected and
+recovered:
 
-* :class:`ParallelContext` — a reusable worker pool (threads by default,
-  since numpy releases the GIL inside its kernels; an optional process
-  backend for pure-Python per-row work) behind a **cost-model gate**:
+* :class:`ParallelContext` — a reusable pool of worker threads (numpy
+  releases the GIL inside its kernels) behind a **cost-model gate**:
   :meth:`ParallelContext.pmap` runs serially below a tunable
   flops-equivalent threshold so tiny inputs never pay pool overhead, and
-  fans out above it.
+  fans out above it. Either outcome runs between the engine's own two
+  clock reads and lands in the same ledger, in the same unit (items).
+* :func:`dispatch` — the hand-off call sites make: the plain loop
+  without a context, ``pmap`` with one.
 * :func:`merge_tree` — deterministic pairwise (log-depth) reduction, the
   combine shape a partitioned engine uses for ``merge``.
-* A per-call ledger (:class:`ParallelStats`): tasks dispatched, serial
+* A dispatch ledger (:class:`ParallelStats`): tasks dispatched, serial
   fallbacks, wall time versus the summed per-task time (the estimated
-  serial time), surfaced through :func:`parallel_stats`.
+  serial time), recovery counts — in total and per call site, surfaced
+  through :func:`parallel_stats`.
 
-Configuration
--------------
-``REPRO_NUM_THREADS``
-    default worker count for new contexts (else ``os.cpu_count()``).
-``REPRO_PARALLEL_THRESHOLD``
-    default cost gate in flops-equivalents (default ``250_000``).
+``REPRO_NUM_THREADS`` sets the default worker count for new contexts
+(else ``os.cpu_count()``).
 
 Determinism contract: ``pmap`` preserves item order and ``merge_tree``
 uses a fixed association, so a parallel run produces the same reduction
@@ -37,15 +38,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from ..compiler import feedback as _feedback
 from ..errors import ParallelTaskError, ReproError
-from ..obs import get_registry, span
+from ..obs import Counted, Ledger, get_registry, span
 from ..resilience.faults import fault_point
 from ..resilience.retry import RetryPolicy
 
@@ -63,198 +62,125 @@ DEFAULT_COST_THRESHOLD = 250_000.0
 _WORKER_PREFIX = "repro-parallel"
 
 
-def _env_positive_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
+def default_num_threads() -> int:
+    """Worker count: ``REPRO_NUM_THREADS`` if set, else ``os.cpu_count()``."""
+    raw = os.environ.get("REPRO_NUM_THREADS", "").strip()
     if not raw:
-        return None
+        return os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ReproError(f"{name} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ReproError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def default_num_threads() -> int:
-    """Worker count: ``REPRO_NUM_THREADS`` if set, else ``os.cpu_count()``."""
-    return _env_positive_int("REPRO_NUM_THREADS") or (os.cpu_count() or 1)
-
-
-def default_cost_threshold() -> float:
-    raw = os.environ.get("REPRO_PARALLEL_THRESHOLD", "").strip()
-    if not raw:
-        return DEFAULT_COST_THRESHOLD
-    try:
-        value = float(raw)
-    except ValueError as exc:
         raise ReproError(
-            f"REPRO_PARALLEL_THRESHOLD must be a number, got {raw!r}"
+            f"REPRO_NUM_THREADS must be an integer, got {raw!r}"
         ) from exc
-    if value < 0:
-        raise ReproError(f"REPRO_PARALLEL_THRESHOLD must be >= 0, got {value}")
+    if value < 1:
+        raise ReproError(f"REPRO_NUM_THREADS must be >= 1, got {value}")
     return value
 
 
-@dataclass
-class CallRecord:
-    """Ledger entry for one ``pmap`` call."""
+class ParallelStats(Counted):
+    """One dispatch record: a context's totals, or one call site's share.
 
-    site: str
-    tasks: int
-    parallel: bool
-    wall_time: float
-    task_time: float  # summed per-task time == estimated serial time
+    The integer fields are a :class:`~repro.obs.Ledger` — ``parallel.*``
+    for the totals, ``parallel.sites.<site>.*`` for a site's entry — so
+    each count reads as an attribute here and sums process-wide in the
+    registry. ``task_failures`` is every failed execution, ``retries``
+    every re-execution after a real failure, ``stragglers`` every
+    timed-out task re-run as a backup, and ``recovered_tasks`` every
+    task that succeeded only through one of those.
+    """
 
-    @property
-    def estimated_speedup(self) -> float:
-        if not self.parallel or self.wall_time <= 0:
-            return 1.0
-        return self.task_time / self.wall_time
+    def __init__(self, prefix: str = "parallel"):
+        self.counts = Ledger(
+            prefix,
+            ("calls", "parallel_calls", "serial_fallbacks", "tasks_dispatched",
+             "task_failures", "retries", "stragglers", "recovered_tasks"),
+        )
+        self.wall_time = 0.0
+        self.task_time = 0.0
+        #: wall/summed-task time of *parallel* dispatches only, so the
+        #: realized speedup is not diluted by serial calls.
+        self.parallel_wall_time = 0.0
+        self.parallel_task_time = 0.0
+        self.by_site: dict[str, ParallelStats] = {}
 
+    def site(self, name: str) -> "ParallelStats":
+        """The entry of one call site (created on first use)."""
+        entry = self.by_site.get(name)
+        if entry is None:
+            entry = self.by_site.setdefault(
+                name, ParallelStats(f"parallel.sites.{name}")
+            )
+        return entry
 
-@dataclass
-class SiteStats:
-    """Aggregated ledger for one call site."""
-
-    calls: int = 0
-    parallel_calls: int = 0
-    serial_fallbacks: int = 0
-    tasks_dispatched: int = 0
-    wall_time: float = 0.0
-    task_time: float = 0.0
-    #: wall/summed-task time of *parallel* dispatches only, so the
-    #: realized speedup is not diluted by serial calls.
-    parallel_wall_time: float = 0.0
-    parallel_task_time: float = 0.0
-
-    @property
-    def realized_speedup(self) -> float:
-        """Summed task time over wall time across this site's fan-outs."""
-        if self.parallel_wall_time <= 0:
-            return 1.0
-        return self.parallel_task_time / self.parallel_wall_time
-
-
-@dataclass
-class ParallelStats:
-    """Cumulative dispatch ledger for one :class:`ParallelContext`."""
-
-    calls: int = 0
-    parallel_calls: int = 0
-    serial_fallbacks: int = 0
-    tasks_dispatched: int = 0
-    wall_time: float = 0.0
-    task_time: float = 0.0
-    #: resilience ledger: raw task failures observed, retry re-executions,
-    #: timed-out tasks re-run as backups, and tasks that ultimately
-    #: succeeded only because of a recovery action.
-    task_failures: int = 0
-    retries: int = 0
-    stragglers: int = 0
-    recovered_tasks: int = 0
-    by_site: dict[str, SiteStats] = field(default_factory=dict)
-    #: detailed per-call records for *parallel* dispatches; serial
-    #: fallbacks update only the counters to keep the gated path cheap.
-    records: list[CallRecord] = field(default_factory=list)
-    record_limit: int = 256
+    def count(self, site: str, field: str, n: int = 1) -> None:
+        """Count ``n`` events on these totals and on ``site``'s entry."""
+        self.counts.inc(field, n)
+        self.site(site).counts.inc(field, n)
 
     def observe(
         self, site: str, tasks: int, parallel: bool, wall: float, work: float
     ) -> None:
-        self.calls += 1
-        self.tasks_dispatched += tasks
-        self.wall_time += wall
-        self.task_time += work
-        site_stats = self.by_site.setdefault(site, SiteStats())
-        site_stats.calls += 1
-        site_stats.tasks_dispatched += tasks
-        site_stats.wall_time += wall
-        site_stats.task_time += work
-        if not parallel:
-            self.serial_fallbacks += 1
-            site_stats.serial_fallbacks += 1
-            return
-        self.parallel_calls += 1
-        site_stats.parallel_calls += 1
-        site_stats.parallel_wall_time += wall
-        site_stats.parallel_task_time += work
-        self.records.append(
-            CallRecord(
-                site=site,
-                tasks=tasks,
-                parallel=True,
-                wall_time=wall,
-                task_time=work,
-            )
-        )
-        if len(self.records) > self.record_limit:
-            del self.records[: len(self.records) - self.record_limit]
+        """Fold one dispatch outcome into the totals and the site's entry."""
+        decision = "parallel_calls" if parallel else "serial_fallbacks"
+        for record in (self, self.site(site)):
+            record.counts.inc("calls")
+            record.counts.inc("tasks_dispatched", tasks)
+            record.counts.inc(decision)
+            record.wall_time += wall
+            record.task_time += work
+            if parallel:
+                record.parallel_wall_time += wall
+                record.parallel_task_time += work
 
     @property
-    def estimated_speedup(self) -> float:
-        """Summed task time over wall time across parallel calls."""
-        wall = sum(r.wall_time for r in self.records if r.parallel)
-        work = sum(r.task_time for r in self.records if r.parallel)
-        if wall <= 0:
+    def realized_speedup(self) -> float:
+        """Summed task time over wall time across the fan-outs."""
+        if self.parallel_wall_time <= 0:
             return 1.0
-        return work / wall
+        return self.parallel_task_time / self.parallel_wall_time
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "calls": self.calls,
-            "parallel_calls": self.parallel_calls,
-            "serial_fallbacks": self.serial_fallbacks,
-            "tasks_dispatched": self.tasks_dispatched,
+    #: the name the totals have always reported the same ratio under.
+    estimated_speedup = realized_speedup
+
+    def as_dict(self, sites: bool = True) -> dict[str, Any]:
+        out = {
+            **self.counts.as_dict(),
             "wall_time": self.wall_time,
             "task_time": self.task_time,
-            "task_failures": self.task_failures,
-            "retries": self.retries,
-            "stragglers": self.stragglers,
-            "recovered_tasks": self.recovered_tasks,
-            "estimated_speedup": self.estimated_speedup,
-            "by_site": {
-                name: {
-                    "calls": s.calls,
-                    "parallel_calls": s.parallel_calls,
-                    "serial_fallbacks": s.serial_fallbacks,
-                    "tasks_dispatched": s.tasks_dispatched,
-                    "wall_time": s.wall_time,
-                    "task_time": s.task_time,
-                    "realized_speedup": s.realized_speedup,
-                    "decisions": {
-                        "parallel": s.parallel_calls,
-                        "serial": s.serial_fallbacks,
-                    },
-                }
-                for name, s in self.by_site.items()
+            "estimated_speedup": self.realized_speedup,
+            "realized_speedup": self.realized_speedup,
+            "decisions": {
+                "parallel": self.parallel_calls,
+                "serial": self.serial_fallbacks,
             },
         }
+        if sites:
+            out["by_site"] = {
+                name: entry.as_dict(sites=False)
+                for name, entry in self.by_site.items()
+            }
+        return out
 
 
-def _timed_call(fn: Callable[[T], R], item: T) -> tuple[float, R]:
-    """Run one task and report its duration (module-level: picklable)."""
-    start = time.perf_counter()
-    result = fn(item)
-    return time.perf_counter() - start, result
-
-
-def _guarded_task(
-    fn: Callable[[T], R], fault_site: str, index: int, item: T
-) -> R:
+def _guarded_task(fn: Callable[[T], R], site: str, index: int, item: T) -> R:
     """One task execution behind its fault-injection site.
 
-    Module-level so the process backend can pickle it. The fault point
-    is keyed by task index, so an installed :class:`ChaosContext`
-    decides each task's fate deterministically regardless of thread
-    scheduling.
+    The fault point is keyed by task index, so an installed
+    :class:`ChaosContext` decides each task's fate deterministically
+    regardless of thread scheduling.
     """
-    fault_point(fault_site, key=index)
+    fault_point(f"parallel.task.{site}", key=index)
     return fn(item)
 
 
-def _in_worker_thread() -> bool:
-    return threading.current_thread().name.startswith(_WORKER_PREFIX)
+def _timed_task(
+    fn: Callable[[T], R], site: str, index: int, item: T
+) -> tuple[float, R]:
+    """A pooled task's first execution, with its duration."""
+    start = time.perf_counter()
+    value = _guarded_task(fn, site, index, item)
+    return time.perf_counter() - start, value
 
 
 class ParallelContext:
@@ -267,68 +193,48 @@ class ParallelContext:
         cost_threshold: flops-equivalent gate; ``pmap`` calls whose
             ``cost_hint`` falls below it run serially. ``0`` disables the
             gate (everything eligible fans out).
-        backend: ``"thread"`` (default; numpy kernels release the GIL),
-            ``"process"`` (for pure-Python per-row work; functions and
-            items must be picklable), or ``"serial"`` (never fan out —
-            useful for A/B measurement).
-        retry_policy: default :class:`~repro.resilience.RetryPolicy`
-            applied to every ``pmap`` call (a per-call ``retry=``
-            overrides it). ``None`` disables retries: a failed task
+        retry_policy: the :class:`~repro.resilience.RetryPolicy` applied
+            to every task. ``None`` disables retries: a failed task
             raises :class:`~repro.errors.ParallelTaskError` immediately.
-        task_timeout: default per-task gather timeout in seconds; a task
-            that has not produced its result within the bound is
-            abandoned as a straggler and re-executed on the caller
-            (speculative backup, MapReduce-style). ``None`` waits
-            forever.
+        task_timeout: per-task gather timeout in seconds; a task that
+            has not produced its result within the bound is abandoned
+            as a straggler and re-executed on the caller (speculative
+            backup, MapReduce-style). ``None`` waits forever.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         cost_threshold: float | None = None,
-        backend: str = "thread",
         retry_policy: RetryPolicy | None = None,
         task_timeout: float | None = None,
     ):
-        if backend not in ("thread", "process", "serial"):
-            raise ReproError(
-                f"backend must be 'thread', 'process', or 'serial', "
-                f"got {backend!r}"
-            )
         if max_workers is not None and max_workers < 1:
             raise ReproError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = (
             max_workers if max_workers is not None else default_num_threads()
         )
         self.cost_threshold = (
-            cost_threshold
-            if cost_threshold is not None
-            else default_cost_threshold()
+            DEFAULT_COST_THRESHOLD if cost_threshold is None else cost_threshold
         )
         if task_timeout is not None and task_timeout <= 0:
             raise ReproError(f"task_timeout must be > 0, got {task_timeout}")
-        self.backend = backend
         self.retry_policy = retry_policy
         self.task_timeout = task_timeout
         self.stats = ParallelStats()
-        self._executor: Executor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _pool(self) -> Executor:
+    def _pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._executor is None:
-                if self.backend == "process":
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.max_workers
-                    )
-                else:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix=_WORKER_PREFIX,
-                    )
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix=_WORKER_PREFIX,
+                )
             return self._executor
 
     def shutdown(self) -> None:
@@ -369,9 +275,9 @@ class ParallelContext:
         Without feedback (the default) the behavior is exactly the
         static gate.
         """
-        if self.backend == "serial" or self.max_workers < 2 or num_tasks < 2:
+        if self.max_workers < 2 or num_tasks < 2:
             return False
-        if _in_worker_thread():
+        if threading.current_thread().name.startswith(_WORKER_PREFIX):
             # Re-entrant pmap from inside a pool task: running it on the
             # same bounded pool could deadlock, so nest serially.
             return False
@@ -399,36 +305,40 @@ class ParallelContext:
         items: Iterable[T],
         cost_hint: float | None = None,
         site: str = "pmap",
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
-    ) -> list[R]:
+        serial: Callable[[], Any] | None = None,
+        combine: Callable[[list[R]], Any] | None = None,
+    ) -> Any:
         """Order-preserving map with cost-gated fan-out and recovery.
 
         Every task runs behind the fault site ``parallel.task.<site>``
         (keyed by task index), so an installed chaos context can fail,
-        corrupt, or slow it deterministically. A failed task is retried
-        under the effective :class:`RetryPolicy` — re-submission first,
-        then a final serial re-execution on the caller as last resort —
-        and a task that exceeds the timeout is abandoned and re-executed
-        serially (straggler backup). A task whose failure survives every
-        recovery attempt raises :class:`~repro.errors.ParallelTaskError`
-        carrying the site, task index, and attempt count, with the
-        original exception as ``__cause__``.
+        corrupt, or slow it deterministically. A failed task is
+        re-executed on the caller under the context's retry policy, and
+        one that exceeds ``task_timeout`` is abandoned and re-executed
+        the same way (straggler backup). A failure that survives every
+        attempt raises :class:`~repro.errors.ParallelTaskError` carrying
+        the site, task index and executions made, with the last
+        exception as ``__cause__``.
 
         Args:
             cost_hint: estimated total flops-equivalents for the whole
                 call; below the context threshold the map runs serially
                 (recorded as a serial fallback). ``None`` means "assume
                 expensive" and bypasses the gate.
-            site: label for the per-call ledger.
-            retry: per-call policy override (default: the context's).
-            timeout: per-call timeout override (default: the context's).
+            site: label for the ledger and the fault site.
+            serial: a whole-call kernel cheaper than the per-item tasks.
+                When the call does not fan out the engine runs it
+                *instead of* the tasks (no fault site, no retry); either
+                side is timed here and recorded as ``len(items)`` tasks,
+                so the feedback store compares like with like.
+            combine: reduces a fan-out's per-item results to what
+                ``serial`` returns (applied after the clock stops).
+
+        Returns the per-item results, or — given ``serial`` and
+        ``combine`` — the kernel's value whichever side ran.
         """
         tasks = list(items)
-        policy = retry if retry is not None else self.retry_policy
-        task_timeout = timeout if timeout is not None else self.task_timeout
         fan_out = self.should_parallelize(len(tasks), cost_hint, site=site)
-        fault_site = f"parallel.task.{site}"
         with span(
             "parallel.pmap",
             site=site,
@@ -437,207 +347,110 @@ class ParallelContext:
             workers=self.max_workers,
         ):
             start = time.perf_counter()
-            if not fan_out:
-                results = [
-                    self._run_serial_task(fn, item, i, site, fault_site, policy)
-                    for i, item in enumerate(tasks)
-                ]
-                wall = time.perf_counter() - start
-                self._record(site, len(tasks), False, wall, wall)
-                return results
-
-            pool = self._pool()
-            try:
-                futures = [
-                    pool.submit(
-                        _timed_call,
-                        partial(_guarded_task, fn, fault_site, i),
-                        item,
-                    )
-                    for i, item in enumerate(tasks)
-                ]
-            except RuntimeError:
-                # The pool was shut down between _pool() and submit (a
-                # concurrent shutdown): recover by running serially.
-                self._count("recovered_tasks", len(tasks))
-                get_registry().inc("parallel.pool_lost_recoveries")
-                results = [
-                    self._run_serial_task(fn, item, i, site, fault_site, policy)
-                    for i, item in enumerate(tasks)
-                ]
-                wall = time.perf_counter() - start
-                self._record(site, len(tasks), False, wall, wall)
-                return results
-
-            results = []
-            task_time = 0.0
-            for i, future in enumerate(futures):
+            work = None  # summed task time, once a fan-out has completed
+            if fan_out:
+                pool = self._pool()
                 try:
-                    dt, value = future.result(timeout=task_timeout)
-                except FutureTimeoutError:
-                    # Straggler: abandon the slow execution (its result,
-                    # if it ever arrives, is discarded) and run a backup
-                    # copy here — deterministic fns make this exact.
-                    self._count("stragglers")
-                    get_registry().inc("parallel.stragglers")
-                    backup_start = time.perf_counter()
-                    value = self._recover_task(
-                        fn, tasks[i], i, site, fault_site, policy, cause=None
-                    )
-                    dt = time.perf_counter() - backup_start
-                except Exception as exc:
-                    self._count("task_failures")
-                    get_registry().inc("parallel.task_failures")
-                    backup_start = time.perf_counter()
-                    value = self._recover_task(
-                        fn, tasks[i], i, site, fault_site, policy, cause=exc
-                    )
-                    dt = time.perf_counter() - backup_start
-                results.append(value)
-                task_time += dt
+                    futures = [
+                        pool.submit(_timed_task, fn, site, i, item)
+                        for i, item in enumerate(tasks)
+                    ]
+                except RuntimeError:
+                    # The pool was shut down between _pool() and submit
+                    # (a concurrent shutdown): recover by running serially.
+                    self.stats.count(site, "recovered_tasks", len(tasks))
+                    get_registry().inc("parallel.pool_lost_recoveries")
+                else:
+                    results, work = self._gather(fn, tasks, site, futures)
+            if work is None:
+                results = serial() if serial is not None else [
+                    self._attempt(fn, item, i, site)
+                    for i, item in enumerate(tasks)
+                ]
             wall = time.perf_counter() - start
-            self._record(site, len(tasks), True, wall, task_time)
-            return results
+            self._record(
+                site, len(tasks), work is not None, wall,
+                wall if work is None else work,
+            )
+        if work is not None and combine is not None:
+            return combine(results)
+        return results
 
-    # ------------------------------------------------------------------
-    # Recovery paths
-    # ------------------------------------------------------------------
-    def _run_serial_task(
+    def _gather(
+        self, fn: Callable[[T], R], tasks: list[T], site: str, futures: list
+    ) -> tuple[list[R], float]:
+        """Results in task order plus the summed per-task time."""
+        results = []
+        work = 0.0
+        for i, future in enumerate(futures):
+            try:
+                dt, value = future.result(timeout=self.task_timeout)
+            except Exception as exc:
+                restart = time.perf_counter()
+                value = self._attempt(fn, tasks[i], i, site, exc)
+                dt = time.perf_counter() - restart
+            results.append(value)
+            work += dt
+        return results, work
+
+    def _attempt(
         self,
         fn: Callable[[T], R],
         item: T,
         index: int,
         site: str,
-        fault_site: str,
-        policy: RetryPolicy | None,
+        failed: Exception | None = None,
     ) -> R:
-        """One task on the caller thread, with retry and error wrapping."""
-        attempts = policy.max_attempts if policy is not None else 1
-        last: Exception | None = None
-        for attempt in range(1, attempts + 1):
-            try:
-                value = _guarded_task(fn, fault_site, index, item)
-                if attempt > 1:
-                    self._count("recovered_tasks")
-                    get_registry().inc("parallel.recovered_tasks")
-                return value
-            except Exception as exc:
-                last = exc
-                self._count("task_failures")
-                get_registry().inc("parallel.task_failures")
+        """Run one task on the caller until it succeeds or gives up.
+
+        The one attempt loop. ``failed`` is what gathering the pooled
+        first execution raised. A timeout marks a straggler: the slow
+        execution is abandoned (its result, if it ever arrives, is
+        discarded) and this is its backup copy — deterministic fns make
+        that exact — entering, like the serial and pool-lost paths, with
+        no execution spent. Anything else is one spent, failed
+        execution. A failure is retried only while the policy calls it
+        transient and attempts remain, after the deterministic
+        per-``(site, index)`` backoff.
+        """
+        policy = self.retry_policy
+        backup = isinstance(failed, FutureTimeoutError)
+        if backup:
+            self.stats.count(site, "stragglers")
+            failed = None
+        attempts = 0 if failed is None else 1
+        while True:
+            if failed is not None:
+                self.stats.count(site, "task_failures")
                 if (
                     policy is None
-                    or not policy.is_retryable(exc)
-                    or attempt == attempts
+                    or not policy.is_retryable(failed)
+                    or attempts >= policy.max_attempts
                 ):
-                    break
-                self._count("retries")
-                get_registry().inc("parallel.retries")
-                policy.sleep(policy.delay(attempt, site, index))
-        assert last is not None
-        raise ParallelTaskError(site, index, attempts) from last
-
-    def _recover_task(
-        self,
-        fn: Callable[[T], R],
-        item: T,
-        index: int,
-        site: str,
-        fault_site: str,
-        policy: RetryPolicy | None,
-        cause: Exception | None,
-    ) -> R:
-        """Re-execute a failed or timed-out pooled task on the caller.
-
-        ``cause=None`` marks a straggler backup: the original execution
-        never failed, it was abandoned, so the backup runs as attempt 1
-        with the full budget behind it. A real failure consumed attempt
-        1 already and is only retried when the policy calls it
-        transient.
-        """
-        if cause is None:
+                    raise ParallelTaskError(site, index, attempts) from failed
+                self.stats.count(site, "retries")
+                policy.sleep(policy.delay(attempts, site, index))
+            attempts += 1
             try:
-                value = _guarded_task(fn, fault_site, index, item)
+                value = _guarded_task(fn, site, index, item)
             except Exception as exc:
-                self._count("task_failures")
-                get_registry().inc("parallel.task_failures")
-                return self._retry_loop(
-                    fn, item, index, site, fault_site, policy, exc
-                )
-            self._count("recovered_tasks")
-            get_registry().inc("parallel.recovered_tasks")
-            return value
-        return self._retry_loop(
-            fn, item, index, site, fault_site, policy, cause
-        )
-
-    def _retry_loop(
-        self,
-        fn: Callable[[T], R],
-        item: T,
-        index: int,
-        site: str,
-        fault_site: str,
-        policy: RetryPolicy | None,
-        cause: Exception,
-    ) -> R:
-        """Attempts 2..max after a real failure (attempt 1 == cause)."""
-        if policy is None or not policy.is_retryable(cause):
-            raise ParallelTaskError(site, index, 1) from cause
-        last: Exception = cause
-        for attempt in range(2, policy.max_attempts + 1):
-            self._count("retries")
-            get_registry().inc("parallel.retries")
-            policy.sleep(policy.delay(attempt - 1, site, index))
-            try:
-                value = _guarded_task(fn, fault_site, index, item)
-            except Exception as exc:
-                last = exc
-                if not policy.is_retryable(exc):
-                    break
+                failed = exc
                 continue
-            self._count("recovered_tasks")
-            get_registry().inc("parallel.recovered_tasks")
+            if failed is not None or backup:
+                self.stats.count(site, "recovered_tasks")
             return value
-        raise ParallelTaskError(site, index, policy.max_attempts) from last
-
-    def _count(self, field_name: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(
-                self.stats,
-                field_name,
-                getattr(self.stats, field_name) + amount,
-            )
-
-    def note_serial(self, site: str, tasks: int, wall_time: float) -> None:
-        """Record a serial fallback executed outside ``pmap``.
-
-        Call sites whose serial kernel has a different (cheaper) shape
-        than the per-task parallel formulation run it directly after
-        consulting :meth:`should_parallelize`, and log the decision here
-        so the ledger still reflects every dispatch.
-        """
-        self._record(site, tasks, False, wall_time, wall_time)
 
     def _record(
         self, site: str, tasks: int, parallel: bool, wall: float, work: float
     ) -> None:
         with self._lock:
             self.stats.observe(site, tasks, parallel, wall, work)
-        # Dual-write into the global registry: per-context ParallelStats
-        # stays the per-pool ledger, the registry is what reports read.
         registry = get_registry()
-        registry.inc("parallel.calls")
-        registry.inc("parallel.tasks_dispatched", tasks)
-        registry.inc(f"parallel.sites.{site}.calls")
         if parallel:
-            registry.inc("parallel.parallel_calls")
             registry.observe("parallel.wall_time_s", wall)
             registry.observe("parallel.task_time_s", work)
             if wall > 0:
                 registry.observe("parallel.utilization", work / wall)
-        else:
-            registry.inc("parallel.serial_fallbacks")
         store = _feedback.active_store()
         if store is not None:
             try:
@@ -693,32 +506,35 @@ def get_default_context() -> ParallelContext:
         return _default_context
 
 
-def set_default_context(context: ParallelContext | None) -> None:
-    """Replace the shared pool (``None`` resets to lazy re-creation)."""
-    global _default_context
-    with _default_lock:
-        old, _default_context = _default_context, context
-    if old is not None and old is not context:
-        old.shutdown()
-
-
 def resolve_context(
     parallel: "bool | ParallelContext | None",
-    context: ParallelContext | None = None,
 ) -> ParallelContext | None:
     """Normalize the ``parallel=`` argument call sites accept.
 
     ``False``/``None`` -> no context (serial); ``True`` -> the shared
-    default context; a :class:`ParallelContext` -> itself. An explicit
-    ``context`` wins over ``parallel=True``.
+    default context; a :class:`ParallelContext` -> itself.
     """
     if isinstance(parallel, ParallelContext):
         return parallel
-    if context is not None:
-        return context
-    if parallel:
-        return get_default_context()
-    return None
+    return get_default_context() if parallel else None
+
+
+def dispatch(
+    ctx: ParallelContext | None,
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    cost_hint: float | None = None,
+    site: str = "pmap",
+) -> list[R]:
+    """The hand-off a data-parallel call site makes: ``fn`` over ``items``.
+
+    Without a context, or with fewer than two items, this is the plain
+    loop — no gate, no fault site, no ledger entry. Otherwise the
+    engine decides (:meth:`ParallelContext.pmap`).
+    """
+    if ctx is None or len(items) < 2:
+        return [fn(item) for item in items]
+    return ctx.pmap(fn, items, cost_hint=cost_hint, site=site)
 
 
 def pmap(

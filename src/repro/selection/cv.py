@@ -18,6 +18,7 @@ from ..ml.base import Estimator
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
     ParallelContext,
+    dispatch,
     resolve_context,
 )
 
@@ -120,7 +121,6 @@ def cross_val_score(
     y: np.ndarray,
     cv: KFold | int = 5,
     parallel: bool | ParallelContext = False,
-    context: ParallelContext | None = None,
 ) -> np.ndarray:
     """Per-fold scores for a fresh clone of the estimator on each fold.
 
@@ -133,14 +133,11 @@ def cross_val_score(
     X = np.asarray(X)
     y = np.asarray(y)
     splits = list(cv.split(len(X)))
-    ctx = resolve_context(parallel, context)
-    if ctx is not None and len(splits) > 1:
-        scores = ctx.pmap(
-            partial(_fit_fold, estimator, X, y),
-            splits,
-            cost_hint=float(X.size) * len(splits) * PYTHON_CALL_FLOPS,
-            site="selection.cross_val_score",
-        )
-    else:
-        scores = [_fit_fold(estimator, X, y, split) for split in splits]
+    scores = dispatch(
+        resolve_context(parallel),
+        partial(_fit_fold, estimator, X, y),
+        splits,
+        cost_hint=float(X.size) * len(splits) * PYTHON_CALL_FLOPS,
+        site="selection.cross_val_score",
+    )
     return np.asarray(scores)

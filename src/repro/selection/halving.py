@@ -23,6 +23,7 @@ from ..resilience.checkpoint import IterativeCheckpointer
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
     ParallelContext,
+    dispatch,
     resolve_context,
 )
 from .search import Evaluation, SearchResult
@@ -78,7 +79,6 @@ def successive_halving(
     eta: int = 2,
     budget_param: str = "max_iter",
     parallel: bool | ParallelContext = False,
-    context: ParallelContext | None = None,
     checkpointer: IterativeCheckpointer | None = None,
 ) -> HalvingResult:
     """Run successive halving over explicit configurations.
@@ -104,7 +104,7 @@ def successive_halving(
     if not configs:
         raise SelectionError("need at least one configuration")
 
-    ctx = resolve_context(parallel, context)
+    ctx = resolve_context(parallel)
     evaluations: list[Evaluation] = []
     rungs: list[Rung] = []
     survivors = configs
@@ -133,15 +133,13 @@ def successive_halving(
             budget_param,
             budget,
         )
-        if ctx is not None and len(survivors) > 1:
-            results = ctx.pmap(
-                fit,
-                survivors,
-                cost_hint=_rung_cost_hint(X_train, budget, len(survivors)),
-                site="selection.halving",
-            )
-        else:
-            results = [fit(params) for params in survivors]
+        results = dispatch(
+            ctx,
+            fit,
+            survivors,
+            cost_hint=_rung_cost_hint(X_train, budget, len(survivors)),
+            site="selection.halving",
+        )
         scored: list[tuple[float, dict[str, Any]]] = []
         for score, params, full in results:
             scored.append((score, params))
@@ -187,10 +185,8 @@ def full_budget_baseline(
     budget: int = 64,
     budget_param: str = "max_iter",
     parallel: bool | ParallelContext = False,
-    context: ParallelContext | None = None,
 ) -> SearchResult:
     """Train every configuration at full budget (the naive comparator)."""
-    ctx = resolve_context(parallel, context)
     fit = partial(
         _fit_scored,
         estimator,
@@ -202,15 +198,13 @@ def full_budget_baseline(
         budget,
     )
     configs = [dict(c) for c in configs]
-    if ctx is not None and len(configs) > 1:
-        results = ctx.pmap(
-            fit,
-            configs,
-            cost_hint=_rung_cost_hint(X_train, budget, len(configs)),
-            site="selection.full_budget",
-        )
-    else:
-        results = [fit(params) for params in configs]
+    results = dispatch(
+        resolve_context(parallel),
+        fit,
+        configs,
+        cost_hint=_rung_cost_hint(X_train, budget, len(configs)),
+        site="selection.full_budget",
+    )
     return SearchResult(
         [
             Evaluation(params=full, score=score, cost=float(budget))

@@ -23,6 +23,7 @@ from ..resilience.checkpoint import IterativeCheckpointer
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
     ParallelContext,
+    dispatch,
     resolve_context,
 )
 from .cv import KFold
@@ -154,10 +155,11 @@ def _evaluate_configs(
     computed inside its own task, so serial and parallel runs produce
     identical evaluation lists (and therefore identical best configs).
 
-    With a ``checkpointer``, the serial path persists after each
-    configuration (the parallel path at the end of the batch) and a
-    repeated call resumes after the completed prefix — evaluations are
-    deterministic per configuration, so the resumed result is identical.
+    With a ``checkpointer`` the search persists on its interval and when
+    it completes — a serial search after each configuration, a pool
+    after its one batch — and a repeated call resumes after the
+    completed prefix: evaluations are deterministic per configuration,
+    so the resumed result is identical.
     """
     registry = get_registry()
     registry.inc("selection.searches")
@@ -167,30 +169,29 @@ def _evaluate_configs(
     with span(
         site, configs=len(configs), folds=cv.n_splits, parallel=ctx is not None
     ):
-        if ctx is None or len(remaining) < 2:
-            for params in remaining:
-                done.append(_evaluate(estimator, params, X, y, cv))
-                if checkpointer is not None and checkpointer.should_checkpoint(
-                    len(done)
-                ):
-                    checkpointer.save(
-                        len(done),
-                        {"configs": configs, "evaluations": list(done)},
-                    )
-            return done
-        # Materialize folds once up front: every task then reads the cached
-        # plan instead of racing to build it.
-        cv.folds(len(X))
-        done = done + ctx.pmap(
-            partial(_evaluate, estimator, X=X, y=y, cv=cv),
-            remaining,
-            cost_hint=search_cost_hint(X, cv, len(remaining)),
-            site=site,
-        )
-        if checkpointer is not None:
-            checkpointer.save(
-                len(done), {"configs": configs, "evaluations": list(done)}
+        if remaining:
+            # Materialize folds once up front: every task then reads the
+            # cached plan instead of racing to build it.
+            cv.folds(len(X))
+        # A pool takes what is left as one batch; the plain loop is a
+        # batch per configuration, so it can persist after each.
+        batch = len(remaining) if ctx is not None else 1
+        for lo in range(0, len(remaining), max(batch, 1)):
+            chunk = remaining[lo : lo + batch]
+            done += dispatch(
+                ctx,
+                partial(_evaluate, estimator, X=X, y=y, cv=cv),
+                chunk,
+                cost_hint=search_cost_hint(X, cv, len(chunk)),
+                site=site,
             )
+            if checkpointer is not None and (
+                checkpointer.should_checkpoint(len(done))
+                or len(done) == len(configs)
+            ):
+                checkpointer.save(
+                    len(done), {"configs": configs, "evaluations": list(done)}
+                )
         return done
 
 
@@ -201,7 +202,6 @@ def grid_search(
     y: np.ndarray,
     cv: KFold | int = 3,
     parallel: bool | ParallelContext = False,
-    context: ParallelContext | None = None,
     checkpointer: IterativeCheckpointer | None = None,
 ) -> SearchResult:
     """Exhaustive cross-validated search over a parameter grid.
@@ -221,7 +221,7 @@ def grid_search(
         X,
         y,
         cv,
-        resolve_context(parallel, context),
+        resolve_context(parallel),
         site="selection.grid_search",
         checkpointer=checkpointer,
     )
@@ -237,7 +237,6 @@ def random_search(
     cv: KFold | int = 3,
     seed: int | None = 0,
     parallel: bool | ParallelContext = False,
-    context: ParallelContext | None = None,
     checkpointer: IterativeCheckpointer | None = None,
 ) -> SearchResult:
     """Randomized search.
@@ -268,7 +267,7 @@ def random_search(
         X,
         y,
         cv,
-        resolve_context(parallel, context),
+        resolve_context(parallel),
         site="selection.random_search",
         checkpointer=checkpointer,
     )

@@ -18,13 +18,12 @@ inputs unchanged.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 
 import numpy as np
 
 from ..errors import ReproError
-from ..runtime.parallel import ParallelContext, resolve_context
+from ..runtime.parallel import ParallelContext, dispatch, resolve_context
 
 
 class SparseError(ReproError):
@@ -56,6 +55,13 @@ def _rowblock_rmatvec(csr: "CSRMatrix", u: np.ndarray, bounds) -> np.ndarray:
         weights=csr.data[s] * u[row_of],
         minlength=csr.shape[1],
     )
+
+
+def _sum_partials(size: int, partials: list[np.ndarray]) -> np.ndarray:
+    out = np.zeros(size)
+    for p in partials:
+        out += p
+    return out
 
 
 def _column_matvec(csr: "CSRMatrix", B: np.ndarray, j: int) -> np.ndarray:
@@ -206,13 +212,14 @@ class CSRMatrix:
         return 2.0 * self.nnz
 
     def _row_blocks(self, ctx: ParallelContext) -> list[tuple[int, int]]:
-        workers = max(ctx.max_workers, 1)
-        bounds = np.linspace(0, self.shape[0], workers + 1).astype(np.int64)
-        return [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        """Non-empty ``(lo, hi)`` row ranges, one per worker: the bounds
+        of ``np.linspace(0, rows, workers + 1)`` truncated to integers,
+        computed without the arrays because every call with a context
+        builds them before the engine's gate decides."""
+        rows, workers = self.shape[0], max(ctx.max_workers, 1)
+        step = rows / workers
+        bounds = [int(k * step) for k in range(workers)] + [rows]
+        return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
     def __repr__(self) -> str:
         return (
@@ -234,21 +241,20 @@ class CSRMatrix:
                 f"vector length {len(v)} != num columns {self.shape[1]}"
             )
         ctx = self._parallel_ctx
-        if ctx is not None and ctx.should_parallelize(
-            ctx.max_workers, self._kernel_cost(), site="csr.matvec"
-        ):
-            blocks = self._row_blocks(ctx)
-            if len(blocks) > 1:
-                # Row blocks are disjoint, so per-row segment sums are
-                # bitwise-identical to the serial reduceat path.
-                partials = ctx.pmap(
-                    partial(_rowblock_matvec, self, v),
-                    blocks,
-                    cost_hint=self._kernel_cost(),
-                    site="csr.matvec",
-                )
-                return np.concatenate(partials)
-        start = time.perf_counter() if ctx is not None else 0.0
+        if ctx is None:
+            return self._matvec(v)
+        # Row blocks are disjoint, so per-row segment sums are
+        # bitwise-identical to the serial reduceat path.
+        return ctx.pmap(
+            partial(_rowblock_matvec, self, v),
+            self._row_blocks(ctx),
+            cost_hint=self._kernel_cost(),
+            site="csr.matvec",
+            serial=partial(self._matvec, v),
+            combine=np.concatenate,
+        )
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
         products = self.data * v[self.indices]
         out = np.zeros(self.shape[0])
         # Segment-sum per row via reduceat (empty rows handled below).
@@ -256,8 +262,6 @@ class CSRMatrix:
         if products.size:
             sums = np.add.reduceat(products, self.indptr[:-1][nonempty])
             out[nonempty] = sums
-        if ctx is not None:
-            ctx.note_serial("csr.matvec", 1, time.perf_counter() - start)
         return out
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
@@ -268,33 +272,26 @@ class CSRMatrix:
                 f"vector length {len(u)} != num rows {self.shape[0]}"
             )
         ctx = self._parallel_ctx
-        if ctx is not None and ctx.should_parallelize(
-            ctx.max_workers, self._kernel_cost(), site="csr.rmatvec"
-        ):
-            blocks = self._row_blocks(ctx)
-            if len(blocks) > 1:
-                # Partials reduce in block order: matches serial up to
-                # float-addition reassociation (<= 1e-9).
-                partials = ctx.pmap(
-                    partial(_rowblock_rmatvec, self, u),
-                    blocks,
-                    cost_hint=self._kernel_cost(),
-                    site="csr.rmatvec",
-                )
-                out = np.zeros(self.shape[1])
-                for p in partials:
-                    out += p
-                return out
-        start = time.perf_counter() if ctx is not None else 0.0
+        if ctx is None:
+            return self._rmatvec(u)
+        # Partials reduce in block order: matches serial up to
+        # float-addition reassociation (<= 1e-9).
+        return ctx.pmap(
+            partial(_rowblock_rmatvec, self, u),
+            self._row_blocks(ctx),
+            cost_hint=self._kernel_cost(),
+            site="csr.rmatvec",
+            serial=partial(self._rmatvec, u),
+            combine=partial(_sum_partials, self.shape[1]),
+        )
+
+    def _rmatvec(self, u: np.ndarray) -> np.ndarray:
         row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        out = np.bincount(
+        return np.bincount(
             self.indices,
             weights=self.data * u[row_of],
             minlength=self.shape[1],
         )
-        if ctx is not None:
-            ctx.note_serial("csr.rmatvec", 1, time.perf_counter() - start)
-        return out
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
         """X @ B for dense B, column by column."""
@@ -304,26 +301,15 @@ class CSRMatrix:
         if B.shape[0] != self.shape[1]:
             raise SparseError(f"shape mismatch: {self.shape} @ {B.shape}")
         out = np.empty((self.shape[0], B.shape[1]))
-        ctx = self._parallel_ctx
-        if (
-            ctx is not None
-            and B.shape[1] > 1
-            and ctx.should_parallelize(
-                B.shape[1], self._kernel_cost() * B.shape[1],
-                site="csr.matmat",
-            )
-        ):
-            columns = ctx.pmap(
-                partial(_column_matvec, self, B),
-                range(B.shape[1]),
-                cost_hint=self._kernel_cost() * B.shape[1],
-                site="csr.matmat",
-            )
-            for j, col in enumerate(columns):
-                out[:, j] = col
-            return out
-        for j in range(B.shape[1]):
-            out[:, j] = self.matvec(B[:, j])
+        columns = dispatch(
+            self._parallel_ctx,
+            partial(_column_matvec, self, B),
+            range(B.shape[1]),
+            cost_hint=self._kernel_cost() * B.shape[1],
+            site="csr.matmat",
+        )
+        for j, col in enumerate(columns):
+            out[:, j] = col
         return out
 
     def rmatmat(self, U: np.ndarray) -> np.ndarray:

@@ -576,6 +576,43 @@ class TestParallelFeedback:
         assert site["decisions"] == {"parallel": 1, "serial": 1}
         assert site["realized_speedup"] > 0
 
+    @pytest.mark.parametrize("site", ["csr.matvec", "csr.rmatvec", "cla.matvec"])
+    def test_both_outcomes_of_a_kernel_are_observed_in_one_unit(self, site):
+        """The paired signal is serial-per-task over parallel-per-task:
+        a ratio only if both sides divide their wall by the same count."""
+        from repro.compression import CompressedMatrix
+
+        class SpyStore(FeedbackStore):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def observe_site(self, site, tasks, parallel, wall, work):
+                self.seen.append((site, parallel, tasks))
+                super().observe_site(site, tasks, parallel, wall, work)
+
+        X = _make_dense(400, 6)
+        operand = (
+            CompressedMatrix.compress(X) if site.startswith("cla")
+            else CSRMatrix.from_dense(X)
+        )
+        vector = np.ones(X.shape[0] if site.endswith("rmatvec") else X.shape[1])
+        kernel = getattr(operand, site.split(".")[1])
+        store = SpyStore()
+        outputs = []
+        with feedback_scope(store):
+            for threshold in (0.0, 1e18):  # fan out, then gate serial
+                with ParallelContext(
+                    max_workers=4, cost_threshold=threshold
+                ) as ctx:
+                    operand.set_parallel(ctx)
+                    outputs.append(kernel(vector))
+        np.testing.assert_allclose(outputs[0], outputs[1], atol=1e-9)
+        (_, fanned, fan_tasks), (_, gated, serial_tasks) = store.seen
+        assert (fanned, gated) == (True, False)
+        assert fan_tasks == serial_tasks > 1
+        assert [seen[0] for seen in store.seen] == [site, site]
+
 
 # ----------------------------------------------------------------------
 # Driver re-planning

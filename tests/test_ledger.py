@@ -15,6 +15,11 @@ import numpy as np
 import pytest
 
 from repro.compiler import PlanCache
+from repro.distributed import (
+    SimulatedCluster,
+    train_model_averaging,
+    train_parameter_server,
+)
 from repro.errors import LoadShedError
 from repro.features import (
     FeatureStore,
@@ -31,9 +36,10 @@ from repro.lang.dsl import matrix, sumall
 from repro.lifecycle import ModelRegistry
 from repro.materialize import Fingerprint, MaterializationStore
 from repro.ml import LinearRegression
+from repro.ml.losses import SquaredLoss
 from repro.obs import Counted, Ledger, get_registry
-from repro.resilience import ChaosContext, FaultPlan
-from repro.runtime import BlockStore, BufferPool
+from repro.resilience import ChaosContext, FaultPlan, RetryPolicy
+from repro.runtime import BlockStore, BufferPool, ParallelContext
 from repro.serving import ShardedServer
 from repro.storage import QueryCache, Table, VersionedCatalog
 
@@ -291,6 +297,48 @@ def _serving(ledgers):
     assert min(cache_totals) > 0, cache_totals
 
 
+def _parallel_and_cluster(ledgers):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(80, 3))
+    y = X @ np.arange(1.0, 4.0)
+    with ParallelContext(
+        max_workers=2,
+        cost_threshold=100.0,
+        retry_policy=RetryPolicy(max_attempts=8, backoff_base=0.0),
+        task_timeout=0.05,
+    ) as ctx:
+        plan = FaultPlan(seed=7).inject("parallel.task.flaky", rate=0.4)
+        plan.inject(
+            "parallel.task.slow", rate=1.0, mode="sleep", sleep_seconds=0.2,
+            max_faults=1,
+        )
+        with ChaosContext(plan):
+            ctx.pmap(lambda v: v, range(20), site="flaky")  # fan-out, retries
+            ctx.pmap(lambda v: v, range(4), cost_hint=1.0, site="flaky")
+            ctx.pmap(lambda v: v, range(2), site="slow")  # one straggler
+        ctx._pool().shutdown(wait=True)  # lost between _pool() and submit
+        ctx.pmap(lambda v: v, range(3), site="lost")
+        ctx.shutdown()  # detach the dead executor; the next call rebuilds
+
+        cluster = SimulatedCluster(X, y, num_workers=4, parallel=ctx)
+        loss = SquaredLoss()
+        cluster.kill_worker(1)
+        cluster.global_gradient(loss, np.zeros(3))  # failure + lineage recovery
+        with ChaosContext(FaultPlan(seed=7).inject("paramserver.pull", rate=0.3)):
+            train_parameter_server(cluster, loss, total_updates=12, loss_every=6)
+        train_model_averaging(cluster, loss, local_iterations=3)
+    ledgers += [("parallel", ctx.stats.counts), ("cluster", cluster.comm)]
+    ledgers += [
+        (f"parallel.sites.{site}", entry.counts)
+        for site, entry in ctx.stats.by_site.items()
+    ]
+    assert min(ctx.stats.counts.as_dict().values()) > 0  # every field moved
+    assert min(cluster.comm.as_dict().values()) > 0
+    assert sorted(ctx.stats.by_site) == [
+        "cluster.gradient", "cluster.loss", "flaky", "lost", "slow",
+    ]
+
+
 class _Clock:
     now = 0.0
 
@@ -305,6 +353,7 @@ def test_every_ledger_field_equals_its_registry_counter(tmp_path):
     _features(ledgers)
     _incremental(ledgers)
     _serving(ledgers)
+    _parallel_and_cluster(ledgers)
 
     expected: dict[str, int] = {}
     for prefix, ledger in ledgers:
@@ -314,4 +363,5 @@ def test_every_ledger_field_equals_its_registry_counter(tmp_path):
     registry = get_registry()
     got = {name: registry.value(name) for name in expected}
     assert got == expected
-    assert len({prefix for prefix, _ in ledgers}) == 13
+    # 13 layers + the parallel totals, its five sites, and the cluster
+    assert len({prefix for prefix, _ in ledgers}) == 13 + 1 + 5 + 1

@@ -24,6 +24,7 @@ from repro.runtime.parallel import (
     parallel_stats,
     reset_parallel_stats,
 )
+from repro.sparse import CSRMatrix
 from repro.selection import (
     cross_val_score,
     grid_search,
@@ -80,8 +81,8 @@ class TestParallelContext:
         assert stats.tasks_dispatched == 7
         assert "unit" in stats.by_site
         assert stats.by_site["unit"].calls == 1
-        record = stats.records[-1]
-        assert record.site == "unit" and record.tasks == 7
+        record = stats.by_site["unit"]
+        assert record.parallel_calls == 1 and record.tasks_dispatched == 7
         assert record.wall_time >= 0 and record.task_time >= 0
 
     def test_stats_as_dict_round_trip(self):
@@ -96,19 +97,6 @@ class TestParallelContext:
         monkeypatch.setenv("REPRO_NUM_THREADS", "0")
         with pytest.raises(ReproError):
             ParallelContext()
-
-    def test_env_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "123.5")
-        assert ParallelContext().cost_threshold == 123.5
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ReproError):
-            ParallelContext(backend="mpi")
-
-    def test_serial_backend_never_fans_out(self):
-        with ParallelContext(max_workers=8, backend="serial") as ctx:
-            ctx.pmap(lambda x: x, range(10), cost_hint=1e12)
-            assert ctx.stats.parallel_calls == 0
 
     def test_default_context_stats_hook(self):
         reset_parallel_stats()
@@ -228,19 +216,6 @@ class TestParallelUDA:
         with pytest.raises(StorageError):
             run_uda(table, SumCountUDA(), ["x0", "x1"], partitions=4)
 
-    def test_process_backend_smoke(self):
-        table = make_table(60, 2, seed=5)
-        cols = ["x0", "x1"]
-        serial = run_uda(table, SumCountUDA(), cols, partitions=3)
-        with ParallelContext(
-            max_workers=2, cost_threshold=0, backend="process"
-        ) as ctx:
-            par = run_uda(
-                table, SumCountUDA(), cols, partitions=3, parallel=ctx
-            )
-        np.testing.assert_allclose(par["sum"], serial["sum"], atol=1e-12)
-        assert par["count"] == serial["count"]
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -335,6 +310,65 @@ class TestParallelCLA:
         assert m.parallel_context is None
         assert m.set_parallel(ctx).parallel_context is ctx
         assert m.set_parallel(False).parallel_context is None
+
+
+class TestParallelCSR:
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        # density 0.15 over 9 columns leaves ~23% of the rows empty
+        serial = CSRMatrix.random(3000, 9, 0.15, seed=4)
+        assert (serial.row_nnz() == 0).any()
+        with ParallelContext(max_workers=4, cost_threshold=0) as ctx:
+            par = CSRMatrix.random(3000, 9, 0.15, seed=4).set_parallel(ctx)
+            yield serial, par, ctx
+
+    def test_matvec_bitwise(self, matrices):
+        serial, par, _ = matrices
+        v = np.random.default_rng(1).standard_normal(serial.shape[1])
+        np.testing.assert_array_equal(par.matvec(v), serial.matvec(v))
+
+    def test_rmatvec_matches(self, matrices):
+        serial, par, _ = matrices
+        u = np.random.default_rng(2).standard_normal(serial.shape[0])
+        np.testing.assert_allclose(par.rmatvec(u), serial.rmatvec(u), atol=1e-9)
+
+    def test_matmat_bitwise(self, matrices):
+        serial, par, ctx = matrices
+        B = np.random.default_rng(3).standard_normal((serial.shape[1], 5))
+        before = ctx.stats.site("csr.matmat").parallel_calls
+        np.testing.assert_array_equal(par.matmat(B), serial.matmat(B))
+        assert ctx.stats.by_site["csr.matmat"].parallel_calls == before + 1
+
+    def test_gated_call_runs_the_serial_kernel_and_is_recorded(self, matrices):
+        serial, _, _ = matrices
+        v = np.ones(serial.shape[1])
+        with ParallelContext(max_workers=4, cost_threshold=1e18) as gated:
+            X = CSRMatrix.random(3000, 9, 0.15, seed=4).set_parallel(gated)
+            np.testing.assert_array_equal(X.matvec(v), serial.matvec(v))
+            np.testing.assert_array_equal(
+                X.rmatvec(np.ones(X.shape[0])),
+                serial.rmatvec(np.ones(X.shape[0])),
+            )
+        for site in ("csr.matvec", "csr.rmatvec"):
+            entry = gated.stats.by_site[site]
+            assert (entry.serial_fallbacks, entry.parallel_calls) == (1, 0)
+            assert entry.tasks_dispatched == 4  # the row blocks, not 1
+
+    @given(
+        rows=st.integers(min_value=0, max_value=10**9),
+        workers=st.integers(min_value=1, max_value=64),
+    )
+    def test_row_blocks_are_the_truncated_linspace_bounds(self, rows, workers):
+        X = CSRMatrix.__new__(CSRMatrix)
+        X.shape = (rows, 1)
+        bounds = np.linspace(0, rows, workers + 1).astype(np.int64)
+        expected = [
+            (int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        with ParallelContext(max_workers=workers) as ctx:
+            assert X._row_blocks(ctx) == expected
 
 
 # ----------------------------------------------------------------------

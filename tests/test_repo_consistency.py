@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import repro
+from repro.runtime.parallel import ParallelContext, resolve_context
 
 # .../repo/src/repro/__init__.py -> .../repo
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
@@ -271,6 +273,106 @@ class TestOneRequestPath:
         sites = re.findall(r'site="(fabric\.\w+)"', self.FABRIC.read_text())
         assert sites == ["fabric.route", "fabric.score"]
         assert set(self._functions_holding(r"\bshard=")) == {"_serve_on"}
+
+
+class TestOneDispatch:
+    """A data-parallel call is gated, timed, recorded, fault-injected and
+    recovered in ``runtime/parallel.py`` and nowhere else under ``src/``
+    (DESIGN.md, Parallel dispatch)."""
+
+    _hits = staticmethod(TestOneTrainingCore._hits)
+
+    ENGINE = REPO_ROOT / "src/repro/runtime/parallel.py"
+    #: the packages whose kernels hand their items to the engine
+    CALLERS = ("sparse", "compression", "indb", "distributed", "selection")
+    COUNTS = (
+        "calls|parallel_calls|serial_fallbacks|tasks_dispatched"
+        "|task_failures|retries|stragglers|recovered_tasks"
+    )
+
+    def _caller_hits(self, pattern: str) -> list[str]:
+        return [
+            hit for hit in self._hits(pattern)
+            if hit.split("/")[2] in self.CALLERS
+        ]
+
+    def test_callers_neither_gate_nor_time_nor_branch_on_the_pool(self):
+        assert self._caller_hits(r"should_parallelize\(|perf_counter") == []
+        assert self._caller_hits(r"ctx is not None and|\bctx is None or") == []
+
+    def test_only_whole_call_kernels_talk_to_pmap_directly(self):
+        """Everything else goes through ``dispatch``; these three hand
+        the engine a serial kernel for it to time and record."""
+        sites = []
+        for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
+            if path == self.ENGINE:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pmap"
+                ):
+                    keywords = {k.arg: k.value for k in node.keywords}
+                    assert {"serial", "combine", "site"} <= set(keywords), path
+                    sites.append(keywords["site"].value)
+        assert sites == ["cla.matvec", "csr.matvec", "csr.rmatvec"]
+
+    def test_deleted_knobs_and_records_stay_deleted(self):
+        gone = (
+            r"note_serial|ProcessPoolExecutor|CallRecord|record_limit"
+            r"|set_default_context|REPRO_PARALLEL_THRESHOLD"
+            r"|[ (]context: ParallelContext"
+        )
+        assert self._hits(gone) == []
+        init = inspect.signature(ParallelContext.__init__).parameters
+        assert list(init) == [
+            "self", "max_workers", "cost_threshold", "retry_policy",
+            "task_timeout",
+        ]
+        assert not {"retry", "timeout"} & set(
+            inspect.signature(ParallelContext.pmap).parameters
+        )
+        assert list(inspect.signature(resolve_context).parameters) == ["parallel"]
+
+    def test_one_attempt_loop_runs_the_guarded_task(self):
+        tree = ast.parse(self.ENGINE.read_text())
+        callers, loops = [], []
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, (ast.For, ast.While, ast.ListComp)):
+                    continue
+                if TestOneBenchHarness._mentions(node, "_guarded_task"):
+                    loops.append(fn.name)
+            if fn.name != "_guarded_task" and TestOneBenchHarness._mentions(
+                fn, "_guarded_task"
+            ):
+                callers.append(fn.name)
+        # the pooled first execution, and the one loop every path retries in
+        assert callers == ["_timed_task", "_attempt"]
+        assert loops == ["_attempt"]
+        assert self.ENGINE.read_text().count("fault_point(") == 1
+
+    def test_ledger_fields_reach_the_registry_through_the_ledger_only(self):
+        assert self._hits(rf'"parallel\.({self.COUNTS})"') == []
+        # what no instance ledger counts is still written directly
+        direct = sorted({
+            re.search(r'inc\(\s*f?"([\w.{}]+)"', _line(hit)).group(1)
+            for hit in self._hits(r'inc\(\s*f?"parallel\.')
+        })
+        assert direct == [
+            "parallel.feedback_boosts", "parallel.feedback_serial",
+            "parallel.merge_tree.calls", "parallel.merge_tree.leaves",
+            "parallel.pool_lost_recoveries",
+        ]
+        cluster = [
+            _line(hit).strip()
+            for hit in self._hits(r'inc\(\s*"cluster\.')
+        ]
+        assert cluster == ['get_registry().inc("cluster.workers_killed")']
+        assert self._hits(r"\bcomm\.\w+ \+= ") == []
 
 
 class TestOneBenchHarness:

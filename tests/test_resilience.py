@@ -460,6 +460,7 @@ class TestParallelResilience:
         plan_seed = SEED
         results = {}
         for workers in (1, 4):
+            get_registry().reset()
             plan = FaultPlan(seed=plan_seed).inject(
                 "parallel.task.chaos", rate=0.3
             )
@@ -473,17 +474,71 @@ class TestParallelResilience:
                     out = ctx.pmap(
                         lambda x: x * x, range(40), site="chaos"
                     )
-                results[workers] = (out, chaos.total_injected)
+                ledger = (
+                    ctx.stats.task_failures,
+                    ctx.stats.retries,
+                    ctx.stats.recovered_tasks,
+                )
+                results[workers] = (out, chaos.total_injected, ledger)
                 assert ctx.stats.task_failures > 0
                 assert ctx.stats.recovered_tasks > 0
+                # one ledger: the instance and the registry agree, and
+                # the site's entry carries the same recovery counts
+                assert ledger == tuple(
+                    get_registry().value(f"parallel.{field}")
+                    for field in ("task_failures", "retries", "recovered_tasks")
+                )
+                site = ctx.stats.by_site["chaos"]
+                assert ledger == (
+                    site.task_failures, site.retries, site.recovered_tasks
+                )
             finally:
                 ctx.shutdown()
-        # same outputs and the same deterministic fault schedule whether
-        # the map ran serially or fanned out over 4 workers
+        # same outputs, the same deterministic fault schedule and the
+        # same recovery ledger whether the map ran serially or fanned
+        # out over 4 workers
         assert results[1] == results[4]
-        out, injected = results[4]
+        out, injected, (failures, retries, _) = results[4]
         assert out == [x * x for x in range(40)]
         assert injected > 0
+        # every injected fault is one failed execution, each retried
+        assert failures == retries == injected
+
+    def test_non_retryable_failure_reports_one_attempt_on_both_paths(self):
+        def boom(x):
+            raise ValueError("deterministic")
+
+        for workers in (1, 4):
+            ctx = ParallelContext(
+                max_workers=workers,
+                cost_threshold=0.0,
+                retry_policy=_no_sleep_policy(max_attempts=12),
+            )
+            try:
+                with pytest.raises(ParallelTaskError) as excinfo:
+                    ctx.pmap(boom, range(3), site="nonretry")
+            finally:
+                ctx.shutdown()
+            # attempts == executions actually made, not the budget
+            assert excinfo.value.attempts == 1
+            assert isinstance(excinfo.value.__cause__, ValueError)
+            assert ctx.stats.task_failures == 1
+            assert ctx.stats.retries == 0
+
+    def test_pool_lost_recovery_reaches_the_registry(self):
+        ctx = ParallelContext(max_workers=4, cost_threshold=0.0)
+        # shut the executor down while it is still attached: the window
+        # between _pool() and submit that a concurrent shutdown can hit
+        ctx._pool().shutdown(wait=True)
+        try:
+            out = ctx.pmap(lambda x: x + 1, range(5), site="lost")
+        finally:
+            ctx.shutdown()
+        assert out == [x + 1 for x in range(5)]
+        assert ctx.stats.recovered_tasks == 5
+        assert get_registry().value("parallel.recovered_tasks") == 5
+        assert get_registry().value("parallel.pool_lost_recoveries") == 1
+        assert ctx.stats.serial_fallbacks == 1 and ctx.stats.parallel_calls == 0
 
     def test_retry_exhaustion_wraps_with_context(self):
         plan = FaultPlan(seed=0).inject("parallel.task.doomed", rate=1.0)
@@ -508,12 +563,12 @@ class TestParallelResilience:
             "parallel.task.slow", rate=1.0, mode="sleep",
             sleep_seconds=0.4, max_faults=2,
         )
-        ctx = ParallelContext(max_workers=2, cost_threshold=0.0)
+        ctx = ParallelContext(
+            max_workers=2, cost_threshold=0.0, task_timeout=0.1
+        )
         try:
             with ChaosContext(plan):
-                out = ctx.pmap(
-                    lambda x: x + 1, range(6), site="slow", timeout=0.1
-                )
+                out = ctx.pmap(lambda x: x + 1, range(6), site="slow")
         finally:
             ctx.shutdown()
         assert out == [x + 1 for x in range(6)]
@@ -523,17 +578,22 @@ class TestParallelResilience:
         assert ctx.stats.recovered_tasks == ctx.stats.stragglers
 
     def test_per_call_retry_overrides_context(self):
+        """Named for the per-call ``retry=`` it passed before the
+        constructor's policy became the one place a retry is set; the
+        behaviour checked is the same: one injected fault on a
+        single-item (serial-path) call is retried away."""
         plan = FaultPlan(seed=0).inject("parallel.task.ovr", rate=1.0,
                                         max_faults=1)
-        ctx = ParallelContext(max_workers=2, cost_threshold=0.0)
+        ctx = ParallelContext(
+            max_workers=2, cost_threshold=0.0, retry_policy=_no_sleep_policy()
+        )
         try:
             with ChaosContext(plan):
-                out = ctx.pmap(
-                    lambda x: x, [7], site="ovr", retry=_no_sleep_policy()
-                )
+                out = ctx.pmap(lambda x: x, [7], site="ovr")
         finally:
             ctx.shutdown()
         assert out == [7]
+        assert ctx.stats.recovered_tasks == 1
 
 
 # ----------------------------------------------------------------------
