@@ -330,23 +330,17 @@ def replan_leg(
 # ----------------------------------------------------------------------
 def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
     """With feedback off, each touchpoint costs one ``active_store()``
-    call that returns ``None`` — in the executor (per execute, plus the
-    per-op ``op_flops`` tally) and the parallel engine (per dispatch).
-    Exact event counts x microbenchmarked unit costs bound the overhead
-    without wall-clock flakiness."""
+    call that returns ``None`` — in the executor (per execute) and the
+    parallel engine (per dispatch). Exact event counts x the
+    microbenchmarked unit cost bound the overhead without wall-clock
+    flakiness."""
     rng = np.random.default_rng(2017)
     X = rng.normal(size=(n, d))
     y = (X @ rng.normal(size=d) > 0).astype(float)
     workload = lambda: logreg_gd(X, y, max_iter=iters, tol=0)  # noqa: E731
 
-    # Unit cost of the disabled gate and of one op_flops dict update.
+    # Unit cost of the disabled gate.
     gate_cost = harness.unit_cost(active_store)
-    tally: dict[str, float] = {}
-
-    def tally_op():
-        tally["matmul"] = tally.get("matmul", 0.0) + 1.0
-
-    tally_cost = harness.unit_cost(tally_op)
 
     # Exact event counts from one instrumented run.
     obs.reset()
@@ -362,12 +356,11 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
     gate_calls = executions + 2 * dispatches
     wall_disabled = harness.timed(workload, repeats)
     bound_s, overhead_pct = harness.disabled_overhead(
-        wall_disabled, [(gate_calls, gate_cost), (op_events, tally_cost)]
+        wall_disabled, [(gate_calls, gate_cost)]
     )
     return {
         "workload": "overhead/disabled_path",
         "gate_call_s": gate_cost,
-        "op_tally_s": tally_cost,
         "executions": executions,
         "op_events": op_events,
         "parallel_dispatches": dispatches,

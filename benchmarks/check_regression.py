@@ -425,7 +425,8 @@ def _e18_thread_speedups(ctx: GateContext, g: Gate) -> None:
 def _e19_representations(ctx: GateContext, g: Gate) -> None:
     """Per-representation invariants: no densify fallbacks, parity
     within bound, compact reps beating dense bytes, byte totals and
-    speedups tracking the baseline."""
+    speedups tracking the baseline, and the same operators served
+    natively (``native_ops``: which, not only that none fell back)."""
     for name in sorted(ctx.cw):
         entry = ctx.cw[name]
         g.check(
@@ -461,6 +462,11 @@ def _e19_representations(ctx: GateContext, g: Gate) -> None:
             f"{name}: rep peak bytes track baseline "
             f"({entry['rep_peak_bytes']:,} vs "
             f"{base_entry['rep_peak_bytes']:,})",
+        )
+        g.check(
+            entry.get("native_ops") == base_entry["native_ops"],
+            f"{name}: native operators match baseline "
+            f"({', '.join(sorted(base_entry['native_ops']))})",
         )
         for metric in ("loop_speedup", "end_to_end_speedup"):
             _wall_gate(

@@ -17,6 +17,7 @@ from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, rowsums
 from ..ml.kmeans import cluster_sums, lloyd
+from ..operand import is_representation
 from ..resilience.checkpoint import IterativeCheckpointer
 from ..resilience.retry import RetryPolicy
 from .glm import AdaptivePlan
@@ -72,9 +73,7 @@ def kmeans_dsl(
     :func:`~repro.algorithms.glm.logreg_gd` — same contract): exact
     conversions, decisions recorded in ``result.plan_history``.
     """
-    from ..runtime import repops
-
-    if not repops.is_representation(X):
+    if not is_representation(X):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ModelError(f"X must be 2-D, got shape {X.shape}")

@@ -26,6 +26,7 @@ from ..lang import matrix, sigmoid
 from ..ml.linreg import solve_normal
 from ..ml.optim import descend
 from ..obs import get_registry
+from ..operand import convert_value, is_representation, kind_of
 from ..resilience.checkpoint import IterativeCheckpointer
 from ..resilience.retry import RetryPolicy
 from ..runtime import execute
@@ -54,9 +55,7 @@ class AlgorithmResult:
 def _prepare(X, y) -> tuple:
     """Pass a representation ``X`` through, coerce the rest to dense and
     ``y`` to a flat vector; check there is one label per row."""
-    from ..runtime import repops
-
-    if not repops.is_representation(X):
+    if not is_representation(X):
         X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(X.shape) != 2 or X.shape[0] != len(y):
@@ -92,18 +91,16 @@ def replan_operand(
     representation from the same state. Returns True when a switch was
     adopted.
     """
-    from ..runtime import repops
-
     planned = plan_representations(plan, bindings, feedback=store)
     choice = planned.repr_plan.choices[name]
-    current = repops.kind_of(operands[name])
+    current = kind_of(operands[name])
     if choice.representation == current:
         if iteration == 0:
             plan_history.append(
                 f"iter 0: {name} stays {current} ({choice.reason})"
             )
         return False
-    operands[name] = repops.convert_value(
+    operands[name] = convert_value(
         operands[name], choice.representation
     )
     plan_history.append(

@@ -6,8 +6,8 @@ compiler assumed, the plan is corrected mid-flight instead of trusted to
 the end. This module is that loop's memory. A :class:`FeedbackStore`
 aggregates what the runtime actually measured — realized densities and
 compression ratios per input, densify-fallback outcomes per
-representation kind, per-op wall costs, and per-site pmap speedups — and
-the planners read it back:
+representation kind, and per-site pmap speedups — and the planners read
+it back:
 
 * :func:`repro.compiler.reprplan.plan_representations` blends observed
   density/ratio evidence with its sampled estimates and demotes a
@@ -37,6 +37,8 @@ the schema (``repro.feedback/v1``) and the payload's CRC32, written to
 a temp file in the target directory and ``os.replace``d into place. :meth:`FeedbackStore.load` rejects schema mismatches and corrupt
 bytes; :meth:`FeedbackStore.load_or_cold` falls back to an empty store
 (pure estimates) instead, counting the failure in the obs registry.
+Files written before the per-op ``ops`` section was dropped (nothing
+ever read it) still load: the key is ignored.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from ..errors import ReproError
 from ..obs import get_registry
+from ..operand import evidence_of
 from ..persist import read_verified, write_atomic
 
 SCHEMA = "repro.feedback/v1"
@@ -156,9 +159,6 @@ class FeedbackStore:
     ``inputs``
         ``"name@RxC"`` -> per-kind execution/fallback counts plus
         density and CLA-ratio moving averages.
-    ``ops``
-        op label (e.g. ``"matmul"``) -> wall-seconds moving averages,
-        attributed from each execution's flop shares or span durations.
     ``sites``
         pmap site -> dispatch counts plus per-task wall moving averages
         for the serial and parallel paths (their ratio is the realized
@@ -177,7 +177,6 @@ class FeedbackStore:
         self.updates = 0
         self._lock = threading.Lock()
         self._inputs: dict[str, dict] = {}
-        self._ops: dict[str, dict] = {}
         self._sites: dict[str, dict] = {}
 
     # -- observers ------------------------------------------------------
@@ -209,20 +208,6 @@ class FeedbackStore:
                 _ema_update(entry["cla_ratio"], cla_ratio)
             self.updates += 1
 
-    def observe_op(self, label: str, seconds: float,
-                   flops: float | None = None) -> None:
-        """Record one op's attributed wall cost (and cost per flop)."""
-        if self.frozen:
-            return
-        with self._lock:
-            entry = self._ops.setdefault(
-                label, {"seconds": {}, "seconds_per_flop": {}}
-            )
-            _ema_update(entry["seconds"], seconds)
-            if flops:
-                _ema_update(entry["seconds_per_flop"], seconds / flops)
-            self.updates += 1
-
     def observe_site(
         self, site: str, tasks: int, parallel: bool, wall: float, work: float
     ) -> None:
@@ -247,92 +232,40 @@ class FeedbackStore:
                 _ema_update(entry["serial_per_task"], per_task)
             self.updates += 1
 
-    def observe_execution(self, bindings: dict, stats, wall_seconds: float
-                          ) -> None:
-        """Digest one ``execute()`` call: inputs, fallbacks, op costs.
+    def observe_execution(self, bindings: dict, stats) -> None:
+        """Digest one ``execute()`` call: each input's evidence, fallbacks.
 
         ``bindings`` are the executor's prepared operands; ``stats`` is
-        its :class:`~repro.runtime.executor.ExecutionStats`. Fallbacks
-        are attributed per representation *kind* (the stats tally them
-        by kind), so every input bound in a kind that densified this
-        run accumulates demotion evidence.
+        its :class:`~repro.runtime.executor.ExecutionStats`. Each
+        operand reports its own evidence (:func:`repro.operand
+        .evidence_of`). Fallbacks are attributed per representation
+        *kind* (the stats tally them by kind), so every input bound in
+        a kind that densified this run accumulates demotion evidence.
         """
         if self.frozen:
             return
-        from ..runtime import repops
-
         fallback_kinds = getattr(stats, "fallback_kinds", {})
         for name, value in bindings.items():
-            kind = repops.kind_of(value)
             shape = getattr(value, "shape", None)
             if not shape or len(shape) != 2:
                 continue
-            key = input_key(name, shape)
-            density = None
-            ratio = None
-            if kind == "csr":
-                density = float(value.density)
-            elif kind == "cla":
-                ratio = float(value.compression_ratio)
-            elif kind == "factorized":
-                ratio = float(value.redundancy_ratio)
-            else:
-                density = _array_density(value)
+            kind, channel, measured = evidence_of(value)
             self.observe_input(
-                key,
+                input_key(name, shape),
                 kind,
-                density=density,
-                cla_ratio=ratio,
                 fallbacks=int(fallback_kinds.get(kind, 0)),
+                **{channel: measured},
             )
-        op_flops = getattr(stats, "op_flops", {})
-        total = sum(op_flops.values())
-        if wall_seconds > 0 and total > 0:
-            for label, flops in op_flops.items():
-                self.observe_op(
-                    label, wall_seconds * flops / total, flops=flops
-                )
         get_registry().inc("feedback.updates")
 
-    def ingest_spans(self, roots: Iterable) -> int:
-        """Harvest ``executor.op`` span durations into the op section.
-
-        Accepts :class:`~repro.obs.trace.Span` objects or their
-        ``as_dict`` forms; returns how many op spans were consumed.
-        """
-        if self.frozen:
-            return 0
-        consumed = 0
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, dict):
-                name = node.get("name")
-                duration = node.get("duration_s", 0.0)
-                attrs = node.get("attrs", {}) or {}
-                stack.extend(node.get("children", ()))
-            else:
-                name = node.name
-                duration = node.duration
-                attrs = node.attrs
-                stack.extend(node.children)
-            if name == "executor.op":
-                label = attrs.get("op")
-                if label:
-                    self.observe_op(str(label), float(duration))
-                    consumed += 1
-        return consumed
-
     # -- consumers ------------------------------------------------------
-    def blended_density(self, key: str, estimated: float) -> BlendedEstimate:
+    def blended(
+        self, key: str, channel: str, estimated: float
+    ) -> BlendedEstimate:
+        """One evidence channel of one input (``"density"`` or
+        ``"cla_ratio"``) mixed with its compile-time estimate."""
         with self._lock:
-            stat = self._inputs.get(key, {}).get("density")
-            return _blend(stat, estimated)
-
-    def blended_ratio(self, key: str, estimated: float) -> BlendedEstimate:
-        with self._lock:
-            stat = self._inputs.get(key, {}).get("cla_ratio")
-            return _blend(stat, estimated)
+            return _blend(self._inputs.get(key, {}).get(channel), estimated)
 
     def demoted_kinds(self, key: str) -> dict[str, int]:
         """Kinds whose observed densify-fallback rate disqualifies them."""
@@ -346,12 +279,6 @@ class FeedbackStore:
                 if runs > 0 and count >= DEMOTION_FALLBACK_RATE * runs:
                     out[kind] = count
             return out
-
-    def op_cost(self, label: str) -> float | None:
-        """Observed wall-seconds EMA for one op label, if any."""
-        with self._lock:
-            stat = self._ops.get(label, {}).get("seconds")
-            return stat.get("ema") if stat else None
 
     def site_policy(self, site: str) -> SitePolicy | None:
         """The learned dispatch decision for one site, if any.
@@ -397,7 +324,6 @@ class FeedbackStore:
     def clear(self) -> None:
         with self._lock:
             self._inputs.clear()
-            self._ops.clear()
             self._sites.clear()
             self.updates = 0
 
@@ -407,7 +333,6 @@ class FeedbackStore:
                 "schema": SCHEMA,
                 "updates": self.updates,
                 "inputs": json.loads(json.dumps(self._inputs)),
-                "ops": json.loads(json.dumps(self._ops)),
                 "sites": json.loads(json.dumps(self._sites)),
             }
 
@@ -419,7 +344,7 @@ class FeedbackStore:
             raise FeedbackError("no path given and store has no default path")
         snapshot = self.as_dict()
         payload = json.dumps(
-            {k: snapshot[k] for k in ("updates", "inputs", "ops", "sites")},
+            {k: snapshot[k] for k in ("updates", "inputs", "sites")},
             sort_keys=True,
         ).encode("utf-8")
         write_atomic(
@@ -449,7 +374,6 @@ class FeedbackStore:
         store = cls(path=target)
         store.updates = int(body.get("updates", 0))
         store._inputs = dict(body.get("inputs", {}))
-        store._ops = dict(body.get("ops", {}))
         store._sites = dict(body.get("sites", {}))
         get_registry().inc("feedback.loads")
         return store
@@ -467,18 +391,6 @@ class FeedbackStore:
 def input_key(name: str, shape) -> str:
     """The store key for one bound input: ``name@RxC``."""
     return f"{name}@{shape[0]}x{shape[1]}"
-
-
-def _array_density(value) -> float | None:
-    """Strided-sample density of a dense ndarray (None if not array-like)."""
-    import numpy as np
-
-    arr = np.asarray(value)
-    if arr.ndim != 2 or arr.size == 0:
-        return None
-    from .reprplan import _estimate_density
-
-    return _estimate_density(np.asarray(arr, dtype=np.float64))
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import CompilerError
 from ..lang.ast import Node, collect_inputs
 from ..lang.dsl import MExpr
+from ..operand import densify
 from .cost import CostEstimate
 from .fusion import apply_fusion
 from .mmchain import optimize_mmchains
@@ -151,7 +152,6 @@ def execute_program(
     Returns a dict of results (scalars as floats); with
     ``collect_stats``, also the combined :class:`ExecutionStats`.
     """
-    from ..runtime import repops
     from ..runtime.executor import ExecutionStats, _eval, _prepare_bindings
 
     # Reuse the single-output binding validation via a shim plan.
@@ -164,8 +164,7 @@ def execute_program(
     results = {}
     for name, root in plan.outputs.items():
         value = _eval(root, prepared, memo, stats, dense_cache, False)
-        if repops.is_representation(value):
-            value = repops.densify(value)
+        value = densify(value)
         results[name] = float(value[0, 0]) if root.is_scalar else value
     if collect_stats:
         return results, stats

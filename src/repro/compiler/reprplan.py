@@ -1,20 +1,25 @@
 """Compile-time representation planning (the ``reprplan`` pass).
 
 Given a compiled plan and the operands it will run over, decide the
-cheapest physical representation for each Data input — dense, CSR, CLA
-column groups, or stay-factorized — the way SystemML's compression
-planner and Morpheus's operator rewriter do: estimate how many FLOPs the
-program spends touching each input, scale that by what the candidate
-representation would actually execute (nnz for CSR, dictionary-sized
-work for CLA, attribute-table-sized work for factorized), and disqualify
-candidates the program would force to densify. Decisions are surfaced in
-``explain`` and materialized as :class:`~repro.lang.ast.Convert` nodes
-wrapping the Data inputs, so the physical plan names every conversion.
+cheapest physical representation for each Data input — dense, or any
+registered :class:`repro.operand.Operand` kind (CSR, CLA column groups,
+stay-factorized) — the way SystemML's compression planner and Morpheus's
+operator rewriter do: estimate how many FLOPs the program spends
+touching each input, scale that by what the candidate representation
+says it would actually execute (``work_fraction`` of its evidence: nnz
+for CSR, dictionary-sized work for CLA, attribute-table-sized work for
+factorized), and disqualify candidates the program would force to
+densify. Decisions are surfaced in ``explain`` and materialized as
+:class:`~repro.lang.ast.Convert` nodes wrapping the Data inputs, so the
+physical plan names every conversion.
 
-Sizing uses the sampling estimators already in
-:mod:`repro.compression.estimators` (via ``plan_matrix``) and the FLOP
-model in :mod:`repro.compiler.cost`; the runtime side lives in
-:mod:`repro.runtime.repops`.
+This module names no kind: each class declares its own evidence, cost
+formulas and reasons (:mod:`repro.operand`), and "would this densify" is
+answered by walking the DAG with the runtime's own dispatcher
+(:func:`repro.runtime.repops.decide`), one input at a time with every
+other input in its *bound* form. What a per-input planner cannot see is
+a joint outcome — two inputs each planned sparse whose product then
+meets as two representations; that is what the feedback loop corrects.
 
 When a :class:`~repro.compiler.feedback.FeedbackStore` is active (or
 passed via ``feedback=``), compile-time estimates are *blended* with
@@ -30,40 +35,32 @@ it, so a mis-planned input is debuggable from the plan text alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..errors import CompilerError
 from ..lang.ast import (
-    Aggregate,
     Binary,
     Constant,
     Convert,
     Data,
-    Fused,
-    MatMul,
     Node,
     Transpose,
-    Unary,
+    op_label,
 )
 from ..lang.dsl import MExpr
+from ..operand import DENSE, convert_value, kind_of, registered
+from ..runtime.repops import UNKNOWN, Form, decide
 from .cost import node_flops
 from .feedback import BlendedEstimate, FeedbackStore, active_store, input_key
 from .planner import CompiledPlan, compile_expr
 
 #: inputs smaller than this (or vectors) are not worth re-representing
 MIN_PLANNING_CELLS = 4096
-#: CLA must promise at least this compression ratio to leave dense
-MIN_CLA_RATIO = 1.2
 #: a non-dense candidate must beat dense by at least 5% predicted flops
 DENSE_ADVANTAGE = 0.95
-#: index-chasing multiplier on CSR's nnz-proportional work
-CSR_OVERHEAD = 2.0
-#: floor on CLA's work fraction (gather cost never fully vanishes)
-CLA_MIN_WORK_FRACTION = 0.05
-
-_ZERO_PRESERVING_UNARY = {"neg", "sqrt", "abs", "sign", "round"}
-_REP_KINDS = ("csr", "cla", "factorized")
 
 
 @dataclass
@@ -119,16 +116,11 @@ class RepresentationPlan:
         Drivers call this before an iteration loop so the Convert nodes
         in the plan become per-iteration no-ops.
         """
-        from ..runtime import repops
-
         out = dict(bindings)
         for name, choice in self.choices.items():
-            value = out.get(name)
-            if value is None:
-                continue
-            if repops.kind_of(value) != choice.representation:
-                out[name] = repops.convert_value(
-                    value, choice.representation, self.sample_fraction
+            if out.get(name) is not None:
+                out[name] = convert_value(
+                    out[name], choice.representation, self.sample_fraction
                 )
         return out
 
@@ -142,20 +134,6 @@ class RepresentationPlan:
                 line += f" [{summary}]"
             lines.append(line)
         return "\n".join(lines)
-
-
-@dataclass
-class _Profile:
-    """How the program touches one input, from the compiled DAG."""
-
-    touch_flops: float = 0.0
-    unsupported: dict[str, set] = field(
-        default_factory=lambda: {k: set() for k in _REP_KINDS}
-    )
-
-    def mark(self, label: str, *kinds: str) -> None:
-        for kind in kinds:
-            self.unsupported[kind].add(label)
 
 
 def plan_representations(
@@ -185,8 +163,6 @@ def plan_representations(
         whose planned form differs from their bound form, and
         ``repr_plan`` carrying the :class:`RepresentationPlan`.
     """
-    from ..runtime import repops
-
     if isinstance(plan, (MExpr, Node)):
         plan = compile_expr(plan)
     if isinstance(force, str) and force != "dense":
@@ -200,26 +176,28 @@ def plan_representations(
     else:
         store = feedback
 
-    profiles = _profile_inputs(plan.root)
-    choices: dict[str, ReprChoice] = {}
-    for name, shape in plan.inputs.items():
+    for name in plan.inputs:
         if name not in bindings:
             raise CompilerError(
                 f"cannot plan representations without a binding for {name!r}"
             )
-        value = bindings[name]
-        current = repops.kind_of(value)
-        pinned = force if isinstance(force, str) else (force or {}).get(name)
-        choices[name] = _choose(
+    touched = _touch_flops(plan.root)
+    bound = {
+        name: Form(kind_of(bindings[name]), token=name) for name in plan.inputs
+    }
+    choices = {
+        name: _choose(
             name,
             shape,
-            value,
-            current,
-            profiles.get(name, _Profile()),
-            pinned,
+            bindings[name],
+            touched.get(name, 0.0),
+            partial(_unsupported, plan.root, bound, name),
+            force if isinstance(force, str) else (force or {}).get(name),
             sample_fraction,
             store,
         )
+        for name, shape in plan.inputs.items()
+    }
 
     targets = {
         name: c.representation
@@ -237,27 +215,12 @@ def plan_representations(
 
 
 # ----------------------------------------------------------------------
-# DAG profiling: per-input touch flops + native-servability per kind
+# DAG profiling: per-input touch flops, and what would densify
 # ----------------------------------------------------------------------
-def _unwrap(node: Node) -> Node:
-    while isinstance(node, (Transpose, Convert)):
-        node = node.children[0]
-    return node
-
-
-def _direct_data(node: Node) -> Data | None:
-    target = _unwrap(node)
-    return target if isinstance(target, Data) else None
-
-
-def _scalar_const(node: Node) -> float | None:
-    if isinstance(node, Constant) and node.is_scalar:
-        return node.scalar_value
-    return None
-
-
-def _profile_inputs(root: Node) -> dict[str, _Profile]:
-    profiles: dict[str, _Profile] = {}
+def _touch_flops(root: Node) -> dict[str, float]:
+    """FLOPs of the operators that read each input directly (through
+    transposes and conversions)."""
+    touched: dict[str, float] = {}
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -266,111 +229,90 @@ def _profile_inputs(root: Node) -> dict[str, _Profile]:
             continue
         seen.add(id(node))
         stack.extend(node.children)
-        _profile_node(node, profiles)
-    return profiles
-
-
-def _touch(profiles: dict[str, _Profile], name: str) -> _Profile:
-    profile = profiles.get(name)
-    if profile is None:
-        profile = profiles[name] = _Profile()
-    return profile
-
-
-def _profile_node(node: Node, profiles: dict[str, _Profile]) -> None:
-    flops = float(node_flops(node))
-    if isinstance(node, MatMul):
-        for side in (node.left, node.right):
-            data = _direct_data(side)
-            if data is not None:
-                _touch(profiles, data.name).touch_flops += flops
-        return
-    if isinstance(node, Fused):
+        if isinstance(node, (Transpose, Convert)):
+            continue
         for child in node.children:
-            data = _direct_data(child)
-            if data is None:
-                continue
-            profile = _touch(profiles, data.name)
-            profile.touch_flops += flops
-            if node.kind == "dot_sum":
-                profile.mark(f"fused:{node.kind}", "cla", "factorized")
-            elif node.kind == "diff_sq_sum":
-                profile.mark(f"fused:{node.kind}", *_REP_KINDS)
-        return
-    if isinstance(node, Binary):
-        for side, other in (
-            (node.left, node.right),
-            (node.right, node.left),
-        ):
-            data = _direct_data(side)
-            if data is None:
-                continue
-            profile = _touch(profiles, data.name)
-            profile.touch_flops += flops
-            scalar = _scalar_const(other)
-            label = f"binary:{node.op}"
-            if scalar is not None:
-                if not _zero_preserving_scalar(
-                    node.op, scalar, side is node.left
-                ):
-                    profile.mark(label, "csr")
-            elif node.op == "*":
-                profile.mark(label, "cla", "factorized")
-            else:
-                profile.mark(label, *_REP_KINDS)
-        return
-    if isinstance(node, Unary):
-        data = _direct_data(node.child)
-        if data is not None:
-            profile = _touch(profiles, data.name)
-            profile.touch_flops += flops
-            if node.op not in _ZERO_PRESERVING_UNARY:
-                profile.mark(f"unary:{node.op}", "csr")
-        return
-    if isinstance(node, Aggregate):
-        data = _direct_data(node.child)
-        if data is not None:
-            profile = _touch(profiles, data.name)
-            profile.touch_flops += flops
-            if node.op not in ("sum", "mean"):
-                profile.mark(f"agg:{node.op}", *_REP_KINDS)
+            while isinstance(child, (Transpose, Convert)):
+                child = child.children[0]
+            if isinstance(child, Data):
+                touched[child.name] = touched.get(child.name, 0.0) + float(
+                    node_flops(node)
+                )
+    return touched
 
 
-def _zero_preserving_scalar(op: str, scalar: float, data_is_left: bool) -> bool:
-    from ..runtime.ops import apply_binary
+def _unsupported(
+    root: Node, bound: dict[str, Form], name: str, kind: str
+) -> set[str]:
+    """Operators that would densify input ``name`` — or a value derived
+    from it that stayed in the representation — if it arrived as
+    ``kind`` while every other input keeps its bound form.
 
-    with np.errstate(all="ignore"):
-        zero = np.zeros(1)
-        out = (
-            apply_binary(op, zero, scalar)
-            if data_is_left
-            else apply_binary(op, scalar, zero)
-        )
-    return bool(np.all(out == 0.0))
+    Walks the DAG as the executor would, putting the runtime's own
+    dispatch decision (:func:`repro.runtime.repops.decide`) to every
+    operator; only operand forms flow, nothing is computed. A 1x1 that
+    is not a literal has no value yet, so a kind whose answer depends on
+    it is refused, and the label says why.
+    """
+    forms = {**bound, name: Form(kind, token=name)}
+    labels: set[str] = set()
+    memo: dict[int, tuple[Form, str | None]] = {}
+
+    def dense(node: Node) -> tuple[Form, None]:
+        return Form(scalar=UNKNOWN if node.is_scalar else None), None
+
+    def visit(node: Node) -> tuple[Form, str | None]:
+        """The node's form, and the input a representation derives from."""
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit
+        out = dense(node)
+        if isinstance(node, Data):
+            if forms[node.name].kind != DENSE:
+                out = forms[node.name], node.name
+        elif isinstance(node, Constant):
+            if node.is_scalar:
+                out = Form(scalar=node.scalar_value), None
+        elif isinstance(node, Convert):
+            out = visit(node.child)
+        else:
+            children = [visit(child) for child in node.children]
+            operands = [form for form, _ in children]
+            if any(form.kind != DENSE for form in operands):
+                dispatch = decide(node, operands)
+                run_time = isinstance(node, Binary) and any(
+                    form.scalar is UNKNOWN for form in operands
+                )
+                why = " (scalar known only at run time)" if run_time else ""
+                for i in dispatch.densified:
+                    if children[i][1] == name:
+                        labels.add(op_label(node) + why)
+                if dispatch.result is not None:
+                    out = dispatch.result, children[dispatch.served][1]
+        memo[id(node)] = out
+        return out
+
+    visit(root)
+    return labels
 
 
 # ----------------------------------------------------------------------
 # Per-input decision
 # ----------------------------------------------------------------------
-def _measured(value: float) -> BlendedEstimate:
-    """Evidence wrapper for a property read off the bound operand itself."""
-    return BlendedEstimate(value, value, value, 1.0, "observed")
-
-
 def _choose(
     name: str,
     shape: tuple[int, int],
     value,
-    current: str,
-    profile: _Profile,
+    touch_flops: float,
+    unsupported: Callable[[str], set[str]],
     pinned: str | None,
     sample_fraction: float,
     store=None,
 ) -> ReprChoice:
+    current = kind_of(value)
     cells = shape[0] * shape[1]
-    dense_bytes = cells * 8
-    est_flops = {"dense": profile.touch_flops}
-    est_bytes = {"dense": dense_bytes}
+    est_flops = {DENSE: touch_flops}
+    est_bytes = {DENSE: cells * 8}
     evidence: dict[str, dict] = {}
     key = input_key(name, shape)
 
@@ -389,71 +331,31 @@ def _choose(
         )
 
     candidates: dict[str, str] = {}  # representation -> reason
-
-    if current == "factorized":
-        ratio_ev = _measured(float(value.redundancy_ratio))
-        evidence["cla_ratio"] = ratio_ev.as_dict()
-        ratio = ratio_ev.value
-        est_flops["factorized"] = profile.touch_flops / max(ratio, 1.0)
-        est_bytes["factorized"] = int(value.memory_bytes)
-        if not profile.unsupported["factorized"]:
-            candidates["factorized"] = (
-                f"stay factorized, redundancy {ratio:.1f}x"
-            )
-    elif current == "csr":
-        density_ev = _measured(float(value.density))
-        evidence["density"] = density_ev.as_dict()
-        density = density_ev.value
-        est_flops["csr"] = profile.touch_flops * min(
-            1.0, density * CSR_OVERHEAD
-        )
-        est_bytes["csr"] = int(value.memory_bytes)
-        if not profile.unsupported["csr"]:
-            candidates["csr"] = f"stay sparse, density {density:.3f}"
-    elif current == "cla":
-        ratio_ev = _measured(float(value.compression_ratio))
-        evidence["cla_ratio"] = ratio_ev.as_dict()
-        ratio = ratio_ev.value
-        est_flops["cla"] = profile.touch_flops * max(
-            CLA_MIN_WORK_FRACTION, 1.0 / max(ratio, 1e-9)
-        )
-        est_bytes["cla"] = int(value.memory_bytes)
-        if ratio >= MIN_CLA_RATIO and not profile.unsupported["cla"]:
-            candidates["cla"] = f"stay compressed, ratio {ratio:.1f}x"
-    else:  # dense binding: consider CSR and CLA
-        arr = np.asarray(value, dtype=np.float64)
-        sampled_density = _estimate_density(arr)
-        if store is not None:
-            density_ev = store.blended_density(key, sampled_density)
+    blocked: set[str] = set()
+    dense = np.asarray(value, dtype=np.float64) if current == DENSE else None
+    for kind, cls in registered().items():
+        if kind == current:
+            # a property read off the bound operand itself
+            measured = float(value.evidence())
+            ev = BlendedEstimate(measured, measured, measured, 1.0, "observed")
+            est_bytes[kind] = int(value.memory_bytes)
+        elif current == DENSE:
+            sampled = cls.sample_evidence(dense, sample_fraction)
+            if sampled is None:
+                continue  # cannot be built from values
+            if store is not None:
+                ev = store.blended(key, cls.evidence_channel, sampled)
+            else:
+                ev = BlendedEstimate(sampled, sampled, None, 0.0, "estimated")
+            est_bytes[kind] = cls.predicted_bytes(shape, ev.value)
         else:
-            density_ev = BlendedEstimate(
-                sampled_density, sampled_density, None, 0.0, "estimated"
-            )
-        evidence["density"] = density_ev.as_dict()
-        density = density_ev.value
-        est_flops["csr"] = profile.touch_flops * min(
-            1.0, density * CSR_OVERHEAD
-        )
-        est_bytes["csr"] = int(
-            round(cells * density * 16 + (shape[0] + 1) * 8)
-        )
-        if not profile.unsupported["csr"]:
-            candidates["csr"] = f"sparse, est density {density:.3f}"
-        sampled_ratio = _estimate_cla_ratio(arr, sample_fraction)
-        if store is not None:
-            ratio_ev = store.blended_ratio(key, sampled_ratio)
-        else:
-            ratio_ev = BlendedEstimate(
-                sampled_ratio, sampled_ratio, None, 0.0, "estimated"
-            )
-        evidence["cla_ratio"] = ratio_ev.as_dict()
-        ratio = ratio_ev.value
-        est_flops["cla"] = profile.touch_flops * max(
-            CLA_MIN_WORK_FRACTION, 1.0 / max(ratio, 1e-9)
-        )
-        est_bytes["cla"] = int(round(dense_bytes / max(ratio, 1e-9)))
-        if ratio >= MIN_CLA_RATIO and not profile.unsupported["cla"]:
-            candidates["cla"] = f"compressible, est ratio {ratio:.1f}x"
+            continue  # bound in another kind: only stay-or-densify is planned
+        evidence[cls.evidence_channel] = ev.as_dict()
+        est_flops[kind] = touch_flops * cls.work_fraction(ev.value)
+        labels = unsupported(kind)
+        blocked |= labels
+        if cls.worth_planning(ev.value) and not labels:
+            candidates[kind] = cls.plan_reason(ev.value, kind == current)
 
     demoted = store.demoted_kinds(key) if store is not None else {}
     demoted_hits = {
@@ -466,7 +368,7 @@ def _choose(
 
     best_rep, best_reason = None, ""
     for rep, reason in candidates.items():
-        if est_flops[rep] >= DENSE_ADVANTAGE * est_flops["dense"]:
+        if est_flops[rep] >= DENSE_ADVANTAGE * est_flops[DENSE]:
             continue
         if best_rep is None or est_flops[rep] < est_flops[best_rep]:
             best_rep, best_reason = rep, reason
@@ -476,55 +378,23 @@ def _choose(
                 ", ".join(sorted(demoted_hits))
                 + " demoted by observed densify fallbacks"
             )
+        elif blocked:
+            reason = "dense; non-dense blocked by " + ", ".join(sorted(blocked))
         else:
-            blocked = sorted(
-                op
-                for kind in _REP_KINDS
-                for op in profile.unsupported[kind]
-                if kind in est_flops
-            )
-            reason = (
-                f"dense; non-dense blocked by {', '.join(blocked)}"
-                if blocked
-                else "dense is cheapest"
-            )
+            reason = "dense is cheapest"
         return ReprChoice(
-            name, "dense", current, reason, est_flops, est_bytes, evidence
+            name, DENSE, current, reason, est_flops, est_bytes, evidence
         )
     return ReprChoice(
         name,
         best_rep,
         current,
         f"{best_reason}; est flops "
-        f"{est_flops[best_rep]:.2e} vs dense {est_flops['dense']:.2e}",
+        f"{est_flops[best_rep]:.2e} vs dense {est_flops[DENSE]:.2e}",
         est_flops,
         est_bytes,
         evidence,
     )
-
-
-def _estimate_density(arr: np.ndarray, max_sample_rows: int = 65536) -> float:
-    n = arr.shape[0]
-    if n <= max_sample_rows:
-        sample = arr
-    else:
-        # Deterministic strided sample spanning the whole row range,
-        # first and last row included. A contiguous-prefix (or naive
-        # floor-stride) sample is biased for row-sorted data — e.g. a
-        # matrix whose dense rows all sit at the tail would look empty.
-        idx = np.linspace(0, n - 1, num=max_sample_rows).astype(np.intp)
-        sample = arr[idx]
-    cells = sample.size or 1
-    return float(np.count_nonzero(sample)) / cells
-
-
-def _estimate_cla_ratio(arr: np.ndarray, sample_fraction: float) -> float:
-    from ..compression.planner import plan_matrix
-
-    plan = plan_matrix(arr, sample_fraction=sample_fraction)
-    est = sum(c.estimated_bytes for c in plan.columns)
-    dense = sum(c.dense_bytes for c in plan.columns)
-    return dense / max(est, 1)
 
 
 # ----------------------------------------------------------------------

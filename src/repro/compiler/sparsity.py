@@ -9,6 +9,8 @@ estimate built on them.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..lang.ast import (
@@ -23,9 +25,8 @@ from ..lang.ast import (
     Transpose,
     Unary,
 )
-
-#: unary ops with f(0) == 0: they preserve zeros
-_ZERO_PRESERVING_UNARY = {"neg", "sqrt", "abs", "sign", "round"}
+from ..operand import zero_preserving
+from ..runtime.ops import apply_unary
 
 
 def propagate_sparsity(
@@ -64,7 +65,7 @@ def _rule(node: Node, child_s: list[float], inputs: dict[str, float]) -> float:
     if isinstance(node, Convert):
         return child_s[0]  # physical-only: the logical value is unchanged
     if isinstance(node, Unary):
-        if node.op in _ZERO_PRESERVING_UNARY:
+        if zero_preserving(partial(apply_unary, node.op)):
             return child_s[0]
         return 1.0  # exp/log/sigmoid map 0 to a nonzero
     if isinstance(node, Binary):

@@ -3,12 +3,14 @@
 A :class:`CompressedMatrix` behaves like a read-only dense matrix for the
 operations iterative ML needs — ``X @ v``, ``X.T @ u``, ``X.T @ X``,
 column sums — all executed directly on the compressed column groups.
+It is a :class:`repro.operand.Operand`, planned on its compression
+ratio; ``@``, ``.T``, ``matmat``/``rmatmat``, ``rowsums``/``sum`` and
+``scale``/``add_scalar`` come from the base.
 
 Kernels can execute per-column-group partials concurrently on the shared
-cost-aware worker pool (:mod:`repro.runtime.parallel`): pass
-``parallel=True`` to :meth:`CompressedMatrix.compress` / the constructor,
-or attach a context with :meth:`CompressedMatrix.set_parallel`. Small
-matrices still dispatch serially through the cost gate.
+cost-aware worker pool (:mod:`repro.runtime.parallel`) once a context is
+attached with ``set_parallel(ctx)``. Small matrices still dispatch
+serially through the cost gate.
 """
 
 from __future__ import annotations
@@ -18,22 +20,21 @@ from functools import partial
 import numpy as np
 
 from ..errors import CompressionError
-from ..runtime.parallel import ParallelContext, dispatch, resolve_context
+from ..operand import Operand, sum_partials
+from ..runtime.parallel import dispatch
 from .colgroup import ColumnGroup
 from .planner import CompressionPlan, build_groups, plan_matrix
+
+#: CLA must promise at least this compression ratio to leave dense
+MIN_CLA_RATIO = 1.2
+#: floor on CLA's work fraction (gather cost never fully vanishes)
+CLA_MIN_WORK_FRACTION = 0.05
 
 
 def _group_matvec(v: np.ndarray, n_rows: int, group: ColumnGroup) -> np.ndarray:
     """One group's contribution to X @ v, as a private partial vector."""
     out = np.zeros(n_rows)
     group.matvec_add(v, out)
-    return out
-
-
-def _sum_partials(size: int, partials: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(size)
-    for p in partials:
-        out += p
     return out
 
 
@@ -45,20 +46,20 @@ def _group_colsums(group: ColumnGroup) -> np.ndarray:
     return group.colsums()
 
 
-class CompressedMatrix:
+class CompressedMatrix(Operand, kind="cla"):
     """A matrix stored as compressed column groups."""
+
+    evidence_channel = "cla_ratio"
 
     def __init__(
         self,
         shape: tuple[int, int],
         groups: list[ColumnGroup],
         plan: CompressionPlan | None = None,
-        parallel: bool | ParallelContext = False,
     ):
         self.shape = shape
         self.groups = groups
         self.plan = plan
-        self._parallel_ctx = resolve_context(parallel)
         covered = sorted(
             int(c) for g in groups for c in g.col_indices
         )
@@ -76,7 +77,6 @@ class CompressedMatrix:
         exact: bool = False,
         cocode: bool = True,
         seed: int = 0,
-        parallel: bool | ParallelContext = False,
     ) -> "CompressedMatrix":
         """Plan and encode a dense matrix."""
         from ..obs import get_registry, span
@@ -86,29 +86,13 @@ class CompressedMatrix:
             "compression.compress", rows=X.shape[0], cols=X.shape[1]
         ) as compress_span:
             plan = plan_matrix(X, sample_fraction, exact, cocode, seed)
-            matrix = cls(
-                X.shape, build_groups(X, plan), plan, parallel=parallel
-            )
+            matrix = cls(X.shape, build_groups(X, plan), plan)
         registry = get_registry()
         registry.inc("compression.compressions")
         registry.inc("compression.compressed_bytes", matrix.compressed_bytes)
         registry.inc("compression.dense_bytes", matrix.dense_bytes)
         compress_span.set("ratio", matrix.compression_ratio)
         return matrix
-
-    # ------------------------------------------------------------------
-    # Parallel dispatch
-    # ------------------------------------------------------------------
-    def set_parallel(
-        self, parallel: bool | ParallelContext = True
-    ) -> "CompressedMatrix":
-        """Enable/disable concurrent per-group kernels (chainable)."""
-        self._parallel_ctx = resolve_context(parallel)
-        return self
-
-    @property
-    def parallel_context(self) -> ParallelContext | None:
-        return self._parallel_ctx
 
     def _kernel_cost(self) -> float:
         """Flops-equivalents of one matvec-shaped pass: 2 * nnz-dense."""
@@ -130,10 +114,7 @@ class CompressedMatrix:
         """Dense size over compressed size (higher is better)."""
         return self.dense_bytes / max(self.compressed_bytes, 1)
 
-    @property
-    def memory_bytes(self) -> int:
-        """Uniform operand-protocol alias for :attr:`compressed_bytes`."""
-        return self.compressed_bytes
+    memory_bytes = compressed_bytes
 
     def schemes(self) -> dict[str, int]:
         """Count of groups per encoding scheme."""
@@ -153,22 +134,50 @@ class CompressedMatrix:
         compressed size, not n x d. ``fn`` must be a vectorized
         elementwise map.
         """
-        return CompressedMatrix(
-            self.shape,
-            [g.map_values(fn) for g in self.groups],
-            self.plan,
-            parallel=self._parallel_ctx or False,
+        mapped = CompressedMatrix(
+            self.shape, [g.map_values(fn) for g in self.groups], self.plan
         )
+        # An attached context carries over to the rewritten matrix.
+        return mapped.set_parallel(self._parallel_ctx)
 
-    def scale(self, alpha: float) -> "CompressedMatrix":
-        """alpha * X by rewriting column-group values."""
-        alpha = float(alpha)
-        return self.map_values(lambda values: values * alpha)
+    # ------------------------------------------------------------------
+    # What the representation planner weighs (repro.operand)
+    # ------------------------------------------------------------------
+    def evidence(self) -> float:
+        return self.compression_ratio
 
-    def add_scalar(self, c: float) -> "CompressedMatrix":
-        """X + c by rewriting column-group values."""
-        c = float(c)
-        return self.map_values(lambda values: values + c)
+    @classmethod
+    def encode(
+        cls, dense: np.ndarray, sample_fraction: float
+    ) -> "CompressedMatrix":
+        return cls.compress(dense, sample_fraction=sample_fraction)
+
+    @classmethod
+    def sample_evidence(
+        cls, dense: np.ndarray, sample_fraction: float
+    ) -> float:
+        """The ratio the sampling estimators promise, without encoding."""
+        plan = plan_matrix(dense, sample_fraction=sample_fraction)
+        est = sum(c.estimated_bytes for c in plan.columns)
+        return sum(c.dense_bytes for c in plan.columns) / max(est, 1)
+
+    @staticmethod
+    def worth_planning(ratio: float) -> bool:
+        return ratio >= MIN_CLA_RATIO
+
+    @staticmethod
+    def work_fraction(ratio: float) -> float:
+        return max(CLA_MIN_WORK_FRACTION, 1.0 / max(ratio, 1e-9))
+
+    @staticmethod
+    def predicted_bytes(shape: tuple[int, int], ratio: float) -> int:
+        return int(round(shape[0] * shape[1] * 8 / max(ratio, 1e-9)))
+
+    @staticmethod
+    def plan_reason(ratio: float, bound: bool) -> str:
+        if bound:
+            return f"stay compressed, ratio {ratio:.1f}x"
+        return f"compressible, est ratio {ratio:.1f}x"
 
     # ------------------------------------------------------------------
     # Kernels
@@ -194,7 +203,7 @@ class CompressedMatrix:
             cost_hint=self._kernel_cost(),
             site="cla.matvec",
             serial=partial(self._matvec, v),
-            combine=partial(_sum_partials, self.shape[0]),
+            combine=partial(sum_partials, self.shape[0]),
         )
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
@@ -273,41 +282,9 @@ class CompressedMatrix:
         """Transpose-self matrix multiply — alias for :meth:`gram`."""
         return self.gram()
 
-    def matmat(self, B: np.ndarray) -> np.ndarray:
-        """X @ B for a dense (d, k) right operand, one matvec per column."""
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim == 1:
-            return self.matvec(B)
-        out = np.empty((self.shape[0], B.shape[1]))
-        for j in range(B.shape[1]):
-            out[:, j] = self.matvec(B[:, j])
-        return out
-
-    def rmatmat(self, U: np.ndarray) -> np.ndarray:
-        """X.T @ U for a dense (n, k) left-transposed operand."""
-        U = np.asarray(U, dtype=np.float64)
-        if U.ndim == 1:
-            return self.rmatvec(U)
-        out = np.empty((self.shape[1], U.shape[1]))
-        for j in range(U.shape[1]):
-            out[:, j] = self.rmatvec(U[:, j])
-        return out
-
-    def rowsums(self) -> np.ndarray:
-        """Row sums, computed as X @ ones on the compressed form."""
-        return self.matvec(np.ones(self.shape[1]))
-
-    def sum(self) -> float:
-        """Sum of every cell."""
-        return float(self.colsums().sum())
-
     def sq_sum(self) -> float:
         """Sum of squared cells (dictionary-sized rewrite + colsums)."""
         return float(self.map_values(np.square).colsums().sum())
-
-    def __matmul__(self, other):
-        other = np.asarray(other, dtype=np.float64)
-        return self.matvec(other) if other.ndim == 1 else self.matmat(other)
 
     def decompress(self) -> np.ndarray:
         """Full dense reconstruction (testing / fallback only)."""
@@ -316,6 +293,4 @@ class CompressedMatrix:
             out[:, g.col_indices] = g.decompress()
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """Uniform operand-protocol alias for :meth:`decompress`."""
-        return self.decompress()
+    to_dense = decompress

@@ -12,6 +12,10 @@ Morpheus rewrites implement matrix ops on this form:
 The arithmetic redundancy avoided is exactly the join's tuple
 multiplication: each R row is touched once instead of once per matching
 S row.
+
+A :class:`repro.operand.Operand` (planned on its redundancy ratio) that
+declares no ``encode``: a star schema cannot be invented from values,
+so the planner only ever keeps a bound one.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FactorizationError
+from ..operand import Operand
 
 
-class NormalizedMatrix:
+class NormalizedMatrix(Operand, kind="factorized"):
     """Design matrix of a star-schema join, kept factorized."""
+
+    evidence_channel = "cla_ratio"
 
     def __init__(
         self,
@@ -249,10 +256,6 @@ class NormalizedMatrix:
             out += R.sum(axis=1)[fk]
         return out
 
-    def sum(self) -> float:
-        """Sum of every logical cell."""
-        return float(self.colsums().sum())
-
     def sq_sum(self) -> float:
         """Sum of squared logical cells (via per-table norms + counts)."""
         total = 0.0
@@ -276,16 +279,6 @@ class NormalizedMatrix:
         S = fn(self.S) if self.S is not None else None
         return NormalizedMatrix(S, self.fks, [fn(R) for R in self.Rs])
 
-    def scale(self, alpha: float) -> "NormalizedMatrix":
-        """alpha * X on the factorized form."""
-        alpha = float(alpha)
-        return self.map_values(lambda values: values * alpha)
-
-    def add_scalar(self, c: float) -> "NormalizedMatrix":
-        """X + c on the factorized form."""
-        c = float(c)
-        return self.map_values(lambda values: values + c)
-
     def materialize(self) -> np.ndarray:
         """The denormalized design matrix (what the join would produce)."""
         parts = []
@@ -295,13 +288,7 @@ class NormalizedMatrix:
             parts.append(R[fk])
         return np.hstack(parts)
 
-    def to_dense(self) -> np.ndarray:
-        """Uniform operand-protocol alias for :meth:`materialize`."""
-        return self.materialize()
-
-    def __matmul__(self, other):
-        other = np.asarray(other, dtype=np.float64)
-        return self.matvec(other) if other.ndim == 1 else self.matmat(other)
+    to_dense = materialize
 
     # ------------------------------------------------------------------
     # Cost accounting (used by benchmarks and the crossover analysis)
@@ -332,3 +319,17 @@ class NormalizedMatrix:
             R.size for R in self.Rs
         )
         return (self.n_rows * self.shape[1]) / max(factorized, 1)
+
+    # ------------------------------------------------------------------
+    # What the representation planner weighs (repro.operand)
+    # ------------------------------------------------------------------
+    def evidence(self) -> float:
+        return self.redundancy_ratio
+
+    @staticmethod
+    def work_fraction(ratio: float) -> float:
+        return 1.0 / max(ratio, 1.0)
+
+    @staticmethod
+    def plan_reason(ratio: float, bound: bool) -> str:
+        return f"stay factorized, redundancy {ratio:.1f}x"

@@ -14,6 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import CompilerError, ShapeError
+from ..operand import DENSE, registered
 
 Shape = tuple[int, int]
 
@@ -207,10 +208,6 @@ class Aggregate(Node):
         return Aggregate(self.op, child, self.axis)
 
 
-#: physical storage representations a Convert node can target
-REPRESENTATIONS = {"dense", "csr", "cla", "factorized"}
-
-
 class Convert(Node):
     """Representation-conversion marker inserted by the reprplan pass.
 
@@ -222,10 +219,11 @@ class Convert(Node):
     """
 
     def __init__(self, child: Node, target: str):
-        if target not in REPRESENTATIONS:
+        # dense, or any kind a repro.operand.Operand class registered
+        if target != DENSE and target not in registered():
             raise CompilerError(
                 f"unknown representation {target!r}; "
-                f"expected one of {sorted(REPRESENTATIONS)}"
+                f"expected one of {sorted([DENSE, *registered()])}"
             )
         self.child = child
         self.target = target
@@ -257,6 +255,22 @@ class Fused(Node):
 
     def with_children(self, children):
         return Fused(self.kind, children, self.shape)
+
+
+def op_label(node: Node) -> str:
+    """The operator label of a node: ``matmul``, ``transpose``,
+    ``binary:<op>``, ``unary:<op>``, ``agg:<op>``, ``fused:<kind>``.
+
+    The one spelling execution stats, spans, sub-plan reuse and the
+    operand capability predicate (:func:`repro.operand.serves`) key on.
+    """
+    if isinstance(node, (Binary, Unary)):
+        return f"{type(node).__name__.lower()}:{node.op}"
+    if isinstance(node, Aggregate):
+        return f"agg:{node.op}"
+    if isinstance(node, Fused):
+        return f"fused:{node.kind}"
+    return type(node).__name__.lower()
 
 
 def _broadcast_shape(op: str, left: Shape, right: Shape) -> Shape:

@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import MaterializationError
 from ..lang.ast import Aggregate, Binary, Constant, Convert, Data, Fused, \
     MatMul, Node, Transpose, Unary
-from ..runtime import repops
+from ..operand import densify, kind_of
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +136,8 @@ def content_hash(value) -> str:
     cached = _CONTENT_CACHE.get(id(value))
     if cached is not None and cached[0]() is value:
         return cached[1]
-    kind = repops.kind_of(value)
-    dense = repops.densify(value)
-    arr = np.ascontiguousarray(dense, dtype=np.float64)
+    kind = kind_of(value)
+    arr = np.ascontiguousarray(densify(value))
     h = hashlib.sha256()
     h.update(kind.encode("utf-8"))
     h.update(f":{arr.shape[0]}x{arr.shape[1] if arr.ndim > 1 else 1}:".encode())

@@ -60,7 +60,7 @@ from ..errors import MaterializationError
 from ..obs import Counted, Ledger
 from ..persist import read_verified, write_atomic
 from ..resilience.faults import fault_point
-from ..runtime import repops
+from ..operand import kind_of, operand_bytes
 from ..runtime.bufferpool import pool_ledger
 from .fingerprint import Fingerprint
 from .lineage import LineageGraph
@@ -217,12 +217,12 @@ class MaterializationStore(Counted):
         mutation cannot reach the store. Re-admitting a key the store
         has seen before (after corruption or loss) counts as a lineage
         recompute. ``nbytes`` overrides the sizing for values
-        :func:`~repro.runtime.repops.operand_bytes` cannot measure
+        :func:`~repro.operand.operand_bytes` cannot measure
         (e.g. relational tables).
         """
         key = self._key_of(fp)
         if nbytes is None:
-            nbytes = repops.operand_bytes(value)
+            nbytes = operand_bytes(value)
         with self._lock:
             if key in self._meta:
                 return True  # already materialized; nothing to do
@@ -231,7 +231,7 @@ class MaterializationStore(Counted):
                 return False
             if isinstance(value, np.ndarray):
                 value = np.array(value, dtype=np.float64, copy=True)
-            kind = repops.kind_of(value)
+            kind = kind_of(value)
             shape = tuple(getattr(value, "shape", ())) or None
             if key in self._seen:
                 self.counts.inc("recomputes")

@@ -8,7 +8,8 @@ benchmark suite uses to attribute optimizer wins.
 Bindings may be dense numpy arrays or any of the storage
 representations — :class:`~repro.compression.CompressedMatrix` (CLA),
 :class:`~repro.sparse.CSRMatrix`, or
-:class:`~repro.factorized.NormalizedMatrix`. Non-dense operands are
+:class:`~repro.factorized.NormalizedMatrix` (every
+:class:`repro.operand.Operand`). Non-dense operands are
 dispatched to their native kernels via :mod:`repro.runtime.repops`;
 operators a representation cannot serve densify it once per execution
 and record the fallback in :attr:`ExecutionStats.densify_fallbacks`.
@@ -18,33 +19,21 @@ ignores Convert targets, reproducing the dense-only interpreter exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..compiler import feedback as _feedback
-from ..compiler.cost import node_flops, node_output_bytes
+from ..compiler.cost import node_flops
 from ..materialize import reuse as _reuse
 from ..materialize import store as _matstore
 from ..compiler.planner import CompiledPlan, compile_expr
 from ..errors import ExecutionError
 from ..obs import get_registry, span, tracing_enabled
-from ..lang.ast import (
-    Aggregate,
-    Binary,
-    Constant,
-    Convert,
-    Data,
-    Fused,
-    MatMul,
-    Node,
-    Transpose,
-    Unary,
-)
+from ..lang.ast import Constant, Convert, Data, Node, op_label
 from ..lang.dsl import MExpr
 from . import repops
-from .ops import apply_aggregate, apply_binary, apply_fused, apply_unary
+from .ops import apply_node
 from .parallel import ParallelContext, resolve_context
 
 
@@ -55,8 +44,6 @@ class ExecutionStats:
     op_counts: dict[str, int] = field(default_factory=dict)
     flops: int = 0
     intermediate_bytes: int = 0
-    #: modeled flops per op label — the feedback store's attribution key
-    op_flops: dict[str, float] = field(default_factory=dict)
     #: ops served by a representation's native kernel, e.g. "matmul[cla]"
     native_repr_ops: dict[str, int] = field(default_factory=dict)
     #: ops that had to densify a non-dense operand, keyed by op label
@@ -82,26 +69,19 @@ class ExecutionStats:
     def reuse_count(self) -> int:
         return sum(self.reuse_hits.values())
 
-    def record(
-        self, label: str, node: Node, result_bytes: int | None = None
-    ) -> None:
+    def record(self, label: str, node: Node, result_bytes: int) -> None:
         self.op_counts[label] = self.op_counts.get(label, 0) + 1
-        flops = node_flops(node)
-        self.flops += flops
-        self.op_flops[label] = self.op_flops.get(label, 0.0) + flops
-        self.intermediate_bytes += (
-            node_output_bytes(node) if result_bytes is None else result_bytes
-        )
+        self.flops += node_flops(node)
+        self.intermediate_bytes += result_bytes
 
     def note_native(self, label: str) -> None:
         self.native_repr_ops[label] = self.native_repr_ops.get(label, 0) + 1
 
-    def note_fallback(self, label: str, kind: str | None = None) -> None:
+    def note_fallback(self, label: str, kind: str) -> None:
         self.densify_fallbacks[label] = (
             self.densify_fallbacks.get(label, 0) + 1
         )
-        if kind is not None:
-            self.fallback_kinds[kind] = self.fallback_kinds.get(kind, 0) + 1
+        self.fallback_kinds[kind] = self.fallback_kinds.get(kind, 0) + 1
 
     def note_convert(self, desc: str, nbytes: int) -> None:
         self.converts[desc] = self.converts.get(desc, 0) + 1
@@ -153,16 +133,13 @@ def execute(
     attached = []
     if ctx is not None:
         for value in prepared.values():
-            set_parallel = getattr(value, "set_parallel", None)
             if (
-                set_parallel is not None
-                and getattr(value, "parallel_context", None) is None
+                repops.is_representation(value)
+                and value.parallel_context is None
             ):
-                set_parallel(ctx)
-                attached.append(value)
+                attached.append(value.set_parallel(ctx))
 
     store = _feedback.active_store()
-    started = time.perf_counter() if store is not None else 0.0
     # Sub-plan reuse is fingerprinted against the bound operands, so it
     # is skipped under force_dense (densified bindings would fingerprint
     # differently from their representation-bound originals anyway).
@@ -177,7 +154,7 @@ def execute(
     dense_cache: dict[int, np.ndarray] = {}
     exec_span = span(
         "executor.execute",
-        root=_node_label(plan.root),
+        root=op_label(plan.root),
         inputs=len(plan.inputs),
         force_dense=force_dense,
     )
@@ -190,7 +167,7 @@ def execute(
                 )
             finally:
                 for value in attached:
-                    value.set_parallel(False)
+                    value.set_parallel(None)
 
             if repops.is_representation(result):
                 stats.note_convert(
@@ -205,9 +182,7 @@ def execute(
         _publish_execution(stats, exec_span)
         if store is not None:
             try:
-                store.observe_execution(
-                    prepared, stats, time.perf_counter() - started
-                )
+                store.observe_execution(prepared, stats)
             except Exception:
                 # Feedback is advisory: a broken store must never fail
                 # the execution it was watching.
@@ -303,9 +278,7 @@ def _eval(
         if reuse is not None:
             hit = reuse.lookup(node)
             if hit is not None:
-                stats.note_reuse(
-                    _node_label(node), repops.operand_bytes(hit)
-                )
+                stats.note_reuse(op_label(node), repops.operand_bytes(hit))
                 memo[id(node)] = hit
                 return hit
         children = [
@@ -315,14 +288,14 @@ def _eval(
         if tracing_enabled():
             with span(
                 "executor.op",
-                op=_node_label(node),
+                op=op_label(node),
                 shape=str(node.shape),
             ):
                 result = _eval_physical(node, children, stats, dense_cache)
         else:
             result = _eval_physical(node, children, stats, dense_cache)
         if reuse is not None:
-            reuse.offer(node, result, _node_label(node))
+            reuse.offer(node, result, op_label(node))
 
     memo[id(node)] = result
     return result
@@ -335,6 +308,7 @@ def _eval_physical(
     dense_cache: dict[int, np.ndarray],
 ):
     """Run one physical operator over already-evaluated children."""
+    label = op_label(node)
     if any(repops.is_representation(c) for c in children):
         result = repops.eval_node(node, children, stats, dense_cache)
         if repops.is_representation(result):
@@ -343,42 +317,15 @@ def _eval_physical(
                     f"representation kernel produced shape "
                     f"{tuple(result.shape)} for node of shape {node.shape}"
                 )
-            stats.record(
-                _node_label(node), node, repops.operand_bytes(result)
-            )
-        else:
-            result = np.asarray(result, dtype=np.float64)
-            if result.shape != node.shape:
-                result = np.broadcast_to(result, node.shape).copy()
-            stats.record(_node_label(node), node, result.nbytes)
-        return result
-
-    if isinstance(node, Binary):
-        result = apply_binary(node.op, children[0], children[1])
-        stats.record(f"binary:{node.op}", node)
-    elif isinstance(node, Unary):
-        result = apply_unary(node.op, children[0])
-        stats.record(f"unary:{node.op}", node)
-    elif isinstance(node, MatMul):
-        result = children[0] @ children[1]
-        stats.record("matmul", node)
-    elif isinstance(node, Transpose):
-        result = children[0].T
-        stats.record("transpose", node)
-    elif isinstance(node, Aggregate):
-        result = apply_aggregate(node.op, children[0], node.axis)
-        stats.record(f"agg:{node.op}", node)
-    elif isinstance(node, Fused):
-        result = apply_fused(node.kind, children)
-        stats.record(f"fused:{node.kind}", node)
+            stats.record(label, node, repops.operand_bytes(result))
+            return result
     else:
-        raise ExecutionError(
-            f"cannot execute node type {type(node).__name__}"
-        )
+        result = apply_node(node, children)
     result = np.asarray(result, dtype=np.float64)
     if result.shape != node.shape:
         # Broadcasting of (1,1) scalars can shrink shapes; normalize.
         result = np.broadcast_to(result, node.shape).copy()
+    stats.record(label, node, result.nbytes)
     return result
 
 
@@ -396,19 +343,3 @@ def _eval_convert(
         f"{current}->{node.target}", repops.operand_bytes(converted)
     )
     return converted
-
-
-def _node_label(node: Node) -> str:
-    if isinstance(node, Binary):
-        return f"binary:{node.op}"
-    if isinstance(node, Unary):
-        return f"unary:{node.op}"
-    if isinstance(node, MatMul):
-        return "matmul"
-    if isinstance(node, Transpose):
-        return "transpose"
-    if isinstance(node, Aggregate):
-        return f"agg:{node.op}"
-    if isinstance(node, Fused):
-        return f"fused:{node.kind}"
-    return type(node).__name__.lower()

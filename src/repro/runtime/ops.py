@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
+from ..lang.ast import Aggregate, Binary, Fused, MatMul, Node, Transpose, Unary
 
 _BINARY = {
     "+": np.add,
@@ -123,3 +124,20 @@ def apply_fused(kind: str, inputs: list[np.ndarray]) -> np.ndarray:
     if kernel is None:
         raise ExecutionError(f"unknown fused kernel {kind!r}")
     return kernel(*inputs)
+
+
+def apply_node(node: Node, children: list[np.ndarray]) -> np.ndarray:
+    """Run one physical operator's dense kernel over dense children."""
+    if isinstance(node, Binary):
+        return apply_binary(node.op, children[0], children[1])
+    if isinstance(node, Unary):
+        return apply_unary(node.op, children[0])
+    if isinstance(node, MatMul):
+        return children[0] @ children[1]
+    if isinstance(node, Transpose):
+        return children[0].T
+    if isinstance(node, Aggregate):
+        return apply_aggregate(node.op, children[0], node.axis)
+    if isinstance(node, Fused):
+        return apply_fused(node.kind, children)
+    raise ExecutionError(f"cannot execute node type {type(node).__name__}")

@@ -1,181 +1,144 @@
 """Representation-aware physical operators for the plan interpreter.
 
 The executor evaluates DAG nodes bottom-up; when a child value is a
-:class:`~repro.compression.CompressedMatrix` (CLA),
-:class:`~repro.sparse.CSRMatrix`, or
-:class:`~repro.factorized.NormalizedMatrix`, dispatch lands here instead
-of the dense kernels in :mod:`repro.runtime.ops`. Each physical operator
-(matmul, transpose-matmul, aggregates, elementwise with scalar
-broadcast, the fused kernels) is routed to the representation's native
-kernel; ops a representation genuinely cannot serve densify the operand
-once (memoized per execution) and record the fallback on the stats
-object so benchmarks can attribute it.
+:class:`repro.operand.Operand` (CLA, CSR, the normalized matrix, or the
+transpose view over one), dispatch lands here instead of the dense
+kernels in :mod:`repro.runtime.ops`.
 
-Representation classes are imported lazily: ``repro.compression`` and
-``repro.sparse`` import :mod:`repro.runtime.parallel`, so a module-level
-import here would create a cycle through ``repro.runtime``.
+:func:`decide` is the dispatch decision, taken from the operands'
+*forms* alone (kind, transposed, 1x1 value) by asking the capability
+predicate :func:`repro.operand.serves`: which operand's native kernel
+runs the operator, and which representation operands must densify
+first. :func:`eval_node` carries the decision out on real operands —
+one densification per operand per execution, recorded on the stats
+object so benchmarks can attribute it — and the representation planner
+(:mod:`repro.compiler.reprplan`) calls the same :func:`decide` over the
+forms the operands *would* have, so what it predicts is what runs.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
+
 import numpy as np
 
-from ..errors import ExecutionError
-from ..lang.ast import Aggregate, Binary, Fused, MatMul, Node, Transpose, Unary
-from .ops import apply_aggregate, apply_binary, apply_fused, apply_unary
+from ..lang.ast import (
+    Aggregate,
+    Binary,
+    MatMul,
+    Node,
+    Transpose,
+    Unary,
+    op_label,
+)
+# The operand readers stay importable from here (benchmarks use them).
+from ..operand import (
+    ABSENT,
+    DENSE,
+    REPRESENTATION,
+    SCALAR,
+    convert_value,
+    densify,
+    is_representation,
+    kind_of,
+    operand_bytes,
+    serves,
+)
+from .ops import apply_binary, apply_node, apply_unary
 
-_REP_CLASSES: tuple[type, ...] | None = None
-
-
-def _rep_classes() -> tuple[type, ...]:
-    global _REP_CLASSES
-    if _REP_CLASSES is None:
-        from ..compression.matrix import CompressedMatrix
-        from ..factorized.normalized import NormalizedMatrix
-        from ..sparse.csr import CSRMatrix
-
-        _REP_CLASSES = (CompressedMatrix, CSRMatrix, NormalizedMatrix)
-    return _REP_CLASSES
-
-
-class TransposedOperand:
-    """Zero-copy transpose view over any representation operand.
-
-    Produced by Transpose nodes so downstream matmuls keep running on
-    the native kernels (``matmat`` <-> ``rmatmat``, ``colsums`` <->
-    ``rowsums``) instead of densifying.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.shape = (base.shape[1], base.shape[0])
-
-    def matmat(self, B: np.ndarray) -> np.ndarray:
-        return self.base.rmatmat(B)
-
-    def rmatmat(self, U: np.ndarray) -> np.ndarray:
-        return self.base.matmat(U)
-
-    def colsums(self) -> np.ndarray:
-        return self.base.rowsums()
-
-    def rowsums(self) -> np.ndarray:
-        return self.base.colsums()
-
-    def sum(self) -> float:
-        return self.base.sum()
-
-    def sq_sum(self) -> float:
-        return self.base.sq_sum()
-
-    def to_dense(self) -> np.ndarray:
-        return _densify_base(self.base).T
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.base.memory_bytes
+#: the value of a 1x1 operand that only exists at run time
+UNKNOWN = object()
 
 
-def kind_of(value) -> str:
-    """Storage kind tag: 'dense', 'csr', 'cla', or 'factorized'."""
-    if isinstance(value, TransposedOperand):
-        return kind_of(value.base)
-    compressed, csr, normalized = _rep_classes()
-    if isinstance(value, compressed):
-        return "cla"
-    if isinstance(value, csr):
-        return "csr"
-    if isinstance(value, normalized):
-        return "factorized"
-    return "dense"
+class Form(NamedTuple):
+    """What dispatch needs to know about one operand."""
+
+    kind: str = DENSE
+    transposed: bool = False
+    #: identity of the stored operand (tells a Gram product E.T @ E)
+    token: object = None
+    #: a dense 1x1's value (``UNKNOWN`` to the planner when it is
+    #: computed at run time); ``None`` for everything else
+    scalar: object = None
 
 
-def is_representation(value) -> bool:
-    """True for non-dense operands the executor must dispatch on."""
-    if isinstance(value, (np.ndarray, float, int)):
-        return False
-    return isinstance(value, _rep_classes() + (TransposedOperand,))
+class Dispatch(NamedTuple):
+    """How one operator runs over operands of given forms."""
+
+    #: operand whose native kernel runs; ``None`` for the dense kernel
+    served: int | None
+    #: representation operands that densify first
+    densified: tuple[int, ...] = ()
+    #: the elementwise map the kernel applies, when the operator is one
+    fn: Callable | None = None
+    #: the result's form when it stays a representation
+    result: Form | None = None
 
 
-def _densify_base(value) -> np.ndarray:
-    out = value.to_dense()
-    return np.asarray(out, dtype=np.float64)
-
-
-def densify(value) -> np.ndarray:
-    """Dense float64 array for any operand (identity for ndarrays)."""
-    if isinstance(value, TransposedOperand):
-        return value.to_dense()
+def form_of(value) -> Form:
     if is_representation(value):
-        return _densify_base(value)
-    return np.asarray(value, dtype=np.float64)
-
-
-def operand_bytes(value) -> int:
-    """Actual storage footprint of an operand in its current form."""
-    if is_representation(value):
-        return int(value.memory_bytes)
-    return int(np.asarray(value).nbytes)
-
-
-def convert_value(value, target: str, sample_fraction: float = 0.05):
-    """Convert an operand to the target representation (idempotent).
-
-    Converting *to* 'factorized' requires the operand to already be a
-    NormalizedMatrix — a schema cannot be invented from a dense array.
-    """
-    current = kind_of(value)
-    if current == target:
-        return value
-    if target == "dense":
-        return densify(value)
-    if target == "csr":
-        from ..sparse.csr import CSRMatrix
-
-        return CSRMatrix.from_dense(densify(value))
-    if target == "cla":
-        from ..compression.matrix import CompressedMatrix
-
-        return CompressedMatrix.compress(
-            densify(value), sample_fraction=sample_fraction
-        )
-    if target == "factorized":
-        raise ExecutionError(
-            f"cannot convert a {current} operand to 'factorized': "
-            "the star-schema structure is not recoverable from values"
-        )
-    raise ExecutionError(f"unknown representation target {target!r}")
-
-
-# ----------------------------------------------------------------------
-# Elementwise map capability
-# ----------------------------------------------------------------------
-def _scalar_of(value) -> float | None:
-    """The scalar payload if ``value`` is a (1, 1) dense operand."""
+        stored = value.base if value.transposed else value
+        return Form(value.kind, value.transposed, id(stored))
     if isinstance(value, np.ndarray) and value.shape == (1, 1):
-        return float(value[0, 0])
+        return Form(scalar=float(value[0, 0]))
+    return Form()
+
+
+def _elementwise_map(node: Node, operand: int, other: Form | None):
+    """The map ``node`` applies to its ``operand``-th child, if it is an
+    elementwise map of that child alone and fully known."""
+    if isinstance(node, Unary):
+        return partial(apply_unary, node.op)
+    if isinstance(node, Binary) and other.scalar not in (None, UNKNOWN):
+        scalar = other.scalar
+        if operand == 0:
+            return lambda values: apply_binary(node.op, values, scalar)
+        return lambda values: apply_binary(node.op, scalar, values)
     return None
 
 
-def _is_zero_preserving(fn) -> bool:
-    with np.errstate(all="ignore"):
-        out = fn(np.zeros(1))
-    return bool(np.all(out == 0.0))
-
-
-def _map_rep(value, fn, zero_preserving: bool):
-    """Apply an elementwise map natively, or return None if unsupported."""
-    if isinstance(value, TransposedOperand):
-        mapped = _map_rep(value.base, fn, zero_preserving)
-        return None if mapped is None else TransposedOperand(mapped)
-    kind = kind_of(value)
-    if kind == "csr":
-        # Implicit zeros stay implicit only for zero-preserving maps.
-        return value.map_nonzeros(fn) if zero_preserving else None
-    if kind in ("cla", "factorized"):
-        # Dictionary / per-table rewrites are exact for any map.
-        return value.map_values(fn)
-    return None
+def decide(node: Node, forms: Sequence[Form]) -> Dispatch:
+    """Dispatch ``node`` over operands of ``forms`` (at least one of
+    them a representation)."""
+    reps = [i for i, form in enumerate(forms) if form.kind != DENSE]
+    if isinstance(node, MatMul) and len(reps) == 2:
+        left, right = forms
+        if (
+            left.transposed
+            and not right.transposed
+            and left.token == right.token
+        ):
+            # Gram pattern E.T @ E over one shared operand (the memoized
+            # DAG hands over the view and its base): every class ships
+            # a native gram kernel.
+            return Dispatch(1)
+        # matmat/rmatmat take a dense operand: the right one gives way.
+        return Dispatch(0, (1,))
+    operand = reps[0]
+    form = forms[operand]
+    other = forms[1 - operand] if len(forms) == 2 else None
+    if other is None:
+        other_is = ABSENT
+    elif other.kind != DENSE:
+        other_is = REPRESENTATION
+    else:
+        other_is = DENSE if other.scalar is None else SCALAR
+    fn = _elementwise_map(node, operand, other)
+    label = op_label(node)
+    # The fused chain t(X) @ (X @ v) runs on its matrix slot only.
+    in_slot = operand == 0 or label != "fused:mvchain"
+    if not in_slot or not serves(
+        form.kind, label, form.transposed, other_is, fn
+    ):
+        return Dispatch(None, tuple(reps))
+    if isinstance(node, Transpose):
+        flipped = form._replace(transposed=not form.transposed)
+        return Dispatch(operand, result=flipped)
+    if isinstance(node, (Unary, Binary)):
+        # value rewrites and sparse * dense stay in the kind
+        return Dispatch(operand, (), fn, form._replace(token=id(node)))
+    return Dispatch(operand)
 
 
 # ----------------------------------------------------------------------
@@ -184,166 +147,69 @@ def _map_rep(value, fn, zero_preserving: bool):
 def eval_node(node: Node, children: list, stats, dense_cache: dict):
     """Evaluate one node with at least one representation child.
 
-    Returns the result (ndarray, representation operand, or
-    TransposedOperand). Native dispatches and densification fallbacks
-    are tallied on ``stats`` (``note_native`` / ``note_fallback``).
+    Returns the result (ndarray or representation operand). Native
+    dispatches and densification fallbacks are tallied on ``stats``
+    (``note_native`` / ``note_fallback``).
     """
-    if isinstance(node, MatMul):
-        return _eval_matmul(node, children, stats, dense_cache)
+    label = op_label(node)
+    served, densified, fn, _ = decide(node, [form_of(c) for c in children])
+    for i in densified:
+        children[i] = _fallback_dense(children[i], label, stats, dense_cache)
+    if served is None:
+        return apply_node(node, children)
+    rep = children[served]
+    stats.note_native(f"{label}[{rep.kind}]")
     if isinstance(node, Transpose):
-        (x,) = children
-        stats.note_native(f"transpose[{kind_of(x)}]")
-        return x.base if isinstance(x, TransposedOperand) else TransposedOperand(x)
-    if isinstance(node, Binary):
-        return _eval_binary(node, children, stats, dense_cache)
-    if isinstance(node, Unary):
-        return _eval_unary(node, children, stats, dense_cache)
+        return rep.T
+    if fn is not None:
+        return rep.map_values(fn)
     if isinstance(node, Aggregate):
-        return _eval_aggregate(node, children, stats, dense_cache)
-    if isinstance(node, Fused):
-        return _eval_fused(node, children, stats, dense_cache)
-    raise ExecutionError(
-        f"cannot execute node type {type(node).__name__} over "
-        f"representation operands"
-    )
+        return _aggregate(node, rep)
+    if isinstance(node, MatMul):
+        return _matmul(children, served)
+    other = None if len(children) == 1 else children[1 - served]
+    if isinstance(node, Binary):
+        # Sparse * dense (incl. row/column broadcast) stays sparse.
+        other = np.broadcast_to(np.asarray(other, dtype=np.float64), rep.shape)
+        return rep.multiply_dense(np.ascontiguousarray(other))
+    if node.kind == "mvchain":
+        return rep.rmatmat(rep.matmat(np.asarray(other, dtype=np.float64)))
+    if node.kind == "sq_sum":
+        return np.array([[rep.sq_sum()]])
+    if node.kind == "dot_sum":
+        product = rep.multiply_dense(np.asarray(other, dtype=np.float64))
+        return np.array([[product.sum()]])
+    return np.asarray(rep.gram(), dtype=np.float64)  # tsmm
 
 
 def _fallback_dense(value, label: str, stats, dense_cache: dict):
     """One-time densification of an operand (memoized per execution)."""
-    if not is_representation(value):
-        return value
     cached = dense_cache.get(id(value))
     if cached is None:
         cached = densify(value)
         dense_cache[id(value)] = cached
-    stats.note_fallback(label, kind_of(value))
+    stats.note_fallback(label, value.kind)
     return cached
 
 
-def _eval_matmul(node: MatMul, children: list, stats, dense_cache):
+def _matmul(children: list, served: int):
     left, right = children
-    left_rep = is_representation(left)
-    right_rep = is_representation(right)
-    if left_rep and right_rep:
-        # Gram pattern E.T @ E over one shared operand: the memoized DAG
-        # hands us TransposedOperand(E) on the left and E itself on the
-        # right, and every representation ships a native gram kernel.
-        if (
-            isinstance(left, TransposedOperand)
-            and left.base is right
-            and hasattr(right, "gram")
-        ):
-            stats.note_native(f"matmul[{kind_of(right)}]")
-            return np.asarray(right.gram(), dtype=np.float64)
-        right = _fallback_dense(right, "matmul", stats, dense_cache)
-        right_rep = False
-    if left_rep:
-        stats.note_native(f"matmul[{kind_of(left)}]")
-        out = left.matmat(np.asarray(right, dtype=np.float64))
-        return out
+    if is_representation(left) and is_representation(right):
+        return np.asarray(right.gram(), dtype=np.float64)
+    if served == 0:
+        return left.matmat(np.asarray(right, dtype=np.float64))
     # dense @ rep: (A @ B) == (B.T @ A.T).T, which is B.rmatmat(A.T).T.
-    stats.note_native(f"matmul[{kind_of(right)}]")
     return right.rmatmat(np.asarray(left, dtype=np.float64).T).T
 
 
-def _eval_binary(node: Binary, children: list, stats, dense_cache):
-    left, right = children
-    label = f"binary:{node.op}"
-    for rep, other, rep_is_left in (
-        (left, right, True),
-        (right, left, False),
-    ):
-        if not is_representation(rep):
-            continue
-        if is_representation(other):
-            break  # rep-rep elementwise: fall back below
-        scalar = _scalar_of(other)
-        if scalar is not None:
-            if rep_is_left:
-                fn = lambda vals: apply_binary(node.op, vals, scalar)  # noqa: E731
-            else:
-                fn = lambda vals: apply_binary(node.op, scalar, vals)  # noqa: E731
-            mapped = _map_rep(rep, fn, _is_zero_preserving(fn))
-            if mapped is not None:
-                stats.note_native(f"{label}[{kind_of(rep)}]")
-                return mapped
-        elif node.op == "*" and kind_of(rep) == "csr" and not isinstance(
-            rep, TransposedOperand
-        ):
-            # Sparse * dense (incl. row/column broadcast) stays sparse.
-            other_arr = np.broadcast_to(
-                np.asarray(other, dtype=np.float64), rep.shape
-            )
-            stats.note_native(f"{label}[csr]")
-            return rep.multiply_dense(np.ascontiguousarray(other_arr))
-        break
-    left = _fallback_dense(left, label, stats, dense_cache)
-    right = _fallback_dense(right, label, stats, dense_cache)
-    return apply_binary(node.op, left, right)
-
-
-def _eval_unary(node: Unary, children: list, stats, dense_cache):
-    (x,) = children
-    label = f"unary:{node.op}"
-    fn = lambda vals: apply_unary(node.op, vals)  # noqa: E731
-    mapped = _map_rep(x, fn, _is_zero_preserving(fn))
-    if mapped is not None:
-        stats.note_native(f"{label}[{kind_of(x)}]")
-        return mapped
-    return apply_unary(node.op, _fallback_dense(x, label, stats, dense_cache))
-
-
-def _eval_aggregate(node: Aggregate, children: list, stats, dense_cache):
-    (x,) = children
-    label = f"agg:{node.op}"
-    if node.op in ("sum", "mean"):
-        stats.note_native(f"{label}[{kind_of(x)}]")
-        if node.axis is None:
-            total = x.sum()
-            cells = x.shape[0] * x.shape[1]
-            return np.array([[total / cells if node.op == "mean" else total]])
-        if node.axis == 0:
-            out = np.asarray(x.colsums(), dtype=np.float64).reshape(1, -1)
-            return out / x.shape[0] if node.op == "mean" else out
-        out = np.asarray(x.rowsums(), dtype=np.float64).reshape(-1, 1)
-        return out / x.shape[1] if node.op == "mean" else out
-    # min/max/trace need every cell in position: densify once.
-    dense = _fallback_dense(x, label, stats, dense_cache)
-    return apply_aggregate(node.op, dense, node.axis)
-
-
-def _eval_fused(node: Fused, children: list, stats, dense_cache):
-    label = f"fused:{node.kind}"
-    if node.kind == "tsmm":
-        (x,) = children
-        if not isinstance(x, TransposedOperand) and hasattr(x, "gram"):
-            stats.note_native(f"{label}[{kind_of(x)}]")
-            return np.asarray(x.gram(), dtype=np.float64)
-    elif node.kind == "mvchain":
-        x, v = children
-        if is_representation(x) and not is_representation(v):
-            stats.note_native(f"{label}[{kind_of(x)}]")
-            v = np.asarray(v, dtype=np.float64)
-            return x.rmatmat(x.matmat(v))
-    elif node.kind == "sq_sum":
-        (x,) = children
-        stats.note_native(f"{label}[{kind_of(x)}]")
-        return np.array([[x.sq_sum()]])
-    elif node.kind == "dot_sum":
-        x, y = children
-        for rep, other in ((x, y), (y, x)):
-            if (
-                kind_of(rep) == "csr"
-                and not isinstance(rep, TransposedOperand)
-                and not is_representation(other)
-                and np.asarray(other).shape == rep.shape
-            ):
-                stats.note_native(f"{label}[csr]")
-                product = rep.multiply_dense(
-                    np.asarray(other, dtype=np.float64)
-                )
-                return np.array([[product.sum()]])
-    dense_children = [
-        _fallback_dense(c, label, stats, dense_cache) for c in children
-    ]
-    return apply_fused(node.kind, dense_children)
+def _aggregate(node: Aggregate, x):
+    mean = node.op == "mean"
+    if node.axis is None:
+        total = x.sum()
+        cells = x.shape[0] * x.shape[1]
+        return np.array([[total / cells if mean else total]])
+    if node.axis == 0:
+        out = np.asarray(x.colsums(), dtype=np.float64).reshape(1, -1)
+        return out / x.shape[0] if mean else out
+    out = np.asarray(x.rowsums(), dtype=np.float64).reshape(-1, 1)
+    return out / x.shape[1] if mean else out

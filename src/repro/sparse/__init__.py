@@ -6,6 +6,6 @@ row-gather protocol as dense arrays, the GLM losses and optimizers in
 exploitation the tutorial's declarative-ML section surveys.
 """
 
-from .csr import CSRMatrix, SparseError, TransposedCSR
+from .csr import CSRMatrix, SparseError
 
-__all__ = ["CSRMatrix", "SparseError", "TransposedCSR"]
+__all__ = ["CSRMatrix", "SparseError"]

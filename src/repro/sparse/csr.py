@@ -6,14 +6,14 @@ n*d. This module is that substrate for the reproduction — built on
 numpy primitives only (no scipy), with exactly the operation set GLM
 training needs:
 
-* ``X @ v`` and ``X.T @ u`` (via a lazy transpose view),
+* ``X @ v`` and ``X.T @ u`` (via the operand transpose view),
 * row slicing / row gather (mini-batch SGD),
 * scaling, element-wise multiply against dense,
 * column sums, nnz accounting, dense round-trip.
 
-Because :class:`CSRMatrix` implements ``shape``, ``__matmul__`` and
-``.T``, the GLM losses and optimizers in :mod:`repro.ml` run on sparse
-inputs unchanged.
+:class:`CSRMatrix` is a :class:`repro.operand.Operand`, planned on its
+density; ``@``, ``.T``, ``rmatmat`` and ``scale`` come from the base, so
+the GLM losses and optimizers in :mod:`repro.ml` run on it unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from functools import partial
 import numpy as np
 
 from ..errors import ReproError
-from ..runtime.parallel import ParallelContext, dispatch, resolve_context
+from ..operand import Operand, estimate_density, sum_partials, zero_preserving
+from ..runtime.parallel import ParallelContext, dispatch
+
+#: index-chasing multiplier on CSR's nnz-proportional work
+CSR_OVERHEAD = 2.0
 
 
 class SparseError(ReproError):
@@ -57,19 +61,15 @@ def _rowblock_rmatvec(csr: "CSRMatrix", u: np.ndarray, bounds) -> np.ndarray:
     )
 
 
-def _sum_partials(size: int, partials: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(size)
-    for p in partials:
-        out += p
-    return out
-
-
 def _column_matvec(csr: "CSRMatrix", B: np.ndarray, j: int) -> np.ndarray:
     return csr.matvec(B[:, j])
 
 
-class CSRMatrix:
+class CSRMatrix(Operand, kind="csr"):
     """A read-only CSR matrix."""
+
+    evidence_channel = "density"
+    zero_preserving_maps_only = True
 
     def __init__(
         self,
@@ -82,7 +82,6 @@ class CSRMatrix:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
-        self._parallel_ctx: ParallelContext | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -188,25 +187,42 @@ class CSRMatrix:
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
-    @property
-    def memory_bytes(self) -> int:
-        """Uniform operand-protocol alias for :attr:`nbytes`."""
-        return self.nbytes
+    memory_bytes = nbytes
 
     # ------------------------------------------------------------------
-    # Parallel dispatch (cost-gated, shared pool)
+    # What the representation planner weighs (repro.operand)
     # ------------------------------------------------------------------
-    def set_parallel(
-        self, parallel: bool | ParallelContext = True
-    ) -> "CSRMatrix":
-        """Enable/disable cost-gated row-block parallel kernels."""
-        self._parallel_ctx = resolve_context(parallel)
-        return self
+    def evidence(self) -> float:
+        return self.density
 
-    @property
-    def parallel_context(self) -> ParallelContext | None:
-        return self._parallel_ctx
+    @classmethod
+    def encode(cls, dense: np.ndarray, sample_fraction: float) -> "CSRMatrix":
+        return cls.from_dense(dense)
 
+    @classmethod
+    def sample_evidence(
+        cls, dense: np.ndarray, sample_fraction: float
+    ) -> float:
+        return estimate_density(dense)
+
+    @staticmethod
+    def work_fraction(density: float) -> float:
+        return min(1.0, density * CSR_OVERHEAD)
+
+    @staticmethod
+    def predicted_bytes(shape: tuple[int, int], density: float) -> int:
+        cells = shape[0] * shape[1]
+        return int(round(cells * density * 16 + (shape[0] + 1) * 8))
+
+    @staticmethod
+    def plan_reason(density: float, bound: bool) -> str:
+        if bound:
+            return f"stay sparse, density {density:.3f}"
+        return f"sparse, est density {density:.3f}"
+
+    # ------------------------------------------------------------------
+    # Parallel dispatch (cost-gated row blocks, shared pool)
+    # ------------------------------------------------------------------
     def _kernel_cost(self) -> float:
         """Flops-equivalents of one matvec-shaped pass: 2 * nnz."""
         return 2.0 * self.nnz
@@ -282,7 +298,7 @@ class CSRMatrix:
             cost_hint=self._kernel_cost(),
             site="csr.rmatvec",
             serial=partial(self._rmatvec, u),
-            combine=partial(_sum_partials, self.shape[1]),
+            combine=partial(sum_partials, self.shape[1]),
         )
 
     def _rmatvec(self, u: np.ndarray) -> np.ndarray:
@@ -312,21 +328,6 @@ class CSRMatrix:
             out[:, j] = col
         return out
 
-    def rmatmat(self, U: np.ndarray) -> np.ndarray:
-        """X.T @ U for dense U, column by column."""
-        U = np.asarray(U, dtype=np.float64)
-        if U.ndim == 1:
-            return self.rmatvec(U)
-        if U.shape[0] != self.shape[0]:
-            raise SparseError(
-                f"shape mismatch: X.T ({self.shape[1]}, {self.shape[0]}) "
-                f"@ {U.shape}"
-            )
-        out = np.empty((self.shape[1], U.shape[1]))
-        for j in range(U.shape[1]):
-            out[:, j] = self.rmatvec(U[:, j])
-        return out
-
     def gram(self) -> np.ndarray:
         """X.T @ X from per-row outer products, O(sum of row_nnz^2)."""
         d = self.shape[1]
@@ -339,17 +340,14 @@ class CSRMatrix:
                 out[np.ix_(idx, idx)] += np.outer(vals, vals)
         return out
 
-    def scale(self, alpha: float) -> "CSRMatrix":
-        """alpha * X (sparsity preserved)."""
-        return CSRMatrix(self.data * alpha, self.indices, self.indptr, self.shape)
-
-    def map_nonzeros(self, fn) -> "CSRMatrix":
+    def map_values(self, fn) -> "CSRMatrix":
         """New CSR with ``fn`` applied to the stored nonzeros.
 
-        Only valid for zero-preserving maps (fn(0) == 0): implicit zeros
-        stay implicit. Callers (the representation-aware executor) check
-        that property before dispatching here.
+        Implicit zeros stay implicit, so only zero-preserving maps
+        (``fn(0) == 0``) are exact; anything else is refused.
         """
+        if not zero_preserving(fn):
+            raise SparseError("a CSR value map must send 0 to 0")
         return CSRMatrix(fn(self.data), self.indices, self.indptr, self.shape)
 
     def sq_sum(self) -> float:
@@ -426,9 +424,6 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # numpy-like protocol so GLM losses/optimizers work unchanged
     # ------------------------------------------------------------------
-    def __matmul__(self, other) -> np.ndarray:
-        return self.matmat(np.asarray(other))
-
     def __len__(self) -> int:
         return self.shape[0]
 
@@ -439,33 +434,3 @@ class CSRMatrix:
         if isinstance(key, (int, np.integer)):
             return self.row(int(key))
         raise SparseError(f"unsupported index type {type(key).__name__}")
-
-    @property
-    def T(self) -> "TransposedCSR":
-        return TransposedCSR(self)
-
-
-class TransposedCSR:
-    """A zero-copy transpose view supporting ``X.T @ u`` / ``X.T @ U``."""
-
-    def __init__(self, base: CSRMatrix):
-        self.base = base
-        self.shape = (base.shape[1], base.shape[0])
-
-    def __matmul__(self, other) -> np.ndarray:
-        other = np.asarray(other, dtype=np.float64)
-        if other.ndim == 1:
-            return self.base.rmatvec(other)
-        if other.shape[0] != self.shape[1]:
-            raise SparseError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = np.empty((self.shape[0], other.shape[1]))
-        for j in range(other.shape[1]):
-            out[:, j] = self.base.rmatvec(other[:, j])
-        return out
-
-    @property
-    def T(self) -> CSRMatrix:
-        return self.base
-
-    def to_dense(self) -> np.ndarray:
-        return self.base.to_dense().T

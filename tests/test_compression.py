@@ -200,6 +200,18 @@ class TestCompressedMatrix:
         assert np.allclose(C.gram(), X.T @ X)
         assert np.allclose(C.decompress(), X)
 
+    def test_transpose_view(self, rng):
+        X = make_low_cardinality_matrix(300, 4, cardinality=5, seed=1)
+        C = CompressedMatrix.compress(X)
+        u = rng.standard_normal(300)
+        U = rng.standard_normal((300, 3))
+        assert np.allclose(C.T @ u, X.T @ u)
+        assert np.allclose(C.T @ U, X.T @ U)
+        assert C.T.T is C
+        assert np.allclose(C.T.to_dense(), X.T)
+        with pytest.raises(CompressionError):
+            C.T @ np.ones((3, 2))
+
     def test_compression_ratio_on_compressible_data(self):
         X = make_run_matrix(5000, 4, mean_run_length=100, seed=4)
         C = CompressedMatrix.compress(X)

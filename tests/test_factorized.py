@@ -81,6 +81,18 @@ class TestMorpheusKernels:
         matrix, star = nm
         assert np.allclose(matrix.colsums(), star.materialize().sum(axis=0))
 
+    def test_transpose_view(self, nm, rng):
+        matrix, star = nm
+        X = star.materialize()
+        u = rng.standard_normal(400)
+        U = rng.standard_normal((400, 3))
+        assert np.allclose(matrix.T @ u, X.T @ u)
+        assert np.allclose(matrix.T @ U, X.T @ U)
+        assert matrix.T.T is matrix
+        assert np.allclose(matrix.T.to_dense(), X.T)
+        with pytest.raises(FactorizationError):
+            matrix.T @ np.ones((3, 2))
+
     def test_materialize_matches_generator(self, nm):
         matrix, star = nm
         assert np.allclose(matrix.materialize(), star.materialize())

@@ -26,9 +26,10 @@ from repro.compiler import (
 )
 from repro.compiler import feedback as fb
 from repro.compiler.feedback import FeedbackError, input_key
-from repro.compiler.reprplan import _estimate_density
 from repro.lang import matrix
 from repro.obs import get_registry
+from repro.operand import estimate_density as _estimate_density
+from repro.persist import write_atomic
 from repro.runtime import execute
 from repro.runtime.parallel import ParallelContext
 from repro.sparse import CSRMatrix
@@ -45,7 +46,7 @@ def _make_dense(n=60, d=8, seed=0):
 class TestBlending:
     def test_cold_store_returns_pure_estimate(self):
         store = FeedbackStore()
-        est = store.blended_density("X@10x10", 0.25)
+        est = store.blended("X@10x10", "density", 0.25)
         assert est.source == "estimated"
         assert est.value == 0.25
         assert est.observed is None
@@ -54,7 +55,7 @@ class TestBlending:
     def test_single_observation_blends_by_confidence(self):
         store = FeedbackStore()
         store.observe_input("X@10x10", "dense", density=1.0)
-        est = store.blended_density("X@10x10", 0.5)
+        est = store.blended("X@10x10", "density", 0.5)
         # conf = 1 / (1 + 2) = 1/3; value = conf*1.0 + (1-conf)*0.5
         assert est.source == "observed"
         assert est.observed == 1.0
@@ -65,7 +66,7 @@ class TestBlending:
         store = FeedbackStore()
         store.observe_input("X@10x10", "dense", density=0.0)
         store.observe_input("X@10x10", "dense", density=1.0)
-        est = store.blended_density("X@10x10", 0.0)
+        est = store.blended("X@10x10", "density", 0.0)
         # ema = 0.3*1.0 + 0.7*0.0 = 0.3; conf = 2/(2+2) = 0.5
         assert est.observed == pytest.approx(fb.EMA_DECAY)
         assert est.confidence == pytest.approx(0.5)
@@ -75,28 +76,28 @@ class TestBlending:
         store = FeedbackStore()
         for _ in range(50):
             store.observe_input("X@10x10", "dense", density=0.8)
-        est = store.blended_density("X@10x10", 0.1)
+        est = store.blended("X@10x10", "density", 0.1)
         assert est.confidence > 0.9
         assert est.value == pytest.approx(0.8, abs=0.08)
 
     def test_ratio_channel_is_independent(self):
         store = FeedbackStore()
         store.observe_input("X@10x10", "cla", cla_ratio=3.0)
-        assert store.blended_ratio("X@10x10", 1.0).source == "observed"
-        assert store.blended_density("X@10x10", 0.5).source == "estimated"
+        assert store.blended("X@10x10", "cla_ratio", 1.0).source == "observed"
+        assert store.blended("X@10x10", "density", 0.5).source == "estimated"
 
     def test_describe_renders_provenance(self):
         store = FeedbackStore()
-        cold = store.blended_density("X@10x10", 0.25)
+        cold = store.blended("X@10x10", "density", 0.25)
         assert cold.describe("density") == "density est 0.25"
         store.observe_input("X@10x10", "dense", density=1.0)
-        warm = store.blended_density("X@10x10", 0.25)
+        warm = store.blended("X@10x10", "density", 0.25)
         text = warm.describe("density")
         assert "obs 1" in text and "conf 0.33" in text
 
 
 # ----------------------------------------------------------------------
-# Demotion + op costs
+# Demotion
 # ----------------------------------------------------------------------
 class TestDemotionAndOps:
     def test_fallback_rate_demotes_kind(self):
@@ -116,40 +117,6 @@ class TestDemotionAndOps:
 
     def test_unknown_key_not_demoted(self):
         assert FeedbackStore().demoted_kinds("nope@1x1") == {}
-
-    def test_op_cost_ema(self):
-        store = FeedbackStore()
-        assert store.op_cost("matmul") is None
-        store.observe_op("matmul", 2.0, flops=1e6)
-        store.observe_op("matmul", 1.0, flops=1e6)
-        assert store.op_cost("matmul") == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
-
-    def test_ingest_spans_harvests_op_durations(self):
-        store = FeedbackStore()
-        roots = [
-            {
-                "name": "executor.run",
-                "duration_s": 1.0,
-                "attrs": {},
-                "children": [
-                    {
-                        "name": "executor.op",
-                        "duration_s": 0.5,
-                        "attrs": {"op": "matmul"},
-                        "children": [],
-                    },
-                    {
-                        "name": "executor.op",
-                        "duration_s": 0.1,
-                        "attrs": {"op": "binary:+"},
-                        "children": [],
-                    },
-                ],
-            }
-        ]
-        assert store.ingest_spans(roots) == 2
-        assert store.op_cost("matmul") == pytest.approx(0.5)
-        assert store.op_cost("binary:+") == pytest.approx(0.1)
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +179,9 @@ class TestFrozenStore:
     def test_frozen_ignores_all_observations(self):
         store = FeedbackStore(frozen=True)
         store.observe_input("X@10x10", "csr", density=0.1, fallbacks=5)
-        store.observe_op("matmul", 1.0)
         store.observe_site("s", tasks=2, parallel=True, wall=1.0, work=4.0)
         assert store.updates == 0
-        assert store.blended_density("X@10x10", 0.5).source == "estimated"
+        assert store.blended("X@10x10", "density", 0.5).source == "estimated"
         assert store.demoted_kinds("X@10x10") == {}
         assert store.site_policy("s") is None
 
@@ -239,7 +205,6 @@ class TestPersistence:
         store = FeedbackStore()
         store.observe_input("X@100x10", "csr", density=0.05, fallbacks=1)
         store.observe_input("Y@100x10", "cla", cla_ratio=2.5)
-        store.observe_op("matmul", 0.01, flops=1e6)
         store.observe_site("s", tasks=4, parallel=True, wall=0.5, work=1.5)
         return store
 
@@ -249,6 +214,21 @@ class TestPersistence:
         loaded = FeedbackStore.load(path)
         assert loaded.as_dict() == store.as_dict()
         assert loaded.path == str(tmp_path / "fb.json")
+
+    def test_file_with_the_dropped_ops_section_still_loads(self, tmp_path):
+        # repro.feedback/v1 files written before the write-only per-op
+        # section was removed carry an "ops" key: ignored, not rejected.
+        store = self._warm_store()
+        old = {k: v for k, v in store.as_dict().items() if k != "schema"}
+        old["ops"] = {"matmul": {"seconds": {"count": 1, "ema": 0.01}}}
+        path = str(tmp_path / "old.json")
+        write_atomic(
+            path, json.dumps(old, sort_keys=True).encode(), fb.SCHEMA,
+            error_cls=FeedbackError, what="feedback store",
+        )
+        loaded = FeedbackStore.load(path)
+        assert loaded.as_dict() == store.as_dict()
+        assert "ops" not in loaded.as_dict()
 
     def test_save_requires_a_path(self):
         with pytest.raises(FeedbackError, match="no path"):
@@ -456,8 +436,7 @@ class TestExecutorFeedback:
             execute(plan, {"X": X, "w": np.ones((6, 1))})
         assert store.updates > 0
         key = input_key("X", (50, 6))
-        assert store.blended_density(key, 0.0).source == "observed"
-        assert store.op_cost("matmul") is not None
+        assert store.blended(key, "density", 0.0).source == "observed"
 
     def test_fallbacks_feed_demotion_end_to_end(self):
         # rep (*) rep elementwise has no csr kernel: both csr inputs
@@ -741,7 +720,7 @@ class TestEnablement:
         monkeypatch.setenv("REPRO_FEEDBACK", "1")
         monkeypatch.setenv("REPRO_FEEDBACK_PATH", path)
         store = fb.get_feedback_store()
-        assert store.blended_density("X@10x10", 0.0).source == "observed"
+        assert store.blended("X@10x10", "density", 0.0).source == "observed"
         assert store.path == path
 
     def test_set_feedback_forces_on_and_off(self):

@@ -272,7 +272,7 @@ class TestParallelCLA:
         )
         serial = CompressedMatrix.compress(X)
         ctx = ParallelContext(max_workers=4, cost_threshold=0)
-        par = CompressedMatrix.compress(X, parallel=ctx)
+        par = CompressedMatrix.compress(X).set_parallel(ctx)
         yield X, serial, par, ctx
         ctx.shutdown()
 

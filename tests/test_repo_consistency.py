@@ -375,6 +375,115 @@ class TestOneDispatch:
         assert self._hits(r"\bcomm\.\w+ \+= ") == []
 
 
+class TestOneOperandContract:
+    """What a storage representation is, converts to, serves natively
+    and costs is declared once: on the class, or in ``repro/operand.py``
+    (DESIGN.md, Representations). Nothing else under ``src/`` names a
+    kind or a representation class."""
+
+    _hits = staticmethod(TestOneTrainingCore._hits)
+
+    CONTRACT = "src/repro/operand.py"
+    #: class -> the package that declares it
+    HOMES = {
+        "CompressedMatrix": "src/repro/compression/",
+        "CSRMatrix": "src/repro/sparse/",
+        "NormalizedMatrix": "src/repro/factorized/",
+    }
+    #: packages that meet operands but must not know which kinds exist
+    KIND_BLIND = ("runtime", "compiler", "materialize", "algorithms", "lang")
+
+    def test_one_class_is_the_transpose_view(self):
+        views = self._hits(r"^class Transposed\w*") + self._hits(
+            r"self\.shape = \(base\.shape\[1\], base\.shape\[0\]\)"
+        )
+        assert [hit.rsplit(":", 1)[0] for hit in views] == [self.CONTRACT] * 2
+
+    def test_no_module_outside_its_package_names_a_representation_class(self):
+        """Neither imported nor ``isinstance``-checked: the executor, the
+        planner and the stores tell operands apart by ``Operand.kind``.
+        (``factorized/``'s own front doors check their own class.)"""
+        for name, home in self.HOMES.items():
+            strangers = [
+                hit for hit in self._hits(rf"\b{name}\b")
+                if not hit.startswith(home)
+                and re.search(r"import|isinstance", _line(hit))
+            ]
+            assert strangers == [], strangers
+
+    def test_kind_tags_are_spelled_by_their_classes_only(self):
+        tags = set(repro.operand.registered())
+        assert tags == {"cla", "csr", "factorized"}
+        spelled = []
+        for package in self.KIND_BLIND:
+            for path in sorted((REPO_ROOT / "src/repro" / package).rglob("*.py")):
+                spelled += [
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant) and node.value in tags
+                ]
+        assert spelled == []
+        assert self._hits(r"_rep_classes|_REP_KINDS|TransposedCSR") == []
+
+    def test_the_contract_module_is_a_leaf(self):
+        tree = ast.parse((REPO_ROOT / self.CONTRACT).read_text())
+        imported = {
+            ("." * node.level + (node.module or ""))
+            if isinstance(node, ast.ImportFrom) else node.names[0].name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+        assert imported == {"__future__", "numpy", ".errors"}
+
+    def test_zero_preservation_and_partial_sums_are_written_once(self):
+        probes = self._hits(r"\(np\.zeros\(1\)\)|def _?\w*zero_preserving")
+        assert {hit.rsplit(":", 1)[0] for hit in probes} == {self.CONTRACT}
+        assert len(probes) == 2  # the definition and its one probe
+        assert self._hits(
+            r"_zero_preserving_scalar|_ZERO_PRESERVING_UNARY"
+        ) == []
+        sums = self._hits(r"def _?sum_partials\b")
+        assert len(sums) == 1 and sums[0].startswith(self.CONTRACT), sums
+
+    def test_planner_and_runtime_share_the_dispatch_decision(self):
+        """``serves`` is asked in one place, ``decide``; the executor's
+        rep path and the planner's walk both go through it."""
+        asked = self._hits(r"\bserves\(")
+        assert [hit.rsplit(":", 1)[0] for hit in asked] == [
+            self.CONTRACT, "src/repro/runtime/repops.py",
+        ]
+        callers = {
+            hit.rsplit(":", 1)[0] for hit in self._hits(r"\bdecide\(node, ")
+        }
+        assert callers == {
+            "src/repro/runtime/repops.py", "src/repro/compiler/reprplan.py",
+        }
+
+    def test_one_operator_label(self):
+        spelled = [
+            hit for hit in self._hits(r'f"(binary|unary|agg|fused):\{')
+            if not hit.startswith("src/repro/materialize/fingerprint.py")
+        ]
+        # op_label's three format strings; fingerprint keeps its own
+        # tags (its aggregate tag carries the axis: a persisted key)
+        assert [hit.rsplit(":", 1)[0] for hit in spelled] == [
+            "src/repro/lang/ast.py"
+        ] * 3, spelled
+        assert self._hits(r"def _node_label") == []
+
+    def test_parallel_is_attached_through_one_door(self):
+        from repro.compression import CompressedMatrix
+
+        for fn in (CompressedMatrix.__init__, CompressedMatrix.compress):
+            assert "parallel" not in inspect.signature(fn).parameters
+        doors = self._hits(r"def set_parallel\b|def parallel_context\b")
+        assert [hit.rsplit(":", 1)[0] for hit in doors] == [self.CONTRACT] * 2
+
+    def test_the_write_only_feedback_section_stays_deleted(self):
+        gone = r"op_cost|ingest_spans|observe_op|op_flops|seconds_per_flop"
+        assert self._hits(gone) == []
+
+
 class TestOneBenchHarness:
     """Every experiment E1-E27 has one home (``bench_<x>.py`` with
     ``run`` + ``report``) over one shared ``benchmarks/harness.py``:

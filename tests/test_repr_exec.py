@@ -4,21 +4,32 @@ Covers the PR-2 surface: ``execute`` over CompressedMatrix / CSRMatrix /
 NormalizedMatrix bindings dispatching each physical operator to the
 representation's native kernel, the compile-time representation planner
 (Convert insertion + explain output), densification-fallback accounting,
-dictionary-rewriting elementwise maps on compressed matrices, and a
-hypothesis property: any program from the supported-op subset matches
-dense execution within 1e-9 with zero fallbacks.
+dictionary-rewriting elementwise maps on compressed matrices, and two
+hypothesis properties: any program from the supported-op subset matches
+dense execution within 1e-9 with zero fallbacks, and over a wider pool
+the planner predicts a densification exactly when the runtime performs
+one (PR 18: both read ``repro.operand.serves``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_expr, plan_representations
 from repro.compression import CompressedMatrix
 from repro.errors import CompilerError, ExecutionError
 from repro.factorized import NormalizedMatrix
-from repro.lang import colsums, matrix, mean, rowsums, sigmoid, sumall
+from repro.lang import (
+    colsums,
+    exp,
+    matrix,
+    maxall,
+    mean,
+    rowsums,
+    sigmoid,
+    sumall,
+)
 from repro.lang.ast import Convert, Data
 from repro.runtime import execute
 from repro.sparse import CSRMatrix
@@ -389,15 +400,29 @@ def _walk(root):
 # ----------------------------------------------------------------------
 # Property: random supported-op programs match dense within 1e-9
 # ----------------------------------------------------------------------
+#: every representation serves these natively
+SUPPORTED_EMAPS = ["none", "scale", "neg", "square"]
+SUPPORTED_TERMINALS = ["matvec", "gram", "colsums", "rowsums", "sumall"]
+#: ... and some representation densifies on these
+WIDE_EMAPS = SUPPORTED_EMAPS + [
+    "exp", "add", "times_dense", "t_times_dense", "times_computed",
+]
+WIDE_TERMINALS = SUPPORTED_TERMINALS + ["chain", "maxall"]
+
+
 @st.composite
-def _program_case(draw):
-    n = draw(st.integers(min_value=5, max_value=24))
-    d = draw(st.integers(min_value=2, max_value=6))
+def _program_case(
+    draw,
+    rows=(5, 24),
+    cols=(2, 6),
+    emaps=SUPPORTED_EMAPS,
+    terminals=SUPPORTED_TERMINALS,
+):
+    n = draw(st.integers(*rows))
+    d = draw(st.integers(*cols))
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    emap = draw(st.sampled_from(["none", "scale", "neg", "square"]))
-    terminal = draw(
-        st.sampled_from(["matvec", "gram", "colsums", "rowsums", "sumall"])
-    )
+    emap = draw(st.sampled_from(emaps))
+    terminal = draw(st.sampled_from(terminals))
     scalar = draw(
         st.floats(min_value=-4.0, max_value=4.0, allow_nan=False).filter(
             lambda c: abs(c) > 1e-3
@@ -407,23 +432,40 @@ def _program_case(draw):
 
 
 def _build_expr(n, d, emap, terminal, scalar):
+    """``terminal(emap(X))`` and the dense inputs it names beside X."""
     Xm = matrix("X", (n, d))
     body = {
-        "none": Xm,
-        "scale": Xm * scalar,
-        "neg": -Xm,
-        "square": Xm**2,
-    }[emap]
-    if terminal == "matvec":
-        vm = matrix("v", (d, 1))
-        return body @ vm, True
-    if terminal == "gram":
-        return body.T @ body, False
-    if terminal == "colsums":
-        return colsums(body), False
-    if terminal == "rowsums":
-        return rowsums(body), False
-    return sumall(body), False
+        "none": lambda: Xm,
+        "scale": lambda: Xm * scalar,
+        "neg": lambda: -Xm,
+        "square": lambda: Xm**2,
+        "exp": lambda: exp(Xm),
+        "add": lambda: Xm + scalar,
+        "times_dense": lambda: Xm * matrix("D", (n, d)),
+        "t_times_dense": lambda: Xm.T * matrix("Dt", (d, n)),
+        # a 1x1 computed at run time, not a literal
+        "times_computed": lambda: Xm * sumall(matrix("w", (d, 1))),
+    }[emap]()
+    vector = matrix("v" if body.shape[1] == d else "u", (body.shape[1], 1))
+    expr = {
+        "matvec": lambda: body @ vector,
+        "chain": lambda: body.T @ (body @ vector),
+        "gram": lambda: body.T @ body,
+        "colsums": lambda: colsums(body),
+        "rowsums": lambda: rowsums(body),
+        "sumall": lambda: sumall(body),
+        "maxall": lambda: maxall(body),
+    }[terminal]()
+    return expr
+
+
+def _dense_inputs(plan, rng):
+    """Small-integer dense bindings for every input of ``plan`` but X."""
+    return {
+        name: rng.integers(-2, 3, size=shape).astype(np.float64)
+        for name, shape in plan.inputs.items()
+        if name != "X"
+    }
 
 
 @settings(max_examples=30, deadline=None)
@@ -432,11 +474,9 @@ def test_property_random_programs_match_dense(case):
     n, d, seed, emap, terminal, scalar = case
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
-    v = rng.integers(-2, 3, size=(d, 1)).astype(np.float64)
 
-    expr, needs_v = _build_expr(n, d, emap, terminal, scalar)
-    plan = compile_expr(expr)
-    bindings = {"X": X, "v": v} if needs_v else {"X": X}
+    plan = compile_expr(_build_expr(n, d, emap, terminal, scalar))
+    bindings = {"X": X, **_dense_inputs(plan, rng)}
     want = execute(plan, bindings)
 
     reps = {
@@ -470,12 +510,9 @@ def test_property_factorized_matches_dense(case):
     fk = rng.integers(0, n_r, size=n)
     nm = NormalizedMatrix(S, [fk], [R])
     X = nm.materialize()
-    d_full = X.shape[1]
-    v = rng.integers(-2, 3, size=(d_full, 1)).astype(np.float64)
 
-    expr, needs_v = _build_expr(n, d_full, emap, terminal, scalar)
-    plan = compile_expr(expr)
-    bindings = {"X": X, "v": v} if needs_v else {"X": X}
+    plan = compile_expr(_build_expr(n, X.shape[1], emap, terminal, scalar))
+    bindings = {"X": X, **_dense_inputs(plan, rng)}
     want = execute(plan, bindings)
     got, stats = execute(plan, {**bindings, "X": nm}, collect_stats=True)
     np.testing.assert_allclose(
@@ -483,3 +520,70 @@ def test_property_factorized_matches_dense(case):
         err_msg=f"factorized diverged on {emap}/{terminal}",
     )
     assert stats.fallback_count == 0
+
+
+# ----------------------------------------------------------------------
+# Property: the planner and the runtime give one answer
+# ----------------------------------------------------------------------
+def _blocked_labels(reason):
+    """The operator labels a planner reason names as densifying."""
+    _, found, labels = reason.partition("blocked by ")
+    return labels.split(", ") if found else []
+
+
+# Large enough to clear the planning threshold (4096 cells), tall and
+# skinny so compression stays cheap.
+@given(
+    case=_program_case(
+        rows=(600, 620), cols=(7, 9), emaps=WIDE_EMAPS, terminals=WIDE_TERMINALS
+    )
+)
+# The three disagreements measured at PR 18's parent: a CSR operand
+# under a transpose times dense (planned "stay sparse", densified), and
+# a CLA operand times a computed 1x1 (planned dense, served natively).
+@example(case=(600, 7, 0, "t_times_dense", "rowsums", 1.0))
+@example(case=(600, 7, 0, "t_times_dense", "sumall", 1.0))
+@example(case=(600, 8, 0, "times_computed", "colsums", 1.0))
+@settings(deadline=None)
+def test_property_planner_and_runtime_agree(case):
+    """For one representation-bound input among dense ones: the planner
+    names a densifying operator for the kind iff executing over an
+    operand of that kind records a fallback of that kind. Exact both
+    ways — except that CSR may be refused where the answer hangs on a
+    scalar only known at run time, and then the reason says so."""
+    n, d, seed, emap, terminal, scalar = case
+    rng = np.random.default_rng(seed)
+    n_r, d_s = n // 20, d // 2
+    nm = NormalizedMatrix(
+        rng.integers(0, 3, size=(n, d_s)).astype(np.float64),
+        [rng.integers(0, n_r, size=n)],
+        [rng.integers(0, 3, size=(n_r, d - d_s)).astype(np.float64)],
+    )
+    X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    operands = {
+        "cla": (CompressedMatrix.compress(X), X),
+        "csr": (CSRMatrix.from_dense(X), X),
+        "factorized": (nm, nm.materialize()),
+    }
+
+    plan = compile_expr(_build_expr(n, d, emap, terminal, scalar))
+    others = _dense_inputs(plan, rng)
+    for kind, (rep, dense) in operands.items():
+        want = execute(plan, {"X": dense, **others})
+        got, stats = execute(plan, {"X": rep, **others}, collect_stats=True)
+        np.testing.assert_allclose(
+            np.asarray(got), np.asarray(want), atol=1e-9,
+            err_msg=f"{kind} diverged on {emap}/{terminal}",
+        )
+        fell_back = stats.fallback_kinds.get(kind, 0) > 0
+
+        choice = plan_representations(
+            plan, {"X": rep, **others}
+        ).repr_plan.choices["X"]
+        blocked = _blocked_labels(choice.reason)
+        context = (kind, emap, terminal, choice.reason, stats.densify_fallbacks)
+        if blocked and not fell_back:
+            assert kind == "csr", context
+            assert all("run time" in label for label in blocked), context
+        else:
+            assert bool(blocked) == fell_back, context

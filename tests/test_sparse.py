@@ -93,6 +93,20 @@ class TestKernels:
         assert np.allclose(X.T @ u, Xd.T @ u)
         assert np.allclose(X.T @ U, Xd.T @ U)
         assert X.T.T is X
+        assert X.T.shape == (20, 300)
+        assert np.allclose(X.T.to_dense(), Xd.T)
+        with pytest.raises(SparseError):
+            X.T @ np.ones((3, 2))
+
+    def test_value_map_refuses_what_would_fill_the_zeros(self, dense_and_sparse):
+        # add_scalar comes from the operand base; CSR's value map keeps
+        # implicit zeros implicit, so X + c (c != 0) is refused, typed.
+        Xd, X = dense_and_sparse
+        assert np.allclose(X.add_scalar(0.0).to_dense(), Xd)
+        with pytest.raises(SparseError, match="0 to 0"):
+            X.add_scalar(1.0)
+        with pytest.raises(SparseError, match="0 to 0"):
+            X.map_values(np.exp)
 
     def test_materialized_transpose(self, dense_and_sparse):
         Xd, X = dense_and_sparse
