@@ -21,7 +21,7 @@ from repro.data import (
 from repro.factorized import FactorizedLinearRegression, NormalizedMatrix
 from repro.indb import InDBLogisticRegression
 from repro.lang import matrix, sumall
-from repro.ml import LinearRegression, LogisticRegression, train_test_split
+from repro.ml import LinearRegression, LogisticRegression, Moments, train_test_split
 from repro.runtime import execute
 from repro.storage import Table
 
@@ -74,7 +74,7 @@ def main() -> None:
         f"({C.compression_ratio:.1f}x) using {C.schemes()}"
     )
     # Normal equations straight from compressed kernels:
-    w_hat = np.linalg.solve(C.gram() + 1e-9 * np.eye(8), C.rmatvec(yc))
+    w_hat = Moments.of(C, yc).solve(1e-9)
     print(f"weights recovered on compressed data: "
           f"max error = {np.abs(C.matvec(w_hat) - yc).max():.2e}")
 

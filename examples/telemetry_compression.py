@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.compression import CompressedMatrix
-from repro.ml import r2_score
+from repro.ml import Moments, r2_score
 
 
 def build_telemetry(n: int = 120_000, seed: int = 42):
@@ -79,8 +79,7 @@ def main() -> None:
     # Ridge normal equations straight from compressed kernels.
     print("\ntraining ridge anomaly model on the compressed matrix...")
     start = time.perf_counter()
-    gram = C.gram() + 1e-6 * np.eye(d)
-    w = np.linalg.solve(gram, C.rmatvec(y))
+    w = Moments.of(C, y).solve(1e-6)
     t_train = time.perf_counter() - start
     predictions = C.matvec(w)
     print(f"trained in {t_train:.3f}s, R^2 = {r2_score(y, predictions):.4f}")

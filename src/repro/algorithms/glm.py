@@ -23,7 +23,7 @@ from ..compiler import compile_expr, plan_representations
 from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, sigmoid
-from ..ml.linreg import solve_normal
+from ..ml.linreg import Moments
 from ..ml.optim import descend
 from ..obs import get_registry
 from ..operand import convert_value, is_representation, kind_of
@@ -172,9 +172,8 @@ def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmRes
     stats = ExecutionStats()
     gram, s1 = execute(gram_plan, {"X": X}, collect_stats=True)
     rhs, s2 = execute(xty_plan, {"X": X, "y": y}, collect_stats=True)
-    if l2 > 0:
-        gram = gram + l2 * np.eye(d)
-    w = solve_normal(gram, rhs[:, 0])
+    # the two compiled passes are X'X and X'y: y'y is never formed
+    w = Moments(gram, rhs[:, 0], np.nan, n).solve(l2)
     residual = X @ w - y
     objective = 0.5 * float(residual @ residual) / n
     return AlgorithmResult(

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FactorizationError, ModelError, NotFittedError
-from ..ml.linreg import solve_normal
+from ..errors import FactorizationError
+from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
+from ..ml.linreg import Moments
 from ..ml.losses import sigmoid
 from ..ml.optim import descend
 from .normalized import NormalizedMatrix
 
 
-class FactorizedLinearRegression:
+class FactorizedLinearRegression(LinearRegressor):
     """Least squares over a normalized matrix via the factorized Gram.
 
     Solves (X'X + l2 I) w = X'y where X'X comes from
@@ -27,38 +28,27 @@ class FactorizedLinearRegression:
     :meth:`NormalizedMatrix.rmatvec` — join-free normal equations.
     """
 
+    fit_intercept = False
+
     def __init__(self, l2: float = 0.0):
         self.l2 = l2
 
     def fit(self, X: NormalizedMatrix, y: np.ndarray) -> "FactorizedLinearRegression":
         _check_normalized(X, y)
         y = np.asarray(y, dtype=np.float64)
-        gram = X.gram()
-        if self.l2 > 0:
-            gram = gram + self.l2 * np.eye(gram.shape[0])
-        self.coef_ = solve_normal(gram, X.rmatvec(y))
+        self._unpack(Moments.of(X, y).solve(self.l2))
         return self
 
-    def predict(self, X: NormalizedMatrix | np.ndarray) -> np.ndarray:
-        if not hasattr(self, "coef_"):
-            raise NotFittedError("fit must be called before predict")
-        if isinstance(X, NormalizedMatrix):
-            return X.matvec(self.coef_)
-        return np.asarray(X, dtype=np.float64) @ self.coef_
 
-    def score(self, X: NormalizedMatrix | np.ndarray, y: np.ndarray) -> float:
-        from ..ml.metrics import r2_score
-
-        return r2_score(np.asarray(y), self.predict(X))
-
-
-class FactorizedLogisticRegression:
+class FactorizedLogisticRegression(LogisticClassifier):
     """Logistic regression trained by factorized gradient descent.
 
     Each iteration computes margins with :meth:`NormalizedMatrix.matvec`
     and the gradient with :meth:`NormalizedMatrix.rmatvec` — the Orion
     pattern: per-iteration cost scales with |S| + |R|, not |join|.
     """
+
+    fit_intercept = False
 
     def __init__(
         self,
@@ -74,13 +64,7 @@ class FactorizedLogisticRegression:
 
     def fit(self, X: NormalizedMatrix, y: np.ndarray) -> "FactorizedLogisticRegression":
         _check_normalized(X, y)
-        y = np.asarray(y)
-        classes = np.unique(y)
-        if len(classes) != 2:
-            raise ModelError(f"need exactly 2 classes, got {len(classes)}")
-        self.classes_ = classes
-        y_pm = np.where(y == classes[1], 1.0, -1.0)
-
+        y_pm, self.classes_ = as_pm_one(np.asarray(y))
         n = X.n_rows
 
         def gradient(w: np.ndarray) -> np.ndarray:
@@ -96,7 +80,7 @@ class FactorizedLogisticRegression:
             self.max_iter,
             self.tol,
         )
-        self.coef_ = run.weights
+        self._unpack(run.weights)
         self.n_iter_ = run.iterations
         self.loss_history_ = run.loss_history
         return self
@@ -107,25 +91,6 @@ class FactorizedLogisticRegression:
         if self.l2 > 0:
             value += 0.5 * self.l2 * float(w @ w)
         return value
-
-    def decision_function(self, X: NormalizedMatrix | np.ndarray) -> np.ndarray:
-        if not hasattr(self, "coef_"):
-            raise NotFittedError("fit must be called before predict")
-        if isinstance(X, NormalizedMatrix):
-            return X.matvec(self.coef_)
-        return np.asarray(X, dtype=np.float64) @ self.coef_
-
-    def predict_proba(self, X: NormalizedMatrix | np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
-
-    def predict(self, X: NormalizedMatrix | np.ndarray) -> np.ndarray:
-        p = self.predict_proba(X)
-        return np.where(p >= 0.5, self.classes_[1], self.classes_[0])
-
-    def score(self, X: NormalizedMatrix | np.ndarray, y: np.ndarray) -> float:
-        from ..ml.metrics import accuracy_score
-
-        return accuracy_score(np.asarray(y), self.predict(X))
 
 
 def _check_normalized(X: NormalizedMatrix, y: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SelectionError
-from ..ml.linreg import solve_normal
+from ..ml.linreg import Moments
 
 
 @dataclass
@@ -54,40 +54,28 @@ class FeatureSubsetExplorer:
         self.l2 = l2
         self.x_mean_ = X.mean(axis=0)
         self.y_mean_ = float(y.mean())
-        Xc = X - self.x_mean_
-        yc = y - self.y_mean_
-        # The one-time O(n d^2) pass every subsequent solve reuses.
-        self.gram_ = Xc.T @ Xc
-        self.xty_ = Xc.T @ yc
-        self.total_ss_ = float(yc @ yc)
+        # The one-time O(n d^2) pass every subsequent solve reuses
+        # (centered, so ``yty`` is the total sum of squares).
+        self.moments_ = Moments.of(X - self.x_mean_, y - self.y_mean_)
 
     def solve_subset(self, columns: Sequence[int]) -> SubsetFit:
         """Least squares restricted to ``columns``, from cached statistics."""
         cols = self._check_columns(columns)
-        gram = self.gram_[np.ix_(cols, cols)]
-        if self.l2 > 0:
-            gram = gram + self.l2 * np.eye(len(cols))
-        rhs = self.xty_[cols]
-        coef = solve_normal(gram, rhs)
-        # Residual SS from statistics alone: y'y - 2 w'X'y + w'X'X w
-        # (all centered).
-        residual_ss = (
-            self.total_ss_
-            - 2.0 * float(coef @ rhs)
-            + float(coef @ self.gram_[np.ix_(cols, cols)] @ coef)
-        )
+        subset = self.moments_.take(cols)
+        coef = subset.solve(self.l2)
         intercept = self.y_mean_ - float(self.x_mean_[cols] @ coef)
         return SubsetFit(
             columns=tuple(cols),
             coef=coef,
             intercept=intercept,
-            r_squared=self._r_squared(residual_ss),
+            r_squared=self._r_squared(subset.rss(coef)),
         )
 
     def _r_squared(self, residual_ss: float) -> float:
-        if self.total_ss_ == 0.0:
+        total_ss = self.moments_.yty
+        if total_ss == 0.0:
             return 1.0 if residual_ss <= 1e-12 else 0.0
-        return 1.0 - max(residual_ss, 0.0) / self.total_ss_
+        return 1.0 - max(residual_ss, 0.0) / total_ss
 
     def _check_columns(self, columns: Sequence[int]) -> list[int]:
         cols = list(dict.fromkeys(int(c) for c in columns))
@@ -146,12 +134,10 @@ def solve_subset_naive(
     y_mean = float(y.mean())
     Xc = Xs - x_mean
     yc = y - y_mean
-    gram = Xc.T @ Xc
-    if l2 > 0:
-        gram = gram + l2 * np.eye(len(cols))
-    coef = solve_normal(gram, Xc.T @ yc)
+    moments = Moments.of(Xc, yc)
+    coef = moments.solve(l2)
     residual = yc - Xc @ coef
-    total = float(yc @ yc)
+    total = moments.yty
     r2 = 1.0 - float(residual @ residual) / total if total else 1.0
     return SubsetFit(
         columns=tuple(cols),

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import IncrementalError
 from ..ml.kmeans import cluster_sums, move_centers, nearest_center_einsum
-from ..ml.linreg import solve_normal
+from ..ml.linreg import Moments
 from ..storage.table import Table
 
 #: lattice spacing of the exact-arithmetic grid (2**-8).
@@ -73,12 +73,12 @@ def _neumaier_fold(
 
 
 class GramCofactorState:
-    """Maintained ``X'X`` / ``X'y`` / ``y'y`` over a dynamic table.
+    """Maintained ``X'X`` / ``X'y`` / ``y'y`` over a dynamic table: a
+    compensated pair of :class:`~repro.ml.linreg.Moments`.
 
-    The refresh path solves the identical expression
-    ``solve(X'X + l2*I, X'y)`` that
+    The refresh path solves through the same ``Moments.solve`` that
     :class:`repro.ml.linreg.LinearRegression` (``solver="normal"``,
-    ``fit_intercept=False``) evaluates, so on grid data a refreshed
+    ``fit_intercept=False``) fits with, so on grid data a refreshed
     model is bit-identical to a from-scratch snapshot retrain.
     """
 
@@ -88,14 +88,10 @@ class GramCofactorState:
         d = len(self.features)
         if d == 0:
             raise IncrementalError("at least one feature column required")
-        self.d = d
         self.n_rows = 0
-        self._gram_hi = np.zeros((d, d))
-        self._gram_comp = np.zeros((d, d))
-        self._cof_hi = np.zeros(d)
-        self._cof_comp = np.zeros(d)
-        self._ysq_hi = np.zeros(())
-        self._ysq_comp = np.zeros(())
+        # (gram, cofactor, y'y) accumulators and their lost low-order bits
+        self._hi = [np.zeros((d, d)), np.zeros(d), np.zeros(())]
+        self._comp = [np.zeros((d, d)), np.zeros(d), np.zeros(())]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -104,72 +100,64 @@ class GramCofactorState:
     ) -> "GramCofactorState":
         """Full recomputation from a base table (the lineage path)."""
         state = cls(features, label)
-        X = table.to_matrix(state.features)
-        y = table.column(label).astype(np.float64)
-        state._gram_hi = X.T @ X
-        state._cof_hi = X.T @ y
-        state._ysq_hi = np.asarray(y @ y)
-        state.n_rows = table.num_rows
+        state._fold(table, 1)
         return state
 
-    def _batch(self, rows: Table) -> tuple[np.ndarray, np.ndarray]:
-        X = rows.to_matrix(self.features)
-        y = rows.column(self.label).astype(np.float64)
-        return X, y
+    def _fold(self, rows: Table, sign: int) -> int:
+        """Add (``sign=1``) or subtract (``-1``) a batch's contribution."""
+        batch = Moments.of(
+            rows.to_matrix(self.features),
+            rows.column(self.label).astype(np.float64),
+        )
+        for hi, comp, term in zip(
+            self._hi, self._comp, (batch.gram, batch.xty, batch.yty)
+        ):
+            _neumaier_fold(hi, comp, sign * np.asarray(term))
+        self.n_rows += sign * batch.n
+        return batch.n
 
     def fold_insert(self, rows: Table) -> int:
         """Add a batch of rows' contribution; returns rows folded."""
-        X, y = self._batch(rows)
-        _neumaier_fold(self._gram_hi, self._gram_comp, X.T @ X)
-        _neumaier_fold(self._cof_hi, self._cof_comp, X.T @ y)
-        _neumaier_fold(self._ysq_hi, self._ysq_comp, np.asarray(y @ y))
-        self.n_rows += rows.num_rows
-        return rows.num_rows
+        return self._fold(rows, 1)
 
     def fold_delete(self, rows: Table) -> int:
         """Subtract a batch of rows' contribution; returns rows folded."""
-        X, y = self._batch(rows)
-        _neumaier_fold(self._gram_hi, self._gram_comp, -(X.T @ X))
-        _neumaier_fold(self._cof_hi, self._cof_comp, -(X.T @ y))
-        _neumaier_fold(self._ysq_hi, self._ysq_comp, -np.asarray(y @ y))
-        self.n_rows -= rows.num_rows
-        return rows.num_rows
+        return self._fold(rows, -1)
 
     # ------------------------------------------------------------------
+    def moments(self) -> Moments:
+        gram, xty, yty = (hi + comp for hi, comp in zip(self._hi, self._comp))
+        return Moments(gram, xty, float(yty), self.n_rows)
+
     def gram(self) -> np.ndarray:
-        return self._gram_hi + self._gram_comp
+        return self.moments().gram
 
     def cofactor(self) -> np.ndarray:
-        return self._cof_hi + self._cof_comp
-
-    def y_squared(self) -> float:
-        return float(self._ysq_hi + self._ysq_comp)
+        return self.moments().xty
 
     def solve_ridge(self, l2: float = 0.0) -> np.ndarray:
         """Weights from the maintained aggregates, through the same
-        :func:`~repro.ml.linreg.solve_normal` a batch fit uses."""
-        return solve_normal(self.gram() + l2 * np.eye(self.d), self.cofactor())
+        closed form a batch fit uses."""
+        return self.moments().solve(l2)
 
     # ------------------------------------------------------------------
+    def _drift(self, table: Table) -> Moments:
+        """Maintained minus recomputed aggregates (all zero at parity)."""
+        fresh = GramCofactorState.from_table(table, self.features, self.label)
+        return self.moments() - fresh.moments()
+
     def parity_exact(self, table: Table) -> bool:
         """Bitwise equality of maintained vs recomputed aggregates."""
-        fresh = GramCofactorState.from_table(table, self.features, self.label)
-        return (
-            np.array_equal(self.gram(), fresh.gram())
-            and np.array_equal(self.cofactor(), fresh.cofactor())
-            and self.y_squared() == fresh.y_squared()
-            and self.n_rows == fresh.n_rows
+        drift = self._drift(table)
+        return not (
+            drift.gram.any() or drift.xty.any() or drift.yty or drift.n
         )
 
     def parity_error(self, table: Table) -> float:
         """Max absolute deviation of maintained vs recomputed aggregates."""
-        fresh = GramCofactorState.from_table(table, self.features, self.label)
+        drift = self._drift(table)
         return float(
-            max(
-                np.max(np.abs(self.gram() - fresh.gram())),
-                np.max(np.abs(self.cofactor() - fresh.cofactor())),
-                abs(self.y_squared() - fresh.y_squared()),
-            )
+            max(np.abs(drift.gram).max(), np.abs(drift.xty).max(), abs(drift.yty))
         )
 
 

@@ -85,14 +85,12 @@ class ContinuousTrainer(Counted):
     def refresh(self) -> ModelVersion:
         """Solve, register, and (when wired) promote a new version."""
         state = self.maintainer.gram_state
-        weights = state.solve_ridge(self.l2)
         model = LinearRegression(
             solver="normal", l2=self.l2, fit_intercept=False
         )
-        # Fitted attributes set directly from the maintained aggregates —
-        # identical to what fit() on the full snapshot would produce.
-        model.coef_ = weights
-        model.intercept_ = 0.0
+        # Fitted from the maintained aggregates — identical to what
+        # fit() on the full snapshot would produce.
+        model._unpack(state.solve_ridge(self.l2))
         entry = self.registry.register(
             self.model_name,
             model,

@@ -12,16 +12,40 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ModelError, NotFittedError
-from ..ml.linreg import solve_normal
-from ..ml.losses import LogisticLoss, SquaredLoss, sigmoid
+from ..errors import ModelError
+from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
+from ..ml.linreg import Moments
+from ..ml.losses import LogisticLoss, SquaredLoss
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
 from .gradient import IGDResult, train_bgd, train_igd
 from .uda import GramUDA, run_uda
 
 
-class InDBLinearRegression:
+class _TableFed:
+    """The table face of a fitted :mod:`repro.ml` model, mixed in ahead
+    of it: features are read by column name, predictions go back as an
+    appended column."""
+
+    def _rows(self, table: Table) -> np.ndarray:
+        return table.to_matrix(self.feature_columns_)
+
+    def predict_labels(self, table: Table) -> np.ndarray:
+        """Per-row predictions as a plain array."""
+        return super().predict(table)
+
+    def predict(self, table: Table, output_column: str = "prediction") -> Table:
+        """Table with a prediction column appended."""
+        return table.with_column(output_column, self.predict_labels(table))
+
+    def score(self, table: Table, label_column: str) -> float:
+        """The model's own metric against a label column."""
+        return self._metric(
+            table.column(label_column), self.predict_labels(table)
+        )
+
+
+class InDBLinearRegression(_TableFed, LinearRegressor):
     """Linear regression trained by a single Gram-accumulation scan.
 
     The normal-equation sufficient statistics (X'X, X'y) are computed by
@@ -31,6 +55,10 @@ class InDBLinearRegression:
     def __init__(self, l2: float = 0.0, add_intercept: bool = True):
         self.l2 = l2
         self.add_intercept = add_intercept
+
+    @property
+    def fit_intercept(self) -> bool:
+        return self.add_intercept
 
     def fit(
         self,
@@ -54,44 +82,14 @@ class InDBLinearRegression:
             partitions=partitions,
             parallel=parallel,
         )
-        gram = stats["gram"]
-        if self.l2 > 0:
-            penalty = self.l2 * np.eye(len(gram))
-            if self.add_intercept:
-                penalty[0, 0] = 0.0
-            gram = gram + penalty
-        weights = solve_normal(gram, stats["xty"])
+        # the UDA accumulates X'X and X'y only: y'y stays unknown
+        moments = Moments(stats["gram"], stats["xty"], np.nan, stats["count"])
         self.feature_columns_ = list(feature_columns)
-        if self.add_intercept:
-            self.intercept_ = float(weights[0])
-            self.coef_ = weights[1:]
-        else:
-            self.intercept_ = 0.0
-            self.coef_ = weights
+        self._unpack(moments.solve(self.l2, int(self.add_intercept)))
         return self
 
-    def predict(self, table: Table, output_column: str = "prediction") -> Table:
-        """Table with a prediction column appended."""
-        self._check_fitted()
-        X = table.to_matrix(self.feature_columns_)
-        return table.with_column(output_column, X @ self.coef_ + self.intercept_)
 
-    def score(self, table: Table, label_column: str) -> float:
-        from ..ml.metrics import r2_score
-
-        self._check_fitted()
-        X = table.to_matrix(self.feature_columns_)
-        return r2_score(
-            table.column(label_column).astype(float),
-            X @ self.coef_ + self.intercept_,
-        )
-
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "coef_"):
-            raise NotFittedError("fit must be called before predict/score")
-
-
-class InDBLogisticRegression:
+class InDBLogisticRegression(_TableFed, LogisticClassifier):
     """Logistic regression trained in-database by IGD or BGD aggregates.
 
     Labels may be any two values; ``classes_[1]`` is the positive class.
@@ -124,12 +122,7 @@ class InDBLogisticRegression:
     def fit(
         self, table: Table, feature_columns: Sequence[str], label_column: str
     ) -> "InDBLogisticRegression":
-        labels = table.column(label_column)
-        classes = np.unique(labels)
-        if len(classes) != 2:
-            raise ModelError(f"need exactly 2 classes, got {len(classes)}")
-        self.classes_ = classes
-        pm = np.where(labels == classes[1], 1.0, -1.0)
+        pm, self.classes_ = as_pm_one(table.column(label_column))
         work = table.with_column("_label_pm", pm)
 
         if self.method == "igd":
@@ -161,29 +154,8 @@ class InDBLogisticRegression:
             )
         self.result_: IGDResult = result
         self.feature_columns_ = list(feature_columns)
-        self.intercept_ = float(result.weights[0])
-        self.coef_ = result.weights[1:]
+        self._unpack(result.weights)
         return self
-
-    def predict_proba(self, table: Table) -> np.ndarray:
-        self._check_fitted()
-        X = table.to_matrix(self.feature_columns_)
-        return sigmoid(X @ self.coef_ + self.intercept_)
-
-    def predict(self, table: Table, output_column: str = "prediction") -> Table:
-        p = self.predict_proba(table)
-        labels = np.where(p >= 0.5, self.classes_[1], self.classes_[0])
-        return table.with_column(output_column, labels)
-
-    def score(self, table: Table, label_column: str) -> float:
-        self._check_fitted()
-        p = self.predict_proba(table)
-        predicted = np.where(p >= 0.5, self.classes_[1], self.classes_[0])
-        return float(np.mean(predicted == table.column(label_column)))
-
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "coef_"):
-            raise NotFittedError("fit must be called before predict/score")
 
 
 def train_linear_svm_indb(

@@ -13,19 +13,22 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ModelError, NotFittedError
+from ..errors import ModelError
+from ..ml.naive_bayes import CategoricalNB
 from ..storage.aggregates import agg
 from ..storage.operators import group_by
 from ..storage.table import Table
+from .glm import _TableFed
 
 
-class SQLNaiveBayes:
-    """Categorical Naive Bayes whose training is GROUP BY aggregation."""
+class SQLNaiveBayes(_TableFed, CategoricalNB):
+    """A :class:`~repro.ml.naive_bayes.CategoricalNB` whose ``fit`` is
+    GROUP BY aggregation and whose inputs and outputs are tables."""
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
             raise ModelError("alpha must be positive")
-        self.alpha = alpha
+        super().__init__(alpha)
 
     def fit(
         self, table: Table, feature_columns: Sequence[str], label_column: str
@@ -48,8 +51,8 @@ class SQLNaiveBayes:
         self.class_log_prior_ = np.log(self.class_count_ / total)
 
         # Per feature: SELECT label, feature, COUNT(*) GROUP BY label, feature
-        self.value_counts_: list[dict] = []
-        self.cardinality_ = []
+        self.feature_counts_: list[dict] = []
+        self.feature_cardinality_ = []
         class_index = {c: i for i, c in enumerate(self.classes_)}
         for feature in feature_columns:
             grouped = group_by(table, [label_column, feature], [agg("count")])
@@ -62,39 +65,19 @@ class SQLNaiveBayes:
             ):
                 table_counts[(class_index[label], value)] = float(count)
                 values.add(value)
-            self.value_counts_.append(table_counts)
-            self.cardinality_.append(len(values))
+            self.feature_counts_.append(table_counts)
+            self.feature_cardinality_.append(len(values))
         return self
 
-    def predict(self, table: Table, output_column: str = "prediction") -> Table:
-        """Table with the MAP class appended."""
-        jll = self._joint_log_likelihood(table)
-        labels = self.classes_[np.argmax(jll, axis=1)]
-        return table.with_column(output_column, labels)
-
-    def predict_labels(self, table: Table) -> np.ndarray:
-        return self.classes_[np.argmax(self._joint_log_likelihood(table), axis=1)]
-
-    def score(self, table: Table, label_column: str | None = None) -> float:
-        if not hasattr(self, "classes_"):
-            raise NotFittedError("fit must be called before predict/score")
-        label_column = label_column or self.label_column_
-        predicted = self.predict_labels(table)
-        return float(np.mean(predicted == table.column(label_column)))
+    def _rows(self, table: Table) -> np.ndarray:
+        X = np.empty((table.num_rows, len(self.feature_columns_)), dtype=object)
+        for j, feature in enumerate(self.feature_columns_):
+            X[:, j] = table.column(feature)
+        return X
 
     def _joint_log_likelihood(self, table: Table) -> np.ndarray:
-        if not hasattr(self, "classes_"):
-            raise NotFittedError("fit must be called before predict/score")
-        n = table.num_rows
-        k = len(self.classes_)
-        out = np.tile(self.class_log_prior_, (n, 1))
-        for j, feature in enumerate(self.feature_columns_):
-            column = table.column(feature)
-            card = self.cardinality_[j]
-            denom = self.class_count_ + self.alpha * card
-            counts = self.value_counts_[j]
-            for row, value in enumerate(column):
-                for i in range(k):
-                    num = counts.get((i, value), 0.0) + self.alpha
-                    out[row, i] += np.log(num / denom[i])
-        return out
+        return super()._joint_log_likelihood(self._rows(table))
+
+    def score(self, table: Table, label_column: str | None = None) -> float:
+        self._check_fitted()
+        return super().score(table, label_column or self.label_column_)

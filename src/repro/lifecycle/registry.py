@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import LifecycleError
+from ..obs import get_registry
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,8 @@ class ModelRegistry:
 
         Models of serializable estimator classes are embedded (see
         :mod:`repro.lifecycle.serialize`); other model objects are stored
-        as ``null`` with their metadata intact.
+        as ``null`` with their metadata intact, each one counted as
+        ``lifecycle.registry.models_not_persisted``.
         """
         import json
         from pathlib import Path
@@ -216,6 +218,7 @@ class ModelRegistry:
                     model_json = dumps_model(v.model)
                 except LifecycleError:
                     model_json = None
+                    get_registry().inc("lifecycle.registry.models_not_persisted")
                 entries.append(
                     {
                         "name": v.name,

@@ -23,34 +23,27 @@ FORMAT_VERSION = 1
 
 def _known_classes() -> dict[str, type]:
     """Estimator classes eligible for (de)serialization."""
-    from ..ml import (
-        PCA,
-        DecisionTreeClassifier,
-        DecisionTreeRegressor,
-        GaussianNB,
-        KBinsDiscretizer,
-        KMeans,
-        LinearRegression,
-        LinearSVM,
-        LogisticRegression,
-        MinMaxScaler,
-        Ridge,
-        StandardScaler,
-    )
+    from .. import factorized, indb, ml, runtime
 
     classes = [
-        PCA,
-        DecisionTreeClassifier,
-        DecisionTreeRegressor,
-        GaussianNB,
-        KBinsDiscretizer,
-        KMeans,
-        LinearRegression,
-        LinearSVM,
-        LogisticRegression,
-        MinMaxScaler,
-        Ridge,
-        StandardScaler,
+        ml.PCA,
+        ml.DecisionTreeClassifier,
+        ml.DecisionTreeRegressor,
+        ml.GaussianNB,
+        ml.KBinsDiscretizer,
+        ml.KMeans,
+        ml.LinearRegression,
+        ml.LinearSVM,
+        ml.LogisticRegression,
+        ml.MinMaxScaler,
+        ml.Ridge,
+        ml.StandardScaler,
+        # the linear models trained where the data lives
+        factorized.FactorizedLinearRegression,
+        factorized.FactorizedLogisticRegression,
+        indb.InDBLinearRegression,
+        indb.InDBLogisticRegression,
+        runtime.OutOfCoreLinearRegression,
     ]
     return {cls.__name__: cls for cls in classes}
 
@@ -155,7 +148,7 @@ def dumps_model(model: Any) -> str:
         for attr, value in vars(model).items()
         if attr.endswith("_") and not attr.startswith("_")
         # optimizer traces are diagnostics, not model state
-        and attr != "optim_result_"
+        and attr not in ("optim_result_", "result_")
     }
     payload = {
         "format_version": FORMAT_VERSION,

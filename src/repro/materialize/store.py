@@ -71,7 +71,6 @@ SCHEMA = "repro.mat/v1"
 DEFAULT_CAPACITY_BYTES = 256 << 20
 #: default admission floor on estimated recompute flops.
 DEFAULT_MIN_FLOPS = 100_000.0
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 class EntryMeta:

@@ -10,7 +10,7 @@ data, and inside the relational engine.
 
 from .base import Classifier, Estimator, Regressor, as_pm_one, check_X, check_X_y
 from .kmeans import KMeans
-from .linreg import LinearRegression, Ridge
+from .linreg import LinearRegression, Moments, Ridge
 from .logreg import LogisticRegression
 from .losses import HingeLoss, LogisticLoss, Loss, SquaredLoss, sigmoid
 from .metrics import (
@@ -61,6 +61,7 @@ __all__ = [
     "LogisticRegression",
     "Loss",
     "MinMaxScaler",
+    "Moments",
     "OneHotEncoder",
     "OptimResult",
     "Regressor",

@@ -14,6 +14,9 @@ from typing import Any
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
+from ..operand import is_representation
+from .losses import sigmoid
+from .metrics import accuracy_score, r2_score
 
 
 class Estimator:
@@ -75,30 +78,84 @@ class Estimator:
         return f"{type(self).__name__}({params})"
 
 
-class Regressor(Estimator):
-    """Estimator predicting real values; provides R^2 scoring."""
+class _Predictor(Estimator):
+    """An estimator that predicts, scored by its role's metric."""
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Coefficient of determination R^2."""
-        from .metrics import r2_score
-
-        return r2_score(y, self.predict(X))
+        """The role's metric of ``predict(X)`` against ``y``."""
+        return self._metric(y, self.predict(X))
 
 
-class Classifier(Estimator):
-    """Estimator predicting discrete labels; provides accuracy scoring."""
+class Regressor(_Predictor):
+    """Estimator predicting real values; scored by R^2."""
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    _metric = staticmethod(r2_score)
 
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy."""
-        from .metrics import accuracy_score
 
-        return accuracy_score(y, self.predict(X))
+class Classifier(_Predictor):
+    """Estimator predicting discrete labels; scored by mean accuracy."""
+
+    _metric = staticmethod(accuracy_score)
+
+
+class LinearModel(Estimator):
+    """The fitted half of every linear model: a weight vector in,
+    margins out. A provider's ``fit`` computes the weights wherever its
+    data lives and hands them to :meth:`_unpack`; everything after that
+    is inherited."""
+
+    #: providers that never learn an intercept override this on the class
+    fit_intercept = True
+
+    def _design(self, X: np.ndarray) -> np.ndarray:
+        """``X`` with the intercept's column of ones in front."""
+        if self.fit_intercept:
+            return np.hstack([np.ones((len(X), 1)), X])
+        return X
+
+    def _unpack(self, w: np.ndarray) -> None:
+        """Store design-order weights as ``coef_`` / ``intercept_``."""
+        if self.fit_intercept:
+            self.coef_ = w[1:]
+            self.intercept_ = float(w[0])
+        else:
+            self.coef_ = w
+            self.intercept_ = 0.0
+
+    def _rows(self, X):
+        """What a predict-time input scores as: a 2-D array, or any
+        operand with a ``matvec``. Table-fed models override this."""
+        return X if is_representation(X) else check_X(X)
+
+    def decision_function(self, X) -> np.ndarray:
+        """Margins ``x.w + b`` per row (for a classifier, positive
+        favors ``classes_[1]``)."""
+        self._check_fitted()
+        X = self._rows(X)
+        scores = X.matvec(self.coef_) if is_representation(X) else X @ self.coef_
+        return scores + self.intercept_
+
+
+class LinearRegressor(LinearModel, Regressor):
+    """A linear model predicting its margin."""
+
+    def predict(self, X) -> np.ndarray:
+        return self.decision_function(X)
+
+
+class LogisticClassifier(LinearModel, Classifier):
+    """A binary linear model whose margin is a log-odds."""
+
+    def predict_proba(self, X) -> np.ndarray:
+        """P(class == classes_[1]) per row."""
+        return sigmoid(self.decision_function(X))
+
+    def predict(self, X) -> np.ndarray:
+        p = self.predict_proba(X)
+        return np.where(p >= 0.5, self.classes_[1], self.classes_[0])
 
 
 def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,13 @@ descent (the iterative pattern the declarative-ML compiler optimizes).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import ModelError
-from .base import Regressor, check_X, check_X_y
+from .base import LinearRegressor, check_X_y
 from .losses import SquaredLoss
 from .optim import OptimResult, gradient_descent
 
@@ -28,7 +31,87 @@ def solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
-class LinearRegression(Regressor):
+def _penalty(l2: float, d: int, unpenalized: int) -> np.ndarray:
+    """``l2 * I`` with the first ``unpenalized`` (intercept) entries zero."""
+    P = l2 * np.eye(d)
+    P[:unpenalized, :unpenalized] = 0.0
+    return P
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """The aggregates least squares is a function of: ``X'X``, ``X'y``,
+    ``y'y`` and the row count, over some set of rows.
+
+    Where the rows live only changes how the aggregates are computed
+    (:meth:`of`); they form a ring under ``+`` / ``-``, so a fold
+    complement, a deleted batch and a maintained table are arithmetic on
+    values of this class, and every closed-form consumer — the ridge
+    solve, a column subset, a held-out RSS — is written here once.
+    ``yty`` is NaN where a provider does not accumulate it.
+    """
+
+    gram: np.ndarray
+    xty: np.ndarray
+    yty: float
+    n: int
+
+    @classmethod
+    def of(cls, X, y: np.ndarray) -> "Moments":
+        """One pass over the rows: BLAS for a dense array; any operand
+        (CSR, CLA, normalized) answers with its own kernels."""
+        if isinstance(X, np.ndarray):
+            gram, xty = X.T @ X, X.T @ y
+        else:
+            gram, xty = X.gram(), X.rmatvec(y)
+        return cls(gram, xty, float(y @ y), len(y))
+
+    @classmethod
+    def of_augmented(cls, aug: np.ndarray, n: int) -> "Moments":
+        """From the self-product ``[X | y]' [X | y]`` of ``n`` rows."""
+        d = len(aug) - 1
+        return cls(
+            np.ascontiguousarray(aug[:d, :d]),
+            np.ascontiguousarray(aug[:d, d]),
+            float(aug[d, d]),
+            n,
+        )
+
+    def __add__(self, other: "Moments") -> "Moments":
+        return Moments(
+            self.gram + other.gram, self.xty + other.xty,
+            self.yty + other.yty, self.n + other.n,
+        )
+
+    def __sub__(self, other: "Moments") -> "Moments":
+        return Moments(
+            self.gram - other.gram, self.xty - other.xty,
+            self.yty - other.yty, self.n - other.n,
+        )
+
+    def take(self, columns: Sequence[int]) -> "Moments":
+        """The aggregates of ``X[:, columns]`` over the same rows."""
+        cols = list(columns)
+        return Moments(
+            self.gram[np.ix_(cols, cols)], self.xty[cols], self.yty, self.n
+        )
+
+    def solve(self, l2: float = 0.0, unpenalized: int = 0) -> np.ndarray:
+        """Ridge weights ``(X'X + l2 I)^-1 X'y``; the first
+        ``unpenalized`` columns (an intercept's) carry no penalty."""
+        gram = self.gram
+        if l2:
+            gram = gram + _penalty(l2, len(gram), unpenalized)
+        return solve_normal(gram, self.xty)
+
+    def rss(self, w: np.ndarray) -> float:
+        """``||X w - y||^2`` from the aggregates alone: no row access."""
+        return (
+            float(w @ self.gram @ w) - 2.0 * float(w @ self.xty) + self.yty
+        )
+
+
+class LinearRegression(LinearRegressor):
     """Ordinary (optionally ridge-regularized) least squares.
 
     Args:
@@ -60,7 +143,7 @@ class LinearRegression(Regressor):
         y = y.astype(np.float64)
         Xd = self._design(X)
         if self.solver == "normal":
-            w = self._solve_normal(Xd, y)
+            w = Moments.of(Xd, y).solve(self.l2, int(self.fit_intercept))
         elif self.solver == "qr":
             w = self._solve_qr(Xd, y)
         elif self.solver == "gd":
@@ -72,32 +155,12 @@ class LinearRegression(Regressor):
         self._unpack(w)
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = check_X(X)
-        return X @ self.coef_ + self.intercept_
-
     # ------------------------------------------------------------------
-    def _design(self, X: np.ndarray) -> np.ndarray:
-        if self.fit_intercept:
-            return np.hstack([np.ones((len(X), 1)), X])
-        return X
-
-    def _penalty_matrix(self, d: int) -> np.ndarray:
-        P = self.l2 * np.eye(d)
-        if self.fit_intercept:
-            P[0, 0] = 0.0  # never penalize the intercept
-        return P
-
-    def _solve_normal(self, Xd: np.ndarray, y: np.ndarray) -> np.ndarray:
-        gram = Xd.T @ Xd + self._penalty_matrix(Xd.shape[1])
-        return solve_normal(gram, Xd.T @ y)
-
     def _solve_qr(self, Xd: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.l2 > 0:
             # Ridge via the augmented system [X; sqrt(l2) I] w = [y; 0].
             d = Xd.shape[1]
-            aug = np.sqrt(self._penalty_matrix(d))
+            aug = np.sqrt(_penalty(self.l2, d, int(self.fit_intercept)))
             Xd = np.vstack([Xd, aug])
             y = np.concatenate([y, np.zeros(d)])
         Q, R = np.linalg.qr(Xd)
@@ -118,14 +181,6 @@ class LinearRegression(Regressor):
             tol=self.tol,
             warn_on_cap=False,
         )
-
-    def _unpack(self, w: np.ndarray) -> None:
-        if self.fit_intercept:
-            self.intercept_ = float(w[0])
-            self.coef_ = w[1:]
-        else:
-            self.intercept_ = 0.0
-            self.coef_ = w
 
 
 class Ridge(LinearRegression):

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Classifier, as_pm_one, check_X, check_X_y
+from .base import LogisticClassifier, as_pm_one, check_X_y
 from .linreg import solve_normal
 from .losses import LogisticLoss, sigmoid
 from .optim import gradient_descent, sgd
 
 
-class LogisticRegression(Classifier):
+class LogisticRegression(LogisticClassifier):
     """Binary logistic regression.
 
     Labels may be any two distinct values; internally they map to
@@ -89,34 +89,10 @@ class LogisticRegression(Classifier):
         else:
             raise ModelError(f"unknown solver {self.solver!r}")
 
-        if self.fit_intercept:
-            self.intercept_ = float(w[0])
-            self.coef_ = w[1:]
-        else:
-            self.intercept_ = 0.0
-            self.coef_ = w
+        self._unpack(w)
         return self
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Signed margins x.w + b (positive favors ``classes_[1]``)."""
-        self._check_fitted()
-        X = check_X(X)
-        return X @ self.coef_ + self.intercept_
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(class == classes_[1]) per row."""
-        return sigmoid(self.decision_function(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        p = self.predict_proba(X)
-        return np.where(p >= 0.5, self.classes_[1], self.classes_[0])
-
     # ------------------------------------------------------------------
-    def _design(self, X: np.ndarray) -> np.ndarray:
-        if self.fit_intercept:
-            return np.hstack([np.ones((len(X), 1)), X])
-        return X
-
     def _initial_weights(self, d: int) -> np.ndarray | None:
         if not (self.warm_start and self.is_fitted and hasattr(self, "coef_")):
             return None

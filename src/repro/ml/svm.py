@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Classifier, as_pm_one, check_X, check_X_y
+from .base import Classifier, LinearModel, as_pm_one, check_X_y
 
 
-class LinearSVM(Classifier):
+class LinearSVM(LinearModel, Classifier):
     """Soft-margin linear SVM (hinge loss + L2) via Pegasos SGD.
 
     The regularization parameter follows the Pegasos convention:
@@ -32,8 +32,7 @@ class LinearSVM(Classifier):
         if self.l2 <= 0:
             raise ModelError("l2 must be positive for Pegasos")
         y_pm, self.classes_ = as_pm_one(y_raw)
-        if self.fit_intercept:
-            X = np.hstack([np.ones((len(X), 1)), X])
+        X = self._design(X)
         n, d = X.shape
         rng = np.random.default_rng(self.seed)
         w = np.zeros(d)
@@ -46,18 +45,8 @@ class LinearSVM(Classifier):
                 w *= 1.0 - eta * self.l2
                 if margin < 1.0:
                     w += eta * y_pm[i] * X[i]
-        if self.fit_intercept:
-            self.intercept_ = float(w[0])
-            self.coef_ = w[1:]
-        else:
-            self.intercept_ = 0.0
-            self.coef_ = w
+        self._unpack(w)
         return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = check_X(X)
-        return X @ self.coef_ + self.intercept_
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         margins = self.decision_function(X)

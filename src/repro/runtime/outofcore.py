@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ExecutionError
+from ..ml.base import LinearRegressor
 from ..ml.optim import descend
 from ..obs import Ledger
 from ..resilience.checkpoint import IterativeCheckpointer
@@ -35,7 +36,7 @@ class OutOfCoreResult:
         return self.loss_history[-1] if self.loss_history else float("nan")
 
 
-class OutOfCoreLinearRegression:
+class OutOfCoreLinearRegression(LinearRegressor):
     """Least squares trained by blocked gradient descent under a memory budget.
 
     Args:
@@ -47,6 +48,8 @@ class OutOfCoreLinearRegression:
             and ends bit-identical to an uninterrupted one
             (:func:`~repro.ml.optim.iterate`).
     """
+
+    fit_intercept = False
 
     def __init__(
         self,
@@ -115,7 +118,7 @@ class OutOfCoreLinearRegression:
             line_search=False,
             checkpointer=self.checkpointer,
         )
-        self.coef_ = run.weights
+        self._unpack(run.weights)
         self.result_ = OutOfCoreResult(
             weights=run.weights,
             epochs=run.iterations,
@@ -124,13 +127,3 @@ class OutOfCoreLinearRegression:
             bytes_read_from_store=store.bytes_read - baseline_reads,
         )
         return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if not hasattr(self, "coef_"):
-            raise ExecutionError("fit must be called before predict")
-        return np.asarray(X, dtype=np.float64) @ self.coef_
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        from ..ml.metrics import r2_score
-
-        return r2_score(np.asarray(y), self.predict(X))

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SelectionError
-from ..ml.linreg import solve_normal
 from .cv import KFold
-from .foldreuse import fold_statistics
+from .foldreuse import _prepare, fold_statistics, held_out
 
 
 @dataclass
@@ -81,47 +80,24 @@ def ridge_feature_grid(
     the cost beyond the (possibly reused) statistics is |grid| d x d
     solves plus O(d^2) algebra — a warm run never reads a data row.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise SelectionError("X must be 2-D with one label per row")
+    X, y, lambdas, cv = _prepare(X, y, lambdas, cv)
     subsets = [tuple(int(j) for j in s) for s in subsets]
     if not subsets:
         raise SelectionError("subsets must be non-empty")
     for s in subsets:
         if not s or min(s) < 0 or max(s) >= X.shape[1]:
             raise SelectionError(f"subset {s} out of range for d={X.shape[1]}")
-    lambdas = [float(l) for l in lambdas]
-    if not lambdas or any(l < 0 for l in lambdas):
-        raise SelectionError("lambdas must be non-empty and non-negative")
-    if isinstance(cv, int):
-        cv = KFold(cv)
     folds = cv.folds(len(X))
 
     result = FeatureGridResult(subsets=subsets, lambdas=lambdas)
     for subset in subsets:
-        d = len(subset)
-        fold_gram, fold_xty, fold_yty = fold_statistics(
-            X, y, folds, store=store, columns=subset
-        )
-        total_gram = np.sum(fold_gram, axis=0)
-        total_xty = np.sum(fold_xty, axis=0)
-        eye = np.eye(d)
+        stats = fold_statistics(X, y, folds, store=store, columns=subset)
         errors = np.zeros((len(folds), len(lambdas)))
-        for i, fold in enumerate(folds):
-            train_gram = total_gram - fold_gram[i]
-            train_xty = total_xty - fold_xty[i]
-            n_test = len(fold)
+        for i, (train, fold) in enumerate(held_out(stats)):
             for j, l2 in enumerate(lambdas):
-                w = solve_normal(train_gram + l2 * eye, train_xty)
-                # Held-out RSS straight from the fold's statistics:
-                # ||X_f w - y_f||^2 = w'Gw - 2 w'b + y'y. No row access.
-                rss = (
-                    float(w @ fold_gram[i] @ w)
-                    - 2.0 * float(w @ fold_xty[i])
-                    + fold_yty[i]
-                )
-                errors[i, j] = float(np.sqrt(max(rss, 0.0) / n_test))
+                # Held-out RSS straight from the fold's own statistics.
+                rss = fold.rss(train.solve(l2))
+                errors[i, j] = float(np.sqrt(max(rss, 0.0) / fold.n))
                 result.solves += 1
         result.mean_rmse[subset] = [
             float(v) for v in errors.mean(axis=0)

@@ -12,12 +12,14 @@ subsets, applied across folds and hyperparameters).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import SelectionError
-from ..ml.linreg import solve_normal
+from ..ml.linreg import Moments
 from .cv import KFold
 
 
@@ -58,8 +60,8 @@ def fold_statistics(
     folds,
     store=None,
     columns=None,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[float]]:
-    """Per-fold ``(gram, xty, yty)`` sufficient statistics, optionally reused.
+) -> list[Moments]:
+    """Per-fold :class:`~repro.ml.linreg.Moments`, optionally reused.
 
     Each fold's statistics are one augmented self-product ``t(Z) %*% Z``
     with ``Z = [X_fold[:, columns] | y_fold]`` — a single fused tsmm
@@ -74,19 +76,13 @@ def fold_statistics(
     the fold's bytes, and a hit is bit-identical to cold compute because
     equal base bytes plus an equal slice spec derive equal slices.
     """
-    d = X.shape[1] if columns is None else len(columns)
     cols = None if columns is None else tuple(int(j) for j in columns)
-    fold_gram: list[np.ndarray] = []
-    fold_xty: list[np.ndarray] = []
-    fold_yty: list[float] = []
+
+    def rows_of(fold) -> np.ndarray:
+        return X[fold] if cols is None else X[np.asarray(fold)][:, cols]
+
     if store is None:
-        for fold in folds:
-            Xf = X[fold] if cols is None else X[np.asarray(fold)][:, cols]
-            yf = y[fold]
-            fold_gram.append(Xf.T @ Xf)
-            fold_xty.append(Xf.T @ yf)
-            fold_yty.append(float(yf @ yf))
-        return fold_gram, fold_xty, fold_yty
+        return [Moments.of(rows_of(fold), y[fold]) for fold in folds]
 
     import hashlib
 
@@ -97,6 +93,7 @@ def fold_statistics(
     x_hash = content_hash(X)
     y_hash = content_hash(y)
     col_spec = "all" if cols is None else ",".join(map(str, cols))
+    stats: list[Moments] = []
     for fold in folds:
         rows = hashlib.sha256(
             np.ascontiguousarray(fold, dtype=np.int64).tobytes()
@@ -109,9 +106,8 @@ def fold_statistics(
         )
         aug = store.lookup(fp)
         if aug is None:
-            Xf = X[fold] if cols is None else X[np.asarray(fold)][:, cols]
             Z = np.ascontiguousarray(
-                np.hstack([Xf, y[fold].reshape(-1, 1)])
+                np.hstack([rows_of(fold), y[fold].reshape(-1, 1)])
             )
             zvar = matrix("Z", Z.shape)
             aug = execute(zvar.T @ zvar, {"Z": Z})
@@ -132,10 +128,15 @@ def fold_statistics(
                         shape=value.shape if value.ndim == 2 else None,
                         nbytes=int(value.nbytes),
                     )
-        fold_gram.append(np.ascontiguousarray(aug[:d, :d]))
-        fold_xty.append(np.ascontiguousarray(aug[:d, d]))
-        fold_yty.append(float(aug[d, d]))
-    return fold_gram, fold_xty, fold_yty
+        stats.append(Moments.of_augmented(aug, len(fold)))
+    return stats
+
+
+def held_out(stats: list[Moments]):
+    """Each fold's ``(training moments, its own)``: the training set is
+    the ring complement ``total - fold`` — no second pass over rows."""
+    total = functools.reduce(operator.add, stats)
+    return [(total - fold, fold) for fold in stats]
 
 
 def ridge_cv_shared(
@@ -155,13 +156,10 @@ def ridge_cv_shared(
     same folds skip the data passes entirely.
     """
     X, y, lambdas, cv = _prepare(X, y, lambdas, cv)
-    d = X.shape[1]
     folds = cv.folds(len(X))
 
     # Per-fold statistics: one scan each (k passes total).
-    fold_gram, fold_xty, _ = fold_statistics(X, y, folds, store=store)
-    total_gram = np.sum(fold_gram, axis=0)
-    total_xty = np.sum(fold_xty, axis=0)
+    stats = fold_statistics(X, y, folds, store=store)
 
     result = RidgeCVResult(
         lambdas=lambdas,
@@ -169,12 +167,10 @@ def ridge_cv_shared(
         data_passes=len(folds),
     )
     errors: dict[float, list[float]] = {l: [] for l in lambdas}
-    for i, fold in enumerate(folds):
-        train_gram = total_gram - fold_gram[i]
-        train_xty = total_xty - fold_xty[i]
+    for fold, (train, _) in zip(folds, held_out(stats)):
         X_test, y_test = X[fold], y[fold]
         for l2 in lambdas:
-            w = solve_normal(train_gram + l2 * np.eye(d), train_xty)
+            w = train.solve(l2)
             residual = X_test @ w - y_test
             errors[l2].append(float(np.sqrt(np.mean(residual**2))))
     result.fold_rmse = errors
@@ -190,7 +186,6 @@ def ridge_cv_naive(
 ) -> RidgeCVResult:
     """The no-sharing baseline: refit from raw rows per (fold, lambda)."""
     X, y, lambdas, cv = _prepare(X, y, lambdas, cv)
-    d = X.shape[1]
     folds = cv.folds(len(X))
 
     result = RidgeCVResult(lambdas=lambdas, mean_rmse=[], data_passes=0)
@@ -202,8 +197,7 @@ def ridge_cv_naive(
         X_test, y_test = X[fold], y[fold]
         for l2 in lambdas:
             result.data_passes += 1  # full Gram recomputation from rows
-            gram = X_train.T @ X_train + l2 * np.eye(d)
-            w = solve_normal(gram, X_train.T @ y_train)
+            w = Moments.of(X_train, y_train).solve(l2)
             residual = X_test @ w - y_test
             errors[l2].append(float(np.sqrt(np.mean(residual**2))))
     result.fold_rmse = errors

@@ -389,16 +389,20 @@ class ShardedServer:
         rows: np.ndarray,
         keys: object,
         deadline_ms: float | None,
+        deadline_at: float | None = None,
     ):
         """Dispatch placed requests to their shard — the tail both doors
         share: call the shard server's ``door`` (``predict`` with a row
-        and a key, ``predict_many`` with a shard group's), re-raise its
+        and a key, ``predict_many`` with a shard group's) under the
+        budget placement already drew on (``deadline_at``), re-raise its
         shed or deadline error attributed (the shard always, the tenant
         when the dispatched rows share one), and only then account what
         was served, ``skips`` holding one entry per request."""
         shard = self._shards[sid]
         try:
-            out = getattr(shard.server, door)(name, rows, keys, deadline_ms)
+            out = getattr(shard.server, door)(
+                name, rows, keys, deadline_ms, deadline_at
+            )
         except (LoadShedError, DeadlineExceededError) as exc:
             shared = set(tenants)
             tenant = shared.pop() if len(shared) == 1 else None
@@ -442,7 +446,8 @@ class ShardedServer:
         )
         sid, skips = self._place(name, key, tenant, deadline_at)
         return self._serve_on(
-            sid, "predict", (skips,), (tenant,), name, row, key, deadline_ms
+            sid, "predict", (skips,), (tenant,), name, row, key, deadline_ms,
+            deadline_at,
         )
 
     def predict_many(
@@ -535,6 +540,7 @@ class ShardedServer:
                 rows[indices],
                 [keys[i] for i in indices] if keys is not None else None,
                 deadline_ms,
+                deadline_at,
             )
         return (out, shed_indices) if on_shed == "null" else out
 

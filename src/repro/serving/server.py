@@ -404,6 +404,7 @@ class ModelServer:
         keys: Sequence[object] | None,
         deadline_ms: float | None,
         closed_loop: bool,
+        deadline_at: float | None = None,
     ) -> list[float]:
         """The request path, written once: every row is one request
         through count, admission, canary routing, cache probe and the
@@ -414,7 +415,10 @@ class ModelServer:
         A full queue sheds the open-loop ``predict`` request; the
         closed-loop ``predict_many`` caller is its own backpressure and
         drains the queue first — which door called decides, nothing else
-        differs between them.
+        differs between them. A caller that already spent part of the
+        budget (the fleet: quota, routing, failover) hands over the
+        absolute ``deadline_at`` its clock started from; ``deadline_ms``
+        is then only what the error reports.
         """
         endpoint = self.endpoint(name)
         counts, cache = endpoint.counts, endpoint.cache
@@ -422,9 +426,8 @@ class ModelServer:
         start = self._clock()
         if deadline_ms is None:
             deadline_ms = endpoint.deadline_ms
-        deadline_at = (
-            start + deadline_ms / 1000.0 if deadline_ms is not None else None
-        )
+        if deadline_at is None and deadline_ms is not None:
+            deadline_at = start + deadline_ms / 1000.0
         out: list = [None] * len(rows)
         # (row index, pending handle, row cache key, resolved version)
         pendings: list[tuple] = []
@@ -482,6 +485,7 @@ class ModelServer:
         row: np.ndarray,
         key: object | None = None,
         deadline_ms: float | None = None,
+        deadline_at: float | None = None,
     ) -> float:
         """Serve one prediction through the full path: admission, canary
         routing, cache, micro-batch queue, deadline.
@@ -491,7 +495,9 @@ class ModelServer:
         :meth:`start` the endpoint so their requests coalesce.
         """
         row = np.asarray(row, dtype=np.float64)
-        return self._serve(name, (row,), (key,), deadline_ms, False)[0]
+        return self._serve(
+            name, (row,), (key,), deadline_ms, False, deadline_at
+        )[0]
 
     def predict_many(
         self,
@@ -499,6 +505,7 @@ class ModelServer:
         rows: np.ndarray,
         keys: Sequence[object] | None = None,
         deadline_ms: float | None = None,
+        deadline_at: float | None = None,
     ) -> np.ndarray:
         """Serve a stream of requests through the micro-batcher.
 
@@ -518,7 +525,8 @@ class ModelServer:
         if keys is not None and len(keys) != rows.shape[0]:
             raise ServingError("one key per row required")
         return np.array(
-            self._serve(name, rows, keys, deadline_ms, True), dtype=np.float64
+            self._serve(name, rows, keys, deadline_ms, True, deadline_at),
+            dtype=np.float64,
         )
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.compiler import compile_program, execute_program
 from repro.data import make_categorical, make_classification, make_regression
-from repro.errors import CompilerError, ExecutionError, ModelError
+from repro.errors import CompilerError, ExecutionError, ModelError, NotFittedError
 from repro.lang import matrix, sumall
 from repro.ml import (
     DecisionTreeClassifier,
@@ -217,5 +217,5 @@ class TestOutOfCore:
     def test_validation(self):
         with pytest.raises(ExecutionError):
             OutOfCoreLinearRegression().fit(np.ones((5, 2)), np.ones(3))
-        with pytest.raises(ExecutionError):
+        with pytest.raises(NotFittedError):
             OutOfCoreLinearRegression().predict(np.ones((2, 2)))

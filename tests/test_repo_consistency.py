@@ -169,6 +169,39 @@ class TestOneTrainingCore:
         assert hits == []
 
 
+class TestOneLinearModel:
+    """The closed form and the fitted half of a linear model exist once
+    under ``src/`` (DESIGN.md, Training core — ``Moments`` and "Fitted
+    models"); providers supply aggregates or a descent, nothing else."""
+
+    _hits = staticmethod(TestOneTrainingCore._hits)
+    CLOSED_FORM = {"src/repro/ml/linreg.py", "src/repro/ml/logreg.py"}
+
+    def _files(self, pattern: str) -> set[str]:
+        return {hit.rsplit(":", 1)[0] for hit in self._hits(pattern)}
+
+    def test_the_ridge_solve_is_written_in_ml_only(self):
+        assert self._files(r"solve_normal\(") == self.CLOSED_FORM
+        assert self._files(r"l2 \* (np\.)?eye") == self.CLOSED_FORM
+
+    def test_fitted_attributes_are_assigned_by_the_shell_only(self):
+        assert self._files(r"\b(coef_|intercept_) = ") == {"src/repro/ml/base.py"}
+        assert len(self._hits(r"== classes\[1\], 1\.0, -1\.0")) == 1
+
+    def test_no_provider_rewrites_the_fitted_half(self):
+        outside_ml = [
+            hit
+            for hit in self._hits(r"def (decision_function|predict_proba)\b")
+            if not hit.startswith("src/repro/ml/")
+        ]
+        assert outside_ml == []
+        # "is it fitted" is Estimator._check_fitted; the one attribute
+        # probe left is the logistic warm start
+        assert self._files(r'hasattr\(self, "(coef_|classes_)"\)') == {
+            "src/repro/ml/logreg.py"
+        }
+
+
 class TestOneCacheOneLedger:
     """Ordering/eviction and event counting each exist once under
     ``src/`` (DESIGN.md, Caches and ledgers)."""

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.data import make_blobs, make_classification, make_regression
 from repro.errors import LifecycleError
+from repro.factorized import (
+    FactorizedLinearRegression,
+    FactorizedLogisticRegression,
+    NormalizedMatrix,
+)
+from repro.incremental.trainer import CentroidModel
+from repro.indb import InDBLinearRegression, InDBLogisticRegression
 from repro.lifecycle import (
     ModelRegistry,
     dumps_model,
@@ -17,10 +25,13 @@ from repro.ml import (
     GaussianNB,
     KMeans,
     LinearRegression,
+    LinearSVM,
     LogisticRegression,
     Ridge,
     StandardScaler,
 )
+from repro.runtime import OutOfCoreLinearRegression
+from repro.storage import Table
 
 
 class TestModelRoundTrip:
@@ -134,15 +145,69 @@ class TestRegistryPersistence:
         lineage = restored.lineage("reg", 2)
         assert [v.version for v in lineage] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "provider",
+        [
+            "LinearRegression", "LogisticRegression", "LinearSVM",
+            "FactorizedLinearRegression", "FactorizedLogisticRegression",
+            "InDBLinearRegression", "InDBLogisticRegression",
+            "OutOfCoreLinearRegression",
+        ],
+    )
+    def test_every_linear_provider_survives_the_registry(
+        self, tmp_path, star, provider
+    ):
+        """fit -> register -> save -> load hands back the same model,
+        wherever it was trained."""
+        nm = NormalizedMatrix(star.S, [star.fk], [star.R])
+        X, y = nm.materialize(), np.asarray(star.y, dtype=np.float64)
+        label = np.where(y > np.median(y), "hi", "lo")
+        columns = [f"c{j}" for j in range(X.shape[1])]
+        table = Table.from_columns(
+            {c: X[:, j] for j, c in enumerate(columns)} | {"y": y, "label": label}
+        )
+        model, rows = {
+            "LinearRegression": lambda: (LinearRegression(l2=0.1).fit(X, y), X),
+            "LogisticRegression": lambda: (
+                LogisticRegression(max_iter=10).fit(X, label), X),
+            "LinearSVM": lambda: (LinearSVM(epochs=2).fit(X, label), X),
+            "FactorizedLinearRegression": lambda: (
+                FactorizedLinearRegression(l2=0.1).fit(nm, y), nm),
+            "FactorizedLogisticRegression": lambda: (
+                FactorizedLogisticRegression(max_iter=10).fit(nm, label), nm),
+            "InDBLinearRegression": lambda: (
+                InDBLinearRegression(l2=0.1).fit(table, columns, "y"), table),
+            "InDBLogisticRegression": lambda: (
+                InDBLogisticRegression(epochs=2).fit(table, columns, "label"),
+                table),
+            "OutOfCoreLinearRegression": lambda: (
+                OutOfCoreLinearRegression(epochs=5, block_rows=64).fit(X, y), X),
+        }[provider]()
+        registry = ModelRegistry()
+        registry.register("m", model)
+        registry.save(tmp_path / "registry.json")
+        restored = ModelRegistry.load(tmp_path / "registry.json").get("m").model
+        assert type(restored) is type(model)
+        assert restored.get_params() == model.get_params()
+        assert np.array_equal(
+            restored.decision_function(rows), model.decision_function(rows)
+        )
+
     def test_unserializable_model_stored_as_metadata_only(self, tmp_path):
+        counter = "lifecycle.registry.models_not_persisted"
+        before = obs.get_registry().value(counter)
         registry = ModelRegistry()
         registry.register("thing", object(), metrics={"acc": 0.5})
+        registry.register("centroids", CentroidModel(np.zeros((2, 3))))
         path = tmp_path / "registry.json"
         registry.save(path)
         restored = ModelRegistry.load(path)
         entry = restored.get("thing")
         assert entry.model is None
         assert entry.metrics["acc"] == 0.5
+        assert restored.get("centroids").model is None
+        # dropped from the file, but never without a trace
+        assert obs.get_registry().value(counter) == before + 2
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(LifecycleError):

@@ -553,6 +553,46 @@ class TestTenantIsolation:
         assert _served_ledger(fabric) == before
         fabric.close()
 
+    @pytest.mark.parametrize("door", DOORS)
+    def test_one_deadline_from_the_front_door_to_the_scorer(
+        self, registry, model_pair, door
+    ):
+        """The budget placement spends is not refunded at the shard: one
+        ``fabric.route`` fault costs a 4 ms backoff out of 5 ms, so a
+        scorer that takes 2 ms is late — the shard serves under the
+        fleet's absolute deadline, not a fresh 5 ms of its own."""
+        X = model_pair[0]
+        clock = FakeClock()
+        retry = RetryPolicy(
+            max_attempts=2, backoff_base=0.004, jitter=0.0,
+            sleep=clock.advance, clock=clock,
+        )
+        fabric = make_fabric(registry, clock=clock, retry=retry)
+        sid = fabric.preference("score", "k")[0]
+        server = fabric.shard(sid).server
+        scorer = server._scorer_for(
+            server.endpoint("score"), registry.get("churn", 1)
+        )
+
+        def stalling(batch, deadline_at=None):
+            clock.advance(0.002)
+            return scorer(batch)
+
+        stalling.accepts_deadline = True
+        server._scorers[("score", 1)] = stalling
+        plan = FaultPlan(seed=chaos_seed_from_env()).inject(
+            "fabric.route", rate=1.0, max_faults=1
+        )
+        with ChaosContext(plan) as chaos:
+            with pytest.raises(DeadlineExceededError) as exc_info:
+                _ask(fabric, door, X[:1], ["k"], tenant="t9", deadline_ms=5)
+        assert chaos.injected_at("fabric.route") == 1
+        assert clock.now == pytest.approx(0.006)
+        assert exc_info.value.deadline_ms == 5
+        assert exc_info.value.shard == sid
+        assert len(server.endpoint("score").cache) == 0
+        fabric.close()
+
 
 # ----------------------------------------------------------------------
 # Fabric: the two doors are one request path

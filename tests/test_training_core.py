@@ -7,24 +7,35 @@ and Lloyd provider goes through :func:`repro.ml.optim.descend` /
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import kmeans_dsl, linreg_direct, logreg_gd
+from repro.compression import CompressedMatrix
 from repro.data import make_star_schema
 from repro.distributed import SimulatedCluster, train_bsp_gd
 from repro.errors import ExecutionError, InjectedFault, ModelError, ReproError
 from repro.factorized import (
+    FactorizedLinearRegression,
     FactorizedLogisticRegression,
     NormalizedMatrix,
     factorized_kmeans,
 )
-from repro.indb import assign_clusters_indb, train_bgd, train_kmeans_indb
-from repro.ml import KMeans, LinearRegression
+from repro.incremental.aggregates import GramCofactorState, snap_to_grid
+from repro.indb import (
+    InDBLinearRegression,
+    assign_clusters_indb,
+    train_bgd,
+    train_kmeans_indb,
+)
+from repro.ml import KMeans, LinearRegression, Moments
 from repro.ml.kmeans import cluster_sums, lloyd
 from repro.ml.linreg import solve_normal
 from repro.ml.losses import LogisticLoss
 from repro.ml.optim import descend, gradient_descent, iterate
 from repro.resilience import RetryPolicy
 from repro.runtime import OutOfCoreLinearRegression
+from repro.sparse import CSRMatrix
 from repro.storage import Table
 
 PARITY = 1e-9
@@ -223,6 +234,28 @@ class TestProvidersAgree:
         assert np.max(np.abs(over_nm.weights - over_join.weights)) <= PARITY
         assert over_nm.flops_executed == over_join.flops_executed
 
+    def test_closed_forms_agree_wherever_the_rows_live(self, star):
+        """One ridge model, seven ways to reach its aggregates."""
+        nm, joined, _, table, columns = star
+        y, l2 = table.column("y"), 0.1
+        dense = LinearRegression(
+            solver="normal", l2=l2, fit_intercept=False
+        ).fit(joined, y).coef_
+        maintained = GramCofactorState.from_table(table, columns, "y")
+        # the same BLAS pass over the same rows: bit for bit
+        assert np.array_equal(maintained.solve_ridge(l2), dense)
+        others = {
+            "factorized": FactorizedLinearRegression(l2=l2).fit(nm, y).coef_,
+            "in-db": InDBLinearRegression(l2=l2, add_intercept=False).fit(
+                table, columns, "y"
+            ).coef_,
+            "dsl": linreg_direct(joined, y, l2=l2).weights,
+            "csr": Moments.of(CSRMatrix.from_dense(joined), y).solve(l2),
+            "cla": Moments.of(CompressedMatrix.compress(joined), y).solve(l2),
+        }
+        for name, weights in others.items():
+            assert np.max(np.abs(weights - dense)) <= PARITY, name
+
     def test_kmeans_providers_agree_from_one_seed(self, star):
         nm, joined, _, table, columns = star
         k = 4
@@ -267,6 +300,44 @@ class TestSolveNormal:
         state = GramCofactorState.from_table(table, names, "y")
         batch = LinearRegression(solver="normal", l2=0.5, fit_intercept=False)
         assert np.array_equal(state.solve_ridge(0.5), batch.fit(X, y).coef_)
+
+
+def _same_moments(a: Moments, b: Moments) -> bool:
+    return (
+        np.array_equal(a.gram, b.gram) and np.array_equal(a.xty, b.xty)
+        and a.yty == b.yty and a.n == b.n
+    )
+
+
+class TestMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 48),
+        d=st.integers(1, 5),
+        l2=st.sampled_from([0.0, 0.25, 2.0]),
+    )
+    def test_the_ring_the_subset_and_the_rss(self, seed, n, d, l2):
+        """On grid data every sum is exact, so the ring laws hold bit
+        for bit: a union is a sum, a fold complement a difference, a
+        column subset a slice — and the RSS needs no rows."""
+        rng = np.random.default_rng(seed)
+        X = snap_to_grid(4.0 * rng.standard_normal((n, d)))
+        y = snap_to_grid(4.0 * rng.standard_normal(n))
+        fold = np.zeros(n, dtype=bool)
+        fold[rng.choice(n, size=int(rng.integers(1, n // 2)), replace=False)] = True
+        total, held = Moments.of(X, y), Moments.of(X[fold], y[fold])
+        rest = Moments.of(X[~fold], y[~fold])
+        assert _same_moments(total, held + rest)
+        assert _same_moments(total - held, rest)
+        assert np.array_equal(
+            (total - held).solve(l2), rest.solve(l2), equal_nan=True
+        )
+        cols = rng.permutation(d)[: int(rng.integers(1, d + 1))]
+        assert _same_moments(total.take(cols), Moments.of(X[:, cols], y))
+        w = total.solve(l2 + 0.5)
+        direct = float(np.sum((X @ w - y) ** 2))
+        assert abs(total.rss(w) - direct) <= 1e-9 * max(direct, total.yty, 1.0)
 
 
 class TestIterate:
