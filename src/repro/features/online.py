@@ -86,7 +86,7 @@ class OnlineFeatureServer(Counted):
         rows = [self.serve(e) for e in entities]
         if not rows:
             return np.empty((0, len(self.view.feature_names)))
-        return np.vstack(rows)
+        return np.array(rows)
 
     def _fallback(self, entity) -> np.ndarray:
         self.counts.inc("fallbacks")

@@ -14,8 +14,12 @@ Correctness contract (property-tested):
 * **FIFO per endpoint** — requests are drained and completed in arrival
   order; a batch never overtakes an earlier batch.
 * **Batch-size invariance** — scorers built by the server accumulate
-  column-by-column in a fixed order, so a row scored in a batch of 64 is
+  along each row in a fixed order, so a row scored in a batch of 64 is
   bit-identical to the same row scored alone (E22 asserts this).
+* **Every popped request completes** — with its answer or with a typed
+  error; nothing a batch can contain (rows of different widths, a
+  scorer returning the wrong shape) escapes the drain or kills the
+  worker.
 
 The queue is bounded: :meth:`MicroBatcher.submit` sheds load by raising
 :class:`~repro.errors.LoadShedError` instead of growing without bound —
@@ -35,12 +39,25 @@ from ..errors import DeadlineExceededError, LoadShedError, ServingError
 from ..obs import Counted, Ledger, get_registry
 
 
+#: guards installing a handle's event. Shared by every handle: it is
+#: taken only by a waiter that arrived before completion, for one check.
+_EVENT_INSTALL = threading.Lock()
+
+
 class PendingRequest:
-    """One queued request and its completion handle."""
+    """One queued request and its completion handle.
+
+    ``done`` flips exactly at completion. No ``threading.Event`` exists
+    until a waiter arrives before that (inline drains complete every
+    request before anyone waits). The handshake needs no lock between
+    the two sides: the completer publishes ``done`` *before* looking for
+    an event, a waiter publishes the event *before* re-reading ``done``,
+    so whichever runs second sees the other's write.
+    """
 
     __slots__ = (
         "row", "scorer", "version", "deadline_at", "enqueued_at",
-        "_event", "result", "error",
+        "done", "_event", "result", "error",
     )
 
     def __init__(
@@ -56,18 +73,17 @@ class PendingRequest:
         self.version = version
         self.deadline_at = deadline_at
         self.enqueued_at = enqueued_at
-        self._event = threading.Event()
+        self.done = False
+        self._event = None
         self.result: float | None = None
         self.error: BaseException | None = None
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def _complete(self, result: float | None, error: BaseException | None) -> None:
-        self.result = result
-        self.error = error
-        self._event.set()
+    def _complete(self) -> None:
+        """Publish ``result`` / ``error`` (already written) to waiters."""
+        self.done = True
+        event = self._event
+        if event is not None:
+            event.set()
 
     def wait(self, timeout: float | None = None) -> float:
         """Block until scored; raises the request's failure if it has one.
@@ -75,8 +91,12 @@ class PendingRequest:
         Returns the prediction. ``timeout`` elapsing raises ``TimeoutError``
         (the server maps it to a deadline error with endpoint context).
         """
-        if not self._event.wait(timeout):
-            raise TimeoutError("prediction not ready within timeout")
+        if not self.done:
+            with _EVENT_INSTALL:  # two early waiters share one event
+                if self._event is None:
+                    self._event = threading.Event()
+            if not self.done and not self._event.wait(timeout):
+                raise TimeoutError("prediction not ready within timeout")
         if self.error is not None:
             raise self.error
         assert self.result is not None
@@ -168,64 +188,63 @@ class MicroBatcher(Counted):
 
         Requests are grouped by model version (a canary split can mix
         versions in one arrival window); each group is scored with its
-        own scorer in one vectorized call, then results are scattered
-        back to their originating requests. Completion happens in FIFO
-        order regardless of grouping.
+        own scorer in one vectorized call and its answers (or its one
+        failure) are written onto the requests. Every popped request is
+        then completed, in FIFO order regardless of grouping.
         """
         now = self._clock()
-        live: list[PendingRequest] = []
+        groups: dict[int, list[PendingRequest]] = {}
         for pending in batch:
             if pending.deadline_at is not None and now > pending.deadline_at:
                 # Expired while queued: fail it without spending a score
                 # (the server re-raises it with the caller's budget).
-                pending._complete(
-                    None, DeadlineExceededError(self.name, 0.0)
-                )
+                pending.error = DeadlineExceededError(self.name, 0.0)
             else:
-                live.append(pending)
-        groups: dict[int, list[int]] = {}
-        for i, pending in enumerate(live):
-            groups.setdefault(pending.version, []).append(i)
-        results: dict[int, float] = {}
-        errors: dict[int, BaseException] = {}
-        for version, indices in groups.items():
-            rows = np.stack([live[i].row for i in indices])
-            scorer = live[indices[0]].scorer
-            kwargs = {}
-            if getattr(scorer, "accepts_deadline", False):
-                # Retrying past the tightest deadline in the group
-                # cannot help anyone; cap the retry budget by it.
-                deadlines = [
-                    live[i].deadline_at
-                    for i in indices
-                    if live[i].deadline_at is not None
-                ]
-                if deadlines:
-                    kwargs["deadline_at"] = min(deadlines)
+                groups.setdefault(pending.version, []).append(pending)
+        for group in groups.values():
             try:
-                scores = np.asarray(scorer(rows, **kwargs))
+                scores = self._score_group(group)
             except Exception as exc:  # noqa: BLE001 - delivered per request
-                for i in indices:
-                    errors[i] = exc
-                continue
-            if scores.shape[0] != len(indices):
-                exc = ServingError(
-                    f"scorer returned {scores.shape[0]} results for "
-                    f"{len(indices)} rows"
-                )
-                for i in indices:
-                    errors[i] = exc
-                continue
-            for offset, i in enumerate(indices):
-                results[i] = float(scores[offset])
+                for pending in group:
+                    pending.error = exc
+            else:
+                for pending, score in zip(group, scores):
+                    pending.result = score
         self.counts.inc("batches")
         self.counts.inc("batched_requests", len(batch))
         get_registry().observe("serving.batch_size", len(batch))
-        for i, pending in enumerate(live):  # FIFO completion
-            if i in errors:
-                pending._complete(None, errors[i])
-            else:
-                pending._complete(results[i], None)
+        for pending in batch:
+            pending._complete()
+
+    def _score_group(self, group: list[PendingRequest]) -> list[float]:
+        """One scorer call over one version's rows: a fresh C-contiguous
+        ``(n, d)`` array in, one float per row out."""
+        try:
+            rows = np.array([pending.row for pending in group])
+        except ValueError as exc:
+            shapes = sorted({np.shape(pending.row) for pending in group})
+            raise ServingError(
+                f"rows of one batch differ in shape: {shapes}"
+            ) from exc
+        scorer = group[0].scorer
+        kwargs = {}
+        if getattr(scorer, "accepts_deadline", False):
+            # Retrying past the tightest deadline in the group
+            # cannot help anyone; cap the retry budget by it.
+            deadlines = [
+                pending.deadline_at
+                for pending in group
+                if pending.deadline_at is not None
+            ]
+            if deadlines:
+                kwargs["deadline_at"] = min(deadlines)
+        scores = np.asarray(scorer(rows, **kwargs), dtype=np.float64)
+        if scores.shape != (len(group),):
+            raise ServingError(
+                f"scorer returned shape {scores.shape} for "
+                f"{len(group)} rows"
+            )
+        return scores.tolist()
 
     def flush(self, max_batches: int | None = None) -> int:
         """Drain the queue inline in FIFO batches (all of it by default,
@@ -234,11 +253,12 @@ class MicroBatcher(Counted):
         drained = 0
         while max_batches is None or drained < max_batches:
             batch = self._drain_one()
-            if not batch:
-                break
-            self._score_batch(batch)
-            completed += len(batch)
-            drained += 1
+            if batch:
+                self._score_batch(batch)
+                completed += len(batch)
+                drained += 1
+            if len(batch) < self.max_batch_size:
+                break  # a short batch emptied the queue: no second look
         return completed
 
     # ------------------------------------------------------------------

@@ -58,18 +58,28 @@ from .router import CanaryRouter
 _OUTPUTS = ("margin", "proba", "label", "predict")
 
 
+#: rows the scoring kernel evaluates per step. Its temporaries are
+#: O(_BLOCK_ROWS * d) however tall the input, so scoring a whole table in
+#: one call (an offline oracle pass) costs a few hundred KB, not 2·n·d·8.
+_BLOCK_ROWS = 1024
+
+
 def compile_linear_scorer(
     model, output: str = "margin"
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile a fitted linear model into a batch scoring kernel.
 
-    The kernel accumulates ``intercept + w0*X[:,0] + w1*X[:,1] + ...``
-    column by column in fixed order — exactly the evaluation order of
-    the :func:`repro.indb.scoring.linear_expression` the in-DB path
-    deploys, and independent of the batch size. Two consequences E22
-    leans on: a batched prediction is bit-identical to the same row
+    The kernel evaluates ``((intercept + w0*X[:,0]) + w1*X[:,1]) + ...``
+    as one running sum along each row (``np.add.accumulate`` is strictly
+    sequential, unlike the pairwise ``sum``) — exactly the evaluation
+    order of the :func:`repro.indb.scoring.linear_expression` the in-DB
+    path deploys, and independent of the batch size. Two consequences
+    E22 leans on: a batched prediction is bit-identical to the same row
     scored alone, and the online server agrees bit-for-bit with SQL
     scoring of the same model.
+
+    A batch may be wider than the model: the kernel reads the leading
+    ``len(coef_)`` columns. A narrower one raises ``ServingError``.
     """
     if not hasattr(model, "coef_"):
         raise ServingError(
@@ -78,12 +88,23 @@ def compile_linear_scorer(
         )
     weights = np.asarray(model.coef_, dtype=np.float64).ravel()
     intercept = float(model.intercept_)
-    columns = [(j, float(w)) for j, w in enumerate(weights)]
+    width = len(weights)
 
     def score(batch: np.ndarray) -> np.ndarray:
-        scores = np.full(batch.shape[0], intercept, dtype=np.float64)
-        for j, w in columns:
-            scores = scores + w * batch[:, j]
+        if batch.ndim != 2 or batch.shape[1] < width:
+            raise ServingError(
+                f"batch of shape {batch.shape} is narrower than the "
+                f"model's {width} weights"
+            )
+        scores = np.empty(batch.shape[0], dtype=np.float64)
+        for lo in range(0, len(scores), _BLOCK_ROWS):
+            block = batch[lo:lo + _BLOCK_ROWS, :width]
+            terms = np.empty((len(block), width + 1), dtype=np.float64)
+            terms[:, 0] = intercept
+            terms[:, 1:] = weights * block
+            scores[lo:lo + _BLOCK_ROWS] = np.add.accumulate(
+                terms, axis=1
+            )[:, -1]
         if output == "proba":
             return sigmoid(scores)
         if output == "label":

@@ -308,6 +308,42 @@ class TestOneRequestPath:
         assert set(self._functions_holding(r"\bshard=")) == {"_serve_on"}
 
 
+class TestColdRequestPath:
+    """What a cold single-row request no longer pays for (DESIGN.md,
+    Serving): per-column interpreted scoring, an ``Event`` per queued
+    row, ``np.stack``'s per-row ceremony."""
+
+    _hits = staticmethod(TestOneTrainingCore._hits)
+
+    @pytest.mark.parametrize(
+        "module", ["serving/batcher.py", "features/online.py"]
+    )
+    def test_batches_are_assembled_without_stack(self, module):
+        text = (REPO_ROOT / "src/repro" / module).read_text()
+        assert not re.search(r"np\.v?stack\(", text)
+
+    def test_the_handle_constructs_no_event_up_front(self):
+        from repro.serving import PendingRequest
+
+        assert "Event" not in inspect.getsource(PendingRequest.__init__)
+        # the one a waiter installs when it arrives before completion
+        assert inspect.getsource(PendingRequest).count("Event(") == 1
+
+    def test_one_fused_kernel_and_no_column_loop(self):
+        from repro.serving import compile_linear_scorer
+
+        kernel = inspect.getsource(compile_linear_scorer)
+        assert not re.search(r"for .+ in columns", kernel)
+        assert kernel.count("np.add.accumulate(") == 1
+        hits = [
+            hit for hit in self._hits(r"np\.add\.accumulate\(")
+            if hit.startswith("src/repro/serving/")
+        ]
+        assert len(hits) == 1 and hits[0].startswith(
+            "src/repro/serving/server.py"
+        ), hits
+
+
 class TestOneDispatch:
     """A data-parallel call is gated, timed, recorded, fault-injected and
     recovered in ``runtime/parallel.py`` and nowhere else under ``src/``

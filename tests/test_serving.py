@@ -10,8 +10,11 @@ the micro-batcher, and the chaos coverage of the serving path
 from __future__ import annotations
 
 import functools
+import sys
 import threading
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.errors import (
 )
 from repro.lifecycle import ModelRegistry
 from repro.ml import LogisticRegression
+from repro.ml.losses import sigmoid
 from repro.resilience import ChaosContext, FaultPlan, RetryPolicy
 from repro.serving import (
     CanaryRouter,
@@ -37,6 +41,7 @@ from repro.serving import (
     compile_linear_scorer,
     feature_hash,
 )
+from repro.serving.server import _BLOCK_ROWS
 
 
 class FakeClock:
@@ -318,6 +323,192 @@ class TestMicroBatcher:
             assert pending.result == expected[version](value)
 
 
+class TestDrainCompletesEveryRequest:
+    """Whatever goes wrong with a popped batch is delivered to its
+    requests as a typed error; the drain and its worker survive."""
+
+    def test_ragged_batch_fails_its_requests_inline(self):
+        b = MicroBatcher("ep", max_batch_size=8)
+        narrow = b.submit(np.array([1.0, 2.0]), _affine(1.0), 1)
+        wide = b.submit(np.array([1.0, 2.0, 3.0]), _affine(1.0), 1)
+        other = b.submit(np.array([5.0]), _affine(2.0), 2)
+        assert b.flush() == 3  # raised ValueError before PR 20
+        assert narrow.done and wide.done and other.done
+        for pending in (narrow, wide):
+            with pytest.raises(ServingError, match=r"\(2,\), \(3,\)"):
+                pending.wait(0.1)
+        assert other.wait(0.1) == 10.0  # the other group is unharmed
+        assert b.depth() == 0 and b.batches == 1
+
+    def test_ragged_batch_leaves_the_worker_alive(self):
+        # the window is long enough for both rows to share one batch
+        b = MicroBatcher("ep", max_batch_size=2, max_delay_ms=200.0)
+        b.start()
+        try:
+            narrow = b.submit(np.array([1.0, 2.0]), _affine(1.0), 1)
+            wide = b.submit(np.array([1.0, 2.0, 3.0]), _affine(1.0), 1)
+            for pending in (narrow, wide):
+                with pytest.raises(ServingError, match="differ in shape"):
+                    pending.wait(5.0)
+            assert b.running  # the worker died silently before PR 20
+            after = b.submit(np.array([4.0]), _affine(3.0), 1)
+            assert after.wait(5.0) == 12.0
+        finally:
+            b.stop()
+
+    def test_ragged_row_through_the_server_door(self, served):
+        server, _, X = served
+        endpoint = server.endpoint("score")
+        scorer = server._scorer_for(endpoint, server.registry.get("churn", 1))
+        queued = endpoint.batcher.submit(np.ones(9), scorer, 1)
+        with pytest.raises(ServingError, match="differ in shape"):
+            server.predict("score", X[0])
+        assert queued.done
+        assert server.predict("score", X[1]) == compile_linear_scorer(
+            server.registry.get("churn", 1).model
+        )(X[1:2])[0]
+
+    def test_misshapen_scores_fail_the_group(self):
+        b = MicroBatcher("ep")
+        pendings = [
+            b.submit(np.array([float(i)]), lambda batch: batch, 1)  # (n, 1)
+            for i in range(2)
+        ]
+        b.flush()
+        for pending in pendings:
+            with pytest.raises(ServingError, match=r"shape \(2, 1\)"):
+                pending.wait(0.1)
+
+
+class TestCompletionHandle:
+    """``PendingRequest`` under real threads, and free of thread
+    machinery when nobody waits before completion."""
+
+    def test_timeout_then_completion_is_still_readable(self):
+        b = MicroBatcher("ep")
+        pending = b.submit(np.array([4.0]), _affine(2.0), 1)
+        assert not pending.done
+        with pytest.raises(TimeoutError):
+            pending.wait(0.01)
+        assert not pending.done  # a timed-out wait completes nothing
+        b.flush()
+        assert pending.done
+        assert pending.wait() == pending.wait(0.0) == 8.0
+
+    def test_done_flips_exactly_at_completion(self):
+        seen = []
+        b = MicroBatcher("ep")
+
+        def scorer(batch):
+            seen.append(pending.done)  # scored, not yet completed
+            return batch[:, 0]
+
+        pending = b.submit(np.array([1.0]), scorer, 1)
+        b.flush()
+        assert seen == [False] and pending.done
+
+    def test_two_waiters_on_one_handle_both_wake(self):
+        b = MicroBatcher("ep")
+        pending = b.submit(np.array([3.0]), _affine(5.0), 1)
+        waiting = threading.Barrier(3)
+        got: list[float] = []
+
+        def waiter() -> None:
+            waiting.wait(timeout=5.0)
+            got.append(pending.wait(5.0))
+
+        threads = [threading.Thread(target=waiter) for _ in range(2)]
+        for t in threads:
+            t.start()
+        waiting.wait(timeout=5.0)
+        time.sleep(0.05)  # both are (almost surely) blocked by now
+        b.flush()
+        for t in threads:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [15.0, 15.0]
+
+    def test_every_waiter_gets_its_own_answer_under_contention(self):
+        threads_n, each = 8, 500
+        b = MicroBatcher("ep", max_batch_size=16, max_delay_ms=0.2)
+        got: dict[int, list[float]] = {}
+        errors: list[Exception] = []
+
+        def client(t: int) -> None:
+            try:
+                got[t] = [
+                    b.submit(
+                        np.array([float(t * each + i)]), _affine(2.0, 1.0), 1
+                    ).wait(10.0)
+                    for i in range(each)
+                ]
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force handoffs inside the handshake
+        b.start()
+        try:
+            threads = [
+                threading.Thread(target=client, args=(t,))
+                for t in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            b.stop()
+        assert not errors
+        for t in range(threads_n):
+            assert got[t] == [
+                2.0 * (t * each + i) + 1.0 for i in range(each)
+            ]
+        assert b.batched_requests == threads_n * each
+
+    def test_inline_requests_construct_no_event(self, served, monkeypatch):
+        server, _, X = served
+        server.create_endpoint("cold", "churn", cache_enabled=False)
+        made = []
+        real = threading.Event
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serving.batcher.threading.Event", counting)
+        for i in range(1000):
+            server.predict("cold", X[i % len(X)])
+        assert made == []
+        assert server.endpoint("cold").batcher.batches == 1000
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_scorer_gets_a_fresh_contiguous_float64_batch(
+        self, model_pair, door
+    ):
+        X, _, m1, _ = model_pair
+        seen = []
+
+        def greedy(batch):
+            seen.append((batch.dtype, batch.shape, batch.flags.c_contiguous,
+                         batch.flags.owndata))
+            scores = batch[:, 0] + 1.0
+            batch[:] = -1.0  # must not reach the caller's row
+            return scores
+
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        server = ModelServer(registry)
+        server.create_endpoint("g", "churn", scorer=greedy)
+        server.promote("g", 1)
+        row = X[7].copy()
+        assert _ask(server, door, "g", row) == X[7, 0] + 1.0
+        assert np.array_equal(row, X[7])
+        assert seen == [(np.dtype(np.float64), (1, X.shape[1]), True, True)]
+
+
 # ----------------------------------------------------------------------
 # Registry rollout satellites
 # ----------------------------------------------------------------------
@@ -409,6 +600,154 @@ class TestRegistryRollout:
         path.write_text(json.dumps(payload))
         loaded = ModelRegistry.load(path)
         assert loaded.resolve("m", "prod").version == 1
+
+
+# ----------------------------------------------------------------------
+# Scoring kernel
+# ----------------------------------------------------------------------
+def _column_loop_scorer(model, output: str = "margin"):
+    """The kernel as written before PR 20 — one interpreted multiply and
+    add per column — kept as the oracle the fused kernel must equal
+    bitwise."""
+    columns = [(j, float(w)) for j, w in enumerate(np.ravel(model.coef_))]
+    intercept = float(model.intercept_)
+
+    def score(batch: np.ndarray) -> np.ndarray:
+        scores = np.full(batch.shape[0], intercept, dtype=np.float64)
+        for j, w in columns:
+            scores = scores + w * batch[:, j]
+        if output == "proba":
+            return sigmoid(scores)
+        if output == "label":
+            return (sigmoid(scores) >= 0.5).astype(np.float64)
+        return scores
+
+    return score
+
+
+def _mixed_magnitudes(rng, shape, specials: bool) -> np.ndarray:
+    """Normals spread over 16 decades, optionally salted with NaN/±inf."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    if specials:
+        salt = rng.random(shape)
+        values[salt < 0.02] = np.nan
+        values[(salt >= 0.02) & (salt < 0.04)] = np.inf
+        values[(salt >= 0.04) & (salt < 0.06)] = -np.inf
+    return values
+
+
+def _bits(scores: np.ndarray) -> bytes:
+    """The array's bytes with every NaN made the same NaN: which sign a
+    NaN born of two NaNs carries depends on the SIMD lane that added
+    them (in the column loop too), everything else is exact."""
+    return np.where(np.isnan(scores), np.nan, scores).tobytes()
+
+
+class TestScoringKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.sampled_from(
+            # the batcher's sizes, the row-block boundary, several blocks
+            [0, 1, 2, 63, 64, 65, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+             _BLOCK_ROWS + 1, 5000]
+        ),
+        d=st.integers(min_value=1, max_value=24),
+        extra=st.integers(min_value=0, max_value=3),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        output=st.sampled_from(["margin", "proba", "label"]),
+        specials=st.booleans(),
+    )
+    def test_bitwise_equal_to_the_column_loop(
+        self, seed, n, d, extra, layout, output, specials
+    ):
+        rng = np.random.default_rng(seed)
+        model = SimpleNamespace(
+            coef_=_mixed_magnitudes(rng, d, False),
+            intercept_=float(_mixed_magnitudes(rng, (), False)),
+        )
+        width = d + extra  # wider rows: the leading d columns are read
+        if layout == "strided":
+            batch = _mixed_magnitudes(rng, (2 * n, 2 * width), specials)
+            batch = batch[::2, ::2]
+        else:
+            batch = np.asarray(
+                _mixed_magnitudes(rng, (n, width), specials), order=layout
+            )
+        with np.errstate(all="ignore"):  # inf - inf, overflow in exp
+            got = compile_linear_scorer(model, output)(batch)
+            want = _column_loop_scorer(model, output)(batch)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert _bits(got) == _bits(want)
+            # batch-size invariance: any row alone is the same bits
+            if n:
+                i = int(rng.integers(n))
+                alone = compile_linear_scorer(model, output)(batch[i:i + 1])
+                assert _bits(alone) == _bits(got[i:i + 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.sampled_from([1, 64, _BLOCK_ROWS + 1]),
+        d=st.integers(min_value=1, max_value=24),
+        specials=st.booleans(),
+    )
+    def test_bitwise_equal_to_the_sql_expression(self, seed, n, d, specials):
+        from repro.indb.scoring import score_linear_model
+        from repro.storage import Table
+
+        rng = np.random.default_rng(seed)
+        model = SimpleNamespace(
+            coef_=_mixed_magnitudes(rng, d, False),
+            intercept_=float(_mixed_magnitudes(rng, (), False)),
+        )
+        batch = _mixed_magnitudes(rng, (n, d), specials)
+        names = [f"x{j}" for j in range(d)]
+        table = Table.from_columns({c: batch[:, j] for j, c in enumerate(names)})
+        with np.errstate(all="ignore"):
+            scored = score_linear_model(table, model, feature_columns=names)
+            online = compile_linear_scorer(model)(batch)
+        assert _bits(scored.column("score")) == _bits(online)
+
+    def test_temporaries_are_one_block_however_tall_the_input(self):
+        rng = np.random.default_rng(0)
+        model = SimpleNamespace(coef_=rng.normal(size=16), intercept_=0.5)
+        batch = rng.normal(size=(200_000, 16))
+        score = compile_linear_scorer(model)
+        score(batch[:8])
+        tracemalloc.start()
+        try:
+            out = score(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the output, per block: the products, the terms, their
+        # running sums, and as much again for numpy's iteration buffers
+        # (the column loop held a second full-height array: 1.6 MB)
+        block = 4 * _BLOCK_ROWS * (16 + 1) * 8
+        assert peak - out.nbytes < block
+
+    def test_a_row_wider_than_the_model_is_legal(self, model_pair):
+        """E28's ``loop_churn`` serves 10-wide feature rows to an
+        8-weight model: the kernel reads the leading columns."""
+        X, _, m1, _ = model_pair
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        server = ModelServer(registry)
+        server.create_endpoint("score", "churn")
+        server.promote("score", 1)
+        wide = np.concatenate([X[3], [7.0, -7.0]])
+        assert server.predict("score", wide) == server.predict("score", X[3])
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_a_row_narrower_than_the_model_is_a_typed_error(
+        self, served, door
+    ):
+        server, _, X = served
+        with pytest.raises(ServingError, match=r"\(1, 4\).* 5 weights"):
+            _ask(server, door, "score", X[0, :4])  # IndexError before PR 20
+        with pytest.raises(ServingError, match="narrower"):
+            compile_linear_scorer(server.registry.get("churn", 1).model)(X[0])
 
 
 # ----------------------------------------------------------------------
