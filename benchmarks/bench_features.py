@@ -358,16 +358,21 @@ def overhead_leg(n: int, stream_len: int, rounds: int, repeats: int) -> dict:
 # Driver
 # ----------------------------------------------------------------------
 def run(quick: bool, repeats: int) -> dict:
+    # The refresh leg needs a base large enough for the O(n) recompute
+    # to show over the per-delta fixed cost both sides pay (plan lookup,
+    # executor entry): since the row store became one matrix the full
+    # rebuild of 8 000 entities is ~2 ms a round, the same order as
+    # folding three deltas.
     if quick:
-        n, stream_len, rounds = 8_000, 3_000, 4
+        n, n_refresh, stream_len, rounds = 8_000, 40_000, 3_000, 4
         n_chaos, chaos_stream = 2_000, 1_500
     else:
-        n, stream_len, rounds = 40_000, 12_000, 6
+        n, n_refresh, stream_len, rounds = 40_000, 40_000, 12_000, 6
         n_chaos, chaos_stream = 5_000, 4_000
 
     results = [
         parity_leg(n, stream_len),
-        refresh_leg(n, rounds),
+        refresh_leg(n_refresh, rounds),
         gate_leg(n_chaos, passes=3),
     ]
     results.extend(chaos_leg(n_chaos, chaos_stream))

@@ -170,11 +170,10 @@ def chaos_leg(n: int, d: int, rounds: int) -> list[dict]:
             )
         maintainer.checkpoint_parity()
         stats = maintainer.stats
+        kept, wanted = maintainer.gram_state.moments(), clean.gram_state.moments()
         identical = bool(
-            np.array_equal(maintainer.gram_state.gram(), clean.gram_state.gram())
-            and np.array_equal(
-                maintainer.gram_state.cofactor(), clean.gram_state.cofactor()
-            )
+            np.array_equal(kept.gram, wanted.gram)
+            and np.array_equal(kept.xty, wanted.xty)
         )
         faults = chaos.injected_at("incremental.apply")
         accounted = (

@@ -30,7 +30,6 @@ from ..operand import convert_value, is_representation, kind_of
 from ..resilience.checkpoint import IterativeCheckpointer
 from ..resilience.retry import RetryPolicy
 from ..runtime import execute
-from ..runtime.executor import ExecutionStats
 
 
 @dataclass
@@ -169,7 +168,6 @@ def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmRes
     gram_plan = compile_expr(Xm.T @ Xm)
     xty_plan = compile_expr(Xm.T @ ym)
 
-    stats = ExecutionStats()
     gram, s1 = execute(gram_plan, {"X": X}, collect_stats=True)
     rhs, s2 = execute(xty_plan, {"X": X, "y": y}, collect_stats=True)
     # the two compiled passes are X'X and X'y: y'y is never formed

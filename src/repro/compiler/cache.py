@@ -41,15 +41,23 @@ class PlanCache:
         cse: bool = True,
     ) -> CompiledPlan:
         node = expr.node if isinstance(expr, MExpr) else expr
-        key = (node.key(), rewrites, mmchain, fusion, cse)
+        return self.lookup(
+            (node.key(), rewrites, mmchain, fusion, cse),
+            lambda: compile_expr(
+                node, rewrites=rewrites, mmchain=mmchain, fusion=fusion, cse=cse
+            ),
+        )
+
+    def lookup(self, key, build) -> CompiledPlan:
+        """The plan resident under ``key``, else ``build()`` cached under
+        it — for a caller whose own key is cheaper than instantiating
+        the expression a structural key is taken from."""
         cached = self._plans.get(key)
         if cached is not None:
             self.stats.inc("hits")
             return cached
         self.stats.inc("misses")
-        plan = compile_expr(
-            node, rewrites=rewrites, mmchain=mmchain, fusion=fusion, cse=cse
-        )
+        plan = build()
         self._plans.put(key, plan)
         return plan
 

@@ -72,7 +72,6 @@ class ReprChoice:
     current: str
     reason: str
     est_flops: dict[str, float] = field(default_factory=dict)
-    est_bytes: dict[str, int] = field(default_factory=dict)
     #: evidence behind the decision: per-quantity blended estimates
     #: (``"density"``, ``"cla_ratio"`` -> BlendedEstimate.as_dict())
     #: plus ``"demoted"`` (kind -> observed fallback count).
@@ -312,22 +311,14 @@ def _choose(
     current = kind_of(value)
     cells = shape[0] * shape[1]
     est_flops = {DENSE: touch_flops}
-    est_bytes = {DENSE: cells * 8}
     evidence: dict[str, dict] = {}
     key = input_key(name, shape)
 
     if pinned is not None:
-        return ReprChoice(
-            name, pinned, current, "forced", est_flops, est_bytes
-        )
+        return ReprChoice(name, pinned, current, "forced", est_flops)
     if min(shape) == 1 or cells < MIN_PLANNING_CELLS:
         return ReprChoice(
-            name,
-            current,
-            current,
-            "below planning threshold",
-            est_flops,
-            est_bytes,
+            name, current, current, "below planning threshold", est_flops
         )
 
     candidates: dict[str, str] = {}  # representation -> reason
@@ -338,7 +329,6 @@ def _choose(
             # a property read off the bound operand itself
             measured = float(value.evidence())
             ev = BlendedEstimate(measured, measured, measured, 1.0, "observed")
-            est_bytes[kind] = int(value.memory_bytes)
         elif current == DENSE:
             sampled = cls.sample_evidence(dense, sample_fraction)
             if sampled is None:
@@ -347,7 +337,6 @@ def _choose(
                 ev = store.blended(key, cls.evidence_channel, sampled)
             else:
                 ev = BlendedEstimate(sampled, sampled, None, 0.0, "estimated")
-            est_bytes[kind] = cls.predicted_bytes(shape, ev.value)
         else:
             continue  # bound in another kind: only stay-or-densify is planned
         evidence[cls.evidence_channel] = ev.as_dict()
@@ -382,9 +371,7 @@ def _choose(
             reason = "dense; non-dense blocked by " + ", ".join(sorted(blocked))
         else:
             reason = "dense is cheapest"
-        return ReprChoice(
-            name, DENSE, current, reason, est_flops, est_bytes, evidence
-        )
+        return ReprChoice(name, DENSE, current, reason, est_flops, evidence)
     return ReprChoice(
         name,
         best_rep,
@@ -392,7 +379,6 @@ def _choose(
         f"{best_reason}; est flops "
         f"{est_flops[best_rep]:.2e} vs dense {est_flops[DENSE]:.2e}",
         est_flops,
-        est_bytes,
         evidence,
     )
 

@@ -170,10 +170,6 @@ class CompressedMatrix(Operand, kind="cla"):
         return max(CLA_MIN_WORK_FRACTION, 1.0 / max(ratio, 1e-9))
 
     @staticmethod
-    def predicted_bytes(shape: tuple[int, int], ratio: float) -> int:
-        return int(round(shape[0] * shape[1] * 8 / max(ratio, 1e-9)))
-
-    @staticmethod
     def plan_reason(ratio: float, bound: bool) -> str:
         if bound:
             return f"stay compressed, ratio {ratio:.1f}x"

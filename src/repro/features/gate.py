@@ -16,10 +16,10 @@ time it checks two things:
   (when ``auto_rollback`` is on) the endpoint's canary is rolled back,
   so a shifted stream cannot graduate to full traffic.
 
-Every decision lands in an exact local ledger (observations,
-evaluations, holds, rollbacks, promotes) mirrored into the global
-``features.*`` counters — replayable against an analytic oracle, since
-the monitors' statistics are pure functions of the frozen edges and the
+Every decision lands in one exact :class:`~repro.obs.Ledger`
+(observations, evaluations, holds, rollbacks, promotes; ``features.gate.*``
+in the registry) — replayable against an analytic oracle, since the
+monitors' statistics are pure functions of the frozen edges and the
 observation list.
 """
 
@@ -36,7 +36,7 @@ from ..feateng.drift import (
     DriftStats,
     StreamingDriftMonitor,
 )
-from ..obs import get_registry
+from ..obs import Counted, Ledger
 from .view import FeatureView
 
 #: drift verdicts need this many serving observations per feature
@@ -54,7 +54,7 @@ class GateDecision:
     scores: dict
 
 
-class DriftGate:
+class DriftGate(Counted):
     """Holds/rolls back canary promotion on feature drift or version skew.
 
     Args:
@@ -94,11 +94,9 @@ class DriftGate:
                 psi_threshold=psi_threshold,
                 ks_threshold=ks_threshold,
             )
-        self.observations = 0
-        self.evaluations = 0
-        self.holds = 0
-        self.rollbacks = 0
-        self.promotes = 0
+        self.counts = Ledger("features.gate", (
+            "observations", "evaluations", "holds", "rollbacks", "promotes",
+        ))
 
     # -- serving-side accumulation -------------------------------------
     def observe(self, row) -> None:
@@ -119,8 +117,7 @@ class DriftGate:
         batch = batch.reshape(-1, width)
         for j, fname in enumerate(self.view.feature_names):
             self.monitors[fname].observe_many(batch[:, j])
-        self.observations += len(batch)
-        get_registry().inc("features.gate.observations", len(batch))
+        self.counts.inc("observations", len(batch))
 
     def drift_snapshot(self) -> dict[str, DriftStats]:
         """Current per-feature statistics (all features)."""
@@ -147,9 +144,7 @@ class DriftGate:
         ``entry`` is the candidate :class:`ModelVersion`, checked for
         feature-fingerprint skew when it carries one.
         """
-        self.evaluations += 1
-        registry = get_registry()
-        registry.inc("features.gate.evaluations")
+        self.counts.inc("evaluations")
         reasons: list[str] = []
         trained_on = getattr(entry, "feature_fingerprint", None)
         if trained_on is not None and trained_on != self.view.version:
@@ -168,22 +163,19 @@ class DriftGate:
                 f"ks={stats.ks:.3f} over {stats.observed} observations)"
             )
         if reasons:
-            self.holds += 1
-            registry.inc("features.holds")
+            self.counts.inc("holds")
             rolled_back = False
             if drifted and self.auto_rollback:
                 try:
                     controller.clear_canary(endpoint)
                     rolled_back = True
-                    self.rollbacks += 1
-                    registry.inc("features.rollbacks")
+                    self.counts.inc("rollbacks")
                 except ReproError:
                     pass  # no canary staged; the hold alone suffices
             raise PromotionHeldError(
                 endpoint, reasons, scores=scores, rolled_back=rolled_back
             )
-        self.promotes += 1
-        registry.inc("features.gate.promotes")
+        self.counts.inc("promotes")
         return GateDecision(
             endpoint=endpoint, promoted=True, reasons=(), scores=scores
         )
@@ -193,12 +185,3 @@ class DriftGate:
         the post-investigation restart after a hold."""
         for monitor in self.monitors.values():
             monitor.reset()
-
-    def ledger(self) -> dict:
-        return {
-            "observations": self.observations,
-            "evaluations": self.evaluations,
-            "holds": self.holds,
-            "rollbacks": self.rollbacks,
-            "promotes": self.promotes,
-        }

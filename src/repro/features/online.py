@@ -24,9 +24,6 @@ from ..resilience import fault_point, no_chaos
 from ..storage.table import Table
 from .view import FeatureView
 
-#: chaos site crossed by every online serve.
-FAULT_SITE = "features.serve"
-
 
 class OnlineFeatureServer(Counted):
     """Serves single-entity feature rows bit-identically to offline.
@@ -41,7 +38,8 @@ class OnlineFeatureServer(Counted):
             source's own base table when it has one (a maintainer does).
     """
 
-    FAULT_SITE = FAULT_SITE
+    #: chaos site crossed by every online serve.
+    FAULT_SITE = "features.serve"
 
     def __init__(
         self,
@@ -103,11 +101,7 @@ class OnlineFeatureServer(Counted):
                 f"need exactly 1"
             )
         one = self.table.take(positions)
-        columns = self.view.compute_columns(one)
-        return np.array(
-            [columns[f][0] for f in self.view.feature_names],
-            dtype=np.float64,
-        )
+        return self.view.as_matrix(self.view.compute_columns(one))[0]
 
     # ------------------------------------------------------------------
     def parity_check(self, entities=None) -> bool:
@@ -130,8 +124,3 @@ class OnlineFeatureServer(Counted):
                         f"{entity!r} in view {self.view.name!r}"
                     )
         return True
-
-    def ledger(self) -> dict:
-        """Exact local serve ledger (the global ``features.*`` counters
-        accumulate the same events across all servers)."""
-        return self.counts.as_dict()

@@ -15,7 +15,7 @@ a :class:`~repro.incremental.DynamicTable` change stream through the
 in O(|delta|) by recomputing features for exactly the touched rows
 (row-locality makes the folded bytes identical to a full recompute),
 and chaos or version gaps repair by lineage recompute, never silent
-staleness.
+staleness. Both paths keep their rows in one :class:`FeatureRows`.
 """
 
 from __future__ import annotations
@@ -24,12 +24,127 @@ import numpy as np
 
 from ..errors import FeatureStoreError
 from ..incremental.maintainer import DeltaConsumer
-from ..incremental.stream import ChangeStream, Delta, DynamicTable
+from ..incremental.stream import ChangeStream, DynamicTable
 from ..materialize.store import MaterializationStore
 from ..obs import Counted, Ledger
-from ..resilience import no_chaos
 from ..storage.table import Table
 from .view import FeatureView
+
+
+class FeatureRows:
+    """Entity -> feature row of one view: an entity -> slot dict over one
+    ``(capacity, F)`` float64 matrix, freed slots reused.
+
+    A :class:`MaterializedFeatures` fills it once; a
+    :class:`FeatureViewMaintainer` keeps it fresh as its delta-maintained
+    state (``rebuild`` / ``fold`` / ``same_bytes``, see
+    :class:`~repro.incremental.DeltaConsumer`). Every accessor hands
+    back copies, so callers can never mutate the stored bytes.
+    """
+
+    def __init__(self, view: FeatureView):
+        self.view = view
+        self._slots: dict = {}
+        self._free: list[int] = []
+        self._data = np.empty((0, len(view.feature_names)))
+        # row ids the last -1 batch released (see fold)
+        self._released: frozenset = frozenset()
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    @property
+    def capacity(self) -> int:
+        """Slots allocated (live + free)."""
+        return len(self._data)
+
+    # -- storage ---------------------------------------------------------
+    def load(self, entities: list, rows: np.ndarray) -> None:
+        """Replace the contents: ``rows[i]`` is ``entities[i]``'s row."""
+        self._data = rows
+        self._slots = dict(zip(entities, range(len(entities))))
+        self._free = []
+
+    def put(self, entities: list, rows: np.ndarray) -> None:
+        """Store one row per (new) entity, in freed slots first."""
+        for entity in entities:
+            if entity in self._slots:
+                raise FeatureStoreError(
+                    f"duplicate entity {entity!r} in view {self.view.name!r}"
+                )
+        short = len(entities) - len(self._free)
+        if short > 0:
+            start = self.capacity
+            grown = start + max(short, start // 8)
+            self._data = np.concatenate(
+                [self._data, np.empty((grown - start, self._data.shape[1]))]
+            )
+            self._free.extend(range(grown - 1, start - 1, -1))
+        slots = [self._free.pop() for _ in entities]
+        self._data[slots] = rows
+        self._slots.update(zip(entities, slots))
+
+    def drop(self, entities: list) -> None:
+        """Release the entities' slots for reuse."""
+        for entity in entities:
+            if entity not in self._slots:
+                raise self._missing(entity)
+            self._free.append(self._slots.pop(entity))
+
+    def _missing(self, entity) -> FeatureStoreError:
+        return FeatureStoreError(
+            f"entity {entity!r} has no row in view {self.view.name!r}"
+        )
+
+    def row(self, entity) -> np.ndarray:
+        """One entity's features, in declaration order (a copy)."""
+        try:
+            return self._data[self._slots[entity]].copy()
+        except KeyError:
+            raise self._missing(entity) from None
+
+    def slice(self, entities) -> np.ndarray:
+        """A (len(entities), F) matrix in the requested entity order."""
+        try:
+            return self._data[[self._slots[e] for e in entities]]
+        except KeyError as exc:
+            raise self._missing(exc.args[0]) from None
+
+    def matrix(self) -> np.ndarray:
+        """All rows, in the order their entities were stored (a copy)."""
+        return self._data[list(self._slots.values())]
+
+    # -- delta-maintained state ------------------------------------------
+    def _computed(self, table: Table) -> tuple[list, np.ndarray]:
+        return (
+            self.view.entities_of(table).tolist(),
+            self.view.as_matrix(self.view.compute_columns(table)),
+        )
+
+    def rebuild(self, table: Table) -> "FeatureRows":
+        """Full recompute from a base table (the lineage path)."""
+        self.load(*self._computed(table))
+        return self
+
+    def fold(self, row_ids, rows: Table, sign: int) -> int:
+        """Release (``-1``) the batch's entities, or store (``+1``)
+        their recomputed rows. The state is keyed, so a delta counts
+        each key once: the ``+1`` half of an update rewrites the keys
+        its ``-1`` half just released and counts none of them."""
+        if sign < 0:
+            self.drop(self.view.entities_of(rows).tolist())
+            self._released = frozenset(row_ids)
+            return len(row_ids)
+        self.put(*self._computed(rows))
+        released, self._released = self._released, frozenset()
+        return sum(rid not in released for rid in row_ids)
+
+    def same_bytes(self, table: Table) -> bool:
+        entities, fresh = self._computed(table)
+        return (
+            set(entities) == self._slots.keys()
+            and self.slice(entities).tobytes() == fresh.tobytes()
+        )
 
 
 class MaterializedFeatures:
@@ -52,39 +167,20 @@ class MaterializedFeatures:
         self.entities = entities
         self.columns = columns
         self.from_cache = from_cache
-        self._positions = {e: i for i, e in enumerate(entities.tolist())}
-        # Feature-major matrix assembled once; row() slices out of it.
-        self._matrix = np.column_stack(
-            [columns[f] for f in view.feature_names]
-        ) if len(entities) else np.empty(
-            (0, len(view.feature_names)), dtype=np.float64
-        )
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.entities)
-
-    def position(self, entity) -> int:
-        pos = self._positions.get(entity)
-        if pos is None:
-            raise FeatureStoreError(
-                f"entity {entity!r} not materialized in view "
-                f"{self.view.name!r}"
-            )
-        return pos
+        self.rows = FeatureRows(view)
+        self.rows.load(entities.tolist(), view.as_matrix(columns))
 
     def row(self, entity) -> np.ndarray:
         """One entity's features, in declaration order (a copy)."""
-        return np.array(self._matrix[self.position(entity)], copy=True)
+        return self.rows.row(entity)
 
     def slice(self, entities) -> np.ndarray:
         """A (len(entities), F) matrix in the requested entity order."""
-        idx = [self.position(e) for e in entities]
-        return np.array(self._matrix[idx], copy=True)
+        return self.rows.slice(entities)
 
     def matrix(self) -> np.ndarray:
         """All rows, storage order (a copy)."""
-        return np.array(self._matrix, copy=True)
+        return self.rows.matrix()
 
 
 class FeatureStore(Counted):
@@ -107,150 +203,63 @@ class FeatureStore(Counted):
         """Compute (or re-serve) a view over a table's current bytes."""
         fp = view.fingerprint(table)
         payload = self.store.lookup(fp)
-        if payload is not None:
+        from_cache = payload is not None
+        if from_cache:
             self.counts.inc("hits")
-            return MaterializedFeatures(
-                view, fp.key, payload["entities"], payload["columns"],
-                from_cache=True,
+        else:
+            payload = {
+                "entities": view.entities_of(table),
+                "columns": view.compute_columns(table),
+            }
+            self.store.put(
+                fp,
+                payload,
+                label=f"features:{view.name}",
+                # Rough executor cost: one elementwise pass per feature
+                # per row — enough for eviction ordering; admission is
+                # floor-free here.
+                flops=float(table.num_rows * len(view.feature_names)),
+                structural=view.version,
+                children=(fp.operands[0],),
+                source="features",
+                nbytes=int(
+                    sum(c.nbytes for c in payload["columns"].values())
+                    + getattr(payload["entities"], "nbytes", 0)
+                ),
             )
-        entities = view.entities_of(table)
-        columns = view.compute_columns(table)
-        nbytes = int(
-            sum(c.nbytes for c in columns.values())
-            + getattr(entities, "nbytes", 0)
-        )
-        # Rough executor cost: one elementwise pass per feature per row —
-        # enough for eviction ordering; admission is floor-free here.
-        flops = float(table.num_rows * len(view.feature_names))
-        self.store.put(
-            fp,
-            {"entities": entities, "columns": columns},
-            label=f"features:{view.name}",
-            flops=flops,
-            structural=view.version,
-            children=(fp.operands[0],),
-            source="features",
-            nbytes=nbytes,
-        )
-        self.counts.inc("materializations")
+            self.counts.inc("materializations")
         return MaterializedFeatures(
-            view, fp.key, entities, columns, from_cache=False
+            view, fp.key, payload["entities"], payload["columns"], from_cache
         )
-
-    def ledger(self) -> dict:
-        return self.counts.as_dict()
 
 
 class FeatureViewMaintainer(DeltaConsumer):
     """Keeps a view's feature rows fresh against a dynamic base table.
 
     Inherits the full delta discipline (staleness, version gaps, chaos
-    at the fault site, checksum verification, lineage recompute) from
-    :class:`DeltaConsumer`; folding recomputes features for exactly the
-    delta's rows, so refresh cost is O(|delta|) and — by row-locality —
-    the refreshed bytes are identical to a full recompute.
+    at the fault site, checksum verification, lineage recompute, the
+    parity check) from :class:`DeltaConsumer`; its one state,
+    :attr:`rows`, recomputes features for exactly the delta's rows, so
+    refresh cost is O(|delta|) and — by row-locality — the refreshed
+    bytes are identical to a full recompute.
     """
 
     FAULT_SITE = "features.refresh"
     OBS_PREFIX = "features.refresh"
+    ERROR = FeatureStoreError
 
     def __init__(
         self, view: FeatureView, table: DynamicTable, stream: ChangeStream
     ):
         super().__init__(table, stream)
         self.view = view
+        self.rows = FeatureRows(view)
+        self.states = [self.rows]
         self._rebuild()
 
-    # -- delta discipline ----------------------------------------------
-    def _fold(self, delta: Delta) -> int:
-        folded = 0
-        if delta.kind in ("delete", "update"):
-            for entity in self.view.entities_of(delta.old_rows).tolist():
-                pos = self._positions.pop(entity, None)
-                if pos is None:
-                    raise FeatureStoreError(
-                        f"delta {delta.version} removes unknown entity "
-                        f"{entity!r}"
-                    )
-                self._rows[pos] = None
-        if delta.kind in ("insert", "update"):
-            entities = self.view.entities_of(delta.rows)
-            columns = self.view.compute_columns(delta.rows)
-            batch = np.column_stack(
-                [columns[f] for f in self.view.feature_names]
-            )
-            for i, entity in enumerate(entities.tolist()):
-                if entity in self._positions:
-                    raise FeatureStoreError(
-                        f"delta {delta.version} inserts duplicate entity "
-                        f"{entity!r}"
-                    )
-                self._positions[entity] = len(self._rows)
-                self._rows.append(np.array(batch[i], copy=True))
-            folded += len(entities)
-        if delta.kind == "delete":
-            folded += delta.num_rows
-        return folded
-
-    def _rebuild(self) -> None:
-        entities = self.view.entities_of(self.table)
-        columns = self.view.compute_columns(self.table)
-        batch = np.column_stack(
-            [columns[f] for f in self.view.feature_names]
-        ) if len(entities) else np.empty(
-            (0, len(self.view.feature_names)), dtype=np.float64
-        )
-        self._rows: list[np.ndarray | None] = [
-            np.array(batch[i], copy=True) for i in range(len(entities))
-        ]
-        self._positions: dict = {
-            e: i for i, e in enumerate(entities.tolist())
-        }
-
-    # -- row access (the online server's source) ------------------------
-    @property
-    def num_rows(self) -> int:
-        return len(self._positions)
-
-    def entity_values(self) -> list:
-        return list(self._positions)
-
     def row(self, entity) -> np.ndarray:
-        pos = self._positions.get(entity)
-        if pos is None:
-            raise FeatureStoreError(
-                f"entity {entity!r} not maintained in view "
-                f"{self.view.name!r}"
-            )
-        return np.array(self._rows[pos], copy=True)
+        """One maintained entity's features (the online server's source)."""
+        return self.rows.row(entity)
 
-    def parity_check(self) -> bool:
-        """Assert every maintained row is bitwise equal to a fresh
-        recompute of the current base table (chaos held off)."""
-        self.stats.inc("parity_checks")
-        if self.staleness != 0:
-            raise FeatureStoreError(
-                f"parity check with {self.staleness} unapplied "
-                f"version(s); drain the stream first"
-            )
-        with no_chaos():
-            entities = self.view.entities_of(self.table)
-            columns = self.view.compute_columns(self.table)
-        fresh = np.column_stack(
-            [columns[f] for f in self.view.feature_names]
-        ) if len(entities) else np.empty((0, len(self.view.feature_names)))
-        if len(entities) != self.num_rows:
-            raise FeatureStoreError(
-                f"maintained view holds {self.num_rows} entities; base "
-                f"table has {len(entities)}"
-            )
-        for i, entity in enumerate(entities.tolist()):
-            maintained = self.row(entity)
-            if maintained.tobytes() != np.ascontiguousarray(
-                fresh[i], dtype=np.float64
-            ).tobytes():
-                raise FeatureStoreError(
-                    f"maintained features for entity {entity!r} diverged "
-                    f"from recompute"
-                )
-        return True
+    #: the name the E27 / E28 oracles call the shared check by
+    parity_check = DeltaConsumer.parity

@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import FeatureStoreError
 from ..lang.ast import Binary, Constant, Data, Node, Unary, walk
 from ..lang.dsl import MExpr, matrix
+from ..compiler.cache import PlanCache
 from ..compiler.planner import compile_expr
 from ..materialize.fingerprint import Fingerprint, canonical_plan
 from ..runtime import execute
@@ -44,11 +45,6 @@ FLAGS = "features/v1"
 _PROBE_ROWS = 2
 
 _ROW_LOCAL_NODES = (Data, Constant, Binary, Unary)
-
-#: compiled plans cached per (feature, num_rows); bounded because delta
-#: batches arrive in a handful of sizes (1 for online recompute, the
-#: delta size for refresh, the table size for materialization).
-_PLAN_CACHE_LIMIT = 128
 
 
 class ColumnSpace:
@@ -111,7 +107,10 @@ class FeatureView:
                 f"a feature name"
             )
         self.version = self._version_of(probe)
-        self._plans: dict[tuple[str, int], object] = {}
+        #: compiled plans per (feature, num_rows): delta batches arrive in
+        #: a handful of sizes (1 for online recompute, the delta size for
+        #: refresh, the table size for materialization)
+        self.plan_cache = PlanCache()
 
     # -- definition identity -------------------------------------------
     def _instantiate(
@@ -211,17 +210,19 @@ class FeatureView:
         compile pass costs more than the vector math below a few
         thousand rows), and both the online one-row recompute and the
         delta-refresh fold live entirely in that regime — so plans are
-        cached per shape. Compilation is deterministic, so a cached
-        plan yields the same bytes as a fresh one.
+        cached per shape, keyed without re-running the feature builder.
+        Compilation is deterministic, so a cached plan yields the same
+        bytes as a fresh one.
         """
-        key = (fname, num_rows)
-        plan = self._plans.get(key)
-        if plan is None:
-            if len(self._plans) >= _PLAN_CACHE_LIMIT:
-                self._plans.clear()
-            plan = compile_expr(self._instantiate(fname, num_rows))
-            self._plans[key] = plan
-        return plan
+        return self.plan_cache.lookup(
+            (fname, num_rows),
+            lambda: compile_expr(self._instantiate(fname, num_rows)),
+        )
+
+    def as_matrix(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """:meth:`compute_columns` output as one ``(n, F)`` float64
+        matrix, features in declaration order."""
+        return np.column_stack([columns[f] for f in self.feature_names])
 
     def entities_of(self, table: Table) -> np.ndarray:
         """The entity-key column, with uniqueness enforced."""

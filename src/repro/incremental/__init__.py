@@ -18,11 +18,10 @@ from .aggregates import (
     snap_to_grid,
 )
 from .maintainer import DeltaConsumer, IncrementalMaintainer
-from .stream import DELTA_KINDS, ChangeStream, Delta, DynamicTable
+from .stream import ChangeStream, Delta, DynamicTable
 from .trainer import CentroidModel, ContinuousTrainer
 
 __all__ = [
-    "DELTA_KINDS",
     "GRID_BOUND",
     "GRID_QUANTUM",
     "CentroidModel",

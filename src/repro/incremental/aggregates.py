@@ -7,6 +7,14 @@ aggregates — the gram matrix ``X'X``, the cofactor vector ``X'y``, and
 can be added on insert and subtracted on delete, so maintenance costs
 O(|delta| * d^2) instead of O(n * d^2) per refresh.
 
+Both states here (and the feature store's
+:class:`~repro.features.store.FeatureRows`) are what a
+:class:`~repro.incremental.DeltaConsumer` maintains: ``rebuild(table)``
+recomputes from the base table (the lineage path),
+``fold(row_ids, rows, sign)`` adds (``+1``) or subtracts (``-1``) one
+batch and returns the rows it counted, and ``same_bytes(table)`` is
+bitwise parity against a fresh rebuild.
+
 Bit-parity discipline
 ---------------------
 Floating-point addition is not associative, so a naively maintained sum
@@ -94,17 +102,20 @@ class GramCofactorState:
         self._comp = [np.zeros((d, d)), np.zeros(d), np.zeros(())]
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_table(
-        cls, table: Table, features: Sequence[str], label: str
-    ) -> "GramCofactorState":
+    def rebuild(self, table: Table) -> "GramCofactorState":
         """Full recomputation from a base table (the lineage path)."""
-        state = cls(features, label)
-        state._fold(table, 1)
-        return state
+        for acc in self._hi + self._comp:
+            acc[...] = 0.0
+        self.n_rows = 0
+        self._accumulate(table, 1)
+        return self
 
-    def _fold(self, rows: Table, sign: int) -> int:
-        """Add (``sign=1``) or subtract (``-1``) a batch's contribution."""
+    def fold(self, row_ids: Sequence[int], rows: Table, sign: int) -> int:
+        """Add (``sign=1``) or subtract (``-1``) a batch's contribution;
+        every row is counted (the aggregates are unkeyed)."""
+        return self._accumulate(rows, sign)
+
+    def _accumulate(self, rows: Table, sign: int) -> int:
         batch = Moments.of(
             rows.to_matrix(self.features),
             rows.column(self.label).astype(np.float64),
@@ -116,24 +127,10 @@ class GramCofactorState:
         self.n_rows += sign * batch.n
         return batch.n
 
-    def fold_insert(self, rows: Table) -> int:
-        """Add a batch of rows' contribution; returns rows folded."""
-        return self._fold(rows, 1)
-
-    def fold_delete(self, rows: Table) -> int:
-        """Subtract a batch of rows' contribution; returns rows folded."""
-        return self._fold(rows, -1)
-
     # ------------------------------------------------------------------
     def moments(self) -> Moments:
         gram, xty, yty = (hi + comp for hi, comp in zip(self._hi, self._comp))
         return Moments(gram, xty, float(yty), self.n_rows)
-
-    def gram(self) -> np.ndarray:
-        return self.moments().gram
-
-    def cofactor(self) -> np.ndarray:
-        return self.moments().xty
 
     def solve_ridge(self, l2: float = 0.0) -> np.ndarray:
         """Weights from the maintained aggregates, through the same
@@ -141,23 +138,12 @@ class GramCofactorState:
         return self.moments().solve(l2)
 
     # ------------------------------------------------------------------
-    def _drift(self, table: Table) -> Moments:
-        """Maintained minus recomputed aggregates (all zero at parity)."""
-        fresh = GramCofactorState.from_table(table, self.features, self.label)
-        return self.moments() - fresh.moments()
-
-    def parity_exact(self, table: Table) -> bool:
-        """Bitwise equality of maintained vs recomputed aggregates."""
-        drift = self._drift(table)
+    def same_bytes(self, table: Table) -> bool:
+        """Maintained minus recomputed aggregates is all zeros."""
+        fresh = GramCofactorState(self.features, self.label).rebuild(table)
+        drift = self.moments() - fresh.moments()
         return not (
             drift.gram.any() or drift.xty.any() or drift.yty or drift.n
-        )
-
-    def parity_error(self, table: Table) -> float:
-        """Max absolute deviation of maintained vs recomputed aggregates."""
-        drift = self._drift(table)
-        return float(
-            max(np.abs(drift.gram).max(), np.abs(drift.xty).max(), abs(drift.yty))
         )
 
 
@@ -189,51 +175,38 @@ class CentroidState:
         self.assignments: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_table(
-        cls,
-        table: Table,
-        features: Sequence[str],
-        centers: np.ndarray,
-        row_ids: np.ndarray,
-    ) -> "CentroidState":
-        """Full recomputation from a base table (the lineage path)."""
-        state = cls(features, centers)
-        X = table.to_matrix(state.features)
-        labels = state.assign(X)
-        state._sums_hi, state.counts = cluster_sums(X, labels, state.k)
-        state.assignments = {
-            int(rid): int(lab) for rid, lab in zip(row_ids, labels)
-        }
-        return state
+    def rebuild(self, table: Table) -> "CentroidState":
+        """Full recomputation from a base table (the lineage path); the
+        table supplies the ``row_ids`` assignments are remembered by."""
+        X = table.to_matrix(self.features)
+        labels = self.assign(X)
+        self._sums_hi, self.counts = cluster_sums(X, labels, self.k)
+        self._sums_comp = np.zeros_like(self._sums_hi)
+        self.assignments = dict(zip(table.row_ids.tolist(), labels.tolist()))
+        return self
 
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Deterministic nearest-reference-centroid labels."""
         return nearest_center_einsum(X, self.centers)[0]
 
-    # ------------------------------------------------------------------
-    def fold_insert(self, row_ids: Sequence[int], rows: Table) -> int:
+    def fold(self, row_ids: Sequence[int], rows: Table, sign: int) -> int:
+        """Add (``sign=1``) a batch to the clusters its rows are nearest
+        to, or subtract (``-1``) it from the clusters they were added to."""
         X = rows.to_matrix(self.features)
-        labels = self.assign(X)
-        for rid, lab, x in zip(row_ids, labels, X):
-            _neumaier_fold(
-                self._sums_hi[lab], self._sums_comp[lab], x
-            )
-            self.counts[lab] += 1
-            self.assignments[int(rid)] = int(lab)
-        return rows.num_rows
-
-    def fold_delete(self, row_ids: Sequence[int], rows: Table) -> int:
-        X = rows.to_matrix(self.features)
-        for rid, x in zip(row_ids, X):
-            lab = self.assignments.pop(int(rid), None)
-            if lab is None:
+        if sign > 0:
+            labels = self.assign(X).tolist()
+            self.assignments.update(zip(row_ids, labels))
+        else:
+            try:
+                labels = [self.assignments.pop(rid) for rid in row_ids]
+            except KeyError as exc:
                 raise IncrementalError(
-                    f"delete of unknown row id {int(rid)} in centroid state"
-                )
-            _neumaier_fold(self._sums_hi[lab], self._sums_comp[lab], -x)
-            self.counts[lab] -= 1
-        return rows.num_rows
+                    f"delete of unknown row id {exc.args[0]} in centroid state"
+                ) from None
+        for lab, x in zip(labels, X):
+            _neumaier_fold(self._sums_hi[lab], self._sums_comp[lab], sign * x)
+            self.counts[lab] += sign
+        return len(X)
 
     # ------------------------------------------------------------------
     def sums(self) -> np.ndarray:
@@ -244,22 +217,14 @@ class CentroidState:
         their reference center."""
         return move_centers(self.centers, self.sums(), self.counts)
 
-    def rebase(self, table: Table, row_ids: np.ndarray) -> None:
+    def rebase(self, table: Table) -> None:
         """Adopt the refreshed centroids as the new reference frame."""
-        fresh = CentroidState.from_table(
-            table, self.features, self.centroids(), row_ids
-        )
-        self.centers = fresh.centers
-        self._sums_hi = fresh._sums_hi
-        self._sums_comp = fresh._sums_comp
-        self.counts = fresh.counts
-        self.assignments = fresh.assignments
+        self.centers = self.centroids()
+        self.rebuild(table)
 
     # ------------------------------------------------------------------
-    def parity_exact(self, table: Table, row_ids: np.ndarray) -> bool:
-        fresh = CentroidState.from_table(
-            table, self.features, self.centers, row_ids
-        )
+    def same_bytes(self, table: Table) -> bool:
+        fresh = CentroidState(self.features, self.centers).rebuild(table)
         return (
             np.array_equal(self.sums(), fresh.sums())
             and np.array_equal(self.counts, fresh.counts)

@@ -11,6 +11,12 @@ the derived state from the base table under
 blockstore and materialization store use. A fault can cost time; it can
 never leave silently stale state.
 
+The derived state is a list of *states* with one duck-typed surface —
+``rebuild(table)``, ``fold(row_ids, rows, sign) -> rows counted`` and
+``same_bytes(table)`` — so a delta is applied the same way whatever it
+maintains: ``old_rows`` subtracted, then ``rows`` added (an update is
+the two in sequence; no state sees the delta's kind).
+
 :class:`IncrementalMaintainer` is the ML-aggregate consumer
 (gram/cofactor + centroids, the F-IVM workload); the feature store's
 view maintainer (:class:`repro.features.FeatureViewMaintainer`) is a
@@ -37,19 +43,21 @@ from .stream import ChangeStream, Delta, DynamicTable
 class DeltaConsumer:
     """Applies a change stream to derived state, or repairs by lineage.
 
-    Subclasses set :attr:`FAULT_SITE` / :attr:`OBS_PREFIX` and implement
-    :meth:`_fold` (apply one verified delta, return rows folded) and
-    :meth:`_rebuild` (recompute the derived state from the base table —
-    invoked under :func:`no_chaos`, so it must not cross fault sites
-    that would re-inject forever).
+    Subclasses set :attr:`FAULT_SITE` / :attr:`OBS_PREFIX` /
+    :attr:`ERROR`, construct :attr:`states` and call :meth:`_rebuild`;
+    folding, lineage repair and the parity check are written here once.
     """
 
     FAULT_SITE = "incremental.apply"
     OBS_PREFIX = "incremental"
+    #: the typed error a failed parity check raises
+    ERROR = IncrementalError
 
     def __init__(self, table: DynamicTable, stream: ChangeStream):
         self.table = table
         self.stream = stream
+        #: the maintained states, each ``rebuild`` / ``fold`` / ``same_bytes``
+        self.states: list = []
         #: exact ledger of everything this consumer did
         self.stats = Ledger(self.OBS_PREFIX, (
             "deltas_applied", "rows_folded", "recomputes", "corrupt_deltas",
@@ -102,27 +110,55 @@ class DeltaConsumer:
         self.applied_version = delta.version
         self.stats.inc("deltas_applied")
 
-    def _recompute(self, reason: str) -> None:
-        """Lineage repair: rebuild the derived state from the base table.
+    def _fold(self, delta: Delta) -> int:
+        """One verified, in-order delta as signed batches: ``old_rows``
+        at -1, then ``rows`` at +1, through every state. A batch is
+        counted once, as the first state counts it."""
+        folded = 0
+        for rows, sign in ((delta.old_rows, -1), (delta.rows, 1)):
+            if rows is not None:
+                counted = [
+                    state.fold(delta.row_ids, rows, sign)
+                    for state in self.states
+                ]
+                folded += counted[0]
+        return folded
 
-        Runs under :func:`no_chaos` so the repair cannot itself be
-        re-injected forever, and fast-forwards ``applied_version`` to
-        the base table's current version — deltas still in flight below
-        that version are skipped as stale when they arrive.
-        """
+    def _rebuild(self) -> None:
+        """Recompute every state from the base table, chaos held off so
+        a repair cannot itself be re-injected forever."""
         with no_chaos():
-            self._rebuild()
+            for state in self.states:
+                state.rebuild(self.table)
+
+    def _recompute(self, reason: str) -> None:
+        """Lineage repair: rebuild, then fast-forward ``applied_version``
+        to the base table's current version — deltas still in flight
+        below that version are skipped as stale when they arrive."""
+        self._rebuild()
         self.applied_version = self.table.version
         self.stats.inc("recomputes")
 
-    # -- subclass surface ----------------------------------------------
-    def _fold(self, delta: Delta) -> int:
-        """Apply one verified, in-order delta; return rows folded."""
-        raise NotImplementedError
-
-    def _rebuild(self) -> None:
-        """Recompute the derived state from ``self.table`` (chaos off)."""
-        raise NotImplementedError
+    def parity(self) -> bool:
+        """Assert every state is bitwise what a fresh rebuild of the
+        current base table gives (chaos held off)."""
+        self.stats.inc("parity_checks")
+        if self.staleness != 0:
+            raise self.ERROR(
+                f"parity check with {self.staleness} unapplied "
+                f"version(s); drain the stream first"
+            )
+        with no_chaos():
+            diverged = [
+                type(state).__name__ for state in self.states
+                if not state.same_bytes(self.table)
+            ]
+        if diverged:
+            raise self.ERROR(
+                f"maintained {', '.join(diverged)} diverged from full "
+                f"recomputation of the base table"
+            )
+        return True
 
 
 class IncrementalMaintainer(DeltaConsumer):
@@ -136,9 +172,6 @@ class IncrementalMaintainer(DeltaConsumer):
             :class:`CentroidState` is maintained alongside.
     """
 
-    FAULT_SITE = "incremental.apply"
-    OBS_PREFIX = "incremental"
-
     def __init__(
         self,
         table: DynamicTable,
@@ -148,71 +181,13 @@ class IncrementalMaintainer(DeltaConsumer):
         centers: np.ndarray | None = None,
     ):
         super().__init__(table, stream)
-        self.features = list(features)
-        self.label = label
-        self.gram_state = GramCofactorState.from_table(
-            table, self.features, label
-        )
-        self.centroid_state = (
-            CentroidState.from_table(
-                table, self.features, centers, table.row_ids
-            )
-            if centers is not None
-            else None
-        )
+        self.gram_state = GramCofactorState(features, label)
+        self.centroid_state = None
+        self.states = [self.gram_state]
+        if centers is not None:
+            self.centroid_state = CentroidState(features, centers)
+            self.states.append(self.centroid_state)
+        self._rebuild()
 
-    # ------------------------------------------------------------------
-    def _fold(self, delta: Delta) -> int:
-        folded = 0
-        if delta.kind == "insert":
-            folded += self.gram_state.fold_insert(delta.rows)
-            if self.centroid_state is not None:
-                self.centroid_state.fold_insert(delta.row_ids, delta.rows)
-        elif delta.kind == "delete":
-            folded += self.gram_state.fold_delete(delta.old_rows)
-            if self.centroid_state is not None:
-                self.centroid_state.fold_delete(delta.row_ids, delta.old_rows)
-        elif delta.kind == "update":
-            folded += self.gram_state.fold_delete(delta.old_rows)
-            folded += self.gram_state.fold_insert(delta.rows)
-            if self.centroid_state is not None:
-                self.centroid_state.fold_delete(delta.row_ids, delta.old_rows)
-                self.centroid_state.fold_insert(delta.row_ids, delta.rows)
-        else:
-            raise IncrementalError(f"unknown delta kind {delta.kind!r}")
-        return folded
-
-    def _rebuild(self) -> None:
-        self.gram_state = GramCofactorState.from_table(
-            self.table, self.features, self.label
-        )
-        if self.centroid_state is not None:
-            self.centroid_state = CentroidState.from_table(
-                self.table,
-                self.features,
-                self.centroid_state.centers,
-                self.table.row_ids,
-            )
-
-    # ------------------------------------------------------------------
-    def checkpoint_parity(self) -> bool:
-        """Assert bitwise parity of every maintained aggregate against
-        full recomputation on the current base table."""
-        self.stats.inc("parity_checks")
-        if self.staleness != 0:
-            raise IncrementalError(
-                f"parity checkpoint with {self.staleness} unapplied "
-                f"version(s); drain the stream first"
-            )
-        if not self.gram_state.parity_exact(self.table):
-            raise IncrementalError(
-                "maintained gram/cofactor aggregates diverged from full "
-                f"recomputation (max err {self.gram_state.parity_error(self.table):.3e})"
-            )
-        if self.centroid_state is not None and not self.centroid_state.parity_exact(
-            self.table, self.table.row_ids
-        ):
-            raise IncrementalError(
-                "maintained centroid statistics diverged from full recomputation"
-            )
-        return True
+    #: the name the E25 / E28 oracles call the shared check by
+    checkpoint_parity = DeltaConsumer.parity

@@ -28,9 +28,6 @@ import numpy as np
 from ..errors import IncrementalError
 from ..storage.table import Table, _as_column_array
 
-#: the three delta kinds a change stream carries.
-DELTA_KINDS = ("insert", "delete", "update")
-
 
 def _payload_crc(
     kind: str,
@@ -113,24 +110,6 @@ class Delta:
         if self.rows is not None:
             return replace(self, rows=bad)
         return replace(self, old_rows=bad)
-
-
-def _make_delta(
-    kind: str,
-    version: int,
-    ids: np.ndarray,
-    rows: Table | None,
-    old_rows: Table | None,
-) -> Delta:
-    row_ids = tuple(ids.tolist())
-    return Delta(
-        kind=kind,
-        version=version,
-        row_ids=row_ids,
-        rows=rows,
-        old_rows=old_rows,
-        checksum=_payload_crc(kind, version, row_ids, rows, old_rows),
-    )
 
 
 class ChangeStream:
@@ -312,7 +291,11 @@ class DynamicTable(Table):
         old_rows: Table | None,
     ) -> Delta:
         self.version += 1
-        delta = _make_delta(kind, self.version, ids, rows, old_rows)
+        row_ids = tuple(ids.tolist())
+        delta = Delta(
+            kind, self.version, row_ids, rows, old_rows,
+            checksum=_payload_crc(kind, self.version, row_ids, rows, old_rows),
+        )
         for stream in self._streams:
             stream.publish(delta)
         return delta

@@ -27,8 +27,13 @@ from .maintainer import IncrementalMaintainer
 class CentroidModel:
     """Minimal fitted clustering model built from maintained statistics."""
 
-    def __init__(self, cluster_centers: np.ndarray):
+    def __init__(self, cluster_centers: np.ndarray = ()):
         self.cluster_centers_ = np.asarray(cluster_centers, dtype=np.float64)
+
+    def get_params(self) -> dict:
+        """No hyperparameters: the centres are fitted state, which is
+        what :mod:`repro.lifecycle.serialize` persists."""
+        return {}
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Nearest-center labels (same expression the maintainer uses)."""

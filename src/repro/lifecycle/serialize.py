@@ -23,7 +23,7 @@ FORMAT_VERSION = 1
 
 def _known_classes() -> dict[str, type]:
     """Estimator classes eligible for (de)serialization."""
-    from .. import factorized, indb, ml, runtime
+    from .. import factorized, incremental, indb, ml, runtime
 
     classes = [
         ml.PCA,
@@ -44,6 +44,8 @@ def _known_classes() -> dict[str, type]:
         indb.InDBLinearRegression,
         indb.InDBLogisticRegression,
         runtime.OutOfCoreLinearRegression,
+        # the centres a ContinuousTrainer refreshes beside its ridge model
+        incremental.CentroidModel,
     ]
     return {cls.__name__: cls for cls in classes}
 

@@ -14,7 +14,25 @@ from ..errors import ModelError
 from .base import Classifier, check_X, check_X_y
 
 
-class GaussianNB(Classifier):
+class _NaiveBayes(Classifier):
+    """The predicting half both models share: a subclass's ``fit`` sets
+    ``classes_`` and ``_joint_log_likelihood(X)`` gives the (n, k)
+    unnormalized log posteriors."""
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
+        return self.classes_[np.argmax(self._joint_log_likelihood(X), axis=1)]
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Class posteriors, shape (n, k), columns ordered as ``classes_``."""
+        self._check_fitted()
+        jll = self._joint_log_likelihood(X)
+        jll -= jll.max(axis=1, keepdims=True)
+        p = np.exp(jll)
+        return p / p.sum(axis=1, keepdims=True)
+
+
+class GaussianNB(_NaiveBayes):
     """Gaussian Naive Bayes with per-class diagonal covariance."""
 
     def __init__(self, var_smoothing: float = 1e-9):
@@ -47,20 +65,8 @@ class GaussianNB(Classifier):
             )
         return out
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return self.classes_[np.argmax(self._joint_log_likelihood(X), axis=1)]
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class posteriors, shape (n, k), columns ordered as ``classes_``."""
-        self._check_fitted()
-        jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        p = np.exp(jll)
-        return p / p.sum(axis=1, keepdims=True)
-
-
-class CategoricalNB(Classifier):
+class CategoricalNB(_NaiveBayes):
     """Naive Bayes over categorical features with Laplace smoothing.
 
     Features are arbitrary hashable values per column. Unknown categories
@@ -119,14 +125,3 @@ class CategoricalNB(Classifier):
                     num = counts.get((i, v), 0) + self.alpha
                     out[row, i] += np.log(num / denom[i])
         return out
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return self.classes_[np.argmax(self._joint_log_likelihood(X), axis=1)]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        p = np.exp(jll)
-        return p / p.sum(axis=1, keepdims=True)

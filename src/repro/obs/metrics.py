@@ -324,3 +324,8 @@ class Counted:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             ) from None
+
+    def ledger(self) -> dict[str, int]:
+        """The exact per-instance counts (the registry sums the same
+        events over every instance of the prefix)."""
+        return self.counts.as_dict()

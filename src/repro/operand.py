@@ -12,8 +12,8 @@ re-deriving it (DESIGN.md, "Representations"):
   derives the rest once, and a faster native kernel is an override.
 * What only the class can say, the planner reads off it: ``encode``
   (build from dense), ``evidence_channel`` / ``evidence()`` /
-  ``sample_evidence``, ``work_fraction`` / ``predicted_bytes``,
-  ``worth_planning``, ``plan_reason``.
+  ``sample_evidence``, ``work_fraction``, ``worth_planning``,
+  ``plan_reason``.
 * :func:`serves` is the one capability predicate — does a kind's native
   kernel run an operator — behind both the runtime's dispatch and the
   planner's prediction (:func:`repro.runtime.repops.decide`), with

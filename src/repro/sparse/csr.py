@@ -210,11 +210,6 @@ class CSRMatrix(Operand, kind="csr"):
         return min(1.0, density * CSR_OVERHEAD)
 
     @staticmethod
-    def predicted_bytes(shape: tuple[int, int], density: float) -> int:
-        cells = shape[0] * shape[1]
-        return int(round(cells * density * 16 + (shape[0] + 1) * 8))
-
-    @staticmethod
     def plan_reason(density: float, bound: bool) -> str:
         if bound:
             return f"stay sparse, density {density:.3f}"

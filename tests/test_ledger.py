@@ -20,8 +20,9 @@ from repro.distributed import (
     train_model_averaging,
     train_parameter_server,
 )
-from repro.errors import LoadShedError
+from repro.errors import LoadShedError, PromotionHeldError
 from repro.features import (
+    DriftGate,
     FeatureStore,
     FeatureView,
     FeatureViewMaintainer,
@@ -40,7 +41,7 @@ from repro.ml.losses import SquaredLoss
 from repro.obs import Counted, Ledger, get_registry
 from repro.resilience import ChaosContext, FaultPlan, RetryPolicy
 from repro.runtime import BlockStore, BufferPool, ParallelContext
-from repro.serving import ShardedServer
+from repro.serving import ModelServer, ShardedServer
 from repro.storage import QueryCache, Table, VersionedCatalog
 
 
@@ -208,6 +209,25 @@ def _features(ledgers):
     refresher.drain()
     refresher.parity_check()
     ledgers.append(("features.refresh", refresher.stats))
+    # every compute above went through the view's plan cache
+    ledgers.append(("plancache", view.plan_cache.stats))
+    assert view.plan_cache.stats.hits > 0
+
+    registry = ModelRegistry()
+    for _ in range(2):
+        registry.register("m", None, feature_fingerprint=view.version)
+    server = ModelServer(registry)
+    server.create_endpoint("ep", "m")
+    gate = DriftGate(view, features, min_observations=10)
+    server.set_promotion_gate("ep", gate)
+    gate.observe_many(features.matrix())
+    server.promote("ep", 1)
+    server.set_canary("ep", 2, 0.5)
+    gate.observe_many(features.matrix() + 100.0)  # the stream shifts
+    with pytest.raises(PromotionHeldError):
+        server.promote("ep", 2)  # held, canary rolled back
+    ledgers.append(("features.gate", gate.counts))
+    assert min(gate.ledger().values()) > 0  # every field moved
 
 
 def _incremental(ledgers):
@@ -363,5 +383,5 @@ def test_every_ledger_field_equals_its_registry_counter(tmp_path):
     registry = get_registry()
     got = {name: registry.value(name) for name in expected}
     assert got == expected
-    # 13 layers + the parallel totals, its five sites, and the cluster
-    assert len({prefix for prefix, _ in ledgers}) == 13 + 1 + 5 + 1
+    # 14 layers + the parallel totals, its five sites, and the cluster
+    assert len({prefix for prefix, _ in ledgers}) == 14 + 1 + 5 + 1

@@ -214,7 +214,8 @@ class TestOneCacheOneLedger:
             "serving/server.py", "serving/batcher.py", "serving/fabric.py",
             "runtime/bufferpool.py", "materialize/store.py",
             "incremental/maintainer.py", "incremental/trainer.py",
-            "features/store.py", "features/online.py", "compiler/cache.py",
+            "features/store.py", "features/online.py", "features/gate.py",
+            "compiler/cache.py",
         )
     }
 

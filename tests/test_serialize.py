@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.data import make_blobs, make_classification, make_regression
+from repro.data import (
+    make_blobs,
+    make_classification,
+    make_grid_regression,
+    make_regression,
+)
 from repro.errors import LifecycleError
 from repro.factorized import (
     FactorizedLinearRegression,
     FactorizedLogisticRegression,
     NormalizedMatrix,
 )
-from repro.incremental.trainer import CentroidModel
+from repro.incremental import (
+    ContinuousTrainer,
+    DynamicTable,
+    IncrementalMaintainer,
+)
 from repro.indb import InDBLinearRegression, InDBLogisticRegression
 from repro.lifecycle import (
     ModelRegistry,
@@ -198,16 +207,43 @@ class TestRegistryPersistence:
         before = obs.get_registry().value(counter)
         registry = ModelRegistry()
         registry.register("thing", object(), metrics={"acc": 0.5})
-        registry.register("centroids", CentroidModel(np.zeros((2, 3))))
         path = tmp_path / "registry.json"
         registry.save(path)
         restored = ModelRegistry.load(path)
         entry = restored.get("thing")
         assert entry.model is None
         assert entry.metrics["acc"] == 0.5
-        assert restored.get("centroids").model is None
         # dropped from the file, but never without a trace
-        assert obs.get_registry().value(counter) == before + 2
+        assert obs.get_registry().value(counter) == before + 1
+
+    def test_continuous_trainer_models_survive_the_registry(self, tmp_path):
+        """Both models a ``ContinuousTrainer`` registers — the ridge
+        weights and, with centres, the ``CentroidModel`` — load back
+        predicting the same bytes, with nothing persisted as null."""
+        X, y = make_grid_regression(120, 4, seed=5)
+        dyn = DynamicTable.from_table(Table.from_matrix(X, label=y))
+        maintainer = IncrementalMaintainer(
+            dyn, dyn.subscribe(), [f"f{j}" for j in range(4)], "label",
+            centers=X[:3],
+        )
+        registry = ModelRegistry()
+        trainer = ContinuousTrainer(maintainer, registry, model_name="ridge")
+        dyn.delete(dyn.row_ids[:20])
+        trainer.step()
+        counter = "lifecycle.registry.models_not_persisted"
+        before = obs.get_registry().value(counter)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        assert obs.get_registry().value(counter) == before
+        restored = ModelRegistry.load(path)
+        for name in ("ridge", "ridge-centroids"):
+            kept, loaded = registry.get(name).model, restored.get(name).model
+            assert type(loaded) is type(kept)
+            assert np.array_equal(loaded.predict(X), kept.predict(X))
+        assert np.array_equal(
+            restored.get("ridge-centroids").model.cluster_centers_,
+            trainer.centroids_,
+        )
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(LifecycleError):

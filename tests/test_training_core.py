@@ -241,7 +241,7 @@ class TestProvidersAgree:
         dense = LinearRegression(
             solver="normal", l2=l2, fit_intercept=False
         ).fit(joined, y).coef_
-        maintained = GramCofactorState.from_table(table, columns, "y")
+        maintained = GramCofactorState(columns, "y").rebuild(table)
         # the same BLAS pass over the same rows: bit for bit
         assert np.array_equal(maintained.solve_ridge(l2), dense)
         others = {
@@ -297,7 +297,7 @@ class TestSolveNormal:
         table = Table.from_columns(
             {c: X[:, j] for j, c in enumerate(names)} | {"y": y}
         )
-        state = GramCofactorState.from_table(table, names, "y")
+        state = GramCofactorState(names, "y").rebuild(table)
         batch = LinearRegression(solver="normal", l2=0.5, fit_intercept=False)
         assert np.array_equal(state.solve_ridge(0.5), batch.fit(X, y).coef_)
 
