@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import ModelError
 from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
-from ..ml.linreg import Moments
 from ..ml.losses import LogisticLoss, SquaredLoss
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
@@ -48,7 +47,8 @@ class _TableFed:
 class InDBLinearRegression(_TableFed, LinearRegressor):
     """Linear regression trained by a single Gram-accumulation scan.
 
-    The normal-equation sufficient statistics (X'X, X'y) are computed by
+    The normal-equation sufficient statistics (a
+    :class:`~repro.ml.linreg.Moments`: X'X, X'y, y'y) are computed by
     one UDA pass — the MADlib pattern for closed-form models.
     """
 
@@ -75,15 +75,13 @@ class InDBLinearRegression(_TableFed, LinearRegressor):
         if self.add_intercept:
             work = table.with_column("_intercept", np.ones(table.num_rows))
             features = ["_intercept", *features]
-        stats = run_uda(
+        moments = run_uda(
             work,
             GramUDA(),
             [*features, label_column],
             partitions=partitions,
             parallel=parallel,
         )
-        # the UDA accumulates X'X and X'y only: y'y stays unknown
-        moments = Moments(stats["gram"], stats["xty"], np.nan, stats["count"])
         self.feature_columns_ = list(feature_columns)
         self._unpack(moments.solve(self.l2, int(self.add_intercept)))
         return self

@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ModelError, StorageError
+from ..errors import ModelError
 from ..ml.losses import Loss
 from ..ml.optim import descend, l2_penalized
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
-from .uda import UDA, run_uda
+from .uda import UDA, BlockSumsUDA, run_uda
 
 SHUFFLE_POLICIES = ("none", "once", "each")
 
@@ -57,13 +57,16 @@ class IGDTransition(UDA[IGDState, np.ndarray]):
         )
         return IGDState(weights=start)
 
-    def transition(self, state: IGDState, row: np.ndarray) -> IGDState:
-        x, y = row[:-1], row[-1]
-        grad = self.loss.pointwise_gradient(x, y, state.weights)
-        if self.l2 > 0:
-            grad = grad + self.l2 * state.weights
-        state.weights -= self.learning_rate * grad
-        state.examples += 1
+    def transition_many(self, state: IGDState, block: np.ndarray) -> IGDState:
+        # strictly one step per row, in row order: that is the algorithm
+        step, weights = self.loss.pointwise_gradient, state.weights
+        rate, l2 = self.learning_rate, self.l2
+        for x, y in zip(block[:, :-1], block[:, -1].tolist()):
+            grad = step(x, y, weights)
+            if l2 > 0:
+                grad = grad + l2 * weights
+            weights -= rate * grad
+        state.examples += len(block)
         return state
 
     def merge(self, left: IGDState, right: IGDState) -> IGDState:
@@ -164,6 +167,23 @@ def train_igd(
     return IGDResult(weights=weights, epochs=epochs, loss_history=history)
 
 
+class GradientUDA(BlockSumsUDA[np.ndarray]):
+    """One batch-gradient pass: the mean of the loss's per-tuple
+    gradients at fixed weights ``w`` (last selected column = label)."""
+
+    def __init__(self, loss: Loss, w: np.ndarray):
+        self.loss = loss
+        self.w = w
+
+    def block_parts(self, block):
+        X, y = block[:, :-1], block[:, -1]
+        return (self.loss.gradient_sum(X, y, self.w), len(y))
+
+    def finalize(self, state) -> np.ndarray:
+        grad, count = super().finalize(state)
+        return grad / count
+
+
 def train_bgd(
     table: Table,
     feature_columns: Sequence[str],
@@ -179,7 +199,7 @@ def train_bgd(
     """Batch gradient descent: one aggregation pass per iteration.
 
     The aggregate accumulates the full-data gradient (transition adds
-    per-tuple contributions, merge adds partials) and the driver applies
+    a block's contributions, merge adds partials) and the driver applies
     one step between passes — the MADlib convex-optimization pattern.
     """
     if not feature_columns:
@@ -195,31 +215,10 @@ def train_bgd(
     data = work.to_matrix(columns)
     X_full, y_full = data[:, :-1], data[:, -1]
 
-    class GradientUDA(UDA):
-        def __init__(self, w: np.ndarray):
-            self.w = w
-
-        def initialize(self):
-            return (np.zeros(dim), 0)
-
-        def transition(self, state, row):
-            grad, count = state
-            x, y = row[:-1], row[-1]
-            return (grad + loss.pointwise_gradient(x, y, self.w), count + 1)
-
-        def merge(self, left, right):
-            return (left[0] + right[0], left[1] + right[1])
-
-        def finalize(self, state):
-            grad, count = state
-            if count == 0:
-                raise StorageError("gradient over an empty table")
-            return grad / count
-
     value, gradient = l2_penalized(
         partial(loss.value, X_full, y_full),
         lambda w: run_uda(
-            work, GradientUDA(w), columns, partitions, parallel=parallel
+            work, GradientUDA(loss, w), columns, partitions, parallel=parallel
         ),
         l2,
     )

@@ -1,7 +1,7 @@
 """K-means clustering inside the database (MADlib's kmeans pattern).
 
 Each Lloyd iteration is one aggregation pass: the transition function
-assigns a tuple to its nearest current centroid and accumulates
+assigns a block of tuples to their nearest current centroids and accumulates
 per-centroid sums and counts; merge adds partial accumulators across
 partitions; finalize emits the new centroids. The driver repeats passes
 until centroids stabilize.
@@ -30,6 +30,8 @@ class KMeansState:
 class KMeansAssignUDA(UDA[KMeansState, KMeansState]):
     """One assign-and-accumulate pass against fixed current centroids."""
 
+    steps_per_row = False
+
     def __init__(self, centroids: np.ndarray):
         self.centroids = centroids
 
@@ -37,13 +39,17 @@ class KMeansAssignUDA(UDA[KMeansState, KMeansState]):
         k, d = self.centroids.shape
         return KMeansState(sums=np.zeros((k, d)), counts=np.zeros(k))
 
-    def transition(self, state: KMeansState, row: np.ndarray) -> KMeansState:
-        diffs = self.centroids - row
-        d2 = np.einsum("ij,ij->i", diffs, diffs)
-        nearest = int(np.argmin(d2))
-        state.sums[nearest] += row
-        state.counts[nearest] += 1
-        state.inertia += float(d2[nearest])
+    def transition_many(
+        self, state: KMeansState, block: np.ndarray
+    ) -> KMeansState:
+        diffs = self.centroids - block[:, None, :]
+        d2 = np.einsum("bij,bij->bi", diffs, diffs)
+        nearest = np.argmin(d2, axis=1)  # ties go to the lowest index
+        # unbuffered adds, one row after another: the row fold's bytes
+        np.add.at(state.sums, nearest, block)
+        state.counts += np.bincount(nearest, minlength=len(state.counts))
+        for value in d2.min(axis=1).tolist():
+            state.inertia += value
         return state
 
     def merge(self, left: KMeansState, right: KMeansState) -> KMeansState:

@@ -4,14 +4,16 @@ Bismarck's architecture observation: a whole family of ML training
 algorithms fits the RDBMS aggregate contract —
 
 * ``initialize``  -> fresh state,
-* ``transition``  (state, tuple) -> state, once per row,
+* ``transition_many`` (state, block of tuples) -> state, in row order
+  (``transition`` is the same fold for one tuple),
 * ``merge``       (state, state) -> state, across parallel partitions,
 * ``finalize``    state -> result.
 
 :func:`run_uda` executes a UDA over a :class:`~repro.storage.table.Table`
 exactly as a partitioned engine would: the table is split into
-partitions, each partition folds rows through ``transition``, and partial
-states combine pairwise through ``merge``.
+partitions, each partition folds its rows a block at a time through
+``transition_many``, and partial states combine pairwise through
+``merge``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Generic, Sequence, TypeVar
 import numpy as np
 
 from ..errors import StorageError
+from ..ml.linreg import Moments
 from ..obs import get_registry, span
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
@@ -35,15 +38,52 @@ from ..storage.table import Table
 State = TypeVar("State")
 Result = TypeVar("Result")
 
+#: rows the engine hands ``transition_many`` at a time (a zero-copy view
+#: of the partition); bounds a block aggregate's temporaries.
+_BLOCK_ROWS = 1024
+
 
 class UDA(Generic[State, Result]):
-    """Base class for user-defined aggregates."""
+    """Base class for user-defined aggregates.
+
+    A subclass defines ``transition`` (one row) or ``transition_many``
+    (a block of rows) and gets the other derived from it, at class
+    creation; so of an inherited pair the most-derived definition wins
+    (overriding only ``transition`` under a block-form parent is
+    honoured), and ``super()`` reaches the parent's form from either.
+    """
+
+    #: whether the fold interprets every row (the derived row loop, IGD's
+    #: sequential steps) or only every block; read by the cost gate.
+    steps_per_row = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        one, many = own.get("transition"), own.get("transition_many")
+        if one is None and many is not None:
+            cls.transition = lambda self, state, row: many(
+                self, state, row[None, :]
+            )
+        elif many is None and one is not None:
+
+            def transition_many(self, state, block):
+                for row in block:
+                    state = one(self, state, row)
+                return state
+
+            cls.transition_many = transition_many
+            cls.steps_per_row = True
 
     def initialize(self) -> State:
         raise NotImplementedError
 
     def transition(self, state: State, row: np.ndarray) -> State:
         """Fold one row (a float vector of the selected columns)."""
+        raise NotImplementedError
+
+    def transition_many(self, state: State, block: np.ndarray) -> State:
+        """Fold a ``(rows, columns)`` block, in row order."""
         raise NotImplementedError
 
     def merge(self, left: State, right: State) -> State:
@@ -57,16 +97,27 @@ class UDA(Generic[State, Result]):
 def _fold_partition(
     uda: UDA[State, Result], data: np.ndarray, span: tuple[int, int]
 ) -> State:
-    """Fold one contiguous row slice through ``transition``."""
+    """Fold one contiguous row slice through ``transition_many``."""
     state = uda.initialize()
-    for row in data[span[0] : span[1]]:
-        state = uda.transition(state, row)
+    for lo in range(span[0], span[1], _BLOCK_ROWS):
+        state = uda.transition_many(
+            state, data[lo : min(lo + _BLOCK_ROWS, span[1])]
+        )
+        if state is None:
+            raise StorageError(
+                f"{type(uda).__name__}.transition_many returned None "
+                "(a transition must return its state)"
+            )
     return state
 
 
-def estimate_uda_cost(n_rows: int, n_cols: int) -> float:
-    """Flops-equivalent cost of one UDA pass (Python transition per row)."""
-    return float(n_rows) * (PYTHON_CALL_FLOPS + 2.0 * n_cols)
+def estimate_uda_cost(
+    n_rows: int, n_cols: int, steps_per_row: bool = True
+) -> float:
+    """Flops-equivalent cost of one UDA pass: the arithmetic plus one
+    interpreter step per row (IGD, a row-form UDA) or per block."""
+    steps = n_rows if steps_per_row else -(-n_rows // _BLOCK_ROWS)
+    return steps * PYTHON_CALL_FLOPS + 2.0 * n_rows * n_cols
 
 
 def run_uda(
@@ -83,7 +134,7 @@ def run_uda(
     (log-depth, the shape a partitioned engine uses), so serial and
     parallel execution perform bitwise-identical merges. Partitions that
     would receive zero rows (``partitions > n_rows``) are skipped rather
-    than folded through ``transition``/``merge``.
+    than folded through ``transition_many``/``merge``.
 
     Args:
         partitions: number of simulated parallel partitions; each gets a
@@ -134,7 +185,7 @@ def run_uda(
             ctx,
             fold,
             spans,
-            cost_hint=estimate_uda_cost(n, data.shape[1]),
+            cost_hint=estimate_uda_cost(n, data.shape[1], uda.steps_per_row),
             site="indb.run_uda",
         )
         return uda.finalize(merge_tree(uda.merge, states))
@@ -143,99 +194,68 @@ def run_uda(
 # ----------------------------------------------------------------------
 # Simple statistics UDAs (the MADlib-style building blocks)
 # ----------------------------------------------------------------------
-class SumCountUDA(UDA[tuple, dict]):
-    """Per-column sum and row count in one pass (mean via finalize)."""
+class BlockSumsUDA(UDA[tuple, Result]):
+    """State = a tuple of additive parts (sums of per-row terms, last the
+    row count), ``None`` in place of the first until a block is folded;
+    a subclass says what one block contributes."""
+
+    steps_per_row = False
+
+    def block_parts(self, block: np.ndarray) -> tuple:
+        raise NotImplementedError
 
     def initialize(self):
         return (None, 0)
 
-    def transition(self, state, row):
-        total, count = state
-        total = row.copy() if total is None else total + row
-        return (total, count + 1)
+    def transition_many(self, state, block):
+        return self.merge(state, self.block_parts(block))
 
     def merge(self, left, right):
-        lt, lc = left
-        rt, rc = right
-        if lt is None:
+        if left[0] is None:
             return right
-        if rt is None:
+        if right[0] is None:
             return left
-        return (lt + rt, lc + rc)
+        return tuple(l + r for l, r in zip(left, right))
+
+    def finalize(self, state):
+        if state[0] is None:
+            raise StorageError("aggregate over an empty table")
+        return state
+
+
+class SumCountUDA(BlockSumsUDA[dict]):
+    """Per-column sum and row count in one pass (mean via finalize)."""
+
+    def block_parts(self, block):
+        return (block.sum(axis=0), len(block))
 
     def finalize(self, state) -> dict:
-        total, count = state
-        if total is None:
-            raise StorageError("aggregate over an empty table")
+        total, count = super().finalize(state)
         return {"sum": total, "count": count, "mean": total / count}
 
 
-class CovarianceUDA(UDA[tuple, np.ndarray]):
+class CovarianceUDA(BlockSumsUDA[np.ndarray]):
     """Streaming covariance matrix over the selected columns."""
 
-    def initialize(self):
-        return (None, None, 0)
-
-    def transition(self, state, row):
-        outer, total, count = state
-        if outer is None:
-            outer = np.outer(row, row)
-            total = row.copy()
-        else:
-            outer = outer + np.outer(row, row)
-            total = total + row
-        return (outer, total, count + 1)
-
-    def merge(self, left, right):
-        lo, lt, lc = left
-        ro, rt, rc = right
-        if lo is None:
-            return right
-        if ro is None:
-            return left
-        return (lo + ro, lt + rt, lc + rc)
+    def block_parts(self, block):
+        return (block.T @ block, block.sum(axis=0), len(block))
 
     def finalize(self, state) -> np.ndarray:
-        outer, total, count = state
-        if outer is None:
-            raise StorageError("aggregate over an empty table")
+        outer, total, count = super().finalize(state)
         mean = total / count
         return outer / count - np.outer(mean, mean)
 
 
-class GramUDA(UDA[tuple, dict]):
-    """Accumulate X'X and X'y in one pass: in-DB normal equations.
+class GramUDA(BlockSumsUDA[Moments]):
+    """Accumulate ``[X|y]'[X|y]`` in one pass: in-DB normal equations.
 
     The last selected column is treated as the label y; the rest form X.
     This is how MADlib's ``linregr`` trains linear models with a single
     table scan.
     """
 
-    def initialize(self):
-        return (None, None, 0)
+    def block_parts(self, block):
+        return (block.T @ block, len(block))
 
-    def transition(self, state, row):
-        gram, xty, count = state
-        x, y = row[:-1], row[-1]
-        if gram is None:
-            gram = np.outer(x, x)
-            xty = y * x
-        else:
-            gram = gram + np.outer(x, x)
-            xty = xty + y * x
-        return (gram, xty, count + 1)
-
-    def merge(self, left, right):
-        lg, lx, lc = left
-        rg, rx, rc = right
-        if lg is None:
-            return right
-        if rg is None:
-            return left
-        return (lg + rg, lx + rx, lc + rc)
-
-    def finalize(self, state) -> dict:
-        gram, xty, count = state
-        if gram is None:
-            raise StorageError("aggregate over an empty table")
-        return {"gram": gram, "xty": xty, "count": count}
+    def finalize(self, state) -> Moments:
+        return Moments.of_augmented(*super().finalize(state))

@@ -1,9 +1,10 @@
 """Loss functions for generalized linear models.
 
-Each loss exposes ``value`` and ``gradient`` on the full design matrix, and
-``pointwise_gradient`` on a single example (used by the in-database
-incremental-gradient UDA, which consumes one tuple at a time). Labels for
-classification losses are in {-1, +1} unless noted.
+Each loss exposes ``value`` and ``gradient`` on the full design matrix,
+``gradient_sum`` on a block of it (what the in-database batch-gradient
+aggregate accumulates) and ``pointwise_gradient`` on a single example
+(the in-database incremental-gradient UDA steps one tuple at a time).
+Labels for classification losses are in {-1, +1} unless noted.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ class Loss:
         raise NotImplementedError
 
     def gradient(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.gradient_sum(X, y, w) / len(y)
+
+    def gradient_sum(
+        self, X: np.ndarray, y: np.ndarray, w: np.ndarray
+    ) -> np.ndarray:
+        """Sum of the rows' gradient contributions (not averaged)."""
         raise NotImplementedError
 
     def pointwise_gradient(
@@ -34,8 +41,8 @@ class SquaredLoss(Loss):
         r = X @ w - y
         return 0.5 * float(r @ r) / len(y)
 
-    def gradient(self, X, y, w):
-        return X.T @ (X @ w - y) / len(y)
+    def gradient_sum(self, X, y, w):
+        return X.T @ (X @ w - y)
 
     def pointwise_gradient(self, x, y, w):
         return (float(x @ w) - y) * x
@@ -49,14 +56,21 @@ class LogisticLoss(Loss):
         # log(1+exp(-m)) computed stably for both signs of m.
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
-    def gradient(self, X, y, w):
+    def gradient_sum(self, X, y, w):
         margins = y * (X @ w)
         coeff = -y * _sigmoid(-margins)
-        return X.T @ coeff / len(y)
+        return X.T @ coeff
 
     def pointwise_gradient(self, x, y, w):
-        margin = y * float(x @ w)
-        return -y * _sigmoid(-margin) * x
+        # _sigmoid's branch and np.exp on a scalar: same bytes, no 0-d
+        # array round trip per tuple
+        z = -(y * float(x @ w))
+        if z >= 0:
+            link = 1.0 / (1.0 + np.exp(-z))
+        else:
+            ez = np.exp(z)
+            link = ez / (1.0 + ez)
+        return -y * link * x
 
 
 class HingeLoss(Loss):
@@ -65,11 +79,11 @@ class HingeLoss(Loss):
     def value(self, X, y, w):
         return float(np.mean(np.maximum(0.0, 1.0 - y * (X @ w))))
 
-    def gradient(self, X, y, w):
+    def gradient_sum(self, X, y, w):
         active = (y * (X @ w)) < 1.0
         if not active.any():
             return np.zeros_like(w)
-        return -(X[active].T @ y[active]) / len(y)
+        return -(X[active].T @ y[active])
 
     def pointwise_gradient(self, x, y, w):
         if y * float(x @ w) < 1.0:

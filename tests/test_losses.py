@@ -44,6 +44,25 @@ class TestGradients:
         ) / len(y)
         assert np.allclose(summed, loss.gradient(X, y, w), atol=1e-10)
 
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: type(l).__name__)
+    @pytest.mark.filterwarnings("error")
+    def test_pointwise_gradient_is_the_one_row_gradient_bitwise(self, loss, rng):
+        """The scalar link takes ``_sigmoid``'s branch and ``np.exp``: the
+        same bytes as the array form, and no overflow at +-700 margins."""
+        for scale in (0.0, 1e-3, 1.0, 30.0, 700.0, -700.0):
+            for _ in range(25):
+                x = rng.standard_normal(5)
+                w = scale * x / float(x @ x) + 1e-3 * rng.standard_normal(5)
+                for y in (1.0, -1.0, np.float64(1.0)):
+                    assert np.array_equal(
+                        loss.pointwise_gradient(x, y, w),
+                        loss.gradient(x[None, :], np.array([y]), w),
+                    )
+                    assert np.array_equal(
+                        loss.gradient_sum(x[None, :], np.array([y]), w),
+                        loss.gradient(x[None, :], np.array([y]), w),
+                    )
+
 
 class TestSquaredLoss:
     def test_zero_at_perfect_fit(self, rng):

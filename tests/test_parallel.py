@@ -206,8 +206,8 @@ class TestParallelUDA:
         cols = ["x0", "x1"]
         few = run_uda(table, GramUDA(), cols, partitions=5)
         many = run_uda(table, GramUDA(), cols, partitions=64)
-        np.testing.assert_allclose(many["gram"], few["gram"], atol=1e-12)
-        assert many["count"] == few["count"] == 5
+        np.testing.assert_allclose(many.gram, few.gram, atol=1e-12)
+        assert many.n == few.n == 5
 
     def test_empty_table_still_raises(self):
         table = Table.from_columns(
@@ -251,7 +251,7 @@ def test_merge_tree_uda_matches_single_partition(n, d, partitions, seed):
                 table, GramUDA(), names, partitions=partitions, parallel=ctx
             )
             np.testing.assert_allclose(
-                gk["gram"], g1["gram"], rtol=1e-9, atol=1e-9
+                gk.gram, g1.gram, rtol=1e-9, atol=1e-9
             )
     finally:
         ctx.shutdown()
