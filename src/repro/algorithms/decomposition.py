@@ -39,11 +39,13 @@ def pca_dsl(X: np.ndarray, n_components: int) -> PCAResult:
 
     Xm = matrix("X", (n, d))
     centered = Xm - colmeans(Xm)  # row-vector broadcast
-    cov_plan = compile_expr(centered.T @ centered / max(n - 1, 1))
-    mean_plan = compile_expr(colmeans(Xm))
-
-    cov, s1 = execute(cov_plan, {"X": X}, collect_stats=True)
-    mean_row, s2 = execute(mean_plan, {"X": X}, collect_stats=True)
+    # one plan, two outputs: the column means inside the covariance and
+    # the ones handed back are a single shared operator
+    plan = compile_expr(
+        {"cov": centered.T @ centered / max(n - 1, 1), "mean": colmeans(Xm)}
+    )
+    out, stats = execute(plan, {"X": X}, collect_stats=True)
+    cov, mean_row = out["cov"], out["mean"]
 
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
@@ -60,5 +62,5 @@ def pca_dsl(X: np.ndarray, n_components: int) -> PCAResult:
         explained_variance=eigenvalues[:n_components],
         explained_variance_ratio=eigenvalues[:n_components] / total,
         mean=mean_row[0],
-        flops_executed=s1.flops + s2.flops,
+        flops_executed=stats.flops,
     )

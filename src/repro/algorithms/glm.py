@@ -165,13 +165,10 @@ def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmRes
     n, d = X.shape
     Xm = matrix("X", (n, d))
     ym = matrix("y", (n, 1))
-    gram_plan = compile_expr(Xm.T @ Xm)
-    xty_plan = compile_expr(Xm.T @ ym)
-
-    gram, s1 = execute(gram_plan, {"X": X}, collect_stats=True)
-    rhs, s2 = execute(xty_plan, {"X": X, "y": y}, collect_stats=True)
-    # the two compiled passes are X'X and X'y: y'y is never formed
-    w = Moments(gram, rhs[:, 0], np.nan, n).solve(l2)
+    plan = compile_expr({"gram": Xm.T @ Xm, "xty": Xm.T @ ym})
+    out, stats = execute(plan, {"X": X, "y": y}, collect_stats=True)
+    # the two compiled outputs are X'X and X'y: y'y is never formed
+    w = Moments(out["gram"], out["xty"][:, 0], np.nan, n).solve(l2)
     residual = X @ w - y
     objective = 0.5 * float(residual @ residual) / n
     return AlgorithmResult(
@@ -179,7 +176,7 @@ def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmRes
         iterations=1,
         converged=True,
         objective_history=[objective],
-        flops_executed=s1.flops + s2.flops,
+        flops_executed=stats.flops,
     )
 
 

@@ -1,6 +1,8 @@
 """Optimizing compiler for the linear-algebra DSL.
 
-Passes (each independently toggleable for ablation):
+One pipeline (:func:`compile_expr`) over one plan class
+(:class:`CompiledPlan`: one expression or several named outputs sharing
+one DAG). Passes (each independently toggleable for ablation):
 
 * algebraic rewrites and constant folding (:mod:`.rewrites`)
 * matrix-multiplication-chain re-parenthesization (:mod:`.mmchain`)
@@ -35,7 +37,6 @@ from .cse import (
 from .fusion import apply_fusion, fused_kinds
 from .mmchain import chain_cost, optimize_mmchains
 from .planner import CompiledPlan, compile_expr
-from .program import ProgramPlan, compile_program, execute_program
 from .reprplan import (
     ReprChoice,
     RepresentationPlan,
@@ -56,7 +57,6 @@ __all__ = [
     "set_feedback",
     "set_feedback_store",
     "PlanCache",
-    "ProgramPlan",
     "compile_expr_cached",
     "default_plan_cache",
     "CostEstimate",
@@ -67,8 +67,6 @@ __all__ = [
     "apply_rewrites",
     "chain_cost",
     "compile_expr",
-    "compile_program",
-    "execute_program",
     "count_tree_ops",
     "count_unique_ops",
     "eliminate_common_subexpressions",

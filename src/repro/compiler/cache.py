@@ -16,10 +16,8 @@ next to bufferpool and materialization behavior.
 from __future__ import annotations
 
 from ..cache import BoundedCache
-from ..lang.ast import Node
-from ..lang.dsl import MExpr
 from ..obs import Ledger
-from .planner import CompiledPlan, compile_expr
+from .planner import CompiledPlan, compile_expr, named_sources
 
 
 class PlanCache:
@@ -32,20 +30,15 @@ class PlanCache:
         self.stats = Ledger("plancache", ("hits", "misses", "evictions"))
         self._plans = BoundedCache(capacity, self.stats)
 
-    def get_or_compile(
-        self,
-        expr: MExpr | Node,
-        rewrites: bool = True,
-        mmchain: bool = True,
-        fusion: bool = True,
-        cse: bool = True,
-    ) -> CompiledPlan:
-        node = expr.node if isinstance(expr, MExpr) else expr
+    def get_or_compile(self, expr, **flags: bool) -> CompiledPlan:
+        """:func:`compile_expr` of ``expr`` (one expression or a named
+        mapping) under ``flags``, keyed by structure and the passes
+        turned off."""
+        sources = named_sources(expr)
+        structure = tuple((name, node.key()) for name, node in sources.items())
+        disabled = tuple(sorted(name for name, on in flags.items() if not on))
         return self.lookup(
-            (node.key(), rewrites, mmchain, fusion, cse),
-            lambda: compile_expr(
-                node, rewrites=rewrites, mmchain=mmchain, fusion=fusion, cse=cse
-            ),
+            (structure, disabled), lambda: compile_expr(sources, **flags)
         )
 
     def lookup(self, key, build) -> CompiledPlan:
@@ -72,6 +65,6 @@ class PlanCache:
 default_plan_cache = PlanCache()
 
 
-def compile_expr_cached(expr: MExpr | Node, **flags: bool) -> CompiledPlan:
+def compile_expr_cached(expr, **flags: bool) -> CompiledPlan:
     """Compile through the process-wide plan cache."""
     return default_plan_cache.get_or_compile(expr, **flags)

@@ -21,6 +21,7 @@ from ..lang.ast import (
     Node,
     Transpose,
     Unary,
+    unique_nodes,
 )
 
 BYTES_PER_CELL = 8  # float64
@@ -87,25 +88,16 @@ class CostEstimate:
         )
 
 
-def estimate(root: Node) -> CostEstimate:
-    """Cost of the DAG reachable from ``root``.
+def estimate(*roots: Node) -> CostEstimate:
+    """Cost of the DAG reachable from ``roots``.
 
-    Shared subexpressions (the same node object reached twice) are counted
-    once, which is exactly the benefit CSE buys.
+    Shared subexpressions (the same node object reached twice, from one
+    root or from two) are counted once, which is exactly the benefit CSE
+    buys.
     """
-    seen: set[int] = set()
-    flops = 0
-    mem = 0
-    ops = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    flops = mem = ops = 0
+    for node in unique_nodes(*roots):
         flops += node_flops(node)
         mem += node_output_bytes(node)
-        if not isinstance(node, (Data, Constant)):
-            ops += 1
-        stack.extend(node.children)
+        ops += not isinstance(node, (Data, Constant))
     return CostEstimate(flops=flops, intermediate_bytes=mem, num_ops=ops)

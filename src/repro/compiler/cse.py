@@ -1,60 +1,43 @@
 """Common-subexpression elimination via hash-consing.
 
-The rewritten tree is converted into a DAG: structurally identical
-subtrees become the *same* Python object, so the executor (which memoizes
+The rewritten trees are converted into one DAG: structurally identical
+subtrees — within one expression or across the named outputs of one
+plan — become the *same* Python object, so the executor (which memoizes
 on object identity) evaluates each distinct subexpression exactly once.
 """
 
 from __future__ import annotations
 
-from ..lang.ast import Node
+from typing import Iterable
+
+from ..lang.ast import Constant, Data, Node, unique_nodes, walk
 
 
-def eliminate_common_subexpressions(root: Node) -> Node:
-    """Hash-cons the tree into a DAG of unique nodes."""
+def hash_cons(roots: Iterable[Node]) -> list[Node]:
+    """The roots re-expressed over one table of unique nodes."""
     interned: dict[tuple, Node] = {}
 
     def intern(node: Node) -> Node:
         new_children = [intern(c) for c in node.children]
         if any(nc is not oc for nc, oc in zip(new_children, node.children)):
             node = node.with_children(new_children)
-        key = node.key()
-        existing = interned.get(key)
-        if existing is not None:
-            return existing
-        interned[key] = node
-        return node
+        return interned.setdefault(node.key(), node)
 
-    return intern(root)
+    return [intern(root) for root in roots]
 
 
-def count_unique_ops(root: Node) -> int:
+def eliminate_common_subexpressions(root: Node) -> Node:
+    """Hash-cons the tree into a DAG of unique nodes."""
+    return hash_cons([root])[0]
+
+
+def count_unique_ops(*roots: Node) -> int:
     """Distinct operator nodes in the DAG (inputs excluded)."""
-    from ..lang.ast import Constant, Data
-
-    seen: set[int] = set()
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if not isinstance(node, (Data, Constant)):
-            count += 1
-        stack.extend(node.children)
-    return count
+    return sum(
+        not isinstance(node, (Data, Constant)) for node in unique_nodes(*roots)
+    )
 
 
 def count_tree_ops(root: Node) -> int:
     """Operator nodes counted with repetition (i.e. without CSE)."""
-    from ..lang.ast import Constant, Data
-
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, (Data, Constant)):
-            count += 1
-        stack.extend(node.children)
-    return count
+    return sum(not isinstance(node, (Data, Constant)) for node in walk(root))

@@ -49,6 +49,7 @@ from ..lang.ast import (
     Node,
     Transpose,
     op_label,
+    unique_nodes,
 )
 from ..lang.dsl import MExpr
 from ..operand import DENSE, convert_value, kind_of, registered
@@ -162,7 +163,7 @@ def plan_representations(
         whose planned form differs from their bound form, and
         ``repr_plan`` carrying the :class:`RepresentationPlan`.
     """
-    if isinstance(plan, (MExpr, Node)):
+    if not isinstance(plan, CompiledPlan):
         plan = compile_expr(plan)
     if isinstance(force, str) and force != "dense":
         raise CompilerError(
@@ -180,7 +181,8 @@ def plan_representations(
             raise CompilerError(
                 f"cannot plan representations without a binding for {name!r}"
             )
-    touched = _touch_flops(plan.root)
+    roots = tuple(plan.outputs.values())
+    touched = _touch_flops(roots)
     bound = {
         name: Form(kind_of(bindings[name]), token=name) for name in plan.inputs
     }
@@ -190,7 +192,7 @@ def plan_representations(
             shape,
             bindings[name],
             touched.get(name, 0.0),
-            partial(_unsupported, plan.root, bound, name),
+            partial(_unsupported, roots, bound, name),
             force if isinstance(force, str) else (force or {}).get(name),
             sample_fraction,
             store,
@@ -203,11 +205,10 @@ def plan_representations(
         for name, c in choices.items()
         if c.needs_convert
     }
-    root = _wrap_converts(plan.root, targets)
     rp = RepresentationPlan(choices=choices, sample_fraction=sample_fraction)
     return replace(
         plan,
-        root=root,
+        outputs=dict(zip(plan.outputs, _wrap_converts(roots, targets))),
         passes=[*plan.passes, "reprplan"],
         repr_plan=rp,
     )
@@ -216,18 +217,11 @@ def plan_representations(
 # ----------------------------------------------------------------------
 # DAG profiling: per-input touch flops, and what would densify
 # ----------------------------------------------------------------------
-def _touch_flops(root: Node) -> dict[str, float]:
+def _touch_flops(roots: tuple[Node, ...]) -> dict[str, float]:
     """FLOPs of the operators that read each input directly (through
     transposes and conversions)."""
     touched: dict[str, float] = {}
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.children)
+    for node in unique_nodes(*roots):
         if isinstance(node, (Transpose, Convert)):
             continue
         for child in node.children:
@@ -241,7 +235,7 @@ def _touch_flops(root: Node) -> dict[str, float]:
 
 
 def _unsupported(
-    root: Node, bound: dict[str, Form], name: str, kind: str
+    roots: tuple[Node, ...], bound: dict[str, Form], name: str, kind: str
 ) -> set[str]:
     """Operators that would densify input ``name`` — or a value derived
     from it that stayed in the representation — if it arrived as
@@ -291,7 +285,8 @@ def _unsupported(
         memo[id(node)] = out
         return out
 
-    visit(root)
+    for root in roots:
+        visit(root)
     return labels
 
 
@@ -386,9 +381,13 @@ def _choose(
 # ----------------------------------------------------------------------
 # Convert insertion (preserves DAG sharing)
 # ----------------------------------------------------------------------
-def _wrap_converts(root: Node, targets: dict[str, str]) -> Node:
+def _wrap_converts(
+    roots: tuple[Node, ...], targets: dict[str, str]
+) -> tuple[Node, ...]:
+    """One memo across every root, so nodes shared between outputs stay
+    shared under their Convert-wrapped inputs."""
     if not targets:
-        return root
+        return roots
     memo: dict[int, Node] = {}
 
     def visit(node: Node) -> Node:
@@ -409,4 +408,4 @@ def _wrap_converts(root: Node, targets: dict[str, str]) -> Node:
         memo[id(node)] = new
         return new
 
-    return visit(root)
+    return tuple(visit(root) for root in roots)

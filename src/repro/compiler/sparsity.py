@@ -24,6 +24,7 @@ from ..lang.ast import (
     Node,
     Transpose,
     Unary,
+    unique_nodes,
 )
 from ..operand import zero_preserving
 from ..runtime.ops import apply_unary
@@ -111,15 +112,8 @@ def sparse_aware_flops(
     from :func:`repro.compiler.cost.estimate`.
     """
     sparsity = propagate_sparsity(root, input_sparsity)
-    seen: set[int] = set()
     flops = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.children)
+    for node in unique_nodes(root):
         if isinstance(node, MatMul):
             m, k = node.left.shape
             n = node.right.shape[1]

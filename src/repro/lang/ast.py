@@ -330,21 +330,39 @@ def walk(node: Node):
     yield node
 
 
+def unique_nodes(*roots: Node):
+    """Each distinct node object reachable from ``roots`` exactly once,
+    children before parents — the one DAG walk: a node CSE shared, within
+    one root or across several, is visited (counted, priced,
+    fingerprinted) once."""
+    seen: set[int] = set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
+
+
 def count_nodes(node: Node) -> int:
     """Number of nodes in the tree (with repetition)."""
     return sum(1 for _ in walk(node))
 
 
-def collect_inputs(node: Node) -> dict[str, Shape]:
-    """Names and shapes of every Data input referenced by the expression."""
+def collect_inputs(*roots: Node) -> dict[str, Shape]:
+    """Names and shapes of every Data input the expressions reference."""
     inputs: dict[str, Shape] = {}
-    for n in walk(node):
+    for n in unique_nodes(*roots):
         if isinstance(n, Data):
-            existing = inputs.get(n.name)
-            if existing is not None and existing != n.shape:
+            existing = inputs.setdefault(n.name, n.shape)
+            if existing != n.shape:
                 raise CompilerError(
                     f"input {n.name!r} used with conflicting shapes "
                     f"{existing} and {n.shape}"
                 )
-            inputs[n.name] = n.shape
     return inputs

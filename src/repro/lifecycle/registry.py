@@ -253,39 +253,53 @@ class ModelRegistry:
         except (OSError, json.JSONDecodeError) as exc:
             raise LifecycleError(f"cannot load registry: {exc}") from exc
         registry = cls()
-        entries = sorted(
-            payload.get("versions", []), key=lambda e: (e["name"], e["version"])
-        )
-        for entry in entries:
-            model = (
-                loads_model(entry["model"])
-                if entry["model"] is not None
-                else None
+        where = '"versions"'
+        try:
+            entries = sorted(
+                payload.get("versions", []),
+                key=lambda e: (e["name"], e["version"]),
             )
-            version = ModelVersion(
-                name=entry["name"],
-                version=entry["version"],
-                model=model,
-                params=entry["params"],
-                metrics=entry["metrics"],
-                tags=tuple(entry["tags"]),
-                parent_version=entry["parent_version"],
-                created_at=entry["created_at"],
-                # absent in files saved before the feature store existed
-                feature_fingerprint=entry.get("feature_fingerprint"),
-            )
-            registry._models.setdefault(entry["name"], []).append(version)
-        registry._stage = {
-            name: int(v) for name, v in payload.get("deployed", {}).items()
-        }
-        registry._history = {
-            name: [int(v) for v in versions]
-            for name, versions in payload.get("history", {}).items()
-        }
-        registry._aliases = {
-            name: {alias: int(v) for alias, v in aliases.items()}
-            for name, aliases in payload.get("aliases", {}).items()
-        }
+            for entry in entries:
+                where = f"version {entry['version']!r} of {entry['name']!r}"
+                model = (
+                    loads_model(entry["model"])
+                    if entry["model"] is not None
+                    else None
+                )
+                version = ModelVersion(
+                    name=entry["name"],
+                    version=entry["version"],
+                    model=model,
+                    params=entry["params"],
+                    metrics=entry["metrics"],
+                    tags=tuple(entry["tags"]),
+                    parent_version=entry["parent_version"],
+                    created_at=entry["created_at"],
+                    # absent in files saved before the feature store existed
+                    feature_fingerprint=entry.get("feature_fingerprint"),
+                )
+                registry._models.setdefault(entry["name"], []).append(version)
+            where = '"deployed"'
+            registry._stage = {
+                name: int(v) for name, v in payload.get("deployed", {}).items()
+            }
+            where = '"history"'
+            registry._history = {
+                name: [int(v) for v in versions]
+                for name, versions in payload.get("history", {}).items()
+            }
+            where = '"aliases"'
+            registry._aliases = {
+                name: {alias: int(v) for alias, v in aliases.items()}
+                for name, aliases in payload.get("aliases", {}).items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # valid JSON that is not a registry: truncated by hand, or
+            # written by something else
+            raise LifecycleError(
+                f"registry file {path} is structurally broken at {where}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         # Files saved before aliases existed carry deployments only:
         # re-derive their "prod" alias from the staged version.
         for name, version in registry._stage.items():

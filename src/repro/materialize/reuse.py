@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..compiler.cost import node_flops
-from ..lang.ast import Constant, Convert, Data, Node
+from ..lang.ast import Constant, Convert, Data, Node, unique_nodes
 from .fingerprint import Fingerprint, canonical_plan, fingerprint_node
 from .store import MaterializationStore
 
@@ -41,20 +41,13 @@ class ReuseContext:
         self.flags = "|".join(plan.passes)
         self._fps: dict[int, Fingerprint] = {}
         self._canon: dict[int, str] = {}
-        self._collect(plan.root, bindings, set())
-
-    def _collect(self, node: Node, bindings, seen: set[int]) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for child in node.children:
-            self._collect(child, bindings, seen)
-        if isinstance(node, (Data, Constant, Convert)):
-            return
-        if node_flops(node) < self.store.min_flops:
-            return
-        self._fps[id(node)] = fingerprint_node(node, bindings, self.flags)
-        self._canon[id(node)] = canonical_plan(node)[0]
+        for node in unique_nodes(*plan.outputs.values()):
+            if isinstance(node, (Data, Constant, Convert)):
+                continue
+            if node_flops(node) < store.min_flops:
+                continue
+            self._fps[id(node)] = fingerprint_node(node, bindings, self.flags)
+            self._canon[id(node)] = canonical_plan(node)[0]
 
     @property
     def candidates(self) -> int:

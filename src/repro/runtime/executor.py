@@ -93,13 +93,17 @@ class ExecutionStats:
 
 
 def execute(
-    plan: CompiledPlan | MExpr | Node,
+    plan: CompiledPlan | MExpr | Node | dict[str, MExpr | Node],
     bindings: dict[str, object] | None = None,
     collect_stats: bool = False,
     representation: str | None = None,
     parallel: bool | ParallelContext | None = None,
 ):
-    """Run a plan (or compile-and-run a raw expression).
+    """Run a plan (or compile-and-run raw expressions).
+
+    Every output of the plan is evaluated over one memo table, so a
+    node shared between outputs runs once, inside one span and one
+    published :class:`ExecutionStats`.
 
     Args:
         bindings: name -> operand for every Data input: a numpy array
@@ -115,15 +119,16 @@ def execute(
             whose kernels support cost-gated parallel dispatch.
 
     Returns:
-        The result array (scalars as Python floats), or
-        ``(result, stats)`` when ``collect_stats`` is set.
+        The result array (scalars as Python floats) of a single-output
+        plan, ``{name: result}`` for a plan with several outputs — or
+        ``(that, stats)`` when ``collect_stats`` is set.
     """
     if representation not in (None, "dense"):
         raise ExecutionError(
             f"representation must be None or 'dense', got {representation!r}; "
             "use repro.compiler.plan_representations to target others"
         )
-    if isinstance(plan, (MExpr, Node)):
+    if not isinstance(plan, CompiledPlan):
         plan = compile_expr(plan)
     bindings = bindings or {}
     force_dense = representation == "dense"
@@ -154,30 +159,34 @@ def execute(
     dense_cache: dict[int, np.ndarray] = {}
     exec_span = span(
         "executor.execute",
-        root=op_label(plan.root),
+        root=",".join(op_label(root) for root in plan.outputs.values()),
         inputs=len(plan.inputs),
         force_dense=force_dense,
     )
     try:
         with exec_span:
             try:
-                result = _eval(
-                    plan.root, prepared, memo, stats, dense_cache,
-                    force_dense, reuse,
-                )
+                results = [
+                    _eval(
+                        root, prepared, memo, stats, dense_cache,
+                        force_dense, reuse,
+                    )
+                    for root in plan.outputs.values()
+                ]
             finally:
                 for value in attached:
                     value.set_parallel(None)
 
-            if repops.is_representation(result):
-                stats.note_convert(
-                    f"{repops.kind_of(result)}->dense(output)", 0
-                )
-                result = repops.densify(result)
-            if plan.root.is_scalar:
-                out = float(result[0, 0])
-            else:
-                out = result
+            out = {}
+            for (name, root), result in zip(plan.outputs.items(), results):
+                if repops.is_representation(result):
+                    stats.note_convert(
+                        f"{repops.kind_of(result)}->dense(output)", 0
+                    )
+                    result = repops.densify(result)
+                out[name] = float(result[0, 0]) if root.is_scalar else result
+            if len(out) == 1:
+                (out,) = out.values()
     finally:
         _publish_execution(stats, exec_span)
         if store is not None:

@@ -40,8 +40,7 @@ from .batcher import MicroBatcher, PendingRequest
 from .cache import PredictionCache, feature_hash
 from .fabric import ShardedServer
 from .quota import AdmissionQuotas, TokenBucket
-from .ring import HashRing
-from .router import CanaryRouter
+from .ring import CanaryRouter, HashRing
 from .server import Endpoint, ModelServer, compile_linear_scorer
 
 __all__ = [

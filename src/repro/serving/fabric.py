@@ -7,7 +7,7 @@ shards. :class:`ShardedServer` is that fabric:
 
 * **Placement** — endpoints land on shards via a CRC32 consistent-hash
   :class:`~repro.serving.ring.HashRing` (bit-reproducible like
-  :class:`~repro.serving.router.CanaryRouter`; resizing the fleet
+  :class:`~repro.serving.ring.CanaryRouter`; resizing the fleet
   remaps only ~1/N of the key space). Hot endpoints replicate onto the
   next R distinct ring successors.
 * **Routing** — a request key deterministically picks one of the

@@ -1,9 +1,9 @@
-"""Deterministic consistent-hash ring for shard placement and routing.
+"""The placement hash and its two users: the consistent-hash ring for
+shard placement and routing, and the canary traffic split.
 
 The fabric partitions endpoints and their prediction caches across
-shards, so the placement function has to satisfy three properties the
-:class:`~repro.serving.router.CanaryRouter` already set the precedent
-for:
+shards, so the placement function has to satisfy three properties
+:class:`CanaryRouter` already set the precedent for:
 
 * **bit-reproducible** — placement hashes with CRC32 over explicit
   strings, never builtin ``hash`` (salted per interpreter), so the same
@@ -24,8 +24,12 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from dataclasses import dataclass
 
 from ..errors import ServingError
+
+#: canary bucket resolution: keys map to [0, 1) in steps of 1/2^32.
+_BUCKETS = float(2**32)
 
 
 def placement_hash(seed: int, token: str) -> int:
@@ -36,6 +40,50 @@ def placement_hash(seed: int, token: str) -> int:
     under any ``PYTHONHASHSEED``.
     """
     return zlib.crc32(f"{seed}|{token}".encode("utf-8"))
+
+
+@dataclass(frozen=True)
+class CanaryRouter:
+    """Routes a fixed fraction of request keys to a candidate version.
+
+    A rollout is only auditable if the split is reproducible: a key's
+    bucket derives from ``(seed, key)`` alone — no per-request
+    randomness, no mutable state — so it lands on the same side in every
+    process, forever. Moving the fraction is *monotone*: raising it only
+    adds keys to the canary set, so a gradual 1% -> 5% -> 25% rollout
+    keeps early canary users on the candidate instead of reshuffling
+    them.
+
+    Args:
+        fraction: share of the key space routed to the canary, in [0, 1].
+        seed: salt for the key hash; two routers with different seeds
+            draw independent splits over the same keys.
+    """
+
+    fraction: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ServingError(
+                f"canary fraction must be in [0, 1], got {self.fraction}"
+            )
+
+    def bucket(self, key: object) -> float:
+        """The key's fixed position in [0, 1) — independent of fraction."""
+        return placement_hash(self.seed, repr(key)) / _BUCKETS
+
+    def routes_to_canary(self, key: object) -> bool:
+        """True when this key belongs to the canary slice."""
+        return self.fraction > 0.0 and self.bucket(key) < self.fraction
+
+    def split(self, keys) -> tuple[list, list]:
+        """Partition ``keys`` into (stable, canary) lists, order kept."""
+        stable: list = []
+        canary: list = []
+        for key in keys:
+            (canary if self.routes_to_canary(key) else stable).append(key)
+        return stable, canary
 
 
 class HashRing:

@@ -9,7 +9,7 @@ other half — the process that answers prediction requests. A
   candidate), so :meth:`promote` / :meth:`rollback` are atomic pointer
   swaps — in-flight requests finish on the version they resolved;
 * routes a deterministic hash-slice of request keys to the canary
-  (:class:`~repro.serving.router.CanaryRouter` — bit-reproducible given
+  (:class:`~repro.serving.ring.CanaryRouter` — bit-reproducible given
   the seed);
 * scores through a **compiled affine scorer**: for linear models the
   endpoint evaluates the same column-accumulation expression
@@ -52,7 +52,7 @@ from ..obs import Counted, Histogram, Ledger, get_registry
 from ..resilience import RetryPolicy, fault_point, resilient_call
 from .batcher import MicroBatcher
 from .cache import PredictionCache
-from .router import CanaryRouter
+from .ring import CanaryRouter
 
 #: scorer outputs an endpoint can serve for linear models.
 _OUTPUTS = ("margin", "proba", "label", "predict")

@@ -40,6 +40,7 @@ def _rowblock_matvec(csr: "CSRMatrix", v: np.ndarray, bounds) -> np.ndarray:
     s = slice(csr.indptr[lo], csr.indptr[hi])
     products = csr.data[s] * v[csr.indices[s]]
     out = np.zeros(hi - lo)
+    # Segment-sum per row via reduceat (empty rows stay zero).
     local_ptr = csr.indptr[lo:hi] - csr.indptr[lo]
     nonempty = np.diff(csr.indptr[lo : hi + 1]) > 0
     if products.size:
@@ -266,14 +267,7 @@ class CSRMatrix(Operand, kind="csr"):
         )
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
-        products = self.data * v[self.indices]
-        out = np.zeros(self.shape[0])
-        # Segment-sum per row via reduceat (empty rows handled below).
-        nonempty = np.diff(self.indptr) > 0
-        if products.size:
-            sums = np.add.reduceat(products, self.indptr[:-1][nonempty])
-            out[nonempty] = sums
-        return out
+        return _rowblock_matvec(self, v, (0, self.shape[0]))
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """X.T @ u in O(nnz)."""
@@ -297,12 +291,7 @@ class CSRMatrix(Operand, kind="csr"):
         )
 
     def _rmatvec(self, u: np.ndarray) -> np.ndarray:
-        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return np.bincount(
-            self.indices,
-            weights=self.data * u[row_of],
-            minlength=self.shape[1],
-        )
+        return _rowblock_rmatvec(self, u, (0, self.shape[0]))
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
         """X @ B for dense B, column by column."""

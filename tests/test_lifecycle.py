@@ -151,6 +151,43 @@ class TestModelRegistry:
         loaded = ModelRegistry.load(path)
         assert loaded.get("churn").feature_fingerprint is None
 
+    @pytest.mark.parametrize(
+        "breakage, where",
+        [
+            (lambda p: p["versions"][0].pop("params"), "version 1 of 'churn'"),
+            (lambda p: p["versions"][1].pop("name"), '"versions"'),
+            (lambda p: p.update(versions=3), '"versions"'),
+            (lambda p: p.update(versions={"churn": 1}), '"versions"'),
+            (lambda p: p["aliases"]["churn"].update(canary="two"), '"aliases"'),
+            (lambda p: p["aliases"].update(churn=None), '"aliases"'),
+            (lambda p: p["deployed"].update(churn=None), '"deployed"'),
+            (lambda p: p.update(history={"churn": 7}), '"history"'),
+        ],
+    )
+    def test_structurally_broken_file_is_a_typed_error(
+        self, registry, tmp_path, breakage, where
+    ):
+        """Valid JSON that is not a registry names the file and the
+        entry, instead of a bare KeyError / TypeError / ValueError."""
+        import json
+
+        registry.deploy("churn", 1)
+        registry.set_alias("churn", "canary", 2)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        payload = json.loads(path.read_text())
+        breakage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LifecycleError) as caught:
+            ModelRegistry.load(path)
+        assert str(path) in str(caught.value) and where in str(caught.value)
+
+    def test_top_level_not_an_object_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "registry.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(LifecycleError, match="structurally broken"):
+            ModelRegistry.load(path)
+
 
 class TestExperimentTracker:
     @pytest.fixture

@@ -1,20 +1,34 @@
-"""Tests for multi-output programs, random forests, feature hashing,
+"""Tests for multi-output plans, random forests, feature hashing,
 and out-of-core training."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compiler import compile_program, execute_program
+from repro import obs
+from repro.algorithms import linreg_direct, pca_dsl
+from repro.compiler import (
+    FeedbackStore,
+    compile_expr,
+    count_unique_ops,
+    feedback_scope,
+    plan_representations,
+)
+from repro.compression import CompressedMatrix
 from repro.data import make_categorical, make_classification, make_regression
 from repro.errors import CompilerError, ExecutionError, ModelError, NotFittedError
-from repro.lang import matrix, sumall
+from repro.lang import absval, colmeans, matrix, rowsums, sigmoid, sumall
+from repro.materialize import MaterializationStore, materialization_scope
 from repro.ml import (
     DecisionTreeClassifier,
     FeatureHasher,
     RandomForestClassifier,
     RandomForestRegressor,
 )
-from repro.runtime import OutOfCoreLinearRegression
+from repro.ml.linreg import Moments
+from repro.runtime import OutOfCoreLinearRegression, execute
+from repro.sparse import CSRMatrix
 
 
 class TestProgramCompilation:
@@ -23,7 +37,7 @@ class TestProgramCompilation:
         w = matrix("w", (d, 1))
         y = matrix("y", (n, 1))
         residual = X @ w - y
-        return compile_program(
+        return compile_expr(
             {"loss": sumall(residual**2) / n, "grad": X.T @ residual / n}
         )
 
@@ -35,8 +49,9 @@ class TestProgramCompilation:
             "w": rng.standard_normal(d),
             "y": rng.standard_normal(n),
         }
-        out = execute_program(program, b)
+        out = execute(program, b)
         residual = b["X"] @ b["w"] - b["y"]
+        assert isinstance(out["loss"], float)  # scalar outputs are floats
         assert out["loss"] == pytest.approx(float(residual @ residual) / n)
         assert np.allclose(out["grad"][:, 0], b["X"].T @ residual / n)
 
@@ -48,21 +63,19 @@ class TestProgramCompilation:
             "w": rng.standard_normal(d),
             "y": rng.standard_normal(n),
         }
-        _, stats = execute_program(program, b, collect_stats=True)
+        _, stats = execute(program, b, collect_stats=True)
         # The residual subtraction appears in both outputs but runs once.
         assert stats.op_counts["binary:-"] == 1
         # X@w once, X.T@residual once.
         assert stats.op_counts["matmul"] == 2
 
     def test_cse_shares_across_outputs_vs_separate_compiles(self):
-        from repro.compiler import compile_expr, count_unique_ops
-
         n, d = 50, 4
         X = matrix("X", (n, d))
         w = matrix("w", (d, 1))
         y = matrix("y", (n, 1))
         residual = X @ w - y
-        program = compile_program(
+        program = compile_expr(
             {"a": sumall(residual**2), "b": sumall(residual)}
         )
         separate = count_unique_ops(
@@ -74,11 +87,11 @@ class TestProgramCompilation:
         a = matrix("X", (5, 4))
         b = matrix("X", (6, 4))
         with pytest.raises(CompilerError, match="conflicting"):
-            compile_program({"a": sumall(a), "b": sumall(b)})
+            compile_expr({"a": sumall(a), "b": sumall(b)})
 
     def test_empty_program_rejected(self):
         with pytest.raises(CompilerError):
-            compile_program({})
+            compile_expr({})
 
     def test_gd_driver_via_program(self, rng):
         """A GD loop using the loss+grad program converges."""
@@ -89,9 +102,172 @@ class TestProgramCompilation:
         program = self._loss_grad_program(n, d)
         wv = np.zeros(d)
         for _ in range(400):
-            out = execute_program(program, {"X": Xv, "w": wv, "y": yv})
+            out = execute(program, {"X": Xv, "w": wv, "y": yv})
             wv = wv - 0.5 * out["grad"][:, 0]
         assert np.allclose(wv, w_true, atol=1e-3)
+
+
+# Hypothesis: random expressions over three shared square inputs.
+_SIDE = 5
+_EXPRS = st.recursive(
+    st.sampled_from(["A", "B", "C"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "@"]), sub, sub),
+        st.tuples(st.sampled_from(["t", "abs", "sigmoid", "rowsums"]), sub),
+    ),
+    max_leaves=6,
+)
+
+
+def _build(spec):
+    if isinstance(spec, str):
+        return matrix(spec, (_SIDE, _SIDE))
+    op, *args = spec
+    args = [_build(a) for a in args]
+    if op == "t":
+        return args[0].T
+    if op == "abs":
+        return absval(args[0])
+    if op == "sigmoid":
+        return sigmoid(args[0])
+    if op == "rowsums":  # broadcast back so every node stays square
+        return rowsums(args[0]) + args[0]
+    a, b = args
+    return {"+": a + b, "-": a - b, "*": a * b, "@": a @ b}[op]
+
+
+def _run(plan, bindings):
+    return execute(plan, {name: bindings[name] for name in plan.inputs})
+
+
+def _executor_counters():
+    return {
+        name: obs.metric_value(name)
+        for name in obs.get_registry().as_dict()["counters"]
+        if name.startswith("executor.")
+    }
+
+
+class TestMultiOutputRunsTheOnePath:
+    """A plan with named outputs is an ordinary plan to every layer the
+    executor feeds: registry, spans, feedback, reprplan, reuse."""
+
+    @given(
+        first=_EXPRS,
+        second=_EXPRS,
+        scalar=st.booleans(),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_the_single_output_results_and_ops_counted_once(
+        self, first, second, scalar, seed
+    ):
+        rng = np.random.default_rng(seed)
+        b = {k: rng.standard_normal((_SIDE, _SIDE)) for k in "ABC"}
+        e1, e2 = _build(first), _build(second)
+        if scalar:
+            e2 = sumall(e2)
+        alone = {"p": _run(compile_expr(e1), b), "q": _run(compile_expr(e2), b)}
+        plan = compile_expr({"p": e1, "q": e2})
+        before = obs.metric_value("executor.ops")
+        out = _run(plan, b)
+        assert obs.metric_value("executor.ops") - before == plan.num_ops
+        assert plan.num_ops == count_unique_ops(*plan.outputs.values())
+        assert set(out) == {"p", "q"}
+        assert np.array_equal(out["p"], alone["p"])
+        assert np.array_equal(out["q"], alone["q"])
+        assert isinstance(out["q"], float) == scalar
+
+    def test_one_span_one_execution_one_feedback_update(self, rng):
+        n, d = 60, 4
+        X, w, y = matrix("X", (n, d)), matrix("w", (d, 1)), matrix("y", (n, 1))
+        residual = X @ w - y
+        exprs = {"loss": sumall(residual**2) / n, "grad": X.T @ residual / n}
+        b = {
+            "X": rng.standard_normal((n, d)),
+            "w": rng.standard_normal(d),
+            "y": rng.standard_normal(n),
+        }
+        single = compile_expr(exprs["grad"])
+        obs.set_tracing(True)
+        with feedback_scope(FeedbackStore()):
+            _, one = execute(single, b, collect_stats=True)
+            moved_by_one = _executor_counters()
+            obs.reset()
+            _, stats = execute(compile_expr(exprs), b, collect_stats=True)
+        spans = [r for r in obs.span_roots() if r.name == "executor.execute"]
+        assert len(spans) == 1
+        assert obs.metric_value("feedback.updates") == 1
+        moved = _executor_counters()
+        assert moved["executor.executions"] == moved_by_one["executor.executions"] == 1
+        assert moved["executor.ops"] == stats.total_ops > one.total_ops
+        assert moved["executor.flops"] == stats.flops > one.flops
+        assert moved["executor.intermediate_bytes"] == stats.intermediate_bytes
+        assert set(moved) == set(moved_by_one)
+
+    def test_reprplan_and_reuse_over_csr_and_cla_bindings(self, rng):
+        n, d = 400, 16
+        dense = {
+            "S": rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.05),
+            "C": np.round(rng.standard_normal((n, d)) * 2),
+            "w": rng.standard_normal(d),
+        }
+        Sm, Cm, wm = matrix("S", (n, d)), matrix("C", (n, d)), matrix("w", (d, 1))
+        # S arrives as CSR and stays; C arrives dense and is planned CLA,
+        # so its reads go through an inserted Convert
+        bound = {**dense, "S": CSRMatrix.from_dense(dense["S"])}
+        plan = plan_representations(
+            compile_expr(
+                {
+                    "cw": Cm @ wm,
+                    "sc": Sm @ wm + Cm @ wm,
+                    "s": Sm.T @ (Sm @ wm),
+                }
+            ),
+            bound,
+        )
+        assert "reprplan" in plan.passes
+        b = plan.repr_plan.convert_bindings(bound)
+        assert isinstance(b["S"], CSRMatrix)
+        assert isinstance(b["C"], CompressedMatrix)
+        store = MaterializationStore(min_flops=1.0)
+        with materialization_scope(store):
+            cold, s1 = execute(plan, b, collect_stats=True)
+            warm, s2 = execute(plan, b, collect_stats=True)
+        assert s1.fallback_count == 0 and s2.fallback_count == 0
+        # C %*% w is still one node under the Convert both outputs read
+        assert s1.op_counts["matmul"] == 2
+        assert s1.reuse_count == 0 and s2.reuse_count > 0
+        reference = execute(plan, dense, representation="dense")
+        for name in plan.outputs:
+            assert np.array_equal(cold[name], warm[name])
+            assert np.allclose(cold[name], reference[name], atol=1e-9)
+
+    def test_production_callers_keep_their_bytes_and_share_colmeans(self, rng):
+        """pca_dsl / linreg_direct against the two-plans-two-executions
+        spelling they had before (kept here as the oracle)."""
+        n, d = 300, 9
+        X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+        Xm, ym = matrix("X", (n, d)), matrix("y", (n, 1))
+
+        centered = Xm - colmeans(Xm)
+        cov, s1 = execute(
+            centered.T @ centered / (n - 1), {"X": X}, collect_stats=True
+        )
+        mean, s2 = execute(colmeans(Xm), {"X": X}, collect_stats=True)
+        result = pca_dsl(X, d)
+        assert np.array_equal(result.mean, mean[0])
+        eigenvalues = np.maximum(np.sort(np.linalg.eigh(cov)[0])[::-1], 0.0)
+        assert np.array_equal(result.explained_variance, eigenvalues)
+        # exactly the shared colmeans operator is no longer run twice
+        assert result.flops_executed == s1.flops + s2.flops - n * d
+        assert result.flops_executed < s1.flops + s2.flops
+
+        gram = execute(Xm.T @ Xm, {"X": X})
+        xty = execute(Xm.T @ ym, {"X": X, "y": y})
+        for l2 in (0.0, 0.1):
+            oracle = Moments(gram, xty[:, 0], np.nan, n).solve(l2)
+            assert np.array_equal(linreg_direct(X, y, l2=l2).weights, oracle)
 
 
 class TestRandomForest:

@@ -67,6 +67,37 @@ class TestExports:
                     undocumented.append(f"repro.{name}.{symbol}")
         assert undocumented == []
 
+    def test_every_repro_name_benchmarks_and_examples_import_resolves(self):
+        """A deleted module or export fails here, in tier-1, instead of
+        in the later e2e / bench-report jobs (both trees are read, not
+        run; ``benchmarks/e2e`` included)."""
+        scripts = sorted(
+            path
+            for tree in ("benchmarks", "examples")
+            for path in (REPO_ROOT / tree).rglob("*.py")
+        )
+        assert len(scripts) > 40
+        unresolved = []
+        for path in scripts:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    wanted = [(alias.name, None) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    wanted = [(node.module, alias.name) for alias in node.names]
+                else:
+                    continue
+                for module, name in wanted:
+                    if module.split(".")[0] != "repro":
+                        continue
+                    try:
+                        owner = importlib.import_module(module)
+                        if name is not None and not hasattr(owner, name):
+                            importlib.import_module(f"{module}.{name}")
+                    except ImportError:
+                        where = path.relative_to(REPO_ROOT)
+                        unresolved.append(f"{where}: {module} -> {name}")
+        assert unresolved == []
+
 
 class TestDocsAndExperiments:
     @pytest.fixture(scope="class")

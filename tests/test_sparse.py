@@ -177,6 +177,59 @@ class TestKernels:
         assert np.allclose(X.colsums(), Xd.sum(axis=0), atol=1e-10)
 
 
+def _whole_matvec(X, v):
+    """The whole-call X @ v body before it became the (0, rows) row
+    block — kept here as the oracle."""
+    products = X.data * v[X.indices]
+    out = np.zeros(X.shape[0])
+    nonempty = np.diff(X.indptr) > 0
+    if products.size:
+        out[nonempty] = np.add.reduceat(products, X.indptr[:-1][nonempty])
+    return out
+
+
+def _whole_rmatvec(X, u):
+    """The whole-call X.T @ u body, likewise."""
+    row_of = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    return np.bincount(
+        X.indices, weights=X.data * u[row_of], minlength=X.shape[1]
+    )
+
+
+class TestWholeCallIsOneRowBlock:
+    @given(
+        n=st.integers(0, 40),
+        d=st.integers(1, 8),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        blocks=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_the_old_whole_call_bodies(
+        self, n, d, density, blocks, seed
+    ):
+        from repro.sparse.csr import _rowblock_matvec, _rowblock_rmatvec
+
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+        dense[rng.random(n) < 0.3] = 0.0  # empty rows, possibly all of them
+        X = CSRMatrix.from_dense(dense)
+        v, u = rng.standard_normal(d), rng.standard_normal(n)
+        assert np.array_equal(X.matvec(v), _whole_matvec(X, v))
+        assert np.array_equal(X.rmatvec(u), _whole_rmatvec(X, u))
+
+        cuts = np.linspace(0, n, blocks + 1).astype(int)
+        bounds = list(zip(cuts, cuts[1:]))
+        stacked = [_rowblock_matvec(X, v, b) for b in bounds]
+        assert np.array_equal(np.concatenate(stacked), _whole_matvec(X, v))
+        # partial sums reassociate, so the block fold is bitwise only
+        # where every sum is exact: on a grid
+        G = CSRMatrix.from_dense(np.round(dense * 4) / 4)
+        g = np.round(u * 4) / 4
+        folded = sum(_rowblock_rmatvec(G, g, b) for b in bounds)
+        assert np.array_equal(folded, _whole_rmatvec(G, g))
+
+
 class TestSparseGLMTraining:
     """The existing optimizers train on CSR designs unchanged."""
 
