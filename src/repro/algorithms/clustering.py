@@ -55,7 +55,6 @@ def kmeans_dsl(
     checkpointer: IterativeCheckpointer | None = None,
     retry: RetryPolicy | None = None,
     adaptive: "bool | _feedback.FeedbackStore | None" = None,
-    replan_interval: int = 1,
 ) -> KMeansResult:
     """Lloyd's algorithm with compiled distance evaluation.
 
@@ -69,7 +68,7 @@ def kmeans_dsl(
     ``"clustering.kmeans_dsl.step"``.
 
     ``adaptive`` re-plans ``X``'s representation against the feedback
-    store every ``replan_interval`` iterations (see
+    store every iteration (see
     :func:`~repro.algorithms.glm.logreg_gd` — same contract): exact
     conversions, decisions recorded in ``result.plan_history``.
     """
@@ -88,7 +87,7 @@ def kmeans_dsl(
     dist_plan = compile_expr(dist_expr)
 
     runner = AdaptivePlan(
-        dist_plan, X, {"C": np.zeros((n_clusters, d))}, adaptive, replan_interval
+        dist_plan, X, {"C": np.zeros((n_clusters, d))}, adaptive, interval=1
     )
 
     def assign(centers: np.ndarray):

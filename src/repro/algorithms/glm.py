@@ -46,10 +46,6 @@ class AlgorithmResult:
     #: plan decisions adopted, e.g. "iter 2: X -> dense (csr demoted ...)"
     plan_history: list[str] = field(default_factory=list)
 
-    @property
-    def final_objective(self) -> float:
-        return self.objective_history[-1] if self.objective_history else float("nan")
-
 
 def _prepare(X, y) -> tuple:
     """Pass a representation ``X`` through, coerce the rest to dense and
@@ -184,19 +180,17 @@ def linreg_cg(
     X: np.ndarray,
     y: np.ndarray,
     l2: float = 0.0,
-    max_iter: int | None = None,
     tol: float = 1e-10,
 ) -> AlgorithmResult:
     """Conjugate gradient on the normal equations (SystemML's LinearRegCG).
 
     Never forms X'X: each iteration's Hessian-vector product
     ``t(X) %*% (X %*% p) + l2 p`` is one compiled plan whose mvchain
-    fusion keeps the cost at O(n d) per iteration.
+    fusion keeps the cost at O(n d) per iteration, for at most ``d``
+    iterations (CG's exact-arithmetic bound).
     """
     X, y = _prepare(X, y)
     n, d = X.shape
-    if max_iter is None:
-        max_iter = d
     Xm = matrix("X", (n, d))
     pm = matrix("p", (d, 1))
     ym = matrix("y", (n, 1))
@@ -216,7 +210,7 @@ def linreg_cg(
     history = [np.sqrt(rs) / b_norm]
     converged = history[-1] <= tol
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < d:
         it += 1
         Ap_col, s = execute(hvp_plan, {"X": X, "p": p}, collect_stats=True)
         total_flops += s.flops
@@ -247,7 +241,6 @@ def logreg_gd(
     X: np.ndarray,
     y: np.ndarray,
     l2: float = 0.0,
-    learning_rate: float = 1.0,
     max_iter: int = 200,
     tol: float = 1e-8,
     checkpointer: IterativeCheckpointer | None = None,
@@ -270,8 +263,8 @@ def logreg_gd(
     ``adaptive`` enables SystemML-style runtime re-optimization: the
     design matrix's representation is planned up front and re-planned
     every ``replan_interval`` iterations against the feedback store
-    (``None`` uses the active global store if feedback is enabled,
-    ``True`` the global store unconditionally, or pass a
+    (``None`` uses the enclosing ``feedback_scope``'s store if there is
+    one, ``False`` never adapts, or pass a
     :class:`~repro.compiler.feedback.FeedbackStore`). Representation
     switches are exact conversions, so the post-switch trajectory is
     bit-identical to a run started in the corrected representation from
@@ -308,7 +301,7 @@ def logreg_gd(
             loss_value,
             lambda weights: runner.execute(w=weights, y=y)[:, 0],
             np.zeros(d),
-            learning_rate,
+            1.0,  # first stride; the Armijo search halves it
             max_iter,
             tol,
             checkpointer=checkpointer,

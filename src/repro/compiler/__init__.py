@@ -24,10 +24,6 @@ from .feedback import (
     SitePolicy,
     active_store,
     feedback_scope,
-    get_feedback_store,
-    reset_feedback,
-    set_feedback,
-    set_feedback_store,
 )
 from .cse import (
     count_tree_ops,
@@ -52,10 +48,6 @@ __all__ = [
     "SitePolicy",
     "active_store",
     "feedback_scope",
-    "get_feedback_store",
-    "reset_feedback",
-    "set_feedback",
-    "set_feedback_store",
     "PlanCache",
     "compile_expr_cached",
     "default_plan_cache",

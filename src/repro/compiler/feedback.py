@@ -25,11 +25,10 @@ pure compile-time estimate, and confidence saturates as observations
 accumulate. A ``frozen`` store ignores new observations, pinning every
 consumer's decision for deterministic replay.
 
-The store is **off by default**. :func:`active_store` returns ``None``
-unless ``REPRO_FEEDBACK`` is truthy, a store was installed with
-:func:`set_feedback_store` / :func:`feedback_scope`, or
-:func:`set_feedback` forced it on — so the disabled hot path costs one
-function call and a dict lookup (E23 bounds it below 3%).
+The store is **off by default** and has one way in:
+``with feedback_scope(store)``. Outside a scope :func:`active_store`
+returns ``None``, so the disabled hot path costs one function call and
+one module-attribute read (E23 bounds it below 3%).
 
 Persistence goes through :mod:`repro.persist` (the same atomic
 header+CRC file format the checkpointer uses): a JSON header carrying
@@ -69,8 +68,6 @@ MIN_SITE_OBSERVATIONS = 1
 SITE_LOSS_SPEEDUP = 1.0
 #: measured speedup above this lowers the site's cost threshold.
 SITE_WIN_SPEEDUP = 1.2
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 class FeedbackError(ReproError):
@@ -394,88 +391,26 @@ def input_key(name: str, shape) -> str:
 
 
 # ----------------------------------------------------------------------
-# Process-global enablement
+# The active store: whatever the innermost scope installed
 # ----------------------------------------------------------------------
 _global_lock = threading.Lock()
 _active_store: FeedbackStore | None = None
-_override: bool | None = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_FEEDBACK", "").strip().lower() in _TRUTHY
-
-
-def feedback_enabled() -> bool:
-    """Whether consumers should read (and observers write) the store."""
-    return _env_enabled() if _override is None else _override
-
-
-def set_feedback(enabled: bool | None) -> None:
-    """Force feedback on/off; ``None`` restores the env-var default."""
-    global _override
-    _override = enabled
-
-
-def get_feedback_store() -> FeedbackStore:
-    """The process-global store, created (or loaded) on first use.
-
-    ``REPRO_FEEDBACK_PATH`` names a persistence file: it is loaded if
-    present (corruption falls back to cold) and becomes the default
-    :meth:`FeedbackStore.save` target.
-    """
-    global _active_store
-    with _global_lock:
-        if _active_store is None:
-            path = os.environ.get("REPRO_FEEDBACK_PATH", "").strip() or None
-            if path and os.path.exists(path):
-                _active_store = FeedbackStore.load_or_cold(path)
-            else:
-                _active_store = FeedbackStore(path=path)
-        return _active_store
-
-
-def set_feedback_store(store: FeedbackStore | None) -> None:
-    """Install (or clear) the process-global store.
-
-    Installing a store makes it active regardless of ``REPRO_FEEDBACK``
-    — an explicit install is the opt-in.
-    """
-    global _active_store
-    with _global_lock:
-        _active_store = store
 
 
 def active_store() -> FeedbackStore | None:
-    """The store consumers/observers should use, or ``None`` if disabled.
-
-    This is the hot-path gate: when feedback is off it is one function
-    call, two attribute reads, and (at most) one env lookup.
-    """
-    if _override is False:
-        return None
-    store = _active_store
-    if store is not None:
-        return store
-    if _override or _env_enabled():
-        return get_feedback_store()
-    return None
-
-
-def reset_feedback() -> None:
-    """Drop the global store and any override (test/benchmark hygiene)."""
-    global _active_store, _override
-    with _global_lock:
-        _active_store = None
-    _override = None
+    """The store consumers/observers should use, or ``None`` outside any
+    :func:`feedback_scope` — the hot-path gate, one module-attribute read."""
+    return _active_store
 
 
 @contextmanager
 def feedback_scope(store: FeedbackStore | None):
-    """Temporarily install ``store`` as the active global store.
+    """Install ``store`` as the active store for the duration of the block.
 
-    Drivers use this so an explicitly passed store also receives the
-    executor's and parallel engine's observations for the duration of
-    their loop. ``None`` is a no-op scope.
+    This is the only way in: the executor's and the parallel engine's
+    observations, and every planner read, go to the innermost scope's
+    store, and the previous one is restored on exit. ``None`` is a no-op
+    scope, so drivers can thread an optional store without branching.
     """
     if store is None:
         yield None
@@ -494,19 +429,16 @@ def feedback_scope(store: FeedbackStore | None):
 def resolve_store(adaptive) -> FeedbackStore | None:
     """Normalize a driver's ``adaptive=`` argument.
 
-    ``None`` -> the active global store (or ``None`` when feedback is
-    disabled); ``False`` -> never adapt; ``True`` -> the global store,
-    created if needed; a :class:`FeedbackStore` -> itself.
+    ``None`` -> the active store (``None`` outside a scope); ``False``
+    -> never adapt; a :class:`FeedbackStore` -> itself.
     """
     if adaptive is None:
-        return active_store()
+        return _active_store
     if adaptive is False:
         return None
-    if adaptive is True:
-        return get_feedback_store()
     if isinstance(adaptive, FeedbackStore):
         return adaptive
     raise FeedbackError(
-        f"adaptive must be None, a bool, or a FeedbackStore, "
+        f"adaptive must be None, False, or a FeedbackStore, "
         f"got {type(adaptive).__name__}"
     )

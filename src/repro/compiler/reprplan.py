@@ -52,7 +52,7 @@ from ..lang.ast import (
     unique_nodes,
 )
 from ..lang.dsl import MExpr
-from ..operand import DENSE, convert_value, kind_of, registered
+from ..operand import DENSE, SAMPLE_FRACTION, convert_value, kind_of, registered
 from ..runtime.repops import UNKNOWN, Form, decide
 from .cost import node_flops
 from .feedback import BlendedEstimate, FeedbackStore, active_store, input_key
@@ -108,7 +108,6 @@ class RepresentationPlan:
     """All per-input decisions for one compiled plan."""
 
     choices: dict[str, ReprChoice]
-    sample_fraction: float = 0.05
 
     def convert_bindings(self, bindings: dict) -> dict:
         """One-time conversion of bindings to their planned forms.
@@ -119,9 +118,7 @@ class RepresentationPlan:
         out = dict(bindings)
         for name, choice in self.choices.items():
             if out.get(name) is not None:
-                out[name] = convert_value(
-                    out[name], choice.representation, self.sample_fraction
-                )
+                out[name] = convert_value(out[name], choice.representation)
         return out
 
     def describe(self) -> str:
@@ -140,7 +137,6 @@ def plan_representations(
     plan: CompiledPlan | MExpr | Node,
     bindings: dict,
     force: str | dict[str, str] | None = None,
-    sample_fraction: float = 0.05,
     feedback: "FeedbackStore | bool | None" = None,
 ) -> CompiledPlan:
     """Annotate a plan with per-input representation decisions.
@@ -151,7 +147,6 @@ def plan_representations(
             sparsity, and compressibility are estimated from them.
         force: ``"dense"`` pins every input dense (the materialize-
             then-dense baseline); a dict pins individual inputs.
-        sample_fraction: row fraction for the compression estimators.
         feedback: observed-cost evidence to blend with the estimates.
             ``None`` uses the active global store (usually none —
             feedback is opt-in), ``False`` ignores feedback entirely,
@@ -194,7 +189,6 @@ def plan_representations(
             touched.get(name, 0.0),
             partial(_unsupported, roots, bound, name),
             force if isinstance(force, str) else (force or {}).get(name),
-            sample_fraction,
             store,
         )
         for name, shape in plan.inputs.items()
@@ -205,7 +199,7 @@ def plan_representations(
         for name, c in choices.items()
         if c.needs_convert
     }
-    rp = RepresentationPlan(choices=choices, sample_fraction=sample_fraction)
+    rp = RepresentationPlan(choices=choices)
     return replace(
         plan,
         outputs=dict(zip(plan.outputs, _wrap_converts(roots, targets))),
@@ -300,7 +294,6 @@ def _choose(
     touch_flops: float,
     unsupported: Callable[[str], set[str]],
     pinned: str | None,
-    sample_fraction: float,
     store=None,
 ) -> ReprChoice:
     current = kind_of(value)
@@ -325,7 +318,7 @@ def _choose(
             measured = float(value.evidence())
             ev = BlendedEstimate(measured, measured, measured, 1.0, "observed")
         elif current == DENSE:
-            sampled = cls.sample_evidence(dense, sample_fraction)
+            sampled = cls.sample_evidence(dense, SAMPLE_FRACTION)
             if sampled is None:
                 continue  # cannot be built from values
             if store is not None:

@@ -17,6 +17,9 @@ import numpy as np
 from ..errors import CompressionError
 from .rle import count_runs
 
+#: rows every sample holds at least (or the whole column, if shorter)
+MIN_SAMPLE = 100
+
 
 @dataclass
 class ColumnStats:
@@ -26,10 +29,6 @@ class ColumnStats:
     num_distinct: int
     num_runs: int
     num_nonzero: int
-
-    @property
-    def distinct_ratio(self) -> float:
-        return self.num_distinct / max(self.num_rows, 1)
 
 
 def estimate_distinct(sample: np.ndarray, total_rows: int) -> int:
@@ -56,7 +55,6 @@ def estimate_distinct(sample: np.ndarray, total_rows: int) -> int:
 def estimate_column_stats(
     column: np.ndarray,
     sample_fraction: float = 0.05,
-    min_sample: int = 100,
     seed: int = 0,
 ) -> ColumnStats:
     """Estimate a column's stats from a contiguous-start row sample.
@@ -68,7 +66,7 @@ def estimate_column_stats(
     if not 0 < sample_fraction <= 1:
         raise CompressionError("sample_fraction must be in (0, 1]")
     n = len(column)
-    size = min(n, max(min_sample, int(n * sample_fraction)))
+    size = min(n, max(MIN_SAMPLE, int(n * sample_fraction)))
     if size >= n:
         sample = column
     else:
@@ -100,8 +98,6 @@ def exact_column_stats(column: np.ndarray) -> ColumnStats:
 def estimate_joint_distinct(
     columns: list[np.ndarray],
     sample_fraction: float = 0.05,
-    min_sample: int = 100,
-    seed: int = 0,
 ) -> int:
     """Estimated distinct count of the row-tuples over several columns.
 
@@ -111,8 +107,8 @@ def estimate_joint_distinct(
     if not columns:
         raise CompressionError("need at least one column")
     n = len(columns[0])
-    size = min(n, max(min_sample, int(n * sample_fraction)))
-    rng = np.random.default_rng(seed)
+    size = min(n, max(MIN_SAMPLE, int(n * sample_fraction)))
+    rng = np.random.default_rng(0)
     if size >= n:
         idx = np.arange(n)
     else:

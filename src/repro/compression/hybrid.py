@@ -37,9 +37,6 @@ def decide_compression(
     X: np.ndarray,
     memory_budget_bytes: int | None = None,
     iterations: int = 10,
-    sample_fraction: float = 0.05,
-    min_ratio: float = DEFAULT_MIN_RATIO,
-    seed: int = 0,
 ) -> ExecutionDecision:
     """Decide whether to compress ``X`` for an iterative workload.
 
@@ -47,7 +44,6 @@ def decide_compression(
         memory_budget_bytes: available memory; None means unconstrained.
         iterations: how many passes the workload will make over X. A
             single-pass workload never amortizes encoding cost.
-        min_ratio: minimum estimated compression ratio to bother.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -55,7 +51,7 @@ def decide_compression(
     if iterations < 1:
         raise CompressionError("iterations must be >= 1")
 
-    plan = plan_matrix(X, sample_fraction=sample_fraction, seed=seed)
+    plan = plan_matrix(X)
     estimated_bytes = sum(p.estimated_bytes for p in plan.columns)
     dense_bytes = X.nbytes
     ratio = dense_bytes / max(estimated_bytes, 1)
@@ -82,7 +78,7 @@ def decide_compression(
         )
     if not fits_dense and not fits_compressed:
         return ExecutionDecision(
-            compress=ratio >= min_ratio,
+            compress=ratio >= DEFAULT_MIN_RATIO,
             estimated_ratio=ratio,
             estimated_compressed_bytes=estimated_bytes,
             dense_bytes=dense_bytes,
@@ -91,7 +87,7 @@ def decide_compression(
             reason=(
                 "neither representation fits the budget; compression "
                 "still reduces spill volume"
-                if ratio >= min_ratio
+                if ratio >= DEFAULT_MIN_RATIO
                 else "neither fits and compression would not help"
             ),
         )
@@ -105,7 +101,7 @@ def decide_compression(
             fits_compressed=fits_compressed,
             reason="single-pass workload cannot amortize encoding cost",
         )
-    if ratio < min_ratio:
+    if ratio < DEFAULT_MIN_RATIO:
         return ExecutionDecision(
             compress=False,
             estimated_ratio=ratio,
@@ -115,7 +111,7 @@ def decide_compression(
             fits_compressed=fits_compressed,
             reason=(
                 f"estimated ratio {ratio:.2f}x below threshold "
-                f"{min_ratio:.2f}x"
+                f"{DEFAULT_MIN_RATIO:.2f}x"
             ),
         )
     return ExecutionDecision(

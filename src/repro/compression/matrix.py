@@ -75,8 +75,6 @@ class CompressedMatrix(Operand, kind="cla"):
         X: np.ndarray,
         sample_fraction: float = 0.05,
         exact: bool = False,
-        cocode: bool = True,
-        seed: int = 0,
     ) -> "CompressedMatrix":
         """Plan and encode a dense matrix."""
         from ..obs import get_registry, span
@@ -85,7 +83,7 @@ class CompressedMatrix(Operand, kind="cla"):
         with span(
             "compression.compress", rows=X.shape[0], cols=X.shape[1]
         ) as compress_span:
-            plan = plan_matrix(X, sample_fraction, exact, cocode, seed)
+            plan = plan_matrix(X, sample_fraction, exact)
             matrix = cls(X.shape, build_groups(X, plan), plan)
         registry = get_registry()
         registry.inc("compression.compressions")

@@ -50,9 +50,6 @@ class CompressionPlan:
     columns: list[ColumnPlan]
     groups: list[tuple[str, list[int]]] = field(default_factory=list)
 
-    def scheme_of(self, col: int) -> str:
-        return self.columns[col].scheme
-
 
 def plan_column(
     column: np.ndarray,
@@ -89,7 +86,6 @@ def plan_matrix(
     sample_fraction: float = 0.05,
     exact: bool = False,
     cocode: bool = True,
-    seed: int = 0,
 ) -> CompressionPlan:
     """Plan every column, then group compressible columns.
 
@@ -109,7 +105,7 @@ def plan_matrix(
         exact=exact,
     ) as plan_span:
         plans = [
-            plan_column(X[:, j], sample_fraction, exact, seed=seed + j, index=j)
+            plan_column(X[:, j], sample_fraction, exact, seed=j, index=j)
             for j in range(X.shape[1])
         ]
 
@@ -125,7 +121,7 @@ def plan_matrix(
         if cocode and len(ddc_cols) > 1:
             groups.extend(
                 ("ddc", members)
-                for members in _cocode_ddc(X, ddc_cols, sample_fraction, seed)
+                for members in _cocode_ddc(X, ddc_cols, sample_fraction)
             )
         else:
             groups.extend(("ddc", [p.index]) for p in ddc_cols)
@@ -166,7 +162,6 @@ def _cocode_ddc(
     X: np.ndarray,
     plans: list[ColumnPlan],
     sample_fraction: float,
-    seed: int,
 ) -> list[list[int]]:
     """Greedy pairwise merging of DDC columns.
 
@@ -188,7 +183,7 @@ def _cocode_ddc(
             a, b = groups[i], groups[i + 1]
             members = a[0] + b[0]
             joint = estimate_joint_distinct(
-                [X[:, j] for j in members], sample_fraction, seed=seed
+                [X[:, j] for j in members], sample_fraction
             )
             combined = estimated_ddc_bytes(n, len(members), joint)
             if combined < a[2] + b[2]:

@@ -87,8 +87,7 @@ class Worker:
     def gradient_sum(self, loss: Loss, w: np.ndarray) -> tuple[np.ndarray, int]:
         """Sum (not mean) of example gradients, plus the example count."""
         self.gradient_evaluations += 1
-        grad = loss.gradient(self.X, self.y, w) * self.num_rows
-        return grad, self.num_rows
+        return loss.gradient_sum(self.X, self.y, w), self.num_rows
 
     def loss_sum(self, loss: Loss, w: np.ndarray) -> tuple[float, int]:
         return loss.value(self.X, self.y, w) * self.num_rows, self.num_rows

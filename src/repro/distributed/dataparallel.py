@@ -74,8 +74,6 @@ def train_model_averaging(
     cluster: SimulatedCluster,
     loss: Loss,
     local_iterations: int = 200,
-    learning_rate: float = 0.5,
-    l2: float = 0.0,
 ) -> DistributedResult:
     """One-shot parameter mixing: solve locally, average once.
 
@@ -88,8 +86,7 @@ def train_model_averaging(
             loss,
             worker.X,
             worker.y,
-            l2=l2,
-            learning_rate=learning_rate,
+            learning_rate=0.5,
             max_iter=local_iterations,
             warn_on_cap=False,
         )

@@ -30,6 +30,9 @@ from ..obs import get_registry
 from ..resilience.faults import fault_point
 from .cluster import BYTES_PER_FLOAT, CommStats, SimulatedCluster
 
+#: rows of a worker's shard behind each pushed gradient
+BATCH_SIZE = 32
+
 
 @dataclass
 class ParameterServerResult:
@@ -119,10 +122,8 @@ def train_parameter_server(
     cluster: SimulatedCluster,
     loss: Loss,
     total_updates: int = 500,
-    batch_size: int = 32,
     learning_rate: float = 0.1,
     decay: float = 0.001,
-    l2: float = 0.0,
     max_staleness: int = 0,
     loss_every: int = 50,
     seed: int | None = 0,
@@ -177,9 +178,7 @@ def train_parameter_server(
             cluster.comm.inc("messages")  # the pull that was lost
             continue
         base_version = server.version - actual
-        grad = worker.minibatch_gradient(loss, weights, batch_size, rng)
-        if l2 > 0:
-            grad = grad + l2 * weights
+        grad = worker.minibatch_gradient(loss, weights, BATCH_SIZE, rng)
         lr = learning_rate / (1.0 + decay * step)
         try:
             applied = server.push(-lr * grad, base_version=base_version)

@@ -39,29 +39,25 @@ class JoinDecision:
     reason: str
 
 
-def tuple_ratio_rule(
-    n_s: int,
-    n_r: int,
-    threshold: float = DEFAULT_TUPLE_RATIO_THRESHOLD,
-) -> JoinDecision:
+def tuple_ratio_rule(n_s: int, n_r: int) -> JoinDecision:
     """The conservative tuple-ratio rule.
 
     Avoid the join when each attribute-table row is referenced by at
-    least ``threshold`` entity rows on average: with that much
-    replication, the FK column gives the learner as much resolution as
-    the R features while the R features mostly add variance.
+    least ``DEFAULT_TUPLE_RATIO_THRESHOLD`` entity rows on average: with
+    that much replication, the FK column gives the learner as much
+    resolution as the R features while the R features mostly add variance.
     """
     if n_s < 1 or n_r < 1:
         raise FactorizationError("table sizes must be positive")
     ratio = n_s / n_r
-    avoid = ratio >= threshold
+    avoid = ratio >= DEFAULT_TUPLE_RATIO_THRESHOLD
     return JoinDecision(
         avoid=avoid,
         tuple_ratio=ratio,
         risk_bound=risk_bound(n_s, n_r),
         reason=(
             f"tuple ratio {ratio:.1f} {'>=' if avoid else '<'} "
-            f"threshold {threshold:.1f}"
+            f"threshold {DEFAULT_TUPLE_RATIO_THRESHOLD:.1f}"
         ),
     )
 
@@ -80,10 +76,9 @@ def risk_bound(n_s: int, n_r: int) -> float:
 def decide_joins(
     n_s: int,
     attribute_table_sizes: list[int],
-    threshold: float = DEFAULT_TUPLE_RATIO_THRESHOLD,
 ) -> list[JoinDecision]:
     """Apply the rule to every attribute table of a star schema."""
-    return [tuple_ratio_rule(n_s, n_r, threshold) for n_r in attribute_table_sizes]
+    return [tuple_ratio_rule(n_s, n_r) for n_r in attribute_table_sizes]
 
 
 @dataclass
@@ -100,19 +95,9 @@ class AvoidanceReport:
         """Accuracy lost by dropping R features entirely."""
         return self.accuracy_with_join - self.accuracy_no_join
 
-    @property
-    def decision_was_safe(self, tolerance: float = 0.02) -> bool:
-        """Did avoiding the join (if recommended) cost < ``tolerance``?"""
-        if not self.decision.avoid:
-            return True
-        best_avoided = max(self.accuracy_no_join, self.accuracy_fk_onehot)
-        return (self.accuracy_with_join - best_avoided) <= tolerance
-
 
 def evaluate_join_avoidance(
     star: StarSchema,
-    threshold: float = DEFAULT_TUPLE_RATIO_THRESHOLD,
-    test_fraction: float = 0.3,
     seed: int = 0,
 ) -> AvoidanceReport:
     """Train three models and compare:
@@ -137,7 +122,7 @@ def evaluate_join_avoidance(
     accuracies = []
     for features in (with_join, no_join, fk_onehot):
         X_tr, X_te, y_tr, y_te = train_test_split(
-            features, y, test_fraction=test_fraction, seed=seed
+            features, y, test_fraction=0.3, seed=seed
         )
         model = LogisticRegression(solver="gd", l2=1e-3, max_iter=100)
         model.fit(X_tr, y_tr)
@@ -147,5 +132,5 @@ def evaluate_join_avoidance(
         accuracy_with_join=accuracies[0],
         accuracy_no_join=accuracies[1],
         accuracy_fk_onehot=accuracies[2],
-        decision=tuple_ratio_rule(len(star.S), len(star.R), threshold),
+        decision=tuple_ratio_rule(len(star.S), len(star.R)),
     )

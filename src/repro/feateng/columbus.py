@@ -119,7 +119,7 @@ class FeatureSubsetExplorer:
 
 
 def solve_subset_naive(
-    X: np.ndarray, y: np.ndarray, columns: Sequence[int], l2: float = 0.0
+    X: np.ndarray, y: np.ndarray, columns: Sequence[int]
 ) -> SubsetFit:
     """The no-reuse baseline: recompute the subset solve from raw data.
 
@@ -135,7 +135,7 @@ def solve_subset_naive(
     Xc = Xs - x_mean
     yc = y - y_mean
     moments = Moments.of(Xc, yc)
-    coef = moments.solve(l2)
+    coef = moments.solve()
     residual = yc - Xc @ coef
     total = moments.yty
     r2 = 1.0 - float(residual @ residual) / total if total else 1.0

@@ -179,9 +179,3 @@ class DriftGate(Counted):
         return GateDecision(
             endpoint=endpoint, promoted=True, reasons=(), scores=scores
         )
-
-    def reset_monitors(self) -> None:
-        """Clear accumulated serving counts (frozen edges survive) —
-        the post-investigation restart after a hold."""
-        for monitor in self.monitors.values():
-            monitor.reset()

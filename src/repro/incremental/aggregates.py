@@ -54,14 +54,12 @@ GRID_QUANTUM = 1.0 / 256.0
 GRID_BOUND = 16.0
 
 
-def snap_to_grid(
-    X: np.ndarray,
-    quantum: float = GRID_QUANTUM,
-    bound: float = GRID_BOUND,
-) -> np.ndarray:
+def snap_to_grid(X: np.ndarray) -> np.ndarray:
     """Quantize values onto the exact-arithmetic lattice."""
     X = np.asarray(X, dtype=np.float64)
-    return np.clip(np.round(X / quantum) * quantum, -bound, bound)
+    return np.clip(
+        np.round(X / GRID_QUANTUM) * GRID_QUANTUM, -GRID_BOUND, GRID_BOUND
+    )
 
 
 def _neumaier_fold(

@@ -10,7 +10,6 @@ from .glm import (
     InDBLinearRegression,
     InDBLogisticRegression,
     train_linear_svm_indb,
-    train_linreg_igd_indb,
 )
 from .gradient import (
     SHUFFLE_POLICIES,
@@ -53,5 +52,4 @@ __all__ = [
     "train_igd",
     "train_kmeans_indb",
     "train_linear_svm_indb",
-    "train_linreg_igd_indb",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
-from ..ml.losses import LogisticLoss, SquaredLoss
+from ..ml.losses import HingeLoss, LogisticLoss
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
 from .gradient import IGDResult, train_bgd, train_igd
@@ -161,11 +161,6 @@ def train_linear_svm_indb(
     feature_columns: Sequence[str],
     label_column: str,
     epochs: int = 20,
-    learning_rate: float = 0.1,
-    l2: float = 0.01,
-    shuffle: str = "once",
-    partitions: int = 1,
-    seed: int | None = 0,
     parallel: bool | ParallelContext = False,
 ) -> IGDResult:
     """Linear SVM via the same IGD aggregate with the hinge loss.
@@ -174,44 +169,12 @@ def train_linear_svm_indb(
     the *only* change needed to train a different model in-database.
     Labels must already be in {-1, +1}.
     """
-    from ..ml.losses import HingeLoss
-
     return train_igd(
         table,
         feature_columns,
         label_column,
         HingeLoss(),
         epochs=epochs,
-        learning_rate=learning_rate,
-        l2=l2,
-        shuffle=shuffle,
-        partitions=partitions,
-        seed=seed,
-        parallel=parallel,
-    )
-
-
-def train_linreg_igd_indb(
-    table: Table,
-    feature_columns: Sequence[str],
-    label_column: str,
-    epochs: int = 20,
-    learning_rate: float = 0.05,
-    shuffle: str = "once",
-    partitions: int = 1,
-    seed: int | None = 0,
-    parallel: bool | ParallelContext = False,
-) -> IGDResult:
-    """Least squares via the IGD aggregate with the squared loss."""
-    return train_igd(
-        table,
-        feature_columns,
-        label_column,
-        SquaredLoss(),
-        epochs=epochs,
-        learning_rate=learning_rate,
-        shuffle=shuffle,
-        partitions=partitions,
-        seed=seed,
+        l2=0.01,
         parallel=parallel,
     )

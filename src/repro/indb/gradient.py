@@ -107,7 +107,6 @@ def train_igd(
     l2: float = 0.0,
     shuffle: str = "once",
     partitions: int = 1,
-    add_intercept: bool = True,
     seed: int | None = 0,
     parallel: bool | ParallelContext = False,
 ) -> IGDResult:
@@ -129,12 +128,9 @@ def train_igd(
     if not feature_columns:
         raise ModelError("need at least one feature column")
 
-    work = table
-    intercept_col = None
-    if add_intercept:
-        intercept_col = _fresh_name(table, "intercept")
-        work = table.with_column(intercept_col, np.ones(table.num_rows))
-        feature_columns = [intercept_col, *feature_columns]
+    intercept_col = _fresh_name(table, "intercept")
+    work = table.with_column(intercept_col, np.ones(table.num_rows))
+    feature_columns = [intercept_col, *feature_columns]
     columns = [*feature_columns, label_column]
     dim = len(feature_columns)
 

@@ -121,8 +121,8 @@ def assign_clusters_indb(
     table: Table,
     feature_columns: Sequence[str],
     centroids: np.ndarray,
-    output_column: str = "cluster",
 ) -> Table:
-    """Score a table: append the nearest-centroid id per row."""
+    """Score a table: append the nearest-centroid id per row as
+    column ``"cluster"``."""
     labels, _ = nearest_center(table.to_matrix(feature_columns), centroids)
-    return table.with_column(output_column, labels.astype(np.int64))
+    return table.with_column("cluster", labels.astype(np.int64))

@@ -90,11 +90,11 @@ def score_probability(
     table: Table,
     model,
     feature_columns: Sequence[str] | None = None,
-    output_column: str = "probability",
 ) -> Table:
-    """Append sigmoid(margin): P(positive class) for logistic models."""
+    """Append sigmoid(margin): P(positive class) for logistic models, as
+    column ``"probability"``."""
     scored = score_linear_model(
         table, model, feature_columns, output_column="_margin"
     )
     p = sigmoid(scored.column("_margin"))
-    return scored.drop(["_margin"]).with_column(output_column, p)
+    return scored.drop(["_margin"]).with_column("probability", p)

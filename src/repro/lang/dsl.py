@@ -169,11 +169,6 @@ def trace(x: MExpr) -> MExpr:
     return MExpr(Aggregate("trace", _lift(x)))
 
 
-def emin(x: MExpr, y) -> MExpr:
-    """Element-wise minimum (scalars broadcast)."""
-    return MExpr(Binary("min", _lift(x), _lift(y)))
-
-
 def emax(x: MExpr, y) -> MExpr:
     """Element-wise maximum (scalars broadcast); emax(x, 0) is ReLU."""
     return MExpr(Binary("max", _lift(x), _lift(y)))

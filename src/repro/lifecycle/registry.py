@@ -8,6 +8,8 @@ deployed, what produced it, and how did it evolve.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -199,7 +201,9 @@ class ModelRegistry:
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:
-        """Persist the registry to a JSON file.
+        """Persist the registry to a JSON file, atomically: the bytes go
+        to a temp file beside ``path`` and are renamed over it, so a
+        write that dies halfway leaves the last good registry in place.
 
         Models of serializable estimator classes are embedded (see
         :mod:`repro.lifecycle.serialize`); other model objects are stored
@@ -207,7 +211,6 @@ class ModelRegistry:
         ``lifecycle.registry.models_not_persisted``.
         """
         import json
-        from pathlib import Path
 
         from .serialize import dumps_model
 
@@ -238,7 +241,20 @@ class ModelRegistry:
             "history": {k: list(v) for k, v in self._history.items() if v},
             "aliases": {k: dict(v) for k, v in self._aliases.items() if v},
         }
-        Path(path).write_text(json.dumps(payload))
+        target = os.path.abspath(os.fspath(path))
+        fd, tmp_name = tempfile.mkstemp(
+            prefix=".registry-", suffix=".tmp", dir=os.path.dirname(target)
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(payload))
+            os.replace(tmp_name, target)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
 
     @classmethod
     def load(cls, path) -> "ModelRegistry":

@@ -96,12 +96,8 @@ class ExperimentTracker:
             out.append(run)
         return out
 
-    def best_run(
-        self,
-        experiment: str,
-        metric: str,
-        higher_is_better: bool = True,
-    ) -> Run:
+    def best_run(self, experiment: str, metric: str) -> Run:
+        """The finished run of ``experiment`` with the highest ``metric``."""
         candidates = [
             r for r in self.runs(experiment, finished_only=True) if metric in r.metrics
         ]
@@ -109,8 +105,7 @@ class ExperimentTracker:
             raise LifecycleError(
                 f"no finished run of {experiment!r} records {metric!r}"
             )
-        key = lambda r: r.metrics[metric]
-        return max(candidates, key=key) if higher_is_better else min(candidates, key=key)
+        return max(candidates, key=lambda r: r.metrics[metric])
 
     def experiments(self) -> list[str]:
         return sorted({r.experiment for r in self._runs})

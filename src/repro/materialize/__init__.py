@@ -19,9 +19,9 @@ intermediates a managed resource:
 * :mod:`~repro.materialize.reuse` — the per-execution
   :class:`ReuseContext` the executor consults.
 
-Activation is explicit (:func:`set_materialization_store` /
-:func:`materialization_scope`); with no store installed the executor's
-behavior and plans are byte-identical to a build without this package.
+Activation is ``with materialization_scope(store)`` and nothing else;
+outside a scope the executor's behavior and plans are byte-identical to
+a build without this package.
 """
 
 from .fingerprint import (
@@ -36,10 +36,7 @@ from .reuse import ReuseContext
 from .store import (
     MaterializationStore,
     active_store,
-    get_materialization_store,
     materialization_scope,
-    reset_materialization,
-    set_materialization_store,
 )
 
 __all__ = [
@@ -53,8 +50,5 @@ __all__ = [
     "ReuseContext",
     "MaterializationStore",
     "active_store",
-    "get_materialization_store",
     "materialization_scope",
-    "reset_materialization",
-    "set_materialization_store",
 ]

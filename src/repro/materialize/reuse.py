@@ -53,9 +53,6 @@ class ReuseContext:
     def candidates(self) -> int:
         return len(self._fps)
 
-    def is_candidate(self, node: Node) -> bool:
-        return id(node) in self._fps
-
     def fingerprint(self, node: Node) -> Fingerprint | None:
         return self._fps.get(id(node))
 

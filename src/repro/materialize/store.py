@@ -37,9 +37,10 @@ bloated-for-their-cost values are not worth their storage. ``pin=True``
 bypasses admission (an explicit pin is the operator's override) and
 shields the entry from memory-tier eviction.
 
-The store is **off by default**: the executor consults
-:func:`active_store`, which costs one attribute read when nothing is
-installed, so the disabled path stays within the <3% overhead budget
+The store is **off by default** and has one way in:
+``with materialization_scope(store)``. The executor consults
+:func:`active_store`, which costs one attribute read outside a scope,
+so the disabled path stays within the <3% overhead budget
 and plans are byte-identical to a build without the store (compilation
 is never touched).
 """
@@ -434,57 +435,23 @@ class MaterializationStore(Counted):
 
 
 # ----------------------------------------------------------------------
-# Process-global enablement (the executor's hook)
+# The active store: whatever the innermost scope installed
 # ----------------------------------------------------------------------
 _global_lock = threading.Lock()
 _active: MaterializationStore | None = None
 
 
 def active_store() -> MaterializationStore | None:
-    """The store the executor should consult, or ``None`` when disabled.
-
-    This is the hot-path gate: disabled cost is one module-attribute
-    read. ``REPRO_MATERIALIZE_DIR`` is only consulted by
-    :func:`get_materialization_store` — an env-configured store still
-    requires one explicit ``get`` (or an installed store) to activate.
-    """
+    """The store the executor should consult, or ``None`` outside any
+    :func:`materialization_scope` — one module-attribute read."""
     return _active
-
-
-def set_materialization_store(store: MaterializationStore | None) -> None:
-    """Install (or clear) the process-global store — the explicit opt-in."""
-    global _active
-    with _global_lock:
-        _active = store
-
-
-def get_materialization_store() -> MaterializationStore:
-    """The process-global store, created (and installed) on first use.
-
-    ``REPRO_MATERIALIZE_DIR`` names the persistence directory; unset
-    keeps the store memory-only.
-    """
-    global _active
-    with _global_lock:
-        if _active is None:
-            directory = (
-                os.environ.get("REPRO_MATERIALIZE_DIR", "").strip() or None
-            )
-            _active = MaterializationStore(directory=directory)
-        return _active
-
-
-def reset_materialization() -> None:
-    """Drop the global store (test/benchmark hygiene)."""
-    global _active
-    with _global_lock:
-        _active = None
 
 
 @contextmanager
 def materialization_scope(store: MaterializationStore | None):
-    """Temporarily install ``store`` as the active global store.
+    """Install ``store`` as the active store for the duration of the block.
 
+    This is the only way in; the previous store is restored on exit.
     ``None`` is a no-op scope, so drivers can thread an optional store
     without branching.
     """

@@ -127,9 +127,6 @@ class KMeans(Estimator):
         X = check_X(X)
         return np.sqrt(_sq_distances(X, self.cluster_centers_))
 
-    def fit_predict(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).labels_
-
     # ------------------------------------------------------------------
     def _run(self, X, rng) -> tuple[np.ndarray, np.ndarray, float, int]:
         def assign(centers):

@@ -198,7 +198,6 @@ def sgd(
     momentum: float = 0.0,
     adagrad: bool = False,
     decay: float = 0.0,
-    shuffle: bool = True,
     tol: float = 0.0,
     seed: int | None = 0,
 ) -> OptimResult:
@@ -225,7 +224,7 @@ def sgd(
     epoch = 0
     for epoch in range(1, epochs + 1):
         lr = learning_rate / (1.0 + decay * (epoch - 1))
-        order = rng.permutation(n) if shuffle else np.arange(n)
+        order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             g = grad(X[idx], y[idx], w)

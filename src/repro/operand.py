@@ -227,7 +227,11 @@ def operand_bytes(value) -> int:
     return int(np.asarray(value).nbytes)
 
 
-def convert_value(value, target: str, sample_fraction: float = 0.05):
+#: row fraction the planner's estimators sample (evidence and encoding)
+SAMPLE_FRACTION = 0.05
+
+
+def convert_value(value, target: str):
     """Convert an operand to the target representation (idempotent).
 
     A kind whose structure cannot be invented from values (a star
@@ -240,7 +244,7 @@ def convert_value(value, target: str, sample_fraction: float = 0.05):
     cls = _REGISTRY.get(target)
     if cls is None:
         raise ExecutionError(f"unknown representation target {target!r}")
-    return cls.encode(densify(value), sample_fraction)
+    return cls.encode(densify(value), SAMPLE_FRACTION)
 
 
 def evidence_of(value) -> tuple[str, str, float]:
@@ -252,17 +256,23 @@ def evidence_of(value) -> tuple[str, str, float]:
     return DENSE, "density", estimate_density(np.asarray(value, np.float64))
 
 
-def estimate_density(arr: np.ndarray, max_sample_rows: int = 65536) -> float:
+#: rows :func:`estimate_density` reads at most
+MAX_DENSITY_SAMPLE_ROWS = 65536
+
+
+def estimate_density(arr: np.ndarray) -> float:
     """Nonzero fraction of a dense matrix from a bounded row sample."""
     n = arr.shape[0]
-    if n <= max_sample_rows:
+    if n <= MAX_DENSITY_SAMPLE_ROWS:
         sample = arr
     else:
         # Deterministic strided sample spanning the whole row range,
         # first and last row included. A contiguous-prefix (or naive
         # floor-stride) sample is biased for row-sorted data — e.g. a
         # matrix whose dense rows all sit at the tail would look empty.
-        idx = np.linspace(0, n - 1, num=max_sample_rows).astype(np.intp)
+        idx = np.linspace(
+            0, n - 1, num=MAX_DENSITY_SAMPLE_ROWS
+        ).astype(np.intp)
         sample = arr[idx]
     cells = sample.size or 1
     return float(np.count_nonzero(sample)) / cells

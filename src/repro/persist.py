@@ -50,7 +50,6 @@ def write_atomic(
     error_cls: type[Exception] = PersistenceError,
     what: str = "file",
     tmp_prefix: str | None = None,
-    makedirs: bool = True,
 ) -> str:
     """Write ``header + payload`` atomically; returns the final path.
 
@@ -65,8 +64,7 @@ def write_atomic(
     header_fields["payload_bytes"] = len(payload)
     header = json.dumps(header_fields, sort_keys=True).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(target))
-    if makedirs:
-        os.makedirs(directory, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         prefix=tmp_prefix or ".atomic-", suffix=".tmp", dir=directory
     )

@@ -36,6 +36,7 @@ from .checkpoint import SCHEMA as CHECKPOINT_SCHEMA
 from .checkpoint import IterativeCheckpointer
 from .faults import (
     CHAOS_SEED_ENV,
+    SITES,
     ChaosContext,
     FaultPlan,
     FaultSpec,
@@ -71,6 +72,7 @@ __all__ = [
     "ResilienceError",
     "RetryExhaustedError",
     "RetryPolicy",
+    "SITES",
     "WorkerFailure",
     "active_chaos",
     "call_with_retry",

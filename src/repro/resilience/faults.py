@@ -40,10 +40,78 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import InjectedFault, ResilienceError
+from ..errors import (
+    CorruptedBlockError,
+    FeatureStoreError,
+    IncrementalError,
+    InjectedFault,
+    LoadShedError,
+    MaterializationError,
+    NoLiveReplicaError,
+    ParallelTaskError,
+    ResilienceError,
+    RetryExhaustedError,
+    WorkerFailure,
+)
 from ..obs import get_registry
 
 _MODES = ("raise", "sleep", "corrupt")
+
+_RETRY_TASK = ("retry", ParallelTaskError)
+_RETRY_STEP = ("retry", RetryExhaustedError)
+
+#: Every fault site under ``src/``: name (or ``prefix.*``) -> how an
+#: injected fault there is recovered, and the :mod:`repro.errors` type
+#: the caller sees once that recovery is exhausted (or, for a tolerated
+#: drop, absent). A ``dispatch(..., site=name)`` row names the call site;
+#: its tasks cross the fault point ``parallel.task.<name>``, which is how
+#: a :class:`FaultPlan` addresses them.
+SITES: dict[str, tuple[str, type[Exception]]] = {
+    "parallel.task.*": _RETRY_TASK,
+    "cla.matvec": _RETRY_TASK,
+    "cla.rmatvec": _RETRY_TASK,
+    "cla.tsmm": _RETRY_TASK,
+    "cla.colsums": _RETRY_TASK,
+    "csr.matvec": _RETRY_TASK,
+    "csr.rmatvec": _RETRY_TASK,
+    "csr.matmat": _RETRY_TASK,
+    "indb.run_uda": _RETRY_TASK,
+    "cluster.gradient": _RETRY_TASK,
+    "cluster.loss": _RETRY_TASK,
+    "selection.cross_val_score": _RETRY_TASK,
+    "selection.grid_search": _RETRY_TASK,
+    "selection.random_search": _RETRY_TASK,
+    "selection.halving": _RETRY_TASK,
+    "selection.full_budget": _RETRY_TASK,
+    "glm.logreg_gd.step": _RETRY_STEP,
+    "clustering.kmeans_dsl.step": _RETRY_STEP,
+    "serving.score": _RETRY_STEP,
+    "fabric.route": _RETRY_STEP,
+    "fabric.score": ("failover", NoLiveReplicaError),
+    "cluster.worker": ("lineage recompute", WorkerFailure),
+    "blockstore.read": ("lineage recompute", CorruptedBlockError),
+    "materialize.read": ("lineage recompute", MaterializationError),
+    "incremental.apply": ("lineage recompute", IncrementalError),
+    "features.refresh": ("lineage recompute", FeatureStoreError),
+    "features.serve": ("fallback recompute", FeatureStoreError),
+    "serving.admission": ("tolerated drop", LoadShedError),
+    "paramserver.pull": ("tolerated drop", InjectedFault),
+    "paramserver.push": ("tolerated drop", InjectedFault),
+}
+
+
+def _registered(pattern: str) -> bool:
+    """Does ``pattern`` (a name or a ``prefix*``) reach a :data:`SITES` row?"""
+    stem = pattern[:-1] if pattern.endswith("*") else None
+    for row in SITES:
+        head = row[:-1] if row.endswith("*") else None
+        if stem is not None:
+            if row.startswith(stem) or (head and stem.startswith(head)):
+                return True
+        elif pattern == row or (head and pattern.startswith(head)):
+            return True
+    return False
+
 
 #: env var the CI chaos leg sets; tests read it through
 #: :func:`chaos_seed_from_env` so one knob reseeds the whole suite.
@@ -122,7 +190,13 @@ class FaultPlan:
         mode: str = "raise",
         **kwargs,
     ) -> "FaultPlan":
-        """Add a rule (chainable)."""
+        """Add a rule (chainable); ``site`` must reach a :data:`SITES`
+        row, so a misspelt site fails here instead of injecting nothing."""
+        if not _registered(site):
+            raise ResilienceError(
+                f"no registered fault site matches {site!r}; "
+                f"see repro.resilience.SITES"
+            )
         self.specs.append(FaultSpec(site=site, rate=rate, mode=mode, **kwargs))
         return self
 

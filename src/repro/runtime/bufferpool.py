@@ -138,10 +138,6 @@ class BufferPool:
     def cached_blocks(self) -> list[str]:
         return self._cache.keys()
 
-    @property
-    def pinned_blocks(self) -> list[str]:
-        return sorted(self._cache.pinned())
-
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._cache
 

@@ -34,7 +34,6 @@ from ..lang.ast import Constant, Convert, Data, Node, op_label
 from ..lang.dsl import MExpr
 from . import repops
 from .ops import apply_node
-from .parallel import ParallelContext, resolve_context
 
 
 @dataclass
@@ -97,7 +96,6 @@ def execute(
     bindings: dict[str, object] | None = None,
     collect_stats: bool = False,
     representation: str | None = None,
-    parallel: bool | ParallelContext | None = None,
 ):
     """Run a plan (or compile-and-run raw expressions).
 
@@ -114,9 +112,6 @@ def execute(
         representation: ``None`` executes operands in their bound form;
             ``"dense"`` densifies every binding up front and disables
             Convert nodes — exactly the dense-only interpreter.
-        parallel: optional :class:`ParallelContext` (or ``True`` for the
-            shared default) attached for this call to bound operands
-            whose kernels support cost-gated parallel dispatch.
 
     Returns:
         The result array (scalars as Python floats) of a single-output
@@ -133,16 +128,6 @@ def execute(
     bindings = bindings or {}
     force_dense = representation == "dense"
     prepared = _prepare_bindings(plan, bindings, force_dense)
-
-    ctx = resolve_context(parallel)
-    attached = []
-    if ctx is not None:
-        for value in prepared.values():
-            if (
-                repops.is_representation(value)
-                and value.parallel_context is None
-            ):
-                attached.append(value.set_parallel(ctx))
 
     store = _feedback.active_store()
     # Sub-plan reuse is fingerprinted against the bound operands, so it
@@ -165,18 +150,13 @@ def execute(
     )
     try:
         with exec_span:
-            try:
-                results = [
-                    _eval(
-                        root, prepared, memo, stats, dense_cache,
-                        force_dense, reuse,
-                    )
-                    for root in plan.outputs.values()
-                ]
-            finally:
-                for value in attached:
-                    value.set_parallel(None)
-
+            results = [
+                _eval(
+                    root, prepared, memo, stats, dense_cache,
+                    force_dense, reuse,
+                )
+                for root in plan.outputs.values()
+            ]
             out = {}
             for (name, root), result in zip(plan.outputs.items(), results):
                 if repops.is_representation(result):

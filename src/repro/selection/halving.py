@@ -35,13 +35,15 @@ def _fit_scored(
     y_train: np.ndarray,
     X_val: np.ndarray,
     y_val: np.ndarray,
-    budget_param: str,
     budget: int,
     params: "dict[str, Any]",
 ) -> tuple[float, dict[str, Any], dict[str, Any]]:
-    """Train one configuration at one budget; returns (score, params, full)."""
+    """Train one configuration at one budget; returns (score, params, full).
+
+    The budget caps training iterations: it is the estimator's
+    ``max_iter``, and the cost of one evaluation."""
     full = dict(params)
-    full[budget_param] = budget
+    full["max_iter"] = budget
     model = estimator.clone().set_params(**full)
     model.fit(X_train, y_train)
     return model.score(X_val, y_val), params, full
@@ -77,16 +79,12 @@ def successive_halving(
     min_budget: int = 2,
     max_budget: int = 64,
     eta: int = 2,
-    budget_param: str = "max_iter",
     parallel: bool | ParallelContext = False,
     checkpointer: IterativeCheckpointer | None = None,
 ) -> HalvingResult:
     """Run successive halving over explicit configurations.
 
     Args:
-        budget_param: the estimator hyperparameter that caps training
-            iterations (``max_iter`` for the GLMs here). The cost of one
-            evaluation equals the budget it was trained with.
         parallel: evaluate each rung's survivors concurrently on the
             shared cost-gated pool. Rung boundaries are synchronization
             points, scores and survivor sets are identical to serial.
@@ -130,7 +128,6 @@ def successive_halving(
             y_train,
             X_val,
             y_val,
-            budget_param,
             budget,
         )
         results = dispatch(
@@ -183,7 +180,6 @@ def full_budget_baseline(
     X_val: np.ndarray,
     y_val: np.ndarray,
     budget: int = 64,
-    budget_param: str = "max_iter",
     parallel: bool | ParallelContext = False,
 ) -> SearchResult:
     """Train every configuration at full budget (the naive comparator)."""
@@ -194,7 +190,6 @@ def full_budget_baseline(
         y_train,
         X_val,
         y_val,
-        budget_param,
         budget,
     )
     configs = [dict(c) for c in configs]

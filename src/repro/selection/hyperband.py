@@ -45,7 +45,6 @@ def hyperband(
     y_val: np.ndarray,
     max_budget: int = 32,
     eta: int = 3,
-    budget_param: str = "max_iter",
     seed: int | None = 0,
 ) -> HyperbandResult:
     """Run Hyperband with configurations drawn from ``sample_config``.
@@ -79,7 +78,6 @@ def hyperband(
             min_budget=r,
             max_budget=max_budget,
             eta=eta,
-            budget_param=budget_param,
         )
         brackets.append(
             Bracket(index=s, num_configs=n, min_budget=r, result=result)

@@ -237,7 +237,6 @@ def random_search(
     cv: KFold | int = 3,
     seed: int | None = 0,
     parallel: bool | ParallelContext = False,
-    checkpointer: IterativeCheckpointer | None = None,
 ) -> SearchResult:
     """Randomized search.
 
@@ -269,7 +268,6 @@ def random_search(
         cv,
         resolve_context(parallel),
         site="selection.random_search",
-        checkpointer=checkpointer,
     )
     return SearchResult(evaluations)
 

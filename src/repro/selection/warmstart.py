@@ -50,7 +50,6 @@ def fit_logistic_path(
     y: np.ndarray,
     lambdas: Sequence[float],
     warm_start: bool = True,
-    max_iter: int = 500,
     tol: float = 1e-7,
 ) -> PathResult:
     """Fit a logistic-regression L2 path, warm or cold.
@@ -66,14 +65,12 @@ def fit_logistic_path(
         raise SelectionError("lambdas must be non-negative")
 
     model = LogisticRegression(
-        solver="gd", max_iter=max_iter, tol=tol, warm_start=warm_start
+        solver="gd", max_iter=500, tol=tol, warm_start=warm_start
     )
     result = PathResult()
     for l2 in lambdas:
         if not warm_start:
-            model = LogisticRegression(
-                solver="gd", max_iter=max_iter, tol=tol, warm_start=False
-            )
+            model = model.clone()  # cold: a fresh, unfitted estimator
         model.set_params(l2=l2)
         model.fit(X, y)
         result.points.append(

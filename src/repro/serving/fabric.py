@@ -44,7 +44,7 @@ with a mid-stream kill recovered exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,12 +83,11 @@ class _Shard:
 
 @dataclass(frozen=True)
 class _FabricEndpoint:
-    """Fleet-level endpoint record: placement and shared config."""
+    """Fleet-level endpoint record: its placement."""
 
     name: str
     model_name: str
     replicas: tuple[str, ...]  # rank 0 is the home shard
-    config: dict = field(default_factory=dict)
 
 
 class ShardedServer:
@@ -97,12 +96,11 @@ class ShardedServer:
     Args:
         registry: shared model registry all shards resolve through.
         num_shards: fleet size (shard ids ``shard-0 .. shard-N-1``).
-        replication: default replica count per endpoint (clamped to the
-            fleet size; hot endpoints can override per endpoint).
+        replication: replica count per endpoint (clamped to the fleet
+            size).
         seed: placement/routing salt (ring points and key spreading).
         retry: policy for the ``fabric.route`` / ``fabric.score`` sites
             and each shard's ``serving.score`` site.
-        vnodes: virtual ring points per shard.
         clock: injectable monotonic clock shared by shards and quotas.
     """
 
@@ -114,7 +112,6 @@ class ShardedServer:
         *,
         seed: int = 0,
         retry: RetryPolicy | None = None,
-        vnodes: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ):
         if num_shards < 1:
@@ -129,7 +126,7 @@ class ShardedServer:
         self.retry = retry
         self._clock = clock
         shard_ids = [f"shard-{i}" for i in range(num_shards)]
-        self.ring = HashRing(shard_ids, vnodes=vnodes, seed=seed)
+        self.ring = HashRing(shard_ids, seed=seed)
         self._shards: dict[str, _Shard] = {
             sid: _Shard(sid, ModelServer(registry, retry=retry, clock=clock))
             for sid in shard_ids
@@ -152,9 +149,6 @@ class ShardedServer:
     # ------------------------------------------------------------------
     def shard_ids(self) -> list[str]:
         return sorted(self._shards)
-
-    def live_shards(self) -> list[str]:
-        return sorted(s.shard_id for s in self._shards.values() if s.live)
 
     def shard(self, shard_id: str) -> _Shard:
         shard = self._shards.get(shard_id)
@@ -194,22 +188,15 @@ class ShardedServer:
     # Endpoint management and fleet-wide rollout
     # ------------------------------------------------------------------
     def create_endpoint(
-        self,
-        name: str,
-        model_name: str,
-        replication: int | None = None,
-        **config,
+        self, name: str, model_name: str, **config
     ) -> _FabricEndpoint:
         """Place an endpoint on its ring successors and create it on
         each hosting shard (identical config, so routing and canary
         splits agree on every replica)."""
         if name in self._endpoints:
             raise ServingError(f"endpoint {name!r} already exists")
-        r = self.replication if replication is None else replication
-        if r < 1:
-            raise ServingError(f"replication must be >= 1, got {r}")
-        replicas = tuple(self.ring.successors(name, min(r, len(self.ring))))
-        endpoint = _FabricEndpoint(name, model_name, replicas, dict(config))
+        replicas = tuple(self.ring.successors(name, self.replication))
+        endpoint = _FabricEndpoint(name, model_name, replicas)
         for sid in replicas:
             self._shards[sid].server.create_endpoint(
                 name, model_name, **config
@@ -239,9 +226,6 @@ class ShardedServer:
         fleet on the old version (no torn rollout)."""
         self._endpoint(name)  # validates the endpoint exists
         self._gates[name] = gate
-
-    def clear_promotion_gate(self, name: str) -> None:
-        self._gates.pop(name, None)
 
     def promote(self, name: str, version: int | None = None) -> ModelVersion:
         """Fleet-wide promote: one registry deploy, every replica's

@@ -60,12 +60,12 @@ class TokenBucket:
             )
         self._refilled_at = now
 
-    def try_take(self, tokens: float = 1.0) -> bool:
-        """Admit (consume) or refuse without consuming."""
+    def try_take(self) -> bool:
+        """Admit (consume one token) or refuse without consuming."""
         with self._lock:
             self._refill(self._clock())
-            if self._tokens >= tokens:
-                self._tokens -= tokens
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return True
             return False
 

@@ -58,6 +58,9 @@ from .ring import CanaryRouter
 _OUTPUTS = ("margin", "proba", "label", "predict")
 
 
+#: scorer calls one endpoint runs at a time.
+MAX_CONCURRENCY = 4
+
 #: rows the scoring kernel evaluates per step. Its temporaries are
 #: O(_BLOCK_ROWS * d) however tall the input, so scoring a whole table in
 #: one call (an offline oracle pass) costs a few hundred KB, not 2·n·d·8.
@@ -130,36 +133,28 @@ class Endpoint(Counted):
         name: str,
         model_name: str,
         *,
-        stable: int | str = ModelRegistry.DEPLOYED_ALIAS,
-        canary: int | str | None = None,
-        canary_fraction: float = 0.0,
         canary_seed: int = 0,
         output: str = "margin",
         scorer: Callable[[np.ndarray], np.ndarray] | None = None,
         max_batch_size: int = 64,
         max_delay_ms: float = 2.0,
         queue_capacity: int = 1024,
-        max_concurrency: int = 4,
         cache_enabled: bool = True,
         cache_capacity: int = 4096,
         cache_ttl_s: float | None = None,
-        deadline_ms: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if scorer is None and output not in _OUTPUTS:
             raise ServingError(
                 f"output must be one of {_OUTPUTS}, got {output!r}"
             )
-        if max_concurrency < 1:
-            raise ServingError("max_concurrency must be >= 1")
         self.name = name
         self.model_name = model_name
-        self.stable = stable
-        self.canary = canary
-        self.router = CanaryRouter(canary_fraction, canary_seed)
+        # the deployed alias serves until set_canary routes a share away
+        self.canary: str | None = None
+        self.router = CanaryRouter(0.0, canary_seed)
         self.output = output
         self.custom_scorer = scorer
-        self.deadline_ms = deadline_ms
         self._clock = clock
         self.batcher = MicroBatcher(
             name,
@@ -173,8 +168,7 @@ class Endpoint(Counted):
             if cache_enabled
             else None
         )
-        self.semaphore = threading.Semaphore(max_concurrency)
-        self.max_concurrency = max_concurrency
+        self.semaphore = threading.Semaphore(MAX_CONCURRENCY)
         self.counts = Ledger("serving", (
             "requests", "shed", "deadline_exceeded",
             "stable_requests", "canary_requests",
@@ -298,9 +292,6 @@ class ModelServer:
         self.endpoint(name)  # validates the endpoint exists
         self._gates[name] = gate
 
-    def clear_promotion_gate(self, name: str) -> None:
-        self._gates.pop(name, None)
-
     def promote(self, name: str, version: int | None = None) -> ModelVersion:
         """Deploy a version (default: latest registered) to the stable
         alias and invalidate the endpoint's cached predictions.
@@ -373,7 +364,9 @@ class ModelServer:
             endpoint.counts.inc("canary_requests")
             return self.registry.resolve(endpoint.model_name, endpoint.canary)
         endpoint.counts.inc("stable_requests")
-        return self.registry.resolve(endpoint.model_name, endpoint.stable)
+        return self.registry.resolve(
+            endpoint.model_name, ModelRegistry.DEPLOYED_ALIAS
+        )
 
     def _scorer_for(self, endpoint: Endpoint, entry: ModelVersion) -> Callable:
         ident = (endpoint.name, entry.version)
@@ -445,8 +438,6 @@ class ModelServer:
         counts, cache = endpoint.counts, endpoint.cache
         batcher = endpoint.batcher
         start = self._clock()
-        if deadline_ms is None:
-            deadline_ms = endpoint.deadline_ms
         if deadline_at is None and deadline_ms is not None:
             deadline_at = start + deadline_ms / 1000.0
         out: list = [None] * len(rows)

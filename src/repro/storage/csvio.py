@@ -22,10 +22,11 @@ _TRUE = {"true", "t", "yes", "1"}
 _FALSE = {"false", "f", "no", "0"}
 
 
-def read_csv(path: str | Path, schema: Schema | None = None) -> Table:
-    """Load a CSV file (header row required) into a table."""
+def read_csv(path: str | Path) -> Table:
+    """Load a CSV file (header row required) into a table, column types
+    inferred."""
     with open(path, newline="") as f:
-        return _read(f, schema)
+        return _read(f, None)
 
 
 def read_csv_string(text: str, schema: Schema | None = None) -> Table:

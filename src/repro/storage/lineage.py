@@ -89,11 +89,10 @@ def materialized_operator(
     *inputs: Table,
     params: dict[str, Any] | None = None,
     store: MaterializationStore | None = None,
-    pin: bool = False,
 ) -> Table:
     """Run ``fn(*inputs, **params)`` through the materialization store.
 
-    With no store (argument or active global), this is a plain call.
+    With no store (argument or enclosing scope), this is a plain call.
     Otherwise the operator's fingerprint is looked up first; a miss runs
     the operator and offers the result with ``source="table"`` lineage
     whose children are the input tables' content hashes — so provenance
@@ -116,7 +115,6 @@ def materialized_operator(
         flops=rows * _ROWS_AS_FLOPS,
         structural=f"tableop:{op}({_canonical_params(params)})",
         children=fp.operands,
-        pin=pin,
         source="table",
         nbytes=_table_bytes(result) if isinstance(result, Table) else None,
     )

@@ -66,18 +66,6 @@ class NumericHistogram:
                 break
         return float(total) / self.n_rows
 
-    def fraction_equal(self, value: float) -> float:
-        """Estimated fraction equal to a point value (uniform-in-bucket)."""
-        if self.n_rows == 0:
-            return 0.0
-        for i in range(len(self.counts)):
-            lo, hi = self.edges[i], self.edges[i + 1]
-            if lo <= value <= hi:
-                # Assume ~distinct-per-bucket uniformity.
-                bucket_fraction = self.counts[i] / self.n_rows
-                return float(bucket_fraction / max(self.counts[i] ** 0.5, 1.0))
-        return 0.0
-
 
 @dataclass
 class TableStats:
@@ -88,13 +76,13 @@ class TableStats:
     distinct: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def collect(cls, table: Table, buckets: int = DEFAULT_BUCKETS):
+    def collect(cls, table: Table):
         stats = cls(n_rows=table.num_rows)
         for column in table.schema:
             values = table.column(column.name)
             if column.ctype in (ColumnType.INT, ColumnType.FLOAT):
                 stats.histograms[column.name] = NumericHistogram.build(
-                    values.astype(np.float64), buckets
+                    values.astype(np.float64)
                 )
                 stats.distinct[column.name] = len(np.unique(values))
             elif column.ctype == ColumnType.STR:

@@ -65,13 +65,12 @@ class Table:
         X: np.ndarray,
         names: Sequence[str] | None = None,
         label: np.ndarray | None = None,
-        label_name: str = "label",
     ) -> "Table":
         """Build a table from a numeric (n, d) matrix.
 
         Columns are named ``names`` (default f0..f{d-1}); an optional
-        label vector is appended. The bridge from the linear-algebra
-        world back into the relational engine.
+        label vector is appended as ``"label"``. The bridge from the
+        linear-algebra world back into the relational engine.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -90,7 +89,7 @@ class Table:
                 raise StorageError(
                     f"label length {len(label)} != matrix rows {len(X)}"
                 )
-            data[label_name] = label
+            data["label"] = label
         return cls.from_columns(data)
 
     @classmethod

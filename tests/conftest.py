@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.compiler import feedback
-from repro.materialize import reset_materialization
 from repro.data import (
     make_classification,
     make_regression,
@@ -25,13 +23,9 @@ def _reset_observability():
     """
     obs.reset()
     obs.set_tracing(None)  # re-read REPRO_TRACE, undo explicit toggles
-    feedback.reset_feedback()
-    reset_materialization()
     yield
     obs.reset()
     obs.set_tracing(None)
-    feedback.reset_feedback()
-    reset_materialization()
 
 
 @pytest.fixture

@@ -21,8 +21,6 @@ from repro.compiler import (
     compile_expr,
     feedback_scope,
     plan_representations,
-    set_feedback,
-    set_feedback_store,
 )
 from repro.compiler import feedback as fb
 from repro.compiler.feedback import FeedbackError, input_key
@@ -706,49 +704,15 @@ class TestDriverReplanning:
 class TestEnablement:
     def test_disabled_by_default(self):
         assert fb.active_store() is None
-        assert not fb.feedback_enabled()
-
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FEEDBACK", "1")
-        assert fb.feedback_enabled()
-        assert fb.active_store() is not None
-
-    def test_env_path_loads_persisted_store(self, tmp_path, monkeypatch):
-        warm = FeedbackStore()
-        warm.observe_input("X@10x10", "dense", density=1.0)
-        path = warm.save(tmp_path / "fb.json")
-        monkeypatch.setenv("REPRO_FEEDBACK", "1")
-        monkeypatch.setenv("REPRO_FEEDBACK_PATH", path)
-        store = fb.get_feedback_store()
-        assert store.blended("X@10x10", "density", 0.0).source == "observed"
-        assert store.path == path
-
-    def test_set_feedback_forces_on_and_off(self):
-        set_feedback(True)
-        assert fb.active_store() is not None
-        set_feedback(False)
-        assert fb.active_store() is None
-        # Restoring the env default keeps the store the override lazily
-        # installed (an installed store is itself an opt-in) ...
-        set_feedback(None)
-        assert fb.active_store() is not None
-        # ... and reset drops both the store and the override.
-        fb.reset_feedback()
-        assert fb.active_store() is None
-
-    def test_override_off_beats_installed_store(self):
-        set_feedback_store(FeedbackStore())
-        assert fb.active_store() is not None
-        set_feedback(False)
-        assert fb.active_store() is None
 
     def test_feedback_scope_restores_previous_store(self):
         outer = FeedbackStore()
         inner = FeedbackStore()
-        set_feedback_store(outer)
-        with feedback_scope(inner):
-            assert fb.active_store() is inner
-        assert fb.active_store() is outer
+        with feedback_scope(outer):
+            with feedback_scope(inner):
+                assert fb.active_store() is inner
+            assert fb.active_store() is outer
+        assert fb.active_store() is None
 
     def test_feedback_scope_none_is_a_no_op(self):
         with feedback_scope(None) as scoped:
@@ -762,9 +726,10 @@ class TestEnablement:
         assert fb.resolve_store(None) is None  # disabled by default
         with feedback_scope(store):
             assert fb.resolve_store(None) is store
-        assert fb.resolve_store(True) is fb.get_feedback_store()
-        with pytest.raises(FeedbackError, match="adaptive"):
-            fb.resolve_store("yes")
+        # no get-or-create global: True names no store
+        for bad in (True, "yes"):
+            with pytest.raises(FeedbackError, match="adaptive"):
+                fb.resolve_store(bad)
 
     def test_disabled_runs_are_invariant(self):
         # The whole feature dark: identical plans, identical results,

@@ -21,8 +21,6 @@ from repro.materialize import (
     content_hash,
     fingerprint_node,
     materialization_scope,
-    reset_materialization,
-    set_materialization_store,
     structural_key,
 )
 from repro.materialize.store import active_store
@@ -364,13 +362,6 @@ class TestActivation:
     def test_none_scope_is_noop(self):
         with materialization_scope(None):
             assert active_store() is None
-
-    def test_set_and_reset(self):
-        store = MaterializationStore()
-        set_materialization_store(store)
-        assert active_store() is store
-        reset_materialization()
-        assert active_store() is None
 
 
 # ----------------------------------------------------------------------

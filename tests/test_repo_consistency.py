@@ -99,6 +99,10 @@ class TestExports:
         assert unresolved == []
 
 
+#: EXPERIMENTS.md's length after PR 24 (target: <= 1 200, ROADMAP item 6)
+EXPERIMENTS_MD_LINES = 2843
+
+
 class TestDocsAndExperiments:
     @pytest.fixture(scope="class")
     def design(self):
@@ -138,6 +142,24 @@ class TestDocsAndExperiments:
         design_ids = set(re.findall(r"\| (E\d+) \|", design))
         runner_ids = set(re.findall(r'^    "(E\d+)": \("bench_', runner, re.M))
         assert design_ids <= runner_ids
+
+    def test_changes_and_experiments_stay_inside_their_size_budget(
+        self, experiments_md
+    ):
+        """ROADMAP item 6: a CHANGES.md entry is at most five lines
+        (changed / claimed / measured / left) and the file at most 200;
+        EXPERIMENTS.md may shrink but not regrow past its PR 24 length."""
+        changes = (REPO_ROOT / "CHANGES.md").read_text().splitlines()
+        assert len(changes) <= 200
+        entry_lines = {}
+        for line in changes[1:]:
+            if line.startswith("- PR "):
+                current = line.split(":")[0]
+            if line.strip():
+                entry_lines[current] = entry_lines.get(current, 0) + 1
+        assert len(entry_lines) >= 24
+        assert {k: n for k, n in entry_lines.items() if n > 5} == {}
+        assert len(experiments_md.splitlines()) <= EXPERIMENTS_MD_LINES
 
     def test_readme_lists_every_example(self):
         readme = (REPO_ROOT / "README.md").read_text()
@@ -420,12 +442,8 @@ class TestOneDispatch:
         assert sites == ["cla.matvec", "csr.matvec", "csr.rmatvec"]
 
     def test_deleted_knobs_and_records_stay_deleted(self):
-        gone = (
-            r"note_serial|ProcessPoolExecutor|CallRecord|record_limit"
-            r"|set_default_context|REPRO_PARALLEL_THRESHOLD"
-            r"|[ (]context: ParallelContext"
-        )
-        assert self._hits(gone) == []
+        """The engine's surface; that nothing unused grows back beside it
+        is ``TestZeroTraffic``'s scan, not a list of names kept here."""
         init = inspect.signature(ParallelContext.__init__).parameters
         assert list(init) == [
             "self", "max_workers", "cost_threshold", "retry_policy",
@@ -675,3 +693,330 @@ class TestOneBenchHarness:
         )
         assert list(registry) == [f"E{n}" for n in range(1, 28)]
         assert sorted(registry.values()) == sorted(benches)  # one home each
+
+
+# ----------------------------------------------------------------------
+# Zero traffic: the audit scan
+# ----------------------------------------------------------------------
+SCANNED = ("src", "benchmarks", "examples", "tests")
+
+
+def _terminal(node):
+    """``f`` of ``f`` / ``obj.f`` — all the scan knows about a name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _dict_keys(node):
+    """Keys of a dict display / ``dict(k=...)``; ``None`` if neither, a
+    ``None`` member if some key cannot be read off the source."""
+    if isinstance(node, ast.Dict):
+        return {
+            k.value if isinstance(k, ast.Constant) else None for k in node.keys
+        }
+    if isinstance(node, ast.Call) and _terminal(node.func) == "dict":
+        return {k.arg for k in node.keywords} | ({None} if node.args else set())
+    return None
+
+
+def _local_dicts(scope):
+    """name -> keys, for names bound once in ``scope`` to a dict display
+    and never touched through an attribute or a subscript."""
+    keys, spoiled = {}, set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                found = _dict_keys(node.value)
+                if _terminal(target) in keys or found is None or None in found:
+                    spoiled.add(_terminal(target))
+                keys[_terminal(target)] = found
+        elif isinstance(node, (ast.Attribute, ast.Subscript)):
+            spoiled.add(_terminal(node.value))
+    return {name: k for name, k in keys.items() if name not in spoiled}
+
+
+def zero_traffic(root=REPO_ROOT):
+    """The audit: ``(functions, parameters)`` of ``src/`` with no traffic
+    from ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``, each as
+    ``path:line Owner.name`` / ``path:line Owner.name(param=)``.
+
+    Name-based, so it errs towards "used": a public module- or
+    class-level function counts as referenced when its name is read
+    anywhere (a name, an attribute, an identifier-shaped string) outside
+    a same-named definition, an ``__init__`` re-export and ``__all__``;
+    a defaulted parameter counts as set when a call of that name (for an
+    ``__init__``: of the class, a subclass, ``cls`` or ``super().__init__``)
+    passes the keyword, enough positionals, or a ``**`` that can hold it.
+
+    Exempt, because their traffic is not a call the scan can see or is
+    the point of them: estimator hyperparameters (``__init__`` of an
+    ``Estimator`` subclass — what ``get_params`` enumerates and the
+    searches set by name), everything in ``repro.data`` (generator
+    knobs are the library's fixtures), an injectable ``clock=`` seam,
+    and ``representation=`` (``"dense"`` selects the reference
+    interpreter the parity tests compare against).
+    """
+    trees = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text())
+        for top in SCANNED
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    functions, bases = [], {}
+    for rel, tree in trees.items():
+        if not rel.startswith("src/"):
+            continue
+        for node in tree.body:
+            members = [(None, node)]
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, [_terminal(b) for b in node.bases])
+                members = [(node, child) for child in node.body]
+            functions += [
+                (rel, owner, fn) for owner, fn in members
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    children = {}
+    for name, parents in bases.items():
+        for parent in parents:
+            children.setdefault(parent, []).append(name)
+
+    def lineage(name, table):
+        seen, todo = set(), [name]
+        while todo:
+            for nxt in table.get(todo.pop(), ()):
+                if nxt and nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    mentions = {}    # name -> {name of the function it is read in}
+    calls = {}       # callee -> [(positionals, keywords, ** spreads)]
+    spelled = set()  # every key any dict display spells
+
+    def visit(node, rel, inside, kwarg, dicts, exported):
+        for child in ast.iter_child_nodes(node):
+            here, spread, local = inside, kwarg, dicts
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                here = child.name
+                spread = child.args.kwarg.arg if child.args.kwarg else None
+                local = _local_dicts(child)
+            listing = exported or (
+                isinstance(child, ast.Assign)
+                and any(_terminal(t) == "__all__" for t in child.targets)
+            )
+            spelled.update(_dict_keys(child) or ())
+            read = []
+            if isinstance(child, (ast.Name, ast.Attribute)):
+                read = [_terminal(child)]
+            elif isinstance(child, ast.Constant) and not listing:
+                if isinstance(child.value, str) and child.value.isidentifier():
+                    read = [child.value]
+            elif isinstance(child, ast.ImportFrom):
+                if not rel.endswith("__init__.py"):
+                    read = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ClassDef) and child.keywords:
+                calls.setdefault("__init_subclass__", []).append(
+                    (0, {k.arg for k in child.keywords}, [])
+                )
+            elif isinstance(child, ast.Call):
+                args, callee = list(child.args), _terminal(child.func)
+                if callee == "partial" and args:
+                    callee = _terminal(args.pop(0))
+                starred = any(isinstance(a, ast.Starred) for a in args)
+                calls.setdefault(callee, []).append((
+                    float("inf") if starred else len(args),
+                    {k.arg for k in child.keywords if k.arg},
+                    # the enclosing def's own **kwargs: that def's name,
+                    # followed to its callers; a local dict display: its
+                    # keys; anything else: None, an open dict
+                    [
+                        inside if _terminal(k.value) == kwarg
+                        else dicts.get(_terminal(k.value))
+                        for k in child.keywords if not k.arg
+                    ],
+                ))
+            for name in read:
+                mentions.setdefault(name, set()).add(inside)
+            visit(child, rel, here, spread, local, listing)
+
+    for rel, tree in trees.items():
+        visit(tree, rel, None, None, _local_dicts(tree), False)
+
+    def reaches(callees, param, position, seen=frozenset()):
+        """Does a call of ``callees`` set ``param``? An open ``**`` may
+        hold any key some dict display in the trees spells."""
+        for callee in callees - seen:
+            for positionals, keywords, spreads in calls.get(callee, ()):
+                if param in keywords:
+                    return True
+                if position is not None and positionals > position:
+                    return True
+                for spread in spreads:
+                    if spread is None:
+                        found = param in spelled
+                    elif isinstance(spread, str):
+                        found = reaches({spread}, param, None, seen | callees)
+                    else:
+                        found = param in spread
+                    if found:
+                        return True
+        return False
+
+    dead_functions, dead_parameters = [], []
+    for rel, owner, fn in functions:
+        where = f"{rel}:{fn.lineno} " + (f"{owner.name}." if owner else "")
+        read_in = mentions.get(fn.name, set()) - {fn.name}
+        if not fn.name.startswith("_") and not read_in:
+            dead_functions.append(where + fn.name)
+        marks = {
+            _terminal(d.func if isinstance(d, ast.Call) else d)
+            for d in fn.decorator_list
+        }
+        if marks & {"property", "setter"}:
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        bound = owner is not None and "staticmethod" not in marks
+        defaulted = [
+            (arg.arg, index - bound)
+            for index, arg in enumerate(positional)
+            if index >= len(positional) - len(fn.args.defaults)
+        ] + [
+            (arg.arg, None)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        ]
+        callees, hyper = {fn.name}, False
+        if owner is not None and fn.name == "__init__":
+            callees |= {owner.name, "cls", "__init__"}
+            callees |= lineage(owner.name, children)
+            hyper = "Estimator" in lineage(owner.name, bases)
+        for param, position in defaulted:
+            if (
+                hyper
+                or rel.startswith("src/repro/data/")
+                or param in ("clock", "representation")
+            ):
+                continue
+            if not reaches(callees, param, position):
+                dead_parameters.append(f"{where}{fn.name}({param}=)")
+    return dead_functions, dead_parameters
+
+
+class TestZeroTraffic:
+    """Nothing under ``src/`` is unreachable and every optional subsystem
+    has one way in (DESIGN.md, Configuration): the audit of PR 24, kept
+    as a test so the surface cannot regrow."""
+
+    #: what the scan flags and stays, each with the reason it stays
+    ALLOWED = {
+        "InDBLinearRegression.fit(parallel=)":
+            "parallel= on a training front door: every driver reaches the "
+            "pool the same way (DESIGN.md, Parallel dispatch)",
+        "train_linear_svm_indb(parallel=)": "as above",
+        "full_budget_baseline(parallel=)": "as above",
+        "ModelServer.predict(deadline_at=)":
+            "set positionally, through getattr(shard.server, door) in "
+            "ShardedServer._serve_on",
+        "ModelServer.predict_many(deadline_at=)": "as above",
+    }
+
+    @pytest.fixture(scope="class")
+    def audit(self):
+        return zero_traffic()
+
+    def test_every_public_function_is_referenced(self, audit):
+        assert audit[0] == []
+
+    def test_every_defaulted_parameter_is_set_by_a_caller(self, audit):
+        flagged = {entry.split(" ", 1)[1]: entry for entry in audit[1]}
+        unset = [flagged[name] for name in sorted(set(flagged) - set(self.ALLOWED))]
+        assert unset == []
+        # an entry the scan no longer flags has no business on the list
+        assert set(self.ALLOWED) <= set(flagged)
+        assert len(self.ALLOWED) <= 25 and all(self.ALLOWED.values())
+
+    def test_every_environment_read_is_named_in_ci(self):
+        """Three variables, each set by a CI job: anything else that
+        shapes a run is an object entered with ``with ..._scope(obj)``."""
+        ci = (REPO_ROOT / ".github/workflows/ci.yml").read_text()
+        read = set()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            constants = {
+                _terminal(node.targets[0]): node.value.value
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+            }
+            gets = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and _terminal(node.func.value) == "environ"
+            ]
+            touches = [
+                node for node in ast.walk(tree)
+                if _terminal(node) in ("environ", "getenv", "putenv")
+            ]
+            assert len(touches) == len(gets), (
+                f"{path}: reach the environment by os.environ.get(NAME) only"
+            )
+            for call in gets:
+                name = call.args[0]
+                read.add(
+                    name.value if isinstance(name, ast.Constant)
+                    else constants[name.id]
+                )
+        assert read == {"REPRO_TRACE", "REPRO_CHAOS_SEED", "REPRO_NUM_THREADS"}
+        assert all(name in ci for name in read)
+
+    def test_every_fault_site_is_registered(self):
+        """Each ``fault_point(`` / ``site=`` / ``FAULT_SITE`` literal in
+        ``src/`` is a row of ``repro.resilience.SITES``."""
+        from repro.resilience import SITES
+
+        spelled = set()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                literals = []
+                if isinstance(node, ast.Call):
+                    literals = [k.value for k in node.keywords if k.arg == "site"]
+                    if _terminal(node.func) == "fault_point":
+                        literals += node.args[:1]
+                elif isinstance(node, ast.Assign):
+                    if _terminal(node.targets[0]) == "FAULT_SITE":
+                        literals = [node.value]
+                for literal in literals:
+                    if isinstance(literal, ast.Constant):
+                        spelled.add(literal.value)
+                    elif isinstance(literal, ast.JoinedStr):
+                        spelled.add(literal.values[0].value + "*")
+        assert len(spelled) == 30 and spelled == set(SITES)
+        kinds = {kind for kind, _ in SITES.values()}
+        assert kinds == {
+            "retry", "failover", "lineage recompute", "fallback recompute",
+            "tolerated drop",
+        }
+        assert all(
+            issubclass(error, repro.errors.ReproError)
+            for _, error in SITES.values()
+        )
+
+    @pytest.mark.parametrize(
+        "module, scope",
+        [
+            ("compiler/feedback.py", "feedback_scope"),
+            ("materialize/store.py", "materialization_scope"),
+        ],
+    )
+    def test_a_store_is_installed_by_its_scope_and_nothing_else(
+        self, module, scope
+    ):
+        tree = ast.parse((REPO_ROOT / "src/repro" / module).read_text())
+        installers = [
+            fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Global) for node in ast.walk(fn))
+        ]
+        assert installers == [scope]

@@ -55,6 +55,12 @@ from repro.selection.search import grid_search
 SEED = chaos_seed_from_env()
 
 
+def _synthetic(seed: int, site: str, **rule) -> FaultPlan:
+    """A plan over a site only this file's own ``fault_point`` calls
+    cross: built from the spec, since ``inject`` takes registered sites."""
+    return FaultPlan(seed=seed, specs=[FaultSpec(site=site, **rule)])
+
+
 def _no_sleep_policy(**kwargs) -> RetryPolicy:
     kwargs.setdefault("max_attempts", 8)
     kwargs.setdefault("backoff_base", 0.0)
@@ -95,15 +101,32 @@ class TestFaultPlan:
         assert not exact.matches("cluster.worker.extra")
 
     def test_inject_is_chainable(self):
-        plan = FaultPlan(seed=1).inject("a", 0.1).inject("b", 0.2)
-        assert [s.site for s in plan.specs] == ["a", "b"]
-        assert plan.specs_for("a")[0].rate == 0.1
+        plan = FaultPlan(seed=1).inject("cluster.worker", 0.1).inject(
+            "parallel.task.*", 0.2
+        )
+        assert [s.site for s in plan.specs] == [
+            "cluster.worker", "parallel.task.*",
+        ]
+        assert plan.specs_for("cluster.worker")[0].rate == 0.1
+
+    @pytest.mark.parametrize(
+        "typo", ["cluster.wroker", "serving.scores", "parallel.tas", "csr.*x", "s"]
+    )
+    def test_inject_refuses_a_site_no_row_matches(self, typo):
+        with pytest.raises(ResilienceError, match="no registered fault site"):
+            FaultPlan().inject(typo, 1.0)
+
+    @pytest.mark.parametrize(
+        "pattern", ["*", "cluster.*", "parallel.task.ovr", "parallel.*", "csr.matvec"]
+    )
+    def test_inject_accepts_names_prefixes_and_task_sites(self, pattern):
+        assert FaultPlan().inject(pattern, 0.5).specs[0].site == pattern
 
 
 class TestChaosContext:
     def test_same_seed_same_decisions(self):
         def decisions(seed):
-            plan = FaultPlan(seed=seed).inject("site", rate=0.5)
+            plan = _synthetic(seed, "site", rate=0.5)
             chaos = ChaosContext(plan)
             return [
                 chaos.decide("site", key=k) is not None
@@ -115,16 +138,16 @@ class TestChaosContext:
 
     def test_different_seeds_differ(self):
         def decisions(seed):
-            chaos = ChaosContext(FaultPlan(seed=seed).inject("s", rate=0.5))
+            chaos = ChaosContext(_synthetic(seed, "s", rate=0.5))
             return [chaos.decide("s", key=k) is not None for k in range(64)]
 
         assert decisions(1) != decisions(2)
 
     def test_decisions_are_scheduling_independent(self):
         """Interleaving keys in any order yields the same per-key stream."""
-        plan = FaultPlan(seed=SEED).inject("s", rate=0.5)
+        plan = _synthetic(SEED, "s", rate=0.5)
         forward = ChaosContext(plan)
-        backward = ChaosContext(FaultPlan(seed=SEED).inject("s", rate=0.5))
+        backward = ChaosContext(_synthetic(SEED, "s", rate=0.5))
         a = {k: [forward.decide("s", k) is not None for _ in range(4)]
              for k in range(10)}
         b = {k: [backward.decide("s", k) is not None for _ in range(4)]
@@ -132,26 +155,26 @@ class TestChaosContext:
         assert a == b
 
     def test_rate_zero_and_one(self):
-        chaos = ChaosContext(FaultPlan(seed=0).inject("s", rate=0.0))
+        chaos = ChaosContext(_synthetic(0, "s", rate=0.0))
         assert all(chaos.decide("s", k) is None for k in range(50))
-        chaos = ChaosContext(FaultPlan(seed=0).inject("s", rate=1.0))
+        chaos = ChaosContext(_synthetic(0, "s", rate=1.0))
         assert all(chaos.decide("s", k) is not None for k in range(50))
 
     def test_max_faults_cap(self):
         chaos = ChaosContext(
-            FaultPlan(seed=0).inject("s", rate=1.0, max_faults=3)
+            _synthetic(0, "s", rate=1.0, max_faults=3)
         )
         fired = sum(chaos.decide("s", k) is not None for k in range(10))
         assert fired == 3
         assert chaos.total_injected == 3
 
     def test_after_skips_clean_prefix(self):
-        chaos = ChaosContext(FaultPlan(seed=0).inject("s", rate=1.0, after=2))
+        chaos = ChaosContext(_synthetic(0, "s", rate=1.0, after=2))
         outcomes = [chaos.decide("s", key=0) is not None for _ in range(5)]
         assert outcomes == [False, False, True, True, True]
 
     def test_install_is_exclusive(self):
-        plan = FaultPlan(seed=0).inject("s", rate=1.0)
+        plan = _synthetic(0, "s", rate=1.0)
         with ChaosContext(plan) as first:
             assert active_chaos() is first
             with pytest.raises(ResilienceError):
@@ -159,7 +182,7 @@ class TestChaosContext:
         assert active_chaos() is None
 
     def test_fault_point_counts_in_registry(self):
-        plan = FaultPlan(seed=0).inject("s", rate=1.0)
+        plan = _synthetic(0, "s", rate=1.0)
         with ChaosContext(plan):
             with pytest.raises(InjectedFault) as excinfo:
                 fault_point("s", key=9)
@@ -168,7 +191,7 @@ class TestChaosContext:
         assert get_registry().value("resilience.faults_injected") == 1
 
     def test_no_chaos_masks_and_restores(self):
-        plan = FaultPlan(seed=0).inject("s", rate=1.0)
+        plan = _synthetic(0, "s", rate=1.0)
         with ChaosContext(plan) as chaos:
             with no_chaos():
                 assert active_chaos() is None
@@ -178,14 +201,13 @@ class TestChaosContext:
                 fault_point("s")
 
     def test_sleep_mode_returns_marker(self):
-        plan = FaultPlan(seed=0).inject(
-            "s", rate=1.0, mode="sleep", sleep_seconds=0.0
+        plan = _synthetic(0, "s", rate=1.0, mode="sleep", sleep_seconds=0.0
         )
         with ChaosContext(plan):
             assert fault_point("s") == "sleep"
 
     def test_corrupt_mode_returned_to_caller(self):
-        plan = FaultPlan(seed=0).inject("s", rate=1.0, mode="corrupt")
+        plan = _synthetic(0, "s", rate=1.0, mode="corrupt")
         with ChaosContext(plan):
             assert fault_point("s") == "corrupt"
 
@@ -262,13 +284,13 @@ class TestRetryPolicy:
         assert calls["n"] == 1
 
     def test_resilient_call_without_policy_propagates(self):
-        plan = FaultPlan(seed=0).inject("s", rate=1.0)
+        plan = _synthetic(0, "s", rate=1.0)
         with ChaosContext(plan):
             with pytest.raises(InjectedFault):
                 resilient_call(lambda: 1, site="s")
 
     def test_resilient_call_with_policy_recovers(self):
-        plan = FaultPlan(seed=SEED).inject("s", rate=0.5, max_faults=4)
+        plan = _synthetic(SEED, "s", rate=0.5, max_faults=4)
         with ChaosContext(plan) as chaos:
             results = [
                 resilient_call(
@@ -975,7 +997,7 @@ class TestSearchCheckpointing:
 # ----------------------------------------------------------------------
 class TestConcurrency:
     def test_concurrent_fault_points_keep_ledger_consistent(self):
-        plan = FaultPlan(seed=SEED).inject("t.*", rate=0.5)
+        plan = _synthetic(SEED, "t.*", rate=0.5)
         with ChaosContext(plan) as chaos:
             errors = []
 

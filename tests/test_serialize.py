@@ -1,5 +1,7 @@
 """Unit tests for model serialization and registry persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,44 @@ class TestRegistryPersistence:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(LifecycleError):
             ModelRegistry.load(tmp_path / "missing.json")
+
+    def test_a_save_that_dies_halfway_keeps_the_last_good_file(
+        self, tmp_path, regression_data, monkeypatch
+    ):
+        X, y, _ = regression_data
+        registry = ModelRegistry()
+        registry.register("reg", LinearRegression().fit(X, y))
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        good = path.read_bytes()
+        registry.register("reg", Ridge(l2=1.0).fit(X, y))
+
+        class TornFile:
+            """Half of each write reaches the disk, then the disk fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError("disk full")
+
+        opened = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, *a, **k: TornFile(opened(fd, *a, **k))
+        )
+        with pytest.raises(OSError, match="disk full"):
+            registry.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        assert len(ModelRegistry.load(path).versions("reg")) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
+        registry.save(path)  # and the next save lands
+        assert len(ModelRegistry.load(path).versions("reg")) == 2
