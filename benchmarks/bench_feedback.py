@@ -3,7 +3,8 @@
 
 Adversarial workloads whose compile-time estimates are wrong, run with
 and without the feedback loop (:mod:`repro.compiler.feedback`). Four
-legs, each gated in CI by ``check_regression.py``:
+legs, each asserted in ``run()`` (``check_regression.py`` holds leg 1's
+speedup floor, and the replan speedup against the committed baseline):
 
 1. **Representation fallback** — power iteration over
    ``(X * M) @ ((X * M).T @ s)`` with sparse-looking operands. The
@@ -14,7 +15,7 @@ legs, each gated in CI by ``check_regression.py``:
    re-plans dense **within 2 iterations**; the corrected run reports
    zero fallbacks afterwards and beats the no-feedback run on measured
    per-iteration wall. Densify is exact, so the final iterate is
-   **bit-identical** to the no-feedback run (asserted, and gated).
+   **bit-identical** to the no-feedback run.
 2. **Dispatch learning** — a pmap site with fine-grained pure-Python
    tasks whose pool overhead exceeds their compute, forced through an
    explicit 2-worker context. Paired serial/parallel per-task evidence
@@ -64,7 +65,7 @@ from repro.sparse import CSRMatrix
 
 #: acceptance bounds
 MAX_CORRECTION_ITERATIONS = 2
-MIN_FALLBACK_SPEEDUP = 1.2   # leg 1, within-capture, post-correction
+MIN_FALLBACK_SPEEDUP = 1.2   # leg 1, post-correction; gated, not asserted
 MIN_REPLAN_SPEEDUP = 1.02    # leg 3, within-capture, vs stale-pinned run
 
 # ----------------------------------------------------------------------
@@ -356,7 +357,7 @@ def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
     gate_calls = executions + 2 * dispatches
     wall_disabled = harness.timed(workload, repeats)
     bound_s, overhead_pct = harness.disabled_overhead(
-        wall_disabled, [(gate_calls, gate_cost)]
+        "overhead/disabled_path", wall_disabled, [(gate_calls, gate_cost)]
     )
     return {
         "workload": "overhead/disabled_path",
@@ -394,35 +395,54 @@ def run(quick: bool, repeats: int) -> dict:
         )
     results.append(overhead_leg(rp_n, rp_d, ov_iters, repeats))
 
-    fallback = results[0]
-    dispatch = results[1]
-    replan = results[2]
-    overhead = results[3]
-    for entry, label in (
-        (fallback["corrected_at_iteration"], "fallback"),
-        (dispatch["corrected_at_iteration"], "dispatch"),
-    ):
-        assert entry is not None and entry <= MAX_CORRECTION_ITERATIONS, (
-            f"{label} leg corrected at {entry}, bound "
-            f"{MAX_CORRECTION_ITERATIONS}"
+    fallback, dispatch, replan, overhead = results
+    for leg in (fallback, dispatch):
+        at = leg["corrected_at_iteration"]
+        assert at is not None and at <= MAX_CORRECTION_ITERATIONS, (
+            f"{leg['workload']}: corrected at iteration {at}, within the "
+            f"correction budget {MAX_CORRECTION_ITERATIONS}"
         )
-    assert fallback["initially_misplanned"], fallback["initial_plan"]
-    assert fallback["bit_identical"], "corrected run diverged bitwise"
-    assert fallback["fallbacks_after_correction"] == 0
-    assert dispatch["results_identical"], "serial dispatch changed results"
-    assert dispatch["learned_action"] == "serial", dispatch["learned_action"]
-    assert replan["replans"] == 1, replan["plan_history"]
-    assert replan["weight_parity"] <= 1e-9
-    assert replan["resume_bit_identical"], "mid-run switch left a trace"
-    assert replan["kmeans_bit_identical"]
+    fb, rp = fallback["workload"], replan["workload"]
+    assert fallback["initially_misplanned"], (
+        f"{fb}: starts from the wrong (csr) plan, got {fallback['initial_plan']}"
+    )
+    assert fallback["fallbacks_after_correction"] == 0, (
+        f"{fb}: zero densify fallbacks after the correction "
+        f"({fallback['fallbacks_per_iteration']})"
+    )
+    assert fallback["bit_identical"], (
+        f"{fb}: corrected run bit-identical to the no-feedback run"
+    )
+    assert dispatch["learned_action"] == "serial", (
+        f"dispatch/fine_grained: losing site learned action "
+        f"{dispatch['learned_action']!r} == 'serial'"
+    )
+    assert dispatch["results_identical"], (
+        "dispatch/fine_grained: serial dispatch produced identical results"
+    )
+    assert replan["replans"] == 1, (
+        f"{rp}: stale plan demoted in exactly 1 replan ({replan['plan_history']})"
+    )
+    assert replan["weight_parity"] <= 1e-9, (
+        f"{rp}: adaptive weights parity {replan['weight_parity']:.1e} <= 1e-09"
+    )
+    assert replan["resume_bit_identical"], (
+        f"{rp}: checkpoint-resume oracle bitwise across the mid-run switch"
+    )
+    assert replan["kmeans_bit_identical"], (
+        f"{rp}: kmeans stale-binding correction bit-identical"
+    )
+    assert replan["adaptive_vs_pinned_speedup"] >= MIN_REPLAN_SPEEDUP, (
+        f"{rp}: adaptive vs stale-pinned speedup "
+        f"{replan['adaptive_vs_pinned_speedup']:.2f} >= {MIN_REPLAN_SPEEDUP} "
+        f"(within-capture bound)"
+    )
 
     return {
         "meta": {
             **harness.bench_metadata("E23"),
             "quick": quick,
-            "max_correction_iterations": MAX_CORRECTION_ITERATIONS,
             "min_fallback_speedup": MIN_FALLBACK_SPEEDUP,
-            "min_replan_speedup": MIN_REPLAN_SPEEDUP,
         },
         "results": results,
         "summary": {

@@ -115,6 +115,7 @@ def run(quick: bool, repeats: int) -> dict:
     assert events["spans"] > 0, "the enabled run traced nothing"
     units = measure_unit_costs()
     instrumented_cost, overhead_pct = harness.disabled_overhead(
+        "logreg_gd/cla (E19 quick loop)",
         disabled,
         [
             (events["spans"], units["span_call_s"]),

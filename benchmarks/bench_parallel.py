@@ -157,10 +157,13 @@ def bench_threshold_crossover(sizes, d, repeats):
             above = cost_hint >= ctx.cost_threshold
             stats = ctx.stats
             if above:
-                assert stats.parallel_calls >= 1, f"n={n} never fanned out"
+                assert stats.parallel_calls >= 1, (
+                    f"threshold_crossover: above-threshold n={n} dispatched "
+                    f"in parallel"
+                )
             else:
                 assert stats.serial_fallbacks >= 1 and stats.parallel_calls == 0, (
-                    f"n={n} below the cost threshold left the serial path"
+                    f"threshold_crossover: below-threshold n={n} stayed serial"
                 )
             rows.append(
                 {

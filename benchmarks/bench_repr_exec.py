@@ -59,7 +59,9 @@ def _kmeans_dist_plan(n, d, k):
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def _rep_vs_dense(X_rep, fit, error, plan, plan_bindings, repeats) -> dict:
+def _rep_vs_dense(
+    workload, X_rep, fit, error, plan, plan_bindings, repeats
+) -> dict:
     """``fit(X)`` over the native representation vs materialize-then-
     dense: timings, parity (``error(rep fit, dense fit)`` within 1e-9),
     and per-iteration byte/fallback accounting of ``plan`` on both
@@ -75,19 +77,21 @@ def _rep_vs_dense(X_rep, fit, error, plan, plan_bindings, repeats) -> dict:
     t_dense_loop = harness.timed(lambda: fit(X_dense), repeats)
 
     err = float(error(t_rep.result, fit_dense))
-    assert err <= 1e-9, f"parity {err} > 1e-9"
+    assert err <= 1e-9, f"{workload}: parity {err:.1e} <= 1e-09"
 
     others = plan_bindings(fit_dense)
     _, rep_stats = execute(plan, {"X": X_rep, **others}, collect_stats=True)
     _, dense_stats = execute(plan, {"X": X_dense, **others}, collect_stats=True)
     assert rep_stats.fallback_count == 0, (
-        f"densify fallbacks {rep_stats.densify_fallbacks}"
+        f"{workload}: zero densify fallbacks ({rep_stats.densify_fallbacks})"
     )
     rep_peak = operand_bytes(X_rep) + rep_stats.intermediate_bytes
     dense_peak = X_dense.nbytes + dense_stats.intermediate_bytes
     # Acceptance: every compact operand beats materialize-then-dense on
     # peak bytes (operand + intermediates).
-    assert rep_peak < dense_peak, "peak bytes not reduced"
+    assert rep_peak < dense_peak, (
+        f"{workload}: rep peak {rep_peak:,}B < dense {dense_peak:,}B"
+    )
     return {
         "parity_error": err,
         **t_rep.fields("rep_seconds"),
@@ -106,7 +110,9 @@ def bench_logreg(name, X_rep, y, iters, repeats):
     """DSL logistic GD: native-representation loop vs materialize+dense."""
     n, d = X_rep.shape
     y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    workload = f"logreg_gd/{name}"
     measured = _rep_vs_dense(
+        workload,
         X_rep,
         lambda X: logreg_gd(X, y, max_iter=iters, tol=0.0),
         lambda rep, dense: np.max(np.abs(rep.weights - dense.weights)),
@@ -115,7 +121,7 @@ def bench_logreg(name, X_rep, y, iters, repeats):
         repeats,
     )
     return {
-        "workload": f"logreg_gd/{name}",
+        "workload": workload,
         "n_rows": n,
         "n_cols": d,
         "iterations": iters,
@@ -127,7 +133,9 @@ def bench_logreg(name, X_rep, y, iters, repeats):
 def bench_kmeans(name, X_rep, k, iters, repeats):
     """DSL k-means: native-representation loop vs materialize+dense."""
     n, d = X_rep.shape
+    workload = f"kmeans/{name}"
     measured = _rep_vs_dense(
+        workload,
         X_rep,
         lambda X: kmeans_dsl(X, k, max_iter=iters, tol=0.0, seed=5),
         lambda rep, dense: abs(rep.inertia - dense.inertia)
@@ -137,7 +145,7 @@ def bench_kmeans(name, X_rep, k, iters, repeats):
         repeats,
     )
     return {
-        "workload": f"kmeans/{name}",
+        "workload": workload,
         "n_rows": n,
         "n_cols": d,
         "clusters": k,

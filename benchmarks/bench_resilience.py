@@ -15,7 +15,7 @@ measures three things the resilience layer promises:
    iteration k resumes from the newest valid checkpoint and ends with
    the bit-identical final model; a corrupted blockstore page is
    detected by its CRC32 and repaired from lineage.
-3. **Overhead bound** (the asserted one, E20-style) — the fault-point
+3. **Overhead bound** (E20-style) — the fault-point
    instrumentation with **no chaos installed** is one global load and an
    ``is None`` test. The benchmark counts the exact number of fault-point
    crossings of the workload (via a rate-0 match-everything plan),
@@ -222,15 +222,18 @@ def run(quick: bool, repeats: int) -> dict:
     identical_all = all(e["identical"] for e in results)
     faults_total = sum(e.get("faults_injected", 0) for e in results)
 
-    assert completion_rate == 1.0, "a chaos run failed to complete"
-    assert identical_all, "a recovered run diverged from fault-free"
+    for e in results:  # completion rate 1.0, every run bit-identical
+        rate = f" @ {e['fault_rate']:.0%}" if "fault_rate" in e else ""
+        assert e["completed"] and e["identical"], (
+            f"{e['workload']}{rate}: completed and identical to fault-free"
+        )
     # Nonzero rates must actually have injected something, or the sweep
     # proves nothing.
     assert any(
         e["faults_injected"] > 0
         for e in chaos_entries
         if e["fault_rate"] >= 0.2
-    ), "no faults injected at the 20% rate"
+    ), "chaos sweep: faults actually injected at the 20% rate"
 
     return {
         "meta": {

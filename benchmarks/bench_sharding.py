@@ -2,7 +2,8 @@
 """E26 — Sharded serving fabric: failover, quotas, chaos, scaling.
 
 Closed-loop load generator over :class:`repro.serving.ShardedServer`.
-Seven legs, each gated in CI by ``check_regression.py``:
+Seven legs, each asserted in ``run()``; ``check_regression.py`` holds the
+seeded counts against the committed baseline:
 
 1. **Fleet identity** — >= 10^6 skewed multi-tenant requests through a
    4-shard, 2-replica fleet must be **bit-identical** to a single
@@ -22,8 +23,9 @@ Seven legs, each gated in CI by ``check_regression.py``:
    ``fabric.score`` sites: every request completes (retry + failover)
    and the answers stay bit-identical to the clean run.
 6. **Single-shard overhead** — a 1-shard, 1-replica fabric on the same
-   stream as a plain ``ModelServer``: the fabric toll must stay under
-   ``MAX_OVERHEAD_PCT`` (the fast path delegates wholesale).
+   stream as a plain ``ModelServer``, the two alternating call by call:
+   the fabric toll must stay under ``MAX_OVERHEAD_PCT`` (the fast path
+   delegates wholesale).
 7. **Shard scaling** — the same uniform keyed stream over 1/2/4 shards.
    On a single-CPU builder wall-clock cannot scale, so the gated proxy
    is deterministic *load balance*: no shard serves more than
@@ -38,13 +40,13 @@ Usage::
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 import harness
+from bench_serving import fit_registry
 from repro import obs
-from repro.data import make_classification
-from repro.lifecycle import ModelRegistry
-from repro.ml import LogisticRegression
 from repro.resilience import (
     ChaosContext,
     FaultPlan,
@@ -62,6 +64,9 @@ CANARY_FRACTION = 0.2
 CANARY_SEED = 2017
 CHAOS_RATES = (0.0, 0.05, 0.20)
 SCALING_FLEETS = (1, 2, 4)
+#: the overhead leg's call size and its untimed warm-up calls
+CALL_ROWS = 64
+WARMUP_CALLS = 200
 
 
 class _FakeClock:
@@ -75,16 +80,6 @@ class _FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-def _fit_registry(n: int, d: int, seed: int = 2017) -> tuple:
-    X, y = make_classification(n, d, separation=2.0, seed=seed)
-    registry = ModelRegistry()
-    m1 = LogisticRegression(solver="gd", max_iter=25).fit(X, y)
-    m2 = LogisticRegression(solver="gd", max_iter=50, l2=0.5).fit(X, y)
-    registry.register("churn", m1)
-    registry.register("churn", m2)
-    return X, registry
 
 
 def _fabric(registry, num_shards=NUM_SHARDS, replication=REPLICATION, **kw):
@@ -406,29 +401,50 @@ def overhead_leg(
 ) -> dict:
     """The fabric's toll when sharding buys nothing: a 1-shard,
     1-replica fleet wholesale-delegates (fast path), so the overhead on
-    an identical stream must stay under ``MAX_OVERHEAD_PCT``."""
+    an identical stream must stay under ``MAX_OVERHEAD_PCT``. Timing
+    the whole stream per server read anywhere from -39 % to +55 % on a
+    busy 2-CPU box (the first call of each is a cold cache fill), so
+    after ``WARMUP_CALLS`` untimed calls the two servers alternate call
+    by call in ``CALL_ROWS``-row calls (``serve_hot``'s shape). Each
+    call keeps its best wall over the passes, so a stall that hits one
+    pass drops out, and the overhead compares the two sums of bests."""
     _, rows, keys = _skewed_stream(X, n_requests, n_entities, seed=13)
-
     plain = _single(registry)
-    t_plain = harness.timed(
-        lambda: plain.predict_many("score", rows, keys=keys), repeats
-    )
-    plain.close()
-
     fabric = _fabric(registry, num_shards=1, replication=1)
-    t_fabric = harness.timed(
-        lambda: fabric.predict_many("score", rows, keys=keys), repeats
-    )
+    pairs = [
+        [
+            partial(server.predict_many, "score", rows[i:i + CALL_ROWS],
+                    keys=keys[i:i + CALL_ROWS])
+            for server in (plain, fabric)
+        ]
+        for i in range(0, n_requests, CALL_ROWS)
+    ]
+    for pair in pairs[:WARMUP_CALLS]:
+        for call in pair:
+            call()
+    walls = np.empty((repeats, 2, len(pairs)))  # pass, side, call
+    answers = ([], [])
+    for p in range(repeats):
+        for k, pair in enumerate(pairs):
+            # the first call of a pair reads cold rows: take turns
+            for side in ((0, 1), (1, 0))[k % 2]:
+                timing = harness.timed(pair[side], repeats=1)
+                walls[p, side, k] = timing.best
+                answers[side].append(timing.result)
+    plain.close()
     fabric.close()
 
-    overhead_pct = (t_fabric.best - t_plain.best) / t_plain.best * 100.0
+    wall_plain, wall_fabric = walls.min(axis=0).sum(axis=1).tolist()
+    overhead_pct = (wall_fabric / wall_plain - 1.0) * 100.0
     return {
         "workload": "overhead/single_shard",
         "requests": n_requests,
-        **t_plain.fields("wall_plain_s"),
-        **t_fabric.fields("wall_fabric_s"),
+        "wall_plain_s": wall_plain,
+        "wall_fabric_s": wall_fabric,
         "overhead_pct": overhead_pct,
-        "bit_identical": bool(np.array_equal(t_fabric.result, t_plain.result)),
+        "bit_identical": bool(
+            np.array_equal(np.concatenate(answers[0]), np.concatenate(answers[1]))
+        ),
         "overhead_ok": overhead_pct < MAX_OVERHEAD_PCT,
     }
 
@@ -498,7 +514,7 @@ def run(quick: bool, repeats: int) -> dict:
         chaos_requests, chaos_entities = 50_000, 2_048
         overhead_requests, overhead_entities = 500_000, 8_192
         scaling_requests = 250_000
-    X, registry = _fit_registry(4_096, 12)
+    X, registry = fit_registry(4_096, 12)
 
     obs.reset()
     results = [
@@ -528,30 +544,66 @@ def run(quick: bool, repeats: int) -> dict:
 
     by = {e["workload"]: e for e in results}
     fleet = by["fleet/multitenant"]
-    assert fleet["bit_identical"], "fleet predictions diverged from oracle"
-    assert fleet["ledger_exact"], "fleet ledger diverged from route replay"
+    assert fleet["bit_identical"], (
+        f"fleet/multitenant: {fleet['requests']:,} fleet requests "
+        f"bit-identical to the single-server oracle"
+    )
+    assert fleet["ledger_exact"], (
+        f"fleet/multitenant: fleet ledger exact, replica hits "
+        f"{fleet['ledger']['replica_hits']:,} == route-oracle replay "
+        f"{fleet['expected_replica_hits']:,}"
+    )
     failover = by["failover/mid_stream_kill"]
-    assert failover["wrong_answers"] == 0, "failover produced wrong answers"
-    assert failover["ledger_exact"], "failover ledger diverged from replay"
-    assert failover["epoch_invalidations"] == failover["revive_dropped"] > 0
-    assert failover["epoch_after"] == 1, "revive did not bump the shard epoch"
-    assert by["quota/hot_tenant"]["quota_exact"], "quota ledger inexact"
-    assert by["quota/hot_tenant"]["hot_shed"] > 0, "the hot tenant never shed"
-    assert by["canary/fleet_split"]["exact_split"], "fleet canary diverged"
+    assert failover["wrong_answers"] == 0, (
+        "failover/mid_stream_kill: mid-stream kill produced zero wrong answers"
+    )
+    assert failover["ledger_exact"], (
+        f"failover/mid_stream_kill: failover ledger exact, "
+        f"{failover['failovers']:,} failovers == "
+        f"{failover['expected_failovers']:,} expected from route replay"
+    )
+    assert failover["epoch_invalidations"] == failover["revive_dropped"] > 0, (
+        f"failover/mid_stream_kill: revive invalidated exactly the "
+        f"{failover['revive_dropped']:,} entries the epoch ledger counted"
+    )
+    assert failover["epoch_after"] == 1, (
+        "failover/mid_stream_kill: revive bumped the shard epoch to 1"
+    )
+    quota = by["quota/hot_tenant"]
+    assert quota["quota_exact"] and quota["hot_shed"] > 0, (
+        f"quota/hot_tenant: hot tenant shed {quota['hot_shed']} == "
+        f"token-bucket replay {quota['expected_hot_shed']} > 0"
+    )
+    assert quota["cold_shed"] == 0, (
+        "quota/hot_tenant: cold tenants shed nothing (isolation holds)"
+    )
+    assert by["canary/fleet_split"]["exact_split"], (
+        "canary/fleet_split: fleet canary split exactly matches the hash router"
+    )
     for rate in CHAOS_RATES:
-        entry = by[f"chaos/rate{int(rate * 100):02d}"]
-        assert entry["complete"], f"{entry['workload']}: stream incomplete"
-        assert entry["bit_identical"], f"{entry['workload']}: answers changed"
-        assert entry["faults_injected"], f"{entry['workload']}: plan inert"
+        name = f"chaos/rate{int(rate * 100):02d}"
+        assert by[name]["complete"], (
+            f"{name}: every request completed under fault injection"
+        )
+        assert by[name]["bit_identical"], (
+            f"{name}: answers bit-identical to the clean run"
+        )
+        assert by[name]["faults_injected"], (
+            f"{name}: fault plan active exactly when rate > 0"
+        )
     overhead = by["overhead/single_shard"]
-    assert overhead["bit_identical"], "fast path diverged from plain server"
+    assert overhead["bit_identical"], (
+        "overhead/single_shard: fast path bit-identical to the plain server"
+    )
     assert overhead["overhead_ok"], (
-        f"single-shard overhead {overhead['overhead_pct']:.2f}% exceeds "
-        f"{MAX_OVERHEAD_PCT:.0f}%"
+        f"overhead/single_shard: overhead {overhead['overhead_pct']:.2f}% < "
+        f"{MAX_OVERHEAD_PCT:.0f}% (within-capture bound)"
     )
     for num_shards in SCALING_FLEETS[1:]:
-        assert by[f"scaling/shards{num_shards}"]["balanced"], (
-            f"{num_shards}-shard fleet is imbalanced"
+        name = f"scaling/shards{num_shards}"
+        assert by[name]["balanced"], (
+            f"{name}: max load {by[name]['balance_ratio']:.2f}x fair share "
+            f"<= {1 + BALANCE_TOL:.2f}x"
         )
 
     return {

@@ -16,6 +16,14 @@ Five things live here and nowhere else under ``benchmarks/`` (outside
   counts x microbenchmarked unit costs < 3 % of wall), with
   :func:`disabled_overhead` as its core for benches whose disabled path
   is not a fault point.
+
+A bench checks its own capture: every invariant one capture decides (a
+flag, an exact ledger, a parity or overhead bound, a published speedup
+floor) is an ``assert`` in the bench, beside the value, whose message
+names the workload, the field and the bound — so ``--quick`` alone is
+the within-capture check and a failing run writes no JSON.
+``check_regression.py`` holds what needs a baseline capture too, and
+E23's post-correction floor, which holds only when E23 runs alone.
 """
 
 from __future__ import annotations
@@ -99,20 +107,19 @@ def unit_cost(fn, *args) -> float:
     return timed(loop, repeats=1).best / UNIT_CALLS
 
 
-def disabled_overhead(wall: Timing, events) -> tuple[float, float]:
+def disabled_overhead(label: str, wall: Timing, events) -> tuple[float, float]:
     """The E20 first-principles bound. ``events`` is a list of
     ``(exact count, unit cost in seconds)``; their product summed is an
     upper bound on what the disabled instrumentation costs one run of
-    the workload whose wall-clock is ``wall``. Event counts are exact,
-    so the bound gates in CI without wall-clock flakiness. Returns
-    ``(estimated seconds, estimated percent of wall)`` and asserts the
-    percent is under :data:`MAX_DISABLED_OVERHEAD`."""
+    the workload ``label`` whose wall-clock is ``wall``. Event counts
+    are exact, so the bound holds in CI without wall-clock flakiness.
+    Returns ``(estimated seconds, estimated percent of wall)`` and
+    asserts the percent is under :data:`MAX_DISABLED_OVERHEAD`."""
     estimated = sum(count * cost for count, cost in events)
     pct = 100.0 * estimated / wall.best
     assert pct < 100.0 * MAX_DISABLED_OVERHEAD, (
-        f"disabled-path overhead {pct:.3f}% exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} "
-        f"({[count for count, _ in events]} events)"
+        f"{label}: disabled-path overhead {pct:.3f}% < "
+        f"{MAX_DISABLED_OVERHEAD:.0%} ({[count for count, _ in events]} events)"
     )
     return estimated, pct
 
@@ -129,7 +136,7 @@ def overhead_leg(site: str, workload, label: str, repeats: int) -> dict:
     crossings = chaos.total_invocations()
     assert crossings > 0, f"{label}: workload crossed no fault point"
     unit = unit_cost(fault_point, site)
-    estimated, pct = disabled_overhead(wall, [(crossings, unit)])
+    estimated, pct = disabled_overhead(label, wall, [(crossings, unit)])
     return {
         "workload": label,
         **wall.fields("wall_s"),

@@ -10,11 +10,16 @@ Usage::
 
 Every experiment lives in one ``bench_<x>.py`` module exposing ``run``
 (measure, assert, return a dict) and ``report`` (print the table from
-that dict); ``EXPERIMENTS`` below maps a DESIGN.md tag to its module,
-title and the arguments that keep it quick inside this runner. Adding an
-experiment is one module and one row. Each prints the rows the surveyed
-system's paper reports (speedup vs. a parameter sweep, compression
-ratios per data regime, cost-vs-quality of search strategies, ...).
+that dict). The asserts are every check one run can decide, so running
+an experiment here is its within-capture gate; ``check_regression.py``
+compares a bench's ``--out`` capture with its committed baseline and
+holds one single-run bound only: E23's post-correction floor, which
+this runner's order (after E18/E19) would fail. ``EXPERIMENTS`` below maps a DESIGN.md tag to its
+module, title and the arguments that keep it quick inside this runner.
+Adding an experiment is one module and one row. Each prints the rows
+the surveyed system's paper reports (speedup vs. a parameter sweep,
+compression ratios per data regime, cost-vs-quality of search
+strategies, ...).
 EXPERIMENTS.md records a captured run of this script next to the
 surveyed papers' claims.
 
@@ -22,7 +27,7 @@ Every experiment runs inside a fresh :mod:`repro.obs` scope (metrics
 reset, one ``experiment.<tag>`` root span). ``--report PATH`` writes one
 consolidated JSON document — per-experiment span trees (populated when
 ``REPRO_TRACE=1``) plus the full metrics registry — which is the
-artifact CI uploads and the regression gate inspects.
+artifact CI uploads.
 """
 
 from __future__ import annotations
