@@ -124,7 +124,6 @@ def parity_leg(n: int, stream_len: int) -> dict:
         "serves": ledger["serves"],
         **wall.fields("wall_s"),
         "completed": True,
-        "identical": identical and ledger_exact,
     }
 
 
@@ -194,7 +193,6 @@ def refresh_leg(n: int, rounds: int) -> dict:
         "full_recompute_wall_s": t_full,
         "speedup": speedup,
         "completed": True,
-        "identical": all_identical and ledger_exact,
     }
 
 

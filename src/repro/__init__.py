@@ -14,7 +14,7 @@ Subpackages:
 * ``repro.runtime``      — plan executor, blocked matrices, buffer pool
 * ``repro.compression``  — compressed linear algebra (OLE/RLE/DDC)
 * ``repro.factorized``   — learning over normalized data (Orion/Morpheus/Hamlet)
-* ``repro.ml``           — ML algorithm library (GLMs, k-means, NB, PCA, SVM)
+* ``repro.ml``           — ML algorithm library (GLMs, k-means, Naive Bayes)
 * ``repro.selection``    — model-selection management (grid, halving, warm start)
 * ``repro.feateng``      — feature-engineering management (Columbus)
 * ``repro.lifecycle``    — model registry and experiment tracking

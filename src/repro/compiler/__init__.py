@@ -39,7 +39,7 @@ from .reprplan import (
     plan_representations,
 )
 from .rewrites import apply_rewrites
-from .sparsity import propagate_sparsity, sparse_aware_flops
+from .sparsity import propagate_sparsity
 
 __all__ = [
     "BlendedEstimate",
@@ -68,5 +68,4 @@ __all__ = [
     "node_output_bytes",
     "optimize_mmchains",
     "propagate_sparsity",
-    "sparse_aware_flops",
 ]

@@ -3,8 +3,7 @@
 Declarative ML compilers track an nnz estimate per intermediate so they
 can pick sparse kernels and size memory budgets. This module implements
 the standard worst-case propagation rules over the AST (the same rules
-SystemML's HOP-level size propagation uses) and a sparsity-aware FLOP
-estimate built on them.
+SystemML's HOP-level size propagation uses).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from ..lang.ast import (
     Node,
     Transpose,
     Unary,
-    unique_nodes,
 )
 from ..operand import zero_preserving
 from ..runtime.ops import apply_unary
@@ -100,29 +98,3 @@ def _rule(node: Node, child_s: list[float], inputs: dict[str, float]) -> float:
 
 def _either_scalar(node: Binary) -> bool:
     return node.left.is_scalar or node.right.is_scalar
-
-
-def sparse_aware_flops(
-    root: Node, input_sparsity: dict[str, float] | None = None
-) -> int:
-    """FLOP estimate where matmul cost scales with operand sparsity.
-
-    Used to quantify how much work a sparse kernel would actually do —
-    the number a format-aware optimizer compares against the dense cost
-    from :func:`repro.compiler.cost.estimate`.
-    """
-    sparsity = propagate_sparsity(root, input_sparsity)
-    flops = 0
-    for node in unique_nodes(root):
-        if isinstance(node, MatMul):
-            m, k = node.left.shape
-            n = node.right.shape[1]
-            s = min(sparsity[id(node.left)], sparsity[id(node.right)])
-            flops += max(1, int(2 * m * k * n * s))
-        elif isinstance(node, (Binary, Unary, Transpose)):
-            flops += node.shape[0] * node.shape[1]
-        elif isinstance(node, Aggregate):
-            flops += node.child.shape[0] * node.child.shape[1]
-        elif isinstance(node, Fused):
-            flops += sum(c.shape[0] * c.shape[1] for c in node.children)
-    return flops

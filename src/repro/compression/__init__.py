@@ -14,7 +14,6 @@ from .estimators import (
     estimate_joint_distinct,
     exact_column_stats,
 )
-from .hybrid import DEFAULT_MIN_RATIO, ExecutionDecision, decide_compression
 from .matrix import CompressedMatrix
 from .ole import OLEGroup, estimated_ole_bytes
 from .planner import (
@@ -32,8 +31,6 @@ __all__ = [
     "ColumnStats",
     "CompressedMatrix",
     "CompressionPlan",
-    "DEFAULT_MIN_RATIO",
-    "ExecutionDecision",
     "DDCGroup",
     "OLEGroup",
     "RLEGroup",
@@ -41,7 +38,6 @@ __all__ = [
     "build_dictionary",
     "build_groups",
     "count_runs",
-    "decide_compression",
     "estimate_column_stats",
     "estimate_distinct",
     "estimate_joint_distinct",

@@ -63,10 +63,10 @@ def score_linear_model(
     """Append a fitted linear/logistic model's raw score as a column.
 
     Works with any estimator exposing ``coef_`` and ``intercept_``
-    (LinearRegression, Ridge, LogisticRegression, LinearSVM, the in-DB
-    GLMs), or a registry :class:`~repro.lifecycle.ModelVersion` wrapping
-    one (``registry.deployed("churn")`` scores in one call; columns come
-    from the entry's ``feature_columns`` param when not given). For
+    (LinearRegression, Ridge, LogisticRegression, the in-DB GLMs), or a
+    registry :class:`~repro.lifecycle.ModelVersion` wrapping one
+    (``registry.deployed("churn")`` scores in one call; columns come from
+    the entry's ``feature_columns`` param when not given). For
     classifiers the appended value is the *margin*; use
     :func:`score_probability` for calibrated probabilities.
     """

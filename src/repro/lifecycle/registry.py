@@ -309,6 +309,12 @@ class ModelRegistry:
                 name: {alias: int(v) for alias, v in aliases.items()}
                 for name, aliases in payload.get("aliases", {}).items()
             }
+        except LifecycleError as exc:
+            # a model entry this build cannot rebuild, e.g. a class it
+            # no longer has
+            raise LifecycleError(
+                f"registry file {path} cannot be loaded at {where}: {exc}"
+            ) from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # valid JSON that is not a registry: truncated by hand, or
             # written by something else

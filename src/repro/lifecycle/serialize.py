@@ -26,14 +26,10 @@ def _known_classes() -> dict[str, type]:
     from .. import factorized, incremental, indb, ml, runtime
 
     classes = [
-        ml.PCA,
-        ml.DecisionTreeClassifier,
-        ml.DecisionTreeRegressor,
         ml.GaussianNB,
         ml.KBinsDiscretizer,
         ml.KMeans,
         ml.LinearRegression,
-        ml.LinearSVM,
         ml.LogisticRegression,
         ml.MinMaxScaler,
         ml.Ridge,
@@ -54,19 +50,6 @@ def _known_classes() -> dict[str, type]:
 # Value encoding
 # ----------------------------------------------------------------------
 def _encode_value(value: Any) -> Any:
-    from ..ml.tree import _Node
-
-    if isinstance(value, _Node):
-        return {
-            "__kind__": "tree_node",
-            "prediction": _encode_value(value.prediction),
-            "feature": value.feature,
-            "threshold": value.threshold,
-            "impurity": value.impurity,
-            "n_samples": value.n_samples,
-            "left": None if value.left is None else _encode_value(value.left),
-            "right": None if value.right is None else _encode_value(value.right),
-        }
     if isinstance(value, np.ndarray):
         if value.dtype == object:
             return {
@@ -112,24 +95,6 @@ def _decode_value(value: Any) -> Any:
         if kind in ("list", "tuple"):
             items = [_decode_value(v) for v in value["values"]]
             return items if kind == "list" else tuple(items)
-        if kind == "tree_node":
-            from ..ml.tree import _Node
-
-            return _Node(
-                prediction=_decode_value(value["prediction"]),
-                feature=value["feature"],
-                threshold=value["threshold"],
-                impurity=value["impurity"],
-                n_samples=value["n_samples"],
-                left=(
-                    None if value["left"] is None else _decode_value(value["left"])
-                ),
-                right=(
-                    None
-                    if value["right"] is None
-                    else _decode_value(value["right"])
-                ),
-            )
         raise LifecycleError(f"unknown encoded kind {kind!r}")
     return value
 

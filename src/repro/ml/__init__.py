@@ -1,11 +1,11 @@
 """ML algorithm library: the workloads the data-management layers serve.
 
-GLMs (linear/logistic/SVM) with batch, stochastic, and closed-form
-solvers; k-means; Naive Bayes; PCA; plus losses, optimizers,
-preprocessing, and metrics. The algorithms are written in the vectorized
-style that declarative ML compilers target, so the same models run
-directly on numpy, on the compiled DSL, over normalized (factorized)
-data, and inside the relational engine.
+GLMs (linear/logistic) with batch, stochastic, and closed-form solvers;
+k-means; Naive Bayes; plus losses, optimizers, preprocessing, and
+metrics. The algorithms are written in the vectorized style that
+declarative ML compilers target, so the same models run directly on
+numpy, on the compiled DSL, over normalized (factorized) data, and
+inside the relational engine.
 """
 
 from .base import Classifier, Estimator, Regressor, as_pm_one, check_X, check_X_y
@@ -25,7 +25,6 @@ from .metrics import (
 )
 from .naive_bayes import CategoricalNB, GaussianNB
 from .optim import OptimResult, gradient_descent, sgd
-from .pca import PCA
 from .preprocessing import (
     FeatureHasher,
     KBinsDiscretizer,
@@ -35,28 +34,17 @@ from .preprocessing import (
     add_intercept,
     train_test_split,
 )
-from .boosting import GradientBoostingRegressor
-from .forest import RandomForestClassifier, RandomForestRegressor
-from .svm import LinearSVM
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
-    "PCA",
     "CategoricalNB",
-    "RandomForestClassifier",
-    "RandomForestRegressor",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "Classifier",
     "Estimator",
     "FeatureHasher",
     "GaussianNB",
-    "GradientBoostingRegressor",
     "HingeLoss",
     "KBinsDiscretizer",
     "KMeans",
     "LinearRegression",
-    "LinearSVM",
     "LogisticLoss",
     "LogisticRegression",
     "Loss",

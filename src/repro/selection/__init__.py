@@ -19,7 +19,6 @@ from .halving import (
     full_budget_baseline,
     successive_halving,
 )
-from .hyperband import Bracket, HyperbandResult, hyperband, sample_from_space
 from .search import (
     Evaluation,
     SearchResult,
@@ -31,11 +30,9 @@ from .session import SelectionSession, SessionLedger
 from .warmstart import PathPoint, PathResult, fit_logistic_path
 
 __all__ = [
-    "Bracket",
     "Evaluation",
     "FeatureGridResult",
     "HalvingResult",
-    "HyperbandResult",
     "KFold",
     "PathPoint",
     "PathResult",
@@ -51,11 +48,9 @@ __all__ = [
     "fold_statistics",
     "full_budget_baseline",
     "grid_search",
-    "hyperband",
     "random_search",
     "ridge_cv_naive",
     "ridge_cv_shared",
     "ridge_feature_grid",
-    "sample_from_space",
     "successive_halving",
 ]

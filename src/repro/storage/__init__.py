@@ -28,7 +28,6 @@ from .operators import (
     project,
     union_all,
 )
-from .querycache import QueryCache, VersionedCatalog
 from .schema import Column, ColumnType, Schema
 from .sql import SQLError, explain_sql, parse_sql, run_sql
 from .stats import (
@@ -47,11 +46,9 @@ __all__ = [
     "ColumnType",
     "Expr",
     "NumericHistogram",
-    "QueryCache",
     "Schema",
     "TableStats",
     "Table",
-    "VersionedCatalog",
     "agg",
     "aggregate",
     "col",

@@ -15,11 +15,10 @@ half of that identity:
   the structural component, input-table content hashes the operand
   component.
 * :func:`materialized_operator` — the reuse wrapper: consult an (opt-in)
-  store before running the operator, offer the result after. Unlike the
-  version-keyed :class:`~repro.storage.querycache.QueryCache`, entries
-  survive process restarts and match across *different* catalogs bound
-  to the same bytes — and a re-registered table that happens to be
-  byte-identical still hits, where a version counter would invalidate.
+  store before running the operator, offer the result after. Entries
+  are keyed by content, not by a version counter: they survive process
+  restarts, match across *different* catalogs bound to the same bytes,
+  and a re-registered table that is byte-identical still hits.
 """
 
 from __future__ import annotations

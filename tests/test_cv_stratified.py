@@ -1,12 +1,10 @@
-"""Unit tests for stratified cross-validation and tree serialization."""
+"""Unit tests for stratified cross-validation."""
 
 import numpy as np
 import pytest
 
 from repro.data import make_classification
 from repro.errors import SelectionError
-from repro.lifecycle import dumps_model, loads_model
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.selection import StratifiedKFold
 
 
@@ -51,26 +49,3 @@ class TestStratifiedKFold:
         cv = StratifiedKFold(4, seed=0)
         for fold in cv.folds(y):
             assert (y[fold] == 1).sum() == 1
-
-
-class TestTreeSerialization:
-    def test_classifier_roundtrip(self, classification_data):
-        X, y = classification_data
-        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        restored = loads_model(dumps_model(tree))
-        assert np.array_equal(restored.predict(X), tree.predict(X))
-        assert restored.depth_ == tree.depth_
-        assert restored.describe() == tree.describe()
-
-    def test_regressor_roundtrip(self, regression_data):
-        X, y, _ = regression_data
-        tree = DecisionTreeRegressor(max_depth=5).fit(X, y)
-        restored = loads_model(dumps_model(tree))
-        assert np.allclose(restored.predict(X), tree.predict(X))
-
-    def test_hyperparameters_preserved(self, classification_data):
-        X, y = classification_data
-        tree = DecisionTreeClassifier(max_depth=2, min_samples_leaf=7).fit(X, y)
-        restored = loads_model(dumps_model(tree))
-        assert restored.max_depth == 2
-        assert restored.min_samples_leaf == 7

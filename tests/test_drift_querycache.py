@@ -1,11 +1,11 @@
-"""Unit tests for drift detection and the query cache."""
+"""Unit tests for drift detection."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError, StorageError
+from repro.errors import SchemaError
 from repro.feateng import detect_drift
-from repro.storage import QueryCache, Table, VersionedCatalog
+from repro.storage import Table
 
 
 class TestDriftDetection:
@@ -76,143 +76,3 @@ class TestDriftDetection:
         serve = Table.from_columns({"x": rng.standard_normal(100)})
         report = detect_drift(train, serve)
         assert [c.name for c in report.columns] == ["x"]
-
-
-class TestQueryCache:
-    @pytest.fixture
-    def setup(self, rng):
-        catalog = VersionedCatalog()
-        catalog.register(
-            "events",
-            Table.from_columns(
-                {"k": rng.integers(0, 5, 200), "v": rng.standard_normal(200)}
-            ),
-        )
-        return catalog, QueryCache(catalog, capacity=4)
-
-    QUERY = "SELECT k, COUNT(*) AS n FROM events GROUP BY k"
-
-    def test_repeat_query_served_from_cache(self, setup):
-        _, cache = setup
-        a = cache.run(self.QUERY)
-        b = cache.run(self.QUERY)
-        assert a is b
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-
-    def test_table_update_invalidates(self, setup, rng):
-        catalog, cache = setup
-        first = cache.run(self.QUERY)
-        catalog.register(
-            "events",
-            Table.from_columns({"k": np.array([1, 1]), "v": np.array([0.0, 0.0])}),
-            replace=True,
-        )
-        second = cache.run(self.QUERY)
-        assert second is not first
-        assert second.num_rows == 1
-        assert cache.stats.invalidations == 1
-
-    def test_unrelated_table_update_does_not_invalidate(self, setup, rng):
-        catalog, cache = setup
-        first = cache.run(self.QUERY)
-        catalog.register(
-            "other", Table.from_columns({"z": np.array([1])})
-        )
-        assert cache.run(self.QUERY) is first
-
-    def test_join_query_tracks_both_tables(self, setup, rng):
-        catalog, cache = setup
-        catalog.register(
-            "dims", Table.from_columns({"k": np.arange(5), "w": np.arange(5.0)})
-        )
-        query = (
-            "SELECT k, w FROM events JOIN dims ON k = k LIMIT 5"
-        )
-        first = cache.run(query)
-        catalog.register(
-            "dims",
-            Table.from_columns({"k": np.arange(5), "w": np.zeros(5)}),
-            replace=True,
-        )
-        second = cache.run(query)
-        assert second is not first
-
-    def test_lru_capacity(self, setup):
-        catalog, cache = setup
-        for i in range(6):
-            cache.run(f"SELECT k FROM events LIMIT {i + 1}")
-        assert len(cache) == 4
-
-    def test_requires_versioned_catalog(self):
-        from repro.storage import Catalog
-
-        with pytest.raises(StorageError):
-            QueryCache(Catalog())
-
-    def test_versions_monotone(self, setup):
-        catalog, _ = setup
-        v1 = catalog.version("events")
-        catalog.drop("events")
-        assert catalog.version("events") == v1 + 1
-        assert catalog.version("never_registered") == 0
-
-
-class TestDynamicTableEpochs:
-    """Regression tests: an in-place table mutation must invalidate.
-
-    Before table-version epochs were folded into cache keys, only
-    ``register``/``drop`` moved a table's version — a
-    :class:`~repro.incremental.DynamicTable` mutating in place could
-    serve stale cached results forever.
-    """
-
-    QUERY = "SELECT k, COUNT(*) AS n FROM events GROUP BY k"
-
-    @pytest.fixture
-    def dynamic_setup(self):
-        from repro.incremental import DynamicTable
-
-        catalog = VersionedCatalog()
-        dyn = DynamicTable.from_table(
-            Table.from_columns(
-                {"k": np.array([1, 1, 2]), "v": np.array([1.0, 2.0, 3.0])}
-            ),
-            name="events",
-        )
-        catalog.register("events", dyn)
-        return dyn, catalog, QueryCache(catalog, capacity=4)
-
-    def test_in_place_mutation_invalidates_without_reregistration(
-        self, dynamic_setup
-    ):
-        dyn, _, cache = dynamic_setup
-        first = cache.run(self.QUERY)
-        assert cache.run(self.QUERY) is first
-        dyn.insert({"k": [2, 2], "v": [9.0, 9.0]})  # never re-registered
-        second = cache.run(self.QUERY)
-        assert second is not first
-        assert cache.stats.invalidations == 1
-        counts = dict(zip(second.column("k"), second.column("n")))
-        assert counts == {1: 2, 2: 3}
-
-    def test_every_mutation_kind_invalidates(self, dynamic_setup):
-        dyn, _, cache = dynamic_setup
-        cache.run(self.QUERY)
-        dyn.delete(dyn.row_ids[:1])
-        cache.run(self.QUERY)
-        dyn.update(dyn.row_ids[:1], {"k": [7], "v": [0.0]})
-        cache.run(self.QUERY)
-        assert cache.stats.invalidations == 2
-        assert cache.stats.hits == 0
-
-    def test_static_tables_keep_identity_hits(self, dynamic_setup):
-        dyn, catalog, cache = dynamic_setup
-        catalog.register(
-            "dims", Table.from_columns({"k": np.arange(3), "w": np.arange(3.0)})
-        )
-        first = cache.run("SELECT k, w FROM dims LIMIT 3")
-        assert cache.run("SELECT k, w FROM dims LIMIT 3") is first
-        # a mutation on an unrelated dynamic table does not invalidate
-        dyn.insert({"k": [5], "v": [5.0]})
-        assert cache.run("SELECT k, w FROM dims LIMIT 3") is first

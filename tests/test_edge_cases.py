@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import pca_dsl
 from repro.compression import CompressedMatrix
 from repro.errors import (
     CompressionError,
@@ -11,7 +12,7 @@ from repro.errors import (
     SchemaError,
     StorageError,
 )
-from repro.ml import PCA, KMeans, LinearRegression, StandardScaler
+from repro.ml import KMeans, LinearRegression, StandardScaler
 from repro.storage import (
     Schema,
     Table,
@@ -70,9 +71,9 @@ class TestDegenerateMatrices:
 
     def test_constant_matrix_pca(self):
         X = np.full((20, 3), 2.5)
-        pca = PCA(2).fit(X)
-        Z = pca.transform(X)
-        assert np.allclose(Z, 0.0)  # no variance anywhere
+        result = pca_dsl(X, 2)
+        assert np.allclose(result.explained_variance, 0.0)  # no variance
+        assert np.allclose(result.mean, 2.5)
 
     def test_kmeans_k_equals_n(self):
         X = np.arange(6, dtype=float).reshape(3, 2)

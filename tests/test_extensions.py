@@ -1,22 +1,14 @@
-"""Unit tests for the extension modules: in-DB k-means, Hyperband,
-factorized k-means, and the compress-or-not decision."""
+"""Unit tests for the extension modules: in-DB k-means, factorized
+matmat and factorized k-means."""
 
 import numpy as np
 import pytest
 
-from repro.compression import decide_compression
-from repro.data import (
-    make_blobs,
-    make_classification,
-    make_low_cardinality_matrix,
-    make_star_schema,
-)
-from repro.errors import CompressionError, FactorizationError, ModelError, SelectionError
+from repro.data import make_blobs, make_star_schema
+from repro.errors import FactorizationError, ModelError
 from repro.factorized import NormalizedMatrix, factorized_kmeans
 from repro.indb import assign_clusters_indb, train_kmeans_indb
-from repro.ml import KMeans, LogisticRegression
-from repro.ml.preprocessing import train_test_split
-from repro.selection import hyperband, sample_from_space
+from repro.ml import KMeans
 from repro.storage import Table
 
 
@@ -66,64 +58,6 @@ class TestInDBKMeans:
             train_kmeans_indb(table, ["x0"], 0)
         with pytest.raises(ModelError):
             train_kmeans_indb(table.head(2), ["x0"], 5)
-
-
-class TestHyperband:
-    @pytest.fixture
-    def split(self):
-        X, y = make_classification(600, 5, separation=1.5, seed=65)
-        return train_test_split(X, y, 0.3, seed=65)
-
-    def test_finds_good_config(self, split):
-        X_tr, X_val, y_tr, y_val = split
-        result = hyperband(
-            LogisticRegression(solver="gd"),
-            sample_from_space({"l2": ("loguniform", 1e-4, 10.0)}),
-            X_tr, y_tr, X_val, y_val,
-            max_budget=16, eta=2, seed=1,
-        )
-        assert result.best_score > 0.7
-        assert len(result.brackets) >= 2
-
-    def test_brackets_trade_breadth_for_budget(self, split):
-        X_tr, X_val, y_tr, y_val = split
-        result = hyperband(
-            LogisticRegression(solver="gd"),
-            sample_from_space({"l2": ("loguniform", 1e-4, 10.0)}),
-            X_tr, y_tr, X_val, y_val,
-            max_budget=16, eta=2, seed=2,
-        )
-        # Earlier brackets start more configs at smaller budgets.
-        num_configs = [b.num_configs for b in result.brackets]
-        min_budgets = [b.min_budget for b in result.brackets]
-        assert num_configs[0] >= num_configs[-1]
-        assert min_budgets[0] <= min_budgets[-1]
-
-    def test_cost_below_exhaustive(self, split):
-        X_tr, X_val, y_tr, y_val = split
-        result = hyperband(
-            LogisticRegression(solver="gd"),
-            sample_from_space({"l2": ("loguniform", 1e-4, 10.0)}),
-            X_tr, y_tr, X_val, y_val,
-            max_budget=16, eta=2, seed=3,
-        )
-        total_configs = sum(b.num_configs for b in result.brackets)
-        assert result.total_cost < total_configs * 16
-
-    def test_validation(self, split):
-        X_tr, X_val, y_tr, y_val = split
-        with pytest.raises(SelectionError):
-            hyperband(
-                LogisticRegression(),
-                sample_from_space({"l2": [0.1]}),
-                X_tr, y_tr, X_val, y_val, eta=1,
-            )
-        with pytest.raises(SelectionError):
-            hyperband(
-                LogisticRegression(),
-                sample_from_space({"l2": [0.1]}),
-                X_tr, y_tr, X_val, y_val, max_budget=0,
-            )
 
 
 class TestFactorizedMatmat:
@@ -179,44 +113,3 @@ class TestFactorizedKMeans:
             factorized_kmeans(star.materialize(), 3)
         with pytest.raises(FactorizationError):
             factorized_kmeans(nm, 0)
-
-
-class TestCompressionDecision:
-    def test_compressible_iterative_workload(self):
-        X = make_low_cardinality_matrix(5000, 6, cardinality=6, seed=68)
-        decision = decide_compression(X, iterations=50)
-        assert decision.compress
-        assert decision.estimated_ratio > 1.2
-
-    def test_incompressible_declined(self, rng):
-        X = rng.standard_normal((5000, 6))
-        decision = decide_compression(X, iterations=50)
-        assert not decision.compress
-        assert "below threshold" in decision.reason
-
-    def test_single_pass_declined_even_if_compressible(self):
-        X = make_low_cardinality_matrix(5000, 6, cardinality=6, seed=69)
-        decision = decide_compression(X, iterations=1)
-        assert not decision.compress
-        assert "single-pass" in decision.reason
-
-    def test_memory_pressure_forces_compression(self):
-        X = make_low_cardinality_matrix(5000, 6, cardinality=6, seed=70)
-        budget = X.nbytes // 2  # dense does not fit
-        decision = decide_compression(X, memory_budget_bytes=budget, iterations=1)
-        assert decision.compress
-        assert not decision.fits_dense
-        assert decision.fits_compressed
-
-    def test_nothing_fits(self, rng):
-        X = rng.standard_normal((2000, 6))
-        decision = decide_compression(X, memory_budget_bytes=100, iterations=5)
-        assert not decision.fits_dense
-        assert not decision.fits_compressed
-        assert not decision.compress  # random data: ratio ~1
-
-    def test_validation(self, rng):
-        with pytest.raises(CompressionError):
-            decide_compression(rng.standard_normal(5), iterations=5)
-        with pytest.raises(CompressionError):
-            decide_compression(rng.standard_normal((5, 2)), iterations=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compression import CompressedMatrix, decide_compression
+from repro.compression import CompressedMatrix
 from repro.data import (
     make_classification,
     make_low_cardinality_matrix,
@@ -16,8 +16,9 @@ from repro.feateng import TableEncoder, TransformSpec
 from repro.indb import train_kmeans_indb
 from repro.lang import emax, matrix, sumall
 from repro.lifecycle import ModelRegistry, dumps_model, loads_model
-from repro.ml import DecisionTreeClassifier, KMeans, LogisticRegression
+from repro.ml import KMeans, LogisticRegression
 from repro.ml.losses import SquaredLoss
+from repro.operand import SAMPLE_FRACTION
 from repro.runtime import BlockStore, BufferPool, execute
 from repro.selection import SelectionSession, StratifiedKFold
 from repro.sparse import CSRMatrix
@@ -31,10 +32,9 @@ class TestCompressedBlocksInBufferPool:
         X = make_low_cardinality_matrix(20_000, 8, cardinality=6, seed=81)
         C = CompressedMatrix.compress(X)
         budget = X.nbytes // 3
-        decision = decide_compression(
-            X, memory_budget_bytes=budget, iterations=20
-        )
-        assert decision.compress
+        # the compress-or-not rule the representation planner runs
+        ratio = CompressedMatrix.sample_evidence(X, SAMPLE_FRACTION)
+        assert CompressedMatrix.worth_planning(ratio)
         assert C.compressed_bytes <= budget  # the decision was right
 
     def test_compressed_bytes_cached_as_pool_blocks(self):
@@ -74,7 +74,7 @@ class TestSparseSelection:
         assert np.allclose(result.weights, dense_result.weights, atol=1e-10)
 
 
-class TestStratifiedSessionWithTrees:
+class TestStratifiedSessionOverLogisticModels:
     def test_session_over_imbalanced_data(self):
         X, y = make_classification(400, 5, separation=2.5, seed=84)
         # Make it imbalanced: drop most positives.
@@ -86,30 +86,30 @@ class TestStratifiedSessionWithTrees:
             assert (y[fold] == 1).sum() > 0
 
         session = SelectionSession(
-            DecisionTreeClassifier(), X, y, cv=3
+            LogisticRegression(max_iter=20), X, y, cv=3
         )
-        session.run_grid({"max_depth": [2, 4]})
+        session.run_grid({"l2": [0.01, 1.0]})
         assert session.best.score > 0.7
 
-    def test_tree_versioned_and_reloaded_through_registry(
+    def test_model_versioned_and_reloaded_through_registry(
         self, classification_data, tmp_path
     ):
         X, y = classification_data
         registry = ModelRegistry()
-        for depth in (2, 4):
-            tree = DecisionTreeClassifier(max_depth=depth).fit(X, y)
+        for l2 in (0.01, 1.0):
+            model = LogisticRegression(l2=l2, max_iter=20).fit(X, y)
             registry.register(
-                "tree", tree, params={"max_depth": depth},
-                metrics={"acc": tree.score(X, y)},
+                "logreg", model, params={"l2": l2},
+                metrics={"acc": model.score(X, y)},
             )
-        best = registry.best("tree", "acc")
-        registry.deploy("tree", best.version)
+        best = registry.best("logreg", "acc")
+        registry.deploy("logreg", best.version)
         path = tmp_path / "registry.json"
         registry.save(path)
         restored = ModelRegistry.load(path)
-        model = restored.deployed("tree").model
+        model = restored.deployed("logreg").model
         assert np.array_equal(
-            model.predict(X), registry.deployed("tree").model.predict(X)
+            model.predict(X), registry.deployed("logreg").model.predict(X)
         )
 
 

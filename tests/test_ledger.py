@@ -4,7 +4,7 @@ One scripted run drives each ledgered layer through its events, then
 holds ``registry.value("<prefix>.<field>")`` to the sum of that field
 over the instances counting under the prefix — for *every* field, so a
 newly added field can never be left unmirrored the way
-``querycache.*``, ``fabric.failovers`` and ``injected_faults`` were.
+``fabric.failovers`` and ``injected_faults`` were.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.obs import Counted, Ledger, get_registry
 from repro.resilience import ChaosContext, FaultPlan, RetryPolicy
 from repro.runtime import BlockStore, BufferPool, ParallelContext
 from repro.serving import ModelServer, ShardedServer
-from repro.storage import QueryCache, Table, VersionedCatalog
+from repro.storage import Table
 
 
 class TestLedger:
@@ -133,25 +133,12 @@ def _events_table(n, seed):
     })
 
 
-def _compiler_and_storage(ledgers):
+def _compiler(ledgers):
     plans = PlanCache(capacity=1)
     small, big = sumall(matrix("X", (3, 3))), sumall(matrix("X", (4, 4)))
     for expr in (small, small, big):  # miss, hit, miss + eviction
         plans.get_or_compile(expr)
     ledgers.append(("plancache", plans.stats))
-
-    catalog = VersionedCatalog()
-    catalog.register("t", _events_table(8, 1))
-    queries = QueryCache(catalog, capacity=1)
-    queries.run("SELECT f0 FROM t")
-    queries.run("SELECT f0 FROM t")  # hit
-    catalog.register("t", _events_table(8, 2), replace=True)
-    queries.run("SELECT f0 FROM t")  # invalidation + miss
-    queries.run("SELECT f1 FROM t")  # miss, evicts the other query
-    ledgers.append(("querycache", queries.stats))
-    assert queries.stats.as_dict() == {
-        "hits": 1, "misses": 3, "invalidations": 1, "evictions": 1,
-    }
 
 
 def _runtime_and_materialize(ledgers, directory):
@@ -368,7 +355,7 @@ class _Clock:
 
 def test_every_ledger_field_equals_its_registry_counter(tmp_path):
     ledgers: list[tuple[str, Ledger]] = []
-    _compiler_and_storage(ledgers)
+    _compiler(ledgers)
     _runtime_and_materialize(ledgers, tmp_path)
     _features(ledgers)
     _incremental(ledgers)
@@ -383,5 +370,5 @@ def test_every_ledger_field_equals_its_registry_counter(tmp_path):
     registry = get_registry()
     got = {name: registry.value(name) for name in expected}
     assert got == expected
-    # 14 layers + the parallel totals, its five sites, and the cluster
-    assert len({prefix for prefix, _ in ledgers}) == 14 + 1 + 5 + 1
+    # 13 layers + the parallel totals, its five sites, and the cluster
+    assert len({prefix for prefix, _ in ledgers}) == 13 + 1 + 5 + 1

@@ -5,6 +5,12 @@ import pytest
 from repro.errors import LifecycleError
 from repro.lifecycle import ExperimentTracker, ModelRegistry
 
+#: a model entry saved by a build that still had decision trees
+_DELETED_CLASS = (
+    '{"format_version": 1, "class": "DecisionTreeClassifier", '
+    '"params": {}, "state": {}}'
+)
+
 
 class TestModelRegistry:
     @pytest.fixture
@@ -162,13 +168,19 @@ class TestModelRegistry:
             (lambda p: p["aliases"].update(churn=None), '"aliases"'),
             (lambda p: p["deployed"].update(churn=None), '"deployed"'),
             (lambda p: p.update(history={"churn": 7}), '"history"'),
+            (
+                lambda p: p["versions"][0].update(model=_DELETED_CLASS),
+                "version 1 of 'churn': "
+                "unknown model class 'DecisionTreeClassifier'",
+            ),
         ],
     )
     def test_structurally_broken_file_is_a_typed_error(
         self, registry, tmp_path, breakage, where
     ):
-        """Valid JSON that is not a registry names the file and the
-        entry, instead of a bare KeyError / TypeError / ValueError."""
+        """Valid JSON that is not a registry, or that names a model class
+        this build does not have, names the file and the entry, instead
+        of a bare KeyError / TypeError / ValueError."""
         import json
 
         registry.deploy("churn", 1)

@@ -6,12 +6,10 @@ import pytest
 from repro.data import make_blobs, make_categorical, make_classification
 from repro.errors import ModelError, NotFittedError
 from repro.ml import (
-    PCA,
     CategoricalNB,
     GaussianNB,
     KMeans,
     LinearRegression,
-    LinearSVM,
     LogisticRegression,
     Ridge,
 )
@@ -233,62 +231,3 @@ class TestNaiveBayes:
         )
         with pytest.raises(ModelError):
             model.predict(np.array([["a"]], dtype=object))
-
-
-class TestPCA:
-    def test_components_orthonormal(self, rng):
-        X = rng.standard_normal((80, 5))
-        pca = PCA(3).fit(X)
-        gram = pca.components_ @ pca.components_.T
-        assert np.allclose(gram, np.eye(3), atol=1e-10)
-
-    def test_explained_variance_sorted(self, rng):
-        X = rng.standard_normal((100, 6)) * np.array([5, 3, 2, 1, 0.5, 0.1])
-        pca = PCA().fit(X)
-        assert np.all(np.diff(pca.explained_variance_) <= 1e-12)
-
-    def test_full_reconstruction(self, rng):
-        X = rng.standard_normal((50, 4))
-        pca = PCA(4).fit(X)
-        assert np.allclose(pca.inverse_transform(pca.transform(X)), X, atol=1e-10)
-
-    def test_low_rank_data_captured_exactly(self, rng):
-        basis = rng.standard_normal((2, 6))
-        X = rng.standard_normal((60, 2)) @ basis
-        pca = PCA(2).fit(X)
-        assert pca.explained_variance_ratio_.sum() == pytest.approx(1.0)
-
-    def test_n_components_validation(self, rng):
-        with pytest.raises(ModelError):
-            PCA(10).fit(rng.standard_normal((5, 3)))
-
-    def test_deterministic_sign(self, rng):
-        X = rng.standard_normal((40, 3))
-        a = PCA(2).fit(X).components_
-        b = PCA(2).fit(X.copy()).components_
-        assert np.array_equal(a, b)
-
-
-class TestLinearSVM:
-    def test_separable_accuracy(self, classification_data):
-        X, y = classification_data
-        model = LinearSVM(l2=0.01, epochs=40).fit(X, y)
-        assert model.score(X, y) > 0.9
-
-    def test_decision_function_sign_matches_predict(self, classification_data):
-        X, y = classification_data
-        model = LinearSVM().fit(X, y)
-        margins = model.decision_function(X)
-        predicted = model.predict(X)
-        assert np.all((margins >= 0) == (predicted == model.classes_[1]))
-
-    def test_l2_must_be_positive(self, classification_data):
-        X, y = classification_data
-        with pytest.raises(ModelError):
-            LinearSVM(l2=0.0).fit(X, y)
-
-    def test_stronger_regularization_smaller_weights(self, classification_data):
-        X, y = classification_data
-        weak = LinearSVM(l2=0.001, epochs=30).fit(X, y)
-        strong = LinearSVM(l2=1.0, epochs=30).fit(X, y)
-        assert np.linalg.norm(strong.coef_) < np.linalg.norm(weak.coef_)

@@ -1,5 +1,5 @@
-"""Tests for multi-output plans, random forests, feature hashing,
-and out-of-core training."""
+"""Tests for multi-output plans, feature hashing, and out-of-core
+training."""
 
 import numpy as np
 import pytest
@@ -16,16 +16,11 @@ from repro.compiler import (
     plan_representations,
 )
 from repro.compression import CompressedMatrix
-from repro.data import make_categorical, make_classification, make_regression
+from repro.data import make_categorical, make_regression
 from repro.errors import CompilerError, ExecutionError, ModelError, NotFittedError
 from repro.lang import absval, colmeans, matrix, rowsums, sigmoid, sumall
 from repro.materialize import MaterializationStore, materialization_scope
-from repro.ml import (
-    DecisionTreeClassifier,
-    FeatureHasher,
-    RandomForestClassifier,
-    RandomForestRegressor,
-)
+from repro.ml import FeatureHasher
 from repro.ml.linreg import Moments
 from repro.runtime import OutOfCoreLinearRegression, execute
 from repro.sparse import CSRMatrix
@@ -268,55 +263,6 @@ class TestMultiOutputRunsTheOnePath:
         for l2 in (0.0, 0.1):
             oracle = Moments(gram, xty[:, 0], np.nan, n).solve(l2)
             assert np.array_equal(linreg_direct(X, y, l2=l2).weights, oracle)
-
-
-class TestRandomForest:
-    def test_classifier_beats_single_tree(self):
-        X, y = make_classification(500, 8, separation=1.0, seed=101)
-        from repro.ml.preprocessing import train_test_split
-
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, 0.3, seed=101)
-        tree = DecisionTreeClassifier(max_depth=6).fit(X_tr, y_tr)
-        forest = RandomForestClassifier(
-            n_trees=25, max_depth=6, seed=101
-        ).fit(X_tr, y_tr)
-        assert forest.score(X_te, y_te) >= tree.score(X_te, y_te) - 0.02
-
-    def test_vote_fractions_valid(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_trees=9, seed=1).fit(X, y)
-        p = forest.predict_proba(X)
-        assert np.allclose(p.sum(axis=1), 1.0)
-        assert np.all((p >= 0) & (p <= 1))
-
-    def test_regressor_quality(self, regression_data):
-        X, y, _ = regression_data
-        forest = RandomForestRegressor(n_trees=20, max_depth=6, seed=2).fit(X, y)
-        assert forest.score(X, y) > 0.6
-
-    def test_deterministic_given_seed(self, classification_data):
-        X, y = classification_data
-        a = RandomForestClassifier(n_trees=5, seed=7).fit(X, y).predict(X)
-        b = RandomForestClassifier(n_trees=5, seed=7).fit(X, y).predict(X)
-        assert np.array_equal(a, b)
-
-    def test_feature_subsampling_recorded(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(
-            n_trees=4, max_features=0.4, seed=3
-        ).fit(X, y)
-        for features in forest.feature_sets_:
-            assert len(features) == 2  # 0.4 * 5 features
-
-    def test_validation(self, classification_data):
-        X, y = classification_data
-        with pytest.raises(ModelError):
-            RandomForestClassifier(n_trees=0).fit(X, y)
-        with pytest.raises(ModelError):
-            RandomForestClassifier(max_features=1.5).fit(X, y)
-        forest = RandomForestClassifier(n_trees=3).fit(X, y)
-        with pytest.raises(ModelError):
-            forest.predict(X[:, :2])
 
 
 class TestFeatureHasher:

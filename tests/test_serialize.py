@@ -32,11 +32,9 @@ from repro.lifecycle import (
     save_model,
 )
 from repro.ml import (
-    PCA,
     GaussianNB,
     KMeans,
     LinearRegression,
-    LinearSVM,
     LogisticRegression,
     Ridge,
     StandardScaler,
@@ -68,13 +66,6 @@ class TestModelRoundTrip:
         restored = loads_model(dumps_model(model))
         assert np.array_equal(restored.cluster_centers_, model.cluster_centers_)
         assert np.array_equal(restored.predict(X), model.predict(X))
-
-    def test_pca(self, rng):
-        X = rng.standard_normal((60, 5))
-        model = PCA(3).fit(X)
-        restored = loads_model(dumps_model(model))
-        assert np.array_equal(restored.components_, model.components_)
-        assert np.allclose(restored.transform(X), model.transform(X))
 
     def test_gaussian_nb(self, classification_data):
         X, y = classification_data
@@ -159,7 +150,7 @@ class TestRegistryPersistence:
     @pytest.mark.parametrize(
         "provider",
         [
-            "LinearRegression", "LogisticRegression", "LinearSVM",
+            "LinearRegression", "LogisticRegression",
             "FactorizedLinearRegression", "FactorizedLogisticRegression",
             "InDBLinearRegression", "InDBLogisticRegression",
             "OutOfCoreLinearRegression",
@@ -181,7 +172,6 @@ class TestRegistryPersistence:
             "LinearRegression": lambda: (LinearRegression(l2=0.1).fit(X, y), X),
             "LogisticRegression": lambda: (
                 LogisticRegression(max_iter=10).fit(X, label), X),
-            "LinearSVM": lambda: (LinearSVM(epochs=2).fit(X, label), X),
             "FactorizedLinearRegression": lambda: (
                 FactorizedLinearRegression(l2=0.1).fit(nm, y), nm),
             "FactorizedLogisticRegression": lambda: (

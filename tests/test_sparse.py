@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import propagate_sparsity, sparse_aware_flops
+from repro.compiler import propagate_sparsity
 from repro.data import make_sparse_matrix
 from repro.lang import exp, matrix, sumall
 from repro.sparse import CSRMatrix, SparseError
@@ -313,11 +313,3 @@ class TestSparsityPropagation:
 
         c = const(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert propagate_sparsity(c.node)[id(c.node)] == 0.25
-
-    def test_sparse_flops_far_below_dense(self):
-        X = matrix("X", (1000, 500))
-        w = matrix("w", (500, 1))
-        expr = (X @ w).node
-        sparse = sparse_aware_flops(expr, {"X": 0.01})
-        dense = sparse_aware_flops(expr, {"X": 1.0})
-        assert sparse < dense / 50
