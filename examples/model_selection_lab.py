@@ -7,7 +7,7 @@ lifting:
 
   1. Columbus-style feature-subset exploration from shared statistics;
   2. a coarse grid through a caching SelectionSession;
-  3. successive halving over the refined space;
+  3. successive halving and a random search over the refined space;
   4. a warm-started regularization path around the winner;
   5. a provenance-tracked pipeline for the final model.
 
@@ -23,6 +23,7 @@ from repro.selection import (
     SelectionSession,
     fit_logistic_path,
     full_budget_baseline,
+    random_search,
     successive_halving,
 )
 
@@ -91,6 +92,18 @@ def main() -> None:
           f"({full.total_cost / halving.total_cost:.1f}x saved)")
     print(f"  best val acc {halving.best_score:.3f} "
           f"(full grid {full.best_score:.3f})\n")
+
+    # The same refined space, sampled instead of enumerated.
+    sampled = random_search(
+        LogisticRegression(solver="gd", max_iter=32),
+        {"l2": ("loguniform", base_l2 * 0.1, base_l2 * 10.0),
+         "learning_rate": ("uniform", 0.25, 2.0)},
+        X_tr_sel, y_tr, n_samples=8, cv=3, seed=7,
+    )
+    best = sampled.best_params
+    print(f"[random] {len(sampled.evaluations)} draws over the refined space:")
+    print(f"  best l2 = {best['l2']:.4g}, learning_rate = "
+          f"{best['learning_rate']:.3f} (cv acc {sampled.best_score:.3f})\n")
 
     # -- 4. warm-started path around the winner ---------------------------
     winner_l2 = halving.best.params["l2"]

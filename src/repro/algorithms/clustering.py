@@ -18,7 +18,6 @@ from ..errors import ModelError
 from ..lang import matrix, rowsums
 from ..ml.kmeans import cluster_sums, lloyd
 from ..operand import is_representation
-from ..resilience.checkpoint import IterativeCheckpointer
 from ..resilience.retry import RetryPolicy
 from .glm import AdaptivePlan
 
@@ -52,7 +51,6 @@ def kmeans_dsl(
     max_iter: int = 100,
     tol: float = 1e-7,
     seed: int | None = 0,
-    checkpointer: IterativeCheckpointer | None = None,
     retry: RetryPolicy | None = None,
     adaptive: "bool | _feedback.FeedbackStore | None" = None,
 ) -> KMeansResult:
@@ -62,10 +60,8 @@ def kmeans_dsl(
     gathers rows and centroid sums through ``rmatmat`` with one-hot
     indicators so the data never materializes.
 
-    The loop is :func:`~repro.ml.kmeans.lloyd`: a ``checkpointer`` run
-    resumes from the newest valid snapshot and ends bit-identical; with
-    a ``retry`` policy steps are retried at site
-    ``"clustering.kmeans_dsl.step"``.
+    The loop is :func:`~repro.ml.kmeans.lloyd`: with a ``retry`` policy
+    steps are retried at site ``"clustering.kmeans_dsl.step"``.
 
     ``adaptive`` re-plans ``X``'s representation against the feedback
     store every iteration (see
@@ -105,7 +101,6 @@ def kmeans_dsl(
             _gather_rows(runner.operands["X"], seed_rows),
             max_iter,
             tol,
-            checkpointer=checkpointer,
             retry=retry,
             site="clustering.kmeans_dsl.step",
             between=runner,

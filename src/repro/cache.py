@@ -6,7 +6,7 @@ entries in least-recently-used order, charge each a cost against a
 budget (bytes, or 1 per entry), and make room by evicting the oldest
 entry that is not pinned. :class:`BoundedCache` is that algorithm and
 nothing else. It does not decide what a hit is: the caller owns the
-key, the freshness rule (version, TTL), any lock, and the hit/miss
+key, the freshness rule (a version in the key), any lock, and the hit/miss
 counts. The only event the cache itself can see is an eviction, which
 it counts on the caller's ledger.
 """
@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Any
+
+from .errors import ReproError
 
 
 class BoundedCache:
@@ -64,7 +66,7 @@ class BoundedCache:
         leaves free, passes through uncached.
         """
         if cost < 0:
-            raise ValueError(f"entry cost must be >= 0, got {cost}")
+            raise ReproError(f"entry cost must be >= 0, got {cost}")
         self.remove(key)
         if cost > self.budget:
             return False
@@ -91,9 +93,6 @@ class BoundedCache:
             return False
         self._pinned.add(key)
         return True
-
-    def unpin(self, key: Hashable) -> None:
-        self._pinned.discard(key)
 
     def remove(self, key: Hashable) -> bool:
         """Drop one entry (not an eviction); returns whether it existed."""

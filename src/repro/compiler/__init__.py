@@ -25,13 +25,9 @@ from .feedback import (
     active_store,
     feedback_scope,
 )
-from .cse import (
-    count_tree_ops,
-    count_unique_ops,
-    eliminate_common_subexpressions,
-)
+from .cse import count_tree_ops, count_unique_ops
 from .fusion import apply_fusion, fused_kinds
-from .mmchain import chain_cost, optimize_mmchains
+from .mmchain import optimize_mmchains
 from .planner import CompiledPlan, compile_expr
 from .reprplan import (
     ReprChoice,
@@ -57,11 +53,9 @@ __all__ = [
     "plan_representations",
     "apply_fusion",
     "apply_rewrites",
-    "chain_cost",
     "compile_expr",
     "count_tree_ops",
     "count_unique_ops",
-    "eliminate_common_subexpressions",
     "estimate",
     "fused_kinds",
     "node_flops",

@@ -16,6 +16,7 @@ next to bufferpool and materialization behavior.
 from __future__ import annotations
 
 from ..cache import BoundedCache
+from ..errors import CompilerError
 from ..obs import Ledger
 from .planner import CompiledPlan, compile_expr, named_sources
 
@@ -25,7 +26,7 @@ class PlanCache:
 
     def __init__(self, capacity: int = 128):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise CompilerError("capacity must be >= 1")
         self.capacity = capacity
         self.stats = Ledger("plancache", ("hits", "misses", "evictions"))
         self._plans = BoundedCache(capacity, self.stats)

@@ -26,11 +26,6 @@ def hash_cons(roots: Iterable[Node]) -> list[Node]:
     return [intern(root) for root in roots]
 
 
-def eliminate_common_subexpressions(root: Node) -> Node:
-    """Hash-cons the tree into a DAG of unique nodes."""
-    return hash_cons([root])[0]
-
-
 def count_unique_ops(*roots: Node) -> int:
     """Distinct operator nodes in the DAG (inputs excluded)."""
     return sum(

@@ -34,8 +34,7 @@ Persistence goes through :mod:`repro.persist` (the same atomic
 header+CRC file format the checkpointer uses): a JSON header carrying
 the schema (``repro.feedback/v1``) and the payload's CRC32, written to
 a temp file in the target directory and ``os.replace``d into place. :meth:`FeedbackStore.load` rejects schema mismatches and corrupt
-bytes; :meth:`FeedbackStore.load_or_cold` falls back to an empty store
-(pure estimates) instead, counting the failure in the obs registry.
+bytes with a typed error.
 Files written before the per-op ``ops`` section was dropped (nothing
 ever read it) still load: the key is ignored.
 """
@@ -374,15 +373,6 @@ class FeedbackStore:
         store._sites = dict(body.get("sites", {}))
         get_registry().inc("feedback.loads")
         return store
-
-    @classmethod
-    def load_or_cold(cls, path: str | os.PathLike) -> "FeedbackStore":
-        """Load if valid, else an empty store — cold estimates, not a crash."""
-        try:
-            return cls.load(path)
-        except FeedbackError:
-            get_registry().inc("feedback.load_failures")
-            return cls(path=path)
 
 
 def input_key(name: str, shape) -> str:

@@ -70,23 +70,3 @@ def _rebuild_optimal(operands: list[Node]) -> Node:
         return MatMul(build(i, s), build(s + 1, j))
 
     return build(0, k - 1)
-
-
-def chain_cost(shapes: list[tuple[int, int]], order: str = "left") -> int:
-    """Multiplication cost (scalar multiply count) of a chain evaluated
-    left-to-right or right-to-left — used by tests and the explain output
-    to quantify the DP's win."""
-    if order not in ("left", "right"):
-        raise ValueError(f"order must be 'left' or 'right', got {order!r}")
-    total = 0
-    if order == "left":
-        rows, cols = shapes[0]
-        for r, c in shapes[1:]:
-            total += rows * cols * c
-            cols = c
-    else:
-        rows, cols = shapes[-1]
-        for r, c in reversed(shapes[:-1]):
-            total += r * c * cols
-            rows = r
-    return total

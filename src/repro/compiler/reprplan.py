@@ -52,7 +52,7 @@ from ..lang.ast import (
     unique_nodes,
 )
 from ..lang.dsl import MExpr
-from ..operand import DENSE, SAMPLE_FRACTION, convert_value, kind_of, registered
+from ..operand import DENSE, SAMPLE_FRACTION, kind_of, registered
 from ..runtime.repops import UNKNOWN, Form, decide
 from .cost import node_flops
 from .feedback import BlendedEstimate, FeedbackStore, active_store, input_key
@@ -108,18 +108,6 @@ class RepresentationPlan:
     """All per-input decisions for one compiled plan."""
 
     choices: dict[str, ReprChoice]
-
-    def convert_bindings(self, bindings: dict) -> dict:
-        """One-time conversion of bindings to their planned forms.
-
-        Drivers call this before an iteration loop so the Convert nodes
-        in the plan become per-iteration no-ops.
-        """
-        out = dict(bindings)
-        for name, choice in self.choices.items():
-            if out.get(name) is not None:
-                out[name] = convert_value(out[name], choice.representation)
-        return out
 
     def describe(self) -> str:
         lines = []

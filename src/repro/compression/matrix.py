@@ -5,7 +5,7 @@ operations iterative ML needs — ``X @ v``, ``X.T @ u``, ``X.T @ X``,
 column sums — all executed directly on the compressed column groups.
 It is a :class:`repro.operand.Operand`, planned on its compression
 ratio; ``@``, ``.T``, ``matmat``/``rmatmat``, ``rowsums``/``sum`` and
-``scale``/``add_scalar`` come from the base.
+``scale`` come from the base.
 
 Kernels can execute per-column-group partials concurrently on the shared
 cost-aware worker pool (:mod:`repro.runtime.parallel`) once a context is
@@ -74,7 +74,6 @@ class CompressedMatrix(Operand, kind="cla"):
         cls,
         X: np.ndarray,
         sample_fraction: float = 0.05,
-        exact: bool = False,
     ) -> "CompressedMatrix":
         """Plan and encode a dense matrix."""
         from ..obs import get_registry, span
@@ -83,7 +82,7 @@ class CompressedMatrix(Operand, kind="cla"):
         with span(
             "compression.compress", rows=X.shape[0], cols=X.shape[1]
         ) as compress_span:
-            plan = plan_matrix(X, sample_fraction, exact)
+            plan = plan_matrix(X, sample_fraction)
             matrix = cls(X.shape, build_groups(X, plan), plan)
         registry = get_registry()
         registry.inc("compression.compressions")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import CompressionError
 from .colgroup import ColumnGroup, build_dictionary
 
 _OFFSET_BYTES = 4  # uint32 row offsets
@@ -38,12 +39,12 @@ class OLEGroup(ColumnGroup):
             np.asarray(o, dtype=np.uint32) for o in offset_lists
         ]
         if len(self.offset_lists) != len(self.dictionary):
-            raise ValueError("one offset list required per dictionary entry")
+            raise CompressionError("one offset list required per dictionary entry")
         if default is None:
             default = np.zeros(self.num_cols)
         self.default = np.asarray(default, dtype=np.float64).reshape(-1)
         if len(self.default) != self.num_cols:
-            raise ValueError(
+            raise CompressionError(
                 f"default tuple has {len(self.default)} values for "
                 f"{self.num_cols} columns"
             )

@@ -85,7 +85,6 @@ def plan_matrix(
     X: np.ndarray,
     sample_fraction: float = 0.05,
     exact: bool = False,
-    cocode: bool = True,
 ) -> CompressionPlan:
     """Plan every column, then group compressible columns.
 
@@ -118,7 +117,7 @@ def plan_matrix(
                 groups.append((p.scheme, [p.index]))
 
         ddc_cols = [p for p in plans if p.scheme == "ddc"]
-        if cocode and len(ddc_cols) > 1:
+        if len(ddc_cols) > 1:
             groups.extend(
                 ("ddc", members)
                 for members in _cocode_ddc(X, ddc_cols, sample_fraction)

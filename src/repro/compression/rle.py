@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import CompressionError
 from .colgroup import ColumnGroup, build_dictionary, code_bytes_for
 
 _RUN_FIXED_BYTES = 8  # uint32 start + uint32 length
@@ -34,7 +35,7 @@ class RLEGroup(ColumnGroup):
         self.lengths = np.asarray(lengths, dtype=np.uint32)
         self.run_codes = np.asarray(run_codes, dtype=np.int64)
         if not (len(self.starts) == len(self.lengths) == len(self.run_codes)):
-            raise ValueError("run arrays must have equal length")
+            raise CompressionError("run arrays must have equal length")
 
     @classmethod
     def encode(cls, col_indices: np.ndarray, panel: np.ndarray) -> "RLEGroup":

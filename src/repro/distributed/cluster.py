@@ -137,17 +137,12 @@ class SimulatedCluster:
         """Mark a worker as permanently down.
 
         Its shard stays assigned (lineage): every subsequent request
-        for it is recomputed by a survivor until :meth:`revive_worker`.
+        for it is recomputed by a survivor.
         """
         if not any(w.worker_id == worker_id for w in self.workers):
             raise ReproError(f"no worker with id {worker_id}")
         self.dead.add(worker_id)
         get_registry().inc("cluster.workers_killed")
-
-    def revive_worker(self, worker_id: int) -> None:
-        """Bring a killed worker back (no state is lost — shards are
-        immutable, so a revived worker serves its shard directly again)."""
-        self.dead.discard(worker_id)
 
     def _attempt_request(self, fn, worker: "Worker") -> tuple[str, object]:
         """One RPC to one worker, returning a status-tagged result.

@@ -8,13 +8,11 @@ explicitly — each gradient is computed against the weights as of
 so experiment E15 can sweep staleness and watch convergence degrade, the
 parameter-server trade-off the tutorial discusses.
 
-Fault tolerance mirrors real parameter servers (SSP/bounded staleness):
-the server can enforce a ``staleness_bound`` — a push whose base version
-is too far behind the current version is *rejected* rather than applied
-— and the training loop survives dropped pushes and failed pulls
-(injected at chaos sites ``"paramserver.push"`` / ``"paramserver.pull"``)
-by simply moving on: asynchronous SGD is tolerant of lost updates, which
-is exactly why the architecture scales. Workers killed at the cluster
+Fault tolerance mirrors real parameter servers: the training loop
+survives dropped pushes and failed pulls (injected at chaos sites
+``"paramserver.push"`` / ``"paramserver.pull"``) by simply moving on:
+asynchronous SGD is tolerant of lost updates, which is exactly why the
+architecture scales. Workers killed at the cluster
 level are skipped deterministically.
 """
 
@@ -43,18 +41,11 @@ class ParameterServerResult:
     comm: CommStats = field(default_factory=CommStats)
     dropped_pushes: int = 0  # pushes lost to injected faults
     failed_pulls: int = 0  # pulls lost to injected faults (step skipped)
-    rejected_pushes: int = 0  # pushes rejected by the staleness bound
     worker_reassignments: int = 0  # steps rerouted off dead workers
 
     @property
     def final_loss(self) -> float:
         return self.loss_history[-1] if self.loss_history else float("nan")
-
-    @property
-    def mean_staleness(self) -> float:
-        if not self.staleness_observed:
-            return 0.0
-        return float(np.mean(self.staleness_observed))
 
 
 class ParameterServer:
@@ -63,24 +54,12 @@ class ParameterServer:
     Args:
         dim: weight dimensionality.
         history: how many versions are kept for stale pulls.
-        staleness_bound: if set, a push carrying ``base_version`` more
-            than this many versions behind the current one is rejected
-            (SSP-style bounded staleness). ``None`` accepts everything.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        history: int = 256,
-        staleness_bound: int | None = None,
-    ):
-        if staleness_bound is not None and staleness_bound < 0:
-            raise ReproError("staleness_bound must be >= 0 or None")
+    def __init__(self, dim: int, history: int = 256):
         self.dim = dim
         self._versions: list[np.ndarray] = [np.zeros(dim)]
         self._history = history
-        self.staleness_bound = staleness_bound
-        self.rejected_pushes = 0
 
     @property
     def version(self) -> int:
@@ -96,26 +75,13 @@ class ParameterServer:
         staleness = int(min(staleness, self.version, self._history - 1))
         return self._versions[-(staleness + 1)], staleness
 
-    def push(self, delta: np.ndarray, base_version: int | None = None) -> bool:
-        """Apply an additive update, creating a new version.
-
-        Returns False (without applying) when the update's
-        ``base_version`` violates the server's staleness bound.
-        """
+    def push(self, delta: np.ndarray) -> None:
+        """Apply an additive update, creating a new version."""
         fault_point("paramserver.push", key=self.version)
-        if (
-            self.staleness_bound is not None
-            and base_version is not None
-            and self.version - base_version > self.staleness_bound
-        ):
-            self.rejected_pushes += 1
-            get_registry().inc("paramserver.rejected_pushes")
-            return False
         new = self._versions[-1] + delta
         self._versions.append(new)
         if len(self._versions) > self._history:
             self._versions.pop(0)
-        return True
 
 
 def train_parameter_server(
@@ -127,27 +93,21 @@ def train_parameter_server(
     max_staleness: int = 0,
     loss_every: int = 50,
     seed: int | None = 0,
-    staleness_bound: int | None = None,
 ) -> ParameterServerResult:
     """Asynchronous SGD through a parameter server.
 
     ``max_staleness = 0`` reduces to fully-sequential (sequentially
     consistent) SGD; larger values let workers act on increasingly stale
-    weights. ``staleness_bound`` makes the server reject pushes based on
-    versions older than the bound (SSP); dropped pushes and failed pulls
-    from injected faults are tolerated — the loop moves on to the next
-    update, which is the asynchrony the architecture is built on.
+    weights. Dropped pushes and failed pulls from injected faults are
+    tolerated — the loop moves on to the next update, which is the
+    asynchrony the architecture is built on.
     """
     if total_updates < 1:
         raise ReproError("total_updates must be >= 1")
     if max_staleness < 0:
         raise ReproError("max_staleness must be >= 0")
     rng = np.random.default_rng(seed)
-    server = ParameterServer(
-        cluster.dim,
-        history=max(max_staleness + 2, 8),
-        staleness_bound=staleness_bound,
-    )
+    server = ParameterServer(cluster.dim, history=max(max_staleness + 2, 8))
     result = ParameterServerResult(
         weights=server.current.copy(), updates_applied=0, comm=cluster.comm
     )
@@ -177,21 +137,16 @@ def train_parameter_server(
             registry.inc("paramserver.failed_pulls")
             cluster.comm.inc("messages")  # the pull that was lost
             continue
-        base_version = server.version - actual
         grad = worker.minibatch_gradient(loss, weights, BATCH_SIZE, rng)
         lr = learning_rate / (1.0 + decay * step)
         try:
-            applied = server.push(-lr * grad, base_version=base_version)
+            server.push(-lr * grad)
+            result.updates_applied += 1
         except InjectedFault:
             result.dropped_pushes += 1
             registry.inc("paramserver.dropped_pushes")
-            applied = False
 
         result.staleness_observed.append(actual)
-        if applied:
-            result.updates_applied += 1
-        else:
-            result.rejected_pushes = server.rejected_pushes
         cluster.comm.inc("messages", 2)  # pull + push
         cluster.comm.inc("bytes_broadcast", vector_bytes)
         cluster.comm.inc("bytes_gathered", vector_bytes)
@@ -201,7 +156,6 @@ def train_parameter_server(
             )
 
     result.weights = server.current.copy()
-    result.rejected_pushes = server.rejected_pushes
     if (total_updates % loss_every) != 0:
         result.loss_history.append(cluster.global_loss(loss, server.current))
     return result

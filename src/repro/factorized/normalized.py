@@ -26,6 +26,22 @@ from ..errors import FactorizationError
 from ..operand import Operand
 
 
+def _integral_keys(i: int, fk) -> np.ndarray:
+    """Foreign keys as int64. A fractional or non-finite key is refused:
+    the cast would truncate it and silently join another row."""
+    fk = np.asarray(fk)
+    if fk.dtype.kind in "iu":
+        return np.asarray(fk, dtype=np.int64)
+    keys = np.asarray(fk, dtype=np.float64)
+    bad = ~np.isfinite(keys) | (keys != np.floor(keys))
+    if bad.any():
+        raise FactorizationError(
+            f"fk[{i}] has a non-integral key {float(keys[bad][0])!r} "
+            f"at row {int(np.argmax(bad))}"
+        )
+    return keys.astype(np.int64)
+
+
 class NormalizedMatrix(Operand, kind="factorized"):
     """Design matrix of a star-schema join, kept factorized."""
 
@@ -45,7 +61,7 @@ class NormalizedMatrix(Operand, kind="factorized"):
             raise FactorizationError("normalized matrix needs S or at least one R")
 
         self.Rs = [np.asarray(R, dtype=np.float64) for R in Rs]
-        self.fks = [np.asarray(fk, dtype=np.int64) for fk in fks]
+        self.fks = [_integral_keys(i, fk) for i, fk in enumerate(fks)]
 
         lengths = {len(fk) for fk in self.fks}
         if S is not None:
@@ -82,11 +98,6 @@ class NormalizedMatrix(Operand, kind="factorized"):
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.d_s + sum(self.d_rs))
-
-    @property
-    def tuple_ratios(self) -> list[float]:
-        """n_S / n_Ri per attribute table: the redundancy multiplier."""
-        return [self.n_rows / len(R) for R in self.Rs]
 
     def column_offsets(self) -> list[int]:
         """Start column of S and of each R_i in the logical design matrix."""
@@ -291,19 +302,8 @@ class NormalizedMatrix(Operand, kind="factorized"):
     to_dense = materialize
 
     # ------------------------------------------------------------------
-    # Cost accounting (used by benchmarks and the crossover analysis)
+    # Storage accounting
     # ------------------------------------------------------------------
-    def factorized_matvec_flops(self) -> int:
-        flops = 0
-        if self.S is not None:
-            flops += 2 * self.n_rows * self.d_s
-        for R in self.Rs:
-            flops += 2 * R.shape[0] * R.shape[1] + self.n_rows
-        return flops
-
-    def materialized_matvec_flops(self) -> int:
-        return 2 * self.n_rows * self.shape[1]
-
     @property
     def memory_bytes(self) -> int:
         """Bytes held by the factorized tables + foreign-key vectors."""

@@ -17,7 +17,6 @@ from .drift import (
 from .pipeline import Pipeline, Provenance, ProvenanceRecord
 from .profiling import (
     ColumnProfile,
-    detect_outliers,
     profile_column,
     profile_table,
     training_data_report,
@@ -39,7 +38,6 @@ __all__ = [
     "TransformSpec",
     "bucket_counts",
     "detect_drift",
-    "detect_outliers",
     "frozen_edges",
     "ks_statistic",
     "profile_column",

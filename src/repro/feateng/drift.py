@@ -17,9 +17,7 @@ Two modes:
   identical edges), then serving values are accumulated one at a time
   into fixed bucket counts. PSI, KS, and TV are exact functions of the
   (reference, accumulated) count vectors at any instant, so a gate can
-  replay them against an analytic oracle. The monitor can also fold the
-  retained window of a :class:`repro.obs.Histogram`, so serving-side
-  metrics already being collected feed drift detection for free.
+  replay them against an analytic oracle.
 """
 
 from __future__ import annotations
@@ -69,10 +67,6 @@ class DriftReport:
     @property
     def drifted_columns(self) -> list[str]:
         return [c.name for c in self.columns if c.drifted]
-
-    @property
-    def any_drift(self) -> bool:
-        return bool(self.drifted_columns)
 
     def describe(self) -> str:
         lines = []
@@ -291,7 +285,6 @@ class StreamingDriftMonitor:
         self.reference_counts = bucket_counts(reference, self.edges)
         self.counts = np.zeros(len(self.edges) - 1, dtype=np.float64)
         self.observed = 0
-        self._histogram_folded = 0
 
     def observe(self, value: float) -> None:
         """Fold one serving-side observation into the bucket counts."""
@@ -304,23 +297,6 @@ class StreamingDriftMonitor:
         folded = int(counts.sum())
         self.counts += counts
         self.observed += folded
-        return folded
-
-    def fold_histogram(self, histogram) -> int:
-        """Fold the *new* observations of a :class:`repro.obs.Histogram`.
-
-        Tracks the histogram's total count between calls and folds the
-        most recent unfolded samples from its retained window (the ring
-        holds the last 512; older unfolded observations are lost, which
-        is the documented reservoir trade-off). Returns samples folded.
-        """
-        new = histogram.count - self._histogram_folded
-        if new <= 0:
-            return 0
-        window = histogram.samples()
-        take = min(new, len(window))
-        folded = self.observe_many(window[len(window) - take:])
-        self._histogram_folded = histogram.count
         return folded
 
     def psi(self) -> float:
@@ -342,7 +318,6 @@ class StreamingDriftMonitor:
         """Clear the accumulated serving counts (edges stay frozen)."""
         self.counts[:] = 0.0
         self.observed = 0
-        self._histogram_folded = 0
 
     def snapshot(self) -> DriftStats:
         return DriftStats(

@@ -1,10 +1,9 @@
-"""Data profiling and outlier detection for ML-bound tables.
+"""Data profiling for ML-bound tables.
 
 'Garbage in, garbage out' is the tutorial's recurring warning: training
 data must be profiled and cleaned before it feeds a model. This module
 computes per-column profiles (missingness, cardinality, moments, top
-values) over the relational substrate and provides the standard
-univariate outlier detectors (z-score, IQR).
+values) over the relational substrate.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import ModelError
 from ..storage.schema import ColumnType
 from ..storage.table import Table
 
@@ -104,42 +102,6 @@ def profile_column(table: Table, name: str) -> ColumnProfile:
 def profile_table(table: Table) -> list[ColumnProfile]:
     """Profiles for every column of a table."""
     return [profile_column(table, name) for name in table.schema.names]
-
-
-def detect_outliers(
-    values: np.ndarray, method: str = "zscore", threshold: float | None = None
-) -> np.ndarray:
-    """Boolean mask of univariate outliers.
-
-    Args:
-        method: ``"zscore"`` (|z| > threshold, default 3.0) or ``"iqr"``
-            (outside [Q1 - t*IQR, Q3 + t*IQR], default t = 1.5).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ModelError(f"values must be 1-D, got shape {values.shape}")
-    finite = np.isfinite(values)
-    out = np.zeros(len(values), dtype=bool)
-    observed = values[finite]
-    if len(observed) == 0:
-        return out
-
-    if method == "zscore":
-        threshold = 3.0 if threshold is None else threshold
-        std = observed.std()
-        if std == 0:
-            return out
-        z = np.abs((values - observed.mean()) / std)
-        out[finite] = z[finite] > threshold
-        return out
-    if method == "iqr":
-        threshold = 1.5 if threshold is None else threshold
-        q1, q3 = np.percentile(observed, [25, 75])
-        iqr = q3 - q1
-        lo, hi = q1 - threshold * iqr, q3 + threshold * iqr
-        out[finite] = (values[finite] < lo) | (values[finite] > hi)
-        return out
-    raise ModelError(f"unknown outlier method {method!r}")
 
 
 def training_data_report(table: Table, label_column: str | None = None) -> str:

@@ -153,8 +153,7 @@ class CentroidState:
     clipped-distance expression the factorized trainer evaluates — and
     each row's cluster is remembered by ``row_id``, so a delete subtracts
     from exactly the cluster its insert added to. :meth:`centroids` is one
-    Lloyd step from the maintained statistics; :meth:`rebase` adopts
-    refreshed centroids as the new reference via full recomputation.
+    Lloyd step from the maintained statistics.
     """
 
     def __init__(self, features: Sequence[str], centers: np.ndarray):
@@ -214,11 +213,6 @@ class CentroidState:
         """One Lloyd step: per-cluster means, empty clusters keeping
         their reference center."""
         return move_centers(self.centers, self.sums(), self.counts)
-
-    def rebase(self, table: Table) -> None:
-        """Adopt the refreshed centroids as the new reference frame."""
-        self.centers = self.centroids()
-        self.rebuild(table)
 
     # ------------------------------------------------------------------
     def same_bytes(self, table: Table) -> bool:

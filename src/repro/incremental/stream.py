@@ -188,9 +188,9 @@ class DynamicTable(Table):
         """An immutable copy of the current state (fresh arrays)."""
         return Table(self._schema, [arr.copy() for arr in self._columns])
 
-    def subscribe(self, stream: ChangeStream | None = None) -> ChangeStream:
-        """Attach a stream that receives every future delta."""
-        stream = stream if stream is not None else ChangeStream()
+    def subscribe(self) -> ChangeStream:
+        """A new stream that receives every future delta."""
+        stream = ChangeStream()
         self._streams.append(stream)
         return stream
 

@@ -6,11 +6,7 @@ equations and high-level estimators (:mod:`.glm`), and Naive Bayes as
 pure GROUP BY aggregation (:mod:`.naive_bayes_sql`).
 """
 
-from .glm import (
-    InDBLinearRegression,
-    InDBLogisticRegression,
-    train_linear_svm_indb,
-)
+from .glm import InDBLinearRegression, InDBLogisticRegression
 from .gradient import (
     SHUFFLE_POLICIES,
     IGDResult,
@@ -22,7 +18,6 @@ from .gradient import (
 from .kmeans_uda import (
     InDBKMeansResult,
     KMeansAssignUDA,
-    assign_clusters_indb,
     train_kmeans_indb,
 )
 from .naive_bayes_sql import SQLNaiveBayes
@@ -42,7 +37,6 @@ __all__ = [
     "InDBLogisticRegression",
     "KMeansAssignUDA",
     "SQLNaiveBayes",
-    "assign_clusters_indb",
     "SumCountUDA",
     "linear_expression",
     "run_uda",
@@ -51,5 +45,4 @@ __all__ = [
     "train_bgd",
     "train_igd",
     "train_kmeans_indb",
-    "train_linear_svm_indb",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
-from ..ml.losses import HingeLoss, LogisticLoss
+from ..ml.losses import LogisticLoss
 from ..runtime.parallel import ParallelContext
 from ..storage.table import Table
 from .gradient import IGDResult, train_bgd, train_igd
@@ -154,27 +154,3 @@ class InDBLogisticRegression(_TableFed, LogisticClassifier):
         self.feature_columns_ = list(feature_columns)
         self._unpack(result.weights)
         return self
-
-
-def train_linear_svm_indb(
-    table: Table,
-    feature_columns: Sequence[str],
-    label_column: str,
-    epochs: int = 20,
-    parallel: bool | ParallelContext = False,
-) -> IGDResult:
-    """Linear SVM via the same IGD aggregate with the hinge loss.
-
-    Demonstrates Bismarck's unification claim: swapping the loss object is
-    the *only* change needed to train a different model in-database.
-    Labels must already be in {-1, +1}.
-    """
-    return train_igd(
-        table,
-        feature_columns,
-        label_column,
-        HingeLoss(),
-        epochs=epochs,
-        l2=0.01,
-        parallel=parallel,
-    )

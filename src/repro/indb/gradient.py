@@ -189,7 +189,6 @@ def train_bgd(
     learning_rate: float = 0.5,
     l2: float = 0.0,
     partitions: int = 1,
-    add_intercept: bool = True,
     parallel: bool | ParallelContext = False,
 ) -> IGDResult:
     """Batch gradient descent: one aggregation pass per iteration.
@@ -200,11 +199,9 @@ def train_bgd(
     """
     if not feature_columns:
         raise ModelError("need at least one feature column")
-    work = table
-    if add_intercept:
-        name = _fresh_name(table, "intercept")
-        work = table.with_column(name, np.ones(table.num_rows))
-        feature_columns = [name, *feature_columns]
+    name = _fresh_name(table, "intercept")
+    work = table.with_column(name, np.ones(table.num_rows))
+    feature_columns = [name, *feature_columns]
     columns = [*feature_columns, label_column]
     dim = len(feature_columns)
 

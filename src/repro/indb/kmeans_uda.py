@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ModelError
-from ..ml.kmeans import lloyd, nearest_center
+from ..ml.kmeans import lloyd
 from ..storage.table import Table
 from .uda import UDA, run_uda
 
@@ -115,14 +115,3 @@ def train_kmeans_indb(
         iterations=it,
         inertia_history=history,
     )
-
-
-def assign_clusters_indb(
-    table: Table,
-    feature_columns: Sequence[str],
-    centroids: np.ndarray,
-) -> Table:
-    """Score a table: append the nearest-centroid id per row as
-    column ``"cluster"``."""
-    labels, _ = nearest_center(table.to_matrix(feature_columns), centroids)
-    return table.with_column("cluster", labels.astype(np.int64))

@@ -349,11 +349,6 @@ def unique_nodes(*roots: Node):
         stack.extend((child, False) for child in reversed(node.children))
 
 
-def count_nodes(node: Node) -> int:
-    """Number of nodes in the tree (with repetition)."""
-    return sum(1 for _ in walk(node))
-
-
 def collect_inputs(*roots: Node) -> dict[str, Shape]:
     """Names and shapes of every Data input the expressions reference."""
     inputs: dict[str, Shape] = {}

@@ -18,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from ..errors import CompilerError
 from .ast import Aggregate, Binary, Constant, Data, MatMul, Node, Transpose, Unary
 
 
@@ -103,7 +104,9 @@ def _lift(value: Any) -> Node:
         return value
     if isinstance(value, (int, float, np.ndarray, list)):
         return Constant(value)
-    raise TypeError(f"cannot use {type(value).__name__} in a matrix expression")
+    raise CompilerError(
+        f"cannot use {type(value).__name__} in a matrix expression"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 pickle-free model serialization."""
 
 from .registry import ModelRegistry, ModelVersion
-from .serialize import dumps_model, load_model, loads_model, save_model
+from .serialize import dumps_model, loads_model
 from .tracking import ExperimentTracker, Run
 
 __all__ = [
@@ -11,7 +11,5 @@ __all__ = [
     "ModelVersion",
     "Run",
     "dumps_model",
-    "load_model",
     "loads_model",
-    "save_model",
 ]

@@ -8,14 +8,17 @@ deployed, what produced it, and how did it evolve.
 
 from __future__ import annotations
 
-import os
-import tempfile
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import LifecycleError
 from ..obs import get_registry
+from ..persist import read_verified, write_atomic
+
+#: the header schema of a registry file (one JSON line, then the payload)
+REGISTRY_SCHEMA = "repro.registry/v1"
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,8 @@ class ModelRegistry:
 
     def __init__(self) -> None:
         self._models: dict[str, list[ModelVersion]] = {}
-        self._stage: dict[str, int] = {}  # name -> deployed version
-        self._history: dict[str, list[int]] = {}  # prior deployments, oldest first
-        self._aliases: dict[str, dict[str, int]] = {}  # name -> alias -> version
+        # name -> alias -> version; the "prod" alias is the deployed pointer
+        self._aliases: dict[str, dict[str, int]] = {}
 
     def register(
         self,
@@ -111,75 +113,35 @@ class ModelRegistry:
             current = entry.parent_version
         return list(reversed(chain))
 
-    def best(self, name: str, metric: str, higher_is_better: bool = True) -> ModelVersion:
-        """The version with the best recorded value of ``metric``."""
+    def best(self, name: str, metric: str) -> ModelVersion:
+        """The version with the highest recorded value of ``metric``."""
         candidates = [v for v in self.versions(name) if metric in v.metrics]
         if not candidates:
             raise LifecycleError(
                 f"no version of {name!r} records metric {metric!r}"
             )
-        key = lambda v: v.metrics[metric]
-        return max(candidates, key=key) if higher_is_better else min(candidates, key=key)
+        return max(candidates, key=lambda v: v.metrics[metric])
 
     # -- deployment staging ------------------------------------------------
     def deploy(self, name: str, version: int) -> None:
-        """Promote ``version``; the prior deployment (if any) is pushed
-        onto a history stack so :meth:`rollback` can restore it. Also
-        points the ``"prod"`` alias at the new version."""
-        self.get(name, version)  # validates existence
-        previous = self._stage.get(name)
-        if previous is not None and previous != version:
-            self._history.setdefault(name, []).append(previous)
-        self._stage[name] = version
-        self._aliases.setdefault(name, {})[self.DEPLOYED_ALIAS] = version
-
-    def undeploy(self, name: str) -> ModelVersion:
-        """Take ``name`` out of serving; returns the version removed.
-
-        The removed version joins the rollback history, so a subsequent
-        :meth:`rollback` re-deploys it.
-        """
-        if name not in self._stage:
-            raise LifecycleError(f"no deployed version of {name!r}")
-        version = self._stage.pop(name)
-        self._history.setdefault(name, []).append(version)
-        self._aliases.get(name, {}).pop(self.DEPLOYED_ALIAS, None)
-        return self.get(name, version)
-
-    def rollback(self, name: str) -> ModelVersion:
-        """Restore the most recently superseded deployment of ``name``."""
-        history = self._history.get(name)
-        if not history:
-            raise LifecycleError(f"no deployment history for {name!r}")
-        version = history.pop()
-        self._stage[name] = version
-        self._aliases.setdefault(name, {})[self.DEPLOYED_ALIAS] = version
-        return self.get(name, version)
+        """Promote ``version``: point the ``"prod"`` alias at it."""
+        self.set_alias(name, self.DEPLOYED_ALIAS, version)
 
     def deployed(self, name: str) -> ModelVersion:
-        if name not in self._stage:
+        version = self._aliases.get(name, {}).get(self.DEPLOYED_ALIAS)
+        if version is None:
             raise LifecycleError(f"no deployed version of {name!r}")
-        return self.get(name, self._stage[name])
+        return self.get(name, version)
 
     # -- named aliases -------------------------------------------------------
     def set_alias(self, name: str, alias: str, version: int) -> None:
-        """Point ``alias`` (e.g. ``"canary"``) at a version of ``name``.
-
-        The ``"prod"`` alias is owned by the deployment machinery, so
-        setting it delegates to :meth:`deploy` (history included).
-        """
+        """Point ``alias`` (e.g. ``"canary"``) at a version of ``name``."""
         if not alias:
             raise LifecycleError("alias must be a non-empty string")
-        if alias == self.DEPLOYED_ALIAS:
-            self.deploy(name, version)
-            return
         self.get(name, version)  # validates existence
         self._aliases.setdefault(name, {})[alias] = version
 
     def drop_alias(self, name: str, alias: str) -> None:
-        if alias == self.DEPLOYED_ALIAS:
-            self.undeploy(name)
-            return
         if alias not in self._aliases.get(name, {}):
             raise LifecycleError(f"{name!r} has no alias {alias!r}")
         del self._aliases[name][alias]
@@ -201,17 +163,15 @@ class ModelRegistry:
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:
-        """Persist the registry to a JSON file, atomically: the bytes go
-        to a temp file beside ``path`` and are renamed over it, so a
-        write that dies halfway leaves the last good registry in place.
+        """Persist the registry to a JSON file through
+        :func:`repro.persist.write_atomic`: atomic, fsynced, and headed by
+        a line carrying the schema and the payload's CRC32 and length.
 
         Models of serializable estimator classes are embedded (see
         :mod:`repro.lifecycle.serialize`); other model objects are stored
         as ``null`` with their metadata intact, each one counted as
         ``lifecycle.registry.models_not_persisted``.
         """
-        import json
-
         from .serialize import dumps_model
 
         entries = []
@@ -237,40 +197,29 @@ class ModelRegistry:
                 )
         payload = {
             "versions": entries,
-            "deployed": dict(self._stage),
-            "history": {k: list(v) for k, v in self._history.items() if v},
             "aliases": {k: dict(v) for k, v in self._aliases.items() if v},
         }
-        target = os.path.abspath(os.fspath(path))
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".registry-", suffix=".tmp", dir=os.path.dirname(target)
+        write_atomic(
+            path, json.dumps(payload).encode("utf-8"), REGISTRY_SCHEMA,
+            error_cls=LifecycleError, what="registry file",
+            tmp_prefix=".registry-",
         )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload))
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     @classmethod
     def load(cls, path) -> "ModelRegistry":
-        """Restore a registry saved with :meth:`save`."""
-        import json
-        from pathlib import Path
-
+        """Restore a registry saved with :meth:`save`. A missing header, a
+        schema mismatch, a truncated payload or a failed checksum raises
+        :class:`LifecycleError` naming the path."""
         from .serialize import loads_model
 
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise LifecycleError(f"cannot load registry: {exc}") from exc
+        _, raw = read_verified(
+            path, REGISTRY_SCHEMA, error_cls=LifecycleError, what="registry file"
+        )
         registry = cls()
-        where = '"versions"'
+        where = "the payload"
         try:
+            payload = json.loads(raw)
+            where = '"versions"'
             entries = sorted(
                 payload.get("versions", []),
                 key=lambda e: (e["name"], e["version"]),
@@ -291,19 +240,9 @@ class ModelRegistry:
                     tags=tuple(entry["tags"]),
                     parent_version=entry["parent_version"],
                     created_at=entry["created_at"],
-                    # absent in files saved before the feature store existed
-                    feature_fingerprint=entry.get("feature_fingerprint"),
+                    feature_fingerprint=entry["feature_fingerprint"],
                 )
                 registry._models.setdefault(entry["name"], []).append(version)
-            where = '"deployed"'
-            registry._stage = {
-                name: int(v) for name, v in payload.get("deployed", {}).items()
-            }
-            where = '"history"'
-            registry._history = {
-                name: [int(v) for v in versions]
-                for name, versions in payload.get("history", {}).items()
-            }
             where = '"aliases"'
             registry._aliases = {
                 name: {alias: int(v) for alias, v in aliases.items()}
@@ -316,16 +255,10 @@ class ModelRegistry:
                 f"registry file {path} cannot be loaded at {where}: {exc}"
             ) from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # valid JSON that is not a registry: truncated by hand, or
-            # written by something else
+            # a checksummed payload that is not a registry: written by
+            # something else
             raise LifecycleError(
                 f"registry file {path} is structurally broken at {where}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        # Files saved before aliases existed carry deployments only:
-        # re-derive their "prod" alias from the staged version.
-        for name, version in registry._stage.items():
-            registry._aliases.setdefault(name, {}).setdefault(
-                cls.DEPLOYED_ALIAS, version
-            )
         return registry

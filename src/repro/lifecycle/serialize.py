@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import base64
 import json
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -145,13 +144,3 @@ def loads_model(text: str) -> Any:
     for attr, value in payload["state"].items():
         setattr(model, attr, _decode_value(value))
     return model
-
-
-def save_model(model: Any, path: str | Path) -> None:
-    """Serialize an estimator to a file."""
-    Path(path).write_text(dumps_model(model))
-
-
-def load_model(path: str | Path) -> Any:
-    """Load an estimator saved with :func:`save_model`."""
-    return loads_model(Path(path).read_text())

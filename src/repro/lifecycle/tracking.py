@@ -1,8 +1,8 @@
 """Experiment-run tracking.
 
-An :class:`ExperimentTracker` records runs — parameters, metrics, tags,
-and wall-clock — under named experiments, and answers the comparison
-queries an ML workflow needs (best run, runs filtered by params/tags).
+An :class:`ExperimentTracker` records runs — parameters, metrics and
+wall-clock — under named experiments, and answers the comparison
+queries an ML workflow needs (best run, runs of an experiment).
 Runs are append-only; a finished run is immutable.
 """
 
@@ -23,7 +23,6 @@ class Run:
     experiment: str
     params: dict[str, Any] = field(default_factory=dict)
     metrics: dict[str, float] = field(default_factory=dict)
-    tags: set[str] = field(default_factory=set)
     started_at: float = field(default_factory=time.time)
     finished_at: float | None = None
 
@@ -37,17 +36,9 @@ class Run:
             raise LifecycleError(f"run {self.run_id} has not finished")
         return self.finished_at - self.started_at
 
-    def log_param(self, name: str, value: Any) -> None:
-        self._check_open()
-        self.params[name] = value
-
     def log_metric(self, name: str, value: float) -> None:
         self._check_open()
         self.metrics[name] = float(value)
-
-    def add_tag(self, tag: str) -> None:
-        self._check_open()
-        self.tags.add(tag)
 
     def finish(self) -> None:
         self._check_open()
@@ -65,31 +56,22 @@ class ExperimentTracker:
         self._runs: list[Run] = []
 
     def start_run(
-        self,
-        experiment: str,
-        params: dict[str, Any] | None = None,
-        tags: set[str] | None = None,
+        self, experiment: str, params: dict[str, Any] | None = None
     ) -> Run:
         run = Run(
             run_id=len(self._runs) + 1,
             experiment=experiment,
             params=dict(params or {}),
-            tags=set(tags or ()),
         )
         self._runs.append(run)
         return run
 
     def runs(
-        self,
-        experiment: str | None = None,
-        tag: str | None = None,
-        finished_only: bool = False,
+        self, experiment: str | None = None, finished_only: bool = False
     ) -> list[Run]:
         out = []
         for run in self._runs:
             if experiment is not None and run.experiment != experiment:
-                continue
-            if tag is not None and tag not in run.tags:
                 continue
             if finished_only and not run.is_finished:
                 continue

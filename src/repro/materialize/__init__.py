@@ -29,7 +29,6 @@ from .fingerprint import (
     canonical_plan,
     content_hash,
     fingerprint_node,
-    structural_key,
 )
 from .lineage import LineageGraph, LineageRecord
 from .reuse import ReuseContext
@@ -44,7 +43,6 @@ __all__ = [
     "canonical_plan",
     "content_hash",
     "fingerprint_node",
-    "structural_key",
     "LineageGraph",
     "LineageRecord",
     "ReuseContext",

@@ -112,12 +112,6 @@ def _render(node: Node, positions: dict[str, int], order: list[str]) -> str:
     return f"{tag}({shape};{children})"
 
 
-def structural_key(node: Node) -> str:
-    """SHA-256 hexdigest of the canonical serialization."""
-    canon, _ = canonical_plan(node)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Operand content hashing (memoized on object identity)
 # ----------------------------------------------------------------------

@@ -93,18 +93,6 @@ class LineageGraph:
         """Entries derived (directly) from this one, sorted for determinism."""
         return tuple(sorted(self._parents.get(key, ())))
 
-    def ancestry(self, key: str) -> list[str]:
-        """All transitive inputs of one entry (depth-first, deduplicated)."""
-        seen: list[str] = []
-        stack = list(self.children(key))
-        while stack:
-            k = stack.pop()
-            if k in seen:
-                continue
-            seen.append(k)
-            stack.extend(self.children(k))
-        return seen
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -281,10 +281,6 @@ class MaterializationStore(Counted):
         )
 
     # -- read path ------------------------------------------------------
-    def contains(self, fp: Fingerprint | str) -> bool:
-        with self._lock:
-            return self._key_of(fp) in self._meta
-
     def lookup(self, fp: Fingerprint | str):
         """The stored value, or ``None`` (miss — caller recomputes).
 
@@ -348,14 +344,6 @@ class MaterializationStore(Counted):
                 raise MaterializationError(f"cannot pin unknown entry {key!r}")
             meta.pinned = True
             self.pool.pin(key)
-
-    def unpin(self, fp: Fingerprint | str) -> None:
-        key = self._key_of(fp)
-        with self._lock:
-            meta = self._meta.get(key)
-            if meta is not None:
-                meta.pinned = False
-            self.pool.unpin(key)
 
     # -- maintenance / introspection -----------------------------------
     def corrupt(self, fp: Fingerprint | str) -> None:

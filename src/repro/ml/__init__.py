@@ -12,17 +12,8 @@ from .base import Classifier, Estimator, Regressor, as_pm_one, check_X, check_X_
 from .kmeans import KMeans
 from .linreg import LinearRegression, Moments, Ridge
 from .logreg import LogisticRegression
-from .losses import HingeLoss, LogisticLoss, Loss, SquaredLoss, sigmoid
-from .metrics import (
-    accuracy_score,
-    confusion_matrix,
-    log_loss,
-    mean_absolute_error,
-    mean_squared_error,
-    precision_recall_f1,
-    r2_score,
-    root_mean_squared_error,
-)
+from .losses import LogisticLoss, Loss, SquaredLoss, sigmoid
+from .metrics import accuracy_score, r2_score
 from .naive_bayes import CategoricalNB, GaussianNB
 from .optim import OptimResult, gradient_descent, sgd
 from .preprocessing import (
@@ -41,7 +32,6 @@ __all__ = [
     "Estimator",
     "FeatureHasher",
     "GaussianNB",
-    "HingeLoss",
     "KBinsDiscretizer",
     "KMeans",
     "LinearRegression",
@@ -61,14 +51,8 @@ __all__ = [
     "as_pm_one",
     "check_X",
     "check_X_y",
-    "confusion_matrix",
     "gradient_descent",
-    "log_loss",
-    "mean_absolute_error",
-    "mean_squared_error",
-    "precision_recall_f1",
     "r2_score",
-    "root_mean_squared_error",
     "sgd",
     "sigmoid",
     "train_test_split",

@@ -73,24 +73,6 @@ class LogisticLoss(Loss):
         return -y * link * x
 
 
-class HingeLoss(Loss):
-    """Linear SVM hinge loss: l = max(0, 1 - y x.w). Subgradient used."""
-
-    def value(self, X, y, w):
-        return float(np.mean(np.maximum(0.0, 1.0 - y * (X @ w))))
-
-    def gradient_sum(self, X, y, w):
-        active = (y * (X @ w)) < 1.0
-        if not active.any():
-            return np.zeros_like(w)
-        return -(X[active].T @ y[active])
-
-    def pointwise_gradient(self, x, y, w):
-        if y * float(x @ w) < 1.0:
-            return -y * x
-        return np.zeros_like(w)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid."""
     out = np.empty_like(z, dtype=np.float64)

@@ -22,21 +22,6 @@ def _check_pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.
 # ----------------------------------------------------------------------
 # Regression
 # ----------------------------------------------------------------------
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    diff = y_true.astype(float) - y_pred.astype(float)
-    return float(np.mean(diff * diff))
-
-
-def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
-
-
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    return float(np.mean(np.abs(y_true.astype(float) - y_pred.astype(float))))
-
-
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Coefficient of determination. 1.0 is perfect; 0.0 matches the mean."""
     y_true, y_pred = _check_pair(y_true, y_pred)
@@ -54,43 +39,3 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true, y_pred = _check_pair(y_true, y_pred)
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, classes): matrix[i, j] counts true class i predicted as j."""
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    classes = np.unique(np.concatenate([y_true, y_pred]))
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return matrix, classes
-
-
-def precision_recall_f1(
-    y_true: np.ndarray, y_pred: np.ndarray, positive
-) -> tuple[float, float, float]:
-    """Binary precision/recall/F1 for the given positive label."""
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    tp = float(np.sum((y_pred == positive) & (y_true == positive)))
-    fp = float(np.sum((y_pred == positive) & (y_true != positive)))
-    fn = float(np.sum((y_pred != positive) & (y_true == positive)))
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    if precision + recall == 0.0:
-        return precision, recall, 0.0
-    f1 = 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
-def log_loss(y_true: np.ndarray, probabilities: np.ndarray) -> float:
-    """Binary cross-entropy; ``probabilities`` are P(class == 1), y in {0,1}."""
-    y_true = np.asarray(y_true, dtype=float)
-    p = np.clip(np.asarray(probabilities, dtype=float), 1e-12, 1 - 1e-12)
-    if y_true.shape != p.shape:
-        raise ModelError(
-            f"shape mismatch: y_true {y_true.shape} vs probabilities {p.shape}"
-        )
-    return float(-np.mean(y_true * np.log(p) + (1 - y_true) * np.log(1 - p)))

@@ -1,9 +1,10 @@
 """First-order optimizers for GLM training.
 
-Batch gradient descent (with optional backtracking line search), and
-mini-batch SGD with momentum / AdaGrad variants. Every optimizer returns
-an :class:`OptimResult` carrying the loss trajectory so benchmarks and the
-model-selection layer can account for iterations, not just final loss.
+Batch gradient descent (with backtracking line search; :func:`descend`
+also takes fixed steps), and mini-batch SGD with momentum. Every
+optimizer returns an :class:`OptimResult` carrying the loss trajectory
+so benchmarks and the model-selection layer can account for iterations,
+not just final loss.
 
 :func:`descend` is the one full-batch descent loop in the package and
 :func:`iterate` the one checkpoint / retry driver; the DSL, factorized,
@@ -157,15 +158,14 @@ def gradient_descent(
     l2: float = 0.0,
     max_iter: int = 500,
     tol: float = 1e-6,
-    line_search: bool = True,
     warn_on_cap: bool = True,
 ) -> OptimResult:
-    """Full-batch gradient descent with optional backtracking line search.
+    """Full-batch gradient descent with backtracking line search.
 
     Convergence is declared when the relative loss improvement falls below
-    ``tol``. With ``line_search``, the step size is halved until the Armijo
-    sufficient-decrease condition holds (this is the strategy SystemML's
-    GLM scripts use to stay robust to scaling).
+    ``tol``. The step size is halved until the Armijo sufficient-decrease
+    condition holds (this is the strategy SystemML's GLM scripts use to
+    stay robust to scaling).
     """
     value, grad = l2_penalized(loss.value, loss.gradient, l2)
     result = descend(
@@ -175,7 +175,6 @@ def gradient_descent(
         learning_rate,
         max_iter,
         tol,
-        line_search,
     )
     if not result.converged and warn_on_cap:
         warnings.warn(
@@ -196,7 +195,6 @@ def sgd(
     epochs: int = 20,
     batch_size: int = 32,
     momentum: float = 0.0,
-    adagrad: bool = False,
     decay: float = 0.0,
     tol: float = 0.0,
     seed: int | None = 0,
@@ -205,7 +203,6 @@ def sgd(
 
     Args:
         momentum: classical momentum coefficient (0 disables).
-        adagrad: per-coordinate AdaGrad scaling (overrides momentum).
         decay: learning-rate decay; epoch t uses lr / (1 + decay * t).
         tol: if > 0, stop early when the epoch-end relative loss
             improvement falls below it.
@@ -218,7 +215,6 @@ def sgd(
     n = len(y)
     w = np.zeros(X.shape[1]) if w0 is None else np.array(w0, dtype=np.float64)
     velocity = np.zeros_like(w)
-    g2_sum = np.zeros_like(w)
     history = [value(X, y, w)]
     converged = False
     epoch = 0
@@ -228,10 +224,7 @@ def sgd(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             g = grad(X[idx], y[idx], w)
-            if adagrad:
-                g2_sum += g * g
-                w = w - lr * g / (np.sqrt(g2_sum) + 1e-8)
-            elif momentum > 0:
+            if momentum > 0:
                 velocity = momentum * velocity - lr * g
                 w = w + velocity
             else:

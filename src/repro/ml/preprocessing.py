@@ -40,10 +40,6 @@ class StandardScaler(Estimator):
     def fit_transform(self, X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         return self.fit(X, y).transform(X)
 
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return check_X(X) * self.scale_ + self.mean_
-
 
 class MinMaxScaler(Estimator):
     """Scale features to the [0, 1] range."""
@@ -110,11 +106,6 @@ class OneHotEncoder(Estimator):
 
     def fit_transform(self, X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         return self.fit(X, y).transform(X)
-
-    @property
-    def output_width_(self) -> int:
-        self._check_fitted()
-        return int(sum(len(c) for c in self.categories_))
 
 
 class KBinsDiscretizer(Estimator):

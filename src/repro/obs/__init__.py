@@ -11,8 +11,8 @@ package is the one substrate those statistics flow through here:
 * :func:`counter` / :func:`gauge` / :func:`histogram` and the one-shot
   :func:`inc` / :func:`set_gauge` / :func:`observe` — typed metrics in
   the process-global, thread-safe, resettable :class:`MetricsRegistry`.
-* :func:`report` / :func:`write_report` — one JSON document holding the
-  span trees and every metric; what CI's regression gate reads.
+* :func:`report` — one JSON-safe document holding the span trees and
+  every metric; what ``run_experiments.py --report`` writes.
 * :func:`reset` — clear spans + metrics (tests do this between cases).
 
 * :class:`Ledger` — the count ledger every cache, store, server and
@@ -38,12 +38,10 @@ from .metrics import (
     get_registry,
     reset_metrics,
 )
-from .report import SCHEMA, report, reset, write_report
+from .report import SCHEMA, report, reset
 from .trace import (
     MAX_ROOT_SPANS,
     Span,
-    annotate,
-    current_span,
     dropped_span_count,
     reset_trace,
     set_tracing,
@@ -80,11 +78,6 @@ def observe(name: str, value: float) -> None:
     get_registry().observe(name, value)
 
 
-def metric_value(name: str, default: float = 0.0) -> float:
-    """Read a counter/gauge value (histograms: mean) without creating it."""
-    return get_registry().value(name, default)
-
-
 __all__ = [
     "MAX_ROOT_SPANS",
     "RESERVOIR_SIZE",
@@ -96,15 +89,12 @@ __all__ = [
     "Ledger",
     "MetricsRegistry",
     "Span",
-    "annotate",
     "counter",
-    "current_span",
     "dropped_span_count",
     "gauge",
     "get_registry",
     "histogram",
     "inc",
-    "metric_value",
     "observe",
     "report",
     "reset",
@@ -115,5 +105,4 @@ __all__ = [
     "span",
     "span_roots",
     "tracing_enabled",
-    "write_report",
 ]

@@ -129,18 +129,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def samples(self) -> list[float]:
-        """The retained window in observation order (oldest first).
-
-        Streaming consumers (the drift monitor) fold these into their
-        own frozen-bucket state; the ring is deterministic, so two
-        identical runs hand back identical windows.
-        """
-        with self._lock:
-            if len(self._samples) < RESERVOIR_SIZE or self._next_slot == 0:
-                return list(self._samples)
-            return self._samples[self._next_slot:] + self._samples[: self._next_slot]
-
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile (``q`` in [0, 100]) over the window."""
         if not 0.0 <= q <= 100.0:

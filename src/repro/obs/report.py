@@ -18,7 +18,6 @@ Each span tree node: ``{"name", "duration_s", "status", "attrs"?,
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .metrics import get_registry, reset_metrics
@@ -36,15 +35,6 @@ def report() -> dict[str, Any]:
         "dropped_spans": dropped_span_count(),
         "metrics": get_registry().as_dict(),
     }
-
-
-def write_report(path: str) -> dict[str, Any]:
-    """Dump :func:`report` to ``path`` as indented JSON; returns the dict."""
-    doc = report()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return doc
 
 
 def reset() -> None:

@@ -167,21 +167,6 @@ def span(name: str, **attrs: Any):
     return Span(name, attrs)
 
 
-def current_span() -> Span | None:
-    """Innermost active span on this thread, if tracing is enabled."""
-    if not _enabled:
-        return None
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-def annotate(**attrs: Any) -> None:
-    """Attach attributes to the innermost active span (no-op otherwise)."""
-    active = current_span()
-    if active is not None:
-        active.attrs.update(attrs)
-
-
 def span_roots() -> list[Span]:
     """Snapshot of finished root spans (insertion order)."""
     with _state_lock:

@@ -87,21 +87,12 @@ class Operand:
         alpha = float(alpha)
         return self.map_values(lambda values: values * alpha)
 
-    def add_scalar(self, c: float) -> "Operand":
-        """X + c through the class's value rewrite."""
-        c = float(c)
-        return self.map_values(lambda values: values + c)
-
     def set_parallel(self, ctx) -> "Operand":
         """Attach the :class:`~repro.runtime.parallel.ParallelContext`
         the class's cost-gated kernels dispatch on; ``None`` or ``False``
         detaches it (chainable)."""
         self._parallel_ctx = ctx or None
         return self
-
-    @property
-    def parallel_context(self):
-        return self._parallel_ctx
 
     # -- what the planner reads off the class ---------------------------
     @classmethod

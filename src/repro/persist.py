@@ -1,9 +1,10 @@
 """Atomic, schema-versioned, CRC-checksummed single-file persistence.
 
-Three subsystems persist state the same way — the checkpointer
+Four subsystems persist state the same way — the checkpointer
 (:mod:`repro.resilience.checkpoint`), the feedback store
-(:mod:`repro.compiler.feedback`), and the materialization store
-(:mod:`repro.materialize.store`) — and all need the same guarantees:
+(:mod:`repro.compiler.feedback`), the materialization store
+(:mod:`repro.materialize.store`) and the model registry
+(:mod:`repro.lifecycle.registry`) — and all need the same guarantees:
 
 * **Atomic** — bytes go to a temp file in the target directory and are
   ``os.replace``d into place, so a crash mid-write can never leave a

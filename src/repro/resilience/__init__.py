@@ -53,7 +53,6 @@ from .retry import (
     RetryPolicy,
     call_with_retry,
     resilient_call,
-    retryable_from_names,
 )
 
 __all__ = [
@@ -81,6 +80,5 @@ __all__ = [
     "install_chaos",
     "no_chaos",
     "resilient_call",
-    "retryable_from_names",
     "uninstall_chaos",
 ]

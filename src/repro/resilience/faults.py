@@ -78,7 +78,6 @@ SITES: dict[str, tuple[str, type[Exception]]] = {
     "indb.run_uda": _RETRY_TASK,
     "cluster.gradient": _RETRY_TASK,
     "cluster.loss": _RETRY_TASK,
-    "selection.cross_val_score": _RETRY_TASK,
     "selection.grid_search": _RETRY_TASK,
     "selection.random_search": _RETRY_TASK,
     "selection.halving": _RETRY_TASK,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -194,21 +194,6 @@ def resilient_call(
     return call_with_retry(
         attempt, retry, site=site, key=key, deadline_at=deadline_at
     )
-
-
-def retryable_from_names(names: "list[str]") -> tuple[type[BaseException], ...]:
-    """Resolve retryable-exception names (config files) to classes."""
-    import repro.errors as errors_mod
-
-    out: list[type[BaseException]] = []
-    for name in names:
-        cls: Any = getattr(errors_mod, name, None)
-        if cls is None or not issubclass(cls, BaseException):
-            raise ResilienceError(f"unknown retryable exception {name!r}")
-        out.append(cls)
-    if not out:
-        raise ResilienceError("retryable exception list is empty")
-    return tuple(out)
 
 
 #: convenience: a policy that retries ReproError subclasses too (used by

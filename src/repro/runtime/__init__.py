@@ -18,9 +18,7 @@ from .parallel import (
     dispatch,
     get_default_context,
     merge_tree,
-    parallel_stats,
     pmap,
-    reset_parallel_stats,
     resolve_context,
 )
 
@@ -42,8 +40,6 @@ __all__ = [
     "execute",
     "get_default_context",
     "merge_tree",
-    "parallel_stats",
     "pmap",
-    "reset_parallel_stats",
     "resolve_context",
 ]

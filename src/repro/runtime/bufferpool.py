@@ -130,14 +130,6 @@ class BufferPool:
     def capacity_bytes(self) -> int:
         return self._cache.budget
 
-    @property
-    def used_bytes(self) -> int:
-        return self._cache.used
-
-    @property
-    def cached_blocks(self) -> list[str]:
-        return self._cache.keys()
-
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._cache
 
@@ -162,9 +154,6 @@ class BufferPool:
         """Protect a cached block from eviction."""
         if not self._cache.pin(block_id):
             raise ExecutionError(f"cannot pin uncached block {block_id!r}")
-
-    def unpin(self, block_id: str) -> None:
-        self._cache.unpin(block_id)
 
     def remove(self, block_id: str) -> bool:
         """Invalidate one entry (counted separately from evictions)."""

@@ -21,8 +21,8 @@ recovered:
   combine shape a partitioned engine uses for ``merge``.
 * A dispatch ledger (:class:`ParallelStats`): tasks dispatched, serial
   fallbacks, wall time versus the summed per-task time (the estimated
-  serial time), recovery counts — in total and per call site, surfaced
-  through :func:`parallel_stats`.
+  serial time), recovery counts — in total and per call site, on the
+  context's ``stats``.
 
 ``REPRO_NUM_THREADS`` sets the default worker count for new contexts
 (else ``os.cpu_count()``).
@@ -545,13 +545,3 @@ def pmap(
 ) -> list[R]:
     """``pmap`` on the shared default context."""
     return get_default_context().pmap(fn, items, cost_hint=cost_hint, site=site)
-
-
-def parallel_stats() -> dict[str, Any]:
-    """Snapshot of the shared context's dispatch ledger."""
-    return get_default_context().stats.as_dict()
-
-
-def reset_parallel_stats() -> None:
-    """Clear the shared context's ledger (benchmark hygiene)."""
-    get_default_context().stats = ParallelStats()

@@ -5,7 +5,7 @@ regularization paths, shared-fold cross-validation, and cache-aware
 selection sessions.
 """
 
-from .cv import KFold, StratifiedKFold, cross_val_score
+from .cv import KFold, StratifiedKFold
 from .featuregrid import FeatureGridResult, ridge_feature_grid
 from .foldreuse import (
     RidgeCVResult,
@@ -42,7 +42,6 @@ __all__ = [
     "SelectionSession",
     "SessionLedger",
     "StratifiedKFold",
-    "cross_val_score",
     "expand_grid",
     "fit_logistic_path",
     "fold_statistics",

@@ -8,19 +8,11 @@ computation-sharing discipline of model-selection management systems.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import SelectionError
-from ..ml.base import Estimator
-from ..runtime.parallel import (
-    PYTHON_CALL_FLOPS,
-    ParallelContext,
-    dispatch,
-    resolve_context,
-)
 
 
 class KFold:
@@ -100,44 +92,3 @@ class StratifiedKFold:
                 [folds[j] for j in range(self.n_splits) if j != i]
             )
             yield np.sort(train), test
-
-
-def _fit_fold(
-    estimator: Estimator,
-    X: np.ndarray,
-    y: np.ndarray,
-    split: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """Fit a fresh clone on one (train, test) split and score it."""
-    train_idx, test_idx = split
-    model = estimator.clone()
-    model.fit(X[train_idx], y[train_idx])
-    return float(model.score(X[test_idx], y[test_idx]))
-
-
-def cross_val_score(
-    estimator: Estimator,
-    X: np.ndarray,
-    y: np.ndarray,
-    cv: KFold | int = 5,
-    parallel: bool | ParallelContext = False,
-) -> np.ndarray:
-    """Per-fold scores for a fresh clone of the estimator on each fold.
-
-    ``parallel=True`` fits the folds concurrently on the shared
-    cost-gated pool; fold order (and thus the returned array) is
-    identical to the serial path.
-    """
-    if isinstance(cv, int):
-        cv = KFold(cv)
-    X = np.asarray(X)
-    y = np.asarray(y)
-    splits = list(cv.split(len(X)))
-    scores = dispatch(
-        resolve_context(parallel),
-        partial(_fit_fold, estimator, X, y),
-        splits,
-        cost_hint=float(X.size) * len(splits) * PYTHON_CALL_FLOPS,
-        site="selection.cross_val_score",
-    )
-    return np.asarray(scores)

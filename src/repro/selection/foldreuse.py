@@ -144,22 +144,17 @@ def ridge_cv_shared(
     y: np.ndarray,
     lambdas,
     cv: KFold | int = 5,
-    store=None,
 ) -> RidgeCVResult:
     """K-fold ridge CV from per-fold sufficient statistics.
 
     One pass over the data per fold; every (fold, lambda) model after
-    that is an O(d^3) solve on cached statistics. Passing a
-    :class:`~repro.materialize.MaterializationStore` routes the fold
-    statistics through the materialization layer (see
-    :func:`fold_statistics`), so repeated selection workloads over the
-    same folds skip the data passes entirely.
+    that is an O(d^3) solve on cached statistics.
     """
     X, y, lambdas, cv = _prepare(X, y, lambdas, cv)
     folds = cv.folds(len(X))
 
     # Per-fold statistics: one scan each (k passes total).
-    stats = fold_statistics(X, y, folds, store=store)
+    stats = fold_statistics(X, y, folds)
 
     result = RidgeCVResult(
         lambdas=lambdas,

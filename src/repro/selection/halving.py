@@ -18,8 +18,6 @@ import numpy as np
 
 from ..errors import SelectionError
 from ..ml.base import Estimator
-from ..obs import get_registry
-from ..resilience.checkpoint import IterativeCheckpointer
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
     ParallelContext,
@@ -80,7 +78,6 @@ def successive_halving(
     max_budget: int = 64,
     eta: int = 2,
     parallel: bool | ParallelContext = False,
-    checkpointer: IterativeCheckpointer | None = None,
 ) -> HalvingResult:
     """Run successive halving over explicit configurations.
 
@@ -88,9 +85,6 @@ def successive_halving(
         parallel: evaluate each rung's survivors concurrently on the
             shared cost-gated pool. Rung boundaries are synchronization
             points, scores and survivor sets are identical to serial.
-        checkpointer: persists completed rungs; a repeated call resumes
-            at the first unfinished rung and ends with an identical
-            result (rungs are deterministic in their survivors/budget).
     """
     if eta < 2:
         raise SelectionError("eta must be >= 2")
@@ -108,18 +102,6 @@ def successive_halving(
     survivors = configs
     budget = min_budget
     done = False
-    if checkpointer is not None:
-        latest = checkpointer.load_latest()
-        if latest is not None:
-            _, state = latest
-            if state.get("configs") == configs:
-                evaluations = list(state["evaluations"])
-                rungs = list(state["rungs"])
-                survivors = list(state["survivors"])
-                budget = state["budget"]
-                done = state["done"]
-            else:
-                get_registry().inc("checkpoint.mismatched_skipped")
     while not done:
         fit = partial(
             _fit_scored,
@@ -156,18 +138,6 @@ def successive_halving(
             keep = max(1, len(scored) // eta)
             survivors = [p for _, p in scored[:keep]]
             budget = min(budget * eta, max_budget)
-        if checkpointer is not None:
-            checkpointer.save(
-                len(rungs),
-                {
-                    "configs": configs,
-                    "evaluations": list(evaluations),
-                    "rungs": list(rungs),
-                    "survivors": list(survivors),
-                    "budget": budget,
-                    "done": done,
-                },
-            )
 
     return HalvingResult(evaluations=evaluations, rungs=rungs)
 

@@ -19,7 +19,6 @@ import numpy as np
 from ..errors import SelectionError
 from ..ml.base import Estimator
 from ..obs import get_registry, span
-from ..resilience.checkpoint import IterativeCheckpointer
 from ..runtime.parallel import (
     PYTHON_CALL_FLOPS,
     ParallelContext,
@@ -62,10 +61,6 @@ class SearchResult:
     @property
     def total_cost(self) -> float:
         return sum(e.cost for e in self.evaluations)
-
-    @property
-    def num_evaluated(self) -> int:
-        return len(self.evaluations)
 
 
 def expand_grid(grid: dict[str, Sequence[Any]]) -> list[dict[str, Any]]:
@@ -118,27 +113,6 @@ def search_cost_hint(X: np.ndarray, cv: KFold, n_configs: int = 1) -> float:
     return float(X.size) * cv.n_splits * n_configs * PYTHON_CALL_FLOPS
 
 
-def _resume_evaluations(
-    checkpointer: IterativeCheckpointer | None,
-    configs: list[dict[str, Any]],
-) -> list[Evaluation]:
-    """Completed prefix of this exact search from the newest checkpoint.
-
-    A checkpoint written by a *different* search (other configs) is
-    ignored rather than resumed wrong.
-    """
-    if checkpointer is None:
-        return []
-    latest = checkpointer.load_latest()
-    if latest is None:
-        return []
-    _, state = latest
-    if state.get("configs") != configs:
-        get_registry().inc("checkpoint.mismatched_skipped")
-        return []
-    return list(state["evaluations"])
-
-
 def _evaluate_configs(
     estimator: Estimator,
     configs: list[dict[str, Any]],
@@ -147,52 +121,29 @@ def _evaluate_configs(
     cv: KFold,
     ctx: ParallelContext | None,
     site: str,
-    checkpointer: IterativeCheckpointer | None = None,
 ) -> list[Evaluation]:
     """Evaluate configurations, optionally through the shared pool.
 
     Order is preserved and each configuration's cost accounting is
     computed inside its own task, so serial and parallel runs produce
     identical evaluation lists (and therefore identical best configs).
-
-    With a ``checkpointer`` the search persists on its interval and when
-    it completes — a serial search after each configuration, a pool
-    after its one batch — and a repeated call resumes after the
-    completed prefix: evaluations are deterministic per configuration,
-    so the resumed result is identical.
     """
     registry = get_registry()
     registry.inc("selection.searches")
     registry.inc("selection.configs_evaluated", len(configs))
-    done = _resume_evaluations(checkpointer, configs)
-    remaining = configs[len(done) :]
     with span(
         site, configs=len(configs), folds=cv.n_splits, parallel=ctx is not None
     ):
-        if remaining:
-            # Materialize folds once up front: every task then reads the
-            # cached plan instead of racing to build it.
-            cv.folds(len(X))
-        # A pool takes what is left as one batch; the plain loop is a
-        # batch per configuration, so it can persist after each.
-        batch = len(remaining) if ctx is not None else 1
-        for lo in range(0, len(remaining), max(batch, 1)):
-            chunk = remaining[lo : lo + batch]
-            done += dispatch(
-                ctx,
-                partial(_evaluate, estimator, X=X, y=y, cv=cv),
-                chunk,
-                cost_hint=search_cost_hint(X, cv, len(chunk)),
-                site=site,
-            )
-            if checkpointer is not None and (
-                checkpointer.should_checkpoint(len(done))
-                or len(done) == len(configs)
-            ):
-                checkpointer.save(
-                    len(done), {"configs": configs, "evaluations": list(done)}
-                )
-        return done
+        # Materialize folds once up front: every task then reads the
+        # cached plan instead of racing to build it.
+        cv.folds(len(X))
+        return dispatch(
+            ctx,
+            partial(_evaluate, estimator, X=X, y=y, cv=cv),
+            configs,
+            cost_hint=search_cost_hint(X, cv, len(configs)),
+            site=site,
+        )
 
 
 def grid_search(
@@ -202,14 +153,12 @@ def grid_search(
     y: np.ndarray,
     cv: KFold | int = 3,
     parallel: bool | ParallelContext = False,
-    checkpointer: IterativeCheckpointer | None = None,
 ) -> SearchResult:
     """Exhaustive cross-validated search over a parameter grid.
 
     ``parallel=True`` evaluates configurations concurrently on the
     shared cost-gated worker pool; selection and cost accounting are
-    identical to the serial path. ``checkpointer`` makes the search
-    resumable after the already-evaluated prefix.
+    identical to the serial path.
     """
     if isinstance(cv, int):
         cv = KFold(cv)
@@ -223,7 +172,6 @@ def grid_search(
         cv,
         resolve_context(parallel),
         site="selection.grid_search",
-        checkpointer=checkpointer,
     )
     return SearchResult(evaluations)
 

@@ -36,12 +36,6 @@ class SessionLedger:
     configs_cached: int = 0
     total_cost: float = 0.0
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        if self.configs_requested == 0:
-            return 0.0
-        return self.configs_cached / self.configs_requested
-
 
 class SelectionSession:
     """Shared-state driver for iterative model selection."""
@@ -80,31 +74,8 @@ class SelectionSession:
         """Grid search through the session (cache-aware)."""
         return SearchResult([self.evaluate(p) for p in expand_grid(grid)])
 
-    def refine(
-        self, around: dict[str, Any], param: str, factors: Sequence[float]
-    ) -> SearchResult:
-        """Zoom a numeric hyperparameter around a known-good value.
-
-        The typical second step of an interactive session: multiply the
-        current best value of ``param`` by each factor and re-search.
-        """
-        if param not in around:
-            raise SelectionError(f"{param!r} is not in the base configuration")
-        base = around[param]
-        if not isinstance(base, (int, float)):
-            raise SelectionError(f"{param!r} is not numeric; cannot refine")
-        evaluations = []
-        for factor in factors:
-            params = dict(around)
-            params[param] = type(base)(base * factor)
-            evaluations.append(self.evaluate(params))
-        return SearchResult(evaluations)
-
     @property
     def best(self) -> Evaluation:
         if not self.history:
             raise SelectionError("no configurations evaluated yet")
         return max(self.history, key=lambda e: e.score)
-
-    def top_k(self, k: int = 5) -> list[Evaluation]:
-        return sorted(self.history, key=lambda e: e.score, reverse=True)[:k]

@@ -40,10 +40,6 @@ class PathResult:
     def total_iterations(self) -> int:
         return sum(p.iterations for p in self.points)
 
-    def coefficients(self) -> np.ndarray:
-        """Stacked (k, d) coefficient matrix along the path."""
-        return np.vstack([p.coef for p in self.points])
-
 
 def fit_logistic_path(
     X: np.ndarray,

@@ -5,7 +5,7 @@ The deployment half the lifecycle layer was missing. A
 into a live inference surface:
 
 * **Endpoints** resolve models through registry aliases (``"prod"`` /
-  ``"canary"``), so promote and rollback are atomic pointer swaps.
+  ``"canary"``), so a promote is an atomic pointer swap.
 * **Canary rollout** routes a deterministic hash-slice of request keys
   to a candidate version (:class:`CanaryRouter` — bit-reproducible).
 * **Micro-batching** (:class:`MicroBatcher`) coalesces queued requests
@@ -13,8 +13,8 @@ into a live inference surface:
   compiled affine scorers make batched results bit-identical to
   single-row scoring and to the ``indb`` SQL-scoring path.
 * **Prediction cache** (:class:`PredictionCache`) memoizes on
-  ``(endpoint, model_version, feature_hash)`` with TTL and invalidation
-  on promotion.
+  ``(endpoint, model_version, row bytes)`` with invalidation on
+  promotion.
 * **Admission control** — bounded queues shed load
   (:class:`~repro.errors.LoadShedError`), scoring concurrency is
   capped, and deadlines raise
@@ -28,7 +28,7 @@ across N shards on a CRC32 consistent-hash :class:`HashRing`, with
 R-way replication, deterministic failover when a shard is killed,
 epoch-based cache invalidation on revive, per-tenant token-bucket
 admission quotas (:class:`AdmissionQuotas` / :class:`TokenBucket`), and
-fleet-wide promote/rollback/canary.
+fleet-wide promote/canary.
 
 E22 (``benchmarks/bench_serving.py``) measures the batched-vs-unbatched
 throughput, latency percentiles, cache hit ratios, and canary split

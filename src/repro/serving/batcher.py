@@ -246,17 +246,15 @@ class MicroBatcher(Counted):
             )
         return scores.tolist()
 
-    def flush(self, max_batches: int | None = None) -> int:
-        """Drain the queue inline in FIFO batches (all of it by default,
-        or at most ``max_batches``); returns requests completed."""
+    def flush(self) -> int:
+        """Drain the whole queue inline in FIFO batches; returns requests
+        completed."""
         completed = 0
-        drained = 0
-        while max_batches is None or drained < max_batches:
+        while True:
             batch = self._drain_one()
             if batch:
                 self._score_batch(batch)
                 completed += len(batch)
-                drained += 1
             if len(batch) < self.max_batch_size:
                 break  # a short batch emptied the queue: no second look
         return completed

@@ -27,7 +27,7 @@ shards. :class:`ShardedServer` is that fabric:
   *before* any shard queue: a hot tenant sheds its own overflow
   (``LoadShedError`` with ``reason="quota"`` and the tenant in its
   structured context) instead of starving the fleet.
-* **Fleet rollout** — promote/rollback/canary fan out to every hosting
+* **Fleet rollout** — promote/canary fan out to every hosting
   shard; the canary hash split stays exact across the whole fleet
   because every replica routes with the same seeded router.
 * **Chaos** — ``fabric.route`` guards routing, ``fabric.score`` guards
@@ -243,15 +243,6 @@ class ShardedServer:
             entry = shard.server.promote(name, version)
         return entry
 
-    def rollback(self, name: str) -> ModelVersion:
-        """Fleet-wide rollback: history pops exactly once, every
-        replica's cache invalidated."""
-        endpoint = self._endpoint(name)
-        entry = self.registry.rollback(endpoint.model_name)
-        for shard in self._hosting(name):
-            shard.server.invalidate(name)
-        return entry
-
     def set_canary(
         self, name: str, version: int, fraction: float
     ) -> ModelVersion:
@@ -288,8 +279,8 @@ class ShardedServer:
     def route(self, name: str, key: object | None) -> tuple[str, int]:
         """(live serving shard, dead replicas skipped) for one request.
 
-        Pure given the current liveness map — benchmarks replay it as
-        the oracle for the failover ledger.
+        Pure given the current liveness map: the failover replay that
+        the sharding tests hold :meth:`_place` to.
         """
         preference = self.preference(name, key)
         skips = 0
@@ -307,9 +298,6 @@ class ShardedServer:
     ) -> None:
         """Give one tenant a token-bucket admission quota."""
         self.quotas.set_quota(tenant, capacity, refill_per_s)
-
-    def set_default_quota(self, capacity: float, refill_per_s: float) -> None:
-        self.quotas.set_default(capacity, refill_per_s)
 
     # ------------------------------------------------------------------
     # Request path

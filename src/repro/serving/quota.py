@@ -80,15 +80,12 @@ class AdmissionQuotas:
     """Tenant -> bucket map with an admitted/shed ledger.
 
     Tenants without a configured quota (and requests with no tenant at
-    all) are admitted unmetered unless a ``default`` quota is set, in
-    which case unknown tenants each get their own bucket with the
-    default's parameters on first sight.
+    all) are admitted unmetered.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._buckets: dict[object, TokenBucket] = {}
-        self._default: tuple[float, float] | None = None
         self._lock = threading.Lock()
         #: exact per-tenant ledger: tenant -> [admitted, shed]
         self.ledger: dict[object, list[int]] = {}
@@ -101,23 +98,12 @@ class AdmissionQuotas:
                 capacity, refill_per_s, self._clock
             )
 
-    def set_default(self, capacity: float, refill_per_s: float) -> None:
-        """Quota applied to tenants first seen without an explicit one."""
-        TokenBucket(capacity, refill_per_s, self._clock)  # validates args
-        with self._lock:
-            self._default = (capacity, refill_per_s)
-
     def bucket(self, tenant: object) -> TokenBucket | None:
-        with self._lock:
-            bucket = self._buckets.get(tenant)
-            if bucket is None and self._default is not None:
-                bucket = TokenBucket(*self._default, self._clock)
-                self._buckets[tenant] = bucket
-            return bucket
+        return self._buckets.get(tenant)
 
     @property
     def configured(self) -> bool:
-        return bool(self._buckets) or self._default is not None
+        return bool(self._buckets)
 
     # ------------------------------------------------------------------
     def admit(self, tenant: object) -> bool:

@@ -129,18 +129,6 @@ class HashRing:
             self._points.insert(idx, point)
             self._owners.insert(idx, node)
 
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise ServingError(f"node {node!r} is not on the ring")
-        self._nodes.remove(node)
-        keep = [
-            (p, o)
-            for p, o in zip(self._points, self._owners)
-            if o != node
-        ]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
     @property
     def nodes(self) -> list[str]:
         return sorted(self._nodes)

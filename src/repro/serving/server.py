@@ -6,8 +6,8 @@ other half — the process that answers prediction requests. A
 
 * resolves its model through the :class:`~repro.lifecycle.ModelRegistry`
   **by alias** (``"prod"`` for stable traffic, ``"canary"`` for the
-  candidate), so :meth:`promote` / :meth:`rollback` are atomic pointer
-  swaps — in-flight requests finish on the version they resolved;
+  candidate), so :meth:`promote` is an atomic pointer swap — in-flight
+  requests finish on the version they resolved;
 * routes a deterministic hash-slice of request keys to the canary
   (:class:`~repro.serving.ring.CanaryRouter` — bit-reproducible given
   the seed);
@@ -17,8 +17,8 @@ other half — the process that answers prediction requests. A
   prediction is bit-identical whether it was served alone, in a batch of
   64, or by a SQL scoring query;
 * memoizes predictions in a versioned
-  :class:`~repro.serving.cache.PredictionCache` (TTL + invalidation on
-  promote/rollback);
+  :class:`~repro.serving.cache.PredictionCache` (invalidated on
+  promote);
 * sheds load at admission (bounded queue), bounds scoring concurrency,
   and honours per-request deadlines — all under
   :func:`~repro.resilience.fault_point` sites (``serving.admission``,
@@ -135,16 +135,14 @@ class Endpoint(Counted):
         *,
         canary_seed: int = 0,
         output: str = "margin",
-        scorer: Callable[[np.ndarray], np.ndarray] | None = None,
         max_batch_size: int = 64,
         max_delay_ms: float = 2.0,
         queue_capacity: int = 1024,
         cache_enabled: bool = True,
         cache_capacity: int = 4096,
-        cache_ttl_s: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if scorer is None and output not in _OUTPUTS:
+        if output not in _OUTPUTS:
             raise ServingError(
                 f"output must be one of {_OUTPUTS}, got {output!r}"
             )
@@ -154,7 +152,6 @@ class Endpoint(Counted):
         self.canary: str | None = None
         self.router = CanaryRouter(0.0, canary_seed)
         self.output = output
-        self.custom_scorer = scorer
         self._clock = clock
         self.batcher = MicroBatcher(
             name,
@@ -164,7 +161,7 @@ class Endpoint(Counted):
             clock=clock,
         )
         self.cache: PredictionCache | None = (
-            PredictionCache(cache_capacity, cache_ttl_s, clock=clock)
+            PredictionCache(cache_capacity)
             if cache_enabled
             else None
         )
@@ -217,7 +214,6 @@ class ModelServer:
         server.promote("churn-score")            # latest -> "prod" alias
         p = server.predict("churn-score", x, key="user-42")
         server.set_canary("churn-score", version=2, fraction=0.1)
-        server.rollback("churn-score")           # restore previous prod
 
     Args:
         registry: the model registry endpoints resolve through.
@@ -310,13 +306,6 @@ class ModelServer:
         self._invalidate(endpoint)
         return self.registry.get(endpoint.model_name, version)
 
-    def rollback(self, name: str) -> ModelVersion:
-        """Restore the previously deployed version; cache invalidated."""
-        endpoint = self.endpoint(name)
-        entry = self.registry.rollback(endpoint.model_name)
-        self._invalidate(endpoint)
-        return entry
-
     def set_canary(
         self, name: str, version: int, fraction: float
     ) -> ModelVersion:
@@ -338,8 +327,7 @@ class ModelServer:
     def invalidate(self, name: str) -> int:
         """Drop an endpoint's compiled scorers and cached predictions;
         returns the number of cache entries dropped. The fabric calls
-        this on fleet-wide rollback and on shard revive (epoch
-        rejoin)."""
+        this on shard revive (epoch rejoin)."""
         return self._invalidate(self.endpoint(name))
 
     def _invalidate(self, endpoint: Endpoint) -> int:
@@ -372,11 +360,7 @@ class ModelServer:
         ident = (endpoint.name, entry.version)
         scorer = self._scorers.get(ident)
         if scorer is None:
-            base = (
-                endpoint.custom_scorer
-                if endpoint.custom_scorer is not None
-                else _build_scorer(entry.model, endpoint.output)
-            )
+            base = _build_scorer(entry.model, endpoint.output)
 
             def scorer(
                 batch: np.ndarray,

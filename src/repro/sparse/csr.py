@@ -239,9 +239,6 @@ class CSRMatrix(Operand, kind="csr"):
             f"density={self.density:.4f})"
         )
 
-    def row_nnz(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------

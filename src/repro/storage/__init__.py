@@ -9,13 +9,9 @@ group-by with aggregates).
 
 from .aggregates import AggregateFunction, AggSpec, agg
 from .catalog import Catalog
-from .csvio import read_csv, read_csv_string, write_csv
+from .csvio import read_csv_string
 from .expressions import Expr, col, lit
-from .lineage import (
-    materialized_operator,
-    operator_fingerprint,
-    table_fingerprint,
-)
+from .lineage import table_fingerprint
 from .operators import (
     aggregate,
     distinct,
@@ -26,16 +22,9 @@ from .operators import (
     limit,
     order_by,
     project,
-    union_all,
 )
 from .schema import Column, ColumnType, Schema
-from .sql import SQLError, explain_sql, parse_sql, run_sql
-from .stats import (
-    NumericHistogram,
-    TableStats,
-    estimate_rows,
-    estimate_selectivity,
-)
+from .sql import SQLError, parse_sql, run_sql
 from .table import Table
 
 __all__ = [
@@ -45,33 +34,23 @@ __all__ = [
     "Column",
     "ColumnType",
     "Expr",
-    "NumericHistogram",
     "Schema",
-    "TableStats",
     "Table",
     "agg",
     "aggregate",
     "col",
     "distinct",
-    "estimate_rows",
-    "estimate_selectivity",
     "extend",
     "filter_rows",
     "group_by",
     "hash_join",
     "limit",
     "lit",
-    "explain_sql",
     "order_by",
     "parse_sql",
     "project",
-    "read_csv",
     "read_csv_string",
     "run_sql",
     "SQLError",
-    "materialized_operator",
-    "operator_fingerprint",
     "table_fingerprint",
-    "union_all",
-    "write_csv",
 ]

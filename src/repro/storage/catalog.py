@@ -14,13 +14,13 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
 
-    def register(self, name: str, table: Table, replace: bool = False) -> None:
+    def register(self, name: str, table: Table) -> None:
         """Add a table under ``name``.
 
         Raises:
-            StorageError: if the name exists and ``replace`` is false.
+            StorageError: if the name exists.
         """
-        if name in self._tables and not replace:
+        if name in self._tables:
             raise StorageError(f"table {name!r} already registered")
         self._tables[name] = table
 

@@ -1,49 +1,29 @@
-"""CSV import/export for tables.
+"""CSV import for tables.
 
-Types are inferred per column (int -> float -> bool -> str fallback) unless
-a schema is supplied. This exists so examples and benchmarks can round-trip
-datasets through files the way the surveyed in-RDBMS systems load data.
+Types are inferred per column (int -> float -> bool -> str fallback).
+This exists so examples can load datasets from CSV text the way the
+surveyed in-RDBMS systems load data.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import StorageError
-from .schema import ColumnType, Schema
+from .schema import ColumnType
 from .table import Table
 
 _TRUE = {"true", "t", "yes", "1"}
 _FALSE = {"false", "f", "no", "0"}
 
 
-def read_csv(path: str | Path) -> Table:
-    """Load a CSV file (header row required) into a table, column types
-    inferred."""
-    with open(path, newline="") as f:
-        return _read(f, None)
-
-
-def read_csv_string(text: str, schema: Schema | None = None) -> Table:
+def read_csv_string(text: str) -> Table:
     """Load CSV content from a string (header row required)."""
-    return _read(io.StringIO(text), schema)
-
-
-def write_csv(table: Table, path: str | Path) -> None:
-    """Write a table to a CSV file with a header row."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(table.schema.names)
-        writer.writerows(table.rows())
-
-
-def _read(f, schema: Schema | None) -> Table:
-    reader = csv.reader(f)
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -54,21 +34,9 @@ def _read(f, schema: Schema | None) -> Table:
             raise StorageError(
                 f"ragged CSV row: expected {len(header)} fields, got {len(row)}"
             )
-    columns = [[row[i] for row in rows] for i in range(len(header))]
-
-    if schema is not None:
-        if list(schema.names) != header:
-            raise StorageError(
-                f"CSV header {header} does not match schema {list(schema.names)}"
-            )
-        arrays = [
-            _coerce(values, schema.type_of(name))
-            for name, values in zip(header, columns)
-        ]
-        return Table(schema, arrays)
-
-    data = {name: _infer(values) for name, values in zip(header, columns)}
-    return Table.from_columns(data)
+    return Table.from_columns(
+        {name: _infer([row[i] for row in rows]) for i, name in enumerate(header)}
+    )
 
 
 def _coerce(values: Sequence[str], ctype: ColumnType) -> np.ndarray:

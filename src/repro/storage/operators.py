@@ -53,20 +53,9 @@ def limit(table: Table, n: int) -> Table:
     return table.head(n)
 
 
-def union_all(tables: Sequence[Table]) -> Table:
-    """Concatenation of same-schema tables."""
-    if not tables:
-        raise StorageError("union_all requires at least one table")
-    out = tables[0]
-    for t in tables[1:]:
-        out = out.concat_rows(t)
-    return out
-
-
-def distinct(table: Table, names: Sequence[str] | None = None) -> Table:
-    """Rows deduplicated by the given key columns (first occurrence kept)."""
-    names = list(names) if names is not None else list(table.schema.names)
-    _, first_idx = _group_ids(table, names)
+def distinct(table: Table) -> Table:
+    """Rows deduplicated on every column (first occurrence kept)."""
+    _, first_idx = _group_ids(table, list(table.schema.names))
     return table.take(np.sort(first_idx))
 
 

@@ -148,20 +148,3 @@ class Schema:
         if missing:
             raise SchemaError(f"cannot drop unknown columns {sorted(missing)}")
         return Schema([c for c in self._columns if c.name not in dropped])
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Schema with columns renamed according to ``mapping``."""
-        missing = set(mapping) - set(self.names)
-        if missing:
-            raise SchemaError(f"cannot rename unknown columns {sorted(missing)}")
-        return Schema(
-            [Column(mapping.get(c.name, c.name), c.ctype) for c in self._columns]
-        )
-
-    def concat(self, other: "Schema") -> "Schema":
-        """Schema with the columns of ``other`` appended."""
-        return Schema(self._columns + other._columns)
-
-    def prefixed(self, prefix: str) -> "Schema":
-        """Schema with every column name prefixed (used to disambiguate joins)."""
-        return Schema([Column(prefix + c.name, c.ctype) for c in self._columns])

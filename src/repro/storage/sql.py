@@ -470,49 +470,6 @@ def run_sql(text: str, catalog: Catalog, optimize: bool = True) -> Table:
     return table
 
 
-def explain_sql(text: str, catalog: Catalog) -> str:
-    """Describe predicate placement with estimated row counts.
-
-    Pushed predicates are annotated with histogram-based selectivity
-    estimates for the table they run against.
-    """
-    from .sqlopt import conjoin, plan_pushdown
-    from .stats import TableStats, estimate_rows
-
-    query = parse_sql(text)
-    base = catalog.get(query.table)
-    join_tables = [catalog.get(j.table) for j in query.joins]
-    plan = plan_pushdown(query.where, base, query.joins, join_tables)
-
-    lines = [
-        f"FROM {query.table}"
-        + "".join(f" {j.how.upper()} JOIN {j.table}" for j in query.joins)
-    ]
-    base_stats = TableStats.collect(base)
-    base_pred = conjoin(plan.base_predicates)
-    if base_pred is not None:
-        lines.append(
-            f"push to base table ({query.table}, {base.num_rows} rows): "
-            f"{base_pred!r} -> ~{estimate_rows(base_pred, base_stats)} rows"
-        )
-    for i, join in enumerate(query.joins):
-        preds = plan.join_predicates.get(i, [])
-        if not preds:
-            continue
-        right = join_tables[i]
-        right_stats = TableStats.collect(right)
-        pred = conjoin(preds)
-        lines.append(
-            f"push to join #{i} right side ({join.table}, {right.num_rows} "
-            f"rows): {pred!r} -> ~{estimate_rows(pred, right_stats)} rows"
-        )
-    for p in plan.residual:
-        lines.append(f"evaluate after joins: {p!r}")
-    if query.where is None:
-        lines.append("(no WHERE clause)")
-    return "\n".join(lines)
-
-
 def _execute_projection(table: Table, query: SelectQuery) -> Table:
     names = []
     for i, item in enumerate(query.items):

@@ -64,12 +64,6 @@ class PushdownPlan:
     join_predicates: dict[int, list[Expr]] = field(default_factory=dict)
     residual: list[Expr] = field(default_factory=list)
 
-    @property
-    def pushed_count(self) -> int:
-        return len(self.base_predicates) + sum(
-            len(v) for v in self.join_predicates.values()
-        )
-
     def describe(self) -> str:
         lines = []
         for p in self.base_predicates:

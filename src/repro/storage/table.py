@@ -9,7 +9,7 @@ did not allocate).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,39 +50,19 @@ class Table:
         return cls(Schema(cols), arrays)
 
     @classmethod
-    def from_rows(cls, schema: Schema, rows: Iterable[Sequence[Any]]) -> "Table":
-        """Build a table from row tuples conforming to ``schema``."""
-        rows = list(rows)
-        arrays = []
-        for i, col in enumerate(schema):
-            values = [row[i] for row in rows]
-            arrays.append(np.array(values, dtype=col.ctype.numpy_dtype))
-        return cls(schema, arrays)
-
-    @classmethod
     def from_matrix(
-        cls,
-        X: np.ndarray,
-        names: Sequence[str] | None = None,
-        label: np.ndarray | None = None,
+        cls, X: np.ndarray, label: np.ndarray | None = None
     ) -> "Table":
         """Build a table from a numeric (n, d) matrix.
 
-        Columns are named ``names`` (default f0..f{d-1}); an optional
-        label vector is appended as ``"label"``. The bridge from the
-        linear-algebra world back into the relational engine.
+        Columns are named f0..f{d-1}; an optional label vector is
+        appended as ``"label"``. The bridge from the linear-algebra world
+        back into the relational engine.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise StorageError(f"expected a 2-D matrix, got {X.ndim}-D")
-        if names is None:
-            names = [f"f{j}" for j in range(X.shape[1])]
-        names = list(names)
-        if len(names) != X.shape[1]:
-            raise StorageError(
-                f"{len(names)} names for {X.shape[1]} columns"
-            )
-        data = {name: X[:, j] for j, name in enumerate(names)}
+        data = {f"f{j}": X[:, j] for j in range(X.shape[1])}
         if label is not None:
             label = np.asarray(label)
             if len(label) != len(X):
@@ -132,11 +112,6 @@ class Table:
         for i in range(self._nrows):
             yield tuple(col[i] for col in self._columns)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """All rows as dictionaries (slow path; for tests and display)."""
-        names = self._schema.names
-        return [dict(zip(names, row)) for row in self.rows()]
-
     def __len__(self) -> int:
         return self._nrows
 
@@ -183,10 +158,6 @@ class Table:
         schema = self._schema.drop(names)
         return self.select(schema.names)
 
-    def rename(self, mapping: dict[str, str]) -> "Table":
-        """Table with columns renamed."""
-        return Table(self._schema.rename(mapping), self._columns)
-
     def with_column(self, name: str, values: Sequence[Any]) -> "Table":
         """Table with a column appended (or replaced if the name exists)."""
         arr = _as_column_array(values)
@@ -206,21 +177,6 @@ class Table:
             Schema(list(self._schema.columns) + [col]),
             list(self._columns) + [arr],
         )
-
-    def concat_rows(self, other: "Table") -> "Table":
-        """Rows of ``other`` appended (schemas must match)."""
-        if self._schema != other._schema:
-            raise SchemaError(
-                f"schema mismatch: {self._schema!r} vs {other._schema!r}"
-            )
-        arrays = [
-            np.concatenate([a, b]) for a, b in zip(self._columns, other._columns)
-        ]
-        return Table(self._schema, arrays)
-
-    def prefixed(self, prefix: str) -> "Table":
-        """Table with every column name prefixed."""
-        return Table(self._schema.prefixed(prefix), self._columns)
 
     # ------------------------------------------------------------------
     # Numeric bridge to the linear-algebra layer

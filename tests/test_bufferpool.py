@@ -61,8 +61,8 @@ class TestBufferPool:
         pool.get("b1")
         pool.get("b0")  # touch b0: b1 becomes LRU
         pool.get("b2")  # evicts b1
-        assert "b1" not in pool.cached_blocks
-        assert set(pool.cached_blocks) == {"b0", "b2"}
+        assert "b1" not in pool
+        assert "b0" in pool and "b2" in pool
         assert pool.stats.evictions == 1
 
     def test_block_larger_than_pool_passes_through(self):
@@ -71,7 +71,7 @@ class TestBufferPool:
         pool = BufferPool(store, capacity_bytes=100)
         out = pool.get("big")
         assert len(out) == 1000
-        assert pool.cached_blocks == []
+        assert "big" not in pool
 
     def test_pin_prevents_eviction(self):
         pool = BufferPool(_store_with_blocks(3, size=10), capacity_bytes=160)
@@ -79,21 +79,12 @@ class TestBufferPool:
         pool.pin("b0")
         pool.get("b1")
         pool.get("b2")  # must evict b1, not pinned b0
-        assert "b0" in pool.cached_blocks
+        assert "b0" in pool
 
     def test_pin_uncached_raises(self):
         pool = BufferPool(_store_with_blocks(), capacity_bytes=1000)
         with pytest.raises(ExecutionError):
             pool.pin("b0")
-
-    def test_unpin_allows_eviction(self):
-        pool = BufferPool(_store_with_blocks(3, size=10), capacity_bytes=160)
-        pool.get("b0")
-        pool.pin("b0")
-        pool.unpin("b0")
-        pool.get("b1")
-        pool.get("b2")
-        assert "b0" not in pool.cached_blocks
 
     def test_put_writes_through(self, rng):
         store = BlockStore()
@@ -110,14 +101,6 @@ class TestBufferPool:
         pool.put("x", np.zeros(4))
         pool.put("x", np.ones(4))
         assert np.array_equal(pool.get("x"), np.ones(4))
-        assert pool.used_bytes == 32
-
-    def test_used_bytes_tracks_cache(self):
-        pool = BufferPool(_store_with_blocks(2, size=10), capacity_bytes=1000)
-        pool.get("b0")
-        assert pool.used_bytes == 80
-        pool.get("b1")
-        assert pool.used_bytes == 160
 
 
 class TestBufferPoolInvalidation:
@@ -126,7 +109,7 @@ class TestBufferPoolInvalidation:
         pool.get("b0")
         assert pool.remove("b0") is True
         assert pool.remove("b0") is False
-        assert pool.used_bytes == 0
+        assert "b0" not in pool
         assert pool.stats.invalidations == 1
         assert pool.stats.evictions == 0
         assert get_registry().value("bufferpool.invalidations") == 1

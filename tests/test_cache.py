@@ -1,6 +1,6 @@
 """The bounded-cache core (:mod:`repro.cache`) and the ledger it counts on.
 
-The state machine drives random get/put/pin/unpin/remove sequences
+The state machine drives random get/put/pin/remove sequences
 against a list-based oracle; the example tests below it are the buffer
 pool's former object-entry tests, moved with the code they exercise.
 """
@@ -18,6 +18,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cache import BoundedCache
+from repro.errors import ReproError
 from repro.materialize import Fingerprint, MaterializationStore
 from repro.obs import Ledger, get_registry
 from repro.runtime import BlockStore, BufferPool
@@ -89,11 +90,6 @@ class CacheVsListOracle(RuleBasedStateMachine):
         assert self.cache.pin(key) is resident
 
     @rule(key=KEYS)
-    def unpin(self, key):
-        self.pinned.discard(key)
-        self.cache.unpin(key)
-
-    @rule(key=KEYS)
     def remove(self, key):
         existed = self._row(key) is not None
         self._forget(key)
@@ -134,7 +130,7 @@ class TestBoundedCacheEntries:
         cache = _cache(1000)
         cache.put("o", {"not": "an array"}, 300)
         assert cache.used == 300
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError, match="cost must be >= 0"):
             cache.put("bad", object(), -1)
 
     def test_eviction_order_and_byte_ledger_exact(self):
@@ -182,16 +178,6 @@ class TestBoundedCacheEntries:
         assert cache.remove("o") is False
         assert cache.used == 0
         assert cache.stats.evictions == 0
-
-    def test_unpin_then_pressure_evicts_exactly_lru(self):
-        cache = _cache(160)
-        cache.put("a", np.zeros(10), 80, pin=True)
-        cache.put("b", np.ones(10), 80)
-        cache.unpin("a")
-        cache.get("b")  # a is now LRU and unpinned
-        cache.put("c", np.full(10, 2.0), 80)
-        assert set(cache.keys()) == {"b", "c"}
-        assert cache.stats.evictions == 1
 
 
 class TestMemoryTierCountsAsBufferpool:

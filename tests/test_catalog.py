@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import Catalog, Table
+from repro.storage import Catalog
 
 
 @pytest.fixture
@@ -20,11 +20,6 @@ class TestCatalog:
     def test_register_duplicate_raises(self, catalog, people_table):
         with pytest.raises(StorageError, match="already registered"):
             catalog.register("people", people_table)
-
-    def test_register_replace(self, catalog):
-        t = Table.from_columns({"x": [1]})
-        catalog.register("people", t, replace=True)
-        assert catalog.get("people") is t
 
     def test_get_unknown_lists_names(self, catalog):
         with pytest.raises(StorageError, match="people"):

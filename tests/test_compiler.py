@@ -6,15 +6,14 @@ import pytest
 from repro.compiler import (
     apply_fusion,
     apply_rewrites,
-    chain_cost,
     compile_expr,
     count_tree_ops,
     count_unique_ops,
-    eliminate_common_subexpressions,
     estimate,
     fused_kinds,
     optimize_mmchains,
 )
+from repro.compiler.cse import hash_cons
 from repro.lang import (
     Aggregate,
     Binary,
@@ -182,14 +181,6 @@ class TestMMChain:
         out = execute(compile_expr(expr), bindings)
         assert np.allclose(out, ref)
 
-    def test_chain_cost_helper(self):
-        shapes = [(100, 10), (10, 100), (100, 1)]
-        left = chain_cost(shapes, "left")
-        right = chain_cost(shapes, "right")
-        assert left == 100 * 10 * 100 + 100 * 100 * 1
-        assert right == 10 * 100 * 1 + 100 * 10 * 1
-        assert right < left
-
     def test_two_operand_chain_untouched(self):
         X = matrix("X", (5, 4))
         Y = matrix("Y", (4, 3))
@@ -203,7 +194,7 @@ class TestCSE:
         w = matrix("w", (4, 1))
         Xw1 = X @ w
         Xw2 = X @ w
-        root = eliminate_common_subexpressions((sumall(Xw1) + sumall(Xw2)).node)
+        root = hash_cons([(sumall(Xw1) + sumall(Xw2)).node])[0]
         assert root.left.child is root.right.child
 
     def test_op_counts(self):
@@ -212,7 +203,7 @@ class TestCSE:
         expr = sumall(X @ w) + sumall(X @ w)
         root = expr.node
         assert count_tree_ops(root) == 5  # 2 matmul + 2 sum + 1 add
-        deduped = eliminate_common_subexpressions(root)
+        deduped = hash_cons([root])[0]
         assert count_unique_ops(deduped) == 3  # matmul + sum + add
 
     def test_execution_counts_shared_once(self, rng):
@@ -325,7 +316,7 @@ class TestCostModel:
         w = matrix("w", (4, 1))
         expr = sumall(X @ w) + sumall(X @ w)
         tree_cost = estimate(expr.node)
-        dag_cost = estimate(eliminate_common_subexpressions(expr.node))
+        dag_cost = estimate(hash_cons([expr.node])[0])
         assert dag_cost.flops < tree_cost.flops
 
 

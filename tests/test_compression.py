@@ -96,6 +96,13 @@ class TestOLESpecifics:
         assert not out.any()
         assert g.colsums().tolist() == [0.0]
 
+    def test_malformed_construction_is_a_compression_error(self):
+        cols, dictionary = np.array([0]), np.array([1.0, 2.0])
+        with pytest.raises(CompressionError, match="one offset list"):
+            OLEGroup(cols, 4, dictionary, [np.array([0])])
+        with pytest.raises(CompressionError, match="default tuple"):
+            OLEGroup(cols, 4, dictionary, [[0], [1]], default=np.zeros(2))
+
 
 class TestRLESpecifics:
     def test_run_structure(self):
@@ -108,6 +115,10 @@ class TestRLESpecifics:
         column = np.repeat([1.0, 2.0], 5000).reshape(-1, 1)
         g = RLEGroup.encode(np.array([0]), column)
         assert g.dense_bytes() / g.compressed_bytes() > 100
+
+    def test_unequal_run_arrays_are_a_compression_error(self):
+        with pytest.raises(CompressionError, match="equal length"):
+            RLEGroup(np.array([0]), 4, np.array([1.0]), [0, 2], [2], [0, 0])
 
 
 class TestDDCSpecifics:
@@ -163,18 +174,10 @@ class TestPlanner:
         rng = np.random.default_rng(7)
         base = rng.integers(0, 4, 5000).astype(float)
         X = np.column_stack([base, base * 2.0, base + 1.0])  # perfectly co-coded
-        plan = plan_matrix(X, exact=True, cocode=True)
+        plan = plan_matrix(X, exact=True)
         ddc_groups = [cols for scheme, cols in plan.groups if scheme == "ddc"]
         assert len(ddc_groups) == 1
         assert sorted(ddc_groups[0]) == [0, 1, 2]
-
-    def test_cocoding_disabled_keeps_singletons(self):
-        rng = np.random.default_rng(8)
-        base = rng.integers(0, 4, 3000).astype(float)
-        X = np.column_stack([base, base])
-        plan = plan_matrix(X, exact=True, cocode=False)
-        ddc_groups = [cols for scheme, cols in plan.groups if scheme == "ddc"]
-        assert len(ddc_groups) == 2
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(CompressionError):
@@ -191,7 +194,7 @@ class TestCompressedMatrix:
                 rng.standard_normal((1000, 2)),
             ]
         )
-        C = CompressedMatrix.compress(X, exact=True)
+        C = CompressedMatrix.compress(X)
         v = rng.standard_normal(9)
         u = rng.standard_normal(1000)
         assert np.allclose(C.matvec(v), X @ v)
@@ -224,7 +227,7 @@ class TestCompressedMatrix:
 
     def test_schemes_summary(self):
         X = make_low_cardinality_matrix(2000, 3, cardinality=4, seed=5)
-        C = CompressedMatrix.compress(X, exact=True)
+        C = CompressedMatrix.compress(X)
         assert sum(C.schemes().values()) == len(C.groups)
 
     def test_vector_length_validation(self):
@@ -251,7 +254,7 @@ class TestCompressedMatrix:
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(card) * 5
         X = values[rng.integers(0, card, (n, 3))]
-        C = CompressedMatrix.compress(X, exact=True)
+        C = CompressedMatrix.compress(X)
         assert np.allclose(C.decompress(), X)
         v = rng.standard_normal(3)
         assert np.allclose(C.matvec(v), X @ v, atol=1e-9)

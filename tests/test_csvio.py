@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import (
-    ColumnType,
-    Schema,
-    Table,
-    read_csv,
-    read_csv_string,
-    write_csv,
-)
+from repro.storage import ColumnType, read_csv_string
 
 
 class TestReadInference:
@@ -45,31 +38,3 @@ class TestReadInference:
     def test_header_only_gives_empty_table(self):
         t = read_csv_string("a,b\n")
         assert t.num_rows == 0
-
-
-class TestExplicitSchema:
-    def test_schema_coercion(self):
-        schema = Schema.of(id="int", ratio="float")
-        t = read_csv_string("id,ratio\n1,0.5\n", schema=schema)
-        assert t.schema == schema
-
-    def test_header_mismatch_raises(self):
-        with pytest.raises(StorageError, match="does not match"):
-            read_csv_string("a,b\n1,2\n", schema=Schema.of(x="int", y="int"))
-
-    def test_unparseable_value_raises(self):
-        with pytest.raises(StorageError, match="cannot parse"):
-            read_csv_string("id\nabc\n", schema=Schema.of(id="int"))
-
-
-class TestRoundTrip:
-    def test_write_then_read(self, tmp_path, people_table):
-        path = tmp_path / "people.csv"
-        write_csv(people_table, path)
-        loaded = read_csv(path)
-        assert loaded.num_rows == people_table.num_rows
-        assert loaded.schema.names == people_table.schema.names
-        assert list(loaded.column("city")) == list(people_table.column("city"))
-        assert loaded.column("income").tolist() == people_table.column(
-            "income"
-        ).tolist()

@@ -38,20 +38,20 @@ class TestEmptyTables:
         out = group_by(empty, ["k"], [agg("count")])
         assert out.num_rows == 0
 
-    def test_join_with_empty_build_side(self, people_table, empty):
-        renamed = empty.rename({"k": "id"})
-        out = hash_join(people_table, renamed, on="id")
+    def test_join_with_empty_build_side(self, people_table):
+        build = Table.empty(Schema.of(id="int", v="float"))
+        out = hash_join(people_table, build, on="id")
         assert out.num_rows == 0
 
-    def test_left_join_with_empty_build_side(self, people_table, empty):
-        renamed = empty.rename({"k": "id"})
-        out = hash_join(people_table, renamed, on="id", how="left")
+    def test_left_join_with_empty_build_side(self, people_table):
+        build = Table.empty(Schema.of(id="int", v="float"))
+        out = hash_join(people_table, build, on="id", how="left")
         assert out.num_rows == people_table.num_rows
         assert np.isnan(out.column("v")).all()
 
-    def test_join_with_empty_probe_side(self, people_table, empty):
-        renamed = empty.rename({"k": "id"})
-        out = hash_join(renamed, people_table.rename({"id": "id"}), on="id")
+    def test_join_with_empty_probe_side(self, people_table):
+        probe = Table.empty(Schema.of(id="int", v="float"))
+        out = hash_join(probe, people_table, on="id")
         assert out.num_rows == 0
 
     def test_order_by_empty(self, empty):
@@ -65,7 +65,7 @@ class TestDegenerateMatrices:
 
     def test_single_column_compression(self):
         X = np.ones((100, 1)) * 5.0
-        C = CompressedMatrix.compress(X, exact=True)
+        C = CompressedMatrix.compress(X)
         assert np.allclose(C.decompress(), X)
         assert C.compression_ratio > 10  # constant column is very cheap
 
@@ -86,7 +86,7 @@ class TestDegenerateMatrices:
 
     def test_compress_1xn_matrix(self):
         X = np.array([[1.0, 2.0, 3.0]])
-        C = CompressedMatrix.compress(X, exact=True)
+        C = CompressedMatrix.compress(X)
         assert np.allclose(C.matvec(np.ones(3)), X @ np.ones(3))
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.data import make_blobs, make_star_schema
 from repro.errors import FactorizationError, ModelError
 from repro.factorized import NormalizedMatrix, factorized_kmeans
-from repro.indb import assign_clusters_indb, train_kmeans_indb
+from repro.indb import train_kmeans_indb
 from repro.ml import KMeans
 from repro.storage import Table
 
@@ -40,15 +40,6 @@ class TestInDBKMeans:
         )
         # Assign+accumulate is exact under merge: identical trajectories.
         assert np.allclose(serial.centroids, parallel.centroids)
-
-    def test_assignment_scoring(self, blob_table):
-        table, X, _ = blob_table
-        result = train_kmeans_indb(table, ["x0", "x1", "x2"], 4, seed=64)
-        scored = assign_clusters_indb(
-            table, ["x0", "x1", "x2"], result.centroids
-        )
-        assert "cluster" in scored.schema
-        assert set(scored.column("cluster").tolist()) <= set(range(4))
 
     def test_validation(self, blob_table):
         table, _, _ = blob_table

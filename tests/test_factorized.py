@@ -31,15 +31,21 @@ class TestConstruction:
         assert matrix.d_s == 3
         assert matrix.d_rs == [6]
 
-    def test_tuple_ratio(self, nm):
-        matrix, _ = nm
-        assert matrix.tuple_ratios == [10.0]
-
     def test_fk_out_of_range_rejected(self, star):
         bad_fk = star.fk.copy()
         bad_fk[0] = len(star.R) + 5
         with pytest.raises(FactorizationError, match="references rows"):
             NormalizedMatrix(star.S, [bad_fk], [star.R])
+
+    def test_fractional_or_nan_fk_rejected(self):
+        S, R = np.ones((2, 1)), np.arange(6.0).reshape(3, 2)
+        for fk, shown in (([0.5, 2.9], r"0\.5 at row 0"), ([0.0, np.nan], "nan at row 1")):
+            # a cast would truncate 0.5 -> row 0 and warn on NaN
+            with np.errstate(invalid="raise"), pytest.raises(
+                FactorizationError, match=rf"fk\[0\] has a non-integral key {shown}"
+            ):
+                NormalizedMatrix(S, [np.array(fk)], [R])
+        assert NormalizedMatrix(S, [np.array([0.0, 2.0])], [R]).fks[0].tolist() == [0, 2]
 
     def test_row_count_mismatch_rejected(self, star):
         with pytest.raises(FactorizationError, match="row count"):
@@ -129,10 +135,6 @@ class TestMorpheusKernels:
         nm_low = NormalizedMatrix(low.S, [low.fk], [low.R])
         nm_high = NormalizedMatrix(high.S, [high.fk], [high.R])
         assert nm_high.redundancy_ratio > nm_low.redundancy_ratio
-
-    def test_flop_accounting(self, nm):
-        matrix, _ = nm
-        assert matrix.factorized_matvec_flops() < matrix.materialized_matvec_flops()
 
     @given(
         n_s=st.integers(10, 100),

@@ -236,22 +236,6 @@ class TestStreamingDrift:
         assert one.ks() == batch.ks()
         assert np.array_equal(one.counts, batch.counts)
 
-    def test_fold_histogram_tracks_new_samples_only(self):
-        from repro.feateng import StreamingDriftMonitor
-        from repro.obs.metrics import Histogram
-
-        ref = self._reference()
-        hist = Histogram("lat")
-        monitor = StreamingDriftMonitor("x", ref)
-        for v in ref[:100]:
-            hist.observe(v)
-        assert monitor.fold_histogram(hist) == 100
-        assert monitor.fold_histogram(hist) == 0  # nothing new
-        for v in ref[100:150]:
-            hist.observe(v)
-        assert monitor.fold_histogram(hist) == 50
-        assert monitor.observed == 150
-
     def test_batch_report_carries_psi_and_ks(self):
         from repro.feateng import detect_drift
         from repro.storage.table import Table

@@ -21,7 +21,7 @@ from repro.lang.dsl import sqrt as rsqrt
 from repro.lifecycle import ModelRegistry
 from repro.materialize import MaterializationStore
 from repro.ml import LinearRegression
-from repro.obs import metric_value
+from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
 from repro.serving import ModelServer
 from repro.storage.table import Table
@@ -443,14 +443,14 @@ class TestGateBatchParity:
         offline = FeatureStore().materialize(view, base_table())
         batched = DriftGate(view, offline, min_observations=1)
         oracle = DriftGate(view, offline, min_observations=1)
-        counted = metric_value("features.gate.observations")
+        counted = get_registry().value("features.gate.observations")
         for batch in batches:
             if len(batch) == 1 and flat_single_rows:
                 batched.observe_many(np.asarray(batch[0]))
             else:
                 batched.observe_many(batch)
         rows = sum(len(batch) for batch in batches)
-        assert metric_value("features.gate.observations") - counted == rows
+        assert get_registry().value("features.gate.observations") - counted == rows
         for batch in batches:
             for row in batch:
                 fold_row_by_row(oracle, row)

@@ -265,16 +265,6 @@ class TestPersistence:
         with pytest.raises(FeedbackError, match="checksum"):
             FeedbackStore.load(path)
 
-    def test_load_or_cold_falls_back_and_counts(self, tmp_path):
-        path = tmp_path / "fb.json"
-        path.write_bytes(b"garbage, not a store")
-        before = get_registry().value("feedback.load_failures")
-        store = FeedbackStore.load_or_cold(path)
-        assert store.updates == 0
-        assert store.path == str(path)
-        after = get_registry().value("feedback.load_failures")
-        assert after == before + 1
-
     def test_no_temp_files_left_behind(self, tmp_path):
         self._warm_store().save(tmp_path / "fb.json")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fb.json"]

@@ -62,11 +62,11 @@ class TestTableFromMatrix:
         t = Table.from_matrix(rng.standard_normal((4, 3)))
         assert t.schema.names == ("f0", "f1", "f2")
 
-    def test_custom_names_and_label(self, rng):
+    def test_label_column_appended(self, rng):
         X = rng.standard_normal((4, 2))
-        t = Table.from_matrix(X, names=["a", "b"], label=np.array([0, 1, 0, 1]))
-        assert t.schema.names == ("a", "b", "label")
-        assert np.allclose(t.to_matrix(["a", "b"]), X)
+        t = Table.from_matrix(X, label=np.array([0, 1, 0, 1]))
+        assert t.schema.names == ("f0", "f1", "label")
+        assert np.allclose(t.to_matrix(["f0", "f1"]), X)
 
     def test_roundtrip_with_to_matrix(self, rng):
         X = rng.standard_normal((10, 5))
@@ -76,8 +76,6 @@ class TestTableFromMatrix:
     def test_validation(self, rng):
         with pytest.raises(StorageError):
             Table.from_matrix(rng.standard_normal(5))
-        with pytest.raises(StorageError):
-            Table.from_matrix(rng.standard_normal((3, 2)), names=["one"])
         with pytest.raises(StorageError):
             Table.from_matrix(
                 rng.standard_normal((3, 2)), label=np.array([1, 2])

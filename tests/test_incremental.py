@@ -18,7 +18,6 @@ from repro.errors import IncrementalError
 from repro.features import FeatureView, FeatureViewMaintainer
 from repro.incremental import (
     CentroidState,
-    ChangeStream,
     ContinuousTrainer,
     DynamicTable,
     GramCofactorState,
@@ -27,7 +26,7 @@ from repro.incremental import (
 )
 from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
-from repro.obs import metric_value
+from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan
 from repro.serving import ModelServer
 from repro.serving.server import compile_linear_scorer
@@ -136,7 +135,7 @@ class TestDeltaAndStream:
 
     def test_multiple_subscribers_see_every_delta(self):
         dyn = DynamicTable.from_table(grid_table(10, seed=1))
-        a, b = dyn.subscribe(), dyn.subscribe(ChangeStream())
+        a, b = dyn.subscribe(), dyn.subscribe()
         dyn.insert(grid_table(2, seed=2))
         assert a.pending() == b.pending() == 1
 
@@ -209,15 +208,6 @@ class TestCentroidState:
             if (labels == c).any():
                 expected[c] = X[labels == c].mean(axis=0)
         assert np.allclose(state.centroids(), expected)
-
-    def test_rebase_adopts_refreshed_reference(self):
-        dyn, _, m = make_maintained(120, seed=3, centers=self.centers())
-        dyn.insert(grid_table(30, seed=6))
-        m.drain()
-        refreshed = m.centroid_state.centroids()
-        m.centroid_state.rebase(dyn)
-        assert np.array_equal(m.centroid_state.centers, refreshed)
-        assert m.centroid_state.same_bytes(dyn)
 
 
 def run_stream(maintainer, dyn, rounds=8):
@@ -305,9 +295,9 @@ class TestMaintainerChaos:
     def test_obs_counters_mirror_ledger(self):
         dyn, _, m = make_maintained(80, seed=3)
         run_stream(m, dyn, rounds=3)
-        assert metric_value("incremental.deltas_applied") == m.stats.deltas_applied
-        assert metric_value("incremental.rows_folded") == m.stats.rows_folded
-        assert metric_value("incremental.staleness") == 0.0
+        assert get_registry().value("incremental.deltas_applied") == m.stats.deltas_applied
+        assert get_registry().value("incremental.rows_folded") == m.stats.rows_folded
+        assert get_registry().value("incremental.staleness") == 0.0
 
 
 class TestContinuousTrainerEndToEnd:

@@ -24,14 +24,13 @@ from repro.indb import (
     run_uda,
     train_bgd,
     train_igd,
-    train_linear_svm_indb,
 )
 from repro.incremental import snap_to_grid
 from repro.indb import IGDTransition, KMeansAssignUDA
 from repro.indb.gradient import GradientUDA
 from repro.indb.uda import _BLOCK_ROWS, UDA, _fold_partition, estimate_uda_cost
 from repro.ml import CategoricalNB, LinearRegression, Moments
-from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss, _sigmoid
+from repro.ml.losses import LogisticLoss, SquaredLoss, _sigmoid
 from repro.runtime.parallel import PYTHON_CALL_FLOPS, merge_tree
 from repro.storage import Table
 
@@ -265,13 +264,6 @@ class TestInDBEstimators:
         with pytest.raises(ModelError):
             InDBLogisticRegression(method="lbfgs")
 
-    def test_svm_trains(self, clf_table):
-        table, X, y = clf_table
-        t = table.with_column("ypm", np.where(y == 1, 1.0, -1.0))
-        result = train_linear_svm_indb(t, FEATURES, "ypm", epochs=15)
-        margins = X @ result.weights[1:] + result.weights[0]
-        accuracy = np.mean(np.sign(margins) == np.where(y == 1, 1, -1))
-        assert accuracy > 0.9
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +341,7 @@ class _RowGradient(GradientUDA):
         return (term if grad is None else grad + term, count + 1)
 
 
-LOSSES = (SquaredLoss(), LogisticLoss(), HingeLoss())
+LOSSES = (SquaredLoss(), LogisticLoss())
 COLUMNS = ["x0", "x1", "x2", "y"]
 fold_cases = dict(
     n=st.sampled_from(

@@ -129,11 +129,8 @@ class TestDSLDrivenTraining:
             compile_expr(sumall((X @ w - y) ** 2) / n),
             {"X": X_np, "y": y_np, "w": model.coef_},
         )
-        from repro.ml import mean_squared_error
-
-        assert mse == pytest.approx(
-            mean_squared_error(y_np, model.predict(X_np)), rel=1e-9
-        )
+        residual = y_np - model.predict(X_np)
+        assert mse == pytest.approx(float(np.mean(residual**2)), rel=1e-9)
 
 
 class TestCompressedTraining:
@@ -264,7 +261,7 @@ class TestSelectionWithLifecycle:
         )
         session.run_grid({"l2": [0.01, 0.1]})
         session.run_grid({"l2": [0.01, 0.1]})  # fully cached second time
-        assert session.ledger.cache_hit_ratio == 0.5
+        assert session.ledger.configs_cached == session.ledger.configs_trained
 
 
 class TestColumbusOverRelationalData:

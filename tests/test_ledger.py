@@ -255,7 +255,7 @@ def _serving(ledgers):
         registry, num_shards=3, replication=2, seed=1, clock=clock
     )
     fabric.create_endpoint(
-        "score", "m", cache_capacity=8, cache_ttl_s=10.0, queue_capacity=1
+        "score", "m", cache_capacity=8, queue_capacity=1
     )
     fabric.promote("score", 1)
     fabric.set_canary("score", 2, 0.5)
@@ -265,8 +265,6 @@ def _serving(ledgers):
     fabric.predict_many("score", X, keys=keys, tenants=tenants, on_shed="null")
     for i in range(8):
         fabric.predict("score", X[-1 - i], key=keys[-1 - i])  # cache hits
-    clock.now += 60.0
-    fabric.predict("score", X[-1], key=keys[-1])  # expired
     victim = fabric.replicas_of("score")[0]
     fabric.kill_shard(victim)
     fabric.predict_many("score", X[:16], keys=keys[:16])  # failovers
@@ -299,7 +297,7 @@ def _serving(ledgers):
     assert busy.shed == get_registry().value("serving.shed") == 1
     cache_totals = [
         sum(e.cache.stats.as_dict()[f] for e in endpoints)
-        for f in ("hits", "misses", "invalidations", "evictions", "expirations")
+        for f in ("hits", "misses", "invalidations", "evictions")
     ]
     assert min(cache_totals) > 0, cache_totals
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss, sigmoid
+from repro.ml.losses import LogisticLoss, SquaredLoss, sigmoid
 
-LOSSES = [SquaredLoss(), LogisticLoss(), HingeLoss()]
+LOSSES = [SquaredLoss(), LogisticLoss()]
 
 
 def finite_difference_gradient(loss, X, y, w, eps=1e-6):
@@ -92,21 +92,6 @@ class TestLogisticLoss:
         y = np.array([-1.0, 1.0])
         value = LogisticLoss().value(X, y, np.array([1.0]))
         assert np.isfinite(value)
-
-
-class TestHingeLoss:
-    def test_zero_when_margins_exceed_one(self):
-        X = np.array([[2.0], [-2.0]])
-        y = np.array([1.0, -1.0])
-        assert HingeLoss().value(X, y, np.array([1.0])) == 0.0
-
-    def test_pointwise_gradient_zero_outside_margin(self):
-        g = HingeLoss().pointwise_gradient(np.array([2.0]), 1.0, np.array([1.0]))
-        assert g.tolist() == [0.0]
-
-    def test_pointwise_gradient_inside_margin(self):
-        g = HingeLoss().pointwise_gradient(np.array([0.1]), 1.0, np.array([1.0]))
-        assert g.tolist() == [-0.1]
 
 
 class TestSigmoid:

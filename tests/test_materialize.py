@@ -21,20 +21,13 @@ from repro.materialize import (
     content_hash,
     fingerprint_node,
     materialization_scope,
-    structural_key,
 )
 from repro.materialize.store import active_store
 from repro.obs import get_registry
 from repro.resilience.faults import ChaosContext, FaultPlan
 from repro.runtime import execute
-from repro.selection import KFold, ridge_cv_shared, ridge_feature_grid
-from repro.storage import (
-    Table,
-    materialized_operator,
-    operator_fingerprint,
-    table_fingerprint,
-)
-from repro.storage.operators import project
+from repro.selection import KFold, ridge_feature_grid
+from repro.storage import Table, table_fingerprint
 
 
 def _gram_expr(n=300, d=40):
@@ -90,7 +83,7 @@ class TestFingerprint:
         B = matrix("B", (5, 5))
         self_sum = compile_expr(A + A).root
         cross_sum = compile_expr(A + B).root
-        assert structural_key(self_sum) != structural_key(cross_sum)
+        assert canonical_plan(self_sum)[0] != canonical_plan(cross_sum)[0]
 
     def test_missing_binding_raises(self):
         plan = compile_expr(_gram_expr())
@@ -149,7 +142,6 @@ class TestFingerprintProperties:
         original = compile_expr(_build(spec)).root
         renamed = compile_expr(_build(spec, suffix="_renamed")).root
         assert canonical_plan(original)[0] == canonical_plan(renamed)[0]
-        assert structural_key(original) == structural_key(renamed)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=_SPECS.filter(lambda s: not isinstance(s, str)))
@@ -159,7 +151,6 @@ class TestFingerprintProperties:
         original = compile_expr(_build(spec)).root
         mutated = compile_expr(_build((flipped, left, right))).root
         assert canonical_plan(original)[0] != canonical_plan(mutated)[0]
-        assert structural_key(original) != structural_key(mutated)
 
 
 class TestFingerprintRestartStability:
@@ -300,7 +291,6 @@ class TestStorePersistence:
 
         second = MaterializationStore(tmp_path, min_flops=0.0)
         assert len(second) == 1
-        assert second.contains(fp)
         got = second.lookup(fp)
         assert np.array_equal(got, value)
         led = second.ledger()
@@ -473,7 +463,7 @@ class TestExecutorReuse:
 # Lineage graph
 # ----------------------------------------------------------------------
 class TestLineageGraph:
-    def test_record_children_parents_ancestry(self):
+    def test_record_children_parents(self):
         g = LineageGraph()
         g.record("a", "base", "s1")
         g.record("b", "base", "s2")
@@ -481,7 +471,6 @@ class TestLineageGraph:
         g.record("d", "derived2", "s4", children=("c",))
         assert g.children("c") == ("a", "b")
         assert g.parents("a") == ("c",)
-        assert set(g.ancestry("d")) == {"a", "b", "c"}
         assert len(g) == 4 and "c" in g
         assert "derived" in g.describe()
 
@@ -489,11 +478,10 @@ class TestLineageGraph:
         g = LineageGraph()
         assert g.get("x") is None
         assert g.children("x") == ()
-        assert g.ancestry("x") == []
 
 
 # ----------------------------------------------------------------------
-# Table-operator lineage (storage layer)
+# Table content fingerprints (storage layer)
 # ----------------------------------------------------------------------
 class TestTableLineage:
     def _table(self, scale=1.0):
@@ -509,55 +497,6 @@ class TestTableLineage:
             self._table(scale=2.0)
         )
 
-    def test_operator_fingerprint_includes_params(self):
-        t = self._table()
-        fa = operator_fingerprint("project", (t,), {"names": ["a"]})
-        fb = operator_fingerprint("project", (t,), {"names": ["b"]})
-        assert fa.key != fb.key
-        assert fa.operands == fb.operands
-
-    def test_materialized_operator_reuses_result(self):
-        t = self._table()
-        store = MaterializationStore(min_flops=0.0)
-        calls = []
-
-        def op(tbl, names=None):
-            calls.append(1)
-            return project(tbl, names)
-
-        r1 = materialized_operator(
-            "project", op, t, params={"names": ["a"]}, store=store
-        )
-        r2 = materialized_operator(
-            "project", op, t, params={"names": ["a"]}, store=store
-        )
-        assert len(calls) == 1
-        assert r1 == r2
-        led = store.ledger()
-        assert led["hits"] == 1 and led["puts"] == 1
-        # lineage bottoms out at the base table's content hash
-        rec = store.lineage.get(
-            operator_fingerprint("project", (t,), {"names": ["a"]}).key
-        )
-        assert rec.source == "table"
-        assert all(c in store.lineage for c in rec.children)
-
-    def test_no_store_is_plain_call(self):
-        t = self._table()
-        out = materialized_operator(
-            "project", project, t, params={"names": ["a"]}
-        )
-        assert out.schema.names == ("a",)
-
-    def test_uses_active_store_from_scope(self):
-        t = self._table()
-        store = MaterializationStore(min_flops=0.0)
-        with materialization_scope(store):
-            materialized_operator(
-                "project", project, t, params={"names": ["a"]}
-            )
-        assert store.ledger()["puts"] == 1
-
 
 # ----------------------------------------------------------------------
 # Selection wiring
@@ -568,20 +507,6 @@ class TestSelectionReuse:
         X = rng.normal(size=(n, d))
         y = X @ rng.normal(size=d) + 0.05 * rng.normal(size=n)
         return X, y
-
-    def test_ridge_cv_shared_with_store_matches_itself_warm(self, tmp_path):
-        X, y = self._data()
-        lambdas = [0.01, 0.1, 1.0]
-        cold_store = MaterializationStore(tmp_path, min_flops=1e4)
-        cold = ridge_cv_shared(X, y, lambdas, cv=KFold(4), store=cold_store)
-        warm_store = MaterializationStore(tmp_path, min_flops=1e4)
-        warm = ridge_cv_shared(X, y, lambdas, cv=KFold(4), store=warm_store)
-        assert cold.mean_rmse == warm.mean_rmse  # bit-identical floats
-        assert warm_store.ledger()["hits"] == 4  # one per fold
-        assert warm_store.ledger()["misses"] == 0
-        # and close to the plain-numpy implementation numerically
-        plain = ridge_cv_shared(X, y, lambdas, cv=KFold(4))
-        assert np.allclose(plain.mean_rmse, warm.mean_rmse)
 
     def test_feature_grid_exact_ledger_and_bit_identity(self, tmp_path):
         X, y = self._data()

@@ -4,34 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ml import (
-    accuracy_score,
-    confusion_matrix,
-    log_loss,
-    mean_absolute_error,
-    mean_squared_error,
-    precision_recall_f1,
-    r2_score,
-    root_mean_squared_error,
-)
+from repro.ml import accuracy_score, r2_score
 
 
 class TestRegressionMetrics:
-    def test_mse_perfect(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert mean_squared_error(y, y) == 0.0
-
-    def test_mse_known_value(self):
-        assert mean_squared_error(np.array([0.0, 0.0]), np.array([1.0, 3.0])) == 5.0
-
-    def test_rmse(self):
-        assert root_mean_squared_error(
-            np.array([0.0, 0.0]), np.array([3.0, 4.0])
-        ) == pytest.approx(np.sqrt(12.5))
-
-    def test_mae(self):
-        assert mean_absolute_error(np.array([1.0, -1.0]), np.array([2.0, 1.0])) == 1.5
-
     def test_r2_perfect_and_mean(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
         assert r2_score(y, y) == 1.0
@@ -48,7 +24,7 @@ class TestRegressionMetrics:
 
     def test_shape_mismatch(self):
         with pytest.raises(ModelError):
-            mean_squared_error(np.ones(3), np.ones(4))
+            r2_score(np.ones(3), np.ones(4))
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
@@ -58,41 +34,3 @@ class TestRegressionMetrics:
 class TestClassificationMetrics:
     def test_accuracy(self):
         assert accuracy_score(np.array([1, 0, 1, 1]), np.array([1, 0, 0, 1])) == 0.75
-
-    def test_confusion_matrix_counts(self):
-        m, classes = confusion_matrix(
-            np.array([0, 0, 1, 1, 1]), np.array([0, 1, 1, 1, 0])
-        )
-        assert classes.tolist() == [0, 1]
-        assert m.tolist() == [[1, 1], [1, 2]]
-
-    def test_confusion_matrix_includes_predicted_only_classes(self):
-        m, classes = confusion_matrix(np.array([0, 0]), np.array([0, 2]))
-        assert classes.tolist() == [0, 2]
-        assert m.shape == (2, 2)
-
-    def test_precision_recall_f1_known(self):
-        y_true = np.array([1, 1, 1, 0, 0])
-        y_pred = np.array([1, 1, 0, 1, 0])
-        p, r, f1 = precision_recall_f1(y_true, y_pred, positive=1)
-        assert p == pytest.approx(2 / 3)
-        assert r == pytest.approx(2 / 3)
-        assert f1 == pytest.approx(2 / 3)
-
-    def test_precision_zero_when_no_positive_predictions(self):
-        p, r, f1 = precision_recall_f1(
-            np.array([1, 0]), np.array([0, 0]), positive=1
-        )
-        assert (p, r, f1) == (0.0, 0.0, 0.0)
-
-    def test_log_loss_confident_correct_is_small(self):
-        assert log_loss(np.array([1, 0]), np.array([0.99, 0.01])) < 0.02
-
-    def test_log_loss_clipping_prevents_inf(self):
-        value = log_loss(np.array([1.0]), np.array([0.0]))
-        assert np.isfinite(value)
-
-    def test_log_loss_half_is_log2(self):
-        assert log_loss(np.array([1, 0]), np.array([0.5, 0.5])) == pytest.approx(
-            np.log(2)
-        )

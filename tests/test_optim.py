@@ -1,13 +1,14 @@
 """Unit tests for repro.ml.optim."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.errors import ConvergenceWarning
 from repro.ml.losses import LogisticLoss, SquaredLoss
-from repro.ml.optim import gradient_descent, sgd
+from repro.ml.optim import descend, gradient_descent, sgd
 
 
 @pytest.fixture
@@ -74,15 +75,10 @@ class TestGradientDescent:
 
     def test_fixed_step_without_line_search(self, quadratic):
         X, y, w_true = quadratic
-        result = gradient_descent(
-            SquaredLoss(),
-            X,
-            y,
-            learning_rate=0.1,
-            line_search=False,
-            max_iter=2000,
-            tol=1e-14,
-            warn_on_cap=False,
+        loss = SquaredLoss()
+        result = descend(
+            partial(loss.value, X, y), partial(loss.gradient, X, y),
+            np.zeros(X.shape[1]), 0.1, 2000, 1e-14, line_search=False,
         )
         assert np.allclose(result.weights, w_true, atol=1e-3)
 
@@ -106,13 +102,6 @@ class TestSGD:
             SquaredLoss(), X, y, learning_rate=0.02, epochs=60, momentum=0.9
         )
         assert result.final_loss < 0.01
-
-    def test_adagrad_variant_trains(self, quadratic):
-        X, y, _ = quadratic
-        result = sgd(
-            SquaredLoss(), X, y, learning_rate=0.5, epochs=60, adagrad=True
-        )
-        assert result.final_loss < 0.05
 
     def test_early_stop_with_tol(self, quadratic):
         X, y, _ = quadratic

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import PlanCache, compile_expr
+from repro.errors import CompilerError
 from repro.lang import matrix, sumall
 from repro.obs import get_registry
 from repro.runtime import execute
@@ -51,7 +52,7 @@ class TestPlanCache:
         assert cache.stats.misses == 6
 
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CompilerError, match="capacity"):
             PlanCache(capacity=0)
 
     def test_clear(self, cache):

@@ -27,11 +27,6 @@ class TestStandardScaler:
         assert np.allclose(Z[:, 0], 0.0)  # centered but not divided by 0
         assert np.isfinite(Z).all()
 
-    def test_inverse_transform_roundtrip(self, rng):
-        X = rng.standard_normal((40, 2)) * 3 + 1
-        scaler = StandardScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
     def test_transform_before_fit(self):
         with pytest.raises(NotFittedError):
             StandardScaler().transform(np.ones((2, 2)))
@@ -73,7 +68,6 @@ class TestOneHotEncoder:
     def test_multi_column_width(self):
         X = np.array([["a", "x"], ["b", "y"], ["c", "x"]], dtype=object)
         enc = OneHotEncoder().fit(X)
-        assert enc.output_width_ == 5
         assert enc.transform(X).shape == (3, 5)
 
     def test_unknown_category_raises_by_default(self):

@@ -1,11 +1,8 @@
-"""Unit tests for data profiling and outlier detection."""
+"""Unit tests for data profiling."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.feateng import (
-    detect_outliers,
     profile_column,
     profile_table,
     training_data_report,
@@ -62,43 +59,6 @@ class TestProfiles:
     def test_describe_is_readable(self, table):
         text = profile_column(table, "age").describe()
         assert "age" in text and "distinct=4" in text
-
-
-class TestOutliers:
-    def test_zscore_finds_planted_outlier(self, rng):
-        values = rng.standard_normal(500)
-        values[42] = 30.0
-        mask = detect_outliers(values, method="zscore")
-        assert mask[42]
-        assert mask.sum() <= 3
-
-    def test_iqr_finds_planted_outlier(self, rng):
-        values = rng.standard_normal(500)
-        values[7] = -25.0
-        mask = detect_outliers(values, method="iqr")
-        assert mask[7]
-
-    def test_constant_data_has_no_outliers(self):
-        assert not detect_outliers(np.ones(50)).any()
-
-    def test_nan_never_flagged(self):
-        values = np.array([1.0, np.nan, 100.0, 1.0, 1.0, 1.0, 1.0])
-        mask = detect_outliers(values, method="zscore", threshold=2.0)
-        assert not mask[1]
-
-    def test_threshold_tightens_detection(self, rng):
-        values = rng.standard_normal(1000)
-        loose = detect_outliers(values, "zscore", threshold=1.0).sum()
-        tight = detect_outliers(values, "zscore", threshold=3.0).sum()
-        assert loose > tight
-
-    def test_unknown_method(self):
-        with pytest.raises(ModelError):
-            detect_outliers(np.ones(5), method="magic")
-
-    def test_2d_rejected(self):
-        with pytest.raises(ModelError):
-            detect_outliers(np.ones((2, 2)))
 
 
 class TestReport:

@@ -137,7 +137,7 @@ def _run(plan, bindings):
 
 def _executor_counters():
     return {
-        name: obs.metric_value(name)
+        name: obs.get_registry().value(name)
         for name in obs.get_registry().as_dict()["counters"]
         if name.startswith("executor.")
     }
@@ -164,9 +164,9 @@ class TestMultiOutputRunsTheOnePath:
             e2 = sumall(e2)
         alone = {"p": _run(compile_expr(e1), b), "q": _run(compile_expr(e2), b)}
         plan = compile_expr({"p": e1, "q": e2})
-        before = obs.metric_value("executor.ops")
+        before = obs.get_registry().value("executor.ops")
         out = _run(plan, b)
-        assert obs.metric_value("executor.ops") - before == plan.num_ops
+        assert obs.get_registry().value("executor.ops") - before == plan.num_ops
         assert plan.num_ops == count_unique_ops(*plan.outputs.values())
         assert set(out) == {"p", "q"}
         assert np.array_equal(out["p"], alone["p"])
@@ -192,7 +192,7 @@ class TestMultiOutputRunsTheOnePath:
             _, stats = execute(compile_expr(exprs), b, collect_stats=True)
         spans = [r for r in obs.span_roots() if r.name == "executor.execute"]
         assert len(spans) == 1
-        assert obs.metric_value("feedback.updates") == 1
+        assert obs.get_registry().value("feedback.updates") == 1
         moved = _executor_counters()
         assert moved["executor.executions"] == moved_by_one["executor.executions"] == 1
         assert moved["executor.ops"] == stats.total_ops > one.total_ops
@@ -222,9 +222,8 @@ class TestMultiOutputRunsTheOnePath:
             bound,
         )
         assert "reprplan" in plan.passes
-        b = plan.repr_plan.convert_bindings(bound)
-        assert isinstance(b["S"], CSRMatrix)
-        assert isinstance(b["C"], CompressedMatrix)
+        assert plan.repr_plan.choices["C"].representation == "cla"
+        b = {**bound, "C": CompressedMatrix.compress(dense["C"])}
         store = MaterializationStore(min_flops=1.0)
         with materialization_scope(store):
             cold, s1 = execute(plan, b, collect_stats=True)

@@ -100,7 +100,7 @@ class TestExports:
 
 
 #: the length each doc may shrink from but not regrow past (ROADMAP item 6)
-DOC_LINES = {"EXPERIMENTS.md": 2838, "DESIGN.md": 1226, "README.md": 586}
+DOC_LINES = {"EXPERIMENTS.md": 2723, "DESIGN.md": 1220, "README.md": 586}
 
 
 class TestDocsAndExperiments:
@@ -203,11 +203,7 @@ class TestOneTrainingCore:
 
     def test_checkpoints_restored_by_the_shared_driver_only(self):
         files = {hit.rsplit(":", 1)[0] for hit in self._hits(r"\.load_latest\(\)")}
-        assert files == {
-            "src/repro/ml/optim.py",
-            "src/repro/selection/search.py",
-            "src/repro/selection/halving.py",
-        }
+        assert files == {"src/repro/ml/optim.py"}
 
     def test_ml_imports_no_provider_package(self):
         hits = [
@@ -589,8 +585,8 @@ class TestOneOperandContract:
 
         for fn in (CompressedMatrix.__init__, CompressedMatrix.compress):
             assert "parallel" not in inspect.signature(fn).parameters
-        doors = self._hits(r"def set_parallel\b|def parallel_context\b")
-        assert [hit.rsplit(":", 1)[0] for hit in doors] == [self.CONTRACT] * 2
+        doors = self._hits(r"def set_parallel\b")
+        assert [hit.rsplit(":", 1)[0] for hit in doors] == [self.CONTRACT]
 
     def test_the_write_only_feedback_section_stays_deleted(self):
         gone = r"op_cost|ingest_spans|observe_op|op_flops|seconds_per_flop"
@@ -692,7 +688,8 @@ class TestOneBenchHarness:
 # ----------------------------------------------------------------------
 # Zero traffic: the audit scan
 # ----------------------------------------------------------------------
-SCANNED = ("src", "benchmarks", "examples", "tests")
+#: where traffic comes from: a test calling a function is not a reason to keep it
+SCANNED = ("src", "benchmarks", "examples")
 
 
 def _terminal(node):
@@ -732,8 +729,9 @@ def _local_dicts(scope):
 
 def zero_traffic(root=REPO_ROOT):
     """The audit: ``(functions, parameters, modules)`` of ``src/``, the
-    first two with no traffic from ``src/``, ``benchmarks/``, ``examples/``
-    or ``tests/``, as ``path:line Owner.name`` / ``path:line Owner.name(param=)``.
+    first two with no traffic from ``src/``, ``benchmarks/`` or ``examples/``
+    (``tests/`` is not traffic), as ``path:line Owner.name`` /
+    ``path:line Owner.name(param=)``.
 
     Name-based, so it errs towards "used": a public module- or
     class-level function counts as referenced when its name is read
@@ -748,8 +746,11 @@ def zero_traffic(root=REPO_ROOT):
     ``Estimator`` subclass — what ``get_params`` enumerates and the
     searches set by name), everything in ``repro.data`` (generator
     knobs are the library's fixtures), an injectable ``clock=`` seam,
-    and ``representation=`` (``"dense"`` selects the reference
-    interpreter the parity tests compare against).
+    ``representation=`` (``"dense"`` selects the reference interpreter
+    the parity tests compare against) and a number-literal default (it
+    parametrises arithmetic and selects no path). The ``lang/dsl.py``
+    builtins (the DSL's operator surface) and the modules the module pass
+    reports are not scanned further.
     """
     trees = {
         path.relative_to(root).as_posix(): ast.parse(path.read_text())
@@ -824,7 +825,7 @@ def zero_traffic(root=REPO_ROOT):
                     # followed to its callers; a local dict display: its
                     # keys; anything else: None, an open dict
                     [
-                        inside if _terminal(k.value) == kwarg
+                        inside if kwarg and _terminal(k.value) == kwarg
                         else dicts.get(_terminal(k.value))
                         for k in child.keywords if not k.arg
                     ],
@@ -870,12 +871,12 @@ def zero_traffic(root=REPO_ROOT):
             continue
         positional = fn.args.posonlyargs + fn.args.args
         bound = owner is not None and "staticmethod" not in marks
+        first = len(positional) - len(fn.args.defaults)
         defaulted = [
-            (arg.arg, index - bound)
-            for index, arg in enumerate(positional)
-            if index >= len(positional) - len(fn.args.defaults)
+            (arg.arg, index - bound, default) for index, (arg, default)
+            in enumerate(zip(positional[first:], fn.args.defaults), first)
         ] + [
-            (arg.arg, None)
+            (arg.arg, None, default)
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
             if default is not None
         ]
@@ -884,11 +885,13 @@ def zero_traffic(root=REPO_ROOT):
             callees |= {owner.name, "cls", "__init__"}
             callees |= lineage(owner.name, children)
             hyper = "Estimator" in lineage(owner.name, bases)
-        for param, position in defaulted:
+        for param, position, default in defaulted:
+            if isinstance(default, ast.UnaryOp):
+                default = default.operand
             if (
                 hyper
-                or rel.startswith("src/repro/data/")
                 or param in ("clock", "representation")
+                or type(getattr(default, "value", None)) in (int, float)
             ):
                 continue
             if not reaches(callees, param, position):
@@ -929,7 +932,14 @@ def zero_traffic(root=REPO_ROOT):
     while todo := (todo - seen) & files.keys():
         seen.add(mod := todo.pop())
         todo |= edges(mod, trees[files[mod]]) | {mod.rpartition(".")[0]}
-    return dead_functions, dead_parameters, sorted(files.keys() - seen)
+    unreached = sorted(files.keys() - seen)
+    quiet = (*(f"{files[m]}:" for m in unreached), "src/repro/lang/dsl.py:",
+             "src/repro/data/")
+    return (
+        [entry for entry in dead_functions if not entry.startswith(quiet)],
+        [entry for entry in dead_parameters if not entry.startswith(quiet)],
+        unreached,
+    )
 
 
 class TestZeroTraffic:
@@ -937,17 +947,34 @@ class TestZeroTraffic:
     has one way in (DESIGN.md, Configuration): the audit of PR 24, kept
     as a test so the surface cannot regrow."""
 
-    #: what the scan flags and stays, each with the reason it stays
+    #: what only tests reach and stays, each with the reason it stays
     ALLOWED = {
+        "ShardedServer.route":
+            "the pure failover replay the sharding tests hold _place to",
+        "ChangeStream.drop_next":
+            "the lost-in-transit seam behind DeltaConsumer's ledger identity",
         "InDBLinearRegression.fit(parallel=)":
             "parallel= on a training front door: every driver reaches the "
             "pool the same way (DESIGN.md, Parallel dispatch)",
-        "train_linear_svm_indb(parallel=)": "as above",
         "full_budget_baseline(parallel=)": "as above",
+        "successive_halving(parallel=)": "as above",
+        "random_search(parallel=)": "as above",
         "ModelServer.predict(deadline_at=)":
             "set positionally, through getattr(shard.server, door) in "
             "ShardedServer._serve_on",
         "ModelServer.predict_many(deadline_at=)": "as above",
+        "ModelServer.predict(deadline_ms=)":
+            "the two-door contract: the batch door's half is traffic, and "
+            "the request context (ROADMAP item 2) carries it",
+        "ModelServer.predict_many(deadline_ms=)": "as above",
+        "ShardedServer.predict(deadline_ms=)": "as above",
+        "ShardedServer.predict_many(deadline_ms=)": "as above",
+        "ShardedServer.predict(tenant=)": "as above (predict_many(tenants=))",
+        "plan_representations(force=)":
+            "'dense' is the reference the planner parity tests compare "
+            "against, like the exempt representation=",
+        "run_sql(optimize=)":
+            "False is the unpushed reference the pushdown tests compare against",
     }
 
     #: modules only ``tests/`` reach, each with the reason it stays
@@ -964,15 +991,17 @@ class TestZeroTraffic:
     def test_every_module_is_reached_from_a_bench_or_an_example(self, audit):
         assert audit[2] == sorted(self.UNREACHED)
 
+    def unlisted(self, entries):
+        return [e for e in entries if e.split(" ", 1)[1] not in self.ALLOWED]
+
     def test_every_public_function_is_referenced(self, audit):
-        assert audit[0] == []
+        assert self.unlisted(audit[0]) == []
 
     def test_every_defaulted_parameter_is_set_by_a_caller(self, audit):
-        flagged = {entry.split(" ", 1)[1]: entry for entry in audit[1]}
-        unset = [flagged[name] for name in sorted(set(flagged) - set(self.ALLOWED))]
-        assert unset == []
+        assert self.unlisted(audit[1]) == []
         # an entry the scan no longer flags has no business on the list
-        assert set(self.ALLOWED) <= set(flagged)
+        flagged = {entry.split(" ", 1)[1] for entry in audit[0] + audit[1]}
+        assert set(self.ALLOWED) <= flagged
         assert len(self.ALLOWED) <= 25 and all(self.ALLOWED.values())
 
     def test_every_environment_read_is_named_in_ci(self):
@@ -1032,7 +1061,7 @@ class TestZeroTraffic:
                         spelled.add(literal.value)
                     elif isinstance(literal, ast.JoinedStr):
                         spelled.add(literal.values[0].value + "*")
-        assert len(spelled) == 30 and spelled == set(SITES)
+        assert len(spelled) == 29 and spelled == set(SITES)
         kinds = {kind for kind, _ in SITES.values()}
         assert kinds == {
             "retry", "failover", "lineage recompute", "fallback recompute",

@@ -251,7 +251,7 @@ class TestCompressedMaps:
 
     def test_add_scalar_uses_ole_default(self):
         X, C = self._ole_matrix()
-        shifted = C.add_scalar(1.25)
+        shifted = C.map_values(lambda values: values + 1.25)
         np.testing.assert_allclose(shifted.decompress(), X + 1.25, atol=0)
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(
@@ -272,7 +272,9 @@ class TestCompressedMaps:
             nm.scale(3.0).materialize(), X * 3.0, atol=0
         )
         np.testing.assert_allclose(
-            nm.add_scalar(-0.5).materialize(), X - 0.5, atol=0
+            nm.map_values(lambda values: values - 0.5).materialize(),
+            X - 0.5,
+            atol=0,
         )
 
 
@@ -359,18 +361,6 @@ class TestRepresentationPlanner:
         )
         assert plan.repr_plan.choices["X"].representation == "csr"
         assert plan.repr_plan.choices["X"].reason == "forced"
-
-    def test_convert_bindings_preconverts(self):
-        rng = np.random.default_rng(16)
-        X = rng.integers(0, 3, size=(9000, 8)).astype(np.float64)
-        plan = plan_representations(
-            self._grad_plan(*X.shape), self._bindings(X)
-        )
-        pre = plan.repr_plan.convert_bindings(self._bindings(X))
-        assert isinstance(pre["X"], CompressedMatrix)
-        _, stats = execute(plan, pre, collect_stats=True)
-        assert stats.converts == {}
-        assert stats.fallback_count == 0
 
     def test_missing_binding_raises(self):
         with pytest.raises(CompilerError, match="binding"):

@@ -92,31 +92,6 @@ class TestSchema:
         with pytest.raises(SchemaError, match="cannot drop"):
             Schema.of(a="int").drop(["b"])
 
-    def test_rename(self):
-        s = Schema.of(a="int", b="float").rename({"a": "x"})
-        assert s.names == ("x", "b")
-        assert s.type_of("x") == ColumnType.INT
-
-    def test_rename_unknown_raises(self):
-        with pytest.raises(SchemaError, match="cannot rename"):
-            Schema.of(a="int").rename({"q": "x"})
-
-    def test_rename_to_duplicate_raises(self):
-        with pytest.raises(SchemaError, match="duplicate"):
-            Schema.of(a="int", b="int").rename({"a": "b"})
-
-    def test_concat(self):
-        s = Schema.of(a="int").concat(Schema.of(b="float"))
-        assert s.names == ("a", "b")
-
-    def test_concat_collision_raises(self):
-        with pytest.raises(SchemaError):
-            Schema.of(a="int").concat(Schema.of(a="float"))
-
-    def test_prefixed(self):
-        s = Schema.of(a="int", b="str").prefixed("t_")
-        assert s.names == ("t_a", "t_b")
-
     def test_equality_and_hash(self):
         s1 = Schema.of(a="int", b="float")
         s2 = Schema.of(a="int", b="float")

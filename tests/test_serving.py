@@ -45,7 +45,7 @@ from repro.serving.server import _BLOCK_ROWS
 
 
 class FakeClock:
-    """Manually advanced monotonic clock for TTL/deadline tests."""
+    """Manually advanced monotonic clock for deadline tests."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -66,6 +66,14 @@ def _ask(server, door, name, row, **kwargs):
     if door == "predict":
         return server.predict(name, row, **kwargs)
     return server.predict_many(name, row[None, :], **kwargs)[0]
+
+
+class _PredictsWith:
+    """A registered model whose ``predict`` is ``fn``: an endpoint with
+    ``output="predict"`` hands it every batch."""
+
+    def __init__(self, fn):
+        self.predict = fn
 
 
 @functools.lru_cache(maxsize=1)
@@ -150,16 +158,6 @@ class TestPredictionCache:
         cache.put("ep", 1, 42, 0.5)
         assert cache.get("ep", 2, 42) is None  # other version never hits
 
-    def test_ttl_expiry(self):
-        clock = FakeClock()
-        cache = PredictionCache(capacity=8, ttl_s=10.0, clock=clock)
-        cache.put("ep", 1, 7, 1.5)
-        clock.advance(9.0)
-        assert cache.get("ep", 1, 7) == 1.5
-        clock.advance(2.0)
-        assert cache.get("ep", 1, 7) is None
-        assert cache.stats.expirations == 1
-
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
         cache.put("ep", 1, 1, 0.1)
@@ -199,16 +197,26 @@ def _affine(mult: float, add: float = 0.0):
     return score
 
 
+def _recording(score, calls: list):
+    """``score``, noting the first column of every batch it is handed."""
+
+    def recorded(batch: np.ndarray) -> np.ndarray:
+        calls.append(batch[:, 0].tolist())
+        return score(batch)
+
+    return recorded
+
+
 class TestMicroBatcher:
     def test_fifo_prefix_drain(self):
         b = MicroBatcher("ep", max_batch_size=3)
+        batches = []
+        score = _recording(_affine(2.0), batches)
         pendings = [
-            b.submit(np.array([float(i)]), _affine(2.0), version=1)
-            for i in range(7)
+            b.submit(np.array([float(i)]), score, version=1) for i in range(7)
         ]
-        b.flush(max_batches=1)
-        assert [p.done for p in pendings] == [True] * 3 + [False] * 4
         b.flush()
+        assert batches == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]
         assert all(p.done for p in pendings)
         assert [p.result for p in pendings] == [2.0 * i for i in range(7)]
 
@@ -297,30 +305,33 @@ class TestMicroBatcher:
         """Random arrival interleavings: every response lands with its
         own request (right row, right version's scorer) and drains
         complete requests FIFO within the endpoint."""
-        scorers = {1: _affine(2.0, 1.0), 2: _affine(-3.0)}
+        seen = {1: [], 2: []}
+        scorers = {
+            1: _recording(_affine(2.0, 1.0), seen[1]),
+            2: _recording(_affine(-3.0), seen[2]),
+        }
         expected = {1: lambda v: v * 2.0 + 1.0, 2: lambda v: v * -3.0}
         b = MicroBatcher("prop", max_batch_size=batch_size)
         submitted = []
-        done_so_far = 0
         for value, version, drain in ops:
             submitted.append(
                 (b.submit(np.array([value]), scorers[version], version),
                  value, version)
             )
             if drain:
-                queued = len(submitted) - done_so_far
-                b.flush(max_batches=1)
-                done_so_far += min(batch_size, queued)
-                # FIFO: exactly the oldest requests completed, in order.
-                flags = [p.done for p, _, _ in submitted]
-                assert flags == (
-                    [True] * done_so_far
-                    + [False] * (len(submitted) - done_so_far)
-                )
+                b.flush()
+                assert all(p.done for p, _, _ in submitted)
         b.flush()
         for pending, value, version in submitted:
             assert pending.done
             assert pending.result == expected[version](value)
+        # FIFO: each version's rows reach its scorer in arrival order,
+        # at most one batch at a time
+        for version, calls in seen.items():
+            assert all(len(rows) <= batch_size for rows in calls)
+            assert [v for rows in calls for v in rows] == [
+                value for _, value, ver in submitted if ver == version
+            ]
 
 
 class TestDrainCompletesEveryRequest:
@@ -499,9 +510,9 @@ class TestCompletionHandle:
             return scores
 
         registry = ModelRegistry()
-        registry.register("churn", m1)
+        registry.register("churn", _PredictsWith(greedy))
         server = ModelServer(registry)
-        server.create_endpoint("g", "churn", scorer=greedy)
+        server.create_endpoint("g", "churn", output="predict")
         server.promote("g", 1)
         row = X[7].copy()
         assert _ask(server, door, "g", row) == X[7, 0] + 1.0
@@ -526,33 +537,6 @@ class TestRegistryRollout:
         assert registry.aliases("m") == {"prod": 1}
         assert registry.resolve("m", "prod").version == 1
 
-    def test_rollback_restores_previous(self, registry):
-        registry.deploy("m", 1)
-        registry.deploy("m", 2)
-        entry = registry.rollback("m")
-        assert entry.version == 1
-        assert registry.deployed("m").version == 1
-        assert registry.resolve("m", "prod").version == 1
-
-    def test_rollback_without_history(self, registry):
-        registry.deploy("m", 1)
-        with pytest.raises(LifecycleError, match="history"):
-            registry.rollback("m")
-
-    def test_undeploy_then_rollback_restores(self, registry):
-        registry.deploy("m", 2)
-        removed = registry.undeploy("m")
-        assert removed.version == 2
-        with pytest.raises(LifecycleError):
-            registry.deployed("m")
-        assert "prod" not in registry.aliases("m")
-        assert registry.rollback("m").version == 2
-        assert registry.deployed("m").version == 2
-
-    def test_undeploy_nothing(self, registry):
-        with pytest.raises(LifecycleError):
-            registry.undeploy("m")
-
     def test_alias_crud(self, registry):
         registry.set_alias("m", "canary", 3)
         assert registry.resolve("m", "canary").version == 3
@@ -564,7 +548,6 @@ class TestRegistryRollout:
         registry.set_alias("m", "prod", 1)
         registry.set_alias("m", "prod", 2)
         assert registry.deployed("m").version == 2
-        assert registry.rollback("m").version == 1
 
     def test_alias_validates_version(self, registry):
         with pytest.raises(LifecycleError):
@@ -583,24 +566,6 @@ class TestRegistryRollout:
         loaded = ModelRegistry.load(path)
         assert loaded.deployed("m").version == 2
         assert loaded.aliases("m") == {"prod": 2, "canary": 3}
-        assert loaded.rollback("m").version == 1
-
-    def test_load_legacy_payload_derives_prod_alias(self, tmp_path):
-        reg = ModelRegistry()
-        reg.register("m", "v1-model")
-        reg.deploy("m", 1)
-        path = tmp_path / "legacy.json"
-        reg.save(path)
-        # strip the new keys to simulate a pre-alias save
-        import json
-
-        payload = json.loads(path.read_text())
-        payload.pop("history", None)
-        payload.pop("aliases", None)
-        path.write_text(json.dumps(payload))
-        loaded = ModelRegistry.load(path)
-        assert loaded.resolve("m", "prod").version == 1
-
 
 # ----------------------------------------------------------------------
 # Scoring kernel
@@ -832,21 +797,6 @@ class TestModelServer:
         assert np.array_equal(server.predict_many("score", X[:4]), want)
         assert server.endpoint("score").cache.stats.hits == 2
 
-    def test_rollback_invalidates_and_restores(self, served):
-        server, registry, X = served
-        row = X[1]
-        v1_score = server.predict("score", row)
-        server.promote("score", 2)
-        v2_score = server.predict("score", row)
-        assert v2_score != v1_score
-        endpoint = server.endpoint("score")
-        cached_before = len(endpoint.cache)
-        assert cached_before == 1
-        restored = server.rollback("score")
-        assert restored.version == 1
-        assert len(endpoint.cache) == 0  # invalidated on rollback
-        assert server.predict("score", row) == v1_score  # bit-identical
-
     def test_canary_split_matches_router_exactly(self, served):
         server, _, X = served
         server.set_canary("score", 2, fraction=0.25)
@@ -893,10 +843,10 @@ class TestModelServer:
             return batch[:, 0]
 
         registry = ModelRegistry()
-        registry.register("churn", m1)
+        registry.register("churn", _PredictsWith(slow))
         server = ModelServer(registry)
         server.create_endpoint(
-            "slow", "churn", scorer=slow, cache_enabled=False
+            "slow", "churn", output="predict", cache_enabled=False
         )
         server.promote("slow", 1)
         with pytest.raises(DeadlineExceededError):
@@ -916,9 +866,11 @@ class TestModelServer:
             return batch[:, 0]
 
         registry = ModelRegistry()
-        registry.register("churn", m1)
+        registry.register("churn", _PredictsWith(slow))
         server = ModelServer(registry, clock=clock)
-        server.create_endpoint("slow", "churn", scorer=slow, max_batch_size=1)
+        server.create_endpoint(
+            "slow", "churn", output="predict", max_batch_size=1
+        )
         server.promote("slow", 1)
         endpoint = server.endpoint("slow")
         ahead = endpoint.batcher.submit(X[1], slow, 1)  # its own batch of 1
@@ -1108,7 +1060,7 @@ class TestServingChaos:
                     shed += 1
         assert shed == 3
         assert server.endpoint("score").shed == 3
-        assert obs.metric_value("serving.shed") == 3
+        assert obs.get_registry().value("serving.shed") == 3
 
     def test_score_faults_recovered_bit_identically(self, model_pair):
         X, _, m1, _ = model_pair

@@ -146,16 +146,13 @@ class TestHashRing:
         assert len(set(succ)) == 3
         assert ring.owner("key") == succ[0]
 
-    def test_add_remove_membership(self):
+    def test_add_membership(self):
         ring = HashRing(["a"], vnodes=8)
         ring.add_node("b")
         assert "b" in ring and len(ring) == 2
-        ring.remove_node("a")
-        assert ring.nodes == ["b"]
+        assert ring.nodes == ["a", "b"]
         with pytest.raises(ServingError):
             ring.add_node("b")
-        with pytest.raises(ServingError):
-            ring.remove_node("a")
 
     def test_empty_ring_raises(self):
         with pytest.raises(ServingError):
@@ -195,8 +192,10 @@ class TestHashRing:
             [f"n{i}" for i in range(n_nodes)], vnodes=128, seed=seed
         )
         before = ring.assignments(keys)
-        ring.remove_node("n0")
-        after = ring.assignments(keys)
+        # placement depends on the node names only: the fleet without n0
+        after = HashRing(
+            [f"n{i}" for i in range(1, n_nodes)], vnodes=128, seed=seed
+        ).assignments(keys)
         for k in keys:
             if before[k] != "n0":
                 assert after[k] == before[k]
@@ -262,15 +261,16 @@ class TestQuotas:
         with pytest.raises(ServingError):
             TokenBucket(1, -1.0)
 
-    def test_quotas_ledger_and_default(self):
+    def test_quotas_ledger_per_tenant(self):
         clock = FakeClock()
         quotas = AdmissionQuotas(clock=clock)
         quotas.set_quota("hot", 2, 0.0)
-        quotas.set_default(1, 0.0)
+        quotas.set_quota("new-tenant", 1, 0.0)
         decisions = [quotas.admit("hot") for _ in range(4)]
         assert decisions == [True, True, False, False]
-        assert quotas.admit("new-tenant") is True  # default bucket
+        assert quotas.admit("new-tenant") is True  # its own bucket
         assert quotas.admit("new-tenant") is False
+        assert quotas.admit("unmetered") is True  # no bucket: admitted
         assert quotas.admit(None) is True  # untenanted: unmetered
         stats = quotas.stats()
         assert stats["hot"] == {"admitted": 2, "shed": 2}
@@ -401,17 +401,6 @@ class TestFleetRollout:
         for sid in fabric.replicas_of("score"):
             assert len(fabric.shard(sid).server.endpoint("score").cache) == 0
         assert registry.deployed("churn").version == 2
-        fabric.close()
-
-    def test_rollback_pops_history_once(self, registry):
-        fabric = make_fabric(registry)  # promotes v1
-        fabric.promote("score", 2)
-        entry = fabric.rollback("score")
-        assert entry.version == 1
-        # a second rollback has no remaining history to pop
-        with pytest.raises(Exception):
-            fabric.rollback("score")
-            fabric.rollback("score")
         fabric.close()
 
     def test_canary_split_exact_across_fleet(self, registry, model_pair):
@@ -630,7 +619,8 @@ class TestOneRequestPath:
             fabric = make_fabric(registry, clock=FakeClock())
             fabric.set_canary("score", 2, fraction)
             fabric.set_quota("a", capacity=burst, refill_per_s=0.0)
-            fabric.set_default_quota(capacity=2 * burst, refill_per_s=0.0)
+            for tenant in ("b", "c"):
+                fabric.set_quota(tenant, capacity=2 * burst, refill_per_s=0.0)
             if dead is not None:
                 fabric.kill_shard(f"shard-{dead}")
             twins.append(fabric)

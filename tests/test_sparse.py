@@ -99,12 +99,12 @@ class TestKernels:
             X.T @ np.ones((3, 2))
 
     def test_value_map_refuses_what_would_fill_the_zeros(self, dense_and_sparse):
-        # add_scalar comes from the operand base; CSR's value map keeps
-        # implicit zeros implicit, so X + c (c != 0) is refused, typed.
+        # CSR's value map keeps implicit zeros implicit, so X + c
+        # (c != 0) is refused, typed.
         Xd, X = dense_and_sparse
-        assert np.allclose(X.add_scalar(0.0).to_dense(), Xd)
+        assert np.allclose(X.map_values(lambda v: v + 0.0).to_dense(), Xd)
         with pytest.raises(SparseError, match="0 to 0"):
-            X.add_scalar(1.0)
+            X.map_values(lambda v: v + 1.0)
         with pytest.raises(SparseError, match="0 to 0"):
             X.map_values(np.exp)
 

@@ -152,7 +152,7 @@ class TestExecution:
             "ORDER BY total DESC",
             catalog,
         )
-        rows = out.to_dicts()
+        rows = [dict(zip(out.schema.names, r)) for r in out.rows()]
         assert rows[0]["region"] == "ara"  # lyon: 45.5 + 75.0
         assert rows[0]["total"] == pytest.approx(120.5)
 
@@ -169,7 +169,7 @@ class TestExecution:
             "FROM people GROUP BY city",
             catalog,
         )
-        row = [r for r in out.to_dicts() if r["city"] == "lyon"][0]
+        row = dict(zip(out.schema.names, next(r for r in out.rows() if r[0] == "lyon")))
         assert (row["lo"], row["hi"]) == (32, 60)
         assert row["m"] == pytest.approx(60.25)
 

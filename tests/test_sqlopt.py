@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import Catalog, Table, col, explain_sql, run_sql
+from repro.storage import Catalog, Table, col, run_sql
 from repro.storage.sql import parse_sql
 from repro.storage.sqlopt import (
     conjoin,
@@ -96,7 +96,7 @@ class TestPushdownPlanning:
             [catalog.get("customers")],
         )
         # cust_id exists in both tables: stays residual.
-        assert plan.pushed_count == 0
+        assert plan.base_predicates == [] and plan.join_predicates == {}
         assert len(plan.residual) == 1
 
     def test_left_join_right_side_never_filtered_early(self, catalog):
@@ -124,7 +124,7 @@ class TestPushdownPlanning:
             query.joins,
             [catalog.get("customers")],
         )
-        assert plan.pushed_count == 0
+        assert plan.base_predicates == [] and plan.join_predicates == {}
 
 
 class TestSemanticsPreserved:
@@ -146,20 +146,3 @@ class TestSemanticsPreserved:
         assert run_sql(query, catalog, optimize=True) == run_sql(
             query, catalog, optimize=False
         )
-
-
-class TestExplain:
-    def test_explain_shows_placement(self, catalog):
-        text = explain_sql(
-            "SELECT order_id FROM orders JOIN customers ON cust_id = cust_id "
-            "WHERE amount > 10 AND tier = 'gold' AND amount > credit",
-            catalog,
-        )
-        assert "push to base table" in text
-        assert "push to join #0" in text
-        assert "evaluate after joins" in text
-        assert "FROM orders INNER JOIN customers" in text
-
-    def test_explain_no_where(self, catalog):
-        text = explain_sql("SELECT order_id FROM orders", catalog)
-        assert "no WHERE clause" in text

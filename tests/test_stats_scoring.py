@@ -1,4 +1,4 @@
-"""Unit tests for table statistics / selectivity and in-DB scoring."""
+"""Unit tests for in-DB scoring."""
 
 import numpy as np
 import pytest
@@ -12,121 +12,7 @@ from repro.indb import (
     score_probability,
 )
 from repro.ml import LinearRegression, LogisticRegression
-from repro.storage import (
-    Table,
-    TableStats,
-    col,
-    estimate_rows,
-    estimate_selectivity,
-    filter_rows,
-)
-from repro.storage.stats import NumericHistogram
-
-
-@pytest.fixture
-def uniform_table(rng):
-    return Table.from_columns(
-        {
-            "u": rng.uniform(0, 100, 10_000),
-            "city": rng.choice(["a", "b", "c", "d"], 10_000).astype(object),
-            "k": rng.integers(0, 10, 10_000),
-        }
-    )
-
-
-class TestHistogram:
-    def test_equi_depth_buckets(self, rng):
-        values = rng.uniform(0, 1, 5000)
-        h = NumericHistogram.build(values, buckets=10)
-        assert h.counts.sum() == 5000
-        # Equi-depth: every bucket near n/k.
-        assert np.all(np.abs(h.counts - 500) < 50)
-
-    def test_fraction_below_uniform(self, rng):
-        values = rng.uniform(0, 100, 20_000)
-        h = NumericHistogram.build(values)
-        assert h.fraction_below(25.0, True) == pytest.approx(0.25, abs=0.03)
-        assert h.fraction_below(90.0, True) == pytest.approx(0.90, abs=0.03)
-
-    def test_fraction_below_bounds(self, rng):
-        h = NumericHistogram.build(rng.uniform(10, 20, 1000))
-        assert h.fraction_below(5.0, True) == 0.0
-        assert h.fraction_below(25.0, True) == 1.0
-
-    def test_skewed_data_beats_uniform_assumption(self, rng):
-        values = rng.exponential(10, 20_000)
-        h = NumericHistogram.build(values)
-        true_fraction = float(np.mean(values < 5.0))
-        assert h.fraction_below(5.0, True) == pytest.approx(
-            true_fraction, abs=0.05
-        )
-
-    def test_constant_column(self):
-        h = NumericHistogram.build(np.full(100, 7.0))
-        assert h.fraction_below(6.0, True) == 0.0
-        assert h.fraction_below(8.0, True) == 1.0
-
-    def test_empty_column(self):
-        h = NumericHistogram.build(np.array([]))
-        assert h.fraction_below(0.0, True) == 0.0
-
-
-class TestSelectivity:
-    def test_range_predicate_accuracy(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        for threshold in (10.0, 50.0, 95.0):
-            predicate = col("u") < threshold
-            estimated = estimate_selectivity(predicate, stats)
-            actual = filter_rows(uniform_table, predicate).num_rows / 10_000
-            assert estimated == pytest.approx(actual, abs=0.05)
-
-    def test_equality_uses_distinct_count(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        estimated = estimate_selectivity(col("city") == "a", stats)
-        assert estimated == pytest.approx(0.25, abs=0.01)
-
-    def test_inequality_complement(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        assert estimate_selectivity(col("city") != "a", stats) == pytest.approx(
-            0.75, abs=0.01
-        )
-
-    def test_and_composition(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        predicate = (col("u") < 50) & (col("city") == "a")
-        estimated = estimate_selectivity(predicate, stats)
-        actual = filter_rows(uniform_table, predicate).num_rows / 10_000
-        assert estimated == pytest.approx(actual, abs=0.05)
-
-    def test_or_composition(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        predicate = (col("u") < 10) | (col("u") > 90)
-        estimated = estimate_selectivity(predicate, stats)
-        assert estimated == pytest.approx(0.2, abs=0.05)
-
-    def test_not_composition(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        estimated = estimate_selectivity(~(col("u") < 30), stats)
-        assert estimated == pytest.approx(0.7, abs=0.05)
-
-    def test_flipped_comparison(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        assert estimate_selectivity(
-            30.0 > col("u"), stats
-        ) == pytest.approx(0.3, abs=0.05)
-
-    def test_unanalyzable_predicate_falls_back(self, uniform_table):
-        from repro.storage.stats import UNKNOWN_SELECTIVITY
-
-        stats = TableStats.collect(uniform_table)
-        predicate = col("u") > col("k")  # column vs column
-        assert estimate_selectivity(predicate, stats) == UNKNOWN_SELECTIVITY
-
-    def test_estimate_rows(self, uniform_table):
-        stats = TableStats.collect(uniform_table)
-        rows = estimate_rows(col("u") < 50, stats)
-        assert rows == pytest.approx(5000, abs=500)
-        assert estimate_rows(None, stats) == 10_000
+from repro.storage import Table, filter_rows
 
 
 class TestInDBScoring:

@@ -18,12 +18,6 @@ class TestConstruction:
         t = Table.from_columns({"flag": [True, False]})
         assert t.schema.type_of("flag") == ColumnType.BOOL
 
-    def test_from_rows(self):
-        schema = Schema.of(id="int", name="str")
-        t = Table.from_rows(schema, [(1, "a"), (2, "b")])
-        assert t.num_rows == 2
-        assert t.row(1) == (2, "b")
-
     def test_empty(self):
         t = Table.empty(Schema.of(x="float"))
         assert t.num_rows == 0
@@ -52,11 +46,6 @@ class TestAccess:
         rows = list(people_table.rows())
         assert len(rows) == 5
         assert rows[0][0] == 1
-
-    def test_to_dicts(self, people_table):
-        d = people_table.to_dicts()[0]
-        assert d["city"] == "paris"
-        assert d["age"] == 25
 
     def test_head(self, people_table):
         assert people_table.head(2).num_rows == 2
@@ -92,11 +81,6 @@ class TestTransforms:
         t = people_table.drop(["age", "income"])
         assert t.schema.names == ("id", "city")
 
-    def test_rename(self, people_table):
-        t = people_table.rename({"id": "person_id"})
-        assert "person_id" in t.schema
-        assert list(t.column("person_id")) == list(people_table.column("id"))
-
     def test_with_column_appends(self, people_table):
         t = people_table.with_column("double_age", people_table.column("age") * 2)
         assert t.num_columns == 5
@@ -111,18 +95,6 @@ class TestTransforms:
     def test_with_column_length_mismatch(self, people_table):
         with pytest.raises(StorageError):
             people_table.with_column("x", [1, 2])
-
-    def test_concat_rows(self, people_table):
-        t = people_table.concat_rows(people_table)
-        assert t.num_rows == 10
-
-    def test_concat_rows_schema_mismatch(self, people_table):
-        with pytest.raises(SchemaError):
-            people_table.concat_rows(people_table.select(["id"]))
-
-    def test_prefixed(self, people_table):
-        t = people_table.prefixed("p_")
-        assert "p_id" in t.schema
 
 
 class TestToMatrix:

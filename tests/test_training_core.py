@@ -5,6 +5,8 @@ and Lloyd provider goes through :func:`repro.ml.optim.descend` /
 :func:`repro.ml.kmeans.lloyd`, so the same row shape tests them all.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,17 +24,12 @@ from repro.factorized import (
     factorized_kmeans,
 )
 from repro.incremental.aggregates import GramCofactorState, snap_to_grid
-from repro.indb import (
-    InDBLinearRegression,
-    assign_clusters_indb,
-    train_bgd,
-    train_kmeans_indb,
-)
+from repro.indb import InDBLinearRegression, train_bgd, train_kmeans_indb
 from repro.ml import KMeans, LinearRegression, Moments
-from repro.ml.kmeans import cluster_sums, lloyd
+from repro.ml.kmeans import cluster_sums, lloyd, nearest_center
 from repro.ml.linreg import solve_normal
 from repro.ml.losses import LogisticLoss
-from repro.ml.optim import descend, gradient_descent, iterate
+from repro.ml.optim import descend, gradient_descent, iterate, l2_penalized
 from repro.resilience import RetryPolicy
 from repro.runtime import OutOfCoreLinearRegression
 from repro.sparse import CSRMatrix
@@ -85,11 +82,9 @@ def _descent_providers(star):
         return result.weights, result.iterations, result.loss_history
 
     def in_db():
-        result = train_bgd(
-            table, columns, "y", LogisticLoss(), iterations=0,
-            add_intercept=False,
-        )
-        return result.weights, result.epochs, result.loss_history
+        result = train_bgd(table, columns, "y", LogisticLoss(), iterations=0)
+        assert result.weights[0] == 0.0  # the intercept column leads
+        return result.weights[1:], result.epochs, result.loss_history
 
     return d, {
         "gradient_descent": dense,
@@ -184,9 +179,12 @@ class TestProvidersAgree:
     def test_bsp_is_the_single_node_loop(self, star):
         _, joined, y01, _, _ = star
         ypm = np.where(y01 > 0, 1.0, -1.0)
-        single = gradient_descent(
-            LogisticLoss(), joined, ypm, learning_rate=0.5, l2=0.01,
-            max_iter=25, tol=0.0, line_search=False, warn_on_cap=False,
+        value, grad = l2_penalized(
+            LogisticLoss().value, LogisticLoss().gradient, 0.01
+        )
+        single = descend(
+            partial(value, joined, ypm), partial(grad, joined, ypm),
+            np.zeros(joined.shape[1]), 0.5, 25, 0.0, line_search=False,
         )
         one = train_bsp_gd(
             SimulatedCluster(joined, ypm, num_workers=1),
@@ -204,9 +202,10 @@ class TestProvidersAgree:
     def test_bsp_tolerance_stops_where_the_core_does(self, star):
         _, joined, y01, _, _ = star
         ypm = np.where(y01 > 0, 1.0, -1.0)
-        single = gradient_descent(
-            LogisticLoss(), joined, ypm, learning_rate=0.5, max_iter=400,
-            tol=1e-4, line_search=False, warn_on_cap=False,
+        loss = LogisticLoss()
+        single = descend(
+            partial(loss.value, joined, ypm), partial(loss.gradient, joined, ypm),
+            np.zeros(joined.shape[1]), 0.5, 400, 1e-4, line_search=False,
         )
         bsp = train_bsp_gd(
             SimulatedCluster(joined, ypm, num_workers=1),
@@ -262,9 +261,9 @@ class TestProvidersAgree:
         dsl = kmeans_dsl(joined, k, max_iter=30, seed=5)
         factorized = factorized_kmeans(nm, k, max_iter=30, seed=5)
         in_db = train_kmeans_indb(table, columns, k, max_iter=30, tol=1e-7, seed=5)
-        in_db_labels = assign_clusters_indb(table, columns, in_db.centroids)
+        in_db_labels, _ = nearest_center(table.to_matrix(columns), in_db.centroids)
         assert np.array_equal(dsl.labels, factorized.labels)
-        assert np.array_equal(dsl.labels, in_db_labels.column("cluster"))
+        assert np.array_equal(dsl.labels, in_db_labels)
         assert dsl.iterations == factorized.iterations == in_db.iterations
         assert abs(dsl.inertia - factorized.inertia) <= PARITY
         assert abs(dsl.inertia - in_db.inertia) <= PARITY
