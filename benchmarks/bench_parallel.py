@@ -114,10 +114,10 @@ def bench_uda_logistic(threads, n, d, epochs, repeats):
 
 
 def bench_grid_search(threads, n, d, repeats):
-    """8-configuration logistic grid search through the shared pool."""
+    """8-configuration logistic grid search through a context's pool."""
     X, y = make_classification(n, d, separation=2.0, seed=2017)
     grid = {"l2": [1e-3, 1e-2, 1e-1, 1.0], "learning_rate": [0.5, 1.0]}
-    est = LogisticRegression(solver="gd", max_iter=20)
+    est = LogisticRegression(max_iter=20)
 
     def search(**parallel):
         return grid_search(est, grid, X, y, cv=3, **parallel)

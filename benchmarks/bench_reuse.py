@@ -3,7 +3,7 @@
 
 A feature-subset grid search (``repro.selection.ridge_feature_grid``)
 whose per-(subset, fold) sufficient statistics are fingerprinted and
-materialized by :mod:`repro.materialize`. Four legs, each asserted in
+materialized by :mod:`repro.materialize`. Three legs, each asserted in
 ``run()`` (``check_regression.py`` holds the warm speedup against the
 committed baseline):
 
@@ -23,13 +23,7 @@ committed baseline):
    into a miss, lineage recompute repairs it, and the repaired sweep is
    bit-identical to the cold reference; ``corrupt_entries`` and
    ``recomputes`` count the injections exactly.
-3. **Disabled-path overhead** — with no active store, the executor's
-   only cost is one ``active_store()`` call per execute. Exact event
-   counts x the microbenchmarked unit cost must stay **< 3%** of the
-   disabled wall time (E20's methodology), and compiled plans must be
-   **byte-identical** with and without an active store (materialization
-   is strictly an execution-time concern).
-4. **Eviction ledger** — a capacity-bounded store admits the whole
+3. **Eviction ledger** — a capacity-bounded store admits the whole
    sweep but can keep only R statistics resident; with equal-size
    entries the eviction count is exactly ``puts - R``, a pinned entry
    survives the pressure, and the sweep still serves every request
@@ -48,16 +42,7 @@ import tempfile
 import numpy as np
 
 import harness
-from repro import obs
-from repro.algorithms.glm import logreg_gd
-from repro.compiler import compile_expr
-from repro.lang import matrix
-from repro.materialize import (
-    MaterializationStore,
-    canonical_plan,
-    materialization_scope,
-)
-from repro.materialize import store as matstore
+from repro.materialize import MaterializationStore
 from repro.resilience import ChaosContext, FaultPlan
 from repro.selection import ridge_feature_grid
 
@@ -253,58 +238,7 @@ def repair_leg(
 
 
 # ----------------------------------------------------------------------
-# Leg 3: disabled-path overhead + plan identity
-# ----------------------------------------------------------------------
-def overhead_leg(n: int, d: int, iters: int, repeats: int) -> dict:
-    """With no active store, the executor's only materialization cost is
-    one ``active_store()`` call per execute returning ``None``. Exact
-    event counts x the microbenchmarked unit cost bound the overhead
-    without wall-clock flakiness. Compilation never consults the store,
-    so plans must serialize identically with one active."""
-    rng = np.random.default_rng(2017)
-    X = rng.normal(size=(n, d))
-    y = (X @ rng.normal(size=d) > 0).astype(float)
-    workload = lambda: logreg_gd(X, y, max_iter=iters, tol=0)  # noqa: E731
-
-    gate_cost = harness.unit_cost(matstore.active_store)
-
-    obs.reset()
-    workload()
-    executions = int(obs.get_registry().value("executor.executions"))
-    obs.reset()
-
-    wall_disabled = harness.timed(workload, repeats)
-    bound_s, overhead_pct = harness.disabled_overhead(
-        "overhead/disabled_path", wall_disabled, [(executions, gate_cost)]
-    )
-
-    # Plan identity: byte-equal canonical serialization with and
-    # without an active store.
-    Xm = matrix("X", (n, d))
-    wm = matrix("w", (d, 1))
-    expr = Xm.T @ (Xm @ wm)
-    plan_off = compile_expr(expr)
-    with materialization_scope(MaterializationStore(None)):
-        plan_on = compile_expr(expr)
-    plans_identical = (
-        canonical_plan(plan_off.root)[0] == canonical_plan(plan_on.root)[0]
-        and plan_off.passes == plan_on.passes
-        and plan_off.explain() == plan_on.explain()
-    )
-    return {
-        "workload": "overhead/disabled_path",
-        "gate_call_s": gate_cost,
-        "executions": executions,
-        **wall_disabled.fields("wall_disabled_s"),
-        "estimated_overhead_s": bound_s,
-        "estimated_overhead_pct": overhead_pct,
-        "bound_pct": 100.0 * harness.MAX_DISABLED_OVERHEAD,
-        "plans_identical": plans_identical,
-    }
-
-
-# ----------------------------------------------------------------------
-# Leg 4: capacity-bounded eviction ledger
+# Leg 3: capacity-bounded eviction ledger
 # ----------------------------------------------------------------------
 def eviction_leg(
     n: int, d: int, n_subsets: int, subset_d: int, folds: int,
@@ -364,18 +298,15 @@ def run(quick: bool, repeats: int) -> dict:
     if quick:
         g_n, g_d, g_s, g_sd, g_k, g_l = 3000, 48, 5, 32, 4, 4
         r_n, r_d, r_s, r_sd = 1500, 32, 4, 16
-        ov_n, ov_d, ov_iters = 2000, 16, 10
     else:
         g_n, g_d, g_s, g_sd, g_k, g_l = 12000, 96, 8, 80, 5, 4
         r_n, r_d, r_s, r_sd = 4000, 64, 6, 32
-        ov_n, ov_d, ov_iters = 8000, 32, 20
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = grid_leg(g_n, g_d, g_s, g_sd, g_k, g_l, repeats, tmp)
     repair = repair_leg(r_n, r_d, r_s, r_sd, 4, 3, n_corrupt=3)
-    overhead = overhead_leg(ov_n, ov_d, ov_iters, repeats)
     eviction = eviction_leg(r_n, r_d, r_s, r_sd, 4, 3, resident=7)
-    results = [grid, repair, overhead, eviction]
+    results = [grid, repair, eviction]
 
     assert grid["speedup"] >= MIN_GRID_SPEEDUP, (
         f"grid/feature_subsets: warm speedup {grid['speedup']:.2f} >= "
@@ -408,10 +339,6 @@ def run(quick: bool, repeats: int) -> dict:
         f"{repair['pairs']} entries ({repair['chaos_corrupt_entries']}) "
         f"bit-identically"
     )
-    assert overhead["plans_identical"], (
-        "overhead/disabled_path: compiled plans byte-identical with and "
-        "without an active store"
-    )
     assert eviction["evictions_exact"], (
         f"eviction/capacity_ledger: evictions exactly puts - capacity "
         f"({eviction['cold_evictions']} vs {eviction['pairs']} - "
@@ -432,7 +359,6 @@ def run(quick: bool, repeats: int) -> dict:
             "grid_speedup": grid["speedup"],
             "grid_bit_identical": grid["bit_identical"],
             "repaired_entries": repair["corrupt_entries"],
-            "disabled_overhead_pct": overhead["estimated_overhead_pct"],
             "cold_evictions": eviction["cold_evictions"],
         },
     }
@@ -444,7 +370,7 @@ def report(results: dict) -> None:
         f"E24 — lineage-aware materialization "
         f"(cpus={meta['cpu_count']}, quick={meta['quick']})"
     )
-    grid, repair, overhead, eviction = results["results"]
+    grid, repair, eviction = results["results"]
     print(
         f"\n  grid:     {grid['pairs']} statistics, cold "
         f"{grid['cold_wall_s'] * 1e3:.0f}ms -> warm "
@@ -461,12 +387,6 @@ def report(results: dict) -> None:
         f"{repair['recomputes']} lineage recomputes, "
         f"bit-identical={repair['bit_identical']} "
         f"(chaos: {repair['chaos_corrupt_entries']} repaired)"
-    )
-    print(
-        f"  overhead: {overhead['estimated_overhead_pct']:.3f}% "
-        f"(bound {overhead['bound_pct']:.0f}%) over "
-        f"{overhead['executions']} executes, "
-        f"plans identical={overhead['plans_identical']}"
     )
     print(
         f"  evict:    capacity {eviction['capacity_entries']} of "

@@ -21,11 +21,11 @@ def run() -> dict:
         for lr in (0.25, 1.0)
     ]
     halving = successive_halving(
-        LogisticRegression(solver="gd"), configs, X_tr, y_tr, X_val, y_val,
+        LogisticRegression(), configs, X_tr, y_tr, X_val, y_val,
         min_budget=2, max_budget=32,
     )
     full = full_budget_baseline(
-        LogisticRegression(solver="gd"), configs, X_tr, y_tr, X_val, y_val,
+        LogisticRegression(), configs, X_tr, y_tr, X_val, y_val,
         budget=32,
     )
     assert full.total_cost == 32 * len(configs)

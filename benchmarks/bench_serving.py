@@ -60,8 +60,8 @@ def fit_registry(n: int, d: int, seed: int = 2017) -> tuple:
     """Two versions of the ``churn`` model (E22 and E26 serve both)."""
     X, y = make_classification(n, d, separation=2.0, seed=seed)
     registry = ModelRegistry()
-    m1 = LogisticRegression(solver="gd", max_iter=25).fit(X, y)
-    m2 = LogisticRegression(solver="gd", max_iter=50, l2=0.5).fit(X, y)
+    m1 = LogisticRegression(max_iter=25).fit(X, y)
+    m2 = LogisticRegression(max_iter=50, l2=0.5).fit(X, y)
     registry.register("churn", m1)
     registry.register("churn", m2)
     return X, registry

@@ -52,7 +52,7 @@ EXPERIMENTS: dict[str, tuple[str, str, dict]] = {
     "E5": ("bench_fusion",
            "Operator fusion: runtime and intermediate memory", {}),
     "E6": ("bench_indb",
-           "In-DB IGD: epochs-to-loss per shuffle policy (Bismarck)", {}),
+           "In-DB IGD vs BGD vs linregr: epochs-to-loss (Bismarck)", {}),
     "E7": ("bench_selection", "Successive halving vs full grid (MSMS/TuPAQ)", {}),
     "E8": ("bench_columbus",
            "Feature-subset exploration: statistics reuse (Columbus)", {}),

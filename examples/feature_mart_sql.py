@@ -105,7 +105,7 @@ def main() -> None:
     print(f"features: {encoder.feature_names_}\n")
 
     # -- 4. single-node and distributed training ---------------------------
-    model = LogisticRegression(solver="gd", l2=1e-3, max_iter=120).fit(X, y)
+    model = LogisticRegression(l2=1e-3, max_iter=120).fit(X, y)
     print(f"[single node]     accuracy = {model.score(X, y):.4f}")
 
     ypm = np.where(y == 1, 1.0, -1.0)

@@ -52,7 +52,7 @@ def main() -> None:
 
     # -- 2. coarse grid through a caching session -------------------------
     session = SelectionSession(
-        LogisticRegression(solver="gd", max_iter=40), X_tr_sel, y_tr, cv=3
+        LogisticRegression(max_iter=40), X_tr_sel, y_tr, cv=3
     )
     session.run_grid({"l2": [1e-4, 1e-2, 1.0], "learning_rate": [0.25, 1.0]})
     # An analyst re-runs an overlapping grid; the session serves cache hits.
@@ -75,12 +75,12 @@ def main() -> None:
         X_tr_sel, y_tr, 0.25, seed=6
     )
     halving = successive_halving(
-        LogisticRegression(solver="gd"),
+        LogisticRegression(),
         configs, X_fit, y_fit, X_val, y_val,
         min_budget=2, max_budget=32,
     )
     full = full_budget_baseline(
-        LogisticRegression(solver="gd"),
+        LogisticRegression(),
         configs, X_fit, y_fit, X_val, y_val, budget=32,
     )
     print("[halving] refined search:")
@@ -95,7 +95,7 @@ def main() -> None:
 
     # The same refined space, sampled instead of enumerated.
     sampled = random_search(
-        LogisticRegression(solver="gd", max_iter=32),
+        LogisticRegression(max_iter=32),
         {"l2": ("loguniform", base_l2 * 0.1, base_l2 * 10.0),
          "learning_rate": ("uniform", 0.25, 2.0)},
         X_tr_sel, y_tr, n_samples=8, cv=3, seed=7,
@@ -120,9 +120,7 @@ def main() -> None:
     pipeline = Pipeline(
         [
             ("scale", StandardScaler()),
-            ("model", LogisticRegression(
-                solver="gd", l2=best_point.l2, max_iter=200
-            )),
+            ("model", LogisticRegression(l2=best_point.l2, max_iter=200)),
         ]
     )
     pipeline.fit(X_tr_sel, y_tr)

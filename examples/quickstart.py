@@ -102,7 +102,7 @@ def main() -> None:
     )
     print(f"in-DB IGD logistic regression accuracy = "
           f"{indb.score(table, 'churned'):.4f}")
-    in_memory = LogisticRegression(solver="gd").fit(X_clf, y_clf)
+    in_memory = LogisticRegression().fit(X_clf, y_clf)
     print(f"in-memory reference accuracy          = "
           f"{in_memory.score(X_clf, y_clf):.4f}")
 

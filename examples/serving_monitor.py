@@ -56,7 +56,7 @@ def main() -> None:
     encoder = TableEncoder(spec, allow_unknown=True).fit(train)
     X_train = encoder.transform(train)
     y_train = train.column("failed")
-    v1_model = LogisticRegression(solver="gd", l2=1e-3, max_iter=120)
+    v1_model = LogisticRegression(l2=1e-3, max_iter=120)
     v1_model.fit(X_train, y_train)
     v1 = registry.register(
         "failure-model",
@@ -96,7 +96,7 @@ def main() -> None:
     # -- 4. retrain, compare, promote ----------------------------------------
     encoder_v2 = TableEncoder(spec, allow_unknown=True).fit(serving)
     X_fresh = encoder_v2.transform(serving)
-    v2_model = LogisticRegression(solver="gd", l2=1e-3, max_iter=120)
+    v2_model = LogisticRegression(l2=1e-3, max_iter=120)
     v2_model.fit(X_fresh, y_serve)
     acc_v2 = v2_model.score(X_fresh, y_serve)
     v2 = registry.register(

@@ -22,27 +22,16 @@ it back:
 Evidence is an exponential moving average with a confidence weight
 ``count / (count + CONFIDENCE_HALFWAY)``: cold sections blend to the
 pure compile-time estimate, and confidence saturates as observations
-accumulate. A ``frozen`` store ignores new observations, pinning every
-consumer's decision for deterministic replay.
+accumulate. A store lives in memory for the run that learns from it.
 
 The store is **off by default** and has one way in:
 ``with feedback_scope(store)``. Outside a scope :func:`active_store`
 returns ``None``, so the disabled hot path costs one function call and
 one module-attribute read (E23 bounds it below 3%).
-
-Persistence goes through :mod:`repro.persist` (the same atomic
-header+CRC file format the checkpointer uses): a JSON header carrying
-the schema (``repro.feedback/v1``) and the payload's CRC32, written to
-a temp file in the target directory and ``os.replace``d into place. :meth:`FeedbackStore.load` rejects schema mismatches and corrupt
-bytes with a typed error.
-Files written before the per-op ``ops`` section was dropped (nothing
-ever read it) still load: the key is ignored.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -51,9 +40,6 @@ from typing import Any
 from ..errors import ReproError
 from ..obs import get_registry
 from ..operand import evidence_of
-from ..persist import read_verified, write_atomic
-
-SCHEMA = "repro.feedback/v1"
 
 #: weight of the newest observation in every moving average.
 EMA_DECAY = 0.3
@@ -70,11 +56,11 @@ SITE_WIN_SPEEDUP = 1.2
 
 
 class FeedbackError(ReproError):
-    """Feedback-store persistence or schema validation failed."""
+    """An ``adaptive=`` argument is not a feedback store."""
 
 
 # ----------------------------------------------------------------------
-# EMA + confidence primitives (stored as plain dicts: JSON round-trips)
+# EMA + confidence primitives (stored as plain dicts)
 # ----------------------------------------------------------------------
 def _ema_update(stat: dict, value: float) -> None:
     count = stat.get("count", 0)
@@ -148,9 +134,9 @@ class SitePolicy:
 # The store
 # ----------------------------------------------------------------------
 class FeedbackStore:
-    """Thread-safe, versioned memory of what the runtime measured.
+    """Thread-safe memory of what the runtime measured.
 
-    Sections (all keyed by strings so they JSON round-trip):
+    Sections (keyed by strings):
 
     ``inputs``
         ``"name@RxC"`` -> per-kind execution/fallback counts plus
@@ -159,17 +145,9 @@ class FeedbackStore:
         pmap site -> dispatch counts plus per-task wall moving averages
         for the serial and parallel paths (their ratio is the realized
         speedup) and the work/wall ratio as a fallback signal.
-
-    Args:
-        path: default location for :meth:`save`/:meth:`load`.
-        frozen: ignore all ``observe_*`` calls — consumers see a pinned,
-            deterministic model.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None,
-                 frozen: bool = False):
-        self.path = os.fspath(path) if path is not None else None
-        self.frozen = frozen
+    def __init__(self):
         self.updates = 0
         self._lock = threading.Lock()
         self._inputs: dict[str, dict] = {}
@@ -185,8 +163,6 @@ class FeedbackStore:
         fallbacks: int = 0,
     ) -> None:
         """Record one execution's realized view of a bound input."""
-        if self.frozen:
-            return
         with self._lock:
             entry = self._inputs.setdefault(
                 key,
@@ -208,7 +184,7 @@ class FeedbackStore:
         self, site: str, tasks: int, parallel: bool, wall: float, work: float
     ) -> None:
         """Record one pmap dispatch outcome (called by ``_record``)."""
-        if self.frozen or tasks <= 0:
+        if tasks <= 0:
             return
         per_task = wall / tasks
         with self._lock:
@@ -238,8 +214,6 @@ class FeedbackStore:
         *kind* (the stats tally them by kind), so every input bound in
         a kind that densified this run accumulates demotion evidence.
         """
-        if self.frozen:
-            return
         fallback_kinds = getattr(stats, "fallback_kinds", {})
         for name, value in bindings.items():
             shape = getattr(value, "shape", None)
@@ -315,64 +289,6 @@ class FeedbackStore:
             confidence=_confidence(count),
             action=action,
         )
-
-    # -- lifecycle ------------------------------------------------------
-    def clear(self) -> None:
-        with self._lock:
-            self._inputs.clear()
-            self._sites.clear()
-            self.updates = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "schema": SCHEMA,
-                "updates": self.updates,
-                "inputs": json.loads(json.dumps(self._inputs)),
-                "sites": json.loads(json.dumps(self._sites)),
-            }
-
-    # -- persistence ----------------------------------------------------
-    def save(self, path: str | os.PathLike | None = None) -> str:
-        """Atomically persist the store (tempfile + ``os.replace``)."""
-        target = os.fspath(path) if path is not None else self.path
-        if target is None:
-            raise FeedbackError("no path given and store has no default path")
-        snapshot = self.as_dict()
-        payload = json.dumps(
-            {k: snapshot[k] for k in ("updates", "inputs", "sites")},
-            sort_keys=True,
-        ).encode("utf-8")
-        write_atomic(
-            target,
-            payload,
-            SCHEMA,
-            error_cls=FeedbackError,
-            what="feedback store",
-            tmp_prefix=".feedback-",
-        )
-        get_registry().inc("feedback.saves")
-        return target
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "FeedbackStore":
-        """Load and verify a persisted store; raises on any corruption."""
-        target = os.fspath(path)
-        _, payload = read_verified(
-            target, SCHEMA, error_cls=FeedbackError, what="feedback store"
-        )
-        try:
-            body = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FeedbackError(
-                f"feedback store {target} payload unreadable"
-            ) from exc
-        store = cls(path=target)
-        store.updates = int(body.get("updates", 0))
-        store._inputs = dict(body.get("inputs", {}))
-        store._sites = dict(body.get("sites", {}))
-        get_registry().inc("feedback.loads")
-        return store
 
 
 def input_key(name: str, shape) -> str:

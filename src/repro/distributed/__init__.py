@@ -19,7 +19,7 @@ from .paramserver import (
     ParameterServerResult,
     train_parameter_server,
 )
-from .partition import SCHEMES, Partition, partition_rows
+from .partition import Partition, partition_rows
 
 __all__ = [
     "CommStats",
@@ -27,7 +27,6 @@ __all__ = [
     "ParameterServer",
     "ParameterServerResult",
     "Partition",
-    "SCHEMES",
     "SimulatedCluster",
     "Worker",
     "partition_rows",

@@ -6,7 +6,7 @@ gather partial gradients, average). The simulation's primary purpose is
 to measure the *communication volume* and *convergence per round* that
 distinguish distributed strategies, which are scheduling-independent
 quantities — but workers can optionally execute their local compute
-concurrently on the shared worker pool (``parallel=True``), while the
+concurrently on a context's worker pool (``parallel=ctx``), while the
 communication ledger and the reduced results stay deterministic:
 partials are always combined in worker order.
 
@@ -110,16 +110,15 @@ class SimulatedCluster:
         X: np.ndarray,
         y: np.ndarray,
         num_workers: int,
-        scheme: str = "random",
         seed: int | None = 0,
-        parallel: bool | ParallelContext = False,
+        parallel: ParallelContext | None = None,
     ):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if len(X) != len(y):
             raise ReproError(f"X has {len(X)} rows but y has {len(y)}")
         self.partitions: list[Partition] = partition_rows(
-            len(X), num_workers, scheme, seed
+            len(X), num_workers, seed
         )
         self.workers = [
             Worker(p.worker_id, X[p.indices], y[p.indices])

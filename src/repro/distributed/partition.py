@@ -1,9 +1,9 @@
-"""Row partitioning schemes for data-parallel training.
+"""Row partitioning for data-parallel training.
 
 How rows are assigned to workers matters: contiguous splits of sorted
 data give each worker a biased shard (the distributed analogue of
-Bismarck's unshuffled IGD pathology), while round-robin or random
-assignment keeps shards exchangeable.
+Bismarck's unshuffled IGD pathology), so rows are dealt out by a seeded
+random permutation, which keeps shards exchangeable.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ReproError
-
-SCHEMES = ("contiguous", "round_robin", "random")
 
 
 @dataclass
@@ -31,10 +29,9 @@ class Partition:
 def partition_rows(
     n_rows: int,
     num_workers: int,
-    scheme: str = "random",
     seed: int | None = 0,
 ) -> list[Partition]:
-    """Assign row indices to workers.
+    """Assign row indices to workers by a seeded random permutation.
 
     Every row lands on exactly one worker; shard sizes differ by at most
     one row.
@@ -46,20 +43,6 @@ def partition_rows(
             f"need at least one row per worker: {n_rows} rows, "
             f"{num_workers} workers"
         )
-    if scheme not in SCHEMES:
-        raise ReproError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
-
-    if scheme == "contiguous":
-        bounds = np.linspace(0, n_rows, num_workers + 1).astype(int)
-        return [
-            Partition(w, np.arange(bounds[w], bounds[w + 1]))
-            for w in range(num_workers)
-        ]
-    if scheme == "round_robin":
-        return [
-            Partition(w, np.arange(w, n_rows, num_workers))
-            for w in range(num_workers)
-        ]
     order = np.random.default_rng(seed).permutation(n_rows)
     chunks = np.array_split(order, num_workers)
     return [Partition(w, np.sort(chunk)) for w, chunk in enumerate(chunks)]

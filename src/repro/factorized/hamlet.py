@@ -124,7 +124,7 @@ def evaluate_join_avoidance(
         X_tr, X_te, y_tr, y_te = train_test_split(
             features, y, test_fraction=0.3, seed=seed
         )
-        model = LogisticRegression(solver="gd", l2=1e-3, max_iter=100)
+        model = LogisticRegression(l2=1e-3, max_iter=100)
         model.fit(X_tr, y_tr)
         accuracies.append(model.score(X_te, y_te))
 

@@ -201,23 +201,21 @@ def bucket_counts(values, edges: np.ndarray) -> np.ndarray:
     )
 
 
-def _smoothed_probs(counts: np.ndarray, epsilon: float) -> np.ndarray:
+def _smoothed_probs(counts: np.ndarray) -> np.ndarray:
     total = counts.sum()
     if total <= 0:
         return np.full(len(counts), 1.0 / len(counts))
-    probs = np.clip(counts / total, epsilon, None)
+    probs = np.clip(counts / total, _PSI_EPSILON, None)
     return probs / probs.sum()
 
 
 def psi_statistic(
-    reference_counts: np.ndarray,
-    current_counts: np.ndarray,
-    epsilon: float = _PSI_EPSILON,
+    reference_counts: np.ndarray, current_counts: np.ndarray
 ) -> float:
     """Population stability index over two aligned count vectors:
     ``sum((p - q) * ln(p / q))`` with epsilon-smoothed probabilities."""
-    p = _smoothed_probs(np.asarray(reference_counts, dtype=np.float64), epsilon)
-    q = _smoothed_probs(np.asarray(current_counts, dtype=np.float64), epsilon)
+    p = _smoothed_probs(np.asarray(reference_counts, dtype=np.float64))
+    q = _smoothed_probs(np.asarray(current_counts, dtype=np.float64))
     return float(np.sum((p - q) * np.log(p / q)))
 
 
@@ -273,22 +271,14 @@ class StreamingDriftMonitor:
         name: str,
         reference,
         buckets: int = _BUCKETS,
-        epsilon: float = _PSI_EPSILON,
         psi_threshold: float = PSI_DEFAULT_THRESHOLD,
-        ks_threshold: float = KS_DEFAULT_THRESHOLD,
     ):
         self.name = name
-        self.epsilon = float(epsilon)
         self.psi_threshold = float(psi_threshold)
-        self.ks_threshold = float(ks_threshold)
         self.edges = frozen_edges(reference, buckets)
         self.reference_counts = bucket_counts(reference, self.edges)
         self.counts = np.zeros(len(self.edges) - 1, dtype=np.float64)
         self.observed = 0
-
-    def observe(self, value: float) -> None:
-        """Fold one serving-side observation into the bucket counts."""
-        self.observe_many((value,))
 
     def observe_many(self, values) -> int:
         """Fold an array-like batch of observations; returns how many
@@ -300,7 +290,7 @@ class StreamingDriftMonitor:
         return folded
 
     def psi(self) -> float:
-        return psi_statistic(self.reference_counts, self.counts, self.epsilon)
+        return psi_statistic(self.reference_counts, self.counts)
 
     def ks(self) -> float:
         return ks_statistic(self.reference_counts, self.counts)
@@ -312,12 +302,7 @@ class StreamingDriftMonitor:
         """Has either streaming statistic crossed its threshold?"""
         if self.observed == 0:
             return False
-        return self.psi() > self.psi_threshold or self.ks() > self.ks_threshold
-
-    def reset(self) -> None:
-        """Clear the accumulated serving counts (edges stay frozen)."""
-        self.counts[:] = 0.0
-        self.observed = 0
+        return self.psi() > self.psi_threshold or self.ks() > KS_DEFAULT_THRESHOLD
 
     def snapshot(self) -> DriftStats:
         return DriftStats(

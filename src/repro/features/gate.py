@@ -12,9 +12,9 @@ time it checks two things:
   the model was trained on different feature definitions and promotion
   is held.
 * **covariate stability** — if any sufficiently-observed feature's PSI
-  or KS statistic has crossed its threshold, promotion is held and
-  (when ``auto_rollback`` is on) the endpoint's canary is rolled back,
-  so a shifted stream cannot graduate to full traffic.
+  or KS statistic has crossed its threshold, promotion is held and the
+  endpoint's canary is rolled back, so a shifted stream cannot graduate
+  to full traffic.
 
 Every decision lands in one exact :class:`~repro.obs.Ledger`
 (observations, evaluations, holds, rollbacks, promotes; ``features.gate.*``
@@ -31,7 +31,6 @@ import numpy as np
 
 from ..errors import FeatureStoreError, PromotionHeldError, ReproError
 from ..feateng.drift import (
-    KS_DEFAULT_THRESHOLD,
     PSI_DEFAULT_THRESHOLD,
     DriftStats,
     StreamingDriftMonitor,
@@ -62,11 +61,12 @@ class DriftGate(Counted):
         reference: training-time feature values — a
             :class:`~repro.features.store.MaterializedFeatures` or a
             mapping of feature name -> array. Bucket edges freeze here.
-        psi_threshold / ks_threshold: per-feature alarm levels.
+        psi_threshold: per-feature PSI alarm level (KS alarms at
+            :data:`~repro.feateng.drift.KS_DEFAULT_THRESHOLD`).
         min_observations: serving observations required per feature
             before its drift verdict can hold a promotion.
-        auto_rollback: when a drift hold fires, also clear the
-            endpoint's canary on the controller.
+
+    A drift hold also clears the endpoint's canary on the controller.
     """
 
     def __init__(
@@ -74,13 +74,10 @@ class DriftGate(Counted):
         view: FeatureView,
         reference,
         psi_threshold: float = PSI_DEFAULT_THRESHOLD,
-        ks_threshold: float = KS_DEFAULT_THRESHOLD,
         min_observations: int = DEFAULT_MIN_OBSERVATIONS,
-        auto_rollback: bool = True,
     ):
         self.view = view
         self.min_observations = int(min_observations)
-        self.auto_rollback = auto_rollback
         columns = getattr(reference, "columns", reference)
         self.monitors: dict[str, StreamingDriftMonitor] = {}
         for fname in view.feature_names:
@@ -92,18 +89,12 @@ class DriftGate(Counted):
                 fname,
                 columns[fname],
                 psi_threshold=psi_threshold,
-                ks_threshold=ks_threshold,
             )
         self.counts = Ledger("features.gate", (
             "observations", "evaluations", "holds", "rollbacks", "promotes",
         ))
 
     # -- serving-side accumulation -------------------------------------
-    def observe(self, row) -> None:
-        """Fold one served feature row (declaration order): the one-row
-        case of :meth:`observe_many`."""
-        self.observe_many(np.asarray(row, dtype=np.float64).reshape(1, -1))
-
     def observe_many(self, rows) -> None:
         """Fold a batch of served rows into the per-feature monitors,
         one vectorised fold per feature column (not per value)."""
@@ -165,7 +156,7 @@ class DriftGate(Counted):
         if reasons:
             self.counts.inc("holds")
             rolled_back = False
-            if drifted and self.auto_rollback:
+            if drifted:
                 try:
                     controller.clear_canary(endpoint)
                     rolled_back = True

@@ -2,13 +2,13 @@
 
 The factorized-learning layer reduces ridge/linear training to three
 aggregates — the gram matrix ``X'X``, the cofactor vector ``X'y``, and
-``y'y`` — and k-means to per-cluster sums and counts. All four are
-*commutative group* aggregates: a delta of rows contributes a term that
-can be added on insert and subtracted on delete, so maintenance costs
-O(|delta| * d^2) instead of O(n * d^2) per refresh.
+``y'y``. All three are *commutative group* aggregates: a delta of rows
+contributes a term that can be added on insert and subtracted on
+delete, so maintenance costs O(|delta| * d^2) instead of O(n * d^2) per
+refresh.
 
-Both states here (and the feature store's
-:class:`~repro.features.store.FeatureRows`) are what a
+The state here and the feature store's
+:class:`~repro.features.store.FeatureRows` are what a
 :class:`~repro.incremental.DeltaConsumer` maintains: ``rebuild(table)``
 recomputes from the base table (the lineage path),
 ``fold(row_ids, rows, sign)`` adds (``+1``) or subtracts (``-1``) one
@@ -43,7 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import IncrementalError
-from ..ml.kmeans import cluster_sums, move_centers, nearest_center_einsum
 from ..ml.linreg import Moments
 from ..storage.table import Table
 
@@ -142,83 +141,4 @@ class GramCofactorState:
         drift = self.moments() - fresh.moments()
         return not (
             drift.gram.any() or drift.xty.any() or drift.yty or drift.n
-        )
-
-
-class CentroidState:
-    """Per-cluster sums/counts under *fixed reference centroids*.
-
-    Assignment is a deterministic function of (row values, reference
-    centroids) — :func:`repro.ml.kmeans.nearest_center_einsum`, the
-    clipped-distance expression the factorized trainer evaluates — and
-    each row's cluster is remembered by ``row_id``, so a delete subtracts
-    from exactly the cluster its insert added to. :meth:`centroids` is one
-    Lloyd step from the maintained statistics.
-    """
-
-    def __init__(self, features: Sequence[str], centers: np.ndarray):
-        self.features = list(features)
-        self.centers = np.asarray(centers, dtype=np.float64)
-        if self.centers.ndim != 2 or self.centers.shape[1] != len(self.features):
-            raise IncrementalError(
-                f"centers shape {self.centers.shape} does not match "
-                f"{len(self.features)} features"
-            )
-        k, d = self.centers.shape
-        self.k = k
-        self._sums_hi = np.zeros((k, d))
-        self._sums_comp = np.zeros((k, d))
-        self.counts = np.zeros(k, dtype=np.int64)
-        self.assignments: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    def rebuild(self, table: Table) -> "CentroidState":
-        """Full recomputation from a base table (the lineage path); the
-        table supplies the ``row_ids`` assignments are remembered by."""
-        X = table.to_matrix(self.features)
-        labels = self.assign(X)
-        self._sums_hi, self.counts = cluster_sums(X, labels, self.k)
-        self._sums_comp = np.zeros_like(self._sums_hi)
-        self.assignments = dict(zip(table.row_ids.tolist(), labels.tolist()))
-        return self
-
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        """Deterministic nearest-reference-centroid labels."""
-        return nearest_center_einsum(X, self.centers)[0]
-
-    def fold(self, row_ids: Sequence[int], rows: Table, sign: int) -> int:
-        """Add (``sign=1``) a batch to the clusters its rows are nearest
-        to, or subtract (``-1``) it from the clusters they were added to."""
-        X = rows.to_matrix(self.features)
-        if sign > 0:
-            labels = self.assign(X).tolist()
-            self.assignments.update(zip(row_ids, labels))
-        else:
-            try:
-                labels = [self.assignments.pop(rid) for rid in row_ids]
-            except KeyError as exc:
-                raise IncrementalError(
-                    f"delete of unknown row id {exc.args[0]} in centroid state"
-                ) from None
-        for lab, x in zip(labels, X):
-            _neumaier_fold(self._sums_hi[lab], self._sums_comp[lab], sign * x)
-            self.counts[lab] += sign
-        return len(X)
-
-    # ------------------------------------------------------------------
-    def sums(self) -> np.ndarray:
-        return self._sums_hi + self._sums_comp
-
-    def centroids(self) -> np.ndarray:
-        """One Lloyd step: per-cluster means, empty clusters keeping
-        their reference center."""
-        return move_centers(self.centers, self.sums(), self.counts)
-
-    # ------------------------------------------------------------------
-    def same_bytes(self, table: Table) -> bool:
-        fresh = CentroidState(self.features, self.centers).rebuild(table)
-        return (
-            np.array_equal(self.sums(), fresh.sums())
-            and np.array_equal(self.counts, fresh.counts)
-            and self.assignments == fresh.assignments
         )

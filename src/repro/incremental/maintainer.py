@@ -18,7 +18,7 @@ maintains: ``old_rows`` subtracted, then ``rows`` added (an update is
 the two in sequence; no state sees the delta's kind).
 
 :class:`IncrementalMaintainer` is the ML-aggregate consumer
-(gram/cofactor + centroids, the F-IVM workload); the feature store's
+(gram/cofactor, the F-IVM workload); the feature store's
 view maintainer (:class:`repro.features.FeatureViewMaintainer`) is a
 second subclass of the same discipline.
 
@@ -31,12 +31,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import IncrementalError, InjectedFault
 from ..obs import Ledger, get_registry
 from ..resilience import fault_point, no_chaos
-from .aggregates import CentroidState, GramCofactorState
+from .aggregates import GramCofactorState
 from .stream import ChangeStream, Delta, DynamicTable
 
 
@@ -168,8 +166,6 @@ class IncrementalMaintainer(DeltaConsumer):
         table: the mutable base table (also the lineage source).
         stream: the change stream to consume (subscribed by the caller).
         features / label: columns feeding the gram/cofactor state.
-        centers: optional (k, d) reference centroids; when given, a
-            :class:`CentroidState` is maintained alongside.
     """
 
     def __init__(
@@ -178,15 +174,10 @@ class IncrementalMaintainer(DeltaConsumer):
         stream: ChangeStream,
         features: Sequence[str],
         label: str,
-        centers: np.ndarray | None = None,
     ):
         super().__init__(table, stream)
         self.gram_state = GramCofactorState(features, label)
-        self.centroid_state = None
         self.states = [self.gram_state]
-        if centers is not None:
-            self.centroid_state = CentroidState(features, centers)
-            self.states.append(self.centroid_state)
         self._rebuild()
 
     #: the name the E25 / E28 oracles call the shared check by

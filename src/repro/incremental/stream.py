@@ -130,12 +130,6 @@ class ChangeStream:
         with self._lock:
             return self._deltas.pop(0) if self._deltas else None
 
-    def drain(self) -> list[Delta]:
-        """Pop every pending delta, oldest first."""
-        with self._lock:
-            deltas, self._deltas = self._deltas, []
-            return deltas
-
     def drop_next(self) -> Delta | None:
         """Discard the oldest pending delta (simulates a lost message)."""
         return self.poll()

@@ -15,31 +15,10 @@ one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..lifecycle.registry import ModelRegistry, ModelVersion
-from ..ml.kmeans import nearest_center_einsum
 from ..ml.linreg import LinearRegression
 from ..obs import Counted, Ledger
 from .maintainer import IncrementalMaintainer
-
-
-class CentroidModel:
-    """Minimal fitted clustering model built from maintained statistics."""
-
-    def __init__(self, cluster_centers: np.ndarray = ()):
-        self.cluster_centers_ = np.asarray(cluster_centers, dtype=np.float64)
-
-    def get_params(self) -> dict:
-        """No hyperparameters: the centres are fitted state, which is
-        what :mod:`repro.lifecycle.serialize` persists."""
-        return {}
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Nearest-center labels (same expression the maintainer uses)."""
-        X = np.asarray(X, dtype=np.float64)
-        labels, _ = nearest_center_einsum(X, self.cluster_centers_)
-        return labels.astype(np.float64)
 
 
 class ContinuousTrainer(Counted):
@@ -76,7 +55,6 @@ class ContinuousTrainer(Counted):
         self.counts = Ledger("incremental", ("refreshes",))
         self.last_refresh_version = maintainer.applied_version
         self.latest: ModelVersion | None = None
-        self.centroids_: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def step(self) -> ModelVersion | None:
@@ -109,13 +87,6 @@ class ContinuousTrainer(Counted):
                 self.latest.version if self.latest is not None else None
             ),
         )
-        if self.maintainer.centroid_state is not None:
-            self.centroids_ = self.maintainer.centroid_state.centroids()
-            self.registry.register(
-                f"{self.model_name}-centroids",
-                CentroidModel(self.centroids_),
-                params={"table_version": self.maintainer.applied_version},
-            )
         if self.server is not None and self.endpoint is not None:
             self.server.promote(self.endpoint, entry.version)
         self.latest = entry

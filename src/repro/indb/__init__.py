@@ -22,12 +22,11 @@ from .kmeans_uda import (
 )
 from .naive_bayes_sql import SQLNaiveBayes
 from .scoring import linear_expression, score_linear_model, score_probability
-from .uda import UDA, CovarianceUDA, GramUDA, SumCountUDA, run_uda
+from .uda import UDA, GramUDA, run_uda
 
 __all__ = [
     "SHUFFLE_POLICIES",
     "UDA",
-    "CovarianceUDA",
     "GramUDA",
     "IGDResult",
     "IGDState",
@@ -37,7 +36,6 @@ __all__ = [
     "InDBLogisticRegression",
     "KMeansAssignUDA",
     "SQLNaiveBayes",
-    "SumCountUDA",
     "linear_expression",
     "run_uda",
     "score_linear_model",

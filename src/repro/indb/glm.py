@@ -66,7 +66,7 @@ class InDBLinearRegression(_TableFed, LinearRegressor):
         feature_columns: Sequence[str],
         label_column: str,
         partitions: int = 1,
-        parallel: bool | ParallelContext = False,
+        parallel: ParallelContext | None = None,
     ) -> "InDBLinearRegression":
         if not feature_columns:
             raise ModelError("need at least one feature column")
@@ -103,7 +103,7 @@ class InDBLogisticRegression(_TableFed, LogisticClassifier):
         shuffle: str = "once",
         partitions: int = 1,
         seed: int | None = 0,
-        parallel: bool | ParallelContext = False,
+        parallel: ParallelContext | None = None,
     ):
         if method not in ("igd", "bgd"):
             raise ModelError(f"method must be 'igd' or 'bgd', got {method!r}")

@@ -108,7 +108,7 @@ def train_igd(
     shuffle: str = "once",
     partitions: int = 1,
     seed: int | None = 0,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> IGDResult:
     """Train a GLM over a table with epoch-per-aggregation IGD.
 
@@ -118,8 +118,8 @@ def train_igd(
             order), or ``"each"`` (reshuffle every epoch).
         decay: per-epoch step decay, lr_t = lr / (1 + decay * t).
         partitions: simulated parallel workers (merged by averaging).
-        parallel: compute partition states concurrently on the shared
-            worker pool (identical result to the serial path).
+        parallel: a :class:`ParallelContext` computes partition states
+            concurrently on its pool (identical result to the serial path).
     """
     if shuffle not in SHUFFLE_POLICIES:
         raise ModelError(
@@ -189,7 +189,7 @@ def train_bgd(
     learning_rate: float = 0.5,
     l2: float = 0.0,
     partitions: int = 1,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> IGDResult:
     """Batch gradient descent: one aggregation pass per iteration.
 

@@ -126,7 +126,7 @@ def run_uda(
     columns: Sequence[str],
     partitions: int = 1,
     row_order: np.ndarray | None = None,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> Result:
     """Execute a UDA over the selected numeric columns of a table.
 
@@ -141,9 +141,9 @@ def run_uda(
             contiguous slice of rows and its own state, merged at the end.
         row_order: optional row permutation applied before partitioning
             (how the engine layer implements shuffling for IGD).
-        parallel: ``True`` computes partition states concurrently on the
-            shared :class:`ParallelContext` (cost-gated: small tables
-            still run serially); may also be a context instance.
+        parallel: a :class:`ParallelContext` computes partition states
+            concurrently on its pool (cost-gated: small tables still run
+            serially).
     """
     if partitions < 1:
         raise StorageError("partitions must be >= 1")
@@ -221,29 +221,6 @@ class BlockSumsUDA(UDA[tuple, Result]):
         if state[0] is None:
             raise StorageError("aggregate over an empty table")
         return state
-
-
-class SumCountUDA(BlockSumsUDA[dict]):
-    """Per-column sum and row count in one pass (mean via finalize)."""
-
-    def block_parts(self, block):
-        return (block.sum(axis=0), len(block))
-
-    def finalize(self, state) -> dict:
-        total, count = super().finalize(state)
-        return {"sum": total, "count": count, "mean": total / count}
-
-
-class CovarianceUDA(BlockSumsUDA[np.ndarray]):
-    """Streaming covariance matrix over the selected columns."""
-
-    def block_parts(self, block):
-        return (block.T @ block, block.sum(axis=0), len(block))
-
-    def finalize(self, state) -> np.ndarray:
-        outer, total, count = super().finalize(state)
-        mean = total / count
-        return outer / count - np.outer(mean, mean)
 
 
 class GramUDA(BlockSumsUDA[Moments]):

@@ -22,16 +22,12 @@ FORMAT_VERSION = 1
 
 def _known_classes() -> dict[str, type]:
     """Estimator classes eligible for (de)serialization."""
-    from .. import factorized, incremental, indb, ml, runtime
+    from .. import factorized, indb, ml, runtime
 
     classes = [
-        ml.GaussianNB,
-        ml.KBinsDiscretizer,
         ml.KMeans,
         ml.LinearRegression,
         ml.LogisticRegression,
-        ml.MinMaxScaler,
-        ml.Ridge,
         ml.StandardScaler,
         # the linear models trained where the data lives
         factorized.FactorizedLinearRegression,
@@ -39,8 +35,6 @@ def _known_classes() -> dict[str, type]:
         indb.InDBLinearRegression,
         indb.InDBLogisticRegression,
         runtime.OutOfCoreLinearRegression,
-        # the centres a ContinuousTrainer refreshes beside its ridge model
-        incremental.CentroidModel,
     ]
     return {cls.__name__: cls for cls in classes}
 

@@ -169,18 +169,3 @@ class Fingerprint:
         h.update(b"||")
         h.update(self.flags.encode("utf-8"))
         return h.hexdigest()
-
-
-def fingerprint_node(
-    node: Node, bindings: dict[str, object], flags: str = ""
-) -> Fingerprint:
-    """Fingerprint one (sub-)plan against its bound operands."""
-    canon, order = canonical_plan(node)
-    try:
-        operands = tuple(content_hash(bindings[name]) for name in order)
-    except KeyError as exc:
-        raise MaterializationError(
-            f"cannot fingerprint: no binding for input {exc.args[0]!r}"
-        ) from None
-    structural = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    return Fingerprint(structural=structural, operands=operands, flags=flags)

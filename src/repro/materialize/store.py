@@ -4,11 +4,11 @@ Columbus showed that model selection's real cost structure is
 *lifecycle* cost: feature exploration, grid search, and CV re-derive
 the same intermediates — gram matrices, compressed operands, fold
 statistics — run after run. A :class:`MaterializationStore` is the
-system-level answer: every executed sub-plan is identified by its
+system-level answer: every stored intermediate is identified by its
 content-hashed :class:`~repro.materialize.fingerprint.Fingerprint`, and
-any later workload that evaluates a matching sub-plan (same structure,
-byte-identical operands, same optimizer flags) transparently reuses the
-stored value instead of recomputing. Because the fingerprint pins
+any later workload that derives a matching intermediate (same structure,
+byte-identical operands, same flags) reuses the stored value instead of
+recomputing. Because the fingerprint pins
 structure *and* operand bytes *and* flags, a hit is bit-identical to
 cold execution by construction — the store can go stale-silent (miss),
 never stale-wrong (hit on changed data).
@@ -25,9 +25,9 @@ Two tiers:
   over the pickled payload). An entry evicted from memory is re-read
   and re-admitted on its next hit. A corrupted file (bit rot, or chaos
   injected at fault site ``"materialize.read"``) fails its checksum,
-  is counted and unlinked, and the lookup reports a miss — the executor
-  then *recomputes the value from its lineage* (the plan beneath the
-  node) and re-admits it, so repair is recompute, exactly the
+  is counted and unlinked, and the lookup reports a miss — the caller
+  then *recomputes the value from its lineage* (the operands it was
+  derived from) and re-admits it, so repair is recompute, exactly the
   blockstore's recovery model.
 
 Admission is cost-based: an intermediate earns persistence when its
@@ -37,12 +37,9 @@ bloated-for-their-cost values are not worth their storage. ``pin=True``
 bypasses admission (an explicit pin is the operator's override) and
 shields the entry from memory-tier eviction.
 
-The store is **off by default** and has one way in:
-``with materialization_scope(store)``. The executor consults
-:func:`active_store`, which costs one attribute read outside a scope,
-so the disabled path stays within the <3% overhead budget
-and plans are byte-identical to a build without the store (compilation
-is never touched).
+A store is handed to the code that reads and writes it
+(``ridge_feature_grid(store=)``, :class:`repro.features.FeatureStore`);
+the executor and the compiler never see one.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -104,7 +100,7 @@ class EntryMeta:
 
 
 class MaterializationStore(Counted):
-    """Fingerprint-keyed, two-tier store of executed sub-plan values.
+    """Fingerprint-keyed, two-tier store of derived intermediate values.
 
     Args:
         directory: persistence root (created if missing). ``None`` keeps
@@ -367,25 +363,8 @@ class MaterializationStore(Counted):
         path.write_bytes(mutated)
         # drop the memory copy so the next lookup exercises the disk tier
         with self._lock:
-            self._drop_resident(key)
-
-    def _drop_resident(self, key: str) -> None:
-        if self.pool.remove(key):
-            self.pool.stats.inc("invalidations")
-
-    def drop(self, fp: Fingerprint | str) -> bool:
-        """Forget one entry everywhere (memory, meta, disk)."""
-        key = self._key_of(fp)
-        with self._lock:
-            existed = key in self._meta
-            self._meta.pop(key, None)
-            self._drop_resident(key)
-            if self.directory is not None:
-                try:
-                    self._path(key).unlink()
-                except OSError:
-                    pass
-            return existed
+            if self.pool.remove(key):
+                self.pool.stats.inc("invalidations")
 
     def entries(self) -> list[dict[str, Any]]:
         with self._lock:
@@ -420,38 +399,3 @@ class MaterializationStore(Counted):
         if len(self.lineage):
             lines.append(self.lineage.describe())
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# The active store: whatever the innermost scope installed
-# ----------------------------------------------------------------------
-_global_lock = threading.Lock()
-_active: MaterializationStore | None = None
-
-
-def active_store() -> MaterializationStore | None:
-    """The store the executor should consult, or ``None`` outside any
-    :func:`materialization_scope` — one module-attribute read."""
-    return _active
-
-
-@contextmanager
-def materialization_scope(store: MaterializationStore | None):
-    """Install ``store`` as the active store for the duration of the block.
-
-    This is the only way in; the previous store is restored on exit.
-    ``None`` is a no-op scope, so drivers can thread an optional store
-    without branching.
-    """
-    if store is None:
-        yield None
-        return
-    global _active
-    with _global_lock:
-        previous = _active
-        _active = store
-    try:
-        yield store
-    finally:
-        with _global_lock:
-            _active = previous

@@ -1,10 +1,11 @@
 """Linear least-squares models.
 
-Three solvers are provided because different parts of the reproduction
+Two solvers are provided because different parts of the reproduction
 need different ones: the closed-form normal equations (used by factorized
-learning, whose crossprod ``X'X`` is what Morpheus factorizes), a QR
-solver (whose factor reuse is what Columbus exploits), and batch gradient
-descent (the iterative pattern the declarative-ML compiler optimizes).
+learning, whose crossprod ``X'X`` is what Morpheus factorizes) and a QR
+solver (whose factor reuse is what Columbus exploits). The iterative
+pattern the declarative-ML compiler optimizes is
+:func:`repro.algorithms.glm.logreg_gd`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import LinearRegressor, check_X_y
-from .losses import SquaredLoss
-from .optim import OptimResult, gradient_descent
 
 
 def solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations ``gram @ w = rhs``; an exactly singular
     system gets the minimum-norm pseudo-inverse solution. Every closed
-    form and the Newton step solve here, so fits from the same
+    form solves here, so fits from the same
     aggregates agree bit for bit."""
     try:
         return np.linalg.solve(gram, rhs)
@@ -115,11 +114,10 @@ class LinearRegression(LinearRegressor):
     """Ordinary (optionally ridge-regularized) least squares.
 
     Args:
-        solver: ``"normal"`` (Gram-matrix normal equations), ``"qr"``
-            (Householder QR), or ``"gd"`` (batch gradient descent).
+        solver: ``"normal"`` (Gram-matrix normal equations) or ``"qr"``
+            (Householder QR).
         l2: ridge penalty coefficient (0 = OLS).
         fit_intercept: learn an unpenalized intercept term.
-        max_iter / tol / learning_rate: GD solver controls.
     """
 
     def __init__(
@@ -127,16 +125,10 @@ class LinearRegression(LinearRegressor):
         solver: str = "normal",
         l2: float = 0.0,
         fit_intercept: bool = True,
-        max_iter: int = 500,
-        tol: float = 1e-8,
-        learning_rate: float = 1.0,
     ):
         self.solver = solver
         self.l2 = l2
         self.fit_intercept = fit_intercept
-        self.max_iter = max_iter
-        self.tol = tol
-        self.learning_rate = learning_rate
 
     def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "LinearRegression":
         X, y = check_X_y(X, y)
@@ -146,10 +138,6 @@ class LinearRegression(LinearRegressor):
             w = Moments.of(Xd, y).solve(self.l2, int(self.fit_intercept))
         elif self.solver == "qr":
             w = self._solve_qr(Xd, y)
-        elif self.solver == "gd":
-            result = self._solve_gd(Xd, y)
-            w = result.weights
-            self.optim_result_ = result
         else:
             raise ModelError(f"unknown solver {self.solver!r}")
         self._unpack(w)
@@ -169,37 +157,3 @@ class LinearRegression(LinearRegressor):
             return np.linalg.solve(R, rhs)
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(R, rhs, rcond=None)[0]
-
-    def _solve_gd(self, Xd: np.ndarray, y: np.ndarray) -> OptimResult:
-        return gradient_descent(
-            SquaredLoss(),
-            Xd,
-            y,
-            l2=self.l2,
-            learning_rate=self.learning_rate,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            warn_on_cap=False,
-        )
-
-
-class Ridge(LinearRegression):
-    """Ridge regression: least squares with an L2 penalty."""
-
-    def __init__(
-        self,
-        l2: float = 1.0,
-        solver: str = "normal",
-        fit_intercept: bool = True,
-        max_iter: int = 500,
-        tol: float = 1e-8,
-        learning_rate: float = 1.0,
-    ):
-        super().__init__(
-            solver=solver,
-            l2=l2,
-            fit_intercept=fit_intercept,
-            max_iter=max_iter,
-            tol=tol,
-            learning_rate=learning_rate,
-        )

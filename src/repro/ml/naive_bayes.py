@@ -1,9 +1,8 @@
-"""Naive Bayes classifiers.
+"""Categorical Naive Bayes.
 
-Gaussian NB for continuous features and categorical NB for discrete
-features. Categorical NB is the model the in-database layer trains with
-pure GROUP BY aggregation (see :mod:`repro.indb.naive_bayes_sql`), so its
-parameter layout mirrors what those aggregates produce.
+The model the in-database layer trains with pure GROUP BY aggregation
+(see :mod:`repro.indb.naive_bayes_sql`), so its parameter layout mirrors
+what those aggregates produce.
 """
 
 from __future__ import annotations
@@ -11,62 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Classifier, check_X, check_X_y
+from .base import Classifier
 
 
-class _NaiveBayes(Classifier):
-    """The predicting half both models share: a subclass's ``fit`` sets
-    ``classes_`` and ``_joint_log_likelihood(X)`` gives the (n, k)
-    unnormalized log posteriors."""
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return self.classes_[np.argmax(self._joint_log_likelihood(X), axis=1)]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class posteriors, shape (n, k), columns ordered as ``classes_``."""
-        self._check_fitted()
-        jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        p = np.exp(jll)
-        return p / p.sum(axis=1, keepdims=True)
-
-
-class GaussianNB(_NaiveBayes):
-    """Gaussian Naive Bayes with per-class diagonal covariance."""
-
-    def __init__(self, var_smoothing: float = 1e-9):
-        self.var_smoothing = var_smoothing
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "GaussianNB":
-        X, y = check_X_y(X, y)
-        self.classes_ = np.unique(y)
-        n, d = X.shape
-        k = len(self.classes_)
-        self.theta_ = np.zeros((k, d))
-        self.var_ = np.zeros((k, d))
-        self.class_prior_ = np.zeros(k)
-        for i, c in enumerate(self.classes_):
-            members = X[y == c]
-            self.class_prior_[i] = len(members) / n
-            self.theta_[i] = members.mean(axis=0)
-            self.var_[i] = members.var(axis=0)
-        self.var_ += self.var_smoothing * float(X.var(axis=0).max() or 1.0)
-        return self
-
-    def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        X = check_X(X)
-        out = np.zeros((len(X), len(self.classes_)))
-        for i in range(len(self.classes_)):
-            log_det = np.sum(np.log(2.0 * np.pi * self.var_[i]))
-            sq = ((X - self.theta_[i]) ** 2) / self.var_[i]
-            out[:, i] = np.log(self.class_prior_[i]) - 0.5 * (
-                log_det + sq.sum(axis=1)
-            )
-        return out
-
-
-class CategoricalNB(_NaiveBayes):
+class CategoricalNB(Classifier):
     """Naive Bayes over categorical features with Laplace smoothing.
 
     Features are arbitrary hashable values per column. Unknown categories
@@ -106,6 +53,18 @@ class CategoricalNB(_NaiveBayes):
                         self.feature_counts_[j].get(key, 0) + 1
                     )
         return self
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
+        return self.classes_[np.argmax(self._joint_log_likelihood(X), axis=1)]
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Class posteriors, shape (n, k), columns ordered as ``classes_``."""
+        self._check_fitted()
+        jll = self._joint_log_likelihood(X)
+        jll -= jll.max(axis=1, keepdims=True)
+        p = np.exp(jll)
+        return p / p.sum(axis=1, keepdims=True)
 
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=object)

@@ -1,8 +1,8 @@
 """First-order optimizers for GLM training.
 
 Batch gradient descent (with backtracking line search; :func:`descend`
-also takes fixed steps), and mini-batch SGD with momentum. Every
-optimizer returns an :class:`OptimResult` carrying the loss trajectory
+also takes fixed steps). Every optimizer returns an
+:class:`OptimResult` carrying the loss trajectory
 so benchmarks and the model-selection layer can account for iterations,
 not just final loss.
 
@@ -183,57 +183,6 @@ def gradient_descent(
             stacklevel=2,
         )
     return result
-
-
-def sgd(
-    loss: Loss,
-    X: np.ndarray,
-    y: np.ndarray,
-    w0: np.ndarray | None = None,
-    learning_rate: float = 0.1,
-    l2: float = 0.0,
-    epochs: int = 20,
-    batch_size: int = 32,
-    momentum: float = 0.0,
-    decay: float = 0.0,
-    tol: float = 0.0,
-    seed: int | None = 0,
-) -> OptimResult:
-    """Mini-batch stochastic gradient descent.
-
-    Args:
-        momentum: classical momentum coefficient (0 disables).
-        decay: learning-rate decay; epoch t uses lr / (1 + decay * t).
-        tol: if > 0, stop early when the epoch-end relative loss
-            improvement falls below it.
-
-    The loss history records the full-data loss at the end of each epoch,
-    matching how Bismarck-style systems monitor convergence.
-    """
-    value, grad = l2_penalized(loss.value, loss.gradient, l2)
-    rng = np.random.default_rng(seed)
-    n = len(y)
-    w = np.zeros(X.shape[1]) if w0 is None else np.array(w0, dtype=np.float64)
-    velocity = np.zeros_like(w)
-    history = [value(X, y, w)]
-    converged = False
-    epoch = 0
-    for epoch in range(1, epochs + 1):
-        lr = learning_rate / (1.0 + decay * (epoch - 1))
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            g = grad(X[idx], y[idx], w)
-            if momentum > 0:
-                velocity = momentum * velocity - lr * g
-                w = w + velocity
-            else:
-                w = w - lr * g
-        history.append(value(X, y, w))
-        if tol > 0 and _relative_improvement(history[-2], history[-1]) < tol:
-            converged = True
-            break
-    return OptimResult(w, epoch, converged, history)
 
 
 def _relative_improvement(previous: float, current: float) -> float:

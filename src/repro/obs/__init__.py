@@ -8,9 +8,8 @@ package is the one substrate those statistics flow through here:
 * :func:`span` — nested timed spans (``with span("executor.matmul",
   rows=n):``), gated by ``REPRO_TRACE`` / :func:`set_tracing`; off by
   default and nearly free when off.
-* :func:`counter` / :func:`gauge` / :func:`histogram` and the one-shot
-  :func:`inc` / :func:`set_gauge` / :func:`observe` — typed metrics in
-  the process-global, thread-safe, resettable :class:`MetricsRegistry`.
+* :func:`get_registry` — typed metrics (counters, gauges, histograms)
+  in the process-global, thread-safe, resettable :class:`MetricsRegistry`.
 * :func:`report` — one JSON-safe document holding the span trees and
   every metric; what ``run_experiments.py --report`` writes.
 * :func:`reset` — clear spans + metrics (tests do this between cases).
@@ -51,33 +50,6 @@ from .trace import (
 )
 
 
-def counter(name: str) -> Counter:
-    """The named counter in the global registry (created on first use)."""
-    return get_registry().counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    return get_registry().gauge(name)
-
-
-def histogram(name: str) -> Histogram:
-    return get_registry().histogram(name)
-
-
-def inc(name: str, amount: float = 1.0) -> None:
-    """Increment the named global counter."""
-    get_registry().inc(name, amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    get_registry().set_gauge(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    """Add one observation to the named global histogram."""
-    get_registry().observe(name, value)
-
-
 __all__ = [
     "MAX_ROOT_SPANS",
     "RESERVOIR_SIZE",
@@ -89,18 +61,12 @@ __all__ = [
     "Ledger",
     "MetricsRegistry",
     "Span",
-    "counter",
     "dropped_span_count",
-    "gauge",
     "get_registry",
-    "histogram",
-    "inc",
-    "observe",
     "report",
     "reset",
     "reset_metrics",
     "reset_trace",
-    "set_gauge",
     "set_tracing",
     "span",
     "span_roots",

@@ -154,11 +154,3 @@ class IterativeCheckpointer:
                 get_registry().inc("checkpoint.corrupt_skipped")
                 continue
         return None
-
-    def clear(self) -> None:
-        """Delete every checkpoint of this job."""
-        for step in self.steps():
-            try:
-                self._path(step).unlink()
-            except OSError:
-                pass

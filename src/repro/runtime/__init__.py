@@ -16,9 +16,7 @@ from .parallel import (
     ParallelContext,
     ParallelStats,
     dispatch,
-    get_default_context,
     merge_tree,
-    pmap,
     resolve_context,
 )
 
@@ -38,8 +36,6 @@ __all__ = [
     "apply_unary",
     "dispatch",
     "execute",
-    "get_default_context",
     "merge_tree",
-    "pmap",
     "resolve_context",
 ]

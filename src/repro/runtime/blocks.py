@@ -92,24 +92,3 @@ class BlockedMatrix:
             self.get_block(b, pool) @ v for b in range(self.num_blocks)
         ]
         return np.concatenate(parts)
-
-    def rmatvec(self, u: np.ndarray, pool: BufferPool) -> np.ndarray:
-        """X.T @ u, streaming blocks through the pool."""
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if len(u) != self.shape[0]:
-            raise ExecutionError(
-                f"vector length {len(u)} != matrix rows {self.shape[0]}"
-            )
-        out = np.zeros(self.shape[1])
-        for b in range(self.num_blocks):
-            start, end = self.block_rows_of(b)
-            out += self.get_block(b, pool).T @ u[start:end]
-        return out
-
-    def gram(self, pool: BufferPool) -> np.ndarray:
-        """X.T @ X accumulated block-by-block."""
-        out = np.zeros((self.shape[1], self.shape[1]))
-        for b in range(self.num_blocks):
-            block = self.get_block(b, pool)
-            out += block.T @ block
-        return out

@@ -143,21 +143,3 @@ class BufferPool:
         array = self._store.read(block_id)
         self._cache.put(block_id, array, array.nbytes)
         return array
-
-    def put(self, block_id: str, array: np.ndarray) -> None:
-        """Write a block through the pool to the store."""
-        array = np.asarray(array, dtype=np.float64)
-        self._store.write(block_id, array)
-        self._cache.put(block_id, array, array.nbytes)
-
-    def pin(self, block_id: str) -> None:
-        """Protect a cached block from eviction."""
-        if not self._cache.pin(block_id):
-            raise ExecutionError(f"cannot pin uncached block {block_id!r}")
-
-    def remove(self, block_id: str) -> bool:
-        """Invalidate one entry (counted separately from evictions)."""
-        if self._cache.remove(block_id):
-            self.stats.inc("invalidations")
-            return True
-        return False

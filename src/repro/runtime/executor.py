@@ -25,8 +25,6 @@ import numpy as np
 
 from ..compiler import feedback as _feedback
 from ..compiler.cost import node_flops
-from ..materialize import reuse as _reuse
-from ..materialize import store as _matstore
 from ..compiler.planner import CompiledPlan, compile_expr
 from ..errors import ExecutionError
 from ..obs import get_registry, span, tracing_enabled
@@ -51,10 +49,6 @@ class ExecutionStats:
     fallback_kinds: dict[str, int] = field(default_factory=dict)
     #: representation conversions performed by Convert nodes, e.g. "dense->cla"
     converts: dict[str, int] = field(default_factory=dict)
-    #: sub-plans served from the materialization store, keyed by op label
-    reuse_hits: dict[str, int] = field(default_factory=dict)
-    #: bytes of intermediate results the store supplied instead of compute
-    reuse_bytes: int = 0
 
     @property
     def total_ops(self) -> int:
@@ -63,10 +57,6 @@ class ExecutionStats:
     @property
     def fallback_count(self) -> int:
         return sum(self.densify_fallbacks.values())
-
-    @property
-    def reuse_count(self) -> int:
-        return sum(self.reuse_hits.values())
 
     def record(self, label: str, node: Node, result_bytes: int) -> None:
         self.op_counts[label] = self.op_counts.get(label, 0) + 1
@@ -85,10 +75,6 @@ class ExecutionStats:
     def note_convert(self, desc: str, nbytes: int) -> None:
         self.converts[desc] = self.converts.get(desc, 0) + 1
         self.intermediate_bytes += nbytes
-
-    def note_reuse(self, label: str, nbytes: int) -> None:
-        self.reuse_hits[label] = self.reuse_hits.get(label, 0) + 1
-        self.reuse_bytes += nbytes
 
 
 def execute(
@@ -130,15 +116,6 @@ def execute(
     prepared = _prepare_bindings(plan, bindings, force_dense)
 
     store = _feedback.active_store()
-    # Sub-plan reuse is fingerprinted against the bound operands, so it
-    # is skipped under force_dense (densified bindings would fingerprint
-    # differently from their representation-bound originals anyway).
-    mat_store = None if force_dense else _matstore.active_store()
-    reuse = (
-        _reuse.ReuseContext(plan, prepared, mat_store)
-        if mat_store is not None
-        else None
-    )
     stats = ExecutionStats()
     memo: dict[int, object] = {}
     dense_cache: dict[int, np.ndarray] = {}
@@ -151,10 +128,7 @@ def execute(
     try:
         with exec_span:
             results = [
-                _eval(
-                    root, prepared, memo, stats, dense_cache,
-                    force_dense, reuse,
-                )
+                _eval(root, prepared, memo, stats, dense_cache, force_dense)
                 for root in plan.outputs.values()
             ]
             out = {}
@@ -197,10 +171,6 @@ def _publish_execution(stats: ExecutionStats, exec_span) -> None:
     )
     registry.inc("executor.densify_fallbacks", stats.fallback_count)
     registry.inc("executor.converts", sum(stats.converts.values()))
-    if stats.reuse_count:
-        registry.inc("executor.reuse_hits", stats.reuse_count)
-        registry.inc("executor.reuse_bytes", stats.reuse_bytes)
-        exec_span.set("reuse_hits", stats.reuse_count)
     exec_span.set("ops", stats.total_ops)
     exec_span.set("flops", stats.flops)
     exec_span.set("densify_fallbacks", stats.fallback_count)
@@ -248,7 +218,6 @@ def _eval(
     stats: ExecutionStats,
     dense_cache: dict[int, np.ndarray],
     force_dense: bool,
-    reuse=None,
 ):
     cached = memo.get(id(node))
     if cached is not None:
@@ -260,18 +229,12 @@ def _eval(
         result = node.value
     elif isinstance(node, Convert):
         child = _eval(
-            node.child, bindings, memo, stats, dense_cache, force_dense, reuse
+            node.child, bindings, memo, stats, dense_cache, force_dense
         )
         result = _eval_convert(node, child, stats, force_dense)
     else:
-        if reuse is not None:
-            hit = reuse.lookup(node)
-            if hit is not None:
-                stats.note_reuse(op_label(node), repops.operand_bytes(hit))
-                memo[id(node)] = hit
-                return hit
         children = [
-            _eval(c, bindings, memo, stats, dense_cache, force_dense, reuse)
+            _eval(c, bindings, memo, stats, dense_cache, force_dense)
             for c in node.children
         ]
         if tracing_enabled():
@@ -283,8 +246,6 @@ def _eval(
                 result = _eval_physical(node, children, stats, dense_cache)
         else:
             result = _eval_physical(node, children, stats, dense_cache)
-        if reuse is not None:
-            reuse.offer(node, result, op_label(node))
 
     memo[id(node)] = result
     return result

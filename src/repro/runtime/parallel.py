@@ -490,33 +490,14 @@ def merge_tree(merge: Callable[[T, T], T], items: Sequence[T]) -> T:
     return level[0]
 
 
-# ----------------------------------------------------------------------
-# Shared default context
-# ----------------------------------------------------------------------
-_default_context: ParallelContext | None = None
-_default_lock = threading.Lock()
-
-
-def get_default_context() -> ParallelContext:
-    """The process-wide shared pool (created lazily)."""
-    global _default_context
-    with _default_lock:
-        if _default_context is None:
-            _default_context = ParallelContext()
-        return _default_context
-
-
-def resolve_context(
-    parallel: "bool | ParallelContext | None",
-) -> ParallelContext | None:
-    """Normalize the ``parallel=`` argument call sites accept.
-
-    ``False``/``None`` -> no context (serial); ``True`` -> the shared
-    default context; a :class:`ParallelContext` -> itself.
-    """
-    if isinstance(parallel, ParallelContext):
+def resolve_context(parallel: ParallelContext | None) -> ParallelContext | None:
+    """Check the ``parallel=`` argument call sites accept: ``None``
+    (serial) or the :class:`ParallelContext` whose pool runs the work."""
+    if parallel is None or isinstance(parallel, ParallelContext):
         return parallel
-    return get_default_context() if parallel else None
+    raise ReproError(
+        f"parallel= takes a ParallelContext or None, got {parallel!r}"
+    )
 
 
 def dispatch(
@@ -535,13 +516,3 @@ def dispatch(
     if ctx is None or len(items) < 2:
         return [fn(item) for item in items]
     return ctx.pmap(fn, items, cost_hint=cost_hint, site=site)
-
-
-def pmap(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    cost_hint: float | None = None,
-    site: str = "pmap",
-) -> list[R]:
-    """``pmap`` on the shared default context."""
-    return get_default_context().pmap(fn, items, cost_hint=cost_hint, site=site)

@@ -5,7 +5,7 @@ regularization paths, shared-fold cross-validation, and cache-aware
 selection sessions.
 """
 
-from .cv import KFold, StratifiedKFold
+from .cv import KFold
 from .featuregrid import FeatureGridResult, ridge_feature_grid
 from .foldreuse import (
     RidgeCVResult,
@@ -41,7 +41,6 @@ __all__ = [
     "SearchResult",
     "SelectionSession",
     "SessionLedger",
-    "StratifiedKFold",
     "expand_grid",
     "fit_logistic_path",
     "fold_statistics",

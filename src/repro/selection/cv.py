@@ -51,44 +51,3 @@ class KFold:
             test = folds[i]
             train = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
             yield train, test
-
-
-class StratifiedKFold:
-    """K-fold that preserves label proportions in every fold.
-
-    Essential when classes are imbalanced: plain random folds can leave
-    a fold without minority examples, making scores incomparable.
-    """
-
-    def __init__(self, n_splits: int = 5, seed: int | None = 0):
-        if n_splits < 2:
-            raise SelectionError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.seed = seed
-
-    def folds(self, y: np.ndarray) -> list[np.ndarray]:
-        """Fold index arrays stratified by the labels ``y``."""
-        y = np.asarray(y)
-        rng = np.random.default_rng(self.seed)
-        buckets: list[list[int]] = [[] for _ in range(self.n_splits)]
-        for cls in np.unique(y):
-            members = np.nonzero(y == cls)[0]
-            if len(members) < self.n_splits:
-                raise SelectionError(
-                    f"class {cls!r} has {len(members)} rows; "
-                    f"need >= n_splits ({self.n_splits})"
-                )
-            members = rng.permutation(members)
-            for i, chunk in enumerate(np.array_split(members, self.n_splits)):
-                buckets[i].extend(chunk.tolist())
-        return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
-
-    def split(self, y: np.ndarray):
-        """Yield (train_indices, test_indices) per stratified fold."""
-        folds = self.folds(y)
-        for i in range(self.n_splits):
-            test = folds[i]
-            train = np.concatenate(
-                [folds[j] for j in range(self.n_splits) if j != i]
-            )
-            yield np.sort(train), test

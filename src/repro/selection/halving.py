@@ -77,13 +77,13 @@ def successive_halving(
     min_budget: int = 2,
     max_budget: int = 64,
     eta: int = 2,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> HalvingResult:
     """Run successive halving over explicit configurations.
 
     Args:
         parallel: evaluate each rung's survivors concurrently on the
-            shared cost-gated pool. Rung boundaries are synchronization
+            context's cost-gated pool. Rung boundaries are synchronization
             points, scores and survivor sets are identical to serial.
     """
     if eta < 2:
@@ -150,7 +150,7 @@ def full_budget_baseline(
     X_val: np.ndarray,
     y_val: np.ndarray,
     budget: int = 64,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> SearchResult:
     """Train every configuration at full budget (the naive comparator)."""
     fit = partial(

@@ -122,7 +122,7 @@ def _evaluate_configs(
     ctx: ParallelContext | None,
     site: str,
 ) -> list[Evaluation]:
-    """Evaluate configurations, optionally through the shared pool.
+    """Evaluate configurations, optionally through a context's pool.
 
     Order is preserved and each configuration's cost accounting is
     computed inside its own task, so serial and parallel runs produce
@@ -152,12 +152,12 @@ def grid_search(
     X: np.ndarray,
     y: np.ndarray,
     cv: KFold | int = 3,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> SearchResult:
     """Exhaustive cross-validated search over a parameter grid.
 
-    ``parallel=True`` evaluates configurations concurrently on the
-    shared cost-gated worker pool; selection and cost accounting are
+    ``parallel=ctx`` evaluates configurations concurrently on the
+    context's cost-gated worker pool; selection and cost accounting are
     identical to the serial path.
     """
     if isinstance(cv, int):
@@ -184,7 +184,7 @@ def random_search(
     n_samples: int = 20,
     cv: KFold | int = 3,
     seed: int | None = 0,
-    parallel: bool | ParallelContext = False,
+    parallel: ParallelContext | None = None,
 ) -> SearchResult:
     """Randomized search.
 

@@ -60,9 +60,7 @@ def fit_logistic_path(
     if any(l < 0 for l in lambdas):
         raise SelectionError("lambdas must be non-negative")
 
-    model = LogisticRegression(
-        solver="gd", max_iter=500, tol=tol, warm_start=warm_start
-    )
+    model = LogisticRegression(max_iter=500, tol=tol, warm_start=warm_start)
     result = PathResult()
     for l2 in lambdas:
         if not warm_start:

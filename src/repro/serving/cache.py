@@ -84,10 +84,6 @@ class PredictionCache:
             self.stats.inc("invalidations", len(stale))
         return len(stale)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -62,7 +62,7 @@ from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..obs import Ledger, get_registry
 from ..resilience import RetryPolicy, active_chaos, resilient_call
 from .quota import AdmissionQuotas
-from .ring import HashRing, placement_hash
+from .ring import HashRing, key_token, placement_hash
 from .server import ModelServer
 
 #: a shard dispatch failing with one of these fails over to the next
@@ -273,7 +273,8 @@ class ShardedServer:
         replicas = self._endpoint(name).replicas
         if key is None or len(replicas) == 1:
             return list(replicas)
-        start = placement_hash(self.seed, f"{name}|{key!r}") % len(replicas)
+        token = key_token(key)
+        start = placement_hash(self.seed, f"{name}|{token}") % len(replicas)
         return list(replicas[start:] + replicas[:start])
 
     def route(self, name: str, key: object | None) -> tuple[str, int]:

@@ -8,7 +8,8 @@ shards, so the placement function has to satisfy three properties
 * **bit-reproducible** — placement hashes with CRC32 over explicit
   strings, never builtin ``hash`` (salted per interpreter), so the same
   ring built in any process, under any ``PYTHONHASHSEED``, routes every
-  key identically;
+  key identically — and a numpy scalar key routes as the Python value
+  it holds (:func:`key_token`);
 * **minimally disruptive** — each node projects ``vnodes`` virtual
   points onto the ring, so adding or removing one of N nodes remaps
   only ~1/N of the key space (property-tested in
@@ -26,6 +27,8 @@ import bisect
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ServingError
 
 #: canary bucket resolution: keys map to [0, 1) in steps of 1/2^32.
@@ -40,6 +43,13 @@ def placement_hash(seed: int, token: str) -> int:
     under any ``PYTHONHASHSEED``.
     """
     return zlib.crc32(f"{seed}|{token}".encode("utf-8"))
+
+
+def key_token(key: object) -> str:
+    """The string a request key places by: ``repr`` of the Python value,
+    so ``np.int64(5)`` and ``5`` (``np.str_("a")`` and ``"a"``) route
+    alike — numpy 2 spells ``repr(np.int64(5))`` ``'np.int64(5)'``."""
+    return repr(key.item() if isinstance(key, np.generic) else key)
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,7 @@ class CanaryRouter:
 
     def bucket(self, key: object) -> float:
         """The key's fixed position in [0, 1) — independent of fraction."""
-        return placement_hash(self.seed, repr(key)) / _BUCKETS
+        return placement_hash(self.seed, key_token(key)) / _BUCKETS
 
     def routes_to_canary(self, key: object) -> bool:
         """True when this key belongs to the canary slice."""
@@ -150,7 +160,7 @@ class HashRing:
         if not self._nodes:
             raise ServingError("ring has no nodes")
         count = min(count, len(self._nodes))
-        point = placement_hash(self.seed, f"key|{key!r}")
+        point = placement_hash(self.seed, f"key|{key_token(key)}")
         start = bisect.bisect_right(self._points, point) % len(self._points)
         found: list[str] = []
         seen: set[str] = set()
@@ -166,7 +176,3 @@ class HashRing:
     def owner(self, key: object) -> str:
         """The single node owning ``key``."""
         return self.successors(key, 1)[0]
-
-    def assignments(self, keys) -> dict:
-        """key -> owner map (bulk helper for tests and rebalancing)."""
-        return {key: self.owner(key) for key in keys}

@@ -260,9 +260,6 @@ class ModelServer:
         """Run the endpoint's batcher in a background worker thread."""
         self.endpoint(name).batcher.start()
 
-    def flush(self, name: str) -> int:
-        return self.endpoint(name).batcher.flush()
-
     def close(self) -> None:
         """Stop every worker and drain every queue."""
         for endpoint in self._endpoints.values():

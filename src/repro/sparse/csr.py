@@ -7,7 +7,6 @@ numpy primitives only (no scipy), with exactly the operation set GLM
 training needs:
 
 * ``X @ v`` and ``X.T @ u`` (via the operand transpose view),
-* row slicing / row gather (mini-batch SGD),
 * scaling, element-wise multiply against dense,
 * column sums, nnz accounting, dense round-trip.
 
@@ -117,61 +116,6 @@ class CSRMatrix(Operand, kind="csr"):
         rows, cols = np.nonzero(mask)
         return cls(X[rows, cols], cols, indptr, X.shape)
 
-    @classmethod
-    def from_coo(
-        cls,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: tuple[int, int],
-    ) -> "CSRMatrix":
-        """Build from coordinate triplets (duplicates are summed)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (len(rows) == len(cols) == len(values)):
-            raise SparseError("rows, cols, values must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= shape[0]):
-            raise SparseError(f"row indices out of range [0, {shape[0]})")
-        # Sort by (row, col), then merge duplicates.
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows):
-            keys = rows * shape[1] + cols
-            unique_mask = np.empty(len(keys), dtype=bool)
-            unique_mask[0] = True
-            unique_mask[1:] = keys[1:] != keys[:-1]
-            group_ids = np.cumsum(unique_mask) - 1
-            merged_values = np.bincount(group_ids, weights=values)
-            rows = rows[unique_mask]
-            cols = cols[unique_mask]
-            values = merged_values
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(values, cols, indptr, shape)
-
-    @classmethod
-    def random(
-        cls,
-        n_rows: int,
-        n_cols: int,
-        density: float,
-        seed: int | None = 0,
-    ) -> "CSRMatrix":
-        """A random sparse matrix with standard-normal nonzeros."""
-        if not 0.0 <= density <= 1.0:
-            raise SparseError("density must be in [0, 1]")
-        rng = np.random.default_rng(seed)
-        nnz = int(round(n_rows * n_cols * density))
-        flat = rng.choice(n_rows * n_cols, size=nnz, replace=False)
-        return cls.from_coo(
-            flat // n_cols,
-            flat % n_cols,
-            rng.standard_normal(nnz),
-            (n_rows, n_cols),
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -217,7 +161,7 @@ class CSRMatrix(Operand, kind="csr"):
         return f"sparse, est density {density:.3f}"
 
     # ------------------------------------------------------------------
-    # Parallel dispatch (cost-gated row blocks, shared pool)
+    # Parallel dispatch (cost-gated row blocks on the attached pool)
     # ------------------------------------------------------------------
     def _kernel_cost(self) -> float:
         """Flops-equivalents of one matvec-shaped pass: 2 * nnz."""
@@ -232,12 +176,6 @@ class CSRMatrix(Operand, kind="csr"):
         step = rows / workers
         bounds = [int(k * step) for k in range(workers)] + [rows]
         return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-    def __repr__(self) -> str:
-        return (
-            f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "
-            f"density={self.density:.4f})"
-        )
 
     # ------------------------------------------------------------------
     # Kernels
@@ -361,57 +299,8 @@ class CSRMatrix(Operand, kind="csr"):
     def sum(self) -> float:
         return float(self.data.sum())
 
-    def take_rows(self, rows: np.ndarray) -> "CSRMatrix":
-        """Rows at the given positions (mini-batch gather)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise SparseError("row indices out of range")
-        counts = np.diff(self.indptr)[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        segments = [
-            slice(self.indptr[r], self.indptr[r + 1]) for r in rows
-        ]
-        data = np.concatenate([self.data[s] for s in segments]) if segments else np.empty(0)
-        indices = (
-            np.concatenate([self.indices[s] for s in segments])
-            if segments
-            else np.empty(0, dtype=np.int64)
-        )
-        return CSRMatrix(data, indices, indptr, (len(rows), self.shape[1]))
-
-    def row(self, i: int) -> np.ndarray:
-        """Row ``i`` as a dense vector."""
-        if not 0 <= i < self.shape[0]:
-            raise SparseError(f"row {i} out of range [0, {self.shape[0]})")
-        out = np.zeros(self.shape[1])
-        s = slice(self.indptr[i], self.indptr[i + 1])
-        out[self.indices[s]] = self.data[s]
-        return out
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
         row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         out[row_of, self.indices] = self.data
         return out
-
-    def transpose(self) -> "CSRMatrix":
-        """Materialized transpose (CSR of X.T)."""
-        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return CSRMatrix.from_coo(
-            self.indices, row_of, self.data, (self.shape[1], self.shape[0])
-        )
-
-    # ------------------------------------------------------------------
-    # numpy-like protocol so GLM losses/optimizers work unchanged
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, key):
-        """Row selection with an index array (mini-batch protocol)."""
-        if isinstance(key, np.ndarray):
-            return self.take_rows(key)
-        if isinstance(key, (int, np.integer)):
-            return self.row(int(key))
-        raise SparseError(f"unsupported index type {type(key).__name__}")

@@ -31,11 +31,6 @@ class Catalog:
             )
         return self._tables[name]
 
-    def drop(self, name: str) -> None:
-        if name not in self._tables:
-            raise StorageError(f"no table named {name!r}")
-        del self._tables[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._tables
 

@@ -80,7 +80,7 @@ class TestLogregGD:
         X, y = classification_data
         dsl = logreg_gd(X, y.astype(float), l2=0.1, max_iter=300)
         library = LogisticRegression(
-            solver="gd", l2=0.1, fit_intercept=False, max_iter=300
+            l2=0.1, fit_intercept=False, max_iter=300
         ).fit(X, y)
         cosine = dsl.weights @ library.coef_ / (
             np.linalg.norm(dsl.weights) * np.linalg.norm(library.coef_)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.obs import get_registry
 from repro.runtime import BlockedMatrix, BlockStore, BufferPool
 
 
@@ -73,46 +72,6 @@ class TestBufferPool:
         assert len(out) == 1000
         assert "big" not in pool
 
-    def test_pin_prevents_eviction(self):
-        pool = BufferPool(_store_with_blocks(3, size=10), capacity_bytes=160)
-        pool.get("b0")
-        pool.pin("b0")
-        pool.get("b1")
-        pool.get("b2")  # must evict b1, not pinned b0
-        assert "b0" in pool
-
-    def test_pin_uncached_raises(self):
-        pool = BufferPool(_store_with_blocks(), capacity_bytes=1000)
-        with pytest.raises(ExecutionError):
-            pool.pin("b0")
-
-    def test_put_writes_through(self, rng):
-        store = BlockStore()
-        pool = BufferPool(store, capacity_bytes=10_000)
-        arr = rng.standard_normal(5)
-        pool.put("new", arr)
-        assert "new" in store
-        assert np.array_equal(pool.get("new"), arr)
-        assert pool.stats.hits == 1  # served from cache
-
-    def test_put_replaces_cached_version(self, rng):
-        store = BlockStore()
-        pool = BufferPool(store, capacity_bytes=10_000)
-        pool.put("x", np.zeros(4))
-        pool.put("x", np.ones(4))
-        assert np.array_equal(pool.get("x"), np.ones(4))
-
-
-class TestBufferPoolInvalidation:
-    def test_remove_counts_invalidations_not_evictions(self):
-        pool = BufferPool(_store_with_blocks(1), capacity_bytes=1000)
-        pool.get("b0")
-        assert pool.remove("b0") is True
-        assert pool.remove("b0") is False
-        assert "b0" not in pool
-        assert pool.stats.invalidations == 1
-        assert pool.stats.evictions == 0
-        assert get_registry().value("bufferpool.invalidations") == 1
 
 
 class TestBlockedMatrix:
@@ -138,21 +97,10 @@ class TestBlockedMatrix:
         v = rng.standard_normal(7)
         assert np.allclose(bm.matvec(v, pool), X @ v)
 
-    def test_rmatvec(self, blocked, rng):
-        X, bm, pool = blocked
-        u = rng.standard_normal(103)
-        assert np.allclose(bm.rmatvec(u, pool), X.T @ u)
-
-    def test_gram(self, blocked):
-        X, bm, pool = blocked
-        assert np.allclose(bm.gram(pool), X.T @ X)
-
     def test_vector_length_validation(self, blocked):
         _, bm, pool = blocked
         with pytest.raises(ExecutionError):
             bm.matvec(np.ones(3), pool)
-        with pytest.raises(ExecutionError):
-            bm.rmatvec(np.ones(3), pool)
 
     def test_block_index_validation(self, blocked):
         _, bm, pool = blocked

@@ -197,12 +197,11 @@ class TestMemoryTierCountsAsBufferpool:
         assert get_registry().value("bufferpool.hits") == 1
         assert get_registry().value("bufferpool.misses") == 1
 
-    def test_drop_counts_invalidations_not_evictions(self):
-        store = MaterializationStore(min_flops=0.0)
+    def test_corrupt_counts_invalidations_not_evictions(self, tmp_path):
+        store = MaterializationStore(tmp_path, min_flops=0.0)
         fp = Fingerprint("s", (), "")
         store.put(fp, np.zeros(10), flops=1.0)
-        assert store.drop(fp) is True
-        assert store.drop(fp) is False
+        store.corrupt(fp)  # drops the resident copy
         assert store.pool.used == 0
         assert store.pool.stats.invalidations == 1
         assert store.pool.stats.evictions == 0

@@ -25,12 +25,6 @@ class TestCatalog:
         with pytest.raises(StorageError, match="people"):
             catalog.get("missing")
 
-    def test_drop(self, catalog):
-        catalog.drop("people")
-        assert "people" not in catalog
-        with pytest.raises(StorageError):
-            catalog.drop("people")
-
     def test_contains_len_iter(self, catalog, people_table):
         catalog.register("b_table", people_table)
         catalog.register("a_table", people_table)

@@ -27,31 +27,20 @@ def reg_problem():
 
 class TestPartitioning:
     def test_every_row_exactly_once(self):
-        for scheme in ("contiguous", "round_robin", "random"):
-            parts = partition_rows(103, 4, scheme=scheme, seed=1)
-            all_idx = np.concatenate([p.indices for p in parts])
-            assert sorted(all_idx.tolist()) == list(range(103))
+        parts = partition_rows(103, 4, seed=1)
+        all_idx = np.concatenate([p.indices for p in parts])
+        assert sorted(all_idx.tolist()) == list(range(103))
 
     def test_balanced_shards(self):
-        parts = partition_rows(103, 4, scheme="random", seed=2)
+        parts = partition_rows(103, 4, seed=2)
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
-
-    def test_contiguous_order(self):
-        parts = partition_rows(10, 2, scheme="contiguous")
-        assert parts[0].indices.tolist() == [0, 1, 2, 3, 4]
-
-    def test_round_robin_stride(self):
-        parts = partition_rows(10, 3, scheme="round_robin")
-        assert parts[1].indices.tolist() == [1, 4, 7]
 
     def test_validation(self):
         with pytest.raises(ReproError):
             partition_rows(5, 0)
         with pytest.raises(ReproError):
             partition_rows(2, 5)
-        with pytest.raises(ReproError):
-            partition_rows(10, 2, scheme="zigzag")
 
 
 class TestCluster:

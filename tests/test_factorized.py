@@ -190,7 +190,7 @@ class TestOrion:
             matrix, star.y
         )
         dense = LogisticRegression(
-            solver="gd", l2=0.1, fit_intercept=False, max_iter=200
+            l2=0.1, fit_intercept=False, max_iter=200
         ).fit(star.materialize(), star.y)
         cosine = factorized.coef_ @ dense.coef_ / (
             np.linalg.norm(factorized.coef_) * np.linalg.norm(dense.coef_)

@@ -466,12 +466,12 @@ class TestGateBatchParity:
         offline = FeatureStore().materialize(view, base_table())
         one, many = (DriftGate(view, offline) for _ in range(2))
         for row in offline.matrix():
-            one.observe(row)
+            one.observe_many(row)
         many.observe_many(offline.matrix())
         assert repr(one.drift_snapshot()) == repr(many.drift_snapshot())
         assert one.ledger() == many.ledger()
         with pytest.raises(FeatureStoreError, match="3 values for 4 features"):
-            one.observe(np.zeros(3))
+            one.observe_many(np.zeros(3))
 
     @pytest.mark.parametrize("rows", [
         np.zeros((5, 3)), np.zeros((2, 8)), np.zeros(8), [[1.0]], 1.0,

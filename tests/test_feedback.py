@@ -1,17 +1,12 @@
 """Adaptive re-optimization: the feedback store and its consumers.
 
 Covers the PR-6 surface: EMA/confidence blending, demotion from observed
-densify fallbacks, learned pmap site policies, frozen-store determinism,
-atomic persistence (round-trip, schema/corruption rejection, concurrent
-writers), the planner reading blended evidence into its decisions and
+densify fallbacks, learned pmap site policies, the planner reading
+blended evidence into its decisions and
 ``explain`` provenance, the executor and parallel engine publishing
 observations, mid-run re-planning in the iterative drivers with bitwise
 parity oracles, and the disabled-by-default invariance guarantee.
 """
-
-import json
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -27,7 +22,6 @@ from repro.compiler.feedback import FeedbackError, input_key
 from repro.lang import matrix
 from repro.obs import get_registry
 from repro.operand import estimate_density as _estimate_density
-from repro.persist import write_atomic
 from repro.runtime import execute
 from repro.runtime.parallel import ParallelContext
 from repro.sparse import CSRMatrix
@@ -168,133 +162,6 @@ class TestSitePolicy:
         assert policy is not None
         assert policy.action == "boost"
         assert policy.speedup == pytest.approx(4.0)
-
-
-# ----------------------------------------------------------------------
-# Frozen store
-# ----------------------------------------------------------------------
-class TestFrozenStore:
-    def test_frozen_ignores_all_observations(self):
-        store = FeedbackStore(frozen=True)
-        store.observe_input("X@10x10", "csr", density=0.1, fallbacks=5)
-        store.observe_site("s", tasks=2, parallel=True, wall=1.0, work=4.0)
-        assert store.updates == 0
-        assert store.blended("X@10x10", "density", 0.5).source == "estimated"
-        assert store.demoted_kinds("X@10x10") == {}
-        assert store.site_policy("s") is None
-
-    def test_frozen_load_pins_consumer_decisions(self, tmp_path):
-        warm = FeedbackStore()
-        warm.observe_input("X@10x10", "csr", fallbacks=2)
-        path = warm.save(tmp_path / "fb.json")
-        pinned = FeedbackStore.load(path)
-        pinned.frozen = True
-        before = pinned.as_dict()
-        pinned.observe_input("X@10x10", "csr")  # would dilute the rate
-        assert pinned.as_dict() == before
-        assert pinned.demoted_kinds("X@10x10") == {"csr": 2}
-
-
-# ----------------------------------------------------------------------
-# Persistence (satellite 4)
-# ----------------------------------------------------------------------
-class TestPersistence:
-    def _warm_store(self):
-        store = FeedbackStore()
-        store.observe_input("X@100x10", "csr", density=0.05, fallbacks=1)
-        store.observe_input("Y@100x10", "cla", cla_ratio=2.5)
-        store.observe_site("s", tasks=4, parallel=True, wall=0.5, work=1.5)
-        return store
-
-    def test_round_trip(self, tmp_path):
-        store = self._warm_store()
-        path = store.save(tmp_path / "fb.json")
-        loaded = FeedbackStore.load(path)
-        assert loaded.as_dict() == store.as_dict()
-        assert loaded.path == str(tmp_path / "fb.json")
-
-    def test_file_with_the_dropped_ops_section_still_loads(self, tmp_path):
-        # repro.feedback/v1 files written before the write-only per-op
-        # section was removed carry an "ops" key: ignored, not rejected.
-        store = self._warm_store()
-        old = {k: v for k, v in store.as_dict().items() if k != "schema"}
-        old["ops"] = {"matmul": {"seconds": {"count": 1, "ema": 0.01}}}
-        path = str(tmp_path / "old.json")
-        write_atomic(
-            path, json.dumps(old, sort_keys=True).encode(), fb.SCHEMA,
-            error_cls=FeedbackError, what="feedback store",
-        )
-        loaded = FeedbackStore.load(path)
-        assert loaded.as_dict() == store.as_dict()
-        assert "ops" not in loaded.as_dict()
-
-    def test_save_requires_a_path(self):
-        with pytest.raises(FeedbackError, match="no path"):
-            FeedbackStore().save()
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FeedbackError, match="could not read"):
-            FeedbackStore.load(tmp_path / "absent.json")
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "fb.json"
-        self._warm_store().save(path)
-        raw = path.read_bytes()
-        newline = raw.find(b"\n")
-        header = json.loads(raw[:newline])
-        header["schema"] = "repro.feedback/v0"
-        path.write_bytes(
-            json.dumps(header, sort_keys=True).encode() + raw[newline:]
-        )
-        with pytest.raises(FeedbackError, match="schema"):
-            FeedbackStore.load(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "fb.json"
-        self._warm_store().save(path)
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FeedbackError, match="truncated"):
-            FeedbackStore.load(path)
-
-    def test_corrupt_payload_rejected_by_checksum(self, tmp_path):
-        path = tmp_path / "fb.json"
-        self._warm_store().save(path)
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0xFF  # flip bits inside the payload, keep the length
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FeedbackError, match="checksum"):
-            FeedbackStore.load(path)
-
-    def test_no_temp_files_left_behind(self, tmp_path):
-        self._warm_store().save(tmp_path / "fb.json")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fb.json"]
-
-    def test_concurrent_writers_leave_a_valid_file(self, tmp_path):
-        path = tmp_path / "fb.json"
-        errors = []
-
-        def writer(seed):
-            try:
-                store = FeedbackStore()
-                for i in range(20):
-                    store.observe_input(
-                        f"X{seed}@10x10", "dense", density=(i % 10) / 10
-                    )
-                    store.save(path)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=writer, args=(s,)) for s in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        # os.replace is atomic: whoever won last, the file must verify.
-        loaded = FeedbackStore.load(path)
-        assert loaded.updates == 20
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +395,7 @@ class TestParallelFeedback:
                 ctx.pmap(lambda v: v, range(4), cost_hint=0.0, site="obs")
         finally:
             ctx.shutdown()
-        snapshot = store.as_dict()["sites"]["obs"]
+        snapshot = store._sites["obs"]
         assert snapshot["parallel_calls"] == 1
         assert snapshot["serial_calls"] == 1
 

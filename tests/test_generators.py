@@ -32,12 +32,12 @@ class TestBasicTasks:
         assert abs(int(np.sum(y == 1)) - 50) <= 1
 
     def test_classification_separation_controls_difficulty(self):
-        from repro.ml import GaussianNB
+        from repro.ml import LogisticRegression
 
         X_easy, y_easy = make_classification(400, 5, separation=5.0, seed=4)
         X_hard, y_hard = make_classification(400, 5, separation=0.5, seed=4)
-        easy = GaussianNB().fit(X_easy, y_easy).score(X_easy, y_easy)
-        hard = GaussianNB().fit(X_hard, y_hard).score(X_hard, y_hard)
+        easy = LogisticRegression().fit(X_easy, y_easy).score(X_easy, y_easy)
+        hard = LogisticRegression().fit(X_hard, y_hard).score(X_hard, y_hard)
         assert easy > hard
 
     def test_blobs_labels_in_range(self):

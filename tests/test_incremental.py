@@ -17,12 +17,10 @@ from repro.data import make_grid_regression
 from repro.errors import IncrementalError
 from repro.features import FeatureView, FeatureViewMaintainer
 from repro.incremental import (
-    CentroidState,
     ContinuousTrainer,
     DynamicTable,
     GramCofactorState,
     IncrementalMaintainer,
-    snap_to_grid,
 )
 from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
@@ -42,12 +40,10 @@ def grid_table(n, seed):
     return Table.from_matrix(X, label=y)
 
 
-def make_maintained(n=300, seed=0, centers=None):
+def make_maintained(n=300, seed=0):
     dyn = DynamicTable.from_table(grid_table(n, seed), name="events")
     stream = dyn.subscribe()
-    maintainer = IncrementalMaintainer(
-        dyn, stream, FEATURES, "label", centers=centers
-    )
+    maintainer = IncrementalMaintainer(dyn, stream, FEATURES, "label")
     return dyn, stream, maintainer
 
 
@@ -129,7 +125,7 @@ class TestDeltaAndStream:
         dyn, stream, _ = make_maintained(20, seed=1)
         for i in range(4):
             dyn.insert(grid_table(1, seed=10 + i))
-        versions = [d.version for d in stream.drain()]
+        versions = [d.version for d in iter(stream.poll, None)]
         assert versions == [1, 2, 3, 4]
         assert stream.pending() == 0
 
@@ -183,31 +179,6 @@ class TestGramCofactorState:
         assert state.fold((), extra, 1) == state.fold((), extra, -1) == 40
         assert np.array_equal(state.moments().gram, gram0)
         assert state.same_bytes(base)
-
-
-class TestCentroidState:
-    def centers(self):
-        rng = np.random.default_rng(42)
-        return snap_to_grid(rng.standard_normal((3, D)))
-
-    def test_parity_after_mixed_mutations(self):
-        dyn, _, m = make_maintained(150, seed=3, centers=self.centers())
-        dyn.insert(grid_table(25, seed=4))
-        dyn.delete(dyn.row_ids[5:25])
-        dyn.update(dyn.row_ids[:10], grid_table(10, seed=5))
-        m.drain()
-        assert m.checkpoint_parity()
-
-    def test_centroids_are_one_lloyd_step(self):
-        dyn, _, m = make_maintained(120, seed=3, centers=self.centers())
-        state = m.centroid_state
-        X = dyn.to_matrix(FEATURES)
-        labels = state.assign(X)
-        expected = state.centers.copy()
-        for c in range(state.k):
-            if (labels == c).any():
-                expected[c] = X[labels == c].mean(axis=0)
-        assert np.allclose(state.centroids(), expected)
 
 
 def run_stream(maintainer, dyn, rounds=8):
@@ -409,9 +380,9 @@ def accounted(stats):
 
 
 class TestInterleavingProperty:
-    """One schedule, both consumers: the aggregates (gram/cofactor and
-    centroids) and a view's feature rows fold the same deltas off one
-    table through the one ``DeltaConsumer.parity``."""
+    """One schedule, both consumers: the gram/cofactor aggregates and a
+    view's feature rows fold the same deltas off one table through the
+    one ``DeltaConsumer.parity``."""
 
     @given(schedule=faulty_ops, base_seed=st.integers(0, 1_000))
     @settings(max_examples=40, deadline=None)
@@ -419,17 +390,12 @@ class TestInterleavingProperty:
         dyn = DynamicTable.from_table(
             keyed_table(60, base_seed, np.arange(60)), name="events"
         )
-        centers = snap_to_grid(
-            np.random.default_rng(base_seed).standard_normal((3, D))
-        )
         view = FeatureView("events", "entity", {
             "cross": lambda c: c.f0 * c.f1,
             "shifted": lambda c: c.f2 + 1.0,
         })
         consumers = [
-            IncrementalMaintainer(
-                dyn, dyn.subscribe(), FEATURES, "label", centers=centers
-            ),
+            IncrementalMaintainer(dyn, dyn.subscribe(), FEATURES, "label"),
             FeatureViewMaintainer(view, dyn, dyn.subscribe()),
         ]
         next_entity, lost = 60, 0

@@ -15,12 +15,10 @@ from repro.data import (
 )
 from repro.errors import ModelError, NotFittedError, StorageError
 from repro.indb import (
-    CovarianceUDA,
     GramUDA,
     InDBLinearRegression,
     InDBLogisticRegression,
     SQLNaiveBayes,
-    SumCountUDA,
     run_uda,
     train_bgd,
     train_igd,
@@ -57,22 +55,12 @@ FEATURES = ["x0", "x1", "x2", "x3"]
 
 
 class TestUDAFramework:
-    def test_sum_count(self, reg_table):
-        table, X, _, _ = reg_table
-        out = run_uda(table, SumCountUDA(), ["x0", "x1"])
-        assert np.allclose(out["mean"], X[:, :2].mean(axis=0))
-        assert out["count"] == 400
-
     def test_partitioned_merge_equals_serial(self, reg_table):
         table, _, _, _ = reg_table
-        serial = run_uda(table, SumCountUDA(), FEATURES, partitions=1)
-        parallel = run_uda(table, SumCountUDA(), FEATURES, partitions=7)
-        assert np.allclose(serial["sum"], parallel["sum"])
-
-    def test_covariance(self, reg_table):
-        table, X, _, _ = reg_table
-        cov = run_uda(table, CovarianceUDA(), FEATURES, partitions=3)
-        assert np.allclose(cov, np.cov(X.T, bias=True), atol=1e-8)
+        serial = run_uda(table, GramUDA(), FEATURES, partitions=1)
+        parallel = run_uda(table, GramUDA(), FEATURES, partitions=7)
+        assert np.allclose(serial.gram, parallel.gram)
+        assert serial.n == parallel.n == 400
 
     def test_gram(self, reg_table):
         table, X, y, _ = reg_table
@@ -87,30 +75,37 @@ class TestUDAFramework:
 
         table = Table.empty(Schema.of(x="float"))
         with pytest.raises(StorageError, match="empty"):
-            run_uda(table, SumCountUDA(), ["x"])
+            run_uda(table, GramUDA(), ["x"])
 
     def test_partitions_validation(self, reg_table):
         table, _, _, _ = reg_table
         with pytest.raises(StorageError):
-            run_uda(table, SumCountUDA(), ["x0"], partitions=0)
+            run_uda(table, GramUDA(), ["x0"], partitions=0)
 
     def test_row_order_applied(self, reg_table):
         table, X, _, _ = reg_table
 
-        class FirstRowUDA(SumCountUDA):
+        class FirstRowUDA(UDA):
+            def initialize(self):
+                return None
+
             def transition(self, state, row):
-                if state[0] is None:
-                    return (row.copy(), 1)
+                return row.copy() if state is None else state
+
+            def merge(self, left, right):
+                return right if left is None else left
+
+            def finalize(self, state):
                 return state
 
         order = np.argsort(table.column("x0"))
         out = run_uda(table, FirstRowUDA(), ["x0"], row_order=order)
-        assert out["sum"][0] == X[:, 0].min()
+        assert out[0] == X[:, 0].min()
 
     def test_row_order_length_validation(self, reg_table):
         table, _, _, _ = reg_table
         with pytest.raises(StorageError):
-            run_uda(table, SumCountUDA(), ["x0"], row_order=np.arange(3))
+            run_uda(table, GramUDA(), ["x0"], row_order=np.arange(3))
 
 
 class TestIGD:
@@ -313,20 +308,6 @@ class _RowKMeans(KMeansAssignUDA):
         return state
 
 
-class _RowSumCount(SumCountUDA):
-    def transition(self, state, row):
-        total, count = state
-        return (row.copy() if total is None else total + row, count + 1)
-
-
-class _RowCovariance(CovarianceUDA):
-    def transition(self, state, row):
-        if state[0] is None:
-            return (np.outer(row, row), row.copy(), 1)
-        outer, total, count = state
-        return (outer + np.outer(row, row), total + row, count + 1)
-
-
 class _RowGram(GramUDA):
     def transition(self, state, row):
         aug, count = state
@@ -407,7 +388,7 @@ class TestBlockFold:
     @given(
         **fold_cases,
         grid=st.booleans(),
-        which=st.sampled_from(("sum", "covariance", "gram", "squared", "logistic")),
+        which=st.sampled_from(("gram", "squared", "logistic")),
     )
     def test_sums_exact_on_the_grid_and_close_off_it(
         self, n, partitions, shuffled, seed, grid, which
@@ -417,8 +398,6 @@ class TestBlockFold:
         rng, table, rows, order = _fold_case(n, shuffled, seed, grid)
         w = snap_to_grid(rng.standard_normal(3))
         block, row = {
-            "sum": (SumCountUDA(), _RowSumCount()),
-            "covariance": (CovarianceUDA(), _RowCovariance()),
             "gram": (GramUDA(), _RowGram()),
             "squared": (GradientUDA(LOSSES[0], w), _RowGradient(LOSSES[0], w)),
             "logistic": (GradientUDA(LOSSES[1], w), _RowGradient(LOSSES[1], w)),
@@ -481,8 +460,6 @@ class TestBlockFold:
     @pytest.mark.parametrize(
         "make",
         [
-            SumCountUDA,
-            CovarianceUDA,
             GramUDA,
             lambda: KMeansAssignUDA(np.eye(4)),
             lambda: IGDTransition(LOSSES[1], 3, 0.05, 0.0),
@@ -507,7 +484,7 @@ class TestBlockFold:
         table, X, _, _ = reg_table
         seen = []
 
-        class Rows(SumCountUDA):  # a row form under a block-form parent
+        class Rows(GramUDA):  # a row form under a block-form parent
             def transition(self, state, row):
                 seen.append("row")
                 return super().transition(state, row)
@@ -517,11 +494,11 @@ class TestBlockFold:
                 seen.append("block")
                 return super().transition_many(state, block)
 
-        assert run_uda(table, Rows(), ["x0"])["count"] == 400
+        assert run_uda(table, Rows(), ["x0"]).n == 400
         assert seen == ["row"] * 400 and Rows.steps_per_row
         seen.clear()
         out = run_uda(table, Blocks(), ["x0"], partitions=2)
-        assert out["sum"][0] == pytest.approx(X[:, 0].sum())
+        assert out.yty == pytest.approx(float(X[:, 0] @ X[:, 0]))
         assert seen == (["block"] + ["row"] * 200) * 2
         # its ``transition`` is its own one-row block
         seen.clear()
@@ -557,12 +534,10 @@ class TestBlockFold:
         assert estimate_uda_cost(4000, 9, False) == (
             4 * PYTHON_CALL_FLOPS + 2.0 * 4000 * 9
         )
-        assert IGDTransition.steps_per_row and _RowSumCount.steps_per_row
+        assert IGDTransition.steps_per_row and _RowGram.steps_per_row
         assert not any(
             uda.steps_per_row
-            for uda in (
-                SumCountUDA, CovarianceUDA, GramUDA, KMeansAssignUDA, GradientUDA
-            )
+            for uda in (GramUDA, KMeansAssignUDA, GradientUDA)
         )
 
 

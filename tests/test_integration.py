@@ -204,7 +204,11 @@ class TestBufferedIterativeTraining:
 
         w = np.zeros(5)
         for _ in range(300):
-            grad = blocked.rmatvec(blocked.matvec(w, pool) - y_np, pool) / 1000
+            r = blocked.matvec(w, pool) - y_np
+            grad = sum(
+                blocked.get_block(b, pool).T @ r[slice(*blocked.block_rows_of(b))]
+                for b in range(blocked.num_blocks)
+            ) / 1000
             w = w - 0.5 * grad
         assert np.allclose(w, w_true, atol=1e-4)
         assert pool.stats.hit_ratio > 0.9  # everything fits: epochs hit cache
@@ -219,7 +223,7 @@ class TestSelectionWithLifecycle:
         registry = ModelRegistry()
 
         result = grid_search(
-            LogisticRegression(solver="gd", max_iter=40),
+            LogisticRegression(max_iter=40),
             {"l2": [1e-3, 1e-1, 1.0]},
             X_tr,
             y_tr,
@@ -231,7 +235,7 @@ class TestSelectionWithLifecycle:
             run.finish()
 
         best_params = tracker.best_run("logreg-tune", "cv_score").params
-        final = LogisticRegression(solver="gd", max_iter=100, **best_params)
+        final = LogisticRegression(max_iter=100, **best_params)
         final.fit(X_tr, y_tr)
         version = registry.register(
             "logreg",
@@ -250,14 +254,14 @@ class TestSelectionWithLifecycle:
         pipe = Pipeline(
             [
                 ("scale", StandardScaler()),
-                ("model", LogisticRegression(solver="gd", max_iter=30)),
+                ("model", LogisticRegression(max_iter=30)),
             ]
         )
         pipe.fit(X, y)
         assert pipe.score(X, y) > 0.8
 
         session = SelectionSession(
-            LogisticRegression(solver="gd", max_iter=30), X, y, cv=3
+            LogisticRegression(max_iter=30), X, y, cv=3
         )
         session.run_grid({"l2": [0.01, 0.1]})
         session.run_grid({"l2": [0.01, 0.1]})  # fully cached second time

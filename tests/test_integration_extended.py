@@ -20,7 +20,7 @@ from repro.ml import KMeans, LogisticRegression
 from repro.ml.losses import SquaredLoss
 from repro.operand import SAMPLE_FRACTION
 from repro.runtime import BlockStore, BufferPool, execute
-from repro.selection import SelectionSession, StratifiedKFold
+from repro.selection import KFold, SelectionSession
 from repro.sparse import CSRMatrix
 from repro.storage import Catalog, Table, run_sql
 
@@ -44,7 +44,8 @@ class TestCompressedBlocksInBufferPool:
         pool = BufferPool(store, capacity_bytes=C.compressed_bytes * 2)
         # Stage the compressed column groups as pool blocks.
         for i, group in enumerate(C.groups):
-            pool.put(f"grp/{i}", group.decompress()[:1])  # metadata-sized stub
+            store.write(f"grp/{i}", group.decompress()[:1])  # metadata-sized stub
+            pool.get(f"grp/{i}")
         assert pool.stats.evictions == 0
 
 
@@ -80,13 +81,13 @@ class TestStratifiedSessionOverLogisticModels:
         # Make it imbalanced: drop most positives.
         keep = np.nonzero((y == 0) | (np.arange(400) % 5 == 0))[0]
         X, y = X[keep], y[keep]
-        cv = StratifiedKFold(3, seed=84)
+        cv = KFold(3, seed=84)
         # Verify minority presence per fold before searching.
-        for fold in cv.folds(y):
+        for fold in cv.folds(len(y)):
             assert (y[fold] == 1).sum() > 0
 
         session = SelectionSession(
-            LogisticRegression(max_iter=20), X, y, cv=3
+            LogisticRegression(max_iter=20), X, y, cv=cv
         )
         session.run_grid({"l2": [0.01, 1.0]})
         assert session.best.score > 0.7

@@ -149,7 +149,6 @@ def _runtime_and_materialize(ledgers, directory):
     pool = BufferPool(blocks, capacity_bytes=160)
     for block in ("b0", "b1", "b1", "b2"):  # 3 misses, 1 hit, 1 eviction
         pool.get(block)
-    pool.remove("b2")
     blocks.corrupt("b0")
     pool.get("b0")  # detected, repaired from lineage
     ledgers += [("blockstore", blocks.counts), ("bufferpool", pool.stats)]

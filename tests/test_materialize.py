@@ -1,4 +1,4 @@
-"""Tests for the lineage-aware materialization store and sub-plan reuse."""
+"""Tests for the lineage-aware materialization store and its fingerprints."""
 
 import os
 import subprocess
@@ -19,13 +19,9 @@ from repro.materialize import (
     MaterializationStore,
     canonical_plan,
     content_hash,
-    fingerprint_node,
-    materialization_scope,
 )
-from repro.materialize.store import active_store
 from repro.obs import get_registry
 from repro.resilience.faults import ChaosContext, FaultPlan
-from repro.runtime import execute
 from repro.selection import KFold, ridge_feature_grid
 from repro.storage import Table, table_fingerprint
 
@@ -42,13 +38,22 @@ def _gram_data(n=300, d=40, seed=0):
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
+def _fingerprint(node, bindings, flags=""):
+    """A plan over bound operands, addressed the way the feature view
+    addresses its definition: canonical structure x operand hashes."""
+    canon, order = canonical_plan(node)
+    return Fingerprint(
+        canon, tuple(content_hash(bindings[name]) for name in order), flags
+    )
+
+
 class TestFingerprint:
     def test_same_program_same_fingerprint(self):
         A = _gram_data()
         plan1 = compile_expr(_gram_expr())
         plan2 = compile_expr(_gram_expr())
-        fp1 = fingerprint_node(plan1.root, {"X": A})
-        fp2 = fingerprint_node(plan2.root, {"X": A})
+        fp1 = _fingerprint(plan1.root, {"X": A})
+        fp2 = _fingerprint(plan2.root, {"X": A})
         assert fp1 == fp2
         assert fp1.key == fp2.key
 
@@ -56,16 +61,14 @@ class TestFingerprint:
         A = _gram_data()
         Xa = matrix("X", (300, 40))
         Xb = matrix("renamed", (300, 40))
-        fpa = fingerprint_node(compile_expr(Xa.T @ Xa).root, {"X": A})
-        fpb = fingerprint_node(
-            compile_expr(Xb.T @ Xb).root, {"renamed": A}
-        )
+        fpa = _fingerprint(compile_expr(Xa.T @ Xa).root, {"X": A})
+        fpb = _fingerprint(compile_expr(Xb.T @ Xb).root, {"renamed": A})
         assert fpa.key == fpb.key
 
     def test_operand_bytes_matter(self):
         plan = compile_expr(_gram_expr())
-        fp1 = fingerprint_node(plan.root, {"X": _gram_data(seed=0)})
-        fp2 = fingerprint_node(plan.root, {"X": _gram_data(seed=1)})
+        fp1 = _fingerprint(plan.root, {"X": _gram_data(seed=0)})
+        fp2 = _fingerprint(plan.root, {"X": _gram_data(seed=1)})
         assert fp1.structural == fp2.structural
         assert fp1.operands != fp2.operands
         assert fp1.key != fp2.key
@@ -73,8 +76,8 @@ class TestFingerprint:
     def test_flags_matter(self):
         A = _gram_data()
         plan = compile_expr(_gram_expr())
-        fp1 = fingerprint_node(plan.root, {"X": A}, flags="fusion")
-        fp2 = fingerprint_node(plan.root, {"X": A}, flags="")
+        fp1 = _fingerprint(plan.root, {"X": A}, flags="fusion")
+        fp2 = _fingerprint(plan.root, {"X": A}, flags="")
         assert fp1.key != fp2.key
 
     def test_sharing_pattern_is_structural(self):
@@ -84,11 +87,6 @@ class TestFingerprint:
         self_sum = compile_expr(A + A).root
         cross_sum = compile_expr(A + B).root
         assert canonical_plan(self_sum)[0] != canonical_plan(cross_sum)[0]
-
-    def test_missing_binding_raises(self):
-        plan = compile_expr(_gram_expr())
-        with pytest.raises(MaterializationError, match="no binding"):
-            fingerprint_node(plan.root, {})
 
     def test_content_hash_tags_representation_kind(self):
         from repro.sparse import CSRMatrix
@@ -161,15 +159,21 @@ class TestFingerprintRestartStability:
             import numpy as np
             from repro.compiler import compile_expr
             from repro.lang import matrix
-            from repro.materialize import fingerprint_node
+            from repro.materialize import (
+                Fingerprint, canonical_plan, content_hash,
+            )
 
             X = matrix("X", (6, 4))
             w = matrix("w", (4, 1))
             plan = compile_expr(X.T @ (X @ w))
             A = np.arange(24, dtype=np.float64).reshape(6, 4)
             b = np.linspace(-1.0, 1.0, 4).reshape(4, 1)
-            fp = fingerprint_node(
-                plan.root, {"X": A, "w": b}, "|".join(plan.passes)
+            canon, order = canonical_plan(plan.root)
+            bound = {"X": A, "w": b}
+            fp = Fingerprint(
+                canon,
+                tuple(content_hash(bound[name]) for name in order),
+                "|".join(plan.passes),
             )
             print(fp.structural, fp.key)
         """))
@@ -272,15 +276,6 @@ class TestMaterializationStore:
         with pytest.raises(MaterializationError):
             MaterializationStore(min_flops=-1.0)
 
-    def test_drop_forgets_everywhere(self, tmp_path):
-        store = MaterializationStore(tmp_path, min_flops=0.0)
-        fp = Fingerprint("s", (), "")
-        store.put(fp, np.ones((2, 2)), flops=1.0)
-        assert store.drop(fp)
-        assert not store.drop(fp)
-        assert store.lookup(fp) is None
-        assert list(tmp_path.glob("*.mat")) == []
-
 
 class TestStorePersistence:
     def test_second_store_instance_serves_from_disk(self, tmp_path):
@@ -334,129 +329,6 @@ class TestStorePersistence:
         (tmp_path / "other.txt").write_text("irrelevant")
         store = MaterializationStore(tmp_path)
         assert len(store) == 0
-
-
-# ----------------------------------------------------------------------
-# Global activation
-# ----------------------------------------------------------------------
-class TestActivation:
-    def test_disabled_by_default(self):
-        assert active_store() is None
-
-    def test_scope_installs_and_restores(self):
-        store = MaterializationStore()
-        with materialization_scope(store):
-            assert active_store() is store
-        assert active_store() is None
-
-    def test_none_scope_is_noop(self):
-        with materialization_scope(None):
-            assert active_store() is None
-
-
-# ----------------------------------------------------------------------
-# Executor integration
-# ----------------------------------------------------------------------
-class TestExecutorReuse:
-    def test_warm_execution_is_bit_identical_and_counted(self):
-        A = _gram_data()
-        expr = _gram_expr()
-        cold_ref = execute(expr, {"X": A})
-        store = MaterializationStore(min_flops=1e5)
-        with materialization_scope(store):
-            r1, s1 = execute(expr, {"X": A}, collect_stats=True)
-            r2, s2 = execute(expr, {"X": A}, collect_stats=True)
-        assert np.array_equal(cold_ref, r1)
-        assert np.array_equal(r1, r2)
-        assert s1.reuse_count == 0
-        assert s2.reuse_hits == {"fused:tsmm": 1}
-        assert s2.reuse_bytes == r2.nbytes
-        assert s2.total_ops == 0  # whole plan served from the store
-        led = store.ledger()
-        assert led["hits"] == 1 and led["misses"] == 1 and led["puts"] == 1
-        assert get_registry().value("executor.reuse_hits") == 1
-
-    def test_hit_returns_a_copy(self):
-        A = _gram_data()
-        expr = _gram_expr()
-        store = MaterializationStore(min_flops=1e5)
-        with materialization_scope(store):
-            execute(expr, {"X": A})
-            warm1 = execute(expr, {"X": A})
-            warm1 += 1000.0  # caller mutates the served array
-            warm2 = execute(expr, {"X": A})
-        assert not np.array_equal(warm1, warm2)
-        assert np.array_equal(warm2, A.T @ A)
-
-    def test_cold_result_mutation_cannot_poison_store(self):
-        A = _gram_data()
-        expr = _gram_expr()
-        store = MaterializationStore(min_flops=1e5)
-        with materialization_scope(store):
-            cold = execute(expr, {"X": A})
-            expected = cold.copy()
-            cold[0, 0] = -1e9
-            warm = execute(expr, {"X": A})
-        assert np.array_equal(warm, expected)
-
-    def test_different_operands_never_hit(self):
-        expr = _gram_expr()
-        store = MaterializationStore(min_flops=1e5)
-        with materialization_scope(store):
-            execute(expr, {"X": _gram_data(seed=0)})
-            _, stats = execute(
-                expr, {"X": _gram_data(seed=1)}, collect_stats=True
-            )
-        assert stats.reuse_count == 0
-        assert store.ledger()["hits"] == 0
-
-    def test_force_dense_bypasses_store(self):
-        A = _gram_data()
-        expr = _gram_expr()
-        store = MaterializationStore(min_flops=0.0)
-        with materialization_scope(store):
-            execute(expr, {"X": A}, representation="dense")
-            execute(expr, {"X": A}, representation="dense")
-        assert store.ledger()["hits"] == 0
-        assert store.ledger()["puts"] == 0
-
-    def test_no_store_leaves_stats_clean(self):
-        A = _gram_data()
-        _, stats = execute(_gram_expr(), {"X": A}, collect_stats=True)
-        assert stats.reuse_count == 0 and stats.reuse_bytes == 0
-
-    def test_lineage_links_nested_candidates(self):
-        # (X'X) @ (X'X): a matmul root over a CSE-shared tsmm child —
-        # two candidates, so the root's lineage references the child.
-        X = matrix("X", (200, 30))
-        expr = (X.T @ X) @ (X.T @ X)
-        A = _gram_data(200, 30)
-        store = MaterializationStore(min_flops=1e4)
-        with materialization_scope(store):
-            execute(expr, {"X": A})
-        # the root's lineage children point at materialized sub-plans
-        roots = [
-            rec for key, rec in store.lineage.as_dict().items()
-            if rec["children"]
-        ]
-        assert roots, store.lineage.describe()
-        child_keys = set()
-        for rec in roots:
-            child_keys.update(rec["children"])
-        assert all(k in store.lineage for k in child_keys)
-
-    def test_partial_reuse_skips_only_the_hit_subtree(self):
-        X = matrix("X", (200, 30))
-        A = _gram_data(200, 30)
-        store = MaterializationStore(min_flops=1e4)
-        with materialization_scope(store):
-            execute(X.T @ X, {"X": A})  # materializes the gram
-            result, stats = execute(
-                (X.T @ X) @ (X.T @ X), {"X": A}, collect_stats=True
-            )
-        assert stats.reuse_hits == {"fused:tsmm": 1}
-        assert "matmul" in stats.op_counts  # the outer product still ran
-        assert np.allclose(result, (A.T @ A) @ (A.T @ A))
 
 
 # ----------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TestSpans:
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_counter_accumulates_and_counts_updates(self):
-        c = obs.counter("t.counter")
+        c = obs.get_registry().counter("t.counter")
         c.inc()
         c.inc(2.5)
         assert c.value == 3.5
@@ -126,30 +126,30 @@ class TestMetrics:
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ReproError):
-            obs.counter("t.mono").inc(-1)
+            obs.get_registry().counter("t.mono").inc(-1)
 
     def test_gauge_last_write_wins(self):
-        obs.set_gauge("t.gauge", 1.0)
-        obs.set_gauge("t.gauge", 7.0)
+        obs.get_registry().set_gauge("t.gauge", 1.0)
+        obs.get_registry().set_gauge("t.gauge", 7.0)
         assert obs.get_registry().value("t.gauge") == 7.0
-        assert obs.gauge("t.gauge").updates == 2
+        assert obs.get_registry().gauge("t.gauge").updates == 2
 
     def test_histogram_summary_stats(self):
         for v in (1.0, 2.0, 9.0):
-            obs.observe("t.hist", v)
-        h = obs.histogram("t.hist")
+            obs.get_registry().observe("t.hist", v)
+        h = obs.get_registry().histogram("t.hist")
         assert h.count == 3
         assert h.min == 1.0 and h.max == 9.0
         assert h.mean == pytest.approx(4.0)
 
     def test_type_conflict_raises(self):
-        obs.inc("t.kind")
+        obs.get_registry().inc("t.kind")
         with pytest.raises(ReproError, match="t.kind"):
-            obs.observe("t.kind", 1.0)
+            obs.get_registry().observe("t.kind", 1.0)
 
     def test_reset_clears_everything(self):
-        obs.inc("t.reset")
-        obs.set_gauge("t.reset.g", 5.0)
+        obs.get_registry().inc("t.reset")
+        obs.get_registry().set_gauge("t.reset.g", 5.0)
         obs.get_registry().reset()
         assert obs.get_registry().names() == []
         assert obs.get_registry().value("t.reset", default=-1.0) == -1.0
@@ -174,9 +174,9 @@ class TestMetrics:
         assert registry.value("t.race") == n_threads * per_thread
 
     def test_as_dict_groups_by_type(self):
-        obs.inc("t.c")
-        obs.set_gauge("t.g", 2.0)
-        obs.observe("t.h", 3.0)
+        obs.get_registry().inc("t.c")
+        obs.get_registry().set_gauge("t.g", 2.0)
+        obs.get_registry().observe("t.h", 3.0)
         doc = obs.get_registry().as_dict()
         assert "t.c" in doc["counters"]
         assert "t.g" in doc["gauges"]
@@ -191,7 +191,7 @@ class TestReport:
     def test_schema_and_sections(self):
         obs.set_tracing(True)
         with obs.span("reported"):
-            obs.inc("t.report.counter")
+            obs.get_registry().inc("t.report.counter")
         doc = obs.report()
         assert doc["schema"] == obs.SCHEMA
         assert doc["tracing"] is True
@@ -203,7 +203,7 @@ class TestReport:
     def test_reset_clears_spans_and_metrics(self):
         obs.set_tracing(True)
         with obs.span("gone"):
-            obs.inc("t.gone")
+            obs.get_registry().inc("t.gone")
         obs.reset()
         doc = obs.report()
         assert doc["spans"] == []

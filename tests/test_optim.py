@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceWarning
-from repro.ml.losses import LogisticLoss, SquaredLoss
-from repro.ml.optim import descend, gradient_descent, sgd
+from repro.ml.losses import SquaredLoss
+from repro.ml.optim import descend, gradient_descent
 
 
 @pytest.fixture
@@ -81,44 +81,3 @@ class TestGradientDescent:
             np.zeros(X.shape[1]), 0.1, 2000, 1e-14, line_search=False,
         )
         assert np.allclose(result.weights, w_true, atol=1e-3)
-
-
-class TestSGD:
-    def test_approaches_solution(self, quadratic):
-        X, y, w_true = quadratic
-        result = sgd(
-            SquaredLoss(), X, y, learning_rate=0.05, epochs=60, decay=0.05, seed=0
-        )
-        assert np.allclose(result.weights, w_true, atol=0.05)
-
-    def test_loss_history_one_entry_per_epoch(self, quadratic):
-        X, y, _ = quadratic
-        result = sgd(SquaredLoss(), X, y, epochs=7)
-        assert len(result.loss_history) == 8  # initial + 7 epochs
-
-    def test_momentum_variant_trains(self, quadratic):
-        X, y, w_true = quadratic
-        result = sgd(
-            SquaredLoss(), X, y, learning_rate=0.02, epochs=60, momentum=0.9
-        )
-        assert result.final_loss < 0.01
-
-    def test_early_stop_with_tol(self, quadratic):
-        X, y, _ = quadratic
-        result = sgd(
-            SquaredLoss(), X, y, learning_rate=0.05, epochs=500, tol=1e-6
-        )
-        assert result.converged
-        assert result.iterations < 500
-
-    def test_deterministic_given_seed(self, quadratic):
-        X, y, _ = quadratic
-        a = sgd(SquaredLoss(), X, y, epochs=5, seed=42)
-        b = sgd(SquaredLoss(), X, y, epochs=5, seed=42)
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_logistic_sgd_reduces_loss(self, rng):
-        X = rng.standard_normal((300, 4))
-        y = np.where(X @ np.ones(4) > 0, 1.0, -1.0)
-        result = sgd(LogisticLoss(), X, y, learning_rate=0.5, epochs=20)
-        assert result.final_loss < result.loss_history[0] / 2

@@ -15,15 +15,10 @@ from repro.data import make_classification
 from repro.distributed import SimulatedCluster
 from repro.errors import ReproError, StorageError
 from repro.indb.gradient import train_igd
-from repro.indb.uda import GramUDA, SumCountUDA, run_uda
-from repro.ml import LogisticRegression, Ridge
+from repro.indb.uda import GramUDA, run_uda
+from repro.ml import LinearRegression, LogisticRegression
 from repro.ml.losses import LogisticLoss
-from repro.runtime.parallel import (
-    ParallelContext,
-    get_default_context,
-    merge_tree,
-    pmap,
-)
+from repro.runtime.parallel import ParallelContext, merge_tree
 from repro.sparse import CSRMatrix
 from repro.selection import grid_search, random_search, successive_halving
 from repro.storage.table import Table
@@ -93,12 +88,6 @@ class TestParallelContext:
         with pytest.raises(ReproError):
             ParallelContext()
 
-    def test_default_context_stats_hook(self):
-        ledger = get_default_context().stats
-        before = ledger.as_dict()["calls"]
-        pmap(lambda x: x, range(4), cost_hint=0.0)
-        assert ledger.as_dict()["calls"] - before == 1
-
     def test_worker_exception_wrapped_with_context(self):
         from repro.errors import ParallelTaskError
 
@@ -141,16 +130,16 @@ class TestMergeTree:
 # Layer 1: UDA execution
 # ----------------------------------------------------------------------
 class TestParallelUDA:
-    def test_parallel_equals_serial_sumcount(self):
+    def test_parallel_equals_serial_gram(self):
         table = make_table(300, 3)
         cols = ["x0", "x1", "x2"]
-        serial = run_uda(table, SumCountUDA(), cols, partitions=4)
+        serial = run_uda(table, GramUDA(), cols, partitions=4)
         ctx = ParallelContext(max_workers=4, cost_threshold=0)
         par = run_uda(
-            table, SumCountUDA(), cols, partitions=4, parallel=ctx
+            table, GramUDA(), cols, partitions=4, parallel=ctx
         )
-        assert par["count"] == serial["count"]
-        np.testing.assert_array_equal(par["sum"], serial["sum"])
+        assert par.n == serial.n
+        np.testing.assert_array_equal(par.gram, serial.gram)
         assert ctx.stats.parallel_calls == 1
         ctx.shutdown()
 
@@ -179,7 +168,7 @@ class TestParallelUDA:
         table = make_table(3, 2)
         cols = ["x0", "x1"]
 
-        class CountingUDA(SumCountUDA):
+        class CountingUDA(GramUDA):
             initialized = 0
 
             def initialize(self):
@@ -188,7 +177,7 @@ class TestParallelUDA:
 
         uda = CountingUDA()
         out = run_uda(table, uda, cols, partitions=10)
-        assert out["count"] == 3
+        assert out.n == 3
         # Only the non-empty slices folded a state (<= one per row).
         assert CountingUDA.initialized <= 3
 
@@ -205,7 +194,7 @@ class TestParallelUDA:
             {"x0": np.array([]), "x1": np.array([])}
         )
         with pytest.raises(StorageError):
-            run_uda(table, SumCountUDA(), ["x0", "x1"], partitions=4)
+            run_uda(table, GramUDA(), ["x0", "x1"], partitions=4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,9 +207,9 @@ class TestParallelUDA:
 def test_merge_tree_uda_matches_single_partition(n, d, partitions, seed):
     """Property: any partition count (even > n_rows) equals partitions=1.
 
-    SumCount and Gram have associative-commutative merges, so the merge
-    tree over any partitioning must reproduce the single-state fold up
-    to float re-association.
+    Gram has an associative-commutative merge, so the merge tree over
+    any partitioning must reproduce the single-state fold up to float
+    re-association.
     """
     rng = np.random.default_rng(seed)
     cols = {f"x{i}": rng.standard_normal(n) * 10 for i in range(d)}
@@ -228,22 +217,12 @@ def test_merge_tree_uda_matches_single_partition(n, d, partitions, seed):
     names = list(cols)
     ctx = ParallelContext(max_workers=4, cost_threshold=0)
     try:
-        base = run_uda(table, SumCountUDA(), names, partitions=1)
-        split = run_uda(
-            table, SumCountUDA(), names, partitions=partitions, parallel=ctx
+        g1 = run_uda(table, GramUDA(), names, partitions=1)
+        gk = run_uda(
+            table, GramUDA(), names, partitions=partitions, parallel=ctx
         )
-        assert split["count"] == base["count"] == n
-        np.testing.assert_allclose(
-            split["sum"], base["sum"], rtol=1e-9, atol=1e-9
-        )
-        if n >= 1 and d >= 1:
-            g1 = run_uda(table, GramUDA(), names, partitions=1)
-            gk = run_uda(
-                table, GramUDA(), names, partitions=partitions, parallel=ctx
-            )
-            np.testing.assert_allclose(
-                gk.gram, g1.gram, rtol=1e-9, atol=1e-9
-            )
+        assert gk.n == g1.n == n
+        np.testing.assert_allclose(gk.gram, g1.gram, rtol=1e-9, atol=1e-9)
     finally:
         ctx.shutdown()
 
@@ -307,14 +286,20 @@ class TestParallelCLA:
         assert ctx.stats.parallel_calls == before + 1
 
 
+def _random_csr(n=3000, d=9, density=0.15, seed=4):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, d)) < density
+    return CSRMatrix.from_dense(rng.standard_normal((n, d)) * mask)
+
+
 class TestParallelCSR:
     @pytest.fixture(scope="class")
     def matrices(self):
         # density 0.15 over 9 columns leaves ~23% of the rows empty
-        serial = CSRMatrix.random(3000, 9, 0.15, seed=4)
+        serial = _random_csr()
         assert (np.diff(serial.indptr) == 0).any()
         with ParallelContext(max_workers=4, cost_threshold=0) as ctx:
-            par = CSRMatrix.random(3000, 9, 0.15, seed=4).set_parallel(ctx)
+            par = _random_csr().set_parallel(ctx)
             yield serial, par, ctx
 
     def test_matvec_bitwise(self, matrices):
@@ -338,7 +323,7 @@ class TestParallelCSR:
         serial, _, _ = matrices
         v = np.ones(serial.shape[1])
         with ParallelContext(max_workers=4, cost_threshold=1e18) as gated:
-            X = CSRMatrix.random(3000, 9, 0.15, seed=4).set_parallel(gated)
+            X = _random_csr().set_parallel(gated)
             np.testing.assert_array_equal(X.matvec(v), serial.matvec(v))
             np.testing.assert_array_equal(
                 X.rmatvec(np.ones(X.shape[0])),
@@ -386,8 +371,8 @@ class TestParallelSelection:
     def test_grid_search_identical_selection(self, regression, ctx):
         X, y = regression
         grid = {"l2": [0.0, 0.01, 0.1, 1.0], "fit_intercept": [True, False]}
-        serial = grid_search(Ridge(), grid, X, y, cv=3)
-        par = grid_search(Ridge(), grid, X, y, cv=3, parallel=ctx)
+        serial = grid_search(LinearRegression(), grid, X, y, cv=3)
+        par = grid_search(LinearRegression(), grid, X, y, cv=3, parallel=ctx)
         assert par.best_params == serial.best_params
         assert len(par.evaluations) == len(serial.evaluations)
         assert [e.params for e in par.evaluations] == [
@@ -404,10 +389,11 @@ class TestParallelSelection:
         X, y = regression
         space = {"l2": ("loguniform", 1e-4, 10.0)}
         serial = random_search(
-            Ridge(), space, X, y, n_samples=6, cv=3, seed=5
+            LinearRegression(), space, X, y, n_samples=6, cv=3, seed=5
         )
         par = random_search(
-            Ridge(), space, X, y, n_samples=6, cv=3, seed=5, parallel=ctx
+            LinearRegression(), space, X, y, n_samples=6, cv=3, seed=5,
+            parallel=ctx,
         )
         assert [e.params for e in par.evaluations] == [
             e.params for e in serial.evaluations
@@ -418,7 +404,7 @@ class TestParallelSelection:
         X, y = make_classification(240, 4, separation=2.0, seed=17)
         configs = [{"l2": l2} for l2 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)]
         args = (X[:180], y[:180], X[180:], y[180:])
-        est = LogisticRegression(solver="gd")
+        est = LogisticRegression()
         serial = successive_halving(
             est, configs, *args, min_budget=2, max_budget=8
         )

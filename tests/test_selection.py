@@ -73,7 +73,7 @@ class TestGrid:
     def test_grid_search_finds_reasonable_config(self, data):
         X, y = data
         result = grid_search(
-            LogisticRegression(solver="gd", max_iter=40),
+            LogisticRegression(max_iter=40),
             {"l2": [1e-3, 1e-1, 10.0]},
             X,
             y,
@@ -89,7 +89,7 @@ class TestGrid:
     def test_cost_accounting_positive(self, data):
         X, y = data
         result = grid_search(
-            LogisticRegression(solver="gd", max_iter=40),
+            LogisticRegression(max_iter=40),
             {"l2": [0.01, 0.1]},
             X,
             y,
@@ -101,7 +101,7 @@ class TestGrid:
     def test_fold_scores_recorded(self, data):
         X, y = data
         result = grid_search(
-            LogisticRegression(solver="gd", max_iter=30), {"l2": [0.1]}, X, y, cv=4
+            LogisticRegression(max_iter=30), {"l2": [0.1]}, X, y, cv=4
         )
         assert len(result.evaluations[0].fold_scores) == 4
 
@@ -116,7 +116,7 @@ class TestRandomSearch:
     def test_discrete_and_continuous_spaces(self, data):
         X, y = data
         result = random_search(
-            LogisticRegression(solver="gd", max_iter=30),
+            LogisticRegression(max_iter=30),
             {
                 "l2": ("loguniform", 1e-4, 1.0),
                 "learning_rate": ("uniform", 0.1, 2.0),
@@ -137,14 +137,14 @@ class TestRandomSearch:
         X, y = data
         kwargs = dict(n_samples=3, cv=3, seed=9)
         a = random_search(
-            LogisticRegression(solver="gd", max_iter=20),
+            LogisticRegression(max_iter=20),
             {"l2": ("loguniform", 1e-4, 1.0)},
             X,
             y,
             **kwargs,
         )
         b = random_search(
-            LogisticRegression(solver="gd", max_iter=20),
+            LogisticRegression(max_iter=20),
             {"l2": ("loguniform", 1e-4, 1.0)},
             X,
             y,
@@ -181,7 +181,7 @@ class TestSuccessiveHalving:
         X_tr, X_val, y_tr, y_val = split_data
         configs = [{"l2": l2} for l2 in np.logspace(-4, 1, 16)]
         halving = successive_halving(
-            LogisticRegression(solver="gd"),
+            LogisticRegression(),
             configs,
             X_tr,
             y_tr,
@@ -191,7 +191,7 @@ class TestSuccessiveHalving:
             max_budget=32,
         )
         full = full_budget_baseline(
-            LogisticRegression(solver="gd"),
+            LogisticRegression(),
             configs,
             X_tr,
             y_tr,
@@ -206,7 +206,7 @@ class TestSuccessiveHalving:
         X_tr, X_val, y_tr, y_val = split_data
         configs = [{"l2": l2} for l2 in [1e-3, 1e-2, 1e-1, 1.0]]
         result = successive_halving(
-            LogisticRegression(solver="gd"),
+            LogisticRegression(),
             configs,
             X_tr,
             y_tr,
@@ -279,7 +279,7 @@ class TestSelectionSession:
     def test_cache_avoids_retraining(self, data):
         X, y = data
         session = SelectionSession(
-            LogisticRegression(solver="gd", max_iter=30), X, y, cv=3
+            LogisticRegression(max_iter=30), X, y, cv=3
         )
         session.run_grid({"l2": [0.01, 0.1]})
         cost_after_first = session.ledger.total_cost

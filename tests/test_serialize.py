@@ -25,14 +25,7 @@ from repro.incremental import (
 )
 from repro.indb import InDBLinearRegression, InDBLogisticRegression
 from repro.lifecycle import ModelRegistry, dumps_model, loads_model
-from repro.ml import (
-    GaussianNB,
-    KMeans,
-    LinearRegression,
-    LogisticRegression,
-    Ridge,
-    StandardScaler,
-)
+from repro.ml import KMeans, LinearRegression, LogisticRegression, StandardScaler
 from repro.runtime import OutOfCoreLinearRegression
 from repro.storage import Table
 
@@ -49,7 +42,7 @@ class TestModelRoundTrip:
 
     def test_logistic_regression(self, classification_data):
         X, y = classification_data
-        model = LogisticRegression(solver="newton", l2=0.1).fit(X, y)
+        model = LogisticRegression(l2=0.1).fit(X, y)
         restored = loads_model(dumps_model(model))
         assert np.array_equal(restored.predict(X), model.predict(X))
         assert np.array_equal(restored.classes_, model.classes_)
@@ -61,12 +54,6 @@ class TestModelRoundTrip:
         assert np.array_equal(restored.cluster_centers_, model.cluster_centers_)
         assert np.array_equal(restored.predict(X), model.predict(X))
 
-    def test_gaussian_nb(self, classification_data):
-        X, y = classification_data
-        model = GaussianNB().fit(X, y)
-        restored = loads_model(dumps_model(model))
-        assert np.array_equal(restored.predict(X), model.predict(X))
-
     def test_scaler(self, rng):
         X = rng.standard_normal((40, 3)) * 5 + 2
         scaler = StandardScaler().fit(X)
@@ -74,7 +61,7 @@ class TestModelRoundTrip:
         assert np.allclose(restored.transform(X), scaler.transform(X))
 
     def test_unfitted_model_roundtrip(self):
-        restored = loads_model(dumps_model(Ridge(l2=3.0)))
+        restored = loads_model(dumps_model(LinearRegression(l2=3.0)))
         assert restored.l2 == 3.0
         assert not restored.is_fitted
 
@@ -104,7 +91,8 @@ class TestSafety:
     def test_wrong_version_rejected(self):
         with pytest.raises(LifecycleError, match="format version"):
             loads_model(
-                '{"format_version": 99, "class": "Ridge", "params": {}, "state": {}}'
+                '{"format_version": 99, "class": "LinearRegression", '
+                '"params": {}, "state": {}}'
             )
 
 
@@ -113,7 +101,7 @@ class TestRegistryPersistence:
         X, y, _ = regression_data
         registry = ModelRegistry()
         m1 = LinearRegression().fit(X, y)
-        m2 = Ridge(l2=1.0).fit(X, y)
+        m2 = LinearRegression(l2=1.0).fit(X, y)
         registry.register("reg", m1, params={"l2": 0.0}, metrics={"r2": 0.99})
         registry.register(
             "reg", m2, params={"l2": 1.0}, metrics={"r2": 0.98},
@@ -195,14 +183,12 @@ class TestRegistryPersistence:
         assert obs.get_registry().value(counter) == before + 1
 
     def test_continuous_trainer_models_survive_the_registry(self, tmp_path):
-        """Both models a ``ContinuousTrainer`` registers — the ridge
-        weights and, with centres, the ``CentroidModel`` — load back
+        """The model a ``ContinuousTrainer`` registers loads back
         predicting the same bytes, with nothing persisted as null."""
         X, y = make_grid_regression(120, 4, seed=5)
         dyn = DynamicTable.from_table(Table.from_matrix(X, label=y))
         maintainer = IncrementalMaintainer(
-            dyn, dyn.subscribe(), [f"f{j}" for j in range(4)], "label",
-            centers=X[:3],
+            dyn, dyn.subscribe(), [f"f{j}" for j in range(4)], "label"
         )
         registry = ModelRegistry()
         trainer = ContinuousTrainer(maintainer, registry, model_name="ridge")
@@ -214,14 +200,9 @@ class TestRegistryPersistence:
         registry.save(path)
         assert obs.get_registry().value(counter) == before
         restored = ModelRegistry.load(path)
-        for name in ("ridge", "ridge-centroids"):
-            kept, loaded = registry.get(name).model, restored.get(name).model
-            assert type(loaded) is type(kept)
-            assert np.array_equal(loaded.predict(X), kept.predict(X))
-        assert np.array_equal(
-            restored.get("ridge-centroids").model.cluster_centers_,
-            trainer.centroids_,
-        )
+        kept, loaded = registry.get("ridge").model, restored.get("ridge").model
+        assert type(loaded) is type(kept)
+        assert np.array_equal(loaded.predict(X), kept.predict(X))
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(LifecycleError):
@@ -236,7 +217,7 @@ class TestRegistryPersistence:
         path = tmp_path / "registry.json"
         registry.save(path)
         good = path.read_bytes()
-        registry.register("reg", Ridge(l2=1.0).fit(X, y))
+        registry.register("reg", LinearRegression(l2=1.0).fit(X, y))
 
         class TornFile:
             """Half of each write reaches the disk, then the disk fails."""

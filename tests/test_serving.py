@@ -79,8 +79,8 @@ class _PredictsWith:
 @functools.lru_cache(maxsize=1)
 def _fit_pair():
     X, y = make_classification(300, 5, separation=2.5, seed=11)
-    m1 = LogisticRegression(solver="gd", max_iter=30).fit(X, y)
-    m2 = LogisticRegression(solver="gd", max_iter=60, l2=0.5).fit(X, y)
+    m1 = LogisticRegression(max_iter=30).fit(X, y)
+    m2 = LogisticRegression(max_iter=60, l2=0.5).fit(X, y)
     return X, y, m1, m2
 
 
@@ -1165,6 +1165,6 @@ class TestLatencyPercentiles:
         assert h.count == obs.RESERVOIR_SIZE + 100  # totals still exact
 
     def test_as_dict_includes_percentiles(self):
-        obs.observe("t.lat", 5.0)
+        obs.get_registry().observe("t.lat", 5.0)
         doc = obs.get_registry().as_dict()["histograms"]["t.lat"]
         assert doc["p50"] == 5.0 and doc["p95"] == 5.0 and doc["p99"] == 5.0

@@ -64,8 +64,8 @@ class FakeClock:
 @functools.lru_cache(maxsize=1)
 def _fit_pair():
     X, y = make_classification(256, 5, separation=2.5, seed=11)
-    m1 = LogisticRegression(solver="gd", max_iter=30).fit(X, y)
-    m2 = LogisticRegression(solver="gd", max_iter=60, l2=0.5).fit(X, y)
+    m1 = LogisticRegression(max_iter=30).fit(X, y)
+    m2 = LogisticRegression(max_iter=60, l2=0.5).fit(X, y)
     return X, y, m1, m2
 
 
@@ -124,19 +124,23 @@ def make_fabric(registry, num_shards=4, replication=2, **kwargs):
 # ----------------------------------------------------------------------
 # Consistent-hash ring
 # ----------------------------------------------------------------------
+def _owners(ring, keys):
+    return {key: ring.owner(key) for key in keys}
+
+
 class TestHashRing:
     def test_deterministic_across_instances(self):
         nodes = ["a", "b", "c", "d"]
         r1 = HashRing(nodes, vnodes=32, seed=5)
         r2 = HashRing(reversed(nodes), vnodes=32, seed=5)
         keys = [f"k{i}" for i in range(500)]
-        assert r1.assignments(keys) == r2.assignments(keys)
+        assert _owners(r1, keys) == _owners(r2, keys)
 
     def test_seed_changes_placement(self):
         nodes = ["a", "b", "c", "d"]
         keys = [f"k{i}" for i in range(500)]
-        a = HashRing(nodes, vnodes=32, seed=0).assignments(keys)
-        b = HashRing(nodes, vnodes=32, seed=1).assignments(keys)
+        a = _owners(HashRing(nodes, vnodes=32, seed=0), keys)
+        b = _owners(HashRing(nodes, vnodes=32, seed=1), keys)
         assert a != b
 
     def test_successors_distinct_and_clamped(self):
@@ -170,9 +174,9 @@ class TestHashRing:
         ring = HashRing(
             [f"n{i}" for i in range(n_nodes)], vnodes=128, seed=seed
         )
-        before = ring.assignments(keys)
+        before = _owners(ring, keys)
         ring.add_node("extra")
-        after = ring.assignments(keys)
+        after = _owners(ring, keys)
         moved = [k for k in keys if before[k] != after[k]]
         # every moved key must have moved TO the new node
         assert all(after[k] == "extra" for k in moved)
@@ -191,11 +195,12 @@ class TestHashRing:
         ring = HashRing(
             [f"n{i}" for i in range(n_nodes)], vnodes=128, seed=seed
         )
-        before = ring.assignments(keys)
+        before = _owners(ring, keys)
         # placement depends on the node names only: the fleet without n0
-        after = HashRing(
+        fewer = HashRing(
             [f"n{i}" for i in range(1, n_nodes)], vnodes=128, seed=seed
-        ).assignments(keys)
+        )
+        after = _owners(fewer, keys)
         for k in keys:
             if before[k] != "n0":
                 assert after[k] == before[k]
@@ -214,7 +219,8 @@ class TestHashRing:
             "from repro.serving import HashRing\n"
             "ring = HashRing(['a', 'b', 'c'], vnodes=32, seed=7)\n"
             "keys = [f'k{i}' for i in range(200)]\n"
-            "print(json.dumps(ring.assignments(keys), sort_keys=True))\n"
+            "owners = {k: ring.owner(k) for k in keys}\n"
+            "print(json.dumps(owners, sort_keys=True))\n"
         )
         outputs = []
         for hashseed in ("1", "31337"):
@@ -229,8 +235,9 @@ class TestHashRing:
                 check=True,
             )
             outputs.append(json.loads(proc.stdout))
-        local = HashRing(["a", "b", "c"], vnodes=32, seed=7).assignments(
-            [f"k{i}" for i in range(200)]
+        local = _owners(
+            HashRing(["a", "b", "c"], vnodes=32, seed=7),
+            [f"k{i}" for i in range(200)],
         )
         assert outputs[0] == outputs[1] == local
 
@@ -301,6 +308,25 @@ class TestFabricRouting:
         assert fabric.preference("score", "k1") == fabric.preference(
             "score", "k1"
         )
+        fabric.close()
+
+    def test_numpy_scalar_keys_route_as_their_python_value(self, registry):
+        """``repr(np.int64(5))`` is ``'np.int64(5)'`` under numpy 2: the
+        canary split, the replica order and the ring owner read the
+        value, not the numpy type."""
+        fabric = make_fabric(registry)
+        router = CanaryRouter(0.5)
+        keys = [(k, np.int64(k), np.int32(k)) for k in range(1000)]
+        keys += [(f"u{k}", np.str_(f"u{k}")) for k in range(1000)]
+        for plain, *scalars in keys:
+            for key in scalars:
+                assert router.bucket(key) == router.bucket(plain)
+                assert fabric.preference("score", key) == fabric.preference(
+                    "score", plain
+                )
+                assert fabric.ring.successors(key, 2) == fabric.ring.successors(
+                    plain, 2
+                )
         fabric.close()
 
     def test_replication_clamped_to_fleet(self, registry):
