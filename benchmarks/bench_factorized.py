@@ -9,6 +9,7 @@ import numpy as np
 import harness
 from repro.data import make_star_schema
 from repro.factorized import FactorizedLinearRegression, NormalizedMatrix
+from repro.incremental import snap_to_grid
 from repro.ml import LinearRegression
 
 TUPLE_RATIOS = (1, 2, 5, 10, 20, 40)
@@ -36,6 +37,15 @@ def run() -> dict:
         assert np.allclose(mat.result.coef_, fact.result.coef_, atol=1e-5)
         assert mat.result.score(star.materialize(), star.y) > 0.9
         assert fact.result.score(nm, star.y) > 0.9
+        # on grid data every accumulation order is exact: bit-for-bit
+        grid = NormalizedMatrix(
+            snap_to_grid(star.S), [star.fk], [snap_to_grid(star.R)]
+        )
+        Xg, yg = grid.materialize(), snap_to_grid(star.y)
+        assert np.array_equal(grid.gram(), Xg.T @ Xg) and np.array_equal(
+            FactorizedLinearRegression().fit(grid, yg).coef_,
+            LinearRegression(fit_intercept=False).fit(Xg, yg).coef_,
+        ), f"TR {tuple_ratio}: grid gram / coefficients bit-identical"
         rows.append(
             {
                 "tuple_ratio": tuple_ratio,

@@ -3,15 +3,26 @@
 A :class:`NormalizedMatrix` represents the design matrix of a key–foreign
 key join ``[S, R1[fk1], R2[fk2], ...]`` *logically*, while physically
 keeping the entity table S and each attribute table R_i separate. The
-Morpheus rewrites implement matrix ops on this form:
+Morpheus rewrites implement matrix ops on this form, on three primitives:
 
-* ``X @ v``    — multiply each R_i once (n_r rows), then *gather* by fk;
-* ``X.T @ u``  — *scatter-add* u by fk (group sums), then multiply R_i.T;
-* ``X.T @ X``  — block Gram matrix from group counts and group sums.
+* ``X @ V``    — multiply each table once (n_r rows for R_i), then
+  *gather* by fk (:meth:`~NormalizedMatrix.matmat`; a vector is the
+  one-column case, and the per-row sums gather the same way);
+* ``X.T @ U``  — *group-sum* U by fk, then multiply R_i.T
+  (:func:`_group_sum`, :meth:`~NormalizedMatrix.rmatmat`);
+* ``X.T @ X``  — one block rule for every pair of tables (:func:`_cross`).
+  Two attribute tables meet through their distinct ``(fk_i, fk_j)``
+  pairs, so memory is O(distinct pairs), never ``len(R_i) * len(R_j)``.
 
 The arithmetic redundancy avoided is exactly the join's tuple
 multiplication: each R row is touched once instead of once per matching
 S row.
+
+Exactness: on the ``GRID_QUANTUM`` lattice
+(:func:`repro.incremental.snap_to_grid`) with n <= 2**20 rows, every
+count-scaled row, group sum and block entry fits in 44 bits, so any
+accumulation order is exact and :meth:`~NormalizedMatrix.gram` equals
+the materialized ``X'X`` bitwise.
 
 A :class:`repro.operand.Operand` (planned on its redundancy ratio) that
 declares no ``encode``: a star schema cannot be invented from values,
@@ -27,9 +38,15 @@ from ..operand import Operand
 
 
 def _integral_keys(i: int, fk) -> np.ndarray:
-    """Foreign keys as int64. A fractional or non-finite key is refused:
-    the cast would truncate it and silently join another row."""
+    """Foreign keys as a 1-D int64 vector. A fractional, non-finite or
+    non-numeric key is refused: the cast would truncate it and silently
+    join another row, or fail deep inside a kernel."""
     fk = np.asarray(fk)
+    if fk.ndim != 1 or fk.dtype.kind not in "biuf":
+        raise FactorizationError(
+            f"fk[{i}] must be a 1-D numeric vector, got shape {fk.shape} "
+            f"of {fk.dtype}"
+        )
     if fk.dtype.kind in "iu":
         return np.asarray(fk, dtype=np.int64)
     keys = np.asarray(fk, dtype=np.float64)
@@ -40,6 +57,34 @@ def _integral_keys(i: int, fk) -> np.ndarray:
             f"at row {int(np.argmax(bad))}"
         )
     return keys.astype(np.int64)
+
+
+def _group_sum(keys: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """Per-key sums of ``rows`` — a vector, or an (n, d) matrix into a
+    C-contiguous (m, d) one. One ``bincount`` per column: it adds in row
+    order, as ``np.add.at`` does."""
+    if rows.ndim == 1:
+        return np.bincount(keys, weights=rows, minlength=m)
+    out = np.empty((m, rows.shape[1]))
+    for j in range(rows.shape[1]):
+        out[:, j] = np.bincount(keys, weights=rows[:, j], minlength=m)
+    return out
+
+
+def _cross(ka, Ta: np.ndarray, kb, Tb: np.ndarray) -> np.ndarray:
+    """The ``Ta' Tb`` block of X'X, where joined row r reads table T at
+    row ``k[r]`` (``k`` is ``None`` for S: row r itself)."""
+    if Ta is Tb and ka is kb:  # a table against itself
+        if ka is None:
+            return Ta.T @ Ta
+        counts = _group_sum(ka, np.ones(len(ka)), len(Ta))
+        return (Ta.T * counts) @ Ta
+    if ka is None:  # S against R: group-sum S rows by R's keys
+        return _group_sum(kb, Ta, len(Tb)).T @ Tb
+    # R_a against R_b: each distinct (kb, ka) pair once, scaled by its count
+    pairs, counts = np.unique(kb * len(Ta) + ka, return_counts=True)
+    ub, ua = np.divmod(pairs, len(Ta))
+    return _group_sum(ub, counts[:, None] * Ta[ua], len(Tb)).T @ Tb
 
 
 class NormalizedMatrix(Operand, kind="factorized"):
@@ -99,95 +144,52 @@ class NormalizedMatrix(Operand, kind="factorized"):
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.d_s + sum(self.d_rs))
 
-    def column_offsets(self) -> list[int]:
-        """Start column of S and of each R_i in the logical design matrix."""
-        offsets = [0]
-        cursor = self.d_s
-        for d in self.d_rs:
-            offsets.append(cursor)
-            cursor += d
-        return offsets
+    def _blocks(self) -> list[tuple[np.ndarray | None, np.ndarray, slice]]:
+        """``(keys, table, columns)`` for S (keys ``None``) and each R_i:
+        the tables the logical design matrix joins, in column order."""
+        tables = [(None, self.S)] if self.S is not None else []
+        blocks, start = [], 0
+        for keys, T in tables + list(zip(self.fks, self.Rs)):
+            blocks.append((keys, T, slice(start, start + T.shape[1])))
+            start += T.shape[1]
+        return blocks
 
     # ------------------------------------------------------------------
     # Factorized kernels (the Morpheus rewrites)
     # ------------------------------------------------------------------
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """X @ v without materializing the join."""
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        if len(v) != self.shape[1]:
-            raise FactorizationError(
-                f"vector length {len(v)} != num columns {self.shape[1]}"
-            )
-        out = np.zeros(self.n_rows)
-        cursor = 0
-        if self.S is not None:
-            out += self.S @ v[: self.d_s]
-            cursor = self.d_s
-        for fk, R in zip(self.fks, self.Rs):
-            d = R.shape[1]
-            partial = R @ v[cursor : cursor + d]  # one product per R row
-            out += partial[fk]  # gather
-            cursor += d
+    def _gathered(self, per_table, tail: tuple = ()) -> np.ndarray:
+        """Sum over tables of ``per_table(T, columns)`` — one value (or a
+        ``tail``-shaped row) per table row — gathered onto the joined rows."""
+        out = np.zeros((self.n_rows,) + tail)
+        for keys, T, cols in self._blocks():
+            part = per_table(T, cols)  # one product per table row
+            out += part if keys is None else part[keys]  # gather
         return out
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        """X.T @ u without materializing the join."""
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if len(u) != self.n_rows:
-            raise FactorizationError(
-                f"vector length {len(u)} != num rows {self.n_rows}"
-            )
-        parts = []
-        if self.S is not None:
-            parts.append(self.S.T @ u)
-        for fk, R in zip(self.fks, self.Rs):
-            grouped = np.bincount(fk, weights=u, minlength=len(R))  # scatter-add
-            parts.append(R.T @ grouped)
-        return np.concatenate(parts) if parts else np.empty(0)
 
     def matmat(self, V: np.ndarray) -> np.ndarray:
-        """X @ V for a dense (d, k) matrix, one gather per block.
-
-        The multi-column generalization of :meth:`matvec`: each attribute
-        table is multiplied once per output column instead of once per
-        joined row.
-        """
+        """X @ V for a vector or a dense (d, k) matrix without
+        materializing the join: each attribute table is multiplied once
+        per output column instead of once per joined row."""
         V = np.asarray(V, dtype=np.float64)
-        if V.ndim == 1:
-            return self.matvec(V)
-        if V.shape[0] != self.shape[1]:
-            raise FactorizationError(
-                f"shape mismatch: {self.shape} @ {V.shape}"
-            )
-        out = np.zeros((self.n_rows, V.shape[1]))
-        cursor = 0
-        if self.S is not None:
-            out += self.S @ V[: self.d_s]
-            cursor = self.d_s
-        for fk, R in zip(self.fks, self.Rs):
-            d = R.shape[1]
-            partial = R @ V[cursor : cursor + d]  # (n_r, k)
-            out += partial[fk]
-            cursor += d
-        return out
+        if V.ndim > 2 or V.shape[:1] != (self.shape[1],):
+            raise FactorizationError(f"shape mismatch: {self.shape} @ {V.shape}")
+        return self._gathered(lambda T, cols: T @ V[cols], V.shape[1:])
+
+    matvec = matmat
 
     def rmatmat(self, U: np.ndarray) -> np.ndarray:
-        """X.T @ U for a dense (n, k) matrix via grouped scatter-adds."""
+        """X.T @ U for a vector or a dense (n, k) matrix via group sums."""
         U = np.asarray(U, dtype=np.float64)
-        if U.ndim == 1:
-            return self.rmatvec(U)
-        if U.shape[0] != self.n_rows:
+        if U.ndim > 2 or U.shape[:1] != (self.n_rows,):
             raise FactorizationError(
                 f"shape mismatch: X.T ({self.shape[1]}, {self.n_rows}) @ {U.shape}"
             )
-        parts = []
-        if self.S is not None:
-            parts.append(self.S.T @ U)
-        for fk, R in zip(self.fks, self.Rs):
-            grouped = np.zeros((len(R), U.shape[1]))
-            np.add.at(grouped, fk, U)
-            parts.append(R.T @ grouped)
-        return np.vstack(parts) if parts else np.empty((0, U.shape[1]))
+        return np.concatenate([
+            T.T @ (U if keys is None else _group_sum(keys, U, len(T)))
+            for keys, T, _ in self._blocks()
+        ])
+
+    rmatvec = rmatmat
 
     def sq_rowsums(self) -> np.ndarray:
         """Row sums of the squared logical design matrix.
@@ -196,85 +198,44 @@ class NormalizedMatrix(Operand, kind="factorized"):
         squared norms are computed once and gathered — the quantity
         factorized k-means needs every iteration.
         """
-        out = np.zeros(self.n_rows)
-        if self.S is not None:
-            out += np.einsum("ij,ij->i", self.S, self.S)
-        for fk, R in zip(self.fks, self.Rs):
-            r_norms = np.einsum("ij,ij->i", R, R)
-            out += r_norms[fk]
-        return out
+        return self._gathered(lambda T, _: np.einsum("ij,ij->i", T, T))
+
+    def rowsums(self) -> np.ndarray:
+        """Row sums of the logical design matrix, computed factorized."""
+        return self._gathered(lambda T, _: T.sum(axis=1))
 
     def gram(self) -> np.ndarray:
-        """X.T @ X assembled blockwise from group counts and sums.
+        """X.T @ X, one :func:`_cross` block per pair of tables.
 
-        Blocks:
-          * S'S                    — dense product on S only;
-          * S'(K_i R_i)            — group-sum S rows by fk_i, multiply R_i;
-          * (K_i R_i)'(K_i R_i)    — R_i' diag(counts_i) R_i;
-          * (K_i R_i)'(K_j R_j)    — co-occurrence counts between fk_i, fk_j.
+        The upper triangle is computed and mirrored. A diagonal block is
+        computed whole: ``(R' * counts) @ R`` is not exactly symmetric.
         """
-        d = self.shape[1]
-        out = np.zeros((d, d))
-        offsets = self.column_offsets()
-
-        if self.S is not None:
-            out[: self.d_s, : self.d_s] = self.S.T @ self.S
-
-        for i, (fk_i, R_i) in enumerate(zip(self.fks, self.Rs)):
-            oi = offsets[i + 1]
-            di = R_i.shape[1]
-            counts = np.bincount(fk_i, minlength=len(R_i)).astype(np.float64)
-
-            # Diagonal block: R' diag(counts) R.
-            out[oi : oi + di, oi : oi + di] = (R_i.T * counts) @ R_i
-
-            # Cross block with S: group-sum S rows per R_i key.
-            if self.S is not None:
-                group_sums = np.zeros((len(R_i), self.d_s))
-                np.add.at(group_sums, fk_i, self.S)
-                cross = group_sums.T @ R_i  # (d_s, di)
-                out[: self.d_s, oi : oi + di] = cross
-                out[oi : oi + di, : self.d_s] = cross.T
-
-            # Cross blocks with other attribute tables.
-            for j in range(i + 1, len(self.Rs)):
-                fk_j, R_j = self.fks[j], self.Rs[j]
-                oj = offsets[j + 1]
-                dj = R_j.shape[1]
-                cooc = np.zeros((len(R_i), len(R_j)))
-                np.add.at(cooc, (fk_i, fk_j), 1.0)
-                cross = R_i.T @ cooc @ R_j  # (di, dj)
-                out[oi : oi + di, oj : oj + dj] = cross
-                out[oj : oj + dj, oi : oi + di] = cross.T
+        blocks = self._blocks()
+        out = np.zeros((self.shape[1],) * 2)
+        for a, (ka, Ta, rows) in enumerate(blocks):
+            out[rows, rows] = _cross(ka, Ta, ka, Ta)
+            for kb, Tb, cols in blocks[a + 1 :]:
+                out[rows, cols] = cross = _cross(ka, Ta, kb, Tb)
+                out[cols, rows] = cross.T
         return out
 
     def colsums(self) -> np.ndarray:
         """Column sums of the logical design matrix."""
-        parts = []
-        if self.S is not None:
-            parts.append(self.S.sum(axis=0))
-        for fk, R in zip(self.fks, self.Rs):
-            counts = np.bincount(fk, minlength=len(R)).astype(np.float64)
-            parts.append(counts @ R)
-        return np.concatenate(parts)
-
-    def rowsums(self) -> np.ndarray:
-        """Row sums of the logical design matrix, computed factorized."""
-        out = np.zeros(self.n_rows)
-        if self.S is not None:
-            out += self.S.sum(axis=1)
-        for fk, R in zip(self.fks, self.Rs):
-            out += R.sum(axis=1)[fk]
-        return out
+        return np.concatenate([
+            T.sum(axis=0) if keys is None
+            else _group_sum(keys, np.ones(self.n_rows), len(T)) @ T
+            for keys, T, _ in self._blocks()
+        ])
 
     def sq_sum(self) -> float:
         """Sum of squared logical cells (via per-table norms + counts)."""
         total = 0.0
-        if self.S is not None:
-            total += float(np.einsum("ij,ij->", self.S, self.S))
-        for fk, R in zip(self.fks, self.Rs):
-            counts = np.bincount(fk, minlength=len(R)).astype(np.float64)
-            total += float(counts @ np.einsum("ij,ij->i", R, R))
+        for keys, T, _ in self._blocks():
+            if keys is None:
+                total += float(np.einsum("ij,ij->", T, T))
+            else:
+                counts = _group_sum(keys, np.ones(self.n_rows), len(T))
+                total += float(counts @ np.einsum("ij,ij->i", T, T))
         return total
 
     # ------------------------------------------------------------------
@@ -292,12 +253,9 @@ class NormalizedMatrix(Operand, kind="factorized"):
 
     def materialize(self) -> np.ndarray:
         """The denormalized design matrix (what the join would produce)."""
-        parts = []
-        if self.S is not None:
-            parts.append(self.S)
-        for fk, R in zip(self.fks, self.Rs):
-            parts.append(R[fk])
-        return np.hstack(parts)
+        return np.hstack([
+            T if keys is None else T[keys] for keys, T, _ in self._blocks()
+        ])
 
     to_dense = materialize
 
@@ -307,17 +265,13 @@ class NormalizedMatrix(Operand, kind="factorized"):
     @property
     def memory_bytes(self) -> int:
         """Bytes held by the factorized tables + foreign-key vectors."""
-        total = self.S.nbytes if self.S is not None else 0
-        for fk, R in zip(self.fks, self.Rs):
-            total += fk.nbytes + R.nbytes
-        return total
+        tables = sum(T.nbytes for _, T, _ in self._blocks())
+        return tables + sum(fk.nbytes for fk in self.fks)
 
     @property
     def redundancy_ratio(self) -> float:
         """Materialized cells / factorized cells (>1 means savings)."""
-        factorized = (self.n_rows * self.d_s if self.S is not None else 0) + sum(
-            R.size for R in self.Rs
-        )
+        factorized = sum(T.size for _, T, _ in self._blocks())
         return (self.n_rows * self.shape[1]) / max(factorized, 1)
 
     # ------------------------------------------------------------------

@@ -125,6 +125,10 @@ def loads_model(text: str) -> Any:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LifecycleError(f"malformed model JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise LifecycleError(
+            f"model JSON is a {type(payload).__name__}, not an object"
+        )
     if payload.get("format_version") != FORMAT_VERSION:
         raise LifecycleError(
             f"unsupported model format version {payload.get('format_version')!r}"
@@ -134,6 +138,12 @@ def loads_model(text: str) -> Any:
     if name not in classes:
         raise LifecycleError(f"unknown model class {name!r}")
     params = {k: _decode_value(v) for k, v in payload["params"].items()}
+    retired = sorted(set(params) - set(classes[name]._param_names()))
+    if retired:
+        raise LifecycleError(
+            f"{name} no longer has the parameter(s) {retired} this entry "
+            "was saved with"
+        )
     model = classes[name](**params)
     for attr, value in payload["state"].items():
         setattr(model, attr, _decode_value(value))

@@ -1,5 +1,7 @@
 """Unit and property tests for factorized learning (Morpheus/Orion/Hamlet)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from repro.factorized import (
     risk_bound,
     tuple_ratio_rule,
 )
+from repro.incremental import snap_to_grid
 from repro.ml import LinearRegression, LogisticRegression
+from repro.ml.linreg import Moments
 
 
 @pytest.fixture
@@ -45,6 +49,12 @@ class TestConstruction:
                 FactorizationError, match=rf"fk\[0\] has a non-integral key {shown}"
             ):
                 NormalizedMatrix(S, [np.array(fk)], [R])
+        # refused at the door, not as a bare numpy error deep in a kernel
+        for fk in (np.array([[0], [2]]), np.array(["0", "2"])):
+            with pytest.raises(
+                FactorizationError, match=r"fk\[0\] must be a 1-D numeric vector"
+            ):
+                NormalizedMatrix(S, [fk], [R])
         assert NormalizedMatrix(S, [np.array([0.0, 2.0])], [R]).fks[0].tolist() == [0, 2]
 
     def test_row_count_mismatch_rejected(self, star):
@@ -138,22 +148,55 @@ class TestMorpheusKernels:
 
     @given(
         n_s=st.integers(10, 100),
-        n_r=st.integers(2, 20),
-        d_s=st.integers(1, 4),
-        d_r=st.integers(1, 5),
+        dims=st.lists(
+            st.tuples(st.integers(2, 20), st.integers(1, 5)), min_size=1, max_size=3
+        ),
+        with_s=st.booleans(),
         seed=st.integers(0, 300),
     )
     @settings(max_examples=25, deadline=None)
-    def test_property_kernels_equal_materialized(self, n_s, n_r, d_s, d_r, seed):
-        star = make_star_schema(n_s, n_r, d_s, d_r, seed=seed)
-        matrix = NormalizedMatrix(star.S, [star.fk], [star.R])
-        X = star.materialize()
+    def test_property_kernels_equal_materialized(self, n_s, dims, with_s, seed):
+        S, fks, Rs, y, _ = make_multi_star_schema(n_s, dims, seed=seed)
+        S = S if with_s else None
+        matrix = NormalizedMatrix(S, fks, Rs)
+        X = matrix.materialize()
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(X.shape[1])
-        u = rng.standard_normal(n_s)
+        U = rng.standard_normal((n_s, 2))
         assert np.allclose(matrix.matvec(v), X @ v, atol=1e-8)
-        assert np.allclose(matrix.rmatvec(u), X.T @ u, atol=1e-8)
+        assert np.allclose(matrix.rmatvec(y), X.T @ y, atol=1e-8)
+        assert np.allclose(matrix.rmatmat(U), X.T @ U, atol=1e-8)
         assert np.allclose(matrix.gram(), X.T @ X, atol=1e-7)
+        # On the grid every accumulation order is exact: bitwise.
+        grid = NormalizedMatrix(
+            None if S is None else snap_to_grid(4.0 * S),
+            fks,
+            [snap_to_grid(4.0 * R) for R in Rs],
+        )
+        Xg, yg = grid.materialize(), snap_to_grid(4.0 * y)
+        assert np.array_equal(grid.gram(), Xg.T @ Xg)
+        ours, dense = Moments.of(grid, yg), Moments.of(Xg, yg)
+        assert np.array_equal(ours.gram, dense.gram)
+        assert np.array_equal(ours.xty, dense.xty) and ours.yty == dense.yty
+
+    def test_cross_dimension_gram_memory_is_pair_bounded(self):
+        """Two 10**4-key dimensions: the R_1 x R_2 block reads distinct
+        (fk_1, fk_2) pairs, not a dense 10**4 x 10**4 co-occurrence
+        matrix (800 MB)."""
+        rng = np.random.default_rng(0)
+        n, keys = 200_000, 10_000
+        fks = [rng.integers(0, keys, n) for _ in range(2)]
+        Rs = [snap_to_grid(rng.standard_normal((keys, 3))) for _ in range(2)]
+        matrix = NormalizedMatrix(None, fks, Rs)
+        tracemalloc.start()
+        try:
+            gram = matrix.gram()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"gram() peaked at {peak / 1e6:.0f} MB"
+        X = matrix.materialize()
+        assert np.array_equal(gram, X.T @ X)
 
 
 class TestOrion:

@@ -23,6 +23,11 @@ _DELETED_CLASS = (
     '{"format_version": 1, "class": "DecisionTreeClassifier", '
     '"params": {}, "state": {}}'
 )
+#: a model entry saved before LogisticRegression's ``solver`` was retired
+_RETIRED_PARAM = (
+    '{"format_version": 1, "class": "LogisticRegression", '
+    '"params": {"l2": 0.0, "solver": "newton"}, "state": {}}'
+)
 
 
 class TestModelRegistry:
@@ -151,6 +156,16 @@ class TestModelRegistry:
                 lambda p: p["versions"][0].update(model=_DELETED_CLASS),
                 "version 1 of 'churn': "
                 "unknown model class 'DecisionTreeClassifier'",
+            ),
+            (
+                lambda p: p["versions"][0].update(model=_RETIRED_PARAM),
+                "cannot be loaded at version 1 of 'churn': LogisticRegression "
+                "no longer has the parameter(s) ['solver']",
+            ),
+            (
+                lambda p: p["versions"][0].update(model="[1, 2]"),
+                "cannot be loaded at version 1 of 'churn': "
+                "model JSON is a list, not an object",
             ),
         ],
     )
