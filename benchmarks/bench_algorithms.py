@@ -8,7 +8,7 @@ the programmer writes math, the compiler recovers the efficient plan.
 import numpy as np
 
 import harness
-from repro.algorithms import kmeans_dsl, linreg_cg, linreg_direct
+from repro.algorithms import kmeans_dsl, linreg_cg, linreg_direct, pca_dsl
 from repro.data import make_blobs, make_regression
 from repro.ml import KMeans, LinearRegression
 
@@ -22,6 +22,7 @@ def run() -> dict:
         "linreg DSL CG": lambda: linreg_cg(X, y, tol=1e-10),
         "kmeans library": lambda: KMeans(5, n_init=1, init="random", seed=1).fit(Xb),
         "kmeans DSL": lambda: kmeans_dsl(Xb, 5, seed=1),
+        "pca DSL": lambda: pca_dsl(X, 5),
     }
     timings = {
         name: harness.timed(fn, repeats=2) for name, fn in workloads.items()
@@ -31,6 +32,10 @@ def run() -> dict:
     assert np.allclose(fit["linreg DSL direct"].weights, reference, atol=1e-6)
     assert np.allclose(fit["linreg DSL CG"].weights, reference, atol=1e-4)
     assert fit["kmeans DSL"].inertia <= fit["kmeans library"].inertia_ * 2.0
+    eigenvalues = np.linalg.eigh(np.cov(X, rowvar=False))[0][::-1][:5]
+    assert np.allclose(fit["pca DSL"].explained_variance, eigenvalues), (
+        "pca DSL: explained variance != eigh(cov(X))"
+    )
     return {
         "rows": [
             {"workload": name, **t.fields("seconds")}

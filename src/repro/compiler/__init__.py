@@ -35,7 +35,6 @@ from .reprplan import (
     plan_representations,
 )
 from .rewrites import apply_rewrites
-from .sparsity import propagate_sparsity
 
 __all__ = [
     "BlendedEstimate",
@@ -61,5 +60,4 @@ __all__ = [
     "node_flops",
     "node_output_bytes",
     "optimize_mmchains",
-    "propagate_sparsity",
 ]

@@ -21,7 +21,6 @@ from .kmeans_uda import (
     train_kmeans_indb,
 )
 from .naive_bayes_sql import SQLNaiveBayes
-from .scoring import linear_expression, score_linear_model, score_probability
 from .uda import UDA, GramUDA, run_uda
 
 __all__ = [
@@ -36,10 +35,7 @@ __all__ = [
     "InDBLogisticRegression",
     "KMeansAssignUDA",
     "SQLNaiveBayes",
-    "linear_expression",
     "run_uda",
-    "score_linear_model",
-    "score_probability",
     "train_bgd",
     "train_igd",
     "train_kmeans_indb",

@@ -379,7 +379,8 @@ class ParallelContext:
     def _gather(
         self, fn: Callable[[T], R], tasks: list[T], site: str, futures: list
     ) -> tuple[list[R], float]:
-        """Results in task order plus the summed per-task time."""
+        """Results in task order plus the summed per-task time. When a
+        task gives up, the tasks still queued behind it are cancelled."""
         results = []
         work = 0.0
         for i, future in enumerate(futures):
@@ -387,7 +388,12 @@ class ParallelContext:
                 dt, value = future.result(timeout=self.task_timeout)
             except Exception as exc:
                 restart = time.perf_counter()
-                value = self._attempt(fn, tasks[i], i, site, exc)
+                try:
+                    value = self._attempt(fn, tasks[i], i, site, exc)
+                except BaseException:
+                    for unread in futures[i + 1:]:
+                        unread.cancel()
+                    raise
                 dt = time.perf_counter() - restart
             results.append(value)
             work += dt

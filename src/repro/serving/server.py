@@ -12,10 +12,11 @@ other half — the process that answers prediction requests. A
   (:class:`~repro.serving.ring.CanaryRouter` — bit-reproducible given
   the seed);
 * scores through a **compiled affine scorer**: for linear models the
-  endpoint evaluates the same column-accumulation expression
-  ``indb.scoring`` deploys into the engine, in the same order, so a
-  prediction is bit-identical whether it was served alone, in a batch of
-  64, or by a SQL scoring query;
+  endpoint evaluates the same column-accumulation expression a SQL
+  scoring query evaluates in the engine (the oracle in
+  ``tests/sql_scoring.py``), in the same order, so a prediction is
+  bit-identical whether it was served alone, in a batch of 64, or by
+  that query;
 * memoizes predictions in a versioned
   :class:`~repro.serving.cache.PredictionCache` (invalidated on
   promote);
@@ -75,8 +76,8 @@ def compile_linear_scorer(
     The kernel evaluates ``((intercept + w0*X[:,0]) + w1*X[:,1]) + ...``
     as one running sum along each row (``np.add.accumulate`` is strictly
     sequential, unlike the pairwise ``sum``) — exactly the evaluation
-    order of the :func:`repro.indb.scoring.linear_expression` the in-DB
-    path deploys, and independent of the batch size. Two consequences
+    order of the engine expression ``linear_expression`` in
+    ``tests/sql_scoring.py`` builds, and independent of the batch size. Two consequences
     E22 leans on: a batched prediction is bit-identical to the same row
     scored alone, and the online server agrees bit-for-bit with SQL
     scoring of the same model.

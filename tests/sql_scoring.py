@@ -1,10 +1,12 @@
-"""In-database model scoring: compile fitted models to engine expressions.
+"""The SQL-path scoring oracle: fitted models compiled to engine expressions.
 
-Deployment half of in-RDBMS ML: a trained linear model becomes a plain
+A trained linear model becomes a plain
 column expression (``w0 + w1*x1 + ...``) the engine evaluates with its
 own vectorized operators — no model object needed at serving time, and
 the scoring 'query' can be composed with filters and joins like any
-other expression.
+other expression. The serving tests pin
+``repro.serving.compile_linear_scorer`` to this strictly left-to-right
+sum; nothing under ``src/`` needs it, so it lives beside the tests.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ModelError
-from ..lifecycle.registry import ModelVersion
-from ..ml.losses import sigmoid
-from ..storage.expressions import Expr, col, lit
-from ..storage.table import Table
+from repro.errors import ModelError
+from repro.lifecycle.registry import ModelVersion
+from repro.ml.losses import sigmoid
+from repro.storage.expressions import Expr, col, lit
+from repro.storage.table import Table
 
 
 def _unwrap_model(model, feature_columns: Sequence[str] | None):

@@ -5,6 +5,8 @@ ledger), the merge tree, and the four wired layers: UDA execution,
 compressed-matrix kernels, model selection, and the simulated cluster.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,24 @@ class TestParallelContext:
         assert err.attempts == 1
         assert isinstance(err.__cause__, ValueError)
         assert "task failed" in str(err.__cause__)
+
+    def test_a_failed_fan_out_cancels_its_queued_tasks(self):
+        from repro.errors import ParallelTaskError
+
+        started = []
+
+        def task(x):
+            if x == 0:
+                raise ValueError("task failed")
+            started.append(x)
+            time.sleep(0.01)
+
+        ctx = ParallelContext(max_workers=2, cost_threshold=0, retry_policy=None)
+        with ctx, pytest.raises(ParallelTaskError):
+            ctx.pmap(task, range(40))
+        time.sleep(0.2)
+        # only what a worker had already picked up ran past the failure
+        assert len(started) <= ctx.max_workers, started
 
 
 class TestMergeTree:

@@ -100,7 +100,7 @@ class TestExports:
 
 
 #: the length each doc may shrink from but not regrow past (ROADMAP item 6)
-DOC_LINES = {"EXPERIMENTS.md": 2723, "DESIGN.md": 1220, "README.md": 586}
+DOC_LINES = {"EXPERIMENTS.md": 2722, "DESIGN.md": 1211, "README.md": 582}
 
 
 class TestDocsAndExperiments:
@@ -433,7 +433,8 @@ class TestOneDispatch:
 
     def test_deleted_knobs_and_records_stay_deleted(self):
         """The engine's surface; that nothing unused grows back beside it
-        is ``TestZeroTraffic``'s scan, not a list of names kept here."""
+        is ``benchmarks/traffic.py``'s measurement, not a list of names
+        kept here."""
         init = inspect.signature(ParallelContext.__init__).parameters
         assert list(init) == [
             "self", "max_workers", "cost_threshold", "retry_policy",
@@ -685,328 +686,20 @@ class TestOneBenchHarness:
         assert sorted(registry.values()) == sorted(benches)  # one home each
 
 
-# ----------------------------------------------------------------------
-# Zero traffic: the audit scan
-# ----------------------------------------------------------------------
-#: where traffic comes from: a test calling a function is not a reason to keep it
-SCANNED = ("src", "benchmarks", "examples")
-
-
 def _terminal(node):
-    """``f`` of ``f`` / ``obj.f`` — all the scan knows about a name."""
+    """``f`` of ``f`` / ``obj.f``."""
     if isinstance(node, ast.Name):
         return node.id
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def _dict_keys(node):
-    """Keys of a dict display / ``dict(k=...)``; ``None`` if neither, a
-    ``None`` member if some key cannot be read off the source."""
-    if isinstance(node, ast.Dict):
-        return {
-            k.value if isinstance(k, ast.Constant) else None for k in node.keys
-        }
-    if isinstance(node, ast.Call) and _terminal(node.func) == "dict":
-        return {k.arg for k in node.keywords} | ({None} if node.args else set())
-    return None
-
-
-def _local_dicts(scope):
-    """name -> keys, for names bound once in ``scope`` to a dict display
-    and never touched through an attribute or a subscript."""
-    keys, spoiled = {}, set()
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                found = _dict_keys(node.value)
-                if _terminal(target) in keys or found is None or None in found:
-                    spoiled.add(_terminal(target))
-                keys[_terminal(target)] = found
-        elif isinstance(node, (ast.Attribute, ast.Subscript)):
-            spoiled.add(_terminal(node.value))
-    return {name: k for name, k in keys.items() if name not in spoiled}
-
-
-def zero_traffic(root=REPO_ROOT):
-    """The audit: ``(functions, parameters, modules)`` of ``src/``, the
-    first two with no traffic from ``src/``, ``benchmarks/`` or ``examples/``
-    (``tests/`` is not traffic), as ``path:line Owner.name`` /
-    ``path:line Owner.name(param=)``.
-
-    Name-based (DESIGN.md, *Zero traffic*, measures), so it errs towards
-    "used": a public top-level class, function or method is referenced
-    when its name is read (a name, an attribute, an identifier-shaped
-    string) outside a same-named definition, an ``__init__`` re-export
-    and ``__all__``; a defaulted parameter is set when a call of that
-    name (for an ``__init__``: of the class, a subclass, ``super()``, or
-    ``cls`` inside either) passes the keyword, enough positionals, or a
-    ``**`` that can hold it.
-
-    Exempt, because their traffic is not a call the scan can see or is
-    the point of them: estimator hyperparameters (``__init__`` of an
-    ``Estimator`` subclass — what ``get_params`` enumerates and the
-    searches set by name), everything in ``repro.data`` (generator
-    knobs are the library's fixtures), an injectable ``clock=`` seam,
-    ``representation=`` (``"dense"`` selects the reference interpreter
-    the parity tests compare against) and a number-literal default (it
-    parametrises arithmetic and selects no path). The ``lang/dsl.py``
-    builtins (the DSL's operator surface) and the modules the module pass
-    reports are not scanned further.
-    """
-    trees = {
-        path.relative_to(root).as_posix(): ast.parse(path.read_text())
-        for top in SCANNED
-        for path in sorted((root / top).rglob("*.py"))
-    }
-    functions, bases = [], {}
-    for rel, tree in trees.items():
-        if not rel.startswith("src/"):
-            continue
-        for node in tree.body:
-            members = [(None, node)]
-            if isinstance(node, ast.ClassDef):
-                bases.setdefault(node.name, [_terminal(b) for b in node.bases])
-                members += [(node, child) for child in node.body]
-            functions += [
-                (rel, owner, fn) for owner, fn in members
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            ]
-    children = {}
-    for name, parents in bases.items():
-        for parent in parents:
-            children.setdefault(parent, []).append(name)
-
-    def lineage(name, table):
-        seen, todo = set(), [name]
-        while todo:
-            new = {n for n in table.get(todo.pop(), ()) if n} - seen
-            seen |= new
-            todo += new
-        return seen
-
-    mentions = {}    # name -> {name of the function it is read in}
-    calls = {}       # callee -> [(positionals, keywords, ** spreads)]
-    spelled = set()  # every key any dict display spells
-
-    def visit(node, rel, inside, kwarg, dicts, exported, klass):
-        for child in ast.iter_child_nodes(node):
-            here, spread, local = inside, kwarg, dicts
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                here = child.name
-                spread = child.args.kwarg.arg if child.args.kwarg else None
-                local = _local_dicts(child)
-            listing = exported or (
-                isinstance(child, ast.Assign)
-                and any(_terminal(t) == "__all__" for t in child.targets)
-            )
-            spelled.update(_dict_keys(child) or ())
-            read = []
-            if isinstance(child, (ast.Name, ast.Attribute)):
-                read = [_terminal(child)]
-            elif isinstance(child, ast.Constant) and not listing:
-                if isinstance(child.value, str) and child.value.isidentifier():
-                    read = [child.value]
-            elif isinstance(child, ast.ImportFrom):
-                if not rel.endswith("__init__.py"):
-                    read = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ClassDef) and child.keywords:
-                calls.setdefault("__init_subclass__", []).append(
-                    (0, {k.arg for k in child.keywords}, [])
-                )
-            elif isinstance(child, ast.Call):
-                args, callee = list(child.args), _terminal(child.func)
-                if callee == "partial" and args:
-                    callee = _terminal(args.pop(0))
-                callee = f"cls@{klass}" if callee == "cls" else callee
-                starred = any(isinstance(a, ast.Starred) for a in args)
-                calls.setdefault(callee, []).append((
-                    float("inf") if starred else len(args),
-                    {k.arg for k in child.keywords if k.arg},
-                    # the enclosing def's own **kwargs: that def's name,
-                    # followed to its callers; a local dict display: its
-                    # keys; anything else: None, an open dict
-                    [
-                        inside if kwarg and _terminal(k.value) == kwarg
-                        else dicts.get(_terminal(k.value))
-                        for k in child.keywords if not k.arg
-                    ],
-                ))
-            for name in read:
-                mentions.setdefault(name, set()).add(inside)
-            within = child.name if isinstance(child, ast.ClassDef) else klass
-            visit(child, rel, here, spread, local, listing, within)
-
-    for rel, tree in trees.items():
-        visit(tree, rel, None, None, _local_dicts(tree), False, None)
-
-    def reaches(callees, param, position, seen=frozenset()):
-        """Does a call of ``callees`` set ``param``? An open ``**`` may
-        hold any key some dict display in the trees spells."""
-        for callee in callees - seen:
-            for positionals, keywords, spreads in calls.get(callee, ()):
-                if param in keywords:
-                    return True
-                if position is not None and positionals > position:
-                    return True
-                for spread in spreads:
-                    if spread is None:
-                        found = param in spelled
-                    elif isinstance(spread, str):
-                        found = reaches({spread}, param, None, seen | callees)
-                    else:
-                        found = param in spread
-                    if found:
-                        return True
-        return False
-
-    dead_functions, dead_parameters = [], []
-    for rel, owner, fn in functions:
-        where = f"{rel}:{fn.lineno} " + (f"{owner.name}." if owner else "")
-        read_in = mentions.get(fn.name, set()) - {fn.name}
-        if not fn.name.startswith("_") and not read_in:
-            dead_functions.append(where + fn.name)
-        marks = {
-            _terminal(d.func if isinstance(d, ast.Call) else d)
-            for d in fn.decorator_list
-        }
-        if marks & {"property", "setter"} or isinstance(fn, ast.ClassDef):
-            continue
-        positional = fn.args.posonlyargs + fn.args.args
-        bound = owner is not None and "staticmethod" not in marks
-        first = len(positional) - len(fn.args.defaults)
-        defaulted = [
-            (arg.arg, index - bound, default) for index, (arg, default)
-            in enumerate(zip(positional[first:], fn.args.defaults), first)
-        ] + [
-            (arg.arg, None, default)
-            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-            if default is not None
-        ]
-        callees, hyper = {fn.name}, False
-        if owner is not None and fn.name == "__init__":
-            family = {owner.name} | lineage(owner.name, children)
-            callees |= family | {"__init__"} | {f"cls@{c}" for c in family}
-            hyper = "Estimator" in lineage(owner.name, bases)
-        for param, position, default in defaulted:
-            if isinstance(default, ast.UnaryOp):
-                default = default.operand
-            if (
-                hyper
-                or param in ("clock", "representation")
-                or type(getattr(default, "value", None)) in (int, float)
-            ):
-                continue
-            if not reaches(callees, param, position):
-                dead_parameters.append(f"{where}{fn.name}({param}=)")
-    # modules a bench or an example reaches: imports (lazy ones too) followed
-    # through re-exports to the defining module, and ``pkg.attr`` reads
-    files = {r[4:-3].replace("/", ".").removesuffix(".__init__"): r
-             for r in trees if r.startswith("src/")}
-    pkgs = {m for m, r in files.items() if r.endswith("__init__.py")}
-
-    def source(mod, node):  # the absolute module an ImportFrom names
-        base = mod.rsplit(".", node.level - (mod in pkgs))[0] if node.level else ""
-        return ".".join(filter(None, (base, node.module)))
-
-    forwards = {m: {a.asname or a.name: (source(m, n), a.name)
-                    for n in trees[files[m]].body if isinstance(n, ast.ImportFrom)
-                    for a in n.names} for m in pkgs}
-
-    def home(mod, name):
-        sub, forward = f"{mod}.{name}", forwards.get(mod, {}).get(name)
-        return sub if sub in files else home(*forward) if forward else mod
-
-    def edges(mod, tree):  # a package's own top-level imports are not edges
-        bound, skip = {}, tree.body if mod in forwards else ()
-        for n in ast.walk(tree):
-            if isinstance(n, ast.ImportFrom) and n not in skip:
-                bound |= {a.asname or a.name: home(source(mod, n), a.name)
-                          for a in n.names}
-            elif isinstance(n, ast.Import):
-                bound |= {a.asname or a.name: a.name for a in n.names}
-        return set(bound.values()) | {
-            home(bound[_terminal(n.value)], n.attr) for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and _terminal(n.value) in bound
-        }
-
-    seen, todo = set(), set().union(*(edges(None, t) for r, t in trees.items()
-                                      if r.startswith(("benchmarks/", "examples/"))))
-    while todo := (todo - seen) & files.keys():
-        seen.add(mod := todo.pop())
-        todo |= edges(mod, trees[files[mod]]) | {mod.rpartition(".")[0]}
-    unreached = sorted(files.keys() - seen)
-    quiet = (*(f"{files[m]}:" for m in unreached), "src/repro/lang/dsl.py:",
-             "src/repro/data/")
-    return (
-        [entry for entry in dead_functions if not entry.startswith(quiet)],
-        [entry for entry in dead_parameters if not entry.startswith(quiet)],
-        unreached,
-    )
-
-
-class TestZeroTraffic:
-    """Nothing under ``src/`` is unreachable and every optional subsystem
-    has one way in (DESIGN.md, Configuration): the audit of PR 24, kept
-    as a test so the surface cannot regrow."""
-
-    #: what only tests reach and stays, each with the reason it stays
-    ALLOWED = {
-        "ShardedServer.route":
-            "the pure failover replay the sharding tests hold _place to",
-        "ChangeStream.drop_next":
-            "the lost-in-transit seam behind DeltaConsumer's ledger identity",
-        "InDBLinearRegression.fit(parallel=)":
-            "parallel= on a training front door: every driver reaches the "
-            "pool the same way (DESIGN.md, Parallel dispatch)",
-        "full_budget_baseline(parallel=)": "as above",
-        "successive_halving(parallel=)": "as above",
-        "random_search(parallel=)": "as above",
-        "SimulatedCluster.__init__(parallel=)": "as above",
-        "ParallelContext.__init__(task_timeout=)": "straggler recovery: safety code",
-        "ModelServer.predict(deadline_at=)":
-            "set positionally, through getattr(shard.server, door) in "
-            "ShardedServer._serve_on",
-        "ModelServer.predict_many(deadline_at=)": "as above",
-        "ModelServer.predict(deadline_ms=)":
-            "the two-door contract: the batch door's half is traffic, and "
-            "the request context (ROADMAP item 2) carries it",
-        "ModelServer.predict_many(deadline_ms=)": "as above",
-        "ShardedServer.predict(deadline_ms=)": "as above",
-        "ShardedServer.predict_many(deadline_ms=)": "as above",
-        "ShardedServer.predict(tenant=)": "as above (predict_many(tenants=))",
-        "plan_representations(force=)":
-            "'dense' is the reference the planner parity tests compare "
-            "against, like the exempt representation=",
-        "run_sql(optimize=)":
-            "False is the unpushed reference the pushdown tests compare against",
-    }
-
-    #: modules only ``tests/`` reach, each with the reason it stays
-    UNREACHED = {
-        "repro.indb.scoring": "the oracle compile_linear_scorer is pinned to",
-        "repro.compiler.sparsity": "SystemML's sparsity propagation (pillar 3)",
-        "repro.algorithms.decomposition": "PCA as a SystemML-style DSL script",
-    }
-
-    @pytest.fixture(scope="class")
-    def audit(self):
-        return zero_traffic()
-
-    def test_every_module_is_reached_from_a_bench_or_an_example(self, audit):
-        assert audit[2] == sorted(self.UNREACHED)
-
-    def unlisted(self, entries):
-        return [e for e in entries if e.split(" ", 1)[1] not in self.ALLOWED]
-
-    def test_every_public_function_is_referenced(self, audit):
-        assert self.unlisted(audit[0]) == []
-
-    def test_every_defaulted_parameter_is_set_by_a_caller(self, audit):
-        assert self.unlisted(audit[1]) == []
-        # an entry the scan no longer flags has no business on the list
-        flagged = {entry.split(" ", 1)[1] for entry in audit[0] + audit[1]}
-        assert set(self.ALLOWED) <= flagged
-        assert len(self.ALLOWED) <= 25 and all(self.ALLOWED.values())
+class TestOneWayIn:
+    """Every optional subsystem has one way in (DESIGN.md, Configuration):
+    what shapes a run is an environment variable CI names, a registered
+    fault site, or a store entered with its scope. Whether ``src/`` code
+    and options are reached at all is measured, not guessed, by
+    ``benchmarks/traffic.py`` in its own CI job (DESIGN.md, *Zero
+    traffic*)."""
 
     def test_every_environment_read_is_named_in_ci(self):
         """Three variables, each set by a CI job: anything else that

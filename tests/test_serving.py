@@ -658,7 +658,7 @@ class TestScoringKernel:
         specials=st.booleans(),
     )
     def test_bitwise_equal_to_the_sql_expression(self, seed, n, d, specials):
-        from repro.indb.scoring import score_linear_model
+        from tests.sql_scoring import score_linear_model
         from repro.storage import Table
 
         rng = np.random.default_rng(seed)
@@ -733,7 +733,7 @@ class TestModelServer:
     def test_agrees_with_indb_scoring(self, served):
         """The online scorer and the SQL scoring expression are the same
         compiled affine form — bit-identical outputs."""
-        from repro.indb.scoring import score_linear_model
+        from tests.sql_scoring import score_linear_model
         from repro.storage import Table
 
         server, registry, X = served
@@ -1108,7 +1108,7 @@ class TestServingChaos:
 # ----------------------------------------------------------------------
 class TestRegistryToSqlScoring:
     def test_model_version_with_recorded_columns(self, model_pair):
-        from repro.indb.scoring import score_linear_model, score_probability
+        from tests.sql_scoring import score_linear_model, score_probability
         from repro.storage import Table
 
         X, _, m1, _ = model_pair
@@ -1131,7 +1131,7 @@ class TestRegistryToSqlScoring:
         )
 
     def test_model_version_without_model_object(self):
-        from repro.indb.scoring import score_linear_model
+        from tests.sql_scoring import score_linear_model
         from repro.errors import ModelError
         from repro.lifecycle.registry import ModelVersion
         from repro.storage import Table

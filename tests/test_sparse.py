@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import propagate_sparsity
 from repro.data import make_sparse_matrix
-from repro.lang import exp, matrix, sumall
 from repro.sparse import CSRMatrix, SparseError
 
 
@@ -207,60 +205,3 @@ class TestSparseGLMTraining:
             SquaredLoss(), Xd, y, max_iter=50, warn_on_cap=False
         )
         assert np.allclose(sparse.weights, dense.weights, atol=1e-12)
-
-
-
-class TestSparsityPropagation:
-    def test_input_default_dense(self):
-        X = matrix("X", (10, 5))
-        s = propagate_sparsity(X.node)
-        assert s[id(X.node)] == 1.0
-
-    def test_elementwise_multiply(self):
-        X = matrix("X", (10, 5))
-        Y = matrix("Y", (10, 5))
-        expr = (X * Y).node
-        s = propagate_sparsity(expr, {"X": 0.1, "Y": 0.5})
-        assert s[id(expr)] == pytest.approx(0.05)
-
-    def test_add_saturates_at_one(self):
-        X = matrix("X", (10, 5))
-        Y = matrix("Y", (10, 5))
-        expr = (X + Y).node
-        s = propagate_sparsity(expr, {"X": 0.8, "Y": 0.7})
-        assert s[id(expr)] == 1.0
-
-    def test_exp_densifies(self):
-        X = matrix("X", (10, 5))
-        expr = exp(X).node
-        s = propagate_sparsity(expr, {"X": 0.01})
-        assert s[id(expr)] == 1.0
-
-    def test_neg_preserves(self):
-        X = matrix("X", (10, 5))
-        expr = (-X).node
-        assert propagate_sparsity(expr, {"X": 0.2})[id(expr)] == 0.2
-
-    def test_matmul_formula(self):
-        X = matrix("X", (10, 100))
-        Y = matrix("Y", (100, 10))
-        expr = (X @ Y).node
-        s = propagate_sparsity(expr, {"X": 0.01, "Y": 0.01})
-        expected = 1.0 - (1.0 - 0.01 * 0.01) ** 100
-        assert s[id(expr)] == pytest.approx(expected)
-
-    def test_pow_zero_densifies(self):
-        X = matrix("X", (10, 5))
-        expr = (X ** 0.0).node
-        assert propagate_sparsity(expr, {"X": 0.1})[id(expr)] == 1.0
-
-    def test_pow_positive_preserves(self):
-        X = matrix("X", (10, 5))
-        expr = (X ** 2).node
-        assert propagate_sparsity(expr, {"X": 0.1})[id(expr)] == 0.1
-
-    def test_constant_sparsity_measured(self):
-        from repro.lang import const
-
-        c = const(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert propagate_sparsity(c.node)[id(c.node)] == 0.25

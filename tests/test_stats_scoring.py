@@ -1,18 +1,18 @@
-"""Unit tests for in-DB scoring."""
+"""Unit tests for the SQL-path scoring oracle (``tests/sql_scoring.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.data import make_classification, make_regression
 from repro.errors import ModelError
-from repro.indb import (
-    InDBLogisticRegression,
+from repro.indb import InDBLogisticRegression
+from repro.ml import LinearRegression, LogisticRegression
+from repro.storage import Table, filter_rows
+from tests.sql_scoring import (
     linear_expression,
     score_linear_model,
     score_probability,
 )
-from repro.ml import LinearRegression, LogisticRegression
-from repro.storage import Table, filter_rows
 
 
 class TestInDBScoring:
