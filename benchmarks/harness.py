@@ -34,6 +34,7 @@ import os
 import pathlib
 import platform
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -124,23 +125,51 @@ def disabled_overhead(label: str, wall: Timing, events) -> tuple[float, float]:
     return estimated, pct
 
 
+def disabled_crossings(workload) -> int:
+    """The calls one plain run of ``workload`` makes to the disabled
+    path's two primitives, ``fault_point`` and ``active_chaos`` (each a
+    global load and an ``is None`` test), counted by a profile hook on
+    every thread the run starts. A site that asks once per call whether
+    a plan is installed, and with none skips its per-row crossings,
+    counts as that one question, not as the crossings a plan would see."""
+    codes = {fault_point.__code__, active_chaos.__code__}
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        workload()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return calls
+
+
 def overhead_leg(site: str, workload, label: str, repeats: int) -> dict:
     """Disabled-path bound for fault-point instrumentation: with no
     chaos installed a fault point is one global load and an ``is None``
-    test. A rate-0 match-everything plan counts the workload's crossings
-    exactly without ever injecting; ``site`` names the microbenchmarked
-    unit fault point."""
+    test. :func:`disabled_crossings` counts the run's disabled-path calls
+    exactly, and a rate-0 match-everything plan counts the crossings a
+    plan sees without ever injecting (never fewer); ``site`` names the
+    microbenchmarked unit fault point."""
     wall = timed(workload, repeats)
+    crossings = disabled_crossings(workload)
     with ChaosContext(FaultPlan(seed=0).inject("*", rate=0.0)) as chaos:
         workload()
-    crossings = chaos.total_invocations()
-    assert crossings > 0, f"{label}: workload crossed no fault point"
+    planned = chaos.total_invocations()
+    assert planned > 0, f"{label}: workload crossed no fault point"
     unit = unit_cost(fault_point, site)
     estimated, pct = disabled_overhead(label, wall, [(crossings, unit)])
     return {
         "workload": label,
         **wall.fields("wall_s"),
         "fault_point_crossings": crossings,
+        "planned_crossings": planned,
         "unit_cost_s": unit,
         "estimated_overhead_s": estimated,
         "estimated_overhead_pct": pct,
@@ -150,7 +179,8 @@ def overhead_leg(site: str, workload, label: str, repeats: int) -> dict:
 
 def report_overhead_leg(leg: dict) -> None:
     print(
-        f"  disabled-path bound: {leg['fault_point_crossings']} crossings x "
+        f"  disabled-path bound: {leg['fault_point_crossings']} crossings "
+        f"({leg['planned_crossings']} under a plan) x "
         f"{leg['unit_cost_s'] * 1e9:.0f} ns = "
         f"{leg['estimated_overhead_pct']:.3f}% of wall "
         f"(limit {leg['bound_pct']:.0f}%)  -> PASS"

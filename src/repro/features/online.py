@@ -20,20 +20,21 @@ import numpy as np
 
 from ..errors import FeatureStoreError, InjectedFault
 from ..obs import Counted, Ledger
-from ..resilience import fault_point, no_chaos
+from ..resilience import active_chaos, fault_point, no_chaos
 from ..storage.table import Table
 from .view import FeatureView
 
 
 class OnlineFeatureServer(Counted):
-    """Serves single-entity feature rows bit-identically to offline.
+    """Serves entities' feature rows bit-identically to offline.
 
     Args:
         view: the feature view being served.
         source: row source — a
             :class:`~repro.features.store.MaterializedFeatures` or a
             :class:`~repro.features.store.FeatureViewMaintainer`
-            (anything with ``row(entity)``).
+            (anything with ``row(entity)`` and a
+            :class:`~repro.features.store.FeatureRows` at ``rows``).
         table: the base table for on-demand recompute. Defaults to the
             source's own base table when it has one (a maintainer does).
     """
@@ -62,29 +63,53 @@ class OnlineFeatureServer(Counted):
 
     # ------------------------------------------------------------------
     def serve(self, entity) -> np.ndarray:
-        """One entity's feature row (declaration order, float64).
-
-        Every serve crosses the ``features.serve`` fault site; an
-        injected fault (or corrupted read) falls back to recomputing
-        the row from the base table under :func:`no_chaos` — by
-        row-locality, the same bytes the clean path serves.
-        """
-        self.counts.inc("serves")
-        try:
-            status = fault_point(self.FAULT_SITE, key=entity)
-        except InjectedFault:
-            return self._fallback(entity)
-        if status == "corrupt":
-            # The read came back untrusted; discard it and recompute.
-            return self._fallback(entity)
-        return self.source.row(entity)
+        """One entity's feature row (declaration order, float64): the
+        one-entity call of :meth:`serve_many`."""
+        return self.serve_many((entity,))[0]
 
     def serve_many(self, entities) -> np.ndarray:
-        """A (len(entities), F) matrix of serve() rows, in order."""
-        rows = [self.serve(e) for e in entities]
-        if not rows:
-            return np.empty((0, len(self.view.feature_names)))
-        return np.array(rows)
+        """A (len(entities), F) matrix of the entities' rows, in order.
+
+        Each entity is decided on its own, in order: while a chaos plan
+        is installed it crosses the ``features.serve`` fault site, and a
+        clean read has its slot looked up, so an unknown entity raises at
+        its own place in the walk. An injected fault (or corrupted read)
+        falls back to recomputing that row from the base table under
+        :func:`no_chaos` — by row-locality, the same bytes the clean path
+        serves. The rest is once per call: whether a plan is installed
+        (with none, no crossing could decide anything), one ``take``
+        gathering the clean rows, one ledger write counting the serves.
+        """
+        rows = self.source.rows
+        chaos = active_chaos() is not None
+        picked: list[int] = []  # slots of the clean reads, in order
+        recomputed: dict[int, np.ndarray] = {}  # position -> fallback row
+        asked = 0
+        try:
+            for asked, entity in enumerate(entities, 1):
+                if chaos:
+                    try:
+                        status = fault_point(self.FAULT_SITE, key=entity)
+                    except InjectedFault:
+                        status = "corrupt"  # the read failed: recompute
+                    if status == "corrupt":
+                        # untrusted read: discard it and recompute the row
+                        recomputed[asked - 1] = self._fallback(entity)
+                        continue
+                picked.append(rows.slot(entity))
+        finally:
+            if asked:
+                self.counts.inc("serves", asked)
+        gathered = rows.take(picked)
+        if not recomputed:
+            return gathered
+        out = np.empty((asked, gathered.shape[1]))
+        clean_rows = np.ones(asked, dtype=bool)
+        clean_rows[list(recomputed)] = False
+        out[clean_rows] = gathered
+        for position, row in recomputed.items():
+            out[position] = row
+        return out
 
     def _fallback(self, entity) -> np.ndarray:
         self.counts.inc("fallbacks")

@@ -96,17 +96,27 @@ class FeatureRows:
             f"entity {entity!r} has no row in view {self.view.name!r}"
         )
 
-    def row(self, entity) -> np.ndarray:
-        """One entity's features, in declaration order (a copy)."""
+    def slot(self, entity) -> int:
+        """Where an entity's row is stored, for :meth:`take`; an entity
+        without a row raises :class:`FeatureStoreError`."""
         try:
-            return self._data[self._slots[entity]].copy()
+            return self._slots[entity]
         except KeyError:
             raise self._missing(entity) from None
+
+    def row(self, entity) -> np.ndarray:
+        """One entity's features, in declaration order (a copy)."""
+        return self._data[self.slot(entity)].copy()
+
+    def take(self, slots: list[int]) -> np.ndarray:
+        """The rows at ``slots``, in that order, as one fresh
+        ``(len(slots), F)`` array — a single ``ndarray.take`` gather."""
+        return self._data.take(slots, axis=0)
 
     def slice(self, entities) -> np.ndarray:
         """A (len(entities), F) matrix in the requested entity order."""
         try:
-            return self._data[[self._slots[e] for e in entities]]
+            return self.take([self._slots[e] for e in entities])
         except KeyError as exc:
             raise self._missing(exc.args[0]) from None
 

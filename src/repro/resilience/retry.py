@@ -184,13 +184,14 @@ def resilient_call(
     ``deadline_at`` caps the total retry budget (see
     :func:`call_with_retry`).
     """
+    if retry is None:
+        fault_point(site, key=key)
+        return fn()
 
     def attempt() -> T:
         fault_point(site, key=key)
         return fn()
 
-    if retry is None:
-        return attempt()
     return call_with_retry(
         attempt, retry, site=site, key=key, deadline_at=deadline_at
     )

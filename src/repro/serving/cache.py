@@ -13,15 +13,17 @@ let two colliding entities answer for each other.
 
 The cache owns its key and the lock; ordering and
 eviction are :class:`~repro.cache.BoundedCache` at cost 1 per entry,
-and every count is one :class:`~repro.obs.Ledger` write
-(``serving.cache.*``).
+and its counts are :class:`~repro.obs.Ledger` writes
+(``serving.cache.*``). A probe covers one call's rows: one lock and one
+hits / misses write per call, while each miss is still filled by its
+own ``put`` once it has been scored.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
@@ -61,12 +63,30 @@ class PredictionCache:
         self._entries = BoundedCache(capacity, self.stats)
 
     # ------------------------------------------------------------------
-    def get(self, endpoint: str, version: int, row_key: Hashable) -> float | None:
-        """The cached prediction, or None on a miss."""
+    def get(
+        self,
+        endpoint: str,
+        versions: Sequence[int],
+        row_keys: Sequence[Hashable],
+    ) -> list[float | None]:
+        """Probe one call's rows — ``(versions[i], row_keys[i])`` is row
+        ``i``'s key — under one lock, in row order; returns each row's
+        cached prediction, or None on a miss. Hits and misses are counted
+        once per call."""
+        values = []
+        misses = 0
         with self._lock:
-            value = self._entries.get((endpoint, version, row_key))
-            self.stats.inc("misses" if value is None else "hits")
-        return value
+            lookup = self._entries.get
+            for version, row_key in zip(versions, row_keys):
+                value = lookup((endpoint, version, row_key))
+                if value is None:
+                    misses += 1
+                values.append(value)
+            if misses:
+                self.stats.inc("misses", misses)
+            if misses < len(values):
+                self.stats.inc("hits", len(values) - misses)
+        return values
 
     def put(
         self, endpoint: str, version: int, row_key: Hashable, value: float

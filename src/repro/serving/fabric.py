@@ -44,6 +44,7 @@ with a mid-stream kill recovered exactly.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -68,6 +69,11 @@ from .server import ModelServer
 #: a shard dispatch failing with one of these fails over to the next
 #: live replica instead of failing the request.
 _FAILOVER_ERRORS = (InjectedFault, RetryExhaustedError, WorkerFailure)
+
+
+def _nothing() -> None:
+    """The work the routing and dispatch sites guard: the fault
+    crossing itself is the step."""
 
 
 @dataclass
@@ -132,6 +138,9 @@ class ShardedServer:
             for sid in shard_ids
         }
         self._endpoints: dict[str, _FabricEndpoint] = {}
+        #: endpoint -> its one shard, for endpoints placed on one replica
+        #: (the fast path's whole placement; replicas never move)
+        self._single: dict[str, _Shard] = {}
         self.quotas = AdmissionQuotas(clock=clock)
         #: exact fleet-wide routing/admission ledger (E26 gates on it):
         #: ``failovers`` = requests that skipped >= 1 dead/failed
@@ -202,6 +211,8 @@ class ShardedServer:
                 name, model_name, **config
             )
         self._endpoints[name] = endpoint
+        if len(replicas) == 1:
+            self._single[name] = self._shards[replicas[0]]
         return endpoint
 
     def endpoints(self) -> list[str]:
@@ -303,28 +314,59 @@ class ShardedServer:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _place(
-        self, name: str, key: object, tenant: object, deadline_at: float | None
-    ) -> tuple[str, int]:
-        """Place one request — the step both doors take per request:
-        token-bucket admission ahead of every shard queue, the
-        ``fabric.route`` site (routing-table faults are transient and
-        recovered under the retry policy), then the preference walk,
-        skipping dead shards and firing ``fabric.score`` per attempted
-        shard (an injected fault there is a failed dispatch — retried
-        under the policy, then failed over to the next live replica).
-        Returns ``(serving shard, replicas skipped)``."""
-        if not self.quotas.admit(tenant):
+    def _admit(
+        self, name: str, tenants: Sequence[object], on_shed: str
+    ) -> list[int]:
+        """Token-bucket admission for one call, ahead of every shard
+        queue: one decision per tenant per call, which admits that
+        tenant's first rows up to its whole tokens (``None`` rows are
+        unmetered). Returns the refused rows, in order, for
+        ``on_shed="null"`` to leave NaN.
+
+        A call that raises on a shed charges nothing: its rows are
+        admitted all or none (:meth:`AdmissionQuotas.admit_all`), and the
+        first row that would be refused is the call's one shed."""
+        quotas = self.quotas
+        if on_shed == "raise":
+            refused = quotas.admit_all(tenants)
+            if refused is None:
+                return []
             self.ledger.inc("quota_shed")
+            tenant = tenants[refused]
             raise LoadShedError(
                 name,
                 0,
-                int(self.quotas.bucket(tenant).capacity),  # refused: it exists
+                int(quotas.bucket(tenant).capacity),  # refused: it exists
                 tenant=tenant,
                 reason="quota",
             )
+        wanted = Counter(tenants)
+        wanted.pop(None, None)
+        shed: list[int] = []
+        for tenant, count in wanted.items():
+            admitted = quotas.admit(tenant, count)
+            if admitted < count:
+                shed += [i for i, t in enumerate(tenants) if t == tenant][
+                    admitted:
+                ]
+        shed.sort()
+        if shed:
+            self.ledger.inc("quota_shed", len(shed))
+        return shed
+
+    def _place(
+        self, name: str, key: object, deadline_at: float | None
+    ) -> tuple[str, int]:
+        """Place one admitted request — the step both doors take per
+        row: the ``fabric.route`` site (routing-table faults are
+        transient and recovered under the retry policy), then the
+        preference walk, skipping dead shards and firing
+        ``fabric.score`` per attempted shard (an injected fault there is
+        a failed dispatch — retried under the policy, then failed over
+        to the next live replica). Returns ``(serving shard, replicas
+        skipped)``."""
         resilient_call(
-            lambda: None,
+            _nothing,
             site="fabric.route",
             key=name,
             retry=self.retry,
@@ -339,7 +381,7 @@ class ShardedServer:
                 continue
             try:
                 resilient_call(
-                    lambda: None,
+                    _nothing,
                     site="fabric.score",
                     key=(name, sid),
                     retry=self.retry,
@@ -352,11 +394,36 @@ class ShardedServer:
             return sid, skips
         raise NoLiveReplicaError(name, tuple(preference)) from last
 
+    @staticmethod
+    def _attributed(
+        exc: LoadShedError | DeadlineExceededError,
+        sid: str,
+        tenants: Iterable[object],
+    ) -> LoadShedError | DeadlineExceededError:
+        """A shard's shed or deadline error as the fleet raises it: it
+        always names the shard, and the tenant when the dispatched rows
+        share one."""
+        shared = set(tenants)
+        tenant = shared.pop() if len(shared) == 1 else None
+        if isinstance(exc, DeadlineExceededError):
+            return DeadlineExceededError(
+                exc.endpoint, exc.deadline_ms, tenant=tenant, shard=sid
+            )
+        return LoadShedError(
+            exc.endpoint,
+            exc.queue_depth,
+            exc.capacity,
+            tenant=tenant,
+            shard=sid,
+            reason=exc.reason,
+        )
+
     def _serve_on(
         self,
         sid: str,
         door: str,
-        skips: Sequence[int],
+        failovers: int,
+        rerouted: int,
         tenants: Iterable[object],
         name: str,
         rows: np.ndarray,
@@ -370,34 +437,22 @@ class ShardedServer:
         budget placement already drew on (``deadline_at``), re-raise its
         shed or deadline error attributed (the shard always, the tenant
         when the dispatched rows share one), and only then account what
-        was served, ``skips`` holding one entry per request."""
+        was served: ``failovers`` of the dispatched requests skipped
+        ``rerouted`` replicas between them."""
         shard = self._shards[sid]
         try:
             out = getattr(shard.server, door)(
                 name, rows, keys, deadline_ms, deadline_at
             )
         except (LoadShedError, DeadlineExceededError) as exc:
-            shared = set(tenants)
-            tenant = shared.pop() if len(shared) == 1 else None
-            if isinstance(exc, DeadlineExceededError):
-                raise DeadlineExceededError(
-                    exc.endpoint, exc.deadline_ms, tenant=tenant, shard=sid
-                ) from exc
-            raise LoadShedError(
-                exc.endpoint,
-                exc.queue_depth,
-                exc.capacity,
-                tenant=tenant,
-                shard=sid,
-                reason=exc.reason,
-            ) from exc
-        shard.served += len(skips)
-        rerouted = sum(skips)
+            raise self._attributed(exc, sid, tenants) from exc
+        served = 1 if door == "predict" else len(out)
+        shard.served += served
         if rerouted:
-            self.ledger.inc("failovers", len(skips) - skips.count(0))
+            self.ledger.inc("failovers", failovers)
             self.ledger.inc("rerouted", rerouted)
         if sid != self._endpoints[name].replicas[0]:
-            self.ledger.inc("replica_hits", len(skips))
+            self.ledger.inc("replica_hits", served)
         return out
 
     def predict(
@@ -417,10 +472,12 @@ class ShardedServer:
             if deadline_ms is not None
             else None
         )
-        sid, skips = self._place(name, key, tenant, deadline_at)
+        if tenant is not None:
+            self._admit(name, (tenant,), "raise")
+        sid, skips = self._place(name, key, deadline_at)
         return self._serve_on(
-            sid, "predict", (skips,), (tenant,), name, row, key, deadline_ms,
-            deadline_at,
+            sid, "predict", int(skips > 0), skips, (tenant,), name, row, key,
+            deadline_ms, deadline_at,
         )
 
     def predict_many(
@@ -432,20 +489,50 @@ class ShardedServer:
         deadline_ms: float | None = None,
         on_shed: str = "raise",
     ) -> np.ndarray | tuple[np.ndarray, list[int]]:
-        """Serve a stream: route each row, then drain each shard's
-        slice through that shard's micro-batcher in one vectorized call.
+        """Serve a stream: admit the call once per tenant, place each
+        row (its own route crossing, preference walk and score
+        crossings), then drain each shard's slice through that shard's
+        micro-batcher in one vectorized call.
 
-        ``on_shed="raise"`` propagates the first quota shed;
-        ``on_shed="null"`` records shed rows as NaN and returns
-        ``(values, shed_indices)`` — what a closed-loop load generator
-        wants, because one hot tenant's sheds must not abort the
-        stream.
+        ``on_shed="raise"`` raises for the first row the quotas refuse,
+        before any bucket is charged; ``on_shed="null"`` records shed
+        rows as NaN and returns ``(values, shed_indices)`` — what a
+        closed-loop load generator wants, because one hot tenant's
+        sheds must not abort the stream.
         """
         if on_shed not in ("raise", "null"):
             raise ServingError(
                 f"on_shed must be 'raise' or 'null', got {on_shed!r}"
             )
-        endpoint = self._endpoint(name)
+        # Fast path: a single-replica fleet with no quotas and no chaos
+        # is a plain ModelServer with a ring lookup in front, so the call
+        # is handed to its one shard whole: one request count, the
+        # shard's door (which converts and validates the batch; a 2-D
+        # batch with one key per row is all the fleet checks), its error
+        # attributed, the call counted served. Nothing fails over and no
+        # replica but the home serves, so the rest of `_serve_on` is
+        # zero here; going through it measurably costs E26's 3 % bound on
+        # the fabric-disabled toll of a 64-row call (EXPERIMENTS.md).
+        shard = self._single.get(name)
+        if (
+            shard is not None
+            and tenants is None
+            and not self.quotas.configured
+            and active_chaos() is None
+            and getattr(rows, "ndim", 0) == 2
+            and (keys is None or len(keys) == len(rows))
+        ):
+            if not shard.live:
+                raise NoLiveReplicaError(name, (shard.shard_id,))
+            self.ledger.inc("requests", len(rows))
+            try:
+                out = shard.server.predict_many(name, rows, keys, deadline_ms)
+            except (LoadShedError, DeadlineExceededError) as exc:
+                raise self._attributed(exc, shard.shard_id, ()) from exc
+            shard.served += len(out)
+            return (out, []) if on_shed == "null" else out
+
+        self._endpoint(name)  # an unknown endpoint raises before admission
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ServingError(
@@ -457,57 +544,37 @@ class ShardedServer:
         if tenants is not None and len(tenants) != n:
             raise ServingError("one tenant per row required")
 
-        # Fast path: a single-replica fleet with no quotas and no chaos
-        # is a plain ModelServer with a ring lookup in front — dispatch
-        # the call as one group on its home shard (no skips, no tenants)
-        # so the fabric-disabled overhead stays < 3% (E26).
-        if (
-            len(endpoint.replicas) == 1
-            and tenants is None
-            and not self.quotas.configured
-            and active_chaos() is None
-        ):
-            sid = endpoint.replicas[0]
-            if not self._shards[sid].live:
-                raise NoLiveReplicaError(name, endpoint.replicas)
-            self.ledger.inc("requests", n)
-            out = self._serve_on(
-                sid, "predict_many", [0] * n, (), name, rows, keys, deadline_ms
-            )
-            return (out, []) if on_shed == "null" else out
-
         deadline_at = (
             self._clock() + deadline_ms / 1000.0
             if deadline_ms is not None
             else None
         )
         self.ledger.inc("requests", n)
+        shed = [] if tenants is None else self._admit(name, tenants, on_shed)
+        refused = set(shed)
         out = np.full(n, np.nan)  # a shed row stays NaN
-        shed_indices: list[int] = []
-        # shard -> (row indices, replicas each of those rows skipped)
-        groups: dict[str, tuple[list[int], list[int]]] = {}
+        # shard -> [row indices, failovers, replicas skipped]
+        groups: dict[str, list] = {}
         for i in range(n):
-            try:
-                sid, skips = self._place(
-                    name,
-                    keys[i] if keys is not None else None,
-                    tenants[i] if tenants is not None else None,
-                    deadline_at,
-                )
-            except LoadShedError:
-                if on_shed == "raise":
-                    raise
-                shed_indices.append(i)
+            if i in refused:
                 continue
-            indices, skipped = groups.setdefault(sid, ([], []))
-            indices.append(i)
-            skipped.append(skips)
+            sid, skips = self._place(
+                name, keys[i] if keys is not None else None, deadline_at
+            )
+            group = groups.get(sid)
+            if group is None:
+                group = groups[sid] = [[], 0, 0]
+            group[0].append(i)
+            if skips:
+                group[1] += 1
+                group[2] += skips
         for sid in sorted(groups):
-            indices, skipped = groups[sid]
+            indices, failovers, rerouted = groups[sid]
             out[indices] = self._serve_on(
                 sid,
                 "predict_many",
-                skipped,
+                failovers,
+                rerouted,
                 (tenants[i] for i in indices) if tenants is not None else (),
                 name,
                 rows[indices],
@@ -515,7 +582,7 @@ class ShardedServer:
                 deadline_ms,
                 deadline_at,
             )
-        return (out, shed_indices) if on_shed == "null" else out
+        return (out, shed) if on_shed == "null" else out
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

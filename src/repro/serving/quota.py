@@ -12,13 +12,17 @@ quota gate) instead of a timing-dependent one.
 A tenant over its quota sheds *its own* overflow with a
 :class:`~repro.errors.LoadShedError` carrying ``reason="quota"`` and the
 tenant in its structured context; tenants within quota are unaffected.
+A call's rows are admitted once per tenant, not once per row: one
+refill and one take of whole tokens decide them all, which is the
+arithmetic the per-row decisions performed at one instant.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
+from collections import Counter
+from typing import Callable, Sequence
 
 from ..errors import ServingError
 
@@ -60,14 +64,17 @@ class TokenBucket:
             )
         self._refilled_at = now
 
-    def try_take(self) -> bool:
-        """Admit (consume one token) or refuse without consuming."""
+    def try_take(self, n: int = 1) -> int:
+        """Admit up to ``n`` requests arriving together; returns how many.
+
+        One refill, then one token per admitted request: the same bytes
+        ``n`` one-token decisions at this instant leave, because
+        subtracting a whole number of tokens below 2**53 is exact."""
         with self._lock:
             self._refill(self._clock())
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
+            taken = min(n, int(self._tokens))
+            self._tokens -= taken
+            return taken
 
     @property
     def tokens(self) -> float:
@@ -86,9 +93,13 @@ class AdmissionQuotas:
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._buckets: dict[object, TokenBucket] = {}
-        self._lock = threading.Lock()
+        #: held across every decision's take and count, so a call's
+        #: all-or-nothing check and its takes are one step
+        self._lock = threading.RLock()
         #: exact per-tenant ledger: tenant -> [admitted, shed]
         self.ledger: dict[object, list[int]] = {}
+        #: whether any tenant is metered (read by the fleet on every call)
+        self.configured = False
 
     def set_quota(
         self, tenant: object, capacity: float, refill_per_s: float
@@ -97,28 +108,53 @@ class AdmissionQuotas:
             self._buckets[tenant] = TokenBucket(
                 capacity, refill_per_s, self._clock
             )
+            self.configured = True
 
     def bucket(self, tenant: object) -> TokenBucket | None:
         return self._buckets.get(tenant)
 
-    @property
-    def configured(self) -> bool:
-        return bool(self._buckets)
-
     # ------------------------------------------------------------------
-    def admit(self, tenant: object) -> bool:
-        """One admission decision, recorded in the exact ledger."""
+    def admit(self, tenant: object, n: int = 1) -> int:
+        """One admission decision for ``n`` requests of one tenant that
+        arrive together (a call's rows): the first ``k`` are admitted,
+        the rest shed, with ``k`` the bucket's whole tokens — the same
+        ``k``, tokens and ``[admitted, shed]`` as ``n`` one-request
+        decisions. Returns ``k``; both counts land in the exact ledger."""
         if tenant is None:
-            return True
+            return n
         bucket = self.bucket(tenant)
-        if bucket is None:
-            admitted = True
-        else:
-            admitted = bucket.try_take()
         with self._lock:
+            admitted = n if bucket is None else bucket.try_take(n)
             counts = self.ledger.setdefault(tenant, [0, 0])
-            counts[0 if admitted else 1] += 1
+            counts[0] += admitted
+            counts[1] += n - admitted
         return admitted
+
+    def admit_all(self, tenants: Sequence[object]) -> int | None:
+        """Admit every metered row of a call or none of them — the
+        decision of a call that raises on a shed. Under one lock each
+        tenant's bucket is checked for its rows; if all hold, each
+        tenant's rows are one :meth:`admit` and ``None`` is returned.
+        Otherwise no bucket is charged, the first refused row (in row
+        order) counts one shed on its tenant's ledger row, and its index
+        is returned."""
+        wanted = Counter(tenants)
+        wanted.pop(None, None)
+        with self._lock:
+            refused = None
+            for tenant, n in wanted.items():
+                bucket = self.bucket(tenant)
+                room = n if bucket is None else int(bucket.tokens)
+                if room < n:
+                    rows = [i for i, t in enumerate(tenants) if t == tenant]
+                    if refused is None or rows[room] < refused:
+                        refused = rows[room]
+            if refused is None:
+                for tenant, n in wanted.items():
+                    self.admit(tenant, n)
+            else:
+                self.ledger.setdefault(tenants[refused], [0, 0])[1] += 1
+        return refused
 
     def stats(self) -> dict:
         """Per-tenant admitted/shed counts (stringified tenant keys)."""

@@ -26,11 +26,11 @@ other half — the process that answers prediction requests. A
   ``serving.score``) so chaos tests cover the serving path, with
   :class:`~repro.resilience.RetryPolicy` recovery on the scoring site.
 
-Every counted event is one :class:`~repro.obs.Ledger` write — the
-endpoint's ``serving.*`` counts here, the cache's ``serving.cache.*``
-and the batcher's ``serving.batcher.*`` in their own modules — next to
-the ``serving.latency_ms`` / ``serving.batch_size`` histograms with
-p50/p95/p99.
+Every count is a :class:`~repro.obs.Ledger` write, summed per call
+rather than written per row — the endpoint's ``serving.*`` counts here,
+the cache's ``serving.cache.*`` and the batcher's ``serving.batcher.*``
+in their own modules — next to the ``serving.latency_ms`` /
+``serving.batch_size`` histograms with p50/p95/p99.
 """
 
 from __future__ import annotations
@@ -339,21 +339,6 @@ class ModelServer:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _route(self, endpoint: Endpoint, key: object | None) -> ModelVersion:
-        """Resolve which version answers this request (canary or stable)."""
-        use_canary = (
-            key is not None
-            and endpoint.canary is not None
-            and endpoint.router.routes_to_canary(key)
-        )
-        if use_canary:
-            endpoint.counts.inc("canary_requests")
-            return self.registry.resolve(endpoint.model_name, endpoint.canary)
-        endpoint.counts.inc("stable_requests")
-        return self.registry.resolve(
-            endpoint.model_name, ModelRegistry.DEPLOYED_ALIAS
-        )
-
     def _scorer_for(self, endpoint: Endpoint, entry: ModelVersion) -> Callable:
         ident = (endpoint.name, entry.version)
         scorer = self._scorers.get(ident)
@@ -380,19 +365,6 @@ class ModelServer:
             self._scorers[ident] = scorer
         return scorer
 
-    def _admit(self, endpoint: Endpoint, key: object | None) -> None:
-        """Admission fault site: injected faults become shed requests."""
-        try:
-            fault_point("serving.admission", key=endpoint.name)
-        except InjectedFault as fault:
-            endpoint.counts.inc("shed")
-            raise LoadShedError(
-                endpoint.name,
-                endpoint.batcher.depth(),
-                endpoint.batcher.queue_capacity,
-                reason="chaos",
-            ) from fault
-
     def _serve(
         self,
         name: str,
@@ -402,11 +374,18 @@ class ModelServer:
         closed_loop: bool,
         deadline_at: float | None = None,
     ) -> list[float]:
-        """The request path, written once: every row is one request
-        through count, admission, canary routing, cache probe and the
-        micro-batch queue; then the queue is drained (inline unless a
-        worker runs) and each queued request waits out the call's
-        budget, is refused if it came back late, and fills the cache.
+        """The request path, written once. What depends on the row is
+        decided per row: every row crosses the ``serving.admission``
+        site (an injected fault sheds it), draws its canary bucket while
+        a canary is set, is keyed by its bytes and, on a cache miss, is
+        enqueued; then the queue is drained (inline unless a worker
+        runs) and each queued request waits out the call's budget, is
+        refused if it came back late, and fills the cache. What does not
+        is done once per call: the aliases resolve once, the cache is
+        probed under one lock, and the request counts are plain ints
+        applied in one ``finally`` on every exit path — so a shed at
+        row ``i`` counts ``i + 1`` requests, as ``i + 1`` single calls
+        would.
 
         A full queue sheds the open-loop ``predict`` request; the
         closed-loop ``predict_many`` caller is its own backpressure and
@@ -422,52 +401,93 @@ class ModelServer:
         start = self._clock()
         if deadline_at is None and deadline_ms is not None:
             deadline_at = start + deadline_ms / 1000.0
-        out: list = [None] * len(rows)
-        # (row index, pending handle, row cache key, resolved version)
-        pendings: list[tuple] = []
-        for i, row in enumerate(rows):
-            key = keys[i] if keys is not None else None
-            counts.inc("requests")
-            self._admit(endpoint, key)
-            entry = self._route(endpoint, key)
-            row_key = None
-            if cache is not None:
-                # the whole row, not a 32-bit hash: a hit must be this row
-                row_key = row.tobytes()
-                cached = cache.get(name, entry.version, row_key)
-                if cached is not None:
-                    out[i] = cached
-                    continue
-            if closed_loop and batcher.depth() >= batcher.queue_capacity:
-                batcher.flush()
-            try:
-                pending = batcher.submit(
-                    row, self._scorer_for(endpoint, entry), entry.version,
-                    deadline_at,
-                )
-            except LoadShedError:
-                counts.inc("shed")
-                raise
-            pendings.append((i, pending, row_key, entry.version))
-        if pendings and not batcher.running:
-            batcher.flush()
-        for i, pending, row_key, version in pendings:
-            timeout = (
-                None
-                if deadline_at is None
-                else max(0.0, deadline_at - self._clock())
+        stable = self.registry.resolve(
+            endpoint.model_name, ModelRegistry.DEPLOYED_ALIAS
+        )
+        versions = [stable.version] * len(rows)
+        canary = None
+        if endpoint.canary is not None and keys is not None:
+            canary = self.registry.resolve(
+                endpoint.model_name, endpoint.canary
             )
-            try:
-                out[i] = pending.wait(timeout)
-                late = deadline_at is not None and self._clock() > deadline_at
-            except (TimeoutError, DeadlineExceededError):
-                late = True  # never scored, or expired in the queue
-            if late:
-                # Computed or not, too late — a deadline is a client promise.
-                counts.inc("deadline_exceeded")
-                raise DeadlineExceededError(name, deadline_ms)
-            if cache is not None:
-                cache.put(name, version, row_key, out[i])
+            routes_to_canary = endpoint.router.routes_to_canary
+        row_keys: list[bytes] = []
+        asked = canaried = refused = shed = 0
+        try:
+            for asked, row in enumerate(rows, 1):
+                try:
+                    fault_point("serving.admission", key=name)
+                except InjectedFault as fault:
+                    refused = 1
+                    raise LoadShedError(
+                        name, batcher.depth(), batcher.queue_capacity,
+                        reason="chaos",
+                    ) from fault
+                if canary is not None:
+                    key = keys[asked - 1]
+                    if key is not None and routes_to_canary(key):
+                        versions[asked - 1] = canary.version
+                        canaried += 1
+                if cache is not None:
+                    # the whole row, not a 32-bit hash: a hit must be
+                    # this row
+                    row_keys.append(row.tobytes())
+            out = (
+                cache.get(name, versions, row_keys)
+                if cache is not None
+                else [None] * len(rows)
+            )
+            pendings: list[tuple] = []  # (row index, pending handle)
+            for i, cached in enumerate(out):
+                if cached is not None:
+                    continue
+                if closed_loop and batcher.depth() >= batcher.queue_capacity:
+                    batcher.flush()
+                version = versions[i]
+                entry = stable if version == stable.version else canary
+                try:
+                    pending = batcher.submit(
+                        rows[i], self._scorer_for(endpoint, entry), version,
+                        deadline_at,
+                    )
+                except LoadShedError:
+                    shed = 1
+                    raise
+                pendings.append((i, pending))
+            if pendings and not batcher.running:
+                batcher.flush()
+            for i, pending in pendings:
+                timeout = (
+                    None
+                    if deadline_at is None
+                    else max(0.0, deadline_at - self._clock())
+                )
+                try:
+                    out[i] = pending.wait(timeout)
+                    late = (
+                        deadline_at is not None
+                        and self._clock() > deadline_at
+                    )
+                except (TimeoutError, DeadlineExceededError):
+                    late = True  # never scored, or expired in the queue
+                if late:
+                    # Computed or not, too late — a deadline is a client
+                    # promise.
+                    counts.inc("deadline_exceeded")
+                    raise DeadlineExceededError(name, deadline_ms)
+                if cache is not None:
+                    cache.put(name, versions[i], row_keys[i], out[i])
+        finally:
+            if asked:
+                counts.inc("requests", asked)
+            # a refused row was never routed
+            stable_rows = asked - refused - canaried
+            if stable_rows:
+                counts.inc("stable_requests", stable_rows)
+            if canaried:
+                counts.inc("canary_requests", canaried)
+            if refused or shed:
+                counts.inc("shed")
         elapsed_ms = (self._clock() - start) * 1000.0
         endpoint.latency.observe(elapsed_ms)
         get_registry().observe("serving.latency_ms", elapsed_ms)
@@ -503,13 +523,14 @@ class ModelServer:
     ) -> np.ndarray:
         """Serve a stream of requests through the micro-batcher.
 
-        Each row is still an individual request (admission, routing,
-        cache, deadline), but the queue is drained in vectorized
-        batches, so the per-request Python overhead is amortized into
-        one kernel call per ``max_batch_size`` rows — the speedup E22
-        measures. A row that finds the queue full triggers an inline
-        drain instead of shedding (a closed-loop caller is its own
-        backpressure).
+        Each row keeps its own decisions (the admission crossing, the
+        canary bucket, the cache key, the enqueue, the deadline) and
+        counts as one request, but the call's bookkeeping — alias
+        resolution, the cache lock, the ledger writes — is paid once,
+        and the queue is drained in vectorized batches: one kernel call
+        per ``max_batch_size`` rows, the speedup E22 measures. A row
+        that finds the queue full triggers an inline drain instead of
+        shedding (a closed-loop caller is its own backpressure).
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:

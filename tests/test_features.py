@@ -171,6 +171,37 @@ class TestOnlineParity:
         with pytest.raises(FeatureStoreError):
             server.serve(10_000)
 
+    @pytest.mark.parametrize("chaos_rate", [0.0, 0.5])
+    def test_unknown_entity_mid_call_stops_where_the_walk_does(
+        self, chaos_rate
+    ):
+        """An unknown entity inside a ``serve_many`` call raises naming
+        it, after exactly the crossings, serves and fallbacks that
+        serving the entities one at a time up to it makes."""
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        entities = [3, 7, 11, 10_000, 5, 9]
+        seen = []
+        for one_call in (False, True):
+            server = OnlineFeatureServer(view, offline, table)
+            plan = FaultPlan(seed=chaos_seed_from_env()).inject(
+                "features.serve", rate=chaos_rate
+            )
+            with ChaosContext(plan) as chaos:
+                with pytest.raises(FeatureStoreError, match="10000"):
+                    if one_call:
+                        server.serve_many(entities)
+                    for entity in entities:
+                        server.serve(entity)
+            seen.append((
+                server.ledger(), chaos.invocations("features.serve"),
+                chaos.injected_at("features.serve"),
+            ))
+        assert seen[0] == seen[1]
+        assert seen[0][0]["serves"] == seen[0][1] == 4
+        assert seen[0][0]["fallbacks"] == seen[0][2]
+
 
 FEATURE_POOL = [
     ("spend", lambda c: c.price * c.qty),

@@ -100,7 +100,7 @@ class TestExports:
 
 
 #: the length each doc may shrink from but not regrow past (ROADMAP item 6)
-DOC_LINES = {"EXPERIMENTS.md": 2722, "DESIGN.md": 1211, "README.md": 582}
+DOC_LINES = {"EXPERIMENTS.md": 2713, "DESIGN.md": 1210, "README.md": 582}
 
 
 class TestDocsAndExperiments:
@@ -312,22 +312,21 @@ def _line(hit: str) -> str:
 
 class TestOneRequestPath:
     """Each step of a request is written once under ``src/`` (DESIGN.md,
-    Serving and Sharded serving). That both doors reach that one place is
-    checked by the door-parametrized tests in ``tests/test_serving.py``
-    and ``tests/test_sharding.py``, not here."""
+    Serving and Sharded serving), per row or, for bookkeeping, per call;
+    the door-parametrized tests check that both doors reach it."""
 
     SERVER = REPO_ROOT / "src/repro/serving/server.py"
     FABRIC = REPO_ROOT / "src/repro/serving/fabric.py"
 
-    @pytest.mark.parametrize(
-        "step",
-        [
-            "self._admit(", "self._route(", ".tobytes()", "cache.get(",
-            "cache.put(", ".submit(", ".wait(", 'inc("deadline_exceeded")',
-        ],
-    )
+    @pytest.mark.parametrize("step", [
+        'fault_point("serving.admission"', "routes_to_canary(", ".tobytes()",
+        "cache.get(", "cache.put(", ".submit(", ".wait(",
+        'inc("deadline_exceeded")', 'inc("requests"',
+    ])
     def test_server_steps_written_once(self, step):
-        assert self.SERVER.read_text().count(step) == 1, step
+        text = self.SERVER.read_text()
+        assert text.count(step) == 1, step
+        assert text.index("finally:") < text.index('inc("requests"')
 
     @pytest.mark.parametrize(
         "name", ["_admit_tenant", "_route_checked", "_dispatch"]
@@ -347,9 +346,10 @@ class TestOneRequestPath:
 
     def test_fabric_sites_and_attribution_live_in_one_function_each(self):
         assert self._functions_holding(r"resilient_call\(") == ["_place"] * 2
+        assert self._functions_holding(r"quotas\.admit\(") == ["_admit"]
         sites = re.findall(r'site="(fabric\.\w+)"', self.FABRIC.read_text())
         assert sites == ["fabric.route", "fabric.score"]
-        assert set(self._functions_holding(r"\bshard=")) == {"_serve_on"}
+        assert set(self._functions_holding(r"\bshard=")) == {"_attributed"}
 
 
 class TestColdRequestPath:

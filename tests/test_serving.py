@@ -150,22 +150,36 @@ class TestPredictionCache:
     def test_hit_after_put(self):
         cache = PredictionCache(capacity=8)
         cache.put("ep", 1, 42, 0.5)
-        assert cache.get("ep", 1, 42) == 0.5
+        assert cache.get("ep", [1], [42]) == [0.5]
         assert cache.stats.hits == 1
 
     def test_version_in_key(self):
         cache = PredictionCache(capacity=8)
         cache.put("ep", 1, 42, 0.5)
-        assert cache.get("ep", 2, 42) is None  # other version never hits
+        assert cache.get("ep", [2], [42]) == [None]  # other version never hits
 
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
         cache.put("ep", 1, 1, 0.1)
         cache.put("ep", 1, 2, 0.2)
-        assert cache.get("ep", 1, 1) == 0.1  # touch 1 -> 2 becomes LRU
+        assert cache.get("ep", [1], [1]) == [0.1]  # touch 1 -> 2 becomes LRU
         cache.put("ep", 1, 3, 0.3)
-        assert cache.get("ep", 1, 2) is None
+        assert cache.get("ep", [1], [2]) == [None]
         assert cache.stats.evictions == 1
+
+    def test_one_probe_per_call_in_row_order(self):
+        """A call's rows are probed under one lock, in row order (so LRU
+        recency is the per-row walk's), with one hits and one misses
+        write."""
+        cache = PredictionCache(capacity=2)
+        cache.put("ep", 1, 1, 0.1)
+        cache.put("ep", 1, 2, 0.2)
+        assert cache.get("ep", [1, 2, 1, 1], [2, 9, 1, 2]) == [
+            0.2, None, 0.1, 0.2,
+        ]
+        cache.put("ep", 1, 3, 0.3)  # 1 was touched before 2 last: evicts 1
+        assert cache.get("ep", [1, 1], [1, 2]) == [None, 0.2]
+        assert (cache.stats.hits, cache.stats.misses) == (4, 2)
 
     def test_invalidate_endpoint_only(self):
         cache = PredictionCache(capacity=8)
@@ -173,7 +187,7 @@ class TestPredictionCache:
         cache.put("a", 2, 2, 0.2)
         cache.put("b", 1, 1, 0.3)
         assert cache.invalidate("a") == 2
-        assert cache.get("b", 1, 1) == 0.3
+        assert cache.get("b", [1], [1]) == [0.3]
         assert cache.stats.invalidations == 2
 
     def test_feature_hash_stable(self):
@@ -894,13 +908,19 @@ class TestModelServer:
         ),
         fraction=st.floats(min_value=0.0, max_value=1.0),
         queue_capacity=st.integers(min_value=1, max_value=8),
+        shed_at=st.one_of(st.none(), st.integers(min_value=0, max_value=47)),
     )
-    def test_both_doors_are_one_path(self, requests, fraction, queue_capacity):
+    def test_both_doors_are_one_path(
+        self, requests, fraction, queue_capacity, shed_at
+    ):
         """``predict`` in a loop and one ``predict_many`` over the same
         requests, on twin servers: bitwise-equal answers, equal ledgers.
         Rows are distinct because ``predict_many`` fills the cache after
         its drain, so a repeat inside one call cannot hit (and the
-        batcher's ``batches`` legitimately differ)."""
+        batcher's ``batches`` legitimately differ). With ``shed_at`` an
+        injected ``serving.admission`` fault sheds that row: the loop
+        stops there as the call raises there, and the call's ledger —
+        written once, on that exit path — equals the loop's."""
         X, _, m1, m2 = _fit_pair()
         registry = ModelRegistry()
         registry.register("churn", m1)
@@ -916,17 +936,39 @@ class TestModelServer:
             twins.append(server)
         rows = X[[i for i, _ in requests]]
         keys = [key for _, key in requests]
-        looped = np.array([
-            twins[0].predict("score", row, key=key)
-            for row, key in zip(rows, keys)
-        ])
-        batched = twins[1].predict_many("score", rows, keys=keys)
-        assert looped.tobytes() == batched.tobytes()
+        if shed_at is not None and shed_at >= len(requests):
+            shed_at = None
+
+        def chaos():
+            after = len(requests) if shed_at is None else shed_at
+            return ChaosContext(FaultPlan(seed=3).inject(
+                "serving.admission", rate=1.0, max_faults=1, after=after
+            ))
+
+        looped = []
+        with chaos():
+            for row, key in zip(rows, keys):
+                try:
+                    looped.append(twins[0].predict("score", row, key=key))
+                except LoadShedError:
+                    break
+        with chaos():
+            try:
+                batched = twins[1].predict_many("score", rows, keys=keys)
+            except LoadShedError as exc:
+                assert exc.reason == "chaos" and shed_at is not None
+                batched = np.array([])
         one, many = (server.endpoint("score") for server in twins)
         assert one.counts.as_dict() == many.counts.as_dict()
+        assert one.batcher.shed == many.batcher.shed == 0
+        if shed_at is not None:
+            assert one.requests == shed_at + 1 and one.shed == 1
+            # the refused call probed and queued nothing
+            assert many.cache.stats.as_dict()["misses"] == len(many.cache) == 0
+            return
+        assert np.array(looped).tobytes() == batched.tobytes()
         assert one.requests == len(requests)
         assert one.cache.stats.as_dict() == many.cache.stats.as_dict()
-        assert one.batcher.shed == many.batcher.shed == 0
 
     def test_unknown_endpoint_and_duplicate(self, served):
         server, _, _ = served

@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -274,14 +275,71 @@ class TestQuotas:
         quotas.set_quota("hot", 2, 0.0)
         quotas.set_quota("new-tenant", 1, 0.0)
         decisions = [quotas.admit("hot") for _ in range(4)]
-        assert decisions == [True, True, False, False]
-        assert quotas.admit("new-tenant") is True  # its own bucket
-        assert quotas.admit("new-tenant") is False
-        assert quotas.admit("unmetered") is True  # no bucket: admitted
-        assert quotas.admit(None) is True  # untenanted: unmetered
+        assert decisions == [1, 1, 0, 0]
+        assert quotas.admit("new-tenant") == 1  # its own bucket
+        assert quotas.admit("new-tenant") == 0
+        assert quotas.admit("unmetered") == 1  # no bucket: admitted
+        assert quotas.admit(None) == 1  # untenanted: unmetered
         stats = quotas.stats()
         assert stats["hot"] == {"admitted": 2, "shed": 2}
         assert stats["new-tenant"] == {"admitted": 1, "shed": 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.floats(min_value=0.25, max_value=60.0),
+        refill=st.floats(min_value=0.0, max_value=25.0),
+        calls=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=3.0),  # gap before it
+                st.integers(min_value=1, max_value=40),  # requests in it
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_one_decision_per_call_is_n_single_decisions(
+        self, capacity, refill, calls
+    ):
+        """``admit(tenant, n)`` leaves the bucket's tokens (bitwise) and
+        the tenant's ``[admitted, shed]`` where ``n`` one-request
+        decisions at the same instant leave them."""
+        clocks = (FakeClock(), FakeClock())
+        per_call, per_row = (AdmissionQuotas(clock=c) for c in clocks)
+        for quotas in (per_call, per_row):
+            quotas.set_quota("t", capacity, refill)
+        for gap, n in calls:
+            for clock in clocks:
+                clock.advance(gap)
+            singles = sum(per_row.admit("t") for _ in range(n))
+            assert per_call.admit("t", n) == singles
+            tokens = [q.bucket("t").tokens for q in (per_call, per_row)]
+            assert tokens[0] == tokens[1], tokens
+            assert per_call.ledger == per_row.ledger
+
+    def test_all_or_nothing_check_and_take_are_one_step(self):
+        """A rival ``admit`` that arrives while ``admit_all`` checks the
+        buckets waits until the takes are done, so it cannot drain a
+        bucket between the check and the take."""
+        clock = FakeClock()
+        quotas = AdmissionQuotas(clock=clock)
+        quotas.set_quota("A", 2, 0.0)
+        quotas.set_quota("B", 2, 0.0)
+        rival = threading.Thread(target=quotas.admit, args=("B", 2))
+        blocked = []
+
+        def checking() -> float:  # the buckets read the clock to refill
+            if not rival.is_alive() and not blocked:
+                rival.start()
+                rival.join(0.2)
+                blocked.append(rival.is_alive())
+            return clock.now
+
+        for tenant in ("A", "B"):
+            quotas.bucket(tenant)._clock = checking
+        assert quotas.admit_all(["A", "B", "B"]) is None
+        rival.join()
+        assert blocked == [True]
+        assert quotas.ledger == {"A": [1, 0], "B": [2, 2]}
 
 
 # ----------------------------------------------------------------------
@@ -502,6 +560,46 @@ class TestTenantIsolation:
         rows = np.tile(X[0], (3, 1))
         with pytest.raises(LoadShedError):
             fabric.predict_many("score", rows, tenants=["hot"] * 3)
+        fabric.close()
+
+    @pytest.mark.parametrize(
+        "tenants, refused",
+        [
+            (["A"] * 10 + ["B"] * 2, "B"),
+            # the first refused row decides: A's 2nd row comes before B's
+            (["B", "A", "A", "B"], "A"),
+        ],
+    )
+    def test_raising_quota_shed_charges_nothing(
+        self, registry, model_pair, tenants, refused
+    ):
+        """A call that raises on a quota shed serves nothing, so it
+        charges no bucket and admits nothing; its first refused row is
+        the one shed (no refill, so the buckets read back exactly)."""
+        X = model_pair[0]
+        fabric = make_fabric(registry, clock=FakeClock())
+        capacity = {"A": 100 if refused == "B" else 1, "B": 1}
+        for tenant, tokens in capacity.items():
+            fabric.set_quota(tenant, capacity=tokens, refill_per_s=0.0)
+        rows = np.tile(X[0], (len(tenants), 1))
+        with pytest.raises(LoadShedError) as exc_info:
+            fabric.predict_many("score", rows, tenants=tenants)
+        assert (exc_info.value.tenant, exc_info.value.reason) == (
+            refused, "quota"
+        )
+        stats = fabric.stats()
+        assert stats["tenants"] == {refused: {"admitted": 0, "shed": 1}}
+        assert stats["ledger"]["quota_shed"] == 1
+        for tenant, tokens in capacity.items():
+            assert fabric.quotas.bucket(tenant).tokens == tokens
+        assert [shard["served"] for shard in stats["shards"].values()] == [
+            0
+        ] * 4
+        # ``on_shed="null"`` still admits what fits and sheds the rest
+        _, shed = fabric.predict_many(
+            "score", rows, tenants=tenants, on_shed="null"
+        )
+        assert fabric.stats()["ledger"]["quota_shed"] == 1 + len(shed)
         fabric.close()
 
     @pytest.mark.parametrize("door", DOORS)
