@@ -22,7 +22,7 @@ Subpackages:
 * ``repro.sparse``       — CSR sparse linear-algebra substrate
 * ``repro.algorithms``   — algorithm scripts authored in the DSL
 * ``repro.distributed``  — simulated data-parallel / parameter-server training
-* ``repro.materialize``  — lineage-aware materialization store, sub-plan reuse
+* ``repro.materialize``  — lineage-aware materialization store
 * ``repro.incremental``  — change streams + F-IVM aggregate maintenance
 * ``repro.obs``          — unified tracing + metrics (spans, registry, reports)
 * ``repro.resilience``   — fault injection, retry/recovery, checkpoint/restore

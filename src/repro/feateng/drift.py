@@ -169,7 +169,7 @@ def _categorical_drift(a: np.ndarray, b: np.ndarray, name: str) -> ColumnDrift:
 # ----------------------------------------------------------------------
 # Frozen-bucket primitives (shared by batch and streaming paths)
 # ----------------------------------------------------------------------
-def frozen_edges(reference, buckets: int = _BUCKETS) -> np.ndarray:
+def frozen_edges(reference) -> np.ndarray:
     """Deterministic train-time bucket edges over a reference sample.
 
     A ``linspace`` over the finite range — pure content, no quantile
@@ -186,7 +186,7 @@ def frozen_edges(reference, buckets: int = _BUCKETS) -> np.ndarray:
     lo, hi = float(ok.min()), float(ok.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, buckets + 1)
+    return np.linspace(lo, hi, _BUCKETS + 1)
 
 
 def bucket_counts(values, edges: np.ndarray) -> np.ndarray:
@@ -266,16 +266,9 @@ class StreamingDriftMonitor:
     edges computes identical statistics.
     """
 
-    def __init__(
-        self,
-        name: str,
-        reference,
-        buckets: int = _BUCKETS,
-        psi_threshold: float = PSI_DEFAULT_THRESHOLD,
-    ):
+    def __init__(self, name: str, reference):
         self.name = name
-        self.psi_threshold = float(psi_threshold)
-        self.edges = frozen_edges(reference, buckets)
+        self.edges = frozen_edges(reference)
         self.reference_counts = bucket_counts(reference, self.edges)
         self.counts = np.zeros(len(self.edges) - 1, dtype=np.float64)
         self.observed = 0
@@ -298,18 +291,17 @@ class StreamingDriftMonitor:
     def tv(self) -> float:
         return tv_statistic(self.reference_counts, self.counts)
 
-    def drifted(self) -> bool:
-        """Has either streaming statistic crossed its threshold?"""
-        if self.observed == 0:
-            return False
-        return self.psi() > self.psi_threshold or self.ks() > KS_DEFAULT_THRESHOLD
-
     def snapshot(self) -> DriftStats:
+        """Each statistic computed once; ``drifted`` when either PSI or
+        KS has crossed its threshold over at least one observation."""
+        psi, ks = self.psi(), self.ks()
         return DriftStats(
             name=self.name,
             observed=self.observed,
-            psi=self.psi(),
-            ks=self.ks(),
+            psi=psi,
+            ks=ks,
             tv=self.tv(),
-            drifted=self.drifted(),
+            drifted=self.observed > 0 and (
+                psi > PSI_DEFAULT_THRESHOLD or ks > KS_DEFAULT_THRESHOLD
+            ),
         )

@@ -13,7 +13,7 @@ serving-side feature distributions shift. See DESIGN.md, "Feature
 store"; gated by E27 (``benchmarks/bench_features.py``).
 """
 
-from .gate import DEFAULT_MIN_OBSERVATIONS, DriftGate, GateDecision
+from .gate import DEFAULT_MIN_OBSERVATIONS, DriftGate
 from .online import OnlineFeatureServer
 from .store import FeatureStore, FeatureViewMaintainer, MaterializedFeatures
 from .view import FLAGS, ColumnSpace, FeatureView
@@ -26,7 +26,6 @@ __all__ = [
     "FeatureStore",
     "FeatureView",
     "FeatureViewMaintainer",
-    "GateDecision",
     "MaterializedFeatures",
     "OnlineFeatureServer",
 ]

@@ -12,9 +12,12 @@ time it checks two things:
   the model was trained on different feature definitions and promotion
   is held.
 * **covariate stability** — if any sufficiently-observed feature's PSI
-  or KS statistic has crossed its threshold, promotion is held and the
-  endpoint's canary is rolled back, so a shifted stream cannot graduate
-  to full traffic.
+  or KS statistic has crossed its module-constant threshold, promotion
+  is held and a staged canary is rolled back, so a shifted stream
+  cannot graduate to full traffic.
+
+A decision takes one :meth:`DriftGate.drift_snapshot`: the hold, its
+reasons and the held error's scores all come from it.
 
 Every decision lands in one exact :class:`~repro.obs.Ledger`
 (observations, evaluations, holds, rollbacks, promotes; ``features.gate.*``
@@ -25,32 +28,16 @@ observation list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import FeatureStoreError, PromotionHeldError, ReproError
-from ..feateng.drift import (
-    PSI_DEFAULT_THRESHOLD,
-    DriftStats,
-    StreamingDriftMonitor,
-)
+from ..errors import FeatureStoreError, PromotionHeldError
+from ..feateng.drift import DriftStats, StreamingDriftMonitor
 from ..obs import Counted, Ledger
 from .view import FeatureView
 
 #: drift verdicts need this many serving observations per feature
 #: before they can hold a promotion (tiny samples alias as shift).
 DEFAULT_MIN_OBSERVATIONS = 100
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    """A clean promotion verdict (holds raise instead)."""
-
-    endpoint: str
-    promoted: bool
-    reasons: tuple[str, ...]
-    scores: dict
 
 
 class DriftGate(Counted):
@@ -61,8 +48,6 @@ class DriftGate(Counted):
         reference: training-time feature values — a
             :class:`~repro.features.store.MaterializedFeatures` or a
             mapping of feature name -> array. Bucket edges freeze here.
-        psi_threshold: per-feature PSI alarm level (KS alarms at
-            :data:`~repro.feateng.drift.KS_DEFAULT_THRESHOLD`).
         min_observations: serving observations required per feature
             before its drift verdict can hold a promotion.
 
@@ -73,7 +58,6 @@ class DriftGate(Counted):
         self,
         view: FeatureView,
         reference,
-        psi_threshold: float = PSI_DEFAULT_THRESHOLD,
         min_observations: int = DEFAULT_MIN_OBSERVATIONS,
     ):
         self.view = view
@@ -86,9 +70,7 @@ class DriftGate(Counted):
                     f"gate reference is missing feature {fname!r}"
                 )
             self.monitors[fname] = StreamingDriftMonitor(
-                fname,
-                columns[fname],
-                psi_threshold=psi_threshold,
+                fname, columns[fname]
             )
         self.counts = Ledger("features.gate", (
             "observations", "evaluations", "holds", "rollbacks", "promotes",
@@ -114,26 +96,16 @@ class DriftGate(Counted):
         """Current per-feature statistics (all features)."""
         return {f: m.snapshot() for f, m in self.monitors.items()}
 
-    def drifted_features(self) -> dict[str, DriftStats]:
-        """Features whose verdict can hold a promotion right now."""
-        out: dict[str, DriftStats] = {}
-        for fname, monitor in self.monitors.items():
-            if monitor.observed < self.min_observations:
-                continue
-            stats = monitor.snapshot()
-            if stats.drifted:
-                out[fname] = stats
-        return out
-
     # -- the promotion hook --------------------------------------------
-    def authorize(self, controller, endpoint: str, entry=None) -> GateDecision:
-        """Decide one promotion; raise :class:`PromotionHeldError` to
-        refuse it.
+    def authorize(self, controller, endpoint: str, entry=None) -> None:
+        """Decide one promotion from one :meth:`drift_snapshot`; raise
+        :class:`PromotionHeldError` to refuse it.
 
         ``controller`` is whatever owns the canary (a ``ModelServer`` or
-        ``ShardedServer`` — anything with ``clear_canary(name)``);
-        ``entry`` is the candidate :class:`ModelVersion`, checked for
-        feature-fingerprint skew when it carries one.
+        ``ShardedServer`` — anything whose ``clear_canary(name)`` returns
+        whether a canary was staged); ``entry`` is the candidate
+        :class:`ModelVersion`, checked for feature-fingerprint skew when
+        it carries one.
         """
         self.counts.inc("evaluations")
         reasons: list[str] = []
@@ -143,30 +115,26 @@ class DriftGate(Counted):
                 f"feature fingerprint mismatch: model trained on "
                 f"{trained_on[:12]}, live view is {self.view.version[:12]}"
             )
-        drifted = self.drifted_features()
+        snapshot = self.drift_snapshot()
+        drifted = False
+        for fname, stats in sorted(snapshot.items()):
+            if stats.drifted and stats.observed >= self.min_observations:
+                drifted = True
+                reasons.append(
+                    f"feature {fname!r} drifted (psi={stats.psi:.3f}, "
+                    f"ks={stats.ks:.3f} over {stats.observed} observations)"
+                )
+        if not reasons:
+            self.counts.inc("promotes")
+            return
+        self.counts.inc("holds")
+        rolled_back = drifted and controller.clear_canary(endpoint)
+        if rolled_back:
+            self.counts.inc("rollbacks")
         scores = {
             f: {"psi": s.psi, "ks": s.ks, "observed": s.observed}
-            for f, s in self.drift_snapshot().items()
+            for f, s in snapshot.items()
         }
-        for fname, stats in sorted(drifted.items()):
-            reasons.append(
-                f"feature {fname!r} drifted (psi={stats.psi:.3f}, "
-                f"ks={stats.ks:.3f} over {stats.observed} observations)"
-            )
-        if reasons:
-            self.counts.inc("holds")
-            rolled_back = False
-            if drifted:
-                try:
-                    controller.clear_canary(endpoint)
-                    rolled_back = True
-                    self.counts.inc("rollbacks")
-                except ReproError:
-                    pass  # no canary staged; the hold alone suffices
-            raise PromotionHeldError(
-                endpoint, reasons, scores=scores, rolled_back=rolled_back
-            )
-        self.counts.inc("promotes")
-        return GateDecision(
-            endpoint=endpoint, promoted=True, reasons=(), scores=scores
+        raise PromotionHeldError(
+            endpoint, reasons, scores=scores, rolled_back=rolled_back
         )

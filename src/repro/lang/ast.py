@@ -261,8 +261,8 @@ def op_label(node: Node) -> str:
     """The operator label of a node: ``matmul``, ``transpose``,
     ``binary:<op>``, ``unary:<op>``, ``agg:<op>``, ``fused:<kind>``.
 
-    The one spelling execution stats, spans, sub-plan reuse and the
-    operand capability predicate (:func:`repro.operand.serves`) key on.
+    The one spelling execution stats, spans and the operand capability
+    predicate (:func:`repro.operand.serves`) key on.
     """
     if isinstance(node, (Binary, Unary)):
         return f"{type(node).__name__.lower()}:{node.op}"

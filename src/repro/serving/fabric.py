@@ -27,9 +27,10 @@ shards. :class:`ShardedServer` is that fabric:
   *before* any shard queue: a hot tenant sheds its own overflow
   (``LoadShedError`` with ``reason="quota"`` and the tenant in its
   structured context) instead of starving the fleet.
-* **Fleet rollout** — promote/canary fan out to every hosting
-  shard; the canary hash split stays exact across the whole fleet
-  because every replica routes with the same seeded router.
+* **Fleet rollout** — a promote deploys once to the shared registry
+  and invalidates every hosting replica's cache; a canary fans out to
+  every hosting shard, and its hash split stays exact across the whole
+  fleet because every replica routes with the same seeded router.
 * **Chaos** — ``fabric.route`` guards routing, ``fabric.score`` guards
   the dispatch to a shard (an injected fault there fails over to the
   next replica); both compose with
@@ -239,19 +240,17 @@ class ShardedServer:
         self._gates[name] = gate
 
     def promote(self, name: str, version: int | None = None) -> ModelVersion:
-        """Fleet-wide promote: one registry deploy, every replica's
-        cache invalidated. An installed gate authorizes first."""
+        """Fleet-wide promote: an installed gate authorizes first, then
+        one deploy to the shared registry and every hosting replica's
+        cache invalidated."""
         endpoint = self._endpoint(name)
-        if version is None:
-            version = self.registry.get(endpoint.model_name).version
+        entry = self.registry.get(endpoint.model_name, version)
         gate = self._gates.get(name)
         if gate is not None:
-            gate.authorize(self, name, self.registry.get(
-                endpoint.model_name, version
-            ))
-        entry = None
+            gate.authorize(self, name, entry)
+        self.registry.deploy(endpoint.model_name, entry.version)
         for shard in self._hosting(name):
-            entry = shard.server.promote(name, version)
+            shard.server.invalidate(name)
         return entry
 
     def set_canary(
@@ -265,9 +264,13 @@ class ShardedServer:
             entry = shard.server.set_canary(name, version, fraction)
         return entry
 
-    def clear_canary(self, name: str) -> None:
-        for shard in self._hosting(name):
-            shard.server.clear_canary(name)
+    def clear_canary(self, name: str) -> bool:
+        """Clear every replica's canary; returns whether any replica
+        had one staged."""
+        staged = [  # a list, not a generator: every replica must clear
+            shard.server.clear_canary(name) for shard in self._hosting(name)
+        ]
+        return any(staged)
 
     # ------------------------------------------------------------------
     # Routing

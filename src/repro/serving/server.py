@@ -293,16 +293,13 @@ class ModelServer:
         An installed promotion gate authorizes the candidate first; a
         held promotion leaves the stable alias untouched."""
         endpoint = self.endpoint(name)
-        if version is None:
-            version = self.registry.get(endpoint.model_name).version
+        entry = self.registry.get(endpoint.model_name, version)
         gate = self._gates.get(name)
         if gate is not None:
-            gate.authorize(self, name, self.registry.get(
-                endpoint.model_name, version
-            ))
-        self.registry.deploy(endpoint.model_name, version)
+            gate.authorize(self, name, entry)
+        self.registry.deploy(endpoint.model_name, entry.version)
         self._invalidate(endpoint)
-        return self.registry.get(endpoint.model_name, version)
+        return entry
 
     def set_canary(
         self, name: str, version: int, fraction: float
@@ -315,17 +312,22 @@ class ModelServer:
         endpoint.router = CanaryRouter(fraction, endpoint.router.seed)
         return self.registry.get(endpoint.model_name, version)
 
-    def clear_canary(self, name: str) -> None:
+    def clear_canary(self, name: str) -> bool:
+        """Route all traffic to the stable alias again; returns whether
+        a canary was staged."""
         endpoint = self.endpoint(name)
+        staged = endpoint.canary is not None
         if "canary" in self.registry.aliases(endpoint.model_name):
             self.registry.drop_alias(endpoint.model_name, "canary")
         endpoint.canary = None
         endpoint.router = CanaryRouter(0.0, endpoint.router.seed)
+        return staged
 
     def invalidate(self, name: str) -> int:
         """Drop an endpoint's compiled scorers and cached predictions;
         returns the number of cache entries dropped. The fabric calls
-        this on shard revive (epoch rejoin)."""
+        this on every hosting replica after a fleet promote, and on
+        shard revive (epoch rejoin)."""
         return self._invalidate(self.endpoint(name))
 
     def _invalidate(self, endpoint: Endpoint) -> int:

@@ -1,4 +1,5 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the chaos job's ``SITES``
+coverage check (``--sites-coverage``)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,62 @@ from repro.data import (
     make_regression,
     make_star_schema,
 )
+from repro.resilience import SITES, ChaosContext
 from repro.storage import Table
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sites-coverage",
+        action="store_true",
+        help="fail the session, naming the rows, unless a fault plan "
+        "that reaches it decided every repro.resilience.SITES row",
+    )
+
+
+#: SITES rows a fault plan has decided this session; None when the
+#: session does not check coverage.
+_decided: set[str] | None = None
+_TASK = "parallel.task."
+
+
+def pytest_configure(config):
+    """Record at ``ChaosContext.decide`` (only runs under an installed
+    plan, so the disabled ``fault_point`` path is untouched); a
+    ``parallel.task.<x>`` decision also counts for row ``<x>``."""
+    global _decided
+    if not config.getoption("--sites-coverage"):
+        return
+    _decided = set()
+    decide = ChaosContext.decide
+
+    def recording(self, site, key=None):
+        if self.plan.specs_for(site):
+            rows = {site}
+            if site.startswith(_TASK):
+                rows |= {_TASK + "*", site[len(_TASK):]}
+            _decided.update(rows & SITES.keys())
+        return decide(self, site, key)
+
+    config.add_cleanup(lambda: setattr(ChaosContext, "decide", decide))
+    ChaosContext.decide = recording
+
+
+def _undecided() -> list[str]:
+    return [] if _decided is None else sorted(SITES.keys() - _decided)
+
+
+def pytest_sessionfinish(session):
+    if _undecided():
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _undecided():
+        terminalreporter.section("SITES coverage", red=True)
+        terminalreporter.write_line(
+            "no fault plan decided: " + ", ".join(_undecided())
+        )
 
 
 @pytest.fixture(autouse=True)

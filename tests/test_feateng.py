@@ -191,7 +191,7 @@ class TestStreamingDrift:
 
         ref = self._reference()
         assert np.array_equal(frozen_edges(ref), frozen_edges(ref.copy()))
-        assert len(frozen_edges(ref, buckets=10)) == 11
+        assert len(frozen_edges(ref)) == 21  # the module's 20 buckets
 
     def test_bucket_counts_clip_out_of_range(self):
         from repro.feateng import bucket_counts, frozen_edges
@@ -209,17 +209,18 @@ class TestStreamingDrift:
         monitor.observe_many(ref)
         assert monitor.psi() < 1e-9
         assert monitor.ks() < 1e-12
-        assert not monitor.drifted()
+        assert not monitor.snapshot().drifted
 
     def test_shifted_stream_trips_psi_and_ks(self):
         from repro.feateng import StreamingDriftMonitor
-        from repro.feateng.drift import KS_DEFAULT_THRESHOLD
+        from repro.feateng.drift import (KS_DEFAULT_THRESHOLD,
+                                         PSI_DEFAULT_THRESHOLD)
 
         ref = self._reference()
         monitor = StreamingDriftMonitor("x", ref)
         monitor.observe_many(ref + 2.5)
         stats = monitor.snapshot()
-        assert stats.psi > monitor.psi_threshold
+        assert stats.psi > PSI_DEFAULT_THRESHOLD
         assert stats.ks > KS_DEFAULT_THRESHOLD
         assert stats.drifted
 

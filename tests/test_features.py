@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from repro.materialize import MaterializationStore
 from repro.ml import LinearRegression
 from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
-from repro.serving import ModelServer
+from repro.serving import ModelServer, ShardedServer
 from repro.storage.table import Table
 
 
@@ -357,7 +359,12 @@ class TestIncrementalRefresh:
 # ----------------------------------------------------------------------
 # Drift gate on a real ModelServer
 # ----------------------------------------------------------------------
-def gated_server(view, offline, min_observations=100, shift=False):
+def gated_server(
+    view, offline, min_observations=100, shift=False, canary=True,
+    controller=ModelServer,
+):
+    """A gated endpoint ``ep`` over two versions of one model, v1
+    deployed, on ``controller(registry)``."""
     table_entities = offline.entities
     registry = ModelRegistry()
     X = offline.matrix()
@@ -369,11 +376,12 @@ def gated_server(view, offline, min_observations=100, shift=False):
     )
     registry.deploy("m", 1)
     registry.register("m", model, feature_fingerprint=view.version)
-    server = ModelServer(registry)
+    server = controller(registry)
     server.create_endpoint("ep", "m")
     gate = DriftGate(view, offline, min_observations=min_observations)
     server.set_promotion_gate("ep", gate)
-    server.set_canary("ep", 2, 0.5)
+    if canary:
+        server.set_canary("ep", 2, 0.5)
     rows = offline.slice(table_entities.tolist())
     if shift:
         rows = rows + 100.0
@@ -407,6 +415,90 @@ class TestDriftGate:
         assert gate.ledger()["rollbacks"] == 1
         # the stable alias never moved
         assert server.registry.deployed("m").version == 1
+
+    def test_a_hold_without_a_canary_rolls_nothing_back(self):
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        server, gate = gated_server(view, offline, shift=True, canary=False)
+        with pytest.raises(PromotionHeldError) as excinfo:
+            server.promote("ep", 2)
+        assert excinfo.value.rolled_back is False
+        assert "held by gate" in str(excinfo.value)
+        assert gate.ledger()["holds"] == 1
+        assert gate.ledger()["rollbacks"] == 0
+        assert server.registry.deployed("m").version == 1
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_one_decision_computes_each_statistic_once_per_feature(
+        self, shift, monkeypatch
+    ):
+        from repro.feateng import drift
+
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        server, gate = gated_server(view, offline, shift=shift)
+        calls = dict.fromkeys(("psi", "ks", "tv"), 0)
+        for stat in calls:
+            real = getattr(drift, f"{stat}_statistic")
+
+            def counted(ref, cur, stat=stat, real=real):
+                calls[stat] += 1
+                return real(ref, cur)
+
+            monkeypatch.setattr(drift, f"{stat}_statistic", counted)
+        held = None
+        try:
+            server.promote("ep", 2)
+        except PromotionHeldError as exc:
+            held = exc
+        assert (held is not None) == shift
+        if held is not None:
+            assert held.rolled_back
+            assert sorted(held.scores) == sorted(view.feature_names)
+        features = len(view.feature_names)
+        assert calls == {"psi": features, "ks": features, "tv": features}
+        assert gate.ledger()["evaluations"] == 1
+
+    def test_held_fleet_promote_writes_no_alias_and_invalidates_nothing(
+        self, monkeypatch
+    ):
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        fleet = functools.partial(ShardedServer, num_shards=4, replication=2)
+        fabric, gate = gated_server(
+            view, offline, shift=True, canary=False, controller=fleet
+        )
+        writes, invalidated = [], []
+        real_set_alias = fabric.registry.set_alias
+        monkeypatch.setattr(
+            fabric.registry, "set_alias",
+            lambda *args: writes.append(args) or real_set_alias(*args),
+        )
+        for sid in fabric.replicas_of("ep"):
+            monkeypatch.setattr(
+                fabric.shard(sid).server, "invalidate", invalidated.append
+            )
+        with pytest.raises(PromotionHeldError) as excinfo:
+            fabric.promote("ep", 2)
+        assert excinfo.value.rolled_back is False
+        assert (writes, invalidated) == ([], [])
+        assert gate.ledger()["rollbacks"] == 0
+        # a staged fleet canary is what a drift hold rolls back
+        fabric.set_canary("ep", 2, 0.5)
+        with pytest.raises(PromotionHeldError) as excinfo:
+            fabric.promote("ep", 2)
+        assert excinfo.value.rolled_back is True
+        assert gate.ledger()["rollbacks"] == 1
+        assert all(
+            fabric.shard(sid).server.endpoint("ep").canary is None
+            for sid in fabric.replicas_of("ep")
+        )
+        assert invalidated == []
+        assert fabric.registry.deployed("m").version == 1
+        fabric.close()
 
     def test_fingerprint_mismatch_holds(self):
         table = base_table()

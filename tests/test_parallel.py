@@ -2,7 +2,9 @@
 
 Covers the engine itself (cost gate, order preservation, re-entrancy,
 ledger), the merge tree, and the four wired layers: UDA execution,
-compressed-matrix kernels, model selection, and the simulated cluster.
+compressed-matrix kernels, model selection, and the simulated cluster —
+each also pooled under a ``parallel.task.*`` fault plan (the CI chaos
+job runs this file under ``REPRO_CHAOS_SEED=7`` and ``123``).
 """
 
 import time
@@ -20,9 +22,20 @@ from repro.indb.gradient import train_igd
 from repro.indb.uda import GramUDA, run_uda
 from repro.ml import LinearRegression, LogisticRegression
 from repro.ml.losses import LogisticLoss
+from repro.resilience import (
+    ChaosContext,
+    FaultPlan,
+    RetryPolicy,
+    chaos_seed_from_env,
+)
 from repro.runtime.parallel import ParallelContext, merge_tree
 from repro.sparse import CSRMatrix
-from repro.selection import grid_search, random_search, successive_halving
+from repro.selection import (
+    full_budget_baseline,
+    grid_search,
+    random_search,
+    successive_halving,
+)
 from repro.storage.table import Table
 
 
@@ -250,16 +263,19 @@ def test_merge_tree_uda_matches_single_partition(n, d, partitions, seed):
 # ----------------------------------------------------------------------
 # Layer 2: compressed linear algebra
 # ----------------------------------------------------------------------
+def _cla_dense():
+    """Six low-cardinality columns (compressible) beside two dense ones."""
+    rng = np.random.default_rng(11)
+    return np.column_stack(
+        [rng.integers(0, 6, 4000).astype(float) for _ in range(6)]
+        + [rng.standard_normal(4000) for _ in range(2)]
+    )
+
+
 class TestParallelCLA:
     @pytest.fixture(scope="class")
     def matrices(self):
-        rng = np.random.default_rng(11)
-        X = np.column_stack(
-            [
-                rng.integers(0, 6, 4000).astype(float) for _ in range(6)
-            ]
-            + [rng.standard_normal(4000) for _ in range(2)]
-        )
+        X = _cla_dense()
         serial = CompressedMatrix.compress(X)
         ctx = ParallelContext(max_workers=4, cost_threshold=0)
         par = CompressedMatrix.compress(X).set_parallel(ctx)
@@ -463,3 +479,121 @@ class TestParallelCluster:
         assert par.comm.rounds == serial.comm.rounds
         assert par.comm.messages == serial.comm.messages
         assert par.comm.total_bytes == serial.comm.total_bytes
+
+
+# ----------------------------------------------------------------------
+# Every dispatching call site, pooled under a fault plan
+# ----------------------------------------------------------------------
+def _cla_ops(ctx):
+    m = CompressedMatrix.compress(_cla_dense()).set_parallel(ctx)
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(m.shape[1])
+    u = rng.standard_normal(m.shape[0])
+    return [m.matvec(v), m.rmatvec(u), m.colsums(), m.tsmm()]
+
+
+def _csr_ops(ctx):
+    X = _random_csr().set_parallel(ctx)
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((X.shape[1], 5))
+    return [
+        X.matvec(rng.standard_normal(X.shape[1])),
+        X.rmatvec(rng.standard_normal(X.shape[0])),
+        X.matmat(B),
+    ]
+
+
+def _uda_ops(ctx):
+    table = make_table(300, 3)
+    out = run_uda(
+        table, GramUDA(), ["x0", "x1", "x2"], partitions=8, parallel=ctx
+    )
+    return [out.gram, out.xty, out.yty, out.n]
+
+
+def _cluster_ops(ctx):
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((400, 6))
+    y = np.sign(rng.standard_normal(400))
+    w = rng.standard_normal(6)
+    cluster = SimulatedCluster(X, y, num_workers=4, seed=0, parallel=ctx)
+    return [cluster.global_gradient(LogisticLoss(), w) for _ in range(3)] + [
+        cluster.global_loss(LogisticLoss(), w)
+    ]
+
+
+def _selection_ops(ctx):
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((160, 5))
+    y = X @ rng.standard_normal(5) + 0.1 * rng.standard_normal(160)
+    grid = {"l2": [0.0, 0.01, 0.1, 1.0], "fit_intercept": [True, False]}
+    space = {"l2": ("loguniform", 1e-4, 10.0)}
+    Xc, yc = make_classification(240, 4, separation=2.0, seed=17)
+    configs = [{"l2": l2} for l2 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)]
+    split = (Xc[:180], yc[:180], Xc[180:], yc[180:])
+    halving = successive_halving(
+        LogisticRegression(), configs, *split, min_budget=2, max_budget=8,
+        parallel=ctx,
+    )
+    searches = [
+        grid_search(LinearRegression(), grid, X, y, cv=3, parallel=ctx),
+        random_search(
+            LinearRegression(), space, X, y, n_samples=6, cv=3, seed=5,
+            parallel=ctx,
+        ),
+        halving,
+        full_budget_baseline(
+            LogisticRegression(), configs, *split, budget=8, parallel=ctx
+        ),
+    ]
+    return [
+        (repr(e.params), e.score, e.cost)
+        for search in searches for e in search.evaluations
+    ] + [(rung.budget, repr(rung.survivors)) for rung in halving.rungs]
+
+
+CHAOS_CASES = {
+    "cla": (_cla_ops, ("cla.matvec", "cla.rmatvec", "cla.colsums", "cla.tsmm")),
+    "csr": (_csr_ops, ("csr.matvec", "csr.rmatvec", "csr.matmat")),
+    "indb": (_uda_ops, ("indb.run_uda",)),
+    "cluster": (_cluster_ops, ("cluster.gradient", "cluster.loss")),
+    "selection": (_selection_ops, (
+        "selection.grid_search", "selection.random_search",
+        "selection.halving", "selection.full_budget",
+    )),
+}
+
+
+def _pooled():
+    return ParallelContext(
+        max_workers=4,
+        cost_threshold=0,
+        retry_policy=RetryPolicy(max_attempts=32, backoff_base=0.0),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CHAOS_CASES))
+def test_pooled_sites_recover_bitwise_under_chaos(case):
+    """Each pooled call site again, every task behind a seeded
+    ``parallel.task.*`` rule: the answers are bitwise the clean run's,
+    and each injected fault is one failed execution recovered by one
+    retry under the context's policy."""
+    ops, sites = CHAOS_CASES[case]
+    with _pooled() as ctx:
+        clean = ops(ctx)
+    plan = FaultPlan(seed=chaos_seed_from_env()).inject(
+        "parallel.task.*", rate=0.5
+    )
+    with _pooled() as ctx, ChaosContext(plan) as chaos:
+        # repeated, so every site makes enough decisions to be faulted
+        runs = [ops(ctx) for _ in range(4)]
+    for faulted in runs:
+        assert len(faulted) == len(clean)
+        for got, want in zip(faulted, clean):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for site in sites:
+        entry = ctx.stats.by_site[site]
+        injected = chaos.injected_at(f"parallel.task.{site}")
+        assert entry.parallel_calls > 0, site
+        assert entry.task_failures == entry.retries == injected, site
+        assert 0 < entry.recovered_tasks <= injected, site

@@ -476,12 +476,35 @@ class TestFabricRouting:
 # Fabric: fleet rollout
 # ----------------------------------------------------------------------
 class TestFleetRollout:
-    def test_promote_invalidates_every_replica(self, registry, model_pair):
+    def test_promote_invalidates_every_replica(
+        self, registry, model_pair, monkeypatch
+    ):
+        """One deployed-alias write for the fleet, one ``invalidate``
+        per hosting replica."""
         X = model_pair[0]
-        fabric = make_fabric(registry)
+        fabric = make_fabric(registry, replication=2)
         keys = [f"u{i}" for i in range(40)]
         fabric.predict_many("score", X[: len(keys)], keys=keys)
-        fabric.promote("score", 2)
+        writes, invalidated = [], []
+        real_set_alias = registry.set_alias
+        monkeypatch.setattr(
+            registry, "set_alias",
+            lambda *args: writes.append(args) or real_set_alias(*args),
+        )
+        for sid in fabric.replicas_of("score"):
+            server = fabric.shard(sid).server
+            real = server.invalidate
+            monkeypatch.setattr(
+                server, "invalidate",
+                lambda name, sid=sid, real=real:
+                    invalidated.append((sid, name)) or real(name),
+            )
+        assert fabric.promote("score", 2).version == 2
+        assert writes == [("churn", registry.DEPLOYED_ALIAS, 2)]
+        assert invalidated == [
+            (sid, "score") for sid in fabric.replicas_of("score")
+        ]
+        assert len(invalidated) == 2
         for sid in fabric.replicas_of("score"):
             assert len(fabric.shard(sid).server.endpoint("score").cache) == 0
         assert registry.deployed("churn").version == 2
