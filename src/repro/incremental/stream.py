@@ -3,10 +3,10 @@
 The storage layer's tables are immutable; this module adds the one
 mutable citizen the streaming workload needs. A :class:`DynamicTable`
 is a :class:`~repro.storage.table.Table` whose rows can be inserted,
-deleted, and updated — every mutation bumps a monotonic ``version``,
-rebuilds the column arrays (copy-on-write: the previous arrays are
-never touched, so fingerprints memoized on them stay valid), and emits
-a typed :class:`Delta` to every subscribed :class:`ChangeStream`.
+deleted, and updated in place — every mutation writes O(|delta|)
+bytes, bumps a monotonic ``version`` and emits a typed :class:`Delta`
+to every subscribed :class:`ChangeStream`. Reads see a copy of the
+live rows made once per version, so arrays read earlier never change.
 
 A delta carries enough payload to be *invertible*: deletes and updates
 include the prior row values, so a downstream aggregate can subtract
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import zlib
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -117,7 +118,7 @@ class ChangeStream:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._deltas: list[Delta] = []
+        self._deltas: deque[Delta] = deque()
         self.published = 0
 
     def publish(self, delta: Delta) -> None:
@@ -128,7 +129,7 @@ class ChangeStream:
     def poll(self) -> Delta | None:
         """Pop the oldest pending delta (None when drained)."""
         with self._lock:
-            return self._deltas.pop(0) if self._deltas else None
+            return self._deltas.popleft() if self._deltas else None
 
     def drop_next(self) -> Delta | None:
         """Discard the oldest pending delta (simulates a lost message)."""
@@ -142,45 +143,54 @@ class ChangeStream:
 class DynamicTable(Table):
     """A versioned, mutable table that publishes typed deltas.
 
-    Mutations are copy-on-write: each one rebuilds the backing column
-    arrays and bumps :attr:`version`, so any array or :class:`Table`
-    handed out earlier (snapshots, fingerprinted operands, cached query
-    results) keeps the bytes it was created with. Rows carry stable
-    ``row_id`` identities that are never reused, which is what lets a
-    delta consumer subtract exactly the rows a delete removed.
-
-    Invariant: ``row_ids`` is strictly ascending — ``arange`` at build,
-    inserts append larger ids, deletes mask in order, updates keep
-    positions — so an id resolves to its position by binary search.
+    Rows live in slot buffers — one per column, one of row ids, a live
+    mask — with spare capacity: an insert fills spare slots, a delete
+    clears live bits, an update overwrites its rows' slots, so a
+    mutation touches O(|delta|) bytes. An insert that does not fit
+    compacts the live rows, then grows every buffer by
+    ``max(k, live // 8)`` if they still do not fit. Every read
+    (``columns``, ``row_ids``, ``snapshot``, the inherited
+    :class:`Table` methods) sees one copy of the live rows made once
+    per :attr:`version`. A buffer is never handed out, so arrays read
+    earlier keep their bytes. Row ids are never reused, so the written
+    ids ascend and an id resolves to its slot by binary search.
     """
 
     def __init__(self, schema, columns, name: str = "dynamic"):
-        super().__init__(schema, columns)
+        n = Table(schema, columns).num_rows  # the base shape checks
+        self._schema, self._nrows = schema, n
         self.name = name
         self.version = 0
-        self._row_ids = np.arange(self._nrows, dtype=np.int64)
-        self._next_row_id = self._nrows
+        # copies in the schema's dtype: an insert can never narrow a column
+        self._buffers = [
+            np.array(col, dtype=c.ctype.numpy_dtype)
+            for c, col in zip(schema, columns)
+        ]
+        self._ids = np.arange(n, dtype=np.int64)
+        self._live = np.ones(n, dtype=bool)
+        self._used = self._next_row_id = n
+        self._read = None  # the live rows' copy at this version
         self._streams: list[ChangeStream] = []
 
     @classmethod
     def from_table(cls, table: Table, name: str = "dynamic") -> "DynamicTable":
-        return cls(
-            table.schema,
-            [arr.copy() for arr in table.columns().values()],
-            name=name,
-        )
+        return cls(table.schema, list(table.columns().values()), name=name)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def _columns(self) -> list[np.ndarray]:
+        return self._materialised()[0]
+
+    @property
     def row_ids(self) -> np.ndarray:
-        """Stable identities of the current rows (read-only view)."""
-        return self._row_ids
+        """Stable identities of the current rows, ascending."""
+        return self._materialised()[1]
 
     def snapshot(self) -> Table:
-        """An immutable copy of the current state (fresh arrays)."""
-        return Table(self._schema, [arr.copy() for arr in self._columns])
+        """An immutable table of the current state."""
+        return Table(self._schema, self._columns)
 
     def subscribe(self) -> ChangeStream:
         """A new stream that receives every future delta."""
@@ -188,25 +198,32 @@ class DynamicTable(Table):
         self._streams.append(stream)
         return stream
 
+    def _materialised(self) -> tuple[list[np.ndarray], np.ndarray]:
+        if self._read is None:
+            keep = np.flatnonzero(self._live[: self._used])
+            self._read = [buf[keep] for buf in self._buffers], self._ids[keep]
+        return self._read
+
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
     def insert(self, rows: Table | Mapping[str, Sequence[Any]]) -> Delta:
         """Append rows; returns the published insert delta."""
         new = self._coerce_rows(rows)
-        if new.num_rows == 0:
+        k = new.num_rows
+        if k == 0:
             raise IncrementalError("insert requires at least one row")
-        ids = np.arange(
-            self._next_row_id, self._next_row_id + new.num_rows, dtype=np.int64
-        )
-        self._next_row_id += new.num_rows
+        self._make_room(k)
+        ids = self._next_row_id + np.arange(k, dtype=np.int64)
+        slots = slice(self._used, self._used + k)
         incoming = new.columns()
-        self._columns = [
-            np.concatenate([col, incoming[c.name]])
-            for c, col in zip(self._schema, self._columns)
-        ]
-        self._row_ids = np.concatenate([self._row_ids, ids])
-        self._nrows += new.num_rows
+        for c, buf in zip(self._schema, self._buffers):
+            buf[slots] = incoming[c.name]
+        self._ids[slots] = ids
+        self._live[slots] = True
+        self._used += k
+        self._next_row_id += k
+        self._nrows += k
         return self._emit("insert", ids, rows=new, old_rows=None)
 
     def delete(self, row_ids: Iterable[int]) -> Delta:
@@ -214,13 +231,10 @@ class DynamicTable(Table):
         ids = np.asarray(list(row_ids), dtype=np.int64)
         if ids.size == 0:
             raise IncrementalError("delete requires at least one row id")
-        positions = self._positions(ids)
-        old = Table(self._schema, [col[positions] for col in self._columns])
-        keep = np.ones(self._nrows, dtype=bool)
-        keep[positions] = False
-        self._columns = [col[keep] for col in self._columns]
-        self._row_ids = self._row_ids[keep]
-        self._nrows = int(keep.sum())
+        slots = self._positions(ids)
+        old = Table(self._schema, [buf[slots] for buf in self._buffers])
+        self._live[slots] = False
+        self._nrows -= ids.size
         return self._emit("delete", ids, rows=None, old_rows=old)
 
     def update(
@@ -234,16 +248,30 @@ class DynamicTable(Table):
                 f"update needs one row per id: {new.num_rows} rows "
                 f"for {ids.size} ids"
             )
-        positions = self._positions(ids)
-        old = Table(self._schema, [col[positions] for col in self._columns])
+        slots = self._positions(ids)
+        old = Table(self._schema, [buf[slots] for buf in self._buffers])
         incoming = new.columns()
-        fresh = []
-        for c, col in zip(self._schema, self._columns):
-            col = col.copy()
-            col[positions] = incoming[c.name]
-            fresh.append(col)
-        self._columns = fresh
+        for c, buf in zip(self._schema, self._buffers):
+            buf[slots] = incoming[c.name]
         return self._emit("update", ids, rows=new, old_rows=old)
+
+    def _make_room(self, k: int) -> None:
+        """Free or add slots for ``k`` rows (the class docstring's rule)."""
+        capacity = len(self._ids)
+        if self._used + k <= capacity:
+            return
+        keep = np.flatnonzero(self._live[: self._used])
+        live = keep.size
+        if live + k > capacity:
+            capacity += max(k, live // 8)
+        moved = []
+        for buf in [*self._buffers, self._ids]:
+            out = np.empty(capacity, buf.dtype) if buf.size < capacity else buf
+            out[:live] = buf[keep]
+            moved.append(out)
+        *self._buffers, self._ids = moved
+        self._live = np.arange(capacity) < live
+        self._used = live
 
     # ------------------------------------------------------------------
     def _coerce_rows(self, rows: Table | Mapping[str, Sequence[Any]]) -> Table:
@@ -259,23 +287,24 @@ class DynamicTable(Table):
         return rows
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Positions of ``ids`` (caller order) in O(|ids| log n)."""
-        positions = np.searchsorted(self._row_ids, ids)
-        present = positions < self._nrows
-        present[present] = self._row_ids[positions[present]] == ids[present]
+        """Live slots of ``ids`` (caller order) in O(|ids| log n)."""
+        slots = np.searchsorted(self._ids[: self._used], ids)
+        present = slots < self._used
+        hit = slots[present]
+        present[present] = (self._ids[hit] == ids[present]) & self._live[hit]
         if not present.all():
             raise IncrementalError(
                 f"row id {int(ids[~present][0])} not present in table "
                 f"{self.name!r}"
             )
-        ordered = np.sort(positions)
+        ordered = np.sort(slots)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise IncrementalError(
-                f"row id {int(self._row_ids[repeated[0]])} repeated in one "
+                f"row id {int(self._ids[repeated[0]])} repeated in one "
                 f"mutation of table {self.name!r}"
             )
-        return positions
+        return slots
 
     def _emit(
         self,
@@ -285,6 +314,7 @@ class DynamicTable(Table):
         old_rows: Table | None,
     ) -> Delta:
         self.version += 1
+        self._read = None
         row_ids = tuple(ids.tolist())
         delta = Delta(
             kind, self.version, row_ids, rows, old_rows,
