@@ -12,7 +12,8 @@ shards. :class:`ShardedServer` is that fabric:
   next R distinct ring successors.
 * **Routing** — a request key deterministically picks one of the
   endpoint's R replicas (a CRC32 rotation of the replica list), so each
-  replica serves — and caches — a stable slice of the key space.
+  replica serves — and caches — a stable slice of the key space. A call
+  is placed at once, row by row only under a chaos plan.
 * **Failover** — shards are health-tracked (`kill_shard` /
   `revive_shard`, the `SimulatedCluster` idiom). A request whose
   replica is dead walks its preference list to the next live replica;
@@ -64,7 +65,7 @@ from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..obs import Ledger, get_registry
 from ..resilience import RetryPolicy, active_chaos, resilient_call
 from .quota import AdmissionQuotas
-from .ring import HashRing, key_token, placement_hash
+from .ring import HashRing, rotation
 from .server import ModelServer
 
 #: a shard dispatch failing with one of these fails over to the next
@@ -75,6 +76,16 @@ _FAILOVER_ERRORS = (InjectedFault, RetryExhaustedError, WorkerFailure)
 def _nothing() -> None:
     """The work the routing and dispatch sites guard: the fault
     crossing itself is the step."""
+
+
+def _check_tenants(door: str, tenants: Iterable[object]) -> None:
+    """Refuse an unhashable tenant at the door, before anything counts."""
+    try:
+        set(tenants)
+    except TypeError as exc:
+        raise ServingError(
+            f"ShardedServer.{door}: a tenant must be hashable ({exc})"
+        ) from exc
 
 
 @dataclass
@@ -276,26 +287,19 @@ class ShardedServer:
     # Routing
     # ------------------------------------------------------------------
     def preference(self, name: str, key: object | None) -> list[str]:
-        """The request's deterministic replica preference order.
-
-        ``None`` keys stay on the home replica; keyed requests rotate
-        the replica list by a CRC32 of ``(seed, endpoint, key)`` so the
-        key space — and therefore the prediction cache — partitions
-        evenly across replicas, with each key owning a stable failover
-        order.
-        """
+        """The request's replica preference order: the replicas rotated
+        by the key's :func:`~repro.serving.ring.rotation`, so the key
+        space, and so the prediction cache, splits evenly across them
+        and each key owns a stable failover order."""
         replicas = self._endpoint(name).replicas
-        if key is None or len(replicas) == 1:
-            return list(replicas)
-        token = key_token(key)
-        start = placement_hash(self.seed, f"{name}|{token}") % len(replicas)
+        start = rotation(self.seed, name, key, len(replicas))
         return list(replicas[start:] + replicas[:start])
 
     def route(self, name: str, key: object | None) -> tuple[str, int]:
         """(live serving shard, dead replicas skipped) for one request.
 
         Pure given the current liveness map: the failover replay that
-        the sharding tests hold :meth:`_place` to.
+        the sharding tests hold :meth:`_place` and :meth:`_place_call` to.
         """
         preference = self.preference(name, key)
         skips = 0
@@ -360,8 +364,8 @@ class ShardedServer:
     def _place(
         self, name: str, key: object, deadline_at: float | None
     ) -> tuple[str, int]:
-        """Place one admitted request — the step both doors take per
-        row: the ``fabric.route`` site (routing-table faults are
+        """Place one admitted request, as ``predict`` and each row under
+        a chaos plan do: the ``fabric.route`` site (routing faults are
         transient and recovered under the retry policy), then the
         preference walk, skipping dead shards and firing
         ``fabric.score`` per attempted shard (an injected fault there is
@@ -396,6 +400,30 @@ class ShardedServer:
                 continue
             return sid, skips
         raise NoLiveReplicaError(name, tuple(preference)) from last
+
+    def _place_call(self, name: str, keys: list, deadline_at) -> tuple:
+        """Place a call's admitted rows, one key each: ``(sorted
+        replicas, each row's index into them, each row's skips)``. Under
+        a chaos plan each row is :meth:`_place`d; with none, one table
+        (rotation start -> first live replica, skips) places all rows."""
+        replicas = self._endpoints[name].replicas
+        hosts = sorted(replicas)
+        if active_chaos() is not None:
+            placed = [self._place(name, key, deadline_at) for key in keys]
+            pairs = [(hosts.index(sid), skips) for sid, skips in placed]
+            return hosts, *np.array(pairs, np.intp).reshape(-1, 2).T
+        count = len(replicas)
+        starts = [rotation(self.seed, name, key, count) for key in keys]
+        live = [self._shards[sid].live for sid in replicas]
+        if starts and not any(live):  # the first row raises, unserved
+            first = starts[0]
+            raise NoLiveReplicaError(name, replicas[first:] + replicas[:first])
+        table = np.zeros((2, count), np.intp)
+        for start in set(starts):
+            skips = (live[start:] + live[:start]).index(True)
+            serving = replicas[(start + skips) % count]
+            table[:, start] = hosts.index(serving), skips
+        return hosts, *table[:, starts]
 
     @staticmethod
     def _attributed(
@@ -469,6 +497,8 @@ class ShardedServer:
         """Serve one prediction through the fleet: quota admission,
         ring routing, deterministic failover, then the owning shard's
         full single-server path."""
+        if tenant is not None:
+            _check_tenants("predict", (tenant,))
         self.ledger.inc("requests")
         deadline_at = (
             self._clock() + deadline_ms / 1000.0
@@ -492,10 +522,10 @@ class ShardedServer:
         deadline_ms: float | None = None,
         on_shed: str = "raise",
     ) -> np.ndarray | tuple[np.ndarray, list[int]]:
-        """Serve a stream: admit the call once per tenant, place each
-        row (its own route crossing, preference walk and score
-        crossings), then drain each shard's slice through that shard's
-        micro-batcher in one vectorized call.
+        """Serve a stream: admit the call once per tenant, place the
+        admitted rows at once (:meth:`_place_call`; per row, with its
+        own crossings, only under a chaos plan), then drain each shard's
+        slice through that shard's micro-batcher in one vectorized call.
 
         ``on_shed="raise"`` raises for the first row the quotas refuse,
         before any bucket is charged; ``on_shed="null"`` records shed
@@ -544,8 +574,10 @@ class ShardedServer:
         n = rows.shape[0]
         if keys is not None and len(keys) != n:
             raise ServingError("one key per row required")
-        if tenants is not None and len(tenants) != n:
-            raise ServingError("one tenant per row required")
+        if tenants is not None:
+            if len(tenants) != n:
+                raise ServingError("one tenant per row required")
+            _check_tenants("predict_many", tenants)
 
         deadline_at = (
             self._clock() + deadline_ms / 1000.0
@@ -554,30 +586,25 @@ class ShardedServer:
         )
         self.ledger.inc("requests", n)
         shed = [] if tenants is None else self._admit(name, tenants, on_shed)
-        refused = set(shed)
+        admitted = np.delete(np.arange(n), shed) if shed else np.arange(n)
+        asked = [None if keys is None else keys[i] for i in admitted.tolist()]
+        hosts, shard, skips = self._place_call(name, asked, deadline_at)
         out = np.full(n, np.nan)  # a shed row stays NaN
-        # shard -> [row indices, failovers, replicas skipped]
-        groups: dict[str, list] = {}
-        for i in range(n):
-            if i in refused:
+        # one stable sort groups the rows by shard, in shard order, each
+        # group in row order; its bounds are the running group sizes
+        order = np.argsort(shard, kind="stable")
+        ends = np.cumsum(np.bincount(shard, minlength=len(hosts))).tolist()
+        for sid, lo, hi in zip(hosts, [0] + ends, ends):
+            if lo == hi:
                 continue
-            sid, skips = self._place(
-                name, keys[i] if keys is not None else None, deadline_at
-            )
-            group = groups.get(sid)
-            if group is None:
-                group = groups[sid] = [[], 0, 0]
-            group[0].append(i)
-            if skips:
-                group[1] += 1
-                group[2] += skips
-        for sid in sorted(groups):
-            indices, failovers, rerouted = groups[sid]
+            group = order[lo:hi]
+            indices = admitted[group].tolist()
+            skipped = skips[group]
             out[indices] = self._serve_on(
                 sid,
                 "predict_many",
-                failovers,
-                rerouted,
+                int(np.count_nonzero(skipped)),
+                int(skipped.sum()),
                 (tenants[i] for i in indices) if tenants is not None else (),
                 name,
                 rows[indices],

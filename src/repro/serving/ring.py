@@ -1,5 +1,5 @@
-"""The placement hash and its two users: the consistent-hash ring for
-shard placement and routing, and the canary traffic split.
+"""The placement hash and its users: the consistent-hash ring for
+shard placement, the replica rotation and the canary traffic split.
 
 The fabric partitions endpoints and their prediction caches across
 shards, so the placement function has to satisfy three properties
@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,6 +51,14 @@ def key_token(key: object) -> str:
     so ``np.int64(5)`` and ``5`` (``np.str_("a")`` and ``"a"``) route
     alike — numpy 2 spells ``repr(np.int64(5))`` ``'np.int64(5)'``."""
     return repr(key.item() if isinstance(key, np.generic) else key)
+
+
+def rotation(seed: int, name: str, key: object, count: int) -> int:
+    """Where a request's walk over endpoint ``name``'s ``count``
+    replicas starts: ``None`` keys and one replica stay home (0)."""
+    if key is None or count == 1:
+        return 0
+    return placement_hash(seed, f"{name}|{key_token(key)}") % count
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,7 @@ class HashRing:
         self.vnodes = vnodes
         self.seed = seed
         self._nodes: set[str] = set()
-        self._points: list[int] = []  # sorted hash positions
-        self._owners: list[str] = []  # owner of each position
+        self._points: list[tuple[int, str]] = []  # sorted (hash, owner)
         for node in nodes:
             self.add_node(node)
 
@@ -125,19 +133,11 @@ class HashRing:
             raise ServingError(f"node {node!r} already on the ring")
         self._nodes.add(node)
         for v in range(self.vnodes):
-            point = placement_hash(self.seed, f"{node}#{v}")
-            idx = bisect.bisect_left(self._points, point)
             # CRC collisions between distinct tokens are possible in a
-            # 32-bit space; break ties by node name so insertion order
+            # 32-bit space; ties sort by node name, so insertion order
             # still cannot change the ring.
-            while (
-                idx < len(self._points)
-                and self._points[idx] == point
-                and self._owners[idx] < node
-            ):
-                idx += 1
-            self._points.insert(idx, point)
-            self._owners.insert(idx, node)
+            point = placement_hash(self.seed, f"{node}#{v}")
+            bisect.insort(self._points, (point, node))
 
     @property
     def nodes(self) -> list[str]:
@@ -159,19 +159,10 @@ class HashRing:
         """
         if not self._nodes:
             raise ServingError("ring has no nodes")
-        count = min(count, len(self._nodes))
         point = placement_hash(self.seed, f"key|{key_token(key)}")
-        start = bisect.bisect_right(self._points, point) % len(self._points)
-        found: list[str] = []
-        seen: set[str] = set()
-        for offset in range(len(self._points)):
-            owner = self._owners[(start + offset) % len(self._points)]
-            if owner not in seen:
-                seen.add(owner)
-                found.append(owner)
-                if len(found) == count:
-                    break
-        return found
+        start = bisect.bisect_right(self._points, point, key=itemgetter(0))
+        clockwise = self._points[start:] + self._points[:start]
+        return list(dict.fromkeys(owner for _, owner in clockwise))[:count]
 
     def owner(self, key: object) -> str:
         """The single node owning ``key``."""

@@ -12,6 +12,7 @@ seed-independent (the CI fabric legs run this file under
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -33,11 +34,13 @@ from repro.errors import (
 )
 from repro.lifecycle import ModelRegistry
 from repro.ml import LogisticRegression
+from repro.obs import get_registry
 from repro.resilience import (
     ChaosContext,
     FaultPlan,
     RetryPolicy,
     chaos_seed_from_env,
+    fault_point,
 )
 from repro.serving import (
     AdmissionQuotas,
@@ -47,6 +50,7 @@ from repro.serving import (
     ShardedServer,
     TokenBucket,
 )
+from repro.serving.ring import key_token, placement_hash
 
 
 class FakeClock:
@@ -576,6 +580,26 @@ class TestTenantIsolation:
         assert np.isfinite(fabric.predict("score", X[0], tenant="t"))
         fabric.close()
 
+    @pytest.mark.parametrize("door", DOORS)
+    def test_an_unhashable_tenant_is_refused_at_the_door(
+        self, registry, model_pair, door
+    ):
+        """A tenant keys a quota bucket, so an unhashable one is the
+        caller's error: a ``ServingError`` naming the door, raised
+        before the call counts a request (not a bare ``TypeError`` from
+        the quotas after ``requests`` had moved)."""
+        X = model_pair[0]
+        fabric = make_fabric(registry, clock=FakeClock())
+        fabric.set_quota("a", capacity=8, refill_per_s=0.0)
+        before = get_registry().value("fabric.requests")
+        for _ in range(3):
+            with pytest.raises(ServingError, match=rf"ShardedServer\.{door}:"):
+                _ask(fabric, door, X[:2], ["k0", "k1"], tenant=["a"])
+        assert fabric.stats()["ledger"]["requests"] == 0
+        assert get_registry().value("fabric.requests") == before
+        assert fabric.stats()["tenants"] == {}
+        fabric.close()
+
     def test_quota_shed_raises_by_default(self, registry, model_pair):
         X = model_pair[0]
         fabric = make_fabric(registry, clock=FakeClock())
@@ -805,6 +829,202 @@ class TestOneRequestPath:
                 ):
                     assert mine[field] == theirs[field], (sid, field)
         for fabric in twins:
+            fabric.close()
+
+
+# ----------------------------------------------------------------------
+# Fabric: one placement per call
+# ----------------------------------------------------------------------
+def _recording_fleet(num_shards, replication, dead, quota):
+    """A fleet whose shards record, in dispatch order, the row ids
+    (column 0 of each row) they were handed."""
+    _, _, m1, _ = _fit_pair()
+    registry = ModelRegistry()
+    registry.register("churn", m1)
+    fabric = make_fabric(
+        registry, num_shards, replication, seed=3, clock=FakeClock()
+    )
+    fabric.set_quota("a", capacity=quota, refill_per_s=0.0)
+    for sid in dead:
+        fabric.kill_shard(sid)
+    dispatched = []
+    for sid in fabric.replicas_of("score"):
+        server = fabric.shard(sid).server
+
+        def recorded(name, rows, *rest, _sid=sid, _door=server.predict_many):
+            dispatched.append((_sid, rows[:, 0].astype(int).tolist()))
+            return _door(name, rows, *rest)
+
+        server.predict_many = recorded
+    return fabric, dispatched
+
+
+def _replay(fabric, key):
+    """(serving shard, skips) from the placement hash and the liveness
+    map alone: an oracle that shares no placement code with the fleet."""
+    replicas = fabric.replicas_of("score")
+    start = 0
+    if key is not None and len(replicas) > 1:
+        token = key_token(key)
+        start = placement_hash(fabric.seed, f"score|{token}") % len(replicas)
+    preference = replicas[start:] + replicas[:start]
+    for skips, sid in enumerate(preference):
+        if fabric.shard(sid).live:
+            return sid, skips
+    return None, preference
+
+
+_KEYS = st.one_of(
+    st.none(),
+    st.integers(-(2**40), 2**40),
+    st.text(max_size=4),
+    st.integers(-1000, 1000).map(np.int64),
+    st.text(max_size=4).map(np.str_),
+)
+
+
+class TestCallPlacement:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_call_placement_equals_route_row_by_row(self, data):
+        """One ``predict_many`` with no plan (and its twin under a
+        rate-0 plan, which places row by row) serves each admitted row
+        on the shard :meth:`route` names, and the ledger is the per-row
+        replay's: failovers, reroutes, replica hits, per-shard served,
+        shards in sorted order and rows in row order. With every replica
+        dead the first admitted row raises with its preference, and
+        nothing but ``requests`` (and the quota's decision) counts."""
+        num_shards = data.draw(st.integers(1, 6), "num_shards")
+        replication = data.draw(st.integers(1, num_shards), "replication")
+        n = data.draw(st.integers(0, 24), "rows")
+        as_array = data.draw(st.sampled_from(["list", "object", "int64"]))
+        if as_array == "int64":
+            keys = np.array(data.draw(st.lists(
+                st.integers(-1000, 1000), min_size=n, max_size=n
+            )), dtype=np.int64)
+        else:
+            keys = data.draw(st.lists(_KEYS, min_size=n, max_size=n))
+            if as_array == "object":
+                keys = np.array(keys + [None], dtype=object)[:n]
+        tenants = data.draw(st.lists(
+            st.sampled_from([None, "a", "b"]), min_size=n, max_size=n
+        ))
+        quota = data.draw(st.integers(1, 8), "quota")
+        sids = [f"shard-{i}" for i in range(num_shards)]
+        replicas = HashRing(sids, seed=3).successors("score", replication)
+        up = data.draw(st.lists(
+            st.booleans(), min_size=replication, max_size=replication
+        ), "live replicas")
+        dead = {sid for sid, live in zip(replicas, up) if not live}
+        X = _fit_pair()[0]
+        rows = X[np.arange(n) % len(X)].copy()
+        rows[:, 0] = np.arange(n)
+
+        metered = [i for i in range(n) if tenants[i] == "a"]
+        admitted = [
+            i for i in range(n) if tenants[i] != "a" or i in metered[:quota]
+        ]
+        outcomes = []
+        for planned in (False, True):
+            fabric, dispatched = _recording_fleet(
+                num_shards, replication, dead, quota
+            )
+            plan = ChaosContext(FaultPlan(seed=0).inject("fabric.*", 0.0))
+            try:
+                with plan if planned else contextlib.nullcontext():
+                    values, shed = fabric.predict_many(
+                        "score", rows, keys=keys, tenants=tenants,
+                        on_shed="null",
+                    )
+                raised = None
+            except NoLiveReplicaError as exc:
+                raised, shed = exc.attempted, None
+            outcomes.append((
+                raised, shed, dispatched, fabric.stats()["ledger"],
+                fabric.stats()["tenants"], _served_ledger(fabric),
+            ))
+
+            replay = {i: _replay(fabric, keys[i]) for i in admitted}
+            for i in admitted:
+                if replay[i][0] is not None:
+                    assert fabric.route("score", keys[i]) == replay[i]
+            led = fabric.stats()["ledger"]
+            assert led["requests"] == n
+            if admitted and replay[admitted[0]][0] is None:
+                first = keys[admitted[0]]
+                assert raised == replay[admitted[0]][1]
+                assert raised == tuple(fabric.preference("score", first))
+                assert _served_ledger(fabric) == (0, 0, 0, [0] * num_shards)
+                assert dispatched == []
+                fabric.close()
+                continue
+            assert raised is None
+            assert shed == [i for i in range(n) if i not in admitted]
+            assert np.isnan(values[shed]).all()
+            assert np.isfinite(values[admitted]).all()
+            placed = {i: sid for sid, ids in dispatched for i in ids}
+            assert placed == {i: replay[i][0] for i in admitted}
+            order = [sid for sid, _ in dispatched]
+            assert order == sorted(set(order))
+            assert all(ids == sorted(ids) for _, ids in dispatched)
+            skips = [replay[i][1] for i in admitted]
+            home = fabric.replicas_of("score")[0]
+            assert led["failovers"] == sum(k > 0 for k in skips)
+            assert led["rerouted"] == sum(skips)
+            assert led["replica_hits"] == sum(
+                placed[i] != home for i in admitted
+            )
+            assert [fabric.shard(sid).served for sid in sids] == [
+                sum(placed[i] == sid for i in admitted) for sid in sids
+            ]
+            fabric.close()
+        assert outcomes[0] == outcomes[1]
+
+    def test_crossings_per_row_under_a_plan_and_none_without(
+        self, registry, model_pair
+    ):
+        """Under a rate-0 plan every admitted row crosses ``fabric.route``
+        once and ``fabric.score`` once per attempted (live) shard; with
+        no plan a 64-row multi-tenant call makes no fabric fault-point
+        call, counted by a profile hook as the disabled-path legs do."""
+        X = model_pair[0]
+        keys = [f"u{i}" for i in range(64)]
+        tenants = ["a", "b"] * 32
+        fabrics = []
+        for _ in range(2):
+            fabric = make_fabric(registry, clock=FakeClock())
+            fabric.set_quota("a", capacity=20, refill_per_s=0.0)
+            fabric.kill_shard(fabric.replicas_of("score")[1])
+            fabrics.append(fabric)
+
+        plan = FaultPlan(seed=0).inject("fabric.*", rate=0.0)
+        with ChaosContext(plan) as chaos:
+            _, shed = fabrics[0].predict_many(
+                "score", X[:64], keys=keys, tenants=tenants, on_shed="null"
+            )
+        assert len(shed) == 12
+        assert chaos.invocations("fabric.route") == 64 - 12
+        assert chaos.invocations("fabric.score") == 64 - 12
+
+        fabric_sites = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is fault_point.__code__:
+                site = frame.f_locals["site"]
+                if site.startswith("fabric."):
+                    fabric_sites.append(site)
+
+        sys.setprofile(hook)
+        try:
+            _, shed = fabrics[1].predict_many(
+                "score", X[:64], keys=keys, tenants=tenants, on_shed="null"
+            )
+        finally:
+            sys.setprofile(None)
+        assert len(shed) == 12
+        assert fabric_sites == []
+        assert fabrics[0].stats()["ledger"] == fabrics[1].stats()["ledger"]
+        for fabric in fabrics:
             fabric.close()
 
 
