@@ -111,25 +111,30 @@ class UncompressedGroup(ColumnGroup):
 def build_dictionary(
     panel: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct row-tuples of a (n, k) panel.
+    """Distinct row-tuples of a (n, k) panel, in first-occurrence order.
+
+    Rows are equal iff their bytes are: -0.0 and 0.0 are two entries, NaNs
+    with one payload are one. The build is vectorized, O(n log n): each
+    column's word ranks fold into one int64 mixed-radix key per row
+    (re-densified before the radix product reaches 2**62), and one
+    ``np.unique`` of the keys finds each entry's first row.
 
     Returns:
-        (dictionary, codes): dictionary is (K, k) distinct tuples in
-        first-occurrence order; codes is (n,) int indices into it.
+        (dictionary, codes): (K, k) float64 distinct tuples and (n,)
+        int64 indices into them.
     """
-    n = panel.shape[0]
-    mapping: dict[bytes, int] = {}
-    codes = np.empty(n, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    for i in range(n):
-        key = panel[i].tobytes()
-        code = mapping.get(key)
-        if code is None:
-            code = len(rows)
-            mapping[key] = code
-            rows.append(panel[i])
-        codes[i] = code
-    return np.array(rows, dtype=np.float64).reshape(len(rows), -1), codes
+    panel = np.ascontiguousarray(panel)
+    key, width = np.zeros(len(panel), dtype=np.int64), 1
+    for column in panel.view(f"u{panel.itemsize}").T:
+        values, ranks = np.unique(column, return_inverse=True)
+        if width * len(values) >= 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            width = len(distinct)
+        key = key * len(values) + ranks
+        width *= len(values)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return panel[first[order]].astype(np.float64), np.argsort(order)[inverse]
 
 
 def code_bytes_for(num_distinct: int) -> int:

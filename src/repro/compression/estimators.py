@@ -102,7 +102,8 @@ def estimate_joint_distinct(
     """Estimated distinct count of the row-tuples over several columns.
 
     Used by co-coding: combining columns pays off only when their joint
-    cardinality stays far below the product of the individual ones.
+    cardinality stays far below the product of the individual ones. Each
+    sampled row is one fixed-width bytes key (a view), equal iff its bytes are.
     """
     if not columns:
         raise CompressionError("need at least one column")
@@ -113,6 +114,6 @@ def estimate_joint_distinct(
         idx = np.arange(n)
     else:
         idx = rng.choice(n, size=size, replace=False)
-    stacked = np.column_stack([c[idx] for c in columns])
-    tuples = np.array([row.tobytes() for row in stacked])
-    return estimate_distinct(tuples, n)
+    stacked = np.column_stack([c[idx] for c in columns])  # C-contiguous
+    keys = stacked.view(f"S{stacked.strides[0]}")[:, 0]
+    return estimate_distinct(keys, n)

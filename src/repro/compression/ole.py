@@ -51,13 +51,18 @@ class OLEGroup(ColumnGroup):
 
     @classmethod
     def encode(cls, col_indices: np.ndarray, panel: np.ndarray) -> "OLEGroup":
-        """Encode a dense (n, k) panel; all-zero tuples are left implicit."""
+        """Encode a dense (n, k) panel; all-zero tuples are left implicit.
+
+        The kept entries' rows, stably sorted by code and split at their
+        counts, are the offset lists, each ascending."""
         panel = np.asarray(panel, dtype=np.float64)
         dictionary, codes = build_dictionary(panel)
-        keep = [i for i, row in enumerate(dictionary) if np.any(row != 0.0)]
-        kept_dict = dictionary[keep] if keep else np.empty((0, panel.shape[1]))
-        offset_lists = [np.where(codes == i)[0] for i in keep]
-        return cls(col_indices, panel.shape[0], kept_dict, offset_lists)
+        kept = (dictionary != 0.0).any(axis=1)
+        rows = np.flatnonzero(kept[codes])
+        rows = rows[np.argsort(codes[rows], kind="stable")].astype(np.uint32)
+        counts = np.bincount(codes, minlength=len(dictionary))[kept]
+        offset_lists = np.split(rows, np.cumsum(counts))[:-1]
+        return cls(col_indices, panel.shape[0], dictionary[kept], offset_lists)
 
     @property
     def num_distinct(self) -> int:

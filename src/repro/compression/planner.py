@@ -94,7 +94,7 @@ def plan_matrix(
     keeps the combined dictionary cheaper than separate groups.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] == 0:
+    if X.ndim != 2 or 0 in X.shape:
         raise CompressionError(f"expected a non-empty 2-D matrix, got {X.shape}")
     with span(
         "compression.plan_matrix",

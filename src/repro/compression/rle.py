@@ -39,27 +39,15 @@ class RLEGroup(ColumnGroup):
 
     @classmethod
     def encode(cls, col_indices: np.ndarray, panel: np.ndarray) -> "RLEGroup":
-        """Encode a dense (n, k) panel into runs."""
+        """Encode a dense (n, k) panel into maximal runs of equal codes:
+        one starts at row 0 (the prepended code differs from row 0's) and
+        wherever the code changes, and lasts until the next start."""
         panel = np.asarray(panel, dtype=np.float64)
         dictionary, codes = build_dictionary(panel)
-        n = len(codes)
-        starts, lengths, run_codes = [], [], []
-        i = 0
-        while i < n:
-            j = i + 1
-            while j < n and codes[j] == codes[i]:
-                j += 1
-            starts.append(i)
-            lengths.append(j - i)
-            run_codes.append(codes[i])
-            i = j
+        starts = np.flatnonzero(np.diff(codes, prepend=codes[:1] - 1))
+        lengths = np.diff(starts, append=len(codes))
         return cls(
-            col_indices,
-            n,
-            dictionary,
-            np.array(starts),
-            np.array(lengths),
-            np.array(run_codes),
+            col_indices, len(codes), dictionary, starts, lengths, codes[starts]
         )
 
     @property

@@ -13,9 +13,12 @@ from repro.compression import (
     UncompressedGroup,
     build_dictionary,
     count_runs,
+    estimate_distinct,
+    estimate_joint_distinct,
     plan_column,
     plan_matrix,
 )
+from repro.compression.estimators import MIN_SAMPLE
 from repro.data import (
     make_low_cardinality_matrix,
     make_run_matrix,
@@ -32,6 +35,86 @@ def panel(rng):
     return values[codes]
 
 
+def _dictionary_oracle(panel):
+    """The per-row loop: one dict probe on each row's bytes."""
+    n = panel.shape[0]
+    mapping: dict[bytes, int] = {}
+    codes = np.empty(n, dtype=np.int64)
+    rows: list[np.ndarray] = []
+    for i in range(n):
+        key = panel[i].tobytes()
+        code = mapping.get(key)
+        if code is None:
+            code = len(rows)
+            mapping[key] = code
+            rows.append(panel[i])
+        codes[i] = code
+    shape = (len(rows), panel.shape[1])
+    return np.array(rows, dtype=np.float64).reshape(shape), codes
+
+
+def _runs_oracle(codes):
+    """(starts, lengths, run_codes) by walking the codes row by row."""
+    starts, lengths, run_codes = [], [], []
+    i = 0
+    while i < len(codes):
+        j = i + 1
+        while j < len(codes) and codes[j] == codes[i]:
+            j += 1
+        starts.append(i)
+        lengths.append(j - i)
+        run_codes.append(codes[i])
+        i = j
+    return (
+        np.array(starts, dtype=np.uint32),
+        np.array(lengths, dtype=np.uint32),
+        np.array(run_codes, dtype=np.int64),
+    )
+
+
+def _joint_distinct_oracle(columns, sample_fraction=0.05):
+    """The co-coding estimate from a list of per-row ``bytes`` objects."""
+    n = len(columns[0])
+    size = min(n, max(MIN_SAMPLE, int(n * sample_fraction)))
+    rng = np.random.default_rng(0)
+    if size >= n:
+        idx = np.arange(n)
+    else:
+        idx = rng.choice(n, size=size, replace=False)
+    stacked = np.column_stack([c[idx] for c in columns])
+    return estimate_distinct(np.array([row.tobytes() for row in stacked]), n)
+
+
+#: +-0.0, two NaN payloads, a negative NaN, +-inf, a subnormal and two
+#: ordinary values, as bit patterns so no float op can touch a payload
+_BIT_POOL = np.array(
+    [0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+     0xFFF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x1,
+     0x3FF0000000000000, 0xC004000000000000],
+    dtype=np.uint64,
+)
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def e3_datasets():
+    """E3's four datasets (bench_compression.py)."""
+    n, d = 50_000, 10
+    return {
+        "random dense": np.random.default_rng(17).standard_normal((n, d)),
+        "low-cardinality": make_low_cardinality_matrix(
+            n, d, cardinality=10, seed=1
+        ),
+        "run-structured": make_run_matrix(n, d, mean_run_length=200, seed=2),
+        "sparse (1%)": make_sparse_matrix(n, d, density=0.01, seed=3),
+    }
+
+
 class TestDictionary:
     def test_build_dictionary_first_occurrence_order(self):
         panel = np.array([[2.0], [1.0], [2.0], [3.0]])
@@ -42,6 +125,82 @@ class TestDictionary:
     def test_roundtrip(self, panel):
         dictionary, codes = build_dictionary(panel)
         assert np.array_equal(dictionary[codes], panel)
+
+    @given(
+        n=st.integers(0, 300),
+        k=st.integers(1, 6),
+        distinct=st.integers(1, len(_BIT_POOL)),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_encodings_match_the_per_row_oracle(
+        self, n, k, distinct, strided, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pool = rng.choice(_BIT_POOL, distinct, replace=False)
+        panel = pool[rng.integers(0, distinct, (n, k))].view(np.float64)
+        if strided:  # a non-contiguous view of the same rows
+            panel = np.repeat(panel, 2, axis=1)[:, ::2]
+        expected, expected_codes = _dictionary_oracle(panel)
+        dictionary, codes = build_dictionary(panel)
+        _assert_same_bytes(dictionary, expected)
+        _assert_same_bytes(codes, expected_codes)
+
+        cols = np.arange(k)
+        rle = RLEGroup.encode(cols, panel)
+        runs = (rle.starts, rle.lengths, rle.run_codes)
+        for got, want in zip(runs, _runs_oracle(expected_codes)):
+            _assert_same_bytes(got, want)
+        _assert_same_bytes(rle.dictionary, expected)
+
+        ole = OLEGroup.encode(cols, panel)
+        keep = [i for i, row in enumerate(expected) if np.any(row != 0.0)]
+        _assert_same_bytes(ole.dictionary, expected[keep])
+        assert len(ole.offset_lists) == len(keep)
+        for got, i in zip(ole.offset_lists, keep):
+            _assert_same_bytes(
+                got, np.where(expected_codes == i)[0].astype(np.uint32)
+            )
+
+    def test_key_overflow_redensifies(self):
+        # 70 000 distinct values per column: the radix product of four
+        # columns (70 000**4) passes 2**62, of three it does not. Rows 0
+        # and 1 have ranks (0, 0, 0, 0) and the base-70 000 digits of
+        # 2**64, so a key folded without re-densifying wraps both to 0.
+        width, rng = 70_000, np.random.default_rng(11)
+        assert width**3 < 2**62 <= width**4
+        digits = [2**64 // width ** (3 - j) % width for j in range(4)]
+        columns = []
+        for digit in digits:
+            rest = np.setdiff1d(np.arange(width), [0, digit])
+            columns.append(np.concatenate([[0, digit], rng.permutation(rest)]))
+        panel = np.column_stack(columns).astype(np.float64)
+        expected, expected_codes = _dictionary_oracle(panel)
+        dictionary, codes = build_dictionary(panel)
+        _assert_same_bytes(dictionary, expected)
+        _assert_same_bytes(codes, expected_codes)
+        assert codes[:2].tolist() == [0, 1]
+
+    def test_empty_panel_is_an_empty_dictionary(self):
+        dictionary, codes = build_dictionary(np.zeros((0, 3)))
+        assert dictionary.shape == (0, 3) and dictionary.dtype == np.float64
+        assert codes.shape == (0,) and codes.dtype == np.int64
+
+    @pytest.mark.parametrize("group_cls", [DDCGroup, OLEGroup, RLEGroup])
+    def test_empty_panel_encodes(self, group_cls):
+        group = group_cls.encode(np.array([0, 1]), np.zeros((0, 2)))
+        assert group.num_rows == 0
+        assert group.decompress().shape == (0, 2)
+        assert group.colsums().tolist() == [0.0, 0.0]
+
+    def test_joint_distinct_matches_the_bytes_list_estimate(self, e3_datasets):
+        for X in e3_datasets.values():
+            for members in ([0, 1], [2, 5, 9], list(range(X.shape[1]))):
+                columns = [X[:, j] for j in members]
+                assert estimate_joint_distinct(columns) == (
+                    _joint_distinct_oracle(columns)
+                )
 
     def test_count_runs(self):
         assert count_runs(np.array([1, 1, 2, 2, 2, 1])) == 3
@@ -182,6 +341,12 @@ class TestPlanner:
     def test_empty_matrix_rejected(self):
         with pytest.raises(CompressionError):
             plan_matrix(np.empty((5, 0)))
+
+    def test_zero_rows_rejected_naming_the_shape(self):
+        with pytest.raises(CompressionError, match=r"\(0, 3\)"):
+            plan_matrix(np.zeros((0, 3)))
+        with pytest.raises(CompressionError, match=r"\(0, 3\)"):
+            CompressedMatrix.compress(np.zeros((0, 3)))
 
 
 class TestCompressedMatrix:
