@@ -52,7 +52,7 @@ from repro.lang.dsl import sqrt as rsqrt
 from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
-from repro.serving import ModelServer
+from repro.serving import ShardedServer
 from repro.storage import Table
 
 #: acceptance bounds
@@ -207,7 +207,7 @@ def _gated_server(view, offline):
     registry.register("m", model, feature_fingerprint=view.version)
     registry.deploy("m", 1)
     registry.register("m", model, feature_fingerprint=view.version)
-    server = ModelServer(registry)
+    server = ShardedServer(registry, num_shards=1, replication=1)
     server.create_endpoint("ep", "m")
     gate = DriftGate(view, offline, min_observations=100)
     server.set_promotion_gate("ep", gate)
@@ -255,7 +255,10 @@ def gate_leg(n: int, passes: int = 3) -> dict:
         outcomes[scenario] = {
             "held": held,
             "rolled_back": rolled_back,
-            "canary_live": server.endpoint("ep").canary is not None,
+            "canary_live": (
+                server.shard("shard-0").server.endpoint("ep").canary
+                is not None
+            ),
             "deployed_version": server.registry.deployed("m").version,
             "ledger": gate.ledger(),
             "max_psi": max(s.psi for s in gate.drift_snapshot().values()),

@@ -18,7 +18,7 @@ Measures what the streaming layer promises over a dynamic base table:
    bit-identical to the clean run and every consumed delta is accounted
    for in the ledger.
 3. **Serving hot-swap** — a ``ContinuousTrainer`` refresh after a delta
-   batch reaches the ``ModelServer`` through the existing ``promote``
+   batch reaches a one-shard ``ShardedServer`` through its ``promote``
    path: the prediction cache is eagerly invalidated and the served
    value equals the compiled-scorer output of a full snapshot retrain.
 4. **Overhead bound** (E20-style) — with no chaos installed the
@@ -45,7 +45,7 @@ from repro.incremental import (
 from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
-from repro.serving import ModelServer
+from repro.serving import ShardedServer
 from repro.serving.server import compile_linear_scorer
 from repro.storage import Table
 
@@ -209,7 +209,7 @@ def serving_leg(n: int, d: int) -> dict:
     registry = ModelRegistry()
     trainer = ContinuousTrainer(maintainer, registry, l2=L2, refresh_every=1)
     first = trainer.refresh()
-    server = ModelServer(registry)
+    server = ShardedServer(registry, num_shards=1, replication=1)
     server.create_endpoint("e25-scores", trainer.model_name, output="margin")
     server.promote("e25-scores", first.version)
     trainer.server, trainer.endpoint = server, "e25-scores"
@@ -217,7 +217,8 @@ def serving_leg(n: int, d: int) -> dict:
     row = dyn.to_matrix(features)[0]
     before = server.predict("e25-scores", row, key="user-0")
     cached = server.predict("e25-scores", row, key="user-0")
-    invalidations0 = server.endpoint("e25-scores").cache.stats.invalidations
+    cache = server.shard("shard-0").server.endpoint("e25-scores").cache
+    invalidations0 = cache.stats.invalidations
 
     k = max(2, n // 50)
     dyn.insert(_grid_table(k, d, seed=11_000))
@@ -237,8 +238,7 @@ def serving_leg(n: int, d: int) -> dict:
         "prediction_changed": bool(after != before),
         "cache_served_repeat": bool(cached == before),
         "cache_invalidated": bool(
-            server.endpoint("e25-scores").cache.stats.invalidations
-            > invalidations0
+            cache.stats.invalidations > invalidations0
         ),
         "versions_chained": [v.parent_version for v in versions]
         == [None] + [v.version for v in versions[:-1]],

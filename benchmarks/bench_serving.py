@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """E22 — Online serving: micro-batching, prediction cache, canary split.
 
-Closed-loop load generator over :class:`repro.serving.ModelServer`. Four
+Closed-loop load generator over a single-node deployment, a one-shard
+:class:`repro.serving.ShardedServer`. Four
 legs, each asserted in ``run()``; ``check_regression.py`` holds the seeded
 counts and the speedups against the committed baseline:
 
@@ -47,7 +48,7 @@ from repro.errors import LoadShedError
 from repro.lifecycle import ModelRegistry
 from repro.ml import LogisticRegression
 from repro.resilience import ChaosContext, FaultPlan
-from repro.serving import CanaryRouter, ModelServer
+from repro.serving import CanaryRouter, ShardedServer
 
 #: acceptance bounds
 MIN_BATCH64_SPEEDUP = 3.0
@@ -67,11 +68,16 @@ def fit_registry(n: int, d: int, seed: int = 2017) -> tuple:
     return X, registry
 
 
-def _server(registry: ModelRegistry, **endpoint_config) -> ModelServer:
-    server = ModelServer(registry)
+def _server(registry: ModelRegistry, **endpoint_config) -> ShardedServer:
+    server = ShardedServer(registry, num_shards=1, replication=1)
     server.create_endpoint("score", "churn", **endpoint_config)
     server.promote("score", 1)
     return server
+
+
+def _executor(server: ShardedServer):
+    """The one shard's executor, whose endpoint holds the ledgers."""
+    return server.shard("shard-0").server
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +117,7 @@ def throughput_leg(X, registry, n_requests: int, repeats: int) -> list[dict]:
         if batch_size == 1:
             reference = predictions
             unbatched_wall = wall
-        stats = server.endpoint("score").stats()
+        stats = _executor(server).endpoint("score").stats()
         entries.append(
             {
                 "workload": f"throughput/batch{batch_size}",
@@ -151,7 +157,7 @@ def cache_leg(X, registry, n_entities: int, n_requests: int, seed: int) -> dict:
 
     server = _server(registry, cache_capacity=n_entities * 2)
     cached = stream_through(server)
-    stats = server.endpoint("score").stats()["cache"]
+    stats = _executor(server).endpoint("score").stats()["cache"]
     server.close()
 
     cold = _server(registry, cache_enabled=False)
@@ -186,7 +192,7 @@ def canary_leg(X, registry, n_requests: int) -> dict:
     keys = [f"user-{i}" for i in range(n_requests)]
     rows = np.tile(X[0], (n_requests, 1))
     server.predict_many("score", rows, keys=keys)
-    endpoint = server.endpoint("score")
+    endpoint = _executor(server).endpoint("score")
     expected = sum(
         CanaryRouter(CANARY_FRACTION, CANARY_SEED).routes_to_canary(k)
         for k in keys
@@ -215,8 +221,9 @@ def admission_leg(X, registry, burst: int, capacity: int, seed: int) -> dict:
     server = _server(
         registry, cache_enabled=False, queue_capacity=capacity
     )
-    endpoint = server.endpoint("score")
-    scorer = server._scorer_for(endpoint, registry.deployed("churn"))
+    executor = _executor(server)
+    endpoint = executor.endpoint("score")
+    scorer = executor._scorer_for(endpoint, registry.deployed("churn"))
     queue_shed = 0
     for i in range(burst):
         try:

@@ -6,8 +6,8 @@ Seven legs, each asserted in ``run()``; ``check_regression.py`` holds the
 seeded counts against the committed baseline:
 
 1. **Fleet identity** — >= 10^6 skewed multi-tenant requests through a
-   4-shard, 2-replica fleet must be **bit-identical** to a single
-   :class:`~repro.serving.ModelServer` oracle, with the fleet ledger
+   4-shard, 2-replica fleet must be **bit-identical** to a one-shard,
+   one-replica fleet (the oracle), with the fleet ledger
    (``replica_hits``) matching an exact replay of the pure routing
    function.
 2. **Mid-stream kill** — the home shard is killed at the stream's
@@ -22,9 +22,10 @@ seeded counts against the committed baseline:
 5. **Chaos sweep** — 0/5/20% fault rates on the ``fabric.route`` and
    ``fabric.score`` sites: every request completes (retry + failover)
    and the answers stay bit-identical to the clean run.
-6. **Single-shard overhead** — a 1-shard, 1-replica fabric on the same
-   stream as a plain ``ModelServer``, the two alternating call by call:
-   the median fabric/plain ratio over passes of calls must stay under
+6. **Single-shard overhead** — a 1-shard, 1-replica fabric's door on
+   the same stream as the shard executor of a second such fabric (each
+   with its own cache), the two alternating call by call: the median
+   fabric/plain ratio over passes of calls must stay under
    ``MAX_OVERHEAD_PCT`` (the fast path delegates wholesale).
 7. **Shard scaling** — the same uniform keyed stream over 1/2/4 shards.
    On a single-CPU builder wall-clock cannot scale, so the gated proxy
@@ -53,7 +54,7 @@ from repro.resilience import (
     RetryPolicy,
     chaos_seed_from_env,
 )
-from repro.serving import CanaryRouter, ModelServer, ShardedServer
+from repro.serving import CanaryRouter, ShardedServer
 
 #: acceptance bounds
 MAX_OVERHEAD_PCT = 3.0
@@ -96,15 +97,6 @@ def _fabric(registry, num_shards=NUM_SHARDS, replication=REPLICATION, **kw):
     return fabric
 
 
-def _single(registry, **endpoint_config) -> ModelServer:
-    endpoint_config.setdefault("cache_enabled", True)
-    endpoint_config.setdefault("queue_capacity", 1 << 17)
-    server = ModelServer(registry)
-    server.create_endpoint("score", "churn", **endpoint_config)
-    server.promote("score", 1)
-    return server
-
-
 def _skewed_stream(X, n_requests: int, n_entities: int, seed: int):
     """Skewed entity traffic: square a uniform draw so hot entities
     dominate (the regime where per-replica caches matter)."""
@@ -130,7 +122,7 @@ def fleet_leg(
     ids, rows, keys = _skewed_stream(X, n_requests, n_entities, seed)
     tenants = [f"tenant-{i % n_tenants}" for i in range(n_requests)]
 
-    oracle = _single(registry)
+    oracle = _fabric(registry, num_shards=1, replication=1)
     oracle_timing = harness.timed(
         lambda: oracle.predict_many("score", rows, keys=keys), repeats=1
     )
@@ -186,7 +178,7 @@ def failover_leg(
 ) -> dict:
     ids, rows, keys = _skewed_stream(X, n_requests, n_entities, seed)
 
-    oracle = _single(registry)
+    oracle = _fabric(registry, num_shards=1, replication=1)
     reference = oracle.predict_many("score", rows, keys=keys)
     oracle.close()
 
@@ -413,7 +405,9 @@ def overhead_leg(
     ratio over every pass of every repeat, so a stall inflates one ratio
     and drops out instead of landing in a sum."""
     _, rows, keys = _skewed_stream(X, n_requests, n_entities, seed=13)
-    plain = _single(registry)
+    # the plain side is a second fleet's executor: its own cache
+    plain_fleet = _fabric(registry, num_shards=1, replication=1)
+    plain = plain_fleet.shard("shard-0").server
     fabric = _fabric(registry, num_shards=1, replication=1)
     pairs = [
         [
@@ -435,7 +429,7 @@ def overhead_leg(
                 timing = harness.timed(pair[side], repeats=1)
                 walls[p, k, side] = timing.best
                 answers[side].append(timing.result)
-    plain.close()
+    plain_fleet.close()
     fabric.close()
 
     passes = np.add.reduceat(walls, np.arange(0, len(pairs), PASS_CALLS), 1)

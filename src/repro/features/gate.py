@@ -4,8 +4,8 @@ A :class:`DriftGate` watches the serving-side distribution of every
 feature in a view through per-feature
 :class:`~repro.feateng.StreamingDriftMonitor` instances (bucket edges
 frozen over the training reference) and sits in the promotion path of a
-:class:`~repro.serving.ModelServer` / ``ShardedServer``. At promotion
-time it checks two things:
+:class:`~repro.serving.ShardedServer` endpoint. At promotion time it
+checks two things:
 
 * **version integrity** — the candidate :class:`ModelVersion` carries a
   ``feature_fingerprint``; if it doesn't match the live view's version,
@@ -101,9 +101,9 @@ class DriftGate(Counted):
         """Decide one promotion from one :meth:`drift_snapshot`; raise
         :class:`PromotionHeldError` to refuse it.
 
-        ``controller`` is whatever owns the canary (a ``ModelServer`` or
-        ``ShardedServer`` — anything whose ``clear_canary(name)`` returns
-        whether a canary was staged); ``entry`` is the candidate
+        ``controller`` is the server that owns the canary (a
+        ``ShardedServer``: its ``clear_canary(name)`` returns whether a
+        canary was staged); ``entry`` is the candidate
         :class:`ModelVersion`, checked for feature-fingerprint skew when
         it carries one.
         """

@@ -6,8 +6,8 @@ fresh ridge weights from the maintained gram/cofactor state — the same
 ``solve(X'X + l2*I, X'y)`` expression a snapshot retrain evaluates, at
 O(d^3) instead of O(n * d^2) — registers the result as a new model
 version (with lineage back to the version it supersedes), and hot-swaps
-it into the :class:`~repro.serving.server.ModelServer` through the
-existing ``promote`` alias path. Promotion eagerly invalidates the
+it into the :class:`~repro.serving.ShardedServer` through its
+``promote`` alias path. Promotion eagerly invalidates the
 endpoint's prediction cache and compiled scorers, so in-flight requests
 finish on the old version and the next request scores on the refreshed
 one.
@@ -31,8 +31,9 @@ class ContinuousTrainer(Counted):
         l2: ridge penalty used at every refresh.
         refresh_every: refresh once at least this many new table
             versions have been applied since the last refresh.
-        server / endpoint: when given, every refresh is promoted to the
-            endpoint's stable alias (cache eagerly invalidated).
+        server / endpoint: a ``ShardedServer`` and one of its endpoints;
+            when given, every refresh is promoted to the endpoint's
+            stable alias (cache eagerly invalidated).
     """
 
     def __init__(

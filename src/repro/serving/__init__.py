@@ -1,17 +1,18 @@
-"""Online model serving: micro-batching, prediction cache, canary rollout.
+"""Online model serving: one server, whatever the topology.
 
-The deployment half the lifecycle layer was missing. A
-:class:`ModelServer` turns a :class:`~repro.lifecycle.ModelRegistry`
-into a live inference surface:
+The deployment half the lifecycle layer was missing.
+:class:`ShardedServer` turns a :class:`~repro.lifecycle.ModelRegistry`
+into a live inference surface; a single node is
+``ShardedServer(registry, num_shards=1, replication=1)``:
 
 * **Endpoints** resolve models through registry aliases (``"prod"`` /
   ``"canary"``), so a promote is an atomic pointer swap.
 * **Canary rollout** routes a deterministic hash-slice of request keys
   to a candidate version (:class:`CanaryRouter` — bit-reproducible).
 * **Micro-batching** (:class:`MicroBatcher`) coalesces queued requests
-  into vectorized batches under ``max_batch_size`` / ``max_delay_ms``;
-  compiled affine scorers make batched results bit-identical to
-  single-row scoring and to the ``indb`` SQL-scoring path.
+  into vectorized batches of at most ``max_batch_size``; compiled
+  affine scorers make batched results bit-identical to single-row
+  scoring and to the ``indb`` SQL-scoring path.
 * **Prediction cache** (:class:`PredictionCache`) memoizes on
   ``(endpoint, model_version, row bytes)`` with invalidation on
   promotion.
@@ -21,14 +22,13 @@ into a live inference surface:
   :class:`~repro.errors.DeadlineExceededError`; chaos fault sites
   (``serving.admission``, ``serving.score``) plug into
   :mod:`repro.resilience`.
-
-Scaling a single server out is :mod:`repro.serving.fabric`: a
-:class:`ShardedServer` partitions endpoints and the prediction cache
-across N shards on a CRC32 consistent-hash :class:`HashRing`, with
-R-way replication, deterministic failover when a shard is killed,
-epoch-based cache invalidation on revive, per-tenant token-bucket
-admission quotas (:class:`AdmissionQuotas` / :class:`TokenBucket`), and
-fleet-wide promote/canary.
+* **Scale-out** — endpoints and the prediction cache are partitioned
+  across N shards on a CRC32 consistent-hash :class:`HashRing`, with
+  R-way replication, deterministic failover when a shard is killed,
+  epoch-based cache invalidation on revive, and per-tenant token-bucket
+  admission quotas (:class:`AdmissionQuotas` / :class:`TokenBucket`).
+  Each shard's private executor is :mod:`repro.serving.server`'s
+  ``ModelServer``.
 
 E22 (``benchmarks/bench_serving.py``) measures the batched-vs-unbatched
 throughput, latency percentiles, cache hit ratios, and canary split
@@ -41,7 +41,7 @@ from .cache import PredictionCache, feature_hash
 from .fabric import ShardedServer
 from .quota import AdmissionQuotas, TokenBucket
 from .ring import CanaryRouter, HashRing
-from .server import Endpoint, ModelServer, compile_linear_scorer
+from .server import Endpoint, compile_linear_scorer
 
 __all__ = [
     "AdmissionQuotas",
@@ -49,7 +49,6 @@ __all__ = [
     "Endpoint",
     "HashRing",
     "MicroBatcher",
-    "ModelServer",
     "PendingRequest",
     "PredictionCache",
     "ShardedServer",

@@ -2,24 +2,22 @@
 
 Single-row scoring pays the full Python toll per request — admission,
 hashing, dispatch, a size-1 kernel. The batcher coalesces queued
-requests into vectorized batches bounded by ``max_batch_size`` (latency
-ceiling on throughput) and ``max_delay_ms`` (throughput ceiling on
-latency), the same knobs every production inference server exposes.
+requests into vectorized batches of at most ``max_batch_size``, drained
+on the caller's thread by :meth:`MicroBatcher.flush`.
 
 Correctness contract (property-tested):
 
 * **Own answer** — each response is computed from exactly its request's
   row by its request's scorer; grouping inside a batch cannot swap
   answers between requests.
-* **FIFO per endpoint** — requests are drained and completed in arrival
-  order; a batch never overtakes an earlier batch.
+* **FIFO per endpoint** — requests are drained in arrival order, and
+  one flush completes its batches in that order.
 * **Batch-size invariance** — scorers built by the server accumulate
   along each row in a fixed order, so a row scored in a batch of 64 is
   bit-identical to the same row scored alone (E22 asserts this).
 * **Every popped request completes** — with its answer or with a typed
   error; nothing a batch can contain (rows of different widths, a
-  scorer returning the wrong shape) escapes the drain or kills the
-  worker.
+  scorer returning the wrong shape) escapes the drain.
 
 The queue is bounded: :meth:`MicroBatcher.submit` sheds load by raising
 :class:`~repro.errors.LoadShedError` instead of growing without bound —
@@ -48,16 +46,16 @@ class PendingRequest:
     """One queued request and its completion handle.
 
     ``done`` flips exactly at completion. No ``threading.Event`` exists
-    until a waiter arrives before that (inline drains complete every
-    request before anyone waits). The handshake needs no lock between
+    until a waiter arrives before that (a lone caller's flush completes
+    its requests before it waits). The handshake needs no lock between
     the two sides: the completer publishes ``done`` *before* looking for
     an event, a waiter publishes the event *before* re-reading ``done``,
     so whichever runs second sees the other's write.
     """
 
     __slots__ = (
-        "row", "scorer", "version", "deadline_at", "enqueued_at",
-        "done", "_event", "result", "error",
+        "row", "scorer", "version", "deadline_at", "done", "_event",
+        "result", "error",
     )
 
     def __init__(
@@ -66,13 +64,11 @@ class PendingRequest:
         scorer: Callable[[np.ndarray], np.ndarray],
         version: int,
         deadline_at: float | None,
-        enqueued_at: float,
     ):
         self.row = row
         self.scorer = scorer
         self.version = version
         self.deadline_at = deadline_at
-        self.enqueued_at = enqueued_at
         self.done = False
         self._event = None
         self.result: float | None = None
@@ -109,40 +105,31 @@ class MicroBatcher(Counted):
     Args:
         name: endpoint name (error messages, metric labels).
         max_batch_size: largest batch one drain scores.
-        max_delay_ms: how long the background worker holds an underfull
-            batch open waiting for more arrivals.
         queue_capacity: admission bound; a full queue sheds new requests.
         clock: injectable monotonic clock.
 
-    The batcher runs in two modes: *inline* (callers invoke
-    :meth:`flush` — deterministic, what tests and the closed-loop
-    benchmark use) and *threaded* (:meth:`start` spawns a worker that
-    drains continuously — what concurrent callers use).
+    Callers drain it inline with :meth:`flush`. Concurrent callers each
+    submit, flush and wait: one caller's flush may score another's
+    request, which :meth:`PendingRequest.wait` then picks up.
     """
 
     def __init__(
         self,
         name: str,
         max_batch_size: int = 64,
-        max_delay_ms: float = 2.0,
         queue_capacity: int = 1024,
         clock: Callable[[], float] = time.monotonic,
     ):
         if max_batch_size < 1:
             raise ServingError("max_batch_size must be >= 1")
-        if max_delay_ms < 0:
-            raise ServingError("max_delay_ms must be >= 0")
         if queue_capacity < 1:
             raise ServingError("queue_capacity must be >= 1")
         self.name = name
         self.max_batch_size = max_batch_size
-        self.max_delay_ms = max_delay_ms
         self.queue_capacity = queue_capacity
         self._clock = clock
         self._queue: deque[PendingRequest] = deque()
-        self._cond = threading.Condition()
-        self._worker: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._lock = threading.Lock()
         # ``shed`` is queue-full only: a subset of the endpoint's
         # ``serving.shed``, so it is counted under the batcher's own prefix
         self.counts = Ledger(
@@ -158,25 +145,22 @@ class MicroBatcher(Counted):
         deadline_at: float | None = None,
     ) -> PendingRequest:
         """Enqueue one request; sheds (raises) when the queue is full."""
-        with self._cond:
+        with self._lock:
             depth = len(self._queue)
             if depth >= self.queue_capacity:
                 self.counts.inc("shed")
                 raise LoadShedError(self.name, depth, self.queue_capacity)
-            pending = PendingRequest(
-                row, scorer, version, deadline_at, self._clock()
-            )
+            pending = PendingRequest(row, scorer, version, deadline_at)
             self._queue.append(pending)
-            self._cond.notify_all()
         return pending
 
     def depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._queue)
 
     # ------------------------------------------------------------------
     def _drain_one(self) -> list[PendingRequest]:
-        with self._cond:
+        with self._lock:
             batch = [
                 self._queue.popleft()
                 for _ in range(min(self.max_batch_size, len(self._queue)))
@@ -258,55 +242,3 @@ class MicroBatcher(Counted):
             if len(batch) < self.max_batch_size:
                 break  # a short batch emptied the queue: no second look
         return completed
-
-    # ------------------------------------------------------------------
-    # Threaded mode
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spawn the background drain worker (idempotent)."""
-        if self._worker is not None and self._worker.is_alive():
-            return
-        self._stop.clear()
-        self._worker = threading.Thread(
-            target=self._worker_loop, name=f"batcher-{self.name}", daemon=True
-        )
-        self._worker.start()
-
-    def stop(self) -> None:
-        """Stop the worker and complete whatever is still queued."""
-        self._stop.set()
-        with self._cond:
-            self._cond.notify_all()
-        if self._worker is not None:
-            self._worker.join(timeout=5.0)
-            self._worker = None
-        self.flush()
-
-    @property
-    def running(self) -> bool:
-        return self._worker is not None and self._worker.is_alive()
-
-    def _worker_loop(self) -> None:
-        max_delay_s = self.max_delay_ms / 1000.0
-        while not self._stop.is_set():
-            with self._cond:
-                while not self._queue and not self._stop.is_set():
-                    self._cond.wait(0.05)
-                if self._stop.is_set():
-                    break
-                # Hold the batch open until it fills or the oldest
-                # request has waited max_delay_ms.
-                close_at = self._queue[0].enqueued_at + max_delay_s
-                while (
-                    len(self._queue) < self.max_batch_size
-                    and not self._stop.is_set()
-                ):
-                    remaining = close_at - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                    if not self._queue:
-                        break
-            batch = self._drain_one()
-            if batch:
-                self._score_batch(batch)

@@ -1,9 +1,10 @@
 """Sharded, replicated serving fabric with deterministic failover.
 
-One :class:`~repro.serving.server.ModelServer` process is a single
-point of failure and a single GIL: the roadmap's scale-out item calls
-for partitioning endpoints *and* the prediction cache across N server
-shards. :class:`ShardedServer` is that fabric:
+:class:`ShardedServer` is the one public server: it partitions
+endpoints *and* the prediction cache across N shards, each served by a
+private :class:`~repro.serving.server.ModelServer` executor, and owns
+every rollout decision. A single-node deployment is
+``ShardedServer(registry, num_shards=1, replication=1)``.
 
 * **Placement** — endpoints land on shards via a CRC32 consistent-hash
   :class:`~repro.serving.ring.HashRing` (bit-reproducible like
@@ -29,9 +30,9 @@ shards. :class:`ShardedServer` is that fabric:
   (``LoadShedError`` with ``reason="quota"`` and the tenant in its
   structured context) instead of starving the fleet.
 * **Fleet rollout** — a promote deploys once to the shared registry
-  and invalidates every hosting replica's cache; a canary fans out to
-  every hosting shard, and its hash split stays exact across the whole
-  fleet because every replica routes with the same seeded router.
+  and invalidates every hosting replica's cache; a canary writes its
+  alias once and hands every hosting replica the same seeded router, so
+  its hash split is exact across the whole fleet.
 * **Chaos** — ``fabric.route`` guards routing, ``fabric.score`` guards
   the dispatch to a shard (an injected fault there fails over to the
   next replica); both compose with
@@ -39,7 +40,7 @@ shards. :class:`ShardedServer` is that fabric:
   by the request's admission deadline.
 
 E26 (``benchmarks/bench_sharding.py``) is the closed-loop gate: >= 1M
-skewed multi-tenant requests, bit-identical to a single-server oracle,
+skewed multi-tenant requests, bit-identical to a one-shard oracle,
 with a mid-stream kill recovered exactly.
 """
 
@@ -65,7 +66,7 @@ from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..obs import Ledger, get_registry
 from ..resilience import RetryPolicy, active_chaos, resilient_call
 from .quota import AdmissionQuotas
-from .ring import HashRing, rotation
+from .ring import CanaryRouter, HashRing, rotation
 from .server import ModelServer
 
 #: a shard dispatch failing with one of these fails over to the next
@@ -90,7 +91,7 @@ def _check_tenants(door: str, tenants: Iterable[object]) -> None:
 
 @dataclass
 class _Shard:
-    """One shard's server plus its health state."""
+    """One shard's executor plus its health state."""
 
     shard_id: str
     server: ModelServer
@@ -109,7 +110,16 @@ class _FabricEndpoint:
 
 
 class ShardedServer:
-    """N consistent-hash sharded :class:`ModelServer` instances.
+    """The model server: N consistent-hash shards, each one
+    :class:`ModelServer` executor.
+
+    Typical session::
+
+        server = ShardedServer(registry, num_shards=1, replication=1)
+        server.create_endpoint("churn-score", "churn", output="proba")
+        server.promote("churn-score")            # latest -> "prod" alias
+        p = server.predict("churn-score", x, key="user-42")
+        server.set_canary("churn-score", version=2, fraction=0.1)
 
     Args:
         registry: shared model registry all shards resolve through.
@@ -267,21 +277,37 @@ class ShardedServer:
     def set_canary(
         self, name: str, version: int, fraction: float
     ) -> ModelVersion:
-        """Point every replica's canary at ``version``; the hash split
-        is exact across the fleet because all replicas share one seeded
-        router."""
-        entry = None
-        for shard in self._hosting(name):
-            entry = shard.server.set_canary(name, version, fraction)
-        return entry
+        """Route ``fraction`` of keyed traffic to ``version``, one
+        decision: build the router (it validates the fraction), write
+        the canary alias once (it validates the version), then hand that
+        one seeded router to every hosting replica, so the hash split is
+        exact across the fleet. A refused call changes nothing."""
+        endpoints = self._replica_endpoints(name)
+        router = CanaryRouter(fraction, endpoints[0].router.seed)
+        model = self._endpoint(name).model_name
+        self.registry.set_alias(model, "canary", version)
+        for endpoint in endpoints:
+            endpoint.canary, endpoint.router = "canary", router
+        return self.registry.get(model, version)
 
     def clear_canary(self, name: str) -> bool:
-        """Clear every replica's canary; returns whether any replica
-        had one staged."""
-        staged = [  # a list, not a generator: every replica must clear
-            shard.server.clear_canary(name) for shard in self._hosting(name)
-        ]
-        return any(staged)
+        """Route all traffic to the stable alias again: drop the canary
+        alias once, hand every hosting replica one fraction-0 router.
+        Returns whether a canary was staged; a drift hold rolls a canary
+        back through this door (``DriftGate.authorize``)."""
+        endpoints = self._replica_endpoints(name)
+        router = CanaryRouter(0.0, endpoints[0].router.seed)
+        model = self._endpoint(name).model_name
+        if "canary" in self.registry.aliases(model):
+            self.registry.drop_alias(model, "canary")
+        staged = any(endpoint.canary is not None for endpoint in endpoints)
+        for endpoint in endpoints:
+            endpoint.canary, endpoint.router = None, router
+        return staged
+
+    def _replica_endpoints(self, name: str) -> list:
+        """The endpoint's record on every hosting replica."""
+        return [shard.server.endpoint(name) for shard in self._hosting(name)]
 
     # ------------------------------------------------------------------
     # Routing
@@ -538,8 +564,8 @@ class ShardedServer:
                 f"on_shed must be 'raise' or 'null', got {on_shed!r}"
             )
         # Fast path: a single-replica fleet with no quotas and no chaos
-        # is a plain ModelServer with a ring lookup in front, so the call
-        # is handed to its one shard whole: one request count, the
+        # is its one executor with a ring lookup in front, so the call
+        # is handed to that shard whole: one request count, the
         # shard's door (which converts and validates the batch; a 2-D
         # batch with one key per row is all the fleet checks), its error
         # attributed, the call counted served. Nothing fails over and no

@@ -1,12 +1,13 @@
-"""Online model server: registry-backed endpoints with canary rollout.
+"""The per-shard executor: registry-backed endpoints and the request path.
 
-The lifecycle layer ends at ``registry.deploy()``; this module is the
-other half — the process that answers prediction requests. A
-:class:`ModelServer` owns named *endpoints*, each of which:
+The lifecycle layer ends at ``registry.deploy()``; the public server is
+:class:`~repro.serving.fabric.ShardedServer` (one shard is a
+single-node deployment). Each of its shards runs one
+:class:`ModelServer`, which owns named *endpoints*, each of which:
 
 * resolves its model through the :class:`~repro.lifecycle.ModelRegistry`
   **by alias** (``"prod"`` for stable traffic, ``"canary"`` for the
-  candidate), so :meth:`promote` is an atomic pointer swap — in-flight
+  candidate), so a fleet promote is an atomic pointer swap — in-flight
   requests finish on the version they resolved;
 * routes a deterministic hash-slice of request keys to the canary
   (:class:`~repro.serving.ring.CanaryRouter` — bit-reproducible given
@@ -25,6 +26,10 @@ other half — the process that answers prediction requests. A
   :func:`~repro.resilience.fault_point` sites (``serving.admission``,
   ``serving.score``) so chaos tests cover the serving path, with
   :class:`~repro.resilience.RetryPolicy` recovery on the scoring site.
+
+The rollout decisions (promote, its gate, canary) are the fleet's; the
+executor only serves, and drops an endpoint's scorers and cache when
+the fleet says so (:meth:`ModelServer.invalidate`).
 
 Every count is a :class:`~repro.obs.Ledger` write, summed per call
 rather than written per row — the endpoint's ``serving.*`` counts here,
@@ -137,7 +142,6 @@ class Endpoint(Counted):
         canary_seed: int = 0,
         output: str = "margin",
         max_batch_size: int = 64,
-        max_delay_ms: float = 2.0,
         queue_capacity: int = 1024,
         cache_enabled: bool = True,
         cache_capacity: int = 4096,
@@ -149,7 +153,8 @@ class Endpoint(Counted):
             )
         self.name = name
         self.model_name = model_name
-        # the deployed alias serves until set_canary routes a share away
+        # the deployed alias serves until the fleet's set_canary routes
+        # a share away
         self.canary: str | None = None
         self.router = CanaryRouter(0.0, canary_seed)
         self.output = output
@@ -157,7 +162,6 @@ class Endpoint(Counted):
         self.batcher = MicroBatcher(
             name,
             max_batch_size=max_batch_size,
-            max_delay_ms=max_delay_ms,
             queue_capacity=queue_capacity,
             clock=clock,
         )
@@ -205,16 +209,9 @@ class Endpoint(Counted):
 
 
 class ModelServer:
-    """Embedded online-inference server over a :class:`ModelRegistry`.
-
-    Typical session::
-
-        registry.register("churn", model, params={...})
-        server = ModelServer(registry)
-        server.create_endpoint("churn-score", "churn", output="proba")
-        server.promote("churn-score")            # latest -> "prod" alias
-        p = server.predict("churn-score", x, key="user-42")
-        server.set_canary("churn-score", version=2, fraction=0.1)
+    """One shard's executor over a :class:`ModelRegistry`: its endpoints
+    and the request path. :class:`~repro.serving.ShardedServer` builds
+    one per shard and owns every rollout decision.
 
     Args:
         registry: the model registry endpoints resolve through.
@@ -234,11 +231,7 @@ class ModelServer:
         self._clock = clock
         self._endpoints: dict[str, Endpoint] = {}
         self._scorers: dict[tuple[str, int], Callable] = {}
-        self._gates: dict[str, object] = {}
 
-    # ------------------------------------------------------------------
-    # Endpoint management
-    # ------------------------------------------------------------------
     def create_endpoint(self, name: str, model_name: str, **config) -> Endpoint:
         """Register a served route; see :class:`Endpoint` for knobs."""
         if name in self._endpoints:
@@ -254,89 +247,23 @@ class ModelServer:
             raise ServingError(f"no endpoint named {name!r}")
         return endpoint
 
-    def endpoints(self) -> list[str]:
-        return sorted(self._endpoints)
-
-    def start(self, name: str) -> None:
-        """Run the endpoint's batcher in a background worker thread."""
-        self.endpoint(name).batcher.start()
-
     def close(self) -> None:
-        """Stop every worker and drain every queue."""
+        """Drain every endpoint's queue."""
         for endpoint in self._endpoints.values():
-            if endpoint.batcher.running:
-                endpoint.batcher.stop()
-            else:
-                endpoint.batcher.flush()
-
-    def __enter__(self) -> "ModelServer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Rollout operations
-    # ------------------------------------------------------------------
-    def set_promotion_gate(self, name: str, gate) -> None:
-        """Install a promotion gate (e.g. :class:`repro.features.DriftGate`)
-        on an endpoint; ``gate.authorize(self, name, entry)`` runs before
-        every :meth:`promote` and may raise
-        :class:`~repro.errors.PromotionHeldError` to refuse it."""
-        self.endpoint(name)  # validates the endpoint exists
-        self._gates[name] = gate
-
-    def promote(self, name: str, version: int | None = None) -> ModelVersion:
-        """Deploy a version (default: latest registered) to the stable
-        alias and invalidate the endpoint's cached predictions.
-
-        An installed promotion gate authorizes the candidate first; a
-        held promotion leaves the stable alias untouched."""
-        endpoint = self.endpoint(name)
-        entry = self.registry.get(endpoint.model_name, version)
-        gate = self._gates.get(name)
-        if gate is not None:
-            gate.authorize(self, name, entry)
-        self.registry.deploy(endpoint.model_name, entry.version)
-        self._invalidate(endpoint)
-        return entry
-
-    def set_canary(
-        self, name: str, version: int, fraction: float
-    ) -> ModelVersion:
-        """Point the canary alias at ``version`` and route ``fraction``
-        of keyed traffic to it."""
-        endpoint = self.endpoint(name)
-        self.registry.set_alias(endpoint.model_name, "canary", version)
-        endpoint.canary = "canary"
-        endpoint.router = CanaryRouter(fraction, endpoint.router.seed)
-        return self.registry.get(endpoint.model_name, version)
-
-    def clear_canary(self, name: str) -> bool:
-        """Route all traffic to the stable alias again; returns whether
-        a canary was staged."""
-        endpoint = self.endpoint(name)
-        staged = endpoint.canary is not None
-        if "canary" in self.registry.aliases(endpoint.model_name):
-            self.registry.drop_alias(endpoint.model_name, "canary")
-        endpoint.canary = None
-        endpoint.router = CanaryRouter(0.0, endpoint.router.seed)
-        return staged
+            endpoint.batcher.flush()
 
     def invalidate(self, name: str) -> int:
         """Drop an endpoint's compiled scorers and cached predictions;
-        returns the number of cache entries dropped. The fabric calls
-        this on every hosting replica after a fleet promote, and on
-        shard revive (epoch rejoin)."""
-        return self._invalidate(self.endpoint(name))
-
-    def _invalidate(self, endpoint: Endpoint) -> int:
+        returns the number of cache entries dropped. The fleet calls
+        this on every hosting replica after a promote, and on shard
+        revive (epoch rejoin)."""
+        endpoint = self.endpoint(name)
         self._scorers = {
-            k: v for k, v in self._scorers.items() if k[0] != endpoint.name
+            k: v for k, v in self._scorers.items() if k[0] != name
         }
         if endpoint.cache is None:
             return 0
-        return endpoint.cache.invalidate(endpoint.name)
+        return endpoint.cache.invalidate(name)
 
     # ------------------------------------------------------------------
     # Request path
@@ -380,8 +307,8 @@ class ModelServer:
         decided per row: every row crosses the ``serving.admission``
         site (an injected fault sheds it), draws its canary bucket while
         a canary is set, is keyed by its bytes and, on a cache miss, is
-        enqueued; then the queue is drained (inline unless a worker
-        runs) and each queued request waits out the call's budget, is
+        enqueued; then the queue is drained on the caller's thread and
+        each queued request waits out the call's budget, is
         refused if it came back late, and fills the cache. What does not
         is done once per call: the aliases resolve once, the cache is
         probed under one lock, and the request counts are plain ints
@@ -456,7 +383,7 @@ class ModelServer:
                     shed = 1
                     raise
                 pendings.append((i, pending))
-            if pendings and not batcher.running:
+            if pendings:
                 batcher.flush()
             for i, pending in pendings:
                 timeout = (
@@ -504,12 +431,7 @@ class ModelServer:
         deadline_at: float | None = None,
     ) -> float:
         """Serve one prediction through the full path: admission, canary
-        routing, cache, micro-batch queue, deadline.
-
-        With no background worker running the queue is drained inline
-        (deterministic single-caller mode); concurrent callers should
-        :meth:`start` the endpoint so their requests coalesce.
-        """
+        routing, cache, micro-batch queue, deadline."""
         row = np.asarray(row, dtype=np.float64)
         return self._serve(
             name, (row,), (key,), deadline_ms, False, deadline_at

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from repro.materialize import MaterializationStore
 from repro.ml import LinearRegression
 from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
-from repro.serving import ModelServer, ShardedServer
+from repro.serving import ShardedServer
 from repro.storage.table import Table
 
 
@@ -357,14 +355,14 @@ class TestIncrementalRefresh:
 
 
 # ----------------------------------------------------------------------
-# Drift gate on a real ModelServer
+# Drift gate on a real fleet
 # ----------------------------------------------------------------------
 def gated_server(
     view, offline, min_observations=100, shift=False, canary=True,
-    controller=ModelServer,
+    num_shards=1, replication=1,
 ):
     """A gated endpoint ``ep`` over two versions of one model, v1
-    deployed, on ``controller(registry)``."""
+    deployed, on a ``num_shards``-shard fleet (one node by default)."""
     table_entities = offline.entities
     registry = ModelRegistry()
     X = offline.matrix()
@@ -376,7 +374,7 @@ def gated_server(
     )
     registry.deploy("m", 1)
     registry.register("m", model, feature_fingerprint=view.version)
-    server = controller(registry)
+    server = ShardedServer(registry, num_shards, replication)
     server.create_endpoint("ep", "m")
     gate = DriftGate(view, offline, min_observations=min_observations)
     server.set_promotion_gate("ep", gate)
@@ -406,11 +404,12 @@ class TestDriftGate:
         view = standard_view()
         offline = FeatureStore().materialize(view, table)
         server, gate = gated_server(view, offline, shift=True)
-        assert server.endpoint("ep").canary is not None
+        endpoint = server.shard("shard-0").server.endpoint("ep")
+        assert endpoint.canary is not None
         with pytest.raises(PromotionHeldError) as excinfo:
             server.promote("ep", 2)
         assert excinfo.value.rolled_back
-        assert server.endpoint("ep").canary is None
+        assert endpoint.canary is None
         assert gate.ledger()["holds"] == 1
         assert gate.ledger()["rollbacks"] == 1
         # the stable alias never moved
@@ -467,9 +466,9 @@ class TestDriftGate:
         table = base_table()
         view = standard_view()
         offline = FeatureStore().materialize(view, table)
-        fleet = functools.partial(ShardedServer, num_shards=4, replication=2)
         fabric, gate = gated_server(
-            view, offline, shift=True, canary=False, controller=fleet
+            view, offline, shift=True, canary=False, num_shards=4,
+            replication=2,
         )
         writes, invalidated = [], []
         real_set_alias = fabric.registry.set_alias
@@ -506,7 +505,7 @@ class TestDriftGate:
         offline = FeatureStore().materialize(view, table)
         registry = ModelRegistry()
         registry.register("m", None, feature_fingerprint="not-the-view")
-        server = ModelServer(registry)
+        server = ShardedServer(registry, num_shards=1, replication=1)
         server.create_endpoint("ep", "m")
         server.set_promotion_gate(
             "ep", DriftGate(view, offline, min_observations=10)
@@ -520,7 +519,7 @@ class TestDriftGate:
         offline = FeatureStore().materialize(view, table)
         registry = ModelRegistry()
         registry.register("m", None)  # no feature_fingerprint recorded
-        server = ModelServer(registry)
+        server = ShardedServer(registry, num_shards=1, replication=1)
         server.create_endpoint("ep", "m")
         server.set_promotion_gate(
             "ep", DriftGate(view, offline, min_observations=10)

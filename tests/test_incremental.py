@@ -28,7 +28,7 @@ from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
 from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan
-from repro.serving import ModelServer
+from repro.serving import ShardedServer
 from repro.serving.server import compile_linear_scorer
 from repro.storage import Column, ColumnType, Schema, Table
 from repro.storage.lineage import table_fingerprint
@@ -316,7 +316,7 @@ class TestContinuousTrainerEndToEnd:
         registry = ModelRegistry()
         trainer = ContinuousTrainer(m, registry, l2=l2, refresh_every=1)
         entry = trainer.refresh()
-        server = ModelServer(registry)
+        server = ShardedServer(registry, num_shards=1, replication=1)
         server.create_endpoint("scores", trainer.model_name, output="margin")
         server.promote("scores", entry.version)
         trainer.server, trainer.endpoint = server, "scores"
@@ -327,7 +327,8 @@ class TestContinuousTrainerEndToEnd:
         row = dyn.to_matrix(FEATURES)[0]
         before = server.predict("scores", row, key="u1")
         assert server.predict("scores", row, key="u1") == before  # cached
-        hits_before = server.endpoint("scores").cache.stats.hits
+        cache = server.shard("shard-0").server.endpoint("scores").cache
+        hits_before = cache.stats.hits
         assert hits_before >= 1
 
         dyn.insert(grid_table(40, seed=7))
@@ -350,12 +351,11 @@ class TestContinuousTrainerEndToEnd:
         dyn, _, _, trainer, server = self.build()
         row = dyn.to_matrix(FEATURES)[0]
         server.predict("scores", row, key="u1")
-        invalidations = server.endpoint("scores").cache.stats.invalidations
+        cache = server.shard("shard-0").server.endpoint("scores").cache
+        invalidations = cache.stats.invalidations
         dyn.insert(grid_table(10, seed=8))
         trainer.step()
-        assert (
-            server.endpoint("scores").cache.stats.invalidations > invalidations
-        )
+        assert cache.stats.invalidations > invalidations
 
     def test_refreshes_chain_lineage_through_registry(self):
         dyn, _, registry, trainer, _ = self.build()

@@ -41,7 +41,7 @@ from repro.ml.losses import SquaredLoss
 from repro.obs import Counted, Ledger, get_registry
 from repro.resilience import ChaosContext, FaultPlan, RetryPolicy
 from repro.runtime import BlockStore, BufferPool, ParallelContext
-from repro.serving import ModelServer, ShardedServer
+from repro.serving import ShardedServer
 from repro.storage import Table
 
 
@@ -202,7 +202,7 @@ def _features(ledgers):
     registry = ModelRegistry()
     for _ in range(2):
         registry.register("m", None, feature_fingerprint=view.version)
-    server = ModelServer(registry)
+    server = ShardedServer(registry, num_shards=1, replication=1)
     server.create_endpoint("ep", "m")
     gate = DriftGate(view, features, min_observations=10)
     server.set_promotion_gate("ep", gate)

@@ -14,24 +14,10 @@ from repro.runtime.parallel import ParallelContext, resolve_context
 # .../repo/src/repro/__init__.py -> .../repo
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 
-SUBPACKAGES = [
-    "algorithms",
-    "compiler",
-    "compression",
-    "data",
-    "distributed",
-    "factorized",
-    "feateng",
-    "indb",
-    "lang",
-    "lifecycle",
-    "ml",
-    "runtime",
-    "selection",
-    "serving",
-    "sparse",
-    "storage",
-]
+SUBPACKAGES = (
+    "algorithms compiler compression data distributed factorized feateng "
+    "indb lang lifecycle ml runtime selection serving sparse storage"
+).split()
 
 
 class TestExports:
@@ -328,11 +314,15 @@ class TestOneRequestPath:
         assert text.count(step) == 1, step
         assert text.index("finally:") < text.index('inc("requests"')
 
-    @pytest.mark.parametrize(
-        "name", ["_admit_tenant", "_route_checked", "_dispatch"]
-    )
-    def test_fabric_forked_helpers_are_gone(self, name):
-        assert not re.search(rf"def {name}\b", self.FABRIC.read_text())
+    def test_one_public_server_and_no_control_plane_below_it(self):
+        from repro import serving
+
+        servers = [name for name in serving.__all__ if "Server" in name]
+        assert servers == ["ShardedServer"]
+        executor = serving.ShardedServer(None, 1).shard("shard-0").server
+        removed = ("set_promotion_gate promote _gates set_canary "
+                   "clear_canary start __enter__ __exit__").split()
+        assert [name for name in removed if hasattr(executor, name)] == []
 
     def _functions_holding(self, pattern: str) -> list[str]:
         """Name of the enclosing function, once per matching line."""

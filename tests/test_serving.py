@@ -36,8 +36,8 @@ from repro.resilience import ChaosContext, FaultPlan, RetryPolicy
 from repro.serving import (
     CanaryRouter,
     MicroBatcher,
-    ModelServer,
     PredictionCache,
+    ShardedServer,
     compile_linear_scorer,
     feature_hash,
 )
@@ -76,6 +76,16 @@ class _PredictsWith:
         self.predict = fn
 
 
+def _one_shard(registry, **kwargs):
+    """A single-node deployment: the one public server on one shard."""
+    return ShardedServer(registry, num_shards=1, replication=1, **kwargs)
+
+
+def _endpoint(server, name):
+    """An endpoint's internals, on the one shard's executor."""
+    return server.shard("shard-0").server.endpoint(name)
+
+
 @functools.lru_cache(maxsize=1)
 def _fit_pair():
     X, y = make_classification(300, 5, separation=2.5, seed=11)
@@ -96,7 +106,7 @@ def served(model_pair):
     registry = ModelRegistry()
     registry.register("churn", m1)
     registry.register("churn", m2)
-    server = ModelServer(registry)
+    server = _one_shard(registry)
     server.create_endpoint("score", "churn")
     server.promote("score", 1)
     yield server, registry, X
@@ -283,20 +293,6 @@ class TestMicroBatcher:
         with pytest.raises(DeadlineExceededError):
             expired.wait(0.1)
 
-    def test_threaded_worker_drains(self):
-        b = MicroBatcher("ep", max_batch_size=8, max_delay_ms=1.0)
-        b.start()
-        try:
-            pendings = [
-                b.submit(np.array([float(i)]), _affine(1.0), 1)
-                for i in range(20)
-            ]
-            results = [p.wait(timeout=5.0) for p in pendings]
-            assert results == [float(i) for i in range(20)]
-        finally:
-            b.stop()
-        assert not b.running
-
     @settings(max_examples=40, deadline=None)
     @given(
         ops=st.lists(
@@ -350,7 +346,7 @@ class TestMicroBatcher:
 
 class TestDrainCompletesEveryRequest:
     """Whatever goes wrong with a popped batch is delivered to its
-    requests as a typed error; the drain and its worker survive."""
+    requests as a typed error; the drain survives."""
 
     def test_ragged_batch_fails_its_requests_inline(self):
         b = MicroBatcher("ep", max_batch_size=8)
@@ -365,26 +361,13 @@ class TestDrainCompletesEveryRequest:
         assert other.wait(0.1) == 10.0  # the other group is unharmed
         assert b.depth() == 0 and b.batches == 1
 
-    def test_ragged_batch_leaves_the_worker_alive(self):
-        # the window is long enough for both rows to share one batch
-        b = MicroBatcher("ep", max_batch_size=2, max_delay_ms=200.0)
-        b.start()
-        try:
-            narrow = b.submit(np.array([1.0, 2.0]), _affine(1.0), 1)
-            wide = b.submit(np.array([1.0, 2.0, 3.0]), _affine(1.0), 1)
-            for pending in (narrow, wide):
-                with pytest.raises(ServingError, match="differ in shape"):
-                    pending.wait(5.0)
-            assert b.running  # the worker died silently before PR 20
-            after = b.submit(np.array([4.0]), _affine(3.0), 1)
-            assert after.wait(5.0) == 12.0
-        finally:
-            b.stop()
-
     def test_ragged_row_through_the_server_door(self, served):
         server, _, X = served
-        endpoint = server.endpoint("score")
-        scorer = server._scorer_for(endpoint, server.registry.get("churn", 1))
+        executor = server.shard("shard-0").server
+        endpoint = executor.endpoint("score")
+        scorer = executor._scorer_for(
+            endpoint, server.registry.get("churn", 1)
+        )
         queued = endpoint.batcher.submit(np.ones(9), scorer, 1)
         with pytest.raises(ServingError, match="differ in shape"):
             server.predict("score", X[0])
@@ -455,24 +438,24 @@ class TestCompletionHandle:
 
     def test_every_waiter_gets_its_own_answer_under_contention(self):
         threads_n, each = 8, 500
-        b = MicroBatcher("ep", max_batch_size=16, max_delay_ms=0.2)
+        b = MicroBatcher("ep", max_batch_size=16)
         got: dict[int, list[float]] = {}
         errors: list[Exception] = []
 
+        def ask(value: float) -> float:
+            # another client's flush may score this request first
+            pending = b.submit(np.array([value]), _affine(2.0, 1.0), 1)
+            b.flush()
+            return pending.wait(10.0)
+
         def client(t: int) -> None:
             try:
-                got[t] = [
-                    b.submit(
-                        np.array([float(t * each + i)]), _affine(2.0, 1.0), 1
-                    ).wait(10.0)
-                    for i in range(each)
-                ]
+                got[t] = [ask(float(t * each + i)) for i in range(each)]
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # force handoffs inside the handshake
-        b.start()
         try:
             threads = [
                 threading.Thread(target=client, args=(t,))
@@ -485,7 +468,6 @@ class TestCompletionHandle:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(interval)
-            b.stop()
         assert not errors
         for t in range(threads_n):
             assert got[t] == [
@@ -507,7 +489,7 @@ class TestCompletionHandle:
         for i in range(1000):
             server.predict("cold", X[i % len(X)])
         assert made == []
-        assert server.endpoint("cold").batcher.batches == 1000
+        assert _endpoint(server, "cold").batcher.batches == 1000
 
     @pytest.mark.parametrize("door", DOORS)
     def test_scorer_gets_a_fresh_contiguous_float64_batch(
@@ -525,7 +507,7 @@ class TestCompletionHandle:
 
         registry = ModelRegistry()
         registry.register("churn", _PredictsWith(greedy))
-        server = ModelServer(registry)
+        server = _one_shard(registry)
         server.create_endpoint("g", "churn", output="predict")
         server.promote("g", 1)
         row = X[7].copy()
@@ -712,7 +694,7 @@ class TestScoringKernel:
         X, _, m1, _ = model_pair
         registry = ModelRegistry()
         registry.register("churn", m1)
-        server = ModelServer(registry)
+        server = _one_shard(registry)
         server.create_endpoint("score", "churn")
         server.promote("score", 1)
         wide = np.concatenate([X[3], [7.0, -7.0]])
@@ -766,7 +748,7 @@ class TestModelServer:
         X, _, m1, _ = model_pair
         registry = ModelRegistry()
         registry.register("churn", m1)
-        server = ModelServer(registry)
+        server = _one_shard(registry)
         server.create_endpoint("p", "churn", output="proba")
         server.promote("p", 1)
         got = server.predict_many("p", X[:16])
@@ -778,7 +760,7 @@ class TestModelServer:
         row = X[0]
         first = server.predict("score", row, key="u0")
         again = server.predict("score", row, key="u0")
-        endpoint = server.endpoint("score")
+        endpoint = _endpoint(server, "score")
         assert again == first
         assert endpoint.cache.stats.hits == 1
         # Promote v2: cached v1 predictions must not survive.
@@ -809,12 +791,12 @@ class TestModelServer:
         assert np.array_equal(got, want[:2])
         # second pass: rows 0-1 are cache hits, rows 2-3 are new
         assert np.array_equal(server.predict_many("score", X[:4]), want)
-        assert server.endpoint("score").cache.stats.hits == 2
+        assert _endpoint(server, "score").cache.stats.hits == 2
 
     def test_canary_split_matches_router_exactly(self, served):
         server, _, X = served
         server.set_canary("score", 2, fraction=0.25)
-        endpoint = server.endpoint("score")
+        endpoint = _endpoint(server, "score")
         keys = [f"user-{i}" for i in range(400)]
         rows = np.tile(X[0], (400, 1))
         server.predict_many("score", rows, keys=keys)
@@ -836,7 +818,7 @@ class TestModelServer:
         server, _, X = served
         server.set_canary("score", 2, fraction=1.0)
         server.clear_canary("score")
-        endpoint = server.endpoint("score")
+        endpoint = _endpoint(server, "score")
         before = endpoint.canary_requests
         server.predict("score", X[0], key="user-1")
         assert endpoint.canary_requests == before
@@ -844,7 +826,7 @@ class TestModelServer:
     def test_unkeyed_requests_never_canary(self, served):
         server, _, X = served
         server.set_canary("score", 2, fraction=1.0)
-        endpoint = server.endpoint("score")
+        endpoint = _endpoint(server, "score")
         server.predict("score", X[0])  # no key
         assert endpoint.canary_requests == 0
 
@@ -858,14 +840,14 @@ class TestModelServer:
 
         registry = ModelRegistry()
         registry.register("churn", _PredictsWith(slow))
-        server = ModelServer(registry)
+        server = _one_shard(registry)
         server.create_endpoint(
             "slow", "churn", output="predict", cache_enabled=False
         )
         server.promote("slow", 1)
         with pytest.raises(DeadlineExceededError):
             _ask(server, door, "slow", X[0], deadline_ms=1.0)
-        assert server.endpoint("slow").deadline_exceeded == 1
+        assert _endpoint(server, "slow").deadline_exceeded == 1
 
     @pytest.mark.parametrize("door", DOORS)
     def test_deadline_expired_while_queued(self, model_pair, door):
@@ -881,12 +863,12 @@ class TestModelServer:
 
         registry = ModelRegistry()
         registry.register("churn", _PredictsWith(slow))
-        server = ModelServer(registry, clock=clock)
+        server = _one_shard(registry, clock=clock)
         server.create_endpoint(
             "slow", "churn", output="predict", max_batch_size=1
         )
         server.promote("slow", 1)
-        endpoint = server.endpoint("slow")
+        endpoint = _endpoint(server, "slow")
         ahead = endpoint.batcher.submit(X[1], slow, 1)  # its own batch of 1
         with pytest.raises(DeadlineExceededError) as exc_info:
             _ask(server, door, "slow", X[0], deadline_ms=5.0)
@@ -927,7 +909,7 @@ class TestModelServer:
         registry.register("churn", m2)
         twins = []
         for _ in DOORS:
-            server = ModelServer(registry)
+            server = _one_shard(registry)
             server.create_endpoint(
                 "score", "churn", queue_capacity=queue_capacity
             )
@@ -958,7 +940,7 @@ class TestModelServer:
             except LoadShedError as exc:
                 assert exc.reason == "chaos" and shed_at is not None
                 batched = np.array([])
-        one, many = (server.endpoint("score") for server in twins)
+        one, many = (_endpoint(server, "score") for server in twins)
         assert one.counts.as_dict() == many.counts.as_dict()
         assert one.batcher.shed == many.batcher.shed == 0
         if shed_at is not None:
@@ -980,7 +962,7 @@ class TestModelServer:
     def test_stats_shape(self, served):
         server, _, X = served
         server.predict_many("score", X[:32], keys=[f"u{i}" for i in range(32)])
-        stats = server.stats()["score"]
+        stats = server.stats()["shards"]["shard-0"]["endpoints"]["score"]
         assert stats["requests"] == 32
         assert stats["batches"] >= 1
         assert stats["latency_ms"]["count"] >= 1
@@ -1001,11 +983,11 @@ class TestModelServer:
             assert pct in latency
 
     def test_threaded_concurrent_clients(self, served):
+        """Real threads on the synchronous door: each client's request
+        is submitted, flushed and waited for on its own thread, and one
+        client's flush may score another's."""
         server, _, X = served
-        server.create_endpoint(
-            "live", "churn", max_delay_ms=5.0, cache_enabled=False
-        )
-        server.start("live")
+        server.create_endpoint("live", "churn", cache_enabled=False)
         expected = server.predict_many("score", X[:40])
         results: dict[int, float] = {}
         errors: list[Exception] = []
@@ -1019,29 +1001,30 @@ class TestModelServer:
         threads = [
             threading.Thread(target=client, args=(i,)) for i in range(40)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force handoffs inside the door
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert np.array_equal(
             np.array([results[i] for i in range(40)]), expected
         )
 
     def test_promote_during_in_flight_batches_is_atomic(self, served):
-        """Promotions racing a threaded batcher must be atomic per
-        request: every answer is bitwise one of the two versions'
-        predictions — never a blend, never an error."""
+        """Promotions racing clients on the synchronous door must be
+        atomic per request: every answer is bitwise one of the two
+        versions' predictions — never a blend, never an error."""
         server, _, X = served
         server.create_endpoint(
-            "live",
-            "churn",
-            max_delay_ms=1.0,
-            cache_enabled=False,
-            queue_capacity=1 << 14,
+            "live", "churn", cache_enabled=False, queue_capacity=1 << 14
         )
         server.promote("live", 1)
-        server.start("live")
         row = X[0]
         v1_pred = server.predict_many("score", row[None, :])[0]
         server.promote("score", 2)
@@ -1054,12 +1037,10 @@ class TestModelServer:
 
         def client() -> None:
             try:
-                for _ in range(300):
+                for _ in range(100):
                     answers.append(server.predict("live", row))
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
-            finally:
-                stop.set()
 
         def promoter() -> None:
             version = 2
@@ -1068,14 +1049,20 @@ class TestModelServer:
                 version = 3 - version  # alternate 2 <-> 1
                 time.sleep(0.0005)
 
-        threads = [
-            threading.Thread(target=client),
-            threading.Thread(target=promoter),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
+        clients = [threading.Thread(target=client) for _ in range(3)]
+        rival = threading.Thread(target=promoter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force handoffs inside the door
+        try:
+            rival.start()
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30.0)
+        finally:
+            stop.set()
+            rival.join(timeout=30.0)
+            sys.setswitchinterval(interval)
         assert not errors
         assert len(answers) == 300
         allowed = {v1_pred, v2_pred}
@@ -1101,20 +1088,20 @@ class TestServingChaos:
                 except LoadShedError:
                     shed += 1
         assert shed == 3
-        assert server.endpoint("score").shed == 3
+        assert _endpoint(server, "score").shed == 3
         assert obs.get_registry().value("serving.shed") == 3
 
     def test_score_faults_recovered_bit_identically(self, model_pair):
         X, _, m1, _ = model_pair
         registry = ModelRegistry()
         registry.register("churn", m1)
-        clean_server = ModelServer(registry)
+        clean_server = _one_shard(registry)
         clean_server.create_endpoint("s", "churn", cache_enabled=False)
         clean_server.promote("s", 1)
         clean = clean_server.predict_many("s", X[:64])
 
         retry = RetryPolicy(max_attempts=8, backoff_base=0.0, seed=1)
-        chaotic_server = ModelServer(registry, retry=retry)
+        chaotic_server = _one_shard(registry, retry=retry)
         chaotic_server.create_endpoint("s", "churn", cache_enabled=False)
         plan = FaultPlan(seed=13).inject("serving.score", rate=0.3)
         with ChaosContext(plan) as chaos:
@@ -1142,7 +1129,7 @@ class TestServingChaos:
         with ChaosContext(plan):
             with pytest.raises(DeadlineExceededError):
                 _ask(server, door, "tight", X[0], deadline_ms=5.0)
-        assert server.endpoint("tight").deadline_exceeded == 1
+        assert _endpoint(server, "tight").deadline_exceeded == 1
 
 
 # ----------------------------------------------------------------------

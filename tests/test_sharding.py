@@ -46,9 +46,9 @@ from repro.serving import (
     AdmissionQuotas,
     CanaryRouter,
     HashRing,
-    ModelServer,
     ShardedServer,
     TokenBucket,
+    compile_linear_scorer,
 )
 from repro.serving.ring import key_token, placement_hash
 
@@ -427,16 +427,13 @@ class TestFabricRouting:
     def test_failover_answers_bit_identical(self, registry, model_pair):
         X = model_pair[0]
         fabric = make_fabric(registry)
-        single = ModelServer(registry)
-        single.create_endpoint("score", "churn", cache_enabled=False)
-        single.promote("score", 1)
         keys = [f"u{i}" for i in range(64)]
         rows = X[: len(keys)]
-        reference = single.predict_many("score", rows, keys=keys)
+        # one unsharded pass: bitwise by the batch-invariance contract
+        reference = compile_linear_scorer(model_pair[2])(rows)
         fabric.kill_shard(fabric.replicas_of("score")[0])
         served = fabric.predict_many("score", rows, keys=keys)
         assert np.array_equal(served, reference)
-        single.close()
         fabric.close()
 
     def test_all_replicas_dead_raises(self, registry, model_pair):
@@ -539,6 +536,25 @@ class TestFleetRollout:
         fabric.clear_canary("canary-ep")
         for sid in fabric.replicas_of("canary-ep"):
             assert fabric.shard(sid).server.endpoint("canary-ep").canary is None
+        fabric.close()
+
+    def test_a_refused_canary_changes_nothing(self, registry, model_pair):
+        """The fraction is validated before the alias is written: a
+        refused ``set_canary`` leaves the aliases and every answer as
+        they were (it used to point the canary at the refused version)."""
+        X = model_pair[0]
+        fabric = make_fabric(registry, num_shards=1, replication=1)
+        fabric.set_canary("score", 2, fraction=0.25)
+        keys = [f"k{i}" for i in range(256)]
+        rows = X[: len(keys)]
+        before = fabric.predict_many("score", rows, keys=keys)
+        aliases = registry.aliases("churn")
+        registry.register("churn", model_pair[2])  # v3 answers as v1
+        with pytest.raises(ServingError, match="fraction"):
+            fabric.set_canary("score", 3, fraction=2.0)
+        assert registry.aliases("churn") == aliases
+        after = fabric.predict_many("score", rows, keys=keys)
+        assert after.tobytes() == before.tobytes()
         fabric.close()
 
 
