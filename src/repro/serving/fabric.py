@@ -14,7 +14,9 @@ every rollout decision. A single-node deployment is
 * **Routing** — a request key deterministically picks one of the
   endpoint's R replicas (a CRC32 rotation of the replica list), so each
   replica serves — and caches — a stable slice of the key space. A call
-  is placed at once, row by row only under a chaos plan.
+  is placed at once and a single request by :meth:`ShardedServer.route`
+  (no fault frames), row by row with fault crossings only under a chaos
+  plan.
 * **Failover** — shards are health-tracked (`kill_shard` /
   `revive_shard`, the `SimulatedCluster` idiom). A request whose
   replica is dead walks its preference list to the next live replica;
@@ -46,9 +48,10 @@ with a mid-stream kill recovered exactly.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -98,6 +101,11 @@ class _Shard:
     live: bool = True
     epoch: int = 0
     served: int = 0
+    #: held around ``served += n``, so concurrent callers lose no count
+    #: (taken by ``acquire``/``release``: a ``with`` costs twice that)
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -324,7 +332,8 @@ class ShardedServer:
     def route(self, name: str, key: object | None) -> tuple[str, int]:
         """(live serving shard, dead replicas skipped) for one request.
 
-        Pure given the current liveness map: the failover replay that
+        Pure given the current liveness map: how ``predict`` places a
+        request when no chaos plan is installed, and the failover replay
         the sharding tests hold :meth:`_place` and :meth:`_place_call` to.
         """
         preference = self.preference(name, key)
@@ -390,8 +399,8 @@ class ShardedServer:
     def _place(
         self, name: str, key: object, deadline_at: float | None
     ) -> tuple[str, int]:
-        """Place one admitted request, as ``predict`` and each row under
-        a chaos plan do: the ``fabric.route`` site (routing faults are
+        """Place one admitted request under a chaos plan, for either
+        door: the ``fabric.route`` site (routing faults are
         transient and recovered under the retry policy), then the
         preference walk, skipping dead shards and firing
         ``fabric.score`` per attempted shard (an injected fault there is
@@ -504,7 +513,12 @@ class ShardedServer:
         except (LoadShedError, DeadlineExceededError) as exc:
             raise self._attributed(exc, sid, tenants) from exc
         served = 1 if door == "predict" else len(out)
-        shard.served += served
+        lock = shard.lock
+        lock.acquire()
+        try:
+            shard.served += served
+        finally:
+            lock.release()
         if rerouted:
             self.ledger.inc("failovers", failovers)
             self.ledger.inc("rerouted", rerouted)
@@ -522,7 +536,9 @@ class ShardedServer:
     ) -> float:
         """Serve one prediction through the fleet: quota admission,
         ring routing, deterministic failover, then the owning shard's
-        full single-server path."""
+        full single-server path. With no chaos plan installed the
+        request is placed by :meth:`route` (no fault frames; only
+        liveness moves it), under one by :meth:`_place`."""
         if tenant is not None:
             _check_tenants("predict", (tenant,))
         self.ledger.inc("requests")
@@ -533,7 +549,10 @@ class ShardedServer:
         )
         if tenant is not None:
             self._admit(name, (tenant,), "raise")
-        sid, skips = self._place(name, key, deadline_at)
+        if active_chaos() is None:
+            sid, skips = self.route(name, key)
+        else:
+            sid, skips = self._place(name, key, deadline_at)
         return self._serve_on(
             sid, "predict", int(skips > 0), skips, (tenant,), name, row, key,
             deadline_ms, deadline_at,
@@ -588,7 +607,12 @@ class ShardedServer:
                 out = shard.server.predict_many(name, rows, keys, deadline_ms)
             except (LoadShedError, DeadlineExceededError) as exc:
                 raise self._attributed(exc, shard.shard_id, ()) from exc
-            shard.served += len(out)
+            lock = shard.lock
+            lock.acquire()
+            try:
+                shard.served += len(out)
+            finally:
+                lock.release()
             return (out, []) if on_shed == "null" else out
 
         self._endpoint(name)  # an unknown endpoint raises before admission

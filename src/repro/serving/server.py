@@ -21,8 +21,9 @@ single-node deployment). Each of its shards runs one
 * memoizes predictions in a versioned
   :class:`~repro.serving.cache.PredictionCache` (invalidated on
   promote);
-* sheds load at admission (bounded queue), bounds scoring concurrency,
-  and honours per-request deadlines — all under
+* sheds load at admission (bounded queue), bounds scoring concurrency
+  with a pool of ``MAX_CONCURRENCY`` tokens a scorer call takes and
+  returns in a ``finally``, and honours per-request deadlines — all under
   :func:`~repro.resilience.fault_point` sites (``serving.admission``,
   ``serving.score``) so chaos tests cover the serving path, with
   :class:`~repro.resilience.RetryPolicy` recovery on the scoring site.
@@ -40,7 +41,7 @@ in their own modules — next to the ``serving.latency_ms`` /
 
 from __future__ import annotations
 
-import threading
+import queue
 import time
 from typing import Callable, Sequence
 
@@ -67,9 +68,10 @@ _OUTPUTS = ("margin", "proba", "label", "predict")
 #: scorer calls one endpoint runs at a time.
 MAX_CONCURRENCY = 4
 
-#: rows the scoring kernel evaluates per step. Its temporaries are
-#: O(_BLOCK_ROWS * d) however tall the input, so scoring a whole table in
-#: one call (an offline oracle pass) costs a few hundred KB, not 2·n·d·8.
+#: rows the scoring kernel evaluates per step. A served batch (<= 64
+#: rows) is one step with no Python loop; a taller input keeps its
+#: temporaries O(_BLOCK_ROWS * d), so scoring a whole table in one call
+#: (an offline oracle pass) costs a few hundred KB, not 2·n·d·8.
 _BLOCK_ROWS = 1024
 
 
@@ -99,21 +101,26 @@ def compile_linear_scorer(
     intercept = float(model.intercept_)
     width = len(weights)
 
+    def running_sums(block: np.ndarray) -> np.ndarray:
+        terms = np.empty((len(block), width + 1), dtype=np.float64)
+        terms[:, 0] = intercept
+        np.multiply(weights, block, out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1)[:, -1]
+
     def score(batch: np.ndarray) -> np.ndarray:
         if batch.ndim != 2 or batch.shape[1] < width:
             raise ServingError(
                 f"batch of shape {batch.shape} is narrower than the "
                 f"model's {width} weights"
             )
-        scores = np.empty(batch.shape[0], dtype=np.float64)
-        for lo in range(0, len(scores), _BLOCK_ROWS):
-            block = batch[lo:lo + _BLOCK_ROWS, :width]
-            terms = np.empty((len(block), width + 1), dtype=np.float64)
-            terms[:, 0] = intercept
-            terms[:, 1:] = weights * block
-            scores[lo:lo + _BLOCK_ROWS] = np.add.accumulate(
-                terms, axis=1
-            )[:, -1]
+        if len(batch) <= _BLOCK_ROWS:  # every served batch: one block
+            scores = running_sums(batch[:, :width])
+        else:
+            scores = np.empty(len(batch), dtype=np.float64)
+            for lo in range(0, len(scores), _BLOCK_ROWS):
+                scores[lo:lo + _BLOCK_ROWS] = running_sums(
+                    batch[lo:lo + _BLOCK_ROWS, :width]
+                )
         if output == "proba":
             return sigmoid(scores)
         if output == "label":
@@ -170,7 +177,11 @@ class Endpoint(Counted):
             if cache_enabled
             else None
         )
-        self.semaphore = threading.Semaphore(MAX_CONCURRENCY)
+        #: one token per scorer call in flight: a C-level queue's get and
+        #: put cost ~1/10 of a pure-Python ``threading.Semaphore`` pass
+        self.tokens: queue.SimpleQueue = queue.SimpleQueue()
+        for token in range(MAX_CONCURRENCY):
+            self.tokens.put(token)
         self.counts = Ledger("serving", (
             "requests", "shed", "deadline_exceeded",
             "stable_requests", "canary_requests",
@@ -273,13 +284,15 @@ class ModelServer:
         scorer = self._scorers.get(ident)
         if scorer is None:
             base = _build_scorer(entry.model, endpoint.output)
+            tokens = endpoint.tokens
 
             def scorer(
                 batch: np.ndarray,
                 deadline_at: float | None = None,
                 _base=base,
             ) -> np.ndarray:
-                with endpoint.semaphore:
+                token = tokens.get()  # blocks while MAX_CONCURRENCY score
+                try:
                     return resilient_call(
                         lambda: _base(batch),
                         site="serving.score",
@@ -287,6 +300,8 @@ class ModelServer:
                         retry=self.retry,
                         deadline_at=deadline_at,
                     )
+                finally:
+                    tokens.put(token)
 
             # The batcher forwards each batch's tightest admission
             # deadline, so scoring retries never outlive their budget.

@@ -41,7 +41,7 @@ from repro.serving import (
     compile_linear_scorer,
     feature_hash,
 )
-from repro.serving.server import _BLOCK_ROWS
+from repro.serving.server import _BLOCK_ROWS, MAX_CONCURRENCY
 
 
 class FakeClock:
@@ -670,6 +670,44 @@ class TestScoringKernel:
             online = compile_linear_scorer(model)(batch)
         assert _bits(scored.column("score")) == _bits(online)
 
+    @pytest.mark.parametrize(
+        # one row, a served batch, the one-block path's edge, two blocks
+        "n", [1, 2, 63, 64, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+              3000],
+    )
+    def test_one_block_path_equals_the_row_by_row_sum(self, n):
+        """A batch of at most ``_BLOCK_ROWS`` rows is one block: each
+        row's score is still the sequential sum a row scored alone by
+        ``np.add.accumulate`` gives, and the SQL expression's, bitwise,
+        for every output and a batch wider than the model."""
+        from tests.sql_scoring import score_linear_model
+        from repro.storage import Table
+
+        rng = np.random.default_rng(n)
+        d = 7
+        model = SimpleNamespace(
+            coef_=_mixed_magnitudes(rng, d, False),
+            intercept_=float(_mixed_magnitudes(rng, (), False)),
+        )
+        batch = _mixed_magnitudes(rng, (n, d + 3), False)
+        margin = np.array([
+            np.add.accumulate(np.r_[model.intercept_, model.coef_ * row[:d]])[-1]
+            for row in batch
+        ])
+        names = [f"x{j}" for j in range(d)]
+        table = Table.from_columns({c: batch[:, j] for j, c in enumerate(names)})
+        sql = score_linear_model(table, model, feature_columns=names)
+        with np.errstate(over="ignore"):  # exp of a huge margin
+            for output, want in (
+                ("margin", margin),
+                ("proba", sigmoid(margin)),
+                ("label", (sigmoid(margin) >= 0.5).astype(np.float64)),
+            ):
+                got = compile_linear_scorer(model, output)(batch)
+                assert got.shape == (n,) and got.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), output
+        assert sql.column("score").tobytes() == margin.tobytes()
+
     def test_temporaries_are_one_block_however_tall_the_input(self):
         rng = np.random.default_rng(0)
         model = SimpleNamespace(coef_=rng.normal(size=16), intercept_=0.5)
@@ -1015,6 +1053,73 @@ class TestModelServer:
         assert np.array_equal(
             np.array([results[i] for i in range(40)]), expected
         )
+
+    def test_at_most_max_concurrency_scorer_calls_run_at_once(self):
+        """2 x ``MAX_CONCURRENCY`` clients on the fleet's door, each
+        request its own batch, and a model that blocks until released:
+        exactly ``MAX_CONCURRENCY`` calls are ever in flight, every
+        answer is right once released, and a scorer that raises hands
+        its token back."""
+        lock, release = threading.Lock(), threading.Event()
+        in_flight, peak = [0], [0]
+
+        def blocking(batch: np.ndarray) -> np.ndarray:
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                release.wait(10.0)
+                return 2.0 * batch[:, 0]
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        def broken(batch: np.ndarray) -> np.ndarray:
+            raise ValueError("scorer failed")
+
+        registry = ModelRegistry()
+        registry.register("blocking", _PredictsWith(blocking))
+        registry.register("broken", _PredictsWith(broken))
+        server = _one_shard(registry)
+        for name in ("blocking", "broken"):
+            server.create_endpoint(
+                name, name, output="predict", cache_enabled=False,
+                max_batch_size=1,
+            )
+            server.promote(name, 1)
+        clients = 2 * MAX_CONCURRENCY
+        answers: dict[int, float] = {}
+        errors: list[Exception] = []
+
+        def client(i: int) -> None:
+            try:
+                answers[i] = server.predict("blocking", np.array([i, 0.0]))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(clients)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            waited = time.monotonic() + 10.0
+            while in_flight[0] < MAX_CONCURRENCY and time.monotonic() < waited:
+                time.sleep(0.001)
+            time.sleep(0.1)  # the other clients are blocked on a token
+        finally:
+            release.set()
+            for t in threads:
+                t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert answers == {i: 2.0 * i for i in range(clients)}
+        assert peak[0] == MAX_CONCURRENCY
+        assert _endpoint(server, "blocking").tokens.qsize() == MAX_CONCURRENCY
+        with pytest.raises(ValueError, match="scorer failed"):
+            server.predict("broken", np.zeros(2))
+        assert _endpoint(server, "broken").tokens.qsize() == MAX_CONCURRENCY
+        server.close()
 
     def test_promote_during_in_flight_batches_is_atomic(self, served):
         """Promotions racing clients on the synchronous door must be

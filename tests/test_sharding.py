@@ -1044,6 +1044,87 @@ class TestCallPlacement:
             fabric.close()
 
 
+class TestSingleRowPlacement:
+    def test_predict_places_as_under_a_plan(self, registry, model_pair):
+        """One stream of keyed and keyless single-row requests, with the
+        home shard and then a second replica killed partway through, on
+        twin fleets: with no plan (``route``) and under a rate-0 plan
+        (``_place``, which crosses ``fabric.route`` per request), every
+        request is served by the same shard with the same bits, and the
+        fleet ledger and per-shard ``served`` are equal."""
+        X, _, m1, _ = model_pair
+        n = 160
+        keys = [None if i % 5 == 0 else f"u{i % 37}" for i in range(n)]
+        rows = X[:n]
+        outcomes = []
+        for planned in (False, True):
+            fabric = make_fabric(registry, replication=3)
+            replicas = fabric.replicas_of("score")
+            kills = {50: replicas[0], 110: replicas[1]}  # home, then next
+            served_by = []
+            for sid in replicas:
+                server = fabric.shard(sid).server
+
+                def recorded(name, row, *rest, _sid=sid, _door=server.predict):
+                    served_by.append(_sid)
+                    return _door(name, row, *rest)
+
+                server.predict = recorded
+            chaos = ChaosContext(FaultPlan(seed=0).inject("fabric.*", 0.0))
+            answers = []
+            with chaos if planned else contextlib.nullcontext():
+                for i, (row, key) in enumerate(zip(rows, keys)):
+                    if i in kills:
+                        fabric.kill_shard(kills[i])
+                    answers.append(fabric.predict("score", row, key=key))
+            if planned:
+                assert chaos.invocations("fabric.route") == n
+            outcomes.append((
+                served_by, np.array(answers).tobytes(),
+                fabric.stats()["ledger"], _served_ledger(fabric),
+            ))
+            fabric.close()
+        assert outcomes[0] == outcomes[1]
+        _, answers, ledger, _ = outcomes[0]
+        assert answers == compile_linear_scorer(m1)(rows).tobytes()
+        assert ledger["failovers"] > 0 and ledger["replica_hits"] > 0
+        assert ledger["rerouted"] > ledger["failovers"]  # a 2-shard skip
+
+    def test_served_counts_are_exact_under_threads(self, registry, model_pair):
+        """8 threads x 500 keyed single-row requests at a 10 us switch
+        interval: every served request is counted on its shard once."""
+        X = model_pair[0]
+        fabric = make_fabric(registry)
+        threads_n, each = 8, 500
+        errors: list[Exception] = []
+
+        def client(t: int) -> None:
+            try:
+                for i in range(each):
+                    fabric.predict("score", X[i % len(X)], key=f"t{t}-{i}")
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(t,))
+            for t in range(threads_n)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force handoffs inside the door
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        served = sum(fabric.shard(sid).served for sid in fabric.shard_ids())
+        assert served == fabric.ledger.requests == threads_n * each
+        fabric.close()
+
+
 # ----------------------------------------------------------------------
 # Fabric: chaos on the new fault sites
 # ----------------------------------------------------------------------
