@@ -24,6 +24,7 @@ from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, sigmoid
 from ..ml.linreg import Moments
+from ..ml.losses import softplus
 from ..ml.optim import descend
 from ..obs import get_registry
 from ..operand import convert_value, is_representation, kind_of
@@ -292,7 +293,7 @@ def logreg_gd(
 
     def loss_value(weights: np.ndarray) -> float:
         margins = X @ weights
-        base = float(np.mean(np.logaddexp(0.0, margins) - y * margins))
+        base = float(np.mean(softplus(margins) - y * margins))
         return base + 0.5 * l2 * float(weights @ weights)
 
     with _feedback.feedback_scope(runner.store):

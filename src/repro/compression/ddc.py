@@ -43,9 +43,10 @@ class DDCGroup(ColumnGroup):
 
     def matvec_add(self, v: np.ndarray, out: np.ndarray) -> None:
         # Pre-aggregate the dictionary: one product per distinct tuple,
-        # then a gather over codes.
+        # then a gather over codes (np.take: the same values as fancy
+        # indexing, without its index-array setup).
         dict_products = self.dictionary @ v[self.col_indices]
-        out += dict_products[self.codes]
+        out += np.take(dict_products, self.codes)
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         # Sum u per code (cardinality-sized), then scale dictionary rows.

@@ -3,11 +3,12 @@
 For each distinct value-tuple, store the sorted list of row offsets where
 it occurs. Rows absent from every offset list carry the group's
 ``default`` tuple (all-zero after encoding, so sparse columns need no
-lists at all). Kernels iterate per dictionary entry: scatter-add for
-matrix-vector, gather-sum for vector-matrix, with a closed-form default
-contribution covering the unlisted rows. Keeping the default explicit is
-what lets elementwise maps like ``X + c`` rewrite the dictionary and the
-default in O(cardinality) instead of decompressing.
+lists at all). Matrix-vector is one scatter-add over the flat offsets;
+vector-matrix is a gather-sum per dictionary entry; both add a
+closed-form default contribution covering the unlisted rows. Keeping
+the default explicit is what lets elementwise maps like ``X + c``
+rewrite the dictionary and the default in O(cardinality) instead of
+decompressing.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ class OLEGroup(ColumnGroup):
     ):
         super().__init__(col_indices, num_rows)
         self.dictionary = np.asarray(dictionary, dtype=np.float64)
-        self.offset_lists = [
-            np.asarray(o, dtype=np.uint32) for o in offset_lists
-        ]
-        if len(self.offset_lists) != len(self.dictionary):
+        lists = [np.asarray(o, dtype=np.uint32) for o in offset_lists]
+        if len(lists) != len(self.dictionary):
             raise CompressionError("one offset list required per dictionary entry")
+        # one flat row array; the per-entry lists are views into it
+        self.counts = np.fromiter(map(len, lists), np.intp, len(lists))
+        self.offsets = np.concatenate([np.empty(0, np.uint32), *lists])
+        ends = np.cumsum(self.counts).tolist()
+        self.offset_lists = [
+            self.offsets[end - count : end]
+            for end, count in zip(ends, self.counts.tolist())
+        ]
         if default is None:
             default = np.zeros(self.num_cols)
         self.default = np.asarray(default, dtype=np.float64).reshape(-1)
@@ -73,8 +80,12 @@ class OLEGroup(ColumnGroup):
         base = float(self.default @ v_part)
         if base != 0.0:
             out += base
-        for entry, offsets in zip(self.dictionary, self.offset_lists):
-            out[offsets] += float(entry @ v_part) - base
+        # Each row is in at most one list, so one scatter adds each
+        # listed row's delta once. vecdot is one dot per entry, rounded
+        # as `entry @ v_part`; a gemv over the dictionary rounds
+        # differently once an entry has two or more columns.
+        deltas = np.vecdot(self.dictionary, v_part) - base
+        out[self.offsets] += np.repeat(deltas, self.counts)
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         result = np.zeros(self.num_cols)
@@ -112,11 +123,10 @@ class OLEGroup(ColumnGroup):
         )
 
     def compressed_bytes(self) -> int:
-        offsets = sum(len(o) for o in self.offset_lists)
         return (
             self.dictionary.nbytes
             + self.default.nbytes
-            + offsets * _OFFSET_BYTES
+            + len(self.offsets) * _OFFSET_BYTES
         )
 
 

@@ -59,9 +59,10 @@ class RLEGroup(ColumnGroup):
         return len(self.dictionary)
 
     def matvec_add(self, v: np.ndarray, out: np.ndarray) -> None:
+        # Runs tile the rows in order, so the repeated run products line
+        # up with the rows: each row gets its run's product once.
         dict_products = self.dictionary @ v[self.col_indices]
-        for start, length, code in zip(self.starts, self.lengths, self.run_codes):
-            out[start : start + length] += dict_products[code]
+        out += np.repeat(dict_products[self.run_codes], self.lengths)
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         sums = np.zeros(self.num_distinct)

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import FactorizationError
 from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
 from ..ml.linreg import Moments
-from ..ml.losses import sigmoid
+from ..ml.losses import sigmoid, softplus
 from ..ml.optim import descend
 from .normalized import NormalizedMatrix
 
@@ -87,7 +87,7 @@ class FactorizedLogisticRegression(LogisticClassifier):
 
     def _loss(self, X: NormalizedMatrix, y_pm: np.ndarray, w: np.ndarray) -> float:
         margins = y_pm * X.matvec(w)
-        value = float(np.mean(np.logaddexp(0.0, -margins)))
+        value = float(np.mean(softplus(-margins)))
         if self.l2 > 0:
             value += 0.5 * self.l2 * float(w @ w)
         return value

@@ -53,8 +53,7 @@ class LogisticLoss(Loss):
 
     def value(self, X, y, w):
         margins = y * (X @ w)
-        # log(1+exp(-m)) computed stably for both signs of m.
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        return float(np.mean(softplus(-margins)))
 
     def gradient_sum(self, X, y, w):
         margins = y * (X @ w)
@@ -62,8 +61,8 @@ class LogisticLoss(Loss):
         return X.T @ coeff
 
     def pointwise_gradient(self, x, y, w):
-        # _sigmoid's branch and np.exp on a scalar: same bytes, no 0-d
-        # array round trip per tuple
+        # _sigmoid's two cases and np.exp on a scalar: same bytes, no
+        # 0-d array round trip per tuple
         z = -(y * float(x @ w))
         if z >= 0:
             link = 1.0 / (1.0 + np.exp(-z))
@@ -73,13 +72,30 @@ class LogisticLoss(Loss):
         return -y * link * x
 
 
+def softplus(m: np.ndarray) -> np.ndarray:
+    """log(1 + exp(m)) as log1p(exp(-|m|)) + max(m, 0): stable for both
+    signs of m, within 2 ULP of ``np.logaddexp(0.0, m)`` and on SIMD
+    ufuncs where that one is a scalar libm loop. The buffer is allocated
+    explicitly so a 0-d input stays an array through the ``out=`` calls."""
+    out = np.empty_like(m, dtype=np.float64)
+    np.abs(m, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(m, 0.0)
+    return out
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Numerically stable logistic sigmoid, branch-free: with
+    e = exp(-|z|) it is 1 / (1 + e) for z >= 0 and e / (1 + e) below, so
+    every element sees the exp argument and the divide of the masked
+    two-branch form and keeps its bits. ``minimum(z, -z)`` is the -|z|
+    that keeps a NaN's sign and payload, as ``exp(z)`` did."""
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

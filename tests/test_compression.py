@@ -293,6 +293,116 @@ class TestDDCSpecifics:
         assert many.codes.dtype == np.uint16
 
 
+def _ddc_matvec_oracle(g, v, out):
+    """DDC's gather by fancy indexing, before ``np.take``."""
+    out += (g.dictionary @ v[g.col_indices])[g.codes]
+
+
+def _rle_matvec_oracle(g, v, out):
+    """RLE's per-run loop, before the one ``np.repeat``."""
+    dict_products = g.dictionary @ v[g.col_indices]
+    for start, length, code in zip(g.starts, g.lengths, g.run_codes):
+        out[start : start + length] += dict_products[code]
+
+
+def _ole_matvec_oracle(g, v, out):
+    """OLE's per-entry loop, before the one flat scatter."""
+    v_part = v[g.col_indices]
+    base = float(g.default @ v_part)
+    if base != 0.0:
+        out += base
+    for entry, offsets in zip(g.dictionary, g.offset_lists):
+        out[offsets] += float(entry @ v_part) - base
+
+
+_MATVEC_ORACLES = {
+    DDCGroup: _ddc_matvec_oracle,
+    RLEGroup: _rle_matvec_oracle,
+    OLEGroup: _ole_matvec_oracle,
+}
+
+
+def _assert_matvec_matches_its_oracle(group, v, out0):
+    got, want = out0.copy(), out0.copy()
+    group.matvec_add(v, got)
+    _MATVEC_ORACLES[type(group)](group, v, want)
+    _assert_same_bytes(got, want)
+
+
+class TestMatvecKernels:
+    """``matvec_add`` adds each row's product once, so it keeps the bits
+    of the loop (or fancy-indexed gather) it replaced."""
+
+    @given(
+        n=st.integers(0, 300),
+        k=st.integers(1, 4),
+        distinct=st.integers(1, 8),
+        sorted_codes=st.booleans(),
+        shift=st.sampled_from([0.0, 1.5, -0.25]),
+        empty_entry=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_their_loops(
+        self, n, k, distinct, sorted_codes, shift, empty_entry, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((distinct, k))
+        pool[rng.random(distinct) < 0.3] = 0.0  # implicit rows for OLE
+        codes = rng.integers(0, distinct, n)
+        if sorted_codes:  # long runs
+            codes = np.sort(codes)
+        panel = pool[codes]
+        cols = rng.permutation(k + 2)[:k]
+        v = rng.standard_normal(k + 2)
+        v[rng.random(k + 2) < 0.2] = -0.0
+        out0 = rng.standard_normal(n)
+        for cls in (DDCGroup, RLEGroup, OLEGroup):
+            group = cls.encode(cols, panel)
+            if shift:  # X + c: OLE gets a non-zero default
+                group = group.map_values(lambda a: a + shift)
+            _assert_matvec_matches_its_oracle(group, v, out0)
+        if empty_entry:  # an entry no row carries
+            ole = OLEGroup.encode(cols, panel)
+            ole = OLEGroup(
+                cols,
+                n,
+                np.vstack([ole.dictionary, np.full((1, k), 2.0)]),
+                [*ole.offset_lists, []],
+                default=np.full(k, shift),
+            )
+            _assert_matvec_matches_its_oracle(ole, v, out0)
+
+    @pytest.mark.parametrize(
+        "distinct, dtype",
+        [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)],
+    )
+    def test_every_code_width(self, distinct, dtype):
+        rng = np.random.default_rng(distinct)
+        n = distinct + 1_000
+        extra = rng.integers(0, distinct, n - distinct)
+        codes = rng.permutation(np.concatenate([np.arange(distinct), extra]))
+        column = rng.standard_normal(distinct)[codes].reshape(-1, 1)
+        v, out0 = rng.standard_normal(3), rng.standard_normal(n)
+        ddc = DDCGroup.encode(np.array([2]), column)
+        assert ddc.codes.dtype == dtype
+        for group in (
+            ddc,
+            RLEGroup.encode(np.array([2]), column),
+            OLEGroup.encode(np.array([2]), column),
+            OLEGroup.encode(np.array([2]), column).map_values(lambda a: a - 1.0),
+        ):
+            assert group.num_distinct == distinct
+            _assert_matvec_matches_its_oracle(group, v, out0)
+
+    def test_offset_lists_are_views_of_one_array(self, panel):
+        g = OLEGroup.encode(np.array([0, 1]), panel)
+        assert all(np.shares_memory(o, g.offsets) for o in g.offset_lists)
+        assert g.compressed_bytes() == (
+            g.dictionary.nbytes + g.default.nbytes + 4 * len(panel)
+        )
+
+
 class TestPlanner:
     def test_low_cardinality_picks_ddc(self):
         X = make_low_cardinality_matrix(3000, 1, cardinality=6, seed=1)
