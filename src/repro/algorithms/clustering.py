@@ -2,8 +2,10 @@
 
 The distance computation — the dominant cost of Lloyd's algorithm — is
 one compiled DSL program using the expansion
-``D = rowsums(X^2) - 2 X C' + t(rowsums(C^2))``; the tiny argmin and
-centroid update run in the driver.
+``D = Q - 2 X C' + t(rowsums(C^2))``; the tiny argmin and centroid
+update run in the driver. ``Q = rowsums(X^2)`` does not depend on the
+centres, so it is its own plan, run once per fit (and again only after
+an adaptive switch of ``X``'s representation).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from ..compiler import compile_expr
 from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, rowsums
+from ..ml.base import require_finite
 from ..ml.kmeans import cluster_sums, lloyd
 from ..operand import is_representation
 from ..resilience.retry import RetryPolicy
@@ -72,22 +75,28 @@ def kmeans_dsl(
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ModelError(f"X must be 2-D, got shape {X.shape}")
+        require_finite("kmeans_dsl", X=X)
     n, d = X.shape
     if not 1 <= n_clusters <= n:
         raise ModelError(f"n_clusters must be in [1, {n}], got {n_clusters}")
 
     Xm = matrix("X", (n, d))
     Cm = matrix("C", (n_clusters, d))
-    # Squared distances; the compiler fuses the sq-sums and orders the chain.
-    dist_expr = rowsums(Xm**2) - 2.0 * (Xm @ Cm.T) + rowsums(Cm**2).T
-    dist_plan = compile_expr(dist_expr)
+    Qm = matrix("Q", (n, 1))
+    norms_plan = compile_expr(rowsums(Xm**2))
+    # Squared distances over Q = rowsums(X^2), which no assign can change.
+    dist_plan = compile_expr(Qm - 2.0 * (Xm @ Cm.T) + rowsums(Cm**2).T)
 
     runner = AdaptivePlan(
-        dist_plan, X, {"C": np.zeros((n_clusters, d))}, adaptive, interval=1
+        dist_plan, X, {"C": np.zeros((n_clusters, d)), "Q": np.zeros((n, 1))},
+        adaptive, interval=1,
     )
+    norms = {}  # Q, and the form of X it was computed on
 
     def assign(centers: np.ndarray):
-        D = runner.execute(C=centers)
+        if norms.get("of") is not runner.operands["X"]:
+            norms.update(of=runner.operands["X"], Q=runner.execute(norms_plan))
+        D = runner.execute(C=centers, Q=norms["Q"])
         labels = np.argmin(D, axis=1)
         return labels, float(np.maximum(D[np.arange(n), labels], 0.0).sum())
 

@@ -23,6 +23,7 @@ from ..compiler import compile_expr, plan_representations
 from ..compiler import feedback as _feedback
 from ..errors import ModelError
 from ..lang import matrix, sigmoid
+from ..ml.base import require_finite
 from ..ml.linreg import Moments
 from ..ml.losses import softplus
 from ..ml.optim import descend
@@ -48,17 +49,19 @@ class AlgorithmResult:
     plan_history: list[str] = field(default_factory=list)
 
 
-def _prepare(X, y) -> tuple:
+def _prepare(X, y, door: str) -> tuple:
     """Pass a representation ``X`` through, coerce the rest to dense and
-    ``y`` to a flat vector; check there is one label per row."""
+    ``y`` to a flat vector; check both are finite, one label per row."""
     if not is_representation(X):
         X = np.asarray(X, dtype=np.float64)
+        require_finite(door, X=X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(X.shape) != 2 or X.shape[0] != len(y):
         raise ModelError(
             f"need a 2-D X with one label per row, got X of shape "
             f"{X.shape} and y of shape {y.shape}"
         )
+    require_finite(door, y=y)
     return X, y
 
 
@@ -111,13 +114,14 @@ def replan_operand(
 class AdaptivePlan:
     """A compiled plan over a re-plannable design matrix ``X``.
 
-    :meth:`execute` runs the plan on the current form of ``X`` and adds
-    the flops to ``tally``. Called with an iteration number (the loop's
-    ``between`` hook) it re-plans ``X`` through :func:`replan_operand`:
-    always at iteration 0, then every ``interval`` iterations until
-    ``REPLAN_STABLE_CHECKS`` consecutive checks adopt no change. ``probe``
-    holds shape stand-ins for the plan's other bindings; ``adaptive`` is
-    the drivers' argument of that name (no store: never re-plans).
+    :meth:`execute` runs the plan (or a ``plan`` passed in) on the current
+    form of ``X`` and adds the flops to ``tally``. Called with an iteration
+    number (the loop's ``between`` hook) it re-plans ``X`` through
+    :func:`replan_operand`: always at iteration 0, then every ``interval``
+    iterations until ``REPLAN_STABLE_CHECKS`` consecutive checks adopt no
+    change. ``probe`` holds shape stand-ins for the plan's other bindings;
+    ``adaptive`` is the drivers' argument of that name (no store: never
+    re-plans).
     """
 
     def __init__(self, plan, X, probe: dict, adaptive, interval: int):
@@ -129,9 +133,10 @@ class AdaptivePlan:
         self.plan_history: list[str] = []
         self._stable_checks = 0
 
-    def execute(self, **bindings) -> np.ndarray:
+    def execute(self, plan=None, **bindings) -> np.ndarray:
         out, stats = execute(
-            self.plan, {**self.operands, **bindings}, collect_stats=True
+            plan or self.plan, {**self.operands, **bindings},
+            collect_stats=True,
         )
         self.tally["flops"] += stats.flops
         return out
@@ -158,7 +163,7 @@ def linreg_direct(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> AlgorithmRes
     The ``t(X) %*% X`` product compiles to the fused tsmm kernel; the
     small d x d solve runs in the driver.
     """
-    X, y = _prepare(X, y)
+    X, y = _prepare(X, y, "linreg_direct")
     n, d = X.shape
     Xm = matrix("X", (n, d))
     ym = matrix("y", (n, 1))
@@ -190,7 +195,7 @@ def linreg_cg(
     fusion keeps the cost at O(n d) per iteration, for at most ``d``
     iterations (CG's exact-arithmetic bound).
     """
-    X, y = _prepare(X, y)
+    X, y = _prepare(X, y, "linreg_cg")
     n, d = X.shape
     Xm = matrix("X", (n, d))
     pm = matrix("p", (d, 1))
@@ -267,15 +272,16 @@ def logreg_gd(
     (``None`` uses the enclosing ``feedback_scope``'s store if there is
     one, ``False`` never adapts, or pass a
     :class:`~repro.compiler.feedback.FeedbackStore`). Representation
-    switches are exact conversions, so the post-switch trajectory is
-    bit-identical to a run started in the corrected representation from
-    the same state. Once ``REPLAN_STABLE_CHECKS`` consecutive checks
-    adopt no change the driver stops re-planning (the plan has converged
-    against the evidence), bounding the sampling overhead.
-    ``result.replans`` / ``result.plan_history`` record the adopted
-    plans.
+    switches are exact conversions, and the gradient, the loss and the
+    line search's anchor all read ``X``'s current form, so the post-switch
+    trajectory is bit-identical to a run started in the corrected
+    representation from the same state. Once ``REPLAN_STABLE_CHECKS``
+    consecutive checks adopt no change the driver stops re-planning (the
+    plan has converged against the evidence), bounding the sampling
+    overhead. ``result.replans`` / ``result.plan_history`` record the
+    adopted plans.
     """
-    X, y = _prepare(X, y)
+    X, y = _prepare(X, y, "logreg_gd")
     if not set(np.unique(y)) <= {0.0, 1.0}:
         raise ModelError("logreg_gd expects labels in {0, 1}")
     n, d = X.shape
@@ -291,20 +297,26 @@ def logreg_gd(
         grad_plan, X, {"w": np.zeros(d), "y": y}, adaptive, replan_interval
     )
 
-    def loss_value(weights: np.ndarray) -> float:
-        margins = X @ weights
+    def loss_at(margins: np.ndarray, weights: np.ndarray) -> float:
         base = float(np.mean(softplus(margins) - y * margins))
         return base + 0.5 * l2 * float(weights @ weights)
+
+    def anchor(weights: np.ndarray, direction: np.ndarray):
+        X_now = runner.operands["X"]
+        m, Xg = X_now @ weights, X_now @ direction
+        return lambda s: loss_at(m - s * Xg, weights - s * direction)
 
     with _feedback.feedback_scope(runner.store):
         runner(0)
         run = descend(
-            loss_value,
-            lambda weights: runner.execute(w=weights, y=y)[:, 0],
+            lambda weights: loss_at(runner.operands["X"] @ weights, weights),
+            # a 1 x 1 plan output comes back as a float, hence no [:, 0]
+            lambda weights: np.reshape(runner.execute(w=weights, y=y), d),
             np.zeros(d),
             1.0,  # first stride; the Armijo search halves it
             max_iter,
             tol,
+            probe=anchor,
             checkpointer=checkpointer,
             retry=retry,
             site="glm.logreg_gd.step",

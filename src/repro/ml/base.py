@@ -175,6 +175,13 @@ def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def require_finite(door: str, **arrays: np.ndarray) -> None:
+    """Refuse NaN or +-inf in a training door's dense inputs, naming it."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ModelError(f"{door}: {name} contains NaN or infinite values")
+
+
 def check_X(X: np.ndarray) -> np.ndarray:
     """Validate and coerce a design matrix."""
     X = np.asarray(X, dtype=np.float64)

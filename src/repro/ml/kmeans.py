@@ -11,7 +11,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ModelError
-from .base import Estimator, check_X
+from .base import Estimator, check_X, require_finite
 from .optim import iterate
 
 
@@ -97,6 +97,7 @@ class KMeans(Estimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "KMeans":
         X = check_X(X)
+        require_finite("KMeans.fit", X=X)
         if self.n_clusters < 1:
             raise ModelError("n_clusters must be >= 1")
         if len(X) < self.n_clusters:
@@ -104,9 +105,10 @@ class KMeans(Estimator):
                 f"need at least n_clusters={self.n_clusters} points, got {len(X)}"
             )
         rng = np.random.default_rng(self.seed)
+        x_sq = np.sum(X * X, axis=1)  # once per fit: no centre moves it
         best_inertia = np.inf
         for _ in range(max(1, self.n_init)):
-            centers, labels, inertia, iters = self._run(X, rng)
+            centers, labels, inertia, iters = self._run(X, x_sq, rng)
             if inertia < best_inertia:
                 best_inertia = inertia
                 self.cluster_centers_ = centers
@@ -128,9 +130,9 @@ class KMeans(Estimator):
         return np.sqrt(_sq_distances(X, self.cluster_centers_))
 
     # ------------------------------------------------------------------
-    def _run(self, X, rng) -> tuple[np.ndarray, np.ndarray, float, int]:
+    def _run(self, X, x_sq, rng) -> tuple[np.ndarray, np.ndarray, float, int]:
         def assign(centers):
-            labels, dists = nearest_center(X, centers)
+            labels, dists = nearest_center(X, centers, x_sq)
             return (labels, dists), float(dists.sum())
 
         def accumulate(assignment):
@@ -142,12 +144,12 @@ class KMeans(Estimator):
             return sums, counts
 
         centers, (labels, _), inertia, iters, _ = lloyd(
-            assign, accumulate, self._init_centers(X, rng),
+            assign, accumulate, self._init_centers(X, x_sq, rng),
             self.max_iter, self.tol,
         )
         return centers, labels, inertia, iters
 
-    def _init_centers(self, X: np.ndarray, rng) -> np.ndarray:
+    def _init_centers(self, X: np.ndarray, x_sq, rng) -> np.ndarray:
         if self.init == "random":
             idx = rng.choice(len(X), size=self.n_clusters, replace=False)
             return X[idx].copy()
@@ -155,7 +157,7 @@ class KMeans(Estimator):
             raise ModelError(f"unknown init {self.init!r}")
         centers = [X[rng.integers(len(X))]]
         for _ in range(1, self.n_clusters):
-            d2 = _sq_distances(X, np.array(centers)).min(axis=1)
+            d2 = _sq_distances(X, np.array(centers), x_sq).min(axis=1)
             total = d2.sum()
             if total <= 0:
                 # All remaining points coincide with chosen centers.
@@ -166,24 +168,26 @@ class KMeans(Estimator):
         return np.array(centers)
 
 
-def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_distances(X: np.ndarray, centers: np.ndarray, x_sq=None) -> np.ndarray:
     """Squared Euclidean distances, shape (n, k).
 
     Computed via the expansion ||x||^2 - 2 x.c + ||c||^2, which is the
-    vectorized form declarative ML compilers generate for k-means.
+    vectorized form declarative ML compilers generate for k-means;
+    ``x_sq``, the rows' ``np.sum`` squared norms, may be passed in.
     """
-    x2 = np.sum(X * X, axis=1, keepdims=True)
+    x_sq = np.sum(X * X, axis=1) if x_sq is None else x_sq
     c2 = np.sum(centers * centers, axis=1)
-    d2 = x2 - 2.0 * (X @ centers.T) + c2
+    d2 = x_sq[:, None] - 2.0 * (X @ centers.T) + c2
     return np.maximum(d2, 0.0)
 
 
 def nearest_center(
-    X: np.ndarray, centers: np.ndarray
+    X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centre labels and squared distances, ``np.sum`` form (not
-    merged with :func:`nearest_center_einsum`: the two round differently)."""
-    d2 = _sq_distances(X, centers)
+    merged with :func:`nearest_center_einsum`: the two round differently);
+    a Lloyd loop passes ``x_sq``, ``np.sum(X * X, axis=1)``, once per fit."""
+    d2 = _sq_distances(X, centers, x_sq)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(len(X)), labels]
 

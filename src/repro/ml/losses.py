@@ -52,8 +52,11 @@ class LogisticLoss(Loss):
     """Logistic regression with labels in {-1, +1}: l = log(1 + exp(-y x.w))."""
 
     def value(self, X, y, w):
-        margins = y * (X @ w)
-        return float(np.mean(softplus(-margins)))
+        return self.on_margins(y, X @ w)
+
+    def on_margins(self, y, z):
+        """The loss at a linear predictor ``z = X @ w`` already in hand."""
+        return float(np.mean(softplus(-(y * z))))
 
     def gradient_sum(self, X, y, w):
         margins = y * (X @ w)

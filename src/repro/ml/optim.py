@@ -20,10 +20,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import ConvergenceWarning
+from ..errors import ConvergenceWarning, ModelError
 from ..resilience.checkpoint import IterativeCheckpointer
 from ..resilience.retry import RetryPolicy, resilient_call
-from .losses import Loss
+from .losses import LogisticLoss, Loss
 
 
 @dataclass
@@ -116,6 +116,7 @@ def descend(
     max_iter: int,
     tol: float,
     line_search: bool = True,
+    probe: Callable[..., Callable[[float], float]] | None = None,
     **loop,
 ) -> OptimResult:
     """Full-batch descent over a provider's ``value`` / ``gradient`` closures.
@@ -124,19 +125,28 @@ def descend(
     ``line_search``, by the first of up to 30 halvings of it that meets
     the Armijo condition; the run stops once the relative improvement of
     ``value`` falls below ``tol``. ``loop`` goes to :func:`iterate`.
+
+    The first stride is scored exactly, by ``value``. With a ``probe``, a
+    rejection builds one anchor, ``probe(w, g)`` (a GLM's ``X @ w`` and
+    ``X @ g``), that scores each further halving as ``loss(Xw - s*Xg)``:
+    an axpy, not a matvec. An accepted anchored step is still ``w - s*g``
+    and records its anchored loss in the history.
     """
 
     def step(state):
         w, history = state
         g = gradient(w)
         stride, g_norm_sq = learning_rate, float(g @ g)
+        score = None  # the anchored scorer, built at the first rejection
         for _ in range(30):
             candidate = w - stride * g
-            new = value(candidate)
+            new = value(candidate) if score is None else score(stride)
             armijo = new <= history[-1] - 1e-4 * stride * g_norm_sq
             if armijo or not line_search:
                 break
             stride *= 0.5
+            if score is None and probe is not None:
+                score = probe(w, g)
         else:
             # No decrease found (stationary point or numerically stuck).
             candidate, new = w, history[-1]
@@ -167,14 +177,29 @@ def gradient_descent(
     condition holds (this is the strategy SystemML's GLM scripts use to
     stay robust to scaling).
     """
+    d = X.shape[1]
+    if w0 is not None and np.shape(w0) != (d,):
+        raise ModelError(
+            f"gradient_descent: w0 needs length {d}, got shape {np.shape(w0)}"
+        )
     value, grad = l2_penalized(loss.value, loss.gradient, l2)
+    probe = None
+    if isinstance(loss, LogisticLoss):
+        # penalized as value is: the loss reads margins, the penalty w
+        on_margins, _ = l2_penalized(lambda z, w: loss.on_margins(y, z), grad, l2)
+
+        def probe(w, g):
+            m, Xg = X @ w, X @ g
+            return lambda s: on_margins(m - s * Xg, w - s * g)
+
     result = descend(
         partial(value, X, y),
         partial(grad, X, y),
-        np.zeros(X.shape[1]) if w0 is None else np.array(w0, dtype=np.float64),
+        np.zeros(d) if w0 is None else np.array(w0, dtype=np.float64),
         learning_rate,
         max_iter,
         tol,
+        probe=probe,
     )
     if not result.converged and warn_on_cap:
         warnings.warn(

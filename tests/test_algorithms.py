@@ -124,6 +124,29 @@ class TestKMeansDSL:
             kmeans_dsl(np.ones((5, 2)), 10)
 
 
+class TestHoistedRowNorms:
+    def test_kmeans_fit_keeps_the_bits_of_per_call_norms(self, monkeypatch):
+        # KMeans computes the rows' squared norms once per fit, seeding
+        # included; the oracle recomputes them on every distance call.
+        import repro.ml.kmeans as km
+
+        X, _ = make_blobs(500, 24, centers=4, cluster_std=2.0, seed=12)
+        X = X * np.linspace(0.1, 30.0, 24)  # norms that round unevenly
+
+        def fit():
+            return KMeans(4, n_init=2, max_iter=20, seed=3).fit(X)
+
+        hoisted = fit()
+        real = km._sq_distances
+        monkeypatch.setattr(
+            km, "_sq_distances", lambda X, centers, x_sq=None: real(X, centers)
+        )
+        recomputed = fit()
+        assert np.array_equal(hoisted.cluster_centers_, recomputed.cluster_centers_)
+        assert np.array_equal(hoisted.labels_, recomputed.labels_)
+        assert hoisted.inertia_ == recomputed.inertia_
+
+
 class TestPCADSL:
     def test_matches_library(self, rng):
         X = rng.standard_normal((200, 6)) * np.array([5, 3, 2, 1, 0.5, 0.1])

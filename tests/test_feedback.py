@@ -472,6 +472,26 @@ class TestDriverReplanning:
         assert np.array_equal(adaptive.weights, baseline.weights)
         assert adaptive.plan_history[0].startswith("iter 0: X -> dense")
 
+    def test_logreg_line_search_runs_on_the_replanned_operand(
+        self, monkeypatch
+    ):
+        # The Armijo probes read X in the form the plan runs on: once the
+        # csr binding is demoted, its kernel never runs again.
+        from repro.algorithms.glm import logreg_gd
+
+        X, y = self._data()
+        calls = []
+        real = CSRMatrix.matvec
+        monkeypatch.setattr(
+            CSRMatrix, "matvec", lambda m, v: calls.append(1) or real(m, v)
+        )
+        adaptive = logreg_gd(
+            CSRMatrix.from_dense(X), y, max_iter=5, tol=0,
+            adaptive=FeedbackStore(),
+        )
+        assert adaptive.plan_history[0].startswith("iter 0: X -> dense")
+        assert calls == []
+
     def test_logreg_demotes_a_stale_store_plan_within_one_epoch(self):
         from repro.algorithms.glm import logreg_gd
 
@@ -514,7 +534,38 @@ class TestDriverReplanning:
         resumed = logreg_gd(X, y, max_iter=4, tol=0, checkpointer=ck_b)
         assert np.array_equal(adaptive.weights, resumed.weights)
 
-    def test_kmeans_corrects_a_stale_csr_binding_bitwise(self):
+    @staticmethod
+    def _unhoisted_lloyd(forms, k, max_iter, seed):
+        """kmeans_dsl's loop over the plan that recomputes rowsums(X^2) on
+        every assign; ``forms`` is X's form per iteration, the last one
+        for the rest of the run."""
+        from repro.algorithms.clustering import _gather_rows
+        from repro.compiler import compile_expr
+        from repro.lang import matrix, rowsums
+        from repro.ml.kmeans import cluster_sums, lloyd
+        from repro.runtime import execute
+
+        n, d = forms[0].shape
+        Xm, Cm = matrix("X", (n, d)), matrix("C", (k, d))
+        plan = compile_expr(
+            rowsums(Xm**2) - 2.0 * (Xm @ Cm.T) + rowsums(Cm**2).T
+        )
+        current = list(forms)
+
+        def assign(centers):
+            D = execute(plan, {"X": current[0], "C": centers})
+            labels = np.argmin(D, axis=1)
+            return labels, float(np.maximum(D[np.arange(n), labels], 0).sum())
+
+        seed_rows = np.random.default_rng(seed).choice(n, k, replace=False)
+        return lloyd(
+            assign, lambda labels: cluster_sums(current[0], labels, k),
+            _gather_rows(current[0], seed_rows), max_iter, 1e-7,
+            between=lambda it: len(current) > 1 and current.pop(0),
+        )
+
+    def test_kmeans_corrects_a_stale_csr_binding_bitwise(self, monkeypatch):
+        import repro.algorithms.glm as glm
         from repro.algorithms.clustering import kmeans_dsl
 
         X, _ = self._data(n=600, d=8, seed=5)
@@ -526,6 +577,34 @@ class TestDriverReplanning:
         assert adaptive.plan_history[0].startswith("iter 0: X -> dense")
         assert np.array_equal(adaptive.centers, baseline.centers)
         assert np.array_equal(adaptive.labels, baseline.labels)
+
+        # A stale store plan: X runs iteration 1 as csr, then is demoted.
+        # The hoisted row norms are executed once per form of X, and the
+        # run equals the loop that recomputes them on every assign.
+        store = FeedbackStore()
+        for _ in range(3):
+            store.observe_input(input_key("X", X.shape), "dense", density=0.01)
+        norms_on = []
+        real = glm.execute
+
+        def spy(plan, bindings, **kw):
+            if "C" not in bindings:
+                norms_on.append(type(bindings["X"]).__name__)
+            return real(plan, bindings, **kw)
+
+        monkeypatch.setattr(glm, "execute", spy)
+        switched = kmeans_dsl(X, 4, max_iter=6, seed=11, adaptive=store)
+        assert switched.plan_history[0].startswith("iter 0: X -> csr")
+        assert "iter 1: X -> dense" in switched.plan_history[1]
+        assert norms_on == ["CSRMatrix", "ndarray"]
+        centers, labels, inertia, iterations, history = self._unhoisted_lloyd(
+            [CSRMatrix.from_dense(X), X], 4, 6, 11
+        )
+        assert np.array_equal(switched.centers, centers)
+        assert np.array_equal(switched.labels, labels)
+        assert switched.inertia == inertia
+        assert switched.inertia_history == history
+        assert switched.iterations == iterations
 
     def test_adaptive_false_never_replans(self):
         from repro.algorithms.glm import logreg_gd

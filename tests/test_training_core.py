@@ -162,6 +162,29 @@ class TestFrontDoor:
         with pytest.raises(ReproError):
             linreg_direct(joined, y01[:-1])
 
+    @pytest.mark.parametrize("door", ["KMeans.fit", "kmeans_dsl", "logreg_gd"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dense_x_is_refused_naming_the_door(
+        self, star, door, bad
+    ):
+        _, joined, y01, _, _ = star
+        X = joined.copy()
+        X[7, 2] = bad
+        fits = {
+            "KMeans.fit": lambda: KMeans(n_clusters=3).fit(X),
+            "kmeans_dsl": lambda: kmeans_dsl(X, 3),
+            "logreg_gd": lambda: logreg_gd(X, y01),
+        }
+        with pytest.raises(ModelError, match=rf"^{door}: X contains NaN"):
+            fits[door]()
+
+    def test_logreg_gd_refuses_a_non_finite_label(self, star):
+        _, joined, y01, _, _ = star
+        y = y01.copy()
+        y[3] = np.inf
+        with pytest.raises(ModelError, match=r"^logreg_gd: y contains NaN"):
+            logreg_gd(joined, y)
+
     def test_out_of_core_rejects_1d_design(self):
         x = np.arange(10.0)
         with pytest.raises(ExecutionError, match=r"\(10,\).*\(10,\)"):
