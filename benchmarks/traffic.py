@@ -126,9 +126,10 @@ def _options_of(args: ast.arguments) -> dict:
 
 
 def declarations() -> list[tuple]:
-    """``(name, code key, members or None, options)`` per top-level ``def``
-    / ``class`` under ``src/repro``; a class's members nest the same way.
-    A code key is ``(path, first line, name)``, as a code object reads."""
+    """``(name, code key, members or None, options, lines)`` per top-level
+    ``def`` / ``class`` under ``src/repro``; a class's members nest the
+    same way. A code key is ``(path, first line, name)``, as a code object
+    reads; ``lines`` counts the source lines from there to the end."""
 
     def visit(body, rel, prefix):
         found = []
@@ -140,10 +141,11 @@ def declarations() -> list[tuple]:
             first = node.decorator_list[0] if node.decorator_list else node
             key = (rel, first.lineno, node.name)
             name = f"{prefix}.{node.name}"
+            lines = node.end_lineno - first.lineno + 1
             if isinstance(node, ast.ClassDef):
-                found.append((name, key, visit(node.body, rel, name), {}))
+                found.append((name, key, visit(node.body, rel, name), {}, lines))
             else:
-                found.append((name, key, None, _options_of(node.args)))
+                found.append((name, key, None, _options_of(node.args), lines))
         return found
 
     declared = []
@@ -165,7 +167,7 @@ def _flatten(declared):
 def trace_child(out: str, script: str, *args: str) -> None:
     """Run ``script`` as ``__main__`` under the tracer; write what ran to
     ``out`` (also when the script fails) and exit with its status."""
-    options = {key: opts for _, key, _, opts in _flatten(declarations()) if opts}
+    options = {key: opts for _, key, _, opts, _ in _flatten(declarations()) if opts}
     prefix = str(SRC) + os.sep
     files, state = {}, {}
     ran, bound, built = set(), set(), set()
@@ -309,7 +311,7 @@ def judge(union: dict, exempt: dict) -> dict:
     declared = declarations()
 
     def own(entry):
-        name, key, members, _ = entry
+        name, key, members, *_ = entry
         if members is None:
             return key in ran
         return name in built or any(own(m) for m in members)
@@ -324,10 +326,10 @@ def judge(union: dict, exempt: dict) -> dict:
 
     def walk(declared):
         for entry in declared:
-            name, key, members, options = entry
+            name, key, members, options, lines = entry
             where = f"{key[0]}:{key[1]}"
             if not did_run(entry):
-                unexecuted.append((where, name))
+                unexecuted.append((where, name, lines))
             elif members is not None:
                 walk(members)
             else:
@@ -346,17 +348,36 @@ def judge(union: dict, exempt: dict) -> dict:
     def category(item):
         return next((c for p, c in patterns.items() if covers(p, item)), None)
 
-    flagged = unexecuted + unset
+    flagged = [(w, n) for w, n, _ in unexecuted] + unset
     used = {p for p in patterns for _, item in flagged if covers(p, item)}
     return {
         "unexecuted": [
-            {"where": w, "name": n, "exempt": category(n)} for w, n in unexecuted
+            {"where": w, "name": n, "lines": lines, "exempt": category(n)}
+            for w, n, lines in unexecuted
         ],
         "unset_options": [
             {"where": w, "name": n, "exempt": category(n)} for w, n in unset
         ],
         "stale_exemptions": sorted(set(patterns) - used),
     }
+
+
+def summary(report: dict, exempt: dict) -> str:
+    """Per exemption category: its entries, the unexecuted defs it covers
+    with their ``src/`` lines, and the unset options it covers."""
+    entries = {c: len(body["entries"]) for c, body in exempt.items()}
+    entries |= {None: 0, "total": sum(entries.values())}
+    table = [f"\n{'exemption category':<50}{'entries':>8}{'defs':>6}"
+             f"{'lines':>7}{'options':>8}"]
+    for category, count in entries.items():
+        defs = [r for r in report["unexecuted"] if category in ("total", r["exempt"])]
+        unset = [r for r in report["unset_options"]
+                 if category in ("total", r["exempt"])]
+        table.append(
+            f"{category or '(not exempt)':<50}{count:>8}{len(defs):>6}"
+            f"{sum(r['lines'] for r in defs):>7}{len(unset):>8}"
+        )
+    return "\n".join(table)
 
 
 def main() -> int:
@@ -392,6 +413,7 @@ def main() -> int:
     for label in failed:
         print(f"  RUN FAILED  {label}")
     problems += len(report["stale_exemptions"]) + len(missing) + len(failed)
+    print(summary(report, exempt))
     print(f"\nwrote {REPORT.relative_to(ROOT)}; "
           + ("clean" if problems == 0 else f"{problems} problem(s)"))
     return 1 if problems else 0

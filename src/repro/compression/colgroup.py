@@ -66,12 +66,6 @@ class ColumnGroup:
     def dense_bytes(self) -> int:
         return self.num_rows * self.num_cols * 8
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(cols={self.col_indices.tolist()}, "
-            f"rows={self.num_rows})"
-        )
-
 
 class UncompressedGroup(ColumnGroup):
     """Pass-through group for incompressible columns."""

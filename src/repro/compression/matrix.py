@@ -78,7 +78,12 @@ class CompressedMatrix(Operand, kind="cla"):
         """Plan and encode a dense matrix."""
         from ..obs import get_registry, span
 
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
+        if X.ndim != 2 or X.dtype.kind not in "biuf":
+            raise CompressionError(
+                f"expected a numeric 2-D matrix, got {X.dtype} of shape {X.shape}"
+            )
+        X = X.astype(np.float64, copy=False)
         with span(
             "compression.compress", rows=X.shape[0], cols=X.shape[1]
         ) as compress_span:

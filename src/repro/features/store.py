@@ -3,7 +3,7 @@
 The offline path computes a :class:`~repro.features.view.FeatureView`
 batch-wise through the executor and parks the resulting columns in the
 :class:`~repro.materialize.MaterializationStore` under the view's
-data-crossed fingerprint, with lineage back to the base-table bytes.
+data-crossed fingerprint, whose one operand is the base-table bytes.
 A second materialization of the same definition over the same data is
 a store hit — the *same bytes*, not a recomputation — which is what
 makes train-time features reproducible artifacts rather than ephemeral
@@ -229,9 +229,6 @@ class FeatureStore(Counted):
                 # per row — enough for eviction ordering; admission is
                 # floor-free here.
                 flops=float(table.num_rows * len(view.feature_names)),
-                structural=view.version,
-                children=(fp.operands[0],),
-                source="features",
                 nbytes=int(
                     sum(c.nbytes for c in payload["columns"].values())
                     + getattr(payload["entities"], "nbytes", 0)

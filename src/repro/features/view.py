@@ -233,10 +233,3 @@ class FeatureView:
                 f"duplicate values"
             )
         return entities
-
-    def __repr__(self) -> str:
-        return (
-            f"FeatureView({self.name!r}, entity={self.entity_key!r}, "
-            f"features={list(self.feature_names)}, "
-            f"version={self.version[:12]})"
-        )

@@ -76,10 +76,6 @@ class Delta:
     old_rows: Table | None
     checksum: int
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.row_ids)
-
     def verify(self) -> bool:
         """Does the payload still match the checksum stamped at emit?"""
         return (
@@ -228,7 +224,7 @@ class DynamicTable(Table):
 
     def delete(self, row_ids: Iterable[int]) -> Delta:
         """Remove rows by identity; returns the published delete delta."""
-        ids = np.asarray(list(row_ids), dtype=np.int64)
+        ids = self._ids_of(row_ids)
         if ids.size == 0:
             raise IncrementalError("delete requires at least one row id")
         slots = self._positions(ids)
@@ -241,7 +237,7 @@ class DynamicTable(Table):
         self, row_ids: Iterable[int], rows: Table | Mapping[str, Sequence[Any]]
     ) -> Delta:
         """Replace rows by identity; returns the published update delta."""
-        ids = np.asarray(list(row_ids), dtype=np.int64)
+        ids = self._ids_of(row_ids)
         new = self._coerce_rows(rows)
         if new.num_rows != ids.size or ids.size == 0:
             raise IncrementalError(
@@ -274,12 +270,31 @@ class DynamicTable(Table):
         self._used = live
 
     # ------------------------------------------------------------------
+    def _ids_of(self, row_ids: Iterable[int]) -> np.ndarray:
+        ids = np.asarray(list(row_ids))
+        if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"):
+            raise IncrementalError(
+                f"row ids of table {self.name!r} must be integers, got "
+                f"{ids.ravel()[:3].tolist()!r}"
+            )
+        return ids.astype(np.int64, copy=False)
+
     def _coerce_rows(self, rows: Table | Mapping[str, Sequence[Any]]) -> Table:
         if not isinstance(rows, Table):
-            rows = Table(
-                self._schema,
-                [_as_column_array(rows[c.name]) for c in self._schema],
-            )
+            names = [c.name for c in self._schema]
+            if set(rows) != set(names):
+                raise IncrementalError(
+                    f"rows for table {self.name!r} name columns "
+                    f"{list(rows)}, the table has {names}"
+                )
+            columns = [_as_column_array(rows[name]) for name in names]
+            for name, col, buf in zip(names, columns, self._buffers):
+                if not np.can_cast(col.dtype, buf.dtype, "same_kind"):
+                    raise IncrementalError(
+                        f"column {name!r} of table {self.name!r} stores "
+                        f"{buf.dtype}, got {col.dtype} values"
+                    )
+            rows = Table(self._schema, columns)
         if rows.schema != self._schema:
             raise IncrementalError(
                 f"delta schema {rows.schema!r} != table schema {self._schema!r}"

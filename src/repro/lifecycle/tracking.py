@@ -94,6 +94,3 @@ class ExperimentTracker:
 
     def __iter__(self) -> Iterator[Run]:
         return iter(self._runs)
-
-    def __len__(self) -> int:
-        return len(self._runs)

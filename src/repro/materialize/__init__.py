@@ -1,4 +1,4 @@
-"""Lineage-aware materialization with cross-workload reuse.
+"""Fingerprinted materialization with cross-workload reuse.
 
 Model selection re-derives the same intermediates run after run: every
 grid point recomputes the gram matrix, every CV repeat recomputes fold
@@ -13,9 +13,9 @@ managed resource:
 * :mod:`~repro.materialize.store` — the two-tier
   :class:`MaterializationStore` (bufferpool-charged memory + atomic
   CRC-checked disk files) with cost-based admission, pinning, and a
-  corruption path that degrades to lineage recompute.
-* :mod:`~repro.materialize.lineage` — provenance records linking each
-  entry to the materialized intermediates it was derived from.
+  corruption path that degrades to a miss. Repair is recompute from the
+  fingerprint: its operand hashes name the inputs the caller rebuilds
+  the value from before re-admitting it.
 
 A store is passed to the code that uses it
 (``selection.ridge_feature_grid(store=)``, ``features.FeatureStore``);
@@ -23,14 +23,11 @@ the executor never consults one.
 """
 
 from .fingerprint import Fingerprint, canonical_plan, content_hash
-from .lineage import LineageGraph, LineageRecord
 from .store import MaterializationStore
 
 __all__ = [
     "Fingerprint",
     "canonical_plan",
     "content_hash",
-    "LineageGraph",
-    "LineageRecord",
     "MaterializationStore",
 ]

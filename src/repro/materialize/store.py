@@ -26,9 +26,9 @@ Two tiers:
   and re-admitted on its next hit. A corrupted file (bit rot, or chaos
   injected at fault site ``"materialize.read"``) fails its checksum,
   is counted and unlinked, and the lookup reports a miss — the caller
-  then *recomputes the value from its lineage* (the operands it was
-  derived from) and re-admits it, so repair is recompute, exactly the
-  blockstore's recovery model.
+  then recomputes the value from the operands its fingerprint names and
+  re-admits it, so repair is recompute, exactly the blockstore's
+  recovery model.
 
 Admission is cost-based: an intermediate earns persistence when its
 estimated recompute cost clears ``min_flops`` and its flops-per-byte
@@ -48,7 +48,7 @@ import os
 import pickle
 import threading
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from ..resilience.faults import fault_point
 from ..operand import kind_of, operand_bytes
 from ..runtime.bufferpool import pool_ledger
 from .fingerprint import Fingerprint
-from .lineage import LineageGraph
 
 SCHEMA = "repro.mat/v1"
 
@@ -126,7 +125,6 @@ class MaterializationStore(Counted):
         if capacity_bytes <= 0:
             raise MaterializationError("memory tier capacity must be positive")
         self.pool = BoundedCache(capacity_bytes, pool_ledger())
-        self.lineage = LineageGraph()
         self._meta: dict[str, EntryMeta] = {}
         self._seen: set[str] = set()
         self._lock = threading.RLock()
@@ -170,16 +168,6 @@ class MaterializationStore(Counted):
             )
             self._meta[key] = meta
             self._seen.add(key)
-            children = header.get("children") or ()
-            self.lineage.record(
-                key,
-                meta.label,
-                header.get("structural", ""),
-                shape=meta.shape,
-                nbytes=meta.nbytes,
-                flops=meta.flops,
-                children=children,
-            )
 
     @staticmethod
     def _key_of(fp: Fingerprint | str) -> str:
@@ -201,17 +189,14 @@ class MaterializationStore(Counted):
         value,
         label: str = "",
         flops: float = 0.0,
-        structural: str = "",
-        children: Iterable[str] = (),
         pin: bool = False,
-        source: str = "plan",
         nbytes: int | None = None,
     ) -> bool:
         """Offer one computed value; returns whether it was admitted.
 
         Dense arrays are stored as private copies so later caller-side
         mutation cannot reach the store. Re-admitting a key the store
-        has seen before (after corruption or loss) counts as a lineage
+        has seen before (after corruption or loss) counts as a
         recompute. ``nbytes`` overrides the sizing for values
         :func:`~repro.operand.operand_bytes` cannot measure
         (e.g. relational tables).
@@ -233,28 +218,15 @@ class MaterializationStore(Counted):
                 self.counts.inc("recomputes")
             meta = EntryMeta(key, label, kind, shape, nbytes, flops, pin)
             if self.directory is not None:
-                self._persist(meta, value, structural, tuple(children))
+                self._persist(meta, value)
             self._meta[key] = meta
             self._seen.add(key)
             self.pool.put(key, value, nbytes, pin=pin)
-            self.lineage.record(
-                key,
-                label,
-                structural,
-                shape=shape,
-                nbytes=nbytes,
-                flops=flops,
-                children=children,
-                source=source,
-            )
             self.counts.inc("puts")
             self.counts.inc("bytes_materialized", nbytes)
             return True
 
-    def _persist(
-        self, meta: EntryMeta, value, structural: str,
-        children: tuple[str, ...],
-    ) -> None:
+    def _persist(self, meta: EntryMeta, value) -> None:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         write_atomic(
             self._path(meta.key),
@@ -268,8 +240,6 @@ class MaterializationStore(Counted):
                 "nbytes": meta.nbytes,
                 "flops": meta.flops,
                 "pinned": meta.pinned,
-                "structural": structural,
-                "children": list(children),
             },
             error_cls=MaterializationError,
             what="materialized entry",
@@ -388,14 +358,11 @@ class MaterializationStore(Counted):
 
     def describe(self) -> str:
         led = self.ledger()
-        lines = [
+        return "\n".join([
             f"materialization store ({led['entries']} entries, "
             f"{led['resident_bytes']}/{led['capacity_bytes']}B resident)",
             f"  hits {led['hits']} (disk {led['disk_hits']}) / "
             f"misses {led['misses']} / evictions {led['evictions']}",
             f"  bytes reused {led['bytes_reused']} / "
             f"materialized {led['bytes_materialized']}",
-        ]
-        if len(self.lineage):
-            lines.append(self.lineage.describe())
-        return "\n".join(lines)
+        ])

@@ -101,12 +101,6 @@ class BlockStore(Counted):
             self.write(block_id, array)
         self.counts.inc("corruptions_repaired")
 
-    def __contains__(self, block_id: str) -> bool:
-        return block_id in self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
 
 def pool_ledger() -> Ledger:
     """A ``bufferpool.*`` ledger: one series for every byte-budgeted
@@ -125,10 +119,6 @@ class BufferPool:
         self._store = store
         self.stats = pool_ledger()
         self._cache = BoundedCache(capacity_bytes, self.stats)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._cache.budget
 
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._cache

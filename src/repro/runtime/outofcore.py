@@ -31,10 +31,6 @@ class OutOfCoreResult:
     pool_stats: Ledger | None = None
     bytes_read_from_store: int = 0
 
-    @property
-    def final_loss(self) -> float:
-        return self.loss_history[-1] if self.loss_history else float("nan")
-
 
 class OutOfCoreLinearRegression(LinearRegressor):
     """Least squares trained by blocked gradient descent under a memory budget.

@@ -53,10 +53,6 @@ class FeatureGridResult:
                 )
         return best_subset, best_lambda, float(best_rmse)
 
-    @property
-    def best_rmse(self) -> float:
-        return self.best[2]
-
 
 def ridge_feature_grid(
     X: np.ndarray,

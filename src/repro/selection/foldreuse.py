@@ -67,7 +67,7 @@ def fold_statistics(
     with ``Z = [X_fold[:, columns] | y_fold]`` — a single fused tsmm
     executed through the DSL. With a
     :class:`~repro.materialize.MaterializationStore`, the statistic is
-    identified by *derived-slice lineage*: it is a deterministic
+    identified by *derived-slice identity*: it is a deterministic
     function of the full base operands and the slice specification, so
     its fingerprint hashes ``X`` and ``y`` once per session (content
     hashes are memoized on object identity) and encodes the fold's row
@@ -116,18 +116,7 @@ def fold_statistics(
                 aug,
                 label=spec,
                 flops=2.0 * Z.shape[0] * Z.shape[1] ** 2,
-                structural=spec,
-                children=(x_hash, y_hash),
             )
-            for op_hash, value in ((x_hash, X), (y_hash, y)):
-                if op_hash not in store.lineage:
-                    store.lineage.record(
-                        op_hash,
-                        "operand:base",
-                        op_hash,
-                        shape=value.shape if value.ndim == 2 else None,
-                        nbytes=int(value.nbytes),
-                    )
         stats.append(Moments.of_augmented(aug, len(fold)))
     return stats
 

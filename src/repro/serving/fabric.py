@@ -245,9 +245,6 @@ class ShardedServer:
             self._single[name] = self._shards[replicas[0]]
         return endpoint
 
-    def endpoints(self) -> list[str]:
-        return sorted(self._endpoints)
-
     def replicas_of(self, name: str) -> tuple[str, ...]:
         return self._endpoint(name).replicas
 
@@ -693,9 +690,3 @@ class ShardedServer:
     def close(self) -> None:
         for shard in self._shards.values():
             shard.server.close()
-
-    def __enter__(self) -> "ShardedServer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

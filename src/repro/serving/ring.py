@@ -96,14 +96,6 @@ class CanaryRouter:
         """True when this key belongs to the canary slice."""
         return self.fraction > 0.0 and self.bucket(key) < self.fraction
 
-    def split(self, keys) -> tuple[list, list]:
-        """Partition ``keys`` into (stable, canary) lists, order kept."""
-        stable: list = []
-        canary: list = []
-        for key in keys:
-            (canary if self.routes_to_canary(key) else stable).append(key)
-        return stable, canary
-
 
 class HashRing:
     """CRC32 consistent-hash ring with virtual nodes.

@@ -130,6 +130,19 @@ def compile_linear_scorer(
     return score
 
 
+def _as_float(values, door: str, what: str, ndim: int) -> np.ndarray:
+    """A door's input as float64 of rank ``ndim``, else a ServingError."""
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ServingError(f"{door} expects a numeric {what}: {exc}") from None
+    if values.ndim != ndim:
+        raise ServingError(
+            f"{door} expects a {ndim}-D {what}, got shape {values.shape}"
+        )
+    return values
+
+
 def _build_scorer(model, output: str) -> Callable[[np.ndarray], np.ndarray]:
     if output == "predict":
         if not hasattr(model, "predict"):
@@ -447,7 +460,7 @@ class ModelServer:
     ) -> float:
         """Serve one prediction through the full path: admission, canary
         routing, cache, micro-batch queue, deadline."""
-        row = np.asarray(row, dtype=np.float64)
+        row = _as_float(row, "predict", "row", 1)
         return self._serve(
             name, (row,), (key,), deadline_ms, False, deadline_at
         )[0]
@@ -471,11 +484,7 @@ class ModelServer:
         that finds the queue full triggers an inline drain instead of
         shedding (a closed-loop caller is its own backpressure).
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ServingError(
-                f"predict_many expects a 2-D batch, got shape {rows.shape}"
-            )
+        rows = _as_float(rows, "predict_many", "batch", 2)
         if keys is not None and len(keys) != rows.shape[0]:
             raise ServingError("one key per row required")
         return np.array(

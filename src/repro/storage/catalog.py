@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..errors import StorageError
 from .table import Table
 
@@ -30,12 +28,3 @@ class Catalog:
                 f"no table named {name!r}; have {sorted(self._tables)}"
             )
         return self._tables[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._tables))
-
-    def __len__(self) -> int:
-        return len(self._tables)

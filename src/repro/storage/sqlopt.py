@@ -64,17 +64,6 @@ class PushdownPlan:
     join_predicates: dict[int, list[Expr]] = field(default_factory=dict)
     residual: list[Expr] = field(default_factory=list)
 
-    def describe(self) -> str:
-        lines = []
-        for p in self.base_predicates:
-            lines.append(f"push to base table: {p!r}")
-        for i, preds in sorted(self.join_predicates.items()):
-            for p in preds:
-                lines.append(f"push to join #{i} right side: {p!r}")
-        for p in self.residual:
-            lines.append(f"evaluate after joins: {p!r}")
-        return "\n".join(lines) if lines else "(no WHERE clause)"
-
 
 def plan_pushdown(
     where: Expr | None,

@@ -124,9 +124,6 @@ class Table:
             np.array_equal(a, b) for a, b in zip(self._columns, other._columns)
         )
 
-    def __repr__(self) -> str:
-        return f"Table({self._schema!r}, rows={self._nrows})"
-
     def head(self, n: int = 5) -> "Table":
         """The first ``n`` rows."""
         return self.take(np.arange(min(n, self._nrows)))

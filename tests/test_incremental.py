@@ -132,6 +132,24 @@ class TestDynamicTable:
         assert dyn.version == 0 and dyn.num_rows == 5
         assert stream.pending() == 0
 
+    @pytest.mark.parametrize("mutate, names", [
+        (lambda dyn, row: dyn.delete([1.5]), r"row ids .*'events'.*\[1\.5\]"),
+        (lambda dyn, row: dyn.update([2.9], row), r"row ids .*'events'.*\[2\.9\]"),
+        (lambda dyn, row: dyn.update([1], {"zz": [1.0]}), r"'events'.*\['zz'\]"),
+        (lambda dyn, row: dyn.insert({**row, "typo": [1]}), r"'events'.*'typo'"),
+        (lambda dyn, row: dyn.insert({k: row[k] for k in FEATURES}),
+         r"'events'.*the table has .*'label'"),
+        (lambda dyn, row: dyn.insert({**row, "f0": ["x"]}), r"column 'f0' of table 'events'"),
+    ], ids=["float-delete-id", "float-update-id", "unknown-column", "extra-column",
+            "missing-column", "string-in-float-column"])
+    def test_malformed_mutation_is_a_typed_error(self, mutate, names):
+        dyn, stream, _ = make_maintained(5, seed=1)
+        row = {k: v.tolist() for k, v in grid_table(1, seed=4).columns().items()}
+        with pytest.raises(IncrementalError, match=names):
+            mutate(dyn, row)
+        assert dyn.version == 0 and dyn.num_rows == 5
+        assert stream.pending() == 0
+
     def test_schema_mismatch_raises(self):
         dyn = DynamicTable.from_table(grid_table(5, seed=1))
         with pytest.raises(IncrementalError):

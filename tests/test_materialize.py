@@ -1,6 +1,7 @@
 """Tests for the lineage-aware materialization store and its fingerprints."""
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -15,12 +16,12 @@ from repro.errors import MaterializationError
 from repro.lang import matrix
 from repro.materialize import (
     Fingerprint,
-    LineageGraph,
     MaterializationStore,
     canonical_plan,
     content_hash,
 )
 from repro.obs import get_registry
+from repro.persist import write_atomic
 from repro.resilience.faults import ChaosContext, FaultPlan
 from repro.selection import KFold, ridge_feature_grid
 from repro.storage import Table, table_fingerprint
@@ -290,9 +291,29 @@ class TestStorePersistence:
         assert np.array_equal(got, value)
         led = second.ledger()
         assert led["disk_hits"] == 1 and led["hits"] == 1
-        # lineage metadata survived the restart
-        rec = second.lineage.get(fp.key)
-        assert rec is not None and rec.label == "gram"
+        # the entry's metadata survived the restart
+        [entry] = second.entries()
+        assert entry["key"] == fp.key and entry["label"] == "gram"
+
+    def test_directory_with_provenance_headers_still_loads(self, tmp_path):
+        # older stores wrote "structural" and "children" into every
+        # header; the schema is unchanged, so those entries still serve
+        fp = Fingerprint("s", ("x", "y"), "f")
+        value = _gram_data(12, 5, seed=4)
+        write_atomic(
+            tmp_path / f"{fp.key}.mat",
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+            "repro.mat/v1",
+            extra={
+                "key": fp.key, "label": "gram", "kind": "dense",
+                "shape": [12, 5], "nbytes": value.nbytes, "flops": 42.0,
+                "pinned": False, "structural": "spec", "children": ["x", "y"],
+            },
+        )
+        store = MaterializationStore(tmp_path, min_flops=0.0)
+        assert [e["label"] for e in store.entries()] == ["gram"]
+        assert store.lookup(fp).tobytes() == value.tobytes()
+        assert store.ledger()["disk_hits"] == 1
 
     def test_corrupted_entry_is_dropped_and_recomputable(self, tmp_path):
         first = MaterializationStore(tmp_path, min_flops=0.0)
@@ -329,27 +350,6 @@ class TestStorePersistence:
         (tmp_path / "other.txt").write_text("irrelevant")
         store = MaterializationStore(tmp_path)
         assert len(store) == 0
-
-
-# ----------------------------------------------------------------------
-# Lineage graph
-# ----------------------------------------------------------------------
-class TestLineageGraph:
-    def test_record_children_parents(self):
-        g = LineageGraph()
-        g.record("a", "base", "s1")
-        g.record("b", "base", "s2")
-        g.record("c", "derived", "s3", children=("a", "b"))
-        g.record("d", "derived2", "s4", children=("c",))
-        assert g.children("c") == ("a", "b")
-        assert g.parents("a") == ("c",)
-        assert len(g) == 4 and "c" in g
-        assert "derived" in g.describe()
-
-    def test_unknown_key_is_empty(self):
-        g = LineageGraph()
-        assert g.get("x") is None
-        assert g.children("x") == ()
 
 
 # ----------------------------------------------------------------------

@@ -142,12 +142,6 @@ class TestCanaryRouter:
         assert not CanaryRouter(0.0, 1).routes_to_canary("x")
         assert CanaryRouter(1.0, 1).routes_to_canary("x")
 
-    def test_split_partitions(self):
-        keys = [f"k{i}" for i in range(100)]
-        stable, canary = CanaryRouter(0.25, 5).split(keys)
-        assert sorted(stable + canary) == sorted(keys)
-        assert 0 < len(canary) < len(keys)
-
     def test_invalid_fraction(self):
         with pytest.raises(ServingError):
             CanaryRouter(1.5)
@@ -747,6 +741,10 @@ class TestScoringKernel:
             _ask(server, door, "score", X[0, :4])  # IndexError before PR 20
         with pytest.raises(ServingError, match="narrower"):
             compile_linear_scorer(server.registry.get("churn", 1).model)(X[0])
+        with pytest.raises(ServingError, match=rf"{door} expects a \d-D"):
+            _ask(server, door, "score", X[:2])  # "narrower" before the check
+        with pytest.raises(ServingError, match=rf"{door} expects a numeric"):
+            _ask(server, door, "score", np.array(["a"] * 5))  # ValueError
 
 
 # ----------------------------------------------------------------------
