@@ -167,7 +167,8 @@ def _categorical_drift(a: np.ndarray, b: np.ndarray, name: str) -> ColumnDrift:
 
 
 # ----------------------------------------------------------------------
-# Frozen-bucket primitives (shared by batch and streaming paths)
+# Frozen-bucket primitives (shared by batch and streaming paths), row-
+# wise over count matrices (one row per feature; 1-D is the one-row case)
 # ----------------------------------------------------------------------
 def frozen_edges(reference) -> np.ndarray:
     """Deterministic train-time bucket edges over a reference sample.
@@ -177,7 +178,12 @@ def frozen_edges(reference) -> np.ndarray:
     edges. A constant reference gets a unit-wide span around its value
     so later observations still land in well-defined buckets.
     """
-    arr = np.asarray(reference, dtype=np.float64).ravel()
+    try:
+        arr = np.asarray(reference, dtype=np.float64).ravel()
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"cannot freeze bucket edges: reference is not numeric ({exc})"
+        ) from None
     ok = arr[np.isfinite(arr)]
     if ok.size == 0:
         raise SchemaError(
@@ -190,57 +196,72 @@ def frozen_edges(reference) -> np.ndarray:
 
 
 def bucket_counts(values, edges: np.ndarray) -> np.ndarray:
-    """Counts per frozen bucket; out-of-range values clip into the end
-    buckets (frozen edges must absorb covariate shift, not drop it)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    ok = arr[np.isfinite(arr)]
-    last = len(edges) - 2
-    idx = np.searchsorted(edges, np.clip(ok, edges[0], edges[-1]), side="right") - 1
-    return np.bincount(np.clip(idx, 0, last), minlength=last + 1).astype(
-        np.float64
-    )
+    """Counts per frozen bucket, row ``i`` of ``values`` against row
+    ``i`` of ``edges``: out-of-range values clip into the end buckets
+    (frozen edges must absorb covariate shift, not drop it), non-finite
+    ones count nowhere, and counts are integer-valued float64. One
+    broadcast comparison buckets every value: over sorted edges, the
+    count of *interior* edges <= max(x, low edge) is exactly
+    ``searchsorted(side="right") - 1`` clipped to the end buckets."""
+    edges = np.asarray(edges, dtype=np.float64)
+    grid = edges.reshape(-1, edges.shape[-1])
+    rows = np.ascontiguousarray(values, np.float64).reshape(len(grid), -1)
+    features, buckets = grid.shape[0], grid.shape[1] - 1
+    clipped = np.maximum(rows, grid[:, :1])
+    idx = (grid.T[1:-1, :, None] <= clipped).sum(axis=0, dtype=np.intp)
+    idx += buckets * np.arange(features)[:, None]
+    counts = np.bincount(
+        idx[np.isfinite(rows)], minlength=features * buckets
+    ).astype(np.float64).reshape(features, buckets)
+    return counts if edges.ndim > 1 else counts[0]
 
 
-def _smoothed_probs(counts: np.ndarray) -> np.ndarray:
-    total = counts.sum()
-    if total <= 0:
-        return np.full(len(counts), 1.0 / len(counts))
-    probs = np.clip(counts / total, _PSI_EPSILON, None)
-    return probs / probs.sum()
+def _rows(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count rows as a float64 matrix, each row's total (1 for an empty
+    row, so a division leaves it 0 rather than NaN) and which rows hold
+    any mass."""
+    rows = np.atleast_2d(np.asarray(counts, dtype=np.float64))
+    total = rows.sum(axis=-1, keepdims=True)
+    return rows, np.where(total > 0, total, 1.0), total[:, 0] > 0
 
 
-def psi_statistic(
-    reference_counts: np.ndarray, current_counts: np.ndarray
-) -> float:
-    """Population stability index over two aligned count vectors:
+def _smoothed_probs(counts) -> np.ndarray:
+    rows, total, mass = _rows(counts)
+    probs = np.maximum(rows / total, _PSI_EPSILON)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    return np.where(mass[:, None], probs, 1.0 / rows.shape[-1])
+
+
+def psi_statistic(reference_counts, current_counts) -> np.ndarray | float:
+    """Population stability index over aligned count rows:
     ``sum((p - q) * ln(p / q))`` with epsilon-smoothed probabilities."""
-    p = _smoothed_probs(np.asarray(reference_counts, dtype=np.float64))
-    q = _smoothed_probs(np.asarray(current_counts, dtype=np.float64))
-    return float(np.sum((p - q) * np.log(p / q)))
+    p, q = _smoothed_probs(reference_counts), _smoothed_probs(current_counts)
+    psi = np.sum((p - q) * np.log(p / q), axis=-1)
+    return psi if np.ndim(current_counts) > 1 else float(psi[0])
 
 
-def ks_statistic(
-    reference_counts: np.ndarray, current_counts: np.ndarray
-) -> float:
+def ks_statistic(reference_counts, current_counts) -> np.ndarray | float:
     """Kolmogorov-Smirnov statistic over the frozen buckets: the max
-    absolute CDF gap evaluated at the bucket edges (unsmoothed)."""
-    p = np.asarray(reference_counts, dtype=np.float64)
-    q = np.asarray(current_counts, dtype=np.float64)
-    if p.sum() <= 0 or q.sum() <= 0:
-        return 0.0
-    return float(np.max(np.abs(np.cumsum(p) / p.sum() - np.cumsum(q) / q.sum())))
+    absolute CDF gap evaluated at the bucket edges (unsmoothed; 0 when
+    a side is empty)."""
+    p, p_total, p_mass = _rows(reference_counts)
+    q, q_total, q_mass = _rows(current_counts)
+    gap = np.abs(
+        np.cumsum(p, axis=-1) / p_total - np.cumsum(q, axis=-1) / q_total
+    )
+    ks = np.where(p_mass & q_mass, gap.max(axis=-1), 0.0)
+    return ks if np.ndim(current_counts) > 1 else float(ks[0])
 
 
-def tv_statistic(
-    reference_counts: np.ndarray, current_counts: np.ndarray
-) -> float:
-    """Total-variation distance between two aligned count vectors (the
-    original batch drift score, exposed for the streaming path)."""
-    p = np.asarray(reference_counts, dtype=np.float64)
-    q = np.asarray(current_counts, dtype=np.float64)
-    if p.sum() <= 0 or q.sum() <= 0:
-        return 0.0
-    return 0.5 * float(np.abs(p / p.sum() - q / q.sum()).sum())
+def tv_statistic(reference_counts, current_counts) -> np.ndarray | float:
+    """Total-variation distance between aligned count rows (the original
+    batch drift score, exposed for the streaming path; 0 when a side is
+    empty)."""
+    p, p_total, p_mass = _rows(reference_counts)
+    q, q_total, q_mass = _rows(current_counts)
+    tv = 0.5 * np.abs(p / p_total - q / q_total).sum(axis=-1)
+    tv = np.where(p_mass & q_mass, tv, 0.0)
+    return tv if np.ndim(current_counts) > 1 else float(tv[0])
 
 
 @dataclass(frozen=True)
@@ -256,14 +277,17 @@ class DriftStats:
 
 
 class StreamingDriftMonitor:
-    """Incremental drift statistics against a frozen training reference.
+    """One feature's drift state against a frozen training reference.
 
-    Bucket edges are frozen at construction (train) time; every serving
-    observation is O(1) — one ``searchsorted`` into the frozen edges and
-    a bucket increment. PSI/KS/TV are recomputed exactly from the two
-    count vectors on demand, so the monitor's numbers are replayable:
-    an oracle holding the same observation list and the same frozen
-    edges computes identical statistics.
+    Bucket edges freeze at construction (train) time. The state —
+    ``edges``, ``reference_counts`` and ``counts`` — is one row of
+    (features × buckets) matrices: :func:`share_rows` seats a group of
+    monitors on shared matrices, so their owner folds a served batch
+    with one :func:`bucket_counts` and computes each statistic for every
+    feature in one row-wise pass, while each monitor still reads and
+    writes its own row. PSI and KS are exact functions of the two count
+    rows, so an oracle holding the same observation list and the same
+    frozen edges computes identical statistics.
     """
 
     def __init__(self, name: str, reference):
@@ -271,16 +295,12 @@ class StreamingDriftMonitor:
         self.edges = frozen_edges(reference)
         self.reference_counts = bucket_counts(reference, self.edges)
         self.counts = np.zeros(len(self.edges) - 1, dtype=np.float64)
-        self.observed = 0
 
-    def observe_many(self, values) -> int:
-        """Fold an array-like batch of observations; returns how many
-        were finite."""
-        counts = bucket_counts(values, self.edges)
-        folded = int(counts.sum())
-        self.counts += counts
-        self.observed += folded
-        return folded
+    @property
+    def observed(self) -> int:
+        """Finite observations folded: each adds exactly 1 to one
+        bucket, so the (integer-valued) counts sum to it exactly."""
+        return int(self.counts.sum())
 
     def psi(self) -> float:
         return psi_statistic(self.reference_counts, self.counts)
@@ -288,20 +308,15 @@ class StreamingDriftMonitor:
     def ks(self) -> float:
         return ks_statistic(self.reference_counts, self.counts)
 
-    def tv(self) -> float:
-        return tv_statistic(self.reference_counts, self.counts)
 
-    def snapshot(self) -> DriftStats:
-        """Each statistic computed once; ``drifted`` when either PSI or
-        KS has crossed its threshold over at least one observation."""
-        psi, ks = self.psi(), self.ks()
-        return DriftStats(
-            name=self.name,
-            observed=self.observed,
-            psi=psi,
-            ks=ks,
-            tv=self.tv(),
-            drifted=self.observed > 0 and (
-                psi > PSI_DEFAULT_THRESHOLD or ks > KS_DEFAULT_THRESHOLD
-            ),
-        )
+def share_rows(monitors) -> list[np.ndarray]:
+    """Seat ``monitors`` on shared matrices, one row each; returns
+    ``[edges, reference_counts, counts]``. Every monitor's state becomes
+    a view of its row, so a write through the matrix or through the
+    monitor is seen by both."""
+    fields = ("edges", "reference_counts", "counts")
+    shared = [np.stack([getattr(m, f) for m in monitors]) for f in fields]
+    for j, monitor in enumerate(monitors):
+        for f, matrix in zip(fields, shared):
+            setattr(monitor, f, matrix[j])
+    return shared

@@ -1,9 +1,10 @@
 """Drift-gated rollout: promotion refuses to outrun the feature data.
 
 A :class:`DriftGate` watches the serving-side distribution of every
-feature in a view through per-feature
-:class:`~repro.feateng.StreamingDriftMonitor` instances (bucket edges
-frozen over the training reference) and sits in the promotion path of a
+feature in a view in one (features × buckets) count matrix over edges
+frozen from the training reference (each feature's
+:class:`~repro.feateng.StreamingDriftMonitor` is a view of its row),
+and sits in the promotion path of a
 :class:`~repro.serving.ShardedServer` endpoint. At promotion time it
 checks two things:
 
@@ -22,8 +23,8 @@ reasons and the held error's scores all come from it.
 Every decision lands in one exact :class:`~repro.obs.Ledger`
 (observations, evaluations, holds, rollbacks, promotes; ``features.gate.*``
 in the registry) — replayable against an analytic oracle, since the
-monitors' statistics are pure functions of the frozen edges and the
-observation list.
+statistics are pure functions of the frozen edges and the observation
+list.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FeatureStoreError, PromotionHeldError
-from ..feateng.drift import DriftStats, StreamingDriftMonitor
+from ..feateng import drift
 from ..obs import Counted, Ledger
 from .view import FeatureView
 
@@ -61,40 +62,70 @@ class DriftGate(Counted):
         min_observations: int = DEFAULT_MIN_OBSERVATIONS,
     ):
         self.view = view
+        if not 0 <= min_observations < float("inf"):  # NaN fails too
+            raise FeatureStoreError(
+                f"gate on view {view.name!r}: min_observations must be "
+                f">= 0, got {min_observations!r}"
+            )
         self.min_observations = int(min_observations)
         columns = getattr(reference, "columns", reference)
-        self.monitors: dict[str, StreamingDriftMonitor] = {}
+        self.monitors: dict[str, drift.StreamingDriftMonitor] = {}
         for fname in view.feature_names:
             if fname not in columns:
                 raise FeatureStoreError(
                     f"gate reference is missing feature {fname!r}"
                 )
-            self.monitors[fname] = StreamingDriftMonitor(
+            self.monitors[fname] = drift.StreamingDriftMonitor(
                 fname, columns[fname]
             )
+        #: frozen edges, reference and served counts, one row per
+        #: feature: each monitor's state is a view of its row.
+        self.edges, self.reference_counts, self.served_counts = (
+            drift.share_rows(self.monitors.values())
+        )
         self.counts = Ledger("features.gate", (
             "observations", "evaluations", "holds", "rollbacks", "promotes",
         ))
 
     # -- serving-side accumulation -------------------------------------
     def observe_many(self, rows) -> None:
-        """Fold a batch of served rows into the per-feature monitors,
-        one vectorised fold per feature column (not per value)."""
-        batch = np.atleast_1d(np.asarray(rows, dtype=np.float64))
-        width = len(self.view.feature_names)
+        """Fold a batch of served rows — ``(n, features)``, or one row —
+        into the count matrix in one pass over all features."""
+        name, width = self.view.name, len(self.view.feature_names)
+        try:
+            batch = np.atleast_1d(np.asarray(rows, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise FeatureStoreError(
+                f"gate on view {name!r}: served rows are not numeric ({exc})"
+            ) from None
+        if batch.ndim > 2:
+            raise FeatureStoreError(
+                f"gate on view {name!r} folds (rows, {width}) batches, got "
+                f"shape {batch.shape}"
+            )
         if batch.size and batch.shape[-1] != width:
             raise FeatureStoreError(
-                f"gate observed {batch.shape[-1]} values for "
-                f"{width} features"
+                f"gate on view {name!r} observed {batch.shape[-1]} values "
+                f"for {width} features"
             )
         batch = batch.reshape(-1, width)
-        for j, fname in enumerate(self.view.feature_names):
-            self.monitors[fname].observe_many(batch[:, j])
+        self.served_counts += drift.bucket_counts(batch.T, self.edges)
         self.counts.inc("observations", len(batch))
 
-    def drift_snapshot(self) -> dict[str, DriftStats]:
-        """Current per-feature statistics (all features)."""
-        return {f: m.snapshot() for f, m in self.monitors.items()}
+    def drift_snapshot(self) -> dict[str, drift.DriftStats]:
+        """Every feature's statistics, each computed once for all
+        features; ``drifted`` when PSI or KS has crossed its threshold
+        over at least one observation."""
+        ref, cur = self.reference_counts, self.served_counts
+        observed = cur.sum(axis=1).astype(np.int64)  # exact: see monitor
+        psi, ks = drift.psi_statistic(ref, cur), drift.ks_statistic(ref, cur)
+        drifted = (observed > 0) & (
+            (psi > drift.PSI_DEFAULT_THRESHOLD)
+            | (ks > drift.KS_DEFAULT_THRESHOLD)
+        )
+        stats = (observed, psi, ks, drift.tv_statistic(ref, cur), drifted)
+        rows = zip(self.monitors, *(column.tolist() for column in stats))
+        return {row[0]: drift.DriftStats(*row) for row in rows}
 
     # -- the promotion hook --------------------------------------------
     def authorize(self, controller, endpoint: str, entry=None) -> None:

@@ -13,8 +13,8 @@ into a live inference surface; a single node is
   into vectorized batches of at most ``max_batch_size``; compiled
   affine scorers make batched results bit-identical to single-row
   scoring and to the ``indb`` SQL-scoring path.
-* **Prediction cache** (:class:`PredictionCache`) memoizes on
-  ``(endpoint, model_version, row bytes)`` with invalidation on
+* **Prediction cache** (:class:`PredictionCache`), one per endpoint,
+  memoizes on ``(model_version, row bytes)`` and is cleared on
   promotion.
 * **Admission control** — bounded queues shed load
   (:class:`~repro.errors.LoadShedError`), scoring concurrency is

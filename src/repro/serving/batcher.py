@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DeadlineExceededError, LoadShedError, ServingError
-from ..obs import Counted, Ledger, get_registry
+from ..obs import Counted, Ledger
 
 
 #: guards installing a handle's event. Shared by every handle: it is
@@ -196,7 +196,6 @@ class MicroBatcher(Counted):
                     pending.result = score
         self.counts.inc("batches")
         self.counts.inc("batched_requests", len(batch))
-        get_registry().observe("serving.batch_size", len(batch))
         for pending in batch:
             pending._complete()
 

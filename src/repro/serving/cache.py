@@ -2,14 +2,14 @@
 
 Online scoring is read-heavy and repetitive — the same entities are
 scored again and again between model updates (Kara et al. keep scoring
-incremental for exactly this reason). Entries are keyed on
-``(endpoint, model_version, row key)``: the version in the key means a
-promoted model can never serve a predecessor's cached answer, and
-:meth:`PredictionCache.invalidate` additionally evicts an endpoint's
-entries eagerly on promote so stale rows do not squat in the
-LRU ring. The server passes the row's full bytes as the row key, so a
-hit is decided on the whole row — a 32-bit :func:`feature_hash` would
-let two colliding entities answer for each other.
+incremental for exactly this reason). Each endpoint owns one cache, and
+entries are keyed on ``(model_version, row key)``: the version in the
+key means a promoted model can never serve a predecessor's cached
+answer, and :meth:`PredictionCache.invalidate` additionally clears the
+cache eagerly on promote so stale rows do not squat in the LRU ring.
+The server passes the row's full bytes as the row key, so a hit is
+decided on the whole row — a 32-bit :func:`feature_hash` would let two
+colliding entities answer for each other.
 
 The cache owns its key and the lock; ordering and
 eviction are :class:`~repro.cache.BoundedCache` at cost 1 per entry,
@@ -59,15 +59,12 @@ class PredictionCache:
         self.stats = Ledger(
             "serving.cache", ("hits", "misses", "invalidations", "evictions")
         )
-        # (endpoint, version, row key) -> prediction
+        # (version, row key) -> prediction
         self._entries = BoundedCache(capacity, self.stats)
 
     # ------------------------------------------------------------------
     def get(
-        self,
-        endpoint: str,
-        versions: Sequence[int],
-        row_keys: Sequence[Hashable],
+        self, versions: Sequence[int], row_keys: Sequence[Hashable]
     ) -> list[float | None]:
         """Probe one call's rows — ``(versions[i], row_keys[i])`` is row
         ``i``'s key — under one lock, in row order; returns each row's
@@ -78,7 +75,7 @@ class PredictionCache:
         with self._lock:
             lookup = self._entries.get
             for version, row_key in zip(versions, row_keys):
-                value = lookup((endpoint, version, row_key))
+                value = lookup((version, row_key))
                 if value is None:
                     misses += 1
                 values.append(value)
@@ -88,21 +85,18 @@ class PredictionCache:
                 self.stats.inc("hits", len(values) - misses)
         return values
 
-    def put(
-        self, endpoint: str, version: int, row_key: Hashable, value: float
-    ) -> None:
+    def put(self, version: int, row_key: Hashable, value: float) -> None:
         with self._lock:
-            self._entries.put((endpoint, version, row_key), float(value))
+            self._entries.put((version, row_key), float(value))
 
-    def invalidate(self, endpoint: str) -> int:
-        """Evict every entry of one endpoint (any version); returns the
-        count. Called on promote."""
+    def invalidate(self) -> int:
+        """Drop every entry (any version); returns the count. Called on
+        promote."""
         with self._lock:
-            stale = [k for k in self._entries.keys() if k[0] == endpoint]
-            for key in stale:
-                self._entries.remove(key)
-            self.stats.inc("invalidations", len(stale))
-        return len(stale)
+            dropped = len(self._entries)
+            self._entries.clear()
+            self.stats.inc("invalidations", dropped)
+        return dropped
 
     def __len__(self) -> int:
         with self._lock:

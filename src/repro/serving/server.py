@@ -35,8 +35,8 @@ the fleet says so (:meth:`ModelServer.invalidate`).
 Every count is a :class:`~repro.obs.Ledger` write, summed per call
 rather than written per row — the endpoint's ``serving.*`` counts here,
 the cache's ``serving.cache.*`` and the batcher's ``serving.batcher.*``
-in their own modules — next to the ``serving.latency_ms`` /
-``serving.batch_size`` histograms with p50/p95/p99.
+in their own modules — next to the ``serving.latency_ms`` histograms
+with p50/p95/p99.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ class ModelServer:
         }
         if endpoint.cache is None:
             return 0
-        return endpoint.cache.invalidate(name)
+        return endpoint.cache.invalidate()
 
     # ------------------------------------------------------------------
     # Request path
@@ -390,7 +390,7 @@ class ModelServer:
                     # this row
                     row_keys.append(row.tobytes())
             out = (
-                cache.get(name, versions, row_keys)
+                cache.get(versions, row_keys)
                 if cache is not None
                 else [None] * len(rows)
             )
@@ -433,7 +433,7 @@ class ModelServer:
                     counts.inc("deadline_exceeded")
                     raise DeadlineExceededError(name, deadline_ms)
                 if cache is not None:
-                    cache.put(name, versions[i], row_keys[i], out[i])
+                    cache.put(versions[i], row_keys[i], out[i])
         finally:
             if asked:
                 counts.inc("requests", asked)

@@ -201,39 +201,61 @@ class TestStreamingDrift:
         assert counts[0] >= 1 and counts[-1] >= 1
         assert counts.sum() == 3
 
-    def test_identical_stream_has_near_zero_psi(self):
-        from repro.feateng import StreamingDriftMonitor
+    def test_count_matrices_are_rows_of_the_one_row_case(self):
+        from repro.feateng import (bucket_counts, frozen_edges, ks_statistic,
+                                   psi_statistic, tv_statistic)
 
+        rng = np.random.default_rng(3)
+        values = rng.normal(0.0, 2.0, (3, 50))
+        values[0, :5] = [np.nan, np.inf, -np.inf, 99.0, -99.0]
+        edges = np.stack([frozen_edges(self._reference(seed=s)) for s in (1, 2, 3)])
+        counts = bucket_counts(values, edges)
+        ref = np.stack([bucket_counts(self._reference(seed=s), e)
+                        for s, e in zip((1, 2, 3), edges)])
+        ref[2] = 0.0  # an empty side: KS and TV read 0
+        for j in range(3):
+            assert counts[j].tobytes() == bucket_counts(values[j], edges[j]).tobytes()
+            for stat in (psi_statistic, ks_statistic, tv_statistic):
+                assert stat(ref, counts)[j] == stat(ref[j], counts[j])
+        assert ks_statistic(ref, counts)[2] == tv_statistic(ref, counts)[2] == 0.0
+
+    def _gate(self, ref):
+        """The streaming path: a drift gate over a one-feature view."""
+        from repro.features import DriftGate, FeatureView
+
+        view = FeatureView("stream", "entity", {"x": lambda c: c.x})
+        return DriftGate(view, {"x": ref})
+
+    def test_identical_stream_has_near_zero_psi(self):
         ref = self._reference()
-        monitor = StreamingDriftMonitor("x", ref)
-        monitor.observe_many(ref)
+        gate = self._gate(ref)
+        gate.observe_many(ref[:, None])
+        monitor = gate.monitors["x"]
         assert monitor.psi() < 1e-9
         assert monitor.ks() < 1e-12
-        assert not monitor.snapshot().drifted
+        assert not gate.drift_snapshot()["x"].drifted
 
     def test_shifted_stream_trips_psi_and_ks(self):
-        from repro.feateng import StreamingDriftMonitor
         from repro.feateng.drift import (KS_DEFAULT_THRESHOLD,
                                          PSI_DEFAULT_THRESHOLD)
 
         ref = self._reference()
-        monitor = StreamingDriftMonitor("x", ref)
-        monitor.observe_many(ref + 2.5)
-        stats = monitor.snapshot()
+        gate = self._gate(ref)
+        gate.observe_many((ref + 2.5)[:, None])
+        stats = gate.drift_snapshot()["x"]
         assert stats.psi > PSI_DEFAULT_THRESHOLD
         assert stats.ks > KS_DEFAULT_THRESHOLD
         assert stats.drifted
 
     def test_incremental_equals_batch_accumulation(self):
-        from repro.feateng import StreamingDriftMonitor
-
         ref = self._reference()
         serve = self._reference(seed=6) + 0.3
-        one = StreamingDriftMonitor("x", ref)
+        one = self._gate(ref)
         for v in serve:
             one.observe_many([v])
-        batch = StreamingDriftMonitor("x", ref)
-        batch.observe_many(serve)
+        batch = self._gate(ref)
+        batch.observe_many(serve[:, None])
+        one, batch = one.monitors["x"], batch.monitors["x"]
         assert one.psi() == batch.psi()
         assert one.ks() == batch.ks()
         assert np.array_equal(one.counts, batch.counts)
@@ -252,13 +274,13 @@ class TestStreamingDrift:
         assert col.ks > 0.25
 
     def test_psi_replayable_from_counts(self):
-        from repro.feateng import (StreamingDriftMonitor, bucket_counts,
-                                   psi_statistic)
+        from repro.feateng import bucket_counts, psi_statistic
 
         ref = self._reference()
         serve = self._reference(seed=9) * 1.7
-        monitor = StreamingDriftMonitor("x", ref)
-        monitor.observe_many(serve)
+        gate = self._gate(ref)
+        gate.observe_many(serve[:, None])
+        monitor = gate.monitors["x"]
         oracle = psi_statistic(
             bucket_counts(ref, monitor.edges),
             bucket_counts(serve, monitor.edges),

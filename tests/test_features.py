@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FeatureStoreError, PromotionHeldError
+from repro.errors import FeatureStoreError, PromotionHeldError, SchemaError
 from repro.features import (
     DriftGate,
     FeatureStore,
@@ -421,21 +421,23 @@ class TestDriftGate:
         assert server.registry.deployed("m").version == 1
 
     @pytest.mark.parametrize("shift", [False, True])
-    def test_one_decision_computes_each_statistic_once_per_feature(
+    def test_one_decision_computes_each_statistic_once(
         self, shift, monkeypatch
     ):
+        """One decision reads one snapshot, and that snapshot computes
+        each statistic once, over every feature's row at a time."""
         from repro.feateng import drift
 
         table = base_table()
         view = standard_view()
         offline = FeatureStore().materialize(view, table)
         server, gate = gated_server(view, offline, shift=shift)
-        calls = dict.fromkeys(("psi", "ks", "tv"), 0)
+        calls = {stat: [] for stat in ("psi", "ks", "tv")}
         for stat in calls:
             real = getattr(drift, f"{stat}_statistic")
 
             def counted(ref, cur, stat=stat, real=real):
-                calls[stat] += 1
+                calls[stat].append((ref.shape, cur.shape))
                 return real(ref, cur)
 
             monkeypatch.setattr(drift, f"{stat}_statistic", counted)
@@ -448,8 +450,8 @@ class TestDriftGate:
         if held is not None:
             assert held.rolled_back
             assert sorted(held.scores) == sorted(view.feature_names)
-        features = len(view.feature_names)
-        assert calls == {"psi": features, "ks": features, "tv": features}
+        matrix = (len(view.feature_names), 20)
+        assert calls == dict.fromkeys(calls, [(matrix, matrix)])
         assert gate.ledger()["evaluations"] == 1
 
     def test_held_fleet_promote_writes_no_alias_and_invalidates_nothing(
@@ -519,18 +521,62 @@ class TestDriftGate:
         assert server.promote("ep", 1).version == 1
 
 
-def fold_row_by_row(gate, row):
+def fold_row_by_row(monitors, row):
     """The per-value fold ``observe_many`` replaced, kept as its oracle:
-    one searchsorted and one ``np.add.at`` per feature per served row."""
-    for monitor, value in zip(gate.monitors.values(), row):
+    one searchsorted and one ``np.add.at`` per feature per served row,
+    into each monitor's ``counts`` row over its ``edges``."""
+    for monitor, value in zip(monitors, row):
         if np.isfinite(value):
             edges = monitor.edges
             idx = np.searchsorted(
                 edges, np.clip(value, edges[0], edges[-1]), side="right"
             ) - 1
             np.add.at(monitor.counts, np.clip(idx, 0, len(edges) - 2), 1.0)
-            monitor.observed += 1
-    gate.counts.inc("observations")
+
+
+def textbook_edges(reference):
+    ok = reference[np.isfinite(reference)]
+    lo, hi = float(ok.min()), float(ok.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.linspace(lo, hi, 21)
+
+
+def textbook_stats(name, observed, ref, cur):
+    """The ``DriftStats`` repr of one feature from the 1-D formulas:
+    PSI over epsilon-smoothed probabilities, KS and TV unsmoothed (0
+    when a side is empty), drifted on PSI or KS over 0.25."""
+    def smoothed(counts):
+        if counts.sum() <= 0:
+            return np.full(len(counts), 1.0 / len(counts))
+        probs = np.clip(counts / counts.sum(), 1e-6, None)
+        return probs / probs.sum()
+
+    p, q = smoothed(ref), smoothed(cur)
+    psi = float(np.sum((p - q) * np.log(p / q)))
+    ks = tv = 0.0
+    if ref.sum() > 0 and cur.sum() > 0:
+        ks = float(np.max(np.abs(
+            np.cumsum(ref) / ref.sum() - np.cumsum(cur) / cur.sum()
+        )))
+        tv = 0.5 * float(np.abs(ref / ref.sum() - cur / cur.sum()).sum())
+    drifted = observed > 0 and (psi > 0.25 or ks > 0.25)
+    return (
+        f"DriftStats(name={name!r}, observed={observed!r}, psi={psi!r}, "
+        f"ks={ks!r}, tv={tv!r}, drifted={drifted!r})"
+    )
+
+
+class OracleRow:
+    """One feature's oracle state, folded by :func:`fold_row_by_row`."""
+
+    def __init__(self, edges):
+        self.edges, self.counts = edges, np.zeros(20)
+
+
+class _NoCanary:
+    def clear_canary(self, endpoint):
+        return False
 
 
 served_value = st.one_of(
@@ -567,7 +613,8 @@ class TestGateBatchParity:
         assert get_registry().value("features.gate.observations") - counted == rows
         for batch in batches:
             for row in batch:
-                fold_row_by_row(oracle, row)
+                fold_row_by_row(oracle.monitors.values(), row)
+                oracle.counts.inc("observations")
         for fname, monitor in batched.monitors.items():
             assert monitor.counts.tobytes() == oracle.monitors[fname].counts.tobytes()
             assert monitor.observed == oracle.monitors[fname].observed
@@ -596,3 +643,107 @@ class TestGateBatchParity:
         with pytest.raises(FeatureStoreError, match="for 4 features"):
             gate.observe_many(rows)
         assert gate.ledger()["observations"] == 0
+
+    @pytest.mark.parametrize("door", [
+        "string values", "ragged", "rank-3", "string reference",
+        "NaN min_observations", "negative min_observations",
+    ])
+    def test_bad_inputs_are_typed_errors(self, door):
+        """Each door refuses with the repo's error naming the view (or
+        the reference), never a bare numpy error or a silent fold."""
+        view = standard_view()
+        offline = FeatureStore().materialize(view, base_table())
+        calls = {
+            "string values": lambda gate: gate.observe_many([["x", "y"]]),
+            "ragged": lambda gate: gate.observe_many([[1.0, 2.0], [1.0]]),
+            "rank-3": lambda gate: gate.observe_many(np.ones((2, 2, 4))),
+        }
+        gate = DriftGate(view, offline)
+        if door in calls:
+            with pytest.raises(FeatureStoreError, match="'orders'"):
+                calls[door](gate)
+            assert gate.ledger()["observations"] == 0
+            assert not gate.served_counts.any()
+        elif door == "string reference":
+            columns = dict(offline.columns, spend=np.array(["a", "b"]))
+            with pytest.raises(SchemaError, match="not numeric"):
+                DriftGate(view, columns)
+        else:
+            bound = float("nan") if door.startswith("NaN") else -3
+            with pytest.raises(FeatureStoreError, match="'orders'"):
+                DriftGate(view, offline, min_observations=bound)
+
+
+reference_column = st.one_of(
+    st.floats(-1e3, 1e3).map(lambda v: [v] * 5),  # constant: unit span
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30).map(
+        lambda values: values + [float("nan"), float("inf")]
+    ),
+)
+wide_value = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.floats(-3e3, 3e3),  # in range, and out of it on either side
+)
+
+
+class TestMatrixGateOracle:
+    @given(
+        references=st.lists(reference_column, min_size=4, max_size=4),
+        batches=st.lists(
+            st.lists(st.lists(wide_value, min_size=4, max_size=4),
+                     max_size=8),
+            max_size=5,
+        ),
+        nan_columns=st.lists(st.booleans(), min_size=4, max_size=4),
+        min_observations=st.integers(0, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matrix_gate_matches_the_per_feature_oracle(
+        self, references, batches, nan_columns, min_observations
+    ):
+        """Fold and snapshot over the whole (features × buckets) matrix
+        equal the per-column searchsorted fold and the 1-D formulas,
+        bit for bit, and so does the hold/promote decision."""
+        view = standard_view()
+        names = view.feature_names
+        columns = {
+            f: np.asarray(r, dtype=np.float64)
+            for f, r in zip(names, references)
+        }
+        gate = DriftGate(view, columns, min_observations=min_observations)
+        edges = [textbook_edges(columns[f]) for f in names]
+        oracle = [OracleRow(e) for e in edges]
+        finite = np.zeros(4, dtype=np.int64)  # observations per feature
+        for batch in batches:
+            batch = np.asarray(batch, dtype=np.float64).reshape(-1, 4)
+            batch[:, np.asarray(nan_columns)] = np.nan
+            gate.observe_many(batch)
+            finite += np.isfinite(batch).sum(axis=0)
+            for row in batch:
+                fold_row_by_row(oracle, row)
+        snapshot = gate.drift_snapshot()
+        hold = False
+        for j, f in enumerate(names):
+            monitor = gate.monitors[f]
+            assert monitor.edges.tobytes() == edges[j].tobytes()
+            assert monitor.counts.tobytes() == oracle[j].counts.tobytes()
+            assert monitor.observed == finite[j]
+            if nan_columns[j]:
+                assert monitor.observed == 0
+            reference = OracleRow(edges[j])
+            for value in columns[f]:
+                fold_row_by_row([reference], [value])
+            stats = textbook_stats(
+                f, int(finite[j]), reference.counts, oracle[j].counts
+            )
+            assert repr(snapshot[f]) == stats
+            hold = hold or (
+                "drifted=True" in stats
+                and finite[j] >= min_observations
+            )
+        try:
+            gate.authorize(_NoCanary(), "ep")
+        except PromotionHeldError:
+            assert hold
+        else:
+            assert not hold

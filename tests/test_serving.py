@@ -153,22 +153,22 @@ class TestCanaryRouter:
 class TestPredictionCache:
     def test_hit_after_put(self):
         cache = PredictionCache(capacity=8)
-        cache.put("ep", 1, 42, 0.5)
-        assert cache.get("ep", [1], [42]) == [0.5]
+        cache.put(1, 42, 0.5)
+        assert cache.get([1], [42]) == [0.5]
         assert cache.stats.hits == 1
 
     def test_version_in_key(self):
         cache = PredictionCache(capacity=8)
-        cache.put("ep", 1, 42, 0.5)
-        assert cache.get("ep", [2], [42]) == [None]  # other version never hits
+        cache.put(1, 42, 0.5)
+        assert cache.get([2], [42]) == [None]  # other version never hits
 
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
-        cache.put("ep", 1, 1, 0.1)
-        cache.put("ep", 1, 2, 0.2)
-        assert cache.get("ep", [1], [1]) == [0.1]  # touch 1 -> 2 becomes LRU
-        cache.put("ep", 1, 3, 0.3)
-        assert cache.get("ep", [1], [2]) == [None]
+        cache.put(1, 1, 0.1)
+        cache.put(1, 2, 0.2)
+        assert cache.get([1], [1]) == [0.1]  # touch 1 -> 2 becomes LRU
+        cache.put(1, 3, 0.3)
+        assert cache.get([1], [2]) == [None]
         assert cache.stats.evictions == 1
 
     def test_one_probe_per_call_in_row_order(self):
@@ -176,23 +176,30 @@ class TestPredictionCache:
         recency is the per-row walk's), with one hits and one misses
         write."""
         cache = PredictionCache(capacity=2)
-        cache.put("ep", 1, 1, 0.1)
-        cache.put("ep", 1, 2, 0.2)
-        assert cache.get("ep", [1, 2, 1, 1], [2, 9, 1, 2]) == [
+        cache.put(1, 1, 0.1)
+        cache.put(1, 2, 0.2)
+        assert cache.get([1, 2, 1, 1], [2, 9, 1, 2]) == [
             0.2, None, 0.1, 0.2,
         ]
-        cache.put("ep", 1, 3, 0.3)  # 1 was touched before 2 last: evicts 1
-        assert cache.get("ep", [1, 1], [1, 2]) == [None, 0.2]
+        cache.put(1, 3, 0.3)  # 1 was touched before 2 last: evicts 1
+        assert cache.get([1, 1], [1, 2]) == [None, 0.2]
         assert (cache.stats.hits, cache.stats.misses) == (4, 2)
 
-    def test_invalidate_endpoint_only(self):
+    def test_invalidate_drops_every_entry(self):
+        """A cache belongs to one endpoint: a promote drops all of it,
+        every version, and counts what it dropped."""
         cache = PredictionCache(capacity=8)
-        cache.put("a", 1, 1, 0.1)
-        cache.put("a", 2, 2, 0.2)
-        cache.put("b", 1, 1, 0.3)
-        assert cache.invalidate("a") == 2
-        assert cache.get("b", [1], [1]) == [0.3]
-        assert cache.stats.invalidations == 2
+        cache.put(1, 1, 0.1)
+        cache.put(2, 2, 0.2)
+        cache.put(2, 1, 0.3)
+        assert cache.invalidate() == 3
+        assert len(cache) == 0
+        assert cache.get([1, 2, 2], [1, 2, 1]) == [None] * 3
+        assert cache.stats.invalidations == 3
+        cache.put(3, 1, 0.4)
+        assert cache.get([3], [1]) == [0.4]
+        assert cache.invalidate() == 1
+        assert cache.stats.invalidations == 4
 
     def test_feature_hash_stable(self):
         row = np.array([1.0, 2.0, 3.0])
