@@ -6,8 +6,8 @@ Run it from anywhere; it takes no arguments::
     python benchmarks/traffic.py
 
 Each run in :func:`runs` (the examples, the E28 workloads, the experiment
-runner plain and traced, and the ``bench-regression`` CLIs as CI runs
-them) goes in a fresh interpreter under a ``sys.settrace`` +
+runner plain and traced, and the ``bench-regression`` legs of ``tasks.py``
+as CI runs them) goes in a fresh interpreter under a ``sys.settrace`` +
 ``threading.settrace`` hook that returns ``None``, so it sees call events
 only, and records every code object under ``src/repro/``. The union of
 the runs is held against what the source declares:
@@ -53,27 +53,14 @@ SRC = ROOT / "src" / "repro"
 EXEMPT = Path(__file__).resolve().with_name("traffic_exempt.json")
 REPORT = ROOT / "traffic-report.json"
 
-#: the ``bench-regression`` matrix of ``.github/workflows/ci.yml``:
-#: (experiment, bench, extra arguments, REPRO_CHAOS_SEED)
-BENCH_CLIS = (
-    ("E18", "bench_parallel.py", ["--threads", "1,2"], ""),
-    ("E19", "bench_repr_exec.py", [], ""),
-    ("E20", "bench_obs_overhead.py", [], ""),
-    ("E21", "bench_resilience.py", [], "7"),
-    ("E22", "bench_serving.py", [], ""),
-    ("E23", "bench_feedback.py", [], ""),
-    ("E24", "bench_reuse.py", [], ""),
-    ("E25", "bench_incremental.py", [], "7"),
-    ("E26", "bench_sharding.py", [], ""),
-    ("E27", "bench_features.py", [], "7"),
-)
-
 #: a child interpreter: load this file, trace ``argv[3:]`` into ``argv[2]``
 CHILD = "import runpy, sys; runpy.run_path(sys.argv[1])['trace_child'](*sys.argv[2:])"
 
 
 def runs(scratch: Path) -> list[tuple[str, list[str], dict]]:
     """``(label, script and arguments, environment)`` of every traced run."""
+    from tasks import TASKS  # not at the top: a traced child never needs it
+
     e2e = "benchmarks/e2e/run.py"
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     workloads = [w["name"] for w in declared]
@@ -101,13 +88,11 @@ def runs(scratch: Path) -> list[tuple[str, list[str], dict]]:
             {"REPRO_TRACE": "1"},
         ),
         *(
-            (
-                f"{tag} {bench}",
-                [f"benchmarks/{bench}", "--quick", *args,
-                 "--out", str(scratch / f"{tag}-candidate.json")],
-                {"REPRO_CHAOS_SEED": seed} if seed else {},
-            )
-            for tag, bench, args, seed in BENCH_CLIS
+            (f"{t.tag} {t.module}.py",
+             [f"benchmarks/{t.module}.py", "--quick", *t.leg.args.split(),
+              "--out", str(scratch / f"{t.tag}-candidate.json")],
+             {"REPRO_CHAOS_SEED": t.leg.chaos_seed} if t.leg.chaos_seed else {})
+            for t in TASKS.values() if t.leg is not None
         ),
     ]
 

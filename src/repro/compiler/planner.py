@@ -46,10 +46,6 @@ class CompiledPlan:
         return next(iter(self.outputs.values()))
 
     @property
-    def output_shape(self) -> tuple[int, int]:
-        return self.root.shape
-
-    @property
     def num_ops(self) -> int:
         """Distinct operators across all outputs (shared counted once)."""
         return count_unique_ops(*self.outputs.values())

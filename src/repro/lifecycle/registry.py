@@ -9,9 +9,12 @@ deployed, what produced it, and how did it evolve.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from ..errors import LifecycleError
 from ..obs import get_registry
@@ -85,7 +88,22 @@ class ModelRegistry:
 
     def get(self, name: str, version: int | None = None) -> ModelVersion:
         """A specific version, or the latest when ``version`` is None
-        (versions are dense ``1..n``: ``v`` lives at index ``v - 1``)."""
+        (versions are dense ``1..n``: ``v`` lives at index ``v - 1``). A
+        version is a Python or numpy integer, not a bool; anything else
+        is a :class:`LifecycleError` naming the model and the reference."""
+        if version is not None:
+            if isinstance(version, bool) or not isinstance(
+                version, numbers.Integral
+            ):
+                raise LifecycleError(
+                    f"{name!r}: {version!r} is neither a version number "
+                    "nor an alias"
+                )
+            version = int(version)
+        return self._get(name, version)
+
+    def _get(self, name: str, version: int | None) -> ModelVersion:
+        """:meth:`get` for a reference already known to be an int or None."""
         versions = self._models.get(name)
         if not versions:
             raise LifecycleError(f"no model named {name!r}")
@@ -152,14 +170,15 @@ class ModelRegistry:
         return dict(self._aliases.get(name, {}))
 
     def resolve(self, name: str, ref: int | str | None = None) -> ModelVersion:
-        """Resolve a version reference: an int version, an alias string,
-        or ``None`` for the latest registered version."""
-        if ref is None or isinstance(ref, int):
+        """Resolve a version reference: a string is an alias, anything
+        else goes to :meth:`get` (an integral version, or ``None`` for the
+        latest registered version)."""
+        if not isinstance(ref, str):
             return self.get(name, ref)
         alias_map = self._aliases.get(name, {})
         if ref not in alias_map:
             raise LifecycleError(f"{name!r} has no alias {ref!r}")
-        return self.get(name, alias_map[ref])
+        return self._get(name, alias_map[ref])
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:
@@ -170,7 +189,10 @@ class ModelRegistry:
         Models of serializable estimator classes are embedded (see
         :mod:`repro.lifecycle.serialize`); other model objects are stored
         as ``null`` with their metadata intact, each one counted as
-        ``lifecycle.registry.models_not_persisted``.
+        ``lifecycle.registry.models_not_persisted``. A numpy scalar in
+        ``params`` or ``metrics`` is stored as its Python value; any other
+        value JSON cannot hold is a :class:`LifecycleError` naming the
+        version and the key, and nothing is written.
         """
         from .serialize import dumps_model
 
@@ -199,8 +221,34 @@ class ModelRegistry:
             "versions": entries,
             "aliases": {k: dict(v) for k, v in self._aliases.items() if v},
         }
+
+        def plain(value):  # json.dumps's hook for what it cannot encode
+            if isinstance(value, np.generic):
+                return value.item()
+            raise TypeError(type(value).__name__)
+
+        def refused(value) -> bool:
+            try:
+                json.dumps(value, default=plain)
+            except TypeError:
+                return True
+            return False
+
+        try:
+            text = json.dumps(payload, default=plain)
+        except TypeError:
+            bad = next(
+                (f"{e['name']}:v{e['version']}: {section}[{key!r}] holds a "
+                 f"{type(value).__name__}"
+                 for e in entries for section in ("params", "metrics")
+                 for key, value in e[section].items() if refused(value)),
+                "a value",
+            )
+            raise LifecycleError(
+                f"cannot save {bad}, which JSON cannot store"
+            ) from None
         write_atomic(
-            path, json.dumps(payload).encode("utf-8"), REGISTRY_SCHEMA,
+            path, text.encode("utf-8"), REGISTRY_SCHEMA,
             error_cls=LifecycleError, what="registry file",
             tmp_prefix=".registry-",
         )

@@ -30,12 +30,6 @@ class Run:
     def is_finished(self) -> bool:
         return self.finished_at is not None
 
-    @property
-    def duration(self) -> float:
-        if self.finished_at is None:
-            raise LifecycleError(f"run {self.run_id} has not finished")
-        return self.finished_at - self.started_at
-
     def log_metric(self, name: str, value: float) -> None:
         self._check_open()
         self.metrics[name] = float(value)
@@ -88,9 +82,6 @@ class ExperimentTracker:
                 f"no finished run of {experiment!r} records {metric!r}"
             )
         return max(candidates, key=lambda r: r.metrics[metric])
-
-    def experiments(self) -> list[str]:
-        return sorted({r.experiment for r in self._runs})
 
     def __iter__(self) -> Iterator[Run]:
         return iter(self._runs)

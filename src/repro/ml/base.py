@@ -73,10 +73,6 @@ class Estimator:
                 f"{type(self).__name__} must be fitted before this call"
             )
 
-    def __repr__(self) -> str:
-        params = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({params})"
-
 
 class _Predictor(Estimator):
     """An estimator that predicts, scored by its role's metric."""

@@ -123,12 +123,6 @@ class KMeans(Estimator):
         X = check_X(X)
         return nearest_center(X, self.cluster_centers_)[0]
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Distances to every centroid, shape (n, k)."""
-        self._check_fitted()
-        X = check_X(X)
-        return np.sqrt(_sq_distances(X, self.cluster_centers_))
-
     # ------------------------------------------------------------------
     def _run(self, X, x_sq, rng) -> tuple[np.ndarray, np.ndarray, float, int]:
         def assign(centers):

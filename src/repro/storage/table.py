@@ -101,12 +101,6 @@ class Table:
         """All columns as a name -> array mapping."""
         return {c.name: arr for c, arr in zip(self._schema, self._columns)}
 
-    def row(self, i: int) -> tuple:
-        """Row ``i`` as a tuple (slow path; for tests and small results)."""
-        if not 0 <= i < self._nrows:
-            raise StorageError(f"row index {i} out of range [0, {self._nrows})")
-        return tuple(col[i] for col in self._columns)
-
     def rows(self) -> Iterator[tuple]:
         """Iterate over rows as tuples (slow path)."""
         for i in range(self._nrows):

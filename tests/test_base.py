@@ -38,9 +38,6 @@ class TestParamProtocol:
         clone.set_params(l2=9.0)
         assert model.l2 == 0.1
 
-    def test_repr_contains_params(self):
-        assert "l2=0.25" in repr(LinearRegression(l2=0.25))
-
 
 class TestValidation:
     def test_check_X_y_coerces_dtype(self):

@@ -26,16 +26,13 @@ import repro
 BENCHMARKS = pathlib.Path(repro.__file__).resolve().parents[2] / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
 import check_regression  # noqa: E402
+from tasks import TASKS  # noqa: E402
 
 sys.path.remove(str(BENCHMARKS))
 
-BASELINES = [
-    f"BENCH_{name}_quick.json"
-    for name in (
-        "parallel", "repr_exec", "resilience", "serving", "feedback",
-        "reuse", "incremental", "sharding", "features",
-    )
-]
+#: tag -> committed baseline, for every bench-regression leg that has one
+BASELINE_OF = {t.tag: t.leg.baseline for t in TASKS.values()
+               if t.leg and t.leg.baseline}
 
 
 class _Strict(dict):
@@ -151,7 +148,19 @@ def test_e18_thread_points_decide_from_threads_and_cpu_count(gate):
     assert status == 0 and "3 skipped, 0 failed" in out
 
 
-@pytest.mark.parametrize("name", BASELINES)
+def test_every_committed_baseline_belongs_to_one_leg_of_its_experiment():
+    """Each ``BENCH_*_quick.json`` is the baseline of exactly one row of
+    ``benchmarks/tasks.py``, captured by that row's experiment, and the
+    rows with a baseline are exactly the experiments the gate has rules
+    for: CI pairs each leg with its file through that table alone."""
+    committed = sorted(p.name for p in BENCHMARKS.parent.glob("BENCH_*_quick.json"))
+    assert sorted(BASELINE_OF.values()) == committed
+    for tag, name in BASELINE_OF.items():
+        assert _baseline(name)["meta"]["experiment"] == tag, name
+    assert sorted(check_regression.GATES) == sorted(BASELINE_OF)
+
+
+@pytest.mark.parametrize("name", BASELINE_OF.values())
 def test_every_committed_baseline_gates_against_itself(name):
     doc = _baseline(name, strict=True)
     gate = check_regression.compare(doc, doc, 0.25)

@@ -344,10 +344,6 @@ class TestPlanner:
         plan = compile_expr(X.T @ y)
         assert plan.inputs == {"X": (5, 4), "y": (5, 1)}
 
-    def test_output_shape(self):
-        X = matrix("X", (5, 4))
-        assert compile_expr(sumall(X)).output_shape == (1, 1)
-
 
 def _walk(node):
     yield node

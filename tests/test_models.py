@@ -149,13 +149,6 @@ class TestKMeans:
         model = KMeans(n_clusters=3, seed=7).fit(X)
         assert np.array_equal(model.predict(X), model.labels_)
 
-    def test_transform_shape_and_nonneg(self):
-        X, _ = make_blobs(100, 2, centers=3, seed=8)
-        model = KMeans(n_clusters=3, seed=8).fit(X)
-        D = model.transform(X)
-        assert D.shape == (100, 3)
-        assert np.all(D >= 0)
-
     def test_random_init(self):
         X, _ = make_blobs(100, 2, centers=2, seed=9)
         model = KMeans(n_clusters=2, init="random", seed=9).fit(X)

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import re
+import runpy
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.runtime.parallel import ParallelContext, resolve_context
 
 # .../repo/src/repro/__init__.py -> .../repo
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
+#: ``benchmarks/tasks.py``: tag -> one row of the table of experiment runs
+TASKS = runpy.run_path(str(REPO_ROOT / "benchmarks" / "tasks.py"))["TASKS"]
 
 SUBPACKAGES = (
     "algorithms compiler compression data distributed factorized feateng "
@@ -124,10 +127,8 @@ class TestDocsAndExperiments:
         assert not missing, f"experiments without measured sections: {missing}"
 
     def test_runner_covers_design_experiments(self, design):
-        runner = (REPO_ROOT / "benchmarks" / "run_experiments.py").read_text()
         design_ids = set(re.findall(r"\| (E\d+) \|", design))
-        runner_ids = set(re.findall(r'^    "(E\d+)": \("bench_', runner, re.M))
-        assert design_ids <= runner_ids
+        assert design_ids <= set(TASKS)
 
     def test_changes_and_experiments_stay_inside_their_size_budget(self):
         """ROADMAP item 6: a CHANGES.md entry is at most five lines
@@ -668,12 +669,8 @@ class TestOneBenchHarness:
                 if isinstance(node, ast.FunctionDef)
             }
             assert {"run", "report"} <= defined, name
-        runner = (self.BENCH / "run_experiments.py").read_text()
-        registry = dict(
-            re.findall(r'^    "(E\d+)": \("(bench_\w+)"', runner, re.M)
-        )
-        assert list(registry) == [f"E{n}" for n in range(1, 28)]
-        assert sorted(registry.values()) == sorted(benches)  # one home each
+        assert list(TASKS) == [f"E{n}" for n in range(1, 28)]
+        assert sorted(t.module for t in TASKS.values()) == sorted(benches)
 
 
 def _terminal(node):

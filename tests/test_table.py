@@ -38,10 +38,6 @@ class TestConstruction:
 
 
 class TestAccess:
-    def test_row_out_of_range(self, people_table):
-        with pytest.raises(StorageError):
-            people_table.row(99)
-
     def test_rows_iteration(self, people_table):
         rows = list(people_table.rows())
         assert len(rows) == 5
