@@ -269,17 +269,18 @@ def gate_leg(n: int, passes: int = 3) -> dict:
             [online.serve(entity) + shift for entity in entities]
         )
         gate.observe_many(observed)
-        # analytic oracle: every monitor statistic recomputed from
+        # analytic oracle: every feature's statistics recomputed from
         # closed-form bucket counts over the raw observation list, with
         # none of the gate's code.
+        snapshot = gate.drift_snapshot()
         for j, fname in enumerate(view.feature_names):
-            monitor = gate.monitors[fname]
-            ref_counts = _oracle_counts(offline.columns[fname], monitor.edges)
-            cur_counts = _oracle_counts(observed[:, j], monitor.edges)
+            edges, stats = gate.edges[j], snapshot[fname]
+            ref_counts = _oracle_counts(offline.columns[fname], edges)
+            cur_counts = _oracle_counts(observed[:, j], edges)
             oracle_exact = oracle_exact and (
-                monitor.psi() == _oracle_psi(ref_counts, cur_counts)
-                and monitor.ks() == _oracle_ks(ref_counts, cur_counts)
-                and monitor.observed == stream_len
+                stats.psi == _oracle_psi(ref_counts, cur_counts)
+                and stats.ks == _oracle_ks(ref_counts, cur_counts)
+                and stats.observed == stream_len
             )
         held = rolled_back = False
         try:

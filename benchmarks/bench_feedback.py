@@ -469,9 +469,14 @@ def report(results: dict) -> None:
         f"post-correction {fallback['post_correction_speedup']:.2f}x, "
         f"bit-identical={fallback['bit_identical']}"
     )
+    learned = dispatch["learned_speedup"]
+    learned = (
+        "no policy learned" if learned is None
+        else f"learned speedup {learned:.2f}"
+    )
     print(
         f"  dispatch: {' -> '.join(dispatch['adaptive_decisions'])} "
-        f"(learned speedup {dispatch['learned_speedup']:.2f}, "
+        f"({learned}, "
         f"{dispatch['post_correction_speedup']:.2f}x after correction, "
         f"identical={dispatch['results_identical']})"
     )

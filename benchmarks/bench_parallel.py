@@ -54,7 +54,7 @@ def _thread_sweep(threads, repeats, serial, parallel, agree) -> dict:
                     "threads": workers,
                     **t_par.fields("seconds"),
                     "speedup": t_serial.best / t_par.best,
-                    "utilization": ctx.stats.estimated_speedup,
+                    "utilization": ctx.stats.realized_speedup,
                 }
             )
     return {**t_serial.fields("serial_seconds"), "by_threads": rows}

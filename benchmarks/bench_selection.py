@@ -9,7 +9,7 @@ import numpy as np
 from repro.data import make_classification
 from repro.ml import LogisticRegression
 from repro.ml.preprocessing import train_test_split
-from repro.selection import full_budget_baseline, successive_halving
+from repro.selection import successive_halving
 
 
 def run() -> dict:
@@ -24,9 +24,9 @@ def run() -> dict:
         LogisticRegression(), configs, X_tr, y_tr, X_val, y_val,
         min_budget=2, max_budget=32,
     )
-    full = full_budget_baseline(
+    full = successive_halving(
         LogisticRegression(), configs, X_tr, y_tr, X_val, y_val,
-        budget=32,
+        min_budget=32, max_budget=32,
     )
     assert full.total_cost == 32 * len(configs)
     assert halving.total_cost < full.total_cost / 2

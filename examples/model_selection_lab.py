@@ -22,7 +22,6 @@ from repro.ml import LogisticRegression, StandardScaler, train_test_split
 from repro.selection import (
     SelectionSession,
     fit_logistic_path,
-    full_budget_baseline,
     random_search,
     successive_halving,
 )
@@ -79,9 +78,9 @@ def main() -> None:
         configs, X_fit, y_fit, X_val, y_val,
         min_budget=2, max_budget=32,
     )
-    full = full_budget_baseline(
+    full = successive_halving(
         LogisticRegression(),
-        configs, X_fit, y_fit, X_val, y_val, budget=32,
+        configs, X_fit, y_fit, X_val, y_val, min_budget=32, max_budget=32,
     )
     print("[halving] refined search:")
     print(f"  rungs: " + " -> ".join(

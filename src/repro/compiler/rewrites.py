@@ -16,7 +16,9 @@ from ..lang.ast import (
     Aggregate,
     Binary,
     Constant,
+    Convert,
     Data,
+    Fused,
     MatMul,
     Node,
     Transpose,
@@ -93,33 +95,16 @@ def _fold_constants(node: Node) -> Node | None:
 
 
 def _evaluate_on_constants(node: Node, values: list[np.ndarray]):
-    if isinstance(node, Binary):
-        a, b = values
-        ops = {
-            "+": np.add,
-            "-": np.subtract,
-            "*": np.multiply,
-            "/": np.divide,
-            "^": np.power,
-            "min": np.minimum,
-            "max": np.maximum,
-        }
-        with np.errstate(all="ignore"):
-            return np.broadcast_to(ops[node.op](a, b), node.shape).copy()
-    if isinstance(node, Unary):
-        from ..runtime.ops import apply_unary
+    """The node's value over constant children, computed by the
+    executor's own kernel (:func:`~repro.runtime.ops.apply_node`), so a
+    folded constant holds the bytes the unfolded plan would compute.
+    ``Convert`` and ``Fused`` nodes stay unfolded."""
+    if isinstance(node, (Convert, Fused)):
+        return None
+    from ..runtime.ops import apply_node
 
-        with np.errstate(all="ignore"):
-            return apply_unary(node.op, values[0])
-    if isinstance(node, Transpose):
-        return values[0].T.copy()
-    if isinstance(node, MatMul):
-        return values[0] @ values[1]
-    if isinstance(node, Aggregate):
-        from ..runtime.ops import apply_aggregate
-
-        return apply_aggregate(node.op, values[0], node.axis)
-    return None
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(apply_node(node, values), node.shape).copy()
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 from ..errors import FactorizationError
 from ..ml.base import LinearRegressor, LogisticClassifier, as_pm_one
 from ..ml.linreg import Moments
-from ..ml.losses import sigmoid, softplus
-from ..ml.optim import descend
+from ..ml.losses import LogisticLoss
+from ..ml.optim import gradient_descent
 from .normalized import NormalizedMatrix
 
 
@@ -43,9 +43,11 @@ class FactorizedLinearRegression(LinearRegressor):
 class FactorizedLogisticRegression(LogisticClassifier):
     """Logistic regression trained by factorized gradient descent.
 
-    Each iteration computes margins with :meth:`NormalizedMatrix.matvec`
-    and the gradient with :meth:`NormalizedMatrix.rmatvec` — the Orion
-    pattern: per-iteration cost scales with |S| + |R|, not |join|.
+    The dense learner's own loop (:func:`~repro.ml.optim.gradient_descent`
+    over :class:`~repro.ml.losses.LogisticLoss`) run on the normalized
+    matrix: its ``X @ w`` is :meth:`NormalizedMatrix.matvec` and its
+    ``X.T @ u`` is :meth:`NormalizedMatrix.rmatvec` — the Orion pattern:
+    per-iteration cost scales with |S| + |R|, not |join|.
     """
 
     fit_intercept = False
@@ -65,32 +67,20 @@ class FactorizedLogisticRegression(LogisticClassifier):
     def fit(self, X: NormalizedMatrix, y: np.ndarray) -> "FactorizedLogisticRegression":
         _check_normalized(X, y)
         y_pm, self.classes_ = as_pm_one(np.asarray(y))
-        n = X.n_rows
-
-        def gradient(w: np.ndarray) -> np.ndarray:
-            margins = y_pm * X.matvec(w)
-            coeff = -y_pm * sigmoid(-margins)
-            return X.rmatvec(coeff) / n + self.l2 * w
-
-        run = descend(
-            lambda w: self._loss(X, y_pm, w),
-            gradient,
-            np.zeros(X.shape[1]),
-            self.learning_rate,
-            self.max_iter,
-            self.tol,
+        run = gradient_descent(
+            LogisticLoss(),
+            X,
+            y_pm,
+            learning_rate=self.learning_rate,
+            l2=self.l2,
+            max_iter=self.max_iter,
+            tol=self.tol,
+            warn_on_cap=False,
         )
         self._unpack(run.weights)
         self.n_iter_ = run.iterations
         self.loss_history_ = run.loss_history
         return self
-
-    def _loss(self, X: NormalizedMatrix, y_pm: np.ndarray, w: np.ndarray) -> float:
-        margins = y_pm * X.matvec(w)
-        value = float(np.mean(softplus(-margins)))
-        if self.l2 > 0:
-            value += 0.5 * self.l2 * float(w @ w)
-        return value
 
 
 def _check_normalized(X: NormalizedMatrix, y: np.ndarray) -> None:

@@ -6,7 +6,6 @@ from .drift import (
     ColumnDrift,
     DriftReport,
     DriftStats,
-    StreamingDriftMonitor,
     bucket_counts,
     detect_drift,
     frozen_edges,
@@ -32,7 +31,6 @@ __all__ = [
     "Pipeline",
     "Provenance",
     "ProvenanceRecord",
-    "StreamingDriftMonitor",
     "SubsetFit",
     "TableEncoder",
     "TransformSpec",

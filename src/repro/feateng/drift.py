@@ -11,13 +11,13 @@ Two modes:
 * **Batch** (:func:`detect_drift`) — both tables in hand; the flagging
   score is the original total-variation-style distance, with PSI and KS
   reported alongside on every numeric column.
-* **Streaming** (:class:`StreamingDriftMonitor`) — bucket edges are
-  frozen over the training data (:func:`frozen_edges`, a deterministic
-  ``linspace`` — no quantile randomness, so two identical runs freeze
-  identical edges), then serving values are accumulated one at a time
-  into fixed bucket counts. PSI, KS, and TV are exact functions of the
-  (reference, accumulated) count vectors at any instant, so a gate can
-  replay them against an analytic oracle.
+* **Streaming** (:class:`~repro.features.DriftGate`) — bucket edges
+  are frozen over the training data (:func:`frozen_edges`, a
+  deterministic ``linspace`` — no quantile randomness, so two identical
+  runs freeze identical edges), then served values are folded into fixed
+  bucket counts (:func:`bucket_counts`). PSI, KS, and TV are exact
+  functions of the (reference, accumulated) count rows at any instant,
+  so a gate can replay them against an analytic oracle.
 """
 
 from __future__ import annotations
@@ -119,17 +119,14 @@ def _numeric_drift(a: np.ndarray, b: np.ndarray, name: str) -> ColumnDrift:
     )
     if len(a_ok) == 0 or len(b_ok) == 0:
         return ColumnDrift(name, 1.0, True, "one side entirely missing")
-    lo = min(a_ok.min(), b_ok.min())
-    hi = max(a_ok.max(), b_ok.max())
-    if lo == hi:
-        distance = psi = ks = 0.0
-    else:
-        edges = np.linspace(lo, hi, _BUCKETS + 1)
-        pa = bucket_counts(a_ok, edges)
-        pb = bucket_counts(b_ok, edges)
-        distance = tv_statistic(pa, pb)
-        psi = psi_statistic(pa, pb)
-        ks = ks_statistic(pa, pb)
+    # over the union's range; a constant union widens to a unit span,
+    # where both sides fill one bucket and every statistic reads 0
+    edges = frozen_edges(np.concatenate([a_ok, b_ok]))
+    pa = bucket_counts(a_ok, edges)
+    pb = bucket_counts(b_ok, edges)
+    distance = tv_statistic(pa, pb)
+    psi = psi_statistic(pa, pb)
+    ks = ks_statistic(pa, pb)
     score = min(1.0, distance + missing_gap)
     detail = (
         f"train mean {a_ok.mean():.3g} vs serve mean {b_ok.mean():.3g}"
@@ -266,7 +263,7 @@ def tv_statistic(reference_counts, current_counts) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class DriftStats:
-    """One monitor's statistics at a point in time."""
+    """One feature's drift statistics at a point in time."""
 
     name: str
     observed: int
@@ -274,49 +271,3 @@ class DriftStats:
     ks: float
     tv: float
     drifted: bool
-
-
-class StreamingDriftMonitor:
-    """One feature's drift state against a frozen training reference.
-
-    Bucket edges freeze at construction (train) time. The state —
-    ``edges``, ``reference_counts`` and ``counts`` — is one row of
-    (features × buckets) matrices: :func:`share_rows` seats a group of
-    monitors on shared matrices, so their owner folds a served batch
-    with one :func:`bucket_counts` and computes each statistic for every
-    feature in one row-wise pass, while each monitor still reads and
-    writes its own row. PSI and KS are exact functions of the two count
-    rows, so an oracle holding the same observation list and the same
-    frozen edges computes identical statistics.
-    """
-
-    def __init__(self, name: str, reference):
-        self.name = name
-        self.edges = frozen_edges(reference)
-        self.reference_counts = bucket_counts(reference, self.edges)
-        self.counts = np.zeros(len(self.edges) - 1, dtype=np.float64)
-
-    @property
-    def observed(self) -> int:
-        """Finite observations folded: each adds exactly 1 to one
-        bucket, so the (integer-valued) counts sum to it exactly."""
-        return int(self.counts.sum())
-
-    def psi(self) -> float:
-        return psi_statistic(self.reference_counts, self.counts)
-
-    def ks(self) -> float:
-        return ks_statistic(self.reference_counts, self.counts)
-
-
-def share_rows(monitors) -> list[np.ndarray]:
-    """Seat ``monitors`` on shared matrices, one row each; returns
-    ``[edges, reference_counts, counts]``. Every monitor's state becomes
-    a view of its row, so a write through the matrix or through the
-    monitor is seen by both."""
-    fields = ("edges", "reference_counts", "counts")
-    shared = [np.stack([getattr(m, f) for m in monitors]) for f in fields]
-    for j, monitor in enumerate(monitors):
-        for f, matrix in zip(fields, shared):
-            setattr(monitor, f, matrix[j])
-    return shared

@@ -2,9 +2,8 @@
 
 A :class:`DriftGate` watches the serving-side distribution of every
 feature in a view in one (features × buckets) count matrix over edges
-frozen from the training reference (each feature's
-:class:`~repro.feateng.StreamingDriftMonitor` is a view of its row),
-and sits in the promotion path of a
+frozen from the training reference (row ``j`` is
+``view.feature_names[j]``), and sits in the promotion path of a
 :class:`~repro.serving.ShardedServer` endpoint. At promotion time it
 checks two things:
 
@@ -69,20 +68,21 @@ class DriftGate(Counted):
             )
         self.min_observations = int(min_observations)
         columns = getattr(reference, "columns", reference)
-        self.monitors: dict[str, drift.StreamingDriftMonitor] = {}
+        edges, reference_counts = [], []
         for fname in view.feature_names:
             if fname not in columns:
                 raise FeatureStoreError(
                     f"gate reference is missing feature {fname!r}"
                 )
-            self.monitors[fname] = drift.StreamingDriftMonitor(
-                fname, columns[fname]
+            edges.append(drift.frozen_edges(columns[fname]))
+            reference_counts.append(
+                drift.bucket_counts(columns[fname], edges[-1])
             )
         #: frozen edges, reference and served counts, one row per
-        #: feature: each monitor's state is a view of its row.
-        self.edges, self.reference_counts, self.served_counts = (
-            drift.share_rows(self.monitors.values())
-        )
+        #: feature in ``view.feature_names`` order.
+        self.edges = np.stack(edges)
+        self.reference_counts = np.stack(reference_counts)
+        self.served_counts = np.zeros_like(self.reference_counts)
         self.counts = Ledger("features.gate", (
             "observations", "evaluations", "holds", "rollbacks", "promotes",
         ))
@@ -117,14 +117,17 @@ class DriftGate(Counted):
         features; ``drifted`` when PSI or KS has crossed its threshold
         over at least one observation."""
         ref, cur = self.reference_counts, self.served_counts
-        observed = cur.sum(axis=1).astype(np.int64)  # exact: see monitor
+        # each finite observation adds exactly 1 to one bucket, so the
+        # integer-valued row sums count them exactly
+        observed = cur.sum(axis=1).astype(np.int64)
         psi, ks = drift.psi_statistic(ref, cur), drift.ks_statistic(ref, cur)
         drifted = (observed > 0) & (
             (psi > drift.PSI_DEFAULT_THRESHOLD)
             | (ks > drift.KS_DEFAULT_THRESHOLD)
         )
         stats = (observed, psi, ks, drift.tv_statistic(ref, cur), drifted)
-        rows = zip(self.monitors, *(column.tolist() for column in stats))
+        columns = (column.tolist() for column in stats)
+        rows = zip(self.view.feature_names, *columns)
         return {row[0]: drift.DriftStats(*row) for row in rows}
 
     # -- the promotion hook --------------------------------------------

@@ -45,6 +45,15 @@ class ModelVersion:
         return f"{self.name}:v{self.version}"
 
 
+def _version_number(name: str, version) -> int:
+    """A version reference as an ``int``: a Python or numpy integer, not
+    a bool (a bool is not version 1). Anything else is a
+    :class:`LifecycleError` naming the model and the reference."""
+    if isinstance(version, bool) or not isinstance(version, numbers.Integral):
+        raise LifecycleError(f"{name!r}: {version!r} is not a version number")
+    return int(version)
+
+
 class ModelRegistry:
     """In-memory versioned model store."""
 
@@ -67,12 +76,18 @@ class ModelRegistry:
         parent_version: int | None = None,
         feature_fingerprint: str | None = None,
     ) -> ModelVersion:
-        """Register a new version of ``name``; returns the version entry."""
-        versions = self._models.setdefault(name, [])
-        if parent_version is not None and not 1 <= parent_version <= len(versions):
-            raise LifecycleError(
-                f"parent version v{parent_version} of {name!r} does not exist"
-            )
+        """Register a new version of ``name``; returns the version entry.
+        ``parent_version`` is typed as :meth:`get` types a version and
+        must name an existing version of ``name``."""
+        versions = self._models.get(name, [])
+        if parent_version is not None:
+            parent_version = _version_number(name, parent_version)
+            if not 1 <= parent_version <= len(versions):
+                raise LifecycleError(
+                    f"parent version v{parent_version} of {name!r} does "
+                    "not exist"
+                )
+        versions = self._models.setdefault(name, versions)
         entry = ModelVersion(
             name=name,
             version=len(versions) + 1,
@@ -92,14 +107,7 @@ class ModelRegistry:
         version is a Python or numpy integer, not a bool; anything else
         is a :class:`LifecycleError` naming the model and the reference."""
         if version is not None:
-            if isinstance(version, bool) or not isinstance(
-                version, numbers.Integral
-            ):
-                raise LifecycleError(
-                    f"{name!r}: {version!r} is neither a version number "
-                    "nor an alias"
-                )
-            version = int(version)
+            version = _version_number(name, version)
         return self._get(name, version)
 
     def _get(self, name: str, version: int | None) -> ModelVersion:

@@ -81,7 +81,6 @@ SITES: dict[str, tuple[str, type[Exception]]] = {
     "selection.grid_search": _RETRY_TASK,
     "selection.random_search": _RETRY_TASK,
     "selection.halving": _RETRY_TASK,
-    "selection.full_budget": _RETRY_TASK,
     "glm.logreg_gd.step": _RETRY_STEP,
     "clustering.kmeans_dsl.step": _RETRY_STEP,
     "serving.score": _RETRY_STEP,

@@ -140,15 +140,11 @@ class ParallelStats(Counted):
             return 1.0
         return self.parallel_task_time / self.parallel_wall_time
 
-    #: the name the totals have always reported the same ratio under.
-    estimated_speedup = realized_speedup
-
     def as_dict(self, sites: bool = True) -> dict[str, Any]:
         out = {
             **self.counts.as_dict(),
             "wall_time": self.wall_time,
             "task_time": self.task_time,
-            "estimated_speedup": self.realized_speedup,
             "realized_speedup": self.realized_speedup,
             "decisions": {
                 "parallel": self.parallel_calls,

@@ -13,12 +13,7 @@ from .foldreuse import (
     ridge_cv_naive,
     ridge_cv_shared,
 )
-from .halving import (
-    HalvingResult,
-    Rung,
-    full_budget_baseline,
-    successive_halving,
-)
+from .halving import HalvingResult, Rung, successive_halving
 from .search import (
     Evaluation,
     SearchResult,
@@ -44,7 +39,6 @@ __all__ = [
     "expand_grid",
     "fit_logistic_path",
     "fold_statistics",
-    "full_budget_baseline",
     "grid_search",
     "random_search",
     "ridge_cv_naive",

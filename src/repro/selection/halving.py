@@ -81,6 +81,9 @@ def successive_halving(
 ) -> HalvingResult:
     """Run successive halving over explicit configurations.
 
+    ``min_budget == max_budget`` is one rung: every configuration trained
+    at that budget, the full-grid comparator E7 holds halving against.
+
     Args:
         parallel: evaluate each rung's survivors concurrently on the
             context's cost-gated pool. Rung boundaries are synchronization
@@ -140,39 +143,3 @@ def successive_halving(
             budget = min(budget * eta, max_budget)
 
     return HalvingResult(evaluations=evaluations, rungs=rungs)
-
-
-def full_budget_baseline(
-    estimator: Estimator,
-    configs: Sequence[dict[str, Any]],
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    budget: int = 64,
-    parallel: ParallelContext | None = None,
-) -> SearchResult:
-    """Train every configuration at full budget (the naive comparator)."""
-    fit = partial(
-        _fit_scored,
-        estimator,
-        X_train,
-        y_train,
-        X_val,
-        y_val,
-        budget,
-    )
-    configs = [dict(c) for c in configs]
-    results = dispatch(
-        resolve_context(parallel),
-        fit,
-        configs,
-        cost_hint=_rung_cost_hint(X_train, budget, len(configs)),
-        site="selection.full_budget",
-    )
-    return SearchResult(
-        [
-            Evaluation(params=full, score=score, cost=float(budget))
-            for score, _, full in results
-        ]
-    )

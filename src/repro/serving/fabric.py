@@ -462,15 +462,17 @@ class ShardedServer:
         exc: LoadShedError | DeadlineExceededError,
         sid: str,
         tenants: Iterable[object],
+        deadline_ms: float | None,
     ) -> LoadShedError | DeadlineExceededError:
         """A shard's shed or deadline error as the fleet raises it: it
         always names the shard, and the tenant when the dispatched rows
-        share one."""
+        share one; a deadline miss carries the client's ``deadline_ms``,
+        not the remainder the shard was handed."""
         shared = set(tenants)
         tenant = shared.pop() if len(shared) == 1 else None
         if isinstance(exc, DeadlineExceededError):
             return DeadlineExceededError(
-                exc.endpoint, exc.deadline_ms, tenant=tenant, shard=sid
+                exc.endpoint, deadline_ms, tenant=tenant, shard=sid
             )
         return LoadShedError(
             exc.endpoint,
@@ -492,23 +494,22 @@ class ShardedServer:
         rows: np.ndarray,
         keys: object,
         deadline_ms: float | None,
-        deadline_at: float | None = None,
+        deadline_at: float | None,
     ):
         """Dispatch placed requests to their shard — the tail both doors
         share: call the shard server's ``door`` (``predict`` with a row
         and a key, ``predict_many`` with a shard group's) under the
         budget placement already drew on (``deadline_at``), re-raise its
         shed or deadline error attributed (the shard always, the tenant
-        when the dispatched rows share one), and only then account what
-        was served: ``failovers`` of the dispatched requests skipped
-        ``rerouted`` replicas between them."""
+        when the dispatched rows share one, the client's
+        ``deadline_ms``), and only then account what was served:
+        ``failovers`` of the dispatched requests skipped ``rerouted``
+        replicas between them."""
         shard = self._shards[sid]
         try:
-            out = getattr(shard.server, door)(
-                name, rows, keys, deadline_ms, deadline_at
-            )
+            out = getattr(shard.server, door)(name, rows, keys, deadline_at)
         except (LoadShedError, DeadlineExceededError) as exc:
-            raise self._attributed(exc, sid, tenants) from exc
+            raise self._attributed(exc, sid, tenants, deadline_ms) from exc
         served = 1 if door == "predict" else len(out)
         lock = shard.lock
         lock.acquire()
@@ -579,6 +580,11 @@ class ShardedServer:
             raise ServingError(
                 f"on_shed must be 'raise' or 'null', got {on_shed!r}"
             )
+        deadline_at = (
+            self._clock() + deadline_ms / 1000.0
+            if deadline_ms is not None
+            else None
+        )
         # Fast path: a single-replica fleet with no quotas and no chaos
         # is its one executor with a ring lookup in front, so the call
         # is handed to that shard whole: one request count, the
@@ -601,9 +607,11 @@ class ShardedServer:
                 raise NoLiveReplicaError(name, (shard.shard_id,))
             self.ledger.inc("requests", len(rows))
             try:
-                out = shard.server.predict_many(name, rows, keys, deadline_ms)
+                out = shard.server.predict_many(name, rows, keys, deadline_at)
             except (LoadShedError, DeadlineExceededError) as exc:
-                raise self._attributed(exc, shard.shard_id, ()) from exc
+                raise self._attributed(
+                    exc, shard.shard_id, (), deadline_ms
+                ) from exc
             lock = shard.lock
             lock.acquire()
             try:
@@ -626,11 +634,6 @@ class ShardedServer:
                 raise ServingError("one tenant per row required")
             _check_tenants("predict_many", tenants)
 
-        deadline_at = (
-            self._clock() + deadline_ms / 1000.0
-            if deadline_ms is not None
-            else None
-        )
         self.ledger.inc("requests", n)
         shed = [] if tenants is None else self._admit(name, tenants, on_shed)
         admitted = np.delete(np.arange(n), shed) if shed else np.arange(n)

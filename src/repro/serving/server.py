@@ -327,9 +327,8 @@ class ModelServer:
         name: str,
         rows: Sequence[np.ndarray],
         keys: Sequence[object] | None,
-        deadline_ms: float | None,
         closed_loop: bool,
-        deadline_at: float | None = None,
+        deadline_at: float | None,
     ) -> list[float]:
         """The request path, written once. What depends on the row is
         decided per row: every row crosses the ``serving.admission``
@@ -347,17 +346,17 @@ class ModelServer:
         A full queue sheds the open-loop ``predict`` request; the
         closed-loop ``predict_many`` caller is its own backpressure and
         drains the queue first — which door called decides, nothing else
-        differs between them. A caller that already spent part of the
-        budget (the fleet: quota, routing, failover) hands over the
-        absolute ``deadline_at`` its clock started from; ``deadline_ms``
-        is then only what the error reports.
+        differs between them. The budget arrives in one form, the
+        absolute ``deadline_at`` (None: no deadline): the fleet computes
+        it once at its door, so what quota, routing and failover spent
+        is not refunded here. A miss reports the budget this call was
+        handed, ``deadline_at`` less the call's start, in ms; the fleet
+        stamps its client's ``deadline_ms`` over it.
         """
         endpoint = self.endpoint(name)
         counts, cache = endpoint.counts, endpoint.cache
         batcher = endpoint.batcher
         start = self._clock()
-        if deadline_at is None and deadline_ms is not None:
-            deadline_at = start + deadline_ms / 1000.0
         stable = self.registry.resolve(
             endpoint.model_name, ModelRegistry.DEPLOYED_ALIAS
         )
@@ -431,7 +430,9 @@ class ModelServer:
                     # Computed or not, too late — a deadline is a client
                     # promise.
                     counts.inc("deadline_exceeded")
-                    raise DeadlineExceededError(name, deadline_ms)
+                    raise DeadlineExceededError(
+                        name, (deadline_at - start) * 1000.0
+                    )
                 if cache is not None:
                     cache.put(versions[i], row_keys[i], out[i])
         finally:
@@ -455,22 +456,19 @@ class ModelServer:
         name: str,
         row: np.ndarray,
         key: object | None = None,
-        deadline_ms: float | None = None,
         deadline_at: float | None = None,
     ) -> float:
         """Serve one prediction through the full path: admission, canary
-        routing, cache, micro-batch queue, deadline."""
+        routing, cache, micro-batch queue, and the absolute
+        ``deadline_at`` on this server's clock."""
         row = _as_float(row, "predict", "row", 1)
-        return self._serve(
-            name, (row,), (key,), deadline_ms, False, deadline_at
-        )[0]
+        return self._serve(name, (row,), (key,), False, deadline_at)[0]
 
     def predict_many(
         self,
         name: str,
         rows: np.ndarray,
         keys: Sequence[object] | None = None,
-        deadline_ms: float | None = None,
         deadline_at: float | None = None,
     ) -> np.ndarray:
         """Serve a stream of requests through the micro-batcher.
@@ -488,7 +486,7 @@ class ModelServer:
         if keys is not None and len(keys) != rows.shape[0]:
             raise ServingError("one key per row required")
         return np.array(
-            self._serve(name, rows, keys, deadline_ms, True, deadline_at),
+            self._serve(name, rows, keys, True, deadline_at),
             dtype=np.float64,
         )
 

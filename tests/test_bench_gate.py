@@ -239,3 +239,26 @@ def test_e23_fallback_floor_is_held_by_the_gate():
         "post-correction speedup 1.10 clears the published floor "
         "(within-capture bound)"
     ]
+
+
+def test_e23_report_prints_a_capture_that_learned_no_policy(
+    monkeypatch, capsys
+):
+    """A dispatch leg that learned no policy records ``learned_speedup``
+    as None; the report says so instead of failing to format it (under
+    ``python -O`` no assert stops such a capture before the report)."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import bench_feedback
+
+    capture = _baseline("BENCH_feedback_quick.json")
+    dispatch = next(
+        e for e in capture["results"]
+        if e["workload"] == "dispatch/fine_grained"
+    )
+    dispatch["learned_speedup"] = None
+    bench_feedback.report(capture)
+    (line,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  dispatch:")
+    ]
+    assert "(no policy learned, " in line

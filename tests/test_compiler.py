@@ -22,6 +22,7 @@ from repro.lang import (
     Fused,
     MatMul,
     Transpose,
+    Unary,
     const,
     matrix,
     mean,
@@ -29,6 +30,7 @@ from repro.lang import (
     sumall,
     trace,
 )
+from repro.lang.ast import AGG_OPS, EWISE_OPS, UNARY_OPS
 
 
 class TestRewrites:
@@ -144,6 +146,42 @@ class TestRewrites:
         )
         optimized = execute(compile_expr(expr), bindings)
         assert naive == pytest.approx(optimized)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [f"binary:{op}" for op in sorted(EWISE_OPS)]
+        + ["binary:^ 1x1"]
+        + [f"unary:{op}" for op in sorted(UNARY_OPS)]
+        + [f"aggregate:{op}:{axis}" for op in sorted(AGG_OPS - {"trace"})
+           for axis in (None, 0, 1)]
+        + ["aggregate:trace:None", "transpose", "matmul"],
+    )
+    def test_folding_computes_the_executors_bytes(self, kind):
+        """A folded constant holds exactly what the executor computes
+        for the same node over the same constants, rewrites off."""
+        from repro.runtime import execute
+
+        rng = np.random.default_rng(11)
+        a, b = (Constant(rng.uniform(0.25, 3.0, (4, 4))) for _ in range(2))
+        family, _, op = kind.partition(":")
+        if family == "binary":
+            right = Constant(np.array([[0.7]])) if op == "^ 1x1" else b
+            node = Binary(op.split()[0], a, right)
+        elif family == "unary":  # signed values where the op allows
+            signed = op not in ("log", "sqrt")
+            node = Unary(op, Constant(a.value - 1.5) if signed else a)
+        elif family == "aggregate":
+            op, axis = op.split(":")
+            node = Aggregate(op, a, None if axis == "None" else int(axis))
+        else:
+            node = Transpose(a) if family == "transpose" else MatMul(a, b)
+        folded = apply_rewrites(node)
+        assert isinstance(folded, Constant)
+        plan = compile_expr(
+            node, rewrites=False, mmchain=False, fusion=False, cse=False
+        )
+        executed = np.asarray(execute(plan, {}), dtype=np.float64)
+        assert folded.value.tobytes() == executed.tobytes()
 
 
 class TestMMChain:

@@ -521,17 +521,17 @@ class TestDriftGate:
         assert server.promote("ep", 1).version == 1
 
 
-def fold_row_by_row(monitors, row):
+def fold_row_by_row(rows, row):
     """The per-value fold ``observe_many`` replaced, kept as its oracle:
     one searchsorted and one ``np.add.at`` per feature per served row,
-    into each monitor's ``counts`` row over its ``edges``."""
-    for monitor, value in zip(monitors, row):
+    into each oracle row's ``counts`` over its ``edges``."""
+    for oracle, value in zip(rows, row):
         if np.isfinite(value):
-            edges = monitor.edges
+            edges = oracle.edges
             idx = np.searchsorted(
                 edges, np.clip(value, edges[0], edges[-1]), side="right"
             ) - 1
-            np.add.at(monitor.counts, np.clip(idx, 0, len(edges) - 2), 1.0)
+            np.add.at(oracle.counts, np.clip(idx, 0, len(edges) - 2), 1.0)
 
 
 def textbook_edges(reference):
@@ -568,10 +568,18 @@ def textbook_stats(name, observed, ref, cur):
 
 
 class OracleRow:
-    """One feature's oracle state, folded by :func:`fold_row_by_row`."""
+    """One feature's oracle state, folded by :func:`fold_row_by_row`:
+    its own counts, or a view of a gate's served-count row."""
 
-    def __init__(self, edges):
-        self.edges, self.counts = edges, np.zeros(20)
+    def __init__(self, edges, counts=None):
+        self.edges = edges
+        self.counts = np.zeros(20) if counts is None else counts
+
+
+def gate_rows(gate):
+    """A gate's per-feature rows for :func:`fold_row_by_row`: each
+    folds into the gate's own served-count matrix."""
+    return [OracleRow(*pair) for pair in zip(gate.edges, gate.served_counts)]
 
 
 class _NoCanary:
@@ -613,11 +621,9 @@ class TestGateBatchParity:
         assert get_registry().value("features.gate.observations") - counted == rows
         for batch in batches:
             for row in batch:
-                fold_row_by_row(oracle.monitors.values(), row)
+                fold_row_by_row(gate_rows(oracle), row)
                 oracle.counts.inc("observations")
-        for fname, monitor in batched.monitors.items():
-            assert monitor.counts.tobytes() == oracle.monitors[fname].counts.tobytes()
-            assert monitor.observed == oracle.monitors[fname].observed
+        assert batched.served_counts.tobytes() == oracle.served_counts.tobytes()
         assert repr(batched.drift_snapshot()) == repr(oracle.drift_snapshot())
         assert batched.ledger() == oracle.ledger()
         assert batched.observations == rows
@@ -724,12 +730,11 @@ class TestMatrixGateOracle:
         snapshot = gate.drift_snapshot()
         hold = False
         for j, f in enumerate(names):
-            monitor = gate.monitors[f]
-            assert monitor.edges.tobytes() == edges[j].tobytes()
-            assert monitor.counts.tobytes() == oracle[j].counts.tobytes()
-            assert monitor.observed == finite[j]
+            assert gate.edges[j].tobytes() == edges[j].tobytes()
+            assert gate.served_counts[j].tobytes() == oracle[j].counts.tobytes()
+            assert snapshot[f].observed == finite[j]
             if nan_columns[j]:
-                assert monitor.observed == 0
+                assert snapshot[f].observed == 0
             reference = OracleRow(edges[j])
             for value in columns[f]:
                 fold_row_by_row([reference], [value])

@@ -76,6 +76,23 @@ class TestModelRegistry:
             getattr(registry, door)("churn", ref)
         assert repr(ref) in str(caught.value)
 
+    @pytest.mark.parametrize("parent", [1.5, True, np.bool_(True), "1", [1]])
+    def test_register_types_the_parent_version_as_get_does(
+        self, registry, parent
+    ):
+        # what get refuses as a version, register refuses as a parent,
+        # and a refused register leaves no trace of a new name
+        with pytest.raises(LifecycleError, match="'churn'") as caught:
+            registry.register("churn", "x", parent_version=parent)
+        assert repr(parent) in str(caught.value)
+        assert len(registry.versions("churn")) == 2
+        with pytest.raises(LifecycleError, match="'fresh'"):
+            registry.register("fresh", "x", parent_version=parent)
+        assert "fresh" not in registry.names()
+        entry = registry.register("churn", "y", parent_version=np.int64(2))
+        assert type(entry.parent_version) is int
+        assert [v.version for v in registry.lineage("churn", 3)] == [1, 2, 3]
+
     def test_lineage_chain(self, registry):
         registry.register("churn", "model-c", parent_version=2)
         chain = registry.lineage("churn", 3)
@@ -85,6 +102,9 @@ class TestModelRegistry:
     def test_register_with_missing_parent(self, registry, parent):
         with pytest.raises(LifecycleError, match="parent"):
             registry.register("churn", "x", parent_version=parent)
+        with pytest.raises(LifecycleError, match="parent"):
+            registry.register("fresh", "x", parent_version=parent)
+        assert registry.names() == ["churn"]  # no empty "fresh" entry
 
     def test_best_by_metric(self, registry):
         assert registry.best("churn", "acc").version == 2

@@ -227,11 +227,7 @@ class TestTheLossOnlyPicksStrides:
     weight: with softplus swapped back to ``logaddexp`` at every import
     site each fit ends on the same bits, though loss values moved."""
 
-    SITES = (
-        "repro.algorithms.glm.softplus",
-        "repro.ml.losses.softplus",
-        "repro.factorized.orion.softplus",
-    )
+    SITES = ("repro.algorithms.glm.softplus", "repro.ml.losses.softplus")
 
     @staticmethod
     def _fits():

@@ -31,7 +31,6 @@ from repro.resilience import (
 from repro.runtime.parallel import ParallelContext, merge_tree
 from repro.sparse import CSRMatrix
 from repro.selection import (
-    full_budget_baseline,
     grid_search,
     random_search,
     successive_halving,
@@ -542,8 +541,9 @@ def _selection_ops(ctx):
             parallel=ctx,
         ),
         halving,
-        full_budget_baseline(
-            LogisticRegression(), configs, *split, budget=8, parallel=ctx
+        successive_halving(
+            LogisticRegression(), configs, *split, min_budget=8,
+            max_budget=8, parallel=ctx,
         ),
     ]
     return [
@@ -559,7 +559,7 @@ CHAOS_CASES = {
     "cluster": (_cluster_ops, ("cluster.gradient", "cluster.loss")),
     "selection": (_selection_ops, (
         "selection.grid_search", "selection.random_search",
-        "selection.halving", "selection.full_budget",
+        "selection.halving",
     )),
 }
 

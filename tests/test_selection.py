@@ -12,7 +12,6 @@ from repro.selection import (
     SelectionSession,
     expand_grid,
     fit_logistic_path,
-    full_budget_baseline,
     grid_search,
     random_search,
     successive_halving,
@@ -190,14 +189,15 @@ class TestSuccessiveHalving:
             min_budget=2,
             max_budget=32,
         )
-        full = full_budget_baseline(
+        full = successive_halving(
             LogisticRegression(),
             configs,
             X_tr,
             y_tr,
             X_val,
             y_val,
-            budget=32,
+            min_budget=32,
+            max_budget=32,
         )
         assert halving.total_cost < full.total_cost / 2
         assert halving.best_score >= full.best_score - 0.05
