@@ -15,10 +15,12 @@ the runs is held against what the source declares:
 * a top-level or class-member ``def`` ran when its code object (first
   line: its first decorator) was recorded; a ``class`` ran when one of
   its members ran, an instance of it (or of a subclass) reached an
-  ``__init__``, or it was the ``cls`` of a call (a classmethod,
-  ``__new__``, a NamedTuple constructor), and a base class when a
-  subclass ran. An exception class with no ``__init__`` of its own is
-  constructed in C, out of the tracer's sight;
+  ``__init__`` or was the ``self`` of a method of a class ``src/``
+  subclasses (an inherited method names the subclass that ran it), or
+  it was the ``cls`` of a call (a classmethod, ``__new__``, a
+  NamedTuple constructor), and a base class when a subclass ran. An
+  exception class with no ``__init__`` of its own is constructed in C,
+  out of the tracer's sight;
 * an *option* -- a parameter whose default is ``None``, a bool or a
   string -- was set when a traced call bound it to anything else (the
   call event's ``f_locals`` against the default). A ``def`` leaves the
@@ -26,13 +28,13 @@ the runs is held against what the source declares:
 
 Whatever did not run or was never set is an error unless
 ``traffic_exempt.json`` (beside this file) covers it, and so is an
-exemption that covers nothing. An entry covers the names it matches as
-an ``fnmatch`` pattern, their members and their options. A run that
-trips an ``assert`` under the tracer (a timing bound) is rerun under
-``python -O`` and the two traces are united; the report names each such
-run. Exits 0 when nothing is left over, 1 otherwise, and writes the whole
-report, with everything the runs recorded, to ``traffic-report.json``
-at the repository root.
+exemption that covers nothing or gives no reason. An entry covers the
+names it matches as an ``fnmatch`` pattern, their members and their
+options. A run that trips an ``assert`` under the tracer (a timing
+bound) is rerun under ``python -O`` and the two traces are united; the
+report names each such run. Exits 0 when nothing is left over, 1
+otherwise, and writes the whole report, with everything the runs
+recorded, to ``traffic-report.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -142,6 +144,20 @@ def declarations() -> list[tuple]:
     return declared
 
 
+def _subclassed() -> set[tuple[str, str]]:
+    """``(file, class name)`` of every class under ``src/repro`` that a
+    class there names as a base."""
+    classes, bases = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes.append((rel, node.name))
+                bases |= {getattr(b, "id", getattr(b, "attr", None))
+                          for b in node.bases}
+    return {c for c in classes if c[1] in bases}
+
+
 def _flatten(declared):
     for entry in declared:
         yield entry
@@ -153,6 +169,7 @@ def trace_child(out: str, script: str, *args: str) -> None:
     """Run ``script`` as ``__main__`` under the tracer; write what ran to
     ``out`` (also when the script fails) and exit with its status."""
     options = {key: opts for _, key, _, opts, _ in _flatten(declarations()) if opts}
+    parents = _subclassed()
     prefix = str(SRC) + os.sep
     files, state = {}, {}
     ran, bound, built = set(), set(), set()
@@ -167,15 +184,18 @@ def trace_child(out: str, script: str, *args: str) -> None:
             )
         key = None if rel is None else (rel, code.co_firstlineno, code.co_name)
         # where a class shows up: the instance an ``__init__`` (ours, a
-        # dataclass's or the stdlib's) receives, or the class one of our
+        # dataclass's or the stdlib's) receives, the ``self`` a method of
+        # one of our subclassed classes receives, or the class one of our
         # classmethods, a ``__new__`` or a NamedTuple constructor receives
         # (not a decorator's or an ``__init_subclass__``: those see every
         # class as it is defined)
         first = code.co_varnames[0] if code.co_argcount else None
+        owner = code.co_qualname.rpartition(".")[0].rpartition(".")[2]
         if code.co_name == "__init_subclass__" or not (
             code.co_name == "__init__"
             or (first == "cls" and (key or code.co_name == "__new__"))
             or first == "_cls"
+            or (first == "self" and key and (rel, owner) in parents)
         ):
             first = None
         if key is not None:
@@ -368,6 +388,8 @@ def summary(report: dict, exempt: dict) -> str:
 def main() -> int:
     exempt = json.loads(EXEMPT.read_text())
     missing = [c for c, body in exempt.items() if not body.get("reason")]
+    blank = [pattern for body in exempt.values()
+             for pattern, why in body["entries"].items() if not why.strip()]
     with tempfile.TemporaryDirectory(prefix="traffic-") as scratch:
         union, notes = collect(Path(scratch))
     verdict = judge(union, exempt)
@@ -377,6 +399,7 @@ def main() -> int:
         "needed_O": [n["run"] for n in notes if n["rerun_under_O"]],
         "failed_runs": failed,
         "categories_without_reason": missing,
+        "entries_without_reason": blank,
         **verdict,
         "recorded": {field: sorted(items) for field, items in union.items()},
     }
@@ -393,11 +416,14 @@ def main() -> int:
         print(f"  STALE EXEMPTION  {pattern} covers nothing that was left unrun")
     for category in missing:
         print(f"  CATEGORY WITHOUT A REASON  {category}")
+    for pattern in blank:
+        print(f"  EXEMPTION WITHOUT A REASON  {pattern}")
     for label in report["needed_O"]:
         print(f"  rerun under -O (an assert tripped under the tracer): {label}")
     for label in failed:
         print(f"  RUN FAILED  {label}")
-    problems += len(report["stale_exemptions"]) + len(missing) + len(failed)
+    problems += len(report["stale_exemptions"]) + len(missing) + len(blank)
+    problems += len(failed)
     print(summary(report, exempt))
     print(f"\nwrote {REPORT.relative_to(ROOT)}; "
           + ("clean" if problems == 0 else f"{problems} problem(s)"))

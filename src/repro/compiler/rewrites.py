@@ -172,9 +172,6 @@ def _rewrite_unary(node: Unary) -> Node | None:
     # neg(neg(X)) -> X
     if node.op == "neg" and isinstance(node.child, Unary) and node.child.op == "neg":
         return node.child.child
-    # log(exp(X)) -> X (exact)
-    if node.op == "log" and isinstance(node.child, Unary) and node.child.op == "exp":
-        return node.child.child
     return None
 
 
@@ -231,9 +228,4 @@ def _rewrite_aggregate(node: Aggregate) -> Node | None:
             scalar, mat = _split_scalar_product(child)
             if scalar is not None:
                 return Binary("*", scalar, Aggregate("sum", mat))
-
-    # mean(X) -> sum(X) / cells (normalizes aggregates to one kind)
-    if node.op == "mean" and node.axis is None:
-        cells = child.shape[0] * child.shape[1]
-        return Binary("/", Aggregate("sum", child), Constant(float(cells)))
     return None

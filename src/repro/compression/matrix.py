@@ -4,8 +4,8 @@ A :class:`CompressedMatrix` behaves like a read-only dense matrix for the
 operations iterative ML needs — ``X @ v``, ``X.T @ u``, ``X.T @ X``,
 column sums — all executed directly on the compressed column groups.
 It is a :class:`repro.operand.Operand`, planned on its compression
-ratio; ``@``, ``.T``, ``matmat``/``rmatmat``, ``rowsums``/``sum`` and
-``scale`` come from the base.
+ratio; ``@``, ``.T``, ``matmat``/``rmatmat`` and ``rowsums``/``sum``
+come from the base.
 
 Kernels can execute per-column-group partials concurrently on the shared
 cost-aware worker pool (:mod:`repro.runtime.parallel`) once a context is
@@ -50,6 +50,7 @@ class CompressedMatrix(Operand, kind="cla"):
     """A matrix stored as compressed column groups."""
 
     evidence_channel = "cla_ratio"
+    _parallel_ctx = None
 
     def __init__(
         self,
@@ -95,6 +96,13 @@ class CompressedMatrix(Operand, kind="cla"):
         registry.inc("compression.dense_bytes", matrix.dense_bytes)
         compress_span.set("ratio", matrix.compression_ratio)
         return matrix
+
+    def set_parallel(self, ctx) -> "CompressedMatrix":
+        """Attach the :class:`~repro.runtime.parallel.ParallelContext`
+        the cost-gated kernels dispatch on; ``None`` or ``False``
+        detaches it (chainable)."""
+        self._parallel_ctx = ctx or None
+        return self
 
     def _kernel_cost(self) -> float:
         """Flops-equivalents of one matvec-shaped pass: 2 * nnz-dense."""
@@ -275,10 +283,6 @@ class CompressedMatrix(Operand, kind="cla"):
             out[:, j] = col
         # Symmetrize against floating-point asymmetry.
         return (out + out.T) / 2.0
-
-    def tsmm(self) -> np.ndarray:
-        """Transpose-self matrix multiply — alias for :meth:`gram`."""
-        return self.gram()
 
     def sq_sum(self) -> float:
         """Sum of squared cells (dictionary-sized rewrite + colsums)."""

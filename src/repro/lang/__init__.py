@@ -1,7 +1,7 @@
 """Declarative linear-algebra DSL (the 'DML' layer of the reproduction).
 
-Build lazy matrix expressions with :func:`matrix` / :func:`const` and the
-operators on :class:`MExpr`; compile them with :mod:`repro.compiler` and
+Build lazy matrix expressions with :func:`matrix` and the operators on
+:class:`MExpr`; compile them with :mod:`repro.compiler` and
 run them with :mod:`repro.runtime`.
 """
 
@@ -25,20 +25,10 @@ from .ast import (
 )
 from .dsl import (
     MExpr,
-    absval,
-    emax,
     colmeans,
-    colsums,
-    const,
     exp,
-    log,
     matrix,
-    maxall,
-    mean,
-    minall,
-    rowmeans,
     rowsums,
-    scalar_input,
     sigmoid,
     sqrt,
     sumall,
@@ -59,22 +49,12 @@ __all__ = [
     "Node",
     "Transpose",
     "Unary",
-    "absval",
     "colmeans",
     "collect_inputs",
-    "colsums",
-    "const",
-    "emax",
     "exp",
-    "log",
     "matrix",
-    "maxall",
-    "mean",
-    "minall",
     "pretty",
-    "rowmeans",
     "rowsums",
-    "scalar_input",
     "sigmoid",
     "sqrt",
     "sumall",

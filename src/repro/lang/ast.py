@@ -19,11 +19,11 @@ from ..operand import DENSE, registered
 Shape = tuple[int, int]
 
 #: element-wise binary operators
-EWISE_OPS = {"+", "-", "*", "/", "^", "min", "max"}
+EWISE_OPS = {"+", "-", "*", "/", "^"}
 #: element-wise unary operators
-UNARY_OPS = {"neg", "exp", "log", "sqrt", "abs", "sigmoid", "sign", "round"}
+UNARY_OPS = {"neg", "exp", "sqrt", "sigmoid"}
 #: full or axis aggregates
-AGG_OPS = {"sum", "mean", "min", "max", "trace"}
+AGG_OPS = {"sum", "mean", "trace"}
 
 
 class Node:
@@ -44,16 +44,19 @@ class Node:
         """A copy of this node over new children (shape re-inferred)."""
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return pretty(self)
-
 
 class Data(Node):
     """A named input matrix bound at execution time."""
 
     def __init__(self, name: str, shape: Shape):
-        if shape[0] < 1 or shape[1] < 1:
-            raise ShapeError(f"input {name!r} must have positive dims, got {shape}")
+        if len(shape) != 2 or not all(
+            isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
+            and dim >= 1
+            for dim in shape
+        ):
+            raise ShapeError(
+                f"input {name!r} must have two positive integer dims, got {shape}"
+            )
         self.name = name
         self.shape = (int(shape[0]), int(shape[1]))
         self.children = ()

@@ -37,9 +37,6 @@ class MExpr:
     def is_scalar(self) -> bool:
         return self.node.is_scalar
 
-    def __repr__(self) -> str:
-        return f"MExpr[{self.shape[0]}x{self.shape[1]}]: {self.node!r}"
-
     # -- structure ---------------------------------------------------------
     @property
     def T(self) -> "MExpr":
@@ -87,15 +84,6 @@ def matrix(name: str, shape: tuple[int, int]) -> MExpr:
     """Declare a named input matrix of the given shape."""
     return MExpr(Data(name, shape))
 
-def scalar_input(name: str) -> MExpr:
-    """Declare a named scalar input (a 1x1 matrix)."""
-    return MExpr(Data(name, (1, 1)))
-
-
-def const(value) -> MExpr:
-    """Embed a numpy array or Python scalar as a literal."""
-    return MExpr(Constant(value))
-
 
 def _lift(value: Any) -> Node:
     if isinstance(value, MExpr):
@@ -116,16 +104,8 @@ def exp(x: MExpr) -> MExpr:
     return MExpr(Unary("exp", _lift(x)))
 
 
-def log(x: MExpr) -> MExpr:
-    return MExpr(Unary("log", _lift(x)))
-
-
 def sqrt(x: MExpr) -> MExpr:
     return MExpr(Unary("sqrt", _lift(x)))
-
-
-def absval(x: MExpr) -> MExpr:
-    return MExpr(Unary("abs", _lift(x)))
 
 
 def sigmoid(x: MExpr) -> MExpr:
@@ -137,23 +117,6 @@ def sumall(x: MExpr) -> MExpr:
     return MExpr(Aggregate("sum", _lift(x)))
 
 
-def mean(x: MExpr) -> MExpr:
-    return MExpr(Aggregate("mean", _lift(x)))
-
-
-def minall(x: MExpr) -> MExpr:
-    return MExpr(Aggregate("min", _lift(x)))
-
-
-def maxall(x: MExpr) -> MExpr:
-    return MExpr(Aggregate("max", _lift(x)))
-
-
-def colsums(x: MExpr) -> MExpr:
-    """Column sums (a 1 x d row vector)."""
-    return MExpr(Aggregate("sum", _lift(x), axis=0))
-
-
 def rowsums(x: MExpr) -> MExpr:
     """Row sums (an n x 1 column vector)."""
     return MExpr(Aggregate("sum", _lift(x), axis=1))
@@ -163,15 +126,6 @@ def colmeans(x: MExpr) -> MExpr:
     return MExpr(Aggregate("mean", _lift(x), axis=0))
 
 
-def rowmeans(x: MExpr) -> MExpr:
-    return MExpr(Aggregate("mean", _lift(x), axis=1))
-
-
 def trace(x: MExpr) -> MExpr:
     """Sum of the diagonal of a square matrix."""
     return MExpr(Aggregate("trace", _lift(x)))
-
-
-def emax(x: MExpr, y) -> MExpr:
-    """Element-wise maximum (scalars broadcast); emax(x, 0) is ReLU."""
-    return MExpr(Binary("max", _lift(x), _lift(y)))

@@ -49,7 +49,6 @@ class Operand:
     #: ``map_values`` keeps implicit zeros implicit, so it is exact only
     #: for maps with ``f(0) == 0``
     zero_preserving_maps_only = False
-    _parallel_ctx = None
 
     def __init_subclass__(cls, kind: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -81,18 +80,6 @@ class Operand:
     def sum(self) -> float:
         """Sum of every logical cell."""
         return float(self.colsums().sum())
-
-    def scale(self, alpha: float) -> "Operand":
-        """alpha * X through the class's value rewrite."""
-        alpha = float(alpha)
-        return self.map_values(lambda values: values * alpha)
-
-    def set_parallel(self, ctx) -> "Operand":
-        """Attach the :class:`~repro.runtime.parallel.ParallelContext`
-        the class's cost-gated kernels dispatch on; ``None`` or ``False``
-        detaches it (chainable)."""
-        self._parallel_ctx = ctx or None
-        return self
 
     # -- what the planner reads off the class ---------------------------
     @classmethod

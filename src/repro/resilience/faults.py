@@ -72,9 +72,6 @@ SITES: dict[str, tuple[str, type[Exception]]] = {
     "cla.rmatvec": _RETRY_TASK,
     "cla.tsmm": _RETRY_TASK,
     "cla.colsums": _RETRY_TASK,
-    "csr.matvec": _RETRY_TASK,
-    "csr.rmatvec": _RETRY_TASK,
-    "csr.matmat": _RETRY_TASK,
     "indb.run_uda": _RETRY_TASK,
     "cluster.gradient": _RETRY_TASK,
     "cluster.loss": _RETRY_TASK,

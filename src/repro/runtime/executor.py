@@ -198,7 +198,12 @@ def _prepare_bindings(
                 )
             prepared[name] = value
             continue
-        arr = np.asarray(value, dtype=np.float64)
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ExecutionError(
+                f"input {name!r} is not numeric: {type(value).__name__} ({exc})"
+            ) from exc
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:

@@ -19,8 +19,6 @@ _BINARY = {
     "*": np.multiply,
     "/": np.divide,
     "^": np.power,
-    "min": np.minimum,
-    "max": np.maximum,
 }
 
 
@@ -43,16 +41,8 @@ def apply_unary(op: str, value: np.ndarray) -> np.ndarray:
         return -value
     if op == "exp":
         return np.exp(value)
-    if op == "log":
-        return np.log(value)
     if op == "sqrt":
         return np.sqrt(value)
-    if op == "abs":
-        return np.abs(value)
-    if op == "sign":
-        return np.sign(value)
-    if op == "round":
-        return np.round(value)
     if op == "sigmoid":
         from ..ml.losses import sigmoid
 
@@ -63,7 +53,7 @@ def apply_unary(op: str, value: np.ndarray) -> np.ndarray:
 def apply_aggregate(op: str, value: np.ndarray, axis: int | None) -> np.ndarray:
     if op == "trace":
         return np.array([[np.trace(value)]])
-    fns = {"sum": np.sum, "mean": np.mean, "min": np.min, "max": np.max}
+    fns = {"sum": np.sum, "mean": np.mean}
     fn = fns.get(op)
     if fn is None:
         raise ExecutionError(f"unknown aggregate {op!r}")

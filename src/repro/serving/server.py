@@ -42,6 +42,7 @@ with p50/p95/p99.
 from __future__ import annotations
 
 import queue
+import threading
 import time
 from typing import Callable, Sequence
 
@@ -254,7 +255,11 @@ class ModelServer:
         self.retry = retry
         self._clock = clock
         self._endpoints: dict[str, Endpoint] = {}
+        #: compiled scorers by (endpoint, version); ``_scorers_lock``
+        #: guards every write, and a rebuild swaps in a new dict, so the
+        #: request path reads it with one lock-free ``.get``
         self._scorers: dict[tuple[str, int], Callable] = {}
+        self._scorers_lock = threading.Lock()
 
     def create_endpoint(self, name: str, model_name: str, **config) -> Endpoint:
         """Register a served route; see :class:`Endpoint` for knobs."""
@@ -282,9 +287,10 @@ class ModelServer:
         this on every hosting replica after a promote, and on shard
         revive (epoch rejoin)."""
         endpoint = self.endpoint(name)
-        self._scorers = {
-            k: v for k, v in self._scorers.items() if k[0] != name
-        }
+        with self._scorers_lock:
+            self._scorers = {
+                k: v for k, v in self._scorers.items() if k[0] != name
+            }
         if endpoint.cache is None:
             return 0
         return endpoint.cache.invalidate()
@@ -319,7 +325,8 @@ class ModelServer:
             # The batcher forwards each batch's tightest admission
             # deadline, so scoring retries never outlive their budget.
             scorer.accepts_deadline = True
-            self._scorers[ident] = scorer
+            with self._scorers_lock:
+                scorer = self._scorers.setdefault(ident, scorer)
         return scorer
 
     def _serve(

@@ -7,23 +7,20 @@ numpy primitives only (no scipy), with exactly the operation set GLM
 training needs:
 
 * ``X @ v`` and ``X.T @ u`` (via the operand transpose view),
-* scaling, element-wise multiply against dense,
+* zero-preserving value maps, element-wise multiply against dense,
 * column sums, nnz accounting, dense round-trip.
 
 :class:`CSRMatrix` is a :class:`repro.operand.Operand`, planned on its
-density; ``@``, ``.T``, ``rmatmat`` and ``scale`` come from the base, so
+density; ``@``, ``.T``, ``matmat`` and ``rmatmat`` come from the base, so
 the GLM losses and optimizers in :mod:`repro.ml` run on it unchanged.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..errors import ReproError
-from ..operand import Operand, estimate_density, sum_partials, zero_preserving
-from ..runtime.parallel import ParallelContext, dispatch
+from ..operand import Operand, estimate_density, zero_preserving
 
 #: index-chasing multiplier on CSR's nnz-proportional work
 CSR_OVERHEAD = 2.0
@@ -31,38 +28,6 @@ CSR_OVERHEAD = 2.0
 
 class SparseError(ReproError):
     """A sparse-matrix operation failed."""
-
-
-def _rowblock_matvec(csr: "CSRMatrix", v: np.ndarray, bounds) -> np.ndarray:
-    """X[lo:hi] @ v for one row block (private partial)."""
-    lo, hi = bounds
-    s = slice(csr.indptr[lo], csr.indptr[hi])
-    products = csr.data[s] * v[csr.indices[s]]
-    out = np.zeros(hi - lo)
-    # Segment-sum per row via reduceat (empty rows stay zero).
-    local_ptr = csr.indptr[lo:hi] - csr.indptr[lo]
-    nonempty = np.diff(csr.indptr[lo : hi + 1]) > 0
-    if products.size:
-        out[nonempty] = np.add.reduceat(products, local_ptr[nonempty])
-    return out
-
-
-def _rowblock_rmatvec(csr: "CSRMatrix", u: np.ndarray, bounds) -> np.ndarray:
-    """X[lo:hi].T @ u[lo:hi] for one row block (private partial)."""
-    lo, hi = bounds
-    s = slice(csr.indptr[lo], csr.indptr[hi])
-    row_of = np.repeat(
-        np.arange(lo, hi), np.diff(csr.indptr[lo : hi + 1])
-    )
-    return np.bincount(
-        csr.indices[s],
-        weights=csr.data[s] * u[row_of],
-        minlength=csr.shape[1],
-    )
-
-
-def _column_matvec(csr: "CSRMatrix", B: np.ndarray, j: int) -> np.ndarray:
-    return csr.matvec(B[:, j])
 
 
 class CSRMatrix(Operand, kind="csr"):
@@ -161,23 +126,6 @@ class CSRMatrix(Operand, kind="csr"):
         return f"sparse, est density {density:.3f}"
 
     # ------------------------------------------------------------------
-    # Parallel dispatch (cost-gated row blocks on the attached pool)
-    # ------------------------------------------------------------------
-    def _kernel_cost(self) -> float:
-        """Flops-equivalents of one matvec-shaped pass: 2 * nnz."""
-        return 2.0 * self.nnz
-
-    def _row_blocks(self, ctx: ParallelContext) -> list[tuple[int, int]]:
-        """Non-empty ``(lo, hi)`` row ranges, one per worker: the bounds
-        of ``np.linspace(0, rows, workers + 1)`` truncated to integers,
-        computed without the arrays because every call with a context
-        builds them before the engine's gate decides."""
-        rows, workers = self.shape[0], max(ctx.max_workers, 1)
-        step = rows / workers
-        bounds = [int(k * step) for k in range(workers)] + [rows]
-        return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-    # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -187,22 +135,13 @@ class CSRMatrix(Operand, kind="csr"):
             raise SparseError(
                 f"vector length {len(v)} != num columns {self.shape[1]}"
             )
-        ctx = self._parallel_ctx
-        if ctx is None:
-            return self._matvec(v)
-        # Row blocks are disjoint, so per-row segment sums are
-        # bitwise-identical to the serial reduceat path.
-        return ctx.pmap(
-            partial(_rowblock_matvec, self, v),
-            self._row_blocks(ctx),
-            cost_hint=self._kernel_cost(),
-            site="csr.matvec",
-            serial=partial(self._matvec, v),
-            combine=np.concatenate,
-        )
-
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
-        return _rowblock_matvec(self, v, (0, self.shape[0]))
+        products = self.data * v[self.indices]
+        out = np.zeros(self.shape[0])
+        # Segment-sum per row via reduceat (empty rows stay zero).
+        nonempty = np.diff(self.indptr) > 0
+        if products.size:
+            out[nonempty] = np.add.reduceat(products, self.indptr[:-1][nonempty])
+        return out
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """X.T @ u in O(nnz)."""
@@ -211,41 +150,10 @@ class CSRMatrix(Operand, kind="csr"):
             raise SparseError(
                 f"vector length {len(u)} != num rows {self.shape[0]}"
             )
-        ctx = self._parallel_ctx
-        if ctx is None:
-            return self._rmatvec(u)
-        # Partials reduce in block order: matches serial up to
-        # float-addition reassociation (<= 1e-9).
-        return ctx.pmap(
-            partial(_rowblock_rmatvec, self, u),
-            self._row_blocks(ctx),
-            cost_hint=self._kernel_cost(),
-            site="csr.rmatvec",
-            serial=partial(self._rmatvec, u),
-            combine=partial(sum_partials, self.shape[1]),
+        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(
+            self.indices, weights=self.data * u[row_of], minlength=self.shape[1]
         )
-
-    def _rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return _rowblock_rmatvec(self, u, (0, self.shape[0]))
-
-    def matmat(self, B: np.ndarray) -> np.ndarray:
-        """X @ B for dense B, column by column."""
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim == 1:
-            return self.matvec(B)
-        if B.shape[0] != self.shape[1]:
-            raise SparseError(f"shape mismatch: {self.shape} @ {B.shape}")
-        out = np.empty((self.shape[0], B.shape[1]))
-        columns = dispatch(
-            self._parallel_ctx,
-            partial(_column_matvec, self, B),
-            range(B.shape[1]),
-            cost_hint=self._kernel_cost() * B.shape[1],
-            site="csr.matmat",
-        )
-        for j, col in enumerate(columns):
-            out[:, j] = col
-        return out
 
     def gram(self) -> np.ndarray:
         """X.T @ X from per-row outer products, O(sum of row_nnz^2)."""

@@ -12,17 +12,7 @@ from .catalog import Catalog
 from .csvio import read_csv_string
 from .expressions import Expr, col, lit
 from .lineage import table_fingerprint
-from .operators import (
-    aggregate,
-    distinct,
-    extend,
-    filter_rows,
-    group_by,
-    hash_join,
-    limit,
-    order_by,
-    project,
-)
+from .operators import distinct, filter_rows, group_by, hash_join, order_by
 from .schema import Column, ColumnType, Schema
 from .sql import SQLError, parse_sql, run_sql
 from .table import Table
@@ -37,18 +27,14 @@ __all__ = [
     "Schema",
     "Table",
     "agg",
-    "aggregate",
     "col",
     "distinct",
-    "extend",
     "filter_rows",
     "group_by",
     "hash_join",
-    "limit",
     "lit",
     "order_by",
     "parse_sql",
-    "project",
     "read_csv_string",
     "run_sql",
     "SQLError",

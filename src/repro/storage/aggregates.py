@@ -62,30 +62,6 @@ class Mean(AggregateFunction):
         return sums / np.maximum(counts, 1)
 
 
-class Var(AggregateFunction):
-    """Population variance per group (single-pass sum-of-squares form)."""
-
-    name = "var"
-
-    def apply(self, values, group_ids, num_groups):
-        _require_numeric(values, self.name)
-        v = values.astype(np.float64)
-        counts = np.bincount(group_ids, minlength=num_groups)
-        sums = np.bincount(group_ids, weights=v, minlength=num_groups)
-        sq = np.bincount(group_ids, weights=v * v, minlength=num_groups)
-        n = np.maximum(counts, 1)
-        mean = sums / n
-        # max() guards tiny negative values from floating-point cancellation
-        return np.maximum(sq / n - mean * mean, 0.0)
-
-
-class Std(AggregateFunction):
-    name = "std"
-
-    def apply(self, values, group_ids, num_groups):
-        return np.sqrt(Var().apply(values, group_ids, num_groups))
-
-
 class _ExtremumAggregate(AggregateFunction):
     """Shared implementation for per-group min/max via sort-free reduction."""
 
@@ -125,33 +101,13 @@ class Max(_ExtremumAggregate):
     _ufunc = np.maximum
 
 
-class First(AggregateFunction):
-    """First value encountered per group (row order)."""
-
-    name = "first"
-
-    def apply(self, values, group_ids, num_groups):
-        if values is None:
-            raise StorageError("first requires a column")
-        out = np.empty(num_groups, dtype=values.dtype)
-        seen = np.zeros(num_groups, dtype=bool)
-        for v, g in zip(values, group_ids):
-            if not seen[g]:
-                out[g] = v
-                seen[g] = True
-        return out
-
-
 _BY_NAME: dict[str, Callable[[], AggregateFunction]] = {
     "count": Count,
     "sum": Sum,
     "mean": Mean,
     "avg": Mean,
-    "var": Var,
-    "std": Std,
     "min": Min,
     "max": Max,
-    "first": First,
 }
 
 

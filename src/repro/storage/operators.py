@@ -25,16 +25,6 @@ def filter_rows(table: Table, predicate: Expr) -> Table:
     return table.mask(mask)
 
 
-def project(table: Table, names: Sequence[str]) -> Table:
-    """Projection onto the named columns."""
-    return table.select(names)
-
-
-def extend(table: Table, name: str, expression: Expr) -> Table:
-    """Table with a computed column appended."""
-    return table.with_column(name, expression.evaluate(table))
-
-
 def order_by(
     table: Table, names: Sequence[str], descending: bool = False
 ) -> Table:
@@ -46,11 +36,6 @@ def order_by(
     if descending:
         order = order[::-1]
     return table.take(order)
-
-
-def limit(table: Table, n: int) -> Table:
-    """The first ``n`` rows."""
-    return table.head(n)
 
 
 def distinct(table: Table) -> Table:
@@ -197,11 +182,6 @@ def group_by(
     for name, values in result_cols.items():
         out = out.with_column(name, values)
     return out
-
-
-def aggregate(table: Table, aggregates: Sequence[AggSpec]) -> Table:
-    """Full-table aggregation (a one-row result)."""
-    return group_by(table, [], aggregates)
 
 
 def _group_ids(table: Table, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

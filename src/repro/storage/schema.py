@@ -80,19 +80,6 @@ class Schema:
             raise SchemaError(f"duplicate column names: {dupes}")
         self._index = {c.name: i for i, c in enumerate(self._columns)}
 
-    @classmethod
-    def of(cls, **types: ColumnType | str) -> "Schema":
-        """Build a schema from keyword arguments.
-
-        >>> Schema.of(id="int", name="str")
-        """
-        cols = []
-        for name, ctype in types.items():
-            if isinstance(ctype, str):
-                ctype = ColumnType(ctype)
-            cols.append(Column(name, ctype))
-        return cls(cols)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self._columns)

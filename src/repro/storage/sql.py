@@ -30,15 +30,7 @@ from ..errors import StorageError
 from .aggregates import AggSpec, agg
 from .catalog import Catalog
 from .expressions import Expr, col, lit
-from .operators import (
-    distinct,
-    extend,
-    filter_rows,
-    group_by,
-    hash_join,
-    limit,
-    order_by,
-)
+from .operators import distinct, filter_rows, group_by, hash_join, order_by
 from .table import Table
 
 
@@ -222,7 +214,13 @@ class _Parser:
 
         limit_n = None
         if self.accept("keyword", "LIMIT"):
-            limit_n = int(self.expect("number").value)
+            token = self.expect("number")
+            if not token.value.isdigit():
+                raise SQLError(
+                    f"LIMIT takes a whole number at position {token.position}, "
+                    f"got {token.value!r}"
+                )
+            limit_n = int(token.value)
 
         self.expect("end")
         return SelectQuery(
@@ -466,7 +464,7 @@ def run_sql(text: str, catalog: Catalog, optimize: bool = True) -> Table:
     if query.order_by:
         table = order_by(table, query.order_by, descending=query.order_desc)
     if query.limit is not None:
-        table = limit(table, query.limit)
+        table = table.head(query.limit)
     return table
 
 
@@ -484,7 +482,7 @@ def _execute_projection(table: Table, query: SelectQuery) -> Table:
         ):
             names.append(name)
         else:
-            table = extend(table, name, item.expression)
+            table = table.with_column(name, item.expression.evaluate(table))
             names.append(name)
     return table.select(names)
 

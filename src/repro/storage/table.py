@@ -72,12 +72,6 @@ class Table:
             data["label"] = label
         return cls.from_columns(data)
 
-    @classmethod
-    def empty(cls, schema: Schema) -> "Table":
-        """A zero-row table with the given schema."""
-        arrays = [np.empty(0, dtype=c.ctype.numpy_dtype) for c in schema]
-        return cls(schema, arrays)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

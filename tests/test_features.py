@@ -91,10 +91,10 @@ class TestVersioning:
             })
 
     def test_constant_only_feature_rejected(self):
-        from repro.lang.dsl import scalar_input
+        from repro.lang import matrix
 
         with pytest.raises(FeatureStoreError):
-            FeatureView("v", "entity", {"bad": lambda c: scalar_input("k")})
+            FeatureView("v", "entity", {"bad": lambda c: matrix("k", (1, 1))})
 
 
 # ----------------------------------------------------------------------

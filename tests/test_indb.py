@@ -71,9 +71,7 @@ class TestUDAFramework:
         assert out.n == len(y)
 
     def test_empty_table_raises(self):
-        from repro.storage import Schema
-
-        table = Table.empty(Schema.of(x="float"))
+        table = Table.from_columns({"x": np.zeros(0)})
         with pytest.raises(StorageError, match="empty"):
             run_uda(table, GramUDA(), ["x"])
 

@@ -1,7 +1,6 @@
 """Second round of cross-subsystem integration scenarios."""
 
 import numpy as np
-import pytest
 
 from repro.compression import CompressedMatrix
 from repro.data import (
@@ -14,12 +13,11 @@ from repro.distributed import SimulatedCluster, train_bsp_gd
 from repro.factorized import NormalizedMatrix, factorized_kmeans
 from repro.feateng import TableEncoder, TransformSpec
 from repro.indb import train_kmeans_indb
-from repro.lang import emax, matrix, sumall
 from repro.lifecycle import ModelRegistry, dumps_model, loads_model
 from repro.ml import KMeans, LogisticRegression
 from repro.ml.losses import SquaredLoss
 from repro.operand import SAMPLE_FRACTION
-from repro.runtime import BlockStore, BufferPool, execute
+from repro.runtime import BlockStore, BufferPool
 from repro.selection import KFold, SelectionSession
 from repro.sparse import CSRMatrix
 from repro.storage import Catalog, Table, run_sql
@@ -112,23 +110,6 @@ class TestStratifiedSessionOverLogisticModels:
         assert np.array_equal(
             model.predict(X), registry.deployed("logreg").model.predict(X)
         )
-
-
-class TestDSLReluProgram:
-    def test_hinge_like_program(self, rng):
-        """emax enables hinge-loss programs in the DSL."""
-        n, d = 200, 6
-        Xv = rng.standard_normal((n, d))
-        wv = rng.standard_normal(d)
-        yv = np.where(Xv @ wv > 0, 1.0, -1.0)
-
-        X = matrix("X", (n, d))
-        w = matrix("w", (d, 1))
-        y = matrix("y", (n, 1))
-        hinge = sumall(emax(1.0 - y * (X @ w), 0.0)) / n
-        value = execute(hinge, {"X": Xv, "w": wv, "y": yv})
-        margins = yv * (Xv @ wv)
-        assert value == pytest.approx(np.mean(np.maximum(0, 1 - margins)))
 
 
 class TestSQLIntoDistributed:

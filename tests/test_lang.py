@@ -13,8 +13,7 @@ from repro.lang import (
     Transpose,
     Unary,
     collect_inputs,
-    colsums,
-    const,
+    colmeans,
     matrix,
     pretty,
     rowsums,
@@ -32,6 +31,11 @@ class TestShapes:
     def test_positive_dims_required(self):
         with pytest.raises(ShapeError):
             matrix("X", (0, 3))
+
+    @pytest.mark.parametrize("shape", [(2.5, 2), (True, 2), (2, "2")])
+    def test_dims_must_be_integers_not_truncated(self, shape):
+        with pytest.raises(ShapeError, match="integer dims"):
+            matrix("X", shape)
 
     def test_matmul_shape(self):
         X = matrix("X", (10, 3))
@@ -72,7 +76,7 @@ class TestShapes:
     def test_aggregate_shapes(self):
         X = matrix("X", (5, 4))
         assert sumall(X).shape == (1, 1)
-        assert colsums(X).shape == (1, 4)
+        assert colmeans(X).shape == (1, 4)
         assert rowsums(X).shape == (5, 1)
 
     def test_trace_requires_square(self):

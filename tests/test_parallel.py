@@ -29,7 +29,6 @@ from repro.resilience import (
     chaos_seed_from_env,
 )
 from repro.runtime.parallel import ParallelContext, merge_tree
-from repro.sparse import CSRMatrix
 from repro.selection import (
     grid_search,
     random_search,
@@ -300,8 +299,8 @@ class TestParallelCLA:
 
     def test_tsmm_matches(self, matrices):
         X, serial, par, _ = matrices
-        np.testing.assert_allclose(par.tsmm(), serial.gram(), atol=1e-9)
-        np.testing.assert_allclose(par.tsmm(), X.T @ X, atol=1e-6)
+        np.testing.assert_allclose(par.gram(), serial.gram(), atol=1e-9)
+        np.testing.assert_allclose(par.gram(), X.T @ X, atol=1e-6)
 
     def test_parallel_calls_recorded(self, matrices):
         _, _, par, ctx = matrices
@@ -319,71 +318,6 @@ class TestParallelCLA:
         assert ctx.stats.parallel_calls == before + 1
         m.set_parallel(False).matvec(v)
         assert ctx.stats.parallel_calls == before + 1
-
-
-def _random_csr(n=3000, d=9, density=0.15, seed=4):
-    rng = np.random.default_rng(seed)
-    mask = rng.random((n, d)) < density
-    return CSRMatrix.from_dense(rng.standard_normal((n, d)) * mask)
-
-
-class TestParallelCSR:
-    @pytest.fixture(scope="class")
-    def matrices(self):
-        # density 0.15 over 9 columns leaves ~23% of the rows empty
-        serial = _random_csr()
-        assert (np.diff(serial.indptr) == 0).any()
-        with ParallelContext(max_workers=4, cost_threshold=0) as ctx:
-            par = _random_csr().set_parallel(ctx)
-            yield serial, par, ctx
-
-    def test_matvec_bitwise(self, matrices):
-        serial, par, _ = matrices
-        v = np.random.default_rng(1).standard_normal(serial.shape[1])
-        np.testing.assert_array_equal(par.matvec(v), serial.matvec(v))
-
-    def test_rmatvec_matches(self, matrices):
-        serial, par, _ = matrices
-        u = np.random.default_rng(2).standard_normal(serial.shape[0])
-        np.testing.assert_allclose(par.rmatvec(u), serial.rmatvec(u), atol=1e-9)
-
-    def test_matmat_bitwise(self, matrices):
-        serial, par, ctx = matrices
-        B = np.random.default_rng(3).standard_normal((serial.shape[1], 5))
-        before = ctx.stats.site("csr.matmat").parallel_calls
-        np.testing.assert_array_equal(par.matmat(B), serial.matmat(B))
-        assert ctx.stats.by_site["csr.matmat"].parallel_calls == before + 1
-
-    def test_gated_call_runs_the_serial_kernel_and_is_recorded(self, matrices):
-        serial, _, _ = matrices
-        v = np.ones(serial.shape[1])
-        with ParallelContext(max_workers=4, cost_threshold=1e18) as gated:
-            X = _random_csr().set_parallel(gated)
-            np.testing.assert_array_equal(X.matvec(v), serial.matvec(v))
-            np.testing.assert_array_equal(
-                X.rmatvec(np.ones(X.shape[0])),
-                serial.rmatvec(np.ones(X.shape[0])),
-            )
-        for site in ("csr.matvec", "csr.rmatvec"):
-            entry = gated.stats.by_site[site]
-            assert (entry.serial_fallbacks, entry.parallel_calls) == (1, 0)
-            assert entry.tasks_dispatched == 4  # the row blocks, not 1
-
-    @given(
-        rows=st.integers(min_value=0, max_value=10**9),
-        workers=st.integers(min_value=1, max_value=64),
-    )
-    def test_row_blocks_are_the_truncated_linspace_bounds(self, rows, workers):
-        X = CSRMatrix.__new__(CSRMatrix)
-        X.shape = (rows, 1)
-        bounds = np.linspace(0, rows, workers + 1).astype(np.int64)
-        expected = [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ParallelContext(max_workers=workers) as ctx:
-            assert X._row_blocks(ctx) == expected
 
 
 # ----------------------------------------------------------------------
@@ -488,18 +422,7 @@ def _cla_ops(ctx):
     rng = np.random.default_rng(1)
     v = rng.standard_normal(m.shape[1])
     u = rng.standard_normal(m.shape[0])
-    return [m.matvec(v), m.rmatvec(u), m.colsums(), m.tsmm()]
-
-
-def _csr_ops(ctx):
-    X = _random_csr().set_parallel(ctx)
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((X.shape[1], 5))
-    return [
-        X.matvec(rng.standard_normal(X.shape[1])),
-        X.rmatvec(rng.standard_normal(X.shape[0])),
-        X.matmat(B),
-    ]
+    return [m.matvec(v), m.rmatvec(u), m.colsums(), m.gram()]
 
 
 def _uda_ops(ctx):
@@ -554,7 +477,6 @@ def _selection_ops(ctx):
 
 CHAOS_CASES = {
     "cla": (_cla_ops, ("cla.matvec", "cla.rmatvec", "cla.colsums", "cla.tsmm")),
-    "csr": (_csr_ops, ("csr.matvec", "csr.rmatvec", "csr.matmat")),
     "indb": (_uda_ops, ("indb.run_uda",)),
     "cluster": (_cluster_ops, ("cluster.gradient", "cluster.loss")),
     "selection": (_selection_ops, (

@@ -18,7 +18,7 @@ from repro.compiler import (
 from repro.compression import CompressedMatrix
 from repro.data import make_regression
 from repro.errors import CompilerError, ExecutionError, NotFittedError
-from repro.lang import absval, colmeans, matrix, rowsums, sigmoid, sumall
+from repro.lang import colmeans, matrix, rowsums, sigmoid, sumall
 from repro.ml.linreg import Moments
 from repro.runtime import OutOfCoreLinearRegression, execute
 from repro.sparse import CSRMatrix
@@ -106,7 +106,7 @@ _EXPRS = st.recursive(
     st.sampled_from(["A", "B", "C"]),
     lambda sub: st.one_of(
         st.tuples(st.sampled_from(["+", "-", "*", "@"]), sub, sub),
-        st.tuples(st.sampled_from(["t", "abs", "sigmoid", "rowsums"]), sub),
+        st.tuples(st.sampled_from(["t", "neg", "sigmoid", "rowsums"]), sub),
     ),
     max_leaves=6,
 )
@@ -119,8 +119,8 @@ def _build(spec):
     args = [_build(a) for a in args]
     if op == "t":
         return args[0].T
-    if op == "abs":
-        return absval(args[0])
+    if op == "neg":
+        return -args[0]
     if op == "sigmoid":
         return sigmoid(args[0])
     if op == "rowsums":  # broadcast back so every node stays square

@@ -89,7 +89,7 @@ class TestExports:
 
 
 #: the length each doc may shrink from but not regrow past (ROADMAP item 6)
-DOC_LINES = {"EXPERIMENTS.md": 2713, "DESIGN.md": 1206, "README.md": 582}
+DOC_LINES = {"EXPERIMENTS.md": 2713, "DESIGN.md": 1205, "README.md": 582}
 
 
 class TestDocsAndExperiments:
@@ -405,7 +405,7 @@ class TestOneDispatch:
         assert self._caller_hits(r"ctx is not None and|\bctx is None or") == []
 
     def test_only_whole_call_kernels_talk_to_pmap_directly(self):
-        """Everything else goes through ``dispatch``; these three hand
+        """Everything else goes through ``dispatch``; this one hands
         the engine a serial kernel for it to time and record."""
         sites = []
         for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
@@ -420,7 +420,7 @@ class TestOneDispatch:
                     keywords = {k.arg: k.value for k in node.keywords}
                     assert {"serial", "combine", "site"} <= set(keywords), path
                     sites.append(keywords["site"].value)
-        assert sites == ["cla.matvec", "csr.matvec", "csr.rmatvec"]
+        assert sites == ["cla.matvec"]
 
     def test_deleted_knobs_and_records_stay_deleted(self):
         """The engine's surface; that nothing unused grows back beside it
@@ -577,8 +577,8 @@ class TestOneOperandContract:
 
         for fn in (CompressedMatrix.__init__, CompressedMatrix.compress):
             assert "parallel" not in inspect.signature(fn).parameters
-        doors = self._hits(r"def set_parallel\b")
-        assert [hit.rsplit(":", 1)[0] for hit in doors] == [self.CONTRACT]
+        (door,) = self._hits(r"def set_parallel\b")
+        assert door.startswith("src/repro/compression/matrix.py:")
 
     def test_the_write_only_feedback_section_stays_deleted(self):
         gone = r"op_cost|ingest_spans|observe_op|op_flops|seconds_per_flop"
@@ -745,7 +745,7 @@ class TestOneWayIn:
                         spelled.add(literal.value)
                     elif isinstance(literal, ast.JoinedStr):
                         spelled.add(literal.values[0].value + "*")
-        assert len(spelled) == 28 and spelled == set(SITES)
+        assert len(spelled) == 25 and spelled == set(SITES)
         kinds = {kind for kind, _ in SITES.values()}
         assert kinds == {
             "retry", "failover", "lineage recompute", "fallback recompute",

@@ -20,16 +20,7 @@ from repro.compiler import compile_expr, plan_representations
 from repro.compression import CompressedMatrix
 from repro.errors import CompilerError, ExecutionError
 from repro.factorized import NormalizedMatrix
-from repro.lang import (
-    colsums,
-    exp,
-    matrix,
-    maxall,
-    mean,
-    rowsums,
-    sigmoid,
-    sumall,
-)
+from repro.lang import colmeans, exp, matrix, rowsums, sigmoid, sumall, trace
 from repro.lang.ast import Convert, Data
 from repro.runtime import execute
 from repro.sparse import CSRMatrix
@@ -100,7 +91,7 @@ class TestOperatorParity:
             rep = _representations(X)[rep_kind]
         n, d = X.shape
         Xm = matrix("X", (n, d))
-        for expr in (sumall(Xm), mean(Xm), colsums(Xm), rowsums(Xm)):
+        for expr in (sumall(Xm), colmeans(Xm), rowsums(Xm)):
             want = execute(expr, {"X": X})
             got, stats = execute(expr, {"X": rep}, collect_stats=True)
             np.testing.assert_allclose(
@@ -181,18 +172,15 @@ class TestOperatorParity:
             )
             assert stats.fallback_count == 0
 
-    def test_min_aggregate_densifies_and_records(self):
-        X = _make_dense(seed=6)
+    def test_unserved_aggregate_densifies_and_records(self):
+        X = _make_dense(n=12, d=12, seed=6)
         rep = CompressedMatrix.compress(X)
-        n, d = X.shape
-        Xm = matrix("X", (n, d))
-        from repro.lang import minall
-
-        expr = minall(Xm)  # min needs every cell in position
+        Xm = matrix("X", X.shape)
+        expr = trace(Xm)  # the diagonal needs every cell in position
         want = execute(expr, {"X": X})
         got, stats = execute(expr, {"X": rep}, collect_stats=True)
         assert got == pytest.approx(want, abs=1e-12)
-        assert stats.fallback_count >= 1
+        assert stats.densify_fallbacks == {"agg:trace": 1}
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +232,7 @@ class TestCompressedMaps:
 
     def test_scale_rewrites_dictionaries(self):
         X, C = self._ole_matrix()
-        scaled = C.scale(-2.5)
+        scaled = C.map_values(lambda values: values * -2.5)
         np.testing.assert_allclose(scaled.decompress(), X * -2.5, atol=0)
         # Zero-preserving: compressed size unchanged, no decompression.
         assert scaled.compressed_bytes == C.compressed_bytes
@@ -269,7 +257,9 @@ class TestCompressedMaps:
         nm = _make_normalized(seed=9)
         X = nm.materialize()
         np.testing.assert_allclose(
-            nm.scale(3.0).materialize(), X * 3.0, atol=0
+            nm.map_values(lambda values: values * 3.0).materialize(),
+            X * 3.0,
+            atol=0,
         )
         np.testing.assert_allclose(
             nm.map_values(lambda values: values - 0.5).materialize(),
@@ -392,12 +382,12 @@ def _walk(root):
 # ----------------------------------------------------------------------
 #: every representation serves these natively
 SUPPORTED_EMAPS = ["none", "scale", "neg", "square"]
-SUPPORTED_TERMINALS = ["matvec", "gram", "colsums", "rowsums", "sumall"]
+SUPPORTED_TERMINALS = ["matvec", "gram", "colmeans", "rowsums", "sumall"]
 #: ... and some representation densifies on these
 WIDE_EMAPS = SUPPORTED_EMAPS + [
     "exp", "add", "times_dense", "t_times_dense", "times_computed",
 ]
-WIDE_TERMINALS = SUPPORTED_TERMINALS + ["chain", "maxall"]
+WIDE_TERMINALS = SUPPORTED_TERMINALS + ["chain", "trace"]
 
 
 @st.composite
@@ -441,10 +431,11 @@ def _build_expr(n, d, emap, terminal, scalar):
         "matvec": lambda: body @ vector,
         "chain": lambda: body.T @ (body @ vector),
         "gram": lambda: body.T @ body,
-        "colsums": lambda: colsums(body),
+        "colmeans": lambda: colmeans(body),
         "rowsums": lambda: rowsums(body),
         "sumall": lambda: sumall(body),
-        "maxall": lambda: maxall(body),
+        # rewritten to sum(t(X) * t(X)): two representation operands
+        "trace": lambda: trace(body.T @ body),
     }[terminal]()
     return expr
 
@@ -533,7 +524,7 @@ def _blocked_labels(reason):
 # a CLA operand times a computed 1x1 (planned dense, served natively).
 @example(case=(600, 7, 0, "t_times_dense", "rowsums", 1.0))
 @example(case=(600, 7, 0, "t_times_dense", "sumall", 1.0))
-@example(case=(600, 8, 0, "times_computed", "colsums", 1.0))
+@example(case=(600, 8, 0, "times_computed", "colmeans", 1.0))
 @settings(deadline=None)
 def test_property_planner_and_runtime_agree(case):
     """For one representation-bound input among dense ones: the planner

@@ -113,7 +113,7 @@ class TestFaultPlan:
             FaultPlan().inject(typo, 1.0)
 
     @pytest.mark.parametrize(
-        "pattern", ["*", "cluster.*", "parallel.task.ovr", "parallel.*", "csr.matvec"]
+        "pattern", ["*", "cluster.*", "parallel.task.ovr", "parallel.*", "cla.matvec"]
     )
     def test_inject_accepts_names_prefixes_and_task_sites(self, pattern):
         assert FaultPlan().inject(pattern, 0.5).specs[0].site == pattern

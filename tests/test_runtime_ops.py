@@ -26,8 +26,6 @@ class TestBinaryKernels:
             ("-", np.subtract),
             ("*", np.multiply),
             ("/", np.divide),
-            ("min", np.minimum),
-            ("max", np.maximum),
         ],
     )
     def test_matches_numpy(self, op, fn, pair):
@@ -51,19 +49,12 @@ class TestUnaryKernels:
             ("neg", np.negative),
             ("exp", np.exp),
             ("sqrt", lambda x: np.sqrt(np.abs(x))),
-            ("abs", np.abs),
-            ("sign", np.sign),
-            ("round", np.round),
         ],
     )
     def test_matches_numpy(self, op, fn, pair):
         a, _ = pair
         operand = np.abs(a) if op == "sqrt" else a
         assert np.allclose(apply_unary(op, operand), fn(a))
-
-    def test_log(self, pair):
-        a, _ = pair
-        assert np.allclose(apply_unary("log", np.abs(a) + 1), np.log(np.abs(a) + 1))
 
     def test_sigmoid_bounds(self, pair):
         a, _ = pair
@@ -78,7 +69,7 @@ class TestUnaryKernels:
 class TestAggregateKernels:
     def test_full_aggregates_return_1x1(self, pair):
         a, _ = pair
-        for op, fn in [("sum", np.sum), ("mean", np.mean), ("min", np.min), ("max", np.max)]:
+        for op, fn in [("sum", np.sum), ("mean", np.mean)]:
             out = apply_aggregate(op, a, None)
             assert out.shape == (1, 1)
             assert out[0, 0] == pytest.approx(fn(a))

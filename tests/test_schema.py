@@ -7,6 +7,11 @@ from repro.errors import SchemaError
 from repro.storage import Column, ColumnType, Schema
 
 
+def _schema(**types: str) -> Schema:
+    """A schema of the named columns, in keyword order."""
+    return Schema([Column(name, ColumnType(t)) for name, t in types.items()])
+
+
 class TestColumnType:
     def test_numpy_dtype_mapping(self):
         assert ColumnType.INT.numpy_dtype == np.dtype(np.int64)
@@ -41,63 +46,54 @@ class TestColumn:
 
 
 class TestSchema:
-    def test_of_builder(self):
-        s = Schema.of(id="int", name="str", score="float", flag="bool")
-        assert s.names == ("id", "name", "score", "flag")
-        assert s.type_of("score") == ColumnType.FLOAT
-
-    def test_of_accepts_enum_values(self):
-        s = Schema.of(id=ColumnType.INT)
-        assert s.type_of("id") == ColumnType.INT
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
             Schema([Column("a", ColumnType.INT), Column("a", ColumnType.STR)])
 
     def test_len_and_iteration(self):
-        s = Schema.of(a="int", b="float")
+        s = _schema(a="int", b="float")
         assert len(s) == 2
         assert [c.name for c in s] == ["a", "b"]
 
     def test_contains(self):
-        s = Schema.of(a="int")
+        s = _schema(a="int")
         assert "a" in s
         assert "z" not in s
 
     def test_getitem_unknown_raises_with_names(self):
-        s = Schema.of(a="int")
+        s = _schema(a="int")
         with pytest.raises(SchemaError, match="no column named 'z'"):
             s["z"]
 
     def test_position(self):
-        s = Schema.of(a="int", b="float", c="str")
+        s = _schema(a="int", b="float", c="str")
         assert s.position("b") == 1
         with pytest.raises(SchemaError):
             s.position("missing")
 
     def test_project_preserves_requested_order(self):
-        s = Schema.of(a="int", b="float", c="str")
+        s = _schema(a="int", b="float", c="str")
         p = s.project(["c", "a"])
         assert p.names == ("c", "a")
 
     def test_project_unknown_raises(self):
         with pytest.raises(SchemaError):
-            Schema.of(a="int").project(["zzz"])
+            _schema(a="int").project(["zzz"])
 
     def test_drop(self):
-        s = Schema.of(a="int", b="float", c="str")
+        s = _schema(a="int", b="float", c="str")
         assert s.drop(["b"]).names == ("a", "c")
 
     def test_drop_unknown_raises(self):
         with pytest.raises(SchemaError, match="cannot drop"):
-            Schema.of(a="int").drop(["b"])
+            _schema(a="int").drop(["b"])
 
     def test_equality_and_hash(self):
-        s1 = Schema.of(a="int", b="float")
-        s2 = Schema.of(a="int", b="float")
+        s1 = _schema(a="int", b="float")
+        s2 = _schema(a="int", b="float")
         assert s1 == s2
         assert hash(s1) == hash(s2)
-        assert s1 != Schema.of(b="float", a="int")  # order matters
+        assert s1 != _schema(b="float", a="int")  # order matters
 
     def test_repr_mentions_types(self):
-        assert "a:int" in repr(Schema.of(a="int"))
+        assert "a:int" in repr(_schema(a="int"))

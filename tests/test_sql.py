@@ -69,6 +69,10 @@ class TestParser:
         with pytest.raises(SQLError):
             parse_sql("SELECT * FROM t extra stuff ???")
 
+    def test_fractional_limit_is_a_typed_error(self):
+        with pytest.raises(SQLError, match="at position 22, got '1.5'"):
+            parse_sql("SELECT a FROM t LIMIT 1.5")
+
     def test_distinct_flag(self):
         assert parse_sql("SELECT DISTINCT a FROM t").distinct
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError, StorageError
-from repro.storage import ColumnType, Schema, Table
+from repro.storage import Column, ColumnType, Schema, Table
 
 
 class TestConstruction:
@@ -19,18 +19,19 @@ class TestConstruction:
         assert t.schema.type_of("flag") == ColumnType.BOOL
 
     def test_empty(self):
-        t = Table.empty(Schema.of(x="float"))
+        t = Table.from_columns({"x": np.zeros(0)})
         assert t.num_rows == 0
         assert len(t.column("x")) == 0
 
     def test_ragged_columns_rejected(self):
-        schema = Schema.of(a="int", b="int")
+        schema = Schema([Column("a", ColumnType.INT), Column("b", ColumnType.INT)])
         with pytest.raises(SchemaError, match="ragged"):
             Table(schema, [np.array([1, 2]), np.array([1])])
 
     def test_column_count_mismatch_rejected(self):
+        schema = Schema([Column("a", ColumnType.INT)])
         with pytest.raises(SchemaError):
-            Table(Schema.of(a="int"), [np.array([1]), np.array([2])])
+            Table(schema, [np.array([1]), np.array([2])])
 
     def test_2d_column_values_rejected(self):
         with pytest.raises(StorageError, match="1-D"):
