@@ -113,12 +113,36 @@ def _options_of(args: ast.arguments) -> dict:
 
 
 def declarations() -> list[tuple]:
-    """``(name, code key, members or None, options, lines)`` per top-level
-    ``def`` / ``class`` under ``src/repro``; a class's members nest the
-    same way. A code key is ``(path, first line, name)``, as a code object
-    reads; ``lines`` counts the source lines from there to the end."""
+    """``(name, code key, members or None, options, lines, bases)`` per
+    top-level ``def`` / ``class`` under ``src/repro``; a class's members
+    nest the same way. A code key is ``(path, first line, name)``, as a
+    code object reads; ``lines`` counts the source lines from there to the
+    end. ``bases`` names the ``src/repro`` classes a class derives from:
+    a base a module declares itself is that class, any other base every
+    module-level class of that name (empty for a function)."""
+    trees = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        trees.append((rel, module, ast.parse(path.read_text())))
+    classes = {}
+    for _, module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, set()).add(f"{module}.{node.name}")
 
-    def visit(body, rel, prefix):
+    def bases(node, module):
+        named = set()
+        for base in node.bases:
+            base = base.value if isinstance(base, ast.Subscript) else base
+            bare = getattr(base, "id", getattr(base, "attr", None))
+            namesakes = classes.get(bare, set())
+            local = f"{module}.{bare}"
+            named |= {local} if local in namesakes else namesakes
+        return sorted(named)
+
+    def visit(body, rel, prefix, module):
         found = []
         for node in body:
             if not isinstance(
@@ -130,32 +154,16 @@ def declarations() -> list[tuple]:
             name = f"{prefix}.{node.name}"
             lines = node.end_lineno - first.lineno + 1
             if isinstance(node, ast.ClassDef):
-                found.append((name, key, visit(node.body, rel, name), {}, lines))
+                members = visit(node.body, rel, name, module)
+                found.append((name, key, members, {}, lines, bases(node, module)))
             else:
-                found.append((name, key, None, _options_of(node.args), lines))
+                found.append((name, key, None, _options_of(node.args), lines, []))
         return found
 
     declared = []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(ROOT).as_posix()
-        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
-        tree = ast.parse(path.read_text())
-        declared += visit(tree.body, rel, module.removesuffix(".__init__"))
+    for rel, module, tree in trees:
+        declared += visit(tree.body, rel, module, module)
     return declared
-
-
-def _subclassed() -> set[tuple[str, str]]:
-    """``(file, class name)`` of every class under ``src/repro`` that a
-    class there names as a base."""
-    classes, bases = [], set()
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(ROOT).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                classes.append((rel, node.name))
-                bases |= {getattr(b, "id", getattr(b, "attr", None))
-                          for b in node.bases}
-    return {c for c in classes if c[1] in bases}
 
 
 def _flatten(declared):
@@ -168,8 +176,11 @@ def _flatten(declared):
 def trace_child(out: str, script: str, *args: str) -> None:
     """Run ``script`` as ``__main__`` under the tracer; write what ran to
     ``out`` (also when the script fails) and exit with its status."""
-    options = {key: opts for _, key, _, opts, _ in _flatten(declarations()) if opts}
-    parents = _subclassed()
+    declared = list(_flatten(declarations()))
+    options = {key: opts for _, key, _, opts, _, _ in declared if opts}
+    derived = {base for *_, bases in declared for base in bases}
+    inheritable = {m[1] for name, _, members, *_ in declared
+                 if name in derived for m in members}
     prefix = str(SRC) + os.sep
     files, state = {}, {}
     ran, bound, built = set(), set(), set()
@@ -190,12 +201,11 @@ def trace_child(out: str, script: str, *args: str) -> None:
         # (not a decorator's or an ``__init_subclass__``: those see every
         # class as it is defined)
         first = code.co_varnames[0] if code.co_argcount else None
-        owner = code.co_qualname.rpartition(".")[0].rpartition(".")[2]
         if code.co_name == "__init_subclass__" or not (
             code.co_name == "__init__"
             or (first == "cls" and (key or code.co_name == "__new__"))
             or first == "_cls"
-            or (first == "self" and key and (rel, owner) in parents)
+            or (first == "self" and key in inheritable)
         ):
             first = None
         if key is not None:
@@ -331,7 +341,7 @@ def judge(union: dict, exempt: dict) -> dict:
 
     def walk(declared):
         for entry in declared:
-            name, key, members, options, lines = entry
+            name, key, members, options, lines, _ = entry
             where = f"{key[0]}:{key[1]}"
             if not did_run(entry):
                 unexecuted.append((where, name, lines))

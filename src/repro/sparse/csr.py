@@ -11,8 +11,9 @@ training needs:
 * column sums, nnz accounting, dense round-trip.
 
 :class:`CSRMatrix` is a :class:`repro.operand.Operand`, planned on its
-density; ``@``, ``.T``, ``matmat`` and ``rmatmat`` come from the base, so
-the GLM losses and optimizers in :mod:`repro.ml` run on it unchanged.
+density; ``@``, ``.T`` and ``rmatmat`` come from the base, and ``matmat``
+is the base's column loop behind a shape check, so the GLM losses and
+optimizers in :mod:`repro.ml` run on it unchanged.
 """
 
 from __future__ import annotations
@@ -154,6 +155,14 @@ class CSRMatrix(Operand, kind="csr"):
         return np.bincount(
             self.indices, weights=self.data * u[row_of], minlength=self.shape[1]
         )
+
+    def matmat(self, B: np.ndarray) -> np.ndarray:
+        """X @ B for dense B; a B of the wrong height is refused even when
+        it has no columns for ``matvec`` to refuse."""
+        B = np.asarray(B, dtype=np.float64)
+        if B.ndim == 2 and B.shape[0] != self.shape[1]:
+            raise SparseError(f"shape mismatch: {self.shape} @ {B.shape}")
+        return super().matmat(B)
 
     def gram(self) -> np.ndarray:
         """X.T @ X from per-row outer products, O(sum of row_nnz^2)."""

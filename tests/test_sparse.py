@@ -54,6 +54,11 @@ class TestKernels:
         B = rng.standard_normal((20, 4))
         assert np.allclose(X.matmat(B), Xd @ B)
 
+    def test_matmat_refuses_a_wrong_height_without_columns(self, dense_and_sparse):
+        _, X = dense_and_sparse
+        with pytest.raises(SparseError, match="shape mismatch"):
+            X.matmat(np.ones((21, 0)))
+
     def test_matmul_operator(self, dense_and_sparse, rng):
         Xd, X = dense_and_sparse
         v = rng.standard_normal(20)
