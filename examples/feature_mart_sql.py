@@ -6,7 +6,7 @@ added around the core engine:
 
   1. build a feature mart with plain SQL (joins + GROUP BY + HAVING);
   2. profile it and read the data-quality report;
-  3. declare a transform spec (impute / dummy-code / standardize / bin)
+  3. declare a transform spec (dummy-code / bin / standardize)
      and encode the mart to a design matrix;
   4. train, then distribute the same training over a simulated cluster
      and compare strategies;

@@ -33,7 +33,9 @@ from .view import FeatureView
 
 class FeatureRows:
     """Entity -> feature row of one view: an entity -> slot dict over one
-    ``(capacity, F)`` float64 matrix, freed slots reused.
+    ``(capacity, F)`` float64 matrix, freed slots reused. ``put``,
+    ``drop`` and ``fold`` move a batch's slots in bulk dict, set and list
+    operations (no per-entity Python); a refused batch moves none.
 
     A :class:`MaterializedFeatures` fills it once; a
     :class:`FeatureViewMaintainer` keeps it fresh as its delta-maintained
@@ -66,12 +68,8 @@ class FeatureRows:
         self._free = []
 
     def put(self, entities: list, rows: np.ndarray) -> None:
-        """Store one row per (new) entity, in freed slots first."""
-        for entity in entities:
-            if entity in self._slots:
-                raise FeatureStoreError(
-                    f"duplicate entity {entity!r} in view {self.view.name!r}"
-                )
+        """Store one row per new entity, in freed slots first."""
+        self._check_batch(entities, stored=False)
         short = len(entities) - len(self._free)
         if short > 0:
             start = self.capacity
@@ -80,16 +78,32 @@ class FeatureRows:
                 [self._data, np.empty((grown - start, self._data.shape[1]))]
             )
             self._free.extend(range(grown - 1, start - 1, -1))
-        slots = [self._free.pop() for _ in entities]
+        cut = len(self._free) - len(entities)
+        slots = self._free[cut:][::-1]  # a stack: its top slot goes first
+        del self._free[cut:]
         self._data[slots] = rows
         self._slots.update(zip(entities, slots))
 
     def drop(self, entities: list) -> None:
         """Release the entities' slots for reuse."""
+        self._check_batch(entities, stored=True)
+        self._free.extend(map(self._slots.pop, entities))
+
+    def _check_batch(self, entities: list, stored: bool) -> None:
+        """Raise, before any slot moves, on a batch naming an entity
+        twice or naming one whose row's presence is not ``stored``."""
+        unique, keys = set(entities), self._slots.keys()
+        if len(unique) == len(entities) and (
+            keys >= unique if stored else keys.isdisjoint(unique)
+        ):
+            return
+        seen = set()
         for entity in entities:
-            if entity not in self._slots:
-                raise self._missing(entity)
-            self._free.append(self._slots.pop(entity))
+            if entity in seen or (entity in keys) != stored:
+                raise self._missing(entity) if stored else FeatureStoreError(
+                    f"duplicate entity {entity!r} in view {self.view.name!r}"
+                )
+            seen.add(entity)
 
     def _missing(self, entity) -> FeatureStoreError:
         return FeatureStoreError(
@@ -147,7 +161,7 @@ class FeatureRows:
             return len(row_ids)
         self.put(*self._computed(rows))
         released, self._released = self._released, frozenset()
-        return sum(rid not in released for rid in row_ids)
+        return len(row_ids) - len(released.intersection(row_ids))
 
     def same_bytes(self, table: Table) -> bool:
         entities, fresh = self._computed(table)

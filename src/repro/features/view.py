@@ -107,8 +107,8 @@ class FeatureView:
                 f"a feature name"
             )
         self.version = self._version_of(probe)
-        #: compiled plans per (feature, num_rows): delta batches arrive in
-        #: a handful of sizes (1 for online recompute, the delta size for
+        #: one compiled plan per batch size: delta batches arrive in a
+        #: handful of sizes (1 for online recompute, the delta size for
         #: refresh, the table size for materialization)
         self.plan_cache = PlanCache()
 
@@ -180,7 +180,7 @@ class FeatureView:
 
     # -- computation ---------------------------------------------------
     def compute_columns(self, table: Table) -> dict[str, np.ndarray]:
-        """Every feature over every row, through the executor.
+        """Every feature over every row, in one executor call.
 
         Returns feature name -> float64 vector of length ``len(table)``,
         in declaration order. Row-locality makes this the *only*
@@ -197,26 +197,27 @@ class FeatureView:
             ).reshape(-1, 1)
             for col in self.referenced_columns
         }
-        out: dict[str, np.ndarray] = {}
-        for fname in self.feature_names:
-            value = execute(self._plan_for(fname, num_rows), bindings)
-            out[fname] = np.asarray(value, dtype=np.float64).reshape(-1)
-        return out
+        values = execute(self._plan_for(num_rows), bindings)
+        if len(self.feature_names) == 1:
+            values = {self.feature_names[0]: values}
+        return {
+            f: np.asarray(v, np.float64).reshape(-1) for f, v in values.items()
+        }
 
-    def _plan_for(self, fname: str, num_rows: int):
-        """Compiled plan for one feature at one batch size.
-
-        Compilation dominates small-batch evaluation (the executor's
-        compile pass costs more than the vector math below a few
-        thousand rows), and both the online one-row recompute and the
-        delta-refresh fold live entirely in that regime — so plans are
-        cached per shape, keyed without re-running the feature builder.
-        Compilation is deterministic, so a cached plan yields the same
-        bytes as a fresh one.
+    def _plan_for(self, num_rows: int):
+        """Every feature at one batch size as one multi-output plan, so
+        a batch is one executor call and what features share runs once.
+        Plans are cached per batch size (compiling costs more than the
+        small-batch math of online recompute and delta refresh), keyed
+        without re-running the builders; CSE only merges equal nodes, so
+        each feature's bytes are its own single-output plan's.
         """
         return self.plan_cache.lookup(
-            (fname, num_rows),
-            lambda: compile_expr(self._instantiate(fname, num_rows)),
+            num_rows,
+            lambda: compile_expr({
+                fname: self._instantiate(fname, num_rows)
+                for fname in self.feature_names
+            }),
         )
 
     def as_matrix(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -225,9 +226,12 @@ class FeatureView:
         return np.column_stack([columns[f] for f in self.feature_names])
 
     def entities_of(self, table: Table) -> np.ndarray:
-        """The entity-key column, with uniqueness enforced."""
+        """The entity-key column, refused if a key repeats (NaN sorts
+        last, so two NaN keys meet there and repeat too)."""
         entities = table.column(self.entity_key)
-        if len(np.unique(entities)) != len(entities):
+        ordered = np.sort(entities)
+        nans = ordered.dtype.kind == "f" and np.isnan(ordered[-2:]).sum()
+        if nans == 2 or (ordered[1:] == ordered[:-1]).any():
             raise FeatureStoreError(
                 f"view {self.name!r}: entity key {self.entity_key!r} has "
                 f"duplicate values"

@@ -183,12 +183,13 @@ def eval_node(node: Node, children: list, stats, dense_cache: dict):
 
 
 def _fallback_dense(value, label: str, stats, dense_cache: dict):
-    """One-time densification of an operand (memoized per execution)."""
+    """One-time densification of an operand (memoized per execution);
+    only the densification itself is noted as a fallback."""
     cached = dense_cache.get(id(value))
     if cached is None:
         cached = densify(value)
         dense_cache[id(value)] = cached
-    stats.note_fallback(label, value.kind)
+        stats.note_fallback(label, value.kind)
     return cached
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler import compile_expr
 from repro.errors import FeatureStoreError, PromotionHeldError, SchemaError
 from repro.features import (
     DriftGate,
@@ -15,6 +16,7 @@ from repro.features import (
     FeatureViewMaintainer,
     OnlineFeatureServer,
 )
+from repro.features.store import FeatureRows
 from repro.incremental import DynamicTable
 from repro.lang.dsl import exp as rexp
 from repro.lang.dsl import sqrt as rsqrt
@@ -22,6 +24,7 @@ from repro.lifecycle import ModelRegistry
 from repro.ml import LinearRegression
 from repro.obs import get_registry
 from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
+from repro.runtime import execute
 from repro.serving import ShardedServer
 from repro.storage.table import Table
 
@@ -203,6 +206,7 @@ FEATURE_POOL = [
     ("powed", lambda c: (c.qty + 1.0) ** 0.5),
     ("mix", lambda c: c.price * 0.25 + c.qty * c.score),
     ("logish", lambda c: rexp(c.score * 0.5) - 1.0),
+    ("bare_qty", lambda c: c.qty),
 ]
 
 
@@ -242,6 +246,71 @@ class TestParityProperty:
             served = server.serve_many(entities)
         assert served.tobytes() == offline.slice(entities).tobytes()
         assert server.fallbacks == chaos.injected_at("features.serve")
+
+
+def per_feature_columns(view, table):
+    """The oracle: each feature its own single-output plan and its own
+    executor call (how ``compute_columns`` ran before one plan per
+    batch)."""
+    bindings = {
+        col: np.ascontiguousarray(
+            table.column(col), dtype=np.float64
+        ).reshape(-1, 1)
+        for col in view.referenced_columns
+    }
+    return {
+        f: np.asarray(
+            execute(compile_expr(view._instantiate(f, table.num_rows)),
+                    bindings),
+            dtype=np.float64,
+        ).reshape(-1)
+        for f in view.feature_names
+    }
+
+
+class TestOnePlanPerBatch:
+    """``compute_columns`` runs every feature as one multi-output plan:
+    bitwise the per-feature plans, in one executor call per batch."""
+
+    @given(
+        picks=st.lists(
+            st.integers(0, len(FEATURE_POOL) - 1),
+            min_size=1, max_size=len(FEATURE_POOL), unique=True,
+        ),
+        data_seed=st.integers(0, 50),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_one_plan_is_bitwise_the_per_feature_plans(
+        self, picks, data_seed
+    ):
+        table = base_table(n=60, seed=data_seed)
+        view = FeatureView(
+            "prop", "entity", {FEATURE_POOL[i][0]: FEATURE_POOL[i][1]
+                               for i in picks}
+        )
+        registry = get_registry()
+        for size in (1, 2, 17, table.num_rows):
+            batch = table.take(np.arange(size))
+            before = registry.value("executor.executions")
+            got = view.compute_columns(batch)
+            assert registry.value("executor.executions") == before + 1
+            want = per_feature_columns(view, batch)
+            assert list(got) == list(want) == list(view.feature_names)
+            for f in view.feature_names:
+                assert got[f].dtype == np.float64
+                assert got[f].tobytes() == want[f].tobytes(), (size, f)
+        before = registry.value("executor.executions")
+        empty = view.compute_columns(table.take(np.arange(0)))
+        assert registry.value("executor.executions") == before
+        assert all(empty[f].shape == (0,) for f in view.feature_names)
+
+    def test_plans_are_cached_per_batch_size(self):
+        view = standard_view()
+        table = base_table(n=30)
+        for size in (1, 5, 1, 5, 30):
+            view.compute_columns(table.take(np.arange(size)))
+        assert len(view.plan_cache) == 3
+        assert view.plan_cache.stats.hits == 2
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +413,94 @@ class TestIncrementalRefresh:
         row = server.serve(5001)
         assert row.tobytes() == server.recompute_row(5001).tobytes()
         assert server.parity_check()
+
+
+def row_store_state(rows):
+    return len(rows), rows.capacity, rows.matrix().tobytes()
+
+
+class TestRowStoreRefusals:
+    """A refused ``put`` or ``drop`` names the entity and moves no slot."""
+
+    def test_refused_drop_leaves_the_store_untouched(self):
+        _, _, maint = make_maintained()
+        rows = maint.rows
+        before = row_store_state(rows)
+        for batch, named in (([3, 4, 10_000, 5], "10000"), ([6, 7, 6], "6")):
+            with pytest.raises(FeatureStoreError, match=named):
+                rows.drop(batch)
+            assert row_store_state(rows) == before
+        assert maint.parity()
+
+    def test_refused_put_leaves_the_store_untouched(self):
+        _, view, maint = make_maintained()
+        rows = maint.rows
+        before = row_store_state(rows)
+        batch = new_rows(900, 3, seed=4).with_column("entity", [900, 12, 901])
+        with pytest.raises(FeatureStoreError, match="duplicate entity 12"):
+            rows.put(view.entities_of(batch).tolist(),
+                     view.as_matrix(view.compute_columns(batch)))
+        assert row_store_state(rows) == before
+        with pytest.raises(FeatureStoreError, match="duplicate entity 12"):
+            rows.fold((900, 901, 902), batch, 1)
+        assert row_store_state(rows) == before
+        with pytest.raises(FeatureStoreError, match="duplicate entity 950"):
+            rows.put([950, 951, 950], np.zeros((3, len(view.feature_names))))
+        assert row_store_state(rows) == before
+        assert maint.parity()
+
+
+def keyed_table(keys):
+    n = len(keys)
+    return Table.from_columns({
+        "entity": keys,
+        "price": np.linspace(1.0, 2.0, n),
+        "qty": np.arange(1.0, n + 1.0),
+        "score": np.linspace(-1.0, 1.0, n),
+    })
+
+
+class TestEntityUniqueness:
+    """Entity keys are refused on equality, with NaN equal to NaN and
+    -0.0 equal to 0.0 (what ``np.unique`` and a dict agree on)."""
+
+    DUPLICATES = {
+        "int": [4, 1, 4],
+        "float": [1.5, 2.5, 1.5],
+        "signed zero": [0.0, 1.0, -0.0],
+        "string": ["b", "a", "b"],
+        "two NaN": [np.nan, 1.0, np.nan],
+    }
+
+    @pytest.mark.parametrize("kind", list(DUPLICATES))
+    def test_duplicates_are_refused_on_every_path(self, kind):
+        view = standard_view()
+        table = keyed_table(self.DUPLICATES[kind])
+        with pytest.raises(FeatureStoreError, match="duplicate"):
+            FeatureStore().materialize(view, table)
+        with pytest.raises(FeatureStoreError, match="duplicate"):
+            FeatureRows(view).rebuild(table)
+        rows = FeatureRows(view).rebuild(keyed_table([100, 101]))
+        with pytest.raises(FeatureStoreError, match="duplicate"):
+            rows.fold((7, 8, 9), table, 1)
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("keys", [["b", "a", "c"], [0.5, 1.0, 2.0]])
+    def test_unique_keys_round_trip(self, keys):
+        view = standard_view()
+        table = keyed_table(keys)
+        offline = FeatureStore().materialize(view, table)
+        matrix = view.as_matrix(view.compute_columns(table))
+        rows = FeatureRows(view).rebuild(keyed_table(keys[:1]))
+        rows.fold((1, 2), table.take(np.arange(1, 3)), 1)
+        for i, key in enumerate(keys):
+            assert offline.row(key).tobytes() == matrix[i].tobytes()
+            assert rows.row(key).tobytes() == matrix[i].tobytes()
+        assert rows.same_bytes(table)
+
+    def test_one_nan_key_is_unique(self):
+        table = keyed_table([np.nan, 1.0, 2.0])
+        assert standard_view().entities_of(table) is table.column("entity")
 
 
 # ----------------------------------------------------------------------

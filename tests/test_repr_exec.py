@@ -182,6 +182,20 @@ class TestOperatorParity:
         assert got == pytest.approx(want, abs=1e-12)
         assert stats.densify_fallbacks == {"agg:trace": 1}
 
+    @pytest.mark.parametrize("rep_kind", ["cla", "csr"])
+    def test_one_operand_densifies_once_per_execution(self, rep_kind):
+        """``trace(t(X) %*% X)`` fuses to ``dot_sum(t(X), t(X))``: both
+        slots hold one operand, which densifies once and is noted once
+        (the dense-cache hit for the second slot is not a fallback)."""
+        X = _make_dense(n=30, d=5, seed=7)
+        rep = _representations(X)[rep_kind]
+        Xm = matrix("X", X.shape)
+        expr = trace(Xm.T @ Xm)
+        got, stats = execute(expr, {"X": rep}, collect_stats=True)
+        assert got == pytest.approx(float(np.trace(X.T @ X)), abs=1e-9)
+        assert stats.densify_fallbacks == {"fused:dot_sum": 1}
+        assert stats.fallback_kinds == {rep_kind: 1}
+
 
 # ----------------------------------------------------------------------
 # Force-dense reproduces the legacy interpreter exactly
