@@ -227,7 +227,7 @@ def admission_leg(X, registry, burst: int, capacity: int, seed: int) -> dict:
     queue_shed = 0
     for i in range(burst):
         try:
-            endpoint.batcher.submit(X[i % X.shape[0]], scorer, version=1)
+            endpoint.batcher.submit(X[i % X.shape[0]][None], scorer, version=1)
         except LoadShedError:
             queue_shed += 1
     endpoint.batcher.flush()

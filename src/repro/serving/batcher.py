@@ -1,27 +1,27 @@
 """Dynamic micro-batching: amortize per-request overhead into one matvec.
 
-Single-row scoring pays the full Python toll per request — admission,
-hashing, dispatch, a size-1 kernel. The batcher coalesces queued
-requests into vectorized batches of at most ``max_batch_size``, drained
-on the caller's thread by :meth:`MicroBatcher.flush`.
+The batcher queues *blocks* (the server submits a call's cache misses
+as one block per model version) and drains them on the caller's thread
+(:meth:`MicroBatcher.flush`) in vectorized batches. Capacity, depth and
+batches count rows: a flush scores the queued rows in batches of
+``max_batch_size``, cutting a block where a batch ends, so the batch
+count is the one a queue of single rows would report.
 
 Correctness contract (property-tested):
 
-* **Own answer** — each response is computed from exactly its request's
-  row by its request's scorer; grouping inside a batch cannot swap
-  answers between requests.
-* **FIFO per endpoint** — requests are drained in arrival order, and
-  one flush completes its batches in that order.
-* **Batch-size invariance** — scorers built by the server accumulate
-  along each row in a fixed order, so a row scored in a batch of 64 is
-  bit-identical to the same row scored alone (E22 asserts this).
-* **Every popped request completes** — with its answer or with a typed
-  error; nothing a batch can contain (rows of different widths, a
-  scorer returning the wrong shape) escapes the drain.
+* **Own answer** — each row's response is computed from exactly that
+  row by its block's scorer; grouping cannot swap answers.
+* **FIFO per endpoint** — rows are drained in arrival order, and one
+  flush completes its batches in that order.
+* **Batch-size invariance** — the server's scorers accumulate along
+  each row in a fixed order, so a row scored in a batch of 64 is
+  bit-identical to the row scored alone (E22 asserts this).
+* **Every taken block completes** — with its answers or a typed error;
+  nothing a batch can contain (rows of different widths, a scorer
+  returning the wrong shape) escapes the drain.
 
-The queue is bounded: :meth:`MicroBatcher.submit` sheds load by raising
-:class:`~repro.errors.LoadShedError` instead of growing without bound —
-admission control happens at enqueue, not after work was invested.
+The queue is bounded: :meth:`MicroBatcher.submit` sheds load at enqueue
+by raising :class:`~repro.errors.LoadShedError`.
 """
 
 from __future__ import annotations
@@ -43,35 +43,35 @@ _EVENT_INSTALL = threading.Lock()
 
 
 class PendingRequest:
-    """One queued request and its completion handle.
+    """One queued block of rows and its completion handle.
 
     ``done`` flips exactly at completion. No ``threading.Event`` exists
-    until a waiter arrives before that (a lone caller's flush completes
-    its requests before it waits). The handshake needs no lock between
-    the two sides: the completer publishes ``done`` *before* looking for
-    an event, a waiter publishes the event *before* re-reading ``done``,
-    so whichever runs second sees the other's write.
+    until a waiter arrives before that. The handshake needs no lock: the
+    completer publishes ``done`` *before* looking for an event, a waiter
+    publishes the event *before* re-reading ``done``, so whichever runs
+    second sees the other's write.
     """
 
     __slots__ = (
-        "row", "scorer", "version", "deadline_at", "done", "_event",
-        "result", "error",
+        "rows", "scorer", "version", "deadline_at", "done", "_event",
+        "size", "result", "error",
     )
 
     def __init__(
         self,
-        row: np.ndarray,
+        rows: np.ndarray,
         scorer: Callable[[np.ndarray], np.ndarray],
         version: int,
         deadline_at: float | None,
     ):
-        self.row = row
+        self.rows = rows
         self.scorer = scorer
         self.version = version
         self.deadline_at = deadline_at
         self.done = False
         self._event = None
-        self.result: float | None = None
+        self.size = len(rows)
+        self.result: np.ndarray | None = None
         self.error: BaseException | None = None
 
     def _complete(self) -> None:
@@ -81,10 +81,9 @@ class PendingRequest:
         if event is not None:
             event.set()
 
-    def wait(self, timeout: float | None = None) -> float:
-        """Block until scored; raises the request's failure if it has one.
-
-        Returns the prediction. ``timeout`` elapsing raises ``TimeoutError``
+    def wait(self, timeout: float | None = None) -> np.ndarray:
+        """Block until scored; returns one prediction per row, or raises
+        the block's failure. ``timeout`` elapsing raises ``TimeoutError``
         (the server maps it to a deadline error with endpoint context).
         """
         if not self.done:
@@ -100,17 +99,16 @@ class PendingRequest:
 
 
 class MicroBatcher(Counted):
-    """Bounded FIFO request queue drained in vectorized batches.
+    """Bounded FIFO queue of row blocks drained in vectorized batches.
 
     Args:
         name: endpoint name (error messages, metric labels).
-        max_batch_size: largest batch one drain scores.
-        queue_capacity: admission bound; a full queue sheds new requests.
+        max_batch_size: most rows one drain scores.
+        queue_capacity: admission bound, in rows.
         clock: injectable monotonic clock.
 
-    Callers drain it inline with :meth:`flush`. Concurrent callers each
-    submit, flush and wait: one caller's flush may score another's
-    request, which :meth:`PendingRequest.wait` then picks up.
+    Each caller submits, drains inline with :meth:`flush` and waits; a
+    concurrent caller's flush may score its block for it.
     """
 
     def __init__(
@@ -128,10 +126,13 @@ class MicroBatcher(Counted):
         self.max_batch_size = max_batch_size
         self.queue_capacity = queue_capacity
         self._clock = clock
-        self._queue: deque[PendingRequest] = deque()
         self._lock = threading.Lock()
-        # ``shed`` is queue-full only: a subset of the endpoint's
-        # ``serving.shed``, so it is counted under the batcher's own prefix
+        #: queued blocks, oldest first; guarded by ``_lock``
+        self._queue: deque[PendingRequest] = deque()
+        #: rows in ``_queue``; guarded by ``_lock``
+        self._depth = 0
+        # counters take their own locks; ``shed`` is queue-full only (a
+        # subset of the endpoint's ``serving.shed``, so its own prefix)
         self.counts = Ledger(
             "serving.batcher", ("batches", "batched_requests", "shed")
         )
@@ -139,105 +140,123 @@ class MicroBatcher(Counted):
     # ------------------------------------------------------------------
     def submit(
         self,
-        row: np.ndarray,
+        rows: np.ndarray,
         scorer: Callable[[np.ndarray], np.ndarray],
         version: int,
         deadline_at: float | None = None,
     ) -> PendingRequest:
-        """Enqueue one request; sheds (raises) when the queue is full."""
+        """Enqueue one ``(n, d)`` block of one version's rows; sheds
+        (raises) when its rows overfill a non-empty queue (an empty one
+        takes any block: its caller drains it inline)."""
+        pending = PendingRequest(rows, scorer, version, deadline_at)
+        if not pending.size:
+            raise ServingError("a queued block needs at least one row")
         with self._lock:
-            depth = len(self._queue)
-            if depth >= self.queue_capacity:
+            depth = self._depth
+            if depth and depth + pending.size > self.queue_capacity:
                 self.counts.inc("shed")
                 raise LoadShedError(self.name, depth, self.queue_capacity)
-            pending = PendingRequest(row, scorer, version, deadline_at)
             self._queue.append(pending)
+            self._depth = depth + pending.size
         return pending
 
     def depth(self) -> int:
+        """Rows queued and not yet taken by a flush."""
         with self._lock:
-            return len(self._queue)
+            return self._depth
 
     # ------------------------------------------------------------------
-    def _drain_one(self) -> list[PendingRequest]:
-        with self._lock:
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(self.max_batch_size, len(self._queue)))
-            ]
-        return batch
-
-    def _score_batch(self, batch: list[PendingRequest]) -> None:
-        """Score one drained batch and complete every request in it.
-
-        Requests are grouped by model version (a canary split can mix
-        versions in one arrival window); each group is scored with its
-        own scorer in one vectorized call and its answers (or its one
-        failure) are written onto the requests. Every popped request is
-        then completed, in FIFO order regardless of grouping.
-        """
-        now = self._clock()
-        groups: dict[int, list[PendingRequest]] = {}
-        for pending in batch:
-            if pending.deadline_at is not None and now > pending.deadline_at:
-                # Expired while queued: fail it without spending a score
-                # (the server re-raises it with the caller's budget).
-                pending.error = DeadlineExceededError(self.name, 0.0)
-            else:
-                groups.setdefault(pending.version, []).append(pending)
+    def _score_batch(self, pieces: list[tuple], rows: int) -> None:
+        """Score one batch, one scorer call per model version in it (a
+        canary split mixes versions), then complete each block whose last
+        rows it held, in FIFO order regardless of grouping."""
+        now = None  # read once, and only for a batch holding a deadline
+        groups: dict[int, list[tuple]] = {}
+        for piece in pieces:
+            entry = piece[0]
+            if entry.deadline_at is not None:
+                now = self._clock() if now is None else now
+                if now > entry.deadline_at:  # expired while queued
+                    entry.error = DeadlineExceededError(self.name, 0.0)
+                    continue
+            groups.setdefault(entry.version, []).append(piece)
         for group in groups.values():
-            try:
-                scores = self._score_group(group)
-            except Exception as exc:  # noqa: BLE001 - delivered per request
-                for pending in group:
-                    pending.error = exc
-            else:
-                for pending, score in zip(group, scores):
-                    pending.result = score
+            self._score_group(group)
         self.counts.inc("batches")
-        self.counts.inc("batched_requests", len(batch))
-        for pending in batch:
-            pending._complete()
+        self.counts.inc("batched_requests", rows)
+        for entry, _, hi in pieces:
+            if hi == entry.size:
+                entry._complete()
 
-    def _score_group(self, group: list[PendingRequest]) -> list[float]:
-        """One scorer call over one version's rows: a fresh C-contiguous
-        ``(n, d)`` array in, one float per row out."""
+    def _score_group(self, group: list[tuple]) -> None:
+        """One scorer call over one version's pieces — a fresh C-contiguous
+        ``(n, d)`` array in (a lone whole block as submitted, else the rows
+        joined) — written to each block's own result, or its failure."""
+        entry, lo, hi = group[0]
+        # Retrying past the tightest deadline in the group cannot help
+        # anyone; cap a scorer's retry budget by it.
+        deadline = entry.deadline_at
         try:
-            rows = np.array([pending.row for pending in group])
-        except ValueError as exc:
-            shapes = sorted({np.shape(pending.row) for pending in group})
-            raise ServingError(
-                f"rows of one batch differ in shape: {shapes}"
-            ) from exc
-        scorer = group[0].scorer
-        kwargs = {}
-        if getattr(scorer, "accepts_deadline", False):
-            # Retrying past the tightest deadline in the group
-            # cannot help anyone; cap the retry budget by it.
-            deadlines = [
-                pending.deadline_at
-                for pending in group
-                if pending.deadline_at is not None
-            ]
-            if deadlines:
-                kwargs["deadline_at"] = min(deadlines)
-        scores = np.asarray(scorer(rows, **kwargs), dtype=np.float64)
-        if scores.shape != (len(group),):
-            raise ServingError(
-                f"scorer returned shape {scores.shape} for "
-                f"{len(group)} rows"
-            )
-        return scores.tolist()
+            rows = entry.rows if hi - lo == entry.size else entry.rows[lo:hi]
+            if len(group) > 1:
+                deadline = min((e.deadline_at for e, _, _ in group
+                                if e.deadline_at is not None), default=None)
+                try:
+                    rows = np.concatenate([e.rows[a:b] for e, a, b in group])
+                except ValueError as exc:
+                    shapes = sorted({e.rows.shape[1:] for e, _, _ in group})
+                    raise ServingError(
+                        f"rows of one batch differ in shape: {shapes}"
+                    ) from exc
+            kwargs = {}
+            if deadline is not None and getattr(
+                entry.scorer, "accepts_deadline", False
+            ):
+                kwargs["deadline_at"] = deadline
+            scores = np.asarray(entry.scorer(rows, **kwargs), np.float64)
+            if scores.shape != (len(rows),):
+                raise ServingError(
+                    f"scorer returned shape {scores.shape} for "
+                    f"{len(rows)} rows"
+                )
+        except Exception as exc:  # noqa: BLE001 - delivered per block
+            for e, _, _ in group:
+                e.error = exc
+            return
+        if len(group) == 1 and hi - lo == entry.size:
+            entry.result = scores  # this call scored the block alone
+            return
+        at = 0
+        for e, a, b in group:
+            if e.result is None:
+                e.result = np.empty(e.size)
+            e.result[a:b] = scores[at:at + b - a]
+            at += b - a
+
+    def _take(self, carry: tuple | None) -> tuple[list, int, tuple | None]:
+        """The next batch of ``(entry, lo, hi)`` pieces — the carried tail
+        of a block this flush cut, then queued blocks, cutting the last —
+        as ``(pieces, rows, tail)``: a cut block stays on this thread."""
+        pieces, room = [], self.max_batch_size
+        with self._lock:
+            while room and (carry or self._queue):
+                entry, lo = carry or (self._queue.popleft(), 0)
+                if not lo:  # a block fresh off the queue
+                    self._depth -= entry.size
+                hi = min(entry.size, lo + room)
+                carry = (entry, hi) if hi < entry.size else None
+                pieces.append((entry, lo, hi))
+                room -= hi - lo
+        return pieces, self.max_batch_size - room, carry
 
     def flush(self) -> int:
-        """Drain the whole queue inline in FIFO batches; returns requests
-        completed."""
-        completed = 0
+        """Drain the queue inline, one FIFO batch at a time (concurrent
+        flushes take batches side by side); returns the rows taken."""
+        completed, carry = 0, None
         while True:
-            batch = self._drain_one()
-            if batch:
-                self._score_batch(batch)
-                completed += len(batch)
-            if len(batch) < self.max_batch_size:
-                break  # a short batch emptied the queue: no second look
-        return completed
+            pieces, rows, carry = self._take(carry)
+            if rows:
+                self._score_batch(pieces, rows)
+                completed += rows
+            if rows < self.max_batch_size:
+                return completed  # a short batch emptied the queue

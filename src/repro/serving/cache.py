@@ -11,12 +11,11 @@ The server passes the row's full bytes as the row key, so a hit is
 decided on the whole row — a 32-bit :func:`feature_hash` would let two
 colliding entities answer for each other.
 
-The cache owns its key and the lock; ordering and
-eviction are :class:`~repro.cache.BoundedCache` at cost 1 per entry,
-and its counts are :class:`~repro.obs.Ledger` writes
-(``serving.cache.*``). A probe covers one call's rows: one lock and one
-hits / misses write per call, while each miss is still filled by its
-own ``put`` once it has been scored.
+Ordering and eviction are :class:`~repro.cache.BoundedCache` at cost 1
+per entry, counts are :class:`~repro.obs.Ledger` writes
+(``serving.cache.*``), and both doors take one call's rows under one
+lock: a probe, with one hits / misses write, and the fill of the
+call's scored misses, in row order.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class PredictionCache:
         self.stats = Ledger(
             "serving.cache", ("hits", "misses", "invalidations", "evictions")
         )
-        # (version, row key) -> prediction
+        # (version, row key) -> prediction; ``_lock`` guards it and stats
         self._entries = BoundedCache(capacity, self.stats)
 
     # ------------------------------------------------------------------
@@ -85,9 +84,16 @@ class PredictionCache:
                 self.stats.inc("hits", len(values) - misses)
         return values
 
-    def put(self, version: int, row_key: Hashable, value: float) -> None:
+    def put(
+        self, versions: Sequence[int], row_keys: Sequence, values: Sequence
+    ) -> None:
+        """Fill one call's scored rows — ``values[i]`` under ``(versions[i],
+        row_keys[i])`` — under one lock, in row order (so LRU recency is
+        the per-row walk's)."""
         with self._lock:
-            self._entries.put((version, row_key), float(value))
+            put = self._entries.put
+            for version, row_key, value in zip(versions, row_keys, values):
+                put((version, row_key), value)
 
     def invalidate(self) -> int:
         """Drop every entry (any version); returns the count. Called on

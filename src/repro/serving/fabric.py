@@ -6,40 +6,33 @@ private :class:`~repro.serving.server.ModelServer` executor, and owns
 every rollout decision. A single-node deployment is
 ``ShardedServer(registry, num_shards=1, replication=1)``.
 
-* **Placement** — endpoints land on shards via a CRC32 consistent-hash
-  :class:`~repro.serving.ring.HashRing` (bit-reproducible like
-  :class:`~repro.serving.ring.CanaryRouter`; resizing the fleet
-  remaps only ~1/N of the key space). Hot endpoints replicate onto the
-  next R distinct ring successors.
-* **Routing** — a request key deterministically picks one of the
-  endpoint's R replicas (a CRC32 rotation of the replica list), so each
-  replica serves — and caches — a stable slice of the key space. A call
-  is placed at once and a single request by :meth:`ShardedServer.route`
-  (no fault frames), row by row with fault crossings only under a chaos
-  plan.
+* **Placement** — endpoints land on their next R distinct successors
+  on a CRC32 consistent-hash :class:`~repro.serving.ring.HashRing`
+  (bit-reproducible; resizing the fleet remaps ~1/N of the key space).
+* **Routing** — a request key picks one of the endpoint's R replicas
+  (a CRC32 rotation of the replica list), so each replica serves, and
+  caches, a stable slice of the key space. A call is placed at once, a
+  single request by :meth:`ShardedServer.route`; only under a chaos
+  plan is each row placed with fault crossings.
 * **Failover** — shards are health-tracked (`kill_shard` /
-  `revive_shard`, the `SimulatedCluster` idiom). A request whose
-  replica is dead walks its preference list to the next live replica;
-  because every replica scores through the same compiled scorer, a
-  failover can never change an answer. The fleet keeps an exact
-  ``failovers`` / ``rerouted`` / ``replica_hits`` ledger.
-* **Epoch rejoin** — a revived shard re-enters with its epoch bumped
-  and its prediction caches invalidated, so it cannot serve answers
-  cached before it died (it may have missed promotes).
+  `revive_shard`). A request whose replica is dead walks its preference
+  list to the next live one; every replica scores through the same
+  compiled scorer, so a failover never changes an answer. The fleet
+  keeps an exact ``failovers`` / ``rerouted`` / ``replica_hits`` ledger.
+* **Epoch rejoin** — a revived shard re-enters at a bumped epoch with
+  its caches invalidated (it may have missed promotes).
 * **Tenant isolation** — per-tenant token-bucket quotas
   (:class:`~repro.serving.quota.AdmissionQuotas`) meter admission
   *before* any shard queue: a hot tenant sheds its own overflow
-  (``LoadShedError`` with ``reason="quota"`` and the tenant in its
-  structured context) instead of starving the fleet.
+  (``LoadShedError`` with ``reason="quota"`` and the tenant).
 * **Fleet rollout** — a promote deploys once to the shared registry
   and invalidates every hosting replica's cache; a canary writes its
-  alias once and hands every hosting replica the same seeded router, so
-  its hash split is exact across the whole fleet.
-* **Chaos** — ``fabric.route`` guards routing, ``fabric.score`` guards
-  the dispatch to a shard (an injected fault there fails over to the
-  next replica); both compose with
-  :class:`~repro.resilience.RetryPolicy`, whose total budget is capped
-  by the request's admission deadline.
+  alias once and hands every replica the same seeded router, so its
+  hash split is exact across the fleet.
+* **Chaos** — ``fabric.route`` guards routing and ``fabric.score`` the
+  dispatch to a shard (a fault there fails over to the next replica);
+  both compose with :class:`~repro.resilience.RetryPolicy`, whose budget
+  is capped by the request's deadline.
 
 E26 (``benchmarks/bench_sharding.py``) is the closed-loop gate: >= 1M
 skewed multi-tenant requests, bit-identical to a one-shard oracle,
@@ -69,7 +62,7 @@ from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..obs import Ledger, get_registry
 from ..resilience import RetryPolicy, active_chaos, resilient_call
 from .quota import AdmissionQuotas
-from .ring import CanaryRouter, HashRing, rotation
+from .ring import CanaryRouter, HashRing, rotation, rotations
 from .server import ModelServer
 
 #: a shard dispatch failing with one of these fails over to the next
@@ -436,8 +429,10 @@ class ShardedServer:
     def _place_call(self, name: str, keys: list, deadline_at) -> tuple:
         """Place a call's admitted rows, one key each: ``(sorted
         replicas, each row's index into them, each row's skips)``. Under
-        a chaos plan each row is :meth:`_place`d; with none, one table
-        (rotation start -> first live replica, skips) places all rows."""
+        a chaos plan each row is :meth:`_place`d; with none, the call's
+        :func:`~repro.serving.ring.rotations` (the placement prefix
+        hashed once) and one table (rotation start -> first live
+        replica, skips) place all rows."""
         replicas = self._endpoints[name].replicas
         hosts = sorted(replicas)
         if active_chaos() is not None:
@@ -445,7 +440,7 @@ class ShardedServer:
             pairs = [(hosts.index(sid), skips) for sid, skips in placed]
             return hosts, *np.array(pairs, np.intp).reshape(-1, 2).T
         count = len(replicas)
-        starts = [rotation(self.seed, name, key, count) for key in keys]
+        starts = rotations(self.seed, name, keys, count)
         live = [self._shards[sid].live for sid in replicas]
         if starts and not any(live):  # the first row raises, unserved
             first = starts[0]
@@ -496,15 +491,12 @@ class ShardedServer:
         deadline_ms: float | None,
         deadline_at: float | None,
     ):
-        """Dispatch placed requests to their shard — the tail both doors
-        share: call the shard server's ``door`` (``predict`` with a row
-        and a key, ``predict_many`` with a shard group's) under the
-        budget placement already drew on (``deadline_at``), re-raise its
-        shed or deadline error attributed (the shard always, the tenant
-        when the dispatched rows share one, the client's
-        ``deadline_ms``), and only then account what was served:
-        ``failovers`` of the dispatched requests skipped ``rerouted``
-        replicas between them."""
+        """Dispatch placed requests to their shard, the tail both doors
+        share: call the shard server's ``door`` under the budget
+        placement drew on (``deadline_at``), re-raise its shed or
+        deadline error attributed (:meth:`_attributed`), then account
+        what was served: ``failovers`` of the dispatched requests
+        skipped ``rerouted`` replicas between them."""
         shard = self._shards[sid]
         try:
             out = getattr(shard.server, door)(name, rows, keys, deadline_at)
@@ -532,11 +524,9 @@ class ShardedServer:
         tenant: object = None,
         deadline_ms: float | None = None,
     ) -> float:
-        """Serve one prediction through the fleet: quota admission,
-        ring routing, deterministic failover, then the owning shard's
-        full single-server path. With no chaos plan installed the
-        request is placed by :meth:`route` (no fault frames; only
-        liveness moves it), under one by :meth:`_place`."""
+        """Serve one prediction through the fleet: quota admission, then
+        placement by :meth:`route` (by :meth:`_place` under a chaos
+        plan), then the owning shard's single-row path."""
         if tenant is not None:
             _check_tenants("predict", (tenant,))
         self.ledger.inc("requests")
@@ -566,9 +556,8 @@ class ShardedServer:
         on_shed: str = "raise",
     ) -> np.ndarray | tuple[np.ndarray, list[int]]:
         """Serve a stream: admit the call once per tenant, place the
-        admitted rows at once (:meth:`_place_call`; per row, with its
-        own crossings, only under a chaos plan), then drain each shard's
-        slice through that shard's micro-batcher in one vectorized call.
+        admitted rows at once (:meth:`_place_call`), then hand each
+        shard its slice in one call.
 
         ``on_shed="raise"`` raises for the first row the quotas refuse,
         before any bucket is charged; ``on_shed="null"`` records shed
@@ -586,14 +575,12 @@ class ShardedServer:
             else None
         )
         # Fast path: a single-replica fleet with no quotas and no chaos
-        # is its one executor with a ring lookup in front, so the call
-        # is handed to that shard whole: one request count, the
-        # shard's door (which converts and validates the batch; a 2-D
-        # batch with one key per row is all the fleet checks), its error
-        # attributed, the call counted served. Nothing fails over and no
-        # replica but the home serves, so the rest of `_serve_on` is
-        # zero here; going through it measurably costs E26's 3 % bound on
-        # the fabric-disabled toll of a 64-row call (EXPERIMENTS.md).
+        # is its one executor behind a ring lookup, so the call goes to
+        # that shard whole (its door converts and validates the batch),
+        # its error attributed and the call counted served. Nothing
+        # fails over, so the rest of `_serve_on` is zero here; going
+        # through it costs E26's 3 % bound on a 64-row call's
+        # fabric toll (EXPERIMENTS.md).
         shard = self._single.get(name)
         if (
             shard is not None

@@ -2,23 +2,19 @@
 shard placement, the replica rotation and the canary traffic split.
 
 The fabric partitions endpoints and their prediction caches across
-shards, so the placement function has to satisfy three properties
-:class:`CanaryRouter` already set the precedent for:
+shards, so placement must be:
 
-* **bit-reproducible** — placement hashes with CRC32 over explicit
-  strings, never builtin ``hash`` (salted per interpreter), so the same
-  ring built in any process, under any ``PYTHONHASHSEED``, routes every
-  key identically — and a numpy scalar key routes as the Python value
-  it holds (:func:`key_token`);
+* **bit-reproducible** — CRC32 over explicit strings, never builtin
+  ``hash`` (salted per interpreter), so every process routes every key
+  alike, and a numpy scalar key as the Python value it holds
+  (:func:`key_token`);
 * **minimally disruptive** — each node projects ``vnodes`` virtual
   points onto the ring, so adding or removing one of N nodes remaps
   only ~1/N of the key space (property-tested in
-  ``tests/test_sharding.py``) while everything else keeps its owner —
-  which is what keeps a resize from invalidating every shard's cache;
+  ``tests/test_sharding.py``) and a resize keeps most shards' caches;
 * **replica-ordered** — :meth:`successors` walks clockwise from a key's
-  point and returns the first R *distinct* nodes, giving every key a
-  stable failover preference list: when its owner dies, the next live
-  successor takes over deterministically.
+  point to the first R *distinct* nodes: a stable failover preference
+  list, so a dead owner's next live successor takes over.
 """
 
 from __future__ import annotations
@@ -59,6 +55,17 @@ def rotation(seed: int, name: str, key: object, count: int) -> int:
     if key is None or count == 1:
         return 0
     return placement_hash(seed, f"{name}|{key_token(key)}") % count
+
+
+def rotations(seed: int, name: str, keys, count: int) -> list[int]:
+    """:func:`rotation` of each of a call's keys, bit for bit: the
+    ``"<seed>|<name>|"`` prefix is hashed once, then continued per key."""
+    prefix = zlib.crc32(f"{seed}|{name}|".encode("utf-8"))
+    return [
+        0 if key is None or count == 1
+        else zlib.crc32(key_token(key).encode("utf-8"), prefix) % count
+        for key in keys
+    ]
 
 
 @dataclass(frozen=True)

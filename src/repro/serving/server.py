@@ -1,42 +1,35 @@
 """The per-shard executor: registry-backed endpoints and the request path.
 
 The lifecycle layer ends at ``registry.deploy()``; the public server is
-:class:`~repro.serving.fabric.ShardedServer` (one shard is a
-single-node deployment). Each of its shards runs one
-:class:`ModelServer`, which owns named *endpoints*, each of which:
+:class:`~repro.serving.fabric.ShardedServer`, each of whose shards runs
+one :class:`ModelServer`. Its named *endpoints* each:
 
-* resolves its model through the :class:`~repro.lifecycle.ModelRegistry`
-  **by alias** (``"prod"`` for stable traffic, ``"canary"`` for the
-  candidate), so a fleet promote is an atomic pointer swap — in-flight
-  requests finish on the version they resolved;
-* routes a deterministic hash-slice of request keys to the canary
-  (:class:`~repro.serving.ring.CanaryRouter` — bit-reproducible given
-  the seed);
-* scores through a **compiled affine scorer**: for linear models the
-  endpoint evaluates the same column-accumulation expression a SQL
-  scoring query evaluates in the engine (the oracle in
-  ``tests/sql_scoring.py``), in the same order, so a prediction is
-  bit-identical whether it was served alone, in a batch of 64, or by
-  that query;
-* memoizes predictions in a versioned
+* resolve their model through the :class:`~repro.lifecycle.ModelRegistry`
+  **by alias** (``"prod"``, or ``"canary"`` for the candidate), so a
+  fleet promote is an atomic pointer swap — in-flight requests finish
+  on the version they resolved;
+* route a deterministic hash-slice of request keys to the canary
+  (:class:`~repro.serving.ring.CanaryRouter`);
+* score through a **compiled affine scorer** that evaluates the SQL
+  scoring query's expression (the oracle in ``tests/sql_scoring.py``)
+  in the same order, so a prediction is bit-identical whether served
+  alone, in a batch of 64, or by that query;
+* memoize predictions in a versioned
   :class:`~repro.serving.cache.PredictionCache` (invalidated on
-  promote);
-* sheds load at admission (bounded queue), bounds scoring concurrency
-  with a pool of ``MAX_CONCURRENCY`` tokens a scorer call takes and
-  returns in a ``finally``, and honours per-request deadlines — all under
-  :func:`~repro.resilience.fault_point` sites (``serving.admission``,
-  ``serving.score``) so chaos tests cover the serving path, with
-  :class:`~repro.resilience.RetryPolicy` recovery on the scoring site.
+  promote), and queue a call's misses as **one block per model
+  version**, drained in batches whose count is row-exact;
+* shed load at admission (bounded queue), bound scoring concurrency
+  with ``MAX_CONCURRENCY`` tokens, and honour per-request deadlines,
+  under the :func:`~repro.resilience.fault_point` sites
+  ``serving.admission`` and ``serving.score`` (the latter recovered by
+  a :class:`~repro.resilience.RetryPolicy`).
 
-The rollout decisions (promote, its gate, canary) are the fleet's; the
-executor only serves, and drops an endpoint's scorers and cache when
-the fleet says so (:meth:`ModelServer.invalidate`).
-
-Every count is a :class:`~repro.obs.Ledger` write, summed per call
-rather than written per row — the endpoint's ``serving.*`` counts here,
-the cache's ``serving.cache.*`` and the batcher's ``serving.batcher.*``
-in their own modules — next to the ``serving.latency_ms`` histograms
-with p50/p95/p99.
+Rollout (promote, its gate, canary) is the fleet's; the executor only
+serves, and drops an endpoint's scorers and cache when told to
+(:meth:`ModelServer.invalidate`). Every count is a
+:class:`~repro.obs.Ledger` write summed per call — ``serving.*`` here,
+``serving.cache.*`` and ``serving.batcher.*`` in their modules — next
+to the ``serving.latency_ms`` histograms.
 """
 
 from __future__ import annotations
@@ -49,15 +42,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import (
-    DeadlineExceededError,
-    InjectedFault,
-    LoadShedError,
-    ServingError,
+    DeadlineExceededError, InjectedFault, LoadShedError, ServingError,
 )
 from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..ml.losses import sigmoid
 from ..obs import Counted, Histogram, Ledger, get_registry
-from ..resilience import RetryPolicy, fault_point, resilient_call
+from ..resilience import RetryPolicy, active_chaos, fault_point, resilient_call
 from .batcher import MicroBatcher
 from .cache import PredictionCache
 from .ring import CanaryRouter
@@ -83,15 +73,12 @@ def compile_linear_scorer(
 
     The kernel evaluates ``((intercept + w0*X[:,0]) + w1*X[:,1]) + ...``
     as one running sum along each row (``np.add.accumulate`` is strictly
-    sequential, unlike the pairwise ``sum``) — exactly the evaluation
-    order of the engine expression ``linear_expression`` in
-    ``tests/sql_scoring.py`` builds, and independent of the batch size. Two consequences
-    E22 leans on: a batched prediction is bit-identical to the same row
-    scored alone, and the online server agrees bit-for-bit with SQL
-    scoring of the same model.
-
-    A batch may be wider than the model: the kernel reads the leading
-    ``len(coef_)`` columns. A narrower one raises ``ServingError``.
+    sequential, unlike the pairwise ``sum``): the evaluation order of the
+    engine expression ``tests/sql_scoring.py`` builds, whatever the batch
+    size. So E22's batched prediction is bit-identical to the row scored
+    alone and to SQL scoring of the same model. A batch wider than the
+    model is read in its leading ``len(coef_)`` columns; a narrower one
+    raises ``ServingError``.
     """
     if not hasattr(model, "coef_"):
         raise ServingError(
@@ -153,7 +140,14 @@ def _build_scorer(model, output: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class Endpoint(Counted):
-    """One served route: config, queue, cache, router, and its ledger."""
+    """One served route: config, queue, cache, router, and its ledger.
+
+    Request threads share every field. ``canary`` and ``router`` take no
+    lock (the fleet replaces each whole; a call reads them once); the
+    rest guard themselves: ``batcher`` and ``cache`` by their ``_lock``,
+    ``tokens`` in its C-level queue, ``counts`` and ``latency`` by their
+    counters' locks.
+    """
 
     def __init__(
         self,
@@ -174,12 +168,10 @@ class Endpoint(Counted):
             )
         self.name = name
         self.model_name = model_name
-        # the deployed alias serves until the fleet's set_canary routes
-        # a share away
+        # the deployed alias serves until set_canary routes a share away
         self.canary: str | None = None
         self.router = CanaryRouter(0.0, canary_seed)
         self.output = output
-        self._clock = clock
         self.batcher = MicroBatcher(
             name,
             max_batch_size=max_batch_size,
@@ -187,9 +179,7 @@ class Endpoint(Counted):
             clock=clock,
         )
         self.cache: PredictionCache | None = (
-            PredictionCache(cache_capacity)
-            if cache_enabled
-            else None
+            PredictionCache(cache_capacity) if cache_enabled else None
         )
         #: one token per scorer call in flight: a C-level queue's get and
         #: put cost ~1/10 of a pure-Python ``threading.Semaphore`` pass
@@ -282,10 +272,9 @@ class ModelServer:
             endpoint.batcher.flush()
 
     def invalidate(self, name: str) -> int:
-        """Drop an endpoint's compiled scorers and cached predictions;
-        returns the number of cache entries dropped. The fleet calls
-        this on every hosting replica after a promote, and on shard
-        revive (epoch rejoin)."""
+        """Drop an endpoint's compiled scorers and cached predictions
+        (the fleet's promote and shard revive); returns the entries
+        dropped."""
         endpoint = self.endpoint(name)
         with self._scorers_lock:
             self._scorers = {
@@ -332,101 +321,106 @@ class ModelServer:
     def _serve(
         self,
         name: str,
-        rows: Sequence[np.ndarray],
+        rows: np.ndarray,
         keys: Sequence[object] | None,
         closed_loop: bool,
         deadline_at: float | None,
-    ) -> list[float]:
-        """The request path, written once. What depends on the row is
-        decided per row: every row crosses the ``serving.admission``
-        site (an injected fault sheds it), draws its canary bucket while
-        a canary is set, is keyed by its bytes and, on a cache miss, is
-        enqueued; then the queue is drained on the caller's thread and
-        each queued request waits out the call's budget, is
-        refused if it came back late, and fills the cache. What does not
-        is done once per call: the aliases resolve once, the cache is
-        probed under one lock, and the request counts are plain ints
-        applied in one ``finally`` on every exit path — so a shed at
-        row ``i`` counts ``i + 1`` requests, as ``i + 1`` single calls
-        would.
-
-        A full queue sheds the open-loop ``predict`` request; the
-        closed-loop ``predict_many`` caller is its own backpressure and
-        drains the queue first — which door called decides, nothing else
-        differs between them. The budget arrives in one form, the
-        absolute ``deadline_at`` (None: no deadline): the fleet computes
-        it once at its door, so what quota, routing and failover spent
-        is not refunded here. A miss reports the budget this call was
-        handed, ``deadline_at`` less the call's start, in ms; the fleet
-        stamps its client's ``deadline_ms`` over it.
+    ) -> np.ndarray:
+        """The request path, written once, over an ``(n, d)`` batch. Per
+        row: under a chaos plan it crosses ``serving.admission`` (a fault
+        sheds it), it draws its canary bucket, and its bytes key it. Per
+        call: the cache is probed and filled under one lock each, each
+        model version's misses are queued as one fresh block and drained
+        on the caller's thread, a late block is refused, and the request
+        counts are applied in one ``finally`` (a shed at row ``i`` counts
+        ``i + 1`` requests, as ``i + 1`` single calls would). A full
+        queue sheds the open-loop ``predict``; the closed-loop
+        ``predict_many`` drains it first. ``deadline_at`` is the absolute
+        budget the fleet fixed at its door (None: none); a miss reports
+        it less the call's start, in ms.
         """
         endpoint = self.endpoint(name)
         counts, cache = endpoint.counts, endpoint.cache
-        batcher = endpoint.batcher
+        batcher, capacity = endpoint.batcher, endpoint.batcher.queue_capacity
         start = self._clock()
         stable = self.registry.resolve(
             endpoint.model_name, ModelRegistry.DEPLOYED_ALIAS
         )
-        versions = [stable.version] * len(rows)
+        n = len(rows)
+        versions = [stable.version] * n
         canary = None
         if endpoint.canary is not None and keys is not None:
             canary = self.registry.resolve(
                 endpoint.model_name, endpoint.canary
             )
             routes_to_canary = endpoint.router.routes_to_canary
-        row_keys: list[bytes] = []
+        chaos = active_chaos() is not None
         asked = canaried = refused = shed = 0
         try:
-            for asked, row in enumerate(rows, 1):
-                try:
-                    fault_point("serving.admission", key=name)
-                except InjectedFault as fault:
-                    refused = 1
-                    raise LoadShedError(
-                        name, batcher.depth(), batcher.queue_capacity,
-                        reason="chaos",
-                    ) from fault
-                if canary is not None:
-                    key = keys[asked - 1]
-                    if key is not None and routes_to_canary(key):
-                        versions[asked - 1] = canary.version
-                        canaried += 1
-                if cache is not None:
-                    # the whole row, not a 32-bit hash: a hit must be
-                    # this row
-                    row_keys.append(row.tobytes())
-            out = (
-                cache.get(versions, row_keys)
-                if cache is not None
-                else [None] * len(rows)
-            )
-            pendings: list[tuple] = []  # (row index, pending handle)
-            for i, cached in enumerate(out):
-                if cached is not None:
-                    continue
-                if closed_loop and batcher.depth() >= batcher.queue_capacity:
+            decided = chaos or canary is not None  # else no row decides
+            for asked in range(1, n + 1) if decided else ():
+                if chaos:
+                    try:
+                        fault_point("serving.admission", key=name)
+                    except InjectedFault as fault:
+                        refused = 1
+                        raise LoadShedError(
+                            name, batcher.depth(), capacity, reason="chaos"
+                        ) from fault
+                key = keys[asked - 1] if canary is not None else None
+                if key is not None and routes_to_canary(key):
+                    versions[asked - 1] = canary.version
+                    canaried += 1
+            asked = n
+            if cache is not None:
+                # the whole row, not a 32-bit hash: a hit must be this row
+                data = rows.tobytes()
+                row_keys = (
+                    [data] * n
+                    if n < 2 or not data
+                    else np.frombuffer(data, f"V{len(data) // n}").tolist()
+                )
+                values = cache.get(versions, row_keys)
+            else:
+                values = [None] * n
+            missing = values.count(None)
+            missed = None  # the missed rows; None: every row
+            if missing < n:
+                missed = [i for i, value in enumerate(values) if value is None]
+            # (version, its missed rows): one unless a canary took some
+            groups = [(stable.version, missed)] if missing else []
+            if canaried and missing:
+                by_version: dict[int, list[int]] = {}
+                for i in range(n) if missed is None else missed:
+                    by_version.setdefault(versions[i], []).append(i)
+                groups = list(by_version.items())
+            handles = []  # (the rows it answers, its handle)
+            for version, picked in groups:
+                block = rows.copy() if picked is None else rows[picked]
+                scorer = self._scorer_for(
+                    endpoint, stable if version == stable.version else canary
+                )
+                if closed_loop and batcher.depth() + len(block) > capacity:
                     batcher.flush()
-                version = versions[i]
-                entry = stable if version == stable.version else canary
                 try:
-                    pending = batcher.submit(
-                        rows[i], self._scorer_for(endpoint, entry), version,
-                        deadline_at,
-                    )
+                    handles.append((picked, batcher.submit(
+                        block, scorer, version, deadline_at
+                    )))
                 except LoadShedError:
                     shed = 1
                     raise
-                pendings.append((i, pending))
-            if pendings:
+            if handles:
                 batcher.flush()
-            for i, pending in pendings:
-                timeout = (
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - self._clock())
+            # a miss is NaN until scored; a lone all-miss block is the call's
+            out = np.array(values, np.float64) if missing < n else None
+            if out is None and len(handles) != 1:
+                out = np.empty(n)
+            for picked, handle in handles:
+                timeout = None if deadline_at is None else max(
+                    0.0, deadline_at - self._clock()
                 )
                 try:
-                    out[i] = pending.wait(timeout)
+                    scores = handle.wait(timeout)
                     late = (
                         deadline_at is not None
                         and self._clock() > deadline_at
@@ -440,8 +434,16 @@ class ModelServer:
                     raise DeadlineExceededError(
                         name, (deadline_at - start) * 1000.0
                     )
-                if cache is not None:
-                    cache.put(versions[i], row_keys[i], out[i])
+                if out is None:
+                    out = scores
+                else:
+                    out[picked] = scores
+            if missing and cache is not None:
+                scored = out if missed is None else out[missed]
+                if missed is not None:
+                    versions = [versions[i] for i in missed]
+                    row_keys = [row_keys[i] for i in missed]
+                cache.put(versions, row_keys, scored.tolist())
         finally:
             if asked:
                 counts.inc("requests", asked)
@@ -465,11 +467,11 @@ class ModelServer:
         key: object | None = None,
         deadline_at: float | None = None,
     ) -> float:
-        """Serve one prediction through the full path: admission, canary
-        routing, cache, micro-batch queue, and the absolute
+        """Serve one prediction through the full path under the absolute
         ``deadline_at`` on this server's clock."""
         row = _as_float(row, "predict", "row", 1)
-        return self._serve(name, (row,), (key,), False, deadline_at)[0]
+        out = self._serve(name, row[None], (key,), False, deadline_at)
+        return out.item(0)
 
     def predict_many(
         self,
@@ -478,24 +480,15 @@ class ModelServer:
         keys: Sequence[object] | None = None,
         deadline_at: float | None = None,
     ) -> np.ndarray:
-        """Serve a stream of requests through the micro-batcher.
-
-        Each row keeps its own decisions (the admission crossing, the
-        canary bucket, the cache key, the enqueue, the deadline) and
-        counts as one request, but the call's bookkeeping — alias
-        resolution, the cache lock, the ledger writes — is paid once,
-        and the queue is drained in vectorized batches: one kernel call
-        per ``max_batch_size`` rows, the speedup E22 measures. A row
-        that finds the queue full triggers an inline drain instead of
-        shedding (a closed-loop caller is its own backpressure).
-        """
+        """Serve a stream of requests: each row keeps its own decisions
+        (admission, canary bucket, cache key) and counts as one request,
+        while the bookkeeping is the call's and its misses are scored
+        in vectorized batches, one kernel call per ``max_batch_size``
+        rows (the speedup E22 measures)."""
         rows = _as_float(rows, "predict_many", "batch", 2)
         if keys is not None and len(keys) != rows.shape[0]:
             raise ServingError("one key per row required")
-        return np.array(
-            self._serve(name, rows, keys, True, deadline_at),
-            dtype=np.float64,
-        )
+        return self._serve(name, rows, keys, True, deadline_at)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

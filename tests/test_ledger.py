@@ -276,7 +276,7 @@ def _serving(ledgers):
     busy = endpoints[0]
     queue_full_before = busy.batcher.shed
     assert queue_full_before == 0  # a closed-loop drain is not a shed
-    busy.batcher.submit(X[0], lambda rows: rows[:, 0], 2)  # fills the queue
+    busy.batcher.submit(X[:1], lambda rows: rows[:, 0], 2)  # fills the queue
     with pytest.raises(LoadShedError):
         fabric.shard(fabric.replicas_of("score")[0]).server.predict(
             "score", X[1]

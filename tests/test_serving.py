@@ -153,21 +153,21 @@ class TestCanaryRouter:
 class TestPredictionCache:
     def test_hit_after_put(self):
         cache = PredictionCache(capacity=8)
-        cache.put(1, 42, 0.5)
+        cache.put([1], [42], [0.5])
         assert cache.get([1], [42]) == [0.5]
         assert cache.stats.hits == 1
 
     def test_version_in_key(self):
         cache = PredictionCache(capacity=8)
-        cache.put(1, 42, 0.5)
+        cache.put([1], [42], [0.5])
         assert cache.get([2], [42]) == [None]  # other version never hits
 
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
-        cache.put(1, 1, 0.1)
-        cache.put(1, 2, 0.2)
+        cache.put([1], [1], [0.1])
+        cache.put([1], [2], [0.2])
         assert cache.get([1], [1]) == [0.1]  # touch 1 -> 2 becomes LRU
-        cache.put(1, 3, 0.3)
+        cache.put([1], [3], [0.3])
         assert cache.get([1], [2]) == [None]
         assert cache.stats.evictions == 1
 
@@ -176,12 +176,11 @@ class TestPredictionCache:
         recency is the per-row walk's), with one hits and one misses
         write."""
         cache = PredictionCache(capacity=2)
-        cache.put(1, 1, 0.1)
-        cache.put(1, 2, 0.2)
+        cache.put([1, 1], [1, 2], [0.1, 0.2])  # one call: row order
         assert cache.get([1, 2, 1, 1], [2, 9, 1, 2]) == [
             0.2, None, 0.1, 0.2,
         ]
-        cache.put(1, 3, 0.3)  # 1 was touched before 2 last: evicts 1
+        cache.put([1], [3], [0.3])  # 1 was touched before 2 last: evicts 1
         assert cache.get([1, 1], [1, 2]) == [None, 0.2]
         assert (cache.stats.hits, cache.stats.misses) == (4, 2)
 
@@ -189,14 +188,12 @@ class TestPredictionCache:
         """A cache belongs to one endpoint: a promote drops all of it,
         every version, and counts what it dropped."""
         cache = PredictionCache(capacity=8)
-        cache.put(1, 1, 0.1)
-        cache.put(2, 2, 0.2)
-        cache.put(2, 1, 0.3)
+        cache.put([1, 2, 2], [1, 2, 1], [0.1, 0.2, 0.3])
         assert cache.invalidate() == 3
         assert len(cache) == 0
         assert cache.get([1, 2, 2], [1, 2, 1]) == [None] * 3
         assert cache.stats.invalidations == 3
-        cache.put(3, 1, 0.4)
+        cache.put([3], [1], [0.4])
         assert cache.get([3], [1]) == [0.4]
         assert cache.invalidate() == 1
         assert cache.stats.invalidations == 4
@@ -232,47 +229,79 @@ def _recording(score, calls: list):
     return recorded
 
 
+def _block(*values: float) -> np.ndarray:
+    """A submitted block: one one-column row per value."""
+    return np.array(values, dtype=np.float64)[:, None]
+
+
 class TestMicroBatcher:
     def test_fifo_prefix_drain(self):
-        b = MicroBatcher("ep", max_batch_size=3)
-        batches = []
-        score = _recording(_affine(2.0), batches)
-        pendings = [
-            b.submit(np.array([float(i)]), score, version=1) for i in range(7)
-        ]
-        b.flush()
-        assert batches == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]
-        assert all(p.done for p in pendings)
-        assert [p.result for p in pendings] == [2.0 * i for i in range(7)]
+        """However the seven rows arrive in blocks, a flush scores the
+        next ``max_batch_size`` rows at a time, cutting a block where a
+        batch ends: the batches are the rows' single-row queue's."""
+        for sizes in ([1] * 7, [7], [2, 4, 1], [3, 3, 1]):
+            b = MicroBatcher("ep", max_batch_size=3)
+            batches = []
+            score = _recording(_affine(2.0), batches)
+            bounds = np.cumsum([0] + sizes).tolist()
+            pendings = [
+                b.submit(_block(*range(lo, hi)), score, version=1)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            assert b.depth() == 7
+            assert b.flush() == 7
+            assert batches == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]
+            assert (b.batches, b.batched_requests) == (3, 7)
+            assert all(p.done for p in pendings)
+            assert [p.wait().tolist() for p in pendings] == [
+                [2.0 * i for i in range(lo, hi)]
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
 
     def test_sheds_at_capacity(self):
-        b = MicroBatcher("ep", max_batch_size=4, queue_capacity=2)
-        b.submit(np.array([1.0]), _affine(1.0), 1)
-        b.submit(np.array([2.0]), _affine(1.0), 1)
+        """Capacity and depth count rows: a block sheds when its rows
+        would overfill the queue."""
+        b = MicroBatcher("ep", max_batch_size=4, queue_capacity=3)
+        b.submit(_block(1.0, 2.0), _affine(1.0), 1)
         with pytest.raises(LoadShedError) as exc:
-            b.submit(np.array([3.0]), _affine(1.0), 1)
+            b.submit(_block(3.0, 4.0), _affine(1.0), 1)
         assert exc.value.queue_depth == 2
-        assert b.shed == 1
-        b.flush()
+        b.submit(_block(3.0), _affine(1.0), 1)
+        with pytest.raises(LoadShedError):
+            b.submit(_block(4.0), _affine(1.0), 1)
+        assert b.shed == 2
+        assert b.flush() == 3
 
     def test_mixed_versions_in_one_batch(self):
         b = MicroBatcher("ep", max_batch_size=8)
-        p1 = b.submit(np.array([1.0]), _affine(10.0), version=1)
-        p2 = b.submit(np.array([1.0]), _affine(-1.0), version=2)
-        p3 = b.submit(np.array([2.0]), _affine(10.0), version=1)
-        assert b.flush() == 3
-        assert (p1.result, p2.result, p3.result) == (10.0, -1.0, 20.0)
+        p1 = b.submit(_block(1.0), _affine(10.0), version=1)
+        p2 = b.submit(_block(1.0, 3.0), _affine(-1.0), version=2)
+        p3 = b.submit(_block(2.0), _affine(10.0), version=1)
+        assert b.flush() == 4
+        assert [p.wait().tolist() for p in (p1, p2, p3)] == [
+            [10.0], [-1.0, -3.0], [20.0],
+        ]
         assert b.batches == 1  # one drain, grouped internally
+
+    def test_a_block_taller_than_a_batch_is_scored_in_slices(self):
+        b = MicroBatcher("ep", max_batch_size=64)
+        batches = []
+        block = _block(*range(200))
+        pending = b.submit(block, _recording(_affine(1.0), batches), 1)
+        assert b.flush() == 200
+        assert [len(rows) for rows in batches] == [64, 64, 64, 8]
+        assert pending.wait().tolist() == block[:, 0].tolist()
+        assert (b.batches, b.batched_requests) == (4, 200)
 
     def test_scorer_error_delivered_to_requests(self):
         def broken(batch):
             raise ValueError("boom")
 
         b = MicroBatcher("ep", max_batch_size=4)
-        good = b.submit(np.array([1.0]), _affine(3.0), version=1)
-        bad = b.submit(np.array([1.0]), broken, version=2)
+        good = b.submit(_block(1.0), _affine(3.0), version=1)
+        bad = b.submit(_block(1.0, 2.0), broken, version=2)
         b.flush()
-        assert good.result == 3.0
+        assert good.wait().tolist() == [3.0]
         with pytest.raises(ValueError, match="boom"):
             bad.wait(0.1)
 
@@ -285,12 +314,12 @@ class TestMicroBatcher:
             seen.extend(batch[:, 0].tolist())
             return batch[:, 0]
 
-        expired = b.submit(np.array([1.0]), recording, 1, deadline_at=5.0)
-        alive = b.submit(np.array([2.0]), recording, 1, deadline_at=50.0)
+        expired = b.submit(_block(1.0, 3.0), recording, 1, deadline_at=5.0)
+        alive = b.submit(_block(2.0), recording, 1, deadline_at=50.0)
         clock.advance(10.0)
         b.flush()
         assert seen == [2.0]
-        assert alive.result == 2.0
+        assert alive.wait().tolist() == [2.0]
         with pytest.raises(DeadlineExceededError):
             expired.wait(0.1)
 
@@ -298,12 +327,16 @@ class TestMicroBatcher:
     @given(
         ops=st.lists(
             st.tuples(
-                st.floats(
-                    min_value=-50.0,
-                    max_value=50.0,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ),
+                st.lists(
+                    st.floats(
+                        min_value=-50.0,
+                        max_value=50.0,
+                        allow_nan=False,
+                        allow_infinity=False,
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),  # one block's rows
                 st.integers(min_value=1, max_value=2),  # version
                 st.booleans(),  # drain one batch after this arrival?
             ),
@@ -313,9 +346,10 @@ class TestMicroBatcher:
         batch_size=st.integers(min_value=1, max_value=5),
     )
     def test_ordering_property(self, ops, batch_size):
-        """Random arrival interleavings: every response lands with its
-        own request (right row, right version's scorer) and drains
-        complete requests FIFO within the endpoint."""
+        """Random arrival interleavings of blocks: every response lands
+        with its own row (right row, right version's scorer), drains
+        complete blocks FIFO within the endpoint, and the batch count
+        is the rows' single-row queue's."""
         seen = {1: [], 2: []}
         scorers = {
             1: _recording(_affine(2.0, 1.0), seen[1]),
@@ -324,42 +358,49 @@ class TestMicroBatcher:
         expected = {1: lambda v: v * 2.0 + 1.0, 2: lambda v: v * -3.0}
         b = MicroBatcher("prop", max_batch_size=batch_size)
         submitted = []
-        for value, version, drain in ops:
+        batches = 0
+        for values, version, drain in ops:
             submitted.append(
-                (b.submit(np.array([value]), scorers[version], version),
-                 value, version)
+                (b.submit(_block(*values), scorers[version], version),
+                 values, version)
             )
             if drain:
+                batches += -(-b.depth() // batch_size)
                 b.flush()
                 assert all(p.done for p, _, _ in submitted)
+        batches += -(-b.depth() // batch_size)
         b.flush()
-        for pending, value, version in submitted:
+        assert b.batches == batches
+        for pending, values, version in submitted:
             assert pending.done
-            assert pending.result == expected[version](value)
+            assert pending.wait().tolist() == [
+                expected[version](v) for v in values
+            ]
         # FIFO: each version's rows reach its scorer in arrival order,
         # at most one batch at a time
         for version, calls in seen.items():
             assert all(len(rows) <= batch_size for rows in calls)
             assert [v for rows in calls for v in rows] == [
-                value for _, value, ver in submitted if ver == version
+                v for _, values, ver in submitted if ver == version
+                for v in values
             ]
 
 
 class TestDrainCompletesEveryRequest:
     """Whatever goes wrong with a popped batch is delivered to its
-    requests as a typed error; the drain survives."""
+    blocks as a typed error; the drain survives."""
 
     def test_ragged_batch_fails_its_requests_inline(self):
         b = MicroBatcher("ep", max_batch_size=8)
-        narrow = b.submit(np.array([1.0, 2.0]), _affine(1.0), 1)
-        wide = b.submit(np.array([1.0, 2.0, 3.0]), _affine(1.0), 1)
-        other = b.submit(np.array([5.0]), _affine(2.0), 2)
+        narrow = b.submit(np.array([[1.0, 2.0]]), _affine(1.0), 1)
+        wide = b.submit(np.array([[1.0, 2.0, 3.0]]), _affine(1.0), 1)
+        other = b.submit(_block(5.0), _affine(2.0), 2)
         assert b.flush() == 3  # raised ValueError before PR 20
         assert narrow.done and wide.done and other.done
         for pending in (narrow, wide):
             with pytest.raises(ServingError, match=r"\(2,\), \(3,\)"):
                 pending.wait(0.1)
-        assert other.wait(0.1) == 10.0  # the other group is unharmed
+        assert other.wait(0.1).tolist() == [10.0]  # the other group's fine
         assert b.depth() == 0 and b.batches == 1
 
     def test_ragged_row_through_the_server_door(self, served):
@@ -369,7 +410,7 @@ class TestDrainCompletesEveryRequest:
         scorer = executor._scorer_for(
             endpoint, server.registry.get("churn", 1)
         )
-        queued = endpoint.batcher.submit(np.ones(9), scorer, 1)
+        queued = endpoint.batcher.submit(np.ones((1, 9)), scorer, 1)
         with pytest.raises(ServingError, match="differ in shape"):
             server.predict("score", X[0])
         assert queued.done
@@ -380,7 +421,7 @@ class TestDrainCompletesEveryRequest:
     def test_misshapen_scores_fail_the_group(self):
         b = MicroBatcher("ep")
         pendings = [
-            b.submit(np.array([float(i)]), lambda batch: batch, 1)  # (n, 1)
+            b.submit(_block(float(i)), lambda batch: batch, 1)  # (n, 1)
             for i in range(2)
         ]
         b.flush()
@@ -395,36 +436,39 @@ class TestCompletionHandle:
 
     def test_timeout_then_completion_is_still_readable(self):
         b = MicroBatcher("ep")
-        pending = b.submit(np.array([4.0]), _affine(2.0), 1)
+        pending = b.submit(_block(4.0, 1.0), _affine(2.0), 1)
         assert not pending.done
         with pytest.raises(TimeoutError):
             pending.wait(0.01)
         assert not pending.done  # a timed-out wait completes nothing
         b.flush()
         assert pending.done
-        assert pending.wait() == pending.wait(0.0) == 8.0
+        assert pending.wait().tolist() == pending.wait(0.0).tolist() == [
+            8.0, 2.0,
+        ]
 
     def test_done_flips_exactly_at_completion(self):
         seen = []
-        b = MicroBatcher("ep")
+        b = MicroBatcher("ep", max_batch_size=2)
 
         def scorer(batch):
             seen.append(pending.done)  # scored, not yet completed
             return batch[:, 0]
 
-        pending = b.submit(np.array([1.0]), scorer, 1)
+        pending = b.submit(_block(1.0, 2.0, 3.0), scorer, 1)
         b.flush()
-        assert seen == [False] and pending.done
+        # a block cut across two batches completes after its last one
+        assert seen == [False, False] and pending.done
 
     def test_two_waiters_on_one_handle_both_wake(self):
         b = MicroBatcher("ep")
-        pending = b.submit(np.array([3.0]), _affine(5.0), 1)
+        pending = b.submit(_block(3.0), _affine(5.0), 1)
         waiting = threading.Barrier(3)
         got: list[float] = []
 
         def waiter() -> None:
             waiting.wait(timeout=5.0)
-            got.append(pending.wait(5.0))
+            got.append(pending.wait(5.0).tolist())
 
         threads = [threading.Thread(target=waiter) for _ in range(2)]
         for t in threads:
@@ -435,19 +479,25 @@ class TestCompletionHandle:
         for t in threads:
             t.join(timeout=5.0)
         assert not any(t.is_alive() for t in threads)
-        assert got == [15.0, 15.0]
+        assert got == [[15.0], [15.0]]
 
     def test_every_waiter_gets_its_own_answer_under_contention(self):
+        """Three-row blocks in batches of 16: most blocks are cut across
+        two batches, which concurrent flushes may score in either
+        order; each block still completes once, with its own rows."""
         threads_n, each = 8, 500
         b = MicroBatcher("ep", max_batch_size=16)
-        got: dict[int, list[float]] = {}
+        got: dict[int, list[list[float]]] = {}
         errors: list[Exception] = []
 
-        def ask(value: float) -> float:
-            # another client's flush may score this request first
-            pending = b.submit(np.array([value]), _affine(2.0, 1.0), 1)
+        def ask(value: float) -> list[float]:
+            # another client's flush may score this block first
+            pending = b.submit(
+                _block(value, value + 0.5, value + 0.25),
+                _affine(2.0, 1.0), 1,
+            )
             b.flush()
-            return pending.wait(10.0)
+            return pending.wait(10.0).tolist()
 
         def client(t: int) -> None:
             try:
@@ -472,9 +522,11 @@ class TestCompletionHandle:
         assert not errors
         for t in range(threads_n):
             assert got[t] == [
-                2.0 * (t * each + i) + 1.0 for i in range(each)
+                [2.0 * (t * each + i + d) + 1.0 for d in (0.0, 0.5, 0.25)]
+                for i in range(each)
             ]
-        assert b.batched_requests == threads_n * each
+        assert b.batched_requests == threads_n * each * 3
+        assert b.depth() == 0
 
     def test_inline_requests_construct_no_event(self, served, monkeypatch):
         server, _, X = served
@@ -515,6 +567,113 @@ class TestCompletionHandle:
         assert _ask(server, door, "g", row) == X[7, 0] + 1.0
         assert np.array_equal(row, X[7])
         assert seen == [(np.dtype(np.float64), (1, X.shape[1]), True, True)]
+
+
+class TestMissPathLedger:
+    """A call's misses, whatever their number, hits and canary split:
+    the batch count is the one single queued rows give (``ceil(misses /
+    64)``; a batch may mix versions), ``batched_requests`` is the
+    misses, the cache gains exactly the scored ``(version, row bytes)``
+    keys, and each answer is bitwise its row scored alone. The exits
+    count as a per-row walk would: a late call raises once and counts
+    every request, and an open-loop row on a full queue sheds once."""
+
+    @staticmethod
+    def _fleet(canary_fraction, **config):
+        X, _, m1, m2 = _fit_pair()
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        registry.register("churn", m2)
+        server = _one_shard(
+            registry, clock=config.pop("clock", time.monotonic)
+        )
+        server.create_endpoint(
+            "score", "churn", cache_capacity=1 << 12, **config
+        )
+        server.promote("score", 1)
+        if canary_fraction:
+            server.set_canary("score", 2, canary_fraction)
+        return server, {1: m1, 2: m2}
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        k=st.sampled_from([0, 1, 63, 64, 65, 200, 1025]),
+        hit_every=st.sampled_from([0, 1, 2, 3, 7]),  # 0: no warm rows
+        canary_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batches_rows_cache_and_answers(
+        self, k, hit_every, canary_fraction, seed
+    ):
+        server, models = self._fleet(canary_fraction)
+        endpoint = _endpoint(server, "score")
+        rows = np.random.default_rng(seed).normal(size=(k, 5))
+        keys = [f"user-{seed}-{i}" for i in range(k)]
+        router = CanaryRouter(canary_fraction, 0)
+        versions = [2 if router.routes_to_canary(key) else 1 for key in keys]
+        warm = list(range(0, k, hit_every)) if hit_every else []
+        if warm:
+            server.predict_many(
+                "score", rows[warm], keys=[keys[i] for i in warm]
+            )
+        before = set(endpoint.cache._entries.keys())
+        batcher = endpoint.batcher
+        batches, batched = batcher.batches, batcher.batched_requests
+        out = server.predict_many("score", rows, keys=keys)
+        misses = k - len(warm)
+        assert batcher.batches - batches == -(-misses // 64)
+        assert batcher.batched_requests - batched == misses
+        scored = {
+            (versions[i], rows[i].tobytes())
+            for i in range(k) if i not in set(warm)
+        }
+        assert set(endpoint.cache._entries.keys()) == before | scored
+        assert len(before) == len(warm) and not before & scored
+        alone = [
+            compile_linear_scorer(models[versions[i]])(rows[i:i + 1])[0]
+            for i in range(k)
+        ]
+        assert out.tobytes() == np.array(alone).tobytes()
+        assert endpoint.requests == k + len(warm)
+
+    @pytest.mark.parametrize("canary_fraction", [0.0, 0.5])
+    def test_a_late_call_raises_once_and_counts_every_request(
+        self, canary_fraction
+    ):
+        clock = FakeClock()
+        server, _ = self._fleet(canary_fraction, clock=clock)
+        executor = server.shard("shard-0").server
+        endpoint = executor.endpoint("score")
+        scorer = executor._scorer_for(
+            endpoint, server.registry.get("churn", 1)
+        )
+
+        def slow(batch, **kwargs):
+            clock.advance(10.0)
+            return scorer(batch, **kwargs)
+
+        executor._scorers = {
+            ident: slow for ident in [("score", 1), ("score", 2)]
+        }
+        rows = np.random.default_rng(3).normal(size=(100, 5))
+        keys = [f"k{i}" for i in range(100)]
+        with pytest.raises(DeadlineExceededError) as exc_info:
+            server.predict_many("score", rows, keys=keys, deadline_ms=5.0)
+        assert exc_info.value.deadline_ms == 5.0
+        assert endpoint.deadline_exceeded == 1
+        assert endpoint.requests == 100
+        assert len(endpoint.cache) == 0
+
+    def test_an_open_loop_row_on_a_full_queue_sheds_once(self):
+        server, _ = self._fleet(0.0, queue_capacity=1)
+        endpoint = _endpoint(server, "score")
+        X = _fit_pair()[0]
+        endpoint.batcher.submit(X[:1], lambda rows: rows[:, 0], 1)
+        with pytest.raises(LoadShedError):
+            server.predict("score", X[1])
+        assert (endpoint.batcher.shed, endpoint.shed) == (1, 1)
+        assert endpoint.requests == 1
+        endpoint.batcher.flush()
 
 
 # ----------------------------------------------------------------------
@@ -912,7 +1071,7 @@ class TestModelServer:
         )
         server.promote("slow", 1)
         endpoint = _endpoint(server, "slow")
-        ahead = endpoint.batcher.submit(X[1], slow, 1)  # its own batch of 1
+        ahead = endpoint.batcher.submit(X[1:2], slow, 1)  # its own batch of 1
         with pytest.raises(DeadlineExceededError) as exc_info:
             _ask(server, door, "slow", X[0], deadline_ms=5.0)
         assert ahead.done and endpoint.batcher.batches == 2

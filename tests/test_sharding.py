@@ -50,7 +50,12 @@ from repro.serving import (
     TokenBucket,
     compile_linear_scorer,
 )
-from repro.serving.ring import key_token, placement_hash
+from repro.serving.ring import (
+    key_token,
+    placement_hash,
+    rotation,
+    rotations,
+)
 
 
 class FakeClock:
@@ -899,7 +904,65 @@ _KEYS = st.one_of(
 )
 
 
+#: every kind of key a call may carry, including the ones whose token
+#: is easy to get wrong: huge and negative ints, numpy ints of two
+#: widths, bools, numpy strings and tuples
+_ROTATION_KEYS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**64, 2**80),
+    st.just(0),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.text(max_size=6),
+    st.text(max_size=6).map(np.str_),
+    st.tuples(st.integers(-9, 9), st.text(max_size=3)),
+)
+
+
 class TestCallPlacement:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        name=st.text(max_size=8),
+        count=st.integers(1, 4),
+        keys=st.lists(_ROTATION_KEYS, max_size=12),
+    )
+    def test_call_rotations_are_the_placement_hash(
+        self, seed, name, count, keys
+    ):
+        """The call's prefix-continued CRC32 is, key by key, bitwise the
+        one placement hash of the whole ``"<name>|<token>"`` string, and
+        the single-key ``rotation`` agrees; ``None`` and one replica
+        stay home."""
+        expected = [
+            0 if key is None or count == 1
+            else placement_hash(seed, f"{name}|{key_token(key)}") % count
+            for key in keys
+        ]
+        assert rotations(seed, name, keys, count) == expected
+        assert [rotation(seed, name, key, count) for key in keys] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_call_placement_replays_route_with_a_killed_shard(self, data):
+        """With one hosting replica (of 2-4) killed, every key of one
+        ``_place_call`` lands on the shard, and with the skips, that
+        :meth:`route` names for it alone."""
+        replication = data.draw(st.integers(2, 4), "replication")
+        registry = ModelRegistry()
+        registry.register("churn", _fit_pair()[2])
+        fabric = make_fabric(registry, 4, replication, seed=7)
+        replicas = fabric.replicas_of("score")
+        fabric.kill_shard(data.draw(st.sampled_from(replicas), "killed"))
+        keys = data.draw(st.lists(_ROTATION_KEYS, max_size=16), "keys")
+        hosts, index, skips = fabric._place_call("score", keys, None)
+        assert [
+            (hosts[i], k) for i, k in zip(index.tolist(), skips.tolist())
+        ] == [fabric.route("score", key) for key in keys]
+        fabric.close()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_call_placement_equals_route_row_by_row(self, data):
