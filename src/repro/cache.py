@@ -58,6 +58,28 @@ class BoundedCache:
         self._entries.move_to_end(key)
         return entry[0]
 
+    def get_many(self, keys) -> list:
+        """:meth:`get` of each key in order, in one loop."""
+        lookup, touch = self._entries.get, self._entries.move_to_end
+        values = []
+        for key in keys:
+            entry = lookup(key)
+            if entry is not None:
+                touch(key)
+                entry = entry[0]
+            values.append(entry)
+        return values
+
+    def put_many(self, keys, values) -> None:
+        """:meth:`put` of each pair in order, in one loop (all cost 1)."""
+        entries = self._entries
+        for key, value in zip(keys, values):
+            if key in entries:
+                self.remove(key)
+            if self.used < self.budget or self._evict_one():
+                entries[key] = (value, 1)
+                self.used += 1
+
     def put(self, key: Hashable, value, cost: int = 1, pin: bool = False) -> bool:
         """Replace ``key``'s entry; returns whether it is resident after.
 

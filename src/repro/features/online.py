@@ -76,12 +76,21 @@ class OnlineFeatureServer(Counted):
         its own place in the walk. An injected fault (or corrupted read)
         falls back to recomputing that row from the base table under
         :func:`no_chaos` — by row-locality, the same bytes the clean path
-        serves. The rest is once per call: whether a plan is installed
-        (with none, no crossing could decide anything), one ``take``
-        gathering the clean rows, one ledger write counting the serves.
+        serves. With no plan installed no crossing could decide anything:
+        one :meth:`FeatureRows.slice` resolves and gathers the call, one
+        ledger write counts it (an unknown entity takes the walk).
         """
         rows = self.source.rows
         chaos = active_chaos() is not None
+        if not chaos:
+            try:
+                gathered = rows.slice(entities)
+            except FeatureStoreError:
+                pass  # the walk below raises at the unknown entity
+            else:
+                if len(gathered):
+                    self.counts.inc("serves", len(gathered))
+                return gathered
         picked: list[int] = []  # slots of the clean reads, in order
         recomputed: dict[int, np.ndarray] = {}  # position -> fallback row
         asked = 0

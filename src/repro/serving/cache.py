@@ -69,15 +69,9 @@ class PredictionCache:
         ``i``'s key — under one lock, in row order; returns each row's
         cached prediction, or None on a miss. Hits and misses are counted
         once per call."""
-        values = []
-        misses = 0
         with self._lock:
-            lookup = self._entries.get
-            for version, row_key in zip(versions, row_keys):
-                value = lookup((version, row_key))
-                if value is None:
-                    misses += 1
-                values.append(value)
+            values = self._entries.get_many(zip(versions, row_keys))
+            misses = values.count(None)
             if misses:
                 self.stats.inc("misses", misses)
             if misses < len(values):
@@ -91,9 +85,7 @@ class PredictionCache:
         row_keys[i])`` — under one lock, in row order (so LRU recency is
         the per-row walk's)."""
         with self._lock:
-            put = self._entries.put
-            for version, row_key, value in zip(versions, row_keys, values):
-                put((version, row_key), value)
+            self._entries.put_many(zip(versions, row_keys), values)
 
     def invalidate(self) -> int:
         """Drop every entry (any version); returns the count. Called on

@@ -45,6 +45,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -442,11 +443,11 @@ class ShardedServer:
         count = len(replicas)
         starts = rotations(self.seed, name, keys, count)
         live = [self._shards[sid].live for sid in replicas]
-        if starts and not any(live):  # the first row raises, unserved
+        if len(starts) and not any(live):  # the first row raises, unserved
             first = starts[0]
             raise NoLiveReplicaError(name, replicas[first:] + replicas[:first])
         table = np.zeros((2, count), np.intp)
-        for start in set(starts):
+        for start in range(count) if any(live) else ():
             skips = (live[start:] + live[:start]).index(True)
             serving = replicas[(start + skips) % count]
             table[:, start] = hosts.index(serving), skips
@@ -575,12 +576,10 @@ class ShardedServer:
             else None
         )
         # Fast path: a single-replica fleet with no quotas and no chaos
-        # is its one executor behind a ring lookup, so the call goes to
-        # that shard whole (its door converts and validates the batch),
-        # its error attributed and the call counted served. Nothing
-        # fails over, so the rest of `_serve_on` is zero here; going
-        # through it costs E26's 3 % bound on a 64-row call's
-        # fabric toll (EXPERIMENTS.md).
+        # hands its one shard the whole call (its door validates it), its
+        # error attributed and the call counted served. Nothing fails
+        # over, so the rest of `_serve_on` is zero here; going through it
+        # costs E26's 3 % bound on a 64-row call (EXPERIMENTS.md).
         shard = self._single.get(name)
         if (
             shard is not None
@@ -623,29 +622,33 @@ class ShardedServer:
 
         self.ledger.inc("requests", n)
         shed = [] if tenants is None else self._admit(name, tenants, on_shed)
-        admitted = np.delete(np.arange(n), shed) if shed else np.arange(n)
-        asked = [None if keys is None else keys[i] for i in admitted.tolist()]
+        admitted = np.delete(np.arange(n), shed) if shed else None
+        if keys is None:
+            asked = [None] * (n - len(shed))
+        else:
+            asked = [keys[i] for i in admitted] if shed else list(keys)
         hosts, shard, skips = self._place_call(name, asked, deadline_at)
         out = np.full(n, np.nan)  # a shed row stays NaN
-        # one stable sort groups the rows by shard, in shard order, each
-        # group in row order; its bounds are the running group sizes
-        order = np.argsort(shard, kind="stable")
-        ends = np.cumsum(np.bincount(shard, minlength=len(hosts))).tolist()
-        for sid, lo, hi in zip(hosts, [0] + ends, ends):
-            if lo == hi:
+        # one mask per host picks its rows, in row order, hosts in order
+        for host, sid in enumerate(hosts):
+            mask = shard == host
+            group = np.flatnonzero(mask)
+            if not len(group):
                 continue
-            group = order[lo:hi]
-            indices = admitted[group].tolist()
             skipped = skips[group]
-            out[indices] = self._serve_on(
+            if shed:  # `shard` runs over the admitted rows: widen it
+                group = admitted[group]
+                mask = np.bincount(group, minlength=n) > 0
+            picked = mask.tolist()
+            out[group] = self._serve_on(
                 sid,
                 "predict_many",
                 int(np.count_nonzero(skipped)),
                 int(skipped.sum()),
-                (tenants[i] for i in indices) if tenants is not None else (),
+                compress(tenants, picked) if tenants is not None else (),
                 name,
-                rows[indices],
-                [keys[i] for i in indices] if keys is not None else None,
+                rows[group],
+                list(compress(keys, picked)) if keys is not None else None,
                 deadline_ms,
                 deadline_at,
             )

@@ -12,9 +12,9 @@ quota gate) instead of a timing-dependent one.
 A tenant over its quota sheds *its own* overflow with a
 :class:`~repro.errors.LoadShedError` carrying ``reason="quota"`` and the
 tenant in its structured context; tenants within quota are unaffected.
-A call's rows are admitted once per tenant, not once per row: one
-refill and one take of whole tokens decide them all, which is the
-arithmetic the per-row decisions performed at one instant.
+A call's rows are admitted once per tenant, not once per row: per
+bucket, one clock read, refill and take of whole tokens decide them
+all — the arithmetic the per-row decisions performed at one instant.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ class TokenBucket:
             self._tokens -= taken
             return taken
 
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            self._refill(self._clock())
-            return self._tokens
-
 
 class AdmissionQuotas:
     """Tenant -> bucket map with an admitted/shed ledger.
@@ -132,26 +126,38 @@ class AdmissionQuotas:
 
     def admit_all(self, tenants: Sequence[object]) -> int | None:
         """Admit every metered row of a call or none of them — the
-        decision of a call that raises on a shed. Under one lock each
-        tenant's bucket is checked for its rows; if all hold, each
-        tenant's rows are one :meth:`admit` and ``None`` is returned.
-        Otherwise no bucket is charged, the first refused row (in row
-        order) counts one shed on its tenant's ledger row, and its index
-        is returned."""
+        decision of a call that raises on a shed. Under the quotas' lock
+        each metered bucket is refilled once and checked for its rows in
+        one hold of its own lock; if all hold, each takes them in that
+        hold (what one :meth:`admit` per tenant leaves) and ``None`` is
+        returned. Otherwise no bucket is charged, the first refused row
+        (in row order) counts one shed on its tenant, and its index is
+        returned."""
         wanted = Counter(tenants)
         wanted.pop(None, None)
+        held, refused = [], None  # (bucket, its rows) whose lock is taken
         with self._lock:
-            refused = None
-            for tenant, n in wanted.items():
-                bucket = self.bucket(tenant)
-                room = n if bucket is None else int(bucket.tokens)
-                if room < n:
-                    rows = [i for i, t in enumerate(tenants) if t == tenant]
-                    if refused is None or rows[room] < refused:
-                        refused = rows[room]
+            try:
+                for tenant, n in wanted.items():
+                    bucket = self._buckets.get(tenant)
+                    if bucket is None:
+                        continue
+                    bucket._lock.acquire()
+                    held.append((bucket, n))
+                    bucket._refill(bucket._clock())
+                    room = int(bucket._tokens)
+                    if room < n:
+                        rows = [i for i, t in enumerate(tenants) if t == tenant]
+                        if refused is None or rows[room] < refused:
+                            refused = rows[room]
+                for bucket, n in held if refused is None else ():
+                    bucket._tokens -= n
+            finally:
+                for bucket, _ in held:
+                    bucket._lock.release()
             if refused is None:
                 for tenant, n in wanted.items():
-                    self.admit(tenant, n)
+                    self.ledger.setdefault(tenant, [0, 0])[0] += n
             else:
                 self.ledger.setdefault(tenants[refused], [0, 0])[1] += 1
         return refused

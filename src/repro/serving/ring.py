@@ -7,7 +7,7 @@ shards, so placement must be:
 * **bit-reproducible** — CRC32 over explicit strings, never builtin
   ``hash`` (salted per interpreter), so every process routes every key
   alike, and a numpy scalar key as the Python value it holds
-  (:func:`key_token`);
+  (:func:`key_token`; a call's keys hash in C-level passes);
 * **minimally disruptive** — each node projects ``vnodes`` virtual
   points onto the ring, so adding or removing one of N nodes remaps
   only ~1/N of the key space (property-tested in
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -57,15 +58,22 @@ def rotation(seed: int, name: str, key: object, count: int) -> int:
     return placement_hash(seed, f"{name}|{key_token(key)}") % count
 
 
-def rotations(seed: int, name: str, keys, count: int) -> list[int]:
+def rotations(seed: int, name: str, keys: list, count: int) -> np.ndarray:
     """:func:`rotation` of each of a call's keys, bit for bit: the
-    ``"<seed>|<name>|"`` prefix is hashed once, then continued per key."""
+    ``"<seed>|<name>|"`` prefix is hashed once, then continued per key
+    in C-level ``map`` chains (a token is the key's ``repr`` unless the
+    call holds a numpy scalar)."""
+    starts = np.zeros(len(keys), np.intp)
+    if count == 1 or not keys:
+        return starts
     prefix = zlib.crc32(f"{seed}|{name}|".encode("utf-8"))
-    return [
-        0 if key is None or count == 1
-        else zlib.crc32(key_token(key).encode("utf-8"), prefix) % count
-        for key in keys
-    ]
+    numpy = any(issubclass(t, np.generic) for t in set(map(type, keys)))
+    tokens = map(key_token if numpy else repr, keys)
+    hashes = map(zlib.crc32, map(str.encode, tokens), repeat(prefix))
+    np.remainder(np.fromiter(hashes, np.int64, len(keys)), count, out=starts)
+    if None in keys:
+        starts[[key is None for key in keys]] = 0
+    return starts
 
 
 @dataclass(frozen=True)

@@ -385,7 +385,7 @@ class ModelServer:
                 values = [None] * n
             missing = values.count(None)
             missed = None  # the missed rows; None: every row
-            if missing < n:
+            if 0 < missing < n:
                 missed = [i for i, value in enumerate(values) if value is None]
             # (version, its missed rows): one unless a canary took some
             groups = [(stable.version, missed)] if missing else []

@@ -5,6 +5,7 @@ against a list-based oracle; the example tests below it are the buffer
 pool's former object-entry tests, moved with the code they exercise.
 """
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -110,6 +111,44 @@ TestCacheVsListOracle = CacheVsListOracle.TestCase
 TestCacheVsListOracle.settings = settings(
     max_examples=200, stateful_step_count=40, deadline=None
 )
+
+
+#: one batch operation on a cache: ("get", keys) or ("put", keys)
+_BATCHES = st.lists(
+    st.tuples(st.sampled_from(["get", "put"]), st.lists(KEYS, max_size=10)),
+    max_size=12,
+)
+
+
+class TestBatchedDoors:
+    @settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        budget=st.integers(1, 6), pinned=st.lists(KEYS, max_size=3),
+        batches=_BATCHES,
+    )
+    def test_a_batch_is_its_keys_walked_one_by_one(
+        self, budget, pinned, batches
+    ):
+        """``get_many`` returns what one ``get`` per key returns and
+        ``put_many`` stores what one ``put`` per pair stores (cost 1),
+        duplicates and pinned entries included: the same values, the
+        same recency order, residents, pins and evictions."""
+        batched, walked = _cache(budget), _cache(budget)
+        for cache in (batched, walked):
+            for key in pinned:
+                cache.put(key, -1, pin=True)
+        for serial, (op, keys) in enumerate(batches):
+            if op == "get":
+                assert batched.get_many(keys) == [walked.get(k) for k in keys]
+            else:
+                values = [(serial, i) for i in range(len(keys))]
+                batched.put_many(keys, values)
+                for key, value in zip(keys, values):
+                    walked.put(key, value)
+            assert batched.keys() == walked.keys()
+            assert batched.pinned() == walked.pinned()
+            assert batched.used == walked.used
+            assert batched.stats.evictions == walked.stats.evictions
 
 
 class TestBoundedCacheEntries:

@@ -166,6 +166,30 @@ class TestOnlineParity:
         with pytest.raises(FeatureStoreError):
             server.serve(10_000)
 
+    def test_a_call_without_a_plan_is_the_walk(self):
+        """With no chaos plan a call resolves and gathers its rows at
+        once: the bytes and serves of one ``serve`` per entity, and an
+        unknown entity still raises naming it, counting the serves up
+        to it and no further."""
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        entities = [3, 7, 3, 11]
+        one_call, walk = (
+            OnlineFeatureServer(view, offline, table) for _ in range(2)
+        )
+        assert one_call.serve_many(entities).tobytes() == np.stack(
+            [walk.serve(entity) for entity in entities]
+        ).tobytes()
+        for server in (one_call, walk):
+            with pytest.raises(FeatureStoreError, match="10000"):
+                if server is one_call:
+                    server.serve_many(entities + [10_000, 5])
+                for entity in entities + [10_000, 5]:
+                    server.serve(entity)
+        assert one_call.ledger() == walk.ledger()
+        assert one_call.ledger()["serves"] == 2 * len(entities) + 1
+
     @pytest.mark.parametrize("chaos_rate", [0.0, 0.5])
     def test_unknown_entity_mid_call_stops_where_the_walk_does(
         self, chaos_rate

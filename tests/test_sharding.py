@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -255,6 +256,12 @@ class TestHashRing:
 # ----------------------------------------------------------------------
 # Token buckets and tenant quotas
 # ----------------------------------------------------------------------
+def _tokens(bucket: TokenBucket) -> float:
+    """The bucket's tokens now: refilled to its clock, nothing taken."""
+    assert bucket.try_take(0) == 0
+    return bucket._tokens
+
+
 class TestQuotas:
     def test_burst_then_shed_exact(self):
         clock = FakeClock()
@@ -270,7 +277,7 @@ class TestQuotas:
         assert bucket.try_take()
         assert not bucket.try_take()
         clock.advance(10.0)  # refill caps at capacity
-        assert bucket.tokens == 2.0
+        assert _tokens(bucket) == 2.0
 
     def test_invalid_config(self):
         with pytest.raises(ServingError):
@@ -321,9 +328,61 @@ class TestQuotas:
                 clock.advance(gap)
             singles = sum(per_row.admit("t") for _ in range(n))
             assert per_call.admit("t", n) == singles
-            tokens = [q.bucket("t").tokens for q in (per_call, per_row)]
+            tokens = [_tokens(q.bucket("t")) for q in (per_call, per_row)]
             assert tokens[0] == tokens[1], tokens
             assert per_call.ledger == per_row.ledger
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_all_or_nothing_is_one_admit_per_tenant_or_nothing(self, data):
+        """``admit_all`` over calls of 1-8 tenants (some unmetered, some
+        rows untenanted, capacities that refuse): an admitted call
+        leaves every bucket's tokens (bitwise) and the ledger where one
+        ``admit(t, n)`` per tenant at the same instant leaves them; a
+        refused one returns the first row the per-row walk refuses,
+        charges no bucket and counts one shed on that row's tenant."""
+        tenants = [f"t{i}" for i in range(data.draw(st.integers(1, 8)))]
+        clocks = (FakeClock(), FakeClock())
+        whole, per_tenant = (AdmissionQuotas(clock=c) for c in clocks)
+        metered = data.draw(st.lists(
+            st.sampled_from(tenants), unique=True
+        ), "metered")
+        for tenant in metered:
+            capacity = data.draw(st.floats(0.25, 6.0), f"{tenant} capacity")
+            refill = data.draw(st.floats(0.0, 5.0), f"{tenant} refill")
+            for quotas in (whole, per_tenant):
+                quotas.set_quota(tenant, capacity, refill)
+        calls = data.draw(st.lists(st.tuples(
+            st.floats(0.0, 2.0),  # gap before the call
+            st.lists(st.sampled_from(tenants + [None]), max_size=16),
+        ), min_size=1, max_size=8), "calls")
+        for gap, rows in calls:
+            for clock in clocks:
+                clock.advance(gap)
+            # the per-row walk at this instant: a tenant's k-th row is
+            # admitted while k < its whole tokens (k from 0)
+            room = {t: int(_tokens(per_tenant.bucket(t))) for t in metered}
+            seen: dict = {}
+            walk_refuses = None
+            for i, tenant in enumerate(rows):
+                seen[tenant] = seen.get(tenant, 0) + 1
+                if seen[tenant] > room.get(tenant, len(rows)):
+                    walk_refuses = i
+                    break
+            refused = whole.admit_all(rows)
+            assert refused == walk_refuses, (rows, room)
+            if refused is None:
+                for tenant, n in Counter(rows).items():
+                    if tenant is not None:
+                        per_tenant.admit(tenant, n)
+            else:
+                per_tenant.ledger.setdefault(rows[refused], [0, 0])[1] += 1
+            for tenant in metered:
+                tokens = [
+                    _tokens(q.bucket(tenant)) for q in (whole, per_tenant)
+                ]
+                assert tokens[0].hex() == tokens[1].hex(), (tenant, tokens)
+            assert whole.ledger == per_tenant.ledger
 
     def test_all_or_nothing_check_and_take_are_one_step(self):
         """A rival ``admit`` that arrives while ``admit_all`` checks the
@@ -659,7 +718,7 @@ class TestTenantIsolation:
         assert stats["tenants"] == {refused: {"admitted": 0, "shed": 1}}
         assert stats["ledger"]["quota_shed"] == 1
         for tenant, tokens in capacity.items():
-            assert fabric.quotas.bucket(tenant).tokens == tokens
+            assert _tokens(fabric.quotas.bucket(tenant)) == tokens
         assert [shard["served"] for shard in stats["shards"].values()] == [
             0
         ] * 4
@@ -920,6 +979,23 @@ _ROTATION_KEYS = st.one_of(
     st.tuples(st.integers(-9, 9), st.text(max_size=3)),
 )
 
+#: strings whose ``repr`` is easy to encode wrong: NUL, both quotes, a
+#: backslash, non-ASCII and lone surrogates, alone and in tuples
+_AWKWARD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(
+            ["\x00", "'", '"', "\\", "\u00e9", "\ud800", "\udfff"]
+        ),
+        st.characters(exclude_categories=()),  # surrogates included
+    ),
+    max_size=6,
+)
+_AWKWARD_KEYS = st.one_of(
+    _AWKWARD_TEXT,
+    st.tuples(_AWKWARD_TEXT, _AWKWARD_TEXT),
+    st.tuples(_AWKWARD_TEXT, st.integers(-9, 9), st.none()),
+)
+
 
 class TestCallPlacement:
     @settings(max_examples=100, deadline=None)
@@ -927,7 +1003,7 @@ class TestCallPlacement:
         seed=st.integers(0, 2**31),
         name=st.text(max_size=8),
         count=st.integers(1, 4),
-        keys=st.lists(_ROTATION_KEYS, max_size=12),
+        keys=st.lists(st.one_of(_ROTATION_KEYS, _AWKWARD_KEYS), max_size=12),
     )
     def test_call_rotations_are_the_placement_hash(
         self, seed, name, count, keys
@@ -935,13 +1011,15 @@ class TestCallPlacement:
         """The call's prefix-continued CRC32 is, key by key, bitwise the
         one placement hash of the whole ``"<name>|<token>"`` string, and
         the single-key ``rotation`` agrees; ``None`` and one replica
-        stay home."""
+        stay home. Awkward strings (NUL, quotes, non-ASCII, lone
+        surrogates) and tuples of them hash as their own tokens, so no
+        batched encoding may join, split or re-escape them."""
         expected = [
             0 if key is None or count == 1
             else placement_hash(seed, f"{name}|{key_token(key)}") % count
             for key in keys
         ]
-        assert rotations(seed, name, keys, count) == expected
+        assert rotations(seed, name, keys, count).tolist() == expected
         assert [rotation(seed, name, key, count) for key in keys] == expected
 
     @settings(max_examples=40, deadline=None)
