@@ -62,6 +62,13 @@ class ModelRegistry:
     DEPLOYED_ALIAS = "prod"
 
     def __init__(self) -> None:
+        # Neither dict takes a lock, though serving threads `resolve`
+        # while a promote writes an alias. That is safe only while one
+        # thread writes (register, set_alias, drop_alias) and readers
+        # only look up, each lookup a single dict or list read that is
+        # atomic under the GIL. `resolve` checks an alias and then reads
+        # it, so a `drop_alias` of that alias in between would surface as
+        # a KeyError; a second writing thread needs a lock here.
         self._models: dict[str, list[ModelVersion]] = {}
         # name -> alias -> version; the "prod" alias is the deployed pointer
         self._aliases: dict[str, dict[str, int]] = {}

@@ -579,7 +579,7 @@ class ShardedServer:
         # hands its one shard the whole call (its door validates it), its
         # error attributed and the call counted served. Nothing fails
         # over, so the rest of `_serve_on` is zero here; going through it
-        # costs E26's 3 % bound on a 64-row call (EXPERIMENTS.md).
+        # costs E26's 3 % bound on a 64-row call (EXPERIMENTS.md, E26).
         shard = self._single.get(name)
         if (
             shard is not None
