@@ -32,6 +32,15 @@ artifact CI uploads.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, as benchmarks/e2e/run.py sets: multithreaded OpenBLAS
+# stalls intermittently on small boxes and turns E1's millisecond fits
+# into 100 ms ones. Must precede the first numpy import.
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import importlib
 import sys
@@ -95,6 +104,7 @@ def main(argv: list[str]) -> int:
                 "schema": "repro.obs/report-bundle/v1",
                 "meta": {
                     **harness.bench_metadata("run_experiments"),
+                    "blas_threads": {v: os.environ.get(v) for v in _BLAS_VARS},
                     "tracing": obs.tracing_enabled(),
                     "experiments_run": requested,
                 },

@@ -20,6 +20,8 @@ staleness. Both paths keep their rows in one :class:`FeatureRows`.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from ..errors import FeatureStoreError
@@ -31,29 +33,95 @@ from ..storage.table import Table
 from .view import FeatureView
 
 
+class _Slots:
+    """Entity -> slot. Integer keys are direct-addressed: ``where[e]`` is
+    ``e``'s slot, ``-1`` where it has none (the last entry always, so a
+    key past the end or below zero reads it), and a batch moves as one
+    gather or scatter. Other keys live in the dict ``keys``; so do
+    integer keys once one is negative or ``where`` would grow 16x
+    sparser than the rows (it costs 8 bytes a key, a dict ~104 a row)."""
+
+    def __init__(self, integer: bool) -> None:
+        self.where = np.full(1, -1) if integer else None
+        self.keys: dict = {}
+
+    def __getitem__(self, entity) -> int:
+        if self.where is None:
+            return self.keys[entity]
+        try:
+            slot = self.where.item(entity) if entity >= 0 else -1
+        except (TypeError, IndexError, OverflowError):  # not a stored int
+            slot = -1
+        if slot < 0:
+            raise KeyError(entity)
+        return slot
+
+    def lookup(self, entities) -> np.ndarray:
+        """Each entity's slot, ``-1`` where it has none."""
+        if self.where is None:
+            return np.fromiter(
+                map(self.keys.get, entities, repeat(-1)), np.int64,
+                len(entities),
+            )
+        keys = np.asarray(entities)
+        if keys.dtype.kind not in "iu":
+            return np.full(len(keys), -1)
+        # as unsigned, a negative key lies past the end too
+        end = len(self.where) - 1
+        return self.where[np.minimum(keys.astype(np.uint64), end)]
+
+    def bind(self, entities: np.ndarray, slots: np.ndarray, rows: int) -> None:
+        """Give ``entities`` their ``slots``; ``rows`` live rows after."""
+        if self.where is not None and len(entities):
+            self._fit(int(entities.min()), int(entities.max()), rows)
+        if self.where is None:
+            self.keys.update(zip(entities.tolist(), slots.tolist()))
+        else:
+            self.where[entities] = slots
+
+    def _fit(self, low: int, top: int, rows: int) -> None:
+        """Make ``where`` reach ``top``, or move every key to the dict."""
+        if low >= 0 and top < len(self.where) - 1:
+            return
+        if low < 0 or top >= 16 * rows + 2**16:
+            live = np.flatnonzero(self.where >= 0)
+            slots = self.where[live]
+            self.keys = dict(zip(live.tolist(), slots.tolist()))
+            self.where = None
+        else:
+            grown = np.full((top + 2) * 3 // 2, -1)
+            grown[: len(self.where)] = self.where
+            self.where = grown
+
+    def unbind(self, entities: np.ndarray) -> None:
+        if self.where is not None:
+            self.where[entities] = -1
+            return
+        for entity in entities.tolist():
+            del self.keys[entity]
+
+
 class FeatureRows:
-    """Entity -> feature row of one view: an entity -> slot dict over one
-    ``(capacity, F)`` float64 matrix, freed slots reused. ``put``,
-    ``drop`` and ``fold`` move a batch's slots in bulk dict, set and list
-    operations (no per-entity Python); a refused batch moves none.
+    """Entity -> feature row of one view: an entity -> slot map over one
+    ``(capacity, F)`` float64 matrix, freed slots reused. Integer keys
+    are direct-addressed in an array, any other key lives in a dict
+    (:class:`_Slots`); either way a batch's slots move in bulk.
 
     A :class:`MaterializedFeatures` fills it once; a
     :class:`FeatureViewMaintainer` keeps it fresh as its delta-maintained
-    state (``rebuild`` / ``fold`` / ``same_bytes``, see
+    state (``rebuild`` / ``fold(delta)`` / ``same_bytes``, see
     :class:`~repro.incremental.DeltaConsumer`). Every accessor hands
     back copies, so callers can never mutate the stored bytes.
     """
 
     def __init__(self, view: FeatureView):
         self.view = view
-        self._slots: dict = {}
-        self._free: list[int] = []
+        self._slots = _Slots(integer=False)
+        self._free = np.empty(0, np.int64)  # a stack: its top goes first
         self._data = np.empty((0, len(view.feature_names)))
-        # row ids the last -1 batch released (see fold)
-        self._released: frozenset = frozenset()
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self.capacity - len(self._free)
 
     @property
     def capacity(self) -> int:
@@ -61,49 +129,12 @@ class FeatureRows:
         return len(self._data)
 
     # -- storage ---------------------------------------------------------
-    def load(self, entities: list, rows: np.ndarray) -> None:
+    def load(self, entities: np.ndarray, rows: np.ndarray) -> None:
         """Replace the contents: ``rows[i]`` is ``entities[i]``'s row."""
+        self._slots = _Slots(integer=entities.dtype.kind in "iu")
+        self._slots.bind(entities, np.arange(len(entities)), len(entities))
+        self._free = np.empty(0, np.int64)
         self._data = rows
-        self._slots = dict(zip(entities, range(len(entities))))
-        self._free = []
-
-    def put(self, entities: list, rows: np.ndarray) -> None:
-        """Store one row per new entity, in freed slots first."""
-        self._check_batch(entities, stored=False)
-        short = len(entities) - len(self._free)
-        if short > 0:
-            start = self.capacity
-            grown = start + max(short, start // 8)
-            self._data = np.concatenate(
-                [self._data, np.empty((grown - start, self._data.shape[1]))]
-            )
-            self._free.extend(range(grown - 1, start - 1, -1))
-        cut = len(self._free) - len(entities)
-        slots = self._free[cut:][::-1]  # a stack: its top slot goes first
-        del self._free[cut:]
-        self._data[slots] = rows
-        self._slots.update(zip(entities, slots))
-
-    def drop(self, entities: list) -> None:
-        """Release the entities' slots for reuse."""
-        self._check_batch(entities, stored=True)
-        self._free.extend(map(self._slots.pop, entities))
-
-    def _check_batch(self, entities: list, stored: bool) -> None:
-        """Raise, before any slot moves, on a batch naming an entity
-        twice or naming one whose row's presence is not ``stored``."""
-        unique, keys = set(entities), self._slots.keys()
-        if len(unique) == len(entities) and (
-            keys >= unique if stored else keys.isdisjoint(unique)
-        ):
-            return
-        seen = set()
-        for entity in entities:
-            if entity in seen or (entity in keys) != stored:
-                raise self._missing(entity) if stored else FeatureStoreError(
-                    f"duplicate entity {entity!r} in view {self.view.name!r}"
-                )
-            seen.add(entity)
 
     def _missing(self, entity) -> FeatureStoreError:
         return FeatureStoreError(
@@ -122,26 +153,34 @@ class FeatureRows:
         """One entity's features, in declaration order (a copy)."""
         return self._data[self.slot(entity)].copy()
 
-    def take(self, slots: list[int]) -> np.ndarray:
+    def take(self, slots) -> np.ndarray:
         """The rows at ``slots``, in that order, as one fresh
         ``(len(slots), F)`` array — a single ``ndarray.take`` gather."""
         return self._data.take(slots, axis=0)
 
     def slice(self, entities) -> np.ndarray:
-        """A (len(entities), F) matrix in the requested entity order."""
-        try:
-            return self.take([self._slots[e] for e in entities])
-        except KeyError as exc:
-            raise self._missing(exc.args[0]) from None
+        """A (len(entities), F) matrix in the requested entity order. One
+        entity reads through :meth:`slot` (no array round trip), and so
+        does a batch with an entity without a row, to raise at it."""
+        if len(entities) == 1:
+            (entity,) = entities
+            at = self.slot(entity)
+            return self._data[at : at + 1].copy()
+        slots = self._slots.lookup(entities)
+        if (slots < 0).any():
+            return self.take([self.slot(entity) for entity in entities])
+        return self.take(slots)
 
     def matrix(self) -> np.ndarray:
-        """All rows, in the order their entities were stored (a copy)."""
-        return self._data[list(self._slots.values())]
+        """All rows, in slot order (at first, a load's order; a copy)."""
+        return np.delete(self._data, self._free, axis=0)
 
     # -- delta-maintained state ------------------------------------------
-    def _computed(self, table: Table) -> tuple[list, np.ndarray]:
+    def _computed(self, table: Table | None) -> tuple[np.ndarray, np.ndarray]:
+        if table is None:
+            return np.empty(0, np.int64), self._data[:0]
         return (
-            self.view.entities_of(table).tolist(),
+            self.view.entities_of(table),
             self.view.as_matrix(self.view.compute_columns(table)),
         )
 
@@ -150,24 +189,54 @@ class FeatureRows:
         self.load(*self._computed(table))
         return self
 
-    def fold(self, row_ids, rows: Table, sign: int) -> int:
-        """Release (``-1``) the batch's entities, or store (``+1``)
-        their recomputed rows. The state is keyed, so a delta counts
-        each key once: the ``+1`` half of an update rewrites the keys
-        its ``-1`` half just released and counts none of them."""
-        if sign < 0:
-            self.drop(self.view.entities_of(rows).tolist())
-            self._released = frozenset(row_ids)
-            return len(row_ids)
-        self.put(*self._computed(rows))
-        released, self._released = self._released, frozenset()
-        return len(row_ids) - len(released.intersection(row_ids))
+    def fold(self, delta) -> int:
+        """Apply one delta, checked whole before any slot moves: the
+        entities of ``delta.old_rows`` release their slots and those of
+        ``delta.rows`` store their recomputed rows. An entity in both
+        keeps its slot, its row rewritten there; any other takes a freed
+        slot. The store is keyed, so each row id counts once."""
+        came, rows = self._computed(delta.rows)
+        gone = came[:0] if delta.old_rows is None else (
+            self.view.entities_of(delta.old_rows)
+        )
+        was, now = self._slots.lookup(gone), self._slots.lookup(came)
+        if (was < 0).any():
+            raise self._missing(gone[was < 0].tolist()[0])
+        kept = now >= 0
+        released = np.zeros(self.capacity, dtype=bool)
+        released[was] = True
+        stays = ~released[now[kept]]
+        if stays.any():
+            raise FeatureStoreError(
+                f"duplicate entity {came[kept][stays].tolist()[0]!r} "
+                f"in view {self.view.name!r}"
+            )
+        released[now[kept]] = False  # a kept entity keeps its slot
+        leaving = released[was]
+        self._slots.unbind(gone[leaving])
+        fresh = came[~kept]
+        free = np.concatenate([self._free, was[leaving]])
+        short = len(fresh) - len(free)
+        if short > 0:
+            start = self.capacity
+            grown = start + max(short, start // 8)
+            self._data = np.concatenate(
+                [self._data, np.empty((grown - start, self._data.shape[1]))]
+            )
+            free = np.concatenate([free, np.arange(grown - 1, start - 1, -1)])
+        cut = len(free) - len(fresh)
+        slots, self._free = free[cut:][::-1], free[:cut]
+        self._data[now[kept]] = rows[kept]
+        self._data[slots] = rows[~kept]
+        self._slots.bind(fresh, slots, len(self))
+        return len(delta.row_ids)
 
     def same_bytes(self, table: Table) -> bool:
         entities, fresh = self._computed(table)
+        slots = self._slots.lookup(entities)
         return (
-            set(entities) == self._slots.keys()
-            and self.slice(entities).tobytes() == fresh.tobytes()
+            len(entities) == len(self) and not (slots < 0).any()
+            and self.take(slots).tobytes() == fresh.tobytes()
         )
 
 
@@ -192,7 +261,7 @@ class MaterializedFeatures:
         self.columns = columns
         self.from_cache = from_cache
         self.rows = FeatureRows(view)
-        self.rows.load(entities.tolist(), view.as_matrix(columns))
+        self.rows.load(entities, view.as_matrix(columns))
 
     def row(self, entity) -> np.ndarray:
         """One entity's features, in declaration order (a copy)."""

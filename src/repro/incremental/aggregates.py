@@ -10,8 +10,8 @@ refresh.
 The state here and the feature store's
 :class:`~repro.features.store.FeatureRows` are what a
 :class:`~repro.incremental.DeltaConsumer` maintains: ``rebuild(table)``
-recomputes from the base table (the lineage path),
-``fold(row_ids, rows, sign)`` adds (``+1``) or subtracts (``-1``) one
+recomputes from the base table (the lineage path), ``fold(delta)``
+folds a delta's new rows at ``+1`` and old rows at ``-1`` as one signed
 batch and returns the rows it counted, and ``same_bytes(table)`` is
 bitwise parity against a fresh rebuild.
 
@@ -103,26 +103,35 @@ class GramCofactorState:
         """Full recomputation from a base table (the lineage path)."""
         for acc in self._hi + self._comp:
             acc[...] = 0.0
-        self.n_rows = 0
-        self._accumulate(table, 1)
+        batch = Moments.of(
+            table.to_matrix(self.features),
+            table.column(self.label).astype(np.float64),
+        )
+        self._add((batch.gram, batch.xty, batch.yty))
+        self.n_rows = batch.n
         return self
 
-    def fold(self, row_ids: Sequence[int], rows: Table, sign: int) -> int:
-        """Add (``sign=1``) or subtract (``-1``) a batch's contribution;
-        every row is counted (the aggregates are unkeyed)."""
-        return self._accumulate(rows, sign)
-
-    def _accumulate(self, rows: Table, sign: int) -> int:
-        batch = Moments.of(
-            rows.to_matrix(self.features),
-            rows.column(self.label).astype(np.float64),
+    def fold(self, delta) -> int:
+        """Add ``delta.rows`` and subtract ``delta.old_rows`` as one
+        stacked signed product ``[X_new; X_old]' diag(+1, -1) [X_new;
+        X_old]`` (on grid data the bits of the two folds in sequence).
+        Every row of both halves is counted: the aggregates are unkeyed."""
+        X, y, signs = (
+            np.concatenate(part) for part in zip(*(
+                (t.to_matrix(self.features), t.column(self.label),
+                 np.full(t.num_rows, sign))
+                for t, sign in ((delta.rows, 1.0), (delta.old_rows, -1.0))
+                if t is not None
+            ))
         )
-        for hi, comp, term in zip(
-            self._hi, self._comp, (batch.gram, batch.xty, batch.yty)
-        ):
-            _neumaier_fold(hi, comp, sign * np.asarray(term))
-        self.n_rows += sign * batch.n
-        return batch.n
+        signed = X * signs[:, None]
+        self._add((signed.T @ X, signed.T @ y, signs * y @ y))
+        self.n_rows += int(signs.sum())
+        return len(y)
+
+    def _add(self, terms) -> None:
+        for hi, comp, term in zip(self._hi, self._comp, terms):
+            _neumaier_fold(hi, comp, np.asarray(term))
 
     # ------------------------------------------------------------------
     def moments(self) -> Moments:

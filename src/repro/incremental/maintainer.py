@@ -12,10 +12,11 @@ blockstore and materialization store use. A fault can cost time; it can
 never leave silently stale state.
 
 The derived state is a list of *states* with one duck-typed surface —
-``rebuild(table)``, ``fold(row_ids, rows, sign) -> rows counted`` and
-``same_bytes(table)`` — so a delta is applied the same way whatever it
-maintains: ``old_rows`` subtracted, then ``rows`` added (an update is
-the two in sequence; no state sees the delta's kind).
+``rebuild(table)``, ``fold(delta) -> rows counted`` and
+``same_bytes(table)``. A state folds a whole verified delta as one
+batch, checked before anything changes, and decides itself how
+``old_rows`` and ``rows`` combine: one signed pass for an aggregate, an
+in-place rewrite of an updated key's row for a keyed row store.
 
 :class:`IncrementalMaintainer` is the ML-aggregate consumer
 (gram/cofactor, the F-IVM workload); the feature store's
@@ -104,23 +105,10 @@ class DeltaConsumer:
             self.stats.inc("corrupt_deltas")
             self._recompute("checksum mismatch")
             return
-        self.stats.inc("rows_folded", self._fold(delta))
+        # the delta's rows are counted once, as the first state counts them
+        self.stats.inc("rows_folded", [s.fold(delta) for s in self.states][0])
         self.applied_version = delta.version
         self.stats.inc("deltas_applied")
-
-    def _fold(self, delta: Delta) -> int:
-        """One verified, in-order delta as signed batches: ``old_rows``
-        at -1, then ``rows`` at +1, through every state. A batch is
-        counted once, as the first state counts it."""
-        folded = 0
-        for rows, sign in ((delta.old_rows, -1), (delta.rows, 1)):
-            if rows is not None:
-                counted = [
-                    state.fold(delta.row_ids, rows, sign)
-                    for state in self.states
-                ]
-                folded += counted[0]
-        return folded
 
     def _rebuild(self) -> None:
         """Recompute every state from the base table, chaos held off so

@@ -33,13 +33,13 @@ from ..storage.table import Table, _as_column_array
 def _payload_crc(
     kind: str,
     version: int,
-    row_ids: tuple[int, ...],
+    row_ids: np.ndarray,
     rows: Table | None,
     old_rows: Table | None,
 ) -> int:
     """CRC32 over everything a delta's consumer will fold."""
     crc = zlib.crc32(f"{kind}:{version}".encode("utf-8"))
-    crc = zlib.crc32(np.asarray(row_ids, dtype=np.int64).tobytes(), crc)
+    crc = zlib.crc32(row_ids.tobytes(), crc)
     for table in (rows, old_rows):
         if table is None:
             crc = zlib.crc32(b"<none>", crc)
@@ -53,7 +53,7 @@ def _payload_crc(
     return crc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Delta:
     """One typed change to a dynamic table.
 
@@ -62,7 +62,8 @@ class Delta:
         version: the table version *after* this delta applied — versions
             are consecutive, so a consumer that sees a gap knows a delta
             was dropped in transit.
-        row_ids: stable row identities (never reused) the delta touches.
+        row_ids: stable row identities (never reused) the delta touches,
+            one read-only ``int64`` array in the caller's order.
         rows: new row values (insert/update), aligned with ``row_ids``.
         old_rows: prior row values (delete/update), aligned with
             ``row_ids`` — what an incremental aggregate must subtract.
@@ -71,7 +72,7 @@ class Delta:
 
     kind: str
     version: int
-    row_ids: tuple[int, ...]
+    row_ids: np.ndarray
     rows: Table | None
     old_rows: Table | None
     checksum: int
@@ -95,8 +96,8 @@ class Delta:
         source = self.rows if self.rows is not None else self.old_rows
         if source is None or source.num_rows == 0:
             # No payload bytes to flip: corrupt the identity list instead.
-            bad_ids = tuple(i + 1 for i in self.row_ids) or (0,)
-            return replace(self, row_ids=bad_ids)
+            bad_ids = self.row_ids + 1 if self.row_ids.size else np.zeros(1)
+            return replace(self, row_ids=bad_ids.astype(np.int64))
         name = source.schema.names[0]
         arr = source.column(name).copy()
         if arr.dtype == object:
@@ -302,8 +303,12 @@ class DynamicTable(Table):
         return rows
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Live slots of ``ids`` (caller order) in O(|ids| log n)."""
-        slots = np.searchsorted(self._ids[: self._used], ids)
+        """Live slots of ``ids`` (caller order) in O(|ids| log n), searched
+        in ascending order: the one sort also finds a repeated id."""
+        order = np.argsort(ids)
+        ordered = ids[order]
+        slots = np.empty_like(ids)
+        slots[order] = np.searchsorted(self._ids[: self._used], ordered)
         present = slots < self._used
         hit = slots[present]
         present[present] = (self._ids[hit] == ids[present]) & self._live[hit]
@@ -312,11 +317,10 @@ class DynamicTable(Table):
                 f"row id {int(ids[~present][0])} not present in table "
                 f"{self.name!r}"
             )
-        ordered = np.sort(slots)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise IncrementalError(
-                f"row id {int(self._ids[repeated[0]])} repeated in one "
+                f"row id {int(repeated[0])} repeated in one "
                 f"mutation of table {self.name!r}"
             )
         return slots
@@ -330,10 +334,10 @@ class DynamicTable(Table):
     ) -> Delta:
         self.version += 1
         self._read = None
-        row_ids = tuple(ids.tolist())
+        ids.flags.writeable = False
         delta = Delta(
-            kind, self.version, row_ids, rows, old_rows,
-            checksum=_payload_crc(kind, self.version, row_ids, rows, old_rows),
+            kind, self.version, ids, rows, old_rows,
+            checksum=_payload_crc(kind, self.version, ids, rows, old_rows),
         )
         for stream in self._streams:
             stream.publish(delta)

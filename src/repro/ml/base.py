@@ -8,6 +8,7 @@ model-selection layer (:mod:`repro.selection`) enumerates over.
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 from typing import Any
 
@@ -29,13 +30,16 @@ class Estimator:
     # Hyperparameter protocol
     # ------------------------------------------------------------------
     @classmethod
-    def _param_names(cls) -> list[str]:
+    @functools.cache
+    def _param_names(cls) -> tuple[str, ...]:
+        """The ``__init__`` parameters, read once per class
+        (``inspect.signature`` costs more than a whole ``get_params``)."""
         sig = inspect.signature(cls.__init__)
-        return [
+        return tuple(
             p.name
             for p in sig.parameters.values()
             if p.name != "self" and p.kind == p.POSITIONAL_OR_KEYWORD
-        ]
+        )
 
     def get_params(self) -> dict[str, Any]:
         """Current hyperparameter values."""

@@ -32,6 +32,27 @@ class TestParamProtocol:
         assert not clone.is_fitted
         assert model.is_fitted
 
+    def test_param_names_are_read_once_per_class(self):
+        """The names are memoized per class: a caller's edit of one
+        ``get_params()`` result reaches neither the next call nor the
+        names, and a subclass with its own ``__init__`` has its own."""
+        model = LinearRegression(l2=0.5)
+        params = model.get_params()
+        params["l2"] = 9.0
+        del params["solver"]
+        assert model.get_params()["l2"] == 0.5
+        assert "solver" in model.get_params()
+        assert LinearRegression._param_names() is model._param_names()
+
+        class Narrow(LinearRegression):
+            def __init__(self, l2=0.0, tag="x"):
+                super().__init__(l2=l2)
+                self.tag = tag
+
+        assert Narrow._param_names() == ("l2", "tag")
+        assert Narrow(tag="y").get_params() == {"l2": 0.0, "tag": "y"}
+        assert "tag" not in LinearRegression._param_names()
+
     def test_clone_params_are_deep_copied(self):
         model = LinearRegression(l2=0.1)
         clone = model.clone()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,13 @@ from repro.features import (
     OnlineFeatureServer,
 )
 from repro.features.store import FeatureRows
-from repro.incremental import DynamicTable
+from repro.incremental import (
+    Delta,
+    DynamicTable,
+    GramCofactorState,
+    IncrementalMaintainer,
+    snap_to_grid,
+)
 from repro.lang.dsl import exp as rexp
 from repro.lang.dsl import sqrt as rsqrt
 from repro.lifecycle import ModelRegistry
@@ -443,35 +451,158 @@ def row_store_state(rows):
     return len(rows), rows.capacity, rows.matrix().tobytes()
 
 
+def store_bytes(rows):
+    """The bytes of the store's slot map, free stack and row matrix."""
+    names = ("_slots", "_free", "_data")
+    return [pickle.dumps(getattr(rows, name)) for name in names]
+
+
+def delta_of(kind, rows=None, old_rows=None):
+    """A hand-built delta, as a state's ``fold`` receives it."""
+    n = (rows if rows is not None else old_rows).num_rows
+    return Delta(kind, 1, np.arange(n), rows, old_rows, checksum=0)
+
+
 class TestRowStoreRefusals:
-    """A refused ``put`` or ``drop`` names the entity and moves no slot."""
+    """A refused delta names the entity and moves no slot."""
 
     def test_refused_drop_leaves_the_store_untouched(self):
         _, _, maint = make_maintained()
         rows = maint.rows
         before = row_store_state(rows)
-        for batch, named in (([3, 4, 10_000, 5], "10000"), ([6, 7, 6], "6")):
+        for batch, named in (
+            ([3, 4, 10_000, 5], "10000"), ([6, 7, 6], "duplicate")
+        ):
             with pytest.raises(FeatureStoreError, match=named):
-                rows.drop(batch)
+                rows.fold(delta_of("delete", old_rows=keyed_table(batch)))
             assert row_store_state(rows) == before
         assert maint.parity()
 
     def test_refused_put_leaves_the_store_untouched(self):
-        _, view, maint = make_maintained()
+        _, _, maint = make_maintained()
         rows = maint.rows
         before = row_store_state(rows)
         batch = new_rows(900, 3, seed=4).with_column("entity", [900, 12, 901])
         with pytest.raises(FeatureStoreError, match="duplicate entity 12"):
-            rows.put(view.entities_of(batch).tolist(),
-                     view.as_matrix(view.compute_columns(batch)))
+            rows.fold(delta_of("insert", batch))
         assert row_store_state(rows) == before
-        with pytest.raises(FeatureStoreError, match="duplicate entity 12"):
-            rows.fold((900, 901, 902), batch, 1)
-        assert row_store_state(rows) == before
-        with pytest.raises(FeatureStoreError, match="duplicate entity 950"):
-            rows.put([950, 951, 950], np.zeros((3, len(view.feature_names))))
+        with pytest.raises(FeatureStoreError, match="duplicate"):
+            rows.fold(delta_of("insert", keyed_table([950, 951, 950])))
         assert row_store_state(rows) == before
         assert maint.parity()
+
+    @pytest.mark.parametrize("keys", [
+        np.arange(10),
+        np.arange(10) * 1.5,
+        np.array([f"e{i}" for i in range(10)], dtype=object),
+    ])
+    def test_refused_update_moves_nothing(self, keys):
+        """An update that would give a kept entity's key to another row
+        is refused whole: the row it would release stays."""
+        dyn = DynamicTable.from_table(keyed_table(keys), "orders")
+        maint = FeatureViewMaintainer(standard_view(), dyn, dyn.subscribe())
+        before = store_bytes(maint.rows)
+        dyn.update([0], keyed_table(keys[5:6]))
+        refused = f"duplicate entity {keys[5:6].tolist()[0]!r}"
+        with pytest.raises(FeatureStoreError, match=refused):
+            maint.drain()
+        assert store_bytes(maint.rows) == before
+        assert maint.applied_version == 0
+        assert maint.row(keys[0]).tobytes() == maint.rows.take([0]).tobytes()
+
+
+GRID_FEATURES = ["x0", "x1", "x2"]
+
+
+def grid_rows(keys, seed):
+    """Rows keyed by ``keys`` whose features and label sit on the
+    exact-arithmetic grid, so folded Gram moments must equal a rebuild's
+    bits."""
+    X = snap_to_grid(np.random.default_rng(seed).normal(size=(len(keys), 3)))
+    return Table.from_columns(
+        {"entity": keys}
+        | {c: X[:, j] for j, c in enumerate(GRID_FEATURES)}
+        | {"y": snap_to_grid(X.sum(axis=1))}
+    )
+
+
+#: (kind, rows, seed): an update keeps its keys, moves its first key to
+#: a fresh entity, or swaps its first two keys
+fold_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "keep", "move", "swap"]),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestFoldContract:
+    """Both maintainers fold one schedule off one table, each delta whole
+    (``fold(delta)``); after every drain their state is a rebuild's, the
+    rows are what ``materialize`` gives, and ``rows_folded`` is the
+    closed form: one per row id for the keyed view, both halves of an
+    update for the unkeyed aggregates."""
+
+    @pytest.mark.parametrize("key", [int, str])
+    @given(schedule=fold_ops)
+    @settings(max_examples=25, deadline=None)
+    def test_every_drain_equals_a_rebuild(self, key, schedule):
+        def names(start, count):
+            ids = range(start, start + count)
+            return np.arange(start, start + count) if key is int else [
+                f"e{i}" for i in ids
+            ]
+
+        dyn = DynamicTable.from_table(grid_rows(names(0, 12), 0), "events")
+        view = FeatureView("events", "entity", {
+            "cross": lambda c: c.x0 * c.x1,
+            "shifted": lambda c: c.x2 + 1.0,
+        })
+        model = IncrementalMaintainer(dyn, dyn.subscribe(), GRID_FEATURES, "y")
+        refresh = FeatureViewMaintainer(view, dyn, dyn.subscribe())
+        assert (refresh.rows._slots.where is None) == (key is str)
+        next_entity, folded = 12, {"insert": 0, "delete": 0, "update": 0}
+        for kind, size, seed in schedule:
+            rng = np.random.default_rng(seed)
+            if kind == "insert" or dyn.num_rows <= size + 1:
+                dyn.insert(grid_rows(names(next_entity, size), seed))
+                next_entity += size
+                kind = "insert"
+            elif kind == "delete":
+                dyn.delete(rng.choice(dyn.row_ids, size=size, replace=False))
+            else:
+                picks = rng.choice(dyn.row_ids, size=size, replace=False)
+                at = np.searchsorted(dyn.row_ids, picks)
+                keys = dyn.column("entity")[at]
+                if kind == "move":
+                    keys[0] = names(next_entity, 1)[0]
+                    next_entity += 1
+                elif kind == "swap" and size > 1:
+                    keys[[0, 1]] = keys[[1, 0]]
+                dyn.update(picks, grid_rows(keys, seed))
+                kind = "update"
+            folded[kind] += size
+            model.drain()
+            refresh.drain()
+            assert model.parity() and refresh.parity()
+            snap = dyn.snapshot()
+            entities = snap.column("entity").tolist()
+            offline = FeatureStore().materialize(view, snap)
+            assert len(refresh.rows) == len(entities)
+            assert (refresh.rows.slice(entities).tobytes()
+                    == offline.slice(entities).tobytes())
+            kept = model.gram_state.moments()
+            fresh = GramCofactorState(GRID_FEATURES, "y").rebuild(snap)
+            fresh = fresh.moments()
+            for a, b in zip(vars(kept).values(), vars(fresh).values()):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert refresh.stats.rows_folded == sum(folded.values())
+            assert model.stats.rows_folded == (
+                sum(folded.values()) + folded["update"]
+            )
 
 
 def keyed_table(keys):
@@ -506,7 +637,7 @@ class TestEntityUniqueness:
             FeatureRows(view).rebuild(table)
         rows = FeatureRows(view).rebuild(keyed_table([100, 101]))
         with pytest.raises(FeatureStoreError, match="duplicate"):
-            rows.fold((7, 8, 9), table, 1)
+            rows.fold(delta_of("insert", table))
         assert len(rows) == 2
 
     @pytest.mark.parametrize("keys", [["b", "a", "c"], [0.5, 1.0, 2.0]])
@@ -516,7 +647,7 @@ class TestEntityUniqueness:
         offline = FeatureStore().materialize(view, table)
         matrix = view.as_matrix(view.compute_columns(table))
         rows = FeatureRows(view).rebuild(keyed_table(keys[:1]))
-        rows.fold((1, 2), table.take(np.arange(1, 3)), 1)
+        rows.fold(delta_of("insert", table.take(np.arange(1, 3))))
         for i, key in enumerate(keys):
             assert offline.row(key).tobytes() == matrix[i].tobytes()
             assert rows.row(key).tobytes() == matrix[i].tobytes()
@@ -525,6 +656,33 @@ class TestEntityUniqueness:
     def test_one_nan_key_is_unique(self):
         table = keyed_table([np.nan, 1.0, 2.0])
         assert standard_view().entities_of(table) is table.column("entity")
+
+
+class TestIntegerSlots:
+    """Integer keys are direct-addressed, and read like the dict they
+    replaced: an absent or non-integer key has no row."""
+
+    def test_reads_match_a_dict(self):
+        rows = FeatureRows(standard_view()).rebuild(keyed_table([5, 0, 9]))
+        assert rows._slots.where is not None
+        assert rows.slot(np.int64(9)) == rows.slot(9) == 2
+        for bad in (-1, 10, 2**70, 3.5, "5", None):
+            with pytest.raises(FeatureStoreError, match="has no row"):
+                rows.slot(bad)
+        with pytest.raises(FeatureStoreError, match="entity 7 has no row"):
+            rows.slice([5, 7, 0])
+        assert rows.slice([9, 5]).tobytes() == rows.take([2, 0]).tobytes()
+        assert rows.slice([]).shape == (0, len(rows.view.feature_names))
+
+    def test_keys_outside_the_dense_range_move_to_a_dict(self):
+        full = keyed_table([3, 1, 2, -5, 2**40])
+        rows = FeatureRows(standard_view()).rebuild(full.take(np.arange(3)))
+        rows.fold(delta_of("insert", full.take(np.array([3]))))
+        assert rows._slots.where is None
+        rows.fold(delta_of("insert", full.take(np.array([4]))))
+        assert rows.same_bytes(full)
+        rows.fold(delta_of("delete", old_rows=full.take(np.array([3, 0]))))
+        assert rows.same_bytes(full.take(np.array([1, 2, 4])))
 
 
 # ----------------------------------------------------------------------

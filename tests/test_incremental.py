@@ -20,6 +20,7 @@ from repro.errors import IncrementalError
 from repro.features import FeatureView, FeatureViewMaintainer
 from repro.incremental import (
     ContinuousTrainer,
+    Delta,
     DynamicTable,
     GramCofactorState,
     IncrementalMaintainer,
@@ -220,8 +221,8 @@ class TestGramCofactorState:
         extra = Table.from_matrix(
             rng.standard_normal((30, D)), label=rng.standard_normal(30)
         )
-        state.fold((), extra, 1)
-        state.fold((), extra, -1)
+        state.fold(delta_of("insert", extra))
+        state.fold(delta_of("delete", old_rows=extra))
         fresh = GramCofactorState(FEATURES, "label").rebuild(table)
         drift = state.moments() - fresh.moments()
         assert max(
@@ -233,9 +234,26 @@ class TestGramCofactorState:
         state = GramCofactorState(FEATURES, "label").rebuild(base)
         gram0 = state.moments().gram.copy()
         extra = grid_table(40, seed=2)
-        assert state.fold((), extra, 1) == state.fold((), extra, -1) == 40
+        assert state.fold(delta_of("insert", extra)) == 40
+        assert state.fold(delta_of("delete", old_rows=extra)) == 40
         assert np.array_equal(state.moments().gram, gram0)
         assert state.same_bytes(base)
+
+    def test_update_is_one_stacked_fold_of_both_halves(self):
+        """An update folds ``[X_new; X_old]' diag(+1, -1) [X_new; X_old]``
+        once: on grid data the bits of a delete then an insert, and
+        every row of both halves counted."""
+        base, new, old = (
+            grid_table(n, seed=s) for n, s in ((90, 1), (25, 2), (25, 3))
+        )
+        stacked = GramCofactorState(FEATURES, "label").rebuild(base)
+        halves = GramCofactorState(FEATURES, "label").rebuild(base)
+        assert stacked.fold(delta_of("update", new, old)) == 50
+        halves.fold(delta_of("delete", old_rows=old))
+        halves.fold(delta_of("insert", new))
+        for a, b in zip(vars(stacked.moments()).values(),
+                        vars(halves.moments()).values()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def run_stream(maintainer, dyn, rounds=8):
@@ -493,6 +511,12 @@ class TestInterleavingProperty:
         assert len(refresher.rows) == dyn.num_rows
 
 
+def delta_of(kind, rows=None, old_rows=None):
+    """A hand-built delta, as a state's ``fold`` receives it."""
+    n = (rows if rows is not None else old_rows).num_rows
+    return Delta(kind, 1, np.arange(n), rows, old_rows, checksum=0)
+
+
 def rows_by_id(dyn):
     """The table as the dumbest possible structure: row id -> row tuple."""
     return dict(zip(dyn.row_ids.tolist(), dyn.rows()))
@@ -533,7 +557,11 @@ class TestDynamicTableOracle:
             fresh = grid_table(size, seed=seed)
             if kind == "insert":
                 delta = dyn.insert(fresh)
-                assert delta.row_ids == tuple(range(next_id, next_id + size))
+                assert delta.row_ids.dtype == np.int64
+                assert not delta.row_ids.flags.writeable
+                assert delta.row_ids.tolist() == list(
+                    range(next_id, next_id + size)
+                )
                 oracle.update(zip(delta.row_ids, fresh.rows()))
                 next_id += size
             else:
@@ -546,7 +574,9 @@ class TestDynamicTableOracle:
                     delta = dyn.update(picks, fresh)
                     removed = [oracle[i] for i in delta.row_ids]
                     oracle.update(zip(delta.row_ids, fresh.rows()))
-                assert delta.row_ids == tuple(picks.tolist())
+                assert delta.row_ids.dtype == np.int64
+                assert not delta.row_ids.flags.writeable
+                assert delta.row_ids.tolist() == picks.tolist()
                 assert list(delta.old_rows.rows()) == removed
             assert delta.verify()
             assert np.all(np.diff(dyn.row_ids) > 0)
