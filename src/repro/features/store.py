@@ -20,8 +20,6 @@ staleness. Both paths keep their rows in one :class:`FeatureRows`.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from ..errors import FeatureStoreError
@@ -34,41 +32,35 @@ from .view import FeatureView
 
 
 class _Slots:
-    """Entity -> slot. Integer keys are direct-addressed: ``where[e]`` is
-    ``e``'s slot, ``-1`` where it has none (the last entry always, so a
-    key past the end or below zero reads it), and a batch moves as one
-    gather or scatter. Other keys live in the dict ``keys``; so do
-    integer keys once one is negative or ``where`` would grow 16x
-    sparser than the rows (it costs 8 bytes a key, a dict ~104 a row)."""
+    """Entity -> slot. Integer keys are direct-addressed: ``where[e -
+    base]`` is ``e``'s slot, ``-1`` where it has none (the first and
+    last entries always, so a key outside the range clips to one); a
+    batch moves as one gather or scatter, and a range that grows is
+    re-laid from its smallest live key, so dead low keys leave it. Other keys, and
+    integer keys once the range would be 16x sparser than the rows
+    (8 bytes a key against ~104 a dict row), live in the dict ``keys``."""
 
     def __init__(self, integer: bool) -> None:
-        self.where = np.full(1, -1) if integer else None
+        self.where, self.base = np.full(1, -1) if integer else None, 0
         self.keys: dict = {}
 
-    def __getitem__(self, entity) -> int:
+    def get(self, entity) -> int:
+        """One entity's slot, ``-1`` where it has none."""
         if self.where is None:
-            return self.keys[entity]
-        try:
-            slot = self.where.item(entity) if entity >= 0 else -1
-        except (TypeError, IndexError, OverflowError):  # not a stored int
-            slot = -1
-        if slot < 0:
-            raise KeyError(entity)
-        return slot
+            return self.keys.get(entity, -1)
+        try:  # 3.0 finds entity 3, as a dict key does; "3" does not
+            at = int(entity) - self.base
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        held = at + self.base == entity and 0 <= at < len(self.where)
+        return self.where.item(at) if held else -1
 
     def lookup(self, entities) -> np.ndarray:
         """Each entity's slot, ``-1`` where it has none."""
-        if self.where is None:
-            return np.fromiter(
-                map(self.keys.get, entities, repeat(-1)), np.int64,
-                len(entities),
-            )
-        keys = np.asarray(entities)
-        if keys.dtype.kind not in "iu":
-            return np.full(len(keys), -1)
-        # as unsigned, a negative key lies past the end too
-        end = len(self.where) - 1
-        return self.where[np.minimum(keys.astype(np.uint64), end)]
+        keys = np.asarray(entities) if self.where is not None else None
+        if keys is None or keys.dtype.kind != "i":
+            return np.fromiter(map(self.get, entities), np.int64, len(entities))
+        return self.where.take(keys - self.base, mode="clip")
 
     def bind(self, entities: np.ndarray, slots: np.ndarray, rows: int) -> None:
         """Give ``entities`` their ``slots``; ``rows`` live rows after."""
@@ -77,25 +69,29 @@ class _Slots:
         if self.where is None:
             self.keys.update(zip(entities.tolist(), slots.tolist()))
         else:
-            self.where[entities] = slots
+            self.where[entities - self.base] = slots
 
     def _fit(self, low: int, top: int, rows: int) -> None:
-        """Make ``where`` reach ``top``, or move every key to the dict."""
-        if low >= 0 and top < len(self.where) - 1:
+        """Make ``where`` reach ``low`` .. ``top``, or move to the dict."""
+        end = self.base + len(self.where) - 1  # the last sentinel's key
+        if self.base < low and top < end:
             return
-        if low < 0 or top >= 16 * rows + 2**16:
-            live = np.flatnonzero(self.where >= 0)
-            slots = self.where[live]
-            self.keys = dict(zip(live.tolist(), slots.tolist()))
-            self.where = None
-        else:
-            grown = np.full((top + 2) * 3 // 2, -1)
-            grown[: len(self.where)] = self.where
-            self.where = grown
+        live = np.flatnonzero(self.where >= 0)
+        first, last = live[[0, -1]] + self.base if len(live) else (low, low - 1)
+        low, top = min(low, first), max(top, last)
+        if top - low < 16 * rows + 2**16:
+            grown = np.full((top - low + 3) * 3 // 2, -1)
+            grown[first - low + 1 : last - low + 2] = self.where[
+                first - self.base : last - self.base + 1
+            ]
+            self.where, self.base = grown, int(low) - 1
+            return
+        keys = (live + self.base).tolist()
+        self.keys, self.where = dict(zip(keys, self.where[live].tolist())), None
 
     def unbind(self, entities: np.ndarray) -> None:
         if self.where is not None:
-            self.where[entities] = -1
+            self.where[entities - self.base] = -1
             return
         for entity in entities.tolist():
             del self.keys[entity]
@@ -117,8 +113,9 @@ class FeatureRows:
     def __init__(self, view: FeatureView):
         self.view = view
         self._slots = _Slots(integer=False)
-        self._free = np.empty(0, np.int64)  # a stack: its top goes first
+        self._free: list[int] = []  # a stack: its top goes first
         self._data = np.empty((0, len(view.feature_names)))
+        self._mark = np.zeros(0, bool)  # all False between folds
 
     def __len__(self) -> int:
         return self.capacity - len(self._free)
@@ -131,9 +128,9 @@ class FeatureRows:
     # -- storage ---------------------------------------------------------
     def load(self, entities: np.ndarray, rows: np.ndarray) -> None:
         """Replace the contents: ``rows[i]`` is ``entities[i]``'s row."""
-        self._slots = _Slots(integer=entities.dtype.kind in "iu")
+        self._slots = _Slots(integer=entities.dtype.kind == "i")
         self._slots.bind(entities, np.arange(len(entities)), len(entities))
-        self._free = np.empty(0, np.int64)
+        self._free = []
         self._data = rows
 
     def _missing(self, entity) -> FeatureStoreError:
@@ -144,10 +141,10 @@ class FeatureRows:
     def slot(self, entity) -> int:
         """Where an entity's row is stored, for :meth:`take`; an entity
         without a row raises :class:`FeatureStoreError`."""
-        try:
-            return self._slots[entity]
-        except KeyError:
-            raise self._missing(entity) from None
+        slot = self._slots.get(entity)
+        if slot < 0:
+            raise self._missing(entity)
+        return slot
 
     def row(self, entity) -> np.ndarray:
         """One entity's features, in declaration order (a copy)."""
@@ -163,9 +160,7 @@ class FeatureRows:
         entity reads through :meth:`slot` (no array round trip), and so
         does a batch with an entity without a row, to raise at it."""
         if len(entities) == 1:
-            (entity,) = entities
-            at = self.slot(entity)
-            return self._data[at : at + 1].copy()
+            return self.take([self.slot(entities[0])])
         slots = self._slots.lookup(entities)
         if (slots < 0).any():
             return self.take([self.slot(entity) for entity in entities])
@@ -191,43 +186,42 @@ class FeatureRows:
 
     def fold(self, delta) -> int:
         """Apply one delta, checked whole before any slot moves: the
-        entities of ``delta.old_rows`` release their slots and those of
-        ``delta.rows`` store their recomputed rows. An entity in both
-        keeps its slot, its row rewritten there; any other takes a freed
-        slot. The store is keyed, so each row id counts once."""
+        entities of ``delta.old_rows`` free their slots, those of
+        ``delta.rows`` store their recomputed rows, and one in both keeps
+        its slot. The store is keyed, so each row id counts once."""
         came, rows = self._computed(delta.rows)
-        gone = came[:0] if delta.old_rows is None else (
-            self.view.entities_of(delta.old_rows)
-        )
+        old = delta.old_rows
+        gone = came[:0] if old is None else self.view.entities_of(old)
         was, now = self._slots.lookup(gone), self._slots.lookup(came)
         if (was < 0).any():
             raise self._missing(gone[was < 0].tolist()[0])
         kept = now >= 0
-        released = np.zeros(self.capacity, dtype=bool)
-        released[was] = True
-        stays = ~released[now[kept]]
-        if stays.any():
+        if len(self._mark) < self.capacity:
+            self._mark = np.zeros(self.capacity, bool)
+        self._mark[now[kept]] = True  # a kept entity's slot
+        leaving = ~self._mark[was]
+        self._mark[now[kept]] = False
+        if kept.sum() > len(was) - leaving.sum():  # a kept key not in gone
+            dup = came[kept][~np.isin(now[kept], was)].tolist()[0]
             raise FeatureStoreError(
-                f"duplicate entity {came[kept][stays].tolist()[0]!r} "
-                f"in view {self.view.name!r}"
+                f"duplicate entity {dup!r} in view {self.view.name!r}"
             )
-        released[now[kept]] = False  # a kept entity keeps its slot
-        leaving = released[was]
         self._slots.unbind(gone[leaving])
+        self._free.extend(was[leaving].tolist())
         fresh = came[~kept]
-        free = np.concatenate([self._free, was[leaving]])
-        short = len(fresh) - len(free)
+        short = len(fresh) - len(self._free)
         if short > 0:
             start = self.capacity
             grown = start + max(short, start // 8)
             self._data = np.concatenate(
                 [self._data, np.empty((grown - start, self._data.shape[1]))]
             )
-            free = np.concatenate([free, np.arange(grown - 1, start - 1, -1)])
-        cut = len(free) - len(fresh)
-        slots, self._free = free[cut:][::-1], free[:cut]
-        self._data[now[kept]] = rows[kept]
-        self._data[slots] = rows[~kept]
+            self._free.extend(range(grown - 1, start - 1, -1))
+        cut = len(self._free) - len(fresh)
+        slots = np.array(self._free[cut:][::-1], np.int64)
+        del self._free[cut:]
+        now[~kept] = slots  # a kept entity's row goes back where it was
+        self._data[now] = rows
         self._slots.bind(fresh, slots, len(self))
         return len(delta.row_ids)
 

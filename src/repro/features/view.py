@@ -22,6 +22,7 @@ batch bytes, and a delta refresh can fold just the changed rows.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,7 +31,8 @@ from ..errors import FeatureStoreError
 from ..lang.ast import Binary, Constant, Data, Node, Unary, walk
 from ..lang.dsl import MExpr, matrix
 from ..compiler.cache import PlanCache
-from ..compiler.planner import compile_expr
+from ..compiler.planner import CompiledPlan, compile_expr
+from ..compiler.rewrites import _FOLD_CELL_LIMIT
 from ..materialize.fingerprint import Fingerprint, canonical_plan
 from ..runtime import execute
 from ..storage.lineage import table_fingerprint
@@ -107,9 +109,11 @@ class FeatureView:
                 f"a feature name"
             )
         self.version = self._version_of(probe)
-        #: one compiled plan per batch size: delta batches arrive in a
-        #: handful of sizes (1 for online recompute, the delta size for
-        #: refresh, the table size for materialization)
+        #: every feature as one plan, compiled once past the constant-fold
+        #: limit (no size-dependent rewrite) and re-shaped by :meth:`_plan_for`
+        self._plan = compile_expr({
+            f: self._instantiate(f, _FOLD_CELL_LIMIT + 1) for f in probe
+        })
         self.plan_cache = PlanCache()
 
     # -- definition identity -------------------------------------------
@@ -205,19 +209,14 @@ class FeatureView:
         }
 
     def _plan_for(self, num_rows: int):
-        """Every feature at one batch size as one multi-output plan, so
-        a batch is one executor call and what features share runs once.
-        Plans are cached per batch size (compiling costs more than the
-        small-batch math of online recompute and delta refresh), keyed
-        without re-running the builders; CSE only merges equal nodes, so
-        each feature's bytes are its own single-output plan's.
+        """The view's plan at one batch size, so a batch is one executor
+        call and what features share runs once. Re-shaping the compiled
+        plan (its inputs rebound to ``num_rows`` rows, every row-local
+        node re-inferring its shape, shared nodes kept shared) runs the
+        same operations at every size and costs a walk, not a compile.
         """
         return self.plan_cache.lookup(
-            num_rows,
-            lambda: compile_expr({
-                fname: self._instantiate(fname, num_rows)
-                for fname in self.feature_names
-            }),
+            num_rows, lambda: _reshaped(self._plan, num_rows)
         )
 
     def as_matrix(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -237,3 +236,16 @@ class FeatureView:
                 f"duplicate values"
             )
         return entities
+
+
+def _reshaped(plan: CompiledPlan, num_rows: int) -> CompiledPlan:
+    """``plan`` over ``num_rows``-row inputs, shared nodes kept shared."""
+    @cache
+    def visit(node: Node) -> Node:
+        if isinstance(node, Data):
+            return Data(node.name, (num_rows, 1))
+        return node.with_children([visit(c) for c in node.children])
+
+    outputs = {name: visit(root) for name, root in plan.outputs.items()}
+    inputs = dict.fromkeys(plan.inputs, (num_rows, 1))
+    return CompiledPlan(outputs, plan.sources, inputs)

@@ -20,7 +20,6 @@ from repro.features import (
 )
 from repro.features.store import FeatureRows
 from repro.incremental import (
-    Delta,
     DynamicTable,
     GramCofactorState,
     IncrementalMaintainer,
@@ -35,6 +34,7 @@ from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
 from repro.runtime import execute
 from repro.serving import ShardedServer
 from repro.storage.table import Table
+from tests.test_incremental import delta_of
 
 
 def base_table(n=120, seed=0):
@@ -344,6 +344,15 @@ class TestOnePlanPerBatch:
         assert len(view.plan_cache) == 3
         assert view.plan_cache.stats.hits == 2
 
+    def test_a_new_batch_size_compiles_nothing(self, monkeypatch):
+        """The view compiles once; each new size re-shapes that plan."""
+        view = standard_view()
+        monkeypatch.setattr("repro.features.view.compile_expr", None)
+        table = base_table(n=30)
+        for size in (1, 7, 30):
+            assert view.compute_columns(table.take(np.arange(size)))
+        assert len(view.plan_cache) == 3
+
 
 # ----------------------------------------------------------------------
 # Incremental refresh
@@ -455,12 +464,6 @@ def store_bytes(rows):
     """The bytes of the store's slot map, free stack and row matrix."""
     names = ("_slots", "_free", "_data")
     return [pickle.dumps(getattr(rows, name)) for name in names]
-
-
-def delta_of(kind, rows=None, old_rows=None):
-    """A hand-built delta, as a state's ``fold`` receives it."""
-    n = (rows if rows is not None else old_rows).num_rows
-    return Delta(kind, 1, np.arange(n), rows, old_rows, checksum=0)
 
 
 class TestRowStoreRefusals:
@@ -660,12 +663,16 @@ class TestEntityUniqueness:
 
 class TestIntegerSlots:
     """Integer keys are direct-addressed, and read like the dict they
-    replaced: an absent or non-integer key has no row."""
+    replaced: an absent or fractional key has no row, an integral float
+    finds its integer."""
 
     def test_reads_match_a_dict(self):
         rows = FeatureRows(standard_view()).rebuild(keyed_table([5, 0, 9]))
         assert rows._slots.where is not None
         assert rows.slot(np.int64(9)) == rows.slot(9) == 2
+        assert rows.slot(9.0) == rows.slot(np.float64(9.0)) == 2
+        assert rows.row(0.0).tobytes() == rows.row(0).tobytes()
+        assert rows.slice([9.0, 5.0]).tobytes() == rows.take([2, 0]).tobytes()
         for bad in (-1, 10, 2**70, 3.5, "5", None):
             with pytest.raises(FeatureStoreError, match="has no row"):
                 rows.slot(bad)
@@ -678,11 +685,30 @@ class TestIntegerSlots:
         full = keyed_table([3, 1, 2, -5, 2**40])
         rows = FeatureRows(standard_view()).rebuild(full.take(np.arange(3)))
         rows.fold(delta_of("insert", full.take(np.array([3]))))
-        assert rows._slots.where is None
+        assert rows._slots.where is not None and rows.slot(-5) == 3
         rows.fold(delta_of("insert", full.take(np.array([4]))))
+        assert rows._slots.where is None
         assert rows.same_bytes(full)
         rows.fold(delta_of("delete", old_rows=full.take(np.array([3, 0]))))
         assert rows.same_bytes(full.take(np.array([1, 2, 4])))
+
+    def test_rising_keys_keep_the_range_bounded(self):
+        """Churn that only ever inserts new, higher keys re-lays the
+        array from its smallest live key, so dead low ids leave it."""
+        def batch(low, high):
+            keys = np.arange(low, high)
+            return Table.from_columns({
+                "entity": keys, "price": 1.0 + keys / 1e4,
+                "qty": keys % 7 + 1.0, "score": np.cos(keys),
+            })
+
+        rows = FeatureRows(standard_view()).rebuild(batch(0, 100))
+        for low in range(0, 5_000, 10):
+            rows.fold(delta_of("delete", old_rows=batch(low, low + 10)))
+            rows.fold(delta_of("insert", batch(low + 100, low + 110)))
+        assert rows._slots.where is not None
+        assert rows._slots.base > 4_000 and len(rows._slots.where) < 1_000
+        assert rows.same_bytes(batch(5_000, 5_100))
 
 
 # ----------------------------------------------------------------------
