@@ -102,7 +102,8 @@ def parity_leg(n: int, stream_len: int) -> dict:
 
     wall = harness.timed(lambda: server.serve_many(entities), repeats=1)
     served = wall.result
-    reference = offline.slice(entities)
+    # one documented lookup per entity, not the batch path serve_many takes
+    reference = np.stack([offline.row(entity) for entity in entities])
     identical = bool(served.tobytes() == reference.tobytes())
     parity_ok = server.parity_check(sorted(set(entities)))
     ledger = server.ledger()
@@ -161,8 +162,9 @@ def refresh_leg(n: int, rounds: int) -> dict:
         t_inc += harness.timed(maintainer.drain, repeats=1).best
         t_full += harness.timed(competitor._rebuild, repeats=1).best
 
+        kept, rebuilt = maintainer.rows, competitor.rows
         round_identical = all(
-            maintainer.row(e).tobytes() == competitor.row(e).tobytes()
+            kept.row(e).tobytes() == rebuilt.row(e).tobytes()
             for e in view.entities_of(dyn).tolist()
         )
         all_identical = all_identical and round_identical

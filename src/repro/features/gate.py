@@ -46,7 +46,8 @@ class DriftGate(Counted):
     Args:
         view: the feature view the endpoint's model was trained on.
         reference: training-time feature values — a
-            :class:`~repro.features.store.MaterializedFeatures` or a
+            :class:`~repro.features.store.MaterializedFeatures`, whose
+            ``columns`` (column views of its one matrix) are read, or a
             mapping of feature name -> array. Bucket edges freeze here.
         min_observations: serving observations required per feature
             before its drift verdict can hold a promotion.

@@ -33,8 +33,8 @@ class OnlineFeatureServer(Counted):
         source: row source — a
             :class:`~repro.features.store.MaterializedFeatures` or a
             :class:`~repro.features.store.FeatureViewMaintainer`
-            (anything with ``row(entity)`` and a
-            :class:`~repro.features.store.FeatureRows` at ``rows``).
+            (anything with a :class:`~repro.features.store.FeatureRows`
+            at ``rows``; every served or checked row is read there).
         table: the base table for on-demand recompute. Defaults to the
             source's own base table when it has one (a maintainer does).
     """
@@ -77,34 +77,33 @@ class OnlineFeatureServer(Counted):
         falls back to recomputing that row from the base table under
         :func:`no_chaos` — by row-locality, the same bytes the clean path
         serves. With no plan installed no crossing could decide anything:
-        one :meth:`FeatureRows.slice` resolves and gathers the call, one
-        ledger write counts it (an unknown entity takes the walk).
+        one :meth:`FeatureRows.slots` lookup resolves the call, one ledger
+        write counts it up to and including an unknown entity, which
+        raises, and one gather serves it.
         """
         rows = self.source.rows
-        chaos = active_chaos() is not None
-        if not chaos:
-            try:
-                gathered = rows.slice(entities)
-            except FeatureStoreError:
-                pass  # the walk below raises at the unknown entity
-            else:
-                if len(gathered):
-                    self.counts.inc("serves", len(gathered))
-                return gathered
+        if active_chaos() is None:
+            slots = rows.slots(entities)
+            found = len(slots)
+            if found < len(entities):  # served up to and including it
+                self.counts.inc("serves", found + 1)
+                raise rows.missing(entities[found])
+            if found:
+                self.counts.inc("serves", found)
+            return rows.take(slots)
         picked: list[int] = []  # slots of the clean reads, in order
         recomputed: dict[int, np.ndarray] = {}  # position -> fallback row
         asked = 0
         try:
             for asked, entity in enumerate(entities, 1):
-                if chaos:
-                    try:
-                        status = fault_point(self.FAULT_SITE, key=entity)
-                    except InjectedFault:
-                        status = "corrupt"  # the read failed: recompute
-                    if status == "corrupt":
-                        # untrusted read: discard it and recompute the row
-                        recomputed[asked - 1] = self._fallback(entity)
-                        continue
+                try:
+                    status = fault_point(self.FAULT_SITE, key=entity)
+                except InjectedFault:
+                    status = "corrupt"  # the read failed: recompute
+                if status == "corrupt":
+                    # untrusted read: discard it and recompute the row
+                    recomputed[asked - 1] = self._fallback(entity)
+                    continue
                 picked.append(rows.slot(entity))
         finally:
             if asked:
@@ -135,7 +134,7 @@ class OnlineFeatureServer(Counted):
                 f"need exactly 1"
             )
         one = self.table.take(positions)
-        return self.view.as_matrix(self.view.compute_columns(one))[0]
+        return self.view.compute_columns(one)[0]
 
     # ------------------------------------------------------------------
     def parity_check(self, entities=None) -> bool:
@@ -150,7 +149,7 @@ class OnlineFeatureServer(Counted):
             entities = self.table.column(self.view.entity_key).tolist()
         with no_chaos():
             for entity in entities:
-                served = self.source.row(entity)
+                served = self.source.rows.row(entity)
                 fresh = self.recompute_row(entity)
                 if served.tobytes() != fresh.tobytes():
                     raise FeatureStoreError(

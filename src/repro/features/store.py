@@ -1,7 +1,7 @@
 """Offline materialization and incremental refresh of feature views.
 
 The offline path computes a :class:`~repro.features.view.FeatureView`
-batch-wise through the executor and parks the resulting columns in the
+batch-wise through the executor and parks the resulting matrix in the
 :class:`~repro.materialize.MaterializationStore` under the view's
 data-crossed fingerprint, whose one operand is the base-table bytes.
 A second materialization of the same definition over the same data is
@@ -47,7 +47,10 @@ class _Slots:
     def get(self, entity) -> int:
         """One entity's slot, ``-1`` where it has none."""
         if self.where is None:
-            return self.keys.get(entity, -1)
+            try:
+                return self.keys.get(entity, -1)
+            except TypeError:  # an unhashable key names no entity
+                return -1
         try:  # 3.0 finds entity 3, as a dict key does; "3" does not
             at = int(entity) - self.base
         except (TypeError, ValueError, OverflowError):
@@ -56,9 +59,13 @@ class _Slots:
         return self.where.item(at) if held else -1
 
     def lookup(self, entities) -> np.ndarray:
-        """Each entity's slot, ``-1`` where it has none."""
-        keys = np.asarray(entities) if self.where is not None else None
-        if keys is None or keys.dtype.kind != "i":
+        """Each entity's slot, ``-1`` where it has none. A key list that
+        is not one integer array (ragged ones included) goes key by key."""
+        try:
+            keys = np.asarray(entities) if self.where is not None else None
+        except ValueError:
+            keys = None
+        if keys is None or keys.dtype.kind != "i" or keys.ndim != 1:
             return np.fromiter(map(self.get, entities), np.int64, len(entities))
         return self.where.take(keys - self.base, mode="clip")
 
@@ -133,7 +140,8 @@ class FeatureRows:
         self._free = []
         self._data = rows
 
-    def _missing(self, entity) -> FeatureStoreError:
+    def missing(self, entity) -> FeatureStoreError:
+        """The error an entity without a row raises."""
         return FeatureStoreError(
             f"entity {entity!r} has no row in view {self.view.name!r}"
         )
@@ -143,7 +151,7 @@ class FeatureRows:
         without a row raises :class:`FeatureStoreError`."""
         slot = self._slots.get(entity)
         if slot < 0:
-            raise self._missing(entity)
+            raise self.missing(entity)
         return slot
 
     def row(self, entity) -> np.ndarray:
@@ -155,15 +163,22 @@ class FeatureRows:
         ``(len(slots), F)`` array — a single ``ndarray.take`` gather."""
         return self._data.take(slots, axis=0)
 
-    def slice(self, entities) -> np.ndarray:
-        """A (len(entities), F) matrix in the requested entity order. One
-        entity reads through :meth:`slot` (no array round trip), and so
-        does a batch with an entity without a row, to raise at it."""
+    def slots(self, entities) -> list[int] | np.ndarray:
+        """The entities' slots, in order, up to the first entity without
+        a row, from one lookup (one entity skips the array round trip)."""
         if len(entities) == 1:
-            return self.take([self.slot(entities[0])])
+            slot = self._slots.get(entities[0])
+            return [slot] if slot >= 0 else []
         slots = self._slots.lookup(entities)
-        if (slots < 0).any():
-            return self.take([self.slot(entity) for entity in entities])
+        absent = slots < 0
+        return slots[: absent.argmax()] if absent.any() else slots
+
+    def slice(self, entities) -> np.ndarray:
+        """A (len(entities), F) matrix in the requested entity order; an
+        entity without a row raises, naming the first one."""
+        slots = self.slots(entities)
+        if len(slots) < len(entities):
+            raise self.missing(entities[len(slots)])
         return self.take(slots)
 
     def matrix(self) -> np.ndarray:
@@ -174,10 +189,7 @@ class FeatureRows:
     def _computed(self, table: Table | None) -> tuple[np.ndarray, np.ndarray]:
         if table is None:
             return np.empty(0, np.int64), self._data[:0]
-        return (
-            self.view.entities_of(table),
-            self.view.as_matrix(self.view.compute_columns(table)),
-        )
+        return self.view.entities_of(table), self.view.compute_columns(table)
 
     def rebuild(self, table: Table) -> "FeatureRows":
         """Full recompute from a base table (the lineage path)."""
@@ -194,7 +206,7 @@ class FeatureRows:
         gone = came[:0] if old is None else self.view.entities_of(old)
         was, now = self._slots.lookup(gone), self._slots.lookup(came)
         if (was < 0).any():
-            raise self._missing(gone[was < 0].tolist()[0])
+            raise self.missing(gone[was < 0].tolist()[0])
         kept = now >= 0
         if len(self._mark) < self.capacity:
             self._mark = np.zeros(self.capacity, bool)
@@ -235,10 +247,12 @@ class FeatureRows:
 
 
 class MaterializedFeatures:
-    """One materialized (view, table) result: entities + feature columns.
+    """One materialized (view, table) result: entities + feature matrix.
 
-    Rows are addressed by entity value; every accessor hands back
-    copies, so callers can never mutate the materialized bytes.
+    Its rows are the store's cached ``(n, F)`` matrix itself, made
+    read-only, and :attr:`columns` maps each feature name to a column
+    view of it; rows are addressed by entity value, and every accessor
+    but ``columns`` hands back copies.
     """
 
     def __init__(
@@ -246,16 +260,17 @@ class MaterializedFeatures:
         view: FeatureView,
         key: str,
         entities: np.ndarray,
-        columns: dict[str, np.ndarray],
+        matrix: np.ndarray,
         from_cache: bool,
     ):
         self.view = view
         self.key = key
         self.entities = entities
-        self.columns = columns
         self.from_cache = from_cache
+        matrix.flags.writeable = False
+        self.columns = dict(zip(view.feature_names, matrix.T))
         self.rows = FeatureRows(view)
-        self.rows.load(entities, view.as_matrix(columns))
+        self.rows.load(entities, matrix)
 
     def row(self, entity) -> np.ndarray:
         """One entity's features, in declaration order (a copy)."""
@@ -296,7 +311,7 @@ class FeatureStore(Counted):
         else:
             payload = {
                 "entities": view.entities_of(table),
-                "columns": view.compute_columns(table),
+                "matrix": view.compute_columns(table),
             }
             self.store.put(
                 fp,
@@ -307,13 +322,13 @@ class FeatureStore(Counted):
                 # floor-free here.
                 flops=float(table.num_rows * len(view.feature_names)),
                 nbytes=int(
-                    sum(c.nbytes for c in payload["columns"].values())
+                    payload["matrix"].nbytes
                     + getattr(payload["entities"], "nbytes", 0)
                 ),
             )
             self.counts.inc("materializations")
         return MaterializedFeatures(
-            view, fp.key, payload["entities"], payload["columns"], from_cache
+            view, fp.key, payload["entities"], payload["matrix"], from_cache
         )
 
 
@@ -337,13 +352,8 @@ class FeatureViewMaintainer(DeltaConsumer):
     ):
         super().__init__(table, stream)
         self.view = view
-        self.rows = FeatureRows(view)
-        self.states = [self.rows]
+        self.rows = self.state = FeatureRows(view)
         self._rebuild()
-
-    def row(self, entity) -> np.ndarray:
-        """One maintained entity's features (the online server's source)."""
-        return self.rows.row(entity)
 
     #: the name the E27 / E28 oracles call the shared check by
     parity_check = DeltaConsumer.parity

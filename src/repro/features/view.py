@@ -172,7 +172,7 @@ class FeatureView:
         return Fingerprint(
             structural=self.version,
             operands=(self.base_fingerprint(table),),
-            flags=FLAGS,
+            flags=f"{FLAGS}/matrix",  # the cached payload's layout
         )
 
     def base_fingerprint(self, table: Table) -> str:
@@ -183,30 +183,33 @@ class FeatureView:
         return table_fingerprint(table.select(used))
 
     # -- computation ---------------------------------------------------
-    def compute_columns(self, table: Table) -> dict[str, np.ndarray]:
+    def compute_columns(self, table: Table) -> np.ndarray:
         """Every feature over every row, in one executor call.
 
-        Returns feature name -> float64 vector of length ``len(table)``,
-        in declaration order. Row-locality makes this the *only*
+        Returns the ``(len(table), F)`` float64 matrix, features in
+        declaration order. Row-locality makes this the *only*
         computation path: the online one-row recompute and the delta
         refresh call this very method on smaller tables and get the
         same bytes per row.
         """
         num_rows = table.num_rows
         if num_rows == 0:
-            return {f: np.empty(0, dtype=np.float64) for f in self.feature_names}
-        bindings = {
-            col: np.ascontiguousarray(
-                table.column(col), dtype=np.float64
-            ).reshape(-1, 1)
-            for col in self.referenced_columns
-        }
+            return np.empty((0, len(self.feature_names)))
+        bindings = {}
+        for col in self.referenced_columns:
+            try:
+                values = np.ascontiguousarray(table.column(col), np.float64)
+            except (TypeError, ValueError):
+                raise FeatureStoreError(
+                    f"view {self.name!r}: column {col!r} is not numeric"
+                ) from None
+            bindings[col] = values.reshape(-1, 1)
         values = execute(self._plan_for(num_rows), bindings)
         if len(self.feature_names) == 1:
             values = {self.feature_names[0]: values}
-        return {
-            f: np.asarray(v, np.float64).reshape(-1) for f, v in values.items()
-        }
+        return np.column_stack(
+            [np.ravel(values[f]) for f in self.feature_names]
+        ).astype(np.float64, copy=False)
 
     def _plan_for(self, num_rows: int):
         """The view's plan at one batch size, so a batch is one executor
@@ -219,18 +222,18 @@ class FeatureView:
             num_rows, lambda: _reshaped(self._plan, num_rows)
         )
 
-    def as_matrix(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        """:meth:`compute_columns` output as one ``(n, F)`` float64
-        matrix, features in declaration order."""
-        return np.column_stack([columns[f] for f in self.feature_names])
-
     def entities_of(self, table: Table) -> np.ndarray:
-        """The entity-key column, refused if a key repeats (NaN sorts
-        last, so two NaN keys meet there and repeat too)."""
+        """The entity-key column, refused if a key repeats. Object keys
+        repeat as the dict that stores them sees it; others sort, and
+        NaN sorts last, so two NaN keys meet there and repeat too."""
         entities = table.column(self.entity_key)
-        ordered = np.sort(entities)
-        nans = ordered.dtype.kind == "f" and np.isnan(ordered[-2:]).sum()
-        if nans == 2 or (ordered[1:] == ordered[:-1]).any():
+        if entities.dtype.kind == "O":
+            repeats = len(set(entities.tolist())) < len(entities)
+        else:
+            ordered = np.sort(entities)
+            nans = ordered.dtype.kind == "f" and np.isnan(ordered[-2:]).sum()
+            repeats = nans == 2 or (ordered[1:] == ordered[:-1]).any()
+        if repeats:
             raise FeatureStoreError(
                 f"view {self.name!r}: entity key {self.entity_key!r} has "
                 f"duplicate values"

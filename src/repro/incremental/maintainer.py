@@ -11,12 +11,12 @@ the derived state from the base table under
 blockstore and materialization store use. A fault can cost time; it can
 never leave silently stale state.
 
-The derived state is a list of *states* with one duck-typed surface —
+The derived state is one *state* with a duck-typed surface —
 ``rebuild(table)``, ``fold(delta) -> rows counted`` and
-``same_bytes(table)``. A state folds a whole verified delta as one
-batch, checked before anything changes, and decides itself how
-``old_rows`` and ``rows`` combine: one signed pass for an aggregate, an
-in-place rewrite of an updated key's row for a keyed row store.
+``same_bytes(table)``. It folds a whole verified delta as one batch,
+checked before anything changes, and decides itself how ``old_rows``
+and ``rows`` combine: one signed pass for an aggregate, an in-place
+rewrite of an updated key's row for a keyed row store.
 
 :class:`IncrementalMaintainer` is the ML-aggregate consumer
 (gram/cofactor, the F-IVM workload); the feature store's
@@ -43,7 +43,8 @@ class DeltaConsumer:
     """Applies a change stream to derived state, or repairs by lineage.
 
     Subclasses set :attr:`FAULT_SITE` / :attr:`OBS_PREFIX` /
-    :attr:`ERROR`, construct :attr:`states` and call :meth:`_rebuild`;
+    :attr:`ERROR`, construct :attr:`state` (``rebuild`` / ``fold`` /
+    ``same_bytes``) and call :meth:`_rebuild`;
     folding, lineage repair and the parity check are written here once.
     """
 
@@ -55,8 +56,6 @@ class DeltaConsumer:
     def __init__(self, table: DynamicTable, stream: ChangeStream):
         self.table = table
         self.stream = stream
-        #: the maintained states, each ``rebuild`` / ``fold`` / ``same_bytes``
-        self.states: list = []
         #: exact ledger of everything this consumer did
         self.stats = Ledger(self.OBS_PREFIX, (
             "deltas_applied", "rows_folded", "recomputes", "corrupt_deltas",
@@ -105,17 +104,15 @@ class DeltaConsumer:
             self.stats.inc("corrupt_deltas")
             self._recompute("checksum mismatch")
             return
-        # the delta's rows are counted once, as the first state counts them
-        self.stats.inc("rows_folded", [s.fold(delta) for s in self.states][0])
+        self.stats.inc("rows_folded", self.state.fold(delta))
         self.applied_version = delta.version
         self.stats.inc("deltas_applied")
 
     def _rebuild(self) -> None:
-        """Recompute every state from the base table, chaos held off so
-        a repair cannot itself be re-injected forever."""
+        """Recompute the state from the base table, chaos held off so a
+        repair cannot itself be re-injected forever."""
         with no_chaos():
-            for state in self.states:
-                state.rebuild(self.table)
+            self.state.rebuild(self.table)
 
     def _recompute(self, reason: str) -> None:
         """Lineage repair: rebuild, then fast-forward ``applied_version``
@@ -126,7 +123,7 @@ class DeltaConsumer:
         self.stats.inc("recomputes")
 
     def parity(self) -> bool:
-        """Assert every state is bitwise what a fresh rebuild of the
+        """Assert the state is bitwise what a fresh rebuild of the
         current base table gives (chaos held off)."""
         self.stats.inc("parity_checks")
         if self.staleness != 0:
@@ -135,13 +132,10 @@ class DeltaConsumer:
                 f"version(s); drain the stream first"
             )
         with no_chaos():
-            diverged = [
-                type(state).__name__ for state in self.states
-                if not state.same_bytes(self.table)
-            ]
-        if diverged:
+            same = self.state.same_bytes(self.table)
+        if not same:
             raise self.ERROR(
-                f"maintained {', '.join(diverged)} diverged from full "
+                f"maintained {type(self.state).__name__} diverged from full "
                 f"recomputation of the base table"
             )
         return True
@@ -164,8 +158,7 @@ class IncrementalMaintainer(DeltaConsumer):
         label: str,
     ):
         super().__init__(table, stream)
-        self.gram_state = GramCofactorState(features, label)
-        self.states = [self.gram_state]
+        self.gram_state = self.state = GramCofactorState(features, label)
         self._rebuild()
 
     #: the name the E25 / E28 oracles call the shared check by

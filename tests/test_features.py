@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,42 @@ class TestOfflineMaterialization:
         with pytest.raises(FeatureStoreError, match="duplicate"):
             FeatureStore().materialize(standard_view(), table)
 
+    def test_a_hit_holds_the_one_read_only_matrix(self):
+        """The store caches one (n, F) matrix: a hit serves that very
+        matrix (no second block is allocated), ``columns`` are views of
+        it, and no handle can write through to the cached bytes."""
+        table = base_table(n=20_000)
+        view = FeatureView("wide", "entity", dict(FEATURE_POOL))
+        store = FeatureStore()
+        first = store.materialize(view, table)
+        tracemalloc.start()
+        try:
+            second = store.materialize(view, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = first.rows._data
+        assert second.from_cache and second.rows._data is held
+        assert not held.flags.writeable
+        assert peak < held.nbytes  # the hit's slot map and hashing only
+        for j, fname in enumerate(view.feature_names):
+            column = second.columns[fname]
+            assert np.shares_memory(column, held)
+            assert column.tobytes() == held[:, j].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        assert second.matrix().tobytes() == held.tobytes()
+
+    def test_a_string_column_is_a_typed_error(self):
+        """A feature over a non-numeric column names the view and the
+        column instead of numpy's conversion error."""
+        table = base_table(n=4).with_column("price", ["a", "b", "c", "d"])
+        with pytest.raises(FeatureStoreError, match="'orders'.*'price'"):
+            FeatureStore().materialize(standard_view(), table)
+        dyn = DynamicTable.from_table(table, "orders")
+        with pytest.raises(FeatureStoreError, match="'price'"):
+            FeatureViewMaintainer(standard_view(), dyn, dyn.subscribe())
+
 
 # ----------------------------------------------------------------------
 # Online serving parity
@@ -173,6 +210,51 @@ class TestOnlineParity:
         server = OnlineFeatureServer(view, offline, table)
         with pytest.raises(FeatureStoreError):
             server.serve(10_000)
+
+    @pytest.mark.parametrize("entities", [
+        [1, [2]], [[1, 2], [3, 4]], [[1, 2]], [{}], [3, {}],
+    ])
+    def test_a_malformed_key_list_has_no_row(self, entities):
+        """A key list numpy cannot make one 1-D integer array of (ragged,
+        nested, or holding a dict) is served key by key, so its first bad
+        key raises "has no row" like any unknown entity."""
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        server = OnlineFeatureServer(view, offline, table)
+        with pytest.raises(FeatureStoreError, match="has no row"):
+            server.serve_many(entities)
+
+    def test_an_unhashable_key_has_no_row_in_a_dict_keyed_view(self):
+        table = keyed_table(["a", "b"])
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        server = OnlineFeatureServer(view, offline, table)
+        with pytest.raises(FeatureStoreError, match=r"\['b'\] has no row"):
+            server.serve_many(["a", ["b"]])
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_an_unknown_entity_costs_one_lookup(self, k, monkeypatch):
+        """A clean call resolves every entity from one lookup: an unknown
+        entity at position k raises with k + 1 serves counted and no
+        per-entity ``slot`` read."""
+        table = base_table()
+        view = standard_view()
+        offline = FeatureStore().materialize(view, table)
+        server = OnlineFeatureServer(view, offline, table)
+        reads = []
+        slot = FeatureRows.slot
+
+        def counted(rows, entity):
+            reads.append(entity)
+            return slot(rows, entity)
+
+        monkeypatch.setattr(FeatureRows, "slot", counted)
+        entities = [3, 7, 11, 5, 9, 13, 17]
+        entities[k] = 10_000
+        with pytest.raises(FeatureStoreError, match="10000 has no row"):
+            server.serve_many(entities)
+        assert reads == [] and server.serves == k + 1
 
     def test_a_call_without_a_plan_is_the_walk(self):
         """With no chaos plan a call resolves and gathers its rows at
@@ -327,14 +409,15 @@ class TestOnePlanPerBatch:
             got = view.compute_columns(batch)
             assert registry.value("executor.executions") == before + 1
             want = per_feature_columns(view, batch)
-            assert list(got) == list(want) == list(view.feature_names)
-            for f in view.feature_names:
-                assert got[f].dtype == np.float64
-                assert got[f].tobytes() == want[f].tobytes(), (size, f)
+            assert list(want) == list(view.feature_names)
+            assert got.dtype == np.float64
+            assert got.shape == (size, len(view.feature_names))
+            for j, f in enumerate(view.feature_names):
+                assert got[:, j].tobytes() == want[f].tobytes(), (size, f)
         before = registry.value("executor.executions")
         empty = view.compute_columns(table.take(np.arange(0)))
         assert registry.value("executor.executions") == before
-        assert all(empty[f].shape == (0,) for f in view.feature_names)
+        assert empty.shape == (0, len(view.feature_names))
 
     def test_plans_are_cached_per_batch_size(self):
         view = standard_view()
@@ -350,7 +433,7 @@ class TestOnePlanPerBatch:
         monkeypatch.setattr("repro.features.view.compile_expr", None)
         table = base_table(n=30)
         for size in (1, 7, 30):
-            assert view.compute_columns(table.take(np.arange(size)))
+            assert len(view.compute_columns(table.take(np.arange(size))))
         assert len(view.plan_cache) == 3
 
 
@@ -511,7 +594,8 @@ class TestRowStoreRefusals:
             maint.drain()
         assert store_bytes(maint.rows) == before
         assert maint.applied_version == 0
-        assert maint.row(keys[0]).tobytes() == maint.rows.take([0]).tobytes()
+        rows = maint.rows
+        assert rows.row(keys[0]).tobytes() == rows.take([0]).tobytes()
 
 
 GRID_FEATURES = ["x0", "x1", "x2"]
@@ -628,6 +712,7 @@ class TestEntityUniqueness:
         "signed zero": [0.0, 1.0, -0.0],
         "string": ["b", "a", "b"],
         "two NaN": [np.nan, 1.0, np.nan],
+        "two None": ["a", None, None],
     }
 
     @pytest.mark.parametrize("kind", list(DUPLICATES))
@@ -643,12 +728,14 @@ class TestEntityUniqueness:
             rows.fold(delta_of("insert", table))
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("keys", [["b", "a", "c"], [0.5, 1.0, 2.0]])
+    @pytest.mark.parametrize("keys", [
+        ["b", "a", "c"], [0.5, 1.0, 2.0], ["b", None, "c"],
+    ])
     def test_unique_keys_round_trip(self, keys):
         view = standard_view()
         table = keyed_table(keys)
         offline = FeatureStore().materialize(view, table)
-        matrix = view.as_matrix(view.compute_columns(table))
+        matrix = view.compute_columns(table)
         rows = FeatureRows(view).rebuild(keyed_table(keys[:1]))
         rows.fold(delta_of("insert", table.take(np.arange(1, 3))))
         for i, key in enumerate(keys):
