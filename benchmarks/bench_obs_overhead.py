@@ -62,14 +62,22 @@ def _disabled_span() -> None:
 
 
 def measure_unit_costs() -> dict:
-    """Per-call cost of the disabled-path primitives."""
+    """Per-call cost of the disabled-path primitives: a disabled span,
+    one update of a named registry metric, and one ``Ledger.inc`` (the
+    count every cache, server and maintainer makes)."""
     obs.set_tracing(False)
     try:
         span_cost = harness.unit_cost(_disabled_span)
         update_cost = harness.unit_cost(obs.get_registry().inc, "e20.unit_counter")
+        ledger = obs.Ledger("e20.unit_ledger", ("events",))
+        ledger_cost = harness.unit_cost(ledger.inc, "events")
     finally:
         obs.set_tracing(None)
-    return {"span_call_s": span_cost, "metric_update_s": update_cost}
+    return {
+        "span_call_s": span_cost,
+        "metric_update_s": update_cost,
+        "ledger_inc_s": ledger_cost,
+    }
 
 
 def count_events(workload) -> dict:
@@ -160,7 +168,8 @@ def report(results: dict) -> None:
     )
     print(
         f"  unit costs: span(off) {u['span_call_s'] * 1e9:.0f} ns, "
-        f"metric update {u['metric_update_s'] * 1e9:.0f} ns"
+        f"metric update {u['metric_update_s'] * 1e9:.0f} ns, "
+        f"ledger inc {u['ledger_inc_s'] * 1e9:.0f} ns"
     )
     print(
         f"  disabled-path bound: {results['estimated_disabled_overhead_pct']:.3f}% "

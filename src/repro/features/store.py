@@ -200,7 +200,13 @@ class FeatureRows:
         """Apply one delta, checked whole before any slot moves: the
         entities of ``delta.old_rows`` free their slots, those of
         ``delta.rows`` store their recomputed rows, and one in both keeps
-        its slot. The store is keyed, so each row id counts once."""
+        its slot. The store is keyed, so each row id counts once. Rows
+        held read-only (a materialization's cached matrix) refuse it."""
+        if not self._data.flags.writeable:
+            raise FeatureStoreError(
+                f"view {self.view.name!r}: these rows are a read-only "
+                "materialization; fold deltas through a FeatureViewMaintainer"
+            )
         came, rows = self._computed(delta.rows)
         old = delta.old_rows
         gone = came[:0] if old is None else self.view.entities_of(old)

@@ -13,7 +13,9 @@ include the prior row values, so a downstream aggregate can subtract
 exactly what was once added. Each delta is stamped with a CRC32
 checksum over its payload; :meth:`Delta.verify` is how the maintainer
 detects a corrupted delta and falls back to lineage recompute instead
-of folding garbage into a model.
+of folding garbage into a model. A published delta owns its payload,
+read-only, so the stamp taken at emission is its verdict for every
+consumer: a delta is checksummed once, not once per subscriber.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import threading
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,14 +80,20 @@ class Delta:
     old_rows: Table | None
     checksum: int
 
-    def verify(self) -> bool:
-        """Does the payload still match the checksum stamped at emit?"""
+    @cached_property
+    def _intact(self) -> bool:
         return (
             _payload_crc(
                 self.kind, self.version, self.row_ids, self.rows, self.old_rows
             )
             == self.checksum
         )
+
+    def verify(self) -> bool:
+        """Does the payload still match the checksum stamped at emit?
+        Checked once per delta (a published one is stamped intact); a
+        :meth:`corrupted` copy is a new delta, checked in full."""
+        return self._intact
 
     def corrupted(self) -> "Delta":
         """A copy with one payload value perturbed (checksum kept).
@@ -334,11 +343,17 @@ class DynamicTable(Table):
     ) -> Delta:
         self.version += 1
         self._read = None
+        if rows is not None:  # the caller's arrays: the delta keeps a copy
+            rows = Table(rows.schema, [np.array(c) for c in rows.columns().values()])
         ids.flags.writeable = False
+        for table in (rows, old_rows):
+            for arr in () if table is None else table.columns().values():
+                arr.flags.writeable = False
         delta = Delta(
             kind, self.version, ids, rows, old_rows,
             checksum=_payload_crc(kind, self.version, ids, rows, old_rows),
         )
+        delta.__dict__["_intact"] = True  # its own read-only payload
         for stream in self._streams:
             stream.publish(delta)
         return delta

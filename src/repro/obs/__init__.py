@@ -16,14 +16,15 @@ package is the one substrate those statistics flow through here:
 
 * :class:`Ledger` — the count ledger every cache, store, server and
   maintainer keeps: ``ledger.inc("hits")`` is the one statement that
-  counts an event, and it lands both on the instance (exact per-run
-  numbers for gates) and in the registry as ``<prefix>.hits`` (summed
-  over instances for the exporter).
+  counts an event, one add in the calling thread's cell of the instance
+  (exact per-run numbers for gates), which the registry pulls as
+  ``<prefix>.hits`` (summed over instances for the exporter).
 
 Instrumented layers: DSL executor, parallel engine, buffer pool /
 block store, UDA driver, compression planner, simulated cluster, and
 grid/random search. ``ExecutionStats`` (dict-valued per-run tallies)
-is not a count ledger; it publishes into the registry itself.
+is not a count ledger; each execution adds its totals to the
+executor's own ledger.
 """
 
 from .metrics import (

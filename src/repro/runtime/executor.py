@@ -27,7 +27,7 @@ from ..compiler import feedback as _feedback
 from ..compiler.cost import node_flops
 from ..compiler.planner import CompiledPlan, compile_expr
 from ..errors import ExecutionError
-from ..obs import get_registry, span, tracing_enabled
+from ..obs import Ledger, get_registry, span, tracing_enabled
 from ..lang.ast import Constant, Convert, Data, Node, op_label
 from ..lang.dsl import MExpr
 from . import repops
@@ -155,26 +155,31 @@ def execute(
     return out
 
 
+#: every execution's counts, ``executor.<field>`` in the registry
+_COUNTS = Ledger("executor", (
+    "executions", "ops", "flops", "intermediate_bytes", "native_repr_ops",
+    "densify_fallbacks", "converts",
+))
+
+
 def _publish_execution(stats: ExecutionStats, exec_span) -> None:
-    """Flush one execution's stats into the global metrics registry.
+    """Add one execution's stats to the executor's ledger, in one cell.
 
     ``ExecutionStats`` stays the per-run view callers already consume;
-    the registry accumulates across runs so one report sees every layer.
+    the registry pulls the ledger, so one report sees every layer.
     """
-    registry = get_registry()
-    registry.inc("executor.executions")
-    registry.inc("executor.ops", stats.total_ops)
-    registry.inc("executor.flops", stats.flops)
-    registry.inc("executor.intermediate_bytes", stats.intermediate_bytes)
-    registry.inc(
-        "executor.native_repr_ops", sum(stats.native_repr_ops.values())
+    native = sum(stats.native_repr_ops.values())
+    counts = (
+        1, stats.total_ops, stats.flops, stats.intermediate_bytes, native,
+        stats.fallback_count, sum(stats.converts.values()),
     )
-    registry.inc("executor.densify_fallbacks", stats.fallback_count)
-    registry.inc("executor.converts", sum(stats.converts.values()))
+    for slot, n in zip(_COUNTS.cell().values(), counts):  # field order
+        slot[0] += n
+        slot[1] += 1
     exec_span.set("ops", stats.total_ops)
     exec_span.set("flops", stats.flops)
     exec_span.set("densify_fallbacks", stats.fallback_count)
-    exec_span.set("native_repr_ops", sum(stats.native_repr_ops.values()))
+    exec_span.set("native_repr_ops", native)
 
 
 def _prepare_bindings(

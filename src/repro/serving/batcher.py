@@ -131,8 +131,8 @@ class MicroBatcher(Counted):
         self._queue: deque[PendingRequest] = deque()
         #: rows in ``_queue``; guarded by ``_lock``
         self._depth = 0
-        # counters take their own locks; ``shed`` is queue-full only (a
-        # subset of the endpoint's ``serving.shed``, so its own prefix)
+        # ``shed`` is queue-full only (a subset of the endpoint's
+        # ``serving.shed``, so its own prefix)
         self.counts = Ledger(
             "serving.batcher", ("batches", "batched_requests", "shed")
         )
@@ -182,8 +182,12 @@ class MicroBatcher(Counted):
             groups.setdefault(entry.version, []).append(piece)
         for group in groups.values():
             self._score_group(group)
-        self.counts.inc("batches")
-        self.counts.inc("batched_requests", rows)
+        cell = self.counts.cell()  # field -> [count, updates]
+        batches, batched = cell["batches"], cell["batched_requests"]
+        batches[0] += 1
+        batches[1] += 1
+        batched[0] += rows
+        batched[1] += 1
         for entry, _, hi in pieces:
             if hi == entry.size:
                 entry._complete()

@@ -58,7 +58,7 @@ class PredictionCache:
         self.stats = Ledger(
             "serving.cache", ("hits", "misses", "invalidations", "evictions")
         )
-        # (version, row key) -> prediction; ``_lock`` guards it and stats
+        # (version, row key) -> prediction; ``_lock`` guards it
         self._entries = BoundedCache(capacity, self.stats)
 
     # ------------------------------------------------------------------
@@ -71,11 +71,17 @@ class PredictionCache:
         once per call."""
         with self._lock:
             values = self._entries.get_many(zip(versions, row_keys))
-            misses = values.count(None)
-            if misses:
-                self.stats.inc("misses", misses)
-            if misses < len(values):
-                self.stats.inc("hits", len(values) - misses)
+        misses = values.count(None)
+        hits = len(values) - misses
+        cell = self.stats.cell()  # field -> [count, updates]
+        if misses:
+            slot = cell["misses"]
+            slot[0] += misses
+            slot[1] += 1
+        if hits:
+            slot = cell["hits"]
+            slot[0] += hits
+            slot[1] += 1
         return values
 
     def put(

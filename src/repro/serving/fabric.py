@@ -41,7 +41,6 @@ with a mid-stream kill recovered exactly.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ from ..errors import (
     WorkerFailure,
 )
 from ..lifecycle.registry import ModelRegistry, ModelVersion
-from ..obs import Ledger, get_registry
+from ..obs import Counted, Ledger, get_registry
 from ..resilience import RetryPolicy, active_chaos, resilient_call
 from .quota import AdmissionQuotas
 from .ring import CanaryRouter, HashRing, rotation, rotations
@@ -87,18 +86,17 @@ def _check_tenants(door: str, tenants: Iterable[object]) -> None:
 
 
 @dataclass
-class _Shard:
-    """One shard's executor plus its health state."""
+class _Shard(Counted):
+    """One shard's executor plus its health state; ``served`` reads the
+    requests it answered off its private ledger."""
 
     shard_id: str
     server: ModelServer
     live: bool = True
     epoch: int = 0
-    served: int = 0
-    #: held around ``served += n``, so concurrent callers lose no count
-    #: (taken by ``acquire``/``release``: a ``with`` costs twice that)
-    lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+    counts: Ledger = field(
+        default_factory=lambda: Ledger(None, ("served",)),
+        repr=False, compare=False,
     )
 
 
@@ -504,12 +502,7 @@ class ShardedServer:
         except (LoadShedError, DeadlineExceededError) as exc:
             raise self._attributed(exc, sid, tenants, deadline_ms) from exc
         served = 1 if door == "predict" else len(out)
-        lock = shard.lock
-        lock.acquire()
-        try:
-            shard.served += served
-        finally:
-            lock.release()
+        shard.counts.inc("served", served)
         if rerouted:
             self.ledger.inc("failovers", failovers)
             self.ledger.inc("rerouted", rerouted)
@@ -598,12 +591,7 @@ class ShardedServer:
                 raise self._attributed(
                     exc, shard.shard_id, (), deadline_ms
                 ) from exc
-            lock = shard.lock
-            lock.acquire()
-            try:
-                shard.served += len(out)
-            finally:
-                lock.release()
+            shard.counts.inc("served", len(out))
             return (out, []) if on_shed == "null" else out
 
         self._endpoint(name)  # an unknown endpoint raises before admission

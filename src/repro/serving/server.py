@@ -445,16 +445,25 @@ class ModelServer:
                     row_keys = [row_keys[i] for i in missed]
                 cache.put(versions, row_keys, scored.tolist())
         finally:
+            cell = counts.cell()  # field -> [count, updates], as inc adds
             if asked:
-                counts.inc("requests", asked)
+                slot = cell["requests"]
+                slot[0] += asked
+                slot[1] += 1
             # a refused row was never routed
             stable_rows = asked - refused - canaried
             if stable_rows:
-                counts.inc("stable_requests", stable_rows)
+                slot = cell["stable_requests"]
+                slot[0] += stable_rows
+                slot[1] += 1
             if canaried:
-                counts.inc("canary_requests", canaried)
+                slot = cell["canary_requests"]
+                slot[0] += canaried
+                slot[1] += 1
             if refused or shed:
-                counts.inc("shed")
+                slot = cell["shed"]
+                slot[0] += 1
+                slot[1] += 1
         elapsed_ms = (self._clock() - start) * 1000.0
         endpoint.latency.observe(elapsed_ms)
         get_registry().observe("serving.latency_ms", elapsed_ms)

@@ -597,6 +597,23 @@ class TestRowStoreRefusals:
         rows = maint.rows
         assert rows.row(keys[0]).tobytes() == rows.take([0]).tobytes()
 
+    @pytest.mark.parametrize("kind", ["update", "insert", "delete"])
+    def test_a_materialization_refuses_a_fold(self, kind):
+        """A store's rows are its cached read-only matrix: a fold is a
+        typed refusal naming the view, raised before anything moves."""
+        table = base_table(40, seed=2)
+        rows = FeatureStore().materialize(standard_view(), table).rows
+        before = store_bytes(rows)
+        kept, fresh = table.take(np.arange(3)), new_rows(900, 3, seed=4)
+        delta = {
+            "update": delta_of("update", kept, kept),
+            "insert": delta_of("insert", fresh),
+            "delete": delta_of("delete", old_rows=kept),
+        }[kind]
+        with pytest.raises(FeatureStoreError, match="view 'orders'.*read-only"):
+            rows.fold(delta)
+        assert store_bytes(rows) == before
+
 
 GRID_FEATURES = ["x0", "x1", "x2"]
 

@@ -179,6 +179,52 @@ class TestDeltaAndStream:
         assert delta.verify()
         assert not delta.corrupted().verify()
 
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    def test_a_published_delta_owns_its_payload(self, as_mapping):
+        """Arrays the caller mutates after ``insert`` / ``update`` do not
+        reach the delta, and its payload cannot be written."""
+        dyn = DynamicTable.from_table(grid_table(10, seed=1))
+        stream = dyn.subscribe()
+        inserted, updated = grid_table(2, seed=2), grid_table(2, seed=3)
+        if as_mapping:
+            inserted, updated = inserted.columns(), updated.columns()
+        dyn.insert(inserted)
+        dyn.update(dyn.row_ids[:2], updated)
+        deltas = [stream.poll(), stream.poll()]
+        published = [d.rows.columns()["f0"].copy() for d in deltas]
+        for rows in (inserted, updated):
+            arr = rows["f0"] if as_mapping else rows.column("f0")
+            arr += 100.0
+        for delta, before in zip(deltas, published):
+            assert delta.rows.columns()["f0"].tobytes() == before.tobytes()
+            for table in (delta.rows, delta.old_rows):
+                for arr in [] if table is None else table.columns().values():
+                    assert not arr.flags.writeable
+            assert not delta.row_ids.flags.writeable
+            assert delta.verify()
+
+    def test_a_delta_is_checksummed_once_for_all_consumers(self, monkeypatch):
+        from repro.incremental import stream as stream_module
+
+        calls = []
+        crc = stream_module._payload_crc
+        monkeypatch.setattr(
+            stream_module, "_payload_crc",
+            lambda *args: calls.append(args[1]) or crc(*args),
+        )
+        dyn = DynamicTable.from_table(grid_table(40, seed=1), name="events")
+        consumers = [
+            IncrementalMaintainer(dyn, dyn.subscribe(), FEATURES, "label")
+            for _ in range(2)
+        ]
+        dyn.insert(grid_table(3, seed=2))
+        dyn.delete(dyn.row_ids[:2])
+        dyn.update(dyn.row_ids[:2], grid_table(2, seed=3))
+        for consumer in consumers:
+            consumer.drain()
+            assert consumer.parity()
+        assert calls == [1, 2, 3]  # at emission; the verdict is reused
+
     def test_stream_is_fifo_with_consecutive_versions(self):
         dyn, stream, _ = make_maintained(20, seed=1)
         for i in range(4):

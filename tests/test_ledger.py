@@ -119,6 +119,112 @@ class TestLedger:
         assert ledger.x == n_threads * per_thread
         assert get_registry().value("t.race.x") == n_threads * per_thread
 
+    def test_reads_during_incs_see_no_torn_state(self):
+        """Threads make their cells and count while the registry is read
+        and handed new and dropped ledgers; nothing raises and every
+        count lands."""
+        import sys
+
+        ledger = Ledger("t.read", ("x",))
+        registry = get_registry()
+        n_threads, per_thread = 8, 2_000
+
+        def work():
+            for _ in range(per_thread):
+                ledger.inc("x")
+
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            while any(t.is_alive() for t in threads):
+                Ledger("t.read", ("y",)).inc("y")
+                registry.as_dict()
+                assert ledger.x <= n_threads * per_thread
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ledger.x == n_threads * per_thread
+        assert registry.value("t.read.x") == n_threads * per_thread
+
+    def test_threads_that_exit_keep_their_counts(self):
+        ledger = Ledger("t.exit", ("x", "y"))
+        threads = [
+            threading.Thread(target=ledger.inc, args=("x", i)) for i in range(1, 9)
+        ]
+        for t in threads:
+            t.start()
+            t.join(timeout=60.0)
+        ledger.inc("y")
+        assert ledger.as_dict() == {"x": 36, "y": 1}
+        counters = get_registry().as_dict()["counters"]
+        assert counters["t.exit.x"] == {"value": 36.0, "updates": 8}
+        assert counters["t.exit.y"] == {"value": 1.0, "updates": 1}
+
+    def test_dropped_ledgers_fold_into_the_registry(self):
+        import gc
+
+        registry = get_registry()
+        before = registry.value("t.churn.x")
+        held = len(registry._ledgers)
+        for i in range(10_000):
+            Ledger("t.churn", ("x", "unused")).inc("x", i % 3)
+        gc.collect()
+        assert registry.value("t.churn.x") == before + sum(
+            i % 3 for i in range(10_000)
+        )
+        assert len(registry._ledgers) <= held + 1  # no entry per ledger
+        assert not registry._dead
+        assert "t.churn.unused" not in registry.names()
+
+    def test_a_reset_between_two_threads_incs(self):
+        ledger = Ledger("t.reset", ("x",))
+        registry = get_registry()
+
+        def count(n):
+            thread = threading.Thread(target=ledger.inc, args=("x", n))
+            thread.start()
+            thread.join(timeout=60.0)
+
+        count(5)
+        registry.reset()
+        assert "t.reset.x" not in registry.names()
+        count(7)
+        assert ledger.x == 12
+        assert registry.as_dict()["counters"]["t.reset.x"] == {
+            "value": 7.0, "updates": 1,
+        }
+        assert registry.total_updates() == 1
+
+    def test_a_ledger_collected_under_the_registry_lock(self):
+        """The collector may free a ledger while the registry's lock is
+        held on the same thread: its fold must not take that lock."""
+        import gc
+
+        registry = get_registry()
+        ledger = Ledger("t.dead", ("x",))
+        ledger.inc("x", 3)
+
+        def collect_under_lock():
+            nonlocal ledger
+            with registry._lock:
+                ledger = None  # the last reference: collected right here
+                gc.collect()
+
+        worker = threading.Thread(target=collect_under_lock, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        deadlocked = worker.is_alive()
+        if deadlocked:  # free the registry, so the failure is not a hang
+            registry._lock.release()
+            worker.join(timeout=10.0)
+        assert not deadlocked, "collecting a ledger deadlocked"
+        assert registry.value("t.dead.x") == 3
+
 
 # ----------------------------------------------------------------------
 # Every field of every ledger == the registry
