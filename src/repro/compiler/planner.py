@@ -34,6 +34,8 @@ class CompiledPlan:
     cost_after: CostEstimate | None = None
     #: set by repro.compiler.reprplan.plan_representations
     repr_plan: object | None = None
+    #: set by repro.runtime.executor on the plan's first execution
+    schedule: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def root(self) -> Node:

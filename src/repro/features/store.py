@@ -112,7 +112,7 @@ class FeatureRows:
 
     A :class:`MaterializedFeatures` fills it once; a
     :class:`FeatureViewMaintainer` keeps it fresh as its delta-maintained
-    state (``rebuild`` / ``fold(delta)`` / ``same_bytes``, see
+    state (``rebuild`` / ``fold_batch`` / ``same_bytes``, see
     :class:`~repro.incremental.DeltaConsumer`). Every accessor hands
     back copies, so callers can never mutate the stored bytes.
     """
@@ -186,9 +186,7 @@ class FeatureRows:
         return np.delete(self._data, self._free, axis=0)
 
     # -- delta-maintained state ------------------------------------------
-    def _computed(self, table: Table | None) -> tuple[np.ndarray, np.ndarray]:
-        if table is None:
-            return np.empty(0, np.int64), self._data[:0]
+    def _computed(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
         return self.view.entities_of(table), self.view.compute_columns(table)
 
     def rebuild(self, table: Table) -> "FeatureRows":
@@ -196,19 +194,33 @@ class FeatureRows:
         self.load(*self._computed(table))
         return self
 
-    def fold(self, delta) -> int:
-        """Apply one delta, checked whole before any slot moves: the
-        entities of ``delta.old_rows`` free their slots, those of
-        ``delta.rows`` store their recomputed rows, and one in both keeps
-        its slot. The store is keyed, so each row id counts once. Rows
-        held read-only (a materialization's cached matrix) refuse it."""
+    def fold_batch(self, deltas):
+        """Apply ``deltas`` in order, each checked whole before its slots
+        move (see :meth:`_move`), yielding its row ids (keyed: an id counts
+        once) once it is in. Every new row is computed in one call (rows
+        are row-local: the bytes of one call per delta). Rows held
+        read-only (a materialization's cached matrix) refuse a fold."""
         if not self._data.flags.writeable:
             raise FeatureStoreError(
                 f"view {self.view.name!r}: these rows are a read-only "
                 "materialization; fold deltas through a FeatureViewMaintainer"
             )
-        came, rows = self._computed(delta.rows)
-        old = delta.old_rows
+        computed = None
+        for i, delta in enumerate(deltas):
+            came, rows = np.empty(0, np.int64), self._data[:0]
+            if delta.rows is not None:
+                came = self.view.entities_of(delta.rows)
+                if computed is None:
+                    new = [d.rows for d in deltas[i:] if d.rows is not None]
+                    columns = zip(*(t.columns().values() for t in new))
+                    computed = self.view.compute_columns(Table(
+                        new[0].schema, [np.concatenate(c) for c in columns]
+                    ))
+                rows, computed = computed[: len(came)], computed[len(came) :]
+            self._move(delta.old_rows, came, rows)
+            yield len(delta.row_ids)
+
+    def _move(self, old: Table | None, came: np.ndarray, rows) -> None:
         gone = came[:0] if old is None else self.view.entities_of(old)
         was, now = self._slots.lookup(gone), self._slots.lookup(came)
         if (was < 0).any():
@@ -241,7 +253,6 @@ class FeatureRows:
         now[~kept] = slots  # a kept entity's row goes back where it was
         self._data[now] = rows
         self._slots.bind(fresh, slots, len(self))
-        return len(delta.row_ids)
 
     def same_bytes(self, table: Table) -> bool:
         entities, fresh = self._computed(table)
@@ -359,6 +370,7 @@ class FeatureViewMaintainer(DeltaConsumer):
         super().__init__(table, stream)
         self.view = view
         self.rows = self.state = FeatureRows(view)
+        self.subject = f"view {view.name!r}"
         self._rebuild()
 
     #: the name the E27 / E28 oracles call the shared check by

@@ -207,9 +207,10 @@ class FeatureView:
         values = execute(self._plan_for(num_rows), bindings)
         if len(self.feature_names) == 1:
             values = {self.feature_names[0]: values}
-        return np.column_stack(
-            [np.ravel(values[f]) for f in self.feature_names]
-        ).astype(np.float64, copy=False)
+        out = np.empty((num_rows, len(self.feature_names)))
+        for j, name in enumerate(self.feature_names):
+            out[:, j : j + 1] = values[name]  # (n, 1), or a float at n = 1
+        return out
 
     def _plan_for(self, num_rows: int):
         """The view's plan at one batch size, so a batch is one executor

@@ -10,10 +10,10 @@ refresh.
 The state here and the feature store's
 :class:`~repro.features.store.FeatureRows` are what a
 :class:`~repro.incremental.DeltaConsumer` maintains: ``rebuild(table)``
-recomputes from the base table (the lineage path), ``fold(delta)``
-folds a delta's new rows at ``+1`` and old rows at ``-1`` as one signed
-batch and returns the rows it counted, and ``same_bytes(table)`` is
-bitwise parity against a fresh rebuild.
+recomputes from the base table (the lineage path),
+``fold_batch(deltas)`` folds every delta's new rows at ``+1`` and old
+rows at ``-1`` as one signed batch, yielding the rows each counted, and
+``same_bytes(table)`` is bitwise parity against a fresh rebuild.
 
 Bit-parity discipline
 ---------------------
@@ -38,7 +38,7 @@ honest:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,8 +78,9 @@ def _neumaier_fold(
 
 
 class GramCofactorState:
-    """Maintained ``X'X`` / ``X'y`` / ``y'y`` over a dynamic table: a
-    compensated pair of :class:`~repro.ml.linreg.Moments`.
+    """Maintained ``X'X`` / ``X'y`` / ``y'y`` over a dynamic table: one
+    compensated ``[X y]'[X y]`` block, read as
+    :class:`~repro.ml.linreg.Moments`.
 
     The refresh path solves through the same ``Moments.solve`` that
     :class:`repro.ml.linreg.LinearRegression` (``solver="normal"``,
@@ -94,49 +95,48 @@ class GramCofactorState:
         if d == 0:
             raise IncrementalError("at least one feature column required")
         self.n_rows = 0
-        # (gram, cofactor, y'y) accumulators and their lost low-order bits
-        self._hi = [np.zeros((d, d)), np.zeros(d), np.zeros(())]
-        self._comp = [np.zeros((d, d)), np.zeros(d), np.zeros(())]
+        # [X y]'[X y] (gram, cofactor and y'y in one block) and the
+        # low-order bits its sums lost
+        self._hi, self._comp = np.zeros((2, d + 1, d + 1))
 
     # ------------------------------------------------------------------
     def rebuild(self, table: Table) -> "GramCofactorState":
         """Full recomputation from a base table (the lineage path)."""
-        for acc in self._hi + self._comp:
-            acc[...] = 0.0
         batch = Moments.of(
             table.to_matrix(self.features),
             table.column(self.label).astype(np.float64),
         )
-        self._add((batch.gram, batch.xty, batch.yty))
+        d = len(self.features)
+        self._comp[...] = 0.0
+        self._hi[:d, :d], self._hi[d, d] = batch.gram, batch.yty
+        self._hi[:d, d] = self._hi[d, :d] = batch.xty
         self.n_rows = batch.n
         return self
 
-    def fold(self, delta) -> int:
-        """Add ``delta.rows`` and subtract ``delta.old_rows`` as one
-        stacked signed product ``[X_new; X_old]' diag(+1, -1) [X_new;
-        X_old]`` (on grid data the bits of the two folds in sequence).
-        Every row of both halves is counted: the aggregates are unkeyed."""
-        X, y, signs = (
-            np.concatenate(part) for part in zip(*(
-                (t.to_matrix(self.features), t.column(self.label),
-                 np.full(t.num_rows, sign))
-                for t, sign in ((delta.rows, 1.0), (delta.old_rows, -1.0))
-                if t is not None
-            ))
-        )
-        signed = X * signs[:, None]
-        self._add((signed.T @ X, signed.T @ y, signs * y @ y))
+    def fold_batch(self, deltas: Sequence) -> Iterator[int]:
+        """Add every delta's ``rows`` and subtract its ``old_rows`` in one
+        stacked signed product ``[X y]' diag(+-1) [X y]`` over all their
+        rows and one compensated fold (on grid data the bits of one fold
+        per delta). Every row of both halves counts: it is unkeyed."""
+        parts = [
+            (t, sign) for delta in deltas
+            for t, sign in ((delta.rows, 1.0), (delta.old_rows, -1.0))
+            if t is not None
+        ]
+        sizes = [t.num_rows for t, _ in parts]
+        Xy = np.empty((len(self.features) + 1, sum(sizes)))
+        for out, name in zip(Xy, [*self.features, self.label]):
+            np.concatenate([t.column(name) for t, _ in parts], out=out)
+        signs = np.repeat([sign for _, sign in parts], sizes)
+        _neumaier_fold(self._hi, self._comp, (Xy * signs) @ Xy.T)
         self.n_rows += int(signs.sum())
-        return len(y)
-
-    def _add(self, terms) -> None:
-        for hi, comp, term in zip(self._hi, self._comp, terms):
-            _neumaier_fold(hi, comp, np.asarray(term))
+        for delta in deltas:
+            halves = (delta.rows, delta.old_rows)
+            yield sum(t.num_rows for t in halves if t is not None)
 
     # ------------------------------------------------------------------
     def moments(self) -> Moments:
-        gram, xty, yty = (hi + comp for hi, comp in zip(self._hi, self._comp))
-        return Moments(gram, xty, float(yty), self.n_rows)
+        return Moments.of_augmented(self._hi + self._comp, self.n_rows)
 
     def solve_ridge(self, l2: float = 0.0) -> np.ndarray:
         """Weights from the maintained aggregates, through the same

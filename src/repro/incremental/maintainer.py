@@ -12,11 +12,12 @@ blockstore and materialization store use. A fault can cost time; it can
 never leave silently stale state.
 
 The derived state is one *state* with a duck-typed surface —
-``rebuild(table)``, ``fold(delta) -> rows counted`` and
-``same_bytes(table)``. It folds a whole verified delta as one batch,
-checked before anything changes, and decides itself how ``old_rows``
-and ``rows`` combine: one signed pass for an aggregate, an in-place
-rewrite of an updated key's row for a keyed row store.
+``rebuild(table)``, ``fold_batch(deltas)`` and ``same_bytes(table)``.
+A drain checks each delta in order and folds the clean ones in a row as
+one batch, so a round's fixed costs are paid once per drain; a refused
+delta raises with those before it applied. The state decides how
+``old_rows`` and ``rows`` combine: one signed pass for an aggregate, an
+in-place rewrite of an updated key's row for a keyed row store.
 
 :class:`IncrementalMaintainer` is the ML-aggregate consumer
 (gram/cofactor, the F-IVM workload); the feature store's
@@ -43,8 +44,8 @@ class DeltaConsumer:
     """Applies a change stream to derived state, or repairs by lineage.
 
     Subclasses set :attr:`FAULT_SITE` / :attr:`OBS_PREFIX` /
-    :attr:`ERROR`, construct :attr:`state` (``rebuild`` / ``fold`` /
-    ``same_bytes``) and call :meth:`_rebuild`;
+    :attr:`ERROR`, construct :attr:`state` (``rebuild`` / ``fold_batch``
+    / ``same_bytes``) and call :meth:`_rebuild`;
     folding, lineage repair and the parity check are written here once.
     """
 
@@ -63,6 +64,7 @@ class DeltaConsumer:
             "parity_checks",
         ))
         self.applied_version = table.version
+        self.subject = type(self).__name__  # what its errors call it
 
     # ------------------------------------------------------------------
     @property
@@ -71,42 +73,53 @@ class DeltaConsumer:
         return self.table.version - self.applied_version
 
     def drain(self) -> int:
-        """Apply every pending delta; returns deltas consumed."""
-        consumed = 0
-        while True:
-            delta = self.stream.poll()
-            if delta is None:
-                break
-            self.apply(delta)
+        """Apply every pending delta; returns deltas consumed. Left behind
+        the table (a delta refused, or lost last), it raises :attr:`ERROR`."""
+        consumed, batch = 0, []
+        while (delta := self.stream.poll()) is not None:
+            self._admit(delta, batch)
             consumed += 1
+        self._fold(batch)
         get_registry().set_gauge(f"{self.OBS_PREFIX}.staleness", self.staleness)
+        if self.staleness:
+            raise self.ERROR(
+                f"{self.subject} is at version {self.applied_version}, its "
+                f"table {self.table.name!r} at {self.table.version}: no delta "
+                "is pending, so one was refused or lost"
+            )
         return consumed
 
     def apply(self, delta: Delta) -> None:
         """Fold one delta — or recover by lineage recompute."""
-        if delta.version <= self.applied_version:
+        self._admit(delta, batch := [])
+        self._fold(batch)
+
+    def _admit(self, delta: Delta, batch: list[Delta]) -> None:
+        """Queue a clean delta on ``batch``, or skip or repair it."""
+        at = batch[-1].version if batch else self.applied_version
+        if delta.version <= at:
             # Already covered by a recompute that read a newer base state.
             self.stats.inc("skipped_stale")
             return
-        if delta.version != self.applied_version + 1:
-            self.stats.inc("dropped_deltas")
-            self._recompute("version gap")
-            return
+        if delta.version != at + 1:
+            return self._recompute(batch, "dropped_deltas")
         try:
             status = fault_point(self.FAULT_SITE, key=delta.version)
         except InjectedFault:
-            self.stats.inc("injected_faults")
-            self._recompute("injected fault")
-            return
+            return self._recompute(batch, "injected_faults")
         if status == "corrupt":
             delta = delta.corrupted()
         if not delta.verify():
-            self.stats.inc("corrupt_deltas")
-            self._recompute("checksum mismatch")
-            return
-        self.stats.inc("rows_folded", self.state.fold(delta))
-        self.applied_version = delta.version
-        self.stats.inc("deltas_applied")
+            return self._recompute(batch, "corrupt_deltas")
+        batch.append(delta)
+
+    def _fold(self, batch: list[Delta]) -> None:
+        # zip asks ``batch`` first: an empty one never starts the fold
+        for delta, rows in zip(batch, self.state.fold_batch(batch)):
+            self.stats.inc("rows_folded", rows)
+            self.applied_version = delta.version
+            self.stats.inc("deltas_applied")
+        batch.clear()
 
     def _rebuild(self) -> None:
         """Recompute the state from the base table, chaos held off so a
@@ -114,10 +127,12 @@ class DeltaConsumer:
         with no_chaos():
             self.state.rebuild(self.table)
 
-    def _recompute(self, reason: str) -> None:
-        """Lineage repair: rebuild, then fast-forward ``applied_version``
-        to the base table's current version — deltas still in flight
-        below that version are skipped as stale when they arrive."""
+    def _recompute(self, batch: list[Delta], outcome: str) -> None:
+        """Lineage repair: fold ``batch``, count ``outcome``, rebuild, then
+        fast-forward ``applied_version`` to the base table's — deltas still
+        in flight below that version are skipped as stale on arrival."""
+        self._fold(batch)
+        self.stats.inc(outcome)
         self._rebuild()
         self.applied_version = self.table.version
         self.stats.inc("recomputes")

@@ -1,9 +1,12 @@
 """Plan interpreter.
 
-Evaluates a compiled DAG, memoizing on node identity so CSE-shared
-subexpressions run once. Collects :class:`ExecutionStats` (per-op
-counts, FLOP estimate, intermediate-byte high-water mark) that the
-benchmark suite uses to attribute optimizer wins.
+Evaluates a compiled DAG in one loop over its *schedule*, built once
+per plan: the distinct nodes (CSE-shared subexpressions run once) in
+topological order with their op labels and FLOP counts. Each step still
+checks its operands (representation dispatch, Convert targets, a per-op
+span under tracing). Collects :class:`ExecutionStats` (per-op counts,
+FLOP estimate, intermediate-byte high-water mark) that the benchmark
+suite uses to attribute optimizer wins.
 
 Bindings may be dense numpy arrays or any of the storage
 representations — :class:`~repro.compression.CompressedMatrix` (CLA),
@@ -28,7 +31,7 @@ from ..compiler.cost import node_flops
 from ..compiler.planner import CompiledPlan, compile_expr
 from ..errors import ExecutionError
 from ..obs import Ledger, get_registry, span, tracing_enabled
-from ..lang.ast import Constant, Convert, Data, Node, op_label
+from ..lang.ast import Constant, Convert, Data, Node, op_label, unique_nodes
 from ..lang.dsl import MExpr
 from . import repops
 from .ops import apply_node
@@ -58,9 +61,9 @@ class ExecutionStats:
     def fallback_count(self) -> int:
         return sum(self.densify_fallbacks.values())
 
-    def record(self, label: str, node: Node, result_bytes: int) -> None:
+    def record(self, label: str, flops: int, result_bytes: int) -> None:
         self.op_counts[label] = self.op_counts.get(label, 0) + 1
-        self.flops += node_flops(node)
+        self.flops += flops
         self.intermediate_bytes += result_bytes
 
     def note_native(self, label: str) -> None:
@@ -85,9 +88,9 @@ def execute(
 ):
     """Run a plan (or compile-and-run raw expressions).
 
-    Every output of the plan is evaluated over one memo table, so a
-    node shared between outputs runs once, inside one span and one
-    published :class:`ExecutionStats`.
+    Every output of the plan is evaluated in one pass over the plan's
+    schedule, so a node shared between outputs runs once, inside one
+    span and one published :class:`ExecutionStats`.
 
     Args:
         bindings: name -> operand for every Data input: a numpy array
@@ -111,34 +114,30 @@ def execute(
         )
     if not isinstance(plan, CompiledPlan):
         plan = compile_expr(plan)
-    bindings = bindings or {}
     force_dense = representation == "dense"
-    prepared = _prepare_bindings(plan, bindings, force_dense)
+    prepared = _prepare_bindings(plan, bindings or {}, force_dense)
 
     store = _feedback.active_store()
     stats = ExecutionStats()
-    memo: dict[int, object] = {}
-    dense_cache: dict[int, np.ndarray] = {}
+    steps, outputs, root = _schedule(plan)
     exec_span = span(
         "executor.execute",
-        root=",".join(op_label(root) for root in plan.outputs.values()),
+        root=root,
         inputs=len(plan.inputs),
         force_dense=force_dense,
     )
     try:
         with exec_span:
-            results = [
-                _eval(root, prepared, memo, stats, dense_cache, force_dense)
-                for root in plan.outputs.values()
-            ]
+            values = _run(steps, prepared, stats, force_dense)
             out = {}
-            for (name, root), result in zip(plan.outputs.items(), results):
+            for name, at, is_scalar in outputs:
+                result = values[at]
                 if repops.is_representation(result):
                     stats.note_convert(
                         f"{repops.kind_of(result)}->dense(output)", 0
                     )
                     result = repops.densify(result)
-                out[name] = float(result[0, 0]) if root.is_scalar else result
+                out[name] = float(result[0, 0]) if is_scalar else result
             if len(out) == 1:
                 (out,) = out.values()
     finally:
@@ -150,9 +149,7 @@ def execute(
                 # Feedback is advisory: a broken store must never fail
                 # the execution it was watching.
                 get_registry().inc("feedback.observe_errors")
-    if collect_stats:
-        return out, stats
-    return out
+    return (out, stats) if collect_stats else out
 
 
 #: every execution's counts, ``executor.<field>`` in the registry
@@ -221,54 +218,52 @@ def _prepare_bindings(
     return prepared
 
 
-def _eval(
-    node: Node,
-    bindings: dict[str, object],
-    memo: dict[int, object],
-    stats: ExecutionStats,
-    dense_cache: dict[int, np.ndarray],
-    force_dense: bool,
-):
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
+def _schedule(plan: CompiledPlan) -> tuple:
+    """Built once per plan: ``(node, label, flops, child positions)`` per
+    node in :func:`unique_nodes` order, ``(name, position, is_scalar)``
+    per output, and the span's root label."""
+    if plan.schedule is None:
+        steps, at = [], {}
+        for node in unique_nodes(*plan.outputs.values()):
+            children = [at[id(c)] for c in node.children]
+            at[id(node)] = len(steps)
+            steps.append((node, op_label(node), node_flops(node), children))
+        roots = plan.outputs.items()
+        outputs = [(name, at[id(r)], r.is_scalar) for name, r in roots]
+        plan.schedule = steps, outputs, ",".join(op_label(r) for _, r in roots)
+    return plan.schedule
 
-    if isinstance(node, Data):
-        result = bindings[node.name]
-    elif isinstance(node, Constant):
-        result = node.value
-    elif isinstance(node, Convert):
-        child = _eval(
-            node.child, bindings, memo, stats, dense_cache, force_dense
-        )
-        result = _eval_convert(node, child, stats, force_dense)
-    else:
-        children = [
-            _eval(c, bindings, memo, stats, dense_cache, force_dense)
-            for c in node.children
-        ]
-        if tracing_enabled():
-            with span(
-                "executor.op",
-                op=op_label(node),
-                shape=str(node.shape),
-            ):
-                result = _eval_physical(node, children, stats, dense_cache)
+
+def _run(steps, bindings, stats: ExecutionStats, force_dense: bool) -> list:
+    """Every step's value, in schedule order."""
+    values: list = []
+    cache: dict[int, np.ndarray] = {}  # each operand densified once
+    for node, label, flops, children in steps:
+        args = [values[c] for c in children]
+        if isinstance(node, Data):
+            result = bindings[node.name]
+        elif isinstance(node, Constant):
+            result = node.value
+        elif isinstance(node, Convert):
+            result = _eval_convert(node, args[0], stats, force_dense)
+        elif tracing_enabled():
+            with span("executor.op", op=label, shape=str(node.shape)):
+                result = _eval_physical(node, label, flops, args, stats, cache)
         else:
-            result = _eval_physical(node, children, stats, dense_cache)
-
-    memo[id(node)] = result
-    return result
+            result = _eval_physical(node, label, flops, args, stats, cache)
+        values.append(result)
+    return values
 
 
 def _eval_physical(
     node: Node,
+    label: str,
+    flops: int,
     children: list,
     stats: ExecutionStats,
     dense_cache: dict[int, np.ndarray],
 ):
     """Run one physical operator over already-evaluated children."""
-    label = op_label(node)
     if any(repops.is_representation(c) for c in children):
         result = repops.eval_node(node, children, stats, dense_cache)
         if repops.is_representation(result):
@@ -277,7 +272,7 @@ def _eval_physical(
                     f"representation kernel produced shape "
                     f"{tuple(result.shape)} for node of shape {node.shape}"
                 )
-            stats.record(label, node, repops.operand_bytes(result))
+            stats.record(label, flops, repops.operand_bytes(result))
             return result
     else:
         result = apply_node(node, children)
@@ -285,7 +280,7 @@ def _eval_physical(
     if result.shape != node.shape:
         # Broadcasting of (1,1) scalars can shrink shapes; normalize.
         result = np.broadcast_to(result, node.shape).copy()
-    stats.record(label, node, result.nbytes)
+    stats.record(label, flops, result.nbytes)
     return result
 
 

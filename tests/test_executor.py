@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.compiler import compile_expr
+from repro.compression import CompressedMatrix
 from repro.errors import ExecutionError
+from repro.features import FeatureView
 from repro.lang import colmeans, exp, matrix, rowsums, sigmoid, sqrt, sumall
 from repro.runtime import execute
+from repro.sparse import CSRMatrix
 
 
 @pytest.fixture
@@ -93,6 +97,94 @@ class TestBasicExecution:
     def test_raw_expression_compiled_on_the_fly(self, bindings):
         X = matrix("X", (8, 5))
         assert execute(sumall(X), bindings) == pytest.approx(bindings["X"].sum())
+
+
+N, D, K = 48, 4, 3
+
+
+def _operand(X, kind):
+    if kind == "cla":
+        return CompressedMatrix.compress(X)
+    return CSRMatrix.from_dense(X) if kind == "csr" else X
+
+
+def _probe(name, kind):
+    """A feature view's plan, or one of E19's two probe plans (the
+    logistic gradient, the k-means distances), over one operand kind."""
+    rng = np.random.default_rng(7)
+    X = np.round(rng.standard_normal((N, D))) * (rng.random((N, D)) < 0.5)
+    if name == "logreg":
+        Xm, wm, ym = matrix("X", (N, D)), matrix("w", (D, 1)), matrix("y", (N, 1))
+        plan = compile_expr(Xm.T @ (sigmoid(Xm @ wm) - ym) / N)
+        y = (X[:, :1] > 0).astype(float)
+        return plan, {"X": _operand(X, kind), "w": np.full((D, 1), 0.25), "y": y}
+    if name == "kmeans":
+        Xm, Cm = matrix("X", (N, D)), matrix("C", (K, D))
+        plan = compile_expr(
+            rowsums(Xm**2) - 2.0 * (Xm @ Cm.T) + rowsums(Cm**2).T
+        )
+        return plan, {"X": _operand(X, kind), "C": X[:K].copy()}
+    view = FeatureView("probe", "entity", {
+        "x0": lambda c: c.x0,
+        "cross": lambda c: c.x0 * c.x1,
+        "shifted": lambda c: c.x2 + 1.5,
+    })
+    columns = {f"x{j}": _operand(X[:, j : j + 1], kind) for j in range(3)}
+    return view._plan_for(N), columns
+
+
+class TestPinnedStats:
+    """What an execution reports is the plan's work, not the interpreter's
+    shape: these are the recursive interpreter's figures, which the
+    scheduled loop must repeat field for field."""
+
+    #: each plan's op_counts and flops, whatever its operands' kind
+    OPS = {
+        "view": ({"binary:*": 1, "binary:+": 1}, 96),
+        "logreg": ({"transpose": 1, "matmul": 2, "unary:sigmoid": 1,
+                    "binary:-": 1, "binary:/": 1}, 1060),
+        "kmeans": ({"binary:^": 2, "agg:sum": 2, "transpose": 2, "matmul": 1,
+                    "binary:*": 1, "binary:-": 1, "binary:+": 1}, 2007),
+    }
+    #: intermediate_bytes, native_repr_ops, densify_fallbacks, converts
+    BY_KIND = {
+        ("view", "dense"): (768, {}, {}, {}),
+        ("view", "cla"): (480, {"binary:+[cla]": 1}, {"binary:*": 2},
+                          {"cla->dense(output)": 2}),
+        ("view", "csr"): (768, {}, {"binary:*": 2, "binary:+": 1},
+                          {"csr->dense(output)": 1}),
+        ("logreg", "dense"): (2752, {}, {}, {}),
+        ("logreg", "cla"): (
+            1576, {"transpose[cla]": 1, "matmul[cla]": 2}, {}, {}),
+        ("logreg", "csr"): (
+            2504, {"transpose[csr]": 1, "matmul[csr]": 2}, {}, {}),
+        ("kmeans", "dense"): (6768, {}, {}, {}),
+        ("kmeans", "cla"): (5592, {
+            "binary:^[cla]": 1, "agg:sum[cla]": 1, "matmul[cla]": 1}, {}, {}),
+        ("kmeans", "csr"): (6520, {
+            "binary:^[csr]": 1, "agg:sum[csr]": 1, "matmul[csr]": 1}, {}, {}),
+    }
+
+    @pytest.mark.parametrize("name,kind", list(BY_KIND))
+    def test_stats_match_the_pinned_figures(self, name, kind):
+        plan, bindings = _probe(name, kind)
+        pinned = (*self.OPS[name], *self.BY_KIND[name, kind])
+        for _ in range(2):  # the first run builds the schedule, then reuse
+            _, stats = execute(plan, bindings, collect_stats=True)
+            assert pinned == (
+                stats.op_counts, stats.flops, stats.intermediate_bytes,
+                stats.native_repr_ops, stats.densify_fallbacks,
+                stats.converts,
+            )
+
+    def test_each_op_is_a_span_under_tracing(self):
+        obs.set_tracing(True)
+        plan, bindings = _probe("kmeans", "csr")
+        execute(plan, bindings)
+        (root,) = [r for r in obs.span_roots() if r.name == "executor.execute"]
+        ops = [c.attrs["op"] for c in root.children if c.name == "executor.op"]
+        counts = {op: ops.count(op) for op in ops}
+        assert counts == self.OPS["kmeans"][0]
 
 
 class TestOptimizationEquivalence:

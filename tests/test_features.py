@@ -35,7 +35,7 @@ from repro.resilience import ChaosContext, FaultPlan, chaos_seed_from_env
 from repro.runtime import execute
 from repro.serving import ShardedServer
 from repro.storage.table import Table
-from tests.test_incremental import delta_of
+from tests.test_incremental import delta_of, fold_one
 
 
 def base_table(n=120, seed=0):
@@ -560,7 +560,7 @@ class TestRowStoreRefusals:
             ([3, 4, 10_000, 5], "10000"), ([6, 7, 6], "duplicate")
         ):
             with pytest.raises(FeatureStoreError, match=named):
-                rows.fold(delta_of("delete", old_rows=keyed_table(batch)))
+                fold_one(rows, delta_of("delete", old_rows=keyed_table(batch)))
             assert row_store_state(rows) == before
         assert maint.parity()
 
@@ -570,10 +570,10 @@ class TestRowStoreRefusals:
         before = row_store_state(rows)
         batch = new_rows(900, 3, seed=4).with_column("entity", [900, 12, 901])
         with pytest.raises(FeatureStoreError, match="duplicate entity 12"):
-            rows.fold(delta_of("insert", batch))
+            fold_one(rows, delta_of("insert", batch))
         assert row_store_state(rows) == before
         with pytest.raises(FeatureStoreError, match="duplicate"):
-            rows.fold(delta_of("insert", keyed_table([950, 951, 950])))
+            fold_one(rows, delta_of("insert", keyed_table([950, 951, 950])))
         assert row_store_state(rows) == before
         assert maint.parity()
 
@@ -597,6 +597,23 @@ class TestRowStoreRefusals:
         rows = maint.rows
         assert rows.row(keys[0]).tobytes() == rows.take([0]).tobytes()
 
+    def test_a_drain_left_behind_raises_instead_of_returning(self):
+        """The refused delta has left the stream, so the next drain finds
+        nothing to fold: it raises, naming the view and both versions,
+        instead of returning with the rows one version stale."""
+        dyn = DynamicTable.from_table(keyed_table(np.arange(10)), "orders")
+        maint = FeatureViewMaintainer(standard_view(), dyn, dyn.subscribe())
+        dyn.update([0], keyed_table([5]))
+        with pytest.raises(FeatureStoreError, match="duplicate entity 5"):
+            maint.drain()
+        for _ in range(2):
+            with pytest.raises(
+                FeatureStoreError, match="view 'orders' is at version 0, "
+                "its table 'orders' at 1: no delta is pending"
+            ):
+                maint.drain()
+        assert maint.staleness == 1
+
     @pytest.mark.parametrize("kind", ["update", "insert", "delete"])
     def test_a_materialization_refuses_a_fold(self, kind):
         """A store's rows are its cached read-only matrix: a fold is a
@@ -611,7 +628,7 @@ class TestRowStoreRefusals:
             "delete": delta_of("delete", old_rows=kept),
         }[kind]
         with pytest.raises(FeatureStoreError, match="view 'orders'.*read-only"):
-            rows.fold(delta)
+            fold_one(rows, delta)
         assert store_bytes(rows) == before
 
 
@@ -742,7 +759,7 @@ class TestEntityUniqueness:
             FeatureRows(view).rebuild(table)
         rows = FeatureRows(view).rebuild(keyed_table([100, 101]))
         with pytest.raises(FeatureStoreError, match="duplicate"):
-            rows.fold(delta_of("insert", table))
+            fold_one(rows, delta_of("insert", table))
         assert len(rows) == 2
 
     @pytest.mark.parametrize("keys", [
@@ -754,7 +771,7 @@ class TestEntityUniqueness:
         offline = FeatureStore().materialize(view, table)
         matrix = view.compute_columns(table)
         rows = FeatureRows(view).rebuild(keyed_table(keys[:1]))
-        rows.fold(delta_of("insert", table.take(np.arange(1, 3))))
+        fold_one(rows, delta_of("insert", table.take(np.arange(1, 3))))
         for i, key in enumerate(keys):
             assert offline.row(key).tobytes() == matrix[i].tobytes()
             assert rows.row(key).tobytes() == matrix[i].tobytes()
@@ -788,12 +805,12 @@ class TestIntegerSlots:
     def test_keys_outside_the_dense_range_move_to_a_dict(self):
         full = keyed_table([3, 1, 2, -5, 2**40])
         rows = FeatureRows(standard_view()).rebuild(full.take(np.arange(3)))
-        rows.fold(delta_of("insert", full.take(np.array([3]))))
+        fold_one(rows, delta_of("insert", full.take(np.array([3]))))
         assert rows._slots.where is not None and rows.slot(-5) == 3
-        rows.fold(delta_of("insert", full.take(np.array([4]))))
+        fold_one(rows, delta_of("insert", full.take(np.array([4]))))
         assert rows._slots.where is None
         assert rows.same_bytes(full)
-        rows.fold(delta_of("delete", old_rows=full.take(np.array([3, 0]))))
+        fold_one(rows, delta_of("delete", old_rows=full.take(np.array([3, 0]))))
         assert rows.same_bytes(full.take(np.array([1, 2, 4])))
 
     def test_rising_keys_keep_the_range_bounded(self):
@@ -808,8 +825,8 @@ class TestIntegerSlots:
 
         rows = FeatureRows(standard_view()).rebuild(batch(0, 100))
         for low in range(0, 5_000, 10):
-            rows.fold(delta_of("delete", old_rows=batch(low, low + 10)))
-            rows.fold(delta_of("insert", batch(low + 100, low + 110)))
+            fold_one(rows, delta_of("delete", old_rows=batch(low, low + 10)))
+            fold_one(rows, delta_of("insert", batch(low + 100, low + 110)))
         assert rows._slots.where is not None
         assert rows._slots.base > 4_000 and len(rows._slots.where) < 1_000
         assert rows.same_bytes(batch(5_000, 5_100))

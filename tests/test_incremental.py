@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import make_grid_regression
-from repro.errors import IncrementalError
+from repro.errors import IncrementalError, ReproError
 from repro.features import FeatureView, FeatureViewMaintainer
 from repro.incremental import (
     ContinuousTrainer,
@@ -267,8 +267,8 @@ class TestGramCofactorState:
         extra = Table.from_matrix(
             rng.standard_normal((30, D)), label=rng.standard_normal(30)
         )
-        state.fold(delta_of("insert", extra))
-        state.fold(delta_of("delete", old_rows=extra))
+        fold_one(state, delta_of("insert", extra))
+        fold_one(state, delta_of("delete", old_rows=extra))
         fresh = GramCofactorState(FEATURES, "label").rebuild(table)
         drift = state.moments() - fresh.moments()
         assert max(
@@ -280,8 +280,8 @@ class TestGramCofactorState:
         state = GramCofactorState(FEATURES, "label").rebuild(base)
         gram0 = state.moments().gram.copy()
         extra = grid_table(40, seed=2)
-        assert state.fold(delta_of("insert", extra)) == 40
-        assert state.fold(delta_of("delete", old_rows=extra)) == 40
+        assert fold_one(state, delta_of("insert", extra)) == 40
+        assert fold_one(state, delta_of("delete", old_rows=extra)) == 40
         assert np.array_equal(state.moments().gram, gram0)
         assert state.same_bytes(base)
 
@@ -294,9 +294,9 @@ class TestGramCofactorState:
         )
         stacked = GramCofactorState(FEATURES, "label").rebuild(base)
         halves = GramCofactorState(FEATURES, "label").rebuild(base)
-        assert stacked.fold(delta_of("update", new, old)) == 50
-        halves.fold(delta_of("delete", old_rows=old))
-        halves.fold(delta_of("insert", new))
+        assert fold_one(stacked, delta_of("update", new, old)) == 50
+        fold_one(halves, delta_of("delete", old_rows=old))
+        fold_one(halves, delta_of("insert", new))
         for a, b in zip(vars(stacked.moments()).values(),
                         vars(halves.moments()).values()):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -557,8 +557,99 @@ class TestInterleavingProperty:
         assert len(refresher.rows) == dyn.num_rows
 
 
+class TestBatchedDrain:
+    """A drain folds the clean deltas it finds as one batch; that must be
+    bitwise what folding each delta on its own gives — state, version,
+    every ledger field and the error raised — with chaos raising or
+    corrupting deltas, a delta lost in transit, or a delta the view
+    refuses in mid-batch. The one-by-one side hands its consumer one
+    delta per call (``apply``), then drains the empty stream, so both
+    sides end on the drain's own staleness check."""
+
+    @staticmethod
+    def _state(consumer):
+        state = consumer.state
+        if isinstance(state, GramCofactorState):
+            return [state._hi.tobytes(), state._comp.tobytes(), state.n_rows]
+        entities = consumer.table.column("entity")
+        return [state.matrix().tobytes(), list(state._free),
+                state._slots.lookup(entities).tobytes()]
+
+    @staticmethod
+    def _consume(consumer, plan, one_by_one):
+        try:
+            with ChaosContext(plan):
+                while one_by_one and (delta := consumer.stream.poll()):
+                    consumer.apply(delta)
+                consumer.drain()
+        except ReproError as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "fault", ["none", "raise", "corrupt", "lose", "refuse"]
+    )
+    @given(schedule=ops, at=st.integers(0, 11), seed=st.integers(0, 1_000))
+    @settings(max_examples=15, deadline=None)
+    def test_a_batch_folds_like_one_delta_at_a_time(
+        self, schedule, fault, at, seed
+    ):
+        dyn = DynamicTable.from_table(
+            keyed_table(30, seed, np.arange(30)), name="events"
+        )
+        view = FeatureView("events", "entity", {
+            "cross": lambda c: c.f0 * c.f1, "shifted": lambda c: c.f2 + 1.0,
+        })
+        pairs = [
+            [IncrementalMaintainer(dyn, dyn.subscribe(), FEATURES, "label")
+             for _ in range(2)],
+            [FeatureViewMaintainer(view, dyn, dyn.subscribe())
+             for _ in range(2)],
+        ]
+        at = min(at, len(schedule) - 1)
+        next_entity = 30
+        for step, (kind, size, s) in enumerate(schedule):
+            rng = np.random.default_rng(s)
+            picks = rng.choice(dyn.row_ids, size=min(size, 4), replace=False)
+            entities = dyn.column("entity")[np.searchsorted(dyn.row_ids, picks)]
+            if fault == "refuse" and step == at:  # a key another row holds
+                others = np.setdiff1d(dyn.column("entity"), entities)
+                dyn.update(picks[:1], keyed_table(1, s, others[:1]))
+            elif kind == "insert" or dyn.num_rows <= size:
+                fresh = np.arange(next_entity, next_entity + size)
+                dyn.insert(keyed_table(size, s, fresh))
+                next_entity += size
+            elif kind == "delete":
+                dyn.delete(picks)
+            else:
+                dyn.update(picks, keyed_table(len(picks), s, entities))
+        plan = FaultPlan(seed=seed)
+        if fault in ("raise", "corrupt"):
+            for site in ("incremental.apply", "features.refresh"):
+                plan.inject(site, rate=0.3, mode=fault)
+        for pair in pairs:
+            if fault == "lose":  # the at-th delta never arrives
+                for consumer in pair:
+                    held = [consumer.stream.poll()
+                            for _ in range(consumer.stream.pending())]
+                    for delta in held[:at] + held[at + 1:]:
+                        consumer.stream.publish(delta)
+            single, batched = pair
+            assert self._consume(single, plan, True) == self._consume(
+                batched, plan, False
+            )
+            assert self._state(single) == self._state(batched)
+            assert single.applied_version == batched.applied_version
+            assert single.stats.as_dict() == batched.stats.as_dict()
+
+
+def fold_one(state, delta):
+    """One delta through a state's batch fold; the rows it counted."""
+    return sum(state.fold_batch([delta]))
+
+
 def delta_of(kind, rows=None, old_rows=None):
-    """A hand-built delta, as a state's ``fold`` receives it."""
+    """A hand-built delta, as a state's ``fold_batch`` receives it."""
     n = (rows if rows is not None else old_rows).num_rows
     return Delta(kind, 1, np.arange(n), rows, old_rows, checksum=0)
 
