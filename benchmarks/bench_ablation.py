@@ -5,9 +5,9 @@ on the GLM-gradient program, attributing the end-to-end win to its
 parts (the ablation DESIGN.md calls out).
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compiler import compile_expr
 from repro.lang import matrix
 from repro.runtime import execute

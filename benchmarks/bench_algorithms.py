@@ -5,9 +5,9 @@ through the optimizing compiler match hand-optimized implementations —
 the programmer writes math, the compiler recovers the efficient plan.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.algorithms import kmeans_dsl, linreg_cg, linreg_direct, pca_dsl
 from repro.data import make_blobs, make_regression
 from repro.ml import KMeans, LinearRegression

@@ -6,6 +6,7 @@ it does not, the sequential scan thrashes LRU and every epoch pays full
 I/O.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
 from repro.runtime import BlockedMatrix, BlockStore, BufferPool

@@ -4,9 +4,9 @@ Surveyed claim: per-column scheme decisions made from a small sample
 agree with exhaustive analysis while planning in a fraction of the time.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compression import CompressedMatrix, plan_matrix
 from repro.data import (
     make_low_cardinality_matrix,

@@ -5,9 +5,9 @@ per-subset least-squares solves data-size independent, beating per-subset
 recomputation by orders of magnitude during exploration.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.data import make_regression
 from repro.feateng import FeatureSubsetExplorer, solve_subset_naive
 

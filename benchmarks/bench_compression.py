@@ -5,9 +5,9 @@ low-cardinality / run-structured / sparse data while keeping compressed
 matrix-vector kernels competitive with dense.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compression import CompressedMatrix
 from repro.data import (
     make_low_cardinality_matrix,

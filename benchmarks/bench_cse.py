@@ -5,9 +5,9 @@ hand-derived gradients) execute each distinct operator once under CSE,
 cutting executed-operator counts and runtime.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compiler import compile_expr, count_tree_ops, count_unique_ops
 from repro.lang import matrix, sumall
 from repro.runtime import execute

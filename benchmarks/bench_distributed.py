@@ -7,6 +7,7 @@ shards shrink; (c) parameter-server asynchrony tolerates moderate
 staleness and destabilizes under extreme staleness with large steps.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
 from repro.data import make_classification, make_regression

@@ -4,9 +4,9 @@ Surveyed claim: factorized linear algebra beats materialize-then-compute,
 with the speedup growing in the tuple ratio n_S / n_R.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.data import make_star_schema
 from repro.factorized import FactorizedLinearRegression, NormalizedMatrix
 from repro.incremental import snap_to_grid

@@ -34,9 +34,9 @@ Usage::
 
 from __future__ import annotations
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.errors import PromotionHeldError
 from repro.features import (
     DriftGate,

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import tempfile
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro import obs
 from repro.algorithms.clustering import kmeans_dsl
 from repro.algorithms.glm import logreg_gd, replan_operand

@@ -5,9 +5,9 @@ free — one data pass per fold instead of one per (fold, lambda) — with
 RMSE identical to per-configuration refits.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.data import make_regression
 from repro.selection import ridge_cv_naive, ridge_cv_shared
 

@@ -4,9 +4,9 @@ Surveyed claim: fused kernels avoid materializing large intermediates,
 reducing both memory traffic and allocation cost.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compiler import compile_expr, estimate, fused_kinds
 from repro.lang import matrix, sumall
 from repro.runtime import execute

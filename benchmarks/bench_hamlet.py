@@ -5,6 +5,7 @@ be dropped (or replaced by the FK) with negligible accuracy loss, and the
 avoided join makes training cheaper.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 from repro.data import make_star_schema
 from repro.factorized import evaluate_join_avoidance
 

@@ -33,9 +33,9 @@ Usage::
 
 from __future__ import annotations
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.data import make_grid_regression
 from repro.incremental import (
     ContinuousTrainer,

@@ -9,6 +9,7 @@ per step); (c) shuffling once nearly matches per-epoch reshuffling and
 beats clustered order.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
 from repro.data import make_classification, make_regression

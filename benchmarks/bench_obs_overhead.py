@@ -29,9 +29,9 @@ Usage::
 
 from __future__ import annotations
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro import obs
 from repro.algorithms import logreg_gd
 from repro.compression import CompressedMatrix

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import argparse
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compression import CompressedMatrix
 from repro.data import make_classification, make_low_cardinality_matrix
 from repro.indb.gradient import train_igd

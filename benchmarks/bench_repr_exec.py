@@ -19,9 +19,9 @@ Usage::
 
 from __future__ import annotations
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.algorithms import kmeans_dsl, logreg_gd
 from repro.compiler import compile_expr
 from repro.compression import CompressedMatrix

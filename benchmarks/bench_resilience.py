@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import tempfile
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.algorithms import kmeans_dsl, logreg_gd
 from repro.distributed import SimulatedCluster
 from repro.ml.losses import LogisticLoss

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import tempfile
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.materialize import MaterializationStore
 from repro.resilience import ChaosContext, FaultPlan
 from repro.selection import ridge_feature_grid

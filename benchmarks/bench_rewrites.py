@@ -5,9 +5,9 @@ mmchain re-association give order-of-magnitude runtime/FLOP reductions on
 GLM-style programs.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.compiler import compile_expr
 from repro.lang import matrix, trace
 from repro.runtime import execute

@@ -4,6 +4,7 @@ Surveyed claim: successive halving finds a near-best configuration at a
 small fraction of the full-grid training cost.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
 from repro.data import make_classification

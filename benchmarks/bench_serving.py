@@ -39,9 +39,9 @@ Usage::
 
 from __future__ import annotations
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro import obs
 from repro.data import make_classification
 from repro.errors import LoadShedError

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from functools import partial
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from bench_serving import fit_registry
 from repro import obs
 from repro.resilience import (

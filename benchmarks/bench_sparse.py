@@ -6,9 +6,9 @@ low-density inputs and lose nothing architecturally on dense ones (the
 format decision is made per input).
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
-import harness
 from repro.data import make_sparse_matrix
 from repro.sparse import CSRMatrix
 

@@ -5,6 +5,7 @@ starting point cuts total iterations versus cold starts, with identical
 solutions.
 """
 
+import harness  # ahead of numpy: it pins BLAS threads
 import numpy as np
 
 from repro.data import make_classification

@@ -3,8 +3,9 @@
 Five things live here and nowhere else under ``benchmarks/`` (outside
 ``e2e/``, which is the whole-loop harness with its own clock):
 
-* the ``repro`` import-path bootstrap (``import harness`` first, then
-  ``from repro ...`` works with or without ``PYTHONPATH=src``);
+* the ``repro`` import-path bootstrap and the one-BLAS-thread default
+  (``import harness`` first, ahead of numpy; then ``from repro ...``
+  works with or without ``PYTHONPATH=src``);
 * :func:`timed` — the only repeat timer. Every wall-clock value in a
   capture is the **best** of ``repeats`` runs (so baselines and in-bench
   bounds stay comparable across captures), and :meth:`Timing.fields`
@@ -38,7 +39,15 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
+# One BLAS thread unless the caller chose: multithreaded OpenBLAS stalls
+# intermittently on small boxes and turns millisecond fits into 100 ms
+# ones. This must precede the first numpy import, so every bench imports
+# this module ahead of numpy (benchmarks/e2e/run.py pins its own).
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 try:
     import repro  # noqa: F401

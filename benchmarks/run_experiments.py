@@ -32,20 +32,12 @@ artifact CI uploads.
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, as benchmarks/e2e/run.py sets: multithreaded OpenBLAS
-# stalls intermittently on small boxes and turns E1's millisecond fits
-# into 100 ms ones. Must precede the first numpy import.
-_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in _BLAS_VARS:
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import importlib
+import os
 import sys
 
-import harness
+import harness  # ahead of numpy: it pins BLAS threads
 from repro import obs
 from tasks import TASKS
 
@@ -104,7 +96,9 @@ def main(argv: list[str]) -> int:
                 "schema": "repro.obs/report-bundle/v1",
                 "meta": {
                     **harness.bench_metadata("run_experiments"),
-                    "blas_threads": {v: os.environ.get(v) for v in _BLAS_VARS},
+                    "blas_threads": {
+                        v: os.environ.get(v) for v in harness.BLAS_VARS
+                    },
                     "tracing": obs.tracing_enabled(),
                     "experiments_run": requested,
                 },

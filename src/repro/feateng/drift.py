@@ -213,52 +213,57 @@ def bucket_counts(values, edges: np.ndarray) -> np.ndarray:
     return counts if edges.ndim > 1 else counts[0]
 
 
-def _rows(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count rows as a float64 matrix, each row's total (1 for an empty
-    row, so a division leaves it 0 rather than NaN) and which rows hold
-    any mass."""
+def count_side(counts) -> tuple[np.ndarray, ...]:
+    """One side of a comparison, normalised once for every statistic:
+    each count row's epsilon-smoothed probabilities (PSI; uniform for an
+    empty row), its CDF at the bucket edges (KS), its shares (TV) and
+    whether it holds any mass (an empty row divides by 1, not 0)."""
     rows = np.atleast_2d(np.asarray(counts, dtype=np.float64))
     total = rows.sum(axis=-1, keepdims=True)
-    return rows, np.where(total > 0, total, 1.0), total[:, 0] > 0
-
-
-def _smoothed_probs(counts) -> np.ndarray:
-    rows, total, mass = _rows(counts)
-    probs = np.maximum(rows / total, _PSI_EPSILON)
+    mass = total[:, 0] > 0
+    total = np.where(total > 0, total, 1.0)
+    shares = rows / total
+    probs = np.maximum(shares, _PSI_EPSILON)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    return np.where(mass[:, None], probs, 1.0 / rows.shape[-1])
+    probs = np.where(mass[:, None], probs, 1.0 / rows.shape[-1])
+    return probs, rows.cumsum(axis=-1) / total, shares, mass
+
+
+def side_statistics(ref, cur) -> tuple[np.ndarray, ...]:
+    """PSI, KS and TV rows between two :func:`count_side` sides. PSI is
+    ``sum((p - q) * ln(p / q))`` over the smoothed probabilities; KS, the
+    max absolute CDF gap at the bucket edges, and TV, half the L1 gap
+    of the shares, are unsmoothed and 0 when a side is empty."""
+    (p, p_cdf, p_shares, p_mass), (q, q_cdf, q_shares, q_mass) = ref, cur
+    both = p_mass & q_mass
+    psi = ((p - q) * np.log(p / q)).sum(axis=-1)
+    ks = np.where(both, np.abs(p_cdf - q_cdf).max(axis=-1), 0.0)
+    tv = np.where(both, 0.5 * np.abs(p_shares - q_shares).sum(axis=-1), 0.0)
+    return psi, ks, tv
+
+
+def _statistic(which: int, reference_counts, current_counts):
+    sides = count_side(reference_counts), count_side(current_counts)
+    stat = side_statistics(*sides)[which]
+    return stat if np.ndim(current_counts) > 1 else float(stat[0])
 
 
 def psi_statistic(reference_counts, current_counts) -> np.ndarray | float:
-    """Population stability index over aligned count rows:
-    ``sum((p - q) * ln(p / q))`` with epsilon-smoothed probabilities."""
-    p, q = _smoothed_probs(reference_counts), _smoothed_probs(current_counts)
-    psi = np.sum((p - q) * np.log(p / q), axis=-1)
-    return psi if np.ndim(current_counts) > 1 else float(psi[0])
+    """Population stability index over aligned count rows (see
+    :func:`side_statistics`)."""
+    return _statistic(0, reference_counts, current_counts)
 
 
 def ks_statistic(reference_counts, current_counts) -> np.ndarray | float:
-    """Kolmogorov-Smirnov statistic over the frozen buckets: the max
-    absolute CDF gap evaluated at the bucket edges (unsmoothed; 0 when
-    a side is empty)."""
-    p, p_total, p_mass = _rows(reference_counts)
-    q, q_total, q_mass = _rows(current_counts)
-    gap = np.abs(
-        np.cumsum(p, axis=-1) / p_total - np.cumsum(q, axis=-1) / q_total
-    )
-    ks = np.where(p_mass & q_mass, gap.max(axis=-1), 0.0)
-    return ks if np.ndim(current_counts) > 1 else float(ks[0])
+    """Kolmogorov-Smirnov statistic over the frozen buckets (see
+    :func:`side_statistics`)."""
+    return _statistic(1, reference_counts, current_counts)
 
 
 def tv_statistic(reference_counts, current_counts) -> np.ndarray | float:
-    """Total-variation distance between aligned count rows (the original
-    batch drift score, exposed for the streaming path; 0 when a side is
-    empty)."""
-    p, p_total, p_mass = _rows(reference_counts)
-    q, q_total, q_mass = _rows(current_counts)
-    tv = 0.5 * np.abs(p / p_total - q / q_total).sum(axis=-1)
-    tv = np.where(p_mass & q_mass, tv, 0.0)
-    return tv if np.ndim(current_counts) > 1 else float(tv[0])
+    """Total-variation distance between aligned count rows, the original
+    batch drift score (see :func:`side_statistics`)."""
+    return _statistic(2, reference_counts, current_counts)
 
 
 @dataclass(frozen=True)

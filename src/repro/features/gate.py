@@ -16,8 +16,9 @@ checks two things:
   is held and a staged canary is rolled back, so a shifted stream
   cannot graduate to full traffic.
 
-A decision takes one :meth:`DriftGate.drift_snapshot`: the hold, its
-reasons and the held error's scores all come from it.
+The reference side is normalised once, when the edges freeze; a
+decision normalises the served side and computes PSI, KS and TV once
+each over all features. Only a hold builds a snapshot of them.
 
 Every decision lands in one exact :class:`~repro.obs.Ledger`
 (observations, evaluations, holds, rollbacks, promotes; ``features.gate.*``
@@ -84,6 +85,7 @@ class DriftGate(Counted):
         self.edges = np.stack(edges)
         self.reference_counts = np.stack(reference_counts)
         self.served_counts = np.zeros_like(self.reference_counts)
+        self._reference = drift.count_side(self.reference_counts)
         self.counts = Ledger("features.gate", (
             "observations", "evaluations", "holds", "rollbacks", "promotes",
         ))
@@ -113,27 +115,35 @@ class DriftGate(Counted):
         self.served_counts += drift.bucket_counts(batch.T, self.edges)
         self.counts.inc("observations", len(batch))
 
-    def drift_snapshot(self) -> dict[str, drift.DriftStats]:
-        """Every feature's statistics, each computed once for all
-        features; ``drifted`` when PSI or KS has crossed its threshold
-        over at least one observation."""
-        ref, cur = self.reference_counts, self.served_counts
+    def _statistics(self) -> tuple[np.ndarray, ...]:
+        """Every feature's (observed, psi, ks, tv, drifted) rows against
+        the frozen reference, the served side normalised once."""
         # each finite observation adds exactly 1 to one bucket, so the
         # integer-valued row sums count them exactly
-        observed = cur.sum(axis=1).astype(np.int64)
-        psi, ks = drift.psi_statistic(ref, cur), drift.ks_statistic(ref, cur)
+        observed = self.served_counts.sum(axis=1).astype(np.int64)
+        cur = drift.count_side(self.served_counts)
+        psi, ks, tv = drift.side_statistics(self._reference, cur)
         drifted = (observed > 0) & (
             (psi > drift.PSI_DEFAULT_THRESHOLD)
             | (ks > drift.KS_DEFAULT_THRESHOLD)
         )
-        stats = (observed, psi, ks, drift.tv_statistic(ref, cur), drifted)
+        return observed, psi, ks, tv, drifted
+
+    def drift_snapshot(self) -> dict[str, drift.DriftStats]:
+        """Every feature's statistics, each computed once for all
+        features; ``drifted`` when PSI or KS has crossed its threshold
+        over at least one observation."""
+        return self._snapshot(self._statistics())
+
+    def _snapshot(self, stats) -> dict[str, drift.DriftStats]:
         columns = (column.tolist() for column in stats)
         rows = zip(self.view.feature_names, *columns)
         return {row[0]: drift.DriftStats(*row) for row in rows}
 
     # -- the promotion hook --------------------------------------------
     def authorize(self, controller, endpoint: str, entry=None) -> None:
-        """Decide one promotion from one :meth:`drift_snapshot`; raise
+        """Decide one promotion from one pass over the statistics (only
+        a hold builds their :meth:`drift_snapshot`); raise
         :class:`PromotionHeldError` to refuse it.
 
         ``controller`` is the server that owns the canary (a
@@ -150,18 +160,18 @@ class DriftGate(Counted):
                 f"feature fingerprint mismatch: model trained on "
                 f"{trained_on[:12]}, live view is {self.view.version[:12]}"
             )
-        snapshot = self.drift_snapshot()
-        drifted = False
-        for fname, stats in sorted(snapshot.items()):
-            if stats.drifted and stats.observed >= self.min_observations:
-                drifted = True
-                reasons.append(
-                    f"feature {fname!r} drifted (psi={stats.psi:.3f}, "
-                    f"ks={stats.ks:.3f} over {stats.observed} observations)"
-                )
-        if not reasons:
+        observed, *_, drifted = stats = self._statistics()
+        drifted = bool((drifted & (observed >= self.min_observations)).any())
+        if not reasons and not drifted:
             self.counts.inc("promotes")
             return
+        snapshot = self._snapshot(stats)
+        for fname, s in sorted(snapshot.items()):
+            if s.drifted and s.observed >= self.min_observations:
+                reasons.append(
+                    f"feature {fname!r} drifted (psi={s.psi:.3f}, "
+                    f"ks={s.ks:.3f} over {s.observed} observations)"
+                )
         self.counts.inc("holds")
         rolled_back = drifted and controller.clear_canary(endpoint)
         if rolled_back:

@@ -120,7 +120,7 @@ class FeatureRows:
     def __init__(self, view: FeatureView):
         self.view = view
         self._slots = _Slots(integer=False)
-        self._free: list[int] = []  # a stack: its top goes first
+        self._free = np.empty(0, np.int64)  # a stack: its end is its top
         self._data = np.empty((0, len(view.feature_names)))
         self._mark = np.zeros(0, bool)  # all False between folds
 
@@ -137,7 +137,7 @@ class FeatureRows:
         """Replace the contents: ``rows[i]`` is ``entities[i]``'s row."""
         self._slots = _Slots(integer=entities.dtype.kind == "i")
         self._slots.bind(entities, np.arange(len(entities)), len(entities))
-        self._free = []
+        self._free = np.empty(0, np.int64)
         self._data = rows
 
     def missing(self, entity) -> FeatureStoreError:
@@ -226,30 +226,32 @@ class FeatureRows:
         if (was < 0).any():
             raise self.missing(gone[was < 0].tolist()[0])
         kept = now >= 0
-        if len(self._mark) < self.capacity:
-            self._mark = np.zeros(self.capacity, bool)
-        self._mark[now[kept]] = True  # a kept entity's slot
-        leaving = ~self._mark[was]
-        self._mark[now[kept]] = False
-        if kept.sum() > len(was) - leaving.sum():  # a kept key not in gone
-            dup = came[kept][~np.isin(now[kept], was)].tolist()[0]
-            raise FeatureStoreError(
-                f"duplicate entity {dup!r} in view {self.view.name!r}"
-            )
-        self._slots.unbind(gone[leaving])
-        self._free.extend(was[leaving].tolist())
+        held = np.count_nonzero(kept)
+        if held:  # an update, or a key already held
+            if len(self._mark) < self.capacity:
+                self._mark = np.zeros(self.capacity, bool)
+            self._mark[now[kept]] = True  # a kept entity's slot
+            leaving = ~self._mark[was]
+            self._mark[now[kept]] = False
+            if held > len(was) - np.count_nonzero(leaving):  # not in gone
+                dup = came[kept][~np.isin(now[kept], was)].tolist()[0]
+                raise FeatureStoreError(
+                    f"duplicate entity {dup!r} in view {self.view.name!r}"
+                )
+            gone, was = gone[leaving], was[leaving]
+        self._slots.unbind(gone)
+        free = np.concatenate([self._free, was]) if len(was) else self._free
         fresh = came[~kept]
-        short = len(fresh) - len(self._free)
+        short = len(fresh) - len(free)
         if short > 0:
             start = self.capacity
             grown = start + max(short, start // 8)
             self._data = np.concatenate(
                 [self._data, np.empty((grown - start, self._data.shape[1]))]
             )
-            self._free.extend(range(grown - 1, start - 1, -1))
-        cut = len(self._free) - len(fresh)
-        slots = np.array(self._free[cut:][::-1], np.int64)
-        del self._free[cut:]
+            free = np.concatenate([free, np.arange(grown - 1, start - 1, -1)])
+        cut = len(free) - len(fresh)
+        slots, self._free = free[cut:][::-1], free[:cut]
         now[~kept] = slots  # a kept entity's row goes back where it was
         self._data[now] = rows
         self._slots.bind(fresh, slots, len(self))

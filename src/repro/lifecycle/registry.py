@@ -190,10 +190,11 @@ class ModelRegistry:
         latest registered version)."""
         if not isinstance(ref, str):
             return self.get(name, ref)
-        alias_map = self._aliases.get(name, {})
-        if ref not in alias_map:
+        # one read, so a concurrent drop_alias cannot land mid-lookup
+        version = self._aliases.get(name, {}).get(ref)
+        if version is None:
             raise LifecycleError(f"{name!r} has no alias {ref!r}")
-        return self._get(name, alias_map[ref])
+        return self._get(name, version)
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:

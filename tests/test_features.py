@@ -632,6 +632,57 @@ class TestRowStoreRefusals:
         assert store_bytes(rows) == before
 
 
+SLOT_VIEW = standard_view()
+
+
+class TestSlotAccounting:
+    """Whatever a fold does — an insert, a delete, an update in place or
+    one that re-keys rows, folded or refused — the live slots and the
+    free stack partition ``range(capacity)``, and a refused delta leaves
+    the store's bytes as they were."""
+
+    @staticmethod
+    def _fold(rows, live, kind, keys, keys_of):
+        old = keyed_table(keys_of(keys))
+        came = {"rekey": [(k + 1) % 40 for k in keys]}.get(kind, keys)
+        new = keyed_table(keys_of(came))
+        if kind == "insert":
+            delta, gone = delta_of("insert", new), set()
+        elif kind == "delete":
+            delta, gone, came = delta_of("delete", old_rows=old), set(keys), []
+        else:
+            delta, gone = delta_of("update", new, old), set(keys)
+        refused = bool(gone - live or (live - gone) & set(came))
+        before = store_bytes(rows)
+        if refused:
+            with pytest.raises(FeatureStoreError):
+                fold_one(rows, delta)
+            assert store_bytes(rows) == before
+            return live
+        fold_one(rows, delta)
+        return live - gone | set(came)
+
+    @pytest.mark.parametrize("keys_of", [
+        lambda keys: np.array(keys, np.int64),
+        lambda keys: np.array([f"e{k}" for k in keys], dtype=object),
+    ], ids=["int", "str"])
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "update", "rekey"]),
+        st.lists(st.integers(0, 39), min_size=1, max_size=6, unique=True),
+    ), max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_live_and_free_slots_partition_the_capacity(self, keys_of, ops):
+        rows = FeatureRows(SLOT_VIEW)
+        rows.rebuild(keyed_table(keys_of(range(12))))
+        live = set(range(12))
+        for kind, keys in ops:
+            live = self._fold(rows, live, kind, keys, keys_of)
+            held = rows._slots.lookup(keys_of(sorted(live))).tolist()
+            free = rows._free.tolist()
+            assert min(held, default=0) >= 0 and len(rows) == len(live)
+            assert sorted(held + free) == list(range(rows.capacity))
+
+
 GRID_FEATURES = ["x0", "x1", "x2"]
 
 
@@ -907,38 +958,50 @@ class TestDriftGate:
         assert server.registry.deployed("m").version == 1
 
     @pytest.mark.parametrize("shift", [False, True])
-    def test_one_decision_computes_each_statistic_once(
+    def test_one_decision_normalises_the_served_side_once(
         self, shift, monkeypatch
     ):
-        """One decision reads one snapshot, and that snapshot computes
-        each statistic once, over every feature's row at a time."""
+        """The reference side is normalised once, at construction; each
+        decision normalises the served side once, every feature's row at
+        a time; a clean promote builds no ``DriftStats``, and a hold
+        builds one per feature."""
         from repro.feateng import drift
 
+        sides, built = [], []
+        real_side, real_stats = drift.count_side, drift.DriftStats
+
+        def counted_side(counts):
+            sides.append(counts.copy())
+            return real_side(counts)
+
+        def counted_stats(*args):
+            built.append(args[0])
+            return real_stats(*args)
+
+        monkeypatch.setattr(drift, "count_side", counted_side)
+        monkeypatch.setattr(drift, "DriftStats", counted_stats)
         table = base_table()
         view = standard_view()
         offline = FeatureStore().materialize(view, table)
         server, gate = gated_server(view, offline, shift=shift)
-        calls = {stat: [] for stat in ("psi", "ks", "tv")}
-        for stat in calls:
-            real = getattr(drift, f"{stat}_statistic")
-
-            def counted(ref, cur, stat=stat, real=real):
-                calls[stat].append((ref.shape, cur.shape))
-                return real(ref, cur)
-
-            monkeypatch.setattr(drift, f"{stat}_statistic", counted)
-        held = None
-        try:
-            server.promote("ep", 2)
-        except PromotionHeldError as exc:
-            held = exc
-        assert (held is not None) == shift
-        if held is not None:
-            assert held.rolled_back
-            assert sorted(held.scores) == sorted(view.feature_names)
-        matrix = (len(view.feature_names), 20)
-        assert calls == dict.fromkeys(calls, [(matrix, matrix)])
-        assert gate.ledger()["evaluations"] == 1
+        assert len(sides) == 1
+        assert sides[0].tobytes() == gate.reference_counts.tobytes()
+        assert built == []
+        for decision in (1, 2):
+            held = None
+            try:
+                server.promote("ep", 2)
+            except PromotionHeldError as exc:
+                held = exc
+            assert (held is not None) == shift
+            assert len(sides) == 1 + decision
+            assert sides[-1].tobytes() == gate.served_counts.tobytes()
+            names = list(view.feature_names) if shift else []
+            assert built == names * decision
+            if held is not None:
+                assert held.rolled_back == (decision == 1)
+                assert sorted(held.scores) == sorted(view.feature_names)
+            assert gate.ledger()["evaluations"] == decision
 
     def test_held_fleet_promote_writes_no_alias_and_invalidates_nothing(
         self, monkeypatch

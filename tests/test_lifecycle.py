@@ -148,6 +148,19 @@ class TestModelRegistry:
         with pytest.raises(LifecycleError):
             registry.resolve("churn", "canary")
 
+    def test_an_alias_dropped_mid_resolve_is_a_lifecycle_error(self, registry):
+        """``resolve`` reads its alias once: a map that still answers
+        yes to a membership test after a concurrent ``drop_alias`` took
+        the entry raises the registry's error, not a bare KeyError."""
+
+        class DroppedMidLookup(dict):
+            def __contains__(self, alias):
+                return True
+
+        registry._aliases["churn"] = DroppedMidLookup()
+        with pytest.raises(LifecycleError, match="'churn' has no alias"):
+            registry.resolve("churn", "canary")
+
     def test_alias_must_point_at_real_version(self, registry):
         with pytest.raises(LifecycleError):
             registry.set_alias("churn", "canary", 42)
