@@ -20,9 +20,9 @@ thread's cell of the ledger, with no lock, and the registry *pulls*
 ``<prefix>.hits`` by summing every live ledger's cells when it is read,
 so no event is stated twice and none is written twice.
 
-Updates are cheap and always on: a ledger count is one add on the
-caller's thread, a named metric's update one small lock. The expensive
-part of observability — span trees — lives in :mod:`repro.obs.trace`
+Updates are cheap and always on: a ledger count or histogram sample is
+one lock-free write to the caller's thread's cell, a named counter or
+gauge one small lock. Span trees live in :mod:`repro.obs.trace`
 behind the ``REPRO_TRACE`` gate. Each metric also counts its *updates*
 so the overhead microbenchmark (E20) can bound the total
 instrumentation cost of a run from first principles.
@@ -30,6 +30,8 @@ instrumentation cost of a run from first principles.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import threading
 import weakref
@@ -85,76 +87,89 @@ class Gauge(_Scalar):
 #: number of recent observations a histogram keeps for percentiles.
 RESERVOIR_SIZE = 512
 
+#: the global sequence a histogram stamps each observation with, so a
+#: merge of several cells keeps the same most recent window as one ring
+_STAMPS = itertools.count()
+
 
 class Histogram:
     """Streaming summary: count, sum, min, max (mean derived), plus
     nearest-rank percentiles over a bounded window of the most recent
     :data:`RESERVOIR_SIZE` observations (a deterministic ring buffer —
     no sampling randomness, so two identical runs report identical
-    p50/p95/p99)."""
+    p50/p95/p99), read by :meth:`as_dict`.
 
-    __slots__ = ("name", "count", "total", "min", "max", "updates",
-                 "_samples", "_next_slot", "_lock")
+    Each thread observes into its own cell, ``[epoch, count, total, min,
+    max, ring of (stamp, value)]``, with no lock; a read merges the cells
+    of the global registry's epoch (counting since its last reset). The
+    registry also merges a ``pulled`` histogram under its name when read
+    (each endpoint's ``serving.latency_ms``): one observation, two views.
+    """
+
+    __slots__ = ("name", "_cells", "__weakref__")
 
     kind = "histogram"
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, pulled: bool = False):
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.updates = 0
-        self._samples: list[float] = []
-        self._next_slot = 0
-        self._lock = threading.Lock()
+        #: thread ident -> that thread's cell
+        self._cells: dict[int, list] = {}
+        if pulled:
+            _registry._adopt(self, name)
 
     def observe(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            if len(self._samples) < RESERVOIR_SIZE:
-                self._samples.append(value)
-            else:
-                self._samples[self._next_slot] = value
-                self._next_slot = (self._next_slot + 1) % RESERVOIR_SIZE
-            self.updates += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in [0, 100]) over the window."""
-        if not 0.0 <= q <= 100.0:
-            raise ReproError(f"percentile must be in [0, 100], got {q}")
-        with self._lock:
-            samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        rank = max(1, math.ceil(q / 100.0 * len(samples)))
-        return samples[rank - 1]
+        cell = self._cells.get(get_ident())
+        if cell is None or cell[0] != _registry.epoch:  # restart, no subtract
+            cell = [_registry.epoch, 0, 0.0, math.inf, -math.inf, []]
+            self._cells[get_ident()] = cell
+        n = cell[1]
+        cell[1] = n + 1
+        cell[2] += value
+        if value < cell[3]:
+            cell[3] = value
+        if value > cell[4]:
+            cell[4] = value
+        if n < RESERVOIR_SIZE:
+            cell[5].append((next(_STAMPS), value))
+        else:  # overwrite the oldest slot
+            cell[5][n % RESERVOIR_SIZE] = (next(_STAMPS), value)
 
     def as_dict(self) -> dict[str, Any]:
-        if not self.count:
-            return {"count": 0, "sum": 0.0, "min": None, "max": None,
-                    "mean": 0.0, "updates": self.updates}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-            "p99": self.percentile(99.0),
-            "updates": self.updates,
-        }
+        return _summary(_merge(self._cells.values(), _registry.epoch))
+
+
+def _merge(cells, epoch: int) -> list:
+    """One cell holding what the cells of ``epoch`` hold: counts and
+    totals summed, extremes kept, the most recent window by stamp."""
+    out = [epoch, 0, 0.0, math.inf, -math.inf, []]
+    for cell in list(cells):
+        if cell[0] == epoch:
+            out[1] += cell[1]
+            out[2] += cell[2]
+            out[3] = min(out[3], cell[3])
+            out[4] = max(out[4], cell[4])
+            out[5] += cell[5]
+    if len(out[5]) > RESERVOIR_SIZE:
+        out[5] = heapq.nlargest(RESERVOIR_SIZE, out[5])
+    return out
+
+
+def _summary(cell: list) -> dict[str, Any]:
+    """A merged cell as the report's fields: nearest-rank p50/p95/p99
+    over its window, sorted once."""
+    _, count, total, low, high, window = cell
+    if not count:
+        return {"count": 0, "sum": 0.0, "min": None, "max": None,
+                "mean": 0.0, "updates": 0}
+    ordered = sorted(value for _, value in window) or [0.0]  # a torn read
+    return {
+        "count": count, "sum": total, "min": low, "max": high,
+        "mean": total / count,
+        **{f"p{q}": ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+           for q in (50, 95, 99)},
+        "updates": count,
+    }
 
 
 class MetricsRegistry:
@@ -168,7 +183,10 @@ class MetricsRegistry:
     they were collected, and takes off what the counters read at the
     last :meth:`reset`. A collected ledger only appends to a list (the
     collector may run while this registry's lock is held, on the thread
-    holding it); the next read folds that list.
+    holding it); the next read folds that list. A read merges each
+    histogram name's cells: the named one's and every ``pulled`` one's
+    (a collected one's until the next :meth:`reset`). A reset starts a
+    new ``epoch``: readers skip older cells, writers restart their own.
     """
 
     def __init__(self) -> None:
@@ -176,6 +194,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         #: a weak reference to each live ledger -> (its names, its cells)
         self._ledgers: dict[weakref.ref, tuple[dict[str, str], dict]] = {}
+        #: a weak reference to each pulled histogram -> (its name, its cells)
+        self._histograms: dict[weakref.ref, tuple[str, dict]] = {}
+        self.epoch = 0
         #: the references of collected ledgers, not yet folded
         self._dead: list[weakref.ref] = []
         #: name -> [count, updates] of the collected ledgers, less the
@@ -215,12 +236,17 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
-    # -- the pulled ledgers -----------------------------------------------
-    def _adopt(self, ledger: "Ledger", names: dict[str, str]) -> None:
-        ref = weakref.ref(ledger, self._dead.append)
+    # -- the pulled ledgers and histograms ----------------------------------
+    def _adopt(self, owner: "Ledger | Histogram", names) -> None:
+        """Pull ``owner``'s cells on every read: a ledger's by its field ->
+        name map, a histogram's under its name."""
         with self._lock:
             self._fold()
-            self._ledgers[ref] = (names, ledger._cells)
+            if isinstance(owner, Histogram):
+                self._histograms[weakref.ref(owner)] = (names, owner._cells)
+            else:
+                ref = weakref.ref(owner, self._dead.append)
+                self._ledgers[ref] = (names, owner._cells)
 
     def _fold(self) -> None:
         """Move collected ledgers' counts into the offset (lock held)."""
@@ -249,6 +275,18 @@ class MetricsRegistry:
                 slot[1] += metric.updates
         return out
 
+    def _merged(self) -> dict[str, list]:
+        """name -> one merged cell of every histogram of that name that
+        is named here or has an observation this epoch."""
+        groups: dict[str, list] = {}
+        for name, cells in list(self._histograms.values()):
+            groups.setdefault(name, []).extend(cells.values())
+        for name, metric in list(self._metrics.items()):
+            if isinstance(metric, Histogram):
+                groups.setdefault(name, []).extend(metric._cells.values())
+        merged = {n: _merge(cells, self.epoch) for n, cells in groups.items()}
+        return {n: c for n, c in merged.items() if c[1] or n in self._metrics}
+
     # -- reads -------------------------------------------------------------
     def value(self, name: str, default: float = 0.0) -> float:
         """Current value of a counter/gauge (0 observations -> default)."""
@@ -256,20 +294,17 @@ class MetricsRegistry:
         if slot is not None:
             return slot[0]
         metric = self._metrics.get(name)
-        if metric is None:
-            return default
-        if isinstance(metric, Histogram):
-            return metric.mean
-        return metric.value
+        return metric.value if isinstance(metric, Gauge) else default
 
     def names(self) -> list[str]:
-        return sorted(self._metrics.keys() | self._counters().keys())
+        names = self._metrics.keys() | self._counters().keys()
+        return sorted(names | self._merged().keys())
 
     def total_updates(self) -> int:
         """Total metric updates since the last reset (E20's event count)."""
-        return sum(
-            m.updates for m in list(self._metrics.values())
-            if not isinstance(m, Counter)
+        metrics = list(self._metrics.values())
+        return sum(m.updates for m in metrics if isinstance(m, Gauge)) + sum(
+            cell[1] for cell in self._merged().values()
         ) + sum(slot[1] for slot in self._counters().values())
 
     def reset(self) -> None:
@@ -278,6 +313,11 @@ class MetricsRegistry:
             self._offset = {
                 name: [-n, -u] for name, (n, u) in self._sum({}).items()
             }
+            self._histograms = {
+                ref: pulled for ref, pulled in self._histograms.items()
+                if ref() is not None
+            }
+            self.epoch += 1
 
     def as_dict(self) -> dict[str, dict[str, Any]]:
         """Serialize grouped by type, names sorted — the report schema."""
@@ -286,11 +326,13 @@ class MetricsRegistry:
                 name: {"value": value, "updates": updates}
                 for name, (value, updates) in self._counters().items()
             },
-            "gauges": {}, "histograms": {},
+            "gauges": {}, "histograms": {
+                name: _summary(cell) for name, cell in self._merged().items()
+            },
         }
         for name, metric in list(self._metrics.items()):
-            if not isinstance(metric, Counter):
-                out[metric.kind + "s"][name] = metric.as_dict()
+            if isinstance(metric, Gauge):
+                out["gauges"][name] = metric.as_dict()
         return {kind: dict(sorted(group.items())) for kind, group in out.items()}
 
 

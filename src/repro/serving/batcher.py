@@ -21,11 +21,13 @@ Correctness contract (property-tested):
   returning the wrong shape) escapes the drain.
 
 The queue is bounded: :meth:`MicroBatcher.submit` sheds load at enqueue
-by raising :class:`~repro.errors.LoadShedError`.
+by raising :class:`~repro.errors.LoadShedError`; a batch's version group
+is one kernel call under one of ``MAX_CONCURRENCY`` scoring tokens.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from collections import deque
@@ -35,7 +37,10 @@ import numpy as np
 
 from ..errors import DeadlineExceededError, LoadShedError, ServingError
 from ..obs import Counted, Ledger
+from ..resilience import RetryPolicy, resilient_call
 
+#: scorer calls one endpoint runs at a time.
+MAX_CONCURRENCY = 4
 
 #: guards installing a handle's event. Shared by every handle: it is
 #: taken only by a waiter that arrived before completion, for one check.
@@ -108,7 +113,8 @@ class MicroBatcher(Counted):
         clock: injectable monotonic clock.
 
     Each caller submits, drains inline with :meth:`flush` and waits; a
-    concurrent caller's flush may score its block for it.
+    concurrent caller's flush may score its block for it. ``retry``
+    (the owning server's policy; None = fail fast) recovers scoring.
     """
 
     def __init__(
@@ -131,6 +137,12 @@ class MicroBatcher(Counted):
         self._queue: deque[PendingRequest] = deque()
         #: rows in ``_queue``; guarded by ``_lock``
         self._depth = 0
+        self.retry: RetryPolicy | None = None
+        #: one token per scorer call in flight: a C-level queue's get and
+        #: put cost ~1/10 of a pure-Python ``threading.Semaphore`` pass
+        self.tokens: queue.SimpleQueue = queue.SimpleQueue()
+        for token in range(MAX_CONCURRENCY):
+            self.tokens.put(token)
         # ``shed`` is queue-full only (a subset of the endpoint's
         # ``serving.shed``, so its own prefix)
         self.counts = Ledger(
@@ -195,10 +207,11 @@ class MicroBatcher(Counted):
     def _score_group(self, group: list[tuple]) -> None:
         """One scorer call over one version's pieces — a fresh C-contiguous
         ``(n, d)`` array in (a lone whole block as submitted, else the rows
-        joined) — written to each block's own result, or its failure."""
+        joined), under a token and across ``serving.score`` — written to
+        each block's own result, or its failure."""
         entry, lo, hi = group[0]
         # Retrying past the tightest deadline in the group cannot help
-        # anyone; cap a scorer's retry budget by it.
+        # anyone; cap the retry budget by it.
         deadline = entry.deadline_at
         try:
             rows = entry.rows if hi - lo == entry.size else entry.rows[lo:hi]
@@ -212,12 +225,15 @@ class MicroBatcher(Counted):
                     raise ServingError(
                         f"rows of one batch differ in shape: {shapes}"
                     ) from exc
-            kwargs = {}
-            if deadline is not None and getattr(
-                entry.scorer, "accepts_deadline", False
-            ):
-                kwargs["deadline_at"] = deadline
-            scores = np.asarray(entry.scorer(rows, **kwargs), np.float64)
+            token = self.tokens.get()  # blocks while MAX_CONCURRENCY score
+            try:
+                scores = resilient_call(
+                    lambda: entry.scorer(rows), site="serving.score",
+                    key=self.name, retry=self.retry, deadline_at=deadline,
+                )
+            finally:
+                self.tokens.put(token)
+            scores = np.asarray(scores, np.float64)
             if scores.shape != (len(rows),):
                 raise ServingError(
                     f"scorer returned shape {scores.shape} for "

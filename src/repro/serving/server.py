@@ -18,23 +18,23 @@ one :class:`ModelServer`. Its named *endpoints* each:
   :class:`~repro.serving.cache.PredictionCache` (invalidated on
   promote), and queue a call's misses as **one block per model
   version**, drained in batches whose count is row-exact;
-* shed load at admission (bounded queue), bound scoring concurrency
-  with ``MAX_CONCURRENCY`` tokens, and honour per-request deadlines,
-  under the :func:`~repro.resilience.fault_point` sites
-  ``serving.admission`` and ``serving.score`` (the latter recovered by
-  a :class:`~repro.resilience.RetryPolicy`).
+* shed load at admission (bounded queue) and honour per-request
+  deadlines, under the :func:`~repro.resilience.fault_point` site
+  ``serving.admission``; the batcher bounds scoring with
+  ``MAX_CONCURRENCY`` tokens behind ``serving.score`` (recovered by
+  this server's :class:`~repro.resilience.RetryPolicy`).
 
 Rollout (promote, its gate, canary) is the fleet's; the executor only
 serves, and drops an endpoint's scorers and cache when told to
 (:meth:`ModelServer.invalidate`). Every count is a
 :class:`~repro.obs.Ledger` write summed per call — ``serving.*`` here,
-``serving.cache.*`` and ``serving.batcher.*`` in their modules — next
-to the ``serving.latency_ms`` histograms.
+``serving.cache.*`` and ``serving.batcher.*`` in their modules — and a
+call's latency is one observation the registry pulls as
+``serving.latency_ms``.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from typing import Callable, Sequence
@@ -46,18 +46,14 @@ from ..errors import (
 )
 from ..lifecycle.registry import ModelRegistry, ModelVersion
 from ..ml.losses import sigmoid
-from ..obs import Counted, Histogram, Ledger, get_registry
-from ..resilience import RetryPolicy, active_chaos, fault_point, resilient_call
+from ..obs import Counted, Histogram, Ledger
+from ..resilience import RetryPolicy, active_chaos, fault_point
 from .batcher import MicroBatcher
 from .cache import PredictionCache
 from .ring import CanaryRouter
 
 #: scorer outputs an endpoint can serve for linear models.
 _OUTPUTS = ("margin", "proba", "label", "predict")
-
-
-#: scorer calls one endpoint runs at a time.
-MAX_CONCURRENCY = 4
 
 #: rows the scoring kernel evaluates per step. A served batch (<= 64
 #: rows) is one step with no Python loop; a taller input keeps its
@@ -144,9 +140,9 @@ class Endpoint(Counted):
 
     Request threads share every field. ``canary`` and ``router`` take no
     lock (the fleet replaces each whole; a call reads them once); the
-    rest guard themselves: ``batcher`` and ``cache`` by their ``_lock``,
-    ``tokens`` in its C-level queue, ``counts`` and ``latency`` by their
-    counters' locks.
+    rest guard themselves: ``batcher`` and ``cache`` by their ``_lock``
+    (the batcher's scoring tokens in their C-level queue), ``counts``
+    and ``latency`` by writing one cell per thread, with no lock.
     """
 
     def __init__(
@@ -181,20 +177,16 @@ class Endpoint(Counted):
         self.cache: PredictionCache | None = (
             PredictionCache(cache_capacity) if cache_enabled else None
         )
-        #: one token per scorer call in flight: a C-level queue's get and
-        #: put cost ~1/10 of a pure-Python ``threading.Semaphore`` pass
-        self.tokens: queue.SimpleQueue = queue.SimpleQueue()
-        for token in range(MAX_CONCURRENCY):
-            self.tokens.put(token)
         self.counts = Ledger("serving", (
             "requests", "shed", "deadline_exceeded",
             "stable_requests", "canary_requests",
         ))
-        self.latency = Histogram(f"serving.latency_ms.{name}")
+        self.latency = Histogram("serving.latency_ms", pulled=True)
 
     def stats(self) -> dict:
         """One endpoint's serving ledger as a plain dict."""
         cache_stats = self.cache.stats if self.cache is not None else None
+        latency = self.latency.as_dict()  # since the last registry reset
         return {
             "endpoint": self.name,
             "model": self.model_name,
@@ -213,12 +205,8 @@ class Endpoint(Counted):
                 else None
             ),
             "latency_ms": {
-                "count": self.latency.count,
-                "mean": self.latency.mean,
-                "p50": self.latency.percentile(50.0),
-                "p95": self.latency.percentile(95.0),
-                "p99": self.latency.percentile(99.0),
-                "max": self.latency.max if self.latency.count else None,
+                field: latency.get(field, 0.0)
+                for field in ("count", "mean", "p50", "p95", "p99", "max")
             },
         }
 
@@ -245,7 +233,7 @@ class ModelServer:
         self.retry = retry
         self._clock = clock
         self._endpoints: dict[str, Endpoint] = {}
-        #: compiled scorers by (endpoint, version); ``_scorers_lock``
+        #: compiled kernels by (endpoint, version); ``_scorers_lock``
         #: guards every write, and a rebuild swaps in a new dict, so the
         #: request path reads it with one lock-free ``.get``
         self._scorers: dict[tuple[str, int], Callable] = {}
@@ -257,6 +245,7 @@ class ModelServer:
             raise ServingError(f"endpoint {name!r} already exists")
         self.registry.versions(model_name)  # validates the model exists
         endpoint = Endpoint(name, model_name, clock=self._clock, **config)
+        endpoint.batcher.retry = self.retry
         self._endpoints[name] = endpoint
         return endpoint
 
@@ -291,29 +280,7 @@ class ModelServer:
         ident = (endpoint.name, entry.version)
         scorer = self._scorers.get(ident)
         if scorer is None:
-            base = _build_scorer(entry.model, endpoint.output)
-            tokens = endpoint.tokens
-
-            def scorer(
-                batch: np.ndarray,
-                deadline_at: float | None = None,
-                _base=base,
-            ) -> np.ndarray:
-                token = tokens.get()  # blocks while MAX_CONCURRENCY score
-                try:
-                    return resilient_call(
-                        lambda: _base(batch),
-                        site="serving.score",
-                        key=endpoint.name,
-                        retry=self.retry,
-                        deadline_at=deadline_at,
-                    )
-                finally:
-                    tokens.put(token)
-
-            # The batcher forwards each batch's tightest admission
-            # deadline, so scoring retries never outlive their budget.
-            scorer.accepts_deadline = True
+            scorer = _build_scorer(entry.model, endpoint.output)
             with self._scorers_lock:
                 scorer = self._scorers.setdefault(ident, scorer)
         return scorer
@@ -464,9 +431,7 @@ class ModelServer:
                 slot = cell["shed"]
                 slot[0] += 1
                 slot[1] += 1
-        elapsed_ms = (self._clock() - start) * 1000.0
-        endpoint.latency.observe(elapsed_ms)
-        get_registry().observe("serving.latency_ms", elapsed_ms)
+        endpoint.latency.observe((self._clock() - start) * 1000.0)
         return out
 
     def predict(

@@ -137,10 +137,10 @@ class TestMetrics:
     def test_histogram_summary_stats(self):
         for v in (1.0, 2.0, 9.0):
             obs.get_registry().observe("t.hist", v)
-        h = obs.get_registry().histogram("t.hist")
-        assert h.count == 3
-        assert h.min == 1.0 and h.max == 9.0
-        assert h.mean == pytest.approx(4.0)
+        h = obs.get_registry().histogram("t.hist").as_dict()
+        assert h["count"] == h["updates"] == 3
+        assert h["min"] == 1.0 and h["max"] == 9.0
+        assert h["mean"] == pytest.approx(4.0)
 
     def test_type_conflict_raises(self):
         obs.get_registry().inc("t.kind")

@@ -10,6 +10,7 @@ the micro-batcher, and the chaos coverage of the serving path
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import threading
 import time
@@ -41,7 +42,8 @@ from repro.serving import (
     compile_linear_scorer,
     feature_hash,
 )
-from repro.serving.server import _BLOCK_ROWS, MAX_CONCURRENCY
+from repro.serving.batcher import MAX_CONCURRENCY
+from repro.serving.server import _BLOCK_ROWS
 
 
 class FakeClock:
@@ -1279,10 +1281,12 @@ class TestModelServer:
         assert not errors
         assert answers == {i: 2.0 * i for i in range(clients)}
         assert peak[0] == MAX_CONCURRENCY
-        assert _endpoint(server, "blocking").tokens.qsize() == MAX_CONCURRENCY
+        tokens = _endpoint(server, "blocking").batcher.tokens
+        assert tokens.qsize() == MAX_CONCURRENCY
         with pytest.raises(ValueError, match="scorer failed"):
             server.predict("broken", np.zeros(2))
-        assert _endpoint(server, "broken").tokens.qsize() == MAX_CONCURRENCY
+        tokens = _endpoint(server, "broken").batcher.tokens
+        assert tokens.qsize() == MAX_CONCURRENCY
         server.close()
 
     def test_promote_during_in_flight_batches_is_atomic(self, served):
@@ -1466,21 +1470,161 @@ class TestLatencyPercentiles:
         h = obs.Histogram("t")
         for v in range(1, 101):
             h.observe(float(v))
-        assert h.percentile(50.0) == 50.0
-        assert h.percentile(95.0) == 95.0
-        assert h.percentile(99.0) == 99.0
-        assert h.percentile(100.0) == 100.0
-        assert h.percentile(0.0) == 1.0
+        doc = h.as_dict()
+        assert (doc["p50"], doc["p95"], doc["p99"]) == (50.0, 95.0, 99.0)
+        assert (doc["min"], doc["max"]) == (1.0, 100.0)
 
     def test_reservoir_keeps_recent_window(self):
         h = obs.Histogram("t")
         for v in range(obs.RESERVOIR_SIZE + 100):
             h.observe(float(v))
-        # the first 100 observations rolled out of the window
-        assert h.percentile(0.0) >= 100.0
-        assert h.count == obs.RESERVOIR_SIZE + 100  # totals still exact
+        doc = h.as_dict()
+        # the first 100 observations rolled out of the window [100, 611]
+        assert doc["p50"] == 100.0 + obs.RESERVOIR_SIZE // 2 - 1
+        assert doc["count"] == obs.RESERVOIR_SIZE + 100  # totals still exact
+        assert doc["min"] == 0.0
 
     def test_as_dict_includes_percentiles(self):
         obs.get_registry().observe("t.lat", 5.0)
         doc = obs.get_registry().as_dict()["histograms"]["t.lat"]
         assert doc["p50"] == 5.0 and doc["p95"] == 5.0 and doc["p99"] == 5.0
+
+
+class _RecordedStamps:
+    """A stand-in for the histograms' global stamp sequence that logs
+    which thread drew each stamp, in draw order."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.log: list[tuple[int, int]] = []  # (stamp, thread ident)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> int:
+        with self._lock:
+            self.log.append((len(self.log), threading.get_ident()))
+            return self.log[-1][0]
+
+
+class TestPulledLatency:
+    """A served call observes its endpoint's histogram once, into its
+    thread's cell; the registry merges every endpoint's cells into
+    ``serving.latency_ms`` when read."""
+
+    def test_a_served_call_writes_its_latency_once(self, served, monkeypatch):
+        server, _, X = served
+        writes, lookups = [], []
+        observe, lookup = obs.Histogram.observe, obs.MetricsRegistry.histogram
+
+        def counted_observe(histogram, value):
+            writes.append(value)
+            observe(histogram, value)
+
+        def counted_lookup(registry, name):
+            lookups.append(name)
+            return lookup(registry, name)
+
+        monkeypatch.setattr(obs.Histogram, "observe", counted_observe)
+        monkeypatch.setattr(obs.MetricsRegistry, "histogram", counted_lookup)
+        server.predict("score", X[0], key="u0")
+        assert len(writes) == 1 and lookups == []
+        doc = obs.report()["metrics"]["histograms"]["serving.latency_ms"]
+        assert doc["count"] == doc["updates"] == 1
+        assert doc["min"] == doc["max"] == doc["p99"] == writes[0]
+
+    def test_threads_a_reader_and_a_reset_lose_nothing(
+        self, model_pair, monkeypatch
+    ):
+        """4 threads x 2 000 calls over two endpoints, a reader thread in
+        ``obs.report()`` throughout and a reset after 500 calls a thread:
+        at quiescence the merged histogram equals a list oracle of the
+        calls since the reset, its window the 512 latest stamps."""
+        from repro.obs import metrics
+        from repro.serving.server import ModelServer
+
+        X, _, m1, _ = model_pair
+        registry = ModelRegistry()
+        registry.register("churn", m1)
+        registry.deploy("churn", 1)
+        local = threading.local()  # each call reads 0.0, then its latency
+
+        def clock() -> float:
+            return next(local.readings)
+
+        server = ModelServer(registry, clock=clock)
+        for name in ("a", "b"):
+            server.create_endpoint(name, "churn", cache_enabled=False)
+        stamps = _RecordedStamps()
+        monkeypatch.setattr(metrics, "_STAMPS", stamps)
+        threads_n, before, after = 4, 500, 1500
+        phase = threading.Barrier(threads_n + 1)
+        observed: dict[int, list[float]] = {}  # ident -> latencies, in ms
+        errors: list[BaseException] = []
+
+        def latency(t: int, i: int) -> float:
+            return ((t * 7919 + i * 104729) % 10007 + 1) * 1e-6
+
+        def client(t: int) -> None:
+            mine = observed.setdefault(threading.get_ident(), [])
+            try:
+                for i in range(before + after):
+                    if i == before:
+                        phase.wait()  # the main thread resets here
+                        phase.wait()
+                    local.readings = iter((0.0, latency(t, i)))
+                    server.predict("ab"[i % 2], X[i % len(X)])
+                    mine.append((latency(t, i) - 0.0) * 1000.0)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+                phase.abort()
+
+        done = threading.Event()
+
+        def reader() -> None:
+            while not done.wait(0.002):
+                obs.report()
+
+        clients = [
+            threading.Thread(target=client, args=(t,))
+            for t in range(threads_n)
+        ]
+        watcher = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers' cell updates
+        try:
+            for thread in [watcher, *clients]:
+                thread.start()
+            phase.wait(timeout=60.0)
+            obs.get_registry().reset()
+            phase.wait(timeout=60.0)
+        finally:
+            for thread in clients:
+                thread.join(timeout=60.0)
+            done.set()
+            watcher.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(t.is_alive() for t in [watcher, *clients])
+        # each thread's calls since the reset drew its last ``after`` stamps
+        since: list[tuple[int, float]] = []
+        for ident, values in observed.items():
+            drawn = [stamp for stamp, who in stamps.log if who == ident]
+            since += zip(drawn[-after:], values[-after:])
+        window = sorted(value for _, value in sorted(since)[-512:])
+        doc = obs.report()["metrics"]
+        latency_doc = doc["histograms"]["serving.latency_ms"]
+        values = [value for _, value in since]
+        assert latency_doc["count"] == latency_doc["updates"] == len(since)
+        assert len(since) == threads_n * after
+        assert doc["counters"]["serving.requests"]["value"] == len(since)
+        assert (latency_doc["min"], latency_doc["max"]) == (
+            min(values), max(values)
+        )
+        for q in (50, 95, 99):
+            rank = max(1, math.ceil(q / 100.0 * len(window)))
+            assert latency_doc[f"p{q}"] == window[rank - 1], q
+        # an endpoint's own stats read since the reset too
+        for name in ("a", "b"):
+            stats = server.endpoint(name).stats()["latency_ms"]
+            assert stats["count"] == threads_n * after // 2

@@ -782,7 +782,6 @@ class TestTenantIsolation:
             clock.advance(10.0)
             return _slow(batch)
 
-        stalling.accepts_deadline = True
         server._scorers[("score", 1)] = stalling
         before = _served_ledger(fabric)
         with pytest.raises(DeadlineExceededError) as exc_info:
@@ -818,7 +817,6 @@ class TestTenantIsolation:
             clock.advance(0.002)
             return scorer(batch)
 
-        stalling.accepts_deadline = True
         server._scorers[("score", 1)] = stalling
         plan = FaultPlan(seed=chaos_seed_from_env()).inject(
             "fabric.route", rate=1.0, max_faults=1
